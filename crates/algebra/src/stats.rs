@@ -250,30 +250,6 @@ impl StatsCatalog {
         self.tables.get_mut(&rel)
     }
 
-    /// Extrapolate statistics collected on a sample population to one
-    /// `factor` times larger (TPC-H scale factors: the value domains of
-    /// categorical and range columns are scale-invariant, while key-like
-    /// columns — distinct count proportional to the table — grow with
-    /// it). A column is treated as key-like when its distinct count
-    /// exceeds 10% of the sampled rows, the same convention PostgreSQL
-    /// uses to decide whether `n_distinct` scales with the table.
-    pub fn scale_population(&mut self, factor: f64) {
-        for t in self.tables.values_mut() {
-            let old_rows = t.rows.max(1.0);
-            t.rows = (t.rows * factor).max(1.0);
-            for c in t.columns.values_mut() {
-                let key_like = c.ndv >= 0.1 * old_rows;
-                if key_like {
-                    c.ndv *= factor;
-                    if let Some(h) = &mut c.histogram {
-                        h.scale_ndv(factor);
-                    }
-                }
-                c.ndv = c.ndv.min(t.rows).max(1.0);
-            }
-        }
-    }
-
     /// Column statistics, if registered.
     pub fn column(&self, rel: RelId, attr: AttrId) -> Option<&ColumnStats> {
         self.tables.get(&rel).and_then(|t| t.columns.get(&attr))

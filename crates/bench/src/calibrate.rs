@@ -317,7 +317,7 @@ pub fn run_calibration(cfg: &CalibrateConfig) -> Calibration {
     let mut edges = Vec::new();
     let mut ranking = Vec::new();
     let mut request_bytes = 0.0f64;
-    let mut sim = mpq_dist::Simulator::new(&cat, &env.subjects, &env.policy, &db, cfg.seed);
+    let mut session = mpq_dist::Session::open(&cat, &env.subjects, &env.policy, &db, cfg.seed);
     for &q in &cfg.dist_queries {
         let plan = query_plan(&cat, q);
         let opt = optimize(
@@ -343,9 +343,11 @@ pub fn run_calibration(cfg: &CalibrateConfig) -> Calibration {
             book,
             env.user,
         );
+        // Every replay is a standalone query: fresh Def. 6.1 keys.
+        session.reset_provisioning();
         let t0 = Instant::now();
-        let report = sim
-            .run_sequential(&opt.extended, &opt.keys, env.user)
+        let report = session
+            .execute_sequential(&opt.extended, &opt.keys, env.user)
             .unwrap_or_else(|e| panic!("Q{q} distributed replay: {e}"));
         let dp_replay_secs = t0.elapsed().as_secs_f64();
         request_bytes += report.request_bytes.values().sum::<usize>() as f64;
@@ -389,9 +391,10 @@ pub fn run_calibration(cfg: &CalibrateConfig) -> Calibration {
         let mut measured: Vec<(String, f64, f64)> =
             vec![("enc/dp".into(), opt.cost.cpu_secs, dp_replay_secs)];
         let provider_opt = pinned_plan(&plan, &cat, &stats, &env, true);
+        session.reset_provisioning();
         let t0 = Instant::now();
-        if sim
-            .run_sequential(&provider_opt.extended, &provider_opt.keys, env.user)
+        if session
+            .execute_sequential(&provider_opt.extended, &provider_opt.keys, env.user)
             .is_ok()
         {
             measured.push((
@@ -401,8 +404,10 @@ pub fn run_calibration(cfg: &CalibrateConfig) -> Calibration {
             ));
         }
         let user_opt = pinned_plan(&plan, &cat, &stats, &env, false);
+        session.reset_provisioning();
         let t0 = Instant::now();
-        sim.run_sequential(&user_opt.extended, &user_opt.keys, env.user)
+        session
+            .execute_sequential(&user_opt.extended, &user_opt.keys, env.user)
             .unwrap_or_else(|e| panic!("Q{q} all-user replay: {e}"));
         measured.push((
             "enc/user".into(),
@@ -429,8 +434,8 @@ pub fn run_calibration(cfg: &CalibrateConfig) -> Calibration {
     // plan. Queries the UAPmix pipeline cannot optimize or execute are
     // skipped (no ranking point), mirroring the provider-pinned logic.
     let env_mix = build_scenario(&cat, Scenario::UAPmix);
-    let mut sim_mix =
-        mpq_dist::Simulator::new(&cat, &env_mix.subjects, &env_mix.policy, &db, cfg.seed);
+    let mut session_mix =
+        mpq_dist::Session::open(&cat, &env_mix.subjects, &env_mix.policy, &db, cfg.seed);
     for &q in &cfg.dist_queries {
         let plan = query_plan(&cat, q);
         let Ok(opt) = optimize(
@@ -443,18 +448,20 @@ pub fn run_calibration(cfg: &CalibrateConfig) -> Calibration {
         ) else {
             continue;
         };
+        session_mix.reset_provisioning();
         let t0 = Instant::now();
-        if sim_mix
-            .run_sequential(&opt.extended, &opt.keys, env_mix.user)
+        if session_mix
+            .execute_sequential(&opt.extended, &opt.keys, env_mix.user)
             .is_err()
         {
             continue;
         }
         let dp_secs = t0.elapsed().as_secs_f64();
         let user_opt = pinned_plan(&plan, &cat, &stats, &env_mix, false);
+        session_mix.reset_provisioning();
         let t0 = Instant::now();
-        if sim_mix
-            .run_sequential(&user_opt.extended, &user_opt.keys, env_mix.user)
+        if session_mix
+            .execute_sequential(&user_opt.extended, &user_opt.keys, env_mix.user)
             .is_err()
         {
             continue;

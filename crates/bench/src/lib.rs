@@ -45,7 +45,7 @@ use std::sync::OnceLock;
 
 /// Scale factor the evaluation statistics are measured at: the paper's
 /// 1 GB (SF 1) configuration, generated in full and measured directly
-/// — no `scale_population` extrapolation from a smaller sample.
+/// — not extrapolated from a smaller sample.
 pub const STATS_SF: f64 = 1.0;
 
 /// Seed for the statistics-collection data generation.

@@ -10,8 +10,9 @@
 //! it with `--smoke` and fails on divergence).
 //!
 //! Both execution paths are measured: the concurrent thread-per-subject
-//! runtime (`Simulator::run`) and the sequential reference interpreter
-//! (`Simulator::run_sequential`); the report records their ratio so
+//! runtime (`Session::execute`) and the same-thread reference scheduler
+//! (`Session::execute_sequential`), each query provisioned afresh; the
+//! report records their ratio so
 //! the pipeline-parallelism win (or regression) is visible per PR in
 //! `BENCH_dist.json`. With [`ThroughputConfig::session_mode`]
 //! (`--session`), a third phase drives the identical workload through
@@ -29,7 +30,7 @@ use mpq_core::fixtures::RunningExample;
 use mpq_core::keys::{plan_keys, KeyPlan};
 use mpq_core::subjects::Subjects;
 use mpq_crypto::keyring::KeyRing;
-use mpq_dist::{FaultPlan, Session, SessionConfig, SimError, Simulator, TransportKind};
+use mpq_dist::{FaultPlan, Session, SessionConfig, SimError, TransportKind};
 use mpq_exec::{Database, SchemePlan, Table};
 use mpq_planner::stats::{collect_stats, SampleConfig};
 use mpq_planner::{build_scenario, optimize, Scenario, Strategy};
@@ -416,9 +417,11 @@ struct SessionOut {
 /// Which execution path a phase measures.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// `Simulator::run` — fresh Def. 6.1 provisioning per query.
+    /// `Session::execute` after `reset_provisioning` — fresh Def. 6.1
+    /// provisioning per query.
     Concurrent,
-    /// `Simulator::run_sequential` — the reference interpreter.
+    /// `Session::execute_sequential`, likewise fresh per query — the
+    /// same-thread reference scheduler.
     Sequential,
     /// `Session::execute` — one persistent session per client and
     /// environment, provisioning amortized across the iterations.
@@ -426,35 +429,6 @@ enum Phase {
     /// `Session::execute` over the loopback-TCP transport — the same
     /// persistent sessions, but the data plane crosses real sockets.
     Tcp,
-}
-
-/// Per-client driver state: either fresh-per-run simulators or
-/// persistent sessions, one per environment.
-enum Driver<'a> {
-    Sims(Vec<Simulator<'a>>),
-    Sessions(Vec<Session>),
-}
-
-impl Driver<'_> {
-    fn run(
-        &mut self,
-        env_ix: usize,
-        item: &WorkItem,
-        user: SubjectId,
-        sequential: bool,
-    ) -> Result<mpq_dist::Report, mpq_dist::SimError> {
-        match self {
-            Driver::Sims(sims) => {
-                let sim = &mut sims[env_ix];
-                if sequential {
-                    sim.run_sequential(&item.ext, &item.keys, user)
-                } else {
-                    sim.run(&item.ext, &item.keys, user)
-                }
-            }
-            Driver::Sessions(sessions) => sessions[env_ix].execute(&item.ext, &item.keys, user),
-        }
-    }
 }
 
 /// Run one phase (all sessions × iters × items) in the given mode.
@@ -473,45 +447,40 @@ fn run_phase(wl: &Workload, cfg: &ThroughputConfig, phase: Phase) -> (ModeStats,
                 scope.spawn(move || {
                     let mut out = SessionOut::default();
                     let seed = cfg.seed ^ (session as u64).wrapping_mul(0x9E37_79B9);
-                    let mut driver = if matches!(phase, Phase::Session | Phase::Tcp) {
-                        let mut config = match phase {
-                            Phase::Tcp => SessionConfig::new(seed).transport(TransportKind::Tcp),
-                            _ => SessionConfig::new(seed),
-                        };
-                        if let Some(plan) = &cfg.faults {
-                            config = config.faults(plan.clone());
-                        }
-                        Driver::Sessions(
-                            wl.envs
-                                .iter()
-                                .map(|e| {
-                                    Session::open_with(
-                                        &e.catalog,
-                                        &e.subjects,
-                                        &e.policy,
-                                        &e.db,
-                                        config.clone(),
-                                    )
-                                })
-                                .collect(),
-                        )
-                    } else {
-                        Driver::Sims(
-                            wl.envs
-                                .iter()
-                                .map(|e| {
-                                    Simulator::new(&e.catalog, &e.subjects, &e.policy, &e.db, seed)
-                                })
-                                .collect(),
-                        )
-                    };
+                    // One session per environment. The fresh phases
+                    // reset its provisioning before every query; the
+                    // session phases let it amortize (and are the only
+                    // ones a fault schedule applies to).
+                    let fresh = matches!(phase, Phase::Concurrent | Phase::Sequential);
+                    let mut config = SessionConfig::new(seed);
+                    if phase == Phase::Tcp {
+                        config = config.transport(TransportKind::Tcp);
+                    }
+                    if let Some(plan) = cfg.faults.as_ref().filter(|_| !fresh) {
+                        config = config.faults(plan.clone());
+                    }
+                    let mut sessions: Vec<Session> = wl
+                        .envs
+                        .iter()
+                        .map(|e| {
+                            let config = config.clone();
+                            Session::open_with(&e.catalog, &e.subjects, &e.policy, &e.db, config)
+                        })
+                        .collect();
                     barrier.wait();
                     for _ in 0..cfg.iters {
                         for item in &wl.items {
                             let env = &wl.envs[item.env];
+                            let session = &mut sessions[item.env];
                             let t0 = Instant::now();
-                            let report =
-                                driver.run(item.env, item, env.user, phase == Phase::Sequential);
+                            if fresh {
+                                session.reset_provisioning();
+                            }
+                            let report = if phase == Phase::Sequential {
+                                session.execute_sequential(&item.ext, &item.keys, env.user)
+                            } else {
+                                session.execute(&item.ext, &item.keys, env.user)
+                            };
                             let dt = t0.elapsed().as_secs_f64() * 1e3;
                             match report {
                                 Ok(r) => {

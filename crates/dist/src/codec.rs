@@ -20,6 +20,7 @@
 //! [`TransportError::Frame`](crate::transport::TransportError) at the
 //! transport layer, never a panic in a party loop.
 
+use crate::party::{QueryJob, Transfer};
 use crate::runtime::Msg;
 use mpq_algebra::expr::{AggExpr, AggFunc, ArithOp, CmpOp, DateField, Expr};
 use mpq_algebra::plan::{JoinKind, Operator, QueryPlan};
@@ -29,6 +30,7 @@ use mpq_crypto::bignum::BigUint;
 use mpq_crypto::rsa::{RsaPublic, SignedEnvelope};
 use mpq_exec::{Batch, ColumnVec, SchemePlan, Table, TableSchema};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Primitive writers / reader
@@ -740,31 +742,11 @@ fn get_rsa_public(r: &mut Reader) -> Option<RsaPublic> {
 // Remote jobs
 // ---------------------------------------------------------------------------
 
-/// Everything a remote party needs to execute its share of one query —
-/// the wire projection of the session's `QueryJob`. The client does
-/// all planning; servers re-derive order/parents from the plan and
-/// never see each other's request envelopes or any private RSA key.
-#[derive(Clone, Debug)]
-pub(crate) struct RemoteJob {
-    /// The executable extended plan.
-    pub(crate) plan: QueryPlan,
-    /// Per-attribute encryption schemes.
-    pub(crate) schemes: SchemePlan,
-    /// Attribute → Def. 6.1 cluster-key id.
-    pub(crate) key_of_attr: HashMap<AttrId, u32>,
-    /// Node → executing subject, total over the plan.
-    pub(crate) assignment: HashMap<NodeId, SubjectId>,
-    /// Participating subjects, ascending.
-    pub(crate) participants: Vec<SubjectId>,
-    /// The querying user.
-    pub(crate) user: SubjectId,
-    /// Seed for per-(node, column, row) encryption randomness.
-    pub(crate) exec_seed: u64,
-    /// Receive timeout in milliseconds (0 = wait forever).
-    pub(crate) timeout_ms: u64,
-}
-
-fn put_remote_job(b: &mut Vec<u8>, j: &RemoteJob) {
+/// The shipped fields of a [`QueryJob`]; the receiver re-derives the
+/// rest (order, parents, fusion sites, participants) in
+/// [`QueryJob::new`]. Servers never see each other's request envelopes
+/// or any private RSA key.
+fn put_job(b: &mut Vec<u8>, j: &QueryJob) {
     put_plan(b, &j.plan);
     let mut schemes: Vec<(AttrId, EncScheme)> = j.schemes.iter().collect();
     schemes.sort_by_key(|(a, _)| a.0);
@@ -796,16 +778,13 @@ fn put_remote_job(b: &mut Vec<u8>, j: &RemoteJob) {
         put_u32(b, n.0);
         put_u32(b, s.0);
     }
-    put_u32(b, j.participants.len() as u32);
-    for s in &j.participants {
-        put_u32(b, s.0);
-    }
     put_u32(b, j.user.0);
     put_u64(b, j.exec_seed);
     put_u64(b, j.timeout_ms);
+    put_bool(b, j.fuse);
 }
 
-fn get_remote_job(r: &mut Reader) -> Option<RemoteJob> {
+fn get_job(r: &mut Reader) -> Option<QueryJob> {
     let plan = get_plan(r)?;
     let n = r.u32()? as usize;
     let mut schemes = SchemePlan::default();
@@ -834,21 +813,18 @@ fn get_remote_job(r: &mut Reader) -> Option<RemoteJob> {
         let s = SubjectId(r.u32()?);
         assignment.insert(node, s);
     }
-    let n = r.u32()? as usize;
-    let mut participants = Vec::with_capacity(n);
-    for _ in 0..n {
-        participants.push(SubjectId(r.u32()?));
-    }
-    Some(RemoteJob {
+    // A job whose assignment is not total over its plan is malformed.
+    QueryJob::new(
         plan,
         schemes,
         key_of_attr,
         assignment,
-        participants,
-        user: SubjectId(r.u32()?),
-        exec_seed: r.u64()?,
-        timeout_ms: r.u64()?,
-    })
+        SubjectId(r.u32()?),
+        r.u64()?,
+        r.u64()?,
+        r.bool()?,
+    )
+    .ok()
 }
 
 // ---------------------------------------------------------------------------
@@ -910,8 +886,9 @@ pub(crate) enum Frame {
     Execute {
         /// Query epoch.
         epoch: u64,
-        /// The wire projection of the query job.
-        job: RemoteJob,
+        /// The query job (shared with the coordinator's own party and
+        /// its recovery copy of this frame).
+        job: Arc<QueryJob>,
         /// This recipient's signed request envelope (absent only for
         /// the user's own party, which needs no self-request).
         envelope: Option<SignedEnvelope>,
@@ -946,25 +923,14 @@ pub(crate) fn encode_frame(f: &Frame) -> Vec<u8> {
             put_u8(&mut b, 1);
             put_u64(&mut b, *epoch);
             match msg {
-                Msg::Table {
-                    node,
-                    from,
-                    seq,
-                    table,
-                } => {
+                Msg::Table(t) => {
                     put_u8(&mut b, 0);
-                    put_u32(&mut b, node.0);
-                    put_u32(&mut b, from.0);
-                    put_u64(&mut b, *seq);
-                    put_table(&mut b, table);
+                    put_u32(&mut b, t.node.0);
+                    put_u32(&mut b, t.from.0);
+                    put_u64(&mut b, t.seq);
+                    put_table(&mut b, &t.table);
                 }
-                Msg::Result { from, seq, table } => {
-                    put_u8(&mut b, 1);
-                    put_u32(&mut b, from.0);
-                    put_u64(&mut b, *seq);
-                    put_table(&mut b, table);
-                }
-                Msg::Abort => put_u8(&mut b, 2),
+                Msg::Abort => put_u8(&mut b, 1),
             }
         }
         Frame::Hello { user, public } => {
@@ -993,7 +959,7 @@ pub(crate) fn encode_frame(f: &Frame) -> Vec<u8> {
         } => {
             put_u8(&mut b, 6);
             put_u64(&mut b, *epoch);
-            put_remote_job(&mut b, job);
+            put_job(&mut b, job);
             match envelope {
                 Some(e) => {
                     put_bool(&mut b, true);
@@ -1033,18 +999,13 @@ pub(crate) fn decode_frame(bytes: &[u8]) -> Option<Frame> {
         1 => {
             let epoch = r.u64()?;
             let msg = match r.u8()? {
-                0 => Msg::Table {
+                0 => Msg::Table(Transfer {
                     node: NodeId(r.u32()?),
                     from: SubjectId(r.u32()?),
                     seq: r.u64()?,
                     table: get_table(&mut r)?,
-                },
-                1 => Msg::Result {
-                    from: SubjectId(r.u32()?),
-                    seq: r.u64()?,
-                    table: get_table(&mut r)?,
-                },
-                2 => Msg::Abort,
+                }),
+                1 => Msg::Abort,
                 _ => return None,
             };
             Frame::Data { epoch, msg }
@@ -1066,7 +1027,7 @@ pub(crate) fn decode_frame(bytes: &[u8]) -> Option<Frame> {
         },
         6 => {
             let epoch = r.u64()?;
-            let job = get_remote_job(&mut r)?;
+            let job = Arc::new(get_job(&mut r)?);
             let envelope = if r.bool()? {
                 Some(get_envelope(&mut r)?)
             } else {
@@ -1124,23 +1085,23 @@ mod tests {
         );
         let f = roundtrip(&Frame::Data {
             epoch: 42,
-            msg: Msg::Table {
+            msg: Msg::Table(Transfer {
                 node: NodeId(5),
                 from: SubjectId(2),
                 seq: 77,
                 table: table.clone(),
-            },
+            }),
         });
         match f {
             Frame::Data {
                 epoch: 42,
                 msg:
-                    Msg::Table {
+                    Msg::Table(Transfer {
                         node,
                         from,
                         seq,
                         table: t,
-                    },
+                    }),
             } => {
                 assert_eq!(node, NodeId(5));
                 assert_eq!(from, SubjectId(2));
@@ -1212,11 +1173,12 @@ mod tests {
         // Truncated table frame.
         let mut good = encode_frame(&Frame::Data {
             epoch: 1,
-            msg: Msg::Result {
+            msg: Msg::Table(Transfer {
+                node: NodeId(0),
                 from: SubjectId(0),
                 seq: 0,
                 table: Table::new(vec![AttrId(0)]),
-            },
+            }),
         });
         good.pop();
         assert!(decode_frame(&good).is_none());

@@ -1,4 +1,4 @@
-//! Simulator failures — every way a distributed run can be refused.
+//! Runtime failures — every way a distributed run can be refused.
 
 use mpq_algebra::{AttrId, NodeId, RelId, SubjectId};
 use mpq_core::authz::AuthzViolation;
@@ -6,7 +6,7 @@ use mpq_exec::ExecError;
 
 /// Why a distributed execution was aborted.
 ///
-/// The first three variants are the simulator's *runtime* enforcement
+/// The first three variants are the *runtime* enforcement
 /// of the paper's authorization model: they fire when an assignment
 /// that slipped past (or bypassed) the static analysis of
 /// `mpq_core::candidates` / `mpq_core::extend` would hand a subject
@@ -73,7 +73,7 @@ pub enum SimError {
     /// The static pre-flight verifier (`mpq_core::verify`) rejected the
     /// plan before any key material was generated; the report carries
     /// every coded diagnostic. Sessions opened with
-    /// `Session::without_preflight` skip this layer and rely on the
+    /// `SessionConfig::without_preflight` skip this layer and rely on the
     /// dynamic checks above.
     Verify(mpq_core::verify::VerifyReport),
     /// The wire failed mid-query: a peer became unreachable, a frame

@@ -4,22 +4,23 @@
 //! paper's §6 dispatch story — "each subject executes its assigned
 //! sub-query and forwards encrypted results".
 //!
-//! Two entry points share one machinery:
+//! **One core, three schedulers.** The §6 rule — a node runs at its
+//! assignee once its operands have arrived; whatever crosses a subject
+//! edge is audited against the receiver's view and byte-accounted; the
+//! signed request is the licence to compute — is stated once, as the
+//! pure per-subject state machine in [`party`]. Three thin schedulers
+//! drive it:
 //!
-//! * [`Session`] — the persistent, multi-query runtime. `open` sets up
-//!   one *party* per subject (RSA envelope keypair, cluster-key ring,
-//!   a local store holding exactly the base relations the subject is
-//!   the data authority of) and spawns one long-lived party loop per
-//!   subject; `execute` then runs any number of queries over those
-//!   parties, provisioning Def. 6.1 cluster keys *incrementally*
-//!   through a per-session cache (only clusters the session has never
-//!   seen are generated and shipped — see [`session`]).
-//! * [`Simulator`] — the protocol-faithful one-query view: each `run`
-//!   behaves as its own session, re-provisioning every cluster key
-//!   exactly as Def. 6.1 prescribes for a standalone query. This is
-//!   the entry the paper-fidelity tests drive.
+//! | scheduler | entry point | benchmark metric |
+//! |---|---|---|
+//! | **same thread** — walk the global postorder, stepping each node's assignee and *moving* tables between the machines | [`Session::execute_sequential`] | `seq_pass_ms_p50` |
+//! | **thread per subject** — long-lived party threads, mailboxes in, a `Wire` out ([`runtime`]) | [`Session::execute`] (in-proc mailboxes) | `pass_ms_p50` |
+//! | | [`Session::execute`] with [`TransportKind::Tcp`] (loopback sockets) | `tcp_pass_ms_p50` |
+//! | **process per subject** — the same blocking driver inside each [`Server`] and for the [`Coordinator`]'s own share ([`remote`]) | [`Coordinator::execute`] | — (`scripts/server_smoke.sh`) |
 //!
-//! Every query, through either entry, follows the §6 protocol:
+//! Whoever schedules, a query follows the §6 protocol. The first three
+//! steps are the querying user's side, one shared preparation (see
+//! [`session`]) that a [`Session`] and a [`Coordinator`] both call:
 //!
 //! 1. **re-verify the assignment at runtime** — every subject must be
 //!    authorized (Def. 4.1) for the profile of every relation it
@@ -29,27 +30,25 @@
 //!    material per Def. 6.1 cluster, handed to exactly the holders;
 //!    every computing subject additionally receives the *public*
 //!    Paillier halves, enabling homomorphic aggregation without
-//!    decryption capability;
+//!    decryption capability. A [`Session`] provisions *incrementally*
+//!    through a per-session cache (only clusters it has never seen are
+//!    generated and shipped); [`Session::reset_provisioning`] before a
+//!    query makes it the standalone, protocol-faithful one;
 //! 3. **dispatch signed requests** — the sub-queries of
 //!    `mpq_core::dispatch` travel as `[[q_S, keys]_priU]_pubS`
 //!    envelopes ([`SignedEnvelope`](mpq_crypto::rsa::SignedEnvelope)),
 //!    batched per subject-pair edge, opened and verified by each
-//!    recipient;
-//! 4. **execute concurrently** — the participating subjects' [party
-//!    loops](runtime) wake; a node executes as soon as its operands'
-//!    tables have arrived at its assignee, so independent subtrees of
-//!    the extended plan run in parallel at different providers, over
-//!    real XTEA/OPE/Paillier ciphertexts; every table crossing a
+//!    recipient before it computes anything;
+//! 4. **execute** — the party core steps every node at its assignee,
+//!    over real XTEA/OPE/Paillier ciphertexts; every table crossing a
 //!    subject boundary is byte-accounted and [cell-audited](audit) by
 //!    the *receiving* party;
 //! 5. return a [`Report`] with the final (plaintext, for the user)
 //!    result and the bytes-on-the-wire per subject-pair edge.
 //!
-//! [`Session::execute_sequential`] / [`Simulator::run_sequential`]
-//! interpret the same prepared plan bottom-up on the calling thread.
-//! The two paths share all of the preparation (phases 1–3) and produce
-//! bit-identical results and per-edge byte counts — a property the
-//! differential tests lean on.
+//! The schedulers produce bit-identical results and per-edge byte
+//! counts — a property the differential tests lean on, and one that
+//! now tests *schedulers*, not copies of the semantics.
 //!
 //! A subject receiving data its view does not permit — or attempting
 //! encryption/decryption with a key it does not hold — aborts the
@@ -60,6 +59,7 @@ pub mod audit;
 pub(crate) mod codec;
 pub mod error;
 pub mod fault;
+pub(crate) mod party;
 pub mod remote;
 pub mod runtime;
 pub mod session;
@@ -72,18 +72,12 @@ pub use remote::{Coordinator, Server, ServerConfig};
 pub use session::{Session, SessionConfig, SessionStats};
 pub use transport::{EdgeRecovery, TransportError, TransportKind};
 
-use mpq_algebra::{Catalog, RelId, SubjectId};
-use mpq_core::authz::Policy;
-use mpq_core::extend::ExtendedPlan;
-use mpq_core::keys::KeyPlan;
+use mpq_algebra::SubjectId;
 use mpq_core::subjects::Subjects;
-use mpq_crypto::keyring::KeyRing;
-use mpq_crypto::rsa::{RsaKeypair, RsaPublic};
-use mpq_exec::{Database, Table};
+use mpq_exec::Table;
 use std::collections::HashMap;
-use std::marker::PhantomData;
 
-/// Paillier modulus size for simulator-generated cluster keys. Small
+/// Paillier modulus size for generated cluster keys. Small
 /// enough to keep runs fast, large enough for the fixed-point encodings
 /// the execution layer produces.
 pub(crate) const PAILLIER_BITS: usize = 256;
@@ -111,6 +105,31 @@ pub struct Report {
 }
 
 impl Report {
+    /// Put a report together from the dispatch share (envelope bytes,
+    /// request count) and what each clean party contributed.
+    pub(crate) fn assemble(
+        request_bytes: HashMap<(SubjectId, SubjectId), usize>,
+        requests: usize,
+        outs: impl IntoIterator<Item = party::PartyOut>,
+    ) -> Result<Report, SimError> {
+        let mut transfers = request_bytes.clone();
+        let mut result = None;
+        for out in outs {
+            for (edge, bytes) in out.transfers {
+                *transfers.entry(edge).or_default() += bytes;
+            }
+            result = result.or(out.result);
+        }
+        Ok(Report {
+            result: result.ok_or(TransportError::Frame {
+                detail: "no result delivered to the user".to_string(),
+            })?,
+            transfers,
+            request_bytes,
+            requests,
+        })
+    }
+
     /// Total bytes moved across all edges.
     pub fn total_bytes(&self) -> usize {
         self.transfers.values().sum()
@@ -148,166 +167,5 @@ impl Report {
             ));
         }
         out
-    }
-}
-
-/// One simulated subject: envelope keypair, cluster-key ring, and the
-/// base relations it is the authority of.
-pub(crate) struct Party {
-    pub(crate) rsa: RsaKeypair,
-    pub(crate) ring: KeyRing,
-    pub(crate) store: Database,
-}
-
-/// The one-query-at-a-time view of the distributed runtime.
-///
-/// A `Simulator` is a thin wrapper over a [`Session`] that resets the
-/// session's provisioning cache before every run: each
-/// [`Simulator::run`] provisions fresh Def. 6.1 cluster keys and
-/// re-ships every Paillier public half, exactly as the protocol
-/// prescribes for a standalone query. Party identities (RSA keypairs)
-/// and the party threads persist across runs — they model the
-/// subjects, not the query.
-///
-/// Use a [`Session`] directly when consecutive queries should
-/// *amortize* provisioning instead.
-///
-/// # Example
-///
-/// ```
-/// use mpq_core::fixtures::RunningExample;
-/// use mpq_core::keys::plan_keys;
-/// use mpq_dist::Simulator;
-/// use mpq_exec::Database;
-///
-/// let ex = RunningExample::new();
-/// let mut db = Database::new();
-/// db.load(&ex.catalog, "Hosp", RunningExample::sample_hosp_rows());
-/// db.load(&ex.catalog, "Ins", RunningExample::sample_ins_rows());
-/// let ext = ex.fig7a_extended();
-/// let keys = plan_keys(&ext);
-///
-/// let mut sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, 2026);
-/// let report = sim.run(&ext, &keys, ex.subject("U")).unwrap();
-/// assert!(!report.result.is_empty());
-/// assert!(report.total_bytes() > 0);
-/// ```
-pub struct Simulator<'a> {
-    session: Session,
-    /// The constructor's borrows are cloned into the session (whose
-    /// party threads need `'static` data); the lifetime parameter is
-    /// kept for API stability.
-    _env: PhantomData<&'a ()>,
-}
-
-impl<'a> Simulator<'a> {
-    /// Set up the parties: one per registered subject. Base relations
-    /// of `db` are distributed to their data authorities (a relation
-    /// without a declared authority is held by nobody — executing a
-    /// plan over it fails at that leaf).
-    ///
-    /// Convenience shim over [`Simulator::with_config`] with the
-    /// default configuration (in-proc transport, shared pool,
-    /// pre-flight on).
-    pub fn new(
-        catalog: &'a Catalog,
-        subjects: &'a Subjects,
-        policy: &'a Policy,
-        db: &Database,
-        seed: u64,
-    ) -> Simulator<'a> {
-        Simulator::with_config(catalog, subjects, policy, db, SessionConfig::new(seed))
-    }
-
-    /// Set up the parties with an explicit [`SessionConfig`] — the one
-    /// place all runtime knobs (seed, worker pool, pre-flight,
-    /// transport, receive timeout) live.
-    pub fn with_config(
-        catalog: &'a Catalog,
-        subjects: &'a Subjects,
-        policy: &'a Policy,
-        db: &Database,
-        config: SessionConfig,
-    ) -> Simulator<'a> {
-        Simulator {
-            session: Session::open_with(catalog, subjects, policy, db, config),
-            _env: PhantomData,
-        }
-    }
-
-    /// Deprecated: use [`Simulator::with_config`] with
-    /// [`SessionConfig::with_workers`]. Replaces the shared worker pool
-    /// with a private one of `workers` threads (differential tests
-    /// sweep worker counts; results are identical by construction).
-    pub fn with_workers(mut self, workers: usize) -> Simulator<'a> {
-        self.session = self.session.with_workers(workers);
-        self
-    }
-
-    /// Deprecated: use [`Simulator::with_config`] with
-    /// [`SessionConfig::without_preflight`]. Disables the static
-    /// pre-flight verifier, leaving only the dynamic defenses.
-    pub fn without_preflight(mut self) -> Simulator<'a> {
-        self.session = self.session.without_preflight();
-        self
-    }
-
-    /// Run `ext` across the parties on behalf of `user`, with the
-    /// Def. 6.1 key establishment `keys`, as an independent one-query
-    /// session (full key provisioning, fresh material).
-    ///
-    /// This is the **concurrent** runtime: one party loop per
-    /// participating subject, mailboxes carrying the signed request
-    /// envelopes and result tables, every node executing as soon as its
-    /// operands arrive at its assignee (see [`runtime`]). Results and
-    /// per-edge byte counts are bit-identical to
-    /// [`Simulator::run_sequential`].
-    pub fn run(
-        &mut self,
-        ext: &ExtendedPlan,
-        keys: &KeyPlan,
-        user: SubjectId,
-    ) -> Result<Report, SimError> {
-        self.session.reset_provisioning();
-        self.session.execute(ext, keys, user)
-    }
-
-    /// Run `ext` bottom-up on the calling thread — the reference
-    /// interpreter the concurrent runtime is differentially tested
-    /// against. Same preparation, same results, same byte accounting;
-    /// no pipeline parallelism.
-    pub fn run_sequential(
-        &mut self,
-        ext: &ExtendedPlan,
-        keys: &KeyPlan,
-        user: SubjectId,
-    ) -> Result<Report, SimError> {
-        self.session.reset_provisioning();
-        self.session.execute_sequential(ext, keys, user)
-    }
-
-    /// The RSA public key of a subject (for tests probing the envelope
-    /// layer).
-    pub fn public_key_of(&self, s: SubjectId) -> RsaPublic {
-        self.session.public_key_of(s)
-    }
-
-    /// `true` if `s` currently holds the full cluster key `id`
-    /// (as provisioned by the last [`Simulator::run`]).
-    pub fn holds_key(&self, s: SubjectId, id: u32) -> bool {
-        self.session.holds_key(s, id)
-    }
-
-    /// Revoke the full cluster key `id` from every party, keeping only
-    /// the public aggregation halves. Used by tests to prove that
-    /// decryption without the key fails behaviorally.
-    pub fn revoke_key(&mut self, id: u32) {
-        self.session.revoke_key(id);
-    }
-
-    /// Which base relations a subject stores (the authority
-    /// partitioning computed by [`Simulator::new`]).
-    pub fn stored_relations(&self, s: SubjectId) -> Vec<RelId> {
-        self.session.stored_relations(s)
     }
 }

@@ -1,0 +1,504 @@
+//! The party core: the §6 execution rule, stated once.
+//!
+//! A node runs at its assignee once its operands have arrived;
+//! whatever crosses a subject edge is audited against the receiver's
+//! view and byte-accounted; the signed `[[q_S, keys]_priU]_pubS`
+//! request is the licence to compute. [`PartyRun`] is that rule for
+//! *one subject and one query* as a pure state machine — no threads,
+//! no channels, no sockets, no clock:
+//!
+//! * [`PartyRun::new`] verifies the request envelope addressed to this
+//!   subject and works out which nodes it runs and which operands it
+//!   must be sent;
+//! * [`PartyRun::deliver`] takes one incoming [`Transfer`]: drops a
+//!   re-sent duplicate, refuses anything this party is not waiting for
+//!   from that producer, audits every cell against this subject's view
+//!   and accounts the bytes;
+//! * [`PartyRun::step`] runs one ready node under this subject's key
+//!   ring and store, and returns the table together with the subject it
+//!   must travel to (or keeps it, when the consumer is this subject);
+//! * [`PartyRun::finish`] yields the [`PartyOut`].
+//!
+//! Every failure is a returned [`SimError`]; what to do about it
+//! (abort the epoch, tell the peers) is the scheduler's business. The
+//! three schedulers — same thread, thread per subject, process per
+//! subject — live in [`session`](crate::session),
+//! [`runtime`](crate::runtime) and [`remote`](crate::remote).
+
+use crate::audit::audit_transfer_with;
+use crate::error::SimError;
+use crate::transport::TransportError;
+use mpq_algebra::{AttrId, Catalog, NodeId, QueryPlan, SubjectId};
+use mpq_core::authz::SubjectView;
+use mpq_crypto::keyring::KeyRing;
+use mpq_crypto::rsa::{RsaKeypair, RsaPublic, SignedEnvelope};
+use mpq_exec::{
+    effective_children, execute_step, fused_encrypt_child, node_ready_fused, Database, ExecCtx,
+    SchemePlan, Table, WorkerPool,
+};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// One subject, for a session's whole life: identity, view, keys and
+/// store. Deliberately holds only *this* subject's material — an
+/// `mpq-server` process builds exactly one, with no other party's keys
+/// or relations in its address space.
+pub(crate) struct Party {
+    pub(crate) me: SubjectId,
+    pub(crate) catalog: Arc<Catalog>,
+    /// This subject's overall view (receive audits).
+    pub(crate) view: SubjectView,
+    /// Request-envelope keypair.
+    pub(crate) rsa: RsaKeypair,
+    /// Def. 6.1 cluster keys granted to this subject.
+    pub(crate) ring: KeyRing,
+    /// The base relations this subject is the authority of.
+    pub(crate) store: Database,
+    /// Worker pool for intra-operator data parallelism and audits. A
+    /// session's parties share one, so concurrently executing parties
+    /// draw from one thread budget.
+    pub(crate) pool: WorkerPool,
+}
+
+/// One table crossing a subject edge: the only data message of the
+/// protocol. The root's table travels to the querying user the same
+/// way any operand travels to its consumer.
+#[derive(Clone, Debug)]
+pub(crate) struct Transfer {
+    /// Node whose result this is.
+    pub(crate) node: NodeId,
+    /// Producing subject.
+    pub(crate) from: SubjectId,
+    /// Sequence number, unique per producer and epoch. A sender
+    /// recovering from an ambiguous delivery failure re-sends the same
+    /// number; the receiver drops the duplicate.
+    pub(crate) seq: u64,
+    /// The result rows.
+    pub(crate) table: Table,
+}
+
+/// Everything the parties need to execute one query, shared immutably
+/// by all participants — and exactly what `Frame::Execute` carries to a
+/// server process. The derived fields are functions of the shipped
+/// ones, computed once by [`QueryJob::new`] on whichever side of the
+/// wire the job is built.
+#[derive(Clone, Debug)]
+pub(crate) struct QueryJob {
+    /// The extended plan with encrypted literals spliced in.
+    pub(crate) plan: QueryPlan,
+    /// Per-attribute encryption schemes.
+    pub(crate) schemes: SchemePlan,
+    /// Attribute → session-wide cluster-key id.
+    pub(crate) key_of_attr: HashMap<AttrId, u32>,
+    /// Node → executing subject, total over the plan.
+    pub(crate) assignment: HashMap<NodeId, SubjectId>,
+    /// The querying user.
+    pub(crate) user: SubjectId,
+    /// Base seed for per-(node, column, row) encryption randomness;
+    /// identical for every scheduler and every query of a session.
+    pub(crate) exec_seed: u64,
+    /// How long a party waits for an expected transfer before aborting
+    /// the epoch with a typed timeout, in milliseconds (0: forever —
+    /// the in-proc default, where a peer cannot die alone).
+    pub(crate) timeout_ms: u64,
+    /// Footnote-2 filter-before-encrypt fusion enabled.
+    pub(crate) fuse: bool,
+    /// Derived: execution order (postorder of the plan).
+    pub(crate) order: Vec<NodeId>,
+    /// Derived: parent of each node, by node index.
+    pub(crate) parents: Vec<Option<NodeId>>,
+    /// Derived: Encrypt nodes folded into their parent Select (fusible
+    /// predicate, same assignee — a different assignee must never see
+    /// the Encrypt's plaintext input). These never run as steps.
+    pub(crate) fused: HashSet<NodeId>,
+    /// Derived: every assignee plus the user, ascending by subject id.
+    pub(crate) participants: Vec<SubjectId>,
+}
+
+impl QueryJob {
+    /// Build a job, deriving order, parents, fusion sites and
+    /// participants. Refuses an assignment that is not total over the
+    /// plan, so everything downstream may index it.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        plan: QueryPlan,
+        schemes: SchemePlan,
+        key_of_attr: HashMap<AttrId, u32>,
+        assignment: HashMap<NodeId, SubjectId>,
+        user: SubjectId,
+        exec_seed: u64,
+        timeout_ms: u64,
+        fuse: bool,
+    ) -> Result<QueryJob, SimError> {
+        let order = plan.postorder();
+        let mut participants = vec![user];
+        for &id in &order {
+            participants.push(*assignment.get(&id).ok_or(SimError::Unassigned(id))?);
+        }
+        participants.sort_by_key(|s| s.index());
+        participants.dedup();
+        let fused = order
+            .iter()
+            .filter_map(|&id| Some((id, fused_encrypt_child(&plan, id)?)))
+            .filter(|(id, enc)| fuse && assignment[id] == assignment[enc])
+            .map(|(_, enc)| enc)
+            .collect();
+        Ok(QueryJob {
+            parents: plan.parents(),
+            plan,
+            schemes,
+            key_of_attr,
+            assignment,
+            user,
+            exec_seed,
+            timeout_ms,
+            fuse,
+            order,
+            fused,
+            participants,
+        })
+    }
+
+    /// The receive timeout as a duration (`None`: wait forever).
+    pub(crate) fn timeout(&self) -> Option<Duration> {
+        (self.timeout_ms > 0).then(|| Duration::from_millis(self.timeout_ms))
+    }
+}
+
+/// A clean party's contribution to the run report.
+#[derive(Default)]
+pub(crate) struct PartyOut {
+    /// Bytes received per (producer, me) edge.
+    pub(crate) transfers: HashMap<(SubjectId, SubjectId), usize>,
+    /// The final result (only ever `Some` at the user's party).
+    pub(crate) result: Option<Table>,
+}
+
+/// One subject's share of one query, as a state machine. See the
+/// [module docs](self).
+pub(crate) struct PartyRun<'a> {
+    party: &'a Party,
+    job: &'a QueryJob,
+    /// My nodes not yet run, in global postorder.
+    todo: Vec<NodeId>,
+    /// Tables still owed to me by other subjects: node → the subject
+    /// assigned to produce it. Holds the root when I am the user and
+    /// somebody else computes it.
+    awaited: HashMap<NodeId, SubjectId>,
+    /// Transfers already taken, by `(producer, seq)`.
+    seen: HashSet<(SubjectId, u64)>,
+    /// Operand tables present here and not yet consumed.
+    results: HashMap<NodeId, Table>,
+    next_seq: u64,
+    out: PartyOut,
+}
+
+impl<'a> PartyRun<'a> {
+    /// Start this party's share of `job`. Nothing runs unless the
+    /// request envelope addressed to this subject opens under its key
+    /// and verifies against the user's: every subject that computes
+    /// for somebody else needs one; the user needs none to serve
+    /// itself, but one that is present must still verify.
+    pub(crate) fn new(
+        party: &'a Party,
+        job: &'a QueryJob,
+        envelope: Option<&SignedEnvelope>,
+        user_public: &RsaPublic,
+    ) -> Result<PartyRun<'a>, SimError> {
+        let me = party.me;
+        let licensed = match envelope {
+            Some(envelope) => envelope.open(&party.rsa, user_public).is_some(),
+            None => me == job.user,
+        };
+        if !licensed {
+            return Err(SimError::Envelope { to: me });
+        }
+        let todo: Vec<NodeId> = job
+            .order
+            .iter()
+            .copied()
+            .filter(|id| job.assignment[id] == me && !job.fused.contains(id))
+            .collect();
+        // Operands of my nodes produced elsewhere, looking through
+        // fused Encrypts to the plaintext inputs actually consumed.
+        let mut awaited: HashMap<NodeId, SubjectId> = todo
+            .iter()
+            .flat_map(|&id| effective_children(&job.plan, id, &job.fused))
+            .map(|c| (c, job.assignment[&c]))
+            .filter(|&(_, producer)| producer != me)
+            .collect();
+        let root = job.plan.root();
+        if me == job.user && job.assignment[&root] != me {
+            awaited.insert(root, job.assignment[&root]);
+        }
+        Ok(PartyRun {
+            party,
+            job,
+            todo,
+            awaited,
+            seen: HashSet::new(),
+            results: HashMap::new(),
+            next_seq: 0,
+            out: PartyOut::default(),
+        })
+    }
+
+    /// Take one table sent by another subject. Accepted only if it is
+    /// an operand this party still waits for, from the subject assigned
+    /// to produce it; then audited cell by cell against this subject's
+    /// view and byte-accounted on the `(producer, me)` edge. A re-sent
+    /// `(from, seq)` is dropped without a second audit or accounting.
+    pub(crate) fn deliver(&mut self, t: Transfer) -> Result<(), SimError> {
+        if self.seen.contains(&(t.from, t.seq)) {
+            return Ok(());
+        }
+        if self.awaited.get(&t.node) != Some(&t.from) {
+            return Err(SimError::Transport(TransportError::Frame {
+                detail: format!(
+                    "subject {} does not expect node {} from subject {}",
+                    self.party.me, t.node, t.from
+                ),
+            }));
+        }
+        audit_transfer_with(&t.table, &self.party.view, &self.party.pool)?;
+        self.awaited.remove(&t.node);
+        self.seen.insert((t.from, t.seq));
+        *self
+            .out
+            .transfers
+            .entry((t.from, self.party.me))
+            .or_default() += t.table.byte_size();
+        self.keep(t.node, t.table);
+        Ok(())
+    }
+
+    /// My first node, in postorder, whose operands are all here.
+    pub(crate) fn ready(&self) -> Option<NodeId> {
+        let job = self.job;
+        self.todo
+            .iter()
+            .copied()
+            .find(|&id| node_ready_fused(&job.plan, id, &self.results, &job.fused))
+    }
+
+    /// Run node `id` — one of mine, with its operands delivered — under
+    /// this subject's ring and store. `Some((to, transfer))` when the
+    /// consumer is another subject (the parent's assignee; the user for
+    /// the root); `None` when the table stays here.
+    pub(crate) fn step(&mut self, id: NodeId) -> Result<Option<(SubjectId, Transfer)>, SimError> {
+        let (party, job) = (self.party, self.job);
+        self.todo.retain(|&n| n != id);
+        // A fresh context per node, so ciphertexts are bit-identical
+        // whatever the scheduler and the interleaving.
+        let ctx = ExecCtx::builder(
+            &party.catalog,
+            &party.store,
+            &party.ring,
+            &job.schemes,
+            &job.key_of_attr,
+        )
+        .pool(party.pool.clone())
+        .seed(job.exec_seed)
+        .build();
+        let table = execute_step(&job.plan, id, &mut self.results, &ctx)?;
+        let parent = job.parents[id.index()];
+        let consumer = parent.map_or(job.user, |p| job.assignment[&p]);
+        if consumer != party.me {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let from = party.me;
+            return Ok(Some((
+                consumer,
+                Transfer {
+                    node: id,
+                    from,
+                    seq,
+                    table,
+                },
+            )));
+        }
+        if parent.is_none() {
+            // Even a result the user computed itself is audited.
+            audit_transfer_with(&table, &party.view, &party.pool)?;
+        }
+        self.keep(id, table);
+        Ok(None)
+    }
+
+    fn keep(&mut self, node: NodeId, table: Table) {
+        if node == self.job.plan.root() {
+            self.out.result = Some(table);
+        } else {
+            self.results.insert(node, table);
+        }
+    }
+
+    /// `true` once every node of mine has run and nothing is owed to me.
+    pub(crate) fn is_done(&self) -> bool {
+        self.todo.is_empty() && self.awaited.is_empty()
+    }
+
+    /// This party's contribution to the report.
+    pub(crate) fn finish(self) -> PartyOut {
+        self.out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The core, driven by hand: no threads, no channels, no sockets.
+    use super::*;
+    use crate::session::{set_up, Dispatched, Rings, SessionConfig};
+    use mpq_algebra::Value;
+    use mpq_core::fixtures::RunningExample;
+    use mpq_core::keys::plan_keys;
+
+    /// Fig. 7(a): H and I feed X, X feeds Y, Y answers to U.
+    struct Fixture {
+        ex: RunningExample,
+        parties: Vec<Arc<Party>>,
+        d: Dispatched,
+    }
+
+    impl Fixture {
+        fn new() -> Fixture {
+            let ex = RunningExample::new();
+            let mut db = Database::new();
+            db.load(&ex.catalog, "Hosp", RunningExample::sample_hosp_rows());
+            db.load(&ex.catalog, "Ins", RunningExample::sample_ins_rows());
+            let config = SessionConfig::new(5);
+            let (parties, mut dispatcher) =
+                set_up(&ex.catalog, &ex.subjects, &ex.policy, &db, &config);
+            let ext = ex.fig7a_extended();
+            let user = ex.subject("U");
+            let mut rings = Rings {
+                parties: &parties,
+                user,
+            };
+            let d = dispatcher
+                .prepare(&ext, &plan_keys(&ext), user, &mut rings)
+                .expect("fig7a is authorized");
+            Fixture { ex, parties, d }
+        }
+
+        fn run(&self, name: &str) -> PartyRun<'_> {
+            let s = self.ex.subject(name);
+            let user_public = &self.parties[self.d.job.user.index()].rsa.public;
+            let envelope = self.d.envelopes[s.index()].as_ref();
+            PartyRun::new(&self.parties[s.index()], &self.d.job, envelope, user_public)
+                .expect("the sealed request opens at its recipient")
+        }
+    }
+
+    /// Step everything that is ready; what leaves, in order.
+    fn drain(run: &mut PartyRun) -> Vec<(SubjectId, Transfer)> {
+        let mut sent = Vec::new();
+        while let Some(id) = run.ready() {
+            sent.extend(run.step(id).expect("authorized step"));
+        }
+        sent
+    }
+
+    /// Run the whole query by hand, handing X its two operands in the
+    /// given order.
+    fn run_all(f: &Fixture, reverse: bool) -> (Vec<Vec<Value>>, Vec<PartyOut>) {
+        let mut to_x = drain(&mut f.run("H"));
+        to_x.extend(drain(&mut f.run("I")));
+        assert_eq!(to_x.len(), 2, "H and I each feed X one table");
+        if reverse {
+            to_x.reverse();
+        }
+        let mut outs = Vec::new();
+        let mut inbox: Vec<Transfer> = to_x.into_iter().map(|(_, t)| t).collect();
+        for name in ["X", "Y", "U"] {
+            let mut run = f.run(name);
+            assert!(run.ready().is_none(), "{name} has nothing to run yet");
+            for t in inbox.drain(..) {
+                run.deliver(t).expect("expected operand");
+            }
+            inbox.extend(drain(&mut run).into_iter().map(|(_, t)| t));
+            assert!(run.is_done(), "{name} finished its share");
+            outs.push(run.finish());
+        }
+        let result = outs[2].result.as_ref().expect("the user holds the result");
+        (result.to_rows(), outs)
+    }
+
+    fn is_frame_error(r: Result<(), SimError>) -> bool {
+        matches!(r, Err(SimError::Transport(TransportError::Frame { .. })))
+    }
+
+    #[test]
+    fn operands_in_either_order_give_the_same_run() {
+        let f = Fixture::new();
+        let (rows, outs) = run_all(&f, false);
+        let (rows_rev, outs_rev) = run_all(&f, true);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0][0], Value::str("tPA"));
+        assert_eq!(format!("{rows:?}"), format!("{rows_rev:?}"));
+        for (a, b) in outs.iter().zip(&outs_rev) {
+            assert_eq!(a.transfers, b.transfers);
+        }
+    }
+
+    #[test]
+    fn a_table_for_a_node_nobody_waits_on_is_refused() {
+        let f = Fixture::new();
+        let (_, mut t) = drain(&mut f.run("H")).remove(0);
+        // X waits for H's table under H's node id, not under the root.
+        t.node = f.d.job.plan.root();
+        let mut x = f.run("X");
+        assert!(is_frame_error(x.deliver(t)));
+        assert!(x.finish().transfers.is_empty(), "nothing was accounted");
+    }
+
+    #[test]
+    fn a_table_from_the_wrong_producer_is_refused() {
+        let f = Fixture::new();
+        let (_, mut t) = drain(&mut f.run("H")).remove(0);
+        t.from = f.ex.subject("I");
+        let mut x = f.run("X");
+        assert!(is_frame_error(x.deliver(t.clone())));
+        // Y does not wait for that node at all, whoever sends it.
+        t.from = f.ex.subject("H");
+        assert!(is_frame_error(f.run("Y").deliver(t)));
+    }
+
+    #[test]
+    fn a_resent_transfer_is_dropped_without_accounting_it_twice() {
+        let f = Fixture::new();
+        let (to, t) = drain(&mut f.run("H")).remove(0);
+        assert_eq!(to, f.ex.subject("X"));
+        let mut x = f.run("X");
+        x.deliver(t.clone()).expect("first delivery");
+        let edge = (f.ex.subject("H"), f.ex.subject("X"));
+        let once = x.out.transfers[&edge];
+        assert_eq!(once, t.table.byte_size());
+        x.deliver(t.clone())
+            .expect("the duplicate is dropped, not an error");
+        assert_eq!(x.out.transfers[&edge], once);
+        // The same table under a *new* sequence number is not a re-send:
+        // the operand was already taken, so it is refused.
+        let again = Transfer {
+            seq: t.seq + 1,
+            ..t
+        };
+        assert!(is_frame_error(x.deliver(again)));
+        assert_eq!(x.out.transfers[&edge], once);
+    }
+
+    #[test]
+    fn nothing_runs_without_the_signed_request() {
+        let f = Fixture::new();
+        let x = f.ex.subject("X");
+        let user_public = &f.parties[f.d.job.user.index()].rsa.public;
+        let refused = |envelope| {
+            let run = PartyRun::new(&f.parties[x.index()], &f.d.job, envelope, user_public);
+            matches!(run, Err(SimError::Envelope { to }) if to == x)
+        };
+        assert!(refused(None), "no request, no licence");
+        let for_y = f.d.envelopes[f.ex.subject("Y").index()].as_ref();
+        assert!(refused(for_y), "a request sealed to somebody else");
+    }
+}

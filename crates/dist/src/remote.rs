@@ -20,8 +20,8 @@
 //!    non-holders receive only the public Paillier modulus
 //!    (`Frame::ProvisionPublic`) — enough to aggregate, never to
 //!    decrypt. Private RSA keys never cross the wire in any direction;
-//! 3. **execute** — each participant receives the wire projection of
-//!    the query job plus its signed sub-query request
+//! 3. **execute** — each participant receives the query job plus its
+//!    signed sub-query request
 //!    (`Frame::Execute`); the signed request *is* the authorization
 //!    to compute, and a server that cannot open and verify its
 //!    envelope refuses the epoch;
@@ -43,28 +43,31 @@
 //! authorization). A fault that outlives the budget aborts *the epoch*
 //! with a typed error; the fleet keeps serving the next query.
 //!
-//! The executing machinery is byte-for-byte the session runtime:
-//! `run_query` — the same function the in-process party threads run
-//! — executes each server's share, so every guarantee (receive audit,
-//! epoch isolation, typed transport aborts) carries over. What a
-//! server *cannot* check is the batch-payload equality the simulator's
-//! parties verify (they share the coordinator's memory); opening the
-//! sealed envelope and verifying the user's signature is the honest
-//! remote counterpart.
+//! This is the **process-per-subject** scheduler, and it owns no
+//! protocol logic of its own. The coordinator prepares a query with
+//! the same `Dispatcher` a [`Session`](crate::Session) uses
+//! (authorize → provision → seal; only the delivery of a key differs);
+//! every server, and the coordinator for the user's own share, runs
+//! the [party core](crate::party) under the same blocking
+//! [`drive`](crate::runtime) the in-process party threads use, so
+//! every guarantee (envelope check, receive audit, epoch isolation,
+//! typed transport aborts) carries over. The control connections are a
+//! `Transport` backend under a second `Wire`: control frames retry,
+//! back off and take injected faults by the data plane's own loop.
 
-use crate::codec::{Frame, RemoteJob};
+use crate::codec::Frame;
 use crate::error::SimError;
-use crate::fault::{splitmix64, FaultAction, FaultPlan, RetryPolicy};
-use crate::runtime::{broadcast_abort, run_query, Msg, Outcome, PartyMsg, PartyStatic, QueryJob};
-use crate::session::{Prepared, SessionConfig};
+use crate::fault::{FaultPlan, RetryPolicy};
+use crate::party::{Party, PartyOut};
+use crate::runtime::{drive, Msg, Outcome, PartyMsg};
+use crate::session::{store_of, Dispatched, Dispatcher, Holders, SessionConfig};
 use crate::transport::{
     Control, EdgeRecovery, FaultState, TcpHub, TcpTransport, Transport, TransportError, Wire,
-    WireStats,
+    WireOp, WireStats,
 };
-use crate::{Party, Report, PAILLIER_BITS, RSA_BITS};
-use mpq_algebra::{Catalog, NodeId, Operator, SubjectId};
+use crate::{Report, RSA_BITS};
+use mpq_algebra::{Catalog, SubjectId};
 use mpq_core::authz::{Policy, SubjectView};
-use mpq_core::dispatch::dispatch;
 use mpq_core::extend::ExtendedPlan;
 use mpq_core::keys::KeyPlan;
 use mpq_core::subjects::Subjects;
@@ -72,11 +75,10 @@ use mpq_crypto::bignum::BigUint;
 use mpq_crypto::keyring::{ClusterKey, KeyRing};
 use mpq_crypto::paillier::PaillierPublic;
 use mpq_crypto::rsa::{RsaKeypair, RsaPublic, SignedEnvelope};
-use mpq_exec::{assign_schemes, rewrite_literals, Database, WorkerPool};
+use mpq_exec::{Database, WorkerPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -132,7 +134,7 @@ pub struct ServerConfig {
 /// A bound subject process: one listener serving both the data plane
 /// (peer connections) and the control plane (the coordinator).
 pub struct Server {
-    st: PartyStatic,
+    party: Party,
     peers: HashMap<SubjectId, String>,
     rx: Receiver<PartyMsg>,
     ctl_rx: Receiver<Control>,
@@ -151,20 +153,18 @@ impl Server {
     /// `Frame::Shutdown`.
     pub fn bind(config: ServerConfig) -> Result<Server, TransportError> {
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let party = Arc::new(Party {
-            rsa: RsaKeypair::generate(&mut rng, RSA_BITS),
-            ring: KeyRing::new(),
-            store: config.store,
-        });
         let (tx, rx) = channel();
         let (ctl_tx, ctl_rx) = channel();
         let hub = TcpHub::bind(&config.listen, tx, Some(ctl_tx))?;
         Ok(Server {
-            st: PartyStatic {
+            party: Party {
                 me: config.me,
                 catalog: Arc::new(config.catalog),
                 view: config.view,
-                party,
+                rsa: RsaKeypair::generate(&mut rng, RSA_BITS),
+                ring: KeyRing::new(),
+                store: config.store,
+                pool: WorkerPool::global(),
             },
             peers: config.peers,
             rx,
@@ -184,7 +184,14 @@ impl Server {
 
     /// The subject this server hosts.
     pub fn subject(&self) -> SubjectId {
-        self.st.me
+        self.party.me
+    }
+
+    /// Replace the peer address map given at [`Server::bind`] — for a
+    /// fleet bound on OS-assigned ports, whose addresses are only known
+    /// once every member is bound.
+    pub fn set_peers(&mut self, peers: HashMap<SubjectId, String>) {
+        self.peers = peers;
     }
 
     /// Serve coordinators until one sends `Frame::Shutdown`. A
@@ -194,13 +201,13 @@ impl Server {
     /// connections (they are this subject's material).
     pub fn run(mut self) -> Result<(), TransportError> {
         let backend: Arc<dyn Transport> = Arc::new(TcpTransport::new(
-            self.st.me,
+            self.party.me,
             self.peers.clone(),
             CONNECT_TIMEOUT,
         ));
         let plan = self.faults.clone().or_else(FaultPlan::from_env);
         let wire = Wire::new(
-            self.st.me,
+            self.party.me,
             self.seed,
             backend,
             Arc::new(Mutex::new(FaultState::new(plan))),
@@ -244,8 +251,8 @@ impl Server {
                 Frame::Hello { user: _, public } => {
                     user_public = Some(public);
                     ctl.send(&Frame::HelloAck {
-                        me: self.st.me,
-                        public: self.st.party.rsa.public.clone(),
+                        me: self.party.me,
+                        public: self.party.rsa.public.clone(),
                     })?;
                 }
                 Frame::Provision { envelope } => {
@@ -255,15 +262,15 @@ impl Server {
                     // a typed MissingKey at execution.
                     if let Some(pk) = &user_public {
                         if let Some(key) = envelope
-                            .open(&self.st.party.rsa, pk)
+                            .open(&self.party.rsa, pk)
                             .and_then(|bytes| ClusterKey::from_bytes(&bytes))
                         {
-                            self.st.party.ring.insert(key);
+                            self.party.ring.insert(key);
                         }
                     }
                 }
                 Frame::ProvisionPublic { id, n } => {
-                    self.st.party.ring.insert_public(
+                    self.party.ring.insert_public(
                         id,
                         PaillierPublic::from_modulus(BigUint::from_bytes_be(&n)),
                     );
@@ -289,19 +296,31 @@ impl Server {
                     if self.outcomes.contains_key(&epoch) {
                         let authorized = envelope
                             .as_ref()
-                            .is_some_and(|env| env.open(&self.st.party.rsa, &pk).is_some());
+                            .is_some_and(|env| env.open(&self.party.rsa, &pk).is_some());
                         let reply = if authorized {
                             self.outcomes[&epoch].clone()
                         } else {
                             Frame::Failed {
                                 epoch,
-                                message: SimError::Envelope { to: self.st.me }.to_string(),
+                                message: SimError::Envelope { to: self.party.me }.to_string(),
                             }
                         };
                         ctl.send(&reply)?;
                         continue;
                     }
-                    let outcome = self.execute(epoch, job, envelope, &pk, wire, stash);
+                    // The signed request is the licence to compute; the
+                    // party core refuses the epoch without it.
+                    let envelope = envelope.as_ref();
+                    let outcome = drive(
+                        &self.party,
+                        &job,
+                        envelope,
+                        &pk,
+                        epoch,
+                        &self.rx,
+                        wire,
+                        stash,
+                    );
                     let reply = match outcome {
                         Outcome::Done(out) => {
                             let mut transfers: Vec<(SubjectId, SubjectId, u64)> = out
@@ -340,119 +359,207 @@ impl Server {
             }
         }
     }
-
-    /// Execute this server's share of one epoch with the session
-    /// runtime's own `run_query`.
-    fn execute(
-        &self,
-        epoch: u64,
-        job: RemoteJob,
-        envelope: Option<SignedEnvelope>,
-        user_public: &RsaPublic,
-        wire: &Wire,
-        stash: &mut Vec<(u64, Msg)>,
-    ) -> Outcome {
-        // The signed request is the authorization to compute: it must
-        // open (sealed to us) and verify (signed by the user). The
-        // in-process simulator additionally compares the payload to
-        // the expected batch — a shared-memory artifact a real server
-        // cannot reproduce; signature verification is the honest
-        // remote equivalent.
-        match &envelope {
-            Some(env) => {
-                if env.open(&self.st.party.rsa, user_public).is_none() {
-                    broadcast_abort(wire, epoch, &job.participants, self.st.me);
-                    return Outcome::Failed(SimError::Envelope { to: self.st.me });
-                }
-            }
-            None => {
-                broadcast_abort(wire, epoch, &job.participants, self.st.me);
-                return Outcome::Failed(SimError::Envelope { to: self.st.me });
-            }
-        }
-        let order = job.plan.postorder();
-        let parents = job.plan.parents();
-        // Recomputed, not shipped: fusion sites are deterministic in
-        // (plan, assignment), so every server and the coordinator
-        // agree on which Encrypts fold into their parent Selects.
-        let fused = crate::session::fusion_sites(&job.plan, &job.assignment);
-        let qj = QueryJob {
-            prepared: Prepared {
-                exec_plan: job.plan,
-                schemes: job.schemes,
-                key_of_attr: job.key_of_attr,
-                order,
-                transfers: HashMap::new(),
-                // Envelope verification happened above; run_query's
-                // own envelope loop has nothing left to check.
-                envelopes: Vec::new(),
-                requests: 0,
-                exec_seed: job.exec_seed,
-                fused,
-            },
-            assignment: job.assignment,
-            parents,
-            participants: job.participants,
-            user: job.user,
-            user_public: user_public.clone(),
-            pool: WorkerPool::global(),
-            timeout: (job.timeout_ms > 0).then(|| Duration::from_millis(job.timeout_ms)),
-        };
-        catch_unwind(AssertUnwindSafe(|| {
-            run_query(&self.st, &qj, epoch, &self.rx, wire, stash)
-        }))
-        .unwrap_or_else(|payload| {
-            broadcast_abort(wire, epoch, &qj.participants, self.st.me);
-            let m = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Outcome::Panicked(m)
-        })
-    }
 }
 
 /// Marker a server reports when it stopped because a *peer* failed —
 /// the coordinator prefers the actual failure over this echo.
 const ABORTED_MARK: &str = "aborted: a peer failed first";
 
+/// The coordinator's control connections, one per server, as a
+/// [`Transport`] backend: the control-plane [`Wire`] on top brings the
+/// fault schedule and the bounded retry loop; this brings the
+/// (re-)dialing. The server keys learned in the handshake live here
+/// too, since every re-dial may refresh them.
+struct ControlLinks {
+    /// The frame opening every control connection.
+    hello: Frame,
+    /// Control addresses, kept for re-dialing a lost connection.
+    addrs: HashMap<SubjectId, String>,
+    /// How long a `HelloAck` or an outcome may take. Grants
+    /// `DONE_SLACK` past the query timeout because a mid-epoch server
+    /// only answers once its current serve loop observes the dead
+    /// predecessor connection.
+    wait: Duration,
+    state: Mutex<Links>,
+}
+
+#[derive(Default)]
+struct Links {
+    conns: HashMap<SubjectId, Control>,
+    publics: HashMap<SubjectId, RsaPublic>,
+}
+
+impl ControlLinks {
+    fn state(&self) -> std::sync::MutexGuard<'_, Links> {
+        self.state.lock().expect("control-link lock poisoned")
+    }
+
+    /// The live connection to `s`, dialing its control port and redoing
+    /// the hello handshake if there is none. One attempt, never a loop
+    /// of its own — every caller sits inside a bounded retry budget.
+    fn dial<'a>(
+        &self,
+        links: &'a mut Links,
+        s: SubjectId,
+    ) -> Result<&'a mut Control, TransportError> {
+        if !links.conns.contains_key(&s) {
+            let addr = self.addrs.get(&s).ok_or(TransportError::Closed)?;
+            let mut ctl = Control::connect(addr, CONNECT_TIMEOUT)?;
+            ctl.send(&self.hello)?;
+            let detail = match ctl.recv(Some(self.wait))? {
+                Frame::HelloAck { me, public } if me == s => {
+                    links.publics.insert(s, public);
+                    links.conns.insert(s, ctl);
+                    return Ok(links.conns.get_mut(&s).expect("just dialed"));
+                }
+                Frame::HelloAck { me, .. } => format!("server at {addr} hosts {me}, expected {s}"),
+                _ => "expected HelloAck".to_string(),
+            };
+            return Err(TransportError::Frame { detail });
+        }
+        Ok(links.conns.get_mut(&s).expect("checked above"))
+    }
+
+    /// One attempt to receive `s`'s outcome of `epoch`. A connection
+    /// lost since the `Execute` went out is re-dialed and `pending`
+    /// re-delivered first — the server either replays its cached
+    /// outcome or runs the epoch it never received. The outer `Err` is
+    /// worth another attempt (the connection died); the inner one is
+    /// final: a *quiet* but healthy connection is not recoverable by
+    /// reconnecting and surfaces as the typed timeout immediately.
+    fn recv_outcome(
+        &self,
+        s: SubjectId,
+        epoch: u64,
+        pending: Option<&Frame>,
+    ) -> Result<Result<Frame, TransportError>, TransportError> {
+        let mut links = self.state();
+        let redialed = !links.conns.contains_key(&s);
+        let ctl = self.dial(&mut links, s)?;
+        let mut alive = match pending {
+            Some(frame) if redialed => ctl.send(frame),
+            _ => Ok(()),
+        };
+        let lost = loop {
+            if let Err(e) = alive {
+                break e;
+            }
+            alive = match ctl.recv(Some(self.wait)) {
+                // Residue of an earlier epoch is drained without
+                // consuming recovery budget.
+                Ok(Frame::Done { epoch: e, .. } | Frame::Failed { epoch: e, .. }) if e != epoch => {
+                    Ok(())
+                }
+                Ok(f @ (Frame::Done { .. } | Frame::Failed { .. })) => return Ok(Ok(f)),
+                Ok(_) => {
+                    return Ok(Err(TransportError::Frame {
+                        detail: "expected Done/Failed".to_string(),
+                    }))
+                }
+                Err(e @ TransportError::Timeout { .. }) => return Ok(Err(e)),
+                Err(e) => Err(e),
+            };
+        };
+        links.conns.remove(&s);
+        Err(lost)
+    }
+}
+
+impl Transport for ControlLinks {
+    fn attempt(&self, to: SubjectId, frame: &Frame, op: WireOp) -> Result<(), TransportError> {
+        // A dropped frame vanishes in flight; the connection is fine.
+        if op == WireOp::Drop {
+            return Ok(());
+        }
+        let mut links = self.state();
+        let ctl = self.dial(&mut links, to)?;
+        // Truncate: the frame is damaged mid-record, nothing usable
+        // arrives. Reset: it arrives, then the connection dies — the
+        // ambiguous case; the receiver's idempotency (key-ring
+        // inserts, the epoch outcome cache) absorbs the re-delivery.
+        let sent = match op {
+            WireOp::Truncate => Ok(()),
+            _ => ctl.send(frame),
+        };
+        if sent.is_err() || op != WireOp::Deliver {
+            // A dead or poisoned connection never comes back; the next
+            // attempt re-dials.
+            ctl.shutdown();
+            links.conns.remove(&to);
+        }
+        sent
+    }
+}
+
 /// The querying user's end of the federated deployment: holds the
 /// user's own party (keys, store partition, data-plane hub), a control
 /// connection to every server, and drives the full §6 protocol per
 /// query.
 pub struct Coordinator {
-    user: SubjectId,
-    catalog: Arc<Catalog>,
-    subjects: Arc<Subjects>,
-    views: Vec<SubjectView>,
-    st: PartyStatic,
-    controls: HashMap<SubjectId, Control>,
-    server_publics: HashMap<SubjectId, RsaPublic>,
-    /// Control addresses, kept for re-dialing a lost connection.
-    server_addrs: HashMap<SubjectId, String>,
+    dispatcher: Dispatcher,
+    /// The user's own party: the coordinator process *is* a party of
+    /// the data plane like any provider (Fig. 8).
+    party: Party,
+    links: Arc<ControlLinks>,
+    /// The control plane: a wire over `links` with its *own* fault
+    /// counters and stats, so the data-plane trace stays a function of
+    /// data-plane attempts alone, comparable across transport backends.
+    ctl: Wire,
     wire: Wire,
-    wire_stats: Arc<WireStats>,
-    /// Control-plane fault schedule, with its *own* per-edge counters:
-    /// the data-plane trace stays a function of data-plane attempts
-    /// alone, comparable across transport backends.
-    ctl_faults: FaultState,
-    retry: RetryPolicy,
-    seed: u64,
     /// The Execute frame sent to each participant this epoch, kept so a
     /// reconnected control channel can re-deliver it.
     pending_execute: HashMap<SubjectId, Frame>,
-    /// Control-plane re-sends and reconnects performed so far.
-    ctl_recovered: u64,
     rx: Receiver<PartyMsg>,
     stash: Vec<(u64, Msg)>,
     _hub: TcpHub,
-    rng: StdRng,
-    exec_seed: u64,
     epoch: u64,
-    pool: WorkerPool,
-    preflight: bool,
-    timeout: Duration,
+}
+
+/// [`Holders`] of a coordinator: the user's ring is local, every other
+/// ring is behind a control connection, and a key reaches it as a
+/// sealed `[[key]_priU]_pubS` envelope. Private RSA keys never cross
+/// the wire in any direction.
+struct Fleet<'a> {
+    party: &'a Party,
+    links: &'a ControlLinks,
+    ctl: &'a Wire,
+}
+
+impl Holders for Fleet<'_> {
+    fn signer(&self) -> &RsaKeypair {
+        &self.party.rsa
+    }
+
+    fn public_of(&self, s: SubjectId) -> Option<RsaPublic> {
+        if s == self.party.me {
+            return Some(self.party.rsa.public.clone());
+        }
+        self.links.state().publics.get(&s).cloned()
+    }
+
+    fn grant(&mut self, rng: &mut StdRng, to: SubjectId, key: &ClusterKey) -> Result<(), SimError> {
+        if to == self.party.me {
+            self.party.ring.insert(key.clone());
+            return Ok(());
+        }
+        let public = self.public_of(to).ok_or(SimError::Envelope { to })?;
+        let envelope = SignedEnvelope::seal(rng, &key.to_bytes(), &self.party.rsa, &public);
+        Ok(self
+            .ctl
+            .send_with_retry(to, &Frame::Provision { envelope })?)
+    }
+
+    fn grant_public(&mut self, to: SubjectId, key: &ClusterKey) -> Result<(), SimError> {
+        let public = key.paillier_public();
+        if to == self.party.me {
+            self.party.ring.insert_public(key.id, public);
+            return Ok(());
+        }
+        let n = public.n.to_bytes_be();
+        Ok(self
+            .ctl
+            .send_with_retry(to, &Frame::ProvisionPublic { id: key.id, n })?)
+    }
 }
 
 impl Coordinator {
@@ -464,9 +571,14 @@ impl Coordinator {
     /// servers' own `peers` maps must point back at `listen` for the
     /// user's subject, since result tables flow peer-to-peer. `db` is
     /// the full fixture database — only the user-authority partition
-    /// stays in this process. The [`SessionConfig`] contributes seed,
-    /// pre-flight, and timeout (its transport field is moot: a
-    /// coordinator is TCP by definition).
+    /// stays in this process.
+    ///
+    /// Of the [`SessionConfig`], a coordinator reads `seed`, `workers`
+    /// (the user's own party), `preflight`, `timeout` (10 s when
+    /// unset), `faults` (one schedule for the user's data-plane sends,
+    /// a second copy with its own counters for the control plane),
+    /// `retry` and `fuse`. It does not read `transport`: a coordinator
+    /// is TCP by definition.
     #[allow(clippy::too_many_arguments)]
     pub fn connect(
         catalog: &Catalog,
@@ -480,377 +592,165 @@ impl Coordinator {
     ) -> Result<Coordinator, SimError> {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let rsa = RsaKeypair::generate(&mut rng, RSA_BITS);
-        let mut store = Database::new();
-        for rel in catalog.relations() {
-            if subjects.authority(rel.rel) == Some(user) {
-                if let Some(table) = db.table(rel.rel) {
-                    store.insert(rel.rel, table.clone());
-                }
-            }
-        }
+        let views = policy.all_views(catalog, subjects);
         let catalog = Arc::new(catalog.clone());
-        let subjects = Arc::new(subjects.clone());
-        let views = policy.all_views(&catalog, &subjects);
         let (tx, rx) = channel();
-        let hub = TcpHub::bind(listen, tx, None).map_err(SimError::Transport)?;
-
-        let st = PartyStatic {
+        let hub = TcpHub::bind(listen, tx, None)?;
+        let party = Party {
             me: user,
             catalog: Arc::clone(&catalog),
             view: views[user.index()].clone(),
-            party: Arc::new(Party {
-                rsa,
-                ring: KeyRing::new(),
-                store,
-            }),
+            rsa,
+            ring: KeyRing::new(),
+            store: store_of(&catalog, subjects, db, user),
+            pool: config.pool(),
         };
+        let timeout = config
+            .effective_timeout()
+            .unwrap_or(Duration::from_secs(10));
         let plan = config.faults.clone().or_else(FaultPlan::from_env);
-        let faults = Arc::new(Mutex::new(FaultState::new(plan.clone())));
-        let wire_stats = Arc::new(WireStats::default());
-        let backend: Arc<dyn Transport> =
-            Arc::new(TcpTransport::new(user, servers.clone(), CONNECT_TIMEOUT));
-        let mut coordinator = Coordinator {
-            user,
-            catalog,
-            subjects,
-            views,
-            st,
-            controls: HashMap::new(),
-            server_publics: HashMap::new(),
-            server_addrs: servers.clone(),
-            wire: Wire::new(
-                user,
-                config.seed,
-                backend,
-                faults,
-                config.retry,
-                Arc::clone(&wire_stats),
-            ),
-            wire_stats,
-            ctl_faults: FaultState::new(plan),
-            retry: config.retry,
-            seed: config.seed,
-            pending_execute: HashMap::new(),
-            ctl_recovered: 0,
-            rx,
-            stash: Vec::new(),
-            _hub: hub,
-            rng,
-            exec_seed: config.seed ^ 0x6d70_715f_6578_6563, // "mpq_exec"
-            epoch: 0,
-            pool: match config.workers {
-                Some(n) => WorkerPool::new(n),
-                None => WorkerPool::global(),
-            },
-            preflight: config.preflight,
-            timeout: config
-                .effective_timeout()
-                .unwrap_or(Duration::from_secs(10)),
+        let wire_of = |seed, backend, plan| {
+            let faults = Arc::new(Mutex::new(FaultState::new(plan)));
+            Wire::new(user, seed, backend, faults, config.retry, Arc::default())
         };
+        let links = Arc::new(ControlLinks {
+            hello: Frame::Hello {
+                user,
+                public: party.rsa.public.clone(),
+            },
+            addrs: servers.clone(),
+            wait: timeout + DONE_SLACK,
+            state: Mutex::default(),
+        });
+        let ctl = wire_of(
+            config.seed ^ CTL_SALT,
+            Arc::clone(&links) as _,
+            plan.clone(),
+        );
+        let peers = Arc::new(TcpTransport::new(user, servers.clone(), CONNECT_TIMEOUT));
+        let wire = wire_of(config.seed, peers as _, plan);
         let mut order: Vec<SubjectId> = servers.keys().copied().collect();
         order.sort_by_key(|s| s.index());
         for s in order {
-            coordinator.redial_control(s)?;
+            links.dial(&mut links.state(), s)?;
         }
-        Ok(coordinator)
+        Ok(Coordinator {
+            dispatcher: Dispatcher::new(&catalog, subjects, views, rng, &config, Some(timeout)),
+            party,
+            links,
+            ctl,
+            wire,
+            pending_execute: HashMap::new(),
+            rx,
+            stash: Vec::new(),
+            _hub: hub,
+            epoch: 0,
+        })
     }
 
-    /// Run one query across the server processes: re-verify the
-    /// assignment (Def. 4.1 per node), optional static pre-flight,
-    /// full Def. 6.1 provisioning over the wire, signed request
-    /// dispatch, peer-to-peer execution, and report assembly. Each
-    /// query provisions fresh cluster keys, like
-    /// [`Simulator::run`](crate::Simulator::run).
+    /// Run one query across the server processes: the shared
+    /// preparation (Def. 4.1 per node, optional static pre-flight,
+    /// Def. 6.1 provisioning — here over the wire — and signed request
+    /// dispatch), peer-to-peer execution, and report assembly. Each
+    /// query is a standalone one: it provisions fresh cluster keys, as
+    /// a [`Session`](crate::Session) does after
+    /// [`reset_provisioning`](crate::Session::reset_provisioning).
     pub fn execute(&mut self, ext: &ExtendedPlan, keys: &KeyPlan) -> Result<Report, SimError> {
-        let order = ext.plan.postorder();
-        let assignee_of = |id: NodeId| -> Result<SubjectId, SimError> {
-            ext.assignment
-                .get(&id)
-                .copied()
-                .ok_or(SimError::Unassigned(id))
+        let user = self.party.me;
+        for id in self.dispatcher.reset() {
+            self.party.ring.revoke(id);
+        }
+        let mut fleet = Fleet {
+            party: &self.party,
+            links: &self.links,
+            ctl: &self.ctl,
         };
+        let Dispatched {
+            job,
+            mut envelopes,
+            request_bytes,
+            requests,
+        } = self.dispatcher.prepare(ext, keys, user, &mut fleet)?;
+        let job = Arc::new(job);
 
-        // ---- 1. runtime authorization check (Def. 4.1 per node) ----
-        for &id in &order {
-            let node = ext.plan.node(id);
-            let subject = assignee_of(id)?;
-            if let Operator::Base { rel, .. } = &node.op {
-                let authority = self
-                    .subjects
-                    .authority(*rel)
-                    .ok_or(SimError::NoAuthority(*rel))?;
-                if subject != authority {
-                    return Err(SimError::NotTheAuthority {
-                        node: id,
-                        subject,
-                        authority,
-                    });
-                }
-                continue;
-            }
-            let view = &self.views[subject.index()];
-            for &child in &node.children {
-                if let Err(violation) = view.check(&ext.profiles[child.index()]) {
-                    return Err(SimError::Unauthorized {
-                        node: id,
-                        subject,
-                        violation,
-                    });
-                }
-            }
-            if let Err(violation) = view.check(&ext.profiles[id.index()]) {
-                return Err(SimError::Unauthorized {
-                    node: id,
-                    subject,
-                    violation,
-                });
-            }
-        }
-
-        // ---- 1b. static pre-flight (mpq_core::verify) --------------
-        if self.preflight {
-            let report = mpq_core::verify::verify_extended(
-                ext,
-                keys,
-                &self.catalog,
-                &self.subjects,
-                &self.views,
-                Some(self.user),
-            );
-            if !report.is_clean() {
-                return Err(SimError::Verify(report));
-            }
-        }
-
-        // ---- 2. Def. 6.1 key provisioning over the wire ------------
-        let mut computing = vec![false; self.views.len()];
-        for &id in &order {
-            computing[assignee_of(id)?.index()] = true;
-        }
-        computing[self.user.index()] = true;
-        let mut key_of_attr: HashMap<mpq_algebra::AttrId, u32> = HashMap::new();
-        let dispatcher_ring = KeyRing::new();
-        for (i, plan_key) in keys.keys.iter().enumerate() {
-            let material = ClusterKey::generate(&mut self.rng, i as u32, PAILLIER_BITS);
-            for a in plan_key.attrs.iter() {
-                key_of_attr.insert(a, material.id);
-            }
-            for &holder in &plan_key.holders {
-                if holder == self.user {
-                    self.st.party.ring.insert(material.clone());
-                } else {
-                    let envelope = SignedEnvelope::seal(
-                        &mut self.rng,
-                        &material.to_bytes(),
-                        &self.st.party.rsa,
-                        self.server_publics
-                            .get(&holder)
-                            .ok_or(SimError::Envelope { to: holder })?,
-                    );
-                    self.ctl_send(holder, &Frame::Provision { envelope })?;
-                }
-            }
-            let public_n = material.paillier_public().n.to_bytes_be();
-            for (idx, &computes) in computing.iter().enumerate() {
-                let s = SubjectId::from_index(idx);
-                if !computes || plan_key.holders.contains(&s) {
-                    continue;
-                }
-                if s == self.user {
-                    self.st
-                        .party
-                        .ring
-                        .insert_public(material.id, material.paillier_public());
-                } else {
-                    self.ctl_send(
-                        s,
-                        &Frame::ProvisionPublic {
-                            id: material.id,
-                            n: public_n.clone(),
-                        },
-                    )?;
-                }
-            }
-            if !plan_key.holders.is_empty() {
-                dispatcher_ring.insert(material.clone());
-            }
-        }
-
-        // ---- 3. dispatch: signed, encrypted sub-query requests -----
-        let schemes = assign_schemes(&ext.plan).map_err(|e| SimError::Scheme(e.to_string()))?;
-        let exec_plan = rewrite_literals(
-            &ext.plan,
-            &self.catalog,
-            &schemes,
-            &key_of_attr,
-            &dispatcher_ring,
-            &mut self.rng,
-        )
-        .map_err(SimError::Rewrite)?;
-
-        let d = dispatch(ext, keys, &self.catalog, &self.subjects);
-        let mut batches: Vec<Vec<u8>> = vec![Vec::new(); self.views.len()];
-        for req in &d.requests {
-            let batch = &mut batches[req.subject.index()];
-            if !batch.is_empty() {
-                batch.extend_from_slice(b"\n===\n");
-            }
-            batch.extend_from_slice(req.sql.as_bytes());
-            for key_id in &req.keys {
-                batch.extend_from_slice(format!("\nkey:{key_id}").as_bytes());
-            }
-        }
-        let mut request_bytes: HashMap<(SubjectId, SubjectId), usize> = HashMap::new();
-        let mut envelopes: HashMap<SubjectId, SignedEnvelope> = HashMap::new();
-        for (i, payload) in batches.into_iter().enumerate() {
-            let to = SubjectId::from_index(i);
-            if payload.is_empty() || to == self.user {
-                continue;
-            }
-            let envelope = SignedEnvelope::seal(
-                &mut self.rng,
-                &payload,
-                &self.st.party.rsa,
-                self.server_publics
-                    .get(&to)
-                    .ok_or(SimError::Envelope { to })?,
-            );
-            *request_bytes.entry((self.user, to)).or_default() +=
-                envelope.wrapped_key.len() + envelope.body.len() + envelope.signature.len();
-            envelopes.insert(to, envelope);
-        }
-
-        // ---- 4. Execute frames + the user's own share --------------
         self.epoch += 1;
         let epoch = self.epoch;
-        let mut is_participant = vec![false; self.views.len()];
-        for id in &order {
-            is_participant[ext.assignment[id].index()] = true;
-        }
-        is_participant[self.user.index()] = true;
-        let participants: Vec<SubjectId> = (0..self.views.len())
-            .map(SubjectId::from_index)
-            .filter(|s| is_participant[s.index()])
-            .collect();
-        let job = RemoteJob {
-            plan: exec_plan,
-            schemes,
-            key_of_attr,
-            assignment: ext.assignment.clone(),
-            participants: participants.clone(),
-            user: self.user,
-            exec_seed: self.exec_seed,
-            timeout_ms: self.timeout.as_millis() as u64,
-        };
         self.pending_execute.clear();
-        for &s in &participants {
-            if s == self.user {
-                continue;
-            }
+        let servers = job.participants.iter().filter(|&&s| s != user);
+        for &s in servers.clone() {
             let frame = Frame::Execute {
                 epoch,
-                job: job.clone(),
-                envelope: Some(envelopes.remove(&s).ok_or(SimError::Envelope { to: s })?),
+                job: Arc::clone(&job),
+                envelope: envelopes[s.index()].take(),
             };
+            let sent = self.ctl.send_with_retry(s, &frame);
             // Keep the frame: a reconnected control channel re-delivers
             // it, and the server-side outcome cache makes re-delivery
             // idempotent.
-            self.pending_execute.insert(s, frame.clone());
-            if let Err(e) = self.ctl_send(s, &frame) {
+            self.pending_execute.insert(s, frame);
+            if let Err(e) = sent {
                 // Graceful degradation: a server whose control channel
                 // is beyond the retry budget fails *this epoch*, not
                 // the session. Abort the epoch on the data plane so the
                 // participants that did receive Execute stop waiting
                 // and report, leaving every channel clean for the next
                 // query.
-                broadcast_abort(&self.wire, epoch, &participants, self.user);
-                return Err(e);
+                self.wire.broadcast_abort(epoch, &job.participants);
+                return Err(e.into());
             }
         }
 
-        // The user's own share runs inline: the coordinator process
-        // *is* the user's party (Fig. 8 — the user participates in the
-        // data plane like any provider).
-        let parents = job.plan.parents();
-        let fused = crate::session::fusion_sites(&job.plan, &job.assignment);
-        let qj = QueryJob {
-            prepared: Prepared {
-                exec_plan: job.plan,
-                schemes: job.schemes,
-                key_of_attr: job.key_of_attr,
-                order,
-                transfers: HashMap::new(),
-                envelopes: Vec::new(),
-                requests: 0,
-                exec_seed: self.exec_seed,
-                fused,
-            },
-            assignment: job.assignment,
-            parents,
-            participants: participants.clone(),
-            user: self.user,
-            user_public: self.st.party.rsa.public.clone(),
-            pool: self.pool.clone(),
-            timeout: Some(self.timeout),
-        };
-        let own = run_query(&self.st, &qj, epoch, &self.rx, &self.wire, &mut self.stash);
-
-        // ---- 5. collect outcomes, assemble the report --------------
-        let mut transfers = request_bytes.clone();
+        // The user's own share runs inline, under the same driver as
+        // every server's.
+        let own = drive(
+            &self.party,
+            &job,
+            envelopes[user.index()].as_ref(),
+            &self.party.rsa.public,
+            epoch,
+            &self.rx,
+            &self.wire,
+            &mut self.stash,
+        );
+        let mut outs = Vec::new();
         let mut failures: Vec<(SubjectId, String)> = Vec::new();
-        let mut result = None;
         match own {
-            Outcome::Done(out) => {
-                for (edge, bytes) in out.transfers {
-                    *transfers.entry(edge).or_default() += bytes;
-                }
-                result = out.result;
-            }
+            Outcome::Done(out) => outs.push(out),
             Outcome::Failed(e) => return Err(e),
-            Outcome::Aborted => failures.push((self.user, ABORTED_MARK.to_string())),
+            Outcome::Aborted => failures.push((user, ABORTED_MARK.to_string())),
             Outcome::Panicked(m) => panic!("coordinator party panicked: {m}"),
         }
-        let wait = self.timeout + DONE_SLACK;
-        for &s in &participants {
-            if s == self.user {
-                continue;
-            }
-            match self.recv_outcome(s, epoch, wait) {
-                Ok(Frame::Done { transfers: t, .. }) => {
-                    for (f, to, bytes) in t {
-                        *transfers.entry((f, to)).or_default() += bytes as usize;
-                    }
-                }
+        for &s in servers {
+            // A control channel dead beyond the retry budget fails this
+            // epoch for this participant; the remaining participants
+            // are still drained so the next query starts on clean
+            // channels.
+            let pending = self.pending_execute.get(&s);
+            let outcome = self
+                .ctl
+                .retry(s, || self.links.recv_outcome(s, epoch, pending));
+            match outcome.and_then(|outcome| outcome) {
                 Ok(Frame::Failed { message, .. }) => failures.push((s, message)),
-                Ok(_) => {
-                    return Err(SimError::Transport(TransportError::Frame {
-                        detail: "expected Done/Failed".to_string(),
-                    }))
-                }
-                // A control channel dead beyond the retry budget fails
-                // this epoch for this participant; the remaining
-                // participants are still drained so the next query
-                // starts on clean channels.
+                Ok(Frame::Done { transfers, .. }) => outs.push(PartyOut {
+                    transfers: transfers
+                        .into_iter()
+                        .map(|(f, t, bytes)| ((f, t), bytes as usize))
+                        .collect(),
+                    result: None,
+                }),
+                Ok(_) => unreachable!("recv_outcome returns Done or Failed"),
                 Err(e) => failures.push((s, e.to_string())),
             }
         }
         self.pending_execute.clear();
-        if !failures.is_empty() {
-            // Prefer the actual failure over "a peer failed" echoes,
-            // then lowest subject id, mirroring the session's
-            // deterministic error precedence.
-            failures.sort_by_key(|(s, m)| (m == ABORTED_MARK, s.index()));
-            let (from, message) = failures.remove(0);
+        // Prefer the actual failure over "a peer failed" echoes, then
+        // lowest subject id, mirroring the session's deterministic
+        // error precedence.
+        failures.sort_by_key(|(s, m)| (m == ABORTED_MARK, s.index()));
+        if let Some((from, message)) = failures.into_iter().next() {
             return Err(SimError::Transport(TransportError::Peer { from, message }));
         }
-        Ok(Report {
-            result: result.ok_or(SimError::Transport(TransportError::Frame {
-                detail: "no result delivered to the user".to_string(),
-            }))?,
-            transfers,
-            request_bytes,
-            requests: d.requests.len(),
-        })
+        Report::assemble(request_bytes, requests, outs)
     }
 
     /// Per-edge recovery counters of this coordinator's *data-plane*
@@ -858,212 +758,20 @@ impl Coordinator {
     /// counters are a pure function of the fault schedule, so the same
     /// schedule yields the same map a [`crate::Session`] reports.
     pub fn recovery_stats(&self) -> HashMap<(SubjectId, SubjectId), EdgeRecovery> {
-        self.wire_stats.snapshot()
+        self.wire.stats().snapshot()
     }
 
     /// Total recovered deliveries so far: data-plane re-sends plus
     /// control-plane re-sends and reconnects. Non-zero means the
     /// session survived at least one injected or real fault.
     pub fn recovered_sends(&self) -> u64 {
-        self.wire_stats.total_retries() + self.ctl_recovered
+        self.wire.stats().total_retries() + self.ctl.stats().total_retries()
     }
 
     /// Ask every server to exit, then drop the connections.
-    pub fn shutdown(mut self) {
-        for (_, ctl) in self.controls.iter_mut() {
+    pub fn shutdown(self) {
+        for ctl in self.links.state().conns.values_mut() {
             let _ = ctl.send(&Frame::Shutdown);
         }
     }
-
-    /// Send one control frame under the same bounded-retry discipline
-    /// as the data plane: every attempt consults the (control-plane)
-    /// fault schedule, every failure burns one unit of the
-    /// `max_attempts` budget and backs off with seeded jitter, and a
-    /// connection damaged by the fault is re-dialed before the next
-    /// attempt.
-    fn ctl_send(&mut self, s: SubjectId, frame: &Frame) -> Result<(), SimError> {
-        let max_attempts = self.retry.max_attempts.max(1);
-        let edge_seed = splitmix64(
-            self.seed ^ CTL_SALT ^ ((self.user.index() as u64) << 32) ^ s.index() as u64,
-        );
-        let mut prev_ms = self.retry.base_ms;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let failed: Option<SimError> = if self.controls.contains_key(&s) {
-                let action = self.ctl_faults.next_action(self.user, s);
-                if let FaultAction::Delay(d) | FaultAction::Stall(d) = action {
-                    std::thread::sleep(d);
-                }
-                let ctl = self.controls.get_mut(&s).expect("checked above");
-                match action {
-                    FaultAction::Deliver | FaultAction::Delay(_) | FaultAction::Stall(_) => {
-                        match ctl.send(frame) {
-                            Ok(()) => None,
-                            Err(e) => {
-                                // A dead control connection never comes
-                                // back; re-dial on the next attempt.
-                                self.controls.remove(&s);
-                                Some(SimError::Transport(e))
-                            }
-                        }
-                    }
-                    // The frame vanishes in flight; the connection is
-                    // fine and the retry re-sends on it.
-                    FaultAction::Drop => Some(injected(s, "frame dropped")),
-                    // The frame is damaged mid-record and the
-                    // connection poisoned; nothing usable arrives.
-                    FaultAction::Truncate => {
-                        ctl.shutdown();
-                        self.controls.remove(&s);
-                        Some(injected(s, "frame truncated"))
-                    }
-                    // The frame arrives, then the connection dies — the
-                    // ambiguous case. The retry re-delivers, and the
-                    // receiver's idempotency (key-ring inserts, the
-                    // epoch outcome cache) absorbs the duplicate.
-                    FaultAction::Reset => {
-                        let _ = ctl.send(frame);
-                        ctl.shutdown();
-                        self.controls.remove(&s);
-                        Some(injected(s, "connection reset"))
-                    }
-                }
-            } else {
-                self.redial_control(s).err()
-            };
-            let Some(err) = failed else {
-                return Ok(());
-            };
-            if attempt >= max_attempts {
-                return Err(err);
-            }
-            self.ctl_recovered += 1;
-            let ms = self.retry.backoff_ms(edge_seed, attempt, prev_ms);
-            prev_ms = ms;
-            std::thread::sleep(Duration::from_millis(ms));
-        }
-    }
-
-    /// Wait for `s`'s `Done`/`Failed` of `epoch`. A dead control
-    /// connection is re-dialed and the pending `Execute` re-delivered —
-    /// the server either replays its cached outcome or runs the epoch
-    /// it never received — up to the retry budget. A *quiet* but
-    /// healthy connection (timeout) is not recoverable by reconnecting
-    /// and surfaces as the typed timeout abort immediately.
-    fn recv_outcome(
-        &mut self,
-        s: SubjectId,
-        epoch: u64,
-        wait: Duration,
-    ) -> Result<Frame, SimError> {
-        let max_attempts = self.retry.max_attempts.max(1);
-        let edge_seed = splitmix64(
-            self.seed ^ CTL_SALT ^ ((self.user.index() as u64) << 32) ^ s.index() as u64,
-        );
-        let mut prev_ms = self.retry.base_ms;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let r = match self.controls.get_mut(&s) {
-                Some(ctl) => ctl.recv(Some(wait)),
-                None => Err(TransportError::Closed),
-            };
-            match r {
-                Ok(Frame::Done {
-                    epoch: e,
-                    transfers,
-                }) => {
-                    if e == epoch {
-                        return Ok(Frame::Done {
-                            epoch: e,
-                            transfers,
-                        });
-                    }
-                    // Residue of an earlier epoch: drain it without
-                    // consuming recovery budget.
-                    attempt -= 1;
-                }
-                Ok(Frame::Failed { epoch: e, message }) => {
-                    if e == epoch {
-                        return Ok(Frame::Failed { epoch: e, message });
-                    }
-                    attempt -= 1;
-                }
-                Ok(_) => {
-                    return Err(SimError::Transport(TransportError::Frame {
-                        detail: "expected Done/Failed".to_string(),
-                    }))
-                }
-                Err(e @ TransportError::Timeout { .. }) => return Err(SimError::Transport(e)),
-                Err(err) => {
-                    self.controls.remove(&s);
-                    if attempt >= max_attempts {
-                        return Err(SimError::Transport(err));
-                    }
-                    self.ctl_recovered += 1;
-                    let ms = self.retry.backoff_ms(edge_seed, attempt, prev_ms);
-                    prev_ms = ms;
-                    std::thread::sleep(Duration::from_millis(ms));
-                    if self.redial_control(s).is_ok() {
-                        if let Some(frame) = self.pending_execute.get(&s).cloned() {
-                            if let Some(ctl) = self.controls.get_mut(&s) {
-                                if ctl.send(&frame).is_err() {
-                                    self.controls.remove(&s);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Dial (or re-dial) one server's control port and redo the hello
-    /// handshake. One attempt, never a loop of its own — every caller
-    /// sits inside a bounded retry budget. The `HelloAck` wait grants
-    /// `DONE_SLACK` past the query timeout because a mid-epoch server
-    /// only answers once its current serve loop observes the dead
-    /// predecessor connection.
-    fn redial_control(&mut self, s: SubjectId) -> Result<(), SimError> {
-        let addr = self
-            .server_addrs
-            .get(&s)
-            .cloned()
-            .ok_or(SimError::Transport(TransportError::Closed))?;
-        let mut ctl = Control::connect(&addr, CONNECT_TIMEOUT).map_err(SimError::Transport)?;
-        ctl.send(&Frame::Hello {
-            user: self.user,
-            public: self.st.party.rsa.public.clone(),
-        })
-        .map_err(SimError::Transport)?;
-        let wait = self.timeout + DONE_SLACK;
-        match ctl.recv(Some(wait)).map_err(SimError::Transport)? {
-            Frame::HelloAck { me, public } if me == s => {
-                self.server_publics.insert(s, public);
-            }
-            Frame::HelloAck { me, .. } => {
-                return Err(SimError::Transport(TransportError::Frame {
-                    detail: format!("server at {addr} hosts {me}, expected {s}"),
-                }))
-            }
-            _ => {
-                return Err(SimError::Transport(TransportError::Frame {
-                    detail: "expected HelloAck".to_string(),
-                }))
-            }
-        }
-        self.controls.insert(s, ctl);
-        Ok(())
-    }
-}
-
-/// The uniform sender-visible error for an injected control-plane
-/// fault — the same wording the data-plane [`Wire`] synthesizes, so a
-/// recovery trace reads identically whichever plane the schedule hit.
-fn injected(to: SubjectId, what: &str) -> SimError {
-    SimError::Transport(TransportError::Send {
-        to,
-        detail: format!("injected fault: {what}"),
-    })
 }

@@ -1,38 +1,30 @@
-//! The concurrent multi-party runtime: one long-lived OS thread per
-//! subject, `mpsc` channels for the wire.
+//! The blocking scheduler over the [party core](crate::party): a
+//! mailbox in, a `Wire` out.
 //!
-//! This is the behavioral counterpart of the paper's §6 execution
-//! story: "each subject executes its assigned sub-query and forwards
-//! encrypted results". Every subject runs a *party loop* on its own
-//! thread, spawned **once** when a [`Session`](crate::Session) opens
-//! and reused for every query the session executes (re-spawning per
-//! query was one of the fixed per-run costs the session layer exists
-//! to amortize). Between queries a party sits idle on its mailbox;
-//! each query (a `QueryJob`, the output of the session's preparation
-//! phase) wakes the participating parties, and each steps a node of
-//! the extended plan as soon as all of its operands are materialized
-//! locally, so independent subtrees assigned to different subjects
-//! execute concurrently (pipeline parallelism across providers).
+//! [`drive`] runs one subject's share of one query epoch by feeding a
+//! [`PartyRun`] from the party's mailbox and sending what it produces
+//! through the party's `Wire`. It is the whole of two of the three
+//! schedulers:
 //!
-//! Guarantees relative to the sequential interpreter
-//! ([`Session::execute_sequential`](crate::Session::execute_sequential)):
+//! * **thread per subject** — [`PartyThreads`]: one long-lived OS
+//!   thread per subject, spawned **once** when a
+//!   [`Session`](crate::Session) opens and reused for every query
+//!   (`Session::execute`). Between queries a party idles on its
+//!   mailbox; a `PartyMsg::Run` wakes the participants, and each steps
+//!   a node as soon as its operands are local, so independent subtrees
+//!   assigned to different subjects execute concurrently;
+//! * **process per subject** — [`Server`](crate::Server) and the
+//!   [`Coordinator`](crate::Coordinator)'s own share call the same
+//!   [`drive`] from their own threads (see [`remote`](crate::remote)).
 //!
-//! * **result equivalence** — every node executes under a fresh
-//!   per-node [`ExecCtx`] exactly as in the sequential path, so the
-//!   produced tables (ciphertexts included) are bit-identical
-//!   regardless of interleaving;
-//! * **identical byte accounting** — tables are accounted on the same
-//!   producer → consumer edges, by the receiving party; request
-//!   envelopes are sealed (batched per subject-pair edge) before any
-//!   party wakes, by the shared preparation phase;
-//! * **audit on receive** — the cell-level
-//!   [`audit_transfer_with`] check runs at
-//!   the receiving party, on its own thread, before the table is used.
+//! The third, **same thread**, is
+//! [`Session::execute_sequential`](crate::Session::execute_sequential),
+//! which steps the same core without any of this module.
 //!
-//! Failure handling: a party that fails (audit violation, missing key,
-//! envelope tampering) broadcasts an abort message to the query's
-//! other participants and reports its error; peers receiving `Abort`
-//! stop without an error of their own. The coordinator returns the
+//! Failure handling: the core returns a typed error; [`drive`] — and
+//! only `drive` — broadcasts a best-effort abort to the query's other
+//! participants and reports the error. Peers receiving `Abort` stop
+//! without an error of their own. `PartyThreads::run` returns the
 //! failing party's error, picking the lowest subject id when several
 //! fail independently — and the session remains usable: the party
 //! threads return to their mailboxes and the next query runs normally.
@@ -44,75 +36,33 @@
 //! its recipient has been woken for that epoch is stashed and replayed
 //! once the matching wake-up arrives. Epochs are what make an aborted
 //! query leave no residue for the next one.
-//!
-//! Messages additionally carry a per-edge *sequence number* assigned
-//! by the sending `Wire` (crate-private, see `transport`). The sender
-//! may re-send a message whose
-//! delivery failed ambiguously (a connection reset cannot tell the
-//! sender whether the frame landed first); the receiver drops
-//! duplicates by `(from, seq)` before accounting, so recovery never
-//! double-counts bytes, double-applies a table, or double-decrements
-//! the pending-input counter.
 
-use crate::audit::audit_transfer_with;
 use crate::error::SimError;
 use crate::fault::RetryPolicy;
-use crate::session::Prepared;
+use crate::party::{Party, PartyOut, PartyRun, QueryJob, Transfer};
 use crate::transport::{
     FaultState, InProcTransport, TcpHub, TcpTransport, Transport, TransportError, Wire, WireStats,
 };
-use crate::{Party, Report, TransportKind};
-use mpq_algebra::{Catalog, NodeId, SubjectId};
-use mpq_core::authz::SubjectView;
-use mpq_crypto::rsa::RsaPublic;
-use mpq_exec::{effective_children, execute_step, node_ready_fused, ExecCtx, Table, WorkerPool};
-use std::collections::{HashMap, HashSet};
+use crate::TransportKind;
+use mpq_algebra::SubjectId;
+use mpq_crypto::rsa::{RsaPublic, SignedEnvelope};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// One data message exchanged between parties while a query runs.
-/// `Clone` because a delivery *attempt* may damage or duplicate the
-/// message without consuming the sender's copy (see
+/// One data-plane message exchanged between parties while a query
+/// runs. `Clone` because a delivery *attempt* may damage or duplicate
+/// the message without consuming the sender's copy (see
 /// [`crate::transport`]).
 #[derive(Clone, Debug)]
 pub(crate) enum Msg {
-    /// The materialized table of `node`, produced by `from` and
-    /// consumed by a node assigned to the receiving subject.
-    Table {
-        /// Node whose result this is.
-        node: NodeId,
-        /// Producing subject.
-        from: SubjectId,
-        /// Per-edge sequence number (receiver-side dedup).
-        seq: u64,
-        /// The result rows.
-        table: Table,
-    },
-    /// The root result, delivered to the querying user.
-    Result {
-        /// Producing subject (the root's assignee).
-        from: SubjectId,
-        /// Per-edge sequence number (receiver-side dedup).
-        seq: u64,
-        /// The final table.
-        table: Table,
-    },
-    /// A peer failed; stop without producing more traffic. Carries no
-    /// sequence number: aborting twice is already idempotent.
+    /// A table crossing a subject edge.
+    Table(Transfer),
+    /// A peer failed; stop without producing more traffic.
     Abort,
-}
-
-impl Msg {
-    /// Stamp the wire-assigned sequence number (no-op for `Abort`).
-    pub(crate) fn set_seq(&mut self, n: u64) {
-        match self {
-            Msg::Table { seq, .. } | Msg::Result { seq, .. } => *seq = n,
-            Msg::Abort => {}
-        }
-    }
 }
 
 /// Everything on a party's persistent mailbox.
@@ -123,6 +73,11 @@ pub(crate) enum PartyMsg {
         epoch: u64,
         /// The shared, immutable description of the query.
         job: Arc<QueryJob>,
+        /// This party's signed request, travelling beside the job
+        /// exactly as in `Frame::Execute`.
+        envelope: Option<SignedEnvelope>,
+        /// The user's RSA public key (envelope verification).
+        user_public: RsaPublic,
     },
     /// A data message belonging to query `epoch`.
     Data {
@@ -135,37 +90,7 @@ pub(crate) enum PartyMsg {
     Shutdown,
 }
 
-/// Everything the parties need to execute one query — built by the
-/// session's preparation phase (runtime authorization, incremental
-/// Def. 6.1 provisioning, literal rewriting, envelope sealing) and
-/// shared immutably by all participants.
-pub(crate) struct QueryJob {
-    /// Output of the shared preparation phase.
-    pub(crate) prepared: Prepared,
-    /// Node → executing subject.
-    pub(crate) assignment: HashMap<NodeId, SubjectId>,
-    /// Parent of each node of the executed plan (by node index).
-    pub(crate) parents: Vec<Option<NodeId>>,
-    /// Participating subjects (every assignee plus the querying user),
-    /// ascending by subject id.
-    pub(crate) participants: Vec<SubjectId>,
-    /// The querying user.
-    pub(crate) user: SubjectId,
-    /// The user's RSA public key (envelope verification).
-    pub(crate) user_public: RsaPublic,
-    /// Worker pool for intra-operator data parallelism; all parties
-    /// draw from this one budget, so concurrently executing parties do
-    /// not oversubscribe the machine.
-    pub(crate) pool: WorkerPool,
-    /// How long a party waits for an expected data message before
-    /// aborting the epoch with a typed
-    /// [`TransportError::Timeout`] — `None` waits forever (the in-proc
-    /// default, where a peer cannot die without the whole process
-    /// dying).
-    pub(crate) timeout: Option<Duration>,
-}
-
-/// What a party reports back to the coordinator for one epoch.
+/// What a party reports back for one epoch.
 pub(crate) enum Outcome {
     /// Finished cleanly.
     Done(PartyOut),
@@ -173,32 +98,119 @@ pub(crate) enum Outcome {
     Failed(SimError),
     /// Stopped because a peer aborted (or the session is closing).
     Aborted,
-    /// The party loop panicked (a bug, not a protocol failure); the
-    /// panic was caught so the session's other threads could finish,
-    /// and is re-raised by the coordinator.
+    /// The party panicked (a bug, not a protocol failure); the panic
+    /// was caught so the other parties could finish, and is re-raised
+    /// by whoever collects the outcomes.
     Panicked(String),
 }
 
-/// A clean party's contribution to the run report.
-pub(crate) struct PartyOut {
-    /// Bytes received per (producer, me) edge.
-    pub(crate) transfers: HashMap<(SubjectId, SubjectId), usize>,
-    /// The final result (only ever `Some` at the user's party).
-    pub(crate) result: Option<Table>,
+/// Run `party`'s share of query `epoch` to an [`Outcome`]: the blocking
+/// scheduler. Outputs leave through `wire` (in-proc mailbox senders or
+/// framed TCP), inputs arrive on the party's own mailbox `rx` whichever
+/// way they traveled. This is the one place an epoch is aborted: any
+/// error the core, the wire or the mailbox returns — and any panic —
+/// ends here, where the other participants are told to stop.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive(
+    party: &Party,
+    job: &QueryJob,
+    envelope: Option<&SignedEnvelope>,
+    user_public: &RsaPublic,
+    epoch: u64,
+    rx: &Receiver<PartyMsg>,
+    wire: &Wire,
+    stash: &mut Vec<(u64, Msg)>,
+) -> Outcome {
+    let run = || run_epoch(party, job, envelope, user_public, epoch, rx, wire, stash);
+    let failure = match catch_unwind(AssertUnwindSafe(run)) {
+        Ok(Ok(Some(out))) => return Outcome::Done(out),
+        Ok(Ok(None)) => return Outcome::Aborted,
+        Ok(Err(e)) => Outcome::Failed(e),
+        Err(payload) => Outcome::Panicked(
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string()),
+        ),
+    };
+    wire.broadcast_abort(epoch, &job.participants);
+    failure
 }
 
-/// Session-static context one party loop owns for its whole life.
-/// Deliberately holds only *this* subject's material — an
-/// [`mpq-server`](crate::remote) process builds one of these for the
-/// single subject it hosts, with no other party's keys or store in
-/// its address space.
-pub(crate) struct PartyStatic {
-    pub(crate) me: SubjectId,
-    pub(crate) catalog: Arc<Catalog>,
-    /// This subject's overall view (receive audits).
-    pub(crate) view: SubjectView,
-    /// This subject's keys and store.
-    pub(crate) party: Arc<Party>,
+/// [`drive`] without the failure handling: `Ok(None)` means a peer
+/// aborted (or the mailbox closed) and this party simply stops.
+#[allow(clippy::too_many_arguments)]
+fn run_epoch(
+    party: &Party,
+    job: &QueryJob,
+    envelope: Option<&SignedEnvelope>,
+    user_public: &RsaPublic,
+    epoch: u64,
+    rx: &Receiver<PartyMsg>,
+    wire: &Wire,
+    stash: &mut Vec<(u64, Msg)>,
+) -> Result<Option<PartyOut>, SimError> {
+    let mut run = PartyRun::new(party, job, envelope, user_public)?;
+    // Data that arrived while idle: residue of an earlier (aborted)
+    // query is dropped, messages that raced ahead of our own wake-up
+    // for this epoch are replayed first.
+    let (early, later) = std::mem::take(stash)
+        .into_iter()
+        .filter(|(e, _)| *e >= epoch)
+        .partition(|(e, _)| *e == epoch);
+    *stash = later;
+    let mut early = Vec::into_iter(early);
+    loop {
+        while let Some(id) = run.ready() {
+            if let Some((to, transfer)) = run.step(id)? {
+                wire.send(to, epoch, Msg::Table(transfer))?;
+            }
+        }
+        if run.is_done() {
+            return Ok(Some(run.finish()));
+        }
+        // A configured timeout bounds the wait, so a dead peer aborts
+        // the epoch with a typed error instead of hanging the session.
+        let msg = match early.next() {
+            Some((_, msg)) => msg,
+            None => {
+                let received = match job.timeout() {
+                    Some(d) => match rx.recv_timeout(d) {
+                        Err(RecvTimeoutError::Timeout) => {
+                            let millis = job.timeout_ms;
+                            return Err(TransportError::Timeout { millis }.into());
+                        }
+                        received => received.ok(),
+                    },
+                    None => rx.recv().ok(),
+                };
+                match received {
+                    Some(PartyMsg::Data { epoch: e, msg }) if e == epoch => msg,
+                    Some(PartyMsg::Data { epoch: e, msg }) => {
+                        // Residue of an earlier query is dropped; one
+                        // racing ahead of the next epoch — impossible
+                        // while we still owe an outcome for this one —
+                        // is safest stashed.
+                        if e > epoch {
+                            stash.push((e, msg));
+                        }
+                        continue;
+                    }
+                    // Queries never overlap; a Run here would be a bug
+                    // in whoever owns this mailbox.
+                    Some(PartyMsg::Run { .. }) => {
+                        unreachable!("Run received while an epoch is still in flight")
+                    }
+                    Some(PartyMsg::Shutdown) | None => return Ok(None),
+                }
+            }
+        };
+        match msg {
+            Msg::Table(transfer) => run.deliver(transfer)?,
+            Msg::Abort => return Ok(None),
+        }
+    }
 }
 
 /// The long-lived party threads of one session: a mailbox sender per
@@ -222,25 +234,16 @@ pub(crate) struct PartyThreads {
 impl PartyThreads {
     /// Spawn one party loop per subject. Threads idle on their
     /// mailboxes until [`PartyThreads::run`] wakes them with a query.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn spawn(
-        catalog: &Arc<Catalog>,
-        views: &Arc<Vec<SubjectView>>,
         parties: &[Arc<Party>],
         transport: TransportKind,
         seed: u64,
-        faults: Arc<Mutex<FaultState>>,
+        faults: &Arc<Mutex<FaultState>>,
         retry: RetryPolicy,
-        stats: Arc<WireStats>,
+        stats: &Arc<WireStats>,
     ) -> PartyThreads {
         let n = parties.len();
-        let mut txs = Vec::with_capacity(n);
-        let mut rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel();
-            txs.push(tx);
-            rxs.push(rx);
-        }
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
         // One wire per party. In-proc: clones of everyone's mailbox
         // sender. TCP: every party binds a loopback hub feeding its own
         // mailbox, and sends connect to the peers' hubs. All wires
@@ -265,37 +268,31 @@ impl PartyThreads {
                     .collect();
                 (0..n)
                     .map(|i| {
+                        let me = SubjectId::from_index(i);
                         let mut peers = peers.clone();
-                        peers.remove(&SubjectId::from_index(i));
-                        Arc::new(TcpTransport::new(
-                            SubjectId::from_index(i),
-                            peers,
-                            Duration::from_secs(5),
-                        )) as Arc<dyn Transport>
+                        peers.remove(&me);
+                        Arc::new(TcpTransport::new(me, peers, Duration::from_secs(5)))
+                            as Arc<dyn Transport>
                     })
                     .collect()
             }
         };
         let (done_tx, done_rx) = channel();
         let mut handles = Vec::with_capacity(n);
-        for ((i, rx), backend) in rxs.into_iter().enumerate().zip(backends) {
-            let me = SubjectId::from_index(i);
-            let st = PartyStatic {
-                me,
-                catalog: Arc::clone(catalog),
-                view: views[i].clone(),
-                party: Arc::clone(&parties[i]),
-            };
+        for ((party, rx), backend) in parties.iter().zip(rxs).zip(backends) {
+            let party = Arc::clone(party);
             let wire = Wire::new(
-                me,
+                party.me,
                 seed,
                 backend,
-                Arc::clone(&faults),
+                Arc::clone(faults),
                 retry,
-                Arc::clone(&stats),
+                Arc::clone(stats),
             );
             let done = done_tx.clone();
-            handles.push(std::thread::spawn(move || party_main(st, rx, wire, done)));
+            handles.push(std::thread::spawn(move || {
+                party_main(&party, &rx, &wire, &done)
+            }));
         }
         PartyThreads {
             txs,
@@ -307,27 +304,32 @@ impl PartyThreads {
     }
 
     /// Run one prepared query across the persistent party threads and
-    /// assemble the [`Report`]. Blocks until every participant reported
-    /// an outcome for this epoch, so a failed query is fully drained
-    /// before the next one starts.
-    pub(crate) fn run(&mut self, job: QueryJob) -> Result<Report, SimError> {
+    /// return each clean participant's contribution. `envelopes` holds
+    /// each subject's signed request, by subject index. Blocks until
+    /// every participant reported an outcome for this epoch, so a
+    /// failed query is fully drained before the next one starts.
+    pub(crate) fn run(
+        &mut self,
+        job: QueryJob,
+        mut envelopes: Vec<Option<SignedEnvelope>>,
+        user_public: &RsaPublic,
+    ) -> Result<Vec<PartyOut>, SimError> {
         self.epoch += 1;
         let epoch = self.epoch;
-        let participants = job.participants.clone();
-        let request_bytes = job.prepared.transfers.clone();
-        let requests = job.prepared.requests;
         let job = Arc::new(job);
-        for &s in &participants {
+        for &s in &job.participants {
             self.txs[s.index()]
                 .send(PartyMsg::Run {
                     epoch,
                     job: Arc::clone(&job),
+                    envelope: envelopes[s.index()].take(),
+                    user_public: user_public.clone(),
                 })
                 .expect("party thread alive for the session's lifetime");
         }
 
         let mut outcomes: HashMap<SubjectId, Outcome> = HashMap::new();
-        while outcomes.len() < participants.len() {
+        while outcomes.len() < job.participants.len() {
             let (s, e, outcome) = self
                 .done_rx
                 .recv()
@@ -337,47 +339,26 @@ impl PartyThreads {
             }
         }
 
-        let mut transfers = request_bytes.clone();
-        let mut result: Option<Table> = None;
+        let mut outs = Vec::new();
         let mut first_error: Option<SimError> = None;
         let mut panic_msg: Option<String> = None;
         // Participant order (ascending subject id) keeps the reported
         // error deterministic when several parties fail independently.
-        for s in &participants {
+        for s in &job.participants {
             match outcomes.remove(s).expect("one outcome per participant") {
-                Outcome::Done(out) => {
-                    for (edge, bytes) in out.transfers {
-                        *transfers.entry(edge).or_default() += bytes;
-                    }
-                    if let Some(t) = out.result {
-                        result = Some(t);
-                    }
-                }
-                Outcome::Failed(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
+                Outcome::Done(out) => outs.push(out),
+                Outcome::Failed(e) => first_error = first_error.or(Some(e)),
                 Outcome::Aborted => {}
-                Outcome::Panicked(m) => {
-                    if panic_msg.is_none() {
-                        panic_msg = Some(m);
-                    }
-                }
+                Outcome::Panicked(m) => panic_msg = panic_msg.or(Some(m)),
             }
         }
         if let Some(m) = panic_msg {
             panic!("party thread panicked: {m}");
         }
-        if let Some(e) = first_error {
-            return Err(e);
+        match first_error {
+            Some(e) => Err(e),
+            None => Ok(outs),
         }
-        Ok(Report {
-            result: result.expect("user party delivered the result"),
-            transfers,
-            request_bytes,
-            requests,
-        })
     }
 }
 
@@ -392,307 +373,39 @@ impl Drop for PartyThreads {
     }
 }
 
-/// Broadcast `Abort` for `epoch` to every other participant of the
-/// query (ignoring peers that already exited or are unreachable — the
-/// abort is best-effort and fault-exempt; unreachable peers time out
-/// on their own).
-pub(crate) fn broadcast_abort(wire: &Wire, epoch: u64, participants: &[SubjectId], me: SubjectId) {
-    for &p in participants {
-        if p != me {
-            wire.send_abort(p, epoch);
-        }
-    }
-}
-
-/// Render a caught panic payload for re-raising at the coordinator.
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// The persistent per-subject loop: idle on the mailbox, run a query
-/// when woken, stash early data messages for epochs not yet begun.
+/// The persistent per-subject loop: idle on the mailbox, [`drive`] a
+/// query when woken, stash data messages that arrive while idle.
 fn party_main(
-    st: PartyStatic,
-    rx: Receiver<PartyMsg>,
-    wire: Wire,
-    done: Sender<(SubjectId, u64, Outcome)>,
+    party: &Party,
+    rx: &Receiver<PartyMsg>,
+    wire: &Wire,
+    done: &Sender<(SubjectId, u64, Outcome)>,
 ) {
-    // Data that arrived while idle: either residue of an aborted query
-    // (dropped when a later epoch begins) or messages racing ahead of
-    // our own wake-up for their epoch (replayed when it begins).
     let mut stash: Vec<(u64, Msg)> = Vec::new();
     loop {
         match rx.recv() {
-            Ok(PartyMsg::Run { epoch, job }) => {
-                stash.retain(|(e, _)| *e >= epoch);
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    run_query(&st, &job, epoch, &rx, &wire, &mut stash)
-                }))
-                .unwrap_or_else(|payload| {
-                    broadcast_abort(&wire, epoch, &job.participants, st.me);
-                    Outcome::Panicked(panic_text(payload))
-                });
-                if done.send((st.me, epoch, outcome)).is_err() {
+            Ok(PartyMsg::Run {
+                epoch,
+                job,
+                envelope,
+                user_public,
+            }) => {
+                let outcome = drive(
+                    party,
+                    &job,
+                    envelope.as_ref(),
+                    &user_public,
+                    epoch,
+                    rx,
+                    wire,
+                    &mut stash,
+                );
+                if done.send((party.me, epoch, outcome)).is_err() {
                     return;
                 }
             }
             Ok(PartyMsg::Data { epoch, msg }) => stash.push((epoch, msg)),
             Ok(PartyMsg::Shutdown) | Err(_) => return,
-        }
-    }
-}
-
-/// Execute this party's share of one query epoch: verify the signed
-/// request envelopes addressed to us, then step every assigned node as
-/// its operands materialize, routing outputs to their consumers.
-///
-/// Transport-agnostic: outputs leave through `wire` (in-proc mailbox
-/// senders or framed TCP), inputs arrive on the party's own mailbox
-/// `rx` whichever way they traveled. A send failure or a receive
-/// timeout aborts the epoch with a typed
-/// [`SimError::Transport`] instead of hanging.
-pub(crate) fn run_query(
-    st: &PartyStatic,
-    job: &QueryJob,
-    epoch: u64,
-    rx: &Receiver<PartyMsg>,
-    wire: &Wire,
-    stash: &mut Vec<(u64, Msg)>,
-) -> Outcome {
-    let me = st.me;
-    let plan = &job.prepared.exec_plan;
-    let party = st.party.as_ref();
-    let my_view = &st.view;
-    let root = plan.root();
-
-    // Nothing executes until every request envelope addressed to this
-    // party has opened and verified: the signed request *is* the
-    // authorization to compute (`[[q_S, keys]_priU]_pubS`), exactly as
-    // the sequential path verifies all envelopes before stepping any
-    // node.
-    for (to, envelope, expected) in &job.prepared.envelopes {
-        if *to != me {
-            continue;
-        }
-        let opened = envelope.open(&party.rsa, &job.user_public);
-        if opened.as_deref() != Some(expected.as_slice()) {
-            broadcast_abort(wire, epoch, &job.participants, me);
-            return Outcome::Failed(SimError::Envelope { to: me });
-        }
-    }
-
-    // My assigned nodes, in global postorder. Footnote-2 fused
-    // Encrypts never execute as standalone steps: their parent Select
-    // (same assignee by construction) filters on the plaintext input
-    // and encrypts only the survivors.
-    let fused = &job.prepared.fused;
-    let my_nodes: Vec<NodeId> = job
-        .prepared
-        .order
-        .iter()
-        .copied()
-        .filter(|id| job.assignment[id] == me && !fused.contains(id))
-        .collect();
-    // External tables this party waits for: operands of its nodes
-    // produced elsewhere (looking through fused Encrypts to the
-    // plaintext inputs actually consumed), plus the root delivery when
-    // it is the user and somebody else computes the root.
-    let mut pending = my_nodes
-        .iter()
-        .flat_map(|&id| effective_children(plan, id, fused))
-        .filter(|c| job.assignment[c] != me)
-        .count();
-    if me == job.user && job.assignment[&root] != me {
-        pending += 1;
-    }
-
-    let mut transfers: HashMap<(SubjectId, SubjectId), usize> = HashMap::new();
-    let mut results: HashMap<NodeId, Table> = HashMap::new();
-    let mut executed: Vec<bool> = vec![false; my_nodes.len()];
-    let mut result_table: Option<Table> = None;
-    // Sequence numbers already consumed, per producing subject: a
-    // sender recovering from an ambiguous delivery failure re-sends
-    // the same `(from, seq)`, and the duplicate must not re-account
-    // bytes or re-decrement `pending`.
-    let mut seen: HashSet<(SubjectId, u64)> = HashSet::new();
-
-    // Data messages for this epoch that arrived before our wake-up.
-    let mut inbox: Vec<Msg> = Vec::new();
-    for (e, m) in std::mem::take(stash) {
-        match e.cmp(&epoch) {
-            std::cmp::Ordering::Equal => inbox.push(m),
-            std::cmp::Ordering::Greater => stash.push((e, m)),
-            std::cmp::Ordering::Less => {}
-        }
-    }
-    let mut inbox = inbox.into_iter();
-
-    loop {
-        // Step every node whose operands have materialized. A finished
-        // node may unblock a later one of ours, so loop to fixpoint.
-        let mut progress = true;
-        while progress {
-            progress = false;
-            for (done, &id) in executed.iter_mut().zip(&my_nodes) {
-                if *done || !node_ready_fused(plan, id, &results, fused) {
-                    continue;
-                }
-                // Fresh per-node context, exactly as the sequential
-                // interpreter builds one per step: ciphertexts come out
-                // bit-identical no matter the interleaving.
-                let exec_ctx = ExecCtx::builder(
-                    &st.catalog,
-                    &party.store,
-                    &party.ring,
-                    &job.prepared.schemes,
-                    &job.prepared.key_of_attr,
-                )
-                .pool(job.pool.clone())
-                .seed(job.prepared.exec_seed)
-                .build();
-                let table = match execute_step(plan, id, &mut results, &exec_ctx) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        broadcast_abort(wire, epoch, &job.participants, me);
-                        return Outcome::Failed(e.into());
-                    }
-                };
-                *done = true;
-                progress = true;
-                if id == root {
-                    if me == job.user {
-                        // Even a user-computed result is audited, as in
-                        // the sequential path.
-                        if let Err(e) = audit_transfer_with(&table, my_view, &job.pool) {
-                            broadcast_abort(wire, epoch, &job.participants, me);
-                            return Outcome::Failed(e);
-                        }
-                        result_table = Some(table);
-                    } else if let Err(e) = wire.send(
-                        job.user,
-                        epoch,
-                        Msg::Result {
-                            from: me,
-                            seq: 0,
-                            table,
-                        },
-                    ) {
-                        broadcast_abort(wire, epoch, &job.participants, me);
-                        return Outcome::Failed(SimError::Transport(e));
-                    }
-                } else {
-                    let parent = job.parents[id.index()].expect("non-root has a parent");
-                    let consumer = job.assignment[&parent];
-                    if consumer == me {
-                        results.insert(id, table);
-                    } else if let Err(e) = wire.send(
-                        consumer,
-                        epoch,
-                        Msg::Table {
-                            node: id,
-                            from: me,
-                            seq: 0,
-                            table,
-                        },
-                    ) {
-                        broadcast_abort(wire, epoch, &job.participants, me);
-                        return Outcome::Failed(SimError::Transport(e));
-                    }
-                }
-            }
-        }
-
-        let all_executed = executed.iter().all(|&d| d);
-        let have_result = me != job.user || result_table.is_some();
-        if all_executed && have_result && pending == 0 {
-            return Outcome::Done(PartyOut {
-                transfers,
-                result: result_table,
-            });
-        }
-
-        // Next data message: replayed from the stash first, then live.
-        // A configured timeout bounds the wait, so a dead peer aborts
-        // the epoch with a typed error instead of hanging the session.
-        let msg = if let Some(m) = inbox.next() {
-            m
-        } else {
-            let received = match job.timeout {
-                Some(d) => match rx.recv_timeout(d) {
-                    Ok(m) => Ok(m),
-                    Err(RecvTimeoutError::Timeout) => {
-                        broadcast_abort(wire, epoch, &job.participants, me);
-                        return Outcome::Failed(SimError::Transport(TransportError::Timeout {
-                            millis: d.as_millis() as u64,
-                        }));
-                    }
-                    Err(RecvTimeoutError::Disconnected) => Err(()),
-                },
-                None => rx.recv().map_err(|_| ()),
-            };
-            match received {
-                Ok(PartyMsg::Data { epoch: e, msg }) => match e.cmp(&epoch) {
-                    std::cmp::Ordering::Equal => msg,
-                    // Residue of an earlier (aborted) query: drop.
-                    std::cmp::Ordering::Less => continue,
-                    // Racing ahead of the next epoch — impossible while
-                    // we still owe an outcome for this one, but stashing
-                    // is the safe response.
-                    std::cmp::Ordering::Greater => {
-                        stash.push((e, msg));
-                        continue;
-                    }
-                },
-                // The coordinator never overlaps queries; a Run here
-                // would be a session-layer bug.
-                Ok(PartyMsg::Run { .. }) => {
-                    unreachable!("Run received while an epoch is still in flight")
-                }
-                Ok(PartyMsg::Shutdown) | Err(()) => return Outcome::Aborted,
-            }
-        };
-        match msg {
-            Msg::Table {
-                node,
-                from,
-                seq,
-                table,
-            } => {
-                // A re-sent duplicate (recovery after an ambiguous
-                // delivery failure): the identical bytes were already
-                // audited and accounted — drop it.
-                if !seen.insert((from, seq)) {
-                    continue;
-                }
-                // Audit on receive: the cell-level check runs at the
-                // receiving party, before the table is usable.
-                if let Err(e) = audit_transfer_with(&table, my_view, &job.pool) {
-                    broadcast_abort(wire, epoch, &job.participants, me);
-                    return Outcome::Failed(e);
-                }
-                *transfers.entry((from, me)).or_default() += table.byte_size();
-                results.insert(node, table);
-                pending -= 1;
-            }
-            Msg::Result { from, seq, table } => {
-                if !seen.insert((from, seq)) {
-                    continue;
-                }
-                if let Err(e) = audit_transfer_with(&table, my_view, &job.pool) {
-                    broadcast_abort(wire, epoch, &job.participants, me);
-                    return Outcome::Failed(e);
-                }
-                *transfers.entry((from, me)).or_default() += table.byte_size();
-                result_table = Some(table);
-                pending -= 1;
-            }
-            Msg::Abort => return Outcome::Aborted,
         }
     }
 }

@@ -1,14 +1,13 @@
 //! Persistent multi-query sessions: amortize trust establishment
 //! across queries.
 //!
-//! [`Simulator::run`](crate::Simulator::run) is protocol-faithful to a
-//! fault: every run provisions fresh Def. 6.1 cluster keys, re-ships
-//! the Paillier public halves, and (before this layer existed)
-//! re-spawned every party thread. After the crypto hot path got cheap,
-//! those *per-run fixed costs* dominate short queries. A production
-//! multi-provider deployment — like SMCQL's federated honest-broker
-//! sessions — holds long-lived connections to each provider and runs
-//! many queries per trust establishment; a [`Session`] is that model:
+//! Run as a standalone query, the §6 protocol provisions fresh
+//! Def. 6.1 cluster keys and ships the Paillier public halves every
+//! time; once the crypto hot path is cheap, those *per-query fixed
+//! costs* dominate short queries. A production multi-provider
+//! deployment — like SMCQL's federated honest-broker sessions — holds
+//! long-lived connections to each provider and runs many queries per
+//! trust establishment; a [`Session`] is that model:
 //!
 //! * **party threads spawn once**, at [`Session::open`], and idle on
 //!   long-lived mailboxes between queries ([`runtime`](crate::runtime));
@@ -26,14 +25,24 @@
 //!   [`runtime`](crate::runtime)) and the session keeps serving;
 //! * [`Session::revoke_key`] models policy change: it drops the key
 //!   from every ring *and* invalidates the cache entry, so the next
-//!   query that needs the cluster provisions fresh material.
+//!   query that needs the cluster provisions fresh material;
+//! * [`Session::reset_provisioning`] forgets everything provisioned:
+//!   called before a query, it makes that query the standalone,
+//!   protocol-faithful one (what the paper-fidelity tests drive).
+//!
+//! The per-query preparation — authorize, provision, seal — is the
+//! crate-private `Dispatcher`, shared with the federated
+//! [`Coordinator`](crate::Coordinator): the two differ only in how a
+//! key reaches its holder (a ring insert here, a sealed
+//! `Frame::Provision` there).
 
 use crate::error::SimError;
 use crate::fault::{FaultPlan, RetryPolicy};
-use crate::runtime::{PartyThreads, QueryJob};
+use crate::party::{Party, PartyRun, QueryJob, Transfer};
+use crate::runtime::PartyThreads;
 use crate::transport::{EdgeRecovery, FaultState, TransportKind, WireStats};
-use crate::{audit, Party, Report, PAILLIER_BITS, RSA_BITS};
-use mpq_algebra::{AttrId, Catalog, NodeId, Operator, QueryPlan, RelId, SubjectId};
+use crate::{Report, PAILLIER_BITS, RSA_BITS};
+use mpq_algebra::{AttrId, Catalog, NodeId, Operator, RelId, SubjectId};
 use mpq_core::authz::{Policy, SubjectView};
 use mpq_core::dispatch::dispatch;
 use mpq_core::extend::ExtendedPlan;
@@ -41,22 +50,17 @@ use mpq_core::keys::{ClusterSig, KeyPlan};
 use mpq_core::subjects::Subjects;
 use mpq_crypto::keyring::{ClusterKey, KeyRing};
 use mpq_crypto::rsa::{RsaKeypair, RsaPublic, SignedEnvelope};
-use mpq_exec::{
-    assign_schemes, effective_children, execute_step, fused_encrypt_child, rewrite_literals,
-    Database, ExecCtx, SchemePlan, Table, WorkerPool,
-};
+use mpq_exec::{assign_schemes, effective_children, rewrite_literals, Database, WorkerPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Every runtime knob of a [`Session`] (and, through
-/// [`Simulator::with_config`](crate::Simulator::with_config), of a
-/// simulator) in one builder: seed, worker pool, static pre-flight,
-/// transport, and receive timeout. The legacy knob methods
-/// (`Session::with_workers`, `Session::without_preflight`) remain as
-/// thin shims over this.
+/// Every runtime knob of a [`Session`] (and of a
+/// [`Coordinator`](crate::Coordinator)) in one builder: seed, worker
+/// pool, static pre-flight, transport, receive timeout, fault schedule,
+/// retry budget, and footnote-2 fusion.
 ///
 /// # Example
 ///
@@ -171,57 +175,14 @@ impl SessionConfig {
             TransportKind::Tcp => Some(Duration::from_secs(10)),
         })
     }
-}
 
-/// Output of the shared preparation phase (runtime authorization,
-/// incremental Def. 6.1 key provisioning, literal rewriting, envelope
-/// sealing) — everything both execution paths consume.
-pub(crate) struct Prepared {
-    /// The extended plan with encrypted literals spliced in.
-    pub(crate) exec_plan: QueryPlan,
-    /// Per-attribute encryption schemes.
-    pub(crate) schemes: SchemePlan,
-    /// Attribute → session-wide cluster-key id.
-    pub(crate) key_of_attr: HashMap<AttrId, u32>,
-    /// Execution order (postorder of the extended plan).
-    pub(crate) order: Vec<NodeId>,
-    /// Envelope bytes already accounted per user → subject edge.
-    pub(crate) transfers: HashMap<(SubjectId, SubjectId), usize>,
-    /// Batched signed requests: recipient, sealed envelope, and the
-    /// payload the recipient must recover for verification.
-    pub(crate) envelopes: Vec<(SubjectId, SignedEnvelope, Vec<u8>)>,
-    /// Number of dispatched sub-query requests (before batching).
-    pub(crate) requests: usize,
-    /// Base seed for per-(node, column, row) encryption randomness,
-    /// derived from the session seed; identical for both execution
-    /// paths and for every query of the session.
-    pub(crate) exec_seed: u64,
-    /// Footnote-2 fusion sites: Encrypt nodes folded into their parent
-    /// Select (same assignee, fusible predicate). These never execute
-    /// as standalone steps in either runtime.
-    pub(crate) fused: HashSet<NodeId>,
-}
-
-/// Footnote-2 fusion sites of an assigned plan: every Encrypt folded
-/// into its parent Select (fusible predicate, same assignee — a
-/// different assignee must never see the Encrypt's plaintext input).
-/// Deterministic in `(plan, assignment)`, so the federated coordinator
-/// and its servers compute identical sets without shipping them.
-pub(crate) fn fusion_sites(
-    plan: &QueryPlan,
-    assignment: &HashMap<NodeId, SubjectId>,
-) -> HashSet<NodeId> {
-    let mut fused = HashSet::new();
-    for id in plan.postorder() {
-        if let Some(enc_id) = fused_encrypt_child(plan, id) {
-            if let (Some(a), Some(b)) = (assignment.get(&id), assignment.get(&enc_id)) {
-                if a == b {
-                    fused.insert(enc_id);
-                }
-            }
+    /// The worker pool this configuration selects.
+    pub(crate) fn pool(&self) -> WorkerPool {
+        match self.workers {
+            Some(n) => WorkerPool::new(n),
+            None => WorkerPool::global(),
         }
     }
-    fused
 }
 
 /// One cached Def. 6.1 cluster: the generated material (already in the
@@ -251,12 +212,336 @@ pub struct SessionStats {
     pub publics_delivered: usize,
 }
 
+/// Who holds the keys, as the [`Dispatcher`] sees them: the one thing
+/// in which a [`Session`] (every ring in this process) and a
+/// [`Coordinator`](crate::Coordinator) (rings behind control
+/// connections) differ while preparing a query.
+pub(crate) trait Holders {
+    /// The querying user's keypair: signs every envelope.
+    fn signer(&self) -> &RsaKeypair;
+    /// The key envelopes for `s` are sealed to.
+    fn public_of(&self, s: SubjectId) -> Option<RsaPublic>;
+    /// Hand the full cluster key to a Def. 6.1 holder.
+    fn grant(&mut self, rng: &mut StdRng, to: SubjectId, key: &ClusterKey) -> Result<(), SimError>;
+    /// Hand the public Paillier half to a computing non-holder: enough
+    /// to aggregate, never to decrypt.
+    fn grant_public(&mut self, to: SubjectId, key: &ClusterKey) -> Result<(), SimError>;
+}
+
+/// A prepared query: the job every participant runs, each recipient's
+/// sealed request (by subject index), and the dispatch share of the
+/// report.
+pub(crate) struct Dispatched {
+    pub(crate) job: QueryJob,
+    pub(crate) envelopes: Vec<Option<SignedEnvelope>>,
+    /// Envelope bytes per user → subject edge.
+    pub(crate) request_bytes: HashMap<(SubjectId, SubjectId), usize>,
+    /// Number of dispatched sub-query requests (before batching).
+    pub(crate) requests: usize,
+}
+
+/// The querying user's side of §6, per query: runtime authorization
+/// re-check (Def. 4.1 per node), *incremental* Def. 6.1 key
+/// provisioning through the cluster cache, scheme assignment,
+/// encrypted-literal rewriting, and sealing of the signed request
+/// envelopes (batched per subject-pair edge).
+pub(crate) struct Dispatcher {
+    catalog: Arc<Catalog>,
+    subjects: Arc<Subjects>,
+    /// Per-subject overall views, fixed for the session's lifetime
+    /// (the policy itself is immutable; key *revocation* is modeled by
+    /// [`Session::revoke_key`]).
+    views: Vec<SubjectView>,
+    rng: StdRng,
+    /// Derived once from the constructor seed; see
+    /// [`QueryJob::exec_seed`].
+    exec_seed: u64,
+    /// The cluster-key cache: Def. 6.1 material by cluster signature.
+    cache: HashMap<ClusterSig, CachedCluster>,
+    /// Next session-wide cluster-key id. Plan-local key ids (positions
+    /// in a `KeyPlan`) are remapped onto these so material cached from
+    /// one query is addressable from every later one.
+    next_key_id: u32,
+    stats: SessionStats,
+    /// Run the static verifier (`mpq_core::verify`) before spending any
+    /// crypto work on a query. On by default; the runtime-enforcement
+    /// tests opt out to exercise the dynamic checks the verifier
+    /// subsumes.
+    preflight: bool,
+    fuse: bool,
+    timeout: Option<Duration>,
+}
+
+impl Dispatcher {
+    /// `rng` arrives having drawn the RSA identities, so everything
+    /// drawn here continues one seeded stream.
+    pub(crate) fn new(
+        catalog: &Arc<Catalog>,
+        subjects: &Subjects,
+        views: Vec<SubjectView>,
+        rng: StdRng,
+        config: &SessionConfig,
+        timeout: Option<Duration>,
+    ) -> Dispatcher {
+        Dispatcher {
+            catalog: Arc::clone(catalog),
+            subjects: Arc::new(subjects.clone()),
+            views,
+            rng,
+            exec_seed: config.seed ^ 0x6d70_715f_6578_6563, // "mpq_exec"
+            cache: HashMap::new(),
+            next_key_id: 0,
+            stats: SessionStats::default(),
+            preflight: config.preflight,
+            fuse: config.fuse,
+            timeout,
+        }
+    }
+
+    /// Def. 4.1 for every node, then the static pre-flight. Returns
+    /// which subjects compute (every assignee plus the user).
+    /// Authorization never amortizes: the signed request is a
+    /// per-query grant, so every query re-verifies every node.
+    fn authorize(
+        &self,
+        ext: &ExtendedPlan,
+        keys: &KeyPlan,
+        user: SubjectId,
+    ) -> Result<Vec<bool>, SimError> {
+        let mut computing = vec![false; self.views.len()];
+        computing[user.index()] = true;
+        for id in ext.plan.postorder() {
+            let node = ext.plan.node(id);
+            let subject = *ext.assignment.get(&id).ok_or(SimError::Unassigned(id))?;
+            computing[subject.index()] = true;
+            if let Operator::Base { rel, .. } = &node.op {
+                // Base relations never leave their authority: the
+                // leaf's executor must be the storing authority, which
+                // sees its own relation by construction.
+                let authority = self
+                    .subjects
+                    .authority(*rel)
+                    .ok_or(SimError::NoAuthority(*rel))?;
+                if subject != authority {
+                    return Err(SimError::NotTheAuthority {
+                        node: id,
+                        subject,
+                        authority,
+                    });
+                }
+                continue;
+            }
+            let view = &self.views[subject.index()];
+            for relation in node.children.iter().chain([&id]) {
+                view.check(&ext.profiles[relation.index()])
+                    .map_err(|violation| SimError::Unauthorized {
+                        node: id,
+                        subject,
+                        violation,
+                    })?;
+            }
+        }
+        // The full multi-pass verifier, after the per-node checks above
+        // (preserving their error precedence) and before any key
+        // material is generated: a plan that would leak on some edge,
+        // miss a Def. 6.1 key, or hit a scheme conflict is refused
+        // without spending a single modexp.
+        if self.preflight {
+            let report = mpq_core::verify::verify_extended(
+                ext,
+                keys,
+                &self.catalog,
+                &self.subjects,
+                &self.views,
+                Some(user),
+            );
+            if !report.is_clean() {
+                return Err(SimError::Verify(report));
+            }
+        }
+        Ok(computing)
+    }
+
+    /// Authorize, provision, seal. Consumes the RNG in a fixed order —
+    /// per new cluster: the key, then whatever `holders` draws to ship
+    /// it; then literal rewriting; then one envelope per recipient,
+    /// ascending — so a seed fixes every ciphertext and every byte.
+    pub(crate) fn prepare(
+        &mut self,
+        ext: &ExtendedPlan,
+        keys: &KeyPlan,
+        user: SubjectId,
+        holders: &mut dyn Holders,
+    ) -> Result<Dispatched, SimError> {
+        self.stats.queries += 1;
+        let computing = self.authorize(ext, keys, user)?;
+
+        // ---- incremental key provisioning (Def. 6.1) -----------------
+        let mut key_of_attr: HashMap<AttrId, u32> = HashMap::new();
+        // Predicates over encrypted attributes need encrypted literals.
+        // Conceptually the key-holding authorities rewrite their
+        // conditions while preparing the sub-queries (§6); this ring
+        // stands in for them at dispatch time.
+        let dispatcher_ring = KeyRing::new();
+        for plan_key in &keys.keys {
+            let sig = plan_key.cluster_sig();
+            if self.cache.contains_key(&sig) {
+                self.stats.clusters_reused += 1;
+            } else {
+                // A cluster this session has never provisioned: generate
+                // under a fresh session-wide id and ship the full key to
+                // every Def. 6.1 holder.
+                let id = self.next_key_id;
+                self.next_key_id += 1;
+                let material = ClusterKey::generate(&mut self.rng, id, PAILLIER_BITS);
+                for &holder in &plan_key.holders {
+                    holders.grant(&mut self.rng, holder, &material)?;
+                }
+                let publics = plan_key.holders.iter().map(|s| s.index()).collect();
+                self.cache
+                    .insert(sig.clone(), CachedCluster { material, publics });
+                self.stats.clusters_provisioned += 1;
+            }
+            let cached = self.cache.get_mut(&sig).expect("just inserted or present");
+            for a in plan_key.attrs.iter() {
+                key_of_attr.insert(a, cached.material.id);
+            }
+            // Public Paillier halves for every computing non-holder not
+            // yet served.
+            for i in (0..computing.len()).filter(|&i| computing[i]) {
+                if !cached.publics.contains(&i) {
+                    holders.grant_public(SubjectId::from_index(i), &cached.material)?;
+                    cached.publics.insert(i);
+                    self.stats.publics_delivered += 1;
+                }
+            }
+            if !plan_key.holders.is_empty() {
+                dispatcher_ring.insert(cached.material.clone());
+            }
+        }
+
+        // ---- dispatch: signed, encrypted sub-query requests ----------
+        let schemes = assign_schemes(&ext.plan).map_err(|e| SimError::Scheme(e.to_string()))?;
+        let exec_plan = rewrite_literals(
+            &ext.plan,
+            &self.catalog,
+            &schemes,
+            &key_of_attr,
+            &dispatcher_ring,
+            &mut self.rng,
+        )
+        .map_err(SimError::Rewrite)?;
+
+        // Batch the request payloads per user → subject edge: one
+        // envelope (one signature, one session key) per recipient,
+        // regardless of how many sub-query regions it executes.
+        let d = dispatch(ext, keys, &self.catalog, &self.subjects);
+        let mut batches: Vec<Vec<u8>> = vec![Vec::new(); self.views.len()];
+        for req in &d.requests {
+            let batch = &mut batches[req.subject.index()];
+            if !batch.is_empty() {
+                batch.extend_from_slice(b"\n===\n");
+            }
+            batch.extend_from_slice(req.sql.as_bytes());
+            for key_id in &req.keys {
+                batch.extend_from_slice(format!("\nkey:{key_id}").as_bytes());
+            }
+        }
+        let mut request_bytes: HashMap<(SubjectId, SubjectId), usize> = HashMap::new();
+        let mut envelopes: Vec<Option<SignedEnvelope>> = vec![None; batches.len()];
+        for (i, payload) in batches.iter().enumerate().filter(|(_, p)| !p.is_empty()) {
+            let to = SubjectId::from_index(i);
+            let public = holders.public_of(to).ok_or(SimError::Envelope { to })?;
+            let envelope = SignedEnvelope::seal(&mut self.rng, payload, holders.signer(), &public);
+            if to != user {
+                *request_bytes.entry((user, to)).or_default() +=
+                    envelope.wrapped_key.len() + envelope.body.len() + envelope.signature.len();
+            }
+            envelopes[i] = Some(envelope);
+        }
+
+        let job = QueryJob::new(
+            exec_plan,
+            schemes,
+            key_of_attr,
+            ext.assignment.clone(),
+            user,
+            self.exec_seed,
+            self.timeout.map_or(0, |d| d.as_millis() as u64),
+            self.fuse,
+        )?;
+        Ok(Dispatched {
+            job,
+            envelopes,
+            request_bytes,
+            requests: d.requests.len(),
+        })
+    }
+
+    /// Forget every provisioned cluster and restart key ids at 0: the
+    /// next query provisions from scratch. Returns the forgotten ids,
+    /// for the caller to drop from the rings it can reach.
+    pub(crate) fn reset(&mut self) -> Vec<u32> {
+        self.next_key_id = 0;
+        self.cache.drain().map(|(_, c)| c.material.id).collect()
+    }
+}
+
+/// The partition of `db` subject `me` is the data authority of.
+pub(crate) fn store_of(
+    catalog: &Catalog,
+    subjects: &Subjects,
+    db: &Database,
+    me: SubjectId,
+) -> Database {
+    let mut store = Database::new();
+    for rel in catalog.relations() {
+        if let (Some(owner), Some(table)) = (subjects.authority(rel.rel), db.table(rel.rel)) {
+            if owner == me {
+                store.insert(rel.rel, table.clone());
+            }
+        }
+    }
+    store
+}
+
+/// The thread-free part of opening a session: one party per registered
+/// subject (RSA identities drawn from the seed in subject order) and
+/// the dispatcher that continues the same seeded stream.
+pub(crate) fn set_up(
+    catalog: &Catalog,
+    subjects: &Subjects,
+    policy: &Policy,
+    db: &Database,
+    config: &SessionConfig,
+) -> (Vec<Arc<Party>>, Dispatcher) {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let views = policy.all_views(catalog, subjects);
+    let catalog = Arc::new(catalog.clone());
+    let pool = config.pool();
+    let parties = subjects
+        .iter()
+        .map(|me| {
+            Arc::new(Party {
+                me,
+                catalog: Arc::clone(&catalog),
+                view: views[me.index()].clone(),
+                rsa: RsaKeypair::generate(&mut rng, RSA_BITS),
+                ring: KeyRing::new(),
+                store: store_of(&catalog, subjects, db, me),
+                pool: pool.clone(),
+            })
+        })
+        .collect();
+    let timeout = config.effective_timeout();
+    let dispatcher = Dispatcher::new(&catalog, subjects, views, rng, config, timeout);
+    (parties, dispatcher)
+}
+
 /// A persistent multi-query execution context over one set of parties.
 ///
 /// See the [module docs](self) for what amortizes across queries and
-/// what is re-checked per query. [`Simulator`](crate::Simulator) is a
-/// thin protocol-faithful wrapper that resets the provisioning cache
-/// before every run.
+/// what is re-checked per query.
 ///
 /// # Example
 ///
@@ -282,45 +567,46 @@ pub struct SessionStats {
 /// assert_eq!(session.stats().clusters_reused, keys.keys.len());
 /// ```
 pub struct Session {
-    catalog: Arc<Catalog>,
-    subjects: Arc<Subjects>,
-    /// Per-subject overall views, fixed for the session's lifetime
-    /// (the policy itself is immutable; key *revocation* is modeled by
-    /// [`Session::revoke_key`]).
-    views: Arc<Vec<SubjectView>>,
+    dispatcher: Dispatcher,
+    /// One party per registered subject; each party thread holds a
+    /// clone of its own.
     parties: Vec<Arc<Party>>,
-    rng: StdRng,
-    /// Derived once from the constructor seed; see `Prepared::exec_seed`.
-    exec_seed: u64,
-    /// Worker pool for intra-operator data parallelism; shared by every
-    /// party loop (and the sequential interpreter), so concurrently
-    /// executing parties draw threads from one budget instead of
-    /// oversubscribing the machine.
-    pool: WorkerPool,
-    /// The cluster-key cache: Def. 6.1 material by cluster signature.
-    cache: HashMap<ClusterSig, CachedCluster>,
-    /// Next session-wide cluster-key id. Plan-local key ids (positions
-    /// in a `KeyPlan`) are remapped onto these so material cached from
-    /// one query is addressable from every later one.
-    next_key_id: u32,
     /// The long-lived party threads.
     threads: PartyThreads,
-    stats: SessionStats,
-    /// Run the static verifier (`mpq_core::verify`) before spending any
-    /// crypto work on a query. On by default; the runtime-enforcement
-    /// tests opt out to exercise the dynamic checks the verifier
-    /// subsumes.
-    preflight: bool,
-    /// Receive timeout handed to every query's job (see
-    /// [`SessionConfig::effective_timeout`]).
-    timeout: Option<Duration>,
-    /// Footnote-2 fusion enabled for this session's queries.
-    fuse: bool,
     /// Fault-injection state shared by every party's wire; swapping
     /// the plan (see [`Session::set_faults`]) reaches all of them.
     faults: Arc<Mutex<FaultState>>,
     /// Per-edge recovery counters shared by every party's wire.
     wire_stats: Arc<WireStats>,
+}
+
+/// [`Holders`] of a session: every ring is in this process, and a key
+/// reaches its holder by being inserted.
+pub(crate) struct Rings<'a> {
+    pub(crate) parties: &'a [Arc<Party>],
+    pub(crate) user: SubjectId,
+}
+
+impl Holders for Rings<'_> {
+    fn signer(&self) -> &RsaKeypair {
+        &self.parties[self.user.index()].rsa
+    }
+
+    fn public_of(&self, s: SubjectId) -> Option<RsaPublic> {
+        Some(self.parties.get(s.index())?.rsa.public.clone())
+    }
+
+    fn grant(&mut self, _: &mut StdRng, to: SubjectId, key: &ClusterKey) -> Result<(), SimError> {
+        self.parties[to.index()].ring.insert(key.clone());
+        Ok(())
+    }
+
+    fn grant_public(&mut self, to: SubjectId, key: &ClusterKey) -> Result<(), SimError> {
+        self.parties[to.index()]
+            .ring
+            .insert_public(key.id, key.paillier_public());
+        Ok(())
+    }
 }
 
 impl Session {
@@ -357,321 +643,47 @@ impl Session {
         db: &Database,
         config: SessionConfig,
     ) -> Session {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut parties: Vec<Party> = subjects
-            .iter()
-            .map(|_| Party {
-                rsa: RsaKeypair::generate(&mut rng, RSA_BITS),
-                ring: KeyRing::new(),
-                store: Database::new(),
-            })
-            .collect();
-        for rel in catalog.relations() {
-            if let (Some(owner), Some(table)) = (subjects.authority(rel.rel), db.table(rel.rel)) {
-                parties[owner.index()].store.insert(rel.rel, table.clone());
-            }
-        }
-        let catalog = Arc::new(catalog.clone());
-        let subjects = Arc::new(subjects.clone());
-        let views = Arc::new(policy.all_views(&catalog, &subjects));
-        let parties: Vec<Arc<Party>> = parties.into_iter().map(Arc::new).collect();
+        let (parties, dispatcher) = set_up(catalog, subjects, policy, db, &config);
         let plan = config.faults.clone().or_else(FaultPlan::from_env);
         let faults = Arc::new(Mutex::new(FaultState::new(plan)));
         let wire_stats = Arc::new(WireStats::default());
         let threads = PartyThreads::spawn(
-            &catalog,
-            &views,
             &parties,
             config.transport,
             config.seed,
-            Arc::clone(&faults),
+            &faults,
             config.retry,
-            Arc::clone(&wire_stats),
+            &wire_stats,
         );
         Session {
-            catalog,
-            subjects,
-            views,
+            dispatcher,
             parties,
-            rng,
-            exec_seed: config.seed ^ 0x6d70_715f_6578_6563, // "mpq_exec"
-            pool: match config.workers {
-                Some(n) => WorkerPool::new(n),
-                None => WorkerPool::global(),
-            },
-            cache: HashMap::new(),
-            next_key_id: 0,
             threads,
-            stats: SessionStats::default(),
-            preflight: config.preflight,
-            timeout: config.effective_timeout(),
-            fuse: config.fuse,
             faults,
             wire_stats,
         }
     }
 
-    /// Deprecated: use [`Session::open_with`] with
-    /// [`SessionConfig::with_workers`]. Replaces the shared worker pool
-    /// with a private one of `workers` threads (differential tests
-    /// sweep worker counts; results are identical by construction).
-    /// Takes effect from the next query — the pool travels with each
-    /// query's job, not with the threads.
-    pub fn with_workers(mut self, workers: usize) -> Session {
-        self.pool = WorkerPool::new(workers);
-        self
-    }
-
-    /// Deprecated: use [`Session::open_with`] with
-    /// [`SessionConfig::without_preflight`]. Disables the static
-    /// pre-flight verifier for this session's queries, leaving only the
-    /// dynamic defenses (per-node Def. 4.1 re-check, wire audit,
-    /// key-ring enforcement). Exists for the runtime-enforcement tests,
-    /// which deliberately execute plans the verifier would reject in
-    /// order to prove the dynamic layer catches them too.
-    pub fn without_preflight(mut self) -> Session {
-        self.preflight = false;
-        self
-    }
-
-    /// Shared preparation, both execution paths: runtime authorization
-    /// re-check (Def. 4.1 per node), *incremental* Def. 6.1 key
-    /// provisioning through the cluster cache, scheme assignment,
-    /// encrypted-literal rewriting, and sealing of the signed request
-    /// envelopes (batched per subject-pair edge). Consumes the session
-    /// RNG in a fixed order so a fresh session's first query is
-    /// bit-identical to a fresh `Simulator` run with the same seed.
     fn prepare(
         &mut self,
         ext: &ExtendedPlan,
         keys: &KeyPlan,
         user: SubjectId,
-    ) -> Result<Prepared, SimError> {
-        let order = ext.plan.postorder();
-        let assignee_of = |id: NodeId| -> Result<SubjectId, SimError> {
-            ext.assignment
-                .get(&id)
-                .copied()
-                .ok_or(SimError::Unassigned(id))
-        };
-
-        // ---- 1. runtime authorization check (Def. 4.1 per node) -----
-        // Authorization never amortizes: the signed request is a
-        // per-query grant, so every execute re-verifies every node.
-        for &id in &order {
-            let node = ext.plan.node(id);
-            let subject = assignee_of(id)?;
-            if let Operator::Base { rel, .. } = &node.op {
-                // Base relations never leave their authority: the
-                // leaf's executor must be the storing authority, which
-                // sees its own relation by construction.
-                let authority = self
-                    .subjects
-                    .authority(*rel)
-                    .ok_or(SimError::NoAuthority(*rel))?;
-                if subject != authority {
-                    return Err(SimError::NotTheAuthority {
-                        node: id,
-                        subject,
-                        authority,
-                    });
-                }
-                continue;
-            }
-            let view = &self.views[subject.index()];
-            for &child in &node.children {
-                if let Err(violation) = view.check(&ext.profiles[child.index()]) {
-                    return Err(SimError::Unauthorized {
-                        node: id,
-                        subject,
-                        violation,
-                    });
-                }
-            }
-            if let Err(violation) = view.check(&ext.profiles[id.index()]) {
-                return Err(SimError::Unauthorized {
-                    node: id,
-                    subject,
-                    violation,
-                });
-            }
-        }
-
-        // ---- 1b. static pre-flight (mpq_core::verify) ----------------
-        // The full multi-pass verifier, after the per-node checks above
-        // (preserving their error precedence) and before any key
-        // material is generated: a plan that would leak on some edge,
-        // miss a Def. 6.1 key, or hit a scheme conflict is refused
-        // without spending a single modexp.
-        if self.preflight {
-            let report = mpq_core::verify::verify_extended(
-                ext,
-                keys,
-                &self.catalog,
-                &self.subjects,
-                &self.views,
-                Some(user),
-            );
-            if !report.is_clean() {
-                return Err(SimError::Verify(report));
-            }
-        }
-
-        // ---- 2. incremental key provisioning (Def. 6.1) --------------
-        let mut key_of_attr: HashMap<AttrId, u32> = HashMap::new();
-        let mut computing: Vec<bool> = vec![false; self.parties.len()];
-        for &id in &order {
-            computing[assignee_of(id)?.index()] = true;
-        }
-        computing[user.index()] = true;
-        // Predicates over encrypted attributes need encrypted literals.
-        // Conceptually the key-holding authorities rewrite their
-        // conditions while preparing the sub-queries (§6); this ring
-        // stands in for them at dispatch time.
-        let dispatcher_ring = KeyRing::new();
-        for plan_key in &keys.keys {
-            let sig = plan_key.cluster_sig();
-            if !self.cache.contains_key(&sig) {
-                // A cluster this session has never provisioned: generate
-                // under a fresh session-wide id and ship the full key to
-                // every Def. 6.1 holder.
-                let id = self.next_key_id;
-                self.next_key_id += 1;
-                let material = ClusterKey::generate(&mut self.rng, id, PAILLIER_BITS);
-                for holder in &plan_key.holders {
-                    self.parties[holder.index()].ring.insert(material.clone());
-                }
-                let publics: HashSet<usize> = plan_key.holders.iter().map(|s| s.index()).collect();
-                self.cache
-                    .insert(sig.clone(), CachedCluster { material, publics });
-                self.stats.clusters_provisioned += 1;
-            } else {
-                self.stats.clusters_reused += 1;
-            }
-            let cached = self.cache.get_mut(&sig).expect("just inserted or present");
-            for a in plan_key.attrs.iter() {
-                key_of_attr.insert(a, cached.material.id);
-            }
-            // Public Paillier halves for every computing non-holder not
-            // yet served: enough to aggregate, never to decrypt.
-            for (i, party) in self.parties.iter().enumerate() {
-                if computing[i] && !cached.publics.contains(&i) {
-                    party
-                        .ring
-                        .insert_public(cached.material.id, cached.material.paillier_public());
-                    cached.publics.insert(i);
-                    self.stats.publics_delivered += 1;
-                }
-            }
-            if !plan_key.holders.is_empty() {
-                dispatcher_ring.insert(cached.material.clone());
-            }
-        }
-
-        // ---- 3. dispatch: signed, encrypted sub-query requests -------
-        let schemes = assign_schemes(&ext.plan).map_err(|e| SimError::Scheme(e.to_string()))?;
-        let exec_plan = rewrite_literals(
-            &ext.plan,
-            &self.catalog,
-            &schemes,
-            &key_of_attr,
-            &dispatcher_ring,
-            &mut self.rng,
-        )
-        .map_err(SimError::Rewrite)?;
-
-        // Batch the request payloads per user → subject edge: one
-        // envelope (one signature, one session key) per recipient,
-        // regardless of how many sub-query regions it executes.
-        let d = dispatch(ext, keys, &self.catalog, &self.subjects);
-        let mut batches: Vec<Vec<u8>> = vec![Vec::new(); self.parties.len()];
-        for req in &d.requests {
-            let batch = &mut batches[req.subject.index()];
-            if !batch.is_empty() {
-                batch.extend_from_slice(b"\n===\n");
-            }
-            batch.extend_from_slice(req.sql.as_bytes());
-            for key_id in &req.keys {
-                batch.extend_from_slice(format!("\nkey:{key_id}").as_bytes());
-            }
-        }
-        let mut transfers: HashMap<(SubjectId, SubjectId), usize> = HashMap::new();
-        let mut envelopes: Vec<(SubjectId, SignedEnvelope, Vec<u8>)> = Vec::new();
-        for (i, payload) in batches.into_iter().enumerate() {
-            if payload.is_empty() {
-                continue;
-            }
-            let to = SubjectId::from_index(i);
-            let envelope = SignedEnvelope::seal(
-                &mut self.rng,
-                &payload,
-                &self.parties[user.index()].rsa,
-                &self.parties[i].rsa.public,
-            );
-            if to != user {
-                *transfers.entry((user, to)).or_default() +=
-                    envelope.wrapped_key.len() + envelope.body.len() + envelope.signature.len();
-            }
-            envelopes.push((to, envelope, payload));
-        }
-
-        // ---- 3b. footnote-2 fusion sites -----------------------------
-        // Fold an Encrypt into its parent Select when the rewritten
-        // predicate is fusible *and* both nodes run under the same
-        // subject: the executor already sees the Encrypt's plaintext
-        // input (it was about to encrypt it), so evaluating the
-        // condition first reveals nothing.
-        let fused = if self.fuse {
-            fusion_sites(&exec_plan, &ext.assignment)
-        } else {
-            HashSet::new()
-        };
-
-        Ok(Prepared {
-            exec_plan,
-            schemes,
-            key_of_attr,
-            order,
-            transfers,
-            envelopes,
-            requests: d.requests.len(),
-            exec_seed: self.exec_seed,
-            fused,
-        })
-    }
-
-    /// Package a prepared query for the party threads.
-    fn job(&self, prepared: Prepared, ext: &ExtendedPlan, user: SubjectId) -> QueryJob {
-        let parents = prepared.exec_plan.parents();
-        let mut is_participant = vec![false; self.parties.len()];
-        for id in &prepared.order {
-            is_participant[ext.assignment[id].index()] = true;
-        }
-        is_participant[user.index()] = true;
-        let participants: Vec<SubjectId> = (0..self.parties.len())
-            .map(SubjectId::from_index)
-            .filter(|s| is_participant[s.index()])
-            .collect();
-        QueryJob {
-            prepared,
-            assignment: ext.assignment.clone(),
-            parents,
-            participants,
-            user,
-            user_public: self.parties[user.index()].rsa.public.clone(),
-            pool: self.pool.clone(),
-            timeout: self.timeout,
-        }
+    ) -> Result<Dispatched, SimError> {
+        let parties = &self.parties;
+        self.dispatcher
+            .prepare(ext, keys, user, &mut Rings { parties, user })
     }
 
     /// Run one query over the session's persistent parties, on behalf
     /// of `user`, with the Def. 6.1 key establishment `keys`.
     ///
-    /// This is the **concurrent** runtime: the long-lived party threads
-    /// wake, exchange result tables over their mailboxes, and every
-    /// node executes as soon as its operands arrive at its assignee
-    /// (see [`runtime`](crate::runtime)). Results and per-edge byte
-    /// counts are bit-identical to [`Session::execute_sequential`].
+    /// This is the **thread-per-subject** scheduler: the long-lived
+    /// party threads wake, exchange result tables over their mailboxes,
+    /// and every node executes as soon as its operands arrive at its
+    /// assignee (see [`runtime`](crate::runtime)). Results and per-edge
+    /// byte counts are bit-identical to
+    /// [`Session::execute_sequential`].
     ///
     /// An `Err` aborts this query only; the session remains usable.
     pub fn execute(
@@ -680,96 +692,65 @@ impl Session {
         keys: &KeyPlan,
         user: SubjectId,
     ) -> Result<Report, SimError> {
-        self.stats.queries += 1;
-        let prepared = self.prepare(ext, keys, user)?;
-        let job = self.job(prepared, ext, user);
-        self.threads.run(job)
+        let d = self.prepare(ext, keys, user)?;
+        let user_public = &self.parties[user.index()].rsa.public;
+        let outs = self.threads.run(d.job, d.envelopes, user_public)?;
+        Report::assemble(d.request_bytes, d.requests, outs)
     }
 
-    /// Run one query bottom-up on the calling thread — the reference
-    /// interpreter the concurrent runtime is differentially tested
-    /// against. Same preparation (and the same key cache), same
-    /// results, same byte accounting; no pipeline parallelism.
+    /// Run one query bottom-up on the calling thread — the
+    /// **same-thread** scheduler, and the reference the concurrent
+    /// runtime is differentially tested against. Same preparation (and
+    /// the same key cache), same party core, same results, same byte
+    /// accounting; no pipeline parallelism. Tables change hands by
+    /// move. The first failing node in postorder decides the error.
     pub fn execute_sequential(
         &mut self,
         ext: &ExtendedPlan,
         keys: &KeyPlan,
         user: SubjectId,
     ) -> Result<Report, SimError> {
-        self.stats.queries += 1;
-        let prepared = self.prepare(ext, keys, user)?;
-        let user_public = self.parties[user.index()].rsa.public.clone();
-
-        // Envelopes open and verify at their recipients (here: inline,
-        // since everything runs on one thread).
-        for (to, envelope, expected) in &prepared.envelopes {
-            let opened = envelope
-                .open(&self.parties[to.index()].rsa, &user_public)
-                .ok_or(SimError::Envelope { to: *to })?;
-            if &opened != expected {
-                return Err(SimError::Envelope { to: *to });
-            }
+        let d = self.prepare(ext, keys, user)?;
+        let job = &d.job;
+        let user_public = &self.parties[user.index()].rsa.public;
+        // Envelopes open and verify at their recipients before any
+        // node runs.
+        let mut runs: Vec<Option<PartyRun>> = self.parties.iter().map(|_| None).collect();
+        for &s in &job.participants {
+            let envelope = d.envelopes[s.index()].as_ref();
+            let run = PartyRun::new(&self.parties[s.index()], job, envelope, user_public)?;
+            runs[s.index()] = Some(run);
         }
-
-        // ---- 4. bottom-up execution, one subject at a time ----------
-        let mut transfers = prepared.transfers.clone();
-        let mut results: HashMap<NodeId, Table> = HashMap::new();
-        for &id in &prepared.order {
-            // Footnote-2 fused Encrypts never execute as standalone
-            // steps: their parent Select filters the plaintext input
-            // and encrypts only the survivors.
-            if prepared.fused.contains(&id) {
-                continue;
-            }
-            let executor = ext.assignment[&id];
-            // Tables produced by another subject cross the wire here:
-            // account the bytes and audit every cell against the
-            // receiving subject's view. Fused Encrypts are looked
-            // through to the plaintext operands actually consumed.
-            for child in effective_children(&prepared.exec_plan, id, &prepared.fused) {
-                let producer = ext.assignment[&child];
-                if producer != executor {
-                    let table = results.get(&child).expect("child executed before parent");
-                    audit::audit_transfer_with(table, &self.views[executor.index()], &self.pool)?;
-                    *transfers.entry((producer, executor)).or_default() += table.byte_size();
+        // A table leaving its producer waits here until its consumer's
+        // turn, so each is audited right before the node that reads it.
+        let mut in_flight: HashMap<NodeId, Transfer> = HashMap::new();
+        for &id in job.order.iter().filter(|id| !job.fused.contains(id)) {
+            let run = runs[job.assignment[&id].index()]
+                .as_mut()
+                .expect("every assignee participates");
+            for child in effective_children(&job.plan, id, &job.fused) {
+                if let Some(transfer) = in_flight.remove(&child) {
+                    run.deliver(transfer)?;
                 }
             }
-            let party = &self.parties[executor.index()];
-            let ctx = ExecCtx::builder(
-                &self.catalog,
-                &party.store,
-                &party.ring,
-                &prepared.schemes,
-                &prepared.key_of_attr,
-            )
-            .pool(self.pool.clone())
-            .seed(prepared.exec_seed)
-            .build();
-            let table = execute_step(&prepared.exec_plan, id, &mut results, &ctx)?;
-            results.insert(id, table);
+            if let Some((_, transfer)) = run.step(id)? {
+                in_flight.insert(id, transfer);
+            }
         }
-
-        // ---- 5. deliver the result to the user ----------------------
-        let root = prepared.exec_plan.root();
-        let root_subject = ext.assignment[&root];
-        let result = results.remove(&root).expect("root executed");
-        audit::audit_transfer_with(&result, &self.views[user.index()], &self.pool)?;
-        if root_subject != user {
-            *transfers.entry((root_subject, user)).or_default() += result.byte_size();
+        if let Some(result) = in_flight.remove(&job.plan.root()) {
+            runs[user.index()]
+                .as_mut()
+                .expect("the user participates")
+                .deliver(result)?;
         }
-
-        Ok(Report {
-            result,
-            transfers,
-            request_bytes: prepared.transfers.clone(),
-            requests: prepared.requests,
-        })
+        let outs = runs.into_iter().flatten().map(PartyRun::finish);
+        Report::assemble(d.request_bytes, d.requests, outs)
     }
 
     /// Amortization counters: clusters provisioned vs re-used, public
     /// halves delivered, queries served.
     pub fn stats(&self) -> SessionStats {
-        self.stats
+        self.dispatcher.stats
     }
 
     /// Swap the transport fault schedule for the session's *next*
@@ -800,23 +781,21 @@ impl Session {
     /// Number of cluster keys currently cached (provisioned and not
     /// revoked).
     pub fn cached_clusters(&self) -> usize {
-        self.cache.len()
+        self.dispatcher.cache.len()
     }
 
     /// Forget every provisioned cluster (the material is also dropped
     /// from the holders' rings) without touching the party threads.
     /// The next query provisions from scratch, with session-wide key
-    /// ids restarting at 0 — which is exactly how
-    /// [`Simulator`](crate::Simulator) turns each `run` into an
-    /// independent one-query session.
+    /// ids restarting at 0: calling this before every query makes each
+    /// one an independent, protocol-faithful one-query session — fresh
+    /// Def. 6.1 keys, every Paillier public half re-shipped.
     pub fn reset_provisioning(&mut self) {
-        for cached in self.cache.values() {
-            for party in self.parties.iter() {
-                party.ring.revoke(cached.material.id);
+        for id in self.dispatcher.reset() {
+            for party in &self.parties {
+                party.ring.revoke(id);
             }
         }
-        self.cache.clear();
-        self.next_key_id = 0;
     }
 
     /// Revoke the full cluster key `id` from every party, keeping only
@@ -825,10 +804,10 @@ impl Session {
     /// re-provisions *fresh* material under a new id (a revoked key
     /// must never come back from a cache).
     pub fn revoke_key(&mut self, id: u32) {
-        for party in self.parties.iter() {
+        for party in &self.parties {
             party.ring.revoke(id);
         }
-        self.cache.retain(|_, c| c.material.id != id);
+        self.dispatcher.cache.retain(|_, c| c.material.id != id);
     }
 
     /// The RSA public key of a subject (for tests probing the envelope
@@ -845,16 +824,10 @@ impl Session {
     /// Which base relations a subject stores (the authority
     /// partitioning computed by [`Session::open`]).
     pub fn stored_relations(&self, s: SubjectId) -> Vec<RelId> {
-        self.catalog
-            .relations()
-            .iter()
-            .map(|r| r.rel)
-            .filter(|&r| self.parties[s.index()].store.table(r).is_some())
+        let party = &self.parties[s.index()];
+        let relations = party.catalog.relations().iter().map(|r| r.rel);
+        relations
+            .filter(|&r| party.store.table(r).is_some())
             .collect()
     }
-
-    /// Tear the session down: the party threads receive a shutdown
-    /// message and are joined. Dropping the session does the same;
-    /// `close` exists to make the teardown point explicit.
-    pub fn close(self) {}
 }

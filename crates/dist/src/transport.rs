@@ -3,8 +3,8 @@
 //! The paper's §2/Fig. 8 architecture is a set of *autonomous
 //! providers* exchanging signed sub-queries and audited result tables
 //! over a network. This module abstracts that wire behind the
-//! `Transport` trait — one *delivery attempt* of one `Msg` to one
-//! subject for one query epoch — with two implementations:
+//! `Transport` trait — one *delivery attempt* of one `Frame` to one
+//! subject — with two data-plane implementations:
 //!
 //! * `InProcTransport` — the original in-process mailboxes: a
 //!   `send` is an `mpsc` enqueue onto the destination party's
@@ -23,22 +23,24 @@
 //! maps — the property the TCP differential test pins.
 //!
 //! Parties do not use a `Transport` directly: they hold a `Wire`
-//! (crate-private), which assigns every logical message a per-edge
-//! sequence number, consults the session's [`FaultPlan`] before each
-//! attempt, and retries failed attempts under a bounded
-//! [`RetryPolicy`] with seeded
-//! decorrelated-jitter backoff. Injected failures are *synthesized by
-//! the wire* (not the backend), so the in-proc and TCP transports
-//! surface byte-identical errors and recovery traces for the same
-//! schedule. The receiver dedups on `(from, seq)` (see
-//! [`crate::runtime`]), which makes re-sends idempotent: a
+//! (crate-private), which consults the session's [`FaultPlan`] before
+//! each attempt and retries failed attempts under a bounded
+//! [`RetryPolicy`] with seeded decorrelated-jitter backoff — the one
+//! retry loop of the crate. Injected failures are *synthesized by the
+//! wire* (not the backend), so the in-proc and TCP transports surface
+//! byte-identical errors and recovery traces for the same schedule.
+//! Every table carries a `(from, seq)` stamped by the sending party;
+//! the receiving [party core](crate::party) drops duplicates, which
+//! makes re-sends idempotent: a
 //! [`FaultAction::Reset`](crate::fault::FaultAction) delivers *and*
 //! fails the sender, forcing the duplicate the dedup exists for.
 //!
 //! The `Control` type carries the `mpq-server` *control plane*
 //! (hello/provision/execute/done frames between a coordinator and a
-//! server process) over the same framed codec; see
-//! [`crate::remote`].
+//! server process) over the same framed codec. The coordinator's set
+//! of control connections is a third `Transport` backend under a
+//! second `Wire`, so control frames retry, back off and take injected
+//! faults by the same loop as the data plane; see [`crate::remote`].
 //!
 //! All socket use in this crate is confined to this module
 //! (`mpq-lint` enforces it), as are the connect/read timeouts that
@@ -168,24 +170,16 @@ pub(crate) enum WireOp {
     Reset,
 }
 
-/// Sending half of the wire, as seen by one party's loop: **one
-/// attempt** to deliver one data-plane message to one subject for one
-/// query epoch. Retries, fault injection, and sequence numbering live
-/// in [`Wire`], which is what parties actually hold. Receiving stays
-/// the party's mailbox (`Receiver<PartyMsg>`) regardless of transport
-/// — TCP hubs feed the same mailbox the in-proc transport enqueues
-/// to.
+/// Sending half of the wire: **one attempt** to deliver one frame to
+/// one subject. Retries and fault injection live in [`Wire`], which is
+/// what parties actually hold. Receiving stays the party's mailbox
+/// (`Receiver<PartyMsg>`) regardless of transport — TCP hubs feed the
+/// same mailbox the in-proc transport enqueues to.
 pub(crate) trait Transport: Send + Sync {
-    /// Make one delivery attempt of `msg` to `to` for query `epoch`,
-    /// applying `op`. Backends return their own errors only for *real*
-    /// failures; injected ones are reported by the wire.
-    fn attempt(
-        &self,
-        to: SubjectId,
-        epoch: u64,
-        msg: &Msg,
-        op: WireOp,
-    ) -> Result<(), TransportError>;
+    /// Make one delivery attempt of `frame` to `to`, applying `op`.
+    /// Backends return their own errors only for *real* failures;
+    /// injected ones are reported by the wire.
+    fn attempt(&self, to: SubjectId, frame: &Frame, op: WireOp) -> Result<(), TransportError>;
 }
 
 /// The in-process wire: a clone of every party's mailbox sender.
@@ -197,28 +191,26 @@ impl InProcTransport {
     pub(crate) fn new(txs: Vec<Sender<PartyMsg>>) -> InProcTransport {
         InProcTransport { txs }
     }
-
-    fn enqueue(&self, to: SubjectId, epoch: u64, msg: Msg) -> Result<(), TransportError> {
-        self.txs
-            .get(to.index())
-            .ok_or(TransportError::Closed)?
-            .send(PartyMsg::Data { epoch, msg })
-            .map_err(|_| TransportError::Closed)
-    }
 }
 
 impl Transport for InProcTransport {
-    fn attempt(
-        &self,
-        to: SubjectId,
-        epoch: u64,
-        msg: &Msg,
-        op: WireOp,
-    ) -> Result<(), TransportError> {
+    fn attempt(&self, to: SubjectId, frame: &Frame, op: WireOp) -> Result<(), TransportError> {
+        // Mailboxes carry the data plane only.
+        let Frame::Data { epoch, msg } = frame else {
+            return Err(TransportError::Closed);
+        };
         match op {
             // Reset delivers first (the duplicate-maker); mailboxes
             // have no connection state left to damage afterwards.
-            WireOp::Deliver | WireOp::Reset => self.enqueue(to, epoch, msg.clone()),
+            WireOp::Deliver | WireOp::Reset => self
+                .txs
+                .get(to.index())
+                .ok_or(TransportError::Closed)?
+                .send(PartyMsg::Data {
+                    epoch: *epoch,
+                    msg: msg.clone(),
+                })
+                .map_err(|_| TransportError::Closed),
             // Dropped or truncated frames simply never reach the
             // mailbox — exactly what the receiver of a vanished or
             // undecodable TCP frame observes.
@@ -337,14 +329,13 @@ impl TcpTransport {
         Ok(stream)
     }
 
-    /// Write one data frame on the cached connection to `to`,
+    /// Write one frame on the cached connection to `to`,
     /// (re-)establishing it if needed. `kill_after` severs the
     /// connection *after* a successful write — the `Reset` injection.
     fn write_data(
         &self,
         to: SubjectId,
-        epoch: u64,
-        msg: &Msg,
+        frame: &Frame,
         kill_after: bool,
     ) -> Result<(), TransportError> {
         let mut conns = self.conns.lock().expect("transport lock poisoned");
@@ -352,14 +343,7 @@ impl TcpTransport {
             slot.insert(self.connect(to)?);
         }
         let stream = conns.get_mut(&to).expect("just inserted");
-        let r = write_frame(
-            stream,
-            &Frame::Data {
-                epoch,
-                msg: msg.clone(),
-            },
-        );
-        if let Err(e) = r {
+        if let Err(e) = write_frame(stream, frame) {
             // A dead connection never comes back; drop it so a later
             // attempt (the retry, or the next query) can re-establish.
             conns.remove(&to);
@@ -381,7 +365,7 @@ impl TcpTransport {
     /// mid-body, discards the garbage, and the edge needs a fresh
     /// connection. Real-failure errors during the damage are ignored:
     /// the wire reports the injected error either way.
-    fn write_truncated(&self, to: SubjectId, epoch: u64, msg: &Msg) {
+    fn write_truncated(&self, to: SubjectId, frame: &Frame) {
         let mut conns = self.conns.lock().expect("transport lock poisoned");
         if let std::collections::hash_map::Entry::Vacant(slot) = conns.entry(to) {
             match self.connect(to) {
@@ -392,10 +376,7 @@ impl TcpTransport {
             }
         }
         if let Some(mut stream) = conns.remove(&to) {
-            let body = encode_frame(&Frame::Data {
-                epoch,
-                msg: msg.clone(),
-            });
+            let body = encode_frame(frame);
             let _ = stream.write_all(&(body.len() as u32).to_be_bytes());
             let _ = stream.write_all(&body[..body.len() / 2]);
             let _ = stream.flush();
@@ -405,18 +386,12 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn attempt(
-        &self,
-        to: SubjectId,
-        epoch: u64,
-        msg: &Msg,
-        op: WireOp,
-    ) -> Result<(), TransportError> {
+    fn attempt(&self, to: SubjectId, frame: &Frame, op: WireOp) -> Result<(), TransportError> {
         match op {
-            WireOp::Deliver => self.write_data(to, epoch, msg, false),
-            WireOp::Reset => self.write_data(to, epoch, msg, true),
+            WireOp::Deliver => self.write_data(to, frame, false),
+            WireOp::Reset => self.write_data(to, frame, true),
             WireOp::Truncate => {
-                self.write_truncated(to, epoch, msg);
+                self.write_truncated(to, frame);
                 Ok(())
             }
             WireOp::Drop => Ok(()),
@@ -515,14 +490,12 @@ impl FaultState {
     }
 }
 
-/// What a party actually sends through: sequence numbering, fault
-/// consultation, and the bounded retry loop over a [`Transport`]
-/// backend.
+/// What a party actually sends through: fault consultation and the
+/// bounded retry loop over a [`Transport`] backend.
 ///
-/// Every logical message gets a per-edge monotone `seq` assigned
-/// exactly once — retries re-send the *same* sequence number, and the
-/// receiver drops duplicates (see [`crate::runtime`]), which is what
-/// makes re-sending after an ambiguous failure (`Reset`) safe. A
+/// Retries re-send the *same* frame — for a table, the same
+/// `(from, seq)` — and the receiving core drops duplicates, which is
+/// what makes re-sending after an ambiguous failure (`Reset`) safe. A
 /// failed attempt backs off with seeded decorrelated jitter and tries
 /// again until the [`RetryPolicy`] budget is spent; the last typed
 /// error then surfaces through the existing abort path.
@@ -534,8 +507,6 @@ pub(crate) struct Wire {
     faults: Arc<Mutex<FaultState>>,
     retry: RetryPolicy,
     stats: Arc<WireStats>,
-    /// Next sequence number per destination.
-    seqs: Mutex<HashMap<SubjectId, u64>>,
 }
 
 impl Wire {
@@ -554,49 +525,41 @@ impl Wire {
             faults,
             retry,
             stats,
-            seqs: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Send one logical data-plane message: assign its sequence
-    /// number, then drive delivery attempts until one succeeds or the
-    /// retry budget is spent.
-    pub(crate) fn send(
+    /// The recovery counters this wire reports into.
+    pub(crate) fn stats(&self) -> &WireStats {
+        &self.stats
+    }
+
+    /// Send one data-plane message of query `epoch`.
+    pub(crate) fn send(&self, to: SubjectId, epoch: u64, msg: Msg) -> Result<(), TransportError> {
+        self.send_with_retry(to, &Frame::Data { epoch, msg })
+    }
+
+    /// Tell every other participant of query `epoch` to stop: one
+    /// fault-exempt attempt each, best-effort (peers that already
+    /// exited or are unreachable time out on their own). Abort *is* the
+    /// recovery path — damaging it would only delay epoch teardown, and
+    /// exempting it keeps in-proc sessions hang-free even without a
+    /// configured timeout.
+    pub(crate) fn broadcast_abort(&self, epoch: u64, participants: &[SubjectId]) {
+        let msg = Msg::Abort;
+        let frame = Frame::Data { epoch, msg };
+        for &p in participants.iter().filter(|&&p| p != self.me) {
+            let _ = self.inner.attempt(p, &frame, WireOp::Deliver);
+        }
+    }
+
+    /// Deliver one frame: every attempt consults the fault plan, and a
+    /// failed one — real or injected — is retried by [`Wire::retry`].
+    pub(crate) fn send_with_retry(
         &self,
         to: SubjectId,
-        epoch: u64,
-        mut msg: Msg,
+        frame: &Frame,
     ) -> Result<(), TransportError> {
-        {
-            let mut seqs = self.seqs.lock().expect("seq lock poisoned");
-            let next = seqs.entry(to).or_insert(0);
-            msg.set_seq(*next);
-            *next += 1;
-        }
-        self.send_with_retry(to, epoch, &msg)
-    }
-
-    /// Best-effort abort broadcast: a single fault-exempt attempt.
-    /// Abort *is* the recovery path — damaging it would only delay
-    /// epoch teardown (receive timeouts already cover a genuinely lost
-    /// abort over TCP), and exempting it keeps in-proc sessions
-    /// hang-free even without a configured timeout.
-    pub(crate) fn send_abort(&self, to: SubjectId, epoch: u64) {
-        let _ = self.inner.attempt(to, epoch, &Msg::Abort, WireOp::Deliver);
-    }
-
-    /// The bounded retry loop: every attempt consults the fault plan,
-    /// every failure consumes one unit of the `max_attempts` budget,
-    /// and the sleeps between attempts are decorrelated jitter seeded
-    /// from `(seed, edge, attempt)` — fully reproducible.
-    fn send_with_retry(&self, to: SubjectId, epoch: u64, msg: &Msg) -> Result<(), TransportError> {
-        let max_attempts = self.retry.max_attempts.max(1);
-        let edge_seed =
-            splitmix64(self.seed ^ ((self.me.index() as u64) << 32) ^ to.index() as u64);
-        let mut prev_ms = self.retry.base_ms;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
+        self.retry(to, || {
             let action = {
                 let mut faults = self.faults.lock().expect("fault lock poisoned");
                 faults.next_action(self.me, to)
@@ -608,35 +571,47 @@ impl Wire {
             if let FaultAction::Delay(d) | FaultAction::Stall(d) = action {
                 std::thread::sleep(d);
             }
-            let op = match action {
-                FaultAction::Deliver | FaultAction::Delay(_) | FaultAction::Stall(_) => {
-                    WireOp::Deliver
-                }
-                FaultAction::Drop => WireOp::Drop,
-                FaultAction::Truncate => WireOp::Truncate,
-                FaultAction::Reset => WireOp::Reset,
-            };
-            let outcome = self.inner.attempt(to, epoch, msg, op);
             // Injected failures are synthesized here, not by the
-            // backend, so both transports report the identical error
+            // backend, so every transport reports the identical error
             // for the same scheduled fault.
-            let failed = match op {
-                WireOp::Deliver => outcome.err(),
-                WireOp::Drop => Some(TransportError::Send {
-                    to,
-                    detail: "injected fault: frame dropped".to_string(),
-                }),
-                WireOp::Truncate => Some(TransportError::Send {
-                    to,
-                    detail: "injected fault: frame truncated".to_string(),
-                }),
-                WireOp::Reset => Some(TransportError::Send {
-                    to,
-                    detail: "injected fault: connection reset".to_string(),
-                }),
+            let (op, injected) = match action {
+                FaultAction::Deliver | FaultAction::Delay(_) | FaultAction::Stall(_) => {
+                    (WireOp::Deliver, None)
+                }
+                FaultAction::Drop => (WireOp::Drop, Some("frame dropped")),
+                FaultAction::Truncate => (WireOp::Truncate, Some("frame truncated")),
+                FaultAction::Reset => (WireOp::Reset, Some("connection reset")),
             };
-            let Some(err) = failed else {
-                return Ok(());
+            let outcome = self.inner.attempt(to, frame, op);
+            match injected {
+                None => outcome,
+                Some(what) => Err(TransportError::Send {
+                    to,
+                    detail: format!("injected fault: {what}"),
+                }),
+            }
+        })
+    }
+
+    /// The bounded retry loop, the only one in the crate: every failed
+    /// `attempt` consumes one unit of the `max_attempts` budget, and
+    /// the sleeps between attempts are decorrelated jitter seeded from
+    /// `(seed, edge, attempt)` — fully reproducible.
+    pub(crate) fn retry<T>(
+        &self,
+        to: SubjectId,
+        mut attempt_once: impl FnMut() -> Result<T, TransportError>,
+    ) -> Result<T, TransportError> {
+        let max_attempts = self.retry.max_attempts.max(1);
+        let edge_seed =
+            splitmix64(self.seed ^ ((self.me.index() as u64) << 32) ^ to.index() as u64);
+        let mut prev_ms = self.retry.base_ms;
+        let mut attempt = 0u32;
+        loop {
+            attempt += 1;
+            let err = match attempt_once() {
+                Ok(v) => return Ok(v),
+                Err(e) => e,
             };
             if attempt >= max_attempts {
                 return Err(err);
@@ -852,8 +827,22 @@ impl Control {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::party::Transfer;
     use mpq_exec::Table;
     use std::sync::mpsc::channel;
+
+    /// A one-cell table from subject 1 carrying sequence number `seq`.
+    fn probe_msg(seq: u64) -> Msg {
+        Msg::Table(Transfer {
+            node: mpq_algebra::NodeId(0),
+            from: SubjectId(1),
+            seq,
+            table: Table::from_rows(
+                vec![mpq_algebra::AttrId(0)],
+                vec![vec![mpq_algebra::Value::Int(7)]],
+            ),
+        })
+    }
 
     #[test]
     fn tcp_hub_delivers_data_frames_to_the_mailbox() {
@@ -864,28 +853,22 @@ mod tests {
             .into_iter()
             .collect();
         let wire = TcpTransport::new(me, peers, Duration::from_secs(2));
-        let table = Table::from_rows(
-            vec![mpq_algebra::AttrId(0)],
-            vec![vec![mpq_algebra::Value::Int(7)]],
-        );
-        wire.attempt(
-            SubjectId(0),
-            3,
-            &Msg::Result {
-                from: me,
-                seq: 0,
-                table: table.clone(),
-            },
-            WireOp::Deliver,
-        )
-        .expect("loopback send");
+        let Msg::Table(sent) = probe_msg(0) else {
+            unreachable!("probe messages are tables")
+        };
+        let frame = Frame::Data {
+            epoch: 3,
+            msg: Msg::Table(sent.clone()),
+        };
+        wire.attempt(SubjectId(0), &frame, WireOp::Deliver)
+            .expect("loopback send");
         match rx.recv_timeout(Duration::from_secs(5)).expect("delivered") {
             PartyMsg::Data {
                 epoch: 3,
-                msg: Msg::Result { from, table: t, .. },
+                msg: Msg::Table(t),
             } => {
-                assert_eq!(from, me);
-                assert_eq!(t.to_rows(), table.to_rows());
+                assert_eq!(t.from, me);
+                assert_eq!(t.table.to_rows(), sent.table.to_rows());
             }
             _ => panic!("wrong delivery"),
         }
@@ -900,21 +883,14 @@ mod tests {
         };
         let peers: HashMap<SubjectId, String> = [(SubjectId(0), dead)].into_iter().collect();
         let wire = TcpTransport::new(SubjectId(1), peers, Duration::from_millis(500));
+        let abort = Frame::Data {
+            epoch: 1,
+            msg: Msg::Abort,
+        };
         let err = wire
-            .attempt(SubjectId(0), 1, &Msg::Abort, WireOp::Deliver)
+            .attempt(SubjectId(0), &abort, WireOp::Deliver)
             .expect_err("no listener");
         assert!(matches!(err, TransportError::Connect { .. }), "got {err:?}");
-    }
-
-    fn probe_msg() -> Msg {
-        Msg::Result {
-            from: SubjectId(1),
-            seq: 0,
-            table: Table::from_rows(
-                vec![mpq_algebra::AttrId(0)],
-                vec![vec![mpq_algebra::Value::Int(1)]],
-            ),
-        }
     }
 
     fn test_wire(
@@ -940,14 +916,14 @@ mod tests {
         // delivers: the worst case spends all injections on one seq.
         let plan = FaultPlan::parse("seed=3,drop=400,max=3").expect("valid");
         let (wire, rx) = test_wire(Some(plan), RetryPolicy::default());
-        for _ in 0..20 {
-            wire.send(SubjectId(0), 1, probe_msg())
+        for seq in 0..20 {
+            wire.send(SubjectId(0), 1, probe_msg(seq))
                 .expect("within budget");
         }
         let mut seqs = Vec::new();
         while let Ok(PartyMsg::Data { msg, .. }) = rx.try_recv() {
-            if let Msg::Result { seq, .. } = msg {
-                seqs.push(seq);
+            if let Msg::Table(t) = msg {
+                seqs.push(t.seq);
             }
         }
         assert_eq!(seqs, (0..20).collect::<Vec<u64>>(), "in order, no loss");
@@ -966,7 +942,7 @@ mod tests {
             },
         );
         let err = wire
-            .send(SubjectId(0), 1, probe_msg())
+            .send(SubjectId(0), 1, probe_msg(0))
             .expect_err("all attempts dropped");
         assert_eq!(
             err,
@@ -981,15 +957,15 @@ mod tests {
     fn reset_injection_delivers_a_duplicate_with_the_same_seq() {
         let plan = FaultPlan::parse("seed=5,reset=1000,max=1").expect("valid");
         let (wire, rx) = test_wire(Some(plan), RetryPolicy::default());
-        wire.send(SubjectId(0), 9, probe_msg())
+        wire.send(SubjectId(0), 9, probe_msg(4))
             .expect("retry after reset succeeds");
         let mut seqs = Vec::new();
         while let Ok(PartyMsg::Data { msg, .. }) = rx.try_recv() {
-            if let Msg::Result { seq, .. } = msg {
-                seqs.push(seq);
+            if let Msg::Table(t) = msg {
+                seqs.push(t.seq);
             }
         }
-        assert_eq!(seqs, vec![0, 0], "delivered twice, same sequence number");
+        assert_eq!(seqs, vec![4, 4], "delivered twice, same sequence number");
     }
 
     #[test]

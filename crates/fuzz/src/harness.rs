@@ -5,10 +5,10 @@
 //!
 //! 1. the **static verifier** (`mpq_core::verify`) — pure analysis,
 //!    produces an accept/reject verdict with MPQ001–MPQ009 codes;
-//! 2. the **concurrent runtime** (`Simulator::run`) — party threads,
+//! 2. the **concurrent runtime** (`Session::execute`) — party threads,
 //!    mailboxes, signed envelopes, dynamic defenses;
-//! 3. the **sequential runtime** (`Simulator::run_sequential`) — the
-//!    reference interpreter over the same session state;
+//! 3. the **sequential runtime** (`Session::execute_sequential`) — the
+//!    same party core stepped on one thread;
 //! 4. a **plaintext reference** (`mpq_exec::execute` on the *original*
 //!    plan, no crypto) — ground truth for result rows.
 //!
@@ -26,7 +26,7 @@ use mpq_core::keys::{plan_keys, KeyPlan};
 use mpq_core::verify::{coverage, verify_with_policy, Code, VerifyCoverage};
 use mpq_core::ExtendedPlan;
 use mpq_crypto::KeyRing;
-use mpq_dist::{Report, SessionConfig, SimError, Simulator};
+use mpq_dist::{Report, Session, SessionConfig, SimError};
 use mpq_exec::{execute, ExecCtx, ExecError, SchemePlan, Table};
 use std::collections::HashMap;
 
@@ -243,11 +243,11 @@ pub fn run_scenario(cfg: &WorldConfig) -> ScenarioResult {
         if !preflight {
             config = config.without_preflight();
         }
-        let mut sim = Simulator::with_config(&w.catalog, &w.subjects, &w.policy, &w.db, config);
+        let mut session = Session::open_with(&w.catalog, &w.subjects, &w.policy, &w.db, config);
         if sequential {
-            sim.run_sequential(&ext, &keys, w.user)
+            session.execute_sequential(&ext, &keys, w.user)
         } else {
-            sim.run(&ext, &keys, w.user)
+            session.execute(&ext, &keys, w.user)
         }
     };
 

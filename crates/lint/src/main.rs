@@ -1,5 +1,5 @@
 //! `mpq-lint` — dependency-free, token-scan enforcement of the repo
-//! invariants CI gates on. Three rules:
+//! invariants CI gates on. The rules:
 //!
 //! * **no-unwrap** — no `.unwrap()` in non-test library code of the
 //!   execution hot paths (`crates/exec/src`, `crates/dist/src`): a
@@ -18,6 +18,12 @@
 //!   exactly one file, `dist/src/transport.rs`: everything above the
 //!   `Transport` seam must be wire-agnostic, so the in-proc and TCP
 //!   backends stay behaviorally interchangeable by construction.
+//! * **one-edge-rule** — in `crates/dist/src`, the §6 edge rule has one
+//!   home each: `audit_transfer_with(` is called only from the party
+//!   core (`party.rs`), and the Def. 4.1 runtime check `view.check(`
+//!   appears only in the shared query preparation (`session.rs`).
+//!   Three schedulers step one core; a second copy of the rule must
+//!   not quietly come back.
 //!
 //! The scan strips comments and string literals and skips
 //! `#[cfg(test)]` modules, so documentation and tests may freely
@@ -62,6 +68,18 @@ const NET_ALLOWED: &str = "crates/dist/src/transport.rs";
 
 /// Tokens that touch the network.
 const NET_TOKENS: [&str; 3] = ["std::net", "TcpListener", "TcpStream"];
+
+/// The one-edge-rule applies to this tree…
+const EDGE_RULE_SCOPE: &str = "crates/dist/src";
+
+/// …minus the file that *defines* the audit.
+const EDGE_RULE_DEFINED_IN: &str = "crates/dist/src/audit.rs";
+
+/// Token → the only file of [`EDGE_RULE_SCOPE`] that may contain it.
+const EDGE_RULE_HOMES: [(&str, &str); 2] = [
+    ("audit_transfer_with(", "crates/dist/src/party.rs"),
+    ("view.check(", "crates/dist/src/session.rs"),
+];
 
 /// Tokens that break run-to-run determinism.
 const DETERMINISM_TOKENS: [&str; 5] = [
@@ -388,15 +406,19 @@ fn lint_fuzz_corpus(root: &Path, findings: &mut Vec<Finding>) {
 }
 
 fn lint_file(root: &Path, path: &Path, findings: &mut Vec<Finding>) {
-    let rel = path.strip_prefix(root).unwrap_or(path);
-    let Ok(src) = std::fs::read_to_string(path) else {
-        return;
-    };
-    let cleaned = clean_source(&src);
+    if let Ok(src) = std::fs::read_to_string(path) {
+        lint_source(path.strip_prefix(root).unwrap_or(path), &src, findings);
+    }
+}
+
+/// Every per-file rule over the source text of `rel`.
+fn lint_source(rel: &Path, src: &str, findings: &mut Vec<Finding>) {
+    let cleaned = clean_source(src);
     let skip = test_lines(&cleaned);
     let unwrap_scoped = in_scope(rel, &UNWRAP_SCOPE);
     let engine_scoped = in_scope(rel, &ENGINE_SCOPE);
     let spawn_allowed = SPAWN_ALLOWED.iter().any(|a| rel == Path::new(a));
+    let edge_scoped = rel.starts_with(EDGE_RULE_SCOPE) && rel != Path::new(EDGE_RULE_DEFINED_IN);
     if engine_scoped {
         lint_retry_budgets(rel, &cleaned, &skip, findings);
     }
@@ -440,6 +462,20 @@ fn lint_file(root: &Path, path: &Path, findings: &mut Vec<Finding>) {
                         "determinism",
                         format!(
                             "`{t}` in engine code — runs must be reproducible from the seed alone"
+                        ),
+                    );
+                }
+            }
+        }
+        if edge_scoped {
+            for (t, home) in EDGE_RULE_HOMES {
+                if line.contains(t) && rel != Path::new(home) {
+                    record(
+                        findings,
+                        "one-edge-rule",
+                        format!(
+                            "`{t}` outside {home} — the §6 edge rule is stated once; \
+                             schedulers call the party core / the shared preparation"
                         ),
                     );
                 }
@@ -605,6 +641,38 @@ mod tests {
         assert_eq!(flagged.len(), 2, "{flagged:?}");
         assert!(flagged[0].contains("retry_forever"));
         assert!(flagged[1].contains("reconnect_unbudgeted"));
+    }
+
+    #[test]
+    fn second_copies_of_the_edge_rule_are_flagged() {
+        let src = "
+fn scheduler(t: &Table, view: &SubjectView) -> Result<(), SimError> {
+    audit_transfer_with(t, view, &pool)?;
+    view.check(&profile)?;
+    Ok(())
+}
+#[cfg(test)]
+mod tests {
+    fn t() { audit_transfer_with(t, view, &pool).unwrap(); }
+}
+";
+        let rules_in = |file: &str| {
+            let mut findings = Vec::new();
+            lint_source(Path::new(file), src, &mut findings);
+            findings
+                .iter()
+                .filter(|f| f.rule == "one-edge-rule")
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        // A scheduler restating either half of the rule is flagged…
+        assert_eq!(rules_in("crates/dist/src/runtime.rs"), vec![3, 4]);
+        // …each half is at home in exactly one file…
+        assert_eq!(rules_in("crates/dist/src/party.rs"), vec![4]);
+        assert_eq!(rules_in("crates/dist/src/session.rs"), vec![3]);
+        // …and the definition site and other crates are out of scope.
+        assert!(rules_in("crates/dist/src/audit.rs").is_empty());
+        assert!(rules_in("crates/core/src/authz.rs").is_empty());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use mpq_core::candidates::{candidates, Candidates};
 use mpq_core::capability::CapabilityPolicy;
 use mpq_core::extend::{for_each_assignment, minimally_extend, Assignment, ExtendedPlan};
 use mpq_core::keys::{plan_keys, KeyPlan};
-use mpq_core::profile::{profile_plan, Profile};
+use mpq_core::profile::profile_plan;
 use mpq_exec::{assign_schemes, SchemePlan};
 use std::collections::HashMap;
 
@@ -728,12 +728,6 @@ fn cost_extension(
         keys,
         cost,
     })
-}
-
-/// Helper: profiles of a plan under a profile vector already computed.
-#[allow(dead_code)]
-fn profile_of(profiles: &[Profile], id: NodeId) -> &Profile {
-    &profiles[id.index()]
 }
 
 #[cfg(test)]

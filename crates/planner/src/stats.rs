@@ -12,10 +12,6 @@
 //!   (Haas–Stokes scale-up from the sample), min/max, NULL
 //!   fractions, average stored widths, and equi-depth
 //!   [`Histogram`]s on numeric/date columns;
-//! * [`StatsCatalog::scale_population`] extrapolates a sampled catalog
-//!   to a larger scale factor (used by the Figure 9/10 harness, which
-//!   samples generated TPC-H data at a small SF and scales the
-//!   statistics to the paper's 1 GB configuration);
 //! * [`estimates_for`] is the estimation entry point `cost.rs` and
 //!   `optimize.rs` call: selection/join/group-by propagation with
 //!   histogram selectivities, with `Encrypt`/`Decrypt` nodes
@@ -67,22 +63,16 @@ impl Default for SampleConfig {
 ///
 /// # Example
 ///
-/// Sample generated TPC-H data and scale the population up, as the
-/// Figure 9/10 pipeline does:
+/// Sample generated TPC-H data, as the Figure 9/10 pipeline does:
 ///
 /// ```
 /// use mpq_planner::stats::{collect_stats, SampleConfig};
 /// use mpq_tpch::generate;
 ///
 /// let (catalog, db) = generate(0.001, 42);
-/// let mut stats = collect_stats(&catalog, &db, &SampleConfig::default());
+/// let stats = collect_stats(&catalog, &db, &SampleConfig::default());
 /// let lineitem = catalog.relation("lineitem").unwrap().rel;
-/// let sampled = stats.table(lineitem).unwrap().rows;
-/// assert!(sampled > 0.0);
-/// // Extrapolate the sampled catalog to SF 1 (PostgreSQL's
-/// // ndv-scaling convention): row counts grow by the ratio.
-/// stats.scale_population(1000.0);
-/// assert!(stats.table(lineitem).unwrap().rows > sampled);
+/// assert!(stats.table(lineitem).unwrap().rows > 0.0);
 /// ```
 pub fn collect_stats(catalog: &Catalog, db: &Database, cfg: &SampleConfig) -> StatsCatalog {
     let mut out = StatsCatalog::new();

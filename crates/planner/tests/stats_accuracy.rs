@@ -151,24 +151,6 @@ fn fk_join_cardinality_is_bounded() {
     assert!(est[root].ndv[&a0] <= 60.0 + 1e-9);
 }
 
-#[test]
-fn scaled_population_scales_base_estimates() {
-    let cat = catalog();
-    let mut db = Database::new();
-    db.load(&cat, "R1", int_rows((0..500).map(|i| (i, i % 5))));
-    let mut stats = collect_stats(&cat, &db, &SampleConfig::default());
-    stats.scale_population(20.0);
-    let r1 = cat.relation("R1").unwrap();
-    let mut plan = QueryPlan::new();
-    plan.add_base(r1.rel, r1.attrs());
-    let est = estimates_for(&plan, &cat, &stats);
-    assert_eq!(est[plan.root().index()].rows, 10_000.0);
-    // Key-like a0 scales with the population; the 5-value a1 does not.
-    let t = stats.table(r1.rel).unwrap();
-    assert_eq!(t.columns[&cat.attr("a0").unwrap()].ndv, 10_000.0);
-    assert_eq!(t.columns[&cat.attr("a1").unwrap()].ndv, 5.0);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

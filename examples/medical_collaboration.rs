@@ -15,7 +15,7 @@ use mpq::core::capability::CapabilityPolicy;
 use mpq::core::extend::{minimally_extend, Assignment};
 use mpq::core::fixtures::RunningExample;
 use mpq::core::keys::plan_keys;
-use mpq::dist::Simulator;
+use mpq::dist::Session;
 use mpq::exec::{Database, SchemePlan};
 use mpq_crypto::keyring::KeyRing;
 use std::collections::HashMap;
@@ -71,18 +71,18 @@ fn main() {
     // Distributed encrypted execution on the concurrent multi-party
     // runtime: H, I, X, Y each run a party loop on their own thread,
     // exchanging signed envelopes and encrypted tables over channels.
-    let mut sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, 2026);
-    let report = sim
-        .run(&ext, &keys, ex.subject("U"))
+    let mut session = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 2026);
+    let report = session
+        .execute(&ext, &keys, ex.subject("U"))
         .expect("authorized distributed run");
     println!("== distributed result (via H, I, X, Y, concurrently) ==");
     println!("{}", report.result.display(&ex.catalog));
 
-    // The sequential reference interpreter must be observationally
-    // identical — same rows, same bytes on every edge.
-    let mut seq_sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, 2026);
-    let seq_report = seq_sim
-        .run_sequential(&ext, &keys, ex.subject("U"))
+    // The same-thread scheduler must be observationally identical —
+    // same rows, same bytes on every edge.
+    let mut seq_session = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 2026);
+    let seq_report = seq_session
+        .execute_sequential(&ext, &keys, ex.subject("U"))
         .expect("authorized sequential run");
     assert_eq!(report.transfers, seq_report.transfers);
     assert_eq!(report.requests, seq_report.requests);

@@ -1,6 +1,6 @@
 //! Differential property tests: the concurrent multi-party runtime
-//! (`Simulator::run`) must be indistinguishable from the sequential
-//! reference interpreter (`Simulator::run_sequential`) — same result
+//! (`Session::execute`) must be indistinguishable from the same-thread
+//! reference scheduler (`Session::execute_sequential`) — same result
 //! rows, same per-edge byte counts, same request count — for random
 //! seeds, random data, random assignments drawn from Λ (which produce
 //! structurally different extended plans: different crypto operators,
@@ -19,7 +19,7 @@ use mpq::core::capability::CapabilityPolicy;
 use mpq::core::extend::{minimally_extend, Assignment};
 use mpq::core::fixtures::RunningExample;
 use mpq::core::keys::plan_keys;
-use mpq::dist::Simulator;
+use mpq::dist::{Session, SessionConfig};
 use mpq::exec::Database;
 use proptest::prelude::*;
 
@@ -102,13 +102,15 @@ proptest! {
 
         // Independently drawn worker counts on the two sides: thread
         // pools of any size must produce the same bytes.
-        let concurrent = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, seed)
-            .with_workers(conc_workers)
-            .run(&ext, &keys, user)
+        let open = |workers| {
+            let config = SessionConfig::new(seed).with_workers(workers);
+            Session::open_with(&ex.catalog, &ex.subjects, &ex.policy, &db, config)
+        };
+        let concurrent = open(conc_workers)
+            .execute(&ext, &keys, user)
             .expect("authorized concurrent run");
-        let sequential = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, seed)
-            .with_workers(seq_workers)
-            .run_sequential(&ext, &keys, user)
+        let sequential = open(seq_workers)
+            .execute_sequential(&ext, &keys, user)
             .expect("authorized sequential run");
 
         // Result equivalence: bit-identical tables (both paths build

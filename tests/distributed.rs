@@ -9,7 +9,7 @@ use mpq::core::capability::CapabilityPolicy;
 use mpq::core::extend::{minimally_extend, Assignment, ExtendedPlan};
 use mpq::core::fixtures::RunningExample;
 use mpq::core::keys::{plan_keys, KeyPlan};
-use mpq::dist::{SimError, Simulator};
+use mpq::dist::{Session, SessionConfig, SimError};
 use mpq::exec::{Database, SchemePlan};
 use mpq_crypto::keyring::KeyRing;
 use std::collections::HashMap;
@@ -130,9 +130,9 @@ fn fig7a_distributed_matches_centralized() {
     let db = load(&ex);
     let (_, ext, keys) = setup(&ex, "H", "X", "X", "Y");
 
-    let mut sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, 2026);
+    let mut sim = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 2026);
     let report = sim
-        .run(&ext, &keys, ex.subject("U"))
+        .execute(&ext, &keys, ex.subject("U"))
         .expect("authorized run");
     assert_tables_match(&centralized_reference(&ex, &db), &report.result);
 
@@ -185,9 +185,9 @@ fn fig7b_encrypted_selection_matches_centralized() {
     let ex = RunningExample::new();
     let db = load(&ex);
     let (_, ext, keys) = setup(&ex, "H", "Z", "Z", "Y");
-    let mut sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, 7);
+    let mut sim = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 7);
     let report = sim
-        .run(&ext, &keys, ex.subject("U"))
+        .execute(&ext, &keys, ex.subject("U"))
         .expect("authorized run");
     assert_tables_match(&centralized_reference(&ex, &db), &report.result);
 }
@@ -200,9 +200,9 @@ fn all_user_assignment_runs_without_keys() {
     let db = load(&ex);
     let (_, ext, keys) = setup(&ex, "U", "U", "U", "U");
     assert!(keys.keys.is_empty());
-    let mut sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, 3);
+    let mut sim = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 3);
     let report = sim
-        .run(&ext, &keys, ex.subject("U"))
+        .execute(&ext, &keys, ex.subject("U"))
         .expect("authorized run");
     assert_tables_match(&centralized_reference(&ex, &db), &report.result);
     assert_eq!(report.requests, 3);
@@ -215,8 +215,8 @@ fn runs_are_deterministic_per_seed() {
     let db = load(&ex);
     let (_, ext, keys) = setup(&ex, "H", "X", "X", "Y");
     let run = |seed: u64| {
-        let mut sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, seed);
-        sim.run(&ext, &keys, ex.subject("U"))
+        let mut sim = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, seed);
+        sim.execute(&ext, &keys, ex.subject("U"))
             .expect("authorized run")
     };
     let (a, b, c) = (run(42), run(42), run(43));
@@ -235,8 +235,8 @@ fn unauthorized_assignment_is_rejected_at_runtime() {
     let (_, mut ext, keys) = setup(&ex, "H", "X", "X", "Y");
     // Tamper: reassign the having node to X, bypassing Λ entirely.
     ext.assignment.insert(ex.node("having"), ex.subject("X"));
-    let mut sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, 11);
-    match sim.run(&ext, &keys, ex.subject("U")) {
+    let mut sim = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 11);
+    match sim.execute(&ext, &keys, ex.subject("U")) {
         Err(SimError::Unauthorized { subject, .. }) => {
             assert_eq!(subject, ex.subject("X"));
         }
@@ -273,9 +273,14 @@ fn decryption_without_the_key_fails() {
         "{report}"
     );
     // Dynamic twin: with pre-flight off, the key ring itself refuses.
-    let mut sim =
-        Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, 13).without_preflight();
-    match sim.run(&ext, &keys, ex.subject("U")) {
+    let mut sim = Session::open_with(
+        &ex.catalog,
+        &ex.subjects,
+        &ex.policy,
+        &db,
+        SessionConfig::new(13).without_preflight(),
+    );
+    match sim.execute(&ext, &keys, ex.subject("U")) {
         Err(SimError::Exec(mpq::exec::ExecError::MissingKey { .. })) => {}
         other => panic!("expected MissingKey, got {other:?}"),
     }
@@ -322,9 +327,14 @@ fn leaked_plaintext_cells_are_refused_at_the_wire() {
     );
     // Dynamic twin: with pre-flight off, the wire audit refuses the
     // actual cells.
-    let mut sim =
-        Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, 17).without_preflight();
-    match sim.run(&ext, &keys, ex.subject("U")) {
+    let mut sim = Session::open_with(
+        &ex.catalog,
+        &ex.subjects,
+        &ex.policy,
+        &db,
+        SessionConfig::new(17).without_preflight(),
+    );
+    match sim.execute(&ext, &keys, ex.subject("U")) {
         Err(SimError::LeakedPlaintext { attr, subject }) => {
             assert_eq!(attr, s_attr);
             assert_eq!(subject, ex.subject("X"));
@@ -340,20 +350,20 @@ fn missing_assignee_is_refused() {
     let db = load(&ex);
     let (_, mut ext, keys) = setup(&ex, "H", "X", "X", "Y");
     ext.assignment.remove(&ex.node("join"));
-    let mut sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, 19);
-    match sim.run(&ext, &keys, ex.subject("U")) {
+    let mut sim = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 19);
+    match sim.execute(&ext, &keys, ex.subject("U")) {
         Err(SimError::Unassigned(n)) => assert_eq!(n, ex.node("join")),
         other => panic!("expected Unassigned, got {other:?}"),
     }
 }
 
-/// The authority partitioning of `Simulator::new`: H stores Hosp, I
+/// The authority partitioning of `Session::open`: H stores Hosp, I
 /// stores Ins, nobody else stores anything.
 #[test]
 fn base_relations_stay_with_their_authorities() {
     let ex = RunningExample::new();
     let db = load(&ex);
-    let sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, 23);
+    let sim = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 23);
     let hosp = ex.catalog.relation("Hosp").unwrap().rel;
     let ins = ex.catalog.relation("Ins").unwrap().rel;
     assert_eq!(sim.stored_relations(ex.subject("H")), vec![hosp]);
@@ -372,8 +382,8 @@ fn leaf_assigned_away_from_its_authority_is_refused() {
     let db = load(&ex);
     let (_, mut ext, keys) = setup(&ex, "H", "X", "X", "Y");
     ext.assignment.insert(ex.node("base_hosp"), ex.subject("X"));
-    let mut sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, 29);
-    match sim.run(&ext, &keys, ex.subject("U")) {
+    let mut sim = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 29);
+    match sim.execute(&ext, &keys, ex.subject("U")) {
         Err(SimError::NotTheAuthority {
             subject, authority, ..
         }) => {

@@ -21,7 +21,7 @@ use mpq::core::capability::CapabilityPolicy;
 use mpq::core::extend::{minimally_extend, Assignment, ExtendedPlan};
 use mpq::core::fixtures::RunningExample;
 use mpq::core::keys::plan_keys;
-use mpq::dist::{Report, SessionConfig, Simulator};
+use mpq::dist::{Report, Session, SessionConfig};
 use mpq::exec::{fused_encrypt_child, Database};
 use proptest::prelude::*;
 
@@ -107,12 +107,13 @@ fn run_pair(
     let keys = plan_keys(ext);
     let user = ex.subject("U");
     let config = SessionConfig::new(seed).fuse(fuse);
-    let mut sim = Simulator::with_config(&ex.catalog, &ex.subjects, &ex.policy, db, config);
+    let mut session = Session::open_with(&ex.catalog, &ex.subjects, &ex.policy, db, config);
     if sequential {
-        sim.run_sequential(ext, &keys, user)
+        session
+            .execute_sequential(ext, &keys, user)
             .expect("authorized run")
     } else {
-        sim.run(ext, &keys, user).expect("authorized run")
+        session.execute(ext, &keys, user).expect("authorized run")
     }
 }
 

@@ -1,13 +1,13 @@
 //! Session-reuse differential tests: a persistent `Session` executing
-//! N queries must be observationally equivalent to N fresh
-//! `Simulator::run`s — same decrypted results, same data-flow bytes on
+//! N queries must be observationally equivalent to N fresh one-query
+//! sessions — same decrypted results, same data-flow bytes on
 //! every edge, same signed-request accounting — while provisioning each
 //! Def. 6.1 cluster exactly once.
 //!
 //! The byte comparison is deliberately split: *data-flow* bytes
 //! ([`Report::data_bytes`]) are a deterministic function of the key
 //! material and the execution seed, so when the session provisions its
-//! clusters at the same RNG position a fresh simulator would (its first
+//! clusters at the same RNG position a fresh session would (its first
 //! query), every later query's ciphertexts — and hence per-edge byte
 //! counts — are bit-identical to a fresh run's. Request-*envelope*
 //! bytes draw fresh hybrid session keys per query and are compared as
@@ -19,7 +19,7 @@ use mpq::core::capability::CapabilityPolicy;
 use mpq::core::extend::{minimally_extend, Assignment, ExtendedPlan};
 use mpq::core::fixtures::RunningExample;
 use mpq::core::keys::{plan_keys, KeyPlan};
-use mpq::dist::{Report, Session, SimError, Simulator};
+use mpq::dist::{Report, Session, SessionConfig, SimError};
 use mpq::exec::Database;
 use proptest::prelude::*;
 
@@ -112,9 +112,9 @@ proptest! {
 
     /// N repetitions of one query through a single `Session` are
     /// bit-equivalent (results *and* data-flow bytes per edge) to N
-    /// fresh `Simulator::run`s, with every cluster provisioned once.
+    /// fresh sessions' first queries, with every cluster provisioned once.
     #[test]
-    fn session_queries_match_fresh_simulator_runs(
+    fn session_queries_match_fresh_session_runs(
         seed in any::<u64>(),
         picks in proptest::collection::vec(any::<u8>(), 4..9),
         choice in proptest::collection::vec(any::<u16>(), 4),
@@ -131,12 +131,12 @@ proptest! {
             let via_session = session
                 .execute(&ext, &keys, user)
                 .expect("authorized session query");
-            let fresh = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, seed)
-                .run(&ext, &keys, user)
+            let fresh = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, seed)
+                .execute(&ext, &keys, user)
                 .expect("authorized fresh run");
             assert_rows_match(&via_session, &fresh, &format!("query {i}"));
             // Ciphertext-sensitive probe: the session reuses the very
-            // material a fresh simulator would generate (same RNG
+            // material a fresh session would generate (same RNG
             // position), so data bytes agree edge by edge, bit for bit.
             prop_assert_eq!(via_session.data_bytes(), fresh.data_bytes(), "query {}", i);
             prop_assert_eq!(via_session.requests, fresh.requests);
@@ -160,7 +160,7 @@ proptest! {
     /// A mixed workload (two assignments alternating) through one
     /// session still matches fresh runs query-for-query on results and
     /// request accounting. Clusters provisioned after the first query
-    /// draw from a different RNG position than a fresh simulator's, so
+    /// draw from a different RNG position than a fresh session's, so
     /// ciphertext bytes are not comparable here — decrypted results and
     /// the wire graph are.
     #[test]
@@ -185,8 +185,8 @@ proptest! {
                 let via_session = session
                     .execute(ext, keys, user)
                     .expect("authorized session query");
-                let fresh = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, seed)
-                    .run(ext, keys, user)
+                let fresh = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, seed)
+                    .execute(ext, keys, user)
                     .expect("authorized fresh run");
                 assert_rows_match(&via_session, &fresh, &format!("round {round} item {i}"));
                 prop_assert_eq!(via_session.requests, fresh.requests);
@@ -271,8 +271,8 @@ fn errors_abort_the_query_not_the_session() {
     for key in &mut weak_keys.keys {
         key.holders.retain(|&s| s != ex.subject("Y"));
     }
-    let mut weak_session =
-        Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 47).without_preflight();
+    let config = SessionConfig::new(47).without_preflight();
+    let mut weak_session = Session::open_with(&ex.catalog, &ex.subjects, &ex.policy, &db, config);
     match weak_session.execute(&ext, &weak_keys, user) {
         Err(SimError::Exec(mpq::exec::ExecError::MissingKey { .. })) => {}
         other => panic!("expected MissingKey, got {other:?}"),

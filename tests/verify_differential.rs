@@ -22,7 +22,7 @@ use mpq::core::fixtures::RunningExample;
 use mpq::core::keys::{plan_keys, KeyPlan};
 use mpq::core::verify::Code;
 use mpq::core::verify_with_policy;
-use mpq::dist::{SimError, Simulator};
+use mpq::dist::{Session, SessionConfig, SimError};
 use mpq::exec::{execute, Database, ExecCtx, SchemePlan};
 use mpq_crypto::keyring::KeyRing;
 use proptest::prelude::*;
@@ -131,6 +131,14 @@ fn some_encrypt(ext: &ExtendedPlan) -> Option<mpq::algebra::NodeId> {
     )
 }
 
+/// A session with the static pre-flight off: only the dynamic
+/// defenses (per-node Def. 4.1 re-check, wire audit, key rings) stand
+/// between a bad plan and the data.
+fn dynamic_only(ex: &RunningExample, db: &Database, seed: u64) -> Session {
+    let config = SessionConfig::new(seed).without_preflight();
+    Session::open_with(&ex.catalog, &ex.subjects, &ex.policy, db, config)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -153,8 +161,8 @@ proptest! {
         let report = verify(&ex, &ext, &keys);
         prop_assert!(report.is_clean(), "false positive on a Λ-drawn plan:\n{}", report);
 
-        let mut sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, seed);
-        let run = sim.run(&ext, &keys, ex.subject("U"));
+        let mut sim = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, seed);
+        let run = sim.execute(&ext, &keys, ex.subject("U"));
         prop_assert!(run.is_ok(), "clean plan refused at runtime: {:?}", run.err());
 
         // Strict correctness, not just absence of errors: the decrypted
@@ -192,9 +200,9 @@ proptest! {
             bad.assignment.insert(ex.node("having"), ex.subject("X"));
             let report = verify(&ex, &bad, &keys);
             prop_assert!(report.has(Code::UnauthorizedAssignee), "{}", report);
-            let mut sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, seed);
+            let mut sim = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, seed);
             prop_assert!(matches!(
-                sim.run(&bad, &keys, user),
+                sim.execute(&bad, &keys, user),
                 Err(SimError::Unauthorized { .. })
             ));
         }
@@ -211,9 +219,8 @@ proptest! {
             }
             let report = verify(&ex, &ext, &weak);
             prop_assert!(report.has(Code::KeyUnavailable), "{}", report);
-            let mut sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, seed)
-                .without_preflight();
-            let run = sim.run(&ext, &weak, user);
+            let mut sim = dynamic_only(&ex, &db, seed);
+            let run = sim.execute(&ext, &weak, user);
             prop_assert!(
                 matches!(
                     run,
@@ -232,9 +239,9 @@ proptest! {
             bad.assignment.remove(&ex.node("join"));
             let report = verify(&ex, &bad, &keys);
             prop_assert!(report.has(Code::BadAssignment), "{}", report);
-            let mut sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, seed);
+            let mut sim = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, seed);
             prop_assert!(matches!(
-                sim.run(&bad, &keys, user),
+                sim.execute(&bad, &keys, user),
                 Err(SimError::Unassigned(_))
             ));
         }
@@ -263,9 +270,8 @@ proptest! {
                 "{}",
                 report
             );
-            let mut sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, seed)
-                .without_preflight();
-            match sim.run(&bad, &keys, user) {
+            let mut sim = dynamic_only(&ex, &db, seed);
+            match sim.execute(&bad, &keys, user) {
                 Err(_) => {}
                 Ok(run) => {
                     prop_assert_eq!(
@@ -298,9 +304,9 @@ fn mutations_fire_five_distinct_codes_with_runtime_agreement() {
     let report = verify(&ex, &bad, &keys);
     assert!(report.has(Code::UnauthorizedAssignee), "{report}");
     fired.extend(report.codes());
-    let mut sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, 61);
+    let mut sim = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 61);
     assert!(matches!(
-        sim.run(&bad, &keys, user),
+        sim.execute(&bad, &keys, user),
         Err(SimError::Unauthorized { .. })
     ));
 
@@ -312,10 +318,9 @@ fn mutations_fire_five_distinct_codes_with_runtime_agreement() {
     let report = verify(&ex, &ext, &weak);
     assert!(report.has(Code::KeyUnavailable), "{report}");
     fired.extend(report.codes());
-    let mut sim =
-        Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, 67).without_preflight();
+    let mut sim = dynamic_only(&ex, &db, 67);
     assert!(matches!(
-        sim.run(&ext, &weak, user),
+        sim.execute(&ext, &weak, user),
         Err(SimError::Exec(mpq::exec::ExecError::MissingKey { .. }))
     ));
 
@@ -325,9 +330,9 @@ fn mutations_fire_five_distinct_codes_with_runtime_agreement() {
     let report = verify(&ex, &bad, &keys);
     assert!(report.has(Code::BadAssignment), "{report}");
     fired.extend(report.codes());
-    let mut sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, 71);
+    let mut sim = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 71);
     assert!(matches!(
-        sim.run(&bad, &keys, user),
+        sim.execute(&bad, &keys, user),
         Err(SimError::Unassigned(_))
     ));
 
@@ -339,10 +344,9 @@ fn mutations_fire_five_distinct_codes_with_runtime_agreement() {
     assert!(report.has(Code::FlowDivergence), "{report}");
     assert!(report.has(Code::PlaintextLeak), "{report}");
     fired.extend(report.codes());
-    let mut sim =
-        Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, 73).without_preflight();
+    let mut sim = dynamic_only(&ex, &db, 73);
     assert!(matches!(
-        sim.run(&bad, &keys, user),
+        sim.execute(&bad, &keys, user),
         Err(SimError::LeakedPlaintext { .. })
     ));
 
