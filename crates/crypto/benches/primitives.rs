@@ -8,7 +8,11 @@
 //!   Paillier cell sits on, with and without a reused
 //!   [`Montgomery`] context;
 //! * `paillier/*` — per-value encrypt/decrypt/add at the benchmark
-//!   modulus size (512 bits);
+//!   modulus size (512 bits); `encrypt_512` is the key holder's
+//!   half-width path every cell takes, `encrypt_512_public` the
+//!   textbook routine beside it;
+//! * `rsa/*` — signing and verification on the key's cached context,
+//!   at the envelope key size (512 bits);
 //! * `xtea/*` — one block and a full deterministic value;
 //! * `ope/encode` — the 64-level keyed binary descent.
 
@@ -16,6 +20,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mpq_algebra::value::{EncScheme, Value};
 use mpq_crypto::bignum::{BigUint, Montgomery};
 use mpq_crypto::keyring::ClusterKey;
+use mpq_crypto::rsa::RsaKeypair;
 use mpq_crypto::schemes::{decrypt_value, encrypt_batch, paillier_add_cells};
 use mpq_crypto::xtea::XteaSchedule;
 use mpq_crypto::{ope, xtea};
@@ -49,6 +54,11 @@ fn bench_paillier(c: &mut Criterion) {
             encrypt_batch(&mut rng, &[Value::Int(12_345)], EncScheme::Paillier, &key).unwrap()
         })
     });
+    let pk = key.paillier_public();
+    let m = pk.encode_signed(12_345);
+    g.bench_function("encrypt_512_public", |b| {
+        b.iter(|| pk.encrypt(&mut rng, black_box(&m)))
+    });
     let cells = encrypt_batch(
         &mut rng,
         &[Value::Int(1), Value::Int(2)],
@@ -63,9 +73,23 @@ fn bench_paillier(c: &mut Criterion) {
         (Value::Enc(a), Value::Enc(b)) => (a.clone(), b.clone()),
         _ => unreachable!("encrypted above"),
     };
-    let pk = key.paillier_public();
     g.bench_function("add_512", |b| {
         b.iter(|| paillier_add_cells(black_box(&a), black_box(&b_cell), &pk).unwrap())
+    });
+    g.finish();
+}
+
+fn bench_rsa(c: &mut Criterion) {
+    let key = RsaKeypair::generate(&mut StdRng::seed_from_u64(11), 512);
+    let message = [0x71u8; 256];
+    let signature = key.sign(&message);
+    let mut g = c.benchmark_group("rsa");
+    g.bench_function("sign_512", |b| b.iter(|| key.sign(black_box(&message))));
+    g.bench_function("verify_512", |b| {
+        b.iter(|| {
+            key.public
+                .verify(black_box(&message), black_box(&signature))
+        })
     });
     g.finish();
 }
@@ -94,5 +118,12 @@ fn bench_ope(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_modpow, bench_paillier, bench_xtea, bench_ope);
+criterion_group!(
+    benches,
+    bench_modpow,
+    bench_paillier,
+    bench_rsa,
+    bench_xtea,
+    bench_ope
+);
 criterion_main!(benches);

@@ -5,6 +5,14 @@
 //! `c = (1 + m·n) · rⁿ mod n²` and decryption
 //! `m = L(c^λ mod n²) · µ mod n` with `L(x) = (x-1)/n`.
 //!
+//! Two subjects encrypt (Def. 6.1): whoever holds only the public half
+//! runs the textbook routine, [`PaillierPublic::encrypt`] — one
+//! `|n|`-bit exponentiation over `n²`. Whoever holds the cluster key
+//! knows `p` and `q` and runs [`PaillierKeypair::encrypt`]: two
+//! half-length exponentiations over the half-width moduli `p²` and
+//! `q²`, recombined by CRT, drawing the randomiser from exactly the
+//! same distribution (the argument is on that method).
+//!
 //! Signed 64-bit integers are encoded with a `2^63` offset; the
 //! aggregation layer tracks how many ciphertexts were added so the
 //! offsets can be removed after decryption (see
@@ -63,25 +71,67 @@ impl Eq for PaillierPublic {}
 pub struct PaillierCiphertext(pub BigUint);
 
 /// Full keypair.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct PaillierKeypair {
     /// Public part.
     pub public: PaillierPublic,
+    /// The smaller prime factor of `n`.
+    p: BigUint,
+    /// The larger prime factor of `n`.
+    q: BigUint,
     /// `λ = lcm(p-1, q-1)`.
     lambda: BigUint,
     /// `µ = λ⁻¹ mod n` (valid for `g = n+1`).
     mu: BigUint,
+    /// Half-width encryption state, built on first use: keys that never
+    /// encrypt a Paillier cell never pay for it.
+    crt: OnceLock<HolderCrt>,
 }
 
+/// What [`PaillierKeypair::encrypt`] precomputes per key.
+#[derive(Clone)]
+struct HolderCrt {
+    /// Montgomery context for `p²`.
+    mont_p2: Montgomery,
+    /// Montgomery context for `q²`.
+    mont_q2: Montgomery,
+    /// `p²`.
+    p2: BigUint,
+    /// `q²`.
+    q2: BigUint,
+    /// `p⁻² mod q²` (Garner's coefficient).
+    p2_inv: BigUint,
+}
+
+impl std::fmt::Debug for PaillierKeypair {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print key material: the public half only.
+        f.debug_struct("PaillierKeypair")
+            .field("public", &self.public)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Smallest prime factor a keypair may have, in bits:
+/// [`PaillierPublic::encode_signed`] plaintexts are 64 bits wide and
+/// sums of them must stay below `n`.
+const MIN_FACTOR_BITS: usize = 64;
+
 impl PaillierPublic {
-    /// Build a public key from `n` (computes and caches `n²`).
-    pub fn from_modulus(n: BigUint) -> PaillierPublic {
+    /// Build a public key from `n` (computes and caches `n²`). `None`
+    /// for an `n` no Paillier key can have — even, zero or one — which
+    /// is what keeps [`PaillierPublic::add`] total on a modulus that
+    /// arrived from a peer.
+    pub fn from_modulus(n: BigUint) -> Option<PaillierPublic> {
+        if n.is_even() || n.is_one() {
+            return None;
+        }
         let n2 = n.mul(&n);
-        PaillierPublic {
+        Some(PaillierPublic {
             n,
             n2,
             mont2: OnceLock::new(),
-        }
+        })
     }
 
     /// The shared Montgomery context for `n²` (built on first use).
@@ -90,7 +140,9 @@ impl PaillierPublic {
             .get_or_init(|| Montgomery::new(&self.n2).expect("n² is odd and > 1"))
     }
 
-    /// Encrypt a non-negative plaintext `m < n`.
+    /// Encrypt a non-negative plaintext `m < n` knowing only `n` — the
+    /// textbook definition, and the oracle the holder's
+    /// [`PaillierKeypair::encrypt`] is tested against.
     pub fn encrypt<R: Rng + ?Sized>(&self, rng: &mut R, m: &BigUint) -> PaillierCiphertext {
         assert!(m < &self.n, "plaintext out of range");
         // r coprime with n (overwhelmingly likely; retry otherwise).
@@ -100,11 +152,14 @@ impl PaillierPublic {
                 break r;
             }
         };
-        // c = (1 + m·n) · rⁿ mod n²; m < n makes 1 + m·n < n² already.
-        let ctx = self.mont2();
+        self.blind(m, &self.mont2().pow(&r, &self.n))
+    }
+
+    /// `c = (1 + m·n) · x mod n²` for a randomiser `x = rⁿ`; `m < n`
+    /// makes `1 + m·n < n²` already.
+    fn blind(&self, m: &BigUint, x: &BigUint) -> PaillierCiphertext {
         let gm = BigUint::one().add(&m.mul(&self.n));
-        let rn = ctx.pow(&r, &self.n);
-        PaillierCiphertext(ctx.mulmod(&gm, &rn))
+        PaillierCiphertext(self.mont2().mulmod(&gm, x))
     }
 
     /// Homomorphic addition: `Dec(add(c1,c2)) = m1 + m2 (mod n)`.
@@ -133,7 +188,10 @@ impl PaillierPublic {
 impl PaillierKeypair {
     /// Generate a keypair with an `bits`-bit modulus.
     pub fn generate<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> PaillierKeypair {
-        assert!(bits >= 128, "modulus too small even for testing");
+        assert!(
+            bits >= 2 * MIN_FACTOR_BITS,
+            "modulus too small even for testing"
+        );
         let (p, q) = loop {
             let p = BigUint::gen_prime(rng, bits / 2);
             let q = BigUint::gen_prime(rng, bits / 2);
@@ -141,23 +199,85 @@ impl PaillierKeypair {
                 break (p, q);
             }
         };
+        Self::from_factors(p, q).expect("distinct equal-length primes make a key")
+    }
+
+    /// Derive the keypair from its factors. `None` unless both are odd,
+    /// distinct, at least [`MIN_FACTOR_BITS`] bits long and
+    /// `gcd(pq, (p-1)(q-1)) = 1` — the condition under which `µ` exists
+    /// and [`PaillierKeypair::encrypt`] is exact.
+    fn from_factors(p: BigUint, q: BigUint) -> Option<PaillierKeypair> {
+        let (p, q) = if p < q { (p, q) } else { (q, p) };
+        if p.is_even() || q.is_even() || p == q || p.bits() < MIN_FACTOR_BITS {
+            return None;
+        }
         let n = p.mul(&q);
         let one = BigUint::one();
         let p1 = p.sub(&one);
         let q1 = q.sub(&one);
+        let phi = p1.mul(&q1);
+        if !n.gcd(&phi).is_one() {
+            return None;
+        }
         // λ = lcm(p-1, q-1) = (p-1)(q-1)/gcd(p-1, q-1).
-        let gcd = p1.gcd(&q1);
-        let lambda = p1.mul(&q1).divmod(&gcd).0;
+        let lambda = phi.divmod(&p1.gcd(&q1)).0;
         // With g = n+1: µ = λ⁻¹ mod n.
-        let mu = lambda
-            .rem(&n)
-            .modinv(&n)
-            .expect("λ is invertible mod n for distinct primes");
-        PaillierKeypair {
-            public: PaillierPublic::from_modulus(n),
+        let mu = lambda.rem(&n).modinv(&n)?;
+        Some(PaillierKeypair {
+            public: PaillierPublic::from_modulus(n)?,
+            p,
+            q,
             lambda,
             mu,
-        }
+            crt: OnceLock::new(),
+        })
+    }
+
+    fn crt(&self) -> &HolderCrt {
+        self.crt.get_or_init(|| {
+            let p2 = self.p.mul(&self.p);
+            let q2 = self.q.mul(&self.q);
+            HolderCrt {
+                mont_p2: Montgomery::new(&p2).expect("p² is odd and > 1"),
+                mont_q2: Montgomery::new(&q2).expect("q² is odd and > 1"),
+                p2_inv: p2.modinv(&q2).expect("p ≠ q are coprime"),
+                p2,
+                q2,
+            }
+        })
+    }
+
+    /// Encrypt a non-negative plaintext `m < n` as a key holder: the
+    /// same ciphertext distribution as [`PaillierPublic::encrypt`] from
+    /// two half-length exponentiations over half-width moduli.
+    ///
+    /// The textbook randomiser is `rⁿ mod n²` for `r` uniform in `Z_n*`.
+    /// By CRT `r mod p` and `r mod q` are independent and uniform in
+    /// `[1,p)` and `[1,q)`, and `rⁿ mod p²` depends only on `r mod p`:
+    /// `rⁿ = (r^p)^q` and `ω(s) = s^p mod p²` is the Teichmüller lift of
+    /// `s = r mod p`, a bijection from `[1,p)` onto the subgroup of
+    /// order `p-1` in `(Z/p²)*`. `gcd(q, p-1) = 1` (checked at
+    /// construction) makes `x ↦ x^q` a permutation of that subgroup, so
+    /// `ω(s)^q` for uniform `s` is distributed exactly as `ω(s)` itself.
+    /// Hence: draw `s_p ∈ [1,p)` and `s_q ∈ [1,q)`, compute `s_p^p mod
+    /// p²` and `s_q^q mod q²`, and Garner-combine them into the
+    /// randomiser mod `n²` — no subgroup or short-exponent assumption,
+    /// no table, no `gcd`.
+    pub fn encrypt<R: Rng + ?Sized>(&self, rng: &mut R, m: &BigUint) -> PaillierCiphertext {
+        let pk = &self.public;
+        assert!(m < &pk.n, "plaintext out of range");
+        let crt = self.crt();
+        let a = crt.mont_p2.pow(&random_unit(rng, &self.p), &self.p);
+        let b = crt.mont_q2.pow(&random_unit(rng, &self.q), &self.q);
+        // x ≡ a (mod p²), x ≡ b (mod q²): x = a + p²·((b − a)·p⁻² mod q²),
+        // where p < q keeps a < q².
+        let diff = if b >= a {
+            b.sub(&a)
+        } else {
+            b.add(&crt.q2).sub(&a)
+        };
+        let x = a.add(&crt.p2.mul(&crt.mont_q2.mulmod(&diff, &crt.p2_inv)));
+        pk.blind(m, &x)
     }
 
     /// Decrypt to the non-negative plaintext.
@@ -176,43 +296,54 @@ impl PaillierKeypair {
         total - (count as i128) * ENCODE_OFFSET
     }
 
-    /// Serialize the keypair (`n`, `λ`, `µ`) for Def. 6.1 key
+    /// Serialize the keypair (its factors `p`, `q`) for Def. 6.1 key
     /// provisioning over a wire. The bytes are secret material — they
     /// must only ever travel inside a sealed
     /// [`SignedEnvelope`](crate::rsa::SignedEnvelope).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for part in [&self.public.n, &self.lambda, &self.mu] {
-            let b = part.to_bytes_be();
-            out.extend_from_slice(&(b.len() as u32).to_be_bytes());
-            out.extend_from_slice(&b);
-        }
-        out
+        frame_factors(&self.p, &self.q)
     }
 
-    /// Reconstruct a keypair from [`PaillierKeypair::to_bytes`] output
-    /// (`None` on malformed input). `n²` and the Montgomery context are
-    /// recomputed locally.
+    /// Reconstruct a keypair from [`PaillierKeypair::to_bytes`] output:
+    /// `None` on malformed input and on factors that are even, equal,
+    /// too small or not coprime to `(p-1)(q-1)`. Everything but the
+    /// factors is re-derived locally.
     pub fn from_bytes(bytes: &[u8]) -> Option<PaillierKeypair> {
         let mut at = 0usize;
         let mut next = || -> Option<BigUint> {
             let len = u32::from_be_bytes(bytes.get(at..at + 4)?.try_into().ok()?) as usize;
             at += 4;
-            let b = bytes.get(at..at + len)?;
+            let b = bytes.get(at..at.checked_add(len)?)?;
             at += len;
             Some(BigUint::from_bytes_be(b))
         };
-        let n = next()?;
-        let lambda = next()?;
-        let mu = next()?;
+        let p = next()?;
+        let q = next()?;
         if at != bytes.len() {
             return None;
         }
-        Some(PaillierKeypair {
-            public: PaillierPublic::from_modulus(n),
-            lambda,
-            mu,
-        })
+        Self::from_factors(p, q)
+    }
+}
+
+/// `len(p) ‖ p ‖ len(q) ‖ q`, lengths as big-endian `u32`.
+fn frame_factors(p: &BigUint, q: &BigUint) -> Vec<u8> {
+    let mut out = Vec::new();
+    for part in [p, q] {
+        let b = part.to_bytes_be();
+        out.extend_from_slice(&(b.len() as u32).to_be_bytes());
+        out.extend_from_slice(&b);
+    }
+    out
+}
+
+/// Uniform in `[1, bound)`.
+fn random_unit<R: Rng + ?Sized>(rng: &mut R, bound: &BigUint) -> BigUint {
+    loop {
+        let s = BigUint::random_below(rng, bound);
+        if !s.is_zero() {
+            return s;
+        }
     }
 }
 
@@ -276,6 +407,104 @@ mod tests {
         }
         let sum = kp.decode_sum(&acc, values.len() as u64);
         assert_eq!(sum, -85);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The holder's ciphertexts are Paillier ciphertexts of `m`
+        /// with an n-th-residue randomiser, interchangeable with the
+        /// public routine's — at key sizes on both the unrolled (2, 4
+        /// limbs) and the slice (3, 5 limbs) kernel.
+        #[test]
+        fn holder_encrypt_is_textbook_paillier(
+            seed in proptest::prelude::any::<u64>(),
+            v in proptest::prelude::any::<i64>(),
+            size in 0usize..4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let kp = PaillierKeypair::generate(&mut rng, [128, 192, 256, 320][size]);
+            let pk = &kp.public;
+            let n_minus_1 = pk.n.sub(&BigUint::one());
+            let mut other = pk.neutral();
+            let mut other_sum = BigUint::zero();
+            for m in [
+                BigUint::zero(),
+                n_minus_1,
+                pk.encode_signed(i64::MIN),
+                pk.encode_signed(i64::MAX),
+                pk.encode_signed(v),
+            ] {
+                let c = kp.encrypt(&mut rng, &m);
+                proptest::prop_assert!(c.0 < pk.n2);
+                proptest::prop_assert_eq!(kp.decrypt(&c), m.clone());
+                // c·(1+mn)⁻¹ is the randomiser: an n-th residue.
+                let gm = BigUint::one().add(&m.mul(&pk.n));
+                let x = c.0.mulmod(&gm.modinv(&pk.n2).expect("1+mn is a unit"), &pk.n2);
+                proptest::prop_assert!(x.modpow(&kp.lambda, &pk.n2).is_one());
+                // Holder and public ciphertexts add to the right sum.
+                let sum = pk.add(&c, &other);
+                proptest::prop_assert_eq!(kp.decrypt(&sum), m.add(&other_sum).rem(&pk.n));
+                other_sum = BigUint::from_u64(rng.gen());
+                other = pk.encrypt(&mut rng, &other_sum);
+            }
+        }
+    }
+
+    #[test]
+    fn from_bytes_roundtrips_and_rejects_factors_no_key_has() {
+        let (kp, mut rng) = keypair();
+        let back = PaillierKeypair::from_bytes(&kp.to_bytes()).expect("own bytes decode");
+        assert_eq!(back.public, kp.public);
+        let m = BigUint::from_u64(31_337);
+        assert_eq!(back.decrypt(&kp.encrypt(&mut rng, &m)), m);
+        assert_eq!(kp.decrypt(&back.encrypt(&mut rng, &m)), m);
+
+        let (p, q) = (&kp.p, &kp.q);
+        let one = BigUint::one();
+        // 2q+1 need not be prime: gcd(q·(2q+1), (q−1)·2q) = q is the point.
+        let q_divides_p_minus_1 = q.shl(1).add(&one);
+        for (bad, why) in [
+            (frame_factors(&p.add(&one), q), "even factor"),
+            (frame_factors(p, &BigUint::zero()), "zero factor"),
+            (frame_factors(p, &one), "unit factor"),
+            (frame_factors(p, p), "equal factors"),
+            (
+                frame_factors(&BigUint::from_u64(7), &BigUint::from_u64(11)),
+                "tiny factors",
+            ),
+            (
+                frame_factors(&q_divides_p_minus_1, q),
+                "gcd(pq, (p-1)(q-1)) ≠ 1",
+            ),
+        ] {
+            assert!(PaillierKeypair::from_bytes(&bad).is_none(), "{why}");
+        }
+        let good = kp.to_bytes();
+        assert!(PaillierKeypair::from_bytes(&good[..good.len() - 1]).is_none());
+        assert!(PaillierKeypair::from_bytes(&[good.clone(), vec![0]].concat()).is_none());
+        assert!(PaillierKeypair::from_bytes(&[0xff, 0xff, 0xff, 0xff, 1]).is_none());
+    }
+
+    #[test]
+    fn public_key_from_a_peer_modulus_is_total() {
+        for bad in [0u64, 1, 2, 1 << 40] {
+            assert!(PaillierPublic::from_modulus(BigUint::from_u64(bad)).is_none());
+        }
+        // Any odd n > 1 aggregates without panicking, key or not.
+        let pk = PaillierPublic::from_modulus(BigUint::from_u64(9)).expect("odd");
+        let c = PaillierCiphertext(BigUint::from_u64(1 << 50));
+        assert!(pk.add(&c, &c).0 < pk.n2);
+    }
+
+    #[test]
+    fn debug_prints_the_public_half_only() {
+        let (kp, _) = keypair();
+        let dbg = format!("{kp:?}");
+        assert!(dbg.contains(&format!("{:?}", kp.public.n)));
+        for secret in [&kp.p, &kp.q, &kp.lambda, &kp.mu] {
+            assert!(!dbg.contains(&format!("{secret:?}")));
+        }
     }
 
     #[test]

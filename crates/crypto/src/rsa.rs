@@ -11,26 +11,52 @@
 //! then hybrid encryption (a fresh XTEA session key, itself
 //! RSA-encrypted). Demo-grade padding — see the crate-level disclaimer.
 
-use crate::bignum::BigUint;
+use crate::bignum::{BigUint, Montgomery};
 use crate::sha256::sha256;
 use crate::xtea;
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// RSA public key.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Carries a lazily built [`Montgomery`] context for `n`, so every
+/// operation under one key — its holder's included — pays the
+/// reduction setup once.
+#[derive(Clone, Debug)]
 pub struct RsaPublic {
     /// Modulus.
     pub n: BigUint,
     /// Public exponent (65537).
     pub e: BigUint,
+    /// Montgomery context for `n`, built on first use; `None` inside
+    /// for a modulus that has none (a peer may send an even `n`).
+    mont: OnceLock<Option<Montgomery>>,
 }
 
+impl PartialEq for RsaPublic {
+    fn eq(&self, other: &Self) -> bool {
+        // The Montgomery cache is derived state, not identity.
+        self.n == other.n && self.e == other.e
+    }
+}
+
+impl Eq for RsaPublic {}
+
 /// RSA keypair.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct RsaKeypair {
     /// Public half.
     pub public: RsaPublic,
     d: BigUint,
+}
+
+impl std::fmt::Debug for RsaKeypair {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print key material: the public half only.
+        f.debug_struct("RsaKeypair")
+            .field("public", &self.public)
+            .finish_non_exhaustive()
+    }
 }
 
 impl RsaKeypair {
@@ -49,7 +75,7 @@ impl RsaKeypair {
             let phi = p.sub(&one).mul(&q.sub(&one));
             if let Some(d) = e.modinv(&phi) {
                 return RsaKeypair {
-                    public: RsaPublic { n, e },
+                    public: RsaPublic::new(n, e),
                     d,
                 };
             }
@@ -58,25 +84,41 @@ impl RsaKeypair {
 
     /// Sign `message`: RSA private operation over its SHA-256 digest.
     pub fn sign(&self, message: &[u8]) -> Vec<u8> {
-        let digest = BigUint::from_bytes_be(&sha256(message));
-        digest.modpow(&self.d, &self.public.n).to_bytes_be()
+        self.private_op(&BigUint::from_bytes_be(&sha256(message)))
+            .to_bytes_be()
     }
 
-    /// RSA private decryption of a raw integer block.
+    /// RSA private operation on a raw integer block.
     fn private_op(&self, block: &BigUint) -> BigUint {
-        block.modpow(&self.d, &self.public.n)
+        self.public.pow(block, &self.d)
     }
 }
 
 impl RsaPublic {
+    /// Public key from its modulus and exponent.
+    pub fn new(n: BigUint, e: BigUint) -> RsaPublic {
+        RsaPublic {
+            n,
+            e,
+            mont: OnceLock::new(),
+        }
+    }
+
+    /// `block^exp mod n` on the cached context.
+    fn pow(&self, block: &BigUint, exp: &BigUint) -> BigUint {
+        match self.mont.get_or_init(|| Montgomery::new(&self.n)) {
+            Some(ctx) => ctx.pow(block, exp),
+            None => block.modpow(exp, &self.n),
+        }
+    }
+
     /// Verify a signature produced by [`RsaKeypair::sign`].
     pub fn verify(&self, message: &[u8], signature: &[u8]) -> bool {
         let sig = BigUint::from_bytes_be(signature);
         if sig >= self.n {
             return false;
         }
-        let recovered = sig.modpow(&self.e, &self.n);
-        recovered == BigUint::from_bytes_be(&sha256(message))
+        self.pow(&sig, &self.e) == BigUint::from_bytes_be(&sha256(message))
     }
 
     /// RSA public encryption of a short block (the session key), with
@@ -94,8 +136,7 @@ impl RsaPublic {
         }
         padded.push(0x00);
         padded.extend_from_slice(block);
-        BigUint::from_bytes_be(&padded)
-            .modpow(&self.e, &self.n)
+        self.pow(&BigUint::from_bytes_be(&padded), &self.e)
             .to_bytes_be()
     }
 }
@@ -217,6 +258,25 @@ mod tests {
         let env = SignedEnvelope::seal(&mut rng, b"request", &impostor, &provider.public);
         // Recipient expects the envelope to be signed by `user`.
         assert!(env.open(&provider, &user.public).is_none());
+    }
+
+    #[test]
+    fn verification_is_total_on_a_peer_supplied_modulus() {
+        let (user, _, _) = keys();
+        let sig = user.sign(b"m");
+        for n in [0u64, 1, 2, 1 << 40] {
+            let forged = RsaPublic::new(BigUint::from_u64(n), user.public.e.clone());
+            assert!(!forged.verify(b"m", &sig));
+            assert!(!forged.verify(b"m", &[1]));
+        }
+    }
+
+    #[test]
+    fn debug_prints_the_public_half_only() {
+        let (user, _, _) = keys();
+        let dbg = format!("{user:?}");
+        assert!(dbg.contains(&format!("{:?}", user.public.n)));
+        assert!(!dbg.contains(&format!("{:?}", user.d)));
     }
 
     #[test]

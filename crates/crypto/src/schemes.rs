@@ -54,7 +54,7 @@ impl std::fmt::Display for EncryptError {
 impl std::error::Error for EncryptError {}
 
 /// A cluster key prepared for repeated use on one column: XTEA key
-/// schedules expanded, sub-keys and the Paillier public half resolved
+/// schedules expanded, sub-keys and the shared Paillier keypair resolved
 /// once. This is the batch entry the execution engine uses — the
 /// per-value setup (`SipHash` sub-key derivation, key-schedule
 /// expansion, Paillier `n²` Montgomery context) is paid once per
@@ -123,8 +123,10 @@ impl ColumnCipher {
                         ))
                     }
                 };
-                let pk = &self.key.paillier().public;
-                let c = pk.encrypt(rng, &pk.encode_signed(encoded));
+                // Encryptors hold the cluster key (Def. 6.1), so the
+                // holder's half-width path applies to every cell.
+                let kp = self.key.paillier();
+                let c = kp.encrypt(rng, &kp.public.encode_signed(encoded));
                 encode_paillier_cell(tag, AggKind::Single, 1, &c)
             }
         };

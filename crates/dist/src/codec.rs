@@ -732,10 +732,9 @@ fn put_rsa_public(b: &mut Vec<u8>, p: &RsaPublic) {
 }
 
 fn get_rsa_public(r: &mut Reader) -> Option<RsaPublic> {
-    Some(RsaPublic {
-        n: BigUint::from_bytes_be(r.bytes()?),
-        e: BigUint::from_bytes_be(r.bytes()?),
-    })
+    let n = BigUint::from_bytes_be(r.bytes()?);
+    let e = BigUint::from_bytes_be(r.bytes()?);
+    Some(RsaPublic::new(n, e))
 }
 
 // ---------------------------------------------------------------------------
@@ -1205,5 +1204,17 @@ mod tests {
         let m = mpq_crypto::bignum::BigUint::from_u64(123456);
         let c = key.paillier_public().encrypt(&mut rng, &m);
         assert_eq!(back.paillier().decrypt(&c), m);
+        // So does the holder's encryption, rebuilt from the shipped
+        // factors alone.
+        let c = back.paillier().encrypt(&mut rng, &m);
+        assert_eq!(key.paillier().decrypt(&c), m);
+        // Layout: id ‖ det ‖ rnd ‖ ope ‖ len·p ‖ len·q at 128-bit
+        // factors; a damaged factor fails the whole key.
+        let bytes = key.to_bytes();
+        assert_eq!(bytes.len(), 4 + 48 + 2 * (4 + 16));
+        let mut even = bytes.clone();
+        *even.last_mut().expect("non-empty") &= !1;
+        assert!(ClusterKey::from_bytes(&even).is_none());
+        assert!(ClusterKey::from_bytes(&bytes[..bytes.len() - 1]).is_none());
     }
 }

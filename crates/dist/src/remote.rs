@@ -200,20 +200,7 @@ impl Server {
     /// and cached epoch outcomes persist across coordinator
     /// connections (they are this subject's material).
     pub fn run(mut self) -> Result<(), TransportError> {
-        let backend: Arc<dyn Transport> = Arc::new(TcpTransport::new(
-            self.party.me,
-            self.peers.clone(),
-            CONNECT_TIMEOUT,
-        ));
-        let plan = self.faults.clone().or_else(FaultPlan::from_env);
-        let wire = Wire::new(
-            self.party.me,
-            self.seed,
-            backend,
-            Arc::new(Mutex::new(FaultState::new(plan))),
-            self.retry,
-            Arc::new(WireStats::default()),
-        );
+        let wire = self.data_wire();
         let mut stash: Vec<(u64, Msg)> = Vec::new();
         loop {
             let Ok(mut ctl) = self.ctl_rx.recv() else {
@@ -228,6 +215,24 @@ impl Server {
                 Ok(false) | Err(_) => continue,
             }
         }
+    }
+
+    /// This server's sending data plane.
+    fn data_wire(&self) -> Wire {
+        let backend: Arc<dyn Transport> = Arc::new(TcpTransport::new(
+            self.party.me,
+            self.peers.clone(),
+            CONNECT_TIMEOUT,
+        ));
+        let plan = self.faults.clone().or_else(FaultPlan::from_env);
+        Wire::new(
+            self.party.me,
+            self.seed,
+            backend,
+            Arc::new(Mutex::new(FaultState::new(plan))),
+            self.retry,
+            Arc::new(WireStats::default()),
+        )
     }
 
     /// Serve one coordinator connection. `Ok(true)` means shutdown was
@@ -270,10 +275,12 @@ impl Server {
                     }
                 }
                 Frame::ProvisionPublic { id, n } => {
-                    self.party.ring.insert_public(
-                        id,
-                        PaillierPublic::from_modulus(BigUint::from_bytes_be(&n)),
-                    );
+                    // Unauthenticated bytes: a modulus no Paillier key
+                    // can have is not granted, like a key that fails to
+                    // open above.
+                    if let Some(public) = PaillierPublic::from_modulus(BigUint::from_bytes_be(&n)) {
+                        self.party.ring.insert_public(id, public);
+                    }
                 }
                 Frame::Execute {
                     epoch,
@@ -773,5 +780,75 @@ impl Coordinator {
         for ctl in self.links.state().conns.values_mut() {
             let _ = ctl.send(&Frame::Shutdown);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpq_algebra::AttrSet;
+
+    /// Provisioning frames carry peer bytes: key material no key can
+    /// have is not granted, and the server keeps serving.
+    #[test]
+    fn malformed_provisioning_is_not_granted() {
+        let me = SubjectId(1);
+        let mut server = Server::bind(ServerConfig {
+            me,
+            listen: "127.0.0.1:0".to_string(),
+            peers: HashMap::new(),
+            seed: 11,
+            catalog: Catalog::new(),
+            view: SubjectView {
+                subject: me,
+                plain: AttrSet::new(),
+                enc: AttrSet::new(),
+            },
+            store: Database::new(),
+            faults: None,
+            retry: RetryPolicy::default(),
+        })
+        .expect("bind a loopback server");
+        let addr = server.addr().to_string();
+
+        let coordinator = std::thread::spawn(move || {
+            let mut rng = StdRng::seed_from_u64(12);
+            let user = RsaKeypair::generate(&mut rng, RSA_BITS);
+            let mut ctl = Control::connect(&addr, CONNECT_TIMEOUT).expect("connect");
+            ctl.send(&Frame::Hello {
+                user: SubjectId(0),
+                public: user.public.clone(),
+            })
+            .expect("hello");
+            let Ok(Frame::HelloAck { public, .. }) = ctl.recv(Some(CONNECT_TIMEOUT)) else {
+                panic!("expected HelloAck");
+            };
+            for (id, n) in [(1, vec![]), (2, vec![1]), (3, vec![0x40, 0]), (4, vec![9])] {
+                ctl.send(&Frame::ProvisionPublic { id, n }).expect("send");
+            }
+            let good = ClusterKey::generate(&mut rng, 5, 256);
+            let mut even_factor = good.to_bytes();
+            even_factor[3] = 6;
+            *even_factor.last_mut().expect("non-empty") &= !1;
+            for bytes in [even_factor, good.to_bytes()] {
+                let envelope = SignedEnvelope::seal(&mut rng, &bytes, &user, &public);
+                ctl.send(&Frame::Provision { envelope }).expect("send");
+            }
+            ctl.send(&Frame::Shutdown).expect("shutdown");
+        });
+
+        let mut ctl = server.ctl_rx.recv().expect("control connection");
+        let wire = server.data_wire();
+        let shutdown = server
+            .serve_conn(&mut ctl, &wire, &mut Vec::new())
+            .expect("every frame is handled");
+        coordinator.join().expect("coordinator thread");
+        assert!(shutdown, "served through to Shutdown");
+        let ring = &server.party.ring;
+        for id in [1, 2, 3] {
+            assert!(ring.get_public(id).is_none(), "modulus {id} is no key's");
+        }
+        assert!(ring.get_public(4).is_some());
+        assert!(ring.holds(5) && !ring.holds(6));
     }
 }

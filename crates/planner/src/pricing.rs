@@ -101,12 +101,15 @@ pub mod calibrated {
     pub const OPE_ENC_SECS: f64 = 2.1e-6;
     /// OPE per-value decryption seconds (bit-by-bit inverse walk).
     pub const OPE_DEC_SECS: f64 = 3.8e-6;
-    /// Paillier-512 per-value encryption seconds on the in-tree bignum
-    /// with Montgomery fixed-window exponentiation and a per-key reused
-    /// context (a ~150× drop from the pre-Montgomery 6.3e-2; production
-    /// libraries are faster still, which would only widen the savings
-    /// the optimizer finds).
-    pub const PAILLIER_ENC_SECS: f64 = 3.9e-4;
+    /// Paillier-512 per-value encryption seconds on the in-tree bignum,
+    /// by the key holder's path every encryptor takes
+    /// (`PaillierKeypair::encrypt`: two 256-bit exponents over the
+    /// 8-limb `p²`/`q²` on the allocation-free Montgomery kernel,
+    /// CRT-combined) — 5× below the public-key routine's 3.9e-4 and
+    /// ~800× below the pre-Montgomery 6.3e-2; production libraries are
+    /// faster still, which would only widen the savings the optimizer
+    /// finds.
+    pub const PAILLIER_ENC_SECS: f64 = 8.0e-5;
     /// Paillier-512 per-value decryption seconds.
     pub const PAILLIER_DEC_SECS: f64 = 4.4e-4;
     /// Seconds per homomorphic (Paillier) ciphertext addition (one
@@ -200,7 +203,7 @@ impl PriceBook {
 
     /// CPU seconds to encrypt one value under a scheme (measured on the
     /// in-tree substrate by `calibrate`: XTEA symmetric, OPE's PRF
-    /// walk, a Paillier-512 modular exponentiation).
+    /// walk, a key holder's Paillier-512 encryption).
     pub fn encrypt_secs(&self, scheme: EncScheme) -> f64 {
         match scheme {
             EncScheme::Deterministic | EncScheme::Random => calibrated::SYM_ENC_SECS,
