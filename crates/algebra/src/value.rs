@@ -43,6 +43,29 @@ pub enum EncScheme {
 }
 
 impl EncScheme {
+    /// Every scheme.
+    pub const ALL: [EncScheme; 4] = [
+        EncScheme::Random,
+        EncScheme::Deterministic,
+        EncScheme::Ope,
+        EncScheme::Paillier,
+    ];
+
+    /// The scheme's byte in [`Value::canonical_bytes`] and on the wire.
+    pub fn tag(self) -> u8 {
+        match self {
+            EncScheme::Random => 0,
+            EncScheme::Deterministic => 1,
+            EncScheme::Ope => 2,
+            EncScheme::Paillier => 3,
+        }
+    }
+
+    /// Inverse of [`EncScheme::tag`]; `None` for a byte no scheme has.
+    pub fn from_tag(tag: u8) -> Option<EncScheme> {
+        EncScheme::ALL.into_iter().find(|s| s.tag() == tag)
+    }
+
     /// `true` if ciphertexts of this scheme can be compared for equality.
     pub fn supports_equality(self) -> bool {
         matches!(self, EncScheme::Deterministic | EncScheme::Ope)
@@ -175,7 +198,7 @@ impl Value {
             Value::Enc(e) => {
                 // Re-encrypting a ciphertext is allowed (onion-style);
                 // encode scheme + key + bytes.
-                let mut v = vec![6, e.scheme as u8];
+                let mut v = vec![6, e.scheme.tag()];
                 v.extend_from_slice(&e.key_id.to_be_bytes());
                 v.extend_from_slice(&e.bytes);
                 v
@@ -183,23 +206,20 @@ impl Value {
         }
     }
 
-    /// Inverse of [`Value::canonical_bytes`].
+    /// Inverse of [`Value::canonical_bytes`]. `None` for anything that
+    /// function cannot have produced: an unknown type or scheme tag, or
+    /// a fixed-width payload of the wrong width.
     pub fn from_canonical_bytes(b: &[u8]) -> Option<Value> {
         let (&tag, rest) = b.split_first()?;
         Some(match tag {
-            0 => Value::Null,
-            1 => Value::Bool(*rest.first()? != 0),
+            0 if rest.is_empty() => Value::Null,
+            1 => Value::Bool(u8::from_be_bytes(rest.try_into().ok()?) != 0),
             2 => Value::Int(i64::from_be_bytes(rest.try_into().ok()?)),
             3 => Value::Num(f64::from_be_bytes(rest.try_into().ok()?)),
             4 => Value::Str(Arc::from(std::str::from_utf8(rest).ok()?)),
             5 => Value::Date(Date(i32::from_be_bytes(rest.try_into().ok()?))),
             6 => {
-                let scheme = match *rest.first()? {
-                    0 => EncScheme::Random,
-                    1 => EncScheme::Deterministic,
-                    2 => EncScheme::Ope,
-                    _ => EncScheme::Paillier,
-                };
+                let scheme = EncScheme::from_tag(*rest.first()?)?;
                 let key_id = u32::from_be_bytes(rest.get(1..5)?.try_into().ok()?);
                 Value::Enc(EncValue {
                     scheme,
@@ -493,6 +513,28 @@ mod tests {
             }
             other => panic!("expected Enc, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn canonical_decoding_refuses_what_encoding_cannot_produce() {
+        for scheme in EncScheme::ALL {
+            assert_eq!(EncScheme::from_tag(scheme.tag()), Some(scheme));
+        }
+        assert_eq!(EncScheme::from_tag(4), None);
+        // An unknown scheme byte is not Paillier.
+        assert!(Value::from_canonical_bytes(&[6, 3, 0, 0, 0, 7, 0xAA]).is_some());
+        assert!(Value::from_canonical_bytes(&[6, 4, 0, 0, 0, 7, 0xAA]).is_none());
+        assert!(Value::from_canonical_bytes(&[6, 0xFF, 0, 0, 0, 7]).is_none());
+        // Fixed-width payloads have exactly their width.
+        assert!(Value::from_canonical_bytes(&[0, 0]).is_none());
+        assert!(Value::from_canonical_bytes(&[1]).is_none());
+        assert!(Value::from_canonical_bytes(&[1, 1, 0]).is_none());
+        assert!(Value::from_canonical_bytes(&[2, 0, 0, 0, 0, 0, 0, 0]).is_none());
+        assert!(Value::from_canonical_bytes(&[5, 0, 0, 0, 0, 0]).is_none());
+        // Truncated ciphertext header, unknown type tag, nothing at all.
+        assert!(Value::from_canonical_bytes(&[6, 1, 0, 0]).is_none());
+        assert!(Value::from_canonical_bytes(&[7]).is_none());
+        assert!(Value::from_canonical_bytes(&[]).is_none());
     }
 
     #[test]

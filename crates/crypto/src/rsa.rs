@@ -29,7 +29,8 @@ pub struct RsaPublic {
     /// Public exponent (65537).
     pub e: BigUint,
     /// Montgomery context for `n`, built on first use; `None` inside
-    /// for a modulus that has none (a peer may send an even `n`).
+    /// for a modulus that has none (even — [`RsaPublic::from_parts`]
+    /// refuses those, and `verify` is total without relying on it).
     mont: OnceLock<Option<Montgomery>>,
 }
 
@@ -94,9 +95,27 @@ impl RsaKeypair {
     }
 }
 
+/// Bytes [`SignedEnvelope::seal`] wraps under the recipient's key: the
+/// XTEA session key.
+const SESSION_KEY_LEN: usize = 16;
+
+/// Bytes `encrypt_block` adds around a block: the `0x02` marker, at
+/// least eight random bytes, the `0x00` separator, and one byte of
+/// headroom so the padded block stays below the modulus.
+const PAD_OVERHEAD: usize = 11;
+
 impl RsaPublic {
-    /// Public key from its modulus and exponent.
-    pub fn new(n: BigUint, e: BigUint) -> RsaPublic {
+    /// Public key from parts that arrived from a peer. `None` for
+    /// parts no usable key has — an even modulus, one too narrow to
+    /// wrap a session key, an even or trivial exponent — so sealing an
+    /// envelope to a key that decoded cannot panic.
+    pub fn from_parts(n: BigUint, e: BigUint) -> Option<RsaPublic> {
+        let wide_enough = n.to_bytes_be().len() >= SESSION_KEY_LEN + PAD_OVERHEAD;
+        (wide_enough && !n.is_even() && !e.is_even() && !e.is_one()).then(|| RsaPublic::new(n, e))
+    }
+
+    /// Public key from parts known to be sound (generated here).
+    fn new(n: BigUint, e: BigUint) -> RsaPublic {
         RsaPublic {
             n,
             e,
@@ -126,7 +145,7 @@ impl RsaPublic {
     fn encrypt_block<R: Rng + ?Sized>(&self, rng: &mut R, block: &[u8]) -> Vec<u8> {
         let modulus_len = self.n.to_bytes_be().len();
         assert!(
-            block.len() + 11 <= modulus_len,
+            block.len() + PAD_OVERHEAD <= modulus_len,
             "block too large for modulus"
         );
         let mut padded = Vec::with_capacity(modulus_len - 1);
@@ -170,7 +189,7 @@ impl SignedEnvelope {
         recipient: &RsaPublic,
     ) -> SignedEnvelope {
         let signature = sender.sign(payload);
-        let mut session_key = [0u8; 16];
+        let mut session_key = [0u8; SESSION_KEY_LEN];
         rng.fill(&mut session_key);
         let nonce: u64 = rng.gen();
         let body = xtea::rnd_encrypt(&session_key, nonce, payload);
@@ -191,7 +210,7 @@ impl SignedEnvelope {
             return None;
         }
         let padded = recipient.private_op(&wrapped).to_bytes_be();
-        let session_key: [u8; 16] = unpad(&padded)?.try_into().ok()?;
+        let session_key: [u8; SESSION_KEY_LEN] = unpad(&padded)?.try_into().ok()?;
         let payload = xtea::rnd_decrypt(&session_key, &self.body)?;
         if sender.verify(&payload, &self.signature) {
             Some(payload)
@@ -268,6 +287,28 @@ mod tests {
             let forged = RsaPublic::new(BigUint::from_u64(n), user.public.e.clone());
             assert!(!forged.verify(b"m", &sig));
             assert!(!forged.verify(b"m", &[1]));
+        }
+    }
+
+    #[test]
+    fn peer_supplied_parts_are_validated_where_they_enter() {
+        let (user, provider, mut rng) = keys();
+        let RsaPublic { n, e, .. } = user.public.clone();
+        let back = RsaPublic::from_parts(n.clone(), e.clone()).expect("a generated key is sound");
+        assert_eq!(back, user.public);
+        // The narrowest modulus that still wraps a session key seals.
+        let mut narrow = vec![0xFF; SESSION_KEY_LEN + PAD_OVERHEAD];
+        let ok = RsaPublic::from_parts(BigUint::from_bytes_be(&narrow), e.clone())
+            .expect("27 bytes suffice");
+        SignedEnvelope::seal(&mut rng, b"q", &provider, &ok);
+        // One byte narrower — and the 8-byte modulus a hostile HelloAck
+        // would carry — used to reach the assert in `encrypt_block`.
+        narrow.pop();
+        assert!(RsaPublic::from_parts(BigUint::from_bytes_be(&narrow), e.clone()).is_none());
+        assert!(RsaPublic::from_parts(BigUint::from_bytes_be(&[0xFF; 8]), e.clone()).is_none());
+        assert!(RsaPublic::from_parts(n.sub(&BigUint::one()), e).is_none());
+        for bad_e in [0u64, 1, 65_536] {
+            assert!(RsaPublic::from_parts(n.clone(), BigUint::from_u64(bad_e)).is_none());
         }
     }
 

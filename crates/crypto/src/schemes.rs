@@ -482,6 +482,13 @@ mod tests {
             decrypt_value(&enc, &k2).unwrap_err(),
             EncryptError::BadCiphertext
         );
+        // Same id, different material: the garbled plaintext is a typed
+        // error (or, rarely, some other value), never a panic.
+        let k3 = ClusterKey::generate(&mut rng, k1.id, 256);
+        for scheme in [EncScheme::Deterministic, EncScheme::Random] {
+            let enc = encrypt_value(&mut rng, &Value::Int(1), scheme, &k1).unwrap();
+            assert_ne!(decrypt_value(&enc, &k3), Ok(Value::Int(1)), "{scheme:?}");
+        }
     }
 
     #[test]

@@ -3,19 +3,27 @@
 //!
 //! The build environment has no serde, so every frame that crosses a
 //! socket is encoded here explicitly: big-endian integers, `u32`
-//! length-prefixed byte strings, tag bytes for enums. Two invariants
-//! matter:
+//! length-prefixed byte strings, tag bytes for enums. Each type's
+//! format is stated **once**, as its [`Wire`] impl — for enums one
+//! `tag => Variant` table that yields both directions — so an encoder
+//! and its decoder cannot drift apart. Three invariants matter:
 //!
 //! * **cells are length-prefixed** — [`Value::canonical_bytes`] is
 //!   self-describing but *not* self-delimiting (`Str`/`Enc` consume
 //!   the rest of the buffer), so every cell travels behind its own
 //!   length;
 //! * **plans round-trip with identical `NodeId`s** — [`QueryPlan`]
-//!   construction is append-only (children precede parents), so
-//!   re-`add`ing nodes in index order reproduces the arena exactly,
-//!   which the assignment and key maps rely on.
+//!   construction is append-only, so re-`add`ing nodes in index order
+//!   reproduces the arena exactly, which the assignment and key maps
+//!   rely on;
+//! * **a frame of `n` bytes costs `O(n)` to refuse** — every byte
+//!   comes from a peer this party does not trust. Element counts pass
+//!   through [`Reader::count`], which refuses one the bytes left in
+//!   the frame could not hold, *before* anything is allocated for it;
+//!   nesting is capped at [`MAX_DEPTH`]; key material is validated as
+//!   it is decoded ([`RsaPublic::from_parts`]).
 //!
-//! Decoding is total: every `decode_*` returns `Option`, and a
+//! Decoding is total: [`decode_frame`] returns `Option`, and a
 //! malformed frame surfaces as a typed
 //! [`TransportError::Frame`](crate::transport::TransportError) at the
 //! transport layer, never a panic in a party loop.
@@ -23,86 +31,88 @@
 use crate::party::{QueryJob, Transfer};
 use crate::runtime::Msg;
 use mpq_algebra::expr::{AggExpr, AggFunc, ArithOp, CmpOp, DateField, Expr};
-use mpq_algebra::plan::{JoinKind, Operator, QueryPlan};
+use mpq_algebra::plan::{JoinKind, Operator, PlanNode, QueryPlan};
 use mpq_algebra::value::EncScheme;
 use mpq_algebra::{AttrId, NodeId, RelId, SubjectId, Value};
 use mpq_crypto::bignum::BigUint;
 use mpq_crypto::rsa::{RsaPublic, SignedEnvelope};
 use mpq_exec::{Batch, ColumnVec, SchemePlan, Table, TableSchema};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
-// Primitive writers / reader
+// The trait and the reader
 // ---------------------------------------------------------------------------
 
-fn put_u8(b: &mut Vec<u8>, v: u8) {
-    b.push(v);
+/// A type with one wire format: `get(put(x))` is `x`, and `get` is
+/// total over arbitrary bytes.
+trait Wire: Sized {
+    /// Fewest bytes an encoded value occupies; what [`Reader::count`]
+    /// divides the rest of the frame by.
+    const MIN_LEN: usize = 1;
+
+    /// Append the encoding of `self` to `b`.
+    fn put(&self, b: &mut Vec<u8>);
+
+    /// Decode one value at the cursor (`None`: malformed).
+    fn get(r: &mut Reader) -> Option<Self>;
 }
 
-fn put_bool(b: &mut Vec<u8>, v: bool) {
-    b.push(u8::from(v));
-}
-
-fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_bytes(b: &mut Vec<u8>, v: &[u8]) {
-    put_u32(b, v.len() as u32);
-    b.extend_from_slice(v);
-}
-
-fn put_str(b: &mut Vec<u8>, v: &str) {
-    put_bytes(b, v.as_bytes());
-}
+/// Deepest nesting of values inside one frame. Expressions and plans
+/// recurse, and a frame of nothing but `Not` tags must run out of
+/// depth before the decoder runs out of stack. Legitimate frames stay
+/// far below: a plan node's predicate starts at depth 8 and each
+/// expression level adds two.
+const MAX_DEPTH: usize = 256;
 
 /// Cursor over a received frame; every accessor is bounds-checked.
 struct Reader<'a> {
     b: &'a [u8],
     at: usize,
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
     fn new(b: &'a [u8]) -> Reader<'a> {
-        Reader { b, at: 0 }
+        Reader { b, at: 0, depth: 0 }
+    }
+
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let v = self.b.get(self.at..self.at.checked_add(n)?)?;
+        self.at += n;
+        Some(v)
     }
 
     fn u8(&mut self) -> Option<u8> {
-        let v = *self.b.get(self.at)?;
-        self.at += 1;
-        Some(v)
+        Some(self.take(1)?[0])
     }
 
-    fn bool(&mut self) -> Option<bool> {
-        Some(self.u8()? != 0)
+    /// A `u32` element count — the one place a peer-supplied count is
+    /// believed, and only as far as the frame can back it: `count`
+    /// elements of at least `min_each` bytes must fit in the bytes
+    /// left. Whatever is then allocated for `count` elements is
+    /// proportional to bytes the peer really sent.
+    fn count(&mut self, min_each: usize) -> Option<usize> {
+        let n = usize::try_from(u32::get(self)?).ok()?;
+        (n.checked_mul(min_each)? <= self.b.len() - self.at).then_some(n)
     }
 
-    fn u32(&mut self) -> Option<u32> {
-        let v = u32::from_be_bytes(self.b.get(self.at..self.at + 4)?.try_into().ok()?);
-        self.at += 4;
-        Some(v)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let v = u64::from_be_bytes(self.b.get(self.at..self.at + 8)?.try_into().ok()?);
-        self.at += 8;
-        Some(v)
-    }
-
+    /// A length-prefixed byte string, borrowed from the frame.
     fn bytes(&mut self) -> Option<&'a [u8]> {
-        let len = self.u32()? as usize;
-        let v = self.b.get(self.at..self.at + len)?;
-        self.at += len;
-        Some(v)
+        let n = self.count(1)?;
+        self.take(n)
     }
 
-    fn str(&mut self) -> Option<String> {
-        Some(std::str::from_utf8(self.bytes()?).ok()?.to_string())
+    /// Decode a nested `T`, one level deeper.
+    fn get<T: Wire>(&mut self) -> Option<T> {
+        if self.depth == MAX_DEPTH {
+            return None;
+        }
+        self.depth += 1;
+        let v = T::get(self);
+        self.depth -= 1;
+        v
     }
 
     /// The whole input must be consumed — trailing garbage is a
@@ -112,723 +122,471 @@ impl<'a> Reader<'a> {
     }
 }
 
+fn write_len(b: &mut Vec<u8>, n: usize) {
+    u32::try_from(n)
+        .expect("a frame holds fewer than 2^32 of anything")
+        .put(b);
+}
+
+fn write_bytes(b: &mut Vec<u8>, v: &[u8]) {
+    write_len(b, v.len());
+    b.extend_from_slice(v);
+}
+
+/// A count, then the elements: the encoding of every sequence.
+fn write_seq<'a, T: Wire + 'a>(b: &mut Vec<u8>, items: impl ExactSizeIterator<Item = &'a T>) {
+    write_len(b, items.len());
+    for item in items {
+        item.put(b);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Generic impls: integers, strings, containers, tuples
+// ---------------------------------------------------------------------------
+
+macro_rules! wire_int {
+    ($($ty:ident),+) => {$(
+        impl Wire for $ty {
+            const MIN_LEN: usize = std::mem::size_of::<$ty>();
+            fn put(&self, b: &mut Vec<u8>) {
+                b.extend_from_slice(&self.to_be_bytes());
+            }
+            fn get(r: &mut Reader) -> Option<Self> {
+                Some($ty::from_be_bytes(r.take(Self::MIN_LEN)?.try_into().ok()?))
+            }
+        }
+    )+};
+}
+wire_int!(u32, u64);
+
+/// `usize` fields (aggregate references, substring bounds) travel as
+/// `u64`.
+impl Wire for usize {
+    const MIN_LEN: usize = u64::MIN_LEN;
+    fn put(&self, b: &mut Vec<u8>) {
+        (*self as u64).put(b);
+    }
+    fn get(r: &mut Reader) -> Option<Self> {
+        usize::try_from(u64::get(r)?).ok()
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, b: &mut Vec<u8>) {
+        b.push(u8::from(*self));
+    }
+    fn get(r: &mut Reader) -> Option<Self> {
+        Some(r.u8()? != 0)
+    }
+}
+
+/// Byte strings move as one slice, not as a sequence of elements —
+/// which is why `u8` itself is not `Wire`.
+impl Wire for Vec<u8> {
+    fn put(&self, b: &mut Vec<u8>) {
+        write_bytes(b, self);
+    }
+    fn get(r: &mut Reader) -> Option<Self> {
+        Some(r.bytes()?.to_vec())
+    }
+}
+
+impl Wire for String {
+    fn put(&self, b: &mut Vec<u8>) {
+        write_bytes(b, self.as_bytes());
+    }
+    fn get(r: &mut Reader) -> Option<Self> {
+        Some(std::str::from_utf8(r.bytes()?).ok()?.to_string())
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, b: &mut Vec<u8>) {
+        self.is_some().put(b);
+        if let Some(v) = self {
+            v.put(b);
+        }
+    }
+    fn get(r: &mut Reader) -> Option<Self> {
+        Some(if bool::get(r)? { Some(r.get()?) } else { None })
+    }
+}
+
+macro_rules! wire_ptr {
+    ($($ptr:ident),+) => {$(
+        impl<T: Wire> Wire for $ptr<T> {
+            const MIN_LEN: usize = T::MIN_LEN;
+            fn put(&self, b: &mut Vec<u8>) {
+                (**self).put(b);
+            }
+            fn get(r: &mut Reader) -> Option<Self> {
+                Some($ptr::new(r.get()?))
+            }
+        }
+    )+};
+}
+wire_ptr!(Box, Arc);
+
+/// The only caller of [`Reader::count`] besides byte strings and a
+/// table's row count: every `Vec`, and through it every map, is sized
+/// from a count the frame can back.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, b: &mut Vec<u8>) {
+        write_seq(b, self.iter());
+    }
+    fn get(r: &mut Reader) -> Option<Self> {
+        let n = r.count(T::MIN_LEN)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(r.get()?);
+        }
+        Some(out)
+    }
+}
+
+/// Maps travel as their pairs in ascending key order, so equal maps
+/// encode to equal bytes.
+impl<K: Wire + Copy + Ord + Hash, V: Wire + Copy> Wire for HashMap<K, V> {
+    fn put(&self, b: &mut Vec<u8>) {
+        let mut pairs: Vec<(K, V)> = self.iter().map(|(k, v)| (*k, *v)).collect();
+        pairs.sort_by_key(|(k, _)| *k);
+        pairs.put(b);
+    }
+    fn get(r: &mut Reader) -> Option<Self> {
+        Some(Vec::<(K, V)>::get(r)?.into_iter().collect())
+    }
+}
+
+macro_rules! wire_tuple {
+    ($($t:ident),+) => {
+        #[allow(non_snake_case)]
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            const MIN_LEN: usize = 0 $(+ $t::MIN_LEN)+;
+            fn put(&self, b: &mut Vec<u8>) {
+                let ($($t,)+) = self;
+                $($t.put(b);)+
+            }
+            fn get(r: &mut Reader) -> Option<Self> {
+                Some(($(r.get::<$t>()?,)+))
+            }
+        }
+    };
+}
+wire_tuple!(A, B);
+wire_tuple!(A, B, C);
+
+// ---------------------------------------------------------------------------
+// Tables of tags and fields
+// ---------------------------------------------------------------------------
+
+macro_rules! wire_id {
+    ($($ty:ident),+) => {$(
+        impl Wire for $ty {
+            const MIN_LEN: usize = u32::MIN_LEN;
+            fn put(&self, b: &mut Vec<u8>) {
+                self.0.put(b);
+            }
+            fn get(r: &mut Reader) -> Option<Self> {
+                Some($ty(u32::get(r)?))
+            }
+        }
+    )+};
+}
+wire_id!(AttrId, RelId, NodeId, SubjectId);
+
+/// A struct is its fields, in the order listed.
+macro_rules! wire_struct {
+    ($ty:ident: $($f:ident),+) => {
+        impl Wire for $ty {
+            fn put(&self, b: &mut Vec<u8>) {
+                $(self.$f.put(b);)+
+            }
+            fn get(r: &mut Reader) -> Option<Self> {
+                $(let $f = r.get()?;)+
+                Some($ty { $($f),+ })
+            }
+        }
+    };
+}
+
+/// An enum is a tag byte, then the variant's fields in the order
+/// listed. One table gives both directions: `tag => Unit`,
+/// `tag => Tuple(a, b)` or `tag => Struct { a, b }`.
+macro_rules! wire_enum {
+    ($ty:ident {
+        $($tag:literal => $var:ident $(($($t:ident),+))? $({ $($f:ident),+ })?),+ $(,)?
+    }) => {
+        impl Wire for $ty {
+            fn put(&self, b: &mut Vec<u8>) {
+                match self {
+                    $($ty::$var $(($($t),+))? $({ $($f),+ })? => {
+                        b.push($tag);
+                        $($($t.put(b);)+)?
+                        $($($f.put(b);)+)?
+                    })+
+                }
+            }
+            fn get(r: &mut Reader) -> Option<Self> {
+                Some(match r.u8()? {
+                    $($tag => {
+                        $($(let $t = r.get()?;)+)?
+                        $($(let $f = r.get()?;)+)?
+                        $ty::$var $(($($t),+))? $({ $($f),+ })?
+                    })+
+                    _ => return None,
+                })
+            }
+        }
+    };
+}
+
+wire_enum!(CmpOp { 0 => Eq, 1 => Ne, 2 => Lt, 3 => Le, 4 => Gt, 5 => Ge });
+wire_enum!(ArithOp { 0 => Add, 1 => Sub, 2 => Mul, 3 => Div });
+wire_enum!(DateField { 0 => Year });
+wire_enum!(JoinKind { 0 => Inner, 1 => LeftOuter, 2 => Semi, 3 => Anti });
+wire_enum!(AggFunc { 0 => Count, 1 => CountDistinct, 2 => Sum, 3 => Avg, 4 => Min, 5 => Max });
+
+/// The scheme's table lives with the type: [`Value::canonical_bytes`]
+/// writes the same byte.
+impl Wire for EncScheme {
+    fn put(&self, b: &mut Vec<u8>) {
+        b.push(self.tag());
+    }
+    fn get(r: &mut Reader) -> Option<Self> {
+        EncScheme::from_tag(r.u8()?)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Values and tables
 // ---------------------------------------------------------------------------
 
-fn put_value(b: &mut Vec<u8>, v: &Value) {
-    put_bytes(b, &v.canonical_bytes());
-}
-
-fn get_value(r: &mut Reader) -> Option<Value> {
-    Value::from_canonical_bytes(r.bytes()?)
+impl Wire for Value {
+    /// The length prefix and the type tag.
+    const MIN_LEN: usize = 5;
+    fn put(&self, b: &mut Vec<u8>) {
+        write_bytes(b, &self.canonical_bytes());
+    }
+    fn get(r: &mut Reader) -> Option<Self> {
+        Value::from_canonical_bytes(r.bytes()?)
+    }
 }
 
 /// Tables travel column-major (all of column 0, then column 1, …),
 /// matching the columnar in-memory layout so neither end transposes.
-/// Every cell is still individually length-prefixed, so the frame size
-/// is byte-identical to the old row-major encoding.
-fn put_table(b: &mut Vec<u8>, t: &Table) {
-    put_u32(b, t.attrs().len() as u32);
-    for a in t.attrs() {
-        put_u32(b, a.0);
-    }
-    put_u32(b, t.len() as u32);
-    for col in t.columns() {
-        for i in 0..col.len() {
-            put_value(b, &col.get(i));
+/// Every cell is individually length-prefixed, and the cell loops
+/// stay direct — this is the only part of a frame measured in
+/// megabytes.
+impl Wire for Table {
+    fn put(&self, b: &mut Vec<u8>) {
+        write_seq(b, self.attrs().iter());
+        write_len(b, self.len());
+        for col in self.columns() {
+            for i in 0..col.len() {
+                col.get(i).put(b);
+            }
         }
     }
-}
-
-fn get_table(r: &mut Reader) -> Option<Table> {
-    let ncols = r.u32()? as usize;
-    let mut attrs = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        attrs.push(AttrId(r.u32()?));
-    }
-    let nrows = r.u32()? as usize;
-    let mut cols = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        let mut col = ColumnVec::with_capacity(nrows);
-        for _ in 0..nrows {
-            col.push(get_value(r)?);
+    fn get(r: &mut Reader) -> Option<Self> {
+        let attrs: Vec<AttrId> = r.get()?;
+        // One row is a cell in every column.
+        let nrows = r.count(attrs.len().saturating_mul(Value::MIN_LEN))?;
+        let mut cols = Vec::with_capacity(attrs.len());
+        for _ in 0..attrs.len() {
+            let mut col = ColumnVec::with_capacity(nrows);
+            for _ in 0..nrows {
+                col.push(Value::get(r)?);
+            }
+            cols.push(col);
         }
-        cols.push(col);
+        Some(Table::from_batch(Batch::new(TableSchema::new(attrs), cols)))
     }
-    Some(Table::from_batch(Batch::new(TableSchema::new(attrs), cols)))
 }
 
 // ---------------------------------------------------------------------------
 // Expressions and plans
 // ---------------------------------------------------------------------------
 
-fn put_expr(b: &mut Vec<u8>, e: &Expr) {
-    match e {
-        Expr::Col(a) => {
-            put_u8(b, 0);
-            put_u32(b, a.0);
+wire_enum!(Expr {
+    0 => Col(attr),
+    1 => AggRef(index),
+    2 => Lit(value),
+    3 => Cmp(lhs, op, rhs),
+    4 => And(conjuncts),
+    5 => Or(disjuncts),
+    6 => Not(inner),
+    7 => Arith(lhs, op, rhs),
+    8 => Like { expr, pattern, negated },
+    9 => Between { expr, lo, hi, negated },
+    10 => InList { expr, list, negated },
+    11 => Case { branches, else_ },
+    12 => IsNull { expr, negated },
+    13 => Extract { field, expr },
+    14 => Substring { expr, start, len },
+});
+
+wire_struct!(AggExpr: func, input, output);
+
+wire_enum!(Operator {
+    0 => Base { rel, attrs },
+    1 => Project { attrs },
+    2 => Select { pred },
+    3 => Product,
+    4 => Join { kind, on, residual },
+    5 => GroupBy { keys, aggs },
+    6 => Having { pred },
+    7 => Udf { name, inputs, output, body },
+    8 => Encrypt { attrs },
+    9 => Decrypt { attrs },
+    10 => Sort { keys },
+    11 => Limit { n },
+});
+
+/// A node is its child edges, then its operator; the two must agree
+/// on the arity.
+impl Wire for PlanNode {
+    const MIN_LEN: usize = 5;
+    fn put(&self, b: &mut Vec<u8>) {
+        self.children.put(b);
+        self.op.put(b);
+    }
+    fn get(r: &mut Reader) -> Option<Self> {
+        let children: Vec<NodeId> = r.get()?;
+        let op: Operator = r.get()?;
+        (op.arity() == children.len()).then_some(PlanNode { op, children })
+    }
+}
+
+/// The arena in index order, then the root.
+impl Wire for QueryPlan {
+    fn put(&self, b: &mut Vec<u8>) {
+        write_seq(b, (0..self.len()).map(|i| self.node(NodeId::from_index(i))));
+        self.root().put(b);
+    }
+    fn get(r: &mut Reader) -> Option<Self> {
+        let nodes: Vec<PlanNode> = r.get()?;
+        let root: NodeId = r.get()?;
+        let n = nodes.len();
+        // (Also refuses the empty arena.)
+        if root.index() >= n {
+            return None;
         }
-        Expr::AggRef(i) => {
-            put_u8(b, 1);
-            put_u64(b, *i as u64);
-        }
-        Expr::Lit(v) => {
-            put_u8(b, 2);
-            put_value(b, v);
-        }
-        Expr::Cmp(l, op, r) => {
-            put_u8(b, 3);
-            put_expr(b, l);
-            put_u8(b, cmp_tag(*op));
-            put_expr(b, r);
-        }
-        Expr::And(es) => {
-            put_u8(b, 4);
-            put_u32(b, es.len() as u32);
-            for e in es {
-                put_expr(b, e);
+        // Child edges can point *forward*: `splice_above` appends the
+        // spliced node at the end of the arena and re-targets an earlier
+        // parent's edge at it, so extended plans are not in child-first
+        // order. Any in-bounds index is accepted here; tree-shape is
+        // validated below.
+        let mut child_uses = vec![0u32; n];
+        let mut plan = QueryPlan::new();
+        for PlanNode { op, children } in nodes {
+            for c in &children {
+                *child_uses.get_mut(c.index())? += 1;
             }
+            plan.add(op, children);
         }
-        Expr::Or(es) => {
-            put_u8(b, 5);
-            put_u32(b, es.len() as u32);
-            for e in es {
-                put_expr(b, e);
-            }
+        plan.set_root(root);
+        // Plans are trees: every node is some parent's child at most once
+        // (sharing would double-execute under postorder)…
+        if child_uses.iter().any(|&uses| uses > 1) {
+            return None;
         }
-        Expr::Not(e) => {
-            put_u8(b, 6);
-            put_expr(b, e);
-        }
-        Expr::Arith(l, op, r) => {
-            put_u8(b, 7);
-            put_expr(b, l);
-            put_u8(
-                b,
-                match op {
-                    ArithOp::Add => 0,
-                    ArithOp::Sub => 1,
-                    ArithOp::Mul => 2,
-                    ArithOp::Div => 3,
-                },
-            );
-            put_expr(b, r);
-        }
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            put_u8(b, 8);
-            put_expr(b, expr);
-            put_str(b, pattern);
-            put_bool(b, *negated);
-        }
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => {
-            put_u8(b, 9);
-            put_expr(b, expr);
-            put_expr(b, lo);
-            put_expr(b, hi);
-            put_bool(b, *negated);
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            put_u8(b, 10);
-            put_expr(b, expr);
-            put_u32(b, list.len() as u32);
-            for v in list {
-                put_value(b, v);
-            }
-            put_bool(b, *negated);
-        }
-        Expr::Case { branches, else_ } => {
-            put_u8(b, 11);
-            put_u32(b, branches.len() as u32);
-            for (w, t) in branches {
-                put_expr(b, w);
-                put_expr(b, t);
-            }
-            match else_ {
-                Some(e) => {
-                    put_bool(b, true);
-                    put_expr(b, e);
+        // …and the reachable region is acyclic — a cyclic frame must not
+        // hang the receiver's postorder walk. Tri-state DFS from the root.
+        let mut state = vec![0u8; n]; // 0 = unvisited, 1 = in progress, 2 = done
+        let mut stack = vec![(root, 0usize)];
+        while let Some((id, cursor)) = stack.pop() {
+            if cursor == 0 {
+                match state[id.index()] {
+                    1 => return None,
+                    2 => continue,
+                    _ => state[id.index()] = 1,
                 }
-                None => put_bool(b, false),
             }
-        }
-        Expr::IsNull { expr, negated } => {
-            put_u8(b, 12);
-            put_expr(b, expr);
-            put_bool(b, *negated);
-        }
-        Expr::Extract { field, expr } => {
-            put_u8(b, 13);
-            put_u8(
-                b,
-                match field {
-                    DateField::Year => 0,
-                },
-            );
-            put_expr(b, expr);
-        }
-        Expr::Substring { expr, start, len } => {
-            put_u8(b, 14);
-            put_expr(b, expr);
-            put_u64(b, *start as u64);
-            put_u64(b, *len as u64);
-        }
-    }
-}
-
-fn cmp_tag(op: CmpOp) -> u8 {
-    match op {
-        CmpOp::Eq => 0,
-        CmpOp::Ne => 1,
-        CmpOp::Lt => 2,
-        CmpOp::Le => 3,
-        CmpOp::Gt => 4,
-        CmpOp::Ge => 5,
-    }
-}
-
-fn get_cmp(tag: u8) -> Option<CmpOp> {
-    Some(match tag {
-        0 => CmpOp::Eq,
-        1 => CmpOp::Ne,
-        2 => CmpOp::Lt,
-        3 => CmpOp::Le,
-        4 => CmpOp::Gt,
-        5 => CmpOp::Ge,
-        _ => return None,
-    })
-}
-
-fn get_expr(r: &mut Reader) -> Option<Expr> {
-    Some(match r.u8()? {
-        0 => Expr::Col(AttrId(r.u32()?)),
-        1 => Expr::AggRef(r.u64()? as usize),
-        2 => Expr::Lit(get_value(r)?),
-        3 => {
-            let l = get_expr(r)?;
-            let op = get_cmp(r.u8()?)?;
-            let rhs = get_expr(r)?;
-            Expr::Cmp(Box::new(l), op, Box::new(rhs))
-        }
-        4 => {
-            let n = r.u32()? as usize;
-            let mut es = Vec::with_capacity(n);
-            for _ in 0..n {
-                es.push(get_expr(r)?);
-            }
-            Expr::And(es)
-        }
-        5 => {
-            let n = r.u32()? as usize;
-            let mut es = Vec::with_capacity(n);
-            for _ in 0..n {
-                es.push(get_expr(r)?);
-            }
-            Expr::Or(es)
-        }
-        6 => Expr::Not(Box::new(get_expr(r)?)),
-        7 => {
-            let l = get_expr(r)?;
-            let op = match r.u8()? {
-                0 => ArithOp::Add,
-                1 => ArithOp::Sub,
-                2 => ArithOp::Mul,
-                3 => ArithOp::Div,
-                _ => return None,
-            };
-            let rhs = get_expr(r)?;
-            Expr::Arith(Box::new(l), op, Box::new(rhs))
-        }
-        8 => Expr::Like {
-            expr: Box::new(get_expr(r)?),
-            pattern: r.str()?,
-            negated: r.bool()?,
-        },
-        9 => Expr::Between {
-            expr: Box::new(get_expr(r)?),
-            lo: Box::new(get_expr(r)?),
-            hi: Box::new(get_expr(r)?),
-            negated: r.bool()?,
-        },
-        10 => {
-            let expr = Box::new(get_expr(r)?);
-            let n = r.u32()? as usize;
-            let mut list = Vec::with_capacity(n);
-            for _ in 0..n {
-                list.push(get_value(r)?);
-            }
-            Expr::InList {
-                expr,
-                list,
-                negated: r.bool()?,
-            }
-        }
-        11 => {
-            let n = r.u32()? as usize;
-            let mut branches = Vec::with_capacity(n);
-            for _ in 0..n {
-                let w = get_expr(r)?;
-                let t = get_expr(r)?;
-                branches.push((w, t));
-            }
-            let else_ = if r.bool()? {
-                Some(Box::new(get_expr(r)?))
+            let kids = &plan.node(id).children;
+            if cursor < kids.len() {
+                stack.push((id, cursor + 1));
+                let c = kids[cursor];
+                match state[c.index()] {
+                    1 => return None,
+                    2 => {}
+                    _ => stack.push((c, 0)),
+                }
             } else {
-                None
-            };
-            Expr::Case { branches, else_ }
-        }
-        12 => Expr::IsNull {
-            expr: Box::new(get_expr(r)?),
-            negated: r.bool()?,
-        },
-        13 => {
-            let field = match r.u8()? {
-                0 => DateField::Year,
-                _ => return None,
-            };
-            Expr::Extract {
-                field,
-                expr: Box::new(get_expr(r)?),
+                state[id.index()] = 2;
             }
         }
-        14 => Expr::Substring {
-            expr: Box::new(get_expr(r)?),
-            start: r.u64()? as usize,
-            len: r.u64()? as usize,
-        },
-        _ => return None,
-    })
-}
-
-fn put_attrs(b: &mut Vec<u8>, attrs: &[AttrId]) {
-    put_u32(b, attrs.len() as u32);
-    for a in attrs {
-        put_u32(b, a.0);
+        Some(plan)
     }
-}
-
-fn get_attrs(r: &mut Reader) -> Option<Vec<AttrId>> {
-    let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(AttrId(r.u32()?));
-    }
-    Some(out)
-}
-
-fn put_op(b: &mut Vec<u8>, op: &Operator) {
-    match op {
-        Operator::Base { rel, attrs } => {
-            put_u8(b, 0);
-            put_u32(b, rel.0);
-            put_attrs(b, attrs);
-        }
-        Operator::Project { attrs } => {
-            put_u8(b, 1);
-            put_attrs(b, attrs);
-        }
-        Operator::Select { pred } => {
-            put_u8(b, 2);
-            put_expr(b, pred);
-        }
-        Operator::Product => put_u8(b, 3),
-        Operator::Join { kind, on, residual } => {
-            put_u8(b, 4);
-            put_u8(
-                b,
-                match kind {
-                    JoinKind::Inner => 0,
-                    JoinKind::LeftOuter => 1,
-                    JoinKind::Semi => 2,
-                    JoinKind::Anti => 3,
-                },
-            );
-            put_u32(b, on.len() as u32);
-            for (l, op, r) in on {
-                put_u32(b, l.0);
-                put_u8(b, cmp_tag(*op));
-                put_u32(b, r.0);
-            }
-            match residual {
-                Some(e) => {
-                    put_bool(b, true);
-                    put_expr(b, e);
-                }
-                None => put_bool(b, false),
-            }
-        }
-        Operator::GroupBy { keys, aggs } => {
-            put_u8(b, 5);
-            put_attrs(b, keys);
-            put_u32(b, aggs.len() as u32);
-            for a in aggs {
-                put_u8(
-                    b,
-                    match a.func {
-                        AggFunc::Count => 0,
-                        AggFunc::CountDistinct => 1,
-                        AggFunc::Sum => 2,
-                        AggFunc::Avg => 3,
-                        AggFunc::Min => 4,
-                        AggFunc::Max => 5,
-                    },
-                );
-                put_expr(b, &a.input);
-                put_u32(b, a.output.0);
-            }
-        }
-        Operator::Having { pred } => {
-            put_u8(b, 6);
-            put_expr(b, pred);
-        }
-        Operator::Udf {
-            name,
-            inputs,
-            output,
-            body,
-        } => {
-            put_u8(b, 7);
-            put_str(b, name);
-            put_attrs(b, inputs);
-            put_u32(b, output.0);
-            match body {
-                Some(e) => {
-                    put_bool(b, true);
-                    put_expr(b, e);
-                }
-                None => put_bool(b, false),
-            }
-        }
-        Operator::Encrypt { attrs } => {
-            put_u8(b, 8);
-            put_attrs(b, attrs);
-        }
-        Operator::Decrypt { attrs } => {
-            put_u8(b, 9);
-            put_attrs(b, attrs);
-        }
-        Operator::Sort { keys } => {
-            put_u8(b, 10);
-            put_u32(b, keys.len() as u32);
-            for (e, asc) in keys {
-                put_expr(b, e);
-                put_bool(b, *asc);
-            }
-        }
-        Operator::Limit { n } => {
-            put_u8(b, 11);
-            put_u64(b, *n);
-        }
-    }
-}
-
-fn get_op(r: &mut Reader) -> Option<Operator> {
-    Some(match r.u8()? {
-        0 => Operator::Base {
-            rel: RelId(r.u32()?),
-            attrs: get_attrs(r)?,
-        },
-        1 => Operator::Project {
-            attrs: get_attrs(r)?,
-        },
-        2 => Operator::Select { pred: get_expr(r)? },
-        3 => Operator::Product,
-        4 => {
-            let kind = match r.u8()? {
-                0 => JoinKind::Inner,
-                1 => JoinKind::LeftOuter,
-                2 => JoinKind::Semi,
-                3 => JoinKind::Anti,
-                _ => return None,
-            };
-            let n = r.u32()? as usize;
-            let mut on = Vec::with_capacity(n);
-            for _ in 0..n {
-                let l = AttrId(r.u32()?);
-                let op = get_cmp(r.u8()?)?;
-                let rhs = AttrId(r.u32()?);
-                on.push((l, op, rhs));
-            }
-            let residual = if r.bool()? { Some(get_expr(r)?) } else { None };
-            Operator::Join { kind, on, residual }
-        }
-        5 => {
-            let keys = get_attrs(r)?;
-            let n = r.u32()? as usize;
-            let mut aggs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let func = match r.u8()? {
-                    0 => AggFunc::Count,
-                    1 => AggFunc::CountDistinct,
-                    2 => AggFunc::Sum,
-                    3 => AggFunc::Avg,
-                    4 => AggFunc::Min,
-                    5 => AggFunc::Max,
-                    _ => return None,
-                };
-                let input = get_expr(r)?;
-                let output = AttrId(r.u32()?);
-                aggs.push(AggExpr {
-                    func,
-                    input,
-                    output,
-                });
-            }
-            Operator::GroupBy { keys, aggs }
-        }
-        6 => Operator::Having { pred: get_expr(r)? },
-        7 => {
-            let name = r.str()?;
-            let inputs = get_attrs(r)?;
-            let output = AttrId(r.u32()?);
-            let body = if r.bool()? { Some(get_expr(r)?) } else { None };
-            Operator::Udf {
-                name,
-                inputs,
-                output,
-                body,
-            }
-        }
-        8 => Operator::Encrypt {
-            attrs: get_attrs(r)?,
-        },
-        9 => Operator::Decrypt {
-            attrs: get_attrs(r)?,
-        },
-        10 => {
-            let n = r.u32()? as usize;
-            let mut keys = Vec::with_capacity(n);
-            for _ in 0..n {
-                let e = get_expr(r)?;
-                let asc = r.bool()?;
-                keys.push((e, asc));
-            }
-            Operator::Sort { keys }
-        }
-        11 => Operator::Limit { n: r.u64()? },
-        _ => return None,
-    })
-}
-
-fn put_plan(b: &mut Vec<u8>, plan: &QueryPlan) {
-    let order: Vec<NodeId> = (0..plan.len()).map(NodeId::from_index).collect();
-    put_u32(b, order.len() as u32);
-    for id in order {
-        let node = plan.node(id);
-        put_u32(b, node.children.len() as u32);
-        for c in &node.children {
-            put_u32(b, c.0);
-        }
-        put_op(b, &node.op);
-    }
-    put_u32(b, plan.root().0);
-}
-
-fn get_plan(r: &mut Reader) -> Option<QueryPlan> {
-    let n = r.u32()? as usize;
-    if n == 0 {
-        return None;
-    }
-    let mut plan = QueryPlan::new();
-    // Child edges can point *forward*: `splice_above` appends the
-    // spliced node at the end of the arena and re-targets an earlier
-    // parent's edge at it, so extended plans are not in child-first
-    // order. Any in-bounds index is accepted here; tree-shape is
-    // validated below.
-    let mut child_uses = vec![0u32; n];
-    for expect in 0..n {
-        let nc = r.u32()? as usize;
-        let mut children = Vec::with_capacity(nc.min(64));
-        for _ in 0..nc {
-            let c = NodeId(r.u32()?);
-            if c.index() >= n {
-                return None;
-            }
-            child_uses[c.index()] += 1;
-            children.push(c);
-        }
-        let op = get_op(r)?;
-        if op.arity() != children.len() {
-            return None;
-        }
-        let id = plan.add(op, children);
-        if id.index() != expect {
-            return None;
-        }
-    }
-    let root = NodeId(r.u32()?);
-    if root.index() >= n {
-        return None;
-    }
-    plan.set_root(root);
-    // Plans are trees: every node is some parent's child at most once
-    // (sharing would double-execute under postorder)…
-    if child_uses.iter().any(|&uses| uses > 1) {
-        return None;
-    }
-    // …and the reachable region is acyclic — a cyclic frame must not
-    // hang the receiver's postorder walk. Tri-state DFS from the root.
-    let mut state = vec![0u8; n]; // 0 = unvisited, 1 = in progress, 2 = done
-    let mut stack = vec![(root, 0usize)];
-    while let Some((id, cursor)) = stack.pop() {
-        if cursor == 0 {
-            match state[id.index()] {
-                1 => return None,
-                2 => continue,
-                _ => state[id.index()] = 1,
-            }
-        }
-        let kids = &plan.node(id).children;
-        if cursor < kids.len() {
-            stack.push((id, cursor + 1));
-            let c = kids[cursor];
-            match state[c.index()] {
-                1 => return None,
-                2 => {}
-                _ => stack.push((c, 0)),
-            }
-        } else {
-            state[id.index()] = 2;
-        }
-    }
-    Some(plan)
 }
 
 // ---------------------------------------------------------------------------
-// Envelopes and keys
+// Envelopes, keys and jobs
 // ---------------------------------------------------------------------------
 
-fn put_envelope(b: &mut Vec<u8>, e: &SignedEnvelope) {
-    put_bytes(b, &e.wrapped_key);
-    put_bytes(b, &e.body);
-    put_bytes(b, &e.signature);
-}
+wire_struct!(SignedEnvelope: wrapped_key, body, signature);
 
-fn get_envelope(r: &mut Reader) -> Option<SignedEnvelope> {
-    Some(SignedEnvelope {
-        wrapped_key: r.bytes()?.to_vec(),
-        body: r.bytes()?.to_vec(),
-        signature: r.bytes()?.to_vec(),
-    })
+/// Modulus, then exponent, big-endian. A key that decodes is one an
+/// envelope can be sealed to: [`RsaPublic::from_parts`] refuses the
+/// rest here, where it enters.
+impl Wire for RsaPublic {
+    fn put(&self, b: &mut Vec<u8>) {
+        write_bytes(b, &self.n.to_bytes_be());
+        write_bytes(b, &self.e.to_bytes_be());
+    }
+    fn get(r: &mut Reader) -> Option<Self> {
+        let n = BigUint::from_bytes_be(r.bytes()?);
+        let e = BigUint::from_bytes_be(r.bytes()?);
+        RsaPublic::from_parts(n, e)
+    }
 }
-
-fn put_rsa_public(b: &mut Vec<u8>, p: &RsaPublic) {
-    put_bytes(b, &p.n.to_bytes_be());
-    put_bytes(b, &p.e.to_bytes_be());
-}
-
-fn get_rsa_public(r: &mut Reader) -> Option<RsaPublic> {
-    let n = BigUint::from_bytes_be(r.bytes()?);
-    let e = BigUint::from_bytes_be(r.bytes()?);
-    Some(RsaPublic::new(n, e))
-}
-
-// ---------------------------------------------------------------------------
-// Remote jobs
-// ---------------------------------------------------------------------------
 
 /// The shipped fields of a [`QueryJob`]; the receiver re-derives the
 /// rest (order, parents, fusion sites, participants) in
 /// [`QueryJob::new`]. Servers never see each other's request envelopes
 /// or any private RSA key.
-fn put_job(b: &mut Vec<u8>, j: &QueryJob) {
-    put_plan(b, &j.plan);
-    let mut schemes: Vec<(AttrId, EncScheme)> = j.schemes.iter().collect();
-    schemes.sort_by_key(|(a, _)| a.0);
-    put_u32(b, schemes.len() as u32);
-    for (a, s) in schemes {
-        put_u32(b, a.0);
-        put_u8(
-            b,
-            match s {
-                EncScheme::Random => 0,
-                EncScheme::Deterministic => 1,
-                EncScheme::Ope => 2,
-                EncScheme::Paillier => 3,
-            },
-        );
+impl Wire for QueryJob {
+    fn put(&self, b: &mut Vec<u8>) {
+        self.plan.put(b);
+        let mut schemes: Vec<(AttrId, EncScheme)> = self.schemes.iter().collect();
+        schemes.sort_by_key(|(attr, _)| *attr);
+        schemes.put(b);
+        self.key_of_attr.put(b);
+        self.assignment.put(b);
+        self.user.put(b);
+        self.exec_seed.put(b);
+        self.timeout_ms.put(b);
+        self.fuse.put(b);
     }
-    let mut koa: Vec<(AttrId, u32)> = j.key_of_attr.iter().map(|(a, k)| (*a, *k)).collect();
-    koa.sort_by_key(|(a, _)| a.0);
-    put_u32(b, koa.len() as u32);
-    for (a, k) in koa {
-        put_u32(b, a.0);
-        put_u32(b, k);
+    fn get(r: &mut Reader) -> Option<Self> {
+        let plan = r.get()?;
+        let mut schemes = SchemePlan::default();
+        for (attr, scheme) in r.get::<Vec<(AttrId, EncScheme)>>()? {
+            schemes.set(attr, scheme);
+        }
+        let (key_of_attr, assignment) = (r.get()?, r.get()?);
+        let (user, exec_seed, timeout_ms, fuse) = (r.get()?, r.get()?, r.get()?, r.get()?);
+        // A job whose assignment is not total over its plan is malformed.
+        QueryJob::new(
+            plan,
+            schemes,
+            key_of_attr,
+            assignment,
+            user,
+            exec_seed,
+            timeout_ms,
+            fuse,
+        )
+        .ok()
     }
-    let mut assignment: Vec<(NodeId, SubjectId)> =
-        j.assignment.iter().map(|(n, s)| (*n, *s)).collect();
-    assignment.sort_by_key(|(n, _)| n.0);
-    put_u32(b, assignment.len() as u32);
-    for (n, s) in assignment {
-        put_u32(b, n.0);
-        put_u32(b, s.0);
-    }
-    put_u32(b, j.user.0);
-    put_u64(b, j.exec_seed);
-    put_u64(b, j.timeout_ms);
-    put_bool(b, j.fuse);
-}
-
-fn get_job(r: &mut Reader) -> Option<QueryJob> {
-    let plan = get_plan(r)?;
-    let n = r.u32()? as usize;
-    let mut schemes = SchemePlan::default();
-    for _ in 0..n {
-        let a = AttrId(r.u32()?);
-        let s = match r.u8()? {
-            0 => EncScheme::Random,
-            1 => EncScheme::Deterministic,
-            2 => EncScheme::Ope,
-            3 => EncScheme::Paillier,
-            _ => return None,
-        };
-        schemes.set(a, s);
-    }
-    let n = r.u32()? as usize;
-    let mut key_of_attr = HashMap::with_capacity(n);
-    for _ in 0..n {
-        let a = AttrId(r.u32()?);
-        let k = r.u32()?;
-        key_of_attr.insert(a, k);
-    }
-    let n = r.u32()? as usize;
-    let mut assignment = HashMap::with_capacity(n);
-    for _ in 0..n {
-        let node = NodeId(r.u32()?);
-        let s = SubjectId(r.u32()?);
-        assignment.insert(node, s);
-    }
-    // A job whose assignment is not total over its plan is malformed.
-    QueryJob::new(
-        plan,
-        schemes,
-        key_of_attr,
-        assignment,
-        SubjectId(r.u32()?),
-        r.u64()?,
-        r.u64()?,
-        r.bool()?,
-    )
-    .ok()
 }
 
 // ---------------------------------------------------------------------------
 // Frames
 // ---------------------------------------------------------------------------
+
+wire_struct!(Transfer: node, from, seq, table);
+wire_enum!(Msg { 0 => Table(transfer), 1 => Abort });
 
 /// Every message the TCP transport and the `mpq-server` protocol
 /// exchange, one tag byte each. `Peer`/`Data` are the data plane
@@ -910,229 +668,99 @@ pub(crate) enum Frame {
     Shutdown,
 }
 
+wire_enum!(Frame {
+    0 => Peer { from },
+    1 => Data { epoch, msg },
+    2 => Hello { user, public },
+    3 => HelloAck { me, public },
+    4 => Provision { envelope },
+    5 => ProvisionPublic { id, n },
+    6 => Execute { epoch, job, envelope },
+    7 => Done { epoch, transfers },
+    8 => Failed { epoch, message },
+    9 => Shutdown,
+});
+
+fn encode<T: Wire>(v: &T) -> Vec<u8> {
+    let mut b = Vec::new();
+    v.put(&mut b);
+    b
+}
+
+fn decode<T: Wire>(bytes: &[u8]) -> Option<T> {
+    let mut r = Reader::new(bytes);
+    let v = r.get()?;
+    r.finish()?;
+    Some(v)
+}
+
 /// Encode a frame body (the transport adds the `u32` length prefix).
 pub(crate) fn encode_frame(f: &Frame) -> Vec<u8> {
-    let mut b = Vec::new();
-    match f {
-        Frame::Peer { from } => {
-            put_u8(&mut b, 0);
-            put_u32(&mut b, from.0);
-        }
-        Frame::Data { epoch, msg } => {
-            put_u8(&mut b, 1);
-            put_u64(&mut b, *epoch);
-            match msg {
-                Msg::Table(t) => {
-                    put_u8(&mut b, 0);
-                    put_u32(&mut b, t.node.0);
-                    put_u32(&mut b, t.from.0);
-                    put_u64(&mut b, t.seq);
-                    put_table(&mut b, &t.table);
-                }
-                Msg::Abort => put_u8(&mut b, 1),
-            }
-        }
-        Frame::Hello { user, public } => {
-            put_u8(&mut b, 2);
-            put_u32(&mut b, user.0);
-            put_rsa_public(&mut b, public);
-        }
-        Frame::HelloAck { me, public } => {
-            put_u8(&mut b, 3);
-            put_u32(&mut b, me.0);
-            put_rsa_public(&mut b, public);
-        }
-        Frame::Provision { envelope } => {
-            put_u8(&mut b, 4);
-            put_envelope(&mut b, envelope);
-        }
-        Frame::ProvisionPublic { id, n } => {
-            put_u8(&mut b, 5);
-            put_u32(&mut b, *id);
-            put_bytes(&mut b, n);
-        }
-        Frame::Execute {
-            epoch,
-            job,
-            envelope,
-        } => {
-            put_u8(&mut b, 6);
-            put_u64(&mut b, *epoch);
-            put_job(&mut b, job);
-            match envelope {
-                Some(e) => {
-                    put_bool(&mut b, true);
-                    put_envelope(&mut b, e);
-                }
-                None => put_bool(&mut b, false),
-            }
-        }
-        Frame::Done { epoch, transfers } => {
-            put_u8(&mut b, 7);
-            put_u64(&mut b, *epoch);
-            put_u32(&mut b, transfers.len() as u32);
-            for (f, t, bytes) in transfers {
-                put_u32(&mut b, f.0);
-                put_u32(&mut b, t.0);
-                put_u64(&mut b, *bytes);
-            }
-        }
-        Frame::Failed { epoch, message } => {
-            put_u8(&mut b, 8);
-            put_u64(&mut b, *epoch);
-            put_str(&mut b, message);
-        }
-        Frame::Shutdown => put_u8(&mut b, 9),
-    }
-    b
+    encode(f)
 }
 
 /// Decode a frame body (`None` on any malformation, including
 /// trailing bytes).
 pub(crate) fn decode_frame(bytes: &[u8]) -> Option<Frame> {
-    let mut r = Reader::new(bytes);
-    let frame = match r.u8()? {
-        0 => Frame::Peer {
-            from: SubjectId(r.u32()?),
-        },
-        1 => {
-            let epoch = r.u64()?;
-            let msg = match r.u8()? {
-                0 => Msg::Table(Transfer {
-                    node: NodeId(r.u32()?),
-                    from: SubjectId(r.u32()?),
-                    seq: r.u64()?,
-                    table: get_table(&mut r)?,
-                }),
-                1 => Msg::Abort,
-                _ => return None,
-            };
-            Frame::Data { epoch, msg }
-        }
-        2 => Frame::Hello {
-            user: SubjectId(r.u32()?),
-            public: get_rsa_public(&mut r)?,
-        },
-        3 => Frame::HelloAck {
-            me: SubjectId(r.u32()?),
-            public: get_rsa_public(&mut r)?,
-        },
-        4 => Frame::Provision {
-            envelope: get_envelope(&mut r)?,
-        },
-        5 => Frame::ProvisionPublic {
-            id: r.u32()?,
-            n: r.bytes()?.to_vec(),
-        },
-        6 => {
-            let epoch = r.u64()?;
-            let job = Arc::new(get_job(&mut r)?);
-            let envelope = if r.bool()? {
-                Some(get_envelope(&mut r)?)
-            } else {
-                None
-            };
-            Frame::Execute {
-                epoch,
-                job,
-                envelope,
-            }
-        }
-        7 => {
-            let epoch = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut transfers = Vec::with_capacity(n);
-            for _ in 0..n {
-                let f = SubjectId(r.u32()?);
-                let t = SubjectId(r.u32()?);
-                let bytes = r.u64()?;
-                transfers.push((f, t, bytes));
-            }
-            Frame::Done { epoch, transfers }
-        }
-        8 => Frame::Failed {
-            epoch: r.u64()?,
-            message: r.str()?,
-        },
-        9 => Frame::Shutdown,
-        _ => return None,
-    };
-    r.finish()?;
-    Some(frame)
+    decode(bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpq_algebra::value::EncValue;
     use mpq_algebra::Date;
+    use mpq_core::fixtures::RunningExample;
+    use mpq_crypto::sha256::sha256_hex;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn roundtrip(f: &Frame) -> Frame {
-        decode_frame(&encode_frame(f)).expect("frame decodes")
+    // ---- named fixtures ---------------------------------------------------
+
+    fn date(s: &str) -> Value {
+        Value::Date(Date::parse(s).expect("valid date"))
     }
 
-    #[test]
-    fn values_and_tables_roundtrip() {
-        let table = Table::from_rows(
-            vec![AttrId(3), AttrId(7)],
+    fn enc(scheme: EncScheme, key_id: u32, bytes: &[u8]) -> Value {
+        Value::Enc(EncValue {
+            scheme,
+            key_id,
+            bytes: Arc::from(bytes),
+        })
+    }
+
+    /// A cell of every kind, dense and degraded columns.
+    fn mixed_table() -> Table {
+        Table::from_rows(
+            vec![AttrId(0), AttrId(1), AttrId(2), AttrId(3), AttrId(4)],
             vec![
                 vec![
+                    Value::Int(-42),
+                    Value::Num(1.5),
                     Value::str("alice"),
-                    Value::Date(Date::parse("1970-01-01").expect("valid date")),
+                    date("1994-01-01"),
+                    enc(EncScheme::Deterministic, 1, &[1, 2, 3, 4, 5, 6, 7, 8]),
                 ],
-                vec![Value::Null, Value::Num(1.5)],
+                vec![
+                    Value::Int(7),
+                    Value::Num(-0.25),
+                    Value::Null,
+                    date("1970-01-01"),
+                    enc(EncScheme::Paillier, 2, &[9; 40]),
+                ],
+                vec![
+                    Value::Int(i64::MAX),
+                    Value::Num(0.0),
+                    Value::str(""),
+                    Value::Null,
+                    enc(EncScheme::Ope, 3, &[0, 0, 0, 0, 0, 0, 1, 0]),
+                ],
             ],
-        );
-        let f = roundtrip(&Frame::Data {
-            epoch: 42,
-            msg: Msg::Table(Transfer {
-                node: NodeId(5),
-                from: SubjectId(2),
-                seq: 77,
-                table: table.clone(),
-            }),
-        });
-        match f {
-            Frame::Data {
-                epoch: 42,
-                msg:
-                    Msg::Table(Transfer {
-                        node,
-                        from,
-                        seq,
-                        table: t,
-                    }),
-            } => {
-                assert_eq!(node, NodeId(5));
-                assert_eq!(from, SubjectId(2));
-                assert_eq!(seq, 77);
-                assert_eq!(t.attrs(), table.attrs());
-                assert_eq!(t.to_rows(), table.to_rows());
-                assert_eq!(t.byte_size(), table.byte_size());
-            }
-            _ => panic!("wrong frame"),
-        }
+        )
     }
 
-    #[test]
-    fn plans_roundtrip_with_identical_node_ids() {
-        use mpq_core::fixtures::RunningExample;
-        let ex = RunningExample::new();
-        for plan in [&ex.plan, &ex.fig7a_extended().plan] {
-            let mut b = Vec::new();
-            put_plan(&mut b, plan);
-            let back = get_plan(&mut Reader::new(&b)).expect("plan decodes");
-            assert_eq!(back.len(), plan.len());
-            assert_eq!(back.root(), plan.root());
-            for id in plan.postorder() {
-                assert_eq!(back.node(id).op, plan.node(id).op);
-                assert_eq!(back.node(id).children, plan.node(id).children);
-            }
-        }
-    }
-
-    #[test]
-    fn expressions_roundtrip() {
-        let e = Expr::And(vec![
+    fn fixture_expr() -> Expr {
+        Expr::And(vec![
             Expr::Cmp(
                 Box::new(Expr::Col(AttrId(1))),
                 CmpOp::Ge,
@@ -1158,33 +786,717 @@ mod tests {
                 start: 1,
                 len: 2,
             },
-        ]);
-        let mut b = Vec::new();
-        put_expr(&mut b, &e);
-        let back = get_expr(&mut Reader::new(&b)).expect("expr decodes");
-        assert_eq!(back, e);
+        ])
+    }
+
+    /// The Fig. 7(a) extended plan as the job an `Execute` carries.
+    fn fig7a_job() -> QueryJob {
+        let ex = RunningExample::new();
+        let ext = ex.fig7a_extended();
+        let schemes = mpq_exec::assign_schemes(&ext.plan).expect("fig7a schemes do not conflict");
+        let key_of_attr = ext
+            .encrypted_attrs
+            .iter()
+            .enumerate()
+            .map(|(i, a)| (a, i as u32 + 1))
+            .collect();
+        QueryJob::new(
+            ext.plan,
+            schemes,
+            key_of_attr,
+            ext.assignment,
+            ex.subject("U"),
+            7,
+            30_000,
+            true,
+        )
+        .expect("the fig7a assignment is total")
+    }
+
+    fn golden_key() -> RsaPublic {
+        let mut n: Vec<u8> = (0..64u8)
+            .map(|i| i.wrapping_mul(37).wrapping_add(0x81))
+            .collect();
+        n[63] |= 1;
+        RsaPublic::from_parts(BigUint::from_bytes_be(&n), BigUint::from_u64(65_537))
+            .expect("odd, 64 bytes wide, e = 65537")
+    }
+
+    fn golden_envelope() -> SignedEnvelope {
+        SignedEnvelope {
+            wrapped_key: (0..64u8).collect(),
+            body: (0..100u8).rev().collect(),
+            signature: vec![0xA5; 64],
+        }
+    }
+
+    fn data_frame(table: Table) -> Frame {
+        Frame::Data {
+            epoch: 42,
+            msg: Msg::Table(Transfer {
+                node: NodeId(5),
+                from: SubjectId(2),
+                seq: 77,
+                table,
+            }),
+        }
+    }
+
+    /// The frames whose bytes are pinned: what a Fig. 7(a) query puts
+    /// on the wire, one of each shape.
+    fn golden_corpus() -> Vec<Frame> {
+        vec![
+            Frame::Execute {
+                epoch: 3,
+                job: Arc::new(fig7a_job()),
+                envelope: Some(golden_envelope()),
+            },
+            data_frame(mixed_table()),
+            Frame::Hello {
+                user: SubjectId(0),
+                public: golden_key(),
+            },
+            Frame::Provision {
+                envelope: golden_envelope(),
+            },
+            Frame::Done {
+                epoch: 9,
+                transfers: vec![
+                    (SubjectId(1), SubjectId(3), 4096),
+                    (SubjectId(2), SubjectId(3), u64::MAX),
+                ],
+            },
+            Frame::Failed {
+                epoch: 9,
+                message: "audit: attribute a3 not visible to s4".into(),
+            },
+        ]
+    }
+
+    // ---- seeded generators ------------------------------------------------
+
+    fn gen_vec<T>(rng: &mut StdRng, max: usize, mut f: impl FnMut(&mut StdRng) -> T) -> Vec<T> {
+        (0..rng.gen_range(0..=max)).map(|_| f(rng)).collect()
+    }
+
+    fn gen_attr(rng: &mut StdRng) -> AttrId {
+        AttrId(rng.gen_range(0..12))
+    }
+
+    fn gen_attrs(rng: &mut StdRng) -> Vec<AttrId> {
+        gen_vec(rng, 4, gen_attr)
+    }
+
+    fn gen_string(rng: &mut StdRng) -> String {
+        gen_vec(rng, 6, |r| {
+            ['a', 'Z', '%', '_', 'é', '7'][r.gen_range(0..6)]
+        })
+        .into_iter()
+        .collect()
+    }
+
+    fn gen_value(rng: &mut StdRng) -> Value {
+        match rng.gen_range(0..7) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.gen()),
+            2 => Value::Int(rng.gen()),
+            3 => Value::Num(rng.gen_range(-1_000_000i64..1_000_000) as f64 / 64.0),
+            4 => Value::str(&gen_string(rng)),
+            5 => Value::Date(Date(rng.gen_range(-30_000..60_000))),
+            _ => {
+                let scheme = EncScheme::ALL[rng.gen_range(0..4)];
+                enc(scheme, rng.gen(), &gen_vec(rng, 24, |r| r.gen::<u8>()))
+            }
+        }
+    }
+
+    fn gen_cmp(rng: &mut StdRng) -> CmpOp {
+        [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ][rng.gen_range(0..6)]
+    }
+
+    fn gen_expr(rng: &mut StdRng, depth: usize) -> Expr {
+        let sub = |rng: &mut StdRng| Box::new(gen_expr(rng, depth - 1));
+        let variants = if depth == 0 { 3 } else { 15 };
+        match rng.gen_range(0..variants) {
+            0 => Expr::Col(gen_attr(rng)),
+            1 => Expr::AggRef(rng.gen_range(0..5)),
+            2 => Expr::Lit(gen_value(rng)),
+            3 => Expr::Cmp(sub(rng), gen_cmp(rng), sub(rng)),
+            4 => Expr::And(gen_vec(rng, 3, |r| gen_expr(r, depth - 1))),
+            5 => Expr::Or(gen_vec(rng, 3, |r| gen_expr(r, depth - 1))),
+            6 => Expr::Not(sub(rng)),
+            7 => {
+                let op =
+                    [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div][rng.gen_range(0..4)];
+                Expr::Arith(sub(rng), op, sub(rng))
+            }
+            8 => Expr::Like {
+                expr: sub(rng),
+                pattern: gen_string(rng),
+                negated: rng.gen(),
+            },
+            9 => Expr::Between {
+                expr: sub(rng),
+                lo: sub(rng),
+                hi: sub(rng),
+                negated: rng.gen(),
+            },
+            10 => Expr::InList {
+                expr: sub(rng),
+                list: gen_vec(rng, 4, gen_value),
+                negated: rng.gen(),
+            },
+            11 => Expr::Case {
+                branches: gen_vec(rng, 2, |r| (gen_expr(r, depth - 1), gen_expr(r, depth - 1))),
+                else_: rng.gen::<bool>().then(|| sub(rng)),
+            },
+            12 => Expr::IsNull {
+                expr: sub(rng),
+                negated: rng.gen(),
+            },
+            13 => Expr::Extract {
+                field: DateField::Year,
+                expr: sub(rng),
+            },
+            _ => Expr::Substring {
+                expr: sub(rng),
+                start: rng.gen_range(0..9),
+                len: rng.gen_range(0..9),
+            },
+        }
+    }
+
+    /// A random operator of the given arity (every variant is reachable:
+    /// one leaf, nine unary, two binary).
+    fn gen_operator(rng: &mut StdRng, arity: usize) -> Operator {
+        let pred = |rng: &mut StdRng| gen_expr(rng, 2);
+        match (arity, rng.gen_range(0..9)) {
+            (0, _) => Operator::Base {
+                rel: RelId(rng.gen_range(0..4)),
+                attrs: gen_attrs(rng),
+            },
+            (2, k) if k < 3 => Operator::Product,
+            (2, _) => Operator::Join {
+                kind: [
+                    JoinKind::Inner,
+                    JoinKind::LeftOuter,
+                    JoinKind::Semi,
+                    JoinKind::Anti,
+                ][rng.gen_range(0..4)],
+                on: gen_vec(rng, 2, |r| (gen_attr(r), gen_cmp(r), gen_attr(r))),
+                residual: rng.gen::<bool>().then(|| pred(rng)),
+            },
+            (_, 0) => Operator::Project {
+                attrs: gen_attrs(rng),
+            },
+            (_, 1) => Operator::Select { pred: pred(rng) },
+            (_, 2) => Operator::GroupBy {
+                keys: gen_attrs(rng),
+                aggs: gen_vec(rng, 3, |r| AggExpr {
+                    func: [
+                        AggFunc::Count,
+                        AggFunc::CountDistinct,
+                        AggFunc::Sum,
+                        AggFunc::Avg,
+                        AggFunc::Min,
+                        AggFunc::Max,
+                    ][r.gen_range(0..6)],
+                    input: gen_expr(r, 1),
+                    output: gen_attr(r),
+                }),
+            },
+            (_, 3) => Operator::Having { pred: pred(rng) },
+            (_, 4) => Operator::Udf {
+                name: gen_string(rng),
+                inputs: gen_attrs(rng),
+                output: gen_attr(rng),
+                body: rng.gen::<bool>().then(|| pred(rng)),
+            },
+            (_, 5) => Operator::Encrypt {
+                attrs: gen_attrs(rng),
+            },
+            (_, 6) => Operator::Decrypt {
+                attrs: gen_attrs(rng),
+            },
+            (_, 7) => Operator::Sort {
+                keys: gen_vec(rng, 3, |r| (gen_expr(r, 1), r.gen())),
+            },
+            _ => Operator::Limit { n: rng.gen() },
+        }
+    }
+
+    /// A random tree, then a few `splice_above`s — so, like a real
+    /// extended plan, the arena has forward child edges and a root that
+    /// is not the last node.
+    fn gen_plan(rng: &mut StdRng) -> QueryPlan {
+        let mut plan = QueryPlan::new();
+        let mut open: Vec<NodeId> = (0..rng.gen_range(1..4))
+            .map(|_| plan.add(gen_operator(rng, 0), vec![]))
+            .collect();
+        let mut unary_budget: u32 = rng.gen_range(0..5);
+        while open.len() > 1 || unary_budget > 0 {
+            if open.len() > 1 && rng.gen::<bool>() {
+                let (r, l) = (open.pop().expect("two open"), open.pop().expect("two open"));
+                open.push(plan.add(gen_operator(rng, 2), vec![l, r]));
+            } else {
+                let i = rng.gen_range(0..open.len());
+                open[i] = plan.add(gen_operator(rng, 1), vec![open[i]]);
+                unary_budget = unary_budget.saturating_sub(1);
+            }
+        }
+        for _ in 0..rng.gen_range(0..4) {
+            let child = NodeId::from_index(rng.gen_range(0..plan.len()));
+            let attrs = gen_attrs(rng);
+            plan.splice_above(child, Operator::Encrypt { attrs });
+        }
+        plan
+    }
+
+    fn gen_table(rng: &mut StdRng) -> Table {
+        let attrs = gen_attrs(rng);
+        let nrows = rng.gen_range(0..12);
+        let cols = attrs
+            .iter()
+            .map(|_| match rng.gen_range(0..3) {
+                0 => ColumnVec::from_ints((0..nrows).map(|_| rng.gen()).collect()),
+                1 => ColumnVec::from_nums((0..nrows).map(|i| i as f64 * 0.5).collect()),
+                _ => (0..nrows).map(|_| gen_value(rng)).collect(),
+            })
+            .collect();
+        Table::from_batch(Batch::new(TableSchema::new(attrs), cols))
+    }
+
+    fn gen_job(rng: &mut StdRng) -> QueryJob {
+        let plan = gen_plan(rng);
+        let mut schemes = SchemePlan::default();
+        for a in gen_attrs(rng) {
+            schemes.set(a, EncScheme::ALL[rng.gen_range(0..4)]);
+        }
+        let key_of_attr = gen_attrs(rng).into_iter().map(|a| (a, rng.gen())).collect();
+        let assignment = (0..plan.len())
+            .map(|i| (NodeId::from_index(i), SubjectId(rng.gen_range(0..5))))
+            .collect();
+        let user = SubjectId(rng.gen_range(0..5));
+        QueryJob::new(
+            plan,
+            schemes,
+            key_of_attr,
+            assignment,
+            user,
+            rng.gen(),
+            rng.gen_range(0..60_000),
+            rng.gen(),
+        )
+        .expect("assignment covers the arena")
+    }
+
+    fn gen_envelope(rng: &mut StdRng) -> SignedEnvelope {
+        SignedEnvelope {
+            wrapped_key: gen_vec(rng, 64, |r| r.gen::<u8>()),
+            body: gen_vec(rng, 200, |r| r.gen::<u8>()),
+            signature: gen_vec(rng, 64, |r| r.gen::<u8>()),
+        }
+    }
+
+    /// A random frame of variant `tag`.
+    fn gen_frame(rng: &mut StdRng, tag: u8) -> Frame {
+        let subject = |rng: &mut StdRng| SubjectId(rng.gen_range(0..6));
+        match tag {
+            0 => Frame::Peer { from: subject(rng) },
+            1 if rng.gen_range(0..4) == 0 => Frame::Data {
+                epoch: rng.gen(),
+                msg: Msg::Abort,
+            },
+            1 => data_frame(gen_table(rng)),
+            2 => Frame::Hello {
+                user: subject(rng),
+                public: golden_key(),
+            },
+            3 => Frame::HelloAck {
+                me: subject(rng),
+                public: golden_key(),
+            },
+            4 => Frame::Provision {
+                envelope: gen_envelope(rng),
+            },
+            5 => Frame::ProvisionPublic {
+                id: rng.gen(),
+                n: gen_vec(rng, 64, |r| r.gen::<u8>()),
+            },
+            6 => Frame::Execute {
+                epoch: rng.gen(),
+                job: Arc::new(gen_job(rng)),
+                envelope: rng.gen::<bool>().then(|| gen_envelope(rng)),
+            },
+            7 => Frame::Done {
+                epoch: rng.gen(),
+                transfers: gen_vec(rng, 4, |r| (subject(r), subject(r), r.gen())),
+            },
+            8 => Frame::Failed {
+                epoch: rng.gen(),
+                message: gen_string(rng),
+            },
+            _ => Frame::Shutdown,
+        }
+    }
+
+    // ---- the round-trip property -------------------------------------------
+
+    /// `decode(encode(x))` exists and re-encodes to the same bytes.
+    fn roundtrip<T: Wire>(x: &T) -> T {
+        let bytes = encode(x);
+        let back: T = decode(&bytes).expect("what was encoded decodes");
+        assert_eq!(encode(&back), bytes, "re-encoding differs");
+        back
+    }
+
+    /// …and, where the type can say so, is `x`.
+    fn roundtrip_eq<T: Wire + PartialEq + std::fmt::Debug>(x: &T) {
+        assert_eq!(&roundtrip(x), x);
+    }
+
+    /// The receiver re-derives everything the sender derived.
+    fn assert_same_job(back: &QueryJob, job: &QueryJob) {
+        assert_eq!(back.plan, job.plan);
+        assert_eq!(back.key_of_attr, job.key_of_attr);
+        assert_eq!(back.assignment, job.assignment);
+        let schemes = |j: &QueryJob| j.schemes.iter().collect::<HashMap<_, _>>();
+        assert_eq!(schemes(back), schemes(job));
+        assert_eq!(
+            (back.user, back.exec_seed, back.timeout_ms, back.fuse),
+            (job.user, job.exec_seed, job.timeout_ms, job.fuse)
+        );
+        assert_eq!(back.order, job.order);
+        assert_eq!(back.parents, job.parents);
+        assert_eq!(back.fused, job.fused);
+        assert_eq!(back.participants, job.participants);
+    }
+
+    fn roundtrip_frame(f: &Frame) {
+        match (roundtrip(f), f) {
+            (Frame::Execute { job: back, .. }, Frame::Execute { job, .. }) => {
+                assert_same_job(&back, job)
+            }
+            (
+                Frame::Data {
+                    msg: Msg::Table(back),
+                    ..
+                },
+                Frame::Data {
+                    msg: Msg::Table(t), ..
+                },
+            ) => {
+                assert_eq!((back.node, back.from, back.seq), (t.node, t.from, t.seq));
+                assert_eq!(back.table, t.table);
+                assert_eq!(back.table.byte_size(), t.table.byte_size());
+            }
+            (back, f) => assert_eq!(
+                std::mem::discriminant(&back),
+                std::mem::discriminant(f),
+                "{back:?}"
+            ),
+        }
+    }
+
+    #[test]
+    fn everything_roundtrips() {
+        // The named inputs first…
+        let ex = RunningExample::new();
+        roundtrip_eq(&fixture_expr());
+        roundtrip_eq(&mixed_table());
+        roundtrip_eq(&Table::new(vec![AttrId(0)]));
+        roundtrip_eq(&Table::default());
+        for plan in [&ex.plan, &ex.fig7a_extended().plan] {
+            roundtrip_eq(plan);
+            for id in plan.postorder() {
+                roundtrip_eq(&plan.node(id).op);
+            }
+        }
+        golden_corpus().iter().for_each(roundtrip_frame);
+        // …then generated ones.
+        for seed in 0..200 {
+            let rng = &mut StdRng::seed_from_u64(seed);
+            roundtrip_eq(&gen_value(rng));
+            roundtrip_eq(&gen_expr(rng, 3));
+            roundtrip_eq(&gen_operator(rng, seed as usize % 3));
+            roundtrip_eq(&gen_plan(rng));
+            roundtrip_eq(&gen_table(rng));
+            for tag in 0..10 {
+                roundtrip_frame(&gen_frame(rng, tag));
+            }
+        }
+    }
+
+    // ---- the format is pinned ---------------------------------------------
+
+    /// SHA-256 over `len ‖ encode_frame(f)` of the golden corpus, taken
+    /// at the commit before the codec was rebuilt on `Wire`: the
+    /// encoding has not moved by a byte since.
+    #[test]
+    fn golden_corpus_encodes_to_the_pinned_bytes() {
+        let mut all = Vec::new();
+        for f in golden_corpus() {
+            write_bytes(&mut all, &encode_frame(&f));
+        }
+        assert_eq!(
+            sha256_hex(&all),
+            "eb66a0ac4de747be10a2c612db03e54b2448e80a42abf20793f666aa51f2a8f1"
+        );
+    }
+
+    // ---- hostile input ------------------------------------------------------
+
+    /// Hand-assembled frame bytes.
+    #[derive(Default)]
+    struct Bytes(Vec<u8>);
+
+    impl Bytes {
+        fn u8(mut self, v: u8) -> Bytes {
+            self.0.push(v);
+            self
+        }
+        fn u32(mut self, v: u32) -> Bytes {
+            v.put(&mut self.0);
+            self
+        }
+        fn u64(mut self, v: u64) -> Bytes {
+            v.put(&mut self.0);
+            self
+        }
+        /// `Data { epoch: 1, msg: Table(Transfer { node, from, seq: 0, ..`
+        /// — everything before the table.
+        fn data_header() -> Bytes {
+            Bytes::default().u8(1).u64(1).u8(0).u32(0).u32(0).u64(0)
+        }
+        /// The count field under test: as many elements as a `u32` can
+        /// claim, and then nothing.
+        fn hostile(self) -> Vec<u8> {
+            self.u32(u32::MAX).0
+        }
+    }
+
+    #[test]
+    fn a_count_the_frame_cannot_back_is_refused_before_allocation() {
+        // The reader itself: a count is believed up to the bytes left.
+        let counted = |body: usize, min_each| {
+            let mut b = Vec::new();
+            write_len(&mut b, 3);
+            b.resize(4 + body, 0);
+            Reader::new(&b).count(min_each)
+        };
+        assert_eq!(counted(12, 4), Some(3));
+        assert_eq!(counted(11, 4), None);
+        assert_eq!(counted(0, 0), Some(3));
+        assert_eq!(
+            Reader::new(&Bytes::default().hostile()).count(usize::MAX),
+            None
+        );
+
+        // Every count field of every frame, claiming u32::MAX elements.
+        let data = Bytes::data_header;
+        let execute = || Bytes::default().u8(6).u64(1);
+        // …one node, no children, operator `op`.
+        let leaf_op = |op: u8| execute().u32(1).u32(0).u8(op);
+        // …one node, one child edge, operator `op`.
+        let unary_op = |op: u8| execute().u32(1).u32(1).u32(0).u8(op);
+        // …a whole one-node plan (`Base { rel: 0, attrs: [] }`, root 0).
+        let after_plan = || leaf_op(0).u32(0).u32(0).u32(0);
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("table.attrs", data().hostile()),
+            ("table.rows", data().u32(1).u32(7).hostile()),
+            ("table.cell", data().u32(1).u32(7).u32(1).hostile()),
+            ("plan.nodes", execute().hostile()),
+            ("node.children", execute().u32(1).hostile()),
+            ("base.attrs", leaf_op(0).u32(0).hostile()),
+            ("project.attrs", unary_op(1).hostile()),
+            ("select.and", unary_op(2).u8(4).hostile()),
+            ("select.or", unary_op(2).u8(5).hostile()),
+            ("select.lit", unary_op(2).u8(2).hostile()),
+            (
+                "select.like.pattern",
+                unary_op(2).u8(8).u8(0).u32(0).hostile(),
+            ),
+            ("select.in.list", unary_op(2).u8(10).u8(0).u32(0).hostile()),
+            ("select.case.branches", unary_op(2).u8(11).hostile()),
+            (
+                "join.on",
+                execute().u32(1).u32(2).u32(0).u32(0).u8(4).u8(0).hostile(),
+            ),
+            ("groupby.keys", unary_op(5).hostile()),
+            ("groupby.aggs", unary_op(5).u32(0).hostile()),
+            ("udf.name", unary_op(7).hostile()),
+            ("udf.inputs", unary_op(7).u32(0).hostile()),
+            ("encrypt.attrs", unary_op(8).hostile()),
+            ("decrypt.attrs", unary_op(9).hostile()),
+            ("sort.keys", unary_op(10).hostile()),
+            ("job.schemes", after_plan().hostile()),
+            ("job.key_of_attr", after_plan().u32(0).hostile()),
+            ("job.assignment", after_plan().u32(0).u32(0).hostile()),
+            ("hello.modulus", Bytes::default().u8(2).u32(0).hostile()),
+            (
+                "hello.exponent",
+                Bytes::default().u8(2).u32(0).u32(1).u8(5).hostile(),
+            ),
+            ("helloack.modulus", Bytes::default().u8(3).u32(0).hostile()),
+            ("provision.wrapped_key", Bytes::default().u8(4).hostile()),
+            ("provision.body", Bytes::default().u8(4).u32(0).hostile()),
+            (
+                "provision.signature",
+                Bytes::default().u8(4).u32(0).u32(0).hostile(),
+            ),
+            (
+                "provision_public.n",
+                Bytes::default().u8(5).u32(1).hostile(),
+            ),
+            ("done.transfers", Bytes::default().u8(7).u64(1).hostile()),
+            ("failed.message", Bytes::default().u8(8).u64(1).hostile()),
+        ];
+        for (field, frame) in cases {
+            assert!(frame.len() <= 64, "{field}: {} bytes", frame.len());
+            assert!(decode_frame(&frame).is_none(), "{field} decoded");
+            // The same frame with the count made honest (zero elements)
+            // gets past this field: the refusal above was the count's.
+            let mut honest = frame.clone();
+            let at = honest.len() - 4;
+            honest[at..].fill(0);
+            let mut r = Reader::new(&honest);
+            r.at = at;
+            assert_eq!(r.count(1), Some(0), "{field}");
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_byte_flip_of_the_corpus_returns() {
+        let mut decoded = 0usize;
+        for frame in golden_corpus() {
+            let good = encode_frame(&frame);
+            for cut in 0..good.len() {
+                assert!(decode_frame(&good[..cut]).is_none(), "prefix {cut} decoded");
+            }
+            for at in 0..good.len() {
+                for flip in [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF] {
+                    let mut bad = good.clone();
+                    bad[at] ^= flip;
+                    // `Some` or `None`, but it returns.
+                    decoded += usize::from(decode_frame(&bad).is_some());
+                }
+            }
+        }
+        // Most flips land in payload bytes and still decode; the sweep
+        // is not vacuous in either direction.
+        assert!(decoded > 1_000, "only {decoded} mutants decoded");
+    }
+
+    #[test]
+    fn nesting_is_bounded_before_the_stack_is() {
+        let select = |depth: usize| {
+            let mut f = Bytes::default().u8(6).u64(1).u32(1).u32(1).u32(0).u8(2).0;
+            f.extend(std::iter::repeat(6).take(depth)); // Not(Not(…
+            f.extend([0, 0, 0, 0, 9]); // …Col(a9)))
+            f
+        };
+        // Deep enough to overflow any stack if it were followed…
+        assert!(decode_frame(&select(1 << 20)).is_none());
+        // …while the deepest predicates the cap admits — far beyond any
+        // real one — decode on this 2 MiB test-thread stack (the frame
+        // itself fails later: a Select over its own node).
+        let admitted = (0..MAX_DEPTH)
+            .filter(|&depth| {
+                let frame = select(depth);
+                Reader::new(&frame[9..]).get::<Vec<PlanNode>>().is_some()
+            })
+            .count();
+        assert!((100..MAX_DEPTH / 2).contains(&admitted), "{admitted}");
     }
 
     #[test]
     fn malformed_frames_are_rejected_not_panicked() {
         assert!(decode_frame(&[]).is_none());
         assert!(decode_frame(&[99]).is_none());
-        // Truncated table frame.
-        let mut good = encode_frame(&Frame::Data {
-            epoch: 1,
-            msg: Msg::Table(Transfer {
-                node: NodeId(0),
-                from: SubjectId(0),
-                seq: 0,
-                table: Table::new(vec![AttrId(0)]),
-            }),
-        });
-        good.pop();
-        assert!(decode_frame(&good).is_none());
         // Trailing garbage.
         let mut padded = encode_frame(&Frame::Shutdown);
         padded.push(0);
         assert!(decode_frame(&padded).is_none());
+        // A plan that is not a tree: two parents share a child.
+        let shared = execute_with_nodes(&[(&[], 0), (&[0], 1), (&[0], 1), (&[1, 2], 3)], 3);
+        assert!(decode_frame(&shared).is_none());
+        // …a cycle…
+        let cycle = execute_with_nodes(&[(&[1], 1), (&[0], 1)], 0);
+        assert!(decode_frame(&cycle).is_none());
+        // …a child or a root out of bounds, an arity mismatch, no nodes.
+        assert!(decode_frame(&execute_with_nodes(&[(&[5], 1)], 0)).is_none());
+        assert!(decode_frame(&execute_with_nodes(&[(&[], 0)], 1)).is_none());
+        assert!(decode_frame(&execute_with_nodes(&[(&[], 3), (&[0], 3)], 1)).is_none());
+        assert!(decode_frame(&execute_with_nodes(&[], 0)).is_none());
+        // The same shape, well-formed, decodes.
+        let tree = execute_with_nodes(&[(&[], 0), (&[], 0), (&[0, 1], 3)], 2);
+        assert!(decode_frame(&tree).is_some());
+    }
+
+    /// An `Execute` frame whose plan has the given `(children, op tag)`
+    /// nodes — ops 0 (`Base`), 1 (`Project`) and 3 (`Product`), each
+    /// with empty attribute lists — every node assigned to subject 0.
+    fn execute_with_nodes(nodes: &[(&[u32], u8)], root: u32) -> Vec<u8> {
+        let mut b = Bytes::default().u8(6).u64(1).u32(nodes.len() as u32);
+        for (children, op) in nodes {
+            b = b.u32(children.len() as u32);
+            for c in *children {
+                b = b.u32(*c);
+            }
+            b = match op {
+                0 => b.u8(0).u32(0).u32(0),
+                1 => b.u8(1).u32(0),
+                _ => b.u8(*op),
+            };
+        }
+        b = b.u32(root).u32(0).u32(0).u32(nodes.len() as u32);
+        for i in 0..nodes.len() as u32 {
+            b = b.u32(i).u32(0);
+        }
+        b.u32(0).u64(0).u64(0).u8(0).u8(0).0
+    }
+
+    #[test]
+    fn key_material_and_scheme_tags_are_validated_at_decode() {
+        // A HelloAck whose modulus could not wrap a session key used to
+        // decode, and panicked the coordinator's first `seal`.
+        let hello_ack = |n: &[u8], e: &[u8]| {
+            let mut b = Bytes::default().u8(3).u32(1).0;
+            write_bytes(&mut b, n);
+            write_bytes(&mut b, e);
+            b
+        };
+        assert!(decode_frame(&hello_ack(&[0xFF; 8], &[1, 0, 1])).is_none());
+        assert!(decode_frame(&hello_ack(&[0xFF; 26], &[1, 0, 1])).is_none());
+        assert!(decode_frame(&hello_ack(&[0xFE; 27], &[1, 0, 1])).is_none());
+        assert!(decode_frame(&hello_ack(&[0xFF; 27], &[1])).is_none());
+        assert!(decode_frame(&hello_ack(&[0xFF; 27], &[1, 0, 1])).is_some());
+
+        // A scheme byte no scheme has: in a job's scheme list…
+        let job_with_scheme = |tag: u8| {
+            let mut f = execute_with_nodes(&[(&[], 0)], 0);
+            // schemes: the empty list → one `(a0, tag)` entry.
+            let at = 1 + 8 + 4 + (4 + 1 + 4 + 4) + 4;
+            f.splice(at..at + 4, [0, 0, 0, 1, 0, 0, 0, 0, tag]);
+            f
+        };
+        assert!(decode_frame(&job_with_scheme(3)).is_some());
+        assert!(decode_frame(&job_with_scheme(4)).is_none());
+        // …and in a ciphertext cell.
+        let cell = |scheme: u8| {
+            let mut f = Bytes::data_header().u32(1).u32(7).u32(1).0;
+            write_bytes(&mut f, &[6, scheme, 0, 0, 0, 1, 0xAB]);
+            f
+        };
+        assert!(decode_frame(&cell(3)).is_some());
+        assert!(decode_frame(&cell(4)).is_none());
     }
 
     #[test]

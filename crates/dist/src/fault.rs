@@ -11,12 +11,10 @@
 //! backend to the bit-identical schedule, so a failure observed over
 //! real sockets replays in-process under a debugger.
 //!
-//! A plan is configured three ways, in priority order:
-//!
-//! 1. explicitly, via [`SessionConfig::faults`](crate::SessionConfig)
-//!    or [`ServerConfig`](crate::ServerConfig);
-//! 2. the `MPQ_FAULTS` environment variable ([`FaultPlan::from_env`]);
-//! 3. absent — the wire delivers first-try, zero overhead.
+//! A plan is configured explicitly, via
+//! [`SessionConfig::faults`](crate::SessionConfig) or
+//! [`ServerConfig`](crate::ServerConfig) (the `--faults` flag of the
+//! binaries); absent, the wire delivers first-try, zero overhead.
 //!
 //! Recovery from injected (and real) failures is governed by a
 //! [`RetryPolicy`]: a bounded attempt budget with decorrelated-jitter
@@ -52,7 +50,7 @@ pub enum FaultAction {
 /// Rates are per-mille per delivery attempt; the decision for attempt
 /// `index` on directed edge `from → to` is a pure hash of
 /// `(seed, from, to, index)` — see [`FaultPlan::decide`]. Parsed from
-/// compact `key=value` specs (the `--faults` flag / `MPQ_FAULTS` env):
+/// compact `key=value` specs (the `--faults` flag):
 ///
 /// ```text
 /// seed=7,drop=100,reset=50,truncate=30,delay=200,delay-ms=10,stall=5,stall-ms=3000,max=8
@@ -152,20 +150,6 @@ impl FaultPlan {
             ));
         }
         Ok(plan)
-    }
-
-    /// The plan configured by the `MPQ_FAULTS` environment variable,
-    /// if any. Panics on a malformed spec — an operator typo must not
-    /// silently run fault-free.
-    pub fn from_env() -> Option<FaultPlan> {
-        let spec = std::env::var("MPQ_FAULTS").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        match FaultPlan::parse(&spec) {
-            Ok(plan) => Some(plan),
-            Err(e) => panic!("MPQ_FAULTS: {e}"),
-        }
     }
 
     /// Sum of all per-mille fault rates.

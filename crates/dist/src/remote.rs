@@ -124,8 +124,8 @@ pub struct ServerConfig {
     pub view: SubjectView,
     /// This subject's partition of the base relations.
     pub store: Database,
-    /// Fault schedule for this server's *sending* data plane (falls
-    /// back to `MPQ_FAULTS` when `None`).
+    /// Fault schedule for this server's *sending* data plane (`None`:
+    /// no injection).
     pub faults: Option<FaultPlan>,
     /// Retry budget and backoff shape for data-plane sends.
     pub retry: RetryPolicy,
@@ -224,12 +224,11 @@ impl Server {
             self.peers.clone(),
             CONNECT_TIMEOUT,
         ));
-        let plan = self.faults.clone().or_else(FaultPlan::from_env);
         Wire::new(
             self.party.me,
             self.seed,
             backend,
-            Arc::new(Mutex::new(FaultState::new(plan))),
+            Arc::new(Mutex::new(FaultState::new(self.faults.clone()))),
             self.retry,
             Arc::new(WireStats::default()),
         )
@@ -615,9 +614,8 @@ impl Coordinator {
         let timeout = config
             .effective_timeout()
             .unwrap_or(Duration::from_secs(10));
-        let plan = config.faults.clone().or_else(FaultPlan::from_env);
-        let wire_of = |seed, backend, plan| {
-            let faults = Arc::new(Mutex::new(FaultState::new(plan)));
+        let wire_of = |seed, backend| {
+            let faults = Arc::new(Mutex::new(FaultState::new(config.faults.clone())));
             Wire::new(user, seed, backend, faults, config.retry, Arc::default())
         };
         let links = Arc::new(ControlLinks {
@@ -629,13 +627,9 @@ impl Coordinator {
             wait: timeout + DONE_SLACK,
             state: Mutex::default(),
         });
-        let ctl = wire_of(
-            config.seed ^ CTL_SALT,
-            Arc::clone(&links) as _,
-            plan.clone(),
-        );
+        let ctl = wire_of(config.seed ^ CTL_SALT, Arc::clone(&links) as _);
         let peers = Arc::new(TcpTransport::new(user, servers.clone(), CONNECT_TIMEOUT));
-        let wire = wire_of(config.seed, peers as _, plan);
+        let wire = wire_of(config.seed, peers as _);
         let mut order: Vec<SubjectId> = servers.keys().copied().collect();
         order.sort_by_key(|s| s.index());
         for s in order {

@@ -92,9 +92,8 @@ pub struct SessionConfig {
     /// (peers share our fate), 10 s over TCP (a dead peer must abort
     /// the query, not hang it).
     pub timeout: Option<Duration>,
-    /// Deterministic transport-fault schedule (chaos testing). `None`
-    /// falls back to the `MPQ_FAULTS` environment variable, then to no
-    /// injection.
+    /// Deterministic transport-fault schedule (chaos testing). `None`:
+    /// no injection.
     pub faults: Option<FaultPlan>,
     /// Bounded per-message retry with seeded backoff, applied to every
     /// data-plane send (real failures and injected ones alike).
@@ -644,8 +643,7 @@ impl Session {
         config: SessionConfig,
     ) -> Session {
         let (parties, dispatcher) = set_up(catalog, subjects, policy, db, &config);
-        let plan = config.faults.clone().or_else(FaultPlan::from_env);
-        let faults = Arc::new(Mutex::new(FaultState::new(plan)));
+        let faults = Arc::new(Mutex::new(FaultState::new(config.faults.clone())));
         let wire_stats = Arc::new(WireStats::default());
         let threads = PartyThreads::spawn(
             &parties,

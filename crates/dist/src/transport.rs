@@ -51,6 +51,7 @@ use crate::codec::{decode_frame, encode_frame, Frame};
 use crate::fault::{splitmix64, FaultAction, FaultPlan, RetryPolicy};
 use crate::runtime::{Msg, PartyMsg};
 use mpq_algebra::SubjectId;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -271,6 +272,22 @@ fn read_frame(stream: &mut TcpStream) -> Result<Option<Frame>, TransportError> {
         .map(Some)
 }
 
+/// Resolve `addr` and open a no-delay connection to it within
+/// `timeout` — the one dial both planes use.
+fn dial(addr: &str, timeout: Duration) -> Result<TcpStream, TransportError> {
+    let failed = |detail: String| TransportError::Connect {
+        addr: addr.to_string(),
+        detail,
+    };
+    let target = std::net::ToSocketAddrs::to_socket_addrs(addr)
+        .map_err(|e| failed(e.to_string()))?
+        .next()
+        .ok_or_else(|| failed("address resolved to nothing".to_string()))?;
+    let stream = TcpStream::connect_timeout(&target, timeout).map_err(|e| failed(e.to_string()))?;
+    stream.set_nodelay(true).ok();
+    Ok(stream)
+}
+
 /// The TCP sending half for one party: lazily-established, cached
 /// connections to every peer's `TcpHub`. The first frame on a fresh
 /// connection is `Peer { from }` so the receiving hub knows which
@@ -300,33 +317,27 @@ impl TcpTransport {
         }
     }
 
-    fn connect(&self, to: SubjectId) -> Result<TcpStream, TransportError> {
-        let addr = self.peers.get(&to).ok_or(TransportError::Closed)?;
-        let parsed: Vec<std::net::SocketAddr> =
-            std::net::ToSocketAddrs::to_socket_addrs(addr.as_str())
-                .map_err(|e| TransportError::Connect {
-                    addr: addr.clone(),
-                    detail: e.to_string(),
-                })?
-                .collect();
-        let target = parsed.first().ok_or(TransportError::Connect {
-            addr: addr.clone(),
-            detail: "address resolved to nothing".to_string(),
-        })?;
-        let mut stream = TcpStream::connect_timeout(target, self.connect_timeout).map_err(|e| {
-            TransportError::Connect {
-                addr: addr.clone(),
-                detail: e.to_string(),
+    /// The cached connection to `to`, established (and introduced
+    /// with `Peer { from }`) if there is none.
+    fn conn_for<'a>(
+        &self,
+        conns: &'a mut HashMap<SubjectId, TcpStream>,
+        to: SubjectId,
+    ) -> Result<&'a mut TcpStream, TransportError> {
+        match conns.entry(to) {
+            Entry::Occupied(slot) => Ok(slot.into_mut()),
+            Entry::Vacant(slot) => {
+                let addr = self.peers.get(&to).ok_or(TransportError::Closed)?;
+                let mut stream = dial(addr, self.connect_timeout)?;
+                write_frame(&mut stream, &Frame::Peer { from: self.me }).map_err(|e| {
+                    TransportError::Send {
+                        to,
+                        detail: e.to_string(),
+                    }
+                })?;
+                Ok(slot.insert(stream))
             }
-        })?;
-        stream.set_nodelay(true).ok();
-        write_frame(&mut stream, &Frame::Peer { from: self.me }).map_err(|e| {
-            TransportError::Send {
-                to,
-                detail: e.to_string(),
-            }
-        })?;
-        Ok(stream)
+        }
     }
 
     /// Write one frame on the cached connection to `to`,
@@ -339,10 +350,7 @@ impl TcpTransport {
         kill_after: bool,
     ) -> Result<(), TransportError> {
         let mut conns = self.conns.lock().expect("transport lock poisoned");
-        if let std::collections::hash_map::Entry::Vacant(slot) = conns.entry(to) {
-            slot.insert(self.connect(to)?);
-        }
-        let stream = conns.get_mut(&to).expect("just inserted");
+        let stream = self.conn_for(&mut conns, to)?;
         if let Err(e) = write_frame(stream, frame) {
             // A dead connection never comes back; drop it so a later
             // attempt (the retry, or the next query) can re-establish.
@@ -367,13 +375,8 @@ impl TcpTransport {
     /// the wire reports the injected error either way.
     fn write_truncated(&self, to: SubjectId, frame: &Frame) {
         let mut conns = self.conns.lock().expect("transport lock poisoned");
-        if let std::collections::hash_map::Entry::Vacant(slot) = conns.entry(to) {
-            match self.connect(to) {
-                Ok(conn) => {
-                    slot.insert(conn);
-                }
-                Err(_) => return,
-            }
+        if self.conn_for(&mut conns, to).is_err() {
+            return;
         }
         if let Some(mut stream) = conns.remove(&to) {
             let body = encode_frame(frame);
@@ -746,24 +749,8 @@ pub(crate) struct Control {
 impl Control {
     /// Connect to a server's hub with a connect timeout.
     pub(crate) fn connect(addr: &str, timeout: Duration) -> Result<Control, TransportError> {
-        let parsed: Vec<std::net::SocketAddr> = std::net::ToSocketAddrs::to_socket_addrs(addr)
-            .map_err(|e| TransportError::Connect {
-                addr: addr.to_string(),
-                detail: e.to_string(),
-            })?
-            .collect();
-        let target = parsed.first().ok_or(TransportError::Connect {
-            addr: addr.to_string(),
-            detail: "address resolved to nothing".to_string(),
-        })?;
-        let stream =
-            TcpStream::connect_timeout(target, timeout).map_err(|e| TransportError::Connect {
-                addr: addr.to_string(),
-                detail: e.to_string(),
-            })?;
-        stream.set_nodelay(true).ok();
         Ok(Control {
-            stream,
+            stream: dial(addr, timeout)?,
             pending: None,
             read_timeout: None,
         })

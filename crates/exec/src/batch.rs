@@ -22,7 +22,10 @@ use mpq_algebra::{AttrId, Value};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Default rows per batch when `MPQ_BATCH_ROWS` is unset.
+/// Rows per streamed batch unless [`ExecCtxBuilder::batch_rows`]
+/// overrides it.
+///
+/// [`ExecCtxBuilder::batch_rows`]: crate::engine::ExecCtxBuilder::batch_rows
 pub const DEFAULT_BATCH_ROWS: usize = 4096;
 
 /// Ordered output columns of a relation or operator, cheap to clone
@@ -433,16 +436,6 @@ impl Batch {
             cols: self.cols.iter().map(|c| c.slice(range.clone())).collect(),
         }
     }
-}
-
-/// Rows per streamed batch: `MPQ_BATCH_ROWS` when set, otherwise
-/// [`DEFAULT_BATCH_ROWS`].
-pub fn default_batch_rows() -> usize {
-    std::env::var("MPQ_BATCH_ROWS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(DEFAULT_BATCH_ROWS)
 }
 
 #[cfg(test)]

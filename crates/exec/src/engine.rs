@@ -22,7 +22,7 @@
 //! context to *hold* the cluster key ([`ExecError::MissingKey`]
 //! otherwise); homomorphic aggregation only needs the public half.
 
-use crate::batch::{default_batch_rows, Batch, ColumnVec, TableSchema};
+use crate::batch::{Batch, ColumnVec, TableSchema, DEFAULT_BATCH_ROWS};
 use crate::eval::{cmp_values, eval, eval_pred, EvalError, RowCtx};
 use crate::pool::WorkerPool;
 use crate::scheme::SchemePlan;
@@ -191,7 +191,7 @@ impl<'a> ExecCtxBuilder<'a> {
         self
     }
 
-    /// Override the stream batch size (default: `MPQ_BATCH_ROWS` or
+    /// Override the stream batch size (default:
     /// [`crate::batch::DEFAULT_BATCH_ROWS`]). Values below 1 are
     /// clamped to 1.
     pub fn batch_rows(mut self, batch_rows: usize) -> Self {
@@ -241,7 +241,7 @@ impl<'a> ExecCtx<'a> {
             key_of_attr,
             seed: DEFAULT_SEED,
             pool: WorkerPool::global(),
-            batch_rows: default_batch_rows(),
+            batch_rows: DEFAULT_BATCH_ROWS,
             fuse_filter_encrypt: true,
         }
     }

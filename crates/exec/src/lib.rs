@@ -51,7 +51,7 @@ pub mod rowref;
 pub mod scheme;
 pub mod table;
 
-pub use batch::{default_batch_rows, Batch, ColumnVec, TableSchema, DEFAULT_BATCH_ROWS};
+pub use batch::{Batch, ColumnVec, TableSchema, DEFAULT_BATCH_ROWS};
 pub use engine::{
     effective_children, execute, execute_step, fused_encrypt_child, node_ready, node_ready_fused,
     ExecCtx, ExecCtxBuilder, ExecError,

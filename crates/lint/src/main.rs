@@ -10,10 +10,11 @@
 //!   outside the two sanctioned homes (`exec/src/pool.rs` for the scoped data-parallel
 //!   pool, `dist/src/runtime.rs` for the long-lived party loops): every
 //!   thread must be owned by one of the two lifecycle managers.
-//! * **determinism** — no wall-clock reads and no unseeded randomness
-//!   in engine code (everything but the bench harness): the
-//!   differential suites rely on runs being bit-reproducible from the
-//!   seed alone.
+//! * **determinism** — no wall-clock reads, no unseeded randomness and
+//!   no environment reads in engine code (everything but the bench
+//!   harness): the differential suites rely on runs being
+//!   bit-reproducible from the seed alone. The one documented
+//!   environment knob, `MPQ_WORKERS`, is read in `exec/src/pool.rs`.
 //! * **net-confinement** — `std::net` (sockets, listeners) appears in
 //!   exactly one file, `dist/src/transport.rs`: everything above the
 //!   `Transport` seam must be wire-agnostic, so the in-proc and TCP
@@ -89,6 +90,13 @@ const DETERMINISM_TOKENS: [&str; 5] = [
     "from_entropy",
     "rand::random",
 ];
+
+/// An environment read is ambient input exactly like a wall-clock
+/// read, so it is a determinism token too…
+const ENV_TOKEN: &str = "env::var";
+
+/// …allowed in the one file that reads `MPQ_WORKERS`.
+const ENV_ALLOWED: &str = "crates/exec/src/pool.rs";
 
 struct Finding {
     file: PathBuf,
@@ -455,7 +463,8 @@ fn lint_source(rel: &Path, src: &str, findings: &mut Vec<Finding>) {
             }
         }
         if engine_scoped {
-            for t in DETERMINISM_TOKENS {
+            let env_read = (rel != Path::new(ENV_ALLOWED)).then_some(ENV_TOKEN);
+            for t in DETERMINISM_TOKENS.into_iter().chain(env_read) {
                 if line.contains(t) {
                     record(
                         findings,
@@ -673,6 +682,35 @@ mod tests {
         // …and the definition site and other crates are out of scope.
         assert!(rules_in("crates/dist/src/audit.rs").is_empty());
         assert!(rules_in("crates/core/src/authz.rs").is_empty());
+    }
+
+    #[test]
+    fn environment_reads_are_flagged_outside_the_worker_pool() {
+        let src = "
+fn knob() -> Option<String> {
+    std::env::var(\"MPQ_ANYTHING\").ok()
+}
+fn args() -> Vec<String> {
+    std::env::args().collect()
+}
+#[cfg(test)]
+mod tests {
+    fn t() { std::env::var(\"HOME\").unwrap(); }
+}
+";
+        let lines_in = |file: &str| {
+            let mut findings = Vec::new();
+            lint_source(Path::new(file), src, &mut findings);
+            findings
+                .iter()
+                .filter(|f| f.rule == "determinism")
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(lines_in("crates/dist/src/fault.rs"), vec![3]);
+        assert_eq!(lines_in("crates/server/src/bin/server.rs"), vec![3]);
+        assert!(lines_in("crates/exec/src/pool.rs").is_empty());
+        assert!(lines_in("crates/bench/src/throughput.rs").is_empty());
     }
 
     #[test]

@@ -152,14 +152,6 @@ pub fn optimize(
             // (1) DP over the full candidate sets.
             if let Ok(a) = dp_assignment(plan, catalog, stats, env, &cands, None) {
                 if let Ok(opt) = finish(plan, catalog, stats, env, &cands, a) {
-                    if std::env::var("MPQ_DEBUG_DP").is_ok() {
-                        eprintln!(
-                            "[dp-full] exact {:?} total {:.6} assignment {:?}",
-                            opt.cost,
-                            opt.cost.total(),
-                            opt.assignment
-                        );
-                    }
                     consider(opt, &mut best);
                 }
             }

@@ -34,7 +34,7 @@ OPTIONS:
     --shutdown       ask the servers to exit after the query
     --faults SPEC    inject faults into this client's control and data
                      planes, e.g. seed=7,drop=100,reset=50,max=3 (per-mille
-                     rates; also readable from MPQ_FAULTS)
+                     rates)
     --retries N      delivery attempts per message (default 4)
     --help           this text
 ";

@@ -29,8 +29,7 @@ OPTIONS:
     --scale SF       tpch scale factor (default 0.01)
     --seed N         shared fixture seed (default 42); must match the client
     --faults SPEC    inject faults into this server's data-plane sends, e.g.
-                     seed=7,drop=100,reset=50,max=3 (per-mille rates; also
-                     readable from MPQ_FAULTS)
+                     seed=7,drop=100,reset=50,max=3 (per-mille rates)
     --retries N      delivery attempts per message (default 4)
     --help           this text
 ";
