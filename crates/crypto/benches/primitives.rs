@@ -14,10 +14,13 @@
 //! * `rsa/*` — signing and verification on the key's cached context,
 //!   at the envelope key size (512 bits);
 //! * `xtea/*` — one block and a full deterministic value;
-//! * `ope/encode` — the 64-level keyed binary descent.
+//! * `ope/encode`, `ope/decode` — one isolated 64-level keyed descent;
+//!   `ope/column_*` — a 4,096-cell batch per regime (per-cell time is
+//!   the printed time ÷ 4,096).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mpq_algebra::value::{EncScheme, Value};
+use mpq_algebra::Date;
 use mpq_crypto::bignum::{BigUint, Montgomery};
 use mpq_crypto::keyring::ClusterKey;
 use mpq_crypto::rsa::RsaKeypair;
@@ -25,7 +28,7 @@ use mpq_crypto::schemes::{decrypt_value, encrypt_batch, paillier_add_cells};
 use mpq_crypto::xtea::XteaSchedule;
 use mpq_crypto::{ope, xtea};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn bench_modpow(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
@@ -112,10 +115,41 @@ fn bench_xtea(c: &mut Criterion) {
 }
 
 fn bench_ope(c: &mut Criterion) {
-    let key = [9u8; 16];
-    c.bench_function("ope/encode", |b| {
-        b.iter(|| ope::ope_encrypt_code(black_box(&key), black_box(0x1234_5678_9abc_def0)))
+    let raw = [9u8; 16];
+    let mut g = c.benchmark_group("ope");
+    g.bench_function("encode", |b| {
+        b.iter(|| ope::ope_encrypt_code(black_box(&raw), black_box(0x1234_5678_9abc_def0)))
     });
+    let cipher = ope::ope_encrypt_code(&raw, 0x1234_5678_9abc_def0);
+    g.bench_function("decode", |b| {
+        b.iter(|| ope::ope_decrypt_code(black_box(&raw), black_box(cipher)))
+    });
+    // One engine batch (4,096 cells) through `encrypt_batch`, i.e. one
+    // `OpeEncryptor`, in the three regimes it meets: dates (≈ 2,500
+    // distinct days sharing their high bits: resume + some memo hits),
+    // a low-cardinality numeric (memo hits) and all-distinct prices
+    // (neither — the bare kernel, which the §7 price book prices).
+    let key = ClusterKey::generate(&mut StdRng::seed_from_u64(13), 1, 256);
+    let mut rng = StdRng::seed_from_u64(17);
+    let dates: Vec<Value> = (0..4096)
+        .map(|_| Value::Date(Date(8035 + rng.gen_range(0..2526))))
+        .collect();
+    let lowcard: Vec<Value> = (0..4096)
+        .map(|_| Value::Num(f64::from(rng.gen_range(0..11)) / 100.0))
+        .collect();
+    let distinct: Vec<Value> = (0..4096)
+        .map(|i| Value::Num(901.0 + f64::from(i) * 25.01))
+        .collect();
+    for (name, column) in [
+        ("column_dates", &dates),
+        ("column_lowcard", &lowcard),
+        ("column_distinct", &distinct),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| encrypt_batch(&mut rng, black_box(column), EncScheme::Ope, &key).unwrap())
+        });
+    }
+    g.finish();
 }
 
 criterion_group!(

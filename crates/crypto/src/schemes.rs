@@ -16,7 +16,7 @@
 
 use crate::bignum::BigUint;
 use crate::keyring::ClusterKey;
-use crate::ope;
+use crate::ope::{self, OpeEncryptor, OpeKey, OpeType};
 use crate::paillier::PaillierCiphertext;
 use crate::xtea::XteaSchedule;
 use mpq_algebra::value::{EncScheme, EncValue, Value};
@@ -59,12 +59,42 @@ impl std::error::Error for EncryptError {}
 /// per-value setup (`SipHash` sub-key derivation, key-schedule
 /// expansion, Paillier `n²` Montgomery context) is paid once per
 /// column instead of once per cell.
+///
+/// Immutable and `Sync`: one cipher serves every chunk of a column.
+/// State that pays only within a run of cells lives in the
+/// [`ColumnEncryptor`] each chunk makes for itself.
 pub struct ColumnCipher {
     scheme: EncScheme,
     key: ClusterKey,
     det: XteaSchedule,
     rnd: XteaSchedule,
-    ope: [u8; 16],
+    ope: OpeKey,
+}
+
+/// A [`ColumnCipher`] plus the mutable per-run state of its scheme (the
+/// OPE encryptor's resume trail and memo). Made where a cell loop
+/// starts — one per chunk, never shared between threads — and dropped
+/// with it; ciphertexts are bit-identical to [`ColumnCipher::encrypt`]
+/// cell by cell, whatever the chunking.
+pub struct ColumnEncryptor<'c> {
+    cipher: &'c ColumnCipher,
+    /// Made at the run's first OPE cell; other schemes never pay for it.
+    ope: Option<OpeEncryptor>,
+}
+
+impl ColumnEncryptor<'_> {
+    /// [`ColumnCipher::encrypt`], reusing work across the run's cells.
+    pub fn encrypt<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        value: &Value,
+    ) -> Result<Value, EncryptError> {
+        let (cipher, ope) = (self.cipher, &mut self.ope);
+        cipher.encrypt_with(rng, value, |ty, code| {
+            ope.get_or_insert_with(|| cipher.ope.encryptor())
+                .encrypt(ty, code)
+        })
+    }
 }
 
 impl ColumnCipher {
@@ -74,8 +104,16 @@ impl ColumnCipher {
             scheme,
             det: XteaSchedule::new(&key.det_key()),
             rnd: XteaSchedule::new(&key.rnd_key()),
-            ope: key.ope_key(),
+            ope: OpeKey::new(&key.ope_key()),
             key: key.clone(),
+        }
+    }
+
+    /// The stateful encryptor for one run of this column's cells.
+    pub fn encryptor(&self) -> ColumnEncryptor<'_> {
+        ColumnEncryptor {
+            cipher: self,
+            ope: None,
         }
     }
 
@@ -92,26 +130,40 @@ impl ColumnCipher {
         rng: &mut R,
         value: &Value,
     ) -> Result<Value, EncryptError> {
+        self.encrypt_with(rng, value, |ty, code| Arc::new(self.ope.encrypt(ty, code)))
+    }
+
+    /// The one cell-encryption routine; `ope_cell` supplies the OPE
+    /// cell (one-shot descent, or a run's [`OpeEncryptor`]).
+    fn encrypt_with<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        value: &Value,
+        ope_cell: impl FnOnce(OpeType, u64) -> Arc<[u8]>,
+    ) -> Result<Value, EncryptError> {
         if value.is_null() {
             return Ok(Value::Null);
         }
         if matches!(value, Value::Enc(_)) {
             return Err(EncryptError::WrongForm);
         }
-        let bytes: Vec<u8> = match self.scheme {
-            EncScheme::Deterministic => self.det.det_encrypt(&value.canonical_bytes()),
-            EncScheme::Random => self.rnd.rnd_encrypt(rng.gen(), &value.canonical_bytes()),
+        let bytes: Arc<[u8]> = match self.scheme {
+            EncScheme::Deterministic => self.det.det_encrypt(&value.canonical_bytes()).into(),
+            EncScheme::Random => self
+                .rnd
+                .rnd_encrypt(rng.gen(), &value.canonical_bytes())
+                .into(),
             EncScheme::Ope => {
                 let (ty, code) = match value {
-                    Value::Int(i) => (ope::OpeType::Int, ope::int_to_code(*i)),
-                    Value::Num(f) => (ope::OpeType::Num, ope::num_to_code(*f)),
-                    Value::Date(d) => (ope::OpeType::Date, ope::int_to_code(d.0 as i64)),
+                    Value::Int(i) => (OpeType::Int, ope::int_to_code(*i)),
+                    Value::Num(f) => (OpeType::Num, ope::num_to_code(*f)),
+                    Value::Date(d) => (OpeType::Date, ope::int_to_code(d.0 as i64)),
                     Value::Bool(_) | Value::Str(_) => {
                         return Err(EncryptError::UnsupportedType("strings/bools under OPE"))
                     }
                     Value::Null | Value::Enc(_) => unreachable!("handled above"),
                 };
-                ope::ope_encrypt(&self.ope, ty, code)
+                ope_cell(ty, code)
             }
             EncScheme::Paillier => {
                 let (tag, encoded): (u8, i64) = match value {
@@ -127,13 +179,13 @@ impl ColumnCipher {
                 // holder's half-width path applies to every cell.
                 let kp = self.key.paillier();
                 let c = kp.encrypt(rng, &kp.public.encode_signed(encoded));
-                encode_paillier_cell(tag, AggKind::Single, 1, &c)
+                encode_paillier_cell(tag, AggKind::Single, 1, &c).into()
             }
         };
         Ok(Value::Enc(EncValue {
             scheme: self.scheme,
             key_id: self.key.id,
-            bytes: Arc::from(bytes),
+            bytes,
         }))
     }
 
@@ -164,14 +216,20 @@ impl ColumnCipher {
                 Value::from_canonical_bytes(&pt).ok_or(EncryptError::BadCiphertext)
             }
             EncScheme::Ope => {
-                let (ty, code) =
-                    ope::ope_decrypt(&self.ope, &enc.bytes).ok_or(EncryptError::BadCiphertext)?;
+                let (ty, code) = self
+                    .ope
+                    .decrypt(&enc.bytes)
+                    .ok_or(EncryptError::BadCiphertext)?;
                 Ok(match ty {
-                    ope::OpeType::Int => Value::Int(ope::code_to_int(code)),
-                    ope::OpeType::Num => Value::Num(ope::code_to_num(code)),
-                    ope::OpeType::Date => {
-                        Value::Date(mpq_algebra::Date(ope::code_to_int(code) as i32))
-                    }
+                    OpeType::Int => Value::Int(ope::code_to_int(code)),
+                    OpeType::Num => Value::Num(ope::code_to_num(code)),
+                    // The cell came from a peer: a code that decodes
+                    // outside the day range is a forgery (or a `Date`
+                    // tag on an `Int` ciphertext), not a date.
+                    OpeType::Date => Value::Date(mpq_algebra::Date(
+                        i32::try_from(ope::code_to_int(code))
+                            .map_err(|_| EncryptError::BadCiphertext)?,
+                    )),
                 })
             }
             EncScheme::Paillier => {
@@ -227,7 +285,8 @@ pub fn encrypt_batch<R: Rng + ?Sized>(
     key: &ClusterKey,
 ) -> Result<Vec<Value>, EncryptError> {
     let cipher = ColumnCipher::new(scheme, key);
-    values.iter().map(|v| cipher.encrypt(rng, v)).collect()
+    let mut run = cipher.encryptor();
+    values.iter().map(|v| run.encrypt(rng, v)).collect()
 }
 
 /// Decrypt a column slice with one key, paying the key setup once.
@@ -451,25 +510,71 @@ mod tests {
     #[test]
     fn batch_matches_one_shot() {
         let (k, _) = key();
-        let values: Vec<Value> = vec![Value::Int(7), Value::Null, Value::Num(1.25), Value::Int(-3)];
-        for scheme in [
+        let mixed: Vec<Value> = vec![Value::Int(7), Value::Null, Value::Num(1.25), Value::Int(-3)];
+        let all_schemes = [
             EncScheme::Deterministic,
             EncScheme::Random,
             EncScheme::Ope,
             EncScheme::Paillier,
+        ];
+        // Columns shaped like the ones a batch encryptor reuses work on:
+        // 10 k dates over ~2,500 days, and an 11-value numeric.
+        let mut pick = StdRng::seed_from_u64(8);
+        let dates: Vec<Value> = (0..10_000)
+            .map(|_| Value::Date(Date(8035 + pick.gen_range(0..2526))))
+            .collect();
+        let discounts: Vec<Value> = (0..10_000)
+            .map(|_| Value::Num(f64::from(pick.gen_range(0..11)) / 100.0))
+            .collect();
+        for (values, schemes) in [
+            (&mixed, &all_schemes[..]),
+            (&dates, &[EncScheme::Ope][..]),
+            (&discounts, &[EncScheme::Ope][..]),
         ] {
-            // Identical RNG stream → identical ciphertext bytes.
-            let batch = encrypt_batch(&mut StdRng::seed_from_u64(5), &values, scheme, &k).unwrap();
-            let mut rng = StdRng::seed_from_u64(5);
-            let single: Vec<Value> = values
-                .iter()
-                .map(|v| encrypt_value(&mut rng, v, scheme, &k).unwrap())
-                .collect();
-            assert_eq!(batch, single, "{scheme:?}");
-            let dec = decrypt_batch(&batch, &k).unwrap();
-            for (d, v) in dec.iter().zip(&values) {
-                assert!(d.sql_eq(v) || (d.is_null() && v.is_null()), "{scheme:?}");
+            for &scheme in schemes {
+                // Identical RNG stream → identical ciphertext bytes.
+                let batch =
+                    encrypt_batch(&mut StdRng::seed_from_u64(5), values, scheme, &k).unwrap();
+                let mut rng = StdRng::seed_from_u64(5);
+                let single: Vec<Value> = values
+                    .iter()
+                    .map(|v| encrypt_value(&mut rng, v, scheme, &k).unwrap())
+                    .collect();
+                assert_eq!(batch, single, "{scheme:?}");
+                let dec = decrypt_batch(&batch, &k).unwrap();
+                for (d, v) in dec.iter().zip(values) {
+                    assert!(d.sql_eq(v) || (d.is_null() && v.is_null()), "{scheme:?}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn forged_ope_date_outside_the_day_range_is_rejected() {
+        // A well-formed OPE cell under the right key whose `Date` tag
+        // sits on a code no `i32` day count produces: a provider's
+        // forgery, or a `Date` tag pasted onto an `Int` ciphertext.
+        let (k, _) = key();
+        let ope_key = OpeKey::new(&k.ope_key());
+        let cell = |code: u64| {
+            Value::Enc(EncValue {
+                scheme: EncScheme::Ope,
+                key_id: k.id,
+                bytes: Arc::new(ope_key.encrypt(OpeType::Date, code)),
+            })
+        };
+        for day in [i64::from(i32::MAX) + 1, i64::from(i32::MIN) - 1, i64::MAX] {
+            assert_eq!(
+                decrypt_value(&cell(ope::int_to_code(day)), &k),
+                Err(EncryptError::BadCiphertext),
+                "day count {day}"
+            );
+        }
+        for day in [i32::MIN, -1, 0, i32::MAX] {
+            assert_eq!(
+                decrypt_value(&cell(ope::int_to_code(i64::from(day))), &k),
+                Ok(Value::Date(Date(day)))
+            );
         }
     }
 

@@ -3,58 +3,83 @@
 //! Used as the PRF driving the order-preserving encoding's interval
 //! splits and for deriving per-scheme sub-keys from a cluster key.
 
-/// SipHash-2-4 of `data` under a 128-bit key.
-pub fn siphash24(key: &[u8; 16], data: &[u8]) -> u64 {
-    let k0 = u64::from_le_bytes(key[0..8].try_into().expect("8 bytes"));
-    let k1 = u64::from_le_bytes(key[8..16].try_into().expect("8 bytes"));
-    let mut v0 = 0x736f_6d65_7073_6575_u64 ^ k0;
-    let mut v1 = 0x646f_7261_6e64_6f6d_u64 ^ k1;
-    let mut v2 = 0x6c79_6765_6e65_7261_u64 ^ k0;
-    let mut v3 = 0x7465_6462_7974_6573_u64 ^ k1;
+/// SipHash-2-4 internal state. [`siphash24`] drives it over a byte
+/// string; callers with a fixed-shape message (the OPE descent) key it
+/// once, copy it per call and feed whole words.
+#[derive(Clone, Copy)]
+pub(crate) struct SipState {
+    v0: u64,
+    v1: u64,
+    v2: u64,
+    v3: u64,
+}
 
-    macro_rules! sipround {
-        () => {
-            v0 = v0.wrapping_add(v1);
-            v1 = v1.rotate_left(13);
-            v1 ^= v0;
-            v0 = v0.rotate_left(32);
-            v2 = v2.wrapping_add(v3);
-            v3 = v3.rotate_left(16);
-            v3 ^= v2;
-            v0 = v0.wrapping_add(v3);
-            v3 = v3.rotate_left(21);
-            v3 ^= v0;
-            v2 = v2.wrapping_add(v1);
-            v1 = v1.rotate_left(17);
-            v1 ^= v2;
-            v2 = v2.rotate_left(32);
-        };
+impl SipState {
+    /// The state after keying, before any message word.
+    pub(crate) fn keyed(key: &[u8; 16]) -> SipState {
+        let k0 = u64::from_le_bytes(key[0..8].try_into().expect("8 bytes"));
+        let k1 = u64::from_le_bytes(key[8..16].try_into().expect("8 bytes"));
+        SipState {
+            v0: 0x736f_6d65_7073_6575 ^ k0,
+            v1: 0x646f_7261_6e64_6f6d ^ k1,
+            v2: 0x6c79_6765_6e65_7261 ^ k0,
+            v3: 0x7465_6462_7974_6573 ^ k1,
+        }
     }
 
+    #[inline(always)]
+    fn round(&mut self) {
+        self.v0 = self.v0.wrapping_add(self.v1);
+        self.v1 = self.v1.rotate_left(13);
+        self.v1 ^= self.v0;
+        self.v0 = self.v0.rotate_left(32);
+        self.v2 = self.v2.wrapping_add(self.v3);
+        self.v3 = self.v3.rotate_left(16);
+        self.v3 ^= self.v2;
+        self.v0 = self.v0.wrapping_add(self.v3);
+        self.v3 = self.v3.rotate_left(21);
+        self.v3 ^= self.v0;
+        self.v2 = self.v2.wrapping_add(self.v1);
+        self.v1 = self.v1.rotate_left(17);
+        self.v1 ^= self.v2;
+        self.v2 = self.v2.rotate_left(32);
+    }
+
+    /// Absorb one little-endian message word (the last word carries
+    /// the message length in its top byte).
+    #[inline(always)]
+    pub(crate) fn compress(&mut self, m: u64) {
+        self.v3 ^= m;
+        self.round();
+        self.round();
+        self.v0 ^= m;
+    }
+
+    /// Finalization rounds and output.
+    #[inline(always)]
+    pub(crate) fn finish(mut self) -> u64 {
+        self.v2 ^= 0xff;
+        self.round();
+        self.round();
+        self.round();
+        self.round();
+        self.v0 ^ self.v1 ^ self.v2 ^ self.v3
+    }
+}
+
+/// SipHash-2-4 of `data` under a 128-bit key.
+pub fn siphash24(key: &[u8; 16], data: &[u8]) -> u64 {
+    let mut state = SipState::keyed(key);
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
-        let m = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-        v3 ^= m;
-        sipround!();
-        sipround!();
-        v0 ^= m;
+        state.compress(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
     }
     let rest = chunks.remainder();
     let mut last = [0u8; 8];
     last[..rest.len()].copy_from_slice(rest);
     last[7] = data.len() as u8;
-    let m = u64::from_le_bytes(last);
-    v3 ^= m;
-    sipround!();
-    sipround!();
-    v0 ^= m;
-
-    v2 ^= 0xff;
-    sipround!();
-    sipround!();
-    sipround!();
-    sipround!();
-    v0 ^ v1 ^ v2 ^ v3
+    state.compress(u64::from_le_bytes(last));
+    state.finish()
 }
 
 /// Derive a 16-byte sub-key for a labelled purpose from a cluster key.
@@ -86,9 +111,18 @@ mod tests {
             0xcbc9_466e_58fe_e3ce,
             0xab02_00f5_8b01_d137,
         ];
-        let msg: Vec<u8> = (0..8).map(|i| i as u8).collect();
+        let msg: Vec<u8> = (0..15).map(|i| i as u8).collect();
         for (len, want) in expected.iter().enumerate() {
             assert_eq!(siphash24(&key, &msg[..len]), *want, "length {len}");
+        }
+        // Two-block messages: a full word, then the length-only /
+        // one-byte / seven-byte final word.
+        for (len, want) in [
+            (8, 0x93f5_f579_9a93_2462_u64),
+            (9, 0x9e00_82df_0ba9_e4b0),
+            (15, 0xa129_ca61_49be_45e5),
+        ] {
+            assert_eq!(siphash24(&key, &msg[..len]), want, "length {len}");
         }
     }
 

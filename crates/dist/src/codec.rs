@@ -1398,7 +1398,7 @@ mod tests {
     fn nesting_is_bounded_before_the_stack_is() {
         let select = |depth: usize| {
             let mut f = Bytes::default().u8(6).u64(1).u32(1).u32(1).u32(0).u8(2).0;
-            f.extend(std::iter::repeat(6).take(depth)); // Not(Not(…
+            f.extend(std::iter::repeat_n(6, depth)); // Not(Not(…
             f.extend([0, 0, 0, 0, 9]); // …Col(a9)))
             f
         };

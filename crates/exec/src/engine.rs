@@ -33,7 +33,7 @@ use mpq_algebra::{AttrId, AttrSet, CmpOp, Expr, JoinKind, NodeId, Operator, Quer
 use mpq_crypto::keyring::KeyRing;
 use mpq_crypto::paillier::PaillierPublic;
 use mpq_crypto::schemes::{
-    decrypt_value, paillier_add_cells, paillier_finish, AggKind, ColumnCipher,
+    decrypt_value, paillier_add_cells, paillier_finish, AggKind, ColumnCipher, ColumnEncryptor,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -1021,26 +1021,29 @@ fn apply_crypto_plan(
     offsets: &Offsets<'_>,
     pool: &WorkerPool,
 ) -> Result<(), ExecError> {
-    let crypt = |cell: &Value, rng: &mut StdRng| -> Result<Value, ExecError> {
+    // `run` is the chunk's own encryptor: made where each cell loop
+    // below starts, so no state crosses chunks or threads.
+    let crypt = |run: &mut ColumnEncryptor<'_>,
+                 cell: &Value,
+                 rng: &mut StdRng|
+     -> Result<Value, ExecError> {
         if encrypt {
-            plan.cipher
-                .encrypt(rng, cell)
-                .map_err(|e| ExecError::Crypto(e.to_string()))
+            run.encrypt(rng, cell)
         } else {
-            plan.cipher
-                .decrypt(cell)
-                .map_err(|e| ExecError::Crypto(e.to_string()))
+            plan.cipher.decrypt(cell)
         }
+        .map_err(|e| ExecError::Crypto(e.to_string()))
     };
     match plan.col_idxs.as_slice() {
         [] => Ok(()),
         [i] => {
             let mut vals = std::mem::take(&mut cols[*i]).into_values();
             pool.for_each_chunk_mut(&mut vals, plan.min_chunk, |start, chunk| {
+                let mut run = plan.cipher.encryptor();
                 for (off, cell) in chunk.iter_mut().enumerate() {
                     let mut rng =
                         StdRng::seed_from_u64(mix_seed(plan.attr_seed, offsets.at(start + off)));
-                    *cell = crypt(cell, &mut rng)?;
+                    *cell = crypt(&mut run, cell, &mut rng)?;
                 }
                 Ok::<(), ExecError>(())
             })?;
@@ -1056,11 +1059,12 @@ fn apply_crypto_plan(
                 .map(|r| idxs.iter().map(|&i| cols[i].get(r)).collect())
                 .collect();
             pool.for_each_chunk_mut(&mut tuples, plan.min_chunk, |start, chunk| {
+                let mut run = plan.cipher.encryptor();
                 for (off, tuple) in chunk.iter_mut().enumerate() {
                     let mut rng =
                         StdRng::seed_from_u64(mix_seed(plan.attr_seed, offsets.at(start + off)));
                     for cell in tuple.iter_mut() {
-                        *cell = crypt(cell, &mut rng)?;
+                        *cell = crypt(&mut run, cell, &mut rng)?;
                     }
                 }
                 Ok::<(), ExecError>(())

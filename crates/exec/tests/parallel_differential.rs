@@ -316,3 +316,63 @@ proptest! {
         prop_assert_eq!(&streamed, &oracle);
     }
 }
+
+/// An `Encrypt` node over an OPE date column keeps per-chunk state (the
+/// encryptor's resume trail and memo). Chunk and batch layout decide
+/// which cells share that state, so they must not show in a single
+/// ciphertext byte: 1 and 3 worker threads × batches of 7 and 4,096
+/// rows, all equal to each other and to the row oracle, which encrypts
+/// every cell one-shot. 9,000 rows over ~2,500 days: repeats, shared
+/// high bits, and enough rows that three threads really split a batch.
+#[test]
+fn ope_date_column_ignores_chunk_and_batch_layout() {
+    use rand::Rng;
+    let cat = Catalog::paper_running_example();
+    let (s, b) = (cat.attr("S").unwrap(), cat.attr("B").unwrap());
+    let mut rng = StdRng::seed_from_u64(41);
+    let rows: Vec<Vec<Value>> = (0..9_000)
+        .map(|i| {
+            vec![
+                Value::str(&format!("patient{i}")),
+                Value::Date(Date(8_035 + rng.gen_range(0..2_526))),
+                Value::str("flu"),
+                Value::str("t"),
+            ]
+        })
+        .collect();
+    let mut db = Database::new();
+    db.load(&cat, "Hosp", rows);
+
+    let mut plan = QueryPlan::new();
+    let hosp = cat.relation("Hosp").unwrap().rel;
+    let h = plan.add_base(hosp, vec![s, b]);
+    plan.add(Operator::Encrypt { attrs: vec![b] }, vec![h]);
+    let mut schemes = SchemePlan::default();
+    schemes.set(b, EncScheme::Ope);
+    let koa = HashMap::from([(b, 1u32)]);
+    let ring = ring();
+
+    let ctx = ExecCtx::builder(&cat, &db, &ring, &schemes, &koa)
+        .seed(5)
+        .build();
+    let oracle = execute_ref(&plan, &ctx).expect("oracle run");
+    for workers in [1, 3] {
+        for batch_rows in [7, 4096] {
+            let table = run(
+                &cat,
+                &db,
+                &plan,
+                &schemes,
+                &koa,
+                &ring,
+                5,
+                WorkerPool::new(workers),
+                batch_rows,
+            );
+            assert_eq!(
+                table, oracle,
+                "{workers} worker(s), batches of {batch_rows}"
+            );
+        }
+    }
+}
