@@ -14,7 +14,7 @@
 use crate::extend::ExtendedPlan;
 use crate::keys::KeyPlan;
 use crate::subjects::Subjects;
-use mpq_algebra::{AttrSet, Catalog, NodeId, Operator, SubjectId};
+use mpq_algebra::{AttrSet, Catalog, NodeId, Operator, QueryPlan, SubjectId};
 use std::collections::HashMap;
 
 /// One sub-query to be executed by one subject.
@@ -79,6 +79,67 @@ impl Dispatch {
     }
 }
 
+/// One region of the Fig. 8 cut: a maximal connected group of nodes
+/// executed by one subject — what one signed sub-query `q_S` covers,
+/// and what that subject runs as one pipeline.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Region {
+    /// Executing subject.
+    pub subject: SubjectId,
+    /// Topmost node; only its output leaves the region.
+    pub root: NodeId,
+    /// The node consuming `root`'s output (`None`: `root` is the plan
+    /// root and its output is the user's result).
+    pub parent: Option<NodeId>,
+    /// Member nodes, bottom-up.
+    pub nodes: Vec<NodeId>,
+    /// Roots of the regions whose outputs the members consume — the
+    /// tables that must reach `subject` before the region can run —
+    /// in the order the top-down walk meets them.
+    pub operands: Vec<NodeId>,
+}
+
+/// The cut itself, a function of `(plan, assignment)` only: a node
+/// joins its parent's region when both have the same assignee and
+/// roots a new one otherwise. Regions come top-down — `[0]` holds the
+/// plan root and every region precedes the ones it consumes — so the
+/// reverse order runs producers first. `Err` names a node without an
+/// assignee.
+pub fn regions(
+    plan: &QueryPlan,
+    assignment: &HashMap<NodeId, SubjectId>,
+) -> Result<Vec<Region>, NodeId> {
+    let parents = plan.parents();
+    let mut region_of = vec![0usize; plan.len()];
+    let mut cut: Vec<Region> = Vec::new();
+    for &id in plan.postorder().iter().rev() {
+        let subject = *assignment.get(&id).ok_or(id)?;
+        let parent = parents[id.index()];
+        let region = match parent {
+            Some(p) if assignment[&p] == subject => region_of[p.index()],
+            _ => {
+                if let Some(p) = parent {
+                    cut[region_of[p.index()]].operands.push(id);
+                }
+                cut.push(Region {
+                    subject,
+                    root: id,
+                    parent,
+                    nodes: Vec::new(),
+                    operands: Vec::new(),
+                });
+                cut.len() - 1
+            }
+        };
+        region_of[id.index()] = region;
+        cut[region].nodes.push(id);
+    }
+    for region in &mut cut {
+        region.nodes.reverse();
+    }
+    Ok(cut)
+}
+
 /// Cut the extended plan into per-subject regions and render each as a
 /// sub-query (Fig. 8).
 pub fn dispatch(
@@ -89,47 +150,24 @@ pub fn dispatch(
 ) -> Dispatch {
     let plan = &ext.plan;
     let parents = plan.parents();
-    let order = plan.postorder();
+    let cut = regions(plan, &ext.assignment).expect("an extended plan assigns every node");
+    let region_of: HashMap<NodeId, usize> = cut
+        .iter()
+        .enumerate()
+        .flat_map(|(r, region)| region.nodes.iter().map(move |&id| (id, r)))
+        .collect();
 
-    // Region id per node: same as parent when assignees match,
-    // otherwise a fresh region. Compute top-down (reverse post-order).
-    let mut region_of: HashMap<NodeId, usize> = HashMap::new();
-    let mut region_subject: Vec<SubjectId> = Vec::new();
-    let mut region_nodes: Vec<Vec<NodeId>> = Vec::new();
-    for &id in order.iter().rev() {
-        let subject = ext.assignment[&id];
-        let region = match parents[id.index()] {
-            Some(p) if ext.assignment[&p] == subject => region_of[&p],
-            _ => {
-                region_subject.push(subject);
-                region_nodes.push(Vec::new());
-                region_subject.len() - 1
-            }
-        };
-        region_of.insert(id, region);
-        region_nodes[region].push(id);
-    }
-    for nodes in &mut region_nodes {
-        nodes.reverse(); // bottom-up within the region
-    }
-
-    // Region children: regions whose root's parent lies in this region.
-    let mut region_children: Vec<Vec<usize>> = vec![Vec::new(); region_subject.len()];
-    let mut region_root: Vec<NodeId> = vec![plan.root(); region_subject.len()];
-    for (r, nodes) in region_nodes.iter().enumerate() {
-        let top = *nodes.last().expect("regions are non-empty");
-        region_root[r] = top;
-        if let Some(p) = parents[top.index()] {
-            let pr = region_of[&p];
-            region_children[pr].push(r);
-        }
-    }
-
-    // Keys per region: keys whose attributes some encrypt/decrypt node
-    // of the region touches.
-    let mut region_keys: Vec<Vec<u32>> = vec![Vec::new(); region_subject.len()];
-    for (r, nodes) in region_nodes.iter().enumerate() {
-        for &id in nodes {
+    // Emit requests children-first: deeper region roots come earlier.
+    let mut emit_order: Vec<usize> = (0..cut.len()).collect();
+    emit_order.sort_by_key(|&r| std::cmp::Reverse(depth(&parents, cut[r].root)));
+    let mut index_of: HashMap<usize, usize> = HashMap::new();
+    let mut requests = Vec::with_capacity(cut.len());
+    for &r in &emit_order {
+        let region = &cut[r];
+        // Keys whose attributes some encrypt/decrypt node of the
+        // region touches.
+        let mut region_keys: Vec<u32> = Vec::new();
+        for &id in &region.nodes {
             let touched: AttrSet = match &plan.node(id).op {
                 Operator::Encrypt { attrs } | Operator::Decrypt { attrs } => {
                     attrs.iter().copied().collect()
@@ -137,43 +175,35 @@ pub fn dispatch(
                 _ => continue,
             };
             for k in &keys.keys {
-                if k.attrs.intersects(&touched) && !region_keys[r].contains(&k.id) {
-                    region_keys[r].push(k.id);
+                if k.attrs.intersects(&touched) && !region_keys.contains(&k.id) {
+                    region_keys.push(k.id);
                 }
             }
         }
-    }
-
-    // Emit requests children-first.
-    let mut emit_order: Vec<usize> = (0..region_subject.len()).collect();
-    emit_order.sort_by_key(|&r| {
-        // Depth of region root from plan root (children deeper → first).
-        std::cmp::Reverse(depth(plan, &parents, region_root[r]))
-    });
-    let mut index_of: HashMap<usize, usize> = HashMap::new();
-    let mut requests = Vec::with_capacity(emit_order.len());
-    for &r in &emit_order {
-        let sql = render_region(plan, catalog, subjects, keys, &region_of, r, region_root[r]);
-        let children = region_children[r].iter().map(|c| index_of[c]).collect();
+        let sql = render_region(plan, catalog, subjects, keys, &region_of, r, region.root);
+        let children = region
+            .operands
+            .iter()
+            .map(|operand| index_of[&region_of[operand]])
+            .collect();
         index_of.insert(r, requests.len());
         requests.push(SubQuery {
-            subject: region_subject[r],
-            nodes: region_nodes[r].clone(),
-            root: region_root[r],
+            subject: region.subject,
+            nodes: region.nodes.clone(),
+            root: region.root,
             children,
-            keys: region_keys[r].clone(),
+            keys: region_keys,
             sql,
         });
     }
-    let root_region = region_of[&plan.root()];
     Dispatch {
-        root_request: index_of[&root_region],
+        // `regions` puts the plan root's region first.
+        root_request: index_of[&0],
         requests,
     }
 }
 
-fn depth(plan: &mpq_algebra::QueryPlan, parents: &[Option<NodeId>], mut id: NodeId) -> usize {
-    let _ = plan;
+fn depth(parents: &[Option<NodeId>], mut id: NodeId) -> usize {
     let mut d = 0;
     while let Some(p) = parents[id.index()] {
         d += 1;

@@ -4,7 +4,7 @@
 //! The build environment has no serde, so every frame that crosses a
 //! socket is encoded here explicitly: big-endian integers, `u32`
 //! length-prefixed byte strings, tag bytes for enums. Each type's
-//! format is stated **once**, as its [`Wire`] impl — for enums one
+//! format is stated **once**, as its [`Encode`] impl — for enums one
 //! `tag => Variant` table that yields both directions — so an encoder
 //! and its decoder cannot drift apart. Three invariants matter:
 //!
@@ -47,7 +47,7 @@ use std::sync::Arc;
 
 /// A type with one wire format: `get(put(x))` is `x`, and `get` is
 /// total over arbitrary bytes.
-trait Wire: Sized {
+trait Encode: Sized {
     /// Fewest bytes an encoded value occupies; what [`Reader::count`]
     /// divides the rest of the frame by.
     const MIN_LEN: usize = 1;
@@ -105,7 +105,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Decode a nested `T`, one level deeper.
-    fn get<T: Wire>(&mut self) -> Option<T> {
+    fn get<T: Encode>(&mut self) -> Option<T> {
         if self.depth == MAX_DEPTH {
             return None;
         }
@@ -134,7 +134,7 @@ fn write_bytes(b: &mut Vec<u8>, v: &[u8]) {
 }
 
 /// A count, then the elements: the encoding of every sequence.
-fn write_seq<'a, T: Wire + 'a>(b: &mut Vec<u8>, items: impl ExactSizeIterator<Item = &'a T>) {
+fn write_seq<'a, T: Encode + 'a>(b: &mut Vec<u8>, items: impl ExactSizeIterator<Item = &'a T>) {
     write_len(b, items.len());
     for item in items {
         item.put(b);
@@ -147,7 +147,7 @@ fn write_seq<'a, T: Wire + 'a>(b: &mut Vec<u8>, items: impl ExactSizeIterator<It
 
 macro_rules! wire_int {
     ($($ty:ident),+) => {$(
-        impl Wire for $ty {
+        impl Encode for $ty {
             const MIN_LEN: usize = std::mem::size_of::<$ty>();
             fn put(&self, b: &mut Vec<u8>) {
                 b.extend_from_slice(&self.to_be_bytes());
@@ -162,7 +162,7 @@ wire_int!(u32, u64);
 
 /// `usize` fields (aggregate references, substring bounds) travel as
 /// `u64`.
-impl Wire for usize {
+impl Encode for usize {
     const MIN_LEN: usize = u64::MIN_LEN;
     fn put(&self, b: &mut Vec<u8>) {
         (*self as u64).put(b);
@@ -172,7 +172,7 @@ impl Wire for usize {
     }
 }
 
-impl Wire for bool {
+impl Encode for bool {
     fn put(&self, b: &mut Vec<u8>) {
         b.push(u8::from(*self));
     }
@@ -182,8 +182,8 @@ impl Wire for bool {
 }
 
 /// Byte strings move as one slice, not as a sequence of elements —
-/// which is why `u8` itself is not `Wire`.
-impl Wire for Vec<u8> {
+/// which is why `u8` itself is not `Encode`.
+impl Encode for Vec<u8> {
     fn put(&self, b: &mut Vec<u8>) {
         write_bytes(b, self);
     }
@@ -192,7 +192,7 @@ impl Wire for Vec<u8> {
     }
 }
 
-impl Wire for String {
+impl Encode for String {
     fn put(&self, b: &mut Vec<u8>) {
         write_bytes(b, self.as_bytes());
     }
@@ -201,7 +201,7 @@ impl Wire for String {
     }
 }
 
-impl<T: Wire> Wire for Option<T> {
+impl<T: Encode> Encode for Option<T> {
     fn put(&self, b: &mut Vec<u8>) {
         self.is_some().put(b);
         if let Some(v) = self {
@@ -215,7 +215,7 @@ impl<T: Wire> Wire for Option<T> {
 
 macro_rules! wire_ptr {
     ($($ptr:ident),+) => {$(
-        impl<T: Wire> Wire for $ptr<T> {
+        impl<T: Encode> Encode for $ptr<T> {
             const MIN_LEN: usize = T::MIN_LEN;
             fn put(&self, b: &mut Vec<u8>) {
                 (**self).put(b);
@@ -231,7 +231,7 @@ wire_ptr!(Box, Arc);
 /// The only caller of [`Reader::count`] besides byte strings and a
 /// table's row count: every `Vec`, and through it every map, is sized
 /// from a count the frame can back.
-impl<T: Wire> Wire for Vec<T> {
+impl<T: Encode> Encode for Vec<T> {
     fn put(&self, b: &mut Vec<u8>) {
         write_seq(b, self.iter());
     }
@@ -247,7 +247,7 @@ impl<T: Wire> Wire for Vec<T> {
 
 /// Maps travel as their pairs in ascending key order, so equal maps
 /// encode to equal bytes.
-impl<K: Wire + Copy + Ord + Hash, V: Wire + Copy> Wire for HashMap<K, V> {
+impl<K: Encode + Copy + Ord + Hash, V: Encode + Copy> Encode for HashMap<K, V> {
     fn put(&self, b: &mut Vec<u8>) {
         let mut pairs: Vec<(K, V)> = self.iter().map(|(k, v)| (*k, *v)).collect();
         pairs.sort_by_key(|(k, _)| *k);
@@ -261,7 +261,7 @@ impl<K: Wire + Copy + Ord + Hash, V: Wire + Copy> Wire for HashMap<K, V> {
 macro_rules! wire_tuple {
     ($($t:ident),+) => {
         #[allow(non_snake_case)]
-        impl<$($t: Wire),+> Wire for ($($t,)+) {
+        impl<$($t: Encode),+> Encode for ($($t,)+) {
             const MIN_LEN: usize = 0 $(+ $t::MIN_LEN)+;
             fn put(&self, b: &mut Vec<u8>) {
                 let ($($t,)+) = self;
@@ -282,7 +282,7 @@ wire_tuple!(A, B, C);
 
 macro_rules! wire_id {
     ($($ty:ident),+) => {$(
-        impl Wire for $ty {
+        impl Encode for $ty {
             const MIN_LEN: usize = u32::MIN_LEN;
             fn put(&self, b: &mut Vec<u8>) {
                 self.0.put(b);
@@ -298,7 +298,7 @@ wire_id!(AttrId, RelId, NodeId, SubjectId);
 /// A struct is its fields, in the order listed.
 macro_rules! wire_struct {
     ($ty:ident: $($f:ident),+) => {
-        impl Wire for $ty {
+        impl Encode for $ty {
             fn put(&self, b: &mut Vec<u8>) {
                 $(self.$f.put(b);)+
             }
@@ -317,7 +317,7 @@ macro_rules! wire_enum {
     ($ty:ident {
         $($tag:literal => $var:ident $(($($t:ident),+))? $({ $($f:ident),+ })?),+ $(,)?
     }) => {
-        impl Wire for $ty {
+        impl Encode for $ty {
             fn put(&self, b: &mut Vec<u8>) {
                 match self {
                     $($ty::$var $(($($t),+))? $({ $($f),+ })? => {
@@ -349,7 +349,7 @@ wire_enum!(AggFunc { 0 => Count, 1 => CountDistinct, 2 => Sum, 3 => Avg, 4 => Mi
 
 /// The scheme's table lives with the type: [`Value::canonical_bytes`]
 /// writes the same byte.
-impl Wire for EncScheme {
+impl Encode for EncScheme {
     fn put(&self, b: &mut Vec<u8>) {
         b.push(self.tag());
     }
@@ -362,7 +362,7 @@ impl Wire for EncScheme {
 // Values and tables
 // ---------------------------------------------------------------------------
 
-impl Wire for Value {
+impl Encode for Value {
     /// The length prefix and the type tag.
     const MIN_LEN: usize = 5;
     fn put(&self, b: &mut Vec<u8>) {
@@ -378,7 +378,7 @@ impl Wire for Value {
 /// Every cell is individually length-prefixed, and the cell loops
 /// stay direct — this is the only part of a frame measured in
 /// megabytes.
-impl Wire for Table {
+impl Encode for Table {
     fn put(&self, b: &mut Vec<u8>) {
         write_seq(b, self.attrs().iter());
         write_len(b, self.len());
@@ -445,7 +445,7 @@ wire_enum!(Operator {
 
 /// A node is its child edges, then its operator; the two must agree
 /// on the arity.
-impl Wire for PlanNode {
+impl Encode for PlanNode {
     const MIN_LEN: usize = 5;
     fn put(&self, b: &mut Vec<u8>) {
         self.children.put(b);
@@ -459,7 +459,7 @@ impl Wire for PlanNode {
 }
 
 /// The arena in index order, then the root.
-impl Wire for QueryPlan {
+impl Encode for QueryPlan {
     fn put(&self, b: &mut Vec<u8>) {
         write_seq(b, (0..self.len()).map(|i| self.node(NodeId::from_index(i))));
         self.root().put(b);
@@ -529,7 +529,7 @@ wire_struct!(SignedEnvelope: wrapped_key, body, signature);
 /// Modulus, then exponent, big-endian. A key that decodes is one an
 /// envelope can be sealed to: [`RsaPublic::from_parts`] refuses the
 /// rest here, where it enters.
-impl Wire for RsaPublic {
+impl Encode for RsaPublic {
     fn put(&self, b: &mut Vec<u8>) {
         write_bytes(b, &self.n.to_bytes_be());
         write_bytes(b, &self.e.to_bytes_be());
@@ -542,10 +542,10 @@ impl Wire for RsaPublic {
 }
 
 /// The shipped fields of a [`QueryJob`]; the receiver re-derives the
-/// rest (order, parents, fusion sites, participants) in
+/// rest (regions, participants) in
 /// [`QueryJob::new`]. Servers never see each other's request envelopes
 /// or any private RSA key.
-impl Wire for QueryJob {
+impl Encode for QueryJob {
     fn put(&self, b: &mut Vec<u8>) {
         self.plan.put(b);
         let mut schemes: Vec<(AttrId, EncScheme)> = self.schemes.iter().collect();
@@ -556,7 +556,6 @@ impl Wire for QueryJob {
         self.user.put(b);
         self.exec_seed.put(b);
         self.timeout_ms.put(b);
-        self.fuse.put(b);
     }
     fn get(r: &mut Reader) -> Option<Self> {
         let plan = r.get()?;
@@ -565,7 +564,7 @@ impl Wire for QueryJob {
             schemes.set(attr, scheme);
         }
         let (key_of_attr, assignment) = (r.get()?, r.get()?);
-        let (user, exec_seed, timeout_ms, fuse) = (r.get()?, r.get()?, r.get()?, r.get()?);
+        let (user, exec_seed, timeout_ms) = (r.get()?, r.get()?, r.get()?);
         // A job whose assignment is not total over its plan is malformed.
         QueryJob::new(
             plan,
@@ -575,7 +574,6 @@ impl Wire for QueryJob {
             user,
             exec_seed,
             timeout_ms,
-            fuse,
         )
         .ok()
     }
@@ -681,13 +679,13 @@ wire_enum!(Frame {
     9 => Shutdown,
 });
 
-fn encode<T: Wire>(v: &T) -> Vec<u8> {
+fn encode<T: Encode>(v: &T) -> Vec<u8> {
     let mut b = Vec::new();
     v.put(&mut b);
     b
 }
 
-fn decode<T: Wire>(bytes: &[u8]) -> Option<T> {
+fn decode<T: Encode>(bytes: &[u8]) -> Option<T> {
     let mut r = Reader::new(bytes);
     let v = r.get()?;
     r.finish()?;
@@ -808,7 +806,6 @@ mod tests {
             ex.subject("U"),
             7,
             30_000,
-            true,
         )
         .expect("the fig7a assignment is total")
     }
@@ -1092,7 +1089,6 @@ mod tests {
             user,
             rng.gen(),
             rng.gen_range(0..60_000),
-            rng.gen(),
         )
         .expect("assignment covers the arena")
     }
@@ -1150,7 +1146,7 @@ mod tests {
     // ---- the round-trip property -------------------------------------------
 
     /// `decode(encode(x))` exists and re-encodes to the same bytes.
-    fn roundtrip<T: Wire>(x: &T) -> T {
+    fn roundtrip<T: Encode>(x: &T) -> T {
         let bytes = encode(x);
         let back: T = decode(&bytes).expect("what was encoded decodes");
         assert_eq!(encode(&back), bytes, "re-encoding differs");
@@ -1158,7 +1154,7 @@ mod tests {
     }
 
     /// …and, where the type can say so, is `x`.
-    fn roundtrip_eq<T: Wire + PartialEq + std::fmt::Debug>(x: &T) {
+    fn roundtrip_eq<T: Encode + PartialEq + std::fmt::Debug>(x: &T) {
         assert_eq!(&roundtrip(x), x);
     }
 
@@ -1170,12 +1166,10 @@ mod tests {
         let schemes = |j: &QueryJob| j.schemes.iter().collect::<HashMap<_, _>>();
         assert_eq!(schemes(back), schemes(job));
         assert_eq!(
-            (back.user, back.exec_seed, back.timeout_ms, back.fuse),
-            (job.user, job.exec_seed, job.timeout_ms, job.fuse)
+            (back.user, back.exec_seed, back.timeout_ms),
+            (job.user, job.exec_seed, job.timeout_ms)
         );
-        assert_eq!(back.order, job.order);
-        assert_eq!(back.parents, job.parents);
-        assert_eq!(back.fused, job.fused);
+        assert_eq!(back.regions, job.regions);
         assert_eq!(back.participants, job.participants);
     }
 
@@ -1236,18 +1230,28 @@ mod tests {
 
     // ---- the format is pinned ---------------------------------------------
 
-    /// SHA-256 over `len ‖ encode_frame(f)` of the golden corpus, taken
-    /// at the commit before the codec was rebuilt on `Wire`: the
-    /// encoding has not moved by a byte since.
+    /// SHA-256 over `len ‖ encode_frame(f)` of the golden corpus. The
+    /// digest of everything but `Execute` was taken at the commit
+    /// before the codec was rebuilt on `Encode`, and no data-plane or
+    /// provisioning frame has moved by a byte since; the full digest
+    /// was re-pinned once, when the job lost its `fuse` byte.
     #[test]
     fn golden_corpus_encodes_to_the_pinned_bytes() {
-        let mut all = Vec::new();
+        let (mut all, mut all_but_execute) = (Vec::new(), Vec::new());
         for f in golden_corpus() {
-            write_bytes(&mut all, &encode_frame(&f));
+            let bytes = encode_frame(&f);
+            write_bytes(&mut all, &bytes);
+            if !matches!(f, Frame::Execute { .. }) {
+                write_bytes(&mut all_but_execute, &bytes);
+            }
         }
         assert_eq!(
+            sha256_hex(&all_but_execute),
+            "882dc619e02350a01461773c53e2022e3c0736534a59ecc6c9a24caa8c13e154"
+        );
+        assert_eq!(
             sha256_hex(&all),
-            "eb66a0ac4de747be10a2c612db03e54b2448e80a42abf20793f666aa51f2a8f1"
+            "95140efd3315217e5683cacb9e27c32af781c03a3c2d05b83258d3e3b2bbc2c0"
         );
     }
 
@@ -1460,7 +1464,7 @@ mod tests {
         for i in 0..nodes.len() as u32 {
             b = b.u32(i).u32(0);
         }
-        b.u32(0).u64(0).u64(0).u8(0).u8(0).0
+        b.u32(0).u64(0).u64(0).u8(0).0
     }
 
     #[test]

@@ -4,16 +4,19 @@
 //! paper's §6 dispatch story — "each subject executes its assigned
 //! sub-query and forwards encrypted results".
 //!
-//! **One core, three schedulers.** The §6 rule — a node runs at its
-//! assignee once its operands have arrived; whatever crosses a subject
-//! edge is audited against the receiver's view and byte-accounted; the
-//! signed request is the licence to compute — is stated once, as the
-//! pure per-subject state machine in [`party`]. Three thin schedulers
-//! drive it:
+//! **One core, three schedulers.** The §6 rule — a Fig. 8 region (a
+//! maximal connected group of nodes with one assignee: what one signed
+//! sub-query covers) runs at its subject, as one pipeline, once the
+//! tables it reads from other regions have arrived; whatever crosses a
+//! subject edge is audited against the receiver's view and
+//! byte-accounted; the signed request is the licence to compute — is
+//! stated once, as the pure per-subject state machine in the
+//! crate-private `party` module. Nothing is materialized where the
+//! paper puts no edge. Three thin schedulers drive it:
 //!
 //! | scheduler | entry point | benchmark metric |
 //! |---|---|---|
-//! | **same thread** — walk the global postorder, stepping each node's assignee and *moving* tables between the machines | [`Session::execute_sequential`] | `seq_pass_ms_p50` |
+//! | **same thread** — walk the regions producers first, stepping each region's subject and *moving* tables between the machines | [`Session::execute_sequential`] | `seq_pass_ms_p50` |
 //! | **thread per subject** — long-lived party threads, mailboxes in, a `Wire` out ([`runtime`]) | [`Session::execute`] (in-proc mailboxes) | `pass_ms_p50` |
 //! | | [`Session::execute`] with [`TransportKind::Tcp`] (loopback sockets) | `tcp_pass_ms_p50` |
 //! | **process per subject** — the same blocking driver inside each [`Server`] and for the [`Coordinator`]'s own share ([`remote`]) | [`Coordinator::execute`] | — (`scripts/server_smoke.sh`) |
@@ -39,7 +42,7 @@
 //!    envelopes ([`SignedEnvelope`](mpq_crypto::rsa::SignedEnvelope)),
 //!    batched per subject-pair edge, opened and verified by each
 //!    recipient before it computes anything;
-//! 4. **execute** — the party core steps every node at its assignee,
+//! 4. **execute** — the party core steps every region at its subject,
 //!    over real XTEA/OPE/Paillier ciphertexts; every table crossing a
 //!    subject boundary is byte-accounted and [cell-audited](audit) by
 //!    the *receiving* party;

@@ -1,22 +1,30 @@
 //! The party core: the §6 execution rule, stated once.
 //!
-//! A node runs at its assignee once its operands have arrived;
-//! whatever crosses a subject edge is audited against the receiver's
-//! view and byte-accounted; the signed `[[q_S, keys]_priU]_pubS`
-//! request is the licence to compute. [`PartyRun`] is that rule for
-//! *one subject and one query* as a pure state machine — no threads,
-//! no channels, no sockets, no clock:
+//! The signed sub-query is the unit of execution. Fig. 8 cuts the
+//! extended plan into *regions* — maximal connected groups of nodes
+//! with one assignee ([`mpq_core::dispatch::regions`], the same cut the
+//! signed requests are rendered from) — and a region runs at its
+//! subject, as one pipeline, once the tables it reads from other
+//! regions have arrived; whatever crosses a subject edge is audited
+//! against the receiver's view and byte-accounted; the signed
+//! `[[q_S, keys]_priU]_pubS` request is the licence to compute. Nothing
+//! is materialized where the paper puts no edge, so footnote 2 is not
+//! a case: the engine turns a Select and the Encrypt below it into one
+//! filter-then-encrypt stream when one region holds both, and cannot
+//! when the ciphertext arrives as an operand. [`PartyRun`] is that rule for *one subject and one query*
+//! as a pure state machine — no threads, no channels, no sockets, no
+//! clock:
 //!
 //! * [`PartyRun::new`] verifies the request envelope addressed to this
-//!   subject and works out which nodes it runs and which operands it
+//!   subject and works out which regions it runs and which operands it
 //!   must be sent;
 //! * [`PartyRun::deliver`] takes one incoming [`Transfer`]: drops a
 //!   re-sent duplicate, refuses anything this party is not waiting for
 //!   from that producer, audits every cell against this subject's view
 //!   and accounts the bytes;
-//! * [`PartyRun::step`] runs one ready node under this subject's key
-//!   ring and store, and returns the table together with the subject it
-//!   must travel to (or keeps it, when the consumer is this subject);
+//! * [`PartyRun::step`] runs one region under this subject's key ring
+//!   and store, and returns its root's table together with the subject
+//!   it must travel to (the user keeps its own result);
 //! * [`PartyRun::finish`] yields the [`PartyOut`].
 //!
 //! Every failure is a returned [`SimError`]; what to do about it
@@ -30,12 +38,10 @@ use crate::error::SimError;
 use crate::transport::TransportError;
 use mpq_algebra::{AttrId, Catalog, NodeId, QueryPlan, SubjectId};
 use mpq_core::authz::SubjectView;
+use mpq_core::dispatch::{regions, Region};
 use mpq_crypto::keyring::KeyRing;
 use mpq_crypto::rsa::{RsaKeypair, RsaPublic, SignedEnvelope};
-use mpq_exec::{
-    effective_children, execute_step, fused_encrypt_child, node_ready_fused, Database, ExecCtx,
-    SchemePlan, Table, WorkerPool,
-};
+use mpq_exec::{execute_region, Database, ExecCtx, SchemePlan, Table, WorkerPool};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -102,25 +108,17 @@ pub(crate) struct QueryJob {
     /// the epoch with a typed timeout, in milliseconds (0: forever —
     /// the in-proc default, where a peer cannot die alone).
     pub(crate) timeout_ms: u64,
-    /// Footnote-2 filter-before-encrypt fusion enabled.
-    pub(crate) fuse: bool,
-    /// Derived: execution order (postorder of the plan).
-    pub(crate) order: Vec<NodeId>,
-    /// Derived: parent of each node, by node index.
-    pub(crate) parents: Vec<Option<NodeId>>,
-    /// Derived: Encrypt nodes folded into their parent Select (fusible
-    /// predicate, same assignee — a different assignee must never see
-    /// the Encrypt's plaintext input). These never run as steps.
-    pub(crate) fused: HashSet<NodeId>,
+    /// Derived: the Fig. 8 cut, producers first — the order a single
+    /// thread runs the regions in.
+    pub(crate) regions: Vec<Region>,
     /// Derived: every assignee plus the user, ascending by subject id.
     pub(crate) participants: Vec<SubjectId>,
 }
 
 impl QueryJob {
-    /// Build a job, deriving order, parents, fusion sites and
-    /// participants. Refuses an assignment that is not total over the
-    /// plan, so everything downstream may index it.
-    #[allow(clippy::too_many_arguments)]
+    /// Build a job, deriving the regions and the participants. Refuses
+    /// an assignment that is not total over the plan, so everything
+    /// downstream may index it.
     pub(crate) fn new(
         plan: QueryPlan,
         schemes: SchemePlan,
@@ -129,23 +127,14 @@ impl QueryJob {
         user: SubjectId,
         exec_seed: u64,
         timeout_ms: u64,
-        fuse: bool,
     ) -> Result<QueryJob, SimError> {
-        let order = plan.postorder();
-        let mut participants = vec![user];
-        for &id in &order {
-            participants.push(*assignment.get(&id).ok_or(SimError::Unassigned(id))?);
-        }
+        let mut regions = regions(&plan, &assignment).map_err(SimError::Unassigned)?;
+        regions.reverse();
+        let mut participants: Vec<SubjectId> = regions.iter().map(|r| r.subject).collect();
+        participants.push(user);
         participants.sort_by_key(|s| s.index());
         participants.dedup();
-        let fused = order
-            .iter()
-            .filter_map(|&id| Some((id, fused_encrypt_child(&plan, id)?)))
-            .filter(|(id, enc)| fuse && assignment[id] == assignment[enc])
-            .map(|(_, enc)| enc)
-            .collect();
         Ok(QueryJob {
-            parents: plan.parents(),
             plan,
             schemes,
             key_of_attr,
@@ -153,9 +142,7 @@ impl QueryJob {
             user,
             exec_seed,
             timeout_ms,
-            fuse,
-            order,
-            fused,
+            regions,
             participants,
         })
     }
@@ -180,16 +167,16 @@ pub(crate) struct PartyOut {
 pub(crate) struct PartyRun<'a> {
     party: &'a Party,
     job: &'a QueryJob,
-    /// My nodes not yet run, in global postorder.
-    todo: Vec<NodeId>,
+    /// My regions not yet run, producers first.
+    todo: Vec<&'a Region>,
     /// Tables still owed to me by other subjects: node → the subject
     /// assigned to produce it. Holds the root when I am the user and
     /// somebody else computes it.
     awaited: HashMap<NodeId, SubjectId>,
     /// Transfers already taken, by `(producer, seq)`.
     seen: HashSet<(SubjectId, u64)>,
-    /// Operand tables present here and not yet consumed.
-    results: HashMap<NodeId, Table>,
+    /// Operand tables delivered and not yet consumed.
+    operands: HashMap<NodeId, Table>,
     next_seq: u64,
     out: PartyOut,
 }
@@ -214,19 +201,13 @@ impl<'a> PartyRun<'a> {
         if !licensed {
             return Err(SimError::Envelope { to: me });
         }
-        let todo: Vec<NodeId> = job
-            .order
-            .iter()
-            .copied()
-            .filter(|id| job.assignment[id] == me && !job.fused.contains(id))
-            .collect();
-        // Operands of my nodes produced elsewhere, looking through
-        // fused Encrypts to the plaintext inputs actually consumed.
+        let todo: Vec<&Region> = job.regions.iter().filter(|r| r.subject == me).collect();
+        // A region's operands are other regions' roots, and a
+        // neighbouring region is by construction another subject's.
         let mut awaited: HashMap<NodeId, SubjectId> = todo
             .iter()
-            .flat_map(|&id| effective_children(&job.plan, id, &job.fused))
-            .map(|c| (c, job.assignment[&c]))
-            .filter(|&(_, producer)| producer != me)
+            .flat_map(|r| &r.operands)
+            .map(|&operand| (operand, job.assignment[&operand]))
             .collect();
         let root = job.plan.root();
         if me == job.user && job.assignment[&root] != me {
@@ -238,7 +219,7 @@ impl<'a> PartyRun<'a> {
             todo,
             awaited,
             seen: HashSet::new(),
-            results: HashMap::new(),
+            operands: HashMap::new(),
             next_seq: 0,
             out: PartyOut::default(),
         })
@@ -269,28 +250,39 @@ impl<'a> PartyRun<'a> {
             .transfers
             .entry((t.from, self.party.me))
             .or_default() += t.table.byte_size();
-        self.keep(t.node, t.table);
+        if t.node == self.job.plan.root() {
+            self.out.result = Some(t.table);
+        } else {
+            self.operands.insert(t.node, t.table);
+        }
         Ok(())
     }
 
-    /// My first node, in postorder, whose operands are all here.
+    /// The root of my first region, producers first, whose operands
+    /// are all here.
     pub(crate) fn ready(&self) -> Option<NodeId> {
-        let job = self.job;
-        self.todo
-            .iter()
-            .copied()
-            .find(|&id| node_ready_fused(&job.plan, id, &self.results, &job.fused))
+        let here = |operand| self.operands.contains_key(operand);
+        let region = self.todo.iter().find(|r| r.operands.iter().all(here))?;
+        Some(region.root)
     }
 
-    /// Run node `id` — one of mine, with its operands delivered — under
-    /// this subject's ring and store. `Some((to, transfer))` when the
-    /// consumer is another subject (the parent's assignee; the user for
-    /// the root); `None` when the table stays here.
-    pub(crate) fn step(&mut self, id: NodeId) -> Result<Option<(SubjectId, Transfer)>, SimError> {
+    /// Run my region rooted at `root` as one pipeline under this
+    /// subject's ring and store; its leaves are my base relations and
+    /// the delivered operands, and an operand that never arrived is a
+    /// typed [`ExecError::MissingOperand`](mpq_exec::ExecError) —
+    /// another subject's node is never computed here. `Some((to,
+    /// transfer))` carries the root's table to its consumer (the
+    /// assignee of the node above it; the user for the plan root);
+    /// `None` when I am the user and the result is my own.
+    pub(crate) fn step(&mut self, root: NodeId) -> Result<Option<(SubjectId, Transfer)>, SimError> {
         let (party, job) = (self.party, self.job);
-        self.todo.retain(|&n| n != id);
-        // A fresh context per node, so ciphertexts are bit-identical
-        // whatever the scheduler and the interleaving.
+        let at = self.todo.iter().position(|r| r.root == root);
+        let region = self
+            .todo
+            .remove(at.expect("schedulers step the roots `ready` hands them"));
+        // A fresh context per region: ciphertexts are a function of
+        // (seed, node, column, row), so they are bit-identical whatever
+        // the scheduler and the interleaving.
         let ctx = ExecCtx::builder(
             &party.catalog,
             &party.store,
@@ -301,9 +293,9 @@ impl<'a> PartyRun<'a> {
         .pool(party.pool.clone())
         .seed(job.exec_seed)
         .build();
-        let table = execute_step(&job.plan, id, &mut self.results, &ctx)?;
-        let parent = job.parents[id.index()];
-        let consumer = parent.map_or(job.user, |p| job.assignment[&p]);
+        let member = |n| region.nodes.contains(&n);
+        let table = execute_region(&job.plan, root, &member, &mut self.operands, &ctx)?;
+        let consumer = region.parent.map_or(job.user, |p| job.assignment[&p]);
         if consumer != party.me {
             let seq = self.next_seq;
             self.next_seq += 1;
@@ -311,30 +303,20 @@ impl<'a> PartyRun<'a> {
             return Ok(Some((
                 consumer,
                 Transfer {
-                    node: id,
+                    node: root,
                     from,
                     seq,
                     table,
                 },
             )));
         }
-        if parent.is_none() {
-            // Even a result the user computed itself is audited.
-            audit_transfer_with(&table, &party.view, &party.pool)?;
-        }
-        self.keep(id, table);
+        // Even a result the user computed itself is audited.
+        audit_transfer_with(&table, &party.view, &party.pool)?;
+        self.out.result = Some(table);
         Ok(None)
     }
 
-    fn keep(&mut self, node: NodeId, table: Table) {
-        if node == self.job.plan.root() {
-            self.out.result = Some(table);
-        } else {
-            self.results.insert(node, table);
-        }
-    }
-
-    /// `true` once every node of mine has run and nothing is owed to me.
+    /// `true` once every region of mine has run and nothing is owed to me.
     pub(crate) fn is_done(&self) -> bool {
         self.todo.is_empty() && self.awaited.is_empty()
     }
@@ -351,39 +333,72 @@ mod tests {
     use super::*;
     use crate::session::{set_up, Dispatched, Rings, SessionConfig};
     use mpq_algebra::Value;
+    use mpq_core::candidates::candidates;
+    use mpq_core::capability::CapabilityPolicy;
+    use mpq_core::extend::{minimally_extend, Assignment, ExtendedPlan};
     use mpq_core::fixtures::RunningExample;
     use mpq_core::keys::plan_keys;
+    use mpq_exec::{execute_step, fused_encrypt_child, ExecError};
 
-    /// Fig. 7(a): H and I feed X, X feeds Y, Y answers to U.
+    /// A prepared query over the running example and its parties.
     struct Fixture {
         ex: RunningExample,
         parties: Vec<Arc<Party>>,
         d: Dispatched,
     }
 
+    /// Fig. 7(b)'s assignment (σ→H, ⋈→Z, γ→Z, σᵧ→Y), minimally
+    /// extended: D is encrypted at the source, so H's region holds a
+    /// Select over its own Encrypt — a footnote-2 site.
+    fn fig7b(ex: &RunningExample) -> ExtendedPlan {
+        let (plan, policy) = (&ex.plan, &ex.policy);
+        let capabilities = CapabilityPolicy::default();
+        let cands = candidates(plan, &ex.catalog, policy, &ex.subjects, &capabilities, true);
+        let mut a = Assignment::new();
+        for (node, s) in [
+            ("select_d", "H"),
+            ("join", "Z"),
+            ("group", "Z"),
+            ("having", "Y"),
+        ] {
+            a.set(ex.node(node), ex.subject(s));
+        }
+        let user = Some(ex.subject("U"));
+        minimally_extend(plan, &ex.catalog, policy, &ex.subjects, &cands, &a, user)
+            .expect("fig7b assignment is drawn from Λ")
+    }
+
     impl Fixture {
+        /// Fig. 7(a): H and I feed X, X feeds Y, Y answers to U.
         fn new() -> Fixture {
             let ex = RunningExample::new();
+            let ext = ex.fig7a_extended();
+            Fixture::of(ex, &ext)
+        }
+
+        fn of(ex: RunningExample, ext: &ExtendedPlan) -> Fixture {
             let mut db = Database::new();
             db.load(&ex.catalog, "Hosp", RunningExample::sample_hosp_rows());
             db.load(&ex.catalog, "Ins", RunningExample::sample_ins_rows());
             let config = SessionConfig::new(5);
             let (parties, mut dispatcher) =
                 set_up(&ex.catalog, &ex.subjects, &ex.policy, &db, &config);
-            let ext = ex.fig7a_extended();
             let user = ex.subject("U");
             let mut rings = Rings {
                 parties: &parties,
                 user,
             };
             let d = dispatcher
-                .prepare(&ext, &plan_keys(&ext), user, &mut rings)
-                .expect("fig7a is authorized");
+                .prepare(ext, &plan_keys(ext), user, &mut rings)
+                .expect("the fixture plans are authorized");
             Fixture { ex, parties, d }
         }
 
         fn run(&self, name: &str) -> PartyRun<'_> {
-            let s = self.ex.subject(name);
+            self.run_of(self.ex.subject(name))
+        }
+
+        fn run_of(&self, s: SubjectId) -> PartyRun<'_> {
             let user_public = &self.parties[self.d.job.user.index()].rsa.public;
             let envelope = self.d.envelopes[s.index()].as_ref();
             PartyRun::new(&self.parties[s.index()], &self.d.job, envelope, user_public)
@@ -500,5 +515,118 @@ mod tests {
         assert!(refused(None), "no request, no licence");
         let for_y = f.d.envelopes[f.ex.subject("Y").index()].as_ref();
         assert!(refused(for_y), "a request sealed to somebody else");
+    }
+
+    type Edge = (SubjectId, SubjectId);
+
+    /// The whole query on this thread, regions producers first. Every
+    /// table that left its producer (by node), the bytes each edge
+    /// carried as the receivers accounted them, and the number of
+    /// pipelines run.
+    fn run_by_regions(f: &Fixture) -> (HashMap<NodeId, Table>, HashMap<Edge, usize>, usize) {
+        let job = &f.d.job;
+        let mut runs: HashMap<SubjectId, PartyRun> =
+            (job.participants.iter().map(|&s| (s, f.run_of(s)))).collect();
+        let mut in_flight: HashMap<NodeId, (SubjectId, Transfer)> = HashMap::new();
+        let mut shipped = HashMap::new();
+        for region in &job.regions {
+            let run = runs.get_mut(&region.subject).expect("a participant");
+            for operand in &region.operands {
+                let (to, t) = in_flight.remove(operand).expect("producers ran first");
+                assert_eq!(to, region.subject);
+                shipped.insert(t.node, t.table.clone());
+                run.deliver(t).expect("expected operand");
+            }
+            assert_eq!(run.ready(), Some(region.root));
+            let sent = run.step(region.root).expect("authorized region");
+            in_flight.extend(sent.map(|leaving| (region.root, leaving)));
+        }
+        if let Some((to, t)) = in_flight.remove(&job.plan.root()) {
+            shipped.insert(t.node, t.table.clone());
+            runs.get_mut(&to)
+                .expect("the user")
+                .deliver(t)
+                .expect("the result");
+        }
+        assert!(in_flight.is_empty() && runs.values().all(PartyRun::is_done));
+        let mut bytes = HashMap::new();
+        for (edge, n) in runs.into_values().flat_map(|run| run.finish().transfers) {
+            *bytes.entry(edge).or_default() += n;
+        }
+        (shipped, bytes, job.regions.len())
+    }
+
+    /// The reference the regions replaced: every node stepped on its
+    /// own under its assignee's ring and store, in literal plan order
+    /// (no footnote-2 reordering), every intermediate materialized.
+    fn run_node_at_a_time(f: &Fixture) -> (HashMap<NodeId, Table>, HashMap<Edge, usize>) {
+        let job = &f.d.job;
+        let parents = job.plan.parents();
+        let (mut results, mut shipped, mut bytes) =
+            (HashMap::new(), HashMap::new(), HashMap::new());
+        for id in job.plan.postorder() {
+            let party = &f.parties[job.assignment[&id].index()];
+            let (schemes, keys) = (&job.schemes, &job.key_of_attr);
+            let ctx = ExecCtx::builder(&party.catalog, &party.store, &party.ring, schemes, keys)
+                .seed(job.exec_seed)
+                .fuse_filter_encrypt(false)
+                .build();
+            let table = execute_step(&job.plan, id, &mut results, &ctx).expect("authorized node");
+            let consumer = parents[id.index()].map_or(job.user, |p| job.assignment[&p]);
+            if consumer != party.me {
+                *bytes.entry((party.me, consumer)).or_default() += table.byte_size();
+                shipped.insert(id, table.clone());
+            }
+            results.insert(id, table);
+        }
+        (shipped, bytes)
+    }
+
+    #[test]
+    fn regions_ship_byte_for_byte_what_a_node_at_a_time_walk_ships() {
+        let fig7b = Fixture::of(RunningExample::new(), &fig7b(&RunningExample::new()));
+        let plan = &fig7b.d.job.plan;
+        let folds =
+            |r: &Region, n| fused_encrypt_child(plan, n).is_some_and(|e| r.nodes.contains(&e));
+        let mut regions = fig7b.d.job.regions.iter();
+        assert!(
+            regions.any(|r| r.nodes.iter().any(|&n| folds(r, n))),
+            "Fig. 7(b) exercises footnote 2"
+        );
+        for f in [Fixture::new(), fig7b] {
+            let (shipped, bytes, pipelines) = run_by_regions(&f);
+            let (reference, reference_bytes) = run_node_at_a_time(&f);
+            assert!(pipelines < f.d.job.plan.postorder().len());
+            assert_eq!(shipped, reference, "a table on an edge moved");
+            assert_eq!(bytes, reference_bytes);
+            // One signed sub-query, one pipeline.
+            assert_eq!(f.d.requests, pipelines);
+        }
+    }
+
+    #[test]
+    fn a_region_whose_operand_never_arrived_runs_nothing() {
+        let f = Fixture::new();
+        let region = |name| {
+            let mut mine =
+                f.d.job
+                    .regions
+                    .iter()
+                    .filter(|r| r.subject == f.ex.subject(name));
+            mine.next().expect("one region each in fig7a")
+        };
+        // X joins what H and I encrypt. It holds neither their
+        // relations nor their key: had it descended into a producer's
+        // node, the refusal would be a missing table or key instead.
+        let mut x = f.run("X");
+        assert_eq!(x.ready(), None);
+        let (x_root, operand) = (region("X").root, region("H").root);
+        let refused = x.step(x_root).expect_err("nothing was delivered");
+        let node = f.d.job.plan.parents()[operand.index()].expect("H feeds X");
+        assert_eq!(
+            refused,
+            SimError::Exec(ExecError::MissingOperand { node, operand })
+        );
+        assert!(x.finish().transfers.is_empty());
     }
 }

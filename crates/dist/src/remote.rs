@@ -48,8 +48,8 @@
 //! the same `Dispatcher` a [`Session`](crate::Session) uses
 //! (authorize → provision → seal; only the delivery of a key differs);
 //! every server, and the coordinator for the user's own share, runs
-//! the [party core](crate::party) under the same blocking
-//! [`drive`](crate::runtime) the in-process party threads use, so
+//! the party core (`party.rs`) under the same blocking `drive` of
+//! [`runtime`](crate::runtime) the in-process party threads use, so
 //! every guarantee (envelope check, receive audit, epoch isolation,
 //! typed transport aborts) carries over. The control connections are a
 //! `Transport` backend under a second `Wire`: control frames retry,
@@ -582,9 +582,9 @@ impl Coordinator {
     /// Of the [`SessionConfig`], a coordinator reads `seed`, `workers`
     /// (the user's own party), `preflight`, `timeout` (10 s when
     /// unset), `faults` (one schedule for the user's data-plane sends,
-    /// a second copy with its own counters for the control plane),
-    /// `retry` and `fuse`. It does not read `transport`: a coordinator
-    /// is TCP by definition.
+    /// a second copy with its own counters for the control plane) and
+    /// `retry`. It does not read `transport`: a coordinator is TCP by
+    /// definition.
     #[allow(clippy::too_many_arguments)]
     pub fn connect(
         catalog: &Catalog,

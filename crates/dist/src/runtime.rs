@@ -1,27 +1,28 @@
-//! The blocking scheduler over the [party core](crate::party): a
-//! mailbox in, a `Wire` out.
+//! The blocking scheduler over the party core (`party.rs`): a mailbox
+//! in, a `Wire` out.
 //!
-//! [`drive`] runs one subject's share of one query epoch by feeding a
-//! [`PartyRun`] from the party's mailbox and sending what it produces
+//! `drive` runs one subject's share of one query epoch by feeding a
+//! `PartyRun` from the party's mailbox and sending what it produces
 //! through the party's `Wire`. It is the whole of two of the three
 //! schedulers:
 //!
-//! * **thread per subject** — [`PartyThreads`]: one long-lived OS
+//! * **thread per subject** — `PartyThreads`: one long-lived OS
 //!   thread per subject, spawned **once** when a
 //!   [`Session`](crate::Session) opens and reused for every query
 //!   (`Session::execute`). Between queries a party idles on its
-//!   mailbox; a `PartyMsg::Run` wakes the participants, and each steps
-//!   a node as soon as its operands are local, so independent subtrees
-//!   assigned to different subjects execute concurrently;
+//!   mailbox; a `PartyMsg::Run` wakes the participants, and each runs
+//!   a Fig. 8 region of its own, as one pipeline, as soon as the
+//!   region's operands are local, so independent regions of different
+//!   subjects execute concurrently;
 //! * **process per subject** — [`Server`](crate::Server) and the
 //!   [`Coordinator`](crate::Coordinator)'s own share call the same
-//!   [`drive`] from their own threads (see [`remote`](crate::remote)).
+//!   `drive` from their own threads (see [`remote`](crate::remote)).
 //!
 //! The third, **same thread**, is
 //! [`Session::execute_sequential`](crate::Session::execute_sequential),
 //! which steps the same core without any of this module.
 //!
-//! Failure handling: the core returns a typed error; [`drive`] — and
+//! Failure handling: the core returns a typed error; `drive` — and
 //! only `drive` — broadcasts a best-effort abort to the query's other
 //! participants and reports the error. Peers receiving `Abort` stop
 //! without an error of their own. `PartyThreads::run` returns the

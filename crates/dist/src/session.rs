@@ -50,7 +50,7 @@ use mpq_core::keys::{ClusterSig, KeyPlan};
 use mpq_core::subjects::Subjects;
 use mpq_crypto::keyring::{ClusterKey, KeyRing};
 use mpq_crypto::rsa::{RsaKeypair, RsaPublic, SignedEnvelope};
-use mpq_exec::{assign_schemes, effective_children, rewrite_literals, Database, WorkerPool};
+use mpq_exec::{assign_schemes, rewrite_literals, Database, WorkerPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
@@ -59,8 +59,8 @@ use std::time::Duration;
 
 /// Every runtime knob of a [`Session`] (and of a
 /// [`Coordinator`](crate::Coordinator)) in one builder: seed, worker
-/// pool, static pre-flight, transport, receive timeout, fault schedule,
-/// retry budget, and footnote-2 fusion.
+/// pool, static pre-flight, transport, receive timeout, fault schedule
+/// and retry budget.
 ///
 /// # Example
 ///
@@ -98,12 +98,6 @@ pub struct SessionConfig {
     /// Bounded per-message retry with seeded backoff, applied to every
     /// data-plane send (real failures and injected ones alike).
     pub retry: RetryPolicy,
-    /// Footnote-2 filter-before-encrypt fusion: a `Select` directly
-    /// above an `Encrypt` assigned to the *same* subject evaluates the
-    /// condition on the plaintext input and encrypts only the
-    /// surviving tuples (on by default; results and per-edge bytes are
-    /// bit-identical either way).
-    pub fuse: bool,
 }
 
 impl SessionConfig {
@@ -118,7 +112,6 @@ impl SessionConfig {
             timeout: None,
             faults: None,
             retry: RetryPolicy::default(),
-            fuse: true,
         }
     }
 
@@ -156,13 +149,6 @@ impl SessionConfig {
     /// Override the per-message retry budget and backoff.
     pub fn retry(mut self, retry: RetryPolicy) -> SessionConfig {
         self.retry = retry;
-        self
-    }
-
-    /// Enable or disable footnote-2 filter-before-encrypt fusion
-    /// (the fusion-differential tests compare both settings).
-    pub fn fuse(mut self, on: bool) -> SessionConfig {
-        self.fuse = on;
         self
     }
 
@@ -267,7 +253,6 @@ pub(crate) struct Dispatcher {
     /// tests opt out to exercise the dynamic checks the verifier
     /// subsumes.
     preflight: bool,
-    fuse: bool,
     timeout: Option<Duration>,
 }
 
@@ -292,7 +277,6 @@ impl Dispatcher {
             next_key_id: 0,
             stats: SessionStats::default(),
             preflight: config.preflight,
-            fuse: config.fuse,
             timeout,
         }
     }
@@ -467,7 +451,6 @@ impl Dispatcher {
             user,
             self.exec_seed,
             self.timeout.map_or(0, |d| d.as_millis() as u64),
-            self.fuse,
         )?;
         Ok(Dispatched {
             job,
@@ -678,8 +661,9 @@ impl Session {
     ///
     /// This is the **thread-per-subject** scheduler: the long-lived
     /// party threads wake, exchange result tables over their mailboxes,
-    /// and every node executes as soon as its operands arrive at its
-    /// assignee (see [`runtime`](crate::runtime)). Results and per-edge
+    /// and every Fig. 8 region runs, as one pipeline, as soon as its
+    /// operands arrive at its subject (see
+    /// [`runtime`](crate::runtime)). Results and per-edge
     /// byte counts are bit-identical to
     /// [`Session::execute_sequential`].
     ///
@@ -700,8 +684,9 @@ impl Session {
     /// **same-thread** scheduler, and the reference the concurrent
     /// runtime is differentially tested against. Same preparation (and
     /// the same key cache), same party core, same results, same byte
-    /// accounting; no pipeline parallelism. Tables change hands by
-    /// move. The first failing node in postorder decides the error.
+    /// accounting; no parallelism between subjects. Tables change hands
+    /// by move. Regions run producers first, and the first one to fail
+    /// decides the error.
     pub fn execute_sequential(
         &mut self,
         ext: &ExtendedPlan,
@@ -712,7 +697,7 @@ impl Session {
         let job = &d.job;
         let user_public = &self.parties[user.index()].rsa.public;
         // Envelopes open and verify at their recipients before any
-        // node runs.
+        // region runs.
         let mut runs: Vec<Option<PartyRun>> = self.parties.iter().map(|_| None).collect();
         for &s in &job.participants {
             let envelope = d.envelopes[s.index()].as_ref();
@@ -720,19 +705,20 @@ impl Session {
             runs[s.index()] = Some(run);
         }
         // A table leaving its producer waits here until its consumer's
-        // turn, so each is audited right before the node that reads it.
+        // turn, so each is audited right before the region that reads
+        // it.
         let mut in_flight: HashMap<NodeId, Transfer> = HashMap::new();
-        for &id in job.order.iter().filter(|id| !job.fused.contains(id)) {
-            let run = runs[job.assignment[&id].index()]
+        for region in &job.regions {
+            let run = runs[region.subject.index()]
                 .as_mut()
                 .expect("every assignee participates");
-            for child in effective_children(&job.plan, id, &job.fused) {
-                if let Some(transfer) = in_flight.remove(&child) {
+            for operand in &region.operands {
+                if let Some(transfer) = in_flight.remove(operand) {
                     run.deliver(transfer)?;
                 }
             }
-            if let Some((_, transfer)) = run.step(id)? {
-                in_flight.insert(id, transfer);
+            if let Some((_, transfer)) = run.step(region.root)? {
+                in_flight.insert(region.root, transfer);
             }
         }
         if let Some(result) = in_flight.remove(&job.plan.root()) {

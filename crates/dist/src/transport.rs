@@ -30,7 +30,7 @@
 //! wire* (not the backend), so the in-proc and TCP transports surface
 //! byte-identical errors and recovery traces for the same schedule.
 //! Every table carries a `(from, seq)` stamped by the sending party;
-//! the receiving [party core](crate::party) drops duplicates, which
+//! the receiving party core (`party.rs`) drops duplicates, which
 //! makes re-sends idempotent: a
 //! [`FaultAction::Reset`](crate::fault::FaultAction) delivers *and*
 //! fails the sender, forcing the duplicate the dedup exists for.
@@ -233,8 +233,13 @@ fn write_frame(stream: &mut TcpStream, frame: &Frame) -> std::io::Result<()> {
     stream.flush()
 }
 
-/// Read one `[u32 len][frame]` record. `Ok(None)` is clean EOF.
-fn read_frame(stream: &mut TcpStream) -> Result<Option<Frame>, TransportError> {
+/// Most a frame's buffer holds before any of its body has arrived.
+const FIRST_READ: usize = 64 << 10;
+
+/// Read one `[u32 len][frame]` record. `Ok(None)` is clean EOF. The
+/// length prefix is a peer's claim, not an allocation request: the
+/// buffer grows with the bytes that actually arrive.
+fn read_frame(stream: &mut impl Read) -> Result<Option<Frame>, TransportError> {
     let mut len = [0u8; 4];
     match stream.read_exact(&mut len) {
         Ok(()) => {}
@@ -259,12 +264,18 @@ fn read_frame(stream: &mut TcpStream) -> Result<Option<Frame>, TransportError> {
             detail: format!("{len}-byte frame exceeds the {MAX_FRAME}-byte cap"),
         });
     }
-    let mut body = vec![0u8; len];
-    stream
-        .read_exact(&mut body)
+    let mut body = Vec::with_capacity(len.min(FIRST_READ));
+    let got = stream
+        .take(len as u64)
+        .read_to_end(&mut body)
         .map_err(|e| TransportError::Recv {
             detail: e.to_string(),
         })?;
+    if got < len {
+        return Err(TransportError::Recv {
+            detail: format!("connection closed {got} bytes into a {len}-byte frame"),
+        });
+    }
     decode_frame(&body)
         .ok_or(TransportError::Frame {
             detail: format!("{len}-byte frame did not decode"),
@@ -829,6 +840,64 @@ mod tests {
                 vec![vec![mpq_algebra::Value::Int(7)]],
             ),
         })
+    }
+
+    /// A peer that sends `bytes` and hangs up, remembering the largest
+    /// buffer it was ever asked to fill.
+    struct Peer<'a> {
+        bytes: &'a [u8],
+        largest_buf: usize,
+    }
+
+    impl Read for Peer<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest_buf = self.largest_buf.max(buf.len());
+            let n = buf.len().min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_length_prefix_is_not_an_allocation_request() {
+        // Four bytes claiming the largest admissible frame, then EOF:
+        // a typed error, and no buffer of anything like that size was
+        // ever presented to the socket.
+        let mut claim = (MAX_FRAME as u32).to_be_bytes().to_vec();
+        let mut peer = Peer {
+            bytes: &claim,
+            largest_buf: 0,
+        };
+        let hung_up = read_frame(&mut peer);
+        assert!(
+            matches!(&hung_up, Err(TransportError::Recv { detail }) if detail.contains("0 bytes into")),
+            "{hung_up:?}"
+        );
+        assert!(peer.largest_buf <= FIRST_READ, "{}", peer.largest_buf);
+        // The same claim backed by a few real bytes: still only as
+        // much memory as bytes received.
+        claim.extend([0xAB; 100_000]);
+        let mut peer = Peer {
+            bytes: &claim,
+            largest_buf: 0,
+        };
+        assert!(matches!(
+            read_frame(&mut peer),
+            Err(TransportError::Recv { .. })
+        ));
+        assert!(peer.largest_buf <= 4 * 100_000, "{}", peer.largest_buf);
+        // An honest frame comes through the same path whole.
+        let mut honest = Vec::new();
+        let body = encode_frame(&Frame::Shutdown);
+        honest.extend((body.len() as u32).to_be_bytes());
+        honest.extend(body);
+        let mut peer = Peer {
+            bytes: &honest,
+            largest_buf: 0,
+        };
+        assert!(matches!(read_frame(&mut peer), Ok(Some(Frame::Shutdown))));
+        assert!(matches!(read_frame(&mut peer), Ok(None)));
     }
 
     #[test]

@@ -73,6 +73,16 @@ pub enum ExecError {
     Crypto(String),
     /// Structurally unsupported plan shape.
     Unsupported(String),
+    /// `node` reads the output of `operand`, which lies outside the
+    /// region being run and was not supplied as an input. A region
+    /// never computes a node that is not its own: another subject's
+    /// node must arrive as a table, not run under this subject's keys.
+    MissingOperand {
+        /// The node being compiled.
+        node: NodeId,
+        /// Its child outside the region.
+        operand: NodeId,
+    },
 }
 
 impl From<EvalError> for ExecError {
@@ -100,6 +110,11 @@ impl std::fmt::Display for ExecError {
             ),
             ExecError::Crypto(m) => write!(f, "crypto error: {m}"),
             ExecError::Unsupported(m) => write!(f, "unsupported plan: {m}"),
+            ExecError::MissingOperand { node, operand } => write!(
+                f,
+                "node {node} reads node {operand}, which is outside the region being run \
+                 and was not supplied"
+            ),
         }
     }
 }
@@ -356,38 +371,45 @@ where
 /// Execute a whole plan as one streaming pipeline, returning the root
 /// table.
 pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<Table, ExecError> {
-    let mut inputs = HashMap::new();
-    compile_node(plan, plan.root(), &mut inputs, true, ctx)?.collect()
+    execute_region(plan, plan.root(), &|_| true, &mut HashMap::new(), ctx)
 }
 
-/// Execute a single node against already-materialized child results.
+/// Execute the region of `plan` rooted at `root` as one streaming
+/// pipeline: the nodes `member` accepts are compiled, and a child that
+/// is not one must be waiting in `inputs` (it is consumed from there)
+/// — a child that is neither is an [`ExecError::MissingOperand`], and
+/// nothing runs. A member whose table is already in `inputs` is read
+/// from there, not recomputed.
 ///
-/// This is the stepping API used by the distributed simulator
-/// (`mpq-dist`), which runs every node under the [`ExecCtx`] — key
-/// ring, base-relation store — of the *subject assigned to it* rather
-/// than one global context. Children of `id` are consumed from
-/// `results`; the caller inserts the returned table under `id` before
-/// stepping any parent. Within the step, child tables are re-streamed
-/// in `ctx.batch_rows` slices, so the step's working set beyond its
-/// inputs stays batch-bounded.
+/// This is how `mpq-dist` runs a Fig. 8 sub-query: the members are one
+/// subject's maximal connected group of nodes, `ctx` holds that
+/// subject's key ring and base relations, and `inputs` the tables
+/// other subjects sent it. Nothing is materialized between members.
+pub fn execute_region(
+    plan: &QueryPlan,
+    root: NodeId,
+    member: &dyn Fn(NodeId) -> bool,
+    inputs: &mut HashMap<NodeId, Table>,
+    ctx: &ExecCtx<'_>,
+) -> Result<Table, ExecError> {
+    compile_node(plan, root, inputs, member, ctx)?.collect()
+}
+
+/// Execute a single node against already-materialized child results:
+/// the region of `id` alone — plus, under footnote 2, the Encrypt a
+/// fusible Select folds in when the caller did not materialize it.
+/// Children of `id` are consumed from `results`; the caller inserts the
+/// returned table under `id` before stepping any parent. Within the
+/// step, child tables are re-streamed in `ctx.batch_rows` slices, so
+/// the step's working set beyond its inputs stays batch-bounded.
 pub fn execute_step(
     plan: &QueryPlan,
     id: NodeId,
     results: &mut HashMap<NodeId, Table>,
     ctx: &ExecCtx<'_>,
 ) -> Result<Table, ExecError> {
-    compile_node(plan, id, results, false, ctx)?.collect()
-}
-
-/// `true` when every operand of `id` has a materialized table in
-/// `results` — the readiness test a distributed party loop polls
-/// before stepping a node with [`execute_step`]. Leaves are always
-/// ready.
-pub fn node_ready(plan: &QueryPlan, id: NodeId, results: &HashMap<NodeId, Table>) -> bool {
-    plan.node(id)
-        .children
-        .iter()
-        .all(|c| results.contains_key(c))
+    let folded = fused_encrypt_child(plan, id);
+    execute_region(plan, id, &|n| n == id || Some(n) == folded, results, ctx)
 }
 
 /// The operands `id` actually consumes when the Encrypt nodes in
@@ -406,44 +428,35 @@ pub fn effective_children(plan: &QueryPlan, id: NodeId, fused: &HashSet<NodeId>)
     out
 }
 
-/// [`node_ready`] under footnote-2 fusion: a Select whose Encrypt
-/// child is fused is ready once the Encrypt's own operands are — the
-/// Encrypt itself never materializes.
-pub fn node_ready_fused(
-    plan: &QueryPlan,
-    id: NodeId,
-    results: &HashMap<NodeId, Table>,
-    fused: &HashSet<NodeId>,
-) -> bool {
-    effective_children(plan, id, fused)
-        .iter()
-        .all(|c| results.contains_key(c))
-}
-
-/// Resolve child `k` of `id` as a stream: a materialized result when
-/// one exists (stepping mode), otherwise — in pipeline mode — the
-/// recursively compiled child operator.
+/// Resolve child `k` of `id` as a stream: a supplied table when one
+/// exists, otherwise the compiled child operator — if the child
+/// belongs to the region being compiled.
 fn child_stream<'p>(
     plan: &'p QueryPlan,
     id: NodeId,
     k: usize,
     inputs: &mut HashMap<NodeId, Table>,
-    recurse: bool,
+    member: &dyn Fn(NodeId) -> bool,
     ctx: &'p ExecCtx<'p>,
 ) -> Result<BatchStream<'p>, ExecError> {
     let cid = plan.node(id).children[k];
     if let Some(t) = inputs.remove(&cid) {
         return Ok(scan_owned(t, ctx.batch_rows));
     }
-    assert!(recurse, "child executed before parent");
-    compile_node(plan, cid, inputs, recurse, ctx)
+    if !member(cid) {
+        return Err(ExecError::MissingOperand {
+            node: id,
+            operand: cid,
+        });
+    }
+    compile_node(plan, cid, inputs, member, ctx)
 }
 
 fn compile_node<'p>(
     plan: &'p QueryPlan,
     id: NodeId,
     inputs: &mut HashMap<NodeId, Table>,
-    recurse: bool,
+    member: &dyn Fn(NodeId) -> bool,
     ctx: &'p ExecCtx<'p>,
 ) -> Result<BatchStream<'p>, ExecError> {
     let node = plan.node(id);
@@ -482,7 +495,7 @@ fn compile_node<'p>(
             })
         }
         Operator::Project { attrs } => {
-            let child = child_stream(plan, id, 0, inputs, recurse, ctx)?;
+            let child = child_stream(plan, id, 0, inputs, member, ctx)?;
             let indices: Vec<usize> = attrs
                 .iter()
                 .map(|a| {
@@ -516,17 +529,18 @@ fn compile_node<'p>(
             }))
         }
         Operator::Select { pred } => {
-            // Footnote-2 fusion: when the child Encrypt has not been
-            // materialized (pipeline mode, or a stepping caller that
-            // deliberately skipped it), evaluate the condition on the
-            // plaintext input and encrypt only the survivors.
-            if ctx.fuse_filter_encrypt && !inputs.contains_key(&node.children[0]) {
+            // Footnote-2 fusion: when the child Encrypt is this
+            // region's to run (not a table supplied by its producer),
+            // evaluate the condition on the plaintext input and
+            // encrypt only the survivors.
+            let child = node.children[0];
+            if ctx.fuse_filter_encrypt && member(child) && !inputs.contains_key(&child) {
                 if let Some(enc_id) = fused_encrypt_child(plan, id) {
                     let Operator::Encrypt { attrs } = &plan.node(enc_id).op else {
                         unreachable!("fused_encrypt_child returns Encrypt nodes");
                     };
                     // Grandchild stream: the Encrypt's plaintext input.
-                    let child = child_stream(plan, enc_id, 0, inputs, recurse, ctx)?;
+                    let child = child_stream(plan, enc_id, 0, inputs, member, ctx)?;
                     // Crypto plans keyed to the *Encrypt* node id, so
                     // every ciphertext draws from the same seed stream
                     // as the unfused plan order.
@@ -536,14 +550,14 @@ fn compile_node<'p>(
                     return Ok(fused_filter_encrypt_stream(child, pred, plans, ctx));
                 }
             }
-            let child = child_stream(plan, id, 0, inputs, recurse, ctx)?;
+            let child = child_stream(plan, id, 0, inputs, member, ctx)?;
             let schema = child.schema.clone();
             Ok(map_stream(child, schema.clone(), move |batch| {
                 filter_batch(pred, &schema, batch, None, ctx)
             }))
         }
         Operator::Having { pred } => {
-            let child = child_stream(plan, id, 0, inputs, recurse, ctx)?;
+            let child = child_stream(plan, id, 0, inputs, member, ctx)?;
             // Extended plans may splice Decrypt/Encrypt between the
             // HAVING and its GROUP BY; both preserve the row layout.
             let agg_base = match &plan.node(plan.through_crypto(node.children[0])).op {
@@ -560,8 +574,8 @@ fn compile_node<'p>(
             }))
         }
         Operator::Product => {
-            let mut left = child_stream(plan, id, 0, inputs, recurse, ctx)?;
-            let right = child_stream(plan, id, 1, inputs, recurse, ctx)?;
+            let mut left = child_stream(plan, id, 0, inputs, member, ctx)?;
+            let right = child_stream(plan, id, 1, inputs, member, ctx)?;
             let mut attrs = left.schema.attrs().to_vec();
             attrs.extend(right.schema.attrs().iter().copied());
             let schema = TableSchema::new(attrs);
@@ -597,12 +611,12 @@ fn compile_node<'p>(
             })
         }
         Operator::Join { kind, on, residual } => {
-            let left = child_stream(plan, id, 0, inputs, recurse, ctx)?;
-            let right = child_stream(plan, id, 1, inputs, recurse, ctx)?;
+            let left = child_stream(plan, id, 0, inputs, member, ctx)?;
+            let right = child_stream(plan, id, 1, inputs, member, ctx)?;
             join_stream(*kind, on, residual.as_ref(), left, right, ctx)
         }
         Operator::GroupBy { keys, aggs } => {
-            let child = child_stream(plan, id, 0, inputs, recurse, ctx)?;
+            let child = child_stream(plan, id, 0, inputs, member, ctx)?;
             let mut attrs: Vec<AttrId> = keys.to_vec();
             attrs.extend(aggs.iter().map(|a| a.output));
             let schema = TableSchema::new(attrs);
@@ -618,7 +632,7 @@ fn compile_node<'p>(
             body,
             ..
         } => {
-            let child = child_stream(plan, id, 0, inputs, recurse, ctx)?;
+            let child = child_stream(plan, id, 0, inputs, member, ctx)?;
             let body = body
                 .as_ref()
                 .ok_or_else(|| ExecError::Unsupported("opaque udf cannot be executed".into()))?;
@@ -632,18 +646,18 @@ fn compile_node<'p>(
             ))
         }
         Operator::Encrypt { attrs } => {
-            let child = child_stream(plan, id, 0, inputs, recurse, ctx)?;
+            let child = child_stream(plan, id, 0, inputs, member, ctx)?;
             let plans = crypto_plans(attrs, &child.schema, id, ctx)?;
             Ok(crypto_stream(child, plans, true, ctx))
         }
         Operator::Decrypt { attrs } => {
-            let child = child_stream(plan, id, 0, inputs, recurse, ctx)?;
+            let child = child_stream(plan, id, 0, inputs, member, ctx)?;
             let plans = crypto_plans(attrs, &child.schema, id, ctx)?;
             Ok(crypto_stream(child, plans, false, ctx))
         }
         Operator::Sort { keys } => {
             let agg_base = sort_agg_base(plan, id);
-            let child = child_stream(plan, id, 0, inputs, recurse, ctx)?;
+            let child = child_stream(plan, id, 0, inputs, member, ctx)?;
             let schema = child.schema.clone();
             let keys = keys.to_vec();
             Ok(blocking_stream(schema, ctx.batch_rows, move || {
@@ -651,7 +665,7 @@ fn compile_node<'p>(
             }))
         }
         Operator::Limit { n } => {
-            let mut child = child_stream(plan, id, 0, inputs, recurse, ctx)?;
+            let mut child = child_stream(plan, id, 0, inputs, member, ctx)?;
             let schema = child.schema.clone();
             let mut remaining = *n as usize;
             Ok(BatchStream {
@@ -757,9 +771,10 @@ fn pred_fusible(e: &Expr, enc: &AttrSet) -> bool {
 /// Footnote-2 eligibility, decided on plan shape alone: when `id` is a
 /// `Select` sitting directly on an `Encrypt` and the predicate is
 /// fusible w.r.t. the encrypted attributes, returns the Encrypt's
-/// `NodeId`. The same test drives the engine's fused stream, the
-/// distributed runtimes' node-skipping, and the cost model's
-/// post-selection pricing credit — one definition, three users.
+/// `NodeId`. The same test drives the engine's fused stream and the
+/// cost model's post-selection pricing credit. Whether the two nodes
+/// actually fuse is the region's business: only when both are members
+/// of the region being run.
 pub fn fused_encrypt_child(plan: &QueryPlan, id: NodeId) -> Option<NodeId> {
     let Operator::Select { pred } = &plan.node(id).op else {
         return None;
@@ -2204,6 +2219,41 @@ mod tests {
         ));
     }
 
+    /// A region stops at its boundary: a child that is neither a member
+    /// nor supplied is a typed error, and the foreign node is never
+    /// compiled under this context — the ring is empty, so compiling
+    /// the Encrypt would have answered `MissingKey`, as the whole plan
+    /// does.
+    #[test]
+    fn a_region_refuses_to_compile_across_its_boundary() {
+        let (cat, db) = setup();
+        let s = cat.attr("S").unwrap();
+        let plan = mixed_form_plan(&cat);
+        let mut schemes = SchemePlan::default();
+        schemes.set(s, EncScheme::Deterministic);
+        let mut koa = HashMap::new();
+        koa.insert(s, 0u32);
+        let ring = KeyRing::new();
+        let ctx = ExecCtx::new(&cat, &db, &ring, &schemes, &koa);
+        let join = plan.root();
+        let (enc, ins) = (plan.node(join).children[0], plan.node(join).children[1]);
+        // The consumer's region is the join over its own Ins leaf; the
+        // Encrypt is the producer's, and its table never arrived.
+        let mut inputs = HashMap::new();
+        let consumer = |n: NodeId| n == join || n == ins;
+        assert_eq!(
+            execute_region(&plan, join, &consumer, &mut inputs, &ctx),
+            Err(ExecError::MissingOperand {
+                node: join,
+                operand: enc
+            })
+        );
+        assert!(matches!(
+            execute(&plan, &ctx),
+            Err(ExecError::MissingKey { key_id: 0, .. })
+        ));
+    }
+
     /// Footnote 2: `Select` over `Encrypt` with a rewritten
     /// (ciphertext) literal — the fused filter-before-encrypt order
     /// must produce byte-identical tables to the literal plan order,
@@ -2266,6 +2316,17 @@ mod tests {
             .batch_rows(2)
             .build();
         assert_eq!(execute(&plan, &tiny).unwrap(), unfused);
+
+        // Fusion never looks through a region boundary: a Select whose
+        // Encrypt belongs to somebody else waits for the ciphertext.
+        let select = plan.root();
+        assert_eq!(
+            execute_region(&plan, select, &|n| n == select, &mut HashMap::new(), &tiny),
+            Err(ExecError::MissingOperand {
+                node: select,
+                operand: enc
+            })
+        );
     }
 
     /// Predicate shapes the fusion must refuse: anything touching an

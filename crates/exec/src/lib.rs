@@ -53,8 +53,8 @@ pub mod table;
 
 pub use batch::{Batch, ColumnVec, TableSchema, DEFAULT_BATCH_ROWS};
 pub use engine::{
-    effective_children, execute, execute_step, fused_encrypt_child, node_ready, node_ready_fused,
-    ExecCtx, ExecCtxBuilder, ExecError,
+    effective_children, execute, execute_region, execute_step, fused_encrypt_child, ExecCtx,
+    ExecCtxBuilder, ExecError,
 };
 pub use pool::WorkerPool;
 pub use scheme::{assign_schemes, rewrite_literals, SchemePlan};

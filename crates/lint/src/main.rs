@@ -24,7 +24,11 @@
 //!   core (`party.rs`), and the Def. 4.1 runtime check `view.check(`
 //!   appears only in the shared query preparation (`session.rs`).
 //!   Three schedulers step one core; a second copy of the rule must
-//!   not quietly come back.
+//!   not quietly come back. Nor may a second *cut*: the core runs
+//!   Fig. 8 regions through `execute_region`, so the node-at-a-time
+//!   entry points `execute_step(`, `effective_children(` and
+//!   `fused_encrypt_child(` (kept exported for the frozen benchmark
+//!   and the cost model) have no home in `crates/dist/src` at all.
 //!
 //! The scan strips comments and string literals and skips
 //! `#[cfg(test)]` modules, so documentation and tests may freely
@@ -76,10 +80,14 @@ const EDGE_RULE_SCOPE: &str = "crates/dist/src";
 /// …minus the file that *defines* the audit.
 const EDGE_RULE_DEFINED_IN: &str = "crates/dist/src/audit.rs";
 
-/// Token → the only file of [`EDGE_RULE_SCOPE`] that may contain it.
-const EDGE_RULE_HOMES: [(&str, &str); 2] = [
-    ("audit_transfer_with(", "crates/dist/src/party.rs"),
-    ("view.check(", "crates/dist/src/session.rs"),
+/// Token → the only file of [`EDGE_RULE_SCOPE`] that may contain it
+/// (`None`: no file may — the node-at-a-time engine entry points).
+const EDGE_RULE_HOMES: [(&str, Option<&str>); 5] = [
+    ("audit_transfer_with(", Some("crates/dist/src/party.rs")),
+    ("view.check(", Some("crates/dist/src/session.rs")),
+    ("execute_step(", None),
+    ("effective_children(", None),
+    ("fused_encrypt_child(", None),
 ];
 
 /// Tokens that break run-to-run determinism.
@@ -478,15 +486,18 @@ fn lint_source(rel: &Path, src: &str, findings: &mut Vec<Finding>) {
         }
         if edge_scoped {
             for (t, home) in EDGE_RULE_HOMES {
-                if line.contains(t) && rel != Path::new(home) {
-                    record(
-                        findings,
-                        "one-edge-rule",
-                        format!(
+                if line.contains(t) && home.map(Path::new) != Some(rel) {
+                    let message = match home {
+                        Some(home) => format!(
                             "`{t}` outside {home} — the §6 edge rule is stated once; \
                              schedulers call the party core / the shared preparation"
                         ),
-                    );
+                        None => format!(
+                            "`{t}` in mpq-dist — a step is a Fig. 8 region; the party \
+                             core runs it through `execute_region` only"
+                        ),
+                    };
+                    record(findings, "one-edge-rule", message);
                 }
             }
         }
@@ -658,11 +669,12 @@ mod tests {
 fn scheduler(t: &Table, view: &SubjectView) -> Result<(), SimError> {
     audit_transfer_with(t, view, &pool)?;
     view.check(&profile)?;
+    let table = execute_step(plan, id, &mut results, &ctx)?;
     Ok(())
 }
 #[cfg(test)]
 mod tests {
-    fn t() { audit_transfer_with(t, view, &pool).unwrap(); }
+    fn t() { audit_transfer_with(t, view, &pool).unwrap(); execute_step(p, id, r, c); }
 }
 ";
         let rules_in = |file: &str| {
@@ -675,10 +687,11 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         // A scheduler restating either half of the rule is flagged…
-        assert_eq!(rules_in("crates/dist/src/runtime.rs"), vec![3, 4]);
-        // …each half is at home in exactly one file…
-        assert_eq!(rules_in("crates/dist/src/party.rs"), vec![4]);
-        assert_eq!(rules_in("crates/dist/src/session.rs"), vec![3]);
+        assert_eq!(rules_in("crates/dist/src/runtime.rs"), vec![3, 4, 5]);
+        // …each half is at home in exactly one file, a node-at-a-time
+        // step in none…
+        assert_eq!(rules_in("crates/dist/src/party.rs"), vec![4, 5]);
+        assert_eq!(rules_in("crates/dist/src/session.rs"), vec![3, 5]);
         // …and the definition site and other crates are out of scope.
         assert!(rules_in("crates/dist/src/audit.rs").is_empty());
         assert!(rules_in("crates/core/src/authz.rs").is_empty());

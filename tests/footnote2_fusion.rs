@@ -1,20 +1,21 @@
 //! Footnote 2 of the paper: "a subject that knows the key can evaluate
 //! the condition on plaintext and encrypt only the resulting tuples."
-//! The engine implements this as *fusion*: when a `Select` sits
-//! directly on an `Encrypt` and both are assigned to the same subject,
-//! the assignee filters the plaintext first and encrypts only the
-//! survivors — at their **original row offsets**, so the ciphertext of
-//! every surviving cell is bit-identical to the unfused run and the
-//! reordering is observationally invisible.
+//! Nothing switches this on: a subject runs its whole Fig. 8 region as
+//! one pipeline, and when a `Select` and the `Encrypt` below it are in
+//! the same region the engine filters the plaintext first and encrypts
+//! only the survivors — at their **original row offsets**, so every
+//! surviving ciphertext is the one the literal plan order produces and
+//! the reordering is observationally invisible.
 //!
 //! These tests sweep Λ assignments of the running example to find
-//! extended plans that actually contain fusion sites (the Fig. 7(a)
+//! extended plans that actually contain such sites (the Fig. 7(a)
 //! fixture assignment does not produce one — the spliced Encrypt lands
-//! above the selection), then differentially execute each such plan
-//! with fusion on and off across both runtimes, demanding identical
-//! decrypted rows and *exactly equal* per-edge byte counts. The pinned
-//! before/after delta for every swept plan — including the Fig. 7(a)
-//! fixture itself — is 0 bytes.
+//! above the selection), then execute each under both schedulers,
+//! demanding the plaintext engine's rows and *exactly equal* per-edge
+//! byte counts and request counts. That every table on every edge is
+//! byte-identical to a node-at-a-time, encrypt-then-filter walk is
+//! pinned where the tables can be seen: `party.rs`'s
+//! `regions_ship_byte_for_byte_what_a_node_at_a_time_walk_ships`.
 
 use mpq::core::candidates::{candidates, Candidates};
 use mpq::core::capability::CapabilityPolicy;
@@ -22,7 +23,8 @@ use mpq::core::extend::{minimally_extend, Assignment, ExtendedPlan};
 use mpq::core::fixtures::RunningExample;
 use mpq::core::keys::plan_keys;
 use mpq::dist::{Report, Session, SessionConfig};
-use mpq::exec::{fused_encrypt_child, Database};
+use mpq::exec::{execute, fused_encrypt_child, Database, ExecCtx, SchemePlan, Table};
+use mpq_crypto::keyring::KeyRing;
 use proptest::prelude::*;
 
 fn sample_db(ex: &RunningExample) -> Database {
@@ -44,8 +46,8 @@ fn lambda(ex: &RunningExample) -> Candidates {
 }
 
 /// The fusion sites of an extended plan: Encrypt nodes whose parent
-/// Select is fusible (engine predicate) and shares their assignee.
-/// This mirrors `mpq_dist::session::fusion_sites` from the outside.
+/// Select is fusible (engine predicate) and shares their assignee —
+/// that is, sits in the same region.
 fn fusion_sites(ext: &ExtendedPlan) -> Vec<mpq::algebra::NodeId> {
     let mut out = Vec::new();
     for id in ext.plan.postorder() {
@@ -96,17 +98,16 @@ fn all_extensions(ex: &RunningExample, cands: &Candidates) -> Vec<ExtendedPlan> 
         .collect()
 }
 
-fn run_pair(
+fn run(
     ex: &RunningExample,
     db: &Database,
     ext: &ExtendedPlan,
     seed: u64,
     sequential: bool,
-    fuse: bool,
 ) -> Report {
     let keys = plan_keys(ext);
     let user = ex.subject("U");
-    let config = SessionConfig::new(seed).fuse(fuse);
+    let config = SessionConfig::new(seed);
     let mut session = Session::open_with(&ex.catalog, &ex.subjects, &ex.policy, db, config);
     if sequential {
         session
@@ -117,26 +118,48 @@ fn run_pair(
     }
 }
 
-fn assert_identical(fused: &Report, plain: &Report) {
-    assert_eq!(fused.result.attrs().to_vec(), plain.result.attrs().to_vec());
-    assert_eq!(fused.result.len(), plain.result.len(), "row count diverged");
-    for (a, b) in fused.result.to_rows().iter().zip(&plain.result.to_rows()) {
-        for (x, y) in a.iter().zip(b) {
-            assert!(x.sql_eq(y), "cell diverged: {x:?} vs {y:?}");
+/// The running example's original plan on the plaintext engine: no
+/// subjects, no keys, nothing to reorder.
+fn plaintext(ex: &RunningExample, db: &Database) -> Table {
+    let (ring, schemes, keys) = (KeyRing::new(), SchemePlan::default(), Default::default());
+    let ctx = ExecCtx::new(&ex.catalog, db, &ring, &schemes, &keys);
+    execute(&ex.plan, &ctx).expect("plaintext run")
+}
+
+/// Order-insensitive: a plan that groups on ciphertext may emit its
+/// groups in another order than the plaintext reference.
+fn same_rows(got: &Table, want: &Table) -> Result<(), String> {
+    if got.attrs() != want.attrs() || got.len() != want.len() {
+        return Err(format!("shape diverged: {got:?} vs {want:?}"));
+    }
+    let sorted = |t: &Table| {
+        let mut rows = t.to_rows();
+        rows.sort_by_cached_key(|row| format!("{row:?}"));
+        rows
+    };
+    for (a, b) in sorted(got).iter().zip(&sorted(want)) {
+        if let Some((x, y)) = a.iter().zip(b).find(|(x, y)| !x.sql_eq(y)) {
+            return Err(format!("cell diverged: {x:?} vs {y:?}"));
         }
     }
-    // Footnote 2 must never *increase* any per-edge byte count; with
-    // original-offset ciphertexts it in fact changes none of them.
-    assert_eq!(&fused.transfers, &plain.transfers);
-    assert_eq!(fused.requests, plain.requests);
-    assert_eq!(fused.total_bytes(), plain.total_bytes());
+    Ok(())
+}
+
+/// Both schedulers run the same regions: same rows, and exactly the
+/// same bytes on every edge and the same number of requests.
+fn assert_identical(concurrent: &Report, sequential: &Report, want: &Table) {
+    same_rows(&concurrent.result, want).unwrap();
+    same_rows(&sequential.result, want).unwrap();
+    assert_eq!(&concurrent.transfers, &sequential.transfers);
+    assert_eq!(concurrent.requests, sequential.requests);
+    assert_eq!(concurrent.total_bytes(), sequential.total_bytes());
 }
 
 /// Λ of the running example contains assignments whose minimal
-/// extension has a same-assignee Select-over-Encrypt — footnote 2 is
+/// extension has a same-region Select-over-Encrypt — footnote 2 is
 /// reachable, not dead code — and for every such plan the reordered
-/// execution is bit-identical in rows and bytes (delta = 0) in both
-/// runtimes.
+/// execution returns the plaintext rows, with the same bytes on every
+/// edge under both schedulers.
 #[test]
 fn fusion_sites_exist_and_reordering_is_invisible() {
     let ex = RunningExample::new();
@@ -156,38 +179,37 @@ fn fusion_sites_exist_and_reordering_is_invisible() {
     );
 
     // Differentially execute a bounded sample of the fused plans.
+    let want = plaintext(&ex, &db);
     for ext in fused_exts.iter().take(6) {
-        for sequential in [true, false] {
-            let fused = run_pair(&ex, &db, ext, 7, sequential, true);
-            let plain = run_pair(&ex, &db, ext, 7, sequential, false);
-            assert_identical(&fused, &plain);
-        }
+        let concurrent = run(&ex, &db, ext, 7, false);
+        let sequential = run(&ex, &db, ext, 7, true);
+        assert_identical(&concurrent, &sequential, &want);
     }
 }
 
-/// The Fig. 7(a) fixture plan, before/after footnote 2: pinned byte
-/// delta of exactly 0 on every edge (the fixture's spliced Encrypt
-/// lands above its Select, so fusion has nothing to reorder — the
-/// invariant still has to hold).
+/// The Fig. 7(a) fixture plan (its spliced Encrypt lands above its
+/// Select, so there is nothing to reorder — the invariants still have
+/// to hold), with its request count pinned: four regions, Fig. 8's
+/// four signed sub-queries.
 #[test]
-fn fig7a_before_after_byte_delta_is_zero() {
+fn fig7a_runs_its_four_regions_identically_under_both_schedulers() {
     let ex = RunningExample::new();
     let db = sample_db(&ex);
     let ext = ex.fig7a_extended();
+    assert!(fusion_sites(&ext).is_empty());
 
-    let fused = run_pair(&ex, &db, &ext, 2026, true, true);
-    let plain = run_pair(&ex, &db, &ext, 2026, true, false);
-    let delta = fused.total_bytes() as i64 - plain.total_bytes() as i64;
-    assert_eq!(delta, 0, "footnote-2 reordering changed Fig. 7(a) bytes");
-    assert_identical(&fused, &plain);
+    let concurrent = run(&ex, &db, &ext, 2026, false);
+    let sequential = run(&ex, &db, &ext, 2026, true);
+    assert_identical(&concurrent, &sequential, &plaintext(&ex, &db));
+    assert_eq!(sequential.requests, 4);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random data, random Λ assignment, random seed: fusion on vs off
-    /// is observationally identical — same decrypted rows, same bytes
-    /// on every edge — in the sequential reference interpreter.
+    /// Random data, random Λ assignment, random seed: wherever the
+    /// cut puts its fusion sites, the run returns the plaintext rows,
+    /// and the two schedulers agree on the bytes of every edge.
     #[test]
     fn reordered_plans_are_bit_identical(
         seed in any::<u64>(),
@@ -235,15 +257,13 @@ proptest! {
         )
         .expect("assignments drawn from Λ extend (Theorem 5.2)");
 
-        let fused = run_pair(&ex, &db, &ext, seed, true, true);
-        let plain = run_pair(&ex, &db, &ext, seed, true, false);
-        prop_assert_eq!(fused.result.len(), plain.result.len());
-        for (a, b) in fused.result.to_rows().iter().zip(&plain.result.to_rows()) {
-            for (x, y) in a.iter().zip(b) {
-                prop_assert!(x.sql_eq(y), "cell diverged: {:?} vs {:?}", x, y);
-            }
-        }
-        prop_assert_eq!(&fused.transfers, &plain.transfers);
-        prop_assert_eq!(fused.total_bytes(), plain.total_bytes());
+        let concurrent = run(&ex, &db, &ext, seed, false);
+        let sequential = run(&ex, &db, &ext, seed, true);
+        let want = plaintext(&ex, &db);
+        prop_assert_eq!(same_rows(&concurrent.result, &want), Ok(()));
+        prop_assert_eq!(same_rows(&sequential.result, &want), Ok(()));
+        prop_assert_eq!(&concurrent.transfers, &sequential.transfers);
+        prop_assert_eq!(concurrent.requests, sequential.requests);
+        prop_assert_eq!(concurrent.total_bytes(), sequential.total_bytes());
     }
 }
