@@ -36,7 +36,7 @@ use mpq_algebra::value::EncScheme;
 use mpq_algebra::{AttrId, NodeId, RelId, SubjectId, Value};
 use mpq_crypto::bignum::BigUint;
 use mpq_crypto::rsa::{RsaPublic, SignedEnvelope};
-use mpq_exec::{Batch, ColumnVec, SchemePlan, Table, TableSchema};
+use mpq_exec::{ColumnVec, SchemePlan, Table, TableSchema};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -400,7 +400,7 @@ impl Encode for Table {
             }
             cols.push(col);
         }
-        Some(Table::from_batch(Batch::new(TableSchema::new(attrs), cols)))
+        Some(Table::from_columns(TableSchema::new(attrs), cols))
     }
 }
 
@@ -1067,7 +1067,7 @@ mod tests {
                 _ => (0..nrows).map(|_| gen_value(rng)).collect(),
             })
             .collect();
-        Table::from_batch(Batch::new(TableSchema::new(attrs), cols))
+        Table::from_columns(TableSchema::new(attrs), cols)
     }
 
     fn gen_job(rng: &mut StdRng) -> QueryJob {

@@ -332,12 +332,14 @@ mod tests {
     //! The core, driven by hand: no threads, no channels, no sockets.
     use super::*;
     use crate::session::{set_up, Dispatched, Rings, SessionConfig};
-    use mpq_algebra::Value;
+    use mpq_algebra::expr::{AggExpr, AggFunc};
+    use mpq_algebra::{Operator, Value};
     use mpq_core::candidates::candidates;
     use mpq_core::capability::CapabilityPolicy;
     use mpq_core::extend::{minimally_extend, Assignment, ExtendedPlan};
     use mpq_core::fixtures::RunningExample;
     use mpq_core::keys::plan_keys;
+    use mpq_exec::eval::EvalError;
     use mpq_exec::{execute_step, fused_encrypt_child, ExecError};
 
     /// A prepared query over the running example and its parties.
@@ -628,5 +630,41 @@ mod tests {
             SimError::Exec(ExecError::MissingOperand { node, operand })
         );
         assert!(x.finish().transfers.is_empty());
+    }
+
+    /// Cells of a delivered table are peer input: a plaintext `SUM`
+    /// they push past `i64::MAX` is the region's typed error — not a
+    /// panic in the party thread (debug) or a wrapped total (release).
+    #[test]
+    fn a_sum_overflowing_on_a_delivered_operand_is_a_typed_error() {
+        let f = Fixture::new();
+        let (i, u) = (f.ex.subject("I"), f.ex.subject("U"));
+        let (c, p) = (f.ex.attr("C"), f.ex.attr("P"));
+        let ins = f.ex.catalog.relation("Ins").expect("fixture schema").rel;
+        let mut plan = QueryPlan::new();
+        let base = plan.add_base(ins, vec![c, p]);
+        let aggs = vec![AggExpr::over_col(AggFunc::Sum, p)];
+        let group = plan.add(Operator::GroupBy { keys: vec![], aggs }, vec![base]);
+        let assignment = HashMap::from([(base, i), (group, u)]);
+        let (schemes, no_keys) = (SchemePlan::default(), HashMap::new());
+        let job = QueryJob::new(plan, schemes, no_keys, assignment, u, 5, 0).expect("total");
+        let user = &f.parties[u.index()];
+        let mut run =
+            PartyRun::new(user, &job, None, &user.rsa.public).expect("the user serves itself");
+        // U may see C and P in plaintext, so the audit lets these in.
+        let cells = [i64::MAX, 1].map(|n| vec![Value::str("c"), Value::Int(n)]);
+        let table = Table::from_rows(vec![c, p], cells.to_vec());
+        let operand = Transfer {
+            node: base,
+            from: i,
+            seq: 0,
+            table,
+        };
+        run.deliver(operand)
+            .expect("an awaited, authorized operand");
+        assert!(matches!(
+            run.step(group),
+            Err(SimError::Exec(ExecError::Eval(EvalError::Overflow(_))))
+        ));
     }
 }

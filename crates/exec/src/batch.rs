@@ -1,11 +1,15 @@
-//! The columnar batch data plane.
+//! The column types of the data plane.
 //!
-//! A [`Batch`] is the unit of data flowing between operators: a shared
-//! [`TableSchema`] plus one [`ColumnVec`] per output column. Operators
-//! stream batches of at most [`ExecCtx::batch_rows`] rows instead of
-//! materializing whole tables, so memory for the pipelined stages
-//! (scan, select, project, encrypt, decrypt) is bounded by the batch
-//! size, not the relation size.
+//! A relation — whole or one bounded batch of it — is a
+//! [`Table`](crate::table::Table): a shared [`TableSchema`] plus one
+//! [`ColumnVec`] per output column. Operators stream tables of at most
+//! [`ExecCtx::batch_rows`] rows instead of materializing whole
+//! relations, so memory for the pipelined stages (scan, select,
+//! project, encrypt, decrypt) is bounded by the batch size, not the
+//! relation size — and they build their output by moving columns
+//! ([`slice`](ColumnVec::slice), [`filter`](ColumnVec::filter),
+//! [`gather`](ColumnVec::gather), [`append`](ColumnVec::append)), never
+//! by transposing rows.
 //!
 //! Columns are typed where the data allows: uniform integer and
 //! numeric columns are stored as dense `Vec<i64>` / `Vec<f64>` (8
@@ -64,6 +68,12 @@ impl TableSchema {
 impl From<Vec<AttrId>> for TableSchema {
     fn from(attrs: Vec<AttrId>) -> Self {
         TableSchema::new(attrs)
+    }
+}
+
+impl Default for TableSchema {
+    fn default() -> Self {
+        TableSchema::new(Vec::new())
     }
 }
 
@@ -170,14 +180,6 @@ impl ColumnVec {
         }
     }
 
-    /// General value view, when in the general representation.
-    pub fn as_values(&self) -> Option<&[Value]> {
-        match self {
-            ColumnVec::Val(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Iterate the cells as logical values.
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(|i| self.get(i))
@@ -264,12 +266,31 @@ impl ColumnVec {
         }
     }
 
-    /// Cells at `idx`, in `idx` order (sort/permutation gather).
+    /// Cells at `idx`, in `idx` order (sort permutations, join and
+    /// product outputs). Indices may repeat.
     pub fn gather(&self, idx: &[usize]) -> ColumnVec {
+        self.gather_iter(idx.iter().copied())
+    }
+
+    /// [`gather`](ColumnVec::gather) with NULL where `idx` holds `None`
+    /// (outer-join padding). A dense column degrades only when a pad
+    /// actually occurs.
+    pub fn gather_padded(&self, idx: &[Option<usize>]) -> ColumnVec {
+        if idx.iter().all(Option::is_some) {
+            return self.gather_iter(idx.iter().flatten().copied());
+        }
+        ColumnVec::Val(
+            idx.iter()
+                .map(|i| i.map_or(Value::Null, |i| self.get(i)))
+                .collect(),
+        )
+    }
+
+    fn gather_iter(&self, idx: impl Iterator<Item = usize>) -> ColumnVec {
         match self {
-            ColumnVec::Int(v) => ColumnVec::Int(idx.iter().map(|&i| v[i]).collect()),
-            ColumnVec::Num(v) => ColumnVec::Num(idx.iter().map(|&i| v[i]).collect()),
-            ColumnVec::Val(v) => ColumnVec::Val(idx.iter().map(|&i| v[i].clone()).collect()),
+            ColumnVec::Int(v) => ColumnVec::Int(idx.map(|i| v[i]).collect()),
+            ColumnVec::Num(v) => ColumnVec::Num(idx.map(|i| v[i]).collect()),
+            ColumnVec::Val(v) => ColumnVec::Val(idx.map(|i| v[i].clone()).collect()),
         }
     }
 
@@ -287,15 +308,6 @@ impl ColumnVec {
                     _ => unreachable!("degraded above"),
                 }
             }
-        }
-    }
-
-    /// Keep only the first `n` cells.
-    pub fn truncate(&mut self, n: usize) {
-        match self {
-            ColumnVec::Int(v) => v.truncate(n),
-            ColumnVec::Num(v) => v.truncate(n),
-            ColumnVec::Val(v) => v.truncate(n),
         }
     }
 
@@ -325,116 +337,6 @@ impl FromIterator<Value> for ColumnVec {
             col.push(v);
         }
         col
-    }
-}
-
-/// A horizontal slice of a relation: the schema plus one column vector
-/// per output column, all of equal length.
-#[derive(Clone, Debug, PartialEq, Default)]
-pub struct Batch {
-    schema: TableSchema,
-    cols: Vec<ColumnVec>,
-}
-
-impl Default for TableSchema {
-    fn default() -> Self {
-        TableSchema::new(Vec::new())
-    }
-}
-
-impl Batch {
-    /// Batch from a schema and matching columns.
-    ///
-    /// # Panics
-    /// When the column count does not match the schema or the columns
-    /// have unequal lengths.
-    pub fn new(schema: TableSchema, cols: Vec<ColumnVec>) -> Batch {
-        assert_eq!(schema.len(), cols.len(), "batch column count mismatch");
-        if let Some(first) = cols.first() {
-            assert!(
-                cols.iter().all(|c| c.len() == first.len()),
-                "batch column length mismatch"
-            );
-        }
-        Batch { schema, cols }
-    }
-
-    /// Empty batch over `schema`.
-    pub fn empty(schema: TableSchema) -> Batch {
-        let cols = (0..schema.len()).map(|_| ColumnVec::new()).collect();
-        Batch { schema, cols }
-    }
-
-    /// Batch from value rows (tests and compat paths).
-    pub fn from_rows(schema: TableSchema, rows: Vec<Vec<Value>>) -> Batch {
-        let mut cols: Vec<ColumnVec> = (0..schema.len())
-            .map(|_| ColumnVec::with_capacity(rows.len()))
-            .collect();
-        for row in rows {
-            assert_eq!(row.len(), schema.len(), "row arity mismatch");
-            for (c, v) in cols.iter_mut().zip(row) {
-                c.push(v);
-            }
-        }
-        Batch { schema, cols }
-    }
-
-    /// The shared schema.
-    pub fn schema(&self) -> &TableSchema {
-        &self.schema
-    }
-
-    /// Column attributes in order.
-    pub fn attrs(&self) -> &[AttrId] {
-        self.schema.attrs()
-    }
-
-    /// All columns in order.
-    pub fn columns(&self) -> &[ColumnVec] {
-        &self.cols
-    }
-
-    /// Column `i`.
-    pub fn column(&self, i: usize) -> &ColumnVec {
-        &self.cols[i]
-    }
-
-    /// Consume into the raw columns.
-    pub fn into_columns(self) -> Vec<ColumnVec> {
-        self.cols
-    }
-
-    /// Number of rows.
-    pub fn num_rows(&self) -> usize {
-        self.cols.first().map_or(0, ColumnVec::len)
-    }
-
-    /// `true` when no rows (a zero-column batch is also empty).
-    pub fn is_empty(&self) -> bool {
-        self.num_rows() == 0
-    }
-
-    /// Cell at (`col`, `row`) as a logical value.
-    pub fn value(&self, col: usize, row: usize) -> Value {
-        self.cols[col].get(row)
-    }
-
-    /// Row `i` as logical values.
-    pub fn row(&self, i: usize) -> Vec<Value> {
-        self.cols.iter().map(|c| c.get(i)).collect()
-    }
-
-    /// Total payload bytes.
-    pub fn byte_size(&self) -> usize {
-        self.cols.iter().map(ColumnVec::byte_size).sum()
-    }
-
-    /// Copy of the rows in `range`.
-    pub fn slice(&self, range: Range<usize>) -> Batch {
-        Batch {
-            schema: self.schema.clone(),
-            cols: self.cols.iter().map(|c| c.slice(range.clone())).collect(),
-        }
     }
 }
 
@@ -479,35 +381,14 @@ mod tests {
             ColumnVec::from_ints(vec![10, 30])
         );
         assert_eq!(c.gather(&[3, 0]), ColumnVec::from_ints(vec![40, 10]));
+        // Padding degrades a dense column only when a pad occurs.
+        assert!(c.gather_padded(&[Some(3), Some(3)]).as_ints().is_some());
+        let padded = c.gather_padded(&[Some(1), None]);
+        assert_eq!(padded, ColumnVec::Val(vec![Value::Int(20), Value::Null]));
         assert_eq!(c.slice(1..3), ColumnVec::from_ints(vec![20, 30]));
         let mut a = ColumnVec::from_ints(vec![1]);
         a.append(ColumnVec::Val(vec![Value::str("x")]));
         assert_eq!(a.len(), 2);
         assert_eq!(a.get(1), Value::str("x"));
-    }
-
-    #[test]
-    fn batch_rows_round_trip() {
-        let schema = TableSchema::new(vec![AttrId(0), AttrId(1)]);
-        let rows = vec![
-            vec![Value::Int(1), Value::str("a")],
-            vec![Value::Int(2), Value::str("b")],
-        ];
-        let b = Batch::from_rows(schema.clone(), rows.clone());
-        assert_eq!(b.num_rows(), 2);
-        assert_eq!(b.row(1), rows[1]);
-        assert_eq!(b.value(0, 0), Value::Int(1));
-        let sliced = b.slice(1..2);
-        assert_eq!(sliced.num_rows(), 1);
-        assert_eq!(sliced.row(0), rows[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch column length mismatch")]
-    fn unequal_columns_panic() {
-        Batch::new(
-            TableSchema::new(vec![AttrId(0), AttrId(1)]),
-            vec![ColumnVec::from_ints(vec![1]), ColumnVec::new()],
-        );
     }
 }

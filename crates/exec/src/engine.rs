@@ -1,14 +1,21 @@
 //! Plan execution over streaming column batches.
 //!
-//! [`execute`] compiles a plan into a pull-model pipeline of
-//! [`Batch`] streams (one stream per operator) and drains the root.
-//! Pipelined operators — scan, select, project, encrypt, decrypt,
-//! having, udf, limit — transform one bounded batch at a time, so
-//! their memory is `O(batch_rows)`, not `O(relation)`. Pipeline
-//! breakers materialize exactly what they must: hash joins collect the
-//! build side and probe batch-wise, group-by holds one accumulator row
-//! per group, sort collects its input before permuting it. Nothing is
-//! spilled or sampled silently.
+//! [`execute`] compiles a plan into a pull-model pipeline of streams
+//! of bounded [`Table`]s — batches — (one stream per operator) and
+//! drains the root. Pipelined operators — scan, select, project,
+//! encrypt, decrypt, having, udf, limit — transform one batch at a
+//! time, so their memory is `O(batch_rows)`, not `O(relation)`.
+//! Pipeline breakers materialize exactly what they must: hash joins
+//! collect the build side and probe batch-wise, group-by holds one
+//! accumulator row per group, sort collects its input before permuting
+//! it. Nothing is spilled or sampled silently.
+//!
+//! **One output rule.** Operators move columns: every output table is
+//! assembled from `slice` / `filter` / `gather` / `append` over input
+//! columns, or from one freshly computed column per output attribute
+//! (udf, group-by, crypto). Only expression evaluation and hash keys
+//! look at cells, and the only row ever materialized is the temporary
+//! `combined` row a join's `residual` predicate is evaluated on.
 //!
 //! **Determinism contract.** Every `Encrypt` cell draws from an RNG
 //! seeded by `(seed, node, column, row)`, where `row` is the global
@@ -22,7 +29,7 @@
 //! context to *hold* the cluster key ([`ExecError::MissingKey`]
 //! otherwise); homomorphic aggregation only needs the public half.
 
-use crate::batch::{Batch, ColumnVec, TableSchema, DEFAULT_BATCH_ROWS};
+use crate::batch::{ColumnVec, TableSchema, DEFAULT_BATCH_ROWS};
 use crate::eval::{cmp_values, eval, eval_pred, EvalError, RowCtx};
 use crate::pool::WorkerPool;
 use crate::scheme::SchemePlan;
@@ -37,6 +44,7 @@ use mpq_crypto::schemes::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// Execution errors.
@@ -278,56 +286,74 @@ impl<'a> ExecCtx<'a> {
 // Batch streams
 // ---------------------------------------------------------------------------
 
-/// A pull-model stream of [`Batch`]es sharing one schema. `pull`
-/// returns `Ok(None)` when exhausted; empty batches are never emitted.
+/// A pull-model stream of batches — [`Table`]s of at most `batch_rows`
+/// rows — sharing one schema. `pull` returns `Ok(None)` when exhausted;
+/// empty batches are never emitted.
 struct BatchStream<'p> {
     schema: TableSchema,
-    next: Box<dyn FnMut() -> Result<Option<Batch>, ExecError> + 'p>,
+    next: Box<dyn FnMut() -> Result<Option<Table>, ExecError> + 'p>,
 }
 
 impl BatchStream<'_> {
-    fn pull(&mut self) -> Result<Option<Batch>, ExecError> {
+    fn pull(&mut self) -> Result<Option<Table>, ExecError> {
         (self.next)()
     }
 
-    /// Drain into a materialized table, appending column-wise.
+    /// Drain into one table, appending column-wise: the one place
+    /// batches are put back together.
     fn collect(mut self) -> Result<Table, ExecError> {
-        let schema = self.schema.clone();
-        let mut cols: Vec<ColumnVec> = (0..schema.len()).map(|_| ColumnVec::new()).collect();
+        let mut cols: Vec<ColumnVec> = vec![ColumnVec::new(); self.schema.len()];
         while let Some(b) = self.pull()? {
             for (acc, col) in cols.iter_mut().zip(b.into_columns()) {
                 acc.append(col);
             }
         }
-        Ok(Table::from_batch(Batch::new(schema, cols)))
+        Ok(Table::from_columns(self.schema, cols))
     }
 }
 
-/// Stream an owned table in `batch_rows` slices.
-fn scan_owned(table: Table, batch_rows: usize) -> BatchStream<'static> {
-    let schema = table.schema().clone();
+/// Stream the columns `indices` of `table` under `schema`, in
+/// `batch_rows` slices: the one place a relation is cut into batches.
+/// Base scans borrow the database's table and project it; delivered
+/// operands and blocking operators' results are owned and whole.
+fn scan<'p>(
+    table: Cow<'p, Table>,
+    schema: TableSchema,
+    indices: Vec<usize>,
+    batch_rows: usize,
+) -> BatchStream<'p> {
     let step = batch_rows.max(1);
     let mut start = 0usize;
     BatchStream {
-        schema,
+        schema: schema.clone(),
         next: Box::new(move || {
             let n = table.len();
             if start >= n {
                 return Ok(None);
             }
             let end = (start + step).min(n);
-            let b = table.slice(start..end);
+            let cols = indices
+                .iter()
+                .map(|&i| table.column(i).slice(start..end))
+                .collect();
             start = end;
-            Ok(Some(b))
+            Ok(Some(Table::from_columns(schema.clone(), cols)))
         }),
     }
+}
+
+/// [`scan`] every column of an owned table.
+fn scan_owned(table: Table, batch_rows: usize) -> BatchStream<'static> {
+    let schema = table.schema().clone();
+    let all = (0..schema.len()).collect();
+    scan(Cow::Owned(table), schema, all, batch_rows)
 }
 
 /// Stream a transformation of `child`: `f` maps each input batch to an
 /// output batch (or `None` to drop it, e.g. fully filtered away).
 fn map_stream<'p, F>(mut child: BatchStream<'p>, schema: TableSchema, mut f: F) -> BatchStream<'p>
 where
-    F: FnMut(Batch) -> Result<Option<Batch>, ExecError> + 'p,
+    F: FnMut(Table) -> Result<Option<Table>, ExecError> + 'p,
 {
     BatchStream {
         schema,
@@ -475,24 +501,7 @@ fn compile_node<'p>(
                 })
                 .collect::<Result<_, _>>()?;
             let schema = TableSchema::new(attrs.clone());
-            let step = ctx.batch_rows.max(1);
-            let mut start = 0usize;
-            Ok(BatchStream {
-                schema: schema.clone(),
-                next: Box::new(move || {
-                    let n = table.len();
-                    if start >= n {
-                        return Ok(None);
-                    }
-                    let end = (start + step).min(n);
-                    let cols = indices
-                        .iter()
-                        .map(|&i| table.column(i).slice(start..end))
-                        .collect();
-                    start = end;
-                    Ok(Some(Batch::new(schema.clone(), cols)))
-                }),
-            })
+            Ok(scan(Cow::Borrowed(table), schema, indices, ctx.batch_rows))
         }
         Operator::Project { attrs } => {
             let child = child_stream(plan, id, 0, inputs, member, ctx)?;
@@ -525,7 +534,7 @@ fn compile_node<'p>(
                     let src = batch.into_columns();
                     indices.iter().map(|&i| src[i].clone()).collect()
                 };
-                Ok(Some(Batch::new(schema.clone(), cols)))
+                Ok(Some(Table::from_columns(schema.clone(), cols)))
             }))
         }
         Operator::Select { pred } => {
@@ -596,16 +605,16 @@ fn compile_node<'p>(
                         if rt.is_empty() {
                             continue;
                         }
-                        let mut rows = Vec::with_capacity(lbatch.num_rows() * rt.len());
-                        for li in 0..lbatch.num_rows() {
-                            let lrow = lbatch.row(li);
-                            for ri in 0..rt.len() {
-                                let mut row = lrow.clone();
-                                row.extend(rt.row(ri));
-                                rows.push(row);
-                            }
-                        }
-                        return Ok(Some(Batch::from_rows(schema.clone(), rows)));
+                        // Every left row against the whole right side,
+                        // left-major: left indices repeat, right cycle.
+                        let (nl, nr) = (lbatch.len(), rt.len());
+                        let lidx: Vec<usize> =
+                            (0..nl).flat_map(|l| std::iter::repeat_n(l, nr)).collect();
+                        let ridx: Vec<usize> = (0..nl).flat_map(|_| 0..nr).collect();
+                        let left_cols = lbatch.columns().iter().map(|c| c.gather(&lidx));
+                        let right_cols = rt.columns().iter().map(|c| c.gather(&ridx));
+                        let cols = left_cols.chain(right_cols).collect();
+                        return Ok(Some(Table::from_columns(schema.clone(), cols)));
                     }
                 }),
             })
@@ -677,10 +686,10 @@ fn compile_node<'p>(
                     match child.pull()? {
                         None => Ok(None),
                         Some(mut batch) => {
-                            if batch.num_rows() > remaining {
+                            if batch.len() > remaining {
                                 batch = batch.slice(0..remaining);
                             }
-                            remaining -= batch.num_rows();
+                            remaining -= batch.len();
                             Ok(Some(batch))
                         }
                     }
@@ -695,11 +704,11 @@ fn compile_node<'p>(
 fn selection_mask(
     pred: &Expr,
     schema: &TableSchema,
-    batch: &Batch,
+    batch: &Table,
     agg_base: Option<usize>,
     ctx: &ExecCtx<'_>,
 ) -> Result<Vec<bool>, ExecError> {
-    let mut mask = vec![false; batch.num_rows()];
+    let mut mask = vec![false; batch.len()];
     let attrs = schema.attrs();
     let cols = batch.columns();
     ctx.pool
@@ -718,10 +727,10 @@ fn selection_mask(
 fn filter_batch(
     pred: &Expr,
     schema: &TableSchema,
-    batch: Batch,
+    batch: Table,
     agg_base: Option<usize>,
     ctx: &ExecCtx<'_>,
-) -> Result<Option<Batch>, ExecError> {
+) -> Result<Option<Table>, ExecError> {
     let mask = selection_mask(pred, schema, &batch, agg_base, ctx)?;
     if mask.iter().all(|&m| !m) {
         return Ok(None);
@@ -730,7 +739,7 @@ fn filter_batch(
         return Ok(Some(batch));
     }
     let cols = batch.columns().iter().map(|c| c.filter(&mask)).collect();
-    Ok(Some(Batch::new(schema.clone(), cols)))
+    Ok(Some(Table::from_columns(schema.clone(), cols)))
 }
 
 // ---------------------------------------------------------------------------
@@ -891,7 +900,7 @@ fn fused_filter_encrypt_stream<'p>(
     let schema = child.schema.clone();
     let mut row_off = 0usize;
     map_stream(child, schema.clone(), move |batch| {
-        let n = batch.num_rows();
+        let n = batch.len();
         let mask = selection_mask(&pred, &schema, &batch, None, ctx)?;
         let out = if mask.iter().all(|&m| !m) {
             None
@@ -900,7 +909,7 @@ fn fused_filter_encrypt_stream<'p>(
             for plan in &plans {
                 apply_crypto_plan(&mut cols, plan, true, &Offsets::Dense(row_off), &ctx.pool)?;
             }
-            Some(Batch::new(schema.clone(), cols))
+            Some(Table::from_columns(schema.clone(), cols))
         } else {
             let offs: Vec<usize> = mask
                 .iter()
@@ -912,7 +921,7 @@ fn fused_filter_encrypt_stream<'p>(
             for plan in &plans {
                 apply_crypto_plan(&mut cols, plan, true, &Offsets::Sparse(&offs), &ctx.pool)?;
             }
-            Some(Batch::new(schema.clone(), cols))
+            Some(Table::from_columns(schema.clone(), cols))
         };
         row_off += n;
         Ok(out)
@@ -988,7 +997,7 @@ fn crypto_stream<'p>(
     let schema = child.schema.clone();
     let mut row_off = 0usize;
     map_stream(child, schema.clone(), move |batch| {
-        let n = batch.num_rows();
+        let n = batch.len();
         let mut cols = batch.into_columns();
         for plan in &plans {
             apply_crypto_plan(
@@ -1000,7 +1009,7 @@ fn crypto_stream<'p>(
             )?;
         }
         row_off += n;
-        Ok(Some(Batch::new(schema.clone(), cols)))
+        Ok(Some(Table::from_columns(schema.clone(), cols)))
     })
 }
 
@@ -1294,13 +1303,13 @@ fn join_stream<'p>(
                 // every equality fix is decided — those very cells
                 // decided them).
                 if hash.is_none() && !eq_conds.is_empty() {
-                    let needed = (0..lbatch.num_rows())
+                    let needed = (0..lbatch.len())
                         .any(|r| eq_conds.iter().all(|c| !lbatch.value(c.lc, r).is_null()));
                     if needed {
                         hash = Some(build_hash(rt, &eq_conds, ctx)?);
                     }
                 }
-                let out_rows = probe_batch(
+                let pairs = probe_batch(
                     kind,
                     &lbatch,
                     rt,
@@ -1311,10 +1320,17 @@ fn join_stream<'p>(
                     &combined_attrs,
                     ctx,
                 )?;
-                if out_rows.is_empty() {
+                if pairs.is_empty() {
                     continue;
                 }
-                return Ok(Some(Batch::from_rows(schema.clone(), out_rows)));
+                let lidx: Vec<usize> = pairs.iter().map(|p| p.0).collect();
+                let mut cols: Vec<ColumnVec> =
+                    lbatch.columns().iter().map(|c| c.gather(&lidx)).collect();
+                if kind.keeps_right() {
+                    let ridx: Vec<Option<usize>> = pairs.iter().map(|p| p.1).collect();
+                    cols.extend(rt.columns().iter().map(|c| c.gather_padded(&ridx)));
+                }
+                return Ok(Some(Table::from_columns(schema.clone(), cols)));
             }
         }),
     })
@@ -1366,13 +1382,17 @@ fn build_hash(
     Ok(hash)
 }
 
-/// Probe one left batch against the materialized right side. Per-chunk
-/// outputs concatenate in chunk order, so the result row order is
-/// identical to a sequential left-to-right probe.
+/// Probe one left batch against the materialized right side: the
+/// matching `(left row, right row)` index pairs, which the join
+/// gathers its output columns from. `None` on the right is a
+/// `LeftOuter` row without a match (NULL padding); `Semi` and `Anti`
+/// report the left row only. Per-chunk outputs concatenate in chunk
+/// order, candidates in build order, so the pair order is identical to
+/// a sequential left-to-right probe.
 #[allow(clippy::too_many_arguments)]
 fn probe_batch(
     kind: JoinKind,
-    lbatch: &Batch,
+    lbatch: &Table,
     rt: &Table,
     hash: Option<&HashMap<Vec<GroupKey>, Vec<usize>>>,
     eq_conds: &[&JoinCond],
@@ -1380,14 +1400,11 @@ fn probe_batch(
     residual: Option<&Expr>,
     combined_attrs: &[AttrId],
     ctx: &ExecCtx<'_>,
-) -> Result<Vec<Vec<Value>>, ExecError> {
-    let right_width = rt.schema().len();
-    ctx.pool.map_chunks(
-        (0..lbatch.num_rows()).collect(),
-        MIN_CHUNK_ROWS,
-        |_, chunk| {
+) -> Result<Vec<(usize, Option<usize>)>, ExecError> {
+    ctx.pool
+        .map_chunks((0..lbatch.len()).collect(), MIN_CHUNK_ROWS, |_, chunk| {
             let mut rng = StdRng::seed_from_u64(0);
-            let mut out: Vec<Vec<Value>> = Vec::with_capacity(chunk.len());
+            let mut out = Vec::with_capacity(chunk.len());
             for li in chunk {
                 let mut matched = false;
                 let candidates: Box<dyn Iterator<Item = usize>> = if eq_conds.is_empty() {
@@ -1436,31 +1453,21 @@ fn probe_batch(
                     }
                     matched = true;
                     match kind {
-                        JoinKind::Inner | JoinKind::LeftOuter => {
-                            let mut row = lbatch.row(li);
-                            row.extend(rt.row(ri));
-                            out.push(row);
-                        }
-                        JoinKind::Semi => {
-                            out.push(lbatch.row(li));
-                            break;
-                        }
-                        JoinKind::Anti => break,
+                        JoinKind::Inner | JoinKind::LeftOuter => out.push((li, Some(ri))),
+                        JoinKind::Semi | JoinKind::Anti => break,
                     }
                 }
-                match kind {
-                    JoinKind::LeftOuter if !matched => {
-                        let mut row = lbatch.row(li);
-                        row.extend(std::iter::repeat_n(Value::Null, right_width));
-                        out.push(row);
-                    }
-                    JoinKind::Anti if !matched => out.push(lbatch.row(li)),
-                    _ => {}
+                let emit_left = match kind {
+                    JoinKind::Inner => false,
+                    JoinKind::LeftOuter | JoinKind::Anti => !matched,
+                    JoinKind::Semi => matched,
+                };
+                if emit_left {
+                    out.push((li, None));
                 }
             }
             Ok::<_, ExecError>(out)
-        },
-    )
+        })
 }
 
 // ---------------------------------------------------------------------------
@@ -1540,7 +1547,9 @@ impl AggAcc {
                 count,
             } => match v {
                 Value::Int(i) => {
-                    *int += i;
+                    *int = int.checked_add(i).ok_or_else(|| {
+                        EvalError::Overflow(format!("SUM of integers past {int} + {i}"))
+                    })?;
                     *count += 1;
                 }
                 Value::Num(f) => {
@@ -1677,7 +1686,7 @@ fn group_by_stream(
 
     while let Some(batch) = child.pull()? {
         let cols = batch.columns();
-        for r in 0..batch.num_rows() {
+        for r in 0..batch.len() {
             saw_rows = true;
             let gk: Vec<GroupKey> = key_idx.iter().map(|&i| GroupKey(cols[i].get(r))).collect();
             let rc = RowCtx::batch(&attrs, cols, r);
@@ -1714,16 +1723,18 @@ fn group_by_stream(
         );
     }
 
-    let mut rows = Vec::with_capacity(order.len());
+    // One output column per key and per aggregate, filled group by
+    // group in first-seen order.
+    let mut cols = vec![ColumnVec::new(); out_schema.len()];
     for gk in order {
         let accs = groups.remove(&gk).expect("group recorded");
-        let mut row: Vec<Value> = gk.into_iter().map(|k| k.0).collect();
-        for (ag, acc) in aggs.iter().zip(accs) {
-            row.push(acc.finish(ag.func)?);
+        let key_cells = gk.into_iter().map(|k| Ok(k.0));
+        let agg_cells = aggs.iter().zip(accs).map(|(ag, acc)| acc.finish(ag.func));
+        for (col, cell) in cols.iter_mut().zip(key_cells.chain(agg_cells)) {
+            col.push(cell?);
         }
-        rows.push(row);
     }
-    Ok(Table::from_rows(out_schema.attrs().to_vec(), rows))
+    Ok(Table::from_columns(out_schema, cols))
 }
 
 // ---------------------------------------------------------------------------
@@ -1765,7 +1776,7 @@ fn udf_stream<'p>(
 ) -> BatchStream<'p> {
     let src_attrs = child.schema.attrs().to_vec();
     map_stream(child, schema.clone(), move |batch| {
-        let n = batch.num_rows();
+        let n = batch.len();
         let mut out_col = ColumnVec::with_capacity(n);
         {
             let cols = batch.columns();
@@ -1781,7 +1792,7 @@ fn udf_stream<'p>(
             .filter(|(i, _)| !drop_idx.contains(i))
             .map(|(_, c)| c)
             .collect();
-        Ok(Some(Batch::new(schema.clone(), cols)))
+        Ok(Some(Table::from_columns(schema.clone(), cols)))
     })
 }
 
@@ -1848,10 +1859,7 @@ fn sort_stream(
     });
     let perm: Vec<usize> = keyed.into_iter().map(|(_, r)| r).collect();
     let sorted: Vec<ColumnVec> = table.columns().iter().map(|c| c.gather(&perm)).collect();
-    Ok(Table::from_batch(Batch::new(
-        table.schema().clone(),
-        sorted,
-    )))
+    Ok(Table::from_columns(table.schema().clone(), sorted))
 }
 
 #[cfg(test)]
@@ -1988,6 +1996,101 @@ mod tests {
         );
     }
 
+    /// `scan` cuts a relation into batches of at most `batch_rows`
+    /// rows, `collect` appends them back: the round trip is the
+    /// identity for every batch size, and an empty relation streams no
+    /// batch at all (streams carry the schema separately).
+    #[test]
+    fn scan_cuts_batches_and_collect_reassembles() {
+        let rows: Vec<Vec<Value>> = (0..10)
+            .map(|i| vec![Value::Int(i), Value::str(&format!("r{i}"))])
+            .collect();
+        let t = Table::from_rows(vec![AttrId(0), AttrId(1)], rows);
+        for batch_rows in [1, 3, 10, 100] {
+            let mut stream = scan_owned(t.clone(), batch_rows);
+            let mut sizes = Vec::new();
+            while let Some(batch) = stream.pull().unwrap() {
+                sizes.push(batch.len());
+            }
+            assert!(sizes.iter().all(|&n| 1 <= n && n <= batch_rows));
+            assert_eq!(sizes.iter().sum::<usize>(), 10);
+            assert_eq!(scan_owned(t.clone(), batch_rows).collect().unwrap(), t);
+        }
+        let mut empty = scan_owned(Table::new(vec![AttrId(0)]), 4);
+        assert!(empty.pull().unwrap().is_none());
+    }
+
+    /// Joins gather columns: dense inputs stay dense through an Inner
+    /// join, a LeftOuter pads unmatched rows with NULLs (degrading the
+    /// right columns only then), and rows come out in probe order ×
+    /// build order whatever the batch size and worker count.
+    #[test]
+    fn join_output_keeps_typed_columns_and_pads_outer_rows() {
+        let cat = Catalog::paper_running_example();
+        let (s, c, p) = (
+            cat.attr("S").unwrap(),
+            cat.attr("C").unwrap(),
+            cat.attr("P").unwrap(),
+        );
+        let d = Value::Date(Date(0));
+        // 1,000 probe rows (enough for three workers to split a batch);
+        // even keys below 600 match twice, odd keys never.
+        let hosp: Vec<Vec<Value>> = (0..1000)
+            .map(|i| vec![Value::Int(i), d.clone(), Value::str("flu"), Value::str("t")])
+            .collect();
+        let ins: Vec<Vec<Value>> = (0..600)
+            .map(|i| vec![Value::Int(2 * (i % 300)), Value::Num(i as f64)])
+            .collect();
+        let mut db = Database::new();
+        db.load(&cat, "Hosp", hosp);
+        db.load(&cat, "Ins", ins.clone());
+        let plan_of = |kind| {
+            let mut plan = QueryPlan::new();
+            let l = plan.add_base(cat.relation("Hosp").unwrap().rel, vec![s]);
+            let r = plan.add_base(cat.relation("Ins").unwrap().rel, vec![c, p]);
+            let on = vec![(s, CmpOp::Eq, c)];
+            let residual = None;
+            plan.add(Operator::Join { kind, on, residual }, vec![l, r]);
+            plan
+        };
+        // Probe order × build order, as a nested loop writes it.
+        let mut inner_rows = Vec::new();
+        let mut outer_rows = Vec::new();
+        for key in (0..1000).map(Value::Int) {
+            let mut matched: Vec<Vec<Value>> = (ins.iter().filter(|r| r[0] == key))
+                .map(|r| vec![key.clone(), r[0].clone(), r[1].clone()])
+                .collect();
+            inner_rows.extend(matched.iter().cloned());
+            if matched.is_empty() {
+                matched.push(vec![key, Value::Null, Value::Null]);
+            }
+            outer_rows.extend(matched);
+        }
+        let keys = KeyRing::new();
+        let schemes = SchemePlan::default();
+        let koa = HashMap::new();
+        for batch_rows in [1, 7, 4096] {
+            for workers in [1, 3] {
+                let ctx = ExecCtx::builder(&cat, &db, &keys, &schemes, &koa)
+                    .batch_rows(batch_rows)
+                    .pool(WorkerPool::new(workers))
+                    .build();
+                let inner = execute(&plan_of(JoinKind::Inner), &ctx).unwrap();
+                assert!(inner.column(0).as_ints().is_some(), "S stays dense");
+                assert!(inner.column(1).as_ints().is_some(), "C stays dense");
+                assert!(inner.column(2).as_nums().is_some(), "P stays dense");
+                assert_eq!(inner.to_rows(), inner_rows);
+                let outer = execute(&plan_of(JoinKind::LeftOuter), &ctx).unwrap();
+                assert!(
+                    outer.column(0).as_ints().is_some(),
+                    "the left is never padded"
+                );
+                assert!(outer.column(1).as_ints().is_none(), "pads degrade C");
+                assert_eq!(outer.to_rows(), outer_rows);
+            }
+        }
+    }
+
     #[test]
     fn semi_and_anti_join() {
         let (cat, db) = setup();
@@ -2081,6 +2184,28 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert!(t.value(0, 0).sql_eq(&Value::Int(0)));
         assert!(t.value(1, 0).is_null());
+    }
+
+    /// An integer SUM past `i64::MAX` is a typed error, not a debug
+    /// panic or a release wrap-around.
+    #[test]
+    fn integer_sum_overflow_is_an_error() {
+        let (cat, mut db) = setup();
+        let big = |n| vec![Value::str("c"), Value::Int(n)];
+        db.load(&cat, "Ins", vec![big(i64::MAX), big(1)]);
+        let plan = plan_sql(&cat, "select sum(P) from Ins").unwrap();
+        let keys = KeyRing::new();
+        let schemes = SchemePlan::default();
+        let koa = HashMap::new();
+        let ctx = ExecCtx::new(&cat, &db, &keys, &schemes, &koa);
+        assert!(matches!(
+            execute(&plan, &ctx),
+            Err(ExecError::Eval(EvalError::Overflow(_)))
+        ));
+        assert!(matches!(
+            crate::rowref::execute_ref(&plan, &ctx),
+            Err(ExecError::Eval(EvalError::Overflow(_)))
+        ));
     }
 
     #[test]

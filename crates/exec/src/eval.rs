@@ -12,7 +12,7 @@
 
 use crate::batch::ColumnVec;
 use mpq_algebra::expr::DateField;
-use mpq_algebra::{ArithOp, AttrId, CmpOp, Expr, Value};
+use mpq_algebra::{ArithOp, AttrId, CmpOp, Date, Expr, Value};
 
 /// Errors during expression evaluation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -26,6 +26,10 @@ pub enum EvalError {
     /// Operation attempted on a ciphertext that does not support it —
     /// the authorization pipeline should have decrypted first.
     EncryptedOperation(String),
+    /// Integer or date arithmetic left the representable range. Plans
+    /// and cells arrive from peers, so this is an answer, not a panic
+    /// (debug) or a silently wrapped value (release).
+    Overflow(String),
 }
 
 impl std::fmt::Display for EvalError {
@@ -39,6 +43,7 @@ impl std::fmt::Display for EvalError {
             EvalError::EncryptedOperation(m) => {
                 write!(f, "operation on ciphertext without capability: {m}")
             }
+            EvalError::Overflow(m) => write!(f, "arithmetic overflow: {m}"),
         }
     }
 }
@@ -49,7 +54,7 @@ impl std::error::Error for EvalError {}
 /// (materialized row) or one row position inside a columnar batch.
 enum RowData<'a> {
     Slice(&'a [Value]),
-    Batch { cols: &'a [ColumnVec], row: usize },
+    Columns { cols: &'a [ColumnVec], row: usize },
 }
 
 /// Evaluation context: one row, its column layout, and (above a
@@ -80,7 +85,7 @@ impl<'a> RowCtx<'a> {
     pub fn batch(attrs: &'a [AttrId], cols: &'a [ColumnVec], row: usize) -> RowCtx<'a> {
         RowCtx {
             attrs,
-            data: RowData::Batch { cols, row },
+            data: RowData::Columns { cols, row },
             agg_base: None,
         }
     }
@@ -97,7 +102,7 @@ impl<'a> RowCtx<'a> {
     pub fn value_at(&self, i: usize) -> Option<Value> {
         match &self.data {
             RowData::Slice(row) => row.get(i).cloned(),
-            RowData::Batch { cols, row } => cols.get(i).map(|c| c.get(*row)),
+            RowData::Columns { cols, row } => cols.get(i).map(|c| c.get(*row)),
         }
     }
 
@@ -247,7 +252,7 @@ pub fn eval(e: &Expr, ctx: &RowCtx<'_>) -> Result<Value, EvalError> {
                 Value::Str(s) => {
                     let chars: Vec<char> = s.chars().collect();
                     let from = start.saturating_sub(1).min(chars.len());
-                    let to = (from + len).min(chars.len());
+                    let to = from.saturating_add(*len).min(chars.len());
                     Ok(Value::str(&chars[from..to].iter().collect::<String>()))
                 }
                 Value::Enc(_) => Err(EvalError::EncryptedOperation(
@@ -349,20 +354,23 @@ fn arith(a: &Value, op: ArithOp, b: &Value) -> Result<Value, EvalError> {
             "scalar arithmetic over ciphertext".into(),
         ));
     }
+    let overflow = || EvalError::Overflow(format!("{a:?} {op:?} {b:?}"));
     // Date ± integer days.
     if let (Value::Date(d), Value::Int(n)) = (a, b) {
-        return Ok(match op {
-            ArithOp::Add => Value::Date(d.add_days(*n as i32)),
-            ArithOp::Sub => Value::Date(d.add_days(-(*n as i32))),
+        let days = match op {
+            ArithOp::Add => i64::from(d.0).checked_add(*n),
+            ArithOp::Sub => i64::from(d.0).checked_sub(*n),
             _ => return Err(EvalError::TypeError("date multiplication".into())),
-        });
+        };
+        let days = days.and_then(|t| i32::try_from(t).ok());
+        return Ok(Value::Date(Date(days.ok_or_else(overflow)?)));
     }
     // Integer arithmetic stays integral except division.
     if let (Value::Int(x), Value::Int(y)) = (a, b) {
         return Ok(match op {
-            ArithOp::Add => Value::Int(x + y),
-            ArithOp::Sub => Value::Int(x - y),
-            ArithOp::Mul => Value::Int(x * y),
+            ArithOp::Add => Value::Int(x.checked_add(*y).ok_or_else(overflow)?),
+            ArithOp::Sub => Value::Int(x.checked_sub(*y).ok_or_else(overflow)?),
+            ArithOp::Mul => Value::Int(x.checked_mul(*y).ok_or_else(overflow)?),
             ArithOp::Div => {
                 if *y == 0 {
                     Value::Null
@@ -416,7 +424,7 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpq_algebra::{AttrId, Date};
+    use mpq_algebra::AttrId;
 
     fn ctx_vals() -> (Vec<AttrId>, Vec<Value>) {
         (
@@ -483,6 +491,48 @@ mod tests {
         assert!(eval(&d, &ctx)
             .unwrap()
             .sql_eq(&Value::Date(Date::parse("1994-02-01").unwrap())));
+    }
+
+    /// Cells and plans arrive from peers: out-of-range arithmetic is a
+    /// typed error in debug and release alike.
+    #[test]
+    fn out_of_range_arithmetic_is_an_error_not_a_panic_or_a_wrap() {
+        let cols = vec![AttrId(0), AttrId(1)];
+        let row = vec![Value::Int(i64::MAX), Value::Date(Date(i32::MAX))];
+        let ctx = RowCtx::plain(&cols, &row);
+        let int = |n| Expr::Lit(Value::Int(n));
+        let overflows = |a: &Expr, op, b: &Expr| {
+            let e = Expr::arith(a.clone(), op, b.clone());
+            matches!(eval(&e, &ctx), Err(EvalError::Overflow(_)))
+        };
+        let (max, last_day) = (Expr::Col(AttrId(0)), Expr::Col(AttrId(1)));
+        assert!(overflows(&max, ArithOp::Add, &int(1)));
+        assert!(overflows(&int(-2), ArithOp::Sub, &max));
+        assert!(overflows(&max, ArithOp::Mul, &int(2)));
+        // Date ± days: past the last day, a day count no `i32` holds
+        // (the old cast truncated it), and the negation of `i64::MIN`.
+        let epoch = Expr::Lit(Value::Date(Date(0)));
+        assert!(overflows(&last_day, ArithOp::Add, &int(1)));
+        assert!(overflows(&epoch, ArithOp::Add, &int(1 << 32)));
+        assert!(overflows(&epoch, ArithOp::Sub, &int(i64::MIN)));
+        // In range still computes.
+        let back = Expr::arith(last_day, ArithOp::Sub, int(i64::from(i32::MAX)));
+        assert_eq!(eval(&back, &ctx).unwrap(), Value::Date(Date(0)));
+    }
+
+    /// A peer-supplied `len` near `usize::MAX` used to wrap `from + len`
+    /// below `from` and panic on the slice, in release builds too.
+    #[test]
+    fn substring_length_saturates() {
+        let cols = vec![AttrId(0)];
+        let row = vec![Value::str("abcdefgh")];
+        let ss = Expr::Substring {
+            expr: Box::new(Expr::Col(AttrId(0))),
+            start: 6,
+            len: usize::MAX,
+        };
+        let tail = eval(&ss, &RowCtx::plain(&cols, &row)).unwrap();
+        assert_eq!(tail, Value::str("fgh"));
     }
 
     #[test]

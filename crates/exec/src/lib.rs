@@ -4,14 +4,19 @@
 //! plans — including the extended plans produced by `mpq-core` with
 //! on-the-fly encryption and decryption operators.
 //!
-//! Data flows through operators as bounded [`batch::Batch`]es of typed
-//! [`batch::ColumnVec`]s sharing a [`batch::TableSchema`]; pipelined
-//! operators (scan, select, project, encrypt/decrypt, udf, limit) hold
-//! one batch at a time, while pipeline breakers (join build sides,
-//! group-by, sort) materialize a [`table::Table`] — itself just one
-//! fully collected batch. Ciphertext bytes are a pure function of
-//! `(seed, node, column, row)`, so batch size, chunking, and worker
-//! count never change results.
+//! There is one relation container, [`table::Table`]: a
+//! [`batch::TableSchema`] plus one typed [`batch::ColumnVec`] per
+//! column. Data flows through operators as *batches* — tables of at
+//! most `batch_rows` rows; pipelined operators (scan, select, project,
+//! encrypt/decrypt, udf, limit) hold one at a time, while pipeline
+//! breakers (join build sides, group-by, sort) collect a whole one.
+//! Operators build their output by moving columns (slice, filter,
+//! gather, append); only expression evaluation and hash keys look at
+//! cells. Rows survive where something is row-shaped by nature: the
+//! loader, the [`rowref`] oracle, `Table::display`, result checkers and
+//! tests. Ciphertext bytes are a pure function of `(seed, node,
+//! column, row)`, so batch size, chunking, and worker count never
+//! change results.
 //!
 //! The engine evaluates expressions over both plaintext and encrypted
 //! cells: equality works on deterministic ciphertexts (hash joins,
@@ -25,9 +30,8 @@
 //!
 //! Modules:
 //!
-//! * [`batch`] — the columnar data plane: schemas, typed column
-//!   vectors, bounded batches;
-//! * [`table`] — materialized relations and the in-memory database;
+//! * [`batch`] — the column types: schemas and typed column vectors;
+//! * [`table`] — the relation container and the in-memory database;
 //! * [`eval`] — expression evaluation over batch rows;
 //! * [`scheme`] — per-attribute encryption scheme assignment ("the
 //!   scheme providing highest protection, while supporting the
@@ -51,7 +55,7 @@ pub mod rowref;
 pub mod scheme;
 pub mod table;
 
-pub use batch::{Batch, ColumnVec, TableSchema, DEFAULT_BATCH_ROWS};
+pub use batch::{ColumnVec, TableSchema, DEFAULT_BATCH_ROWS};
 pub use engine::{
     effective_children, execute, execute_region, execute_step, fused_encrypt_child, ExecCtx,
     ExecCtxBuilder, ExecError,

@@ -1,22 +1,23 @@
-//! Materialized relations and the in-memory database.
+//! The one relation container, and the in-memory database.
 //!
-//! Since the columnar data plane landed, a [`Table`] is a single fully
-//! materialized [`Batch`]: a [`TableSchema`] plus one [`ColumnVec`]
-//! per column. Streaming operators exchange bounded batches; a table
-//! is what the stream collects into at pipeline breakers (joins'
-//! build sides, group-by, sort) and at the edges of the distributed
-//! runtime, where whole intermediate relations cross subject
-//! boundaries. Row-oriented access survives only as an explicit compat
-//! layer ([`Table::from_rows`] / [`Table::to_rows`]) for loaders and
-//! tests.
+//! A [`Table`] is a [`TableSchema`] plus one [`ColumnVec`] per column,
+//! all of equal length. It is what a base relation is stored as, what
+//! flows between operators (a *batch* is a table of at most
+//! `batch_rows` rows), what a stream collects into at pipeline
+//! breakers (joins' build sides, group-by, sort), and what crosses
+//! subject boundaries in the distributed runtime. Operators move
+//! columns; rows exist only where something is row-shaped by nature —
+//! [`Table::from_rows`] / [`Table::push_row`] for loaders,
+//! [`Table::to_rows`] / [`Table::row`] for the row oracle, `display`,
+//! result checkers and tests.
 
-use crate::batch::{Batch, ColumnVec, TableSchema};
+use crate::batch::{ColumnVec, TableSchema};
 use mpq_algebra::{AttrId, Catalog, RelId, Value};
 use std::collections::HashMap;
 
-/// A materialized relation: ordered columns (attribute ids, possibly
-/// repeated for multi-aggregate outputs) and one column vector per
-/// column.
+/// A relation, or one bounded batch of one: ordered columns (attribute
+/// ids, possibly repeated for multi-aggregate outputs) and one column
+/// vector per column, all of equal length.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Table {
     schema: TableSchema,
@@ -31,41 +32,33 @@ impl Table {
         Table { schema, cols }
     }
 
-    /// Table from value rows (compat layer; loaders and tests).
-    pub fn from_rows(attrs: Vec<AttrId>, rows: Vec<Vec<Value>>) -> Table {
-        Batch::from_rows(TableSchema::new(attrs), rows).into()
-    }
-
-    /// Table from one materialized batch.
-    pub fn from_batch(batch: Batch) -> Table {
-        batch.into()
-    }
-
-    /// Concatenate a stream's batches into one table. Every batch must
-    /// carry `schema`.
-    pub fn from_batches(schema: TableSchema, batches: impl IntoIterator<Item = Batch>) -> Table {
-        let mut cols: Vec<ColumnVec> = (0..schema.len()).map(|_| ColumnVec::new()).collect();
-        for batch in batches {
-            debug_assert_eq!(batch.schema(), &schema, "batch schema mismatch");
-            for (acc, col) in cols.iter_mut().zip(batch.into_columns()) {
-                acc.append(col);
-            }
+    /// Table over `schema` from its columns.
+    ///
+    /// # Panics
+    /// When the column count does not match the schema or the columns
+    /// have unequal lengths.
+    pub fn from_columns(schema: TableSchema, cols: Vec<ColumnVec>) -> Table {
+        assert_eq!(schema.len(), cols.len(), "table column count mismatch");
+        if let Some(first) = cols.first() {
+            assert!(
+                cols.iter().all(|c| c.len() == first.len()),
+                "table column length mismatch"
+            );
         }
         Table { schema, cols }
     }
 
-    /// The whole table as one batch (columns are cloned).
-    pub fn to_batch(&self) -> Batch {
-        Batch::new(self.schema.clone(), self.cols.clone())
+    /// Table from value rows (loaders and tests).
+    pub fn from_rows(attrs: Vec<AttrId>, rows: Vec<Vec<Value>>) -> Table {
+        let mut table = Table::new(attrs);
+        for row in rows {
+            table.push_row(row);
+        }
+        table
     }
 
-    /// Consume into one batch.
-    pub fn into_batch(self) -> Batch {
-        Batch::new(self.schema, self.cols)
-    }
-
-    /// Materialize as value rows (compat layer; prefer the columnar
-    /// accessors on hot paths).
+    /// Materialize as value rows (the row oracle, result checkers and
+    /// tests; operators use the columnar accessors).
     pub fn to_rows(&self) -> Vec<Vec<Value>> {
         (0..self.len()).map(|i| self.row(i)).collect()
     }
@@ -83,6 +76,11 @@ impl Table {
     /// All columns in order.
     pub fn columns(&self) -> &[ColumnVec] {
         &self.cols
+    }
+
+    /// Consume into the raw columns.
+    pub fn into_columns(self) -> Vec<ColumnVec> {
+        self.cols
     }
 
     /// Column `i`.
@@ -105,7 +103,7 @@ impl Table {
         self.cols.iter().map(|c| c.get(i)).collect()
     }
 
-    /// Append one row (compat layer; loaders, codecs, tests).
+    /// Append one row (loaders and tests).
     pub fn push_row(&mut self, row: Vec<Value>) {
         assert_eq!(row.len(), self.schema.len(), "row arity mismatch");
         for (c, v) in self.cols.iter_mut().zip(row) {
@@ -123,25 +121,12 @@ impl Table {
         self.len() == 0
     }
 
-    /// Stream the table as batches of at most `batch_rows` rows. An
-    /// empty table yields no batches (streams carry the schema
-    /// separately).
-    pub fn batches(&self, batch_rows: usize) -> impl Iterator<Item = Batch> + '_ {
-        let n = self.len();
-        let step = batch_rows.max(1);
-        (0..n.div_ceil(step)).map(move |k| {
-            let s = k * step;
-            self.slice(s..(s + step).min(n))
-        })
-    }
-
-    /// Copy `range` out as a batch (the unit the streaming engine
-    /// pulls when re-scanning a materialized table).
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Batch {
-        Batch::new(
-            self.schema.clone(),
-            self.cols.iter().map(|c| c.slice(range.clone())).collect(),
-        )
+    /// Copy of the rows in `range`.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> Table {
+        Table {
+            schema: self.schema.clone(),
+            cols: self.cols.iter().map(|c| c.slice(range.clone())).collect(),
+        }
     }
 
     /// Total payload bytes (drives the network-cost accounting in the
@@ -184,14 +169,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-}
-
-impl From<Batch> for Table {
-    fn from(batch: Batch) -> Table {
-        let schema = batch.schema().clone();
-        let cols = batch.into_columns();
-        Table { schema, cols }
     }
 }
 
@@ -280,30 +257,24 @@ mod tests {
     }
 
     #[test]
-    fn batches_cover_all_rows_and_round_trip() {
-        let attrs = vec![AttrId(0), AttrId(1)];
+    fn rows_round_trip_and_bytes_match_row_accounting() {
         let rows: Vec<Vec<Value>> = (0..10)
             .map(|i| vec![Value::Int(i), Value::str(&format!("r{i}"))])
             .collect();
-        let t = Table::from_rows(attrs.clone(), rows.clone());
-        for batch_rows in [1, 3, 10, 100] {
-            let batches: Vec<Batch> = t.batches(batch_rows).collect();
-            assert!(batches.iter().all(|b| b.num_rows() <= batch_rows.max(1)));
-            let rebuilt = Table::from_batches(t.schema().clone(), batches);
-            assert_eq!(rebuilt, t, "batch_rows = {batch_rows}");
-        }
+        let t = Table::from_rows(vec![AttrId(0), AttrId(1)], rows.clone());
         assert_eq!(t.to_rows(), rows);
-        // byte_size matches the row-wise accounting.
-        let row_bytes: usize = rows
-            .iter()
-            .map(|r| r.iter().map(Value::width).sum::<usize>())
-            .sum();
+        assert_eq!(t.row(3), rows[3]);
+        assert_eq!(t.slice(3..5).to_rows(), rows[3..5]);
+        let row_bytes: usize = rows.iter().flatten().map(Value::width).sum();
         assert_eq!(t.byte_size(), row_bytes);
     }
 
     #[test]
-    fn empty_table_streams_no_batches() {
-        let t = Table::new(vec![AttrId(0)]);
-        assert_eq!(t.batches(4).count(), 0);
+    #[should_panic(expected = "table column length mismatch")]
+    fn unequal_columns_panic() {
+        Table::from_columns(
+            TableSchema::new(vec![AttrId(0), AttrId(1)]),
+            vec![ColumnVec::from_ints(vec![1]), ColumnVec::new()],
+        );
     }
 }

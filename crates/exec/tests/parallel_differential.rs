@@ -206,13 +206,58 @@ fn outer_residual_plan(cat: &Catalog) -> (QueryPlan, SchemePlan, HashMap<AttrId,
     (plan, SchemePlan::default(), HashMap::new())
 }
 
+/// `Hosp[S, D] ⋈ Ins[C, P]` of the given kind over `on`, in plaintext.
+/// The insurer side is first cut to `P > 150`, so Semi and Anti each
+/// keep some patients and drop others.
+fn join_plan(
+    cat: &Catalog,
+    kind: JoinKind,
+    on: Vec<(AttrId, CmpOp, AttrId)>,
+) -> (QueryPlan, SchemePlan, HashMap<AttrId, u32>) {
+    let s = cat.attr("S").unwrap();
+    let d = cat.attr("D").unwrap();
+    let c = cat.attr("C").unwrap();
+    let p = cat.attr("P").unwrap();
+    let mut plan = QueryPlan::new();
+    let h = plan.add_base(cat.relation("Hosp").unwrap().rel, vec![s, d]);
+    let i = plan.add_base(cat.relation("Ins").unwrap().rel, vec![c, p]);
+    let pred = Expr::Cmp(
+        Box::new(Expr::Col(p)),
+        CmpOp::Gt,
+        Box::new(Expr::Lit(Value::Num(150.0))),
+    );
+    let costly = plan.add(Operator::Select { pred }, vec![i]);
+    let residual = None;
+    plan.add(Operator::Join { kind, on, residual }, vec![h, costly]);
+    (plan, SchemePlan::default(), HashMap::new())
+}
+
+/// Cartesian product of two projections.
+fn product_plan(cat: &Catalog) -> (QueryPlan, SchemePlan, HashMap<AttrId, u32>) {
+    let mut plan = QueryPlan::new();
+    let (d, p) = (cat.attr("D").unwrap(), cat.attr("P").unwrap());
+    let h = plan.add_base(cat.relation("Hosp").unwrap().rel, vec![d]);
+    let i = plan.add_base(cat.relation("Ins").unwrap().rel, vec![p]);
+    plan.add(Operator::Product, vec![h, i]);
+    (plan, SchemePlan::default(), HashMap::new())
+}
+
+const PLAN_SHAPES: usize = 9;
+
 fn pick_plan(cat: &Catalog, ix: usize) -> (QueryPlan, SchemePlan, HashMap<AttrId, u32>) {
+    let (s, c) = (cat.attr("S").unwrap(), cat.attr("C").unwrap());
     match ix {
         0 => crypto_plan(cat),
         1 => row_ops_plan(cat),
         2 => agg_sort_plan(cat),
         3 => mixed_form_plan(cat),
-        _ => outer_residual_plan(cat),
+        4 => outer_residual_plan(cat),
+        5 => join_plan(cat, JoinKind::Semi, vec![(s, CmpOp::Eq, c)]),
+        6 => join_plan(cat, JoinKind::Anti, vec![(s, CmpOp::Eq, c)]),
+        7 => product_plan(cat),
+        // Theta-only: no equality, so no hash table — every pair is a
+        // candidate.
+        _ => join_plan(cat, JoinKind::Inner, vec![(s, CmpOp::Lt, c)]),
     }
 }
 
@@ -291,8 +336,8 @@ proptest! {
     }
 
     /// Batch ≡ row: the streaming engine against the independent
-    /// row-at-a-time oracle, over random plan shapes, worker counts,
-    /// and batch sizes — rows *and* ciphertext bytes identical.
+    /// row-at-a-time oracle, over every plan shape and random worker
+    /// counts and batch sizes — rows *and* ciphertext bytes identical.
     #[test]
     fn streaming_matches_row_oracle(
         rows in 30usize..120,
@@ -300,20 +345,22 @@ proptest! {
         enc_seed in any::<u64>(),
         workers in 1usize..6,
         batch_rows in 1usize..97,
-        plan_ix in 0usize..5,
     ) {
         let cat = Catalog::paper_running_example();
         let db = load(&cat, rows, data_seed);
-        let (plan, schemes, koa) = pick_plan(&cat, plan_ix);
         let ring = ring();
-        let ctx = ExecCtx::builder(&cat, &db, &ring, &schemes, &koa)
-            .seed(enc_seed)
-            .pool(WorkerPool::new(workers))
-            .batch_rows(batch_rows)
-            .build();
-        let streamed = execute(&plan, &ctx).expect("streaming run");
-        let oracle = execute_ref(&plan, &ctx).expect("oracle run");
-        prop_assert_eq!(&streamed, &oracle);
+        for plan_ix in 0..PLAN_SHAPES {
+            let (plan, schemes, koa) = pick_plan(&cat, plan_ix);
+            let ctx = ExecCtx::builder(&cat, &db, &ring, &schemes, &koa)
+                .seed(enc_seed)
+                .pool(WorkerPool::new(workers))
+                .batch_rows(batch_rows)
+                .build();
+            let streamed = execute(&plan, &ctx).expect("streaming run");
+            let oracle = execute_ref(&plan, &ctx).expect("oracle run");
+            prop_assert!(!streamed.is_empty(), "plan shape {} yields rows", plan_ix);
+            prop_assert_eq!(&streamed, &oracle, "plan shape {}", plan_ix);
+        }
     }
 }
 

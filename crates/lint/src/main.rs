@@ -29,6 +29,13 @@
 //!   entry points `execute_step(`, `effective_children(` and
 //!   `fused_encrypt_child(` (kept exported for the frozen benchmark
 //!   and the cost model) have no home in `crates/dist/src` at all.
+//! * **columns-not-rows** — in `crates/exec/src` and `crates/dist/src`
+//!   the row-shaped `Table` API (`from_rows(`, `to_rows(`,
+//!   `push_row(`) stays out of the execution path: operators build
+//!   their output by moving columns, and a transposition that comes
+//!   back is a per-cell `Value` round trip on every tuple. The API's
+//!   home is `exec/src/table.rs` (the loader), and the row oracle
+//!   `exec/src/rowref.rs` is row-shaped on purpose.
 //!
 //! The scan strips comments and string literals and skips
 //! `#[cfg(test)]` modules, so documentation and tests may freely
@@ -89,6 +96,15 @@ const EDGE_RULE_HOMES: [(&str, Option<&str>); 5] = [
     ("effective_children(", None),
     ("fused_encrypt_child(", None),
 ];
+
+/// The columns-not-rows rule applies to these trees…
+const ROW_RULE_SCOPE: [&str; 2] = ["crates/exec/src", "crates/dist/src"];
+
+/// …minus the row API's home (and loader) and the row oracle.
+const ROW_RULE_EXEMPT: [&str; 2] = ["crates/exec/src/table.rs", "crates/exec/src/rowref.rs"];
+
+/// The row-shaped `Table` API.
+const ROW_TOKENS: [&str; 3] = ["from_rows(", "to_rows(", "push_row("];
 
 /// Tokens that break run-to-run determinism.
 const DETERMINISM_TOKENS: [&str; 5] = [
@@ -435,6 +451,8 @@ fn lint_source(rel: &Path, src: &str, findings: &mut Vec<Finding>) {
     let engine_scoped = in_scope(rel, &ENGINE_SCOPE);
     let spawn_allowed = SPAWN_ALLOWED.iter().any(|a| rel == Path::new(a));
     let edge_scoped = rel.starts_with(EDGE_RULE_SCOPE) && rel != Path::new(EDGE_RULE_DEFINED_IN);
+    let row_scoped =
+        in_scope(rel, &ROW_RULE_SCOPE) && !ROW_RULE_EXEMPT.iter().any(|e| rel == Path::new(e));
     if engine_scoped {
         lint_retry_budgets(rel, &cleaned, &skip, findings);
     }
@@ -498,6 +516,21 @@ fn lint_source(rel: &Path, src: &str, findings: &mut Vec<Finding>) {
                         ),
                     };
                     record(findings, "one-edge-rule", message);
+                }
+            }
+        }
+        if row_scoped {
+            for t in ROW_TOKENS {
+                if line.contains(t) {
+                    record(
+                        findings,
+                        "columns-not-rows",
+                        format!(
+                            "`{t}` in the execution path — operators move columns \
+                             (slice/filter/gather/append); rows belong to the loader, \
+                             the oracle and tests"
+                        ),
+                    );
                 }
             }
         }
@@ -695,6 +728,38 @@ mod tests {
         // …and the definition site and other crates are out of scope.
         assert!(rules_in("crates/dist/src/audit.rs").is_empty());
         assert!(rules_in("crates/core/src/authz.rs").is_empty());
+    }
+
+    #[test]
+    fn rows_in_the_execution_path_are_flagged() {
+        let src = "
+fn join_output(schema: TableSchema, rows: Vec<Vec<Value>>) -> Table {
+    let mut t = Table::from_rows(schema.attrs().to_vec(), rows);
+    t.push_row(pad);
+    for row in t.to_rows() {}
+    t
+}
+#[cfg(test)]
+mod tests {
+    fn t() { assert_eq!(Table::from_rows(a, r).to_rows(), r); }
+}
+";
+        let lines_in = |file: &str| {
+            let mut findings = Vec::new();
+            lint_source(Path::new(file), src, &mut findings);
+            findings
+                .iter()
+                .filter(|f| f.rule == "columns-not-rows")
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(lines_in("crates/exec/src/engine.rs"), vec![3, 4, 5]);
+        assert_eq!(lines_in("crates/dist/src/codec.rs"), vec![3, 4, 5]);
+        // The API's home, the oracle, and crates outside the execution
+        // path (loaders, checkers) are out of scope.
+        assert!(lines_in("crates/exec/src/table.rs").is_empty());
+        assert!(lines_in("crates/exec/src/rowref.rs").is_empty());
+        assert!(lines_in("crates/tpch/src/gen.rs").is_empty());
     }
 
     #[test]

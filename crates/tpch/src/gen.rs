@@ -373,12 +373,15 @@ pub fn generate(scale: f64, seed: u64) -> (Catalog, Database) {
     db.insert(rel_of("orders"), orders_t);
     db.insert(rel_of("lineitem"), lineitem_t);
 
-    // Alias tables copy the base tables' *columnar* data: dense
-    // Int/Num columns memcpy and Val columns bump `Arc` refcounts, so
-    // aliasing never re-materializes row-major copies (at SF 1 the old
-    // per-alias row clones dominated generation time and peak memory).
+    // Alias tables carry the base tables' *columnar* data under the
+    // alias relation's own attributes (a `Base` over the alias asks for
+    // those): dense Int/Num columns memcpy and Val columns bump `Arc`
+    // refcounts, so aliasing never re-materializes row-major copies (at
+    // SF 1 the old per-alias row clones dominated generation time and
+    // peak memory).
     for (alias, _, base) in ALIASES {
-        let table = db.table(rel_of(base)).expect("alias base loaded").clone();
+        let base = db.table(rel_of(base)).expect("alias base loaded");
+        let table = Table::from_columns(attrs_of(alias).into(), base.columns().to_vec());
         db.insert(rel_of(alias), table);
     }
 
@@ -423,11 +426,16 @@ mod tests {
     #[test]
     fn aliases_mirror_base_data() {
         let (c, db) = generate(0.001, 7);
-        assert_eq!(
-            table_len(&c, &db, "lineitem"),
-            table_len(&c, &db, "lineitem2")
-        );
-        assert_eq!(table_len(&c, &db, "nation"), table_len(&c, &db, "nation2"));
+        for (alias, _, base) in ALIASES {
+            let alias_rel = c.relation(alias).unwrap();
+            let aliased = db.table(alias_rel.rel).unwrap();
+            let base = db.table(c.relation(base).unwrap().rel).unwrap();
+            // Scannable under the alias's own attributes, not the base's…
+            assert_eq!(aliased.attrs(), alias_rel.attrs(), "{alias}");
+            // …and cell for cell the base relation.
+            assert!(!base.is_empty(), "{alias}");
+            assert_eq!(aliased.columns(), base.columns(), "{alias}");
+        }
     }
 
     #[test]
