@@ -1,13 +1,17 @@
 //! Runtime values and data types.
 //!
-//! The execution engine is row-oriented; a row is a `Vec<Value>`.
-//! Encrypted cells are represented by [`Value::Enc`], which carries the
+//! A [`Value`] is one cell as expressions, literals and the row oracle
+//! see it. An encrypted cell is [`Value::Enc`], which carries the
 //! ciphertext together with the scheme tag so that the evaluator knows
 //! which operations the cell still supports (equality for deterministic
-//! encryption, ordering for OPE, addition for Paillier).
+//! encryption, ordering for OPE, addition for Paillier). A whole column
+//! of them under one key is held, filtered and shipped as one
+//! [`EncColumn`] buffer instead — a `Value::Enc` is what reading a
+//! single cell out of it yields.
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Logical column types.
@@ -97,6 +101,189 @@ pub struct EncValue {
     pub bytes: Arc<[u8]>,
 }
 
+/// A column of cells encrypted under one `(scheme, key)`: the
+/// ciphertexts back to back in one buffer plus where each ends —
+/// Arrow's binary layout without the leading zero offset. The empty
+/// cell is NULL (no scheme emits an empty ciphertext). A fixed stride
+/// would not do: Det/Random cells over strings and Paillier cells vary
+/// in width.
+///
+/// This is the raw buffer `mpq-crypto` fills and `mpq-exec` wraps as a
+/// column variant; a single cell leaves it as an [`EncValue`] through
+/// [`EncColumn::value`]. Offsets are `u32`: a column holds under 4 GiB
+/// of ciphertext, four times what one frame can carry.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EncColumn {
+    scheme: EncScheme,
+    key_id: u32,
+    /// `ends[i]` is where cell `i` stops in `bytes`; it starts where
+    /// cell `i - 1` stopped. Non-decreasing, and the last one is
+    /// `bytes.len()`.
+    ends: Vec<u32>,
+    bytes: Vec<u8>,
+}
+
+impl EncColumn {
+    /// Empty column under `(scheme, key_id)`.
+    pub fn new(scheme: EncScheme, key_id: u32) -> EncColumn {
+        EncColumn::with_capacity(scheme, key_id, 0, 0)
+    }
+
+    /// Empty column with room for `cells` cells of `bytes` bytes in all.
+    pub fn with_capacity(scheme: EncScheme, key_id: u32, cells: usize, bytes: usize) -> EncColumn {
+        EncColumn {
+            scheme,
+            key_id,
+            ends: Vec::with_capacity(cells),
+            bytes: Vec::with_capacity(bytes),
+        }
+    }
+
+    /// A column from its parts as they arrive off the wire. `None`
+    /// unless the offsets are non-decreasing and end where the bytes do.
+    pub fn from_parts(
+        scheme: EncScheme,
+        key_id: u32,
+        ends: Vec<u32>,
+        bytes: Vec<u8>,
+    ) -> Option<EncColumn> {
+        let sorted = ends.windows(2).all(|w| w[0] <= w[1]);
+        let total = ends.last().map_or(0, |&e| e as usize);
+        (sorted && total == bytes.len()).then_some(EncColumn {
+            scheme,
+            key_id,
+            ends,
+            bytes,
+        })
+    }
+
+    /// Scheme every cell is encrypted under.
+    pub fn scheme(&self) -> EncScheme {
+        self.scheme
+    }
+
+    /// Key every cell is encrypted under.
+    pub fn key_id(&self) -> u32 {
+        self.key_id
+    }
+
+    /// Number of cells, NULLs included.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` when the column has no cells.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Where each cell ends in [`EncColumn::bytes`].
+    pub fn ends(&self) -> &[u32] {
+        &self.ends
+    }
+
+    /// Every cell's ciphertext, back to back.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Offsets and buffer for a cipher that wrote plaintext cells and
+    /// now encrypts them in place; cell boundaries cannot move.
+    pub fn cells_mut(&mut self) -> (&[u32], &mut [u8]) {
+        (&self.ends, &mut self.bytes)
+    }
+
+    fn start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize)
+    }
+
+    /// Ciphertext of cell `i`; empty for NULL.
+    pub fn cell(&self, i: usize) -> &[u8] {
+        &self.bytes[self.start(i)..self.ends[i] as usize]
+    }
+
+    /// Cell `i` as a scalar: NULL, or an [`EncValue`] owning a copy of
+    /// the ciphertext.
+    pub fn value(&self, i: usize) -> Value {
+        match self.cell(i) {
+            [] => Value::Null,
+            cell => Value::Enc(EncValue {
+                scheme: self.scheme,
+                key_id: self.key_id,
+                bytes: Arc::from(cell),
+            }),
+        }
+    }
+
+    /// Append one cell whose bytes `write` appends to the buffer;
+    /// appending nothing makes it NULL.
+    pub fn push_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.bytes.len();
+        write(&mut self.bytes);
+        assert!(start <= self.bytes.len(), "a cell writer only appends");
+        let end = u32::try_from(self.bytes.len()).expect("a ciphertext column stays under 4 GiB");
+        self.ends.push(end);
+    }
+
+    /// Append one ciphertext (empty: NULL).
+    pub fn push(&mut self, cell: &[u8]) {
+        self.push_with(|bytes| bytes.extend_from_slice(cell));
+    }
+
+    /// Append every cell of `other`, which is under the same
+    /// `(scheme, key)`.
+    pub fn append(&mut self, other: &EncColumn) {
+        debug_assert_eq!(
+            (self.scheme, self.key_id),
+            (other.scheme, other.key_id),
+            "one column, one key"
+        );
+        let base = self.bytes.len();
+        assert!(
+            u32::try_from(base + other.bytes.len()).is_ok(),
+            "a ciphertext column stays under 4 GiB"
+        );
+        self.bytes.extend_from_slice(&other.bytes);
+        self.ends
+            .extend(other.ends.iter().map(|&e| base as u32 + e));
+    }
+
+    /// Copy of the cells in `range`.
+    pub fn slice(&self, range: Range<usize>) -> EncColumn {
+        let (from, to) = (self.start(range.start), self.start(range.end));
+        EncColumn {
+            scheme: self.scheme,
+            key_id: self.key_id,
+            ends: self.ends[range].iter().map(|&e| e - from as u32).collect(),
+            bytes: self.bytes[from..to].to_vec(),
+        }
+    }
+
+    /// The cells at `idx`, in `idx` order; `None` is a NULL pad.
+    pub fn gather(&self, idx: impl Iterator<Item = Option<usize>>) -> EncColumn {
+        // Room for as many average-width cells as `idx` can yield.
+        let cells = idx.size_hint().1.unwrap_or(0);
+        let bytes = self.bytes.len() / self.len().max(1) * cells;
+        let mut out = EncColumn::with_capacity(self.scheme, self.key_id, cells, bytes);
+        for i in idx {
+            out.push(i.map_or(&[], |i| self.cell(i)));
+        }
+        out
+    }
+
+    /// Σ [`Value::width`] over the cells: a ciphertext counts its
+    /// bytes, a NULL one.
+    pub fn byte_size(&self) -> usize {
+        let mut start = 0;
+        let nulls = self.ends.iter().filter(|&&end| {
+            let null = end == start;
+            start = end;
+            null
+        });
+        self.bytes.len() + nulls.count()
+    }
+}
+
 /// A runtime value.
 ///
 /// The derived `PartialEq` is *structural* (used by plan equality and
@@ -172,36 +359,51 @@ impl Value {
     /// encoding is self-describing (type tag byte first) so decryption
     /// restores the exact value.
     pub fn canonical_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.canonical_len());
+        self.write_canonical(&mut out);
+        out
+    }
+
+    /// Bytes [`Value::write_canonical`] appends.
+    pub fn canonical_len(&self) -> usize {
+        1 + match self {
+            Value::Null => 0,
+            Value::Bool(_) => 1,
+            Value::Int(_) | Value::Num(_) => 8,
+            Value::Str(s) => s.len(),
+            Value::Date(_) => 4,
+            Value::Enc(e) => 5 + e.bytes.len(),
+        }
+    }
+
+    /// Append the canonical encoding to `out`: what ciphers and the
+    /// codec write straight into a column or frame buffer.
+    pub fn write_canonical(&self, out: &mut Vec<u8>) {
         match self {
-            Value::Null => vec![0],
-            Value::Bool(b) => vec![1, *b as u8],
+            Value::Null => out.push(0),
+            Value::Bool(b) => out.extend_from_slice(&[1, *b as u8]),
             Value::Int(i) => {
-                let mut v = vec![2];
-                v.extend_from_slice(&i.to_be_bytes());
-                v
+                out.push(2);
+                out.extend_from_slice(&i.to_be_bytes());
             }
             Value::Num(f) => {
-                let mut v = vec![3];
-                v.extend_from_slice(&f.to_be_bytes());
-                v
+                out.push(3);
+                out.extend_from_slice(&f.to_be_bytes());
             }
             Value::Str(s) => {
-                let mut v = vec![4];
-                v.extend_from_slice(s.as_bytes());
-                v
+                out.push(4);
+                out.extend_from_slice(s.as_bytes());
             }
             Value::Date(d) => {
-                let mut v = vec![5];
-                v.extend_from_slice(&d.0.to_be_bytes());
-                v
+                out.push(5);
+                out.extend_from_slice(&d.0.to_be_bytes());
             }
             Value::Enc(e) => {
                 // Re-encrypting a ciphertext is allowed (onion-style);
                 // encode scheme + key + bytes.
-                let mut v = vec![6, e.scheme.tag()];
-                v.extend_from_slice(&e.key_id.to_be_bytes());
-                v.extend_from_slice(&e.bytes);
-                v
+                out.extend_from_slice(&[6, e.scheme.tag()]);
+                out.extend_from_slice(&e.key_id.to_be_bytes());
+                out.extend_from_slice(&e.bytes);
             }
         }
     }

@@ -39,7 +39,7 @@ use mpq_algebra::{Catalog, SubjectId};
 use mpq_core::capability::CapabilityPolicy;
 use mpq_core::profile::profile_plan;
 use mpq_crypto::keyring::ClusterKey;
-use mpq_crypto::schemes::{decrypt_batch, encrypt_batch, encrypt_value, paillier_add_cells};
+use mpq_crypto::schemes::{encrypt_value, paillier_add_cells, ColumnCipher};
 use mpq_exec::{assign_schemes, Database, ExecCtx, SchemePlan};
 use mpq_planner::cost::{edge_bytes_model, plan_tuple_ops};
 use mpq_planner::pricing::calibrated;
@@ -49,6 +49,7 @@ use mpq_tpch::{generate, query_plan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Calibration run configuration.
@@ -207,27 +208,33 @@ impl Calibration {
 }
 
 /// Time one scheme's encrypt/decrypt over `n` numeric values, through
-/// the batch path the execution engine actually uses
-/// (`mpq_crypto::encrypt_batch`/`decrypt_batch`: key schedules and
-/// Montgomery contexts set up once per column, then per-value work) —
-/// the model prices the engine's marginal per-value cost, not the
-/// one-shot setup.
+/// the column path the execution engine actually uses
+/// (`ColumnEncryptor::encrypt_column` into one ciphertext buffer,
+/// `ColumnCipher::decrypt_cell` out of it: key schedules and Montgomery
+/// contexts set up once per column, then per-value work) — the model
+/// prices the engine's marginal per-value cost, not the one-shot setup
+/// and not a `Value` per ciphertext.
 fn time_scheme(scheme: EncScheme, n: usize, model: &PriceBook) -> CryptoTiming {
     let key = ClusterKey::generate(&mut StdRng::seed_from_u64(7), 1, 512);
     let mut rng = StdRng::seed_from_u64(9);
     let vals: Vec<Value> = (0..n).map(|i| Value::Num(i as f64 * 1.25)).collect();
+    let cipher = ColumnCipher::new(scheme, &key);
     let t0 = Instant::now();
-    let encs = encrypt_batch(&mut rng, &vals, scheme, &key).expect("encrypt");
+    let encs = cipher
+        .encryptor()
+        .encrypt_column(&vals, &mut rng)
+        .expect("encrypt");
     let enc_secs = t0.elapsed().as_secs_f64() / n as f64;
     let t0 = Instant::now();
-    decrypt_batch(&encs, &key).expect("decrypt");
+    for i in 0..n {
+        black_box(cipher.decrypt_cell(scheme, key.id, encs.cell(i))).expect("decrypt");
+    }
     let dec_secs = t0.elapsed().as_secs_f64() / n as f64;
-    let width = encs.iter().map(Value::width).sum::<usize>() as f64 / n as f64;
     CryptoTiming {
         scheme: format!("{scheme:?}"),
         enc_secs,
         dec_secs,
-        width_bytes: width,
+        width_bytes: encs.byte_size() as f64 / n as f64,
         model_width_bytes: model.ciphertext_width(scheme, 8.0),
     }
 }

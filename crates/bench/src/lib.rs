@@ -7,7 +7,7 @@
 //!   UAPenc / UAPmix scenarios (the paper's Figure 9);
 //! * `cargo run -p mpq-bench --bin figure10 --release` — cumulative
 //!   cost and headline savings (Figure 10; paper: 54.2% for UAPenc,
-//!   71.3% for UAPmix; this reproduction: 53.6% / 75.0% at SF 1 with
+//!   71.3% for UAPmix; this reproduction: 55.2% / 77.0% at SF 1 with
 //!   the searched `UAPMIX_HEAD_FILL` split, pinned by
 //!   `tests/figure10_pin.rs`; `--sample` switches to the fast SF 0.02
 //!   sample statistics the tier-1 pin uses);

@@ -111,6 +111,32 @@ fn bench_xtea(c: &mut Criterion) {
     g.bench_function("det_value_one_shot_key", |b| {
         b.iter(|| xtea::det_encrypt(black_box(&key), black_box(&value)))
     });
+    // 4,096 independent blocks through the lane kernel (÷ 4,096 for
+    // per-block, against `xtea/block`: the one-at-a-time dependency
+    // chain).
+    let mut blocks: Vec<u64> = (0..4096).collect();
+    g.bench_function("blocks_lanes", |b| {
+        b.iter(|| schedule.encrypt_blocks(black_box(&mut blocks)))
+    });
+    // One engine batch (4,096 cells) through `encrypt_batch`, i.e. the
+    // column entry plus one `Value::Enc` per cell for the caller:
+    // fixed-width cells under both symmetric schemes, and strings of
+    // TPC-H widths (÷ 4,096 for per-cell).
+    let cluster = ClusterKey::generate(&mut StdRng::seed_from_u64(13), 1, 256);
+    let mut rng = StdRng::seed_from_u64(19);
+    let ints: Vec<Value> = (0..4096).map(|_| Value::Int(rng.gen())).collect();
+    let strings: Vec<Value> = (0..4096)
+        .map(|i| Value::str(&"Customer#000012345 ".repeat(3)[..10 + i % 40]))
+        .collect();
+    for (name, column, scheme) in [
+        ("column_det", &ints, EncScheme::Deterministic),
+        ("column_rnd", &ints, EncScheme::Random),
+        ("column_det_strings", &strings, EncScheme::Deterministic),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| encrypt_batch(&mut rng, black_box(column), scheme, &cluster).unwrap())
+        });
+    }
     g.finish();
 }
 

@@ -55,10 +55,17 @@ impl BigUint {
 
     /// To u128 (truncating is a bug: panics if the value doesn't fit).
     pub fn to_u128(&self) -> u128 {
-        assert!(self.limbs.len() <= 2, "BigUint does not fit in u128");
+        self.try_to_u128().expect("BigUint does not fit in u128")
+    }
+
+    /// To u128, when the value fits.
+    pub fn try_to_u128(&self) -> Option<u128> {
+        if self.limbs.len() > 2 {
+            return None;
+        }
         let lo = self.limbs.first().copied().unwrap_or(0) as u128;
         let hi = self.limbs.get(1).copied().unwrap_or(0) as u128;
-        (hi << 64) | lo
+        Some((hi << 64) | lo)
     }
 
     /// Big-endian bytes (no leading zeros; empty for zero).

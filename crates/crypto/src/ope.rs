@@ -43,7 +43,6 @@
 //! `mpq_core::capability`).
 
 use crate::siphash::SipState;
-use std::sync::Arc;
 
 /// Ciphertext-space bits. 96 bits leave ≥ 2^32 slack over the 64-bit
 /// domain, so every level can split with both halves non-degenerate.
@@ -274,7 +273,7 @@ pub struct OpeEncryptor {
     /// with; `trail[64]` is its leaf. Only the root before any code.
     trail: [Node; 65],
     prev: Option<u64>,
-    memo: Vec<Option<(u64, Arc<[u8]>)>>,
+    memo: Vec<Option<(u64, [u8; CELL_LEN])>>,
 }
 
 impl OpeEncryptor {
@@ -291,17 +290,17 @@ impl OpeEncryptor {
         leaf.lo
     }
 
-    /// [`OpeKey::encrypt`] as a shareable cell: a repeated `(ty, code)`
-    /// is a reference-count bump on the stored cell.
-    pub fn encrypt(&mut self, ty: OpeType, code: u64) -> Arc<[u8]> {
+    /// [`OpeKey::encrypt`] through the memo: a repeated `(ty, code)`
+    /// is a copy of the stored cell.
+    pub fn encrypt(&mut self, ty: OpeType, code: u64) -> [u8; CELL_LEN] {
         let slot = memo_slot(code);
-        if let Some((c, hit)) = &self.memo[slot] {
-            if *c == code && hit[0] == ty as u8 {
-                return Arc::clone(hit);
+        if let Some((c, hit)) = self.memo[slot] {
+            if c == code && hit[0] == ty as u8 {
+                return hit;
             }
         }
-        let fresh: Arc<[u8]> = Arc::new(cell(ty, self.encrypt_code(code)));
-        self.memo[slot] = Some((code, Arc::clone(&fresh)));
+        let fresh = cell(ty, self.encrypt_code(code));
+        self.memo[slot] = Some((code, fresh));
         fresh
     }
 }
@@ -582,7 +581,7 @@ mod tests {
                     } else {
                         OpeType::Num
                     };
-                    assert_eq!(*by_cell.encrypt(ty, code), cell(ty, want), "{ctx}");
+                    assert_eq!(by_cell.encrypt(ty, code), cell(ty, want), "{ctx}");
                 }
             }
         }

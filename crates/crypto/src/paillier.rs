@@ -281,19 +281,34 @@ impl PaillierKeypair {
     }
 
     /// Decrypt to the non-negative plaintext.
+    ///
+    /// # Panics
+    /// When `c ≡ 0 (mod n²)`, which no encryption or addition yields;
+    /// [`PaillierKeypair::decode_sum`] is the total entry for
+    /// ciphertexts a peer supplied.
     pub fn decrypt(&self, c: &PaillierCiphertext) -> BigUint {
+        self.try_decrypt(c).expect("a ciphertext is not 0 mod n²")
+    }
+
+    fn try_decrypt(&self, c: &PaillierCiphertext) -> Option<BigUint> {
         let n = &self.public.n;
         let x = self.public.mont2().pow(&c.0, &self.lambda);
+        if x.is_zero() {
+            return None;
+        }
         // L(x) = (x - 1) / n.
         let l = x.sub(&BigUint::one()).divmod(n).0;
-        l.mulmod(&self.mu, n)
+        Some(l.mulmod(&self.mu, n))
     }
 
     /// Decrypt a sum of `count` encoded signed values, removing the
-    /// per-term offsets.
-    pub fn decode_sum(&self, c: &PaillierCiphertext, count: u64) -> i128 {
-        let total = self.decrypt(c).to_u128() as i128;
-        total - (count as i128) * ENCODE_OFFSET
+    /// per-term offsets. `None` when the plaintext cannot be such a
+    /// sum: arbitrary bytes in place of a ciphertext decrypt to
+    /// something as wide as the modulus.
+    pub fn decode_sum(&self, c: &PaillierCiphertext, count: u64) -> Option<i128> {
+        let total = i128::try_from(self.try_decrypt(c)?.try_to_u128()?).ok()?;
+        // Any `u64` count of 2⁶³ offsets stays below 2¹²⁷.
+        Some(total - i128::from(count) * ENCODE_OFFSET)
     }
 
     /// Serialize the keypair (its factors `p`, `q`) for Def. 6.1 key
@@ -406,7 +421,7 @@ mod tests {
             acc = kp.public.add(&acc, &enc);
         }
         let sum = kp.decode_sum(&acc, values.len() as u64);
-        assert_eq!(sum, -85);
+        assert_eq!(sum, Some(-85));
     }
 
     proptest::proptest! {

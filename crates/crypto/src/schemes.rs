@@ -1,4 +1,6 @@
-//! Value-level encryption: `Value` → `EncValue` and back.
+//! Value-level encryption: a column of `Value`s → one [`EncColumn`]
+//! of ciphertexts (a scalar `Value` → `EncValue` is a column of one),
+//! and back cell by cell.
 //!
 //! The scheme is chosen by the caller (the planner picks, per
 //! attribute, "the scheme providing highest protection, while
@@ -13,14 +15,23 @@
 //! * [`EncScheme::Paillier`] — additively homomorphic; SUM/AVG work via
 //!   ciphertext multiplication. Numerics are fixed-point encoded with
 //!   [`NUM_SCALE`] decimal places.
+//!
+//! There is one encryption routine, `ColumnCipher::encrypt_cells`, and
+//! in it one plaintext writer per scheme; [`ColumnCipher::encrypt`],
+//! [`ColumnEncryptor::encrypt`], [`ColumnEncryptor::encrypt_column`],
+//! [`encrypt_value`] and [`encrypt_batch`] all call it. Cells arrive
+//! from peers, so decryption is total: whatever bytes sit in a cell,
+//! [`ColumnCipher::decrypt_cell`] answers with a value or
+//! [`EncryptError::BadCiphertext`].
 
 use crate::bignum::BigUint;
 use crate::keyring::ClusterKey;
 use crate::ope::{self, OpeEncryptor, OpeKey, OpeType};
 use crate::paillier::PaillierCiphertext;
-use crate::xtea::XteaSchedule;
-use mpq_algebra::value::{EncScheme, EncValue, Value};
+use crate::xtea::{det_frame, XteaSchedule};
+use mpq_algebra::value::{EncColumn, EncScheme, EncValue, Value};
 use rand::Rng;
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Fixed-point scale for Paillier-encoded numerics (cents at scale 2,
@@ -52,6 +63,29 @@ impl std::fmt::Display for EncryptError {
 }
 
 impl std::error::Error for EncryptError {}
+
+/// Where a run of cells draws its randomness: one generator per row.
+/// The engine seeds a fresh one from each row's position, so every
+/// ciphertext is a function of `(seed, node, column, row)` however the
+/// rows are chunked; [`encrypt_batch`] hands every row the caller's one
+/// stream (the `&mut R` impl).
+pub trait RowRng {
+    /// The generator a row draws from.
+    type Rng: Rng + ?Sized;
+
+    /// The generator for the run's `row`-th cell. Asked in row order,
+    /// at most once per row, and only for cells that draw: non-NULL
+    /// cells under Random or Paillier.
+    fn row(&mut self, row: usize) -> &mut Self::Rng;
+}
+
+impl<R: Rng + ?Sized> RowRng for &mut R {
+    type Rng = R;
+
+    fn row(&mut self, _: usize) -> &mut R {
+        self
+    }
+}
 
 /// A cluster key prepared for repeated use on one column: XTEA key
 /// schedules expanded, sub-keys and the shared Paillier keypair resolved
@@ -89,8 +123,22 @@ impl ColumnEncryptor<'_> {
         rng: &mut R,
         value: &Value,
     ) -> Result<Value, EncryptError> {
+        Ok(self.encrypt_column([value], rng)?.value(0))
+    }
+
+    /// Encrypt a run of plaintext cells into one ciphertext column:
+    /// every cell's bytes land in the column's buffer — no `Value`, no
+    /// allocation per cell — and the symmetric schemes then encrypt the
+    /// buffer in place, many blocks at a time. NULLs stay NULL (the
+    /// empty cell). Cell `i` equals `ColumnCipher::encrypt` of the
+    /// `i`-th value under `rngs.row(i)`.
+    pub fn encrypt_column<V: Borrow<Value>>(
+        &mut self,
+        cells: impl IntoIterator<Item = V>,
+        rngs: impl RowRng,
+    ) -> Result<EncColumn, EncryptError> {
         let (cipher, ope) = (self.cipher, &mut self.ope);
-        cipher.encrypt_with(rng, value, |ty, code| {
+        cipher.encrypt_cells(cells, rngs, |ty, code| {
             ope.get_or_insert_with(|| cipher.ope.encryptor())
                 .encrypt(ty, code)
         })
@@ -130,96 +178,117 @@ impl ColumnCipher {
         rng: &mut R,
         value: &Value,
     ) -> Result<Value, EncryptError> {
-        self.encrypt_with(rng, value, |ty, code| Arc::new(self.ope.encrypt(ty, code)))
+        let one = self.encrypt_cells([value], rng, |ty, code| self.ope.encrypt(ty, code))?;
+        Ok(one.value(0))
     }
 
-    /// The one cell-encryption routine; `ope_cell` supplies the OPE
-    /// cell (one-shot descent, or a run's [`OpeEncryptor`]).
-    fn encrypt_with<R: Rng + ?Sized>(
+    /// The one encryption routine, a column at a time (a scalar is a
+    /// column of one): each cell's scheme-specific bytes are appended
+    /// to the buffer — plaintext still, for Det and Random — and those
+    /// two then run the whole buffer through the XTEA kernel. A failed
+    /// cell drops the half-written column with the error. `ope_cell`
+    /// supplies OPE cells (one-shot descent, or a run's
+    /// [`OpeEncryptor`]).
+    fn encrypt_cells<V: Borrow<Value>>(
         &self,
-        rng: &mut R,
-        value: &Value,
-        ope_cell: impl FnOnce(OpeType, u64) -> Arc<[u8]>,
-    ) -> Result<Value, EncryptError> {
-        if value.is_null() {
-            return Ok(Value::Null);
-        }
-        if matches!(value, Value::Enc(_)) {
-            return Err(EncryptError::WrongForm);
-        }
-        let bytes: Arc<[u8]> = match self.scheme {
-            EncScheme::Deterministic => self.det.det_encrypt(&value.canonical_bytes()).into(),
-            EncScheme::Random => self
-                .rnd
-                .rnd_encrypt(rng.gen(), &value.canonical_bytes())
-                .into(),
-            EncScheme::Ope => {
-                let (ty, code) = match value {
-                    Value::Int(i) => (OpeType::Int, ope::int_to_code(*i)),
-                    Value::Num(f) => (OpeType::Num, ope::num_to_code(*f)),
-                    Value::Date(d) => (OpeType::Date, ope::int_to_code(d.0 as i64)),
-                    Value::Bool(_) | Value::Str(_) => {
-                        return Err(EncryptError::UnsupportedType("strings/bools under OPE"))
-                    }
-                    Value::Null | Value::Enc(_) => unreachable!("handled above"),
-                };
-                ope_cell(ty, code)
+        cells: impl IntoIterator<Item = V>,
+        mut rngs: impl RowRng,
+        mut ope_cell: impl FnMut(OpeType, u64) -> [u8; ope::CELL_LEN],
+    ) -> Result<EncColumn, EncryptError> {
+        let cells = cells.into_iter();
+        let rows = cells.size_hint().0;
+        // Sized for fixed-width cells (16 or 17 bytes under Det, Random
+        // and OPE); strings and Paillier cells grow it.
+        let mut out = EncColumn::with_capacity(self.scheme, self.key.id, rows, rows * 17);
+        for (row, value) in cells.enumerate() {
+            let value = value.borrow();
+            match (value, self.scheme) {
+                (Value::Null, _) => out.push(&[]),
+                (Value::Enc(_), _) => return Err(EncryptError::WrongForm),
+                (_, EncScheme::Deterministic) => {
+                    out.push_with(|buf| det_frame(buf, |body| value.write_canonical(body)))
+                }
+                (_, EncScheme::Random) => {
+                    let nonce: u64 = rngs.row(row).gen();
+                    out.push_with(|buf| {
+                        buf.extend_from_slice(&nonce.to_be_bytes());
+                        value.write_canonical(buf);
+                    })
+                }
+                (_, EncScheme::Ope) => {
+                    let (ty, code) = match value {
+                        Value::Int(i) => (OpeType::Int, ope::int_to_code(*i)),
+                        Value::Num(f) => (OpeType::Num, ope::num_to_code(*f)),
+                        Value::Date(d) => (OpeType::Date, ope::int_to_code(d.0 as i64)),
+                        _ => return Err(EncryptError::UnsupportedType("strings/bools under OPE")),
+                    };
+                    out.push(&ope_cell(ty, code))
+                }
+                (_, EncScheme::Paillier) => {
+                    let (tag, encoded): (u8, i64) = match value {
+                        Value::Int(i) => (1, *i),
+                        Value::Num(f) => (2, (f * NUM_SCALE).round() as i64),
+                        _ => {
+                            return Err(EncryptError::UnsupportedType(
+                                "only numerics under Paillier",
+                            ))
+                        }
+                    };
+                    // Encryptors hold the cluster key (Def. 6.1), so the
+                    // holder's half-width path applies to every cell.
+                    let kp = self.key.paillier();
+                    let c = kp.encrypt(rngs.row(row), &kp.public.encode_signed(encoded));
+                    out.push_with(|buf| write_paillier_cell(buf, tag, AggKind::Single, 1, &c))
+                }
             }
-            EncScheme::Paillier => {
-                let (tag, encoded): (u8, i64) = match value {
-                    Value::Int(i) => (1, *i),
-                    Value::Num(f) => (2, (f * NUM_SCALE).round() as i64),
-                    _ => {
-                        return Err(EncryptError::UnsupportedType(
-                            "only numerics under Paillier",
-                        ))
-                    }
-                };
-                // Encryptors hold the cluster key (Def. 6.1), so the
-                // holder's half-width path applies to every cell.
-                let kp = self.key.paillier();
-                let c = kp.encrypt(rng, &kp.public.encode_signed(encoded));
-                encode_paillier_cell(tag, AggKind::Single, 1, &c).into()
-            }
-        };
-        Ok(Value::Enc(EncValue {
-            scheme: self.scheme,
-            key_id: self.key.id,
-            bytes,
-        }))
+        }
+        let (ends, bytes) = out.cells_mut();
+        match self.scheme {
+            EncScheme::Deterministic => self.det.ecb_encrypt(bytes),
+            EncScheme::Random => self.rnd.ctr_cells(bytes, ends),
+            EncScheme::Ope | EncScheme::Paillier => {}
+        }
+        Ok(out)
     }
 
     /// Decrypt one cell (any scheme — the cell is self-describing).
     /// NULLs pass through.
     pub fn decrypt(&self, value: &Value) -> Result<Value, EncryptError> {
-        let enc = match value {
-            Value::Null => return Ok(Value::Null),
-            Value::Enc(e) => e,
-            _ => return Err(EncryptError::WrongForm),
-        };
-        if enc.key_id != self.key.id {
+        match value {
+            Value::Null => Ok(Value::Null),
+            Value::Enc(e) => self.decrypt_cell(e.scheme, e.key_id, &e.bytes),
+            _ => Err(EncryptError::WrongForm),
+        }
+    }
+
+    /// Decrypt one non-NULL ciphertext of a column under
+    /// `(scheme, key_id)`, read where it lies.
+    pub fn decrypt_cell(
+        &self,
+        scheme: EncScheme,
+        key_id: u32,
+        cell: &[u8],
+    ) -> Result<Value, EncryptError> {
+        if key_id != self.key.id {
             return Err(EncryptError::BadCiphertext);
         }
-        match enc.scheme {
+        match scheme {
             EncScheme::Deterministic => {
                 let pt = self
                     .det
-                    .det_decrypt(&enc.bytes)
+                    .det_decrypt(cell)
                     .ok_or(EncryptError::BadCiphertext)?;
                 Value::from_canonical_bytes(&pt).ok_or(EncryptError::BadCiphertext)
             }
             EncScheme::Random => {
                 let pt = self
                     .rnd
-                    .rnd_decrypt(&enc.bytes)
+                    .rnd_decrypt(cell)
                     .ok_or(EncryptError::BadCiphertext)?;
                 Value::from_canonical_bytes(&pt).ok_or(EncryptError::BadCiphertext)
             }
             EncScheme::Ope => {
-                let (ty, code) = self
-                    .ope
-                    .decrypt(&enc.bytes)
-                    .ok_or(EncryptError::BadCiphertext)?;
+                let (ty, code) = self.ope.decrypt(cell).ok_or(EncryptError::BadCiphertext)?;
                 Ok(match ty {
                     OpeType::Int => Value::Int(ope::code_to_int(code)),
                     OpeType::Num => Value::Num(ope::code_to_num(code)),
@@ -233,11 +302,17 @@ impl ColumnCipher {
                 })
             }
             EncScheme::Paillier => {
-                let (tag, kind, count, c) = decode_paillier_cell(&enc.bytes)?;
-                let v = self.key.paillier().decode_sum(&c, count);
+                let (tag, kind, count, c) = decode_paillier_cell(cell)?;
                 if tag != 1 && tag != 2 {
                     return Err(EncryptError::BadCiphertext);
                 }
+                // The ciphertext body came from a peer too: anything
+                // but a sum of `count` encoded terms is a forgery.
+                let v = self
+                    .key
+                    .paillier()
+                    .decode_sum(&c, count)
+                    .ok_or(EncryptError::BadCiphertext)?;
                 Ok(match kind {
                     // Integer SUMs decode exactly (the old f64 detour
                     // rounded values above 2⁵³); a sum escaping the
@@ -285,8 +360,8 @@ pub fn encrypt_batch<R: Rng + ?Sized>(
     key: &ClusterKey,
 ) -> Result<Vec<Value>, EncryptError> {
     let cipher = ColumnCipher::new(scheme, key);
-    let mut run = cipher.encryptor();
-    values.iter().map(|v| run.encrypt(rng, v)).collect()
+    let column = cipher.encryptor().encrypt_column(values, rng)?;
+    Ok((0..column.len()).map(|i| column.value(i)).collect())
 }
 
 /// Decrypt a column slice with one key, paying the key setup once.
@@ -308,14 +383,34 @@ pub enum AggKind {
     Avg = 2,
 }
 
-/// Cell layout: `tag(1) ‖ kind(1) ‖ count(8, BE) ‖ ciphertext`.
-fn encode_paillier_cell(tag: u8, kind: AggKind, count: u64, c: &PaillierCiphertext) -> Vec<u8> {
-    let mut out = Vec::with_capacity(10 + 64);
-    out.push(tag);
-    out.push(kind as u8);
+/// Append a cell: `tag(1) ‖ kind(1) ‖ count(8, BE) ‖ ciphertext`.
+fn write_paillier_cell(
+    out: &mut Vec<u8>,
+    tag: u8,
+    kind: AggKind,
+    count: u64,
+    c: &PaillierCiphertext,
+) {
+    out.extend_from_slice(&[tag, kind as u8]);
     out.extend_from_slice(&count.to_be_bytes());
     out.extend_from_slice(&c.0.to_bytes_be());
-    out
+}
+
+/// The same cell as an [`EncValue`] of its own (aggregation results).
+fn paillier_cell(
+    key_id: u32,
+    tag: u8,
+    kind: AggKind,
+    count: u64,
+    c: &PaillierCiphertext,
+) -> EncValue {
+    let mut bytes = Vec::with_capacity(10 + 64);
+    write_paillier_cell(&mut bytes, tag, kind, count, c);
+    EncValue {
+        scheme: EncScheme::Paillier,
+        key_id,
+        bytes: Arc::from(bytes),
+    }
 }
 
 fn decode_paillier_cell(
@@ -357,12 +452,10 @@ pub fn paillier_add_cells(
     if ta != tb {
         return Err(EncryptError::BadCiphertext);
     }
+    // Counts are a peer's word: no real column has 2⁶⁴ terms.
+    let count = ca.checked_add(cb).ok_or(EncryptError::BadCiphertext)?;
     let sum = pk.add(&pa, &pb);
-    Ok(EncValue {
-        scheme: EncScheme::Paillier,
-        key_id: a.key_id,
-        bytes: Arc::from(encode_paillier_cell(ta, AggKind::Sum, ca + cb, &sum)),
-    })
+    Ok(paillier_cell(a.key_id, ta, AggKind::Sum, count, &sum))
 }
 
 /// Re-tag an accumulated Paillier sum as SUM or AVG output.
@@ -373,11 +466,7 @@ pub fn paillier_finish(cell: &EncValue, kind: AggKind) -> Result<EncValue, Encry
     let (tag, _, count, c) = decode_paillier_cell(&cell.bytes)?;
     // SUM/AVG results are numerics even over integer inputs (AVG) —
     // keep the tag so SUM of ints stays integral.
-    Ok(EncValue {
-        scheme: EncScheme::Paillier,
-        key_id: cell.key_id,
-        bytes: Arc::from(encode_paillier_cell(tag, kind, count, &c)),
-    })
+    Ok(paillier_cell(cell.key_id, tag, kind, count, &c))
 }
 
 #[cfg(test)]
@@ -507,6 +596,21 @@ mod tests {
         }
     }
 
+    /// A fresh generator per row, seeded from the row's position: how
+    /// the engine makes a ciphertext a function of `(seed, …, row)`.
+    struct SeededRows(Option<StdRng>);
+
+    fn row_seed(row: usize) -> u64 {
+        0xC0FFEE ^ (row as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+
+    impl RowRng for SeededRows {
+        type Rng = StdRng;
+        fn row(&mut self, row: usize) -> &mut StdRng {
+            self.0.insert(StdRng::seed_from_u64(row_seed(row)))
+        }
+    }
+
     #[test]
     fn batch_matches_one_shot() {
         let (k, _) = key();
@@ -517,6 +621,7 @@ mod tests {
             EncScheme::Ope,
             EncScheme::Paillier,
         ];
+        let symmetric = &all_schemes[..2];
         // Columns shaped like the ones a batch encryptor reuses work on:
         // 10 k dates over ~2,500 days, and an 11-value numeric.
         let mut pick = StdRng::seed_from_u64(8);
@@ -526,10 +631,24 @@ mod tests {
         let discounts: Vec<Value> = (0..10_000)
             .map(|_| Value::Num(f64::from(pick.gen_range(0..11)) / 100.0))
             .collect();
+        // Columns the block kernel sees as one buffer: fixed-width
+        // cells, strings from empty to several blocks, NULLs between —
+        // counts that are no multiple of the lane count.
+        let ints: Vec<Value> = (0..1_001).map(|_| Value::Int(pick.gen())).collect();
+        let strings: Vec<Value> = (0..1_003)
+            .map(|i| match pick.gen_range(0..8) {
+                0 => Value::Null,
+                _ => Value::str(&"Customer#000 ".repeat(8)[..i * 7 % 61]),
+            })
+            .collect();
+        let short_dates = &dates[..999];
         for (values, schemes) in [
-            (&mixed, &all_schemes[..]),
-            (&dates, &[EncScheme::Ope][..]),
-            (&discounts, &[EncScheme::Ope][..]),
+            (&mixed[..], &all_schemes[..]),
+            (&dates[..], &[EncScheme::Ope][..]),
+            (&discounts[..], &[EncScheme::Ope][..]),
+            (&ints[..], symmetric),
+            (&strings[..], symmetric),
+            (short_dates, symmetric),
         ] {
             for &scheme in schemes {
                 // Identical RNG stream → identical ciphertext bytes.
@@ -545,8 +664,72 @@ mod tests {
                 for (d, v) in dec.iter().zip(values) {
                     assert!(d.sql_eq(v) || (d.is_null() && v.is_null()), "{scheme:?}");
                 }
+                // The column entry under per-row seeding, against the
+                // one-shot path under the same seeds — and a NULL is
+                // the empty cell.
+                let cipher = ColumnCipher::new(scheme, &k);
+                let column = cipher
+                    .encryptor()
+                    .encrypt_column(values, SeededRows(None))
+                    .unwrap();
+                assert_eq!(column.len(), values.len());
+                for (i, v) in values.iter().enumerate() {
+                    let mut rng = StdRng::seed_from_u64(row_seed(i));
+                    let want = encrypt_value(&mut rng, v, scheme, &k).unwrap();
+                    assert_eq!(column.value(i), want, "{scheme:?} row {i}");
+                    assert_eq!(column.cell(i).is_empty(), v.is_null());
+                    if !v.is_null() {
+                        let back = cipher.decrypt_cell(scheme, k.id, column.cell(i)).unwrap();
+                        assert!(back.sql_eq(v), "{scheme:?} row {i}");
+                    }
+                }
             }
         }
+    }
+
+    /// Cells arrive from peers. A Paillier cell with the right header
+    /// over arbitrary bytes decrypts to a plaintext as wide as the
+    /// modulus — `decode_sum` used to `assert!` on it, in release, in
+    /// the key holder's party thread — and forged term counts
+    /// overflowed their sum.
+    #[test]
+    fn forged_paillier_cells_are_typed_errors_not_panics() {
+        let (k, mut rng) = key();
+        let cell = |tag: u8, kind: u8, count: u64, body: &[u8]| {
+            let mut bytes = vec![tag, kind];
+            bytes.extend_from_slice(&count.to_be_bytes());
+            bytes.extend_from_slice(body);
+            EncValue {
+                scheme: EncScheme::Paillier,
+                key_id: k.id,
+                bytes: Arc::from(bytes),
+            }
+        };
+        let garbage: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(167) | 1).collect();
+        let bad = Err(EncryptError::BadCiphertext);
+        // An arbitrary body, an empty one (the ciphertext 0), a body
+        // wider than n².
+        for body in [&garbage[..], &[], &[0xAB; 200]] {
+            assert_eq!(decrypt_value(&Value::Enc(cell(1, 0, 1, body)), &k), bad);
+        }
+        let Value::Enc(real) =
+            encrypt_value(&mut rng, &Value::Int(5), EncScheme::Paillier, &k).unwrap()
+        else {
+            unreachable!()
+        };
+        let body = &real.bytes[10..];
+        // An unknown numeric tag is refused, before anything is
+        // decrypted; so is a sum of more terms than a `u64` counts.
+        let pk = k.paillier_public();
+        let huge = cell(1, 1, u64::MAX, body);
+        assert_eq!(decrypt_value(&Value::Enc(cell(9, 1, 1, body)), &k), bad);
+        assert_eq!(
+            paillier_add_cells(&huge, &real, &pk),
+            Err(EncryptError::BadCiphertext)
+        );
+        // The honest neighbours still work.
+        let sum = paillier_add_cells(&real, &real, &pk).unwrap();
+        assert_eq!(decrypt_value(&Value::Enc(sum), &k), Ok(Value::Int(10)));
     }
 
     #[test]

@@ -11,85 +11,200 @@
 //!   equi-joins on ciphertexts (as in CryptDB's DET onion layer).
 //! * **Randomized** encryption is XTEA-CTR with a fresh 8-byte nonce:
 //!   no two encryptions collide, nothing can be computed on them.
+//!
+//! # One kernel, many blocks at a time
+//!
+//! A Feistel round feeds its output into the next, so one block alone
+//! is a 64-step dependency chain that leaves the core idle (≈ 90 ns).
+//! Both modes, though, hand the cipher *independent* blocks: ECB
+//! encrypts each block on its own, and CTR encrypts counters that are
+//! known up front. [`XteaSchedule::encrypt_blocks`] therefore runs
+//! [`LANES`] blocks side by side through the one round loop
+//! (`encrypt_lanes`, plain safe arithmetic over `[u32; LANES]` that
+//! the compiler vectorises at the x86-64 baseline on its own — no
+//! intrinsics, nothing selected per CPU), and a column of cells is one
+//! long run of such blocks. Measured per block on the development box (one
+//! run, so one machine state; the ratios are the point):
+//!
+//! | lanes    | 1   | 2  | 4  | 8  | 16 |
+//! |----------|-----|----|----|----|----|
+//! | ns/block | 107 | 65 | 30 | 18 | 14 |
+//!
+//! Eight, not sixteen: a run shorter than a group still pays for a
+//! whole one (a last group is padded), and a single fixed-width cell —
+//! a literal, a join key re-encrypted for a comparison, a cell being
+//! *decrypted* under CTR — is two blocks. Eight lanes make that
+//! cheaper than two blocks one after the other; sixteen would not.
+//!
+//! **Why interleaving cannot change a byte.** Lane `l` reads and writes
+//! only `v0[l]`/`v1[l]` and the round keys, which depend on the key
+//! and the round alone: each lane computes exactly the single-block
+//! function, whatever sits in the other lanes (a short last group is
+//! padded with zero blocks whose output is dropped). ECB ciphertext
+//! block `i` is a function of plaintext block `i`, CTR keystream block
+//! `j` of `nonce + j`; which blocks share a group — cell boundaries,
+//! chunking, batch size — is invisible. `tests::reference` keeps a
+//! frozen copy of the one-block-at-a-time loops and pins this.
 
 const ROUNDS: u32 = 32; // 32 cycles = 64 Feistel rounds
 const DELTA: u32 = 0x9e37_79b9;
 
+/// Blocks the kernel encrypts side by side.
+pub const LANES: usize = 8;
+
 /// Expanded XTEA key: the four 32-bit words the round function indexes.
 ///
 /// The expansion itself is just an endianness transform, but the byte
-/// slicing sat inside every block call — batch encryption of a column
-/// now expands the key once and reuses the schedule for every cell.
+/// slicing sat inside every block call — a column expands the key once
+/// and reuses the schedule for every block of every cell.
 #[derive(Clone, Copy, Debug)]
 pub struct XteaSchedule {
     k: [u32; 4],
+}
+
+fn halves(block: u64) -> (u32, u32) {
+    (block as u32, (block >> 32) as u32)
+}
+
+fn block_of(v0: u32, v1: u32) -> u64 {
+    u64::from(v0) | u64::from(v1) << 32
+}
+
+/// One half-round's contribution: `v` mixed, under the round key.
+#[inline(always)]
+fn feistel(v: u32, round_key: u32) -> u32 {
+    ((v << 4 ^ v >> 5).wrapping_add(v)) ^ round_key
 }
 
 impl XteaSchedule {
     /// Expand a 128-bit key.
     pub fn new(key: &[u8; 16]) -> XteaSchedule {
         XteaSchedule {
-            k: [
-                u32::from_le_bytes(key[0..4].try_into().expect("4 bytes")),
-                u32::from_le_bytes(key[4..8].try_into().expect("4 bytes")),
-                u32::from_le_bytes(key[8..12].try_into().expect("4 bytes")),
-                u32::from_le_bytes(key[12..16].try_into().expect("4 bytes")),
-            ],
+            k: std::array::from_fn(|i| {
+                u32::from_le_bytes(key[4 * i..4 * i + 4].try_into().expect("4 bytes"))
+            }),
+        }
+    }
+
+    /// The encrypting round loop over `N` independent blocks, split
+    /// into their low (`v0`) and high (`v1`) halves. Lanes never mix;
+    /// the round keys depend on the key and the round alone (`sum`
+    /// runs through constants, so the loop unrolls with the key words
+    /// picked at compile time).
+    #[inline(always)]
+    fn encrypt_lanes<const N: usize>(&self, v0: &mut [u32; N], v1: &mut [u32; N]) {
+        let k = &self.k;
+        let mut sum = 0u32;
+        for _ in 0..ROUNDS {
+            let round_key = sum.wrapping_add(k[(sum & 3) as usize]);
+            for l in 0..N {
+                v0[l] = v0[l].wrapping_add(feistel(v1[l], round_key));
+            }
+            sum = sum.wrapping_add(DELTA);
+            let round_key = sum.wrapping_add(k[((sum >> 11) & 3) as usize]);
+            for l in 0..N {
+                v1[l] = v1[l].wrapping_add(feistel(v0[l], round_key));
+            }
         }
     }
 
     /// Encrypt one 64-bit block.
     pub fn encrypt_block(&self, block: u64) -> u64 {
-        let k = &self.k;
-        let mut v0 = block as u32;
-        let mut v1 = (block >> 32) as u32;
-        let mut sum = 0u32;
-        for _ in 0..ROUNDS {
-            v0 = v0.wrapping_add(
-                (((v1 << 4) ^ (v1 >> 5)).wrapping_add(v1))
-                    ^ (sum.wrapping_add(k[(sum & 3) as usize])),
-            );
-            sum = sum.wrapping_add(DELTA);
-            v1 = v1.wrapping_add(
-                (((v0 << 4) ^ (v0 >> 5)).wrapping_add(v0))
-                    ^ (sum.wrapping_add(k[((sum >> 11) & 3) as usize])),
-            );
-        }
-        (v0 as u64) | ((v1 as u64) << 32)
+        let (v0, v1) = halves(block);
+        let (mut v0, mut v1) = ([v0], [v1]);
+        self.encrypt_lanes(&mut v0, &mut v1);
+        block_of(v0[0], v1[0])
     }
 
     /// Decrypt one 64-bit block.
     pub fn decrypt_block(&self, block: u64) -> u64 {
         let k = &self.k;
-        let mut v0 = block as u32;
-        let mut v1 = (block >> 32) as u32;
+        let (mut v0, mut v1) = halves(block);
         let mut sum = DELTA.wrapping_mul(ROUNDS);
         for _ in 0..ROUNDS {
-            v1 = v1.wrapping_sub(
-                (((v0 << 4) ^ (v0 >> 5)).wrapping_add(v0))
-                    ^ (sum.wrapping_add(k[((sum >> 11) & 3) as usize])),
-            );
+            v1 = v1.wrapping_sub(feistel(v0, sum.wrapping_add(k[((sum >> 11) & 3) as usize])));
             sum = sum.wrapping_sub(DELTA);
-            v0 = v0.wrapping_sub(
-                (((v1 << 4) ^ (v1 >> 5)).wrapping_add(v1))
-                    ^ (sum.wrapping_add(k[(sum & 3) as usize])),
-            );
+            v0 = v0.wrapping_sub(feistel(v1, sum.wrapping_add(k[(sum & 3) as usize])));
         }
-        (v0 as u64) | ((v1 as u64) << 32)
+        block_of(v0, v1)
+    }
+
+    fn encrypt_group(&self, blocks: &mut [u64; LANES]) {
+        let mut v0 = blocks.map(|b| halves(b).0);
+        let mut v1 = blocks.map(|b| halves(b).1);
+        self.encrypt_lanes(&mut v0, &mut v1);
+        *blocks = std::array::from_fn(|l| block_of(v0[l], v1[l]));
+    }
+
+    /// Encrypt every block of `blocks` in place, [`LANES`] at a time:
+    /// ECB over words, or CTR keystream from a list of counters.
+    pub fn encrypt_blocks(&self, blocks: &mut [u64]) {
+        let mut groups = blocks.chunks_exact_mut(LANES);
+        for group in &mut groups {
+            self.encrypt_group(group.try_into().expect("LANES blocks"));
+        }
+        let rest = groups.into_remainder();
+        if !rest.is_empty() {
+            let mut last = [0u64; LANES];
+            last[..rest.len()].copy_from_slice(rest);
+            self.encrypt_group(&mut last);
+            rest.copy_from_slice(&last[..rest.len()]);
+        }
+    }
+
+    /// ECB-encrypt `buf` — whole big-endian blocks — in place.
+    pub(crate) fn ecb_encrypt(&self, buf: &mut [u8]) {
+        assert!(buf.len() % 8 == 0, "ECB runs over whole blocks");
+        for group in buf.chunks_mut(8 * LANES) {
+            let mut blocks = [0u64; LANES];
+            for (block, bytes) in blocks.iter_mut().zip(group.chunks_exact(8)) {
+                *block = u64::from_be_bytes(bytes.try_into().expect("8 bytes"));
+            }
+            self.encrypt_group(&mut blocks);
+            for (block, bytes) in blocks.iter().zip(group.chunks_exact_mut(8)) {
+                bytes.copy_from_slice(&block.to_be_bytes());
+            }
+        }
+    }
+
+    /// XTEA-CTR over a buffer of cells, each laid out `nonce(8) ‖ body`
+    /// and ending at its entry of `ends` (an empty cell is skipped):
+    /// every body is XORed with `E(nonce + 1) ‖ E(nonce + 2) ‖ …` of
+    /// its own nonce. Its own inverse. All the cells' counters go
+    /// through the kernel as one run, so short bodies still fill lanes.
+    pub(crate) fn ctr_cells(&self, buf: &mut [u8], ends: &[u32]) {
+        let cells = || {
+            let mut start = 0;
+            let bounds = ends.iter().map(move |&end| {
+                let cell = start..end as usize;
+                start = end as usize;
+                cell
+            });
+            bounds.filter(|cell| !cell.is_empty())
+        };
+        let mut keystream = Vec::with_capacity(buf.len() / 8);
+        for cell in cells() {
+            assert!(cell.len() >= 8, "a randomized cell starts with its nonce");
+            let nonce = &buf[cell.start..cell.start + 8];
+            let nonce = u64::from_be_bytes(nonce.try_into().expect("8 bytes"));
+            let body_blocks = (cell.len() - 8).div_ceil(8) as u64;
+            keystream.extend((1..=body_blocks).map(|j| nonce.wrapping_add(j)));
+        }
+        self.encrypt_blocks(&mut keystream);
+        let mut keystream = keystream.iter();
+        for cell in cells() {
+            for chunk in buf[cell.start + 8..cell.end].chunks_mut(8) {
+                let pad = keystream.next().expect("one per body block").to_be_bytes();
+                chunk.iter_mut().zip(pad).for_each(|(b, k)| *b ^= k);
+            }
+        }
     }
 
     /// Deterministic encryption: length-prefixed, zero-padded, ECB.
     pub fn det_encrypt(&self, plaintext: &[u8]) -> Vec<u8> {
         let mut data = Vec::with_capacity((plaintext.len() + 4).next_multiple_of(8));
-        data.extend_from_slice(&(plaintext.len() as u32).to_be_bytes());
-        data.extend_from_slice(plaintext);
-        while data.len() % 8 != 0 {
-            data.push(0);
-        }
-        for chunk in data.chunks_exact_mut(8) {
-            let block = u64::from_be_bytes((&*chunk).try_into().expect("8 bytes"));
-            chunk.copy_from_slice(&self.encrypt_block(block).to_be_bytes());
-        }
+        det_frame(&mut data, |body| body.extend_from_slice(plaintext));
+        self.ecb_encrypt(&mut data);
         data
     }
 
@@ -117,14 +232,9 @@ impl XteaSchedule {
     pub fn rnd_encrypt(&self, nonce: u64, plaintext: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + plaintext.len());
         out.extend_from_slice(&nonce.to_be_bytes());
-        for (i, chunk) in plaintext.chunks(8).enumerate() {
-            let keystream = self
-                .encrypt_block(nonce.wrapping_add(i as u64 + 1))
-                .to_be_bytes();
-            for (j, &b) in chunk.iter().enumerate() {
-                out.push(b ^ keystream[j]);
-            }
-        }
+        out.extend_from_slice(plaintext);
+        let end = u32::try_from(out.len()).expect("a cell is shorter than 4 GiB");
+        self.ctr_cells(&mut out, &[end]);
         out
     }
 
@@ -133,19 +243,27 @@ impl XteaSchedule {
         if ciphertext.len() < 8 {
             return None;
         }
-        let nonce = u64::from_be_bytes(ciphertext[..8].try_into().expect("8 bytes"));
-        let body = &ciphertext[8..];
-        let mut out = Vec::with_capacity(body.len());
-        for (i, chunk) in body.chunks(8).enumerate() {
-            let keystream = self
-                .encrypt_block(nonce.wrapping_add(i as u64 + 1))
-                .to_be_bytes();
-            for (j, &b) in chunk.iter().enumerate() {
-                out.push(b ^ keystream[j]);
-            }
-        }
+        let end = u32::try_from(ciphertext.len()).ok()?;
+        let mut out = ciphertext.to_vec();
+        self.ctr_cells(&mut out, &[end]);
+        out.drain(..8);
         Some(out)
     }
+}
+
+/// Append the deterministic scheme's plaintext frame to `out`:
+/// `len(4, BE) ‖ body ‖ zero pad` to a whole number of blocks, the
+/// body being whatever `write` appends. Frames are what
+/// [`XteaSchedule::ecb_encrypt`] then encrypts, one cell or a column
+/// of them at a time.
+pub(crate) fn det_frame(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    write(out);
+    let len = out.len() - at - 4;
+    let prefix = u32::try_from(len).expect("a cell is shorter than 4 GiB");
+    out[at..at + 4].copy_from_slice(&prefix.to_be_bytes());
+    out.resize(at + (len + 4).next_multiple_of(8), 0);
 }
 
 /// Encrypt one 64-bit block (one-shot key expansion).
@@ -181,6 +299,193 @@ pub fn rnd_decrypt(key: &[u8; 16], ciphertext: &[u8]) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The cipher as it stood before the lane kernel — one block at a
+    /// time, round keys worked out inside the loop, a fresh `Vec` per
+    /// cell — kept verbatim as the oracle: the kernel may change how
+    /// fast a ciphertext is made, never a byte of it.
+    mod reference {
+        const ROUNDS: u32 = 32;
+        const DELTA: u32 = 0x9e37_79b9;
+
+        pub struct Schedule {
+            k: [u32; 4],
+        }
+
+        impl Schedule {
+            pub fn new(key: &[u8; 16]) -> Schedule {
+                Schedule {
+                    k: [
+                        u32::from_le_bytes(key[0..4].try_into().expect("4 bytes")),
+                        u32::from_le_bytes(key[4..8].try_into().expect("4 bytes")),
+                        u32::from_le_bytes(key[8..12].try_into().expect("4 bytes")),
+                        u32::from_le_bytes(key[12..16].try_into().expect("4 bytes")),
+                    ],
+                }
+            }
+
+            pub fn encrypt_block(&self, block: u64) -> u64 {
+                let k = &self.k;
+                let mut v0 = block as u32;
+                let mut v1 = (block >> 32) as u32;
+                let mut sum = 0u32;
+                for _ in 0..ROUNDS {
+                    v0 = v0.wrapping_add(
+                        (((v1 << 4) ^ (v1 >> 5)).wrapping_add(v1))
+                            ^ (sum.wrapping_add(k[(sum & 3) as usize])),
+                    );
+                    sum = sum.wrapping_add(DELTA);
+                    v1 = v1.wrapping_add(
+                        (((v0 << 4) ^ (v0 >> 5)).wrapping_add(v0))
+                            ^ (sum.wrapping_add(k[((sum >> 11) & 3) as usize])),
+                    );
+                }
+                (v0 as u64) | ((v1 as u64) << 32)
+            }
+
+            pub fn det_encrypt(&self, plaintext: &[u8]) -> Vec<u8> {
+                let mut data = Vec::with_capacity((plaintext.len() + 4).next_multiple_of(8));
+                data.extend_from_slice(&(plaintext.len() as u32).to_be_bytes());
+                data.extend_from_slice(plaintext);
+                while data.len() % 8 != 0 {
+                    data.push(0);
+                }
+                for chunk in data.chunks_exact_mut(8) {
+                    let block = u64::from_be_bytes((&*chunk).try_into().expect("8 bytes"));
+                    chunk.copy_from_slice(&self.encrypt_block(block).to_be_bytes());
+                }
+                data
+            }
+
+            pub fn rnd_encrypt(&self, nonce: u64, plaintext: &[u8]) -> Vec<u8> {
+                let mut out = Vec::with_capacity(8 + plaintext.len());
+                out.extend_from_slice(&nonce.to_be_bytes());
+                for (i, chunk) in plaintext.chunks(8).enumerate() {
+                    let keystream = self
+                        .encrypt_block(nonce.wrapping_add(i as u64 + 1))
+                        .to_be_bytes();
+                    for (j, &b) in chunk.iter().enumerate() {
+                        out.push(b ^ keystream[j]);
+                    }
+                }
+                out
+            }
+        }
+    }
+
+    /// Bytes that differ from position to position and key to key.
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| (seed.wrapping_add(i).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8)
+            .collect()
+    }
+
+    fn keys() -> [[u8; 16]; 3] {
+        [
+            [0; 16],
+            [0xFF; 16],
+            noise(7, 16).try_into().expect("16 bytes"),
+        ]
+    }
+
+    #[test]
+    fn the_kernel_matches_the_frozen_block_function() {
+        for key in keys() {
+            let (new, old) = (XteaSchedule::new(&key), reference::Schedule::new(&key));
+            // Every block count around a multiple of the lane count.
+            for count in 0..=3 * LANES + 1 {
+                let plain: Vec<u64> = (0..count as u64)
+                    .map(|i| i.wrapping_mul(0xdead_beef_cafe_f00d) ^ u64::MAX << (i % 64))
+                    .collect();
+                let want: Vec<u64> = plain.iter().map(|&b| old.encrypt_block(b)).collect();
+                let mut blocks = plain.clone();
+                new.encrypt_blocks(&mut blocks);
+                assert_eq!(blocks, want, "{count} blocks");
+                for (&p, &c) in plain.iter().zip(&want) {
+                    assert_eq!(new.encrypt_block(p), c);
+                    assert_eq!(new.decrypt_block(c), p);
+                }
+                let mut bytes: Vec<u8> = plain.iter().flat_map(|b| b.to_be_bytes()).collect();
+                new.ecb_encrypt(&mut bytes);
+                let want: Vec<u8> = want.iter().flat_map(|b| b.to_be_bytes()).collect();
+                assert_eq!(bytes, want, "{count} blocks, ECB");
+            }
+        }
+    }
+
+    #[test]
+    fn det_and_rnd_match_the_frozen_loops_at_every_length() {
+        // Nonces whose counters wrap `u64` inside the first few blocks.
+        let nonces = [
+            0,
+            1,
+            0x0123_4567_89ab_cdef,
+            u64::MAX - 3,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for key in keys() {
+            let (new, old) = (XteaSchedule::new(&key), reference::Schedule::new(&key));
+            for len in 0..=70 {
+                let msg = noise(len as u64, len);
+                let ct = new.det_encrypt(&msg);
+                assert_eq!(ct, old.det_encrypt(&msg), "det, {len} bytes");
+                assert_eq!(new.det_decrypt(&ct), Some(msg.clone()));
+                for nonce in nonces {
+                    let ct = new.rnd_encrypt(nonce, &msg);
+                    assert_eq!(
+                        ct,
+                        old.rnd_encrypt(nonce, &msg),
+                        "rnd, {len} bytes, {nonce:#x}"
+                    );
+                    assert_eq!(new.rnd_decrypt(&ct), Some(msg.clone()));
+                }
+            }
+        }
+    }
+
+    /// A column is many cells in one buffer: whichever cells share a
+    /// lane group, each comes out as it would alone.
+    #[test]
+    fn cells_encrypted_together_match_cells_encrypted_alone() {
+        let key = keys()[2];
+        let (new, old) = (XteaSchedule::new(&key), reference::Schedule::new(&key));
+        // Lengths chosen so block counts are no multiple of the lane
+        // count, with NULLs (empty cells) in between.
+        let cells: Vec<Option<Vec<u8>>> = (0..37usize)
+            .map(|i| (i % 5 != 3).then(|| noise(i as u64, i * 7 % 23)))
+            .collect();
+        // Nonces on both sides of the `u64` wrap.
+        let nonce_of = |i: usize| (u64::MAX - 40).wrapping_add(i as u64 * 2);
+        let (mut det, mut rnd) = (Vec::new(), Vec::new());
+        let (mut det_ends, mut rnd_ends) = (Vec::new(), Vec::new());
+        for (i, cell) in cells.iter().enumerate() {
+            if let Some(cell) = cell {
+                det_frame(&mut det, |body| body.extend_from_slice(cell));
+                rnd.extend_from_slice(&nonce_of(i).to_be_bytes());
+                rnd.extend_from_slice(cell);
+            }
+            det_ends.push(det.len());
+            rnd_ends.push(rnd.len() as u32);
+        }
+        new.ecb_encrypt(&mut det);
+        new.ctr_cells(&mut rnd, &rnd_ends);
+        let (mut det_at, mut rnd_at) = (0, 0);
+        for (i, cell) in cells.iter().enumerate() {
+            let (det_cell, rnd_cell) = (
+                &det[det_at..det_ends[i]],
+                &rnd[rnd_at..rnd_ends[i] as usize],
+            );
+            (det_at, rnd_at) = (det_ends[i], rnd_ends[i] as usize);
+            match cell {
+                None => assert!(det_cell.is_empty() && rnd_cell.is_empty()),
+                Some(cell) => {
+                    assert_eq!(det_cell, old.det_encrypt(cell), "det cell {i}");
+                    assert_eq!(rnd_cell, old.rnd_encrypt(nonce_of(i), cell), "rnd cell {i}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn block_roundtrip() {

@@ -37,10 +37,12 @@ pub fn audit_transfer(table: &Table, recipient: &SubjectView) -> Result<(), SimE
 /// Column-major fast path: each column's *required form* is resolved
 /// once against the view — plaintext-visible columns are skipped
 /// entirely, invisible columns are refused before any row is read —
-/// and only the encrypted-only columns are scanned directly (a typed
-/// numeric column can hold no ciphertext, so it is refused at its
-/// first row without reading cells). The reported violation is the
-/// first one in row order, identical to a sequential row scan.
+/// and only the encrypted-only columns are looked at. Typed columns
+/// answer without their cells being read: a typed numeric column can
+/// hold no ciphertext, so it is refused at its first row, and an
+/// encrypted column can hold nothing else, so it passes whole. Only a
+/// general column is scanned. The reported violation is the first one
+/// in row order, identical to a sequential row scan.
 pub fn audit_transfer_with(
     table: &Table,
     recipient: &SubjectView,
@@ -101,6 +103,9 @@ fn first_plaintext_cell(col: &ColumnVec, range: std::ops::Range<usize>) -> Optio
                 Some(range.start)
             }
         }
+        // The mirror image: ciphertexts and NULLs are all an encrypted
+        // column can hold.
+        ColumnVec::Enc(_) => None,
         ColumnVec::Val(vals) => vals[range.clone()]
             .iter()
             .position(|v| !matches!(v, mpq_algebra::Value::Enc(_) | mpq_algebra::Value::Null))
@@ -179,6 +184,36 @@ mod tests {
                 subject: SubjectId(9)
             })
         );
+    }
+
+    #[test]
+    fn an_encrypted_column_passes_and_a_general_one_is_still_scanned() {
+        let cells = |plain: Option<usize>| {
+            (0..2_000).map(move |i| match i {
+                _ if Some(i) == plain => Value::Int(7),
+                _ if i % 7 == 3 => Value::Null,
+                _ => cipher(),
+            })
+        };
+        let table = |col: ColumnVec| Table::from_columns(vec![AttrId(0)].into(), vec![col]);
+        let enc: ColumnVec = cells(None).collect();
+        assert!(matches!(enc, ColumnVec::Enc(_)), "uniform ciphertexts");
+        assert!(audit_transfer(&table(enc), &view(&[], &[0])).is_ok());
+        // One plaintext cell among the ciphertexts degrades the column,
+        // and the scan finds it where it is — in any chunk.
+        for at in [0, 1_234, 1_999] {
+            let hiding: ColumnVec = cells(Some(at)).collect();
+            assert!(matches!(hiding, ColumnVec::Val(_)));
+            assert_eq!(first_plaintext_cell(&hiding, 0..2_000), Some(at));
+            assert_eq!(first_plaintext_cell(&hiding, at + 1..2_000), None);
+            assert_eq!(
+                audit_transfer(&table(hiding), &view(&[], &[0])),
+                Err(SimError::LeakedPlaintext {
+                    attr: AttrId(0),
+                    subject: SubjectId(9)
+                })
+            );
+        }
     }
 
     #[test]

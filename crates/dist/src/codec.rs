@@ -8,10 +8,11 @@
 //! `tag => Variant` table that yields both directions — so an encoder
 //! and its decoder cannot drift apart. Three invariants matter:
 //!
-//! * **cells are length-prefixed** — [`Value::canonical_bytes`] is
+//! * **scalars are length-prefixed** — [`Value::canonical_bytes`] is
 //!   self-describing but *not* self-delimiting (`Str`/`Enc` consume
-//!   the rest of the buffer), so every cell travels behind its own
-//!   length;
+//!   the rest of the buffer), so a literal or a general column's cell
+//!   travels behind its own length; typed columns travel packed (see
+//!   the [`ColumnVec`] impl);
 //! * **plans round-trip with identical `NodeId`s** — [`QueryPlan`]
 //!   construction is append-only, so re-`add`ing nodes in index order
 //!   reproduces the arena exactly, which the assignment and key maps
@@ -32,7 +33,7 @@ use crate::party::{QueryJob, Transfer};
 use crate::runtime::Msg;
 use mpq_algebra::expr::{AggExpr, AggFunc, ArithOp, CmpOp, DateField, Expr};
 use mpq_algebra::plan::{JoinKind, Operator, PlanNode, QueryPlan};
-use mpq_algebra::value::EncScheme;
+use mpq_algebra::value::{EncColumn, EncScheme};
 use mpq_algebra::{AttrId, NodeId, RelId, SubjectId, Value};
 use mpq_crypto::bignum::BigUint;
 use mpq_crypto::rsa::{RsaPublic, SignedEnvelope};
@@ -228,8 +229,8 @@ macro_rules! wire_ptr {
 }
 wire_ptr!(Box, Arc);
 
-/// The only caller of [`Reader::count`] besides byte strings and a
-/// table's row count: every `Vec`, and through it every map, is sized
+/// The only caller of [`Reader::count`] besides byte strings and the
+/// packed columns: every `Vec`, and through it every map, is sized
 /// from a count the frame can back.
 impl<T: Encode> Encode for Vec<T> {
     fn put(&self, b: &mut Vec<u8>) {
@@ -366,41 +367,95 @@ impl Encode for Value {
     /// The length prefix and the type tag.
     const MIN_LEN: usize = 5;
     fn put(&self, b: &mut Vec<u8>) {
-        write_bytes(b, &self.canonical_bytes());
+        write_len(b, self.canonical_len());
+        self.write_canonical(b);
     }
     fn get(r: &mut Reader) -> Option<Self> {
         Value::from_canonical_bytes(r.bytes()?)
     }
 }
 
-/// Tables travel column-major (all of column 0, then column 1, …),
-/// matching the columnar in-memory layout so neither end transposes.
-/// Every cell is individually length-prefixed, and the cell loops
-/// stay direct — this is the only part of a frame measured in
-/// megabytes.
-impl Encode for Table {
+/// Fixed-width words packed back to back behind their count.
+fn write_packed<const W: usize>(b: &mut Vec<u8>, words: impl ExactSizeIterator<Item = [u8; W]>) {
+    write_len(b, words.len());
+    b.reserve(words.len() * W);
+    words.for_each(|w| b.extend_from_slice(&w));
+}
+
+fn read_packed<const W: usize, T>(r: &mut Reader, word: fn([u8; W]) -> T) -> Option<Vec<T>> {
+    let n = r.count(W)?;
+    let words = r.take(n * W)?.chunks_exact(W);
+    Some(
+        words
+            .map(|w| word(w.try_into().expect("W bytes")))
+            .collect(),
+    )
+}
+
+/// A column travels as it is held: a representation tag, then the
+/// cells in that representation's own packing — `Int`/`Num` as an
+/// array of big-endian words, `Enc` as its header, its offsets and its
+/// one buffer (the sender's cipher wrote those bytes once; nothing
+/// touches them cell by cell again), `Val` as length-prefixed cells.
+/// The receiver holds what the sender held, so a column re-encodes to
+/// the same bytes. The cell loops stay direct — this is the only part
+/// of a frame measured in megabytes.
+impl Encode for ColumnVec {
     fn put(&self, b: &mut Vec<u8>) {
-        write_seq(b, self.attrs().iter());
-        write_len(b, self.len());
-        for col in self.columns() {
-            for i in 0..col.len() {
-                col.get(i).put(b);
+        match self {
+            ColumnVec::Val(cells) => {
+                b.push(0);
+                cells.put(b);
+            }
+            ColumnVec::Int(v) => {
+                b.push(1);
+                write_packed(b, v.iter().map(|x| x.to_be_bytes()));
+            }
+            ColumnVec::Num(v) => {
+                b.push(2);
+                write_packed(b, v.iter().map(|x| x.to_be_bytes()));
+            }
+            ColumnVec::Enc(c) => {
+                b.push(3);
+                c.scheme().put(b);
+                c.key_id().put(b);
+                write_packed(b, c.ends().iter().map(|end| end.to_be_bytes()));
+                write_bytes(b, c.bytes());
             }
         }
     }
     fn get(r: &mut Reader) -> Option<Self> {
-        let attrs: Vec<AttrId> = r.get()?;
-        // One row is a cell in every column.
-        let nrows = r.count(attrs.len().saturating_mul(Value::MIN_LEN))?;
-        let mut cols = Vec::with_capacity(attrs.len());
-        for _ in 0..attrs.len() {
-            let mut col = ColumnVec::with_capacity(nrows);
-            for _ in 0..nrows {
-                col.push(Value::get(r)?);
+        Some(match r.u8()? {
+            0 => ColumnVec::Val(r.get()?),
+            1 => ColumnVec::Int(read_packed(r, i64::from_be_bytes)?),
+            2 => ColumnVec::Num(read_packed(r, f64::from_be_bytes)?),
+            3 => {
+                let (scheme, key_id) = (r.get()?, u32::get(r)?);
+                let ends = read_packed(r, u32::from_be_bytes)?;
+                // Offsets that do not cut the buffer into cells are
+                // refused here; a cell that is no ciphertext is
+                // `BadCiphertext` when someone decrypts it.
+                ColumnVec::Enc(EncColumn::from_parts(scheme, key_id, ends, r.get()?)?)
             }
-            cols.push(col);
-        }
-        Some(Table::from_columns(TableSchema::new(attrs), cols))
+            _ => return None,
+        })
+    }
+}
+
+/// Tables travel column-major (all of column 0, then column 1, …),
+/// matching the columnar in-memory layout so neither end transposes:
+/// the schema, then one column per attribute, all of one length.
+impl Encode for Table {
+    fn put(&self, b: &mut Vec<u8>) {
+        write_seq(b, self.attrs().iter());
+        self.columns().iter().for_each(|col| col.put(b));
+    }
+    fn get(r: &mut Reader) -> Option<Self> {
+        let attrs: Vec<AttrId> = r.get()?;
+        let cols = (attrs.iter().map(|_| r.get())).collect::<Option<Vec<ColumnVec>>>()?;
+        let rows = cols.first().map_or(0, ColumnVec::len);
+        (cols.iter().all(|c| c.len() == rows))
+            .then(|| Table::from_columns(TableSchema::new(attrs), cols))
     }
 }
 
@@ -727,10 +782,11 @@ mod tests {
         })
     }
 
-    /// A cell of every kind, dense and degraded columns.
+    /// A cell of every kind; dense, encrypted and degraded columns
+    /// (ciphertexts under three keys share no `Enc` column).
     fn mixed_table() -> Table {
-        Table::from_rows(
-            vec![AttrId(0), AttrId(1), AttrId(2), AttrId(3), AttrId(4)],
+        let table = Table::from_rows(
+            (0..6).map(AttrId).collect(),
             vec![
                 vec![
                     Value::Int(-42),
@@ -738,6 +794,7 @@ mod tests {
                     Value::str("alice"),
                     date("1994-01-01"),
                     enc(EncScheme::Deterministic, 1, &[1, 2, 3, 4, 5, 6, 7, 8]),
+                    enc(EncScheme::Random, 4, &[7; 17]),
                 ],
                 vec![
                     Value::Int(7),
@@ -745,6 +802,7 @@ mod tests {
                     Value::Null,
                     date("1970-01-01"),
                     enc(EncScheme::Paillier, 2, &[9; 40]),
+                    Value::Null,
                 ],
                 vec![
                     Value::Int(i64::MAX),
@@ -752,9 +810,18 @@ mod tests {
                     Value::str(""),
                     Value::Null,
                     enc(EncScheme::Ope, 3, &[0, 0, 0, 0, 0, 0, 1, 0]),
+                    enc(EncScheme::Random, 4, &[8; 20]),
                 ],
             ],
-        )
+        );
+        let held = |i| match table.column(i) {
+            ColumnVec::Val(_) => 0,
+            ColumnVec::Int(_) => 1,
+            ColumnVec::Num(_) => 2,
+            ColumnVec::Enc(_) => 3,
+        };
+        assert_eq!([0, 1, 2, 3, 4, 5].map(held), [1, 2, 0, 0, 0, 3]);
+        table
     }
 
     fn fixture_expr() -> Expr {
@@ -1061,9 +1128,23 @@ mod tests {
         let nrows = rng.gen_range(0..12);
         let cols = attrs
             .iter()
-            .map(|_| match rng.gen_range(0..3) {
+            .map(|_| match rng.gen_range(0..5) {
                 0 => ColumnVec::from_ints((0..nrows).map(|_| rng.gen()).collect()),
                 1 => ColumnVec::from_nums((0..nrows).map(|i| i as f64 * 0.5).collect()),
+                // One key, cells of any width, NULLs at any rate — all
+                // of them NULL one time in three.
+                2 => {
+                    let scheme = EncScheme::ALL[rng.gen_range(0..4)];
+                    let mut col = EncColumn::new(scheme, rng.gen());
+                    let nulls = [0, 3, 10][rng.gen_range(0..3)];
+                    for _ in 0..nrows {
+                        let width = rng.gen_range(1..40);
+                        let cell = gen_vec(rng, width, |r| r.gen::<u8>());
+                        let null = rng.gen_range(0..10) < nulls;
+                        col.push(if null { &[] } else { &cell });
+                    }
+                    ColumnVec::Enc(col)
+                }
                 _ => (0..nrows).map(|_| gen_value(rng)).collect(),
             })
             .collect();
@@ -1207,6 +1288,16 @@ mod tests {
         roundtrip_eq(&mixed_table());
         roundtrip_eq(&Table::new(vec![AttrId(0)]));
         roundtrip_eq(&Table::default());
+        // An encrypted column with no cell, and with no ciphertext.
+        for nulls in [0, 3] {
+            let mut col = EncColumn::new(EncScheme::Ope, 6);
+            (0..nulls).for_each(|_| col.push(&[]));
+            let schema = TableSchema::new(vec![AttrId(2)]);
+            let table = Table::from_columns(schema, vec![ColumnVec::Enc(col)]);
+            let back = roundtrip(&table);
+            assert!(matches!(back.column(0), ColumnVec::Enc(c) if c.key_id() == 6));
+            assert_eq!(back, table);
+        }
         for plan in [&ex.plan, &ex.fig7a_extended().plan] {
             roundtrip_eq(plan);
             for id in plan.postorder() {
@@ -1230,28 +1321,36 @@ mod tests {
 
     // ---- the format is pinned ---------------------------------------------
 
-    /// SHA-256 over `len ‖ encode_frame(f)` of the golden corpus. The
-    /// digest of everything but `Execute` was taken at the commit
-    /// before the codec was rebuilt on `Encode`, and no data-plane or
-    /// provisioning frame has moved by a byte since; the full digest
-    /// was re-pinned once, when the job lost its `fuse` byte.
+    /// SHA-256 over `len ‖ encode_frame(f)` of the golden corpus. Both
+    /// digests were re-pinned when tables began to travel as packed
+    /// columns: the one frame of the corpus that carries a `Table`
+    /// moved (and gained an `Enc` column), and the third digest —
+    /// every frame without one, taken at the commit before — shows
+    /// that nothing else did.
     #[test]
     fn golden_corpus_encodes_to_the_pinned_bytes() {
-        let (mut all, mut all_but_execute) = (Vec::new(), Vec::new());
+        let (mut all, mut all_but_execute, mut tableless) = (Vec::new(), Vec::new(), Vec::new());
         for f in golden_corpus() {
             let bytes = encode_frame(&f);
             write_bytes(&mut all, &bytes);
             if !matches!(f, Frame::Execute { .. }) {
                 write_bytes(&mut all_but_execute, &bytes);
             }
+            if !matches!(f, Frame::Data { .. }) {
+                write_bytes(&mut tableless, &bytes);
+            }
         }
         assert_eq!(
+            sha256_hex(&tableless),
+            "b14d02b4cf935e01c18ab3d21616a51d2362cd6ee97516e3bb4d2a2438199069"
+        );
+        assert_eq!(
             sha256_hex(&all_but_execute),
-            "882dc619e02350a01461773c53e2022e3c0736534a59ecc6c9a24caa8c13e154"
+            "3c840036a92dcc0316e25cea041bf8ecb0580538d2aa1320b55704a76cbf5e74"
         );
         assert_eq!(
             sha256_hex(&all),
-            "95140efd3315217e5683cacb9e27c32af781c03a3c2d05b83258d3e3b2bbc2c0"
+            "003d10a9471b0e0ea4e5a79aae403797ab9ddab8d4b57d5b8d8680c6b98f83aa"
         );
     }
 
@@ -1279,6 +1378,11 @@ mod tests {
         fn data_header() -> Bytes {
             Bytes::default().u8(1).u64(1).u8(0).u32(0).u32(0).u64(0)
         }
+        /// …and a one-attribute table up to its column's representation
+        /// tag: 0 `Val`, 1 `Int`, 2 `Num`, 3 `Enc`.
+        fn column(tag: u8) -> Bytes {
+            Bytes::data_header().u32(1).u32(7).u8(tag)
+        }
         /// The count field under test: as many elements as a `u32` can
         /// claim, and then nothing.
         fn hostile(self) -> Vec<u8> {
@@ -1305,6 +1409,7 @@ mod tests {
 
         // Every count field of every frame, claiming u32::MAX elements.
         let data = Bytes::data_header;
+        let column = Bytes::column;
         let execute = || Bytes::default().u8(6).u64(1);
         // …one node, no children, operator `op`.
         let leaf_op = |op: u8| execute().u32(1).u32(0).u8(op);
@@ -1314,8 +1419,12 @@ mod tests {
         let after_plan = || leaf_op(0).u32(0).u32(0).u32(0);
         let cases: Vec<(&str, Vec<u8>)> = vec![
             ("table.attrs", data().hostile()),
-            ("table.rows", data().u32(1).u32(7).hostile()),
-            ("table.cell", data().u32(1).u32(7).u32(1).hostile()),
+            ("column.val.cells", column(0).hostile()),
+            ("column.val.cell", column(0).u32(1).hostile()),
+            ("column.int.cells", column(1).hostile()),
+            ("column.num.cells", column(2).hostile()),
+            ("column.enc.cells", column(3).u8(1).u32(9).hostile()),
+            ("column.enc.bytes", column(3).u8(1).u32(9).u32(0).hostile()),
             ("plan.nodes", execute().hostile()),
             ("node.children", execute().u32(1).hostile()),
             ("base.attrs", leaf_op(0).u32(0).hostile()),
@@ -1444,6 +1553,50 @@ mod tests {
         assert!(decode_frame(&tree).is_some());
     }
 
+    #[test]
+    fn malformed_columns_are_rejected_not_panicked() {
+        // An `Enc` column of Det cells under key 9: two cells ending at
+        // `ends`, over `payload` bytes.
+        let enc = |scheme: u8, ends: [u32; 2], payload: usize| {
+            let b = Bytes::column(3).u8(scheme).u32(9);
+            let mut b = b.u32(2).u32(ends[0]).u32(ends[1]).0;
+            write_bytes(&mut b, &vec![0xC1; payload]);
+            b
+        };
+        assert!(decode_frame(&enc(1, [8, 24], 24)).is_some());
+        assert!(decode_frame(&enc(1, [8, 8], 8)).is_some(), "a NULL cell");
+        assert!(decode_frame(&enc(1, [0, 0], 0)).is_some(), "all NULL");
+        assert!(decode_frame(&enc(1, [16, 8], 8)).is_none(), "decreasing");
+        assert!(decode_frame(&enc(1, [16, 8], 16)).is_none(), "decreasing");
+        assert!(
+            decode_frame(&enc(1, [8, 24], 32)).is_none(),
+            "bytes past the last cell"
+        );
+        assert!(
+            decode_frame(&enc(1, [8, 24], 16)).is_none(),
+            "a cell past the bytes"
+        );
+        assert!(
+            decode_frame(&enc(4, [8, 24], 24)).is_none(),
+            "no such scheme"
+        );
+        // No cells, but bytes.
+        let mut orphaned = Bytes::column(3).u8(1).u32(9).u32(0).0;
+        write_bytes(&mut orphaned, &[0xC1; 8]);
+        assert!(decode_frame(&orphaned).is_none());
+        // A representation tag nothing has.
+        assert!(decode_frame(&Bytes::column(4).u32(0).0).is_none());
+        // Two columns, of two and of one cell.
+        let two = |second: u32| {
+            let b = Bytes::data_header().u32(2).u32(7).u32(8);
+            let b = b.u8(1).u32(2).u64(1).u64(2);
+            (0..second).fold(b.u8(2).u32(second), |b, _| b.u64(0)).0
+        };
+        assert!(decode_frame(&two(2)).is_some());
+        assert!(decode_frame(&two(1)).is_none());
+        assert!(decode_frame(&two(3)).is_none());
+    }
+
     /// An `Execute` frame whose plan has the given `(children, op tag)`
     /// nodes — ops 0 (`Base`), 1 (`Project`) and 3 (`Product`), each
     /// with empty attribute lists — every node assigned to subject 0.
@@ -1495,7 +1648,7 @@ mod tests {
         assert!(decode_frame(&job_with_scheme(4)).is_none());
         // …and in a ciphertext cell.
         let cell = |scheme: u8| {
-            let mut f = Bytes::data_header().u32(1).u32(7).u32(1).0;
+            let mut f = Bytes::column(0).u32(1).0;
             write_bytes(&mut f, &[6, scheme, 0, 0, 0, 1, 0xAB]);
             f
         };

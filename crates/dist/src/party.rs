@@ -667,4 +667,56 @@ mod tests {
             Err(SimError::Exec(ExecError::Eval(EvalError::Overflow(_))))
         ));
     }
+
+    /// So is a ciphertext: a Paillier cell with the right header over
+    /// arbitrary bytes decrypts to a plaintext as wide as the modulus,
+    /// which used to trip an `assert!` — in release — inside the key
+    /// holder's party thread. The `Decrypt` region answers with a
+    /// typed error.
+    #[test]
+    fn a_forged_paillier_cell_on_a_delivered_operand_is_a_typed_error() {
+        use mpq_algebra::value::{EncScheme, EncValue};
+        use mpq_crypto::keyring::ClusterKey;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let f = Fixture::new();
+        let (i, u) = (f.ex.subject("I"), f.ex.subject("U"));
+        let (c, p) = (f.ex.attr("C"), f.ex.attr("P"));
+        let ins = f.ex.catalog.relation("Ins").expect("fixture schema").rel;
+        let mut plan = QueryPlan::new();
+        let base = plan.add_base(ins, vec![c, p]);
+        let decrypt = plan.add(Operator::Decrypt { attrs: vec![p] }, vec![base]);
+        let assignment = HashMap::from([(base, i), (decrypt, u)]);
+        let key_id = 99;
+        let mut schemes = SchemePlan::default();
+        schemes.set(p, EncScheme::Paillier);
+        let keys = HashMap::from([(p, key_id)]);
+        let job = QueryJob::new(plan, schemes, keys, assignment, u, 5, 0).expect("total");
+        let user = &f.parties[u.index()];
+        let key = ClusterKey::generate(&mut StdRng::seed_from_u64(3), key_id, 256);
+        user.ring.insert(key);
+        let mut run =
+            PartyRun::new(user, &job, None, &user.rsa.public).expect("the user serves itself");
+        // `tag ‖ kind ‖ count` as an encryptor writes them, then noise
+        // where the ciphertext should be.
+        let mut forged = vec![1, 0, 0, 0, 0, 0, 0, 0, 0, 1];
+        forged.extend((0..64u8).map(|b| b.wrapping_mul(167) | 1));
+        let cell = Value::Enc(EncValue {
+            scheme: EncScheme::Paillier,
+            key_id,
+            bytes: Arc::from(forged),
+        });
+        let operand = Transfer {
+            node: base,
+            from: i,
+            seq: 0,
+            table: Table::from_rows(vec![c, p], vec![vec![Value::str("c"), cell]]),
+        };
+        run.deliver(operand)
+            .expect("an awaited, authorized operand");
+        assert!(matches!(
+            run.step(decrypt),
+            Err(SimError::Exec(ExecError::Crypto(_)))
+        ));
+    }
 }

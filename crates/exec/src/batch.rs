@@ -11,17 +11,23 @@
 //! [`gather`](ColumnVec::gather), [`append`](ColumnVec::append)), never
 //! by transposing rows.
 //!
-//! Columns are typed where the data allows: uniform integer and
+//! Columns are typed where the data allows. Uniform integer and
 //! numeric columns are stored as dense `Vec<i64>` / `Vec<f64>` (8
-//! bytes per cell instead of a tagged [`Value`]), and silently degrade
-//! to a general `Vec<Value>` representation the moment a NULL, string,
-//! date, or ciphertext is pushed. Degradation never loses data and all
-//! accessors present the column as logical [`Value`]s, so the two
-//! representations are observationally identical — `PartialEq`
-//! compares logical values, not representations.
+//! bytes per cell instead of a tagged [`Value`]); a column of
+//! ciphertexts under one `(scheme, key)` — what an `Encrypt` produces
+//! and a provider computes on — is one [`EncColumn`] buffer with NULL
+//! as the empty cell (no `Arc`, no repeated scheme and key id per
+//! cell). Each silently degrades to a general `Vec<Value>`
+//! representation the moment something it cannot hold is pushed: a
+//! NULL, string or date into a dense numeric column, a plaintext or a
+//! ciphertext under another key into an encrypted one. Degradation
+//! never loses data and all accessors present the column as logical
+//! [`Value`]s, so the representations are observationally identical —
+//! `PartialEq` compares logical values, not representations.
 //!
 //! [`ExecCtx::batch_rows`]: crate::engine::ExecCtx::batch_rows
 
+use mpq_algebra::value::{EncColumn, EncValue};
 use mpq_algebra::{AttrId, Value};
 use std::ops::Range;
 use std::sync::Arc;
@@ -84,8 +90,16 @@ pub enum ColumnVec {
     Int(Vec<i64>),
     /// Uniform non-null numerics.
     Num(Vec<f64>),
+    /// Ciphertexts under one `(scheme, key)`, and NULLs.
+    Enc(EncColumn),
     /// General representation: any mix of values, NULLs included.
     Val(Vec<Value>),
+}
+
+/// `true` when `cell` is one an encrypted column under `col`'s header
+/// can hold. The empty ciphertext cannot: there it reads back as NULL.
+fn holds(col: &EncColumn, cell: &EncValue) -> bool {
+    (col.scheme(), col.key_id()) == (cell.scheme, cell.key_id) && !cell.bytes.is_empty()
 }
 
 impl Default for ColumnVec {
@@ -145,6 +159,7 @@ impl ColumnVec {
         match self {
             ColumnVec::Int(v) => v.len(),
             ColumnVec::Num(v) => v.len(),
+            ColumnVec::Enc(c) => c.len(),
             ColumnVec::Val(v) => v.len(),
         }
     }
@@ -154,13 +169,25 @@ impl ColumnVec {
         self.len() == 0
     }
 
-    /// Cell `i` as a logical value. Cheap: dense cells copy eight
-    /// bytes, strings and ciphertexts bump an `Arc`.
+    /// Cell `i` as a logical value: dense cells copy eight bytes,
+    /// general cells bump an `Arc`, an encrypted column's cell is
+    /// copied out into an [`EncValue`] of its own — the scalar path
+    /// (expression evaluation, hash keys, the row oracle).
     pub fn get(&self, i: usize) -> Value {
         match self {
             ColumnVec::Int(v) => Value::Int(v[i]),
             ColumnVec::Num(v) => Value::Num(v[i]),
+            ColumnVec::Enc(c) => c.value(i),
             ColumnVec::Val(v) => v[i].clone(),
+        }
+    }
+
+    /// Whether cell `i` is NULL, without materializing it.
+    pub fn is_null(&self, i: usize) -> bool {
+        match self {
+            ColumnVec::Int(_) | ColumnVec::Num(_) => false,
+            ColumnVec::Enc(c) => c.cell(i).is_empty(),
+            ColumnVec::Val(v) => v[i].is_null(),
         }
     }
 
@@ -185,17 +212,24 @@ impl ColumnVec {
         (0..self.len()).map(|i| self.get(i))
     }
 
-    /// Append one cell, upgrading an empty column to a dense
-    /// representation and degrading a dense column on mismatch.
+    /// Append one cell, upgrading an empty column to a typed
+    /// representation and degrading a typed column on mismatch.
     pub fn push(&mut self, v: Value) {
         match (&mut *self, v) {
             (ColumnVec::Int(col), Value::Int(i)) => col.push(i),
             (ColumnVec::Num(col), Value::Num(f)) => col.push(f),
+            (ColumnVec::Enc(col), Value::Null) => col.push(&[]),
+            (ColumnVec::Enc(col), Value::Enc(e)) if holds(col, &e) => col.push(&e.bytes),
             (ColumnVec::Val(col), Value::Int(i)) if col.is_empty() => {
                 *self = ColumnVec::Int(vec![i]);
             }
             (ColumnVec::Val(col), Value::Num(f)) if col.is_empty() => {
                 *self = ColumnVec::Num(vec![f]);
+            }
+            (ColumnVec::Val(col), Value::Enc(e)) if col.is_empty() && !e.bytes.is_empty() => {
+                let mut enc = EncColumn::new(e.scheme, e.key_id);
+                enc.push(&e.bytes);
+                *self = ColumnVec::Enc(enc);
             }
             (ColumnVec::Val(col), v) => col.push(v),
             (_, v) => {
@@ -208,15 +242,9 @@ impl ColumnVec {
         }
     }
 
-    /// Rewrite in the general representation (needed before in-place
-    /// cell mutation, e.g. encryption writing ciphertexts).
+    /// Rewrite in the general representation, which holds anything.
     pub fn degrade(&mut self) {
-        let vals = match std::mem::take(self) {
-            ColumnVec::Int(v) => v.into_iter().map(Value::Int).collect(),
-            ColumnVec::Num(v) => v.into_iter().map(Value::Num).collect(),
-            ColumnVec::Val(v) => v,
-        };
-        *self = ColumnVec::Val(vals);
+        *self = ColumnVec::Val(std::mem::take(self).into_values());
     }
 
     /// Consume into logical values.
@@ -224,6 +252,7 @@ impl ColumnVec {
         match self {
             ColumnVec::Int(v) => v.into_iter().map(Value::Int).collect(),
             ColumnVec::Num(v) => v.into_iter().map(Value::Num).collect(),
+            ColumnVec::Enc(c) => (0..c.len()).map(|i| c.value(i)).collect(),
             ColumnVec::Val(v) => v,
         }
     }
@@ -233,6 +262,7 @@ impl ColumnVec {
         match self {
             ColumnVec::Int(v) => ColumnVec::Int(v[range].to_vec()),
             ColumnVec::Num(v) => ColumnVec::Num(v[range].to_vec()),
+            ColumnVec::Enc(c) => ColumnVec::Enc(c.slice(range)),
             ColumnVec::Val(v) => ColumnVec::Val(v[range].to_vec()),
         }
     }
@@ -256,6 +286,10 @@ impl ColumnVec {
                     .map(|(x, _)| *x)
                     .collect(),
             ),
+            ColumnVec::Enc(c) => {
+                let kept = mask.iter().enumerate().filter(|(_, &m)| m);
+                ColumnVec::Enc(c.gather(kept.map(|(i, _)| Some(i))))
+            }
             ColumnVec::Val(v) => ColumnVec::Val(
                 v.iter()
                     .zip(mask)
@@ -273,9 +307,13 @@ impl ColumnVec {
     }
 
     /// [`gather`](ColumnVec::gather) with NULL where `idx` holds `None`
-    /// (outer-join padding). A dense column degrades only when a pad
-    /// actually occurs.
+    /// (outer-join padding). An encrypted column pads with its empty
+    /// cell; a dense column degrades, and only when a pad actually
+    /// occurs.
     pub fn gather_padded(&self, idx: &[Option<usize>]) -> ColumnVec {
+        if let ColumnVec::Enc(c) = self {
+            return ColumnVec::Enc(c.gather(idx.iter().copied()));
+        }
         if idx.iter().all(Option::is_some) {
             return self.gather_iter(idx.iter().flatten().copied());
         }
@@ -290,6 +328,7 @@ impl ColumnVec {
         match self {
             ColumnVec::Int(v) => ColumnVec::Int(idx.map(|i| v[i]).collect()),
             ColumnVec::Num(v) => ColumnVec::Num(idx.map(|i| v[i]).collect()),
+            ColumnVec::Enc(c) => ColumnVec::Enc(c.gather(idx.map(Some))),
             ColumnVec::Val(v) => ColumnVec::Val(idx.map(|i| v[i].clone()).collect()),
         }
     }
@@ -300,7 +339,12 @@ impl ColumnVec {
         match (&mut *self, other) {
             (ColumnVec::Int(a), ColumnVec::Int(b)) => a.extend(b),
             (ColumnVec::Num(a), ColumnVec::Num(b)) => a.extend(b),
-            (ColumnVec::Val(a), other) if a.is_empty() => *self = other,
+            (ColumnVec::Enc(a), ColumnVec::Enc(b))
+                if (a.scheme(), a.key_id()) == (b.scheme(), b.key_id()) =>
+            {
+                a.append(&b)
+            }
+            (a, other) if a.is_empty() => *self = other,
             (_, other) => {
                 self.degrade();
                 match self {
@@ -317,6 +361,7 @@ impl ColumnVec {
         match self {
             ColumnVec::Int(v) => v.len() * 8,
             ColumnVec::Num(v) => v.len() * 8,
+            ColumnVec::Enc(c) => c.byte_size(),
             ColumnVec::Val(v) => v.iter().map(Value::width).sum(),
         }
     }
@@ -343,6 +388,7 @@ impl FromIterator<Value> for ColumnVec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn dense_columns_degrade_on_mixed_push() {
@@ -390,5 +436,140 @@ mod tests {
         a.append(ColumnVec::Val(vec![Value::str("x")]));
         assert_eq!(a.len(), 2);
         assert_eq!(a.get(1), Value::str("x"));
+    }
+
+    use mpq_algebra::value::EncScheme;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn cipher(scheme: EncScheme, key_id: u32, bytes: &[u8]) -> Value {
+        Value::Enc(EncValue {
+            scheme,
+            key_id,
+            bytes: Arc::from(bytes),
+        })
+    }
+
+    /// Random cells under `(Deterministic, key 5)`, NULL at a rate of
+    /// `nulls` in ten; the first cell is a ciphertext, so collecting
+    /// them yields the encrypted representation.
+    fn gen_cells(rng: &mut StdRng, n: usize, nulls: u32) -> Vec<Value> {
+        (0..n)
+            .map(|i| {
+                if i > 0 && rng.gen_range(0..10) < nulls {
+                    return Value::Null;
+                }
+                let width = rng.gen_range(1..40);
+                let bytes: Vec<u8> = (0..width).map(|_| rng.gen()).collect();
+                cipher(EncScheme::Deterministic, 5, &bytes)
+            })
+            .collect()
+    }
+
+    /// Both representations of the same cells.
+    fn both(cells: &[Value]) -> (ColumnVec, ColumnVec) {
+        let enc: ColumnVec = cells.iter().cloned().collect();
+        assert!(matches!(enc, ColumnVec::Enc(_)));
+        (enc, ColumnVec::Val(cells.to_vec()))
+    }
+
+    /// Same cells, same accounted bytes — whatever either side is held as.
+    fn assert_same(a: &ColumnVec, b: &ColumnVec, what: &str) {
+        assert_eq!(a, b, "{what}");
+        assert_eq!(a.byte_size(), b.byte_size(), "{what}: bytes");
+        let nulls = |c: &ColumnVec| (0..c.len()).map(|i| c.is_null(i)).collect::<Vec<_>>();
+        assert_eq!(nulls(a), nulls(b), "{what}: nulls");
+    }
+
+    #[test]
+    fn the_encrypted_representation_is_invisible() {
+        for seed in 0..60 {
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..50);
+            let cells = gen_cells(rng, n, [0, 3, 9][seed as usize % 3]);
+            let (enc, val) = both(&cells);
+            assert_same(&enc, &val, "as built");
+            assert_eq!(enc.clone().into_values(), cells);
+            assert_eq!(enc.iter().collect::<Vec<_>>(), cells);
+            let bytes: usize = cells.iter().map(Value::width).sum();
+            assert_eq!(enc.byte_size(), bytes);
+
+            let (from, to) = (rng.gen_range(0..=n), rng.gen_range(0..=n));
+            let range = from.min(to)..from.max(to);
+            assert_same(&enc.slice(range.clone()), &val.slice(range), "slice");
+            let mask: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+            assert_same(&enc.filter(&mask), &val.filter(&mask), "filter");
+            let idx: Vec<usize> = (0..rng.gen_range(0..80))
+                .map(|_| rng.gen_range(0..n))
+                .collect();
+            assert_same(&enc.gather(&idx), &val.gather(&idx), "gather");
+            let padded: Vec<Option<usize>> = (idx.iter())
+                .map(|&i| rng.gen::<bool>().then_some(i))
+                .collect();
+            let gathered = enc.gather_padded(&padded);
+            assert_same(&gathered, &val.gather_padded(&padded), "gather_padded");
+            // An outer join's pads are empty cells, not a degradation.
+            assert!(matches!(gathered, ColumnVec::Enc(_)));
+
+            // Appending: the same key extends the buffer, anything else
+            // degrades — and the cells are the concatenation either way.
+            let more_len = rng.gen_range(1..20);
+            let more = gen_cells(rng, more_len, 3);
+            let other_key = vec![cipher(EncScheme::Deterministic, 6, &[1, 2, 3])];
+            let plain = vec![Value::Int(4), Value::Null];
+            for (tail, stays) in [(&more, true), (&other_key, false), (&plain, false)] {
+                let (mut a, mut b) = both(&cells);
+                let (tail_enc, tail_val) = (tail.iter().cloned().collect(), tail.to_vec());
+                a.append(tail_enc);
+                b.append(ColumnVec::Val(tail_val));
+                assert_same(&a, &b, "append");
+                assert_eq!(a.len(), n + tail.len());
+                assert_eq!(matches!(a, ColumnVec::Enc(_)), stays);
+                // …and cell by cell.
+                let (mut a, mut b) = both(&cells);
+                for v in tail {
+                    a.push(v.clone());
+                    b.push(v.clone());
+                }
+                assert_same(&a, &b, "push");
+                assert_eq!(matches!(a, ColumnVec::Enc(_)), stays);
+            }
+        }
+    }
+
+    #[test]
+    fn an_encrypted_column_holds_one_key_or_degrades() {
+        let first = cipher(EncScheme::Ope, 2, &[7; 17]);
+        let column = || {
+            let mut c = ColumnVec::new();
+            c.push(first.clone());
+            c.push(Value::Null);
+            assert!(
+                matches!(&c, ColumnVec::Enc(e) if e.len() == 2),
+                "upgraded, NULL held"
+            );
+            c
+        };
+        // Plaintext, another scheme, another key, and the empty
+        // ciphertext (which would read back as NULL) all degrade; the
+        // cells pushed before survive it.
+        for intruder in [
+            Value::Int(1),
+            Value::str("plain"),
+            cipher(EncScheme::Deterministic, 2, &[7; 16]),
+            cipher(EncScheme::Ope, 3, &[7; 17]),
+            cipher(EncScheme::Ope, 2, &[]),
+        ] {
+            let mut c = column();
+            c.push(intruder.clone());
+            assert!(matches!(c, ColumnVec::Val(_)), "{intruder:?}");
+            assert_eq!(c.into_values(), vec![first.clone(), Value::Null, intruder]);
+        }
+        // A column that opens with a NULL or the empty ciphertext
+        // stays general.
+        for opening in [Value::Null, cipher(EncScheme::Ope, 2, &[])] {
+            let c: ColumnVec = [opening, first.clone()].into_iter().collect();
+            assert!(matches!(c, ColumnVec::Val(_)));
+        }
     }
 }

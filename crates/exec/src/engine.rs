@@ -40,7 +40,7 @@ use mpq_algebra::{AttrId, AttrSet, CmpOp, Expr, JoinKind, NodeId, Operator, Quer
 use mpq_crypto::keyring::KeyRing;
 use mpq_crypto::paillier::PaillierPublic;
 use mpq_crypto::schemes::{
-    decrypt_value, paillier_add_cells, paillier_finish, AggKind, ColumnCipher, ColumnEncryptor,
+    decrypt_value, paillier_add_cells, paillier_finish, AggKind, ColumnCipher, EncryptError, RowRng,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -1032,10 +1032,75 @@ impl Offsets<'_> {
     }
 }
 
+/// The determinism contract as a [`RowRng`]: the generator for a
+/// chunk's `row`-th cell is seeded from the cell's global offset.
+struct SeededRows<'a> {
+    attr_seed: u64,
+    offsets: &'a Offsets<'a>,
+    chunk_start: usize,
+    rng: Option<StdRng>,
+}
+
+impl RowRng for SeededRows<'_> {
+    type Rng = StdRng;
+
+    fn row(&mut self, row: usize) -> &mut StdRng {
+        let offset = self.offsets.at(self.chunk_start + row);
+        self.rng
+            .insert(StdRng::seed_from_u64(mix_seed(self.attr_seed, offset)))
+    }
+}
+
+/// Encrypt the cells of `col` in `range` straight into one ciphertext
+/// buffer, reading dense columns where they lie. A column that is
+/// ciphertext already passes its NULLs and refuses the rest.
+fn encrypt_chunk(
+    col: &ColumnVec,
+    range: std::ops::Range<usize>,
+    plan: &CryptoPlan,
+    offsets: &Offsets<'_>,
+) -> Result<ColumnVec, EncryptError> {
+    let mut run = plan.cipher.encryptor();
+    let rngs = SeededRows {
+        attr_seed: plan.attr_seed,
+        offsets,
+        chunk_start: range.start,
+        rng: None,
+    };
+    Ok(ColumnVec::Enc(match col {
+        ColumnVec::Int(v) => run.encrypt_column(v[range].iter().map(|&i| Value::Int(i)), rngs),
+        ColumnVec::Num(v) => run.encrypt_column(v[range].iter().map(|&f| Value::Num(f)), rngs),
+        ColumnVec::Val(v) => run.encrypt_column(&v[range], rngs),
+        ColumnVec::Enc(_) => run.encrypt_column(range.map(|i| col.get(i)), rngs),
+    }?))
+}
+
+/// Decrypt the cells of `col` in `range`, an encrypted column's from
+/// the bytes where they lie.
+fn decrypt_chunk(
+    col: &ColumnVec,
+    range: std::ops::Range<usize>,
+    cipher: &ColumnCipher,
+) -> Result<ColumnVec, EncryptError> {
+    let mut out = ColumnVec::new();
+    for i in range {
+        out.push(match col {
+            ColumnVec::Enc(c) => match c.cell(i) {
+                [] => Value::Null,
+                cell => cipher.decrypt_cell(c.scheme(), c.key_id(), cell)?,
+            },
+            _ => cipher.decrypt(&col.get(i))?,
+        });
+    }
+    Ok(out)
+}
+
 /// Apply one attribute's cipher to its column(s) within a batch.
 ///
-/// The single-column case (the overwhelmingly common one) chunks the
-/// column directly. When an attribute occurs in several columns the
+/// The single-column case (the overwhelmingly common one) works chunk
+/// by chunk on the column itself, each chunk into a column of its own;
+/// the chunks are appended in order, so worker count and batch size
+/// cannot move a byte. When an attribute occurs in several columns the
 /// row engine's semantics are preserved exactly: the columns share one
 /// per-row RNG, consumed in column-index order.
 fn apply_crypto_plan(
@@ -1045,39 +1110,30 @@ fn apply_crypto_plan(
     offsets: &Offsets<'_>,
     pool: &WorkerPool,
 ) -> Result<(), ExecError> {
-    // `run` is the chunk's own encryptor: made where each cell loop
-    // below starts, so no state crosses chunks or threads.
-    let crypt = |run: &mut ColumnEncryptor<'_>,
-                 cell: &Value,
-                 rng: &mut StdRng|
-     -> Result<Value, ExecError> {
-        if encrypt {
-            run.encrypt(rng, cell)
-        } else {
-            plan.cipher.decrypt(cell)
-        }
-        .map_err(|e| ExecError::Crypto(e.to_string()))
-    };
+    let crypto_error = |e: EncryptError| ExecError::Crypto(e.to_string());
     match plan.col_idxs.as_slice() {
         [] => Ok(()),
         [i] => {
-            let mut vals = std::mem::take(&mut cols[*i]).into_values();
-            pool.for_each_chunk_mut(&mut vals, plan.min_chunk, |start, chunk| {
-                let mut run = plan.cipher.encryptor();
-                for (off, cell) in chunk.iter_mut().enumerate() {
-                    let mut rng =
-                        StdRng::seed_from_u64(mix_seed(plan.attr_seed, offsets.at(start + off)));
-                    *cell = crypt(&mut run, cell, &mut rng)?;
+            let col = &cols[*i];
+            let chunks = pool.map_ranges(col.len(), plan.min_chunk, |range| {
+                if encrypt {
+                    encrypt_chunk(col, range, plan, offsets)
+                } else {
+                    decrypt_chunk(col, range, &plan.cipher)
                 }
-                Ok::<(), ExecError>(())
+                .map_err(crypto_error)
             })?;
-            cols[*i] = ColumnVec::Val(vals);
+            let mut chunks = chunks.into_iter();
+            let mut out = chunks.next().unwrap_or_default();
+            chunks.for_each(|chunk| out.append(chunk));
+            cols[*i] = out;
             Ok(())
         }
         idxs => {
             // Rare path: transpose the attribute's columns into row
             // tuples so one RNG serves all of a row's cells, as the
-            // row-at-a-time engine did.
+            // row-at-a-time engine did. `run` is the chunk's own
+            // encryptor, so no state crosses chunks or threads.
             let n = cols[idxs[0]].len();
             let mut tuples: Vec<Vec<Value>> = (0..n)
                 .map(|r| idxs.iter().map(|&i| cols[i].get(r)).collect())
@@ -1088,7 +1144,12 @@ fn apply_crypto_plan(
                     let mut rng =
                         StdRng::seed_from_u64(mix_seed(plan.attr_seed, offsets.at(start + off)));
                     for cell in tuple.iter_mut() {
-                        *cell = crypt(&mut run, cell, &mut rng)?;
+                        *cell = if encrypt {
+                            run.encrypt(&mut rng, cell)
+                        } else {
+                            plan.cipher.decrypt(cell)
+                        }
+                        .map_err(crypto_error)?;
                     }
                 }
                 Ok::<(), ExecError>(())
@@ -1111,22 +1172,24 @@ fn apply_crypto_plan(
 /// the plan prescribes).
 pub(crate) type FormFix = (Option<ColumnCipher>, Option<ColumnCipher>);
 
+/// The `(scheme, key)` header of an encrypted cell or column; `None`
+/// for plaintext.
+pub(crate) type Form = Option<(EncScheme, u32)>;
+
 /// The dominant form of a column: `None` while the column holds no
-/// non-NULL cell (undecidable), otherwise `Some(form)` where `form` is
-/// the first non-NULL cell's ciphertext header (or `None` for
-/// plaintext). Columns are form-uniform (the engine encrypts and
-/// decrypts whole columns), so one sample decides.
-fn column_form_of(col: &ColumnVec) -> Option<Option<EncValue>> {
-    for i in 0..col.len() {
-        let v = col.get(i);
-        if !v.is_null() {
-            return Some(match v {
-                Value::Enc(e) => Some(e),
-                _ => None,
-            });
-        }
+/// non-NULL cell (undecidable), otherwise `Some(form)`. An encrypted
+/// column says so in its header; in any other, columns being
+/// form-uniform (the engine encrypts and decrypts whole columns), the
+/// first non-NULL cell decides.
+fn column_form_of(col: &ColumnVec) -> Option<Form> {
+    match col {
+        ColumnVec::Int(_) | ColumnVec::Num(_) => (!col.is_empty()).then_some(None),
+        ColumnVec::Enc(c) => (!c.bytes().is_empty()).then_some(Some((c.scheme(), c.key_id()))),
+        ColumnVec::Val(vals) => vals.iter().find(|v| !v.is_null()).map(|v| match v {
+            Value::Enc(e) => Some((e.scheme, e.key_id)),
+            _ => None,
+        }),
     }
-    None
 }
 
 /// Mixed-form reconciliation for one join condition (MPQ009): minimal
@@ -1141,23 +1204,23 @@ fn column_form_of(col: &ColumnVec) -> Option<Option<EncValue>> {
 /// non-comparable scheme or a missing key is a typed refusal, never a
 /// silent empty result.
 pub(crate) fn decide_form_fix(
-    lform: Option<EncValue>,
+    lform: Form,
     l_attr: AttrId,
-    rform: Option<EncValue>,
+    rform: Form,
     r_attr: AttrId,
     needs_order: bool,
     ctx: &ExecCtx<'_>,
 ) -> Result<FormFix, ExecError> {
-    let (enc, fix_left) = match (lform, rform) {
-        (Some(e), None) => (e, false),
-        (None, Some(e)) => (e, true),
+    let ((scheme, key_id), fix_left) = match (lform, rform) {
+        (Some(enc), None) => (enc, false),
+        (None, Some(enc)) => (enc, true),
         _ => return Ok((None, None)),
     };
-    let (attr, key_id) = (if fix_left { l_attr } else { r_attr }, enc.key_id);
+    let attr = if fix_left { l_attr } else { r_attr };
     let comparable = if needs_order {
-        enc.scheme.supports_order()
+        scheme.supports_order()
     } else {
-        enc.scheme.supports_equality()
+        scheme.supports_equality()
     };
     if !comparable {
         return Err(ExecError::MixedForm { attr, key_id });
@@ -1166,7 +1229,7 @@ pub(crate) fn decide_form_fix(
         .keys
         .get(key_id)
         .ok_or(ExecError::MixedForm { attr, key_id })?;
-    let cipher = ColumnCipher::new(enc.scheme, &key);
+    let cipher = ColumnCipher::new(scheme, &key);
     Ok(if fix_left {
         (Some(cipher), None)
     } else {
@@ -1304,7 +1367,7 @@ fn join_stream<'p>(
                 // decided them).
                 if hash.is_none() && !eq_conds.is_empty() {
                     let needed = (0..lbatch.len())
-                        .any(|r| eq_conds.iter().all(|c| !lbatch.value(c.lc, r).is_null()));
+                        .any(|r| eq_conds.iter().all(|c| !lbatch.column(c.lc).is_null(r)));
                     if needed {
                         hash = Some(build_hash(rt, &eq_conds, ctx)?);
                     }

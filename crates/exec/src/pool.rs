@@ -149,10 +149,23 @@ impl WorkerPool {
         E: Send,
         F: Fn(std::ops::Range<usize>) -> Result<(), E> + Sync,
     {
+        self.map_ranges(len, min_chunk, f).map(drop)
+    }
+
+    /// Map contiguous index ranges covering `0..len` over shared data,
+    /// one output per range, in range order (a column encrypted chunk
+    /// by chunk into per-chunk buffers). The first erroring range in
+    /// *range order* determines the returned error.
+    pub fn map_ranges<R, E, F>(&self, len: usize, min_chunk: usize, f: F) -> Result<Vec<R>, E>
+    where
+        R: Send,
+        E: Send,
+        F: Fn(std::ops::Range<usize>) -> Result<R, E> + Sync,
+    {
         let threads = self.plan_threads(len, min_chunk);
         let guard = self.acquire_guard(threads.saturating_sub(1));
         if guard.n == 0 {
-            return f(0..len);
+            return Ok(vec![f(0..len)?]);
         }
         let threads = guard.n + 1;
         let base = len / threads;
@@ -164,7 +177,7 @@ impl WorkerPool {
             bounds.push(start..start + size);
             start += size;
         }
-        let results: Vec<Result<(), E>> = std::thread::scope(|scope| {
+        let results: Vec<Result<R, E>> = std::thread::scope(|scope| {
             let f = &f;
             let mut iter = bounds.into_iter();
             let mine_range = iter.next().expect("at least one chunk");
@@ -180,10 +193,7 @@ impl WorkerPool {
             out
         });
         drop(guard);
-        for r in results {
-            r?;
-        }
-        Ok(())
+        results.into_iter().collect()
     }
 
     /// Map contiguous chunks of an owned row vector, re-assembling the

@@ -20,10 +20,11 @@
 
 use crate::engine::{
     decide_form_fix, fixed_cell, mix_seed, sort_agg_base, udf_layout, AggAcc, ExecCtx, ExecError,
+    Form,
 };
 use crate::eval::{cmp_values, eval, eval_pred, RowCtx};
 use crate::table::Table;
-use mpq_algebra::value::{EncValue, GroupKey};
+use mpq_algebra::value::GroupKey;
 use mpq_algebra::{AttrId, CmpOp, JoinKind, NodeId, Operator, QueryPlan, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -319,9 +320,9 @@ fn apply_crypto(
 
 /// Dominant form of column `c` over `rows`: `None` while every cell is
 /// NULL, else `Some(form)` from the first non-NULL cell.
-fn rows_col_form(rows: &[Vec<Value>], c: usize) -> Option<Option<EncValue>> {
+fn rows_col_form(rows: &[Vec<Value>], c: usize) -> Option<Form> {
     rows.iter().find(|r| !r[c].is_null()).map(|r| match &r[c] {
-        Value::Enc(e) => Some(e.clone()),
+        Value::Enc(e) => Some((e.scheme, e.key_id)),
         _ => None,
     })
 }

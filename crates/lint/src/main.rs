@@ -35,7 +35,9 @@
 //!   their output by moving columns, and a transposition that comes
 //!   back is a per-cell `Value` round trip on every tuple. The API's
 //!   home is `exec/src/table.rs` (the loader), and the row oracle
-//!   `exec/src/rowref.rs` is row-shaped on purpose.
+//!   `exec/src/rowref.rs` is row-shaped on purpose. The same detour one
+//!   column wide — `.into_values()` — stays out of `exec/src/engine.rs`:
+//!   a cipher reads a column where it lies and writes one buffer.
 //!
 //! The scan strips comments and string literals and skips
 //! `#[cfg(test)]` modules, so documentation and tests may freely
@@ -105,6 +107,12 @@ const ROW_RULE_EXEMPT: [&str; 2] = ["crates/exec/src/table.rs", "crates/exec/src
 
 /// The row-shaped `Table` API.
 const ROW_TOKENS: [&str; 3] = ["from_rows(", "to_rows(", "push_row("];
+
+/// A column taken apart into `Value`s, and the one file where an
+/// operator could be tempted to (its home, `batch.rs`, needs it to
+/// degrade).
+const CELL_TOKEN: &str = ".into_values()";
+const CELL_RULE_FILE: &str = "crates/exec/src/engine.rs";
 
 /// Tokens that break run-to-run determinism.
 const DETERMINISM_TOKENS: [&str; 5] = [
@@ -534,6 +542,17 @@ fn lint_source(rel: &Path, src: &str, findings: &mut Vec<Finding>) {
                 }
             }
         }
+        if rel == Path::new(CELL_RULE_FILE) && line.contains(CELL_TOKEN) {
+            record(
+                findings,
+                "columns-not-rows",
+                format!(
+                    "`{CELL_TOKEN}` in the engine — a per-cell `Value` detour; read the \
+                     column where it lies (slice/filter/gather/append, or a cipher's \
+                     column entry)"
+                ),
+            );
+        }
         if engine_scoped && rel != Path::new(NET_ALLOWED) {
             for t in NET_TOKENS {
                 if line.contains(t) {
@@ -760,6 +779,33 @@ mod tests {
         assert!(lines_in("crates/exec/src/table.rs").is_empty());
         assert!(lines_in("crates/exec/src/rowref.rs").is_empty());
         assert!(lines_in("crates/tpch/src/gen.rs").is_empty());
+    }
+
+    #[test]
+    fn a_column_taken_apart_in_the_engine_is_flagged() {
+        let src = "
+fn encrypt(col: ColumnVec) -> ColumnVec {
+    let vals = col.into_values();
+    ColumnVec::Val(vals)
+}
+#[cfg(test)]
+mod tests {
+    fn t(c: ColumnVec) { c.into_values(); }
+}
+";
+        let lines_in = |file: &str| {
+            let mut findings = Vec::new();
+            lint_source(Path::new(file), src, &mut findings);
+            findings
+                .iter()
+                .filter(|f| f.rule == "columns-not-rows")
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(lines_in("crates/exec/src/engine.rs"), vec![3]);
+        // `batch.rs` degrades through it; the oracle is row-shaped.
+        assert!(lines_in("crates/exec/src/batch.rs").is_empty());
+        assert!(lines_in("crates/exec/src/rowref.rs").is_empty());
     }
 
     #[test]

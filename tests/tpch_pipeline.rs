@@ -10,7 +10,7 @@
 
 use mpq::core::capability::CapabilityPolicy;
 use mpq::core::profile::profile_plan;
-use mpq::exec::{Database, SchemePlan};
+use mpq::exec::{Database, SchemePlan, Table};
 use mpq::planner::{build_scenario, optimize, Scenario, Strategy};
 use mpq::tpch::{generate, query_plan, tpch_catalog, tpch_stats, QUERY_COUNT};
 use mpq_crypto::keyring::{ClusterKey, KeyRing};
@@ -107,11 +107,7 @@ fn scenario_costs_are_monotone() {
 }
 
 /// Execute a query plan directly on plaintext data.
-fn run_plain(
-    cat: &mpq::algebra::Catalog,
-    db: &Database,
-    plan: &mpq::algebra::QueryPlan,
-) -> mpq::exec::Table {
+fn run_plain(cat: &mpq::algebra::Catalog, db: &Database, plan: &mpq::algebra::QueryPlan) -> Table {
     let ring = KeyRing::new();
     let schemes = SchemePlan::default();
     let koa = HashMap::new();
@@ -163,34 +159,49 @@ fn all_22_plans_match_the_row_oracle_under_tiny_batches() {
 }
 
 /// Queries whose optimized UAPenc plans are executed on generated data
-/// and compared row-by-row against the plaintext run. (The remaining
-/// queries exercise operators already covered here; keeping the list
-/// focused keeps the suite fast.)
-const EXEC_QUERIES: [usize; 8] = [1, 3, 4, 5, 6, 10, 12, 19];
+/// and compared row-by-row against the plaintext run: every TPC-H
+/// query but Q9, Q13, Q14, Q16 (operators already covered here) and
+/// Q7, Q21 (pinned below as refusals). Under CostDp Q8 and Q17 plan 11
+/// and 3 `Encrypt` operators; the other alias-using queries (2, 11,
+/// 15, 18, 20, 22) run in plaintext at the authorities today and pin
+/// that path should the price book ever move them.
+const EXEC_QUERIES: [usize; 16] = [1, 2, 3, 4, 5, 6, 8, 10, 11, 12, 15, 17, 18, 19, 20, 22];
 
-#[test]
-fn optimized_plans_execute_correctly_under_uapenc() {
-    let (cat, db) = generate(0.002, 20_260_609);
-    let stats = tpch_stats(&cat, 0.002);
-    let env = build_scenario(&cat, Scenario::UAPenc);
-    for q in EXEC_QUERIES {
-        let plan = query_plan(&cat, q);
-        let reference = run_plain(&cat, &db, &plan);
+/// The data every execution test runs on.
+struct World {
+    cat: mpq::algebra::Catalog,
+    db: Database,
+    stats: mpq::algebra::stats::StatsCatalog,
+    env: mpq::planner::ScenarioEnv,
+}
 
-        let opt = optimize(
-            &plan,
-            &cat,
-            &stats,
-            &env,
-            &CapabilityPolicy::tpch_evaluation(),
-            Strategy::CostDp,
-        )
-        .unwrap_or_else(|e| panic!("Q{q}: {e}"));
+impl World {
+    fn new() -> World {
+        let (cat, db) = generate(0.002, 20_260_609);
+        let stats = tpch_stats(&cat, 0.002);
+        let env = build_scenario(&cat, Scenario::UAPenc);
+        World {
+            cat,
+            db,
+            stats,
+            env,
+        }
+    }
 
-        // Build the key material for the extended plan and rewrite
-        // encrypted-literal comparisons, then execute centrally with a
-        // ring holding every key (correctness check; the distributed
-        // simulator enforces key separation separately).
+    /// Optimize Q`q` under UAPenc, build the key material for the
+    /// extended plan, rewrite encrypted-literal comparisons and execute
+    /// centrally with a ring holding every key (correctness check; the
+    /// distributed runtime enforces key separation separately). The
+    /// plaintext reference and the result — or the stage that refused,
+    /// with its error.
+    fn run_encrypted(&self, q: usize) -> Result<(Table, Table), String> {
+        let (cat, db) = (&self.cat, &self.db);
+        let plan = query_plan(cat, q);
+        let reference = run_plain(cat, db, &plan);
+        let capabilities = CapabilityPolicy::tpch_evaluation();
+        let strategy = Strategy::CostDp;
+        let opt = optimize(&plan, cat, &self.stats, &self.env, &capabilities, strategy)
+            .map_err(|e| format!("optimize: {e}"))?;
         let mut rng = StdRng::seed_from_u64(q as u64);
         let ring = KeyRing::new();
         let mut koa: HashMap<mpq::algebra::AttrId, u32> = HashMap::new();
@@ -200,19 +211,24 @@ fn optimized_plans_execute_correctly_under_uapenc() {
                 koa.insert(a, k.id);
             }
         }
-        let prepared = mpq::exec::rewrite_literals(
-            &opt.extended.plan,
-            &cat,
-            &opt.schemes,
-            &koa,
-            &ring,
-            &mut rng,
-        )
-        .unwrap_or_else(|e| panic!("Q{q} literal rewriting: {e}"));
-        let ctx = mpq::exec::engine::ExecCtx::new(&cat, &db, &ring, &opt.schemes, &koa);
-        let result = mpq::exec::execute(&prepared, &ctx)
-            .unwrap_or_else(|e| panic!("Q{q} encrypted execution: {e}"));
+        let extended = &opt.extended.plan;
+        let prepared =
+            mpq::exec::rewrite_literals(extended, cat, &opt.schemes, &koa, &ring, &mut rng)
+                .map_err(|e| format!("literal rewriting: {e}"))?;
+        let ctx = mpq::exec::engine::ExecCtx::new(cat, db, &ring, &opt.schemes, &koa);
+        let result =
+            mpq::exec::execute(&prepared, &ctx).map_err(|e| format!("encrypted execution: {e}"))?;
+        Ok((reference, result))
+    }
+}
 
+#[test]
+fn optimized_plans_execute_correctly_under_uapenc() {
+    let world = World::new();
+    for q in EXEC_QUERIES {
+        let (reference, result) = world
+            .run_encrypted(q)
+            .unwrap_or_else(|e| panic!("Q{q} {e}"));
         assert_eq!(
             reference.len(),
             result.len(),
@@ -234,6 +250,26 @@ fn optimized_plans_execute_correctly_under_uapenc() {
                 assert!(ok, "Q{q} row {i}: {x:?} vs {y:?}");
             }
         }
+    }
+}
+
+/// A known defect, pinned so that fixing it has to edit this test
+/// (ROADMAP item 4): `assign_schemes` gives OPE to a *string* attribute
+/// an ordering reaches, which no OPE cell can carry. Optimizer and
+/// verifier accept both plans; the refusal is typed, but it comes late
+/// — Q7 when its literals are rewritten, Q21 only once rows flow.
+#[test]
+fn ope_over_a_string_attribute_is_refused_late_but_typed() {
+    let world = World::new();
+    let ope_over_strings = "scheme cannot encrypt strings/bools under OPE";
+    for (q, refusal) in [
+        (7, format!("literal rewriting: {ope_over_strings}")),
+        (
+            21,
+            format!("encrypted execution: crypto error: {ope_over_strings}"),
+        ),
+    ] {
+        assert_eq!(world.run_encrypted(q).err(), Some(refusal), "Q{q}");
     }
 }
 
