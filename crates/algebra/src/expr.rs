@@ -32,8 +32,7 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    /// `true` for `=`; equality predicates can run on deterministically
-    /// encrypted data, the others need order (OPE) or plaintext.
+    /// `true` for `=`.
     pub fn is_equality(self) -> bool {
         matches!(self, CmpOp::Eq)
     }
@@ -225,6 +224,29 @@ impl Expr {
         Expr::Arith(Box::new(a), op, Box::new(b))
     }
 
+    /// The direct sub-expressions, left to right. The one generic walk
+    /// over an expression: [`Expr::attrs`] folds over it, and so does
+    /// every other traversal that is not specific to a variant.
+    pub fn children(&self) -> Vec<&Expr> {
+        match self {
+            Expr::Col(_) | Expr::AggRef(_) | Expr::Lit(_) => vec![],
+            Expr::Cmp(a, _, b) | Expr::Arith(a, _, b) => vec![a, b],
+            Expr::And(v) | Expr::Or(v) => v.iter().collect(),
+            Expr::Not(e)
+            | Expr::Like { expr: e, .. }
+            | Expr::InList { expr: e, .. }
+            | Expr::IsNull { expr: e, .. }
+            | Expr::Extract { expr: e, .. }
+            | Expr::Substring { expr: e, .. } => vec![e],
+            Expr::Between { expr, lo, hi, .. } => vec![expr, lo, hi],
+            Expr::Case { branches, else_ } => branches
+                .iter()
+                .flat_map(|(c, v)| [c, v])
+                .chain(else_.as_deref())
+                .collect(),
+        }
+    }
+
     /// All attributes referenced anywhere in the expression.
     pub fn attrs(&self) -> AttrSet {
         let mut s = AttrSet::new();
@@ -233,40 +255,11 @@ impl Expr {
     }
 
     fn collect_attrs(&self, out: &mut AttrSet) {
-        match self {
-            Expr::Col(a) => {
-                out.insert(*a);
-            }
-            Expr::AggRef(_) | Expr::Lit(_) => {}
-            Expr::Cmp(a, _, b) | Expr::Arith(a, _, b) => {
-                a.collect_attrs(out);
-                b.collect_attrs(out);
-            }
-            Expr::And(v) | Expr::Or(v) => {
-                for e in v {
-                    e.collect_attrs(out);
-                }
-            }
-            Expr::Not(e)
-            | Expr::Like { expr: e, .. }
-            | Expr::InList { expr: e, .. }
-            | Expr::IsNull { expr: e, .. }
-            | Expr::Extract { expr: e, .. }
-            | Expr::Substring { expr: e, .. } => e.collect_attrs(out),
-            Expr::Between { expr, lo, hi, .. } => {
-                expr.collect_attrs(out);
-                lo.collect_attrs(out);
-                hi.collect_attrs(out);
-            }
-            Expr::Case { branches, else_ } => {
-                for (c, v) in branches {
-                    c.collect_attrs(out);
-                    v.collect_attrs(out);
-                }
-                if let Some(e) = else_ {
-                    e.collect_attrs(out);
-                }
-            }
+        if let Expr::Col(a) = self {
+            out.insert(*a);
+        }
+        for e in self.children() {
+            e.collect_attrs(out);
         }
     }
 
@@ -333,72 +326,6 @@ impl Expr {
             // Everything else references attributes against constants
             // (LIKE/BETWEEN/IN/IS NULL) or computes over them.
             other => consts.union_with(&other.attrs()),
-        }
-    }
-
-    /// Attributes whose *plaintext* the default capability policy needs
-    /// to evaluate this expression, assuming deterministic encryption
-    /// supports equality, OPE supports ordering, and nothing supports
-    /// string matching, extraction, or scalar arithmetic.
-    ///
-    /// This implements the paper's `A_p` ("attributes that must be in
-    /// plaintext for the execution of `n`") for the common case; the
-    /// optimizer can override it per node.
-    pub fn plaintext_required(&self, allow_ope: bool) -> AttrSet {
-        let mut out = AttrSet::new();
-        self.plaintext_req_inner(allow_ope, &mut out);
-        out
-    }
-
-    fn plaintext_req_inner(&self, allow_ope: bool, out: &mut AttrSet) {
-        match self {
-            Expr::Col(_) | Expr::AggRef(_) | Expr::Lit(_) => {}
-            Expr::Cmp(a, op, b) => {
-                let simple = matches!(
-                    (a.as_ref(), b.as_ref()),
-                    (Expr::Col(_), Expr::Col(_))
-                        | (Expr::Col(_), Expr::Lit(_))
-                        | (Expr::Lit(_), Expr::Col(_))
-                        | (Expr::AggRef(_), Expr::Lit(_))
-                        | (Expr::Lit(_), Expr::AggRef(_))
-                );
-                if simple {
-                    let supported = op.is_equality() || allow_ope;
-                    if !supported {
-                        out.union_with(&a.attrs());
-                        out.union_with(&b.attrs());
-                    }
-                } else {
-                    // Arithmetic inside a comparison needs plaintext.
-                    out.union_with(&a.attrs());
-                    out.union_with(&b.attrs());
-                }
-            }
-            Expr::And(v) | Expr::Or(v) => {
-                for e in v {
-                    e.plaintext_req_inner(allow_ope, out);
-                }
-            }
-            Expr::Not(e) => e.plaintext_req_inner(allow_ope, out),
-            Expr::Between { expr, lo, hi, .. } => {
-                if !allow_ope {
-                    out.union_with(&expr.attrs());
-                }
-                out.union_with(&lo.attrs());
-                out.union_with(&hi.attrs());
-            }
-            Expr::InList { expr, .. } => {
-                // IN over literals is a disjunction of equalities:
-                // deterministic encryption suffices, unless the operand
-                // is computed.
-                if !matches!(expr.as_ref(), Expr::Col(_)) {
-                    out.union_with(&expr.attrs());
-                }
-            }
-            Expr::IsNull { .. } => {}
-            // String matching, date extraction, substring, arithmetic
-            // and CASE all require plaintext operands.
-            other => out.union_with(&other.attrs()),
         }
     }
 }
@@ -493,29 +420,6 @@ pub enum AggFunc {
     Min,
     /// `max(expr)`.
     Max,
-}
-
-impl AggFunc {
-    /// Whether this aggregate can run over ciphertexts of some scheme:
-    /// SUM/AVG via Paillier, MIN/MAX via OPE, COUNT always.
-    pub fn encrypted_capable(self) -> bool {
-        true // every aggregate has an encrypted realization given the right scheme
-    }
-
-    /// Plaintext needed for the aggregate *input* under the default
-    /// capability policy.
-    pub fn input_plaintext_required(
-        self,
-        input_is_simple_col: bool,
-        allow_homomorphic: bool,
-        allow_ope: bool,
-    ) -> bool {
-        match self {
-            AggFunc::Count | AggFunc::CountDistinct => false,
-            AggFunc::Sum | AggFunc::Avg => !(input_is_simple_col && allow_homomorphic),
-            AggFunc::Min | AggFunc::Max => !(input_is_simple_col && allow_ope),
-        }
-    }
 }
 
 impl fmt::Display for AggFunc {
@@ -627,41 +531,6 @@ mod tests {
             e.const_compared_attrs(),
             AttrSet::from_iter([a(0), a(1), a(2)])
         );
-    }
-
-    #[test]
-    fn plaintext_required_policy() {
-        // Equality on a column: never needs plaintext.
-        let eq = Expr::col_eq(a(0), Value::Int(1));
-        assert!(eq.plaintext_required(true).is_empty());
-        assert!(eq.plaintext_required(false).is_empty());
-        // Range on a column: OPE-capable, otherwise plaintext.
-        let rng = Expr::cmp(Expr::Col(a(0)), CmpOp::Gt, Expr::Lit(Value::Int(1)));
-        assert!(rng.plaintext_required(true).is_empty());
-        assert_eq!(rng.plaintext_required(false), AttrSet::singleton(a(0)));
-        // LIKE always needs plaintext.
-        let like = Expr::Like {
-            expr: Box::new(Expr::Col(a(3))),
-            pattern: "%BRASS".into(),
-            negated: false,
-        };
-        assert_eq!(like.plaintext_required(true), AttrSet::singleton(a(3)));
-        // BETWEEN is a range.
-        let btw = Expr::Between {
-            expr: Box::new(Expr::Col(a(1))),
-            lo: Box::new(Expr::Lit(Value::Int(0))),
-            hi: Box::new(Expr::Lit(Value::Int(9))),
-            negated: false,
-        };
-        assert!(btw.plaintext_required(true).is_empty());
-        assert_eq!(btw.plaintext_required(false), AttrSet::singleton(a(1)));
-        // IN over a column is equality-like.
-        let inl = Expr::InList {
-            expr: Box::new(Expr::Col(a(2))),
-            list: vec![Value::Int(1), Value::Int(2)],
-            negated: false,
-        };
-        assert!(inl.plaintext_required(false).is_empty());
     }
 
     #[test]

@@ -274,18 +274,6 @@ impl QueryPlan {
         p
     }
 
-    /// Ancestors of `id` from its parent up to the root.
-    pub fn ancestors(&self, id: NodeId) -> Vec<NodeId> {
-        let parents = self.parents();
-        let mut out = Vec::new();
-        let mut cur = parents[id.index()];
-        while let Some(p) = cur {
-            out.push(p);
-            cur = parents[p.index()];
-        }
-        out
-    }
-
     /// Splice a new single-child operator onto the edge above `child`:
     /// the new node adopts `child`, and whatever referenced `child`
     /// (its parent, or the root slot) now references the new node.

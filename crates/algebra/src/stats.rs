@@ -245,11 +245,6 @@ impl StatsCatalog {
         self.tables.get(&rel)
     }
 
-    /// Mutable table statistics, if registered.
-    pub fn table_mut(&mut self, rel: RelId) -> Option<&mut TableStats> {
-        self.tables.get_mut(&rel)
-    }
-
     /// Column statistics, if registered.
     pub fn column(&self, rel: RelId, attr: AttrId) -> Option<&ColumnStats> {
         self.tables.get(&rel).and_then(|t| t.columns.get(&attr))

@@ -79,11 +79,6 @@ impl EncScheme {
     pub fn supports_order(self) -> bool {
         matches!(self, EncScheme::Ope)
     }
-
-    /// `true` if ciphertexts can be summed without decryption.
-    pub fn supports_sum(self) -> bool {
-        matches!(self, EncScheme::Paillier)
-    }
 }
 
 /// An encrypted cell: ciphertext bytes plus the metadata needed to
@@ -331,14 +326,6 @@ impl Value {
     pub fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// Boolean view; `None` for other types.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }

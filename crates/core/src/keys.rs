@@ -70,14 +70,6 @@ impl KeyPlan {
         self.keys.iter().find(|k| k.attrs.contains(a))
     }
 
-    /// The keys a subject holds.
-    pub fn held_by(&self, s: SubjectId) -> Vec<&PlanKey> {
-        self.keys
-            .iter()
-            .filter(|k| k.holders.contains(&s))
-            .collect()
-    }
-
     /// Render as `k{attrs} → holders` lines (paper style).
     pub fn display(&self, catalog: &Catalog, subjects: &crate::subjects::Subjects) -> String {
         let mut out = String::new();

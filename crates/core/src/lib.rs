@@ -14,8 +14,9 @@
 //! * [`profile`] — relation profiles
 //!   `[R^vp, R^ve, R^ip, R^ie, R^≃]` and their propagation through
 //!   every operator (§3, Fig. 2, Theorem 3.1);
-//! * [`capability`] — the `A_p` plaintext-requirement analysis standing
-//!   in for the optimizer's per-node operation requirements (§5);
+//! * [`capability`] — what runs on ciphertext: the one operation →
+//!   capability table behind `A_p` (§5), the per-attribute scheme
+//!   choice (§6) and the optimizer's encryption pricing;
 //! * [`candidates`](mod@candidates) — minimum required views (Def. 5.2) and the
 //!   candidate assignment function Λ (Def. 5.3, Theorems 5.1–5.2);
 //! * [`extend`] — minimally extended authorized query plans

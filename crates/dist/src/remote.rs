@@ -60,7 +60,7 @@ use crate::error::SimError;
 use crate::fault::{FaultPlan, RetryPolicy};
 use crate::party::{Party, PartyOut};
 use crate::runtime::{drive, Msg, Outcome, PartyMsg};
-use crate::session::{store_of, Dispatched, Dispatcher, Holders, SessionConfig};
+use crate::session::{Dispatched, Dispatcher, Holders, SessionConfig};
 use crate::transport::{
     Control, EdgeRecovery, FaultState, TcpHub, TcpTransport, Transport, TransportError, Wire,
     WireOp, WireStats,
@@ -608,7 +608,7 @@ impl Coordinator {
             view: views[user.index()].clone(),
             rsa,
             ring: KeyRing::new(),
-            store: store_of(&catalog, subjects, db, user),
+            store: db.partition(|rel| subjects.authority(rel) == Some(user)),
             pool: config.pool(),
         };
         let timeout = config

@@ -469,24 +469,6 @@ impl Dispatcher {
     }
 }
 
-/// The partition of `db` subject `me` is the data authority of.
-pub(crate) fn store_of(
-    catalog: &Catalog,
-    subjects: &Subjects,
-    db: &Database,
-    me: SubjectId,
-) -> Database {
-    let mut store = Database::new();
-    for rel in catalog.relations() {
-        if let (Some(owner), Some(table)) = (subjects.authority(rel.rel), db.table(rel.rel)) {
-            if owner == me {
-                store.insert(rel.rel, table.clone());
-            }
-        }
-    }
-    store
-}
-
 /// The thread-free part of opening a session: one party per registered
 /// subject (RSA identities drawn from the seed in subject order) and
 /// the dispatcher that continues the same seeded stream.
@@ -510,7 +492,7 @@ pub(crate) fn set_up(
                 view: views[me.index()].clone(),
                 rsa: RsaKeypair::generate(&mut rng, RSA_BITS),
                 ring: KeyRing::new(),
-                store: store_of(&catalog, subjects, db, me),
+                store: db.partition(|rel| subjects.authority(rel) == Some(me)),
                 pool: pool.clone(),
             })
         })
@@ -792,12 +774,6 @@ impl Session {
             party.ring.revoke(id);
         }
         self.dispatcher.cache.retain(|_, c| c.material.id != id);
-    }
-
-    /// The RSA public key of a subject (for tests probing the envelope
-    /// layer).
-    pub fn public_key_of(&self, s: SubjectId) -> RsaPublic {
-        self.parties[s.index()].rsa.public.clone()
     }
 
     /// `true` if `s` currently holds the full cluster key `id`.

@@ -708,18 +708,17 @@ fn selection_mask(
     agg_base: Option<usize>,
     ctx: &ExecCtx<'_>,
 ) -> Result<Vec<bool>, ExecError> {
-    let mut mask = vec![false; batch.len()];
     let attrs = schema.attrs();
     let cols = batch.columns();
-    ctx.pool
-        .for_each_chunk_mut(&mut mask, MIN_CHUNK_ROWS, |start, chunk| {
-            for (off, keep) in chunk.iter_mut().enumerate() {
-                let rc = RowCtx::batch(attrs, cols, start + off).with_agg_base(agg_base);
-                *keep = eval_pred(pred, &rc)? == Some(true);
-            }
-            Ok::<(), ExecError>(())
-        })?;
-    Ok(mask)
+    let chunks = ctx.pool.map_ranges(batch.len(), MIN_CHUNK_ROWS, |range| {
+        let mut mask = Vec::with_capacity(range.len());
+        for row in range {
+            let rc = RowCtx::batch(attrs, cols, row).with_agg_base(agg_base);
+            mask.push(eval_pred(pred, &rc)? == Some(true));
+        }
+        Ok::<_, ExecError>(mask)
+    })?;
+    Ok(chunks.concat())
 }
 
 /// Evaluate `pred` over every row of `batch` in parallel chunks and
@@ -1134,26 +1133,28 @@ fn apply_crypto_plan(
             // tuples so one RNG serves all of a row's cells, as the
             // row-at-a-time engine did. `run` is the chunk's own
             // encryptor, so no state crosses chunks or threads.
-            let n = cols[idxs[0]].len();
-            let mut tuples: Vec<Vec<Value>> = (0..n)
-                .map(|r| idxs.iter().map(|&i| cols[i].get(r)).collect())
-                .collect();
-            pool.for_each_chunk_mut(&mut tuples, plan.min_chunk, |start, chunk| {
+            let shared = &*cols;
+            let chunks = pool.map_ranges(shared[idxs[0]].len(), plan.min_chunk, |range| {
                 let mut run = plan.cipher.encryptor();
-                for (off, tuple) in chunk.iter_mut().enumerate() {
-                    let mut rng =
-                        StdRng::seed_from_u64(mix_seed(plan.attr_seed, offsets.at(start + off)));
-                    for cell in tuple.iter_mut() {
-                        *cell = if encrypt {
-                            run.encrypt(&mut rng, cell)
-                        } else {
-                            plan.cipher.decrypt(cell)
-                        }
-                        .map_err(crypto_error)?;
-                    }
-                }
-                Ok::<(), ExecError>(())
+                range
+                    .map(|r| {
+                        let mut rng =
+                            StdRng::seed_from_u64(mix_seed(plan.attr_seed, offsets.at(r)));
+                        idxs.iter()
+                            .map(|&i| {
+                                let cell = shared[i].get(r);
+                                if encrypt {
+                                    run.encrypt(&mut rng, &cell)
+                                } else {
+                                    plan.cipher.decrypt(&cell)
+                                }
+                                .map_err(crypto_error)
+                            })
+                            .collect::<Result<Vec<Value>, ExecError>>()
+                    })
+                    .collect::<Result<Vec<_>, ExecError>>()
             })?;
+            let tuples: Vec<Vec<Value>> = chunks.into_iter().flatten().collect();
             for (k, &i) in idxs.iter().enumerate() {
                 cols[i] = tuples.iter().map(|t| t[k].clone()).collect();
             }
@@ -1410,34 +1411,31 @@ fn build_hash(
     eq_conds: &[&JoinCond],
     ctx: &ExecCtx<'_>,
 ) -> Result<HashMap<Vec<GroupKey>, Vec<usize>>, ExecError> {
-    let keys: Vec<Option<Vec<GroupKey>>> =
-        ctx.pool
-            .map_chunks((0..rt.len()).collect(), MIN_CHUNK_ROWS, |_, chunk| {
-                let mut rng = StdRng::seed_from_u64(0);
-                chunk
-                    .into_iter()
-                    .map(|ri| {
-                        let key: Vec<GroupKey> = eq_conds
-                            .iter()
-                            .map(|c| {
-                                Ok(GroupKey(fixed_cell(
-                                    rt.value(c.rc, ri),
-                                    c.rfix(),
-                                    &mut rng,
-                                )?))
-                            })
-                            .collect::<Result<_, ExecError>>()?;
-                        // SQL semantics: NULL join keys never match.
-                        Ok(if key.iter().any(|k| k.0.is_null()) {
-                            None
-                        } else {
-                            Some(key)
-                        })
+    let chunks = ctx.pool.map_ranges(rt.len(), MIN_CHUNK_ROWS, |range| {
+        let mut rng = StdRng::seed_from_u64(0);
+        range
+            .map(|ri| {
+                let key: Vec<GroupKey> = eq_conds
+                    .iter()
+                    .map(|c| {
+                        Ok(GroupKey(fixed_cell(
+                            rt.value(c.rc, ri),
+                            c.rfix(),
+                            &mut rng,
+                        )?))
                     })
-                    .collect::<Result<_, ExecError>>()
-            })?;
+                    .collect::<Result<_, ExecError>>()?;
+                // SQL semantics: NULL join keys never match.
+                Ok(if key.iter().any(|k| k.0.is_null()) {
+                    None
+                } else {
+                    Some(key)
+                })
+            })
+            .collect::<Result<Vec<Option<Vec<GroupKey>>>, ExecError>>()
+    })?;
     let mut hash: HashMap<Vec<GroupKey>, Vec<usize>> = HashMap::new();
-    for (ri, key) in keys.into_iter().enumerate() {
+    for (ri, key) in chunks.into_iter().flatten().enumerate() {
         if let Some(key) = key {
             hash.entry(key).or_default().push(ri);
         }
@@ -1464,73 +1462,73 @@ fn probe_batch(
     combined_attrs: &[AttrId],
     ctx: &ExecCtx<'_>,
 ) -> Result<Vec<(usize, Option<usize>)>, ExecError> {
-    ctx.pool
-        .map_chunks((0..lbatch.len()).collect(), MIN_CHUNK_ROWS, |_, chunk| {
-            let mut rng = StdRng::seed_from_u64(0);
-            let mut out = Vec::with_capacity(chunk.len());
-            for li in chunk {
-                let mut matched = false;
-                let candidates: Box<dyn Iterator<Item = usize>> = if eq_conds.is_empty() {
-                    Box::new(0..rt.len())
+    let chunks = ctx.pool.map_ranges(lbatch.len(), MIN_CHUNK_ROWS, |range| {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut out = Vec::with_capacity(range.len());
+        for li in range {
+            let mut matched = false;
+            let candidates: Box<dyn Iterator<Item = usize>> = if eq_conds.is_empty() {
+                Box::new(0..rt.len())
+            } else {
+                let key: Vec<GroupKey> = eq_conds
+                    .iter()
+                    .map(|c| {
+                        Ok(GroupKey(fixed_cell(
+                            lbatch.value(c.lc, li),
+                            c.lfix(),
+                            &mut rng,
+                        )?))
+                    })
+                    .collect::<Result<_, ExecError>>()?;
+                if key.iter().any(|k| k.0.is_null()) {
+                    Box::new(std::iter::empty())
                 } else {
-                    let key: Vec<GroupKey> = eq_conds
-                        .iter()
-                        .map(|c| {
-                            Ok(GroupKey(fixed_cell(
-                                lbatch.value(c.lc, li),
-                                c.lfix(),
-                                &mut rng,
-                            )?))
-                        })
-                        .collect::<Result<_, ExecError>>()?;
-                    if key.iter().any(|k| k.0.is_null()) {
-                        Box::new(std::iter::empty())
-                    } else {
-                        match hash.and_then(|h| h.get(&key)) {
-                            Some(v) => Box::new(v.iter().copied()),
-                            None => Box::new(std::iter::empty()),
-                        }
-                    }
-                };
-                for ri in candidates {
-                    // Non-equality join conditions.
-                    let mut ok = true;
-                    for c in other_conds {
-                        let lv = fixed_cell(lbatch.value(c.lc, li), c.lfix(), &mut rng)?;
-                        let rv = fixed_cell(rt.value(c.rc, ri), c.rfix(), &mut rng)?;
-                        if cmp_values(&lv, c.op, &rv)? != Some(true) {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    if ok {
-                        if let Some(resid) = residual {
-                            let mut combined = lbatch.row(li);
-                            combined.extend(rt.row(ri));
-                            ok = eval_pred(resid, &RowCtx::plain(combined_attrs, &combined))?
-                                == Some(true);
-                        }
-                    }
-                    if !ok {
-                        continue;
-                    }
-                    matched = true;
-                    match kind {
-                        JoinKind::Inner | JoinKind::LeftOuter => out.push((li, Some(ri))),
-                        JoinKind::Semi | JoinKind::Anti => break,
+                    match hash.and_then(|h| h.get(&key)) {
+                        Some(v) => Box::new(v.iter().copied()),
+                        None => Box::new(std::iter::empty()),
                     }
                 }
-                let emit_left = match kind {
-                    JoinKind::Inner => false,
-                    JoinKind::LeftOuter | JoinKind::Anti => !matched,
-                    JoinKind::Semi => matched,
-                };
-                if emit_left {
-                    out.push((li, None));
+            };
+            for ri in candidates {
+                // Non-equality join conditions.
+                let mut ok = true;
+                for c in other_conds {
+                    let lv = fixed_cell(lbatch.value(c.lc, li), c.lfix(), &mut rng)?;
+                    let rv = fixed_cell(rt.value(c.rc, ri), c.rfix(), &mut rng)?;
+                    if cmp_values(&lv, c.op, &rv)? != Some(true) {
+                        ok = false;
+                        break;
+                    }
+                }
+                if ok {
+                    if let Some(resid) = residual {
+                        let mut combined = lbatch.row(li);
+                        combined.extend(rt.row(ri));
+                        ok = eval_pred(resid, &RowCtx::plain(combined_attrs, &combined))?
+                            == Some(true);
+                    }
+                }
+                if !ok {
+                    continue;
+                }
+                matched = true;
+                match kind {
+                    JoinKind::Inner | JoinKind::LeftOuter => out.push((li, Some(ri))),
+                    JoinKind::Semi | JoinKind::Anti => break,
                 }
             }
-            Ok::<_, ExecError>(out)
-        })
+            let emit_left = match kind {
+                JoinKind::Inner => false,
+                JoinKind::LeftOuter | JoinKind::Anti => !matched,
+                JoinKind::Semi => matched,
+            };
+            if emit_left {
+                out.push((li, None));
+            }
+        }
+        Ok::<_, ExecError>(out)
+    })?;
+    Ok(chunks.concat())
 }
 
 // ---------------------------------------------------------------------------

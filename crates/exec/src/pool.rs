@@ -140,10 +140,8 @@ impl WorkerPool {
         self.target.min(max_by_size).max(1)
     }
 
-    /// Run `f` over contiguous index ranges covering `0..len` — the
-    /// read-only counterpart of [`WorkerPool::for_each_chunk_mut`] for
-    /// scans over shared data. Chunk order and error selection match
-    /// a sequential left-to-right scan.
+    /// Run `f` over contiguous index ranges covering `0..len`:
+    /// [`WorkerPool::map_ranges`] without outputs.
     pub fn for_each_chunk<E, F>(&self, len: usize, min_chunk: usize, f: F) -> Result<(), E>
     where
         E: Send,
@@ -153,9 +151,12 @@ impl WorkerPool {
     }
 
     /// Map contiguous index ranges covering `0..len` over shared data,
-    /// one output per range, in range order (a column encrypted chunk
-    /// by chunk into per-chunk buffers). The first erroring range in
-    /// *range order* determines the returned error.
+    /// one output per range, in range order — the pool's one splitter
+    /// (a column encrypted chunk by chunk into per-chunk buffers, a
+    /// predicate evaluated into per-chunk masks; callers concatenate).
+    /// The first erroring range in *range order* — not completion
+    /// order — determines the returned error, matching what a
+    /// sequential left-to-right scan would report.
     pub fn map_ranges<R, E, F>(&self, len: usize, min_chunk: usize, f: F) -> Result<Vec<R>, E>
     where
         R: Send,
@@ -195,118 +196,6 @@ impl WorkerPool {
         drop(guard);
         results.into_iter().collect()
     }
-
-    /// Map contiguous chunks of an owned row vector, re-assembling the
-    /// chunk outputs in order. `f` receives the chunk's starting index
-    /// in the original vector (for index-derived seeding) and returns
-    /// the chunk's output rows; the first erroring chunk — in *chunk
-    /// order*, not completion order — determines the returned error,
-    /// matching what a sequential scan would report.
-    pub fn map_chunks<T, R, E, F>(&self, items: Vec<T>, min_chunk: usize, f: F) -> Result<Vec<R>, E>
-    where
-        T: Send,
-        R: Send,
-        E: Send,
-        F: Fn(usize, Vec<T>) -> Result<Vec<R>, E> + Sync,
-    {
-        let len = items.len();
-        let threads = self.plan_threads(len, min_chunk);
-        let guard = self.acquire_guard(threads.saturating_sub(1));
-        if guard.n == 0 {
-            return f(0, items);
-        }
-        let threads = guard.n + 1;
-        // Split into `threads` nearly equal chunks, largest first.
-        let base = len / threads;
-        let rem = len % threads;
-        let mut rest = items;
-        let mut tail_chunks: Vec<(usize, Vec<T>)> = Vec::with_capacity(threads - 1);
-        let mut end = len;
-        for t in (1..threads).rev() {
-            let size = base + usize::from(t < rem);
-            let start = end - size;
-            tail_chunks.push((start, rest.split_off(start)));
-            end = start;
-        }
-        let results: Vec<Result<Vec<R>, E>> = std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> = tail_chunks
-                .into_iter()
-                .map(|(start, chunk)| scope.spawn(move || f(start, chunk)))
-                .collect();
-            let mine = f(0, rest);
-            let mut out = Vec::with_capacity(handles.len() + 1);
-            // Spawned chunks were peeled off back-to-front; reverse to
-            // recover ascending chunk order after the caller's chunk 0.
-            let mut spawned: Vec<Result<Vec<R>, E>> = handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect();
-            spawned.reverse();
-            out.push(mine);
-            out.extend(spawned);
-            out
-        });
-        drop(guard);
-        let mut merged = Vec::with_capacity(len);
-        for r in results {
-            merged.extend(r?);
-        }
-        Ok(merged)
-    }
-
-    /// Run `f` over contiguous mutable chunks of `items`. Chunk
-    /// assembly and error selection follow [`WorkerPool::map_chunks`].
-    pub fn for_each_chunk_mut<T, E, F>(
-        &self,
-        items: &mut [T],
-        min_chunk: usize,
-        f: F,
-    ) -> Result<(), E>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize, &mut [T]) -> Result<(), E> + Sync,
-    {
-        let len = items.len();
-        let threads = self.plan_threads(len, min_chunk);
-        let guard = self.acquire_guard(threads.saturating_sub(1));
-        if guard.n == 0 {
-            return f(0, items);
-        }
-        let threads = guard.n + 1;
-        let base = len / threads;
-        let rem = len % threads;
-        let results: Vec<Result<(), E>> = std::thread::scope(|scope| {
-            let f = &f;
-            let mut handles = Vec::with_capacity(threads - 1);
-            let first_size = base + usize::from(rem > 0);
-            let (first, mut tail) = items.split_at_mut(first_size);
-            let mut start = first_size;
-            for t in 1..threads {
-                let size = base + usize::from(t < rem);
-                let (chunk, rest) = std::mem::take(&mut tail).split_at_mut(size);
-                tail = rest;
-                let chunk_start = start;
-                handles.push(scope.spawn(move || f(chunk_start, chunk)));
-                start += size;
-            }
-            let mine = f(0, first);
-            let mut out = Vec::with_capacity(threads);
-            out.push(mine);
-            out.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker thread panicked")),
-            );
-            out
-        });
-        drop(guard);
-        for r in results {
-            r?;
-        }
-        Ok(())
-    }
 }
 
 /// Extra-thread permits held by one parallel region, returned to the
@@ -326,72 +215,64 @@ impl Drop for PermitGuard<'_> {
 mod tests {
     use super::*;
 
+    /// `map_ranges` as callers use it: per-range outputs concatenated.
+    fn map_rows<R: Send + Clone, E: Send>(
+        pool: &WorkerPool,
+        len: usize,
+        min_chunk: usize,
+        f: impl Fn(usize) -> Result<Option<R>, E> + Sync,
+    ) -> Result<Vec<R>, E> {
+        let chunks = pool.map_ranges(len, min_chunk, |range| {
+            let mut out = Vec::new();
+            for i in range {
+                out.extend(f(i)?);
+            }
+            Ok(out)
+        })?;
+        Ok(chunks.concat())
+    }
+
     #[test]
-    fn map_chunks_preserves_order_for_any_worker_count() {
-        let items: Vec<u64> = (0..1000).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * 3).collect();
+    fn map_ranges_preserves_order_for_any_worker_count() {
+        let expect: Vec<usize> = (0..1000).map(|x| x * 3).collect();
         for workers in [1, 2, 3, 7] {
             let pool = WorkerPool::new(workers);
-            let out: Result<Vec<u64>, ()> = pool.map_chunks(items.clone(), 1, |start, chunk| {
-                // The chunk's starting offset must line up with the
-                // items it received.
-                assert_eq!(chunk.first().copied(), Some(start as u64));
-                Ok(chunk.into_iter().map(|x| x * 3).collect())
-            });
+            let out = map_rows(&pool, 1000, 1, |i| Ok::<_, ()>(Some(i * 3)));
             assert_eq!(out.unwrap(), expect, "workers = {workers}");
+            // The ranges themselves are contiguous and ascending.
+            let ranges = pool.map_ranges(1000, 1, Ok::<_, ()>).unwrap();
+            assert_eq!(ranges.len(), workers);
+            assert_eq!(ranges[0].start, 0);
+            assert_eq!(ranges[workers - 1].end, 1000);
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
         }
     }
 
     #[test]
-    fn map_chunks_filters_and_errors_deterministically() {
-        let items: Vec<u64> = (0..500).collect();
+    fn map_ranges_filters_and_errors_deterministically() {
         let pool = WorkerPool::new(4);
         // Filtering chunk-locally concatenates in order.
-        let evens: Vec<u64> = pool
-            .map_chunks(items.clone(), 1, |_, chunk| {
-                Ok::<_, ()>(chunk.into_iter().filter(|x| x % 2 == 0).collect())
-            })
-            .unwrap();
+        let evens = map_rows(&pool, 500, 1, |i| Ok::<_, ()>((i % 2 == 0).then_some(i))).unwrap();
         assert_eq!(evens, (0..500).filter(|x| x % 2 == 0).collect::<Vec<_>>());
         // The lowest erroring row wins regardless of which worker hits
         // it first.
-        let err = pool
-            .map_chunks(items, 1, |_, chunk| {
-                for x in &chunk {
-                    if x % 100 == 99 {
-                        return Err(*x);
-                    }
-                }
-                Ok::<Vec<u64>, u64>(chunk)
-            })
-            .unwrap_err();
-        assert_eq!(err, 99);
-    }
-
-    #[test]
-    fn for_each_chunk_mut_covers_every_item_once() {
-        let mut items: Vec<u64> = vec![0; 777];
-        let pool = WorkerPool::new(3);
-        pool.for_each_chunk_mut(&mut items, 1, |start, chunk| {
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x += (start + i) as u64 + 1;
+        let err = map_rows(&pool, 500, 1, |i| {
+            if i % 100 == 99 {
+                Err(i)
+            } else {
+                Ok(Some(i))
             }
-            Ok::<(), ()>(())
         })
-        .unwrap();
-        assert!(items.iter().enumerate().all(|(i, &x)| x == i as u64 + 1));
+        .unwrap_err();
+        assert_eq!(err, 99);
     }
 
     #[test]
     fn min_chunk_prevents_spawning_for_small_inputs() {
         let pool = WorkerPool::new(8);
         // 10 items with min_chunk 32 → single caller-thread chunk.
-        let out: Result<Vec<usize>, ()> = pool.map_chunks((0..10).collect(), 32, |start, chunk| {
-            assert_eq!(start, 0);
-            assert_eq!(chunk.len(), 10);
-            Ok(chunk)
-        });
-        assert_eq!(out.unwrap().len(), 10);
+        let ranges = pool.map_ranges(10, 32, Ok::<_, ()>).unwrap();
+        assert_eq!(ranges, vec![0..10]);
     }
 
     #[test]
@@ -435,8 +316,7 @@ mod tests {
         assert_eq!(pool.acquire(10), 3);
         // Budget exhausted: a clone sees no extras and runs serial.
         let clone = pool.clone();
-        let out: Result<Vec<u64>, ()> = clone.map_chunks((0..100).collect(), 1, |_, c| Ok(c));
-        assert_eq!(out.unwrap().len(), 100);
+        assert_eq!(clone.map_ranges(100, 1, Ok::<_, ()>).unwrap(), vec![0..100]);
         pool.release(3);
         assert_eq!(pool.acquire(1), 1);
         pool.release(1);

@@ -7,10 +7,11 @@
 //! randomized encryption is used, while if equality conditions need to
 //! be evaluated, deterministic encryption is used."
 //!
-//! [`assign_schemes`] analyzes an (extended) plan: for every attribute
-//! that some operator touches *while encrypted*, it accumulates the
-//! required capability (equality / order / addition) and picks the
-//! weakest-leaking scheme that supports it. Attributes encrypted but
+//! [`assign_schemes`] is a *caller* of the capability table in
+//! [`mpq_core::capability`], not an owner of any rule: it folds the
+//! table's demands on every attribute that reaches an operation
+//! encrypted (`ve` of the operand, by the plan's own profiles) and
+//! takes the table's scheme for the result. Attributes encrypted but
 //! never operated on get randomized encryption.
 //!
 //! [`rewrite_literals`] prepares a plan for execution: constants
@@ -20,22 +21,14 @@
 //! the data authority holding the key performs this rewriting when the
 //! sub-query is dispatched.
 
-use mpq_algebra::expr::AggFunc;
 use mpq_algebra::value::EncScheme;
-use mpq_algebra::{AttrId, AttrSet, CmpOp, Expr, Operator, QueryPlan, Value};
-use mpq_core::profile::{profile_plan, resolve_agg_refs, Profile};
+use mpq_algebra::{AggExpr, AttrId, AttrSet, CmpOp, Expr, Operator, QueryPlan, Value};
+use mpq_core::capability::needed_caps;
+use mpq_core::profile::profile_plan;
 use mpq_crypto::keyring::KeyRing;
 use mpq_crypto::schemes::encrypt_value;
 use rand::Rng;
 use std::collections::HashMap;
-
-/// Capabilities an attribute's ciphertexts must support.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct Caps {
-    eq: bool,
-    ord: bool,
-    add: bool,
-}
 
 /// The per-attribute scheme choice for one plan.
 #[derive(Clone, Debug, Default)]
@@ -88,82 +81,12 @@ impl std::error::Error for SchemeError {}
 /// attribute.
 pub fn assign_schemes(plan: &QueryPlan) -> Result<SchemePlan, SchemeError> {
     let profiles = profile_plan(plan);
-    let mut caps: HashMap<AttrId, Caps> = HashMap::new();
-    let mut touch = |a: AttrId, f: &dyn Fn(&mut Caps)| {
-        f(caps.entry(a).or_default());
-    };
+    let caps = needed_caps(plan, |id, a| {
+        let operands = &plan.node(id).children;
+        operands.iter().any(|c| profiles[c.index()].ve.contains(a))
+    });
 
-    for id in plan.postorder() {
-        let node = plan.node(id);
-        let enc_at =
-            |child_idx: usize| -> AttrSet { profiles[node.children[child_idx].index()].ve.clone() };
-        match &node.op {
-            Operator::Select { pred } => {
-                expr_caps(pred, &enc_at(0), &mut touch);
-            }
-            Operator::Having { pred } => {
-                let resolved = match &plan.node(plan.through_crypto(node.children[0])).op {
-                    Operator::GroupBy { aggs, .. } => resolve_agg_refs(pred, aggs),
-                    _ => pred.clone(),
-                };
-                expr_caps(&resolved, &enc_at(0), &mut touch);
-            }
-            Operator::Join { on, residual, .. } => {
-                let le = enc_at(0);
-                let re = enc_at(1);
-                for (l, op, r) in on {
-                    if le.contains(*l) || re.contains(*r) {
-                        if op.is_equality() || *op == CmpOp::Ne {
-                            touch(*l, &|c| c.eq = true);
-                            touch(*r, &|c| c.eq = true);
-                        } else {
-                            touch(*l, &|c| c.ord = true);
-                            touch(*r, &|c| c.ord = true);
-                        }
-                    }
-                }
-                if let Some(resid) = residual {
-                    let combined = le.union(&re);
-                    expr_caps(resid, &combined, &mut touch);
-                }
-            }
-            Operator::GroupBy { keys, aggs } => {
-                let enc = enc_at(0);
-                for k in keys {
-                    if enc.contains(*k) {
-                        touch(*k, &|c| c.eq = true);
-                    }
-                }
-                for ag in aggs {
-                    if let Expr::Col(a) = ag.input {
-                        if enc.contains(a) {
-                            match ag.func {
-                                AggFunc::Sum | AggFunc::Avg => touch(a, &|c| c.add = true),
-                                AggFunc::Min | AggFunc::Max => touch(a, &|c| c.ord = true),
-                                AggFunc::CountDistinct => touch(a, &|c| c.eq = true),
-                                AggFunc::Count => {}
-                            }
-                        }
-                    }
-                }
-            }
-            Operator::Sort { keys } => {
-                let enc = enc_at(0);
-                for (e, _) in keys {
-                    for a in e.attrs().iter() {
-                        if enc.contains(a) {
-                            touch(a, &|c| c.ord = true);
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    // Every attribute that is ever encrypted gets an entry; choose the
-    // strongest scheme supporting the needed capabilities.
-    let mut out = SchemePlan::default();
+    // Every attribute that is ever encrypted gets an entry.
     let mut all_encrypted = AttrSet::new();
     for id in plan.postorder() {
         if let Operator::Encrypt { attrs } = &plan.node(id).op {
@@ -172,61 +95,12 @@ pub fn assign_schemes(plan: &QueryPlan) -> Result<SchemePlan, SchemeError> {
             }
         }
     }
+    let mut out = SchemePlan::default();
     for a in all_encrypted.iter() {
-        let c = caps.get(&a).copied().unwrap_or_default();
-        let scheme = match (c.add, c.ord, c.eq) {
-            (true, false, false) => EncScheme::Paillier,
-            (true, _, _) => return Err(SchemeError::Conflicting(a)),
-            (false, true, _) => EncScheme::Ope,
-            (false, false, true) => EncScheme::Deterministic,
-            (false, false, false) => EncScheme::Random,
-        };
-        out.set(a, scheme);
+        let scheme = caps.get(&a).copied().unwrap_or_default().scheme();
+        out.set(a, scheme.ok_or(SchemeError::Conflicting(a))?);
     }
     Ok(out)
-}
-
-#[allow(clippy::type_complexity)]
-fn expr_caps(e: &Expr, enc: &AttrSet, touch: &mut dyn FnMut(AttrId, &dyn Fn(&mut Caps))) {
-    match e {
-        Expr::Cmp(a, op, b) => {
-            let need = |c: &mut Caps| {
-                if op.is_equality() || *op == CmpOp::Ne {
-                    c.eq = true;
-                } else {
-                    c.ord = true;
-                }
-            };
-            for side in [a.as_ref(), b.as_ref()] {
-                if let Expr::Col(x) = side {
-                    if enc.contains(*x) {
-                        touch(*x, &need);
-                    }
-                }
-            }
-        }
-        Expr::Between { expr, .. } => {
-            if let Expr::Col(x) = expr.as_ref() {
-                if enc.contains(*x) {
-                    touch(*x, &|c| c.ord = true);
-                }
-            }
-        }
-        Expr::InList { expr, .. } => {
-            if let Expr::Col(x) = expr.as_ref() {
-                if enc.contains(*x) {
-                    touch(*x, &|c| c.eq = true);
-                }
-            }
-        }
-        Expr::And(v) | Expr::Or(v) => {
-            for x in v {
-                expr_caps(x, enc, touch);
-            }
-        }
-        Expr::Not(x) => expr_caps(x, enc, touch),
-        _ => {}
-    }
 }
 
 /// Replace constants compared against encrypted attributes with their
@@ -246,38 +120,33 @@ pub fn rewrite_literals<R: Rng + ?Sized>(
     let mut out = plan.clone();
     for id in plan.postorder() {
         let node = plan.node(id);
-        let child_profile = |i: usize| -> &Profile { &profiles[node.children[i].index()] };
-        match &node.op {
-            Operator::Select { pred } => {
-                let enc = child_profile(0).ve.clone();
-                let new = rewrite_expr(pred, &enc, catalog, schemes, key_of_attr, keys, rng)?;
-                out.node_mut(id).op = Operator::Select { pred: new };
-            }
-            Operator::Having { pred } => {
-                let enc = child_profile(0).ve.clone();
-                // AggRefs resolve to output attributes for deciding
-                // encryption of compared constants.
-                let aggs = match &plan.node(plan.through_crypto(node.children[0])).op {
-                    Operator::GroupBy { aggs, .. } => aggs.clone(),
-                    _ => vec![],
-                };
-                let new =
-                    rewrite_having(pred, &aggs, &enc, catalog, schemes, key_of_attr, keys, rng)?;
-                out.node_mut(id).op = Operator::Having { pred: new };
-            }
-            Operator::Join {
-                kind,
-                on,
-                residual: Some(resid),
-            } => {
-                let enc = child_profile(0).ve.union(&child_profile(1).ve);
-                let new = rewrite_expr(resid, &enc, catalog, schemes, key_of_attr, keys, rng)?;
-                out.node_mut(id).op = Operator::Join {
-                    kind: *kind,
-                    on: on.clone(),
-                    residual: Some(new),
-                };
-            }
+        let mut enc = AttrSet::new();
+        for c in &node.children {
+            enc.union_with(&profiles[c.index()].ve);
+        }
+        let aggs = match (&node.op, node.children.first()) {
+            (Operator::Having { .. }, Some(&c)) => match &plan.node(plan.through_crypto(c)).op {
+                Operator::GroupBy { aggs, .. } => aggs.as_slice(),
+                _ => &[],
+            },
+            _ => &[],
+        };
+        let mut rewriter = LiteralRewriter {
+            enc: &enc,
+            aggs,
+            catalog,
+            schemes,
+            key_of_attr,
+            keys,
+            rng: &mut *rng,
+        };
+        match &mut out.node_mut(id).op {
+            Operator::Select { pred }
+            | Operator::Having { pred }
+            | Operator::Join {
+                residual: Some(pred),
+                ..
+            } => *pred = rewriter.rewrite(pred)?,
             _ => {}
         }
     }
@@ -319,202 +188,141 @@ fn align_int_cmp(op: CmpOp, v: &Value, ty: mpq_algebra::DataType) -> (CmpOp, Val
     (op, v.clone())
 }
 
-fn encrypt_lit<R: Rng + ?Sized>(
-    v: &Value,
-    attr: AttrId,
-    catalog: &mpq_algebra::Catalog,
-    schemes: &SchemePlan,
-    key_of_attr: &HashMap<AttrId, u32>,
-    keys: &KeyRing,
-    rng: &mut R,
-) -> Result<Value, String> {
-    let key_id = key_of_attr
-        .get(&attr)
-        .ok_or_else(|| format!("no key for attribute {attr}"))?;
-    let key = keys
-        .get(*key_id)
-        .ok_or_else(|| format!("dispatcher does not hold key {key_id}"))?;
-    let scheme = schemes.scheme_of(attr);
-    let v = coerce_lit(v, catalog.attr_type(attr));
-    encrypt_value(rng, &v, scheme, &key).map_err(|e| e.to_string())
+/// A literal that still has to be encrypted: NULL compares as NULL in
+/// either form, and a ciphertext has been rewritten already.
+fn rewritable(v: &Value) -> bool {
+    !v.is_null() && !matches!(v, Value::Enc(_))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rewrite_having<R: Rng + ?Sized>(
-    e: &Expr,
-    aggs: &[mpq_algebra::AggExpr],
-    enc: &AttrSet,
-    catalog: &mpq_algebra::Catalog,
-    schemes: &SchemePlan,
-    key_of_attr: &HashMap<AttrId, u32>,
-    keys: &KeyRing,
-    rng: &mut R,
-) -> Result<Expr, String> {
-    // Map AggRef(i) to its output attribute for literal-encryption
-    // decisions, but keep the AggRef in the rewritten expression.
-    match e {
-        Expr::Cmp(a, op, b) => {
-            let col_of = |x: &Expr| -> Option<AttrId> {
-                match x {
-                    Expr::Col(c) => Some(*c),
-                    Expr::AggRef(i) => aggs.get(*i).map(|ag| ag.output),
-                    _ => None,
-                }
-            };
-            if let (Some(attr), Expr::Lit(v)) = (col_of(a), b.as_ref()) {
-                if enc.contains(attr) && !v.is_null() {
-                    let (op, v) = align_int_cmp(*op, v, catalog.attr_type(attr));
-                    let ev = encrypt_lit(&v, attr, catalog, schemes, key_of_attr, keys, rng)?;
-                    return Ok(Expr::cmp(a.as_ref().clone(), op, Expr::Lit(ev)));
-                }
-            }
-            if let (Expr::Lit(v), Some(attr)) = (a.as_ref(), col_of(b)) {
-                if enc.contains(attr) && !v.is_null() {
-                    let (op, v) = align_int_cmp(op.flipped(), v, catalog.attr_type(attr));
-                    let ev = encrypt_lit(&v, attr, catalog, schemes, key_of_attr, keys, rng)?;
-                    return Ok(Expr::cmp(Expr::Lit(ev), op.flipped(), b.as_ref().clone()));
-                }
-            }
-            Ok(e.clone())
-        }
-        Expr::And(v) => Ok(Expr::And(
-            v.iter()
-                .map(|x| rewrite_having(x, aggs, enc, catalog, schemes, key_of_attr, keys, rng))
-                .collect::<Result<_, _>>()?,
-        )),
-        Expr::Or(v) => Ok(Expr::Or(
-            v.iter()
-                .map(|x| rewrite_having(x, aggs, enc, catalog, schemes, key_of_attr, keys, rng))
-                .collect::<Result<_, _>>()?,
-        )),
-        Expr::Not(x) => Ok(Expr::Not(Box::new(rewrite_having(
-            x,
-            aggs,
-            enc,
-            catalog,
-            schemes,
-            key_of_attr,
-            keys,
-            rng,
-        )?))),
-        other => rewrite_expr(other, enc, catalog, schemes, key_of_attr, keys, rng),
+/// Literal rewriting at one node.
+struct LiteralRewriter<'a, R: Rng + ?Sized> {
+    /// Attributes that reach the node encrypted.
+    enc: &'a AttrSet,
+    /// Below a `HAVING`, the aggregates of its group-by: `AggRef(i)`
+    /// stands for `aggs[i].output` when deciding whether a compared
+    /// constant is encrypted (the reference itself stays in the
+    /// rewritten expression). Empty elsewhere.
+    aggs: &'a [AggExpr],
+    catalog: &'a mpq_algebra::Catalog,
+    schemes: &'a SchemePlan,
+    key_of_attr: &'a HashMap<AttrId, u32>,
+    keys: &'a KeyRing,
+    rng: &'a mut R,
+}
+
+impl<R: Rng + ?Sized> LiteralRewriter<'_, R> {
+    /// The encrypted attribute an operand names, if it names one.
+    fn encrypted(&self, operand: &Expr) -> Option<AttrId> {
+        let attr = match operand {
+            Expr::Col(c) => *c,
+            Expr::AggRef(i) => self.aggs.get(*i)?.output,
+            _ => return None,
+        };
+        self.enc.contains(attr).then_some(attr)
     }
-}
 
-fn rewrite_expr<R: Rng + ?Sized>(
-    e: &Expr,
-    enc: &AttrSet,
-    catalog: &mpq_algebra::Catalog,
-    schemes: &SchemePlan,
-    key_of_attr: &HashMap<AttrId, u32>,
-    keys: &KeyRing,
-    rng: &mut R,
-) -> Result<Expr, String> {
-    Ok(match e {
-        Expr::Cmp(a, op, b) => {
-            if let (Expr::Col(attr), Expr::Lit(v)) = (a.as_ref(), b.as_ref()) {
-                if enc.contains(*attr) && !v.is_null() && !matches!(v, Value::Enc(_)) {
-                    let (op, v) = align_int_cmp(*op, v, catalog.attr_type(*attr));
-                    let ev = encrypt_lit(&v, *attr, catalog, schemes, key_of_attr, keys, rng)?;
-                    return Ok(Expr::cmp(Expr::Col(*attr), op, Expr::Lit(ev)));
-                }
-            }
-            if let (Expr::Lit(v), Expr::Col(attr)) = (a.as_ref(), b.as_ref()) {
-                if enc.contains(*attr) && !v.is_null() && !matches!(v, Value::Enc(_)) {
+    fn encrypt_lit(&mut self, v: &Value, attr: AttrId) -> Result<Value, String> {
+        let key_id = self
+            .key_of_attr
+            .get(&attr)
+            .ok_or_else(|| format!("no key for attribute {attr}"))?;
+        let key = self
+            .keys
+            .get(*key_id)
+            .ok_or_else(|| format!("dispatcher does not hold key {key_id}"))?;
+        let scheme = self.schemes.scheme_of(attr);
+        let v = coerce_lit(v, self.catalog.attr_type(attr));
+        encrypt_value(self.rng, &v, scheme, &key).map_err(|e| e.to_string())
+    }
+
+    fn rewrite(&mut self, e: &Expr) -> Result<Expr, String> {
+        Ok(match e {
+            Expr::Cmp(a, op, b) => {
+                for (operand, other, lit_left) in [(a, b, false), (b, a, true)] {
+                    let (Some(attr), Expr::Lit(v)) = (self.encrypted(operand), other.as_ref())
+                    else {
+                        continue;
+                    };
+                    if !rewritable(v) {
+                        continue;
+                    }
                     // `lit op col` constrains the column under the
                     // flipped operator; align there and flip back.
-                    let (op, v) = align_int_cmp(op.flipped(), v, catalog.attr_type(*attr));
-                    let ev = encrypt_lit(&v, *attr, catalog, schemes, key_of_attr, keys, rng)?;
-                    return Ok(Expr::cmp(Expr::Lit(ev), op.flipped(), Expr::Col(*attr)));
+                    let col_op = if lit_left { op.flipped() } else { *op };
+                    let (col_op, v) = align_int_cmp(col_op, v, self.catalog.attr_type(attr));
+                    let ev = Expr::Lit(self.encrypt_lit(&v, attr)?);
+                    let operand = operand.as_ref().clone();
+                    return Ok(if lit_left {
+                        Expr::cmp(ev, col_op.flipped(), operand)
+                    } else {
+                        Expr::cmp(operand, col_op, ev)
+                    });
                 }
+                e.clone()
             }
-            e.clone()
-        }
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => {
-            if let Expr::Col(attr) = expr.as_ref() {
-                if enc.contains(*attr) {
+            Expr::Between {
+                expr,
+                lo,
+                hi,
+                negated,
+            } => match self.encrypted(expr) {
+                Some(attr) => {
                     // Inclusive bounds round inward on Int columns:
                     // `col BETWEEN 1.5 AND 4.5` ⇔ `col BETWEEN 2 AND 4`.
-                    let enc_bound =
-                        |bound: &Expr, ge: CmpOp, rng: &mut R| -> Result<Expr, String> {
-                            match bound {
-                                Expr::Lit(v) if !v.is_null() && !matches!(v, Value::Enc(_)) => {
-                                    let (_, v) = align_int_cmp(ge, v, catalog.attr_type(*attr));
-                                    Ok(Expr::Lit(encrypt_lit(
-                                        &v,
-                                        *attr,
-                                        catalog,
-                                        schemes,
-                                        key_of_attr,
-                                        keys,
-                                        rng,
-                                    )?))
-                                }
-                                other => Ok(other.clone()),
+                    let ty = self.catalog.attr_type(attr);
+                    let mut bound = |b: &Expr, ge: CmpOp| -> Result<Expr, String> {
+                        match b {
+                            Expr::Lit(v) if rewritable(v) => {
+                                let (_, v) = align_int_cmp(ge, v, ty);
+                                Ok(Expr::Lit(self.encrypt_lit(&v, attr)?))
                             }
-                        };
-                    return Ok(Expr::Between {
+                            other => Ok(other.clone()),
+                        }
+                    };
+                    Expr::Between {
                         expr: expr.clone(),
-                        lo: Box::new(enc_bound(lo, CmpOp::Ge, rng)?),
-                        hi: Box::new(enc_bound(hi, CmpOp::Le, rng)?),
+                        lo: Box::new(bound(lo, CmpOp::Ge)?),
+                        hi: Box::new(bound(hi, CmpOp::Le)?),
                         negated: *negated,
-                    });
+                    }
                 }
-            }
-            e.clone()
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            if let Expr::Col(attr) = expr.as_ref() {
-                if enc.contains(*attr) {
-                    let new_list = list
+                None => e.clone(),
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => match self.encrypted(expr) {
+                Some(attr) => Expr::InList {
+                    expr: expr.clone(),
+                    list: list
                         .iter()
                         .map(|v| {
-                            if v.is_null() || matches!(v, Value::Enc(_)) {
-                                Ok(v.clone())
+                            if rewritable(v) {
+                                self.encrypt_lit(v, attr)
                             } else {
-                                encrypt_lit(v, *attr, catalog, schemes, key_of_attr, keys, rng)
+                                Ok(v.clone())
                             }
                         })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    return Ok(Expr::InList {
-                        expr: expr.clone(),
-                        list: new_list,
-                        negated: *negated,
-                    });
-                }
-            }
-            e.clone()
-        }
-        Expr::And(v) => Expr::And(
-            v.iter()
-                .map(|x| rewrite_expr(x, enc, catalog, schemes, key_of_attr, keys, rng))
-                .collect::<Result<_, _>>()?,
-        ),
-        Expr::Or(v) => Expr::Or(
-            v.iter()
-                .map(|x| rewrite_expr(x, enc, catalog, schemes, key_of_attr, keys, rng))
-                .collect::<Result<_, _>>()?,
-        ),
-        Expr::Not(x) => Expr::Not(Box::new(rewrite_expr(
-            x,
-            enc,
-            catalog,
-            schemes,
-            key_of_attr,
-            keys,
-            rng,
-        )?)),
-        other => other.clone(),
-    })
+                        .collect::<Result<_, _>>()?,
+                    negated: *negated,
+                },
+                None => e.clone(),
+            },
+            Expr::And(v) => Expr::And(
+                v.iter()
+                    .map(|x| self.rewrite(x))
+                    .collect::<Result<_, _>>()?,
+            ),
+            Expr::Or(v) => Expr::Or(
+                v.iter()
+                    .map(|x| self.rewrite(x))
+                    .collect::<Result<_, _>>()?,
+            ),
+            Expr::Not(x) => Expr::Not(Box::new(self.rewrite(x)?)),
+            other => other.clone(),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -733,6 +541,124 @@ mod tests {
         // Integral Num literal still coerces exactly: a <= 4.0 → 5 rows.
         let le = Expr::cmp(Expr::Col(a), CmpOp::Le, Expr::Lit(Value::Num(4.0)));
         assert_eq!(run(le), 5);
+    }
+
+    /// `HAVING` is rewritten by the same walk as a selection, an
+    /// `AggRef` standing for its aggregate's output: `BETWEEN` bounds
+    /// over an OPE `max(x)` are encrypted (rounding inward on an Int
+    /// column), the rewritten plan executes over ciphertexts, and
+    /// rewriting it again is the identity — a ciphertext literal is
+    /// never encrypted twice.
+    #[test]
+    fn having_over_an_aggregate_output_rewrites_once_and_executes() {
+        use crate::engine::{execute, ExecCtx};
+        use crate::table::Database;
+        use mpq_algebra::expr::{AggExpr, AggFunc};
+        use mpq_algebra::{Catalog, DataType};
+        use mpq_crypto::keyring::{ClusterKey, KeyRing};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let mut cat = Catalog::new();
+        cat.add_relation("R", &[("k", DataType::Str), ("x", DataType::Int)])
+            .unwrap();
+        let rel = cat.relation("R").unwrap().rel;
+        let (k, x) = (cat.attr("k").unwrap(), cat.attr("x").unwrap());
+        let mut db = Database::new();
+        let rows = [("a", 1), ("a", 3), ("b", 5), ("b", 9), ("c", 2)];
+        db.load(
+            &cat,
+            "R",
+            rows.iter()
+                .map(|(g, v)| vec![Value::str(g), Value::Int(*v)])
+                .collect(),
+        );
+
+        let mut plan = QueryPlan::new();
+        let b = plan.add_base(rel, vec![k, x]);
+        let e = plan.add(Operator::Encrypt { attrs: vec![x] }, vec![b]);
+        let g = plan.add(
+            Operator::GroupBy {
+                keys: vec![k],
+                aggs: vec![AggExpr::over_col(AggFunc::Max, x)],
+            },
+            vec![e],
+        );
+        // max(x) BETWEEN 1.5 AND 4.5 AND max(x) > 1  →  groups a (3), c (2).
+        let max_x = || Expr::AggRef(0);
+        let having = plan.add(
+            Operator::Having {
+                pred: Expr::Between {
+                    expr: Box::new(max_x()),
+                    lo: Box::new(Expr::Lit(Value::Num(1.5))),
+                    hi: Box::new(Expr::Lit(Value::Num(4.5))),
+                    negated: false,
+                }
+                .and(Expr::cmp(max_x(), CmpOp::Gt, Expr::Lit(Value::Int(1)))),
+            },
+            vec![g],
+        );
+        let schemes = assign_schemes(&plan).unwrap();
+        assert_eq!(schemes.scheme_of(x), EncScheme::Ope);
+
+        let mut rng = StdRng::seed_from_u64(11);
+        let ring = KeyRing::new();
+        ring.insert(ClusterKey::generate(&mut rng, 0, 256));
+        let koa = HashMap::from([(x, 0u32)]);
+        let once = rewrite_literals(&plan, &cat, &schemes, &koa, &ring, &mut rng).unwrap();
+        let Operator::Having {
+            pred: Expr::And(parts),
+        } = &once.node(having).op
+        else {
+            panic!("HAVING keeps its shape")
+        };
+        let Expr::Between { expr, lo, hi, .. } = &parts[0] else {
+            panic!("BETWEEN keeps its shape")
+        };
+        assert_eq!(**expr, max_x(), "the reference itself stays");
+        for bound in [lo, hi] {
+            assert!(matches!(**bound, Expr::Lit(Value::Enc(_))), "{bound:?}");
+        }
+        assert!(matches!(
+            &parts[1],
+            Expr::Cmp(_, CmpOp::Gt, rhs) if matches!(**rhs, Expr::Lit(Value::Enc(_)))
+        ));
+
+        let twice = rewrite_literals(&once, &cat, &schemes, &koa, &ring, &mut rng).unwrap();
+        assert_eq!(twice.node(having).op, once.node(having).op);
+
+        let ctx = ExecCtx::new(&cat, &db, &ring, &schemes, &koa);
+        assert_eq!(execute(&once, &ctx).unwrap().len(), 2);
+    }
+
+    /// A join condition runs on ciphertext as soon as *either* side
+    /// arrives encrypted (the engine encrypts the plaintext side on the
+    /// fly, MPQ009), so the side that is plaintext at the join but
+    /// encrypted above it shares the equality scheme.
+    #[test]
+    fn a_mixed_form_join_pair_shares_its_scheme() {
+        use mpq_algebra::JoinKind;
+        let ex = RunningExample::new();
+        let hosp = ex.catalog.relation("Hosp").unwrap().rel;
+        let ins = ex.catalog.relation("Ins").unwrap().rel;
+        let (s, c, p) = (ex.attr("S"), ex.attr("C"), ex.attr("P"));
+        let mut plan = QueryPlan::new();
+        let l = plan.add_base(hosp, vec![s]);
+        let l = plan.add(Operator::Encrypt { attrs: vec![s] }, vec![l]);
+        let r = plan.add_base(ins, vec![c, p]);
+        let j = plan.add(
+            Operator::Join {
+                kind: JoinKind::Inner,
+                on: vec![(s, CmpOp::Eq, c)],
+                residual: None,
+            },
+            vec![l, r],
+        );
+        plan.add(Operator::Encrypt { attrs: vec![c, p] }, vec![j]);
+        let schemes = assign_schemes(&plan).unwrap();
+        assert_eq!(schemes.scheme_of(s), EncScheme::Deterministic);
+        assert_eq!(schemes.scheme_of(c), EncScheme::Deterministic);
+        assert_eq!(schemes.scheme_of(p), EncScheme::Random);
     }
 
     /// Rewriting fails loudly when the dispatcher lacks a key.

@@ -14,6 +14,7 @@
 use crate::batch::{ColumnVec, TableSchema};
 use mpq_algebra::{AttrId, Catalog, RelId, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A relation, or one bounded batch of one: ordered columns (attribute
 /// ids, possibly repeated for multi-aggregate outputs) and one column
@@ -172,10 +173,13 @@ impl Table {
     }
 }
 
-/// An in-memory database: one table per base relation.
+/// An in-memory database: one table per base relation. A stored table
+/// is never mutated, so databases share them: a clone or a
+/// [`Database::partition`] costs a reference count per relation, not a
+/// copy of the data.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
-    tables: HashMap<RelId, Table>,
+    tables: HashMap<RelId, Arc<Table>>,
 }
 
 impl Database {
@@ -187,12 +191,21 @@ impl Database {
     /// Install a table for `rel`. The table's columns must match the
     /// relation's declared columns (order included).
     pub fn insert(&mut self, rel: RelId, table: Table) {
-        self.tables.insert(rel, table);
+        self.tables.insert(rel, Arc::new(table));
     }
 
     /// Fetch the table of `rel`.
     pub fn table(&self, rel: RelId) -> Option<&Table> {
-        self.tables.get(&rel)
+        self.tables.get(&rel).map(Arc::as_ref)
+    }
+
+    /// The relations `keep` selects, their tables shared with `self` —
+    /// how a subject's store is cut from the full database.
+    pub fn partition(&self, keep: impl Fn(RelId) -> bool) -> Database {
+        let tables = self.tables.iter().filter(|(rel, _)| keep(**rel));
+        Database {
+            tables: tables.map(|(rel, t)| (*rel, Arc::clone(t))).collect(),
+        }
     }
 
     /// Build a table for a relation from value rows, using the
@@ -231,6 +244,25 @@ mod tests {
         assert!(t.byte_size() > 0);
         // The numeric column densified on load.
         assert!(t.column(1).as_nums().is_some());
+    }
+
+    #[test]
+    fn partition_shares_the_selected_tables() {
+        let cat = Catalog::paper_running_example();
+        let mut db = Database::new();
+        db.load(
+            &cat,
+            "Ins",
+            vec![vec![Value::str("alice"), Value::Num(1.0)]],
+        );
+        let ins = cat.relation("Ins").unwrap().rel;
+        let hosp = cat.relation("Hosp").unwrap().rel;
+        let part = db.partition(|rel| rel == ins);
+        assert!(std::ptr::eq(
+            part.table(ins).unwrap(),
+            db.table(ins).unwrap()
+        ));
+        assert!(db.partition(|rel| rel == hosp).table(ins).is_none());
     }
 
     #[test]

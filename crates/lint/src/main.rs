@@ -38,6 +38,16 @@
 //!   `exec/src/rowref.rs` is row-shaped on purpose. The same detour one
 //!   column wide — `.into_values()` — stays out of `exec/src/engine.rs`:
 //!   a cipher reads a column where it lies and writes one buffer.
+//! * **independent-verifier** — `crates/core/src/verify.rs` re-derives
+//!   what ciphertexts must support on its own (`collect_cap_demands`);
+//!   that is the second version its N-version check compares
+//!   `assign_schemes` against, so its non-test code may not mention
+//!   `capability::`. The N-version stays N.
+//! * **one-capability-table** — operation → capability is stated once,
+//!   in `core/src/capability.rs`. The names of the copies it replaced
+//!   (`fn guess_schemes`, `fn expr_caps`, `fn walk_cmp`,
+//!   `plaintext_required`) are findings anywhere under `crates/`: a
+//!   second statement of the rule must not quietly come back.
 //!
 //! The scan strips comments and string literals and skips
 //! `#[cfg(test)]` modules, so documentation and tests may freely
@@ -113,6 +123,20 @@ const ROW_TOKENS: [&str; 3] = ["from_rows(", "to_rows(", "push_row("];
 /// degrade).
 const CELL_TOKEN: &str = ".into_values()";
 const CELL_RULE_FILE: &str = "crates/exec/src/engine.rs";
+
+/// The verifier's own capability derivation lives here…
+const VERIFIER_FILE: &str = "crates/core/src/verify.rs";
+
+/// …and may not reach for the table it is the twin of.
+const VERIFIER_BANNED: &str = "capability::";
+
+/// Names of the capability analyses `core/src/capability.rs` replaced.
+const CAPABILITY_COPIES: [&str; 4] = [
+    "fn guess_schemes",
+    "fn expr_caps",
+    "fn walk_cmp",
+    "plaintext_required",
+];
 
 /// Tokens that break run-to-run determinism.
 const DETERMINISM_TOKENS: [&str; 5] = [
@@ -553,6 +577,28 @@ fn lint_source(rel: &Path, src: &str, findings: &mut Vec<Finding>) {
                 ),
             );
         }
+        if rel == Path::new(VERIFIER_FILE) && line.contains(VERIFIER_BANNED) {
+            record(
+                findings,
+                "independent-verifier",
+                format!(
+                    "`{VERIFIER_BANNED}` in the verifier — it derives capability demands \
+                     on its own so that it can disagree with `assign_schemes`"
+                ),
+            );
+        }
+        for t in CAPABILITY_COPIES {
+            if line.contains(t) {
+                record(
+                    findings,
+                    "one-capability-table",
+                    format!(
+                        "`{t}` — what an operation needs of a ciphertext is stated once, \
+                         by `mpq_core::capability::demands`; filter its demands instead"
+                    ),
+                );
+            }
+        }
         if engine_scoped && rel != Path::new(NET_ALLOWED) {
             for t in NET_TOKENS {
                 if line.contains(t) {
@@ -806,6 +852,63 @@ mod tests {
         // `batch.rs` degrades through it; the oracle is row-shaped.
         assert!(lines_in("crates/exec/src/batch.rs").is_empty());
         assert!(lines_in("crates/exec/src/rowref.rs").is_empty());
+    }
+
+    #[test]
+    fn the_verifier_may_not_import_the_capability_table() {
+        let src = "
+use crate::capability::demands;
+fn collect_cap_demands() { let d = crate::capability::demands(plan, id); }
+#[cfg(test)]
+mod tests {
+    use crate::capability::CapabilityPolicy;
+}
+";
+        let lines_in = |file: &str| {
+            let mut findings = Vec::new();
+            lint_source(Path::new(file), src, &mut findings);
+            findings
+                .iter()
+                .filter(|f| f.rule == "independent-verifier")
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(lines_in("crates/core/src/verify.rs"), vec![2, 3]);
+        // Everyone else is *supposed* to call the table.
+        assert!(lines_in("crates/core/src/candidates.rs").is_empty());
+        assert!(lines_in("crates/exec/src/scheme.rs").is_empty());
+    }
+
+    #[test]
+    fn second_copies_of_the_capability_table_are_flagged() {
+        let src = "
+fn guess_schemes(plan: &QueryPlan) {}
+fn expr_caps(e: &Expr) {}
+fn walk_cmp(e: &Expr) {}
+let ap = pred.plaintext_required(true);
+let ap = plaintext_requirements(plan, policy, overrides);
+#[cfg(test)]
+mod tests {
+    fn expr_caps() {}
+}
+";
+        let lines_in = |file: &str| {
+            let mut findings = Vec::new();
+            lint_source(Path::new(file), src, &mut findings);
+            findings
+                .iter()
+                .filter(|f| f.rule == "one-capability-table")
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        // Anywhere under crates/, the table's own home included.
+        for file in [
+            "crates/planner/src/optimize.rs",
+            "crates/core/src/capability.rs",
+            "crates/bench/src/lib.rs",
+        ] {
+            assert_eq!(lines_in(file), vec![2, 3, 4, 5], "{file}");
+        }
     }
 
     #[test]

@@ -17,6 +17,13 @@
 //! 4. derive the plan keys (Def. 6.1) and per-attribute schemes;
 //! 5. cost the concrete extended plan exactly.
 //!
+//! Which scheme an attribute's ciphertexts need is not decided here.
+//! The DP's edge estimate asks [`mpq_core::capability::needed_caps`]
+//! what an attribute outside `A_p` *would* get, and step 4 asks
+//! [`assign_schemes`], which folds the same table over the extended
+//! plan: this module calls the capability table, it owns no rule of
+//! it, so the DP cannot price one scheme and the plan run another.
+//!
 //! The §5 design alternatives are exposed as [`Strategy`] ablations:
 //! *maximize visibility* (never encrypt; only subjects authorized for
 //! plaintext qualify) and *minimize visibility* (encrypt everything at
@@ -26,10 +33,11 @@ use crate::cost::{cost_extended_plan, CostBreakdown};
 use crate::scenario::ScenarioEnv;
 use crate::stats::estimates_for;
 use mpq_algebra::stats::StatsCatalog;
+use mpq_algebra::value::EncScheme;
 use mpq_algebra::{AttrSet, Catalog, NodeId, Operator, QueryPlan, SubjectId};
 use mpq_core::authz::SubjectView;
 use mpq_core::candidates::{candidates, Candidates};
-use mpq_core::capability::CapabilityPolicy;
+use mpq_core::capability::{needed_caps, CapabilityPolicy};
 use mpq_core::extend::{for_each_assignment, minimally_extend, Assignment, ExtendedPlan};
 use mpq_core::keys::{plan_keys, KeyPlan};
 use mpq_core::profile::profile_plan;
@@ -104,7 +112,7 @@ impl std::error::Error for OptError {}
 /// the exact cost breakdown, ready for `mpq-dist` to execute:
 ///
 /// ```
-/// use mpq_core::capability::CapabilityPolicy;
+/// use mpq_core::capability::{needed_caps, CapabilityPolicy};
 /// use mpq_planner::{build_scenario, optimize, Scenario, Strategy};
 /// use mpq_planner::stats::{collect_stats, SampleConfig};
 /// use mpq_tpch::{generate, query_plan};
@@ -274,141 +282,6 @@ fn plain_assignees(plan: &QueryPlan, catalog: &Catalog, env: &ScenarioEnv) -> Ve
     out
 }
 
-/// Guess the encryption scheme each attribute would get if it had to
-/// be encrypted (the same capability analysis `assign_schemes` performs
-/// on the extended plan, run ahead of time on the original plan so the
-/// DP can price encryption realistically). Attributes whose operations
-/// already demand plaintext (they appear in some node's `A_p`) do not
-/// register capabilities for those operations.
-fn guess_schemes(
-    plan: &QueryPlan,
-    cands: &Candidates,
-) -> HashMap<mpq_algebra::AttrId, mpq_algebra::value::EncScheme> {
-    use mpq_algebra::expr::AggFunc;
-    use mpq_algebra::value::EncScheme;
-    use mpq_algebra::Expr;
-    #[derive(Default, Clone, Copy)]
-    struct Caps {
-        eq: bool,
-        ord: bool,
-        add: bool,
-    }
-    let mut caps: HashMap<mpq_algebra::AttrId, Caps> = HashMap::new();
-    for id in plan.postorder() {
-        let node = plan.node(id);
-        let ap = &cands.ap[id.index()];
-        match &node.op {
-            Operator::Select { pred } | Operator::Having { pred } => {
-                walk_cmp(pred, &mut |a, is_eq| {
-                    if !ap.contains(a) {
-                        let c = caps.entry(a).or_default();
-                        if is_eq {
-                            c.eq = true;
-                        } else {
-                            c.ord = true;
-                        }
-                    }
-                });
-            }
-            Operator::Join { on, residual, .. } => {
-                for (l, op, r) in on {
-                    for x in [*l, *r] {
-                        if !ap.contains(x) {
-                            let c = caps.entry(x).or_default();
-                            if op.is_equality() {
-                                c.eq = true;
-                            } else {
-                                c.ord = true;
-                            }
-                        }
-                    }
-                }
-                if let Some(res) = residual {
-                    for a in res.attrs().difference(ap).iter() {
-                        caps.entry(a).or_default().ord = true;
-                    }
-                }
-            }
-            Operator::GroupBy { keys, aggs } => {
-                for k in keys {
-                    if !ap.contains(*k) {
-                        caps.entry(*k).or_default().eq = true;
-                    }
-                }
-                for ag in aggs {
-                    if let Expr::Col(a) = ag.input {
-                        if !ap.contains(a) {
-                            let c = caps.entry(a).or_default();
-                            match ag.func {
-                                AggFunc::Sum | AggFunc::Avg => c.add = true,
-                                AggFunc::Min | AggFunc::Max => c.ord = true,
-                                AggFunc::CountDistinct => c.eq = true,
-                                AggFunc::Count => {}
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    caps.into_iter()
-        .map(|(a, c)| {
-            let scheme = if c.add {
-                EncScheme::Paillier
-            } else if c.ord {
-                EncScheme::Ope
-            } else if c.eq {
-                EncScheme::Deterministic
-            } else {
-                EncScheme::Random
-            };
-            (a, scheme)
-        })
-        .collect()
-}
-
-/// Visit every comparison an expression performs on column attributes,
-/// reporting whether deterministic equality suffices (`is_eq = true`)
-/// or order is required.
-fn walk_cmp(e: &mpq_algebra::Expr, f: &mut impl FnMut(mpq_algebra::AttrId, bool)) {
-    use mpq_algebra::Expr;
-    match e {
-        Expr::Cmp(a, op, b) => {
-            let is_eq = op.is_equality() || *op == mpq_algebra::CmpOp::Ne;
-            for side in [a.as_ref(), b.as_ref()] {
-                for attr in side.attrs().iter() {
-                    f(attr, is_eq);
-                }
-            }
-        }
-        Expr::Between { expr, lo, hi, .. } => {
-            for part in [expr.as_ref(), lo.as_ref(), hi.as_ref()] {
-                for attr in part.attrs().iter() {
-                    f(attr, false);
-                }
-            }
-        }
-        Expr::InList { expr, .. } => {
-            for attr in expr.attrs().iter() {
-                f(attr, true);
-            }
-        }
-        Expr::And(v) | Expr::Or(v) => {
-            for x in v {
-                walk_cmp(x, f);
-            }
-        }
-        Expr::Not(x) => walk_cmp(x, f),
-        Expr::Like { expr, .. } | Expr::IsNull { expr, .. } => {
-            // LIKE/IS NULL over encrypted columns would already be in
-            // A_p; nothing to record.
-            let _ = expr;
-        }
-        _ => {}
-    }
-}
-
 /// Bottom-up DP over `(node, subject)`.
 fn dp_assignment(
     plan: &QueryPlan,
@@ -420,12 +293,19 @@ fn dp_assignment(
 ) -> Result<Assignment, OptError> {
     let est = estimates_for(plan, catalog, stats);
     let book = &env.prices;
-    let scheme_guess = guess_schemes(plan, cands);
+    // The scheme each attribute would get if it had to be encrypted:
+    // the capability table's fold over the original plan, taking every
+    // attribute an operation does not need in plaintext (outside its
+    // `A_p`) as encrypted there — what `assign_schemes` will find on
+    // the extended plan wherever the attribute does arrive encrypted.
+    // The policy keeps additions and comparisons of one attribute
+    // apart, so a conflict needs an `A_p` override; priced as the
+    // dearest scheme.
+    let would_need = needed_caps(plan, |id, a| !cands.ap[id.index()].contains(a));
     let scheme_of = |a: mpq_algebra::AttrId| {
-        scheme_guess
-            .get(&a)
-            .copied()
-            .unwrap_or(mpq_algebra::value::EncScheme::Random)
+        would_need.get(&a).map_or(EncScheme::Random, |c| {
+            c.scheme().unwrap_or(EncScheme::Paillier)
+        })
     };
     // Approximate per-node output bytes on plain widths (exact
     // ciphertext expansion is settled in the final costing).

@@ -118,15 +118,8 @@ impl World {
     /// The partition subject `me` is the authority of — the only data
     /// an `mpq-server` process for `me` ever holds.
     pub fn partition(&self, me: SubjectId) -> Database {
-        let mut store = Database::new();
-        for rel in self.catalog.relations() {
-            if self.env.subjects.authority(rel.rel) == Some(me) {
-                if let Some(table) = self.db.table(rel.rel) {
-                    store.insert(rel.rel, table.clone());
-                }
-            }
-        }
-        store
+        let subjects = &self.env.subjects;
+        self.db.partition(|rel| subjects.authority(rel) == Some(me))
     }
 
     /// Run the full planning pipeline on SQL text: parse, resolve
