@@ -29,6 +29,7 @@
 
 use mpq_algebra::value::{EncColumn, EncValue};
 use mpq_algebra::{AttrId, Value};
+use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -172,7 +173,7 @@ impl ColumnVec {
     /// Cell `i` as a logical value: dense cells copy eight bytes,
     /// general cells bump an `Arc`, an encrypted column's cell is
     /// copied out into an [`EncValue`] of its own — the scalar path
-    /// (expression evaluation, hash keys, the row oracle).
+    /// (hash keys, accumulators, the row oracle).
     pub fn get(&self, i: usize) -> Value {
         match self {
             ColumnVec::Int(v) => Value::Int(v[i]),
@@ -189,6 +190,33 @@ impl ColumnVec {
             ColumnVec::Enc(c) => c.cell(i).is_empty(),
             ColumnVec::Val(v) => v[i].is_null(),
         }
+    }
+
+    /// Whether cell `i` is a ciphertext, without materializing it.
+    pub fn is_enc(&self, i: usize) -> bool {
+        match self {
+            ColumnVec::Int(_) | ColumnVec::Num(_) => false,
+            ColumnVec::Enc(c) => !c.cell(i).is_empty(),
+            ColumnVec::Val(v) => matches!(v[i], Value::Enc(_)),
+        }
+    }
+
+    /// The order a sort puts cells `i` and `j` in, read where they lie:
+    /// [`Value::sql_cmp`] with NULLs last and incomparable cells equal
+    /// (within one encrypted column only an order-preserving scheme
+    /// orders anything).
+    pub fn sort_cmp(&self, i: usize, j: usize) -> Ordering {
+        let (i_null, j_null) = (self.is_null(i), self.is_null(j));
+        if i_null || j_null {
+            return i_null.cmp(&j_null);
+        }
+        let ord = match self {
+            ColumnVec::Int(v) => Some(v[i].cmp(&v[j])),
+            ColumnVec::Num(v) => v[i].partial_cmp(&v[j]),
+            ColumnVec::Enc(c) => (c.scheme().supports_order()).then(|| c.cell(i).cmp(c.cell(j))),
+            ColumnVec::Val(v) => v[i].sql_cmp(&v[j]),
+        };
+        ord.unwrap_or(Ordering::Equal)
     }
 
     /// Dense integer view, when uniform.
@@ -535,6 +563,36 @@ mod tests {
                 assert_eq!(matches!(a, ColumnVec::Enc(_)), stays);
             }
         }
+    }
+
+    /// The kernels that read cells where they lie answer as the
+    /// general representation does through `Value`.
+    #[test]
+    fn in_place_kernels_agree_across_representations() {
+        let rng = &mut StdRng::seed_from_u64(3);
+        for scheme in [EncScheme::Ope, EncScheme::Deterministic] {
+            let mut cells = vec![cipher(scheme, 1, &[9])];
+            cells.extend((0..30).map(|_| match rng.gen_range(0..4) {
+                0 => Value::Null,
+                _ => cipher(scheme, 1, &[rng.gen_range(0..3), rng.gen_range(0..3)]),
+            }));
+            let (enc, val) = both(&cells);
+            for i in 0..cells.len() {
+                assert_eq!(enc.is_enc(i), val.is_enc(i));
+                assert_eq!(enc.is_enc(i), !cells[i].is_null());
+                for j in 0..cells.len() {
+                    assert_eq!(enc.sort_cmp(i, j), val.sort_cmp(i, j), "{scheme:?}");
+                }
+            }
+        }
+        // NULLs last, NaN incomparable, dense cells by value.
+        let nums = ColumnVec::from_nums(vec![2.0, f64::NAN, 1.0]);
+        assert_eq!(nums.sort_cmp(0, 2), Ordering::Greater);
+        assert_eq!(nums.sort_cmp(0, 1), Ordering::Equal);
+        let vals = ColumnVec::Val(vec![Value::Null, Value::str("a"), Value::Null]);
+        assert_eq!(vals.sort_cmp(0, 1), Ordering::Greater);
+        assert_eq!(vals.sort_cmp(1, 0), Ordering::Less);
+        assert_eq!(vals.sort_cmp(0, 2), Ordering::Equal);
     }
 
     #[test]

@@ -13,9 +13,13 @@
 //! **One output rule.** Operators move columns: every output table is
 //! assembled from `slice` / `filter` / `gather` / `append` over input
 //! columns, or from one freshly computed column per output attribute
-//! (udf, group-by, crypto). Only expression evaluation and hash keys
-//! look at cells, and the only row ever materialized is the temporary
-//! `combined` row a join's `residual` predicate is evaluated on.
+//! (udf, group-by, crypto). Expressions run a column at a time too
+//! ([`eval_mask`] / [`eval_column`]: a predicate is a mask over the
+//! batch, an aggregate input, udf body or sort key one column), reading
+//! cells where they lie. Only hash keys (join build and probe, group
+//! keys) still copy cells out, and the only row ever materialized is
+//! the temporary `combined` row a join's `residual` predicate is
+//! evaluated on — the one place the row walk survives in the engine.
 //!
 //! **Determinism contract.** Every `Encrypt` cell draws from an RNG
 //! seeded by `(seed, node, column, row)`, where `row` is the global
@@ -30,7 +34,7 @@
 //! otherwise); homomorphic aggregation only needs the public half.
 
 use crate::batch::{ColumnVec, TableSchema, DEFAULT_BATCH_ROWS};
-use crate::eval::{cmp_values, eval, eval_pred, EvalError, RowCtx};
+use crate::eval::{cmp_values, eval_column, eval_mask, eval_pred, EvalError, RowCtx};
 use crate::pool::WorkerPool;
 use crate::scheme::SchemePlan;
 use crate::table::{Database, Table};
@@ -561,8 +565,8 @@ fn compile_node<'p>(
             }
             let child = child_stream(plan, id, 0, inputs, member, ctx)?;
             let schema = child.schema.clone();
-            Ok(map_stream(child, schema.clone(), move |batch| {
-                filter_batch(pred, &schema, batch, None, ctx)
+            Ok(map_stream(child, schema, move |batch| {
+                filter_batch(pred, batch, None, ctx)
             }))
         }
         Operator::Having { pred } => {
@@ -578,8 +582,8 @@ fn compile_node<'p>(
                 }
             };
             let schema = child.schema.clone();
-            Ok(map_stream(child, schema.clone(), move |batch| {
-                filter_batch(pred, &schema, batch, Some(agg_base), ctx)
+            Ok(map_stream(child, schema, move |batch| {
+                filter_batch(pred, batch, Some(agg_base), ctx)
             }))
         }
         Operator::Product => {
@@ -699,38 +703,30 @@ fn compile_node<'p>(
     }
 }
 
-/// Evaluate `pred` over every row of `batch` in parallel chunks,
-/// producing the keep-mask.
+/// Evaluate `pred` over `batch` in parallel chunks, each chunk a
+/// column at a time, producing the keep-mask.
 fn selection_mask(
     pred: &Expr,
-    schema: &TableSchema,
     batch: &Table,
     agg_base: Option<usize>,
     ctx: &ExecCtx<'_>,
 ) -> Result<Vec<bool>, ExecError> {
-    let attrs = schema.attrs();
-    let cols = batch.columns();
     let chunks = ctx.pool.map_ranges(batch.len(), MIN_CHUNK_ROWS, |range| {
-        let mut mask = Vec::with_capacity(range.len());
-        for row in range {
-            let rc = RowCtx::batch(attrs, cols, row).with_agg_base(agg_base);
-            mask.push(eval_pred(pred, &rc)? == Some(true));
-        }
-        Ok::<_, ExecError>(mask)
+        let truth = eval_mask(pred, batch, agg_base, range)?;
+        Ok::<_, ExecError>(truth.iter().map(|t| *t == Some(true)).collect::<Vec<_>>())
     })?;
     Ok(chunks.concat())
 }
 
-/// Evaluate `pred` over every row of `batch` in parallel chunks and
-/// keep the passing rows (`None` when nothing passes).
+/// Evaluate `pred` over `batch` and keep the passing rows (`None` when
+/// nothing passes).
 fn filter_batch(
     pred: &Expr,
-    schema: &TableSchema,
     batch: Table,
     agg_base: Option<usize>,
     ctx: &ExecCtx<'_>,
 ) -> Result<Option<Table>, ExecError> {
-    let mask = selection_mask(pred, schema, &batch, agg_base, ctx)?;
+    let mask = selection_mask(pred, &batch, agg_base, ctx)?;
     if mask.iter().all(|&m| !m) {
         return Ok(None);
     }
@@ -738,7 +734,7 @@ fn filter_batch(
         return Ok(Some(batch));
     }
     let cols = batch.columns().iter().map(|c| c.filter(&mask)).collect();
-    Ok(Some(Table::from_columns(schema.clone(), cols)))
+    Ok(Some(Table::from_columns(batch.schema().clone(), cols)))
 }
 
 // ---------------------------------------------------------------------------
@@ -900,7 +896,7 @@ fn fused_filter_encrypt_stream<'p>(
     let mut row_off = 0usize;
     map_stream(child, schema.clone(), move |batch| {
         let n = batch.len();
-        let mask = selection_mask(&pred, &schema, &batch, None, ctx)?;
+        let mask = selection_mask(&pred, &batch, None, ctx)?;
         let out = if mask.iter().all(|&m| !m) {
             None
         } else if mask.iter().all(|&m| m) {
@@ -1739,7 +1735,6 @@ fn group_by_stream(
         })
         .collect::<Result<_, _>>()?;
 
-    let attrs = child.schema.attrs().to_vec();
     // Stable group ordering: remember first-seen order.
     let mut order: Vec<Vec<GroupKey>> = Vec::new();
     let mut groups: HashMap<Vec<GroupKey>, Vec<AggAcc>> = HashMap::new();
@@ -1747,29 +1742,39 @@ fn group_by_stream(
 
     while let Some(batch) = child.pull()? {
         let cols = batch.columns();
+        // Every aggregate's input, once per batch. A row an input fails
+        // on is refused when the scan reaches it — an accumulator may
+        // refuse an earlier one first.
+        let inputs: Vec<_> = (aggs.iter())
+            .map(|ag| eval_column(&ag.input, &batch, None))
+            .collect();
+        let refused = |k: usize, r: usize| match &inputs[k].1 {
+            Some((row, e)) if *row == r => Err(ExecError::Eval(e.clone())),
+            _ => Ok(()),
+        };
         for r in 0..batch.len() {
             saw_rows = true;
             let gk: Vec<GroupKey> = key_idx.iter().map(|&i| GroupKey(cols[i].get(r))).collect();
-            let rc = RowCtx::batch(&attrs, cols, r);
             let accs = match groups.get_mut(&gk) {
                 Some(a) => a,
                 None => {
                     order.push(gk.clone());
                     let accs = aggs
                         .iter()
-                        .map(|ag| {
+                        .enumerate()
+                        .map(|(k, ag)| {
                             // Peek the first input value to pick the
                             // plaintext vs homomorphic accumulator.
-                            let v = eval(&ag.input, &rc)?;
-                            Ok(AggAcc::new(ag.func, matches!(v, Value::Enc(_))))
+                            refused(k, r)?;
+                            Ok(AggAcc::new(ag.func, inputs[k].0.is_enc(r)))
                         })
                         .collect::<Result<Vec<_>, ExecError>>()?;
                     groups.entry(gk.clone()).or_insert(accs)
                 }
             };
-            for (ag, acc) in aggs.iter().zip(accs.iter_mut()) {
-                let v = eval(&ag.input, &rc)?;
-                acc.update(v, ctx.keys)?;
+            for (k, acc) in accs.iter_mut().enumerate() {
+                refused(k, r)?;
+                acc.update(inputs[k].0.get(r), ctx.keys)?;
             }
         }
     }
@@ -1835,16 +1840,12 @@ fn udf_stream<'p>(
     body: &'p Expr,
     schema: TableSchema,
 ) -> BatchStream<'p> {
-    let src_attrs = child.schema.attrs().to_vec();
     map_stream(child, schema.clone(), move |batch| {
-        let n = batch.len();
-        let mut out_col = ColumnVec::with_capacity(n);
-        {
-            let cols = batch.columns();
-            for r in 0..n {
-                out_col.push(eval(body, &RowCtx::batch(&src_attrs, cols, r))?);
-            }
-        }
+        // The body's column is the output column.
+        let out_col = match eval_column(body, &batch, None) {
+            (_, Some((_, e))) => return Err(e.into()),
+            (col, None) => col.into_owned(),
+        };
         let mut cols = batch.into_columns();
         cols[out_idx] = out_col;
         let cols: Vec<ColumnVec> = cols
@@ -1877,40 +1878,31 @@ pub(crate) fn sort_agg_base(plan: &QueryPlan, id: NodeId) -> Option<usize> {
     }
 }
 
-/// Materialize and sort the child stream: key values are computed per
-/// row, the row *permutation* is sorted (stable, so ties keep stream
-/// order), and the columns are gathered once — rows are never
-/// transposed out of columnar form.
+/// Materialize and sort the child stream: each key is evaluated once,
+/// as a column; the row *permutation* is sorted by comparing key cells
+/// where they lie (stable, so ties keep stream order), and the columns
+/// are gathered once — rows are never transposed out of columnar form.
 fn sort_stream(
     keys: &[(Expr, bool)],
     agg_base: Option<usize>,
     child: BatchStream<'_>,
 ) -> Result<Table, ExecError> {
-    let attrs = child.schema.attrs().to_vec();
     let table = child.collect()?;
-    // Precompute sort keys (errors surface before sorting).
-    let mut keyed: Vec<(Vec<Value>, usize)> = Vec::with_capacity(table.len());
-    {
-        let cols = table.columns();
-        for r in 0..table.len() {
-            let rc = RowCtx::batch(&attrs, cols, r).with_agg_base(agg_base);
-            let kvals = keys
-                .iter()
-                .map(|(e, _)| eval(e, &rc))
-                .collect::<Result<Vec<_>, _>>()?;
-            keyed.push((kvals, r));
-        }
+    let keyed: Vec<_> = (keys.iter())
+        .map(|(e, _)| eval_column(e, &table, agg_base))
+        .collect();
+    // Errors surface before sorting: the first failing row's, and on
+    // that row the first failing key's.
+    let failed = keyed.iter().filter_map(|(_, failed)| failed.as_ref());
+    if let Some((_, e)) = failed.min_by_key(|(row, _)| *row) {
+        return Err(e.clone().into());
     }
-    // Sort with a total order (NULLs last, incomparables equal); the
-    // stable sort keeps input order on ties, matching the row engine.
-    keyed.sort_by(|(ka, _), (kb, _)| {
-        for ((va, vb), (_, asc)) in ka.iter().zip(kb).zip(keys) {
-            let ord = match (va.is_null(), vb.is_null()) {
-                (true, true) => std::cmp::Ordering::Equal,
-                (true, false) => std::cmp::Ordering::Greater,
-                (false, true) => std::cmp::Ordering::Less,
-                (false, false) => va.sql_cmp(vb).unwrap_or(std::cmp::Ordering::Equal),
-            };
+    // A total order (NULLs last, incomparables equal); the stable sort
+    // keeps input order on ties, matching the row engine.
+    let mut perm: Vec<usize> = (0..table.len()).collect();
+    perm.sort_by(|&a, &b| {
+        for ((col, _), (_, asc)) in keyed.iter().zip(keys) {
+            let ord = col.sort_cmp(a, b);
             let ord = if *asc { ord } else { ord.reverse() };
             if ord != std::cmp::Ordering::Equal {
                 return ord;
@@ -1918,7 +1910,6 @@ fn sort_stream(
         }
         std::cmp::Ordering::Equal
     });
-    let perm: Vec<usize> = keyed.into_iter().map(|(_, r)| r).collect();
     let sorted: Vec<ColumnVec> = table.columns().iter().map(|c| c.gather(&perm)).collect();
     Ok(Table::from_columns(table.schema().clone(), sorted))
 }

@@ -1,4 +1,4 @@
-//! Expression evaluation over rows.
+//! Expression evaluation: the cell rules, and two traversals over them.
 //!
 //! Evaluation is three-valued (SQL semantics): predicates yield
 //! `Some(true)`, `Some(false)` or `None` (unknown, from NULLs);
@@ -9,10 +9,31 @@
 //! ordering via [`Value::sql_cmp`]. A comparison the ciphertext cannot
 //! support raises [`EvalError::EncryptedOperation`] instead of
 //! silently returning false.
+//!
+//! What an operation does to one cell is stated once, in the cell
+//! rules ([`cmp_values`], `arith`, `equal_maybe_encrypted`,
+//! [`like_match`], …). Two traversals apply them:
+//!
+//! * [`eval_mask`] / [`eval_column`] — what the engine runs: an
+//!   expression over a whole batch, one sub-expression at a time.
+//!   Columns are resolved to positions once per batch; dense `Int` /
+//!   `Num` operands go through typed loops, everything else through
+//!   the cell rules on *borrowed* cells (a ciphertext is compared on
+//!   the bytes where they lie). `AND` / `OR` / `CASE` evaluate part
+//!   *k* only on the rows parts *1..k* left undecided, so every
+//!   sub-expression sees exactly the rows a row-at-a-time walk would
+//!   have shown it: results and errors are the row walk's.
+//! * [`eval`] / [`eval_pred`] — one materialized row at a time, for the
+//!   two callers that are row-shaped on purpose: the [`crate::rowref`]
+//!   oracle and the join's residual predicate.
 
 use crate::batch::ColumnVec;
+use crate::table::Table;
 use mpq_algebra::expr::DateField;
+use mpq_algebra::value::{EncColumn, EncScheme};
 use mpq_algebra::{ArithOp, AttrId, CmpOp, Date, Expr, Value};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Errors during expression evaluation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,21 +71,17 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// The storage a [`RowCtx`] reads from: a contiguous value slice
-/// (materialized row) or one row position inside a columnar batch.
-enum RowData<'a> {
-    Slice(&'a [Value]),
-    Columns { cols: &'a [ColumnVec], row: usize },
-}
+// ---------------------------------------------------------------------------
+// The row walk (oracle, join residual)
+// ---------------------------------------------------------------------------
 
-/// Evaluation context: one row, its column layout, and (above a
-/// group-by) the base index of aggregate outputs. Rows are read either
-/// from a materialized value slice or directly out of a batch's
-/// columns — evaluation itself is storage-agnostic.
+/// Evaluation context of the row walk: one materialized row, its
+/// column layout, and (above a group-by) the base index of aggregate
+/// outputs.
 pub struct RowCtx<'a> {
     /// Column attribute per position.
     pub attrs: &'a [AttrId],
-    data: RowData<'a>,
+    row: &'a [Value],
     /// Index of the first aggregate output column (group-by results:
     /// keys first, aggregates after), if applicable.
     pub agg_base: Option<usize>,
@@ -75,17 +92,7 @@ impl<'a> RowCtx<'a> {
     pub fn plain(attrs: &'a [AttrId], row: &'a [Value]) -> RowCtx<'a> {
         RowCtx {
             attrs,
-            data: RowData::Slice(row),
-            agg_base: None,
-        }
-    }
-
-    /// Context over row `row` of a batch's columns, without aggregate
-    /// outputs.
-    pub fn batch(attrs: &'a [AttrId], cols: &'a [ColumnVec], row: usize) -> RowCtx<'a> {
-        RowCtx {
-            attrs,
-            data: RowData::Columns { cols, row },
+            row,
             agg_base: None,
         }
     }
@@ -96,33 +103,20 @@ impl<'a> RowCtx<'a> {
         self
     }
 
-    /// The cell at column position `i`, if in range. Returns an owned
-    /// value: dense batch cells copy eight bytes, strings and
-    /// ciphertexts bump an `Arc`.
-    pub fn value_at(&self, i: usize) -> Option<Value> {
-        match &self.data {
-            RowData::Slice(row) => row.get(i).cloned(),
-            RowData::Columns { cols, row } => cols.get(i).map(|c| c.get(*row)),
-        }
-    }
-
-    fn col(&self, a: AttrId) -> Result<Value, EvalError> {
-        self.attrs
-            .iter()
-            .position(|c| *c == a)
-            .and_then(|i| self.value_at(i))
+    fn col(&self, a: AttrId) -> Result<&'a Value, EvalError> {
+        let pos = self.attrs.iter().position(|c| *c == a);
+        pos.and_then(|i| self.row.get(i))
             .ok_or(EvalError::UnknownColumn(a))
     }
 }
 
-/// Evaluate an expression to a value.
+/// Evaluate an expression to a value on one row.
 pub fn eval(e: &Expr, ctx: &RowCtx<'_>) -> Result<Value, EvalError> {
     match e {
-        Expr::Col(a) => ctx.col(*a),
+        Expr::Col(a) => ctx.col(*a).cloned(),
         Expr::AggRef(i) => {
-            let base = ctx.agg_base.ok_or(EvalError::AggRefOutsideGroup(*i))?;
-            ctx.value_at(base + i)
-                .ok_or(EvalError::AggRefOutsideGroup(*i))
+            let cell = ctx.agg_base.and_then(|base| ctx.row.get(base + i));
+            cell.cloned().ok_or(EvalError::AggRefOutsideGroup(*i))
         }
         Expr::Lit(v) => Ok(v.clone()),
         Expr::Cmp(a, op, b) => {
@@ -160,10 +154,7 @@ pub fn eval(e: &Expr, ctx: &RowCtx<'_>) -> Result<Value, EvalError> {
                 Value::Bool(false)
             })
         }
-        Expr::Not(x) => Ok(match eval_pred(x, ctx)? {
-            Some(b) => Value::Bool(!b),
-            None => Value::Null,
-        }),
+        Expr::Not(x) => Ok(truth_to_value(eval_pred(x, ctx)?.map(|b| !b))),
         Expr::Arith(a, op, b) => {
             let va = eval(a, ctx)?;
             let vb = eval(b, ctx)?;
@@ -174,16 +165,8 @@ pub fn eval(e: &Expr, ctx: &RowCtx<'_>) -> Result<Value, EvalError> {
             pattern,
             negated,
         } => {
-            let v = eval(expr, ctx)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Str(s) => {
-                    let m = like_match(&s, pattern);
-                    Ok(Value::Bool(m != *negated))
-                }
-                Value::Enc(_) => Err(EvalError::EncryptedOperation("LIKE over ciphertext".into())),
-                other => Err(EvalError::TypeError(format!("LIKE over {other:?}"))),
-            }
+            let pattern: Vec<char> = pattern.chars().collect();
+            like_cell(&eval(expr, ctx)?, &pattern, *negated).map(truth_to_value)
         }
         Expr::Between {
             expr,
@@ -196,29 +179,13 @@ pub fn eval(e: &Expr, ctx: &RowCtx<'_>) -> Result<Value, EvalError> {
             let vhi = eval(hi, ctx)?;
             let ge = cmp_values(&v, CmpOp::Ge, &vlo)?;
             let le = cmp_values(&v, CmpOp::Le, &vhi)?;
-            Ok(match (ge, le) {
-                (Some(a), Some(b)) => Value::Bool((a && b) != *negated),
-                _ => Value::Null,
-            })
+            Ok(truth_to_value(between(ge, le, *negated)))
         }
         Expr::InList {
             expr,
             list,
             negated,
-        } => {
-            let v = eval(expr, ctx)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut found = false;
-            for item in list {
-                if equal_maybe_encrypted(&v, item)? {
-                    found = true;
-                    break;
-                }
-            }
-            Ok(Value::Bool(found != *negated))
-        }
+        } => in_list_cell(&eval(expr, ctx)?, list, *negated).map(truth_to_value),
         Expr::Case { branches, else_ } => {
             for (cond, out) in branches {
                 if eval_pred(cond, ctx)? == Some(true) {
@@ -234,54 +201,60 @@ pub fn eval(e: &Expr, ctx: &RowCtx<'_>) -> Result<Value, EvalError> {
             let v = eval(expr, ctx)?;
             Ok(Value::Bool(v.is_null() != *negated))
         }
-        Expr::Extract { field, expr } => {
-            let v = eval(expr, ctx)?;
-            match (field, v) {
-                (DateField::Year, Value::Date(d)) => Ok(Value::Int(d.year() as i64)),
-                (_, Value::Null) => Ok(Value::Null),
-                (_, Value::Enc(_)) => Err(EvalError::EncryptedOperation(
-                    "EXTRACT over ciphertext".into(),
-                )),
-                (_, other) => Err(EvalError::TypeError(format!("extract from {other:?}"))),
-            }
-        }
-        Expr::Substring { expr, start, len } => {
-            let v = eval(expr, ctx)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Str(s) => {
-                    let chars: Vec<char> = s.chars().collect();
-                    let from = start.saturating_sub(1).min(chars.len());
-                    let to = from.saturating_add(*len).min(chars.len());
-                    Ok(Value::str(&chars[from..to].iter().collect::<String>()))
-                }
-                Value::Enc(_) => Err(EvalError::EncryptedOperation(
-                    "SUBSTRING over ciphertext".into(),
-                )),
-                other => Err(EvalError::TypeError(format!("substring of {other:?}"))),
-            }
-        }
+        Expr::Extract { field, expr } => extract_cell(*field, &eval(expr, ctx)?),
+        Expr::Substring { expr, start, len } => substring_cell(&eval(expr, ctx)?, *start, *len),
     }
 }
 
-/// Evaluate as a predicate: `Some(bool)` or `None` for unknown.
+/// Evaluate as a predicate on one row: `Some(bool)` or `None` for
+/// unknown.
 pub fn eval_pred(e: &Expr, ctx: &RowCtx<'_>) -> Result<Option<bool>, EvalError> {
-    Ok(match eval(e, ctx)? {
-        Value::Bool(b) => Some(b),
-        Value::Null => None,
-        other => {
-            return Err(EvalError::TypeError(format!(
-                "predicate evaluated to {other:?}"
-            )))
-        }
-    })
+    truth_of(&eval(e, ctx)?)
 }
+
+// ---------------------------------------------------------------------------
+// Cell rules: what each operation does to one cell, stated once
+// ---------------------------------------------------------------------------
 
 fn truth_to_value(t: Option<bool>) -> Value {
     match t {
         Some(b) => Value::Bool(b),
         None => Value::Null,
     }
+}
+
+/// A value in predicate position.
+fn truth_of(v: &Value) -> Result<Option<bool>, EvalError> {
+    match v {
+        Value::Bool(b) => Ok(Some(*b)),
+        Value::Null => Ok(None),
+        other => Err(EvalError::TypeError(format!(
+            "predicate evaluated to {other:?}"
+        ))),
+    }
+}
+
+/// A ciphertext where it lies: scheme, key id, bytes.
+type EncRef<'a> = (EncScheme, u32, &'a [u8]);
+
+/// Comparison of two non-NULL ciphertexts.
+fn cmp_enc(a: EncRef<'_>, op: CmpOp, b: EncRef<'_>) -> Result<Option<bool>, EvalError> {
+    let same_key = (a.0, a.1) == (b.0, b.1);
+    if op.is_equality() || op == CmpOp::Ne {
+        if !a.0.supports_equality() || !b.0.supports_equality() {
+            return Err(EvalError::EncryptedOperation(
+                "equality on non-deterministic ciphertext".into(),
+            ));
+        }
+        let eq = same_key && a.2 == b.2;
+        return Ok(Some(eq == op.is_equality()));
+    }
+    if !a.0.supports_order() || !b.0.supports_order() {
+        return Err(EvalError::EncryptedOperation(
+            "ordering on non-OPE ciphertext".into(),
+        ));
+    }
+    Ok(same_key.then(|| op.eval(a.2.cmp(b.2))))
 }
 
 /// Three-valued comparison, ciphertext-aware.
@@ -292,23 +265,11 @@ pub fn cmp_values(a: &Value, op: CmpOp, b: &Value) -> Result<Option<bool>, EvalE
     // Equality works on deterministic ciphertexts; report capability
     // errors for other mixes.
     match (a, b) {
-        (Value::Enc(ea), Value::Enc(eb)) => {
-            if op.is_equality() || op == CmpOp::Ne {
-                if !ea.scheme.supports_equality() || !eb.scheme.supports_equality() {
-                    return Err(EvalError::EncryptedOperation(
-                        "equality on non-deterministic ciphertext".into(),
-                    ));
-                }
-                let eq = a.sql_eq(b);
-                return Ok(Some(if op.is_equality() { eq } else { !eq }));
-            }
-            if !ea.scheme.supports_order() || !eb.scheme.supports_order() {
-                return Err(EvalError::EncryptedOperation(
-                    "ordering on non-OPE ciphertext".into(),
-                ));
-            }
-            Ok(a.sql_cmp(b).map(|o| op.eval(o)))
-        }
+        (Value::Enc(ea), Value::Enc(eb)) => cmp_enc(
+            (ea.scheme, ea.key_id, &ea.bytes),
+            op,
+            (eb.scheme, eb.key_id, &eb.bytes),
+        ),
         (Value::Enc(_), _) | (_, Value::Enc(_)) => Err(EvalError::EncryptedOperation(
             "comparison between ciphertext and plaintext (literal not rewritten?)".into(),
         )),
@@ -330,6 +291,24 @@ pub fn cmp_values(a: &Value, op: CmpOp, b: &Value) -> Result<Option<bool>, EvalE
     }
 }
 
+/// `a op b` on an ordered pair, without a branch on the data.
+#[inline]
+fn holds<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
+    match op {
+        CmpOp::Eq => a == b,
+        CmpOp::Ne => a != b,
+        CmpOp::Lt => a < b,
+        CmpOp::Le => a <= b,
+        CmpOp::Gt => a > b,
+        CmpOp::Ge => a >= b,
+    }
+}
+
+/// `BETWEEN` from its two bound comparisons.
+fn between(ge: Option<bool>, le: Option<bool>, negated: bool) -> Option<bool> {
+    Some((ge? && le?) != negated)
+}
+
 fn equal_maybe_encrypted(v: &Value, item: &Value) -> Result<bool, EvalError> {
     match (v, item) {
         (Value::Enc(e), Value::Enc(_)) | (Value::Enc(e), _) if !e.scheme.supports_equality() => {
@@ -345,6 +324,22 @@ fn equal_maybe_encrypted(v: &Value, item: &Value) -> Result<bool, EvalError> {
     }
 }
 
+fn in_list_cell(v: &Value, list: &[Value], negated: bool) -> Result<Option<bool>, EvalError> {
+    if v.is_null() {
+        return Ok(None);
+    }
+    for item in list {
+        if equal_maybe_encrypted(v, item)? {
+            return Ok(Some(!negated));
+        }
+    }
+    Ok(Some(negated))
+}
+
+fn overflow(a: &Value, op: ArithOp, b: &Value) -> EvalError {
+    EvalError::Overflow(format!("{a:?} {op:?} {b:?}"))
+}
+
 fn arith(a: &Value, op: ArithOp, b: &Value) -> Result<Value, EvalError> {
     if a.is_null() || b.is_null() {
         return Ok(Value::Null);
@@ -354,7 +349,6 @@ fn arith(a: &Value, op: ArithOp, b: &Value) -> Result<Value, EvalError> {
             "scalar arithmetic over ciphertext".into(),
         ));
     }
-    let overflow = || EvalError::Overflow(format!("{a:?} {op:?} {b:?}"));
     // Date ± integer days.
     if let (Value::Date(d), Value::Int(n)) = (a, b) {
         let days = match op {
@@ -363,22 +357,14 @@ fn arith(a: &Value, op: ArithOp, b: &Value) -> Result<Value, EvalError> {
             _ => return Err(EvalError::TypeError("date multiplication".into())),
         };
         let days = days.and_then(|t| i32::try_from(t).ok());
-        return Ok(Value::Date(Date(days.ok_or_else(overflow)?)));
+        return Ok(Value::Date(Date(days.ok_or_else(|| overflow(a, op, b))?)));
     }
     // Integer arithmetic stays integral except division.
     if let (Value::Int(x), Value::Int(y)) = (a, b) {
-        return Ok(match op {
-            ArithOp::Add => Value::Int(x.checked_add(*y).ok_or_else(overflow)?),
-            ArithOp::Sub => Value::Int(x.checked_sub(*y).ok_or_else(overflow)?),
-            ArithOp::Mul => Value::Int(x.checked_mul(*y).ok_or_else(overflow)?),
-            ArithOp::Div => {
-                if *y == 0 {
-                    Value::Null
-                } else {
-                    Value::Num(*x as f64 / *y as f64)
-                }
-            }
-        });
+        if op != ArithOp::Div {
+            let int = int_arith(*x, op, *y).ok_or_else(|| overflow(a, op, b))?;
+            return Ok(Value::Int(int));
+        }
     }
     let (x, y) = match (a.as_num(), b.as_num()) {
         (Some(x), Some(y)) => (x, y),
@@ -388,37 +374,567 @@ fn arith(a: &Value, op: ArithOp, b: &Value) -> Result<Value, EvalError> {
             )))
         }
     };
-    Ok(match op {
-        ArithOp::Add => Value::Num(x + y),
-        ArithOp::Sub => Value::Num(x - y),
-        ArithOp::Mul => Value::Num(x * y),
-        ArithOp::Div => {
-            if y == 0.0 {
-                Value::Null
-            } else {
-                Value::Num(x / y)
-            }
-        }
+    Ok(if op == ArithOp::Div && y == 0.0 {
+        Value::Null
+    } else {
+        Value::Num(num_arith(x, op, y))
     })
+}
+
+/// `+`, `-`, `*` over integers; `None` past the representable range.
+fn int_arith(x: i64, op: ArithOp, y: i64) -> Option<i64> {
+    match op {
+        ArithOp::Add => x.checked_add(y),
+        ArithOp::Sub => x.checked_sub(y),
+        ArithOp::Mul => x.checked_mul(y),
+        ArithOp::Div => unreachable!("integer division is numeric"),
+    }
+}
+
+/// Numeric arithmetic; the caller has sent `/ 0` to NULL.
+fn num_arith(x: f64, op: ArithOp, y: f64) -> f64 {
+    match op {
+        ArithOp::Add => x + y,
+        ArithOp::Sub => x - y,
+        ArithOp::Mul => x * y,
+        ArithOp::Div => x / y,
+    }
+}
+
+fn like_cell(v: &Value, pattern: &[char], negated: bool) -> Result<Option<bool>, EvalError> {
+    match v {
+        Value::Null => Ok(None),
+        Value::Str(s) => Ok(Some(like_chars(s, pattern) != negated)),
+        Value::Enc(_) => Err(EvalError::EncryptedOperation("LIKE over ciphertext".into())),
+        other => Err(EvalError::TypeError(format!("LIKE over {other:?}"))),
+    }
+}
+
+fn extract_cell(field: DateField, v: &Value) -> Result<Value, EvalError> {
+    match (field, v) {
+        (DateField::Year, Value::Date(d)) => Ok(Value::Int(d.year() as i64)),
+        (_, Value::Null) => Ok(Value::Null),
+        (_, Value::Enc(_)) => Err(EvalError::EncryptedOperation(
+            "EXTRACT over ciphertext".into(),
+        )),
+        (_, other) => Err(EvalError::TypeError(format!("extract from {other:?}"))),
+    }
+}
+
+fn substring_cell(v: &Value, start: usize, len: usize) -> Result<Value, EvalError> {
+    match v {
+        Value::Null => Ok(Value::Null),
+        Value::Str(s) => {
+            let chars: Vec<char> = s.chars().collect();
+            let from = start.saturating_sub(1).min(chars.len());
+            let to = from.saturating_add(len).min(chars.len());
+            Ok(Value::str(&chars[from..to].iter().collect::<String>()))
+        }
+        Value::Enc(_) => Err(EvalError::EncryptedOperation(
+            "SUBSTRING over ciphertext".into(),
+        )),
+        other => Err(EvalError::TypeError(format!("substring of {other:?}"))),
+    }
 }
 
 /// SQL LIKE with `%` (any run) and `_` (any single char).
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    fn rec(s: &[char], p: &[char]) -> bool {
-        match p.first() {
-            None => s.is_empty(),
+    like_chars(s, &pattern.chars().collect::<Vec<_>>())
+}
+
+/// [`like_match`] against a pattern prepared once per batch. Two
+/// pointers and the last `%`: on a mismatch that `%` takes one more
+/// character and the match resumes behind it — `O(cell × pattern)`, no
+/// recursion, no allocation. (Patterns arrive in signed sub-queries;
+/// trying every split at every `%` let thirty bytes stall a party.)
+fn like_chars(s: &str, pattern: &[char]) -> bool {
+    let mut cell = s.chars();
+    let mut p = 0;
+    // Pattern position behind the last `%`, and the cell from where
+    // that `%` currently ends.
+    let mut last_any: Option<(usize, std::str::Chars<'_>)> = None;
+    loop {
+        let here = cell.clone();
+        let Some(c) = cell.next() else {
+            return pattern[p..].iter().all(|&c| c == '%');
+        };
+        match pattern.get(p) {
             Some('%') => {
-                // Collapse consecutive %.
-                let rest = &p[1..];
-                (0..=s.len()).any(|k| rec(&s[k..], rest))
+                p += 1;
+                if p == pattern.len() {
+                    return true;
+                }
+                cell = here.clone();
+                last_any = Some((p, here));
             }
-            Some('_') => !s.is_empty() && rec(&s[1..], &p[1..]),
-            Some(c) => s.first() == Some(c) && rec(&s[1..], &p[1..]),
+            Some(&want) if want == '_' || want == c => p += 1,
+            _ => {
+                let Some((behind, reach)) = &mut last_any else {
+                    return false;
+                };
+                reach.next();
+                cell = reach.clone();
+                p = *behind;
+            }
         }
     }
-    let sc: Vec<char> = s.chars().collect();
-    let pc: Vec<char> = pattern.chars().collect();
-    rec(&sc, &pc)
+}
+
+// ---------------------------------------------------------------------------
+// The column evaluator (every engine operator)
+// ---------------------------------------------------------------------------
+
+/// Three-valued truth of `pred` on each of `rows` of `batch`
+/// (`agg_base`: where aggregate outputs start, above a group-by). Fails
+/// as the row walk over `rows` would: with the error of the first row
+/// that has one.
+pub fn eval_mask(
+    pred: &Expr,
+    batch: &Table,
+    agg_base: Option<usize>,
+    rows: Range<usize>,
+) -> Result<Vec<Option<bool>>, EvalError> {
+    let mut ev = Evaluator::new(batch, agg_base, rows);
+    let mask = ev.mask(pred, &ev.all_rows());
+    ev.failed.map_or(Ok(mask), |(_, e)| Err(e))
+}
+
+/// What [`eval_column`] returns: the column, and — when some row failed
+/// — the first such row with its error; the cells before it are valid.
+/// An operator that interleaves evaluation with other fallible work
+/// per row (group-by, several sort keys) needs both to fail where the
+/// row walk would.
+pub type Evaluated<'a> = (Cow<'a, ColumnVec>, Option<(usize, EvalError)>);
+
+/// `expr` over every row of `batch`, as one column: an input column is
+/// borrowed as it is, anything computed is built densely (`Int` / `Num`
+/// when uniform, as pushing the cells one by one would).
+pub fn eval_column<'a>(expr: &Expr, batch: &'a Table, agg_base: Option<usize>) -> Evaluated<'a> {
+    let whole = || Evaluator::new(batch, agg_base, 0..batch.len());
+    if let Some(Ok(input)) = whole().input(expr) {
+        return (Cow::Borrowed(input), None);
+    }
+    let mut ev = whole();
+    let column = match ev.column(expr, &ev.all_rows()) {
+        Col::Int(v) => ColumnVec::Int(v.into_owned()),
+        Col::Num(v) => ColumnVec::Num(v.into_owned()),
+        Col::Val(v) => ColumnVec::from_values(v.into_owned()),
+        Col::Enc(c, from) => ColumnVec::Enc(c.slice(from..from + ev.n)),
+        Col::Lit(v) => std::iter::repeat_n(v, ev.n).cloned().collect(),
+    };
+    (Cow::Owned(column), ev.failed)
+}
+
+static NULL: Value = Value::Null;
+
+/// An operand: rows of an input column borrowed where they lie, a
+/// literal, or a computed column. Indexed by row within the evaluated
+/// range; a computed column is meaningful on the rows it was computed
+/// for.
+enum Col<'a> {
+    Int(Cow<'a, [i64]>),
+    Num(Cow<'a, [f64]>),
+    Val(Cow<'a, [Value]>),
+    /// The cells of an encrypted column from the given one on.
+    Enc(&'a EncColumn, usize),
+    Lit(&'a Value),
+}
+
+/// A numeric operand of a typed loop.
+#[derive(Clone, Copy)]
+enum NumSrc<'a> {
+    Ints(&'a [i64]),
+    Nums(&'a [f64]),
+    Int(i64),
+    Num(f64),
+}
+
+impl NumSrc<'_> {
+    fn is_int(self) -> bool {
+        matches!(self, NumSrc::Ints(_) | NumSrc::Int(_))
+    }
+
+    #[inline]
+    fn int(self, r: usize) -> i64 {
+        match self {
+            NumSrc::Ints(v) => v[r],
+            NumSrc::Int(x) => x,
+            _ => unreachable!("asked only of integer operands"),
+        }
+    }
+
+    /// The cell widened as [`Value::as_num`] widens it.
+    #[inline]
+    fn num(self, r: usize) -> f64 {
+        match self {
+            NumSrc::Ints(v) => v[r] as f64,
+            NumSrc::Nums(v) => v[r],
+            NumSrc::Int(x) => x as f64,
+            NumSrc::Num(x) => x,
+        }
+    }
+}
+
+impl Col<'_> {
+    /// Cell `r` for a cell rule: borrowed when it exists as a
+    /// [`Value`], a scalar copy of a dense cell otherwise. Only here is
+    /// an encrypted column's cell copied out — for `IN`, and for the
+    /// operations that refuse a ciphertext anyway; comparisons read it
+    /// in place ([`Col::enc`]).
+    fn cell(&self, r: usize) -> Cow<'_, Value> {
+        match self {
+            Col::Int(v) => Cow::Owned(Value::Int(v[r])),
+            Col::Num(v) => Cow::Owned(Value::Num(v[r])),
+            Col::Val(v) => Cow::Borrowed(&v[r]),
+            Col::Enc(c, from) => Cow::Owned(c.value(from + r)),
+            Col::Lit(v) => Cow::Borrowed(v),
+        }
+    }
+
+    fn is_null(&self, r: usize) -> bool {
+        match self {
+            Col::Int(_) | Col::Num(_) => false,
+            Col::Val(v) => v[r].is_null(),
+            Col::Enc(c, from) => c.cell(from + r).is_empty(),
+            Col::Lit(v) => v.is_null(),
+        }
+    }
+
+    fn nums(&self) -> Option<NumSrc<'_>> {
+        match self {
+            Col::Int(v) => Some(NumSrc::Ints(v)),
+            Col::Num(v) => Some(NumSrc::Nums(v)),
+            Col::Lit(Value::Int(x)) => Some(NumSrc::Int(*x)),
+            Col::Lit(Value::Num(x)) => Some(NumSrc::Num(*x)),
+            _ => None,
+        }
+    }
+
+    /// Cell `r` when it is a date, in days.
+    #[inline]
+    fn day(&self, r: usize) -> Option<i32> {
+        match self {
+            Col::Val(v) => match v[r] {
+                Value::Date(d) => Some(d.0),
+                _ => None,
+            },
+            Col::Lit(Value::Date(d)) => Some(d.0),
+            _ => None,
+        }
+    }
+
+    /// `true` when every non-NULL cell is a ciphertext under one header.
+    fn is_enc(&self) -> bool {
+        matches!(self, Col::Enc(..) | Col::Lit(Value::Enc(_)))
+    }
+
+    /// Ciphertext `r` of an [`is_enc`](Col::is_enc) operand where it
+    /// lies; `None` for NULL.
+    fn enc(&self, r: usize) -> Option<EncRef<'_>> {
+        match self {
+            Col::Enc(c, from) => {
+                let cell = c.cell(from + r);
+                (!cell.is_empty()).then_some((c.scheme(), c.key_id(), cell))
+            }
+            Col::Lit(Value::Enc(e)) => Some((e.scheme, e.key_id, &e.bytes)),
+            _ => None,
+        }
+    }
+}
+
+/// One expression over one range of one batch. Kernels take a
+/// *selection* — ascending row numbers within the range — and touch
+/// nothing else.
+///
+/// The first row a kernel fails on ends the batch there: the error is
+/// kept, every row from it on is dead to later kernels, and a later
+/// failure can only be on an earlier row, where it replaces the kept
+/// one. A row's sub-expressions are visited in the row walk's order, so
+/// what is kept at the end is the first failing row's first error —
+/// the row walk's error.
+struct Evaluator<'a> {
+    attrs: &'a [AttrId],
+    cols: &'a [ColumnVec],
+    agg_base: Option<usize>,
+    /// First row of the range in the batch, and the range's length.
+    start: usize,
+    n: usize,
+    failed: Option<(usize, EvalError)>,
+}
+
+impl<'a> Evaluator<'a> {
+    fn new(batch: &'a Table, agg_base: Option<usize>, rows: Range<usize>) -> Evaluator<'a> {
+        Evaluator {
+            attrs: batch.attrs(),
+            cols: batch.columns(),
+            agg_base,
+            start: rows.start,
+            n: rows.len(),
+            failed: None,
+        }
+    }
+
+    fn all_rows(&self) -> Vec<usize> {
+        (0..self.n).collect()
+    }
+
+    /// The rows of `sel` still alive: those before the failed one.
+    fn live<'s>(&self, sel: &'s [usize]) -> &'s [usize] {
+        match self.failed {
+            Some((dead, _)) => &sel[..sel.partition_point(|&r| r < dead)],
+            None => sel,
+        }
+    }
+
+    /// Apply `rule` to each live row of `sel`, into `out`.
+    fn fill<T>(
+        &mut self,
+        sel: &[usize],
+        out: &mut [T],
+        mut rule: impl FnMut(usize) -> Result<T, EvalError>,
+    ) {
+        for &r in self.live(sel) {
+            match rule(r) {
+                Ok(v) => out[r] = v,
+                Err(e) => {
+                    self.failed = Some((r, e));
+                    return;
+                }
+            }
+        }
+    }
+
+    /// A computed column: `rule` on each live row of `sel`, `blank`
+    /// elsewhere.
+    fn apply<T: Clone>(
+        &mut self,
+        sel: &[usize],
+        blank: T,
+        rule: impl FnMut(usize) -> Result<T, EvalError>,
+    ) -> Vec<T> {
+        let mut out = vec![blank; self.n];
+        self.fill(sel, &mut out, rule);
+        out
+    }
+
+    /// The input column a column or aggregate reference names; `None`
+    /// for any other expression.
+    fn input(&self, e: &Expr) -> Option<Result<&'a ColumnVec, EvalError>> {
+        let (pos, unknown) = match e {
+            Expr::Col(a) => (
+                self.attrs.iter().position(|c| c == a),
+                EvalError::UnknownColumn(*a),
+            ),
+            Expr::AggRef(i) => (
+                self.agg_base.map(|base| base + i),
+                EvalError::AggRefOutsideGroup(*i),
+            ),
+            _ => return None,
+        };
+        Some(pos.and_then(|i| self.cols.get(i)).ok_or(unknown))
+    }
+
+    fn column(&mut self, e: &'a Expr, sel: &[usize]) -> Col<'a> {
+        if let Some(input) = self.input(e) {
+            let rows = self.start..self.start + self.n;
+            return match input {
+                Ok(ColumnVec::Int(v)) => Col::Int(Cow::Borrowed(&v[rows])),
+                Ok(ColumnVec::Num(v)) => Col::Num(Cow::Borrowed(&v[rows])),
+                Ok(ColumnVec::Val(v)) => Col::Val(Cow::Borrowed(&v[rows])),
+                Ok(ColumnVec::Enc(c)) => Col::Enc(c, self.start),
+                Err(unknown) => {
+                    // Every row that looks fails; none may be looking.
+                    if let Some(&first) = self.live(sel).first() {
+                        self.failed = Some((first, unknown));
+                    }
+                    Col::Lit(&NULL)
+                }
+            };
+        }
+        match e {
+            Expr::Lit(v) => Col::Lit(v),
+            Expr::Arith(a, op, b) => {
+                let (x, y) = (self.column(a, sel), self.column(b, sel));
+                self.arith(&x, *op, &y, sel)
+            }
+            Expr::Case { branches, else_ } => {
+                let mut out = vec![Value::Null; self.n];
+                let mut open = sel.to_vec();
+                for (cond, then) in branches {
+                    if open.is_empty() {
+                        break;
+                    }
+                    let truth = self.mask(cond, &open);
+                    let (taken, rest): (Vec<usize>, Vec<usize>) =
+                        open.iter().partition(|&&r| truth[r] == Some(true));
+                    self.scatter(then, &taken, &mut out);
+                    open = rest;
+                }
+                if let Some(e) = else_ {
+                    self.scatter(e, &open, &mut out);
+                }
+                Col::Val(out.into())
+            }
+            Expr::Extract { field, expr } => {
+                let v = self.column(expr, sel);
+                let year = self.apply(sel, Value::Null, |r| extract_cell(*field, &v.cell(r)));
+                Col::Val(year.into())
+            }
+            Expr::Substring { expr, start, len } => {
+                let v = self.column(expr, sel);
+                let cut = |r| substring_cell(&v.cell(r), *start, *len);
+                Col::Val(self.apply(sel, Value::Null, cut).into())
+            }
+            _ => {
+                let truth = self.mask(e, sel);
+                Col::Val(truth.into_iter().map(truth_to_value).collect())
+            }
+        }
+    }
+
+    /// `e` on the rows of `sel`, written to those rows of `out`.
+    fn scatter(&mut self, e: &'a Expr, sel: &[usize], out: &mut [Value]) {
+        let v = self.column(e, sel);
+        self.fill(sel, out, |r| Ok(v.cell(r).into_owned()));
+    }
+
+    fn arith(&mut self, a: &Col<'_>, op: ArithOp, b: &Col<'_>, sel: &[usize]) -> Col<'a> {
+        let by_cell = |r| arith(&a.cell(r), op, &b.cell(r));
+        let (Some(x), Some(y)) = (a.nums(), b.nums()) else {
+            return Col::Val(self.apply(sel, Value::Null, by_cell).into());
+        };
+        if op == ArithOp::Div {
+            // `/ 0` is NULL, which no dense column holds.
+            if self.live(sel).iter().any(|&r| y.num(r) == 0.0) {
+                return Col::Val(self.apply(sel, Value::Null, by_cell).into());
+            }
+        } else if x.is_int() && y.is_int() {
+            let checked = |r| {
+                int_arith(x.int(r), op, y.int(r))
+                    .ok_or_else(|| overflow(&a.cell(r), op, &b.cell(r)))
+            };
+            return Col::Int(self.apply(sel, 0, checked).into());
+        }
+        let widened = |r| Ok(num_arith(x.num(r), op, y.num(r)));
+        Col::Num(self.apply(sel, 0.0, widened).into())
+    }
+
+    fn mask(&mut self, e: &'a Expr, sel: &[usize]) -> Vec<Option<bool>> {
+        match e {
+            Expr::Cmp(a, op, b) => {
+                let (x, y) = (self.column(a, sel), self.column(b, sel));
+                self.cmp(&x, *op, &y, sel)
+            }
+            Expr::And(parts) => self.connective(parts, false, sel),
+            Expr::Or(parts) => self.connective(parts, true, sel),
+            Expr::Not(x) => {
+                let mut truth = self.mask(x, sel);
+                truth.iter_mut().for_each(|t| *t = t.map(|b| !b));
+                truth
+            }
+            Expr::Between {
+                expr,
+                lo,
+                hi,
+                negated,
+            } => {
+                let v = self.column(expr, sel);
+                let (lo, hi) = (self.column(lo, sel), self.column(hi, sel));
+                let ge = self.cmp(&v, CmpOp::Ge, &lo, sel);
+                let le = self.cmp(&v, CmpOp::Le, &hi, sel);
+                self.apply(sel, None, |r| Ok(between(ge[r], le[r], *negated)))
+            }
+            Expr::Like {
+                expr,
+                pattern,
+                negated,
+            } => {
+                let v = self.column(expr, sel);
+                let pattern: Vec<char> = pattern.chars().collect();
+                self.apply(sel, None, |r| like_cell(&v.cell(r), &pattern, *negated))
+            }
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => {
+                let v = self.column(expr, sel);
+                self.apply(sel, None, |r| in_list_cell(&v.cell(r), list, *negated))
+            }
+            Expr::IsNull { expr, negated } => {
+                let v = self.column(expr, sel);
+                self.apply(sel, None, |r| Ok(Some(v.is_null(r) != *negated)))
+            }
+            _ => {
+                let v = self.column(e, sel);
+                self.apply(sel, None, |r| truth_of(&v.cell(r)))
+            }
+        }
+    }
+
+    /// `AND` (`decides` = false) or `OR` (true): a part that comes out
+    /// `decides` settles its row, and later parts never see that row.
+    fn connective(&mut self, parts: &'a [Expr], decides: bool, sel: &[usize]) -> Vec<Option<bool>> {
+        let mut out = vec![Some(!decides); self.n];
+        let mut open = sel.to_vec();
+        for part in parts {
+            if open.is_empty() {
+                break;
+            }
+            let truth = self.mask(part, &open);
+            // Compacted in place, without a branch on the data.
+            let mut kept = 0;
+            for i in 0..open.len() {
+                let r = open[i];
+                if truth[r] != Some(!decides) {
+                    out[r] = truth[r];
+                }
+                open[kept] = r;
+                kept += usize::from(truth[r] != Some(decides));
+            }
+            open.truncate(kept);
+        }
+        out
+    }
+
+    fn cmp(&mut self, a: &Col<'_>, op: CmpOp, b: &Col<'_>, sel: &[usize]) -> Vec<Option<bool>> {
+        let mut out = vec![None; self.n];
+        let live = self.live(sel);
+        // Typed loops over what is dense in all but (for dates)
+        // representation. A pair they cannot answer — NaN, a cell that
+        // is no date — sends the selection to the cell rule instead.
+        let typed = match (a.nums(), b.nums()) {
+            (Some(x), Some(y)) if x.is_int() && y.is_int() => {
+                live.iter()
+                    .for_each(|&r| out[r] = Some(holds(op, x.int(r), y.int(r))));
+                true
+            }
+            (Some(x), Some(y)) => live.iter().fold(true, |ordered, &r| {
+                let (p, q) = (x.num(r), y.num(r));
+                out[r] = Some(holds(op, p, q));
+                ordered & !p.is_nan() & !q.is_nan()
+            }),
+            _ => live.iter().all(|&r| match (a.day(r), b.day(r)) {
+                (Some(p), Some(q)) => {
+                    out[r] = Some(holds(op, p, q));
+                    true
+                }
+                _ => false,
+            }),
+        };
+        if typed {
+            return out;
+        }
+        if a.is_enc() && b.is_enc() {
+            self.fill(sel, &mut out, |r| match (a.enc(r), b.enc(r)) {
+                (Some(x), Some(y)) => cmp_enc(x, op, y),
+                _ => Ok(None),
+            });
+        } else {
+            self.fill(sel, &mut out, |r| cmp_values(&a.cell(r), op, &b.cell(r)));
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -545,6 +1061,39 @@ mod tests {
         assert!(!like_match("", "_"));
         assert!(like_match("a%b", "a%b"));
         assert!(like_match("xxyyzz", "%yy%"));
+    }
+
+    /// The recursive matcher tried every split at every `%`: this
+    /// pattern took minutes on this cell, and it arrives in a signed
+    /// sub-query. Two pointers answer in microseconds.
+    #[test]
+    fn like_cannot_be_made_to_hang() {
+        let cell = "a".repeat(64);
+        let pattern = "%a".repeat(16) + "b";
+        let start = std::time::Instant::now();
+        assert!(!like_match(&cell, &pattern));
+        assert!(like_match(&cell, &"%a".repeat(16)));
+        assert!(like_match(&(cell + "b"), &pattern));
+        assert!(start.elapsed() < std::time::Duration::from_millis(10));
+    }
+
+    #[test]
+    fn like_wildcards_at_the_edges() {
+        // Only `%`: anything, the empty cell included.
+        assert!(like_match("", "%%%") && like_match("abc", "%%"));
+        // A trailing `%` takes the rest, or nothing.
+        assert!(like_match("PROMO", "PROMO%") && like_match("PROMO TIN", "PROMO%"));
+        assert!(!like_match("PROM", "PROMO%"));
+        // `_` behind `%` still needs its one character.
+        assert!(like_match("b", "%_") && like_match("xab", "%_b") && like_match("ab", "%_b"));
+        assert!(!like_match("", "%_") && !like_match("b", "%_b"));
+        // The `%` gives back what a later literal needs.
+        assert!(
+            like_match("abab", "%ab") && like_match("aab", "a%ab") && !like_match("ab", "a%ab")
+        );
+        // Wildcards count characters, not bytes.
+        assert!(like_match("ünï", "ü_ï") && like_match("ünï", "%ï") && like_match("ü", "_"));
+        assert!(!like_match("ü", "__") && !like_match("ünï", "u%"));
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! encrypt/decrypt, udf, limit) hold one at a time, while pipeline
 //! breakers (join build sides, group-by, sort) collect a whole one.
 //! Operators build their output by moving columns (slice, filter,
-//! gather, append); only expression evaluation and hash keys look at
-//! cells. Rows survive where something is row-shaped by nature: the
-//! loader, the [`rowref`] oracle, `Table::display`, result checkers and
+//! gather, append) and evaluate expressions a column at a time
+//! ([`eval::eval_mask`], [`eval::eval_column`]), reading cells where
+//! they lie; only hash keys copy cells out. Rows survive where
+//! something is row-shaped by nature: the loader, the [`rowref`] oracle,
+//! a join's residual predicate, `Table::display`, result checkers and
 //! tests. Ciphertext bytes are a pure function of `(seed, node,
 //! column, row)`, so batch size, chunking, and worker count never
 //! change results.
@@ -32,7 +34,8 @@
 //!
 //! * [`batch`] — the column types: schemas and typed column vectors;
 //! * [`table`] — the relation container and the in-memory database;
-//! * [`eval`] — expression evaluation over batch rows;
+//! * [`eval`] — expression evaluation: the cell rules, the column
+//!   evaluator the operators run, and the row walk the oracle keeps;
 //! * [`scheme`] — per-attribute encryption scheme assignment ("the
 //!   scheme providing highest protection, while supporting the
 //!   operations to be executed", §6) and encrypted-literal rewriting of

@@ -48,6 +48,13 @@
 //!   (`fn guess_schemes`, `fn expr_caps`, `fn walk_cmp`,
 //!   `plaintext_required`) are findings anywhere under `crates/`: a
 //!   second statement of the rule must not quietly come back.
+//! * **column-evaluator** — operators evaluate expressions a column at
+//!   a time (`eval_mask` / `eval_column`). The per-row context over a
+//!   batch that they replaced (`RowCtx`'s `batch(` constructor) is a
+//!   finding anywhere under `crates/`, and in `exec/src/engine.rs` any
+//!   `RowCtx::` outside `probe_batch` — the join residual, evaluated on
+//!   its one materialized `combined` row — is one too: a per-row tree
+//!   walk must not quietly come back under an operator.
 //!
 //! The scan strips comments and string literals and skips
 //! `#[cfg(test)]` modules, so documentation and tests may freely
@@ -137,6 +144,17 @@ const CAPABILITY_COPIES: [&str; 4] = [
     "fn walk_cmp",
     "plaintext_required",
 ];
+
+/// The per-row evaluation context over a batch the column evaluator
+/// replaced (spelled in two halves, so that a search for it under
+/// `crates/` comes back empty)…
+const ROW_WALK_RETIRED: &str = concat!("RowCtx::", "batch(");
+
+/// …and any row context at all, in the engine, outside the one function
+/// that evaluates a join residual on a materialized row.
+const ROW_WALK_TOKEN: &str = "RowCtx::";
+const ROW_WALK_FILE: &str = "crates/exec/src/engine.rs";
+const ROW_WALK_HOME: &str = "probe_batch";
 
 /// Tokens that break run-to-run determinism.
 const DETERMINISM_TOKENS: [&str; 5] = [
@@ -488,10 +506,12 @@ fn lint_source(rel: &Path, src: &str, findings: &mut Vec<Finding>) {
     if engine_scoped {
         lint_retry_budgets(rel, &cleaned, &skip, findings);
     }
+    let mut current_fn = None;
     for (n, line) in cleaned.lines().enumerate() {
         if skip.get(n).copied().unwrap_or(false) {
             continue;
         }
+        current_fn = fn_name(line).or(current_fn);
         let record = |findings: &mut Vec<Finding>, rule, message| {
             findings.push(Finding {
                 file: rel.to_path_buf(),
@@ -598,6 +618,19 @@ fn lint_source(rel: &Path, src: &str, findings: &mut Vec<Finding>) {
                     ),
                 );
             }
+        }
+        let row_walk_in_engine = rel == Path::new(ROW_WALK_FILE)
+            && line.contains(ROW_WALK_TOKEN)
+            && current_fn != Some(ROW_WALK_HOME);
+        if line.contains(ROW_WALK_RETIRED) || row_walk_in_engine {
+            record(
+                findings,
+                "column-evaluator",
+                "a row context under an operator — expressions run a column at a time \
+                 (`eval_mask` / `eval_column`); only the join residual in \
+                 `probe_batch` walks a materialized row"
+                    .to_string(),
+            );
         }
         if engine_scoped && rel != Path::new(NET_ALLOWED) {
             for t in NET_TOKENS {
@@ -909,6 +942,39 @@ mod tests {
         ] {
             assert_eq!(lines_in(file), vec![2, 3, 4, 5], "{file}");
         }
+    }
+
+    #[test]
+    fn a_row_walk_under_an_operator_is_flagged() {
+        let src = "
+fn selection_mask(pred: &Expr, batch: &Table) -> Vec<bool> {
+    let rc = RowCtx::batch(attrs, cols, row);
+    let rc = RowCtx::plain(attrs, &row);
+}
+fn probe_batch(resid: &Expr) {
+    ok = eval_pred(resid, &RowCtx::plain(combined_attrs, &combined))? == Some(true);
+}
+fn sort_stream() { let rc = RowCtx::plain(attrs, &row).with_agg_base(agg_base); }
+#[cfg(test)]
+mod tests {
+    fn t() { RowCtx::plain(a, r); }
+}
+";
+        let lines_in = |file: &str| {
+            let mut findings = Vec::new();
+            lint_source(Path::new(file), src, &mut findings);
+            findings
+                .iter()
+                .filter(|f| f.rule == "column-evaluator")
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        // In the engine only the join residual may hold a row context…
+        assert_eq!(lines_in("crates/exec/src/engine.rs"), vec![3, 4, 9]);
+        // …elsewhere (the oracle, `eval.rs` itself) only the retired
+        // batch-row constructor is a finding.
+        assert_eq!(lines_in("crates/exec/src/rowref.rs"), vec![3]);
+        assert_eq!(lines_in("crates/dist/src/party.rs"), vec![3]);
     }
 
     #[test]
