@@ -11,7 +11,7 @@
 
 use crate::ids::AttrId;
 use crate::value::{DataType, Value};
-use crate::AttrSet;
+use crate::{AttrSet, Catalog};
 use std::fmt;
 
 /// Comparison operators.
@@ -330,32 +330,65 @@ impl Expr {
     }
 }
 
+/// An [`Expr`] being printed: attributes by their catalog names where
+/// a catalog is given, by id (`a3`) otherwise. Names go where a `Col`
+/// is printed and nowhere else — a literal `'a3'` or a `LIKE` pattern
+/// `'%a3%'` is the user's text, in a plan dump and in the sub-query
+/// text sealed into a signed request alike.
+pub struct ExprDisplay<'a> {
+    expr: &'a Expr,
+    catalog: Option<&'a Catalog>,
+}
+
+impl Expr {
+    /// This expression with attribute names from `catalog`.
+    pub fn display<'a>(&'a self, catalog: &'a Catalog) -> ExprDisplay<'a> {
+        ExprDisplay {
+            expr: self,
+            catalog: Some(catalog),
+        }
+    }
+}
+
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Expr::Col(a) => write!(f, "{a}"),
+        let shown = ExprDisplay {
+            expr: self,
+            catalog: None,
+        };
+        shown.fmt(f)
+    }
+}
+
+impl fmt::Display for ExprDisplay<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let catalog = self.catalog;
+        let sub = |expr| ExprDisplay { expr, catalog };
+        let joined = |v: &[Expr], sep| {
+            let parts: Vec<String> = v
+                .iter()
+                .map(|expr| ExprDisplay { expr, catalog }.to_string())
+                .collect();
+            parts.join(sep)
+        };
+        let not = |negated: &bool| if *negated { "NOT " } else { "" };
+        match self.expr {
+            Expr::Col(a) => match catalog {
+                Some(c) if a.index() < c.num_attrs() => f.write_str(c.attr_name(*a)),
+                _ => write!(f, "{a}"),
+            },
             Expr::AggRef(i) => write!(f, "agg#{i}"),
             Expr::Lit(v) => write!(f, "{v}"),
-            Expr::Cmp(a, op, b) => write!(f, "({a} {op} {b})"),
-            Expr::And(v) => {
-                let parts: Vec<String> = v.iter().map(|e| e.to_string()).collect();
-                write!(f, "({})", parts.join(" AND "))
-            }
-            Expr::Or(v) => {
-                let parts: Vec<String> = v.iter().map(|e| e.to_string()).collect();
-                write!(f, "({})", parts.join(" OR "))
-            }
-            Expr::Not(e) => write!(f, "NOT {e}"),
-            Expr::Arith(a, op, b) => write!(f, "({a} {op} {b})"),
+            Expr::Cmp(a, op, b) => write!(f, "({} {op} {})", sub(a), sub(b)),
+            Expr::And(v) => write!(f, "({})", joined(v, " AND ")),
+            Expr::Or(v) => write!(f, "({})", joined(v, " OR ")),
+            Expr::Not(e) => write!(f, "NOT {}", sub(e)),
+            Expr::Arith(a, op, b) => write!(f, "({} {op} {})", sub(a), sub(b)),
             Expr::Like {
                 expr,
                 pattern,
                 negated,
-            } => write!(
-                f,
-                "{expr} {}LIKE '{pattern}'",
-                if *negated { "NOT " } else { "" }
-            ),
+            } => write!(f, "{} {}LIKE '{pattern}'", sub(expr), not(negated)),
             Expr::Between {
                 expr,
                 lo,
@@ -363,8 +396,11 @@ impl fmt::Display for Expr {
                 negated,
             } => write!(
                 f,
-                "{expr} {}BETWEEN {lo} AND {hi}",
-                if *negated { "NOT " } else { "" }
+                "{} {}BETWEEN {} AND {}",
+                sub(expr),
+                not(negated),
+                sub(lo),
+                sub(hi)
             ),
             Expr::InList {
                 expr,
@@ -372,34 +408,29 @@ impl fmt::Display for Expr {
                 negated,
             } => {
                 let items: Vec<String> = list.iter().map(|v| v.to_string()).collect();
-                write!(
-                    f,
-                    "{expr} {}IN ({})",
-                    if *negated { "NOT " } else { "" },
-                    items.join(", ")
-                )
+                write!(f, "{} {}IN ({})", sub(expr), not(negated), items.join(", "))
             }
             Expr::Case { branches, else_ } => {
                 write!(f, "CASE")?;
                 for (c, v) in branches {
-                    write!(f, " WHEN {c} THEN {v}")?;
+                    write!(f, " WHEN {} THEN {}", sub(c), sub(v))?;
                 }
                 if let Some(e) = else_ {
-                    write!(f, " ELSE {e}")?;
+                    write!(f, " ELSE {}", sub(e))?;
                 }
                 write!(f, " END")
             }
             Expr::IsNull { expr, negated } => {
-                write!(f, "{expr} IS {}NULL", if *negated { "NOT " } else { "" })
+                write!(f, "{} IS {}NULL", sub(expr), not(negated))
             }
             Expr::Extract { field, expr } => {
                 let fname = match field {
                     DateField::Year => "year",
                 };
-                write!(f, "extract({fname} from {expr})")
+                write!(f, "extract({fname} from {})", sub(expr))
             }
             Expr::Substring { expr, start, len } => {
-                write!(f, "substring({expr} from {start} for {len})")
+                write!(f, "substring({} from {start} for {len})", sub(expr))
             }
         }
     }

@@ -521,8 +521,8 @@ impl QueryPlan {
                 format!("{}[{}]", catalog.rel(*rel).name, render(attrs))
             }
             Operator::Project { attrs } => format!("π {}", render(attrs)),
-            Operator::Select { pred } => format!("σ {}", pred_display(pred, catalog)),
-            Operator::Having { pred } => format!("σᵧ {}", pred_display(pred, catalog)),
+            Operator::Select { pred } => format!("σ {}", pred.display(catalog)),
+            Operator::Having { pred } => format!("σᵧ {}", pred.display(catalog)),
             Operator::Product => "×".to_string(),
             Operator::Join { kind, on, .. } => {
                 let conds: Vec<String> = on
@@ -536,7 +536,7 @@ impl QueryPlan {
             Operator::GroupBy { keys, aggs } => {
                 let ags: Vec<String> = aggs
                     .iter()
-                    .map(|a| format!("{}({})", a.func, expr_display(&a.input, catalog)))
+                    .map(|a| format!("{}({})", a.func, a.input.display(catalog)))
                     .collect();
                 format!("γ {} ; {}", render(keys), ags.join(", "))
             }
@@ -553,44 +553,6 @@ impl QueryPlan {
             self.fmt_node(c, catalog, depth + 1, out);
         }
     }
-}
-
-fn expr_display(e: &Expr, catalog: &Catalog) -> String {
-    // Substitute attribute ids with names for readability.
-    let s = e.to_string();
-    substitute_attr_names(&s, catalog)
-}
-
-fn pred_display(e: &Expr, catalog: &Catalog) -> String {
-    expr_display(e, catalog)
-}
-
-fn substitute_attr_names(s: &str, catalog: &Catalog) -> String {
-    // Replace occurrences of `aN` tokens with attribute names.
-    let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'a'
-            && (i == 0 || !bytes[i - 1].is_ascii_alphanumeric())
-            && i + 1 < bytes.len()
-            && bytes[i + 1].is_ascii_digit()
-        {
-            let mut j = i + 1;
-            while j < bytes.len() && bytes[j].is_ascii_digit() {
-                j += 1;
-            }
-            let n: usize = s[i + 1..j].parse().unwrap_or(usize::MAX);
-            if n < catalog.num_attrs() {
-                out.push_str(catalog.attr_name(AttrId::from_index(n)));
-                i = j;
-                continue;
-            }
-        }
-        out.push(bytes[i] as char);
-        i += 1;
-    }
-    out
 }
 
 #[cfg(test)]

@@ -348,7 +348,7 @@ fn render_node(
             if !parts.group_by.is_empty() {
                 parts = parts.wrap();
             }
-            parts.wheres.push(render_expr_names(pred, catalog));
+            parts.wheres.push(pred.display(catalog).to_string());
             parts
         }
         Operator::Having { pred } => {
@@ -365,10 +365,10 @@ fn render_node(
             // (and possibly in another region); its aggregate list is
             // still what AggRefs in the predicate refer to.
             let rendered = match &plan.node(plan.through_crypto(node.children[0])).op {
-                Operator::GroupBy { aggs, .. } => {
-                    render_expr_names(&crate::profile::resolve_agg_refs(pred, aggs), catalog)
-                }
-                _ => render_expr_names(pred, catalog),
+                Operator::GroupBy { aggs, .. } => crate::profile::resolve_agg_refs(pred, aggs)
+                    .display(catalog)
+                    .to_string(),
+                _ => pred.display(catalog).to_string(),
             };
             if parts.group_by.is_empty() {
                 // Child group-by sits in another region; filter locally.
@@ -442,10 +442,10 @@ fn render_node(
                 .map(|a| catalog.attr_name(*a).to_string())
                 .collect();
             for ag in aggs {
-                let inner = render_expr_names(&ag.input, catalog);
                 select.push(format!(
-                    "{}({inner}) as {}",
+                    "{}({}) as {}",
                     ag.func,
+                    ag.input.display(catalog),
                     catalog.attr_name(ag.output)
                 ));
             }
@@ -573,37 +573,6 @@ fn visible_cols(plan: &mpq_algebra::QueryPlan, catalog: &Catalog, id: NodeId) ->
         .collect()
 }
 
-fn render_expr_names(e: &mpq_algebra::Expr, catalog: &Catalog) -> String {
-    // Reuse the id-substituting display of the plan module via Display,
-    // then patch attribute ids into names.
-    let raw = e.to_string();
-    let mut out = String::with_capacity(raw.len());
-    let bytes = raw.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'a'
-            && (i == 0 || !bytes[i - 1].is_ascii_alphanumeric())
-            && i + 1 < bytes.len()
-            && bytes[i + 1].is_ascii_digit()
-        {
-            let mut j = i + 1;
-            while j < bytes.len() && bytes[j].is_ascii_digit() {
-                j += 1;
-            }
-            if let Ok(n) = raw[i + 1..j].parse::<usize>() {
-                if n < catalog.num_attrs() {
-                    out.push_str(catalog.attr_name(mpq_algebra::AttrId::from_index(n)));
-                    i = j;
-                    continue;
-                }
-            }
-        }
-        out.push(bytes[i] as char);
-        i += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -725,6 +694,45 @@ mod tests {
         // column, never leak as an `agg#N` placeholder.
         assert!(!y.contains("agg#"), "{y}");
         assert!(y.contains("(P > 100.00)"), "{y}");
+    }
+
+    /// Attribute names go where a column is printed and nowhere else:
+    /// a literal or a `LIKE` pattern that *looks* like an attribute id
+    /// is the user's text, and reaches the plan dump and the sub-query
+    /// sealed into the signed request verbatim.
+    #[test]
+    fn literals_that_look_like_attribute_ids_are_rendered_verbatim() {
+        use mpq_algebra::{Expr, Operator, QueryPlan, Value};
+        let ex = RunningExample::new();
+        let cat = &ex.catalog;
+        let attr = |n| cat.attr(n).unwrap();
+        let hosp = cat.relation("Hosp").unwrap().rel;
+        let mut plan = QueryPlan::new();
+        let base = plan.add_base(hosp, vec![attr("S"), attr("D"), attr("T")]);
+        let like = Expr::Like {
+            expr: Box::new(Expr::Col(attr("T"))),
+            pattern: "%a2%".into(),
+            negated: false,
+        };
+        let pred = Expr::And(vec![Expr::col_eq(attr("D"), Value::str("a1")), like]);
+        let select = plan.add(Operator::Select { pred }, vec![base]);
+        let rendered = "((D = 'a1') AND T LIKE '%a2%')";
+        assert!(
+            plan.display(cat).contains(rendered),
+            "{}",
+            plan.display(cat)
+        );
+
+        let policy = CapabilityPolicy::default();
+        let cands = candidates(&plan, cat, &ex.policy, &ex.subjects, &policy, false);
+        let mut a = Assignment::new();
+        a.set(select, ex.subject("H"));
+        let user = Some(ex.subject("U"));
+        let e = minimally_extend(&plan, cat, &ex.policy, &ex.subjects, &cands, &a, user).unwrap();
+        let d = dispatch(&e, &plan_keys(&e), cat, &ex.subjects);
+        let h = d.requests.iter().find(|r| r.subject == ex.subject("H"));
+        let sql = &h.expect("H filters its own relation").sql;
+        assert!(sql.contains(&format!("where {rendered}")), "{sql}");
     }
 
     /// Envelope notation matches the paper's `[[q_S,(a,k)]priU]pubS`.

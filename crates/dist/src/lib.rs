@@ -21,6 +21,17 @@
 //! | | [`Session::execute`] with [`TransportKind::Tcp`] (loopback sockets) | `tcp_pass_ms_p50` |
 //! | **process per subject** — the same blocking driver inside each [`Server`] and for the [`Coordinator`]'s own share ([`remote`]) | [`Coordinator::execute`] | — (`scripts/server_smoke.sh`) |
 //!
+//! **One wire under both planes.** Fig. 8 has one kind of edge — a
+//! subject sends a signed sub-query or a result table to another — and
+//! so does this crate ([`transport`]): one subject-keyed link cache
+//! (lazy dial, a plane-supplied introduction, eviction on a failed
+//! write), one reading of the fault layer's four wire operations, one
+//! bounded retry loop, under the data plane and the coordinator's
+//! control plane alike. A party's mailbox carries data only and owns
+//! the epoch filter (`Mailbox::next`); wake-ups travel on their own
+//! channel, whose closing is shutdown; and one `settle` picks the
+//! error a failed query reports ([`runtime`]).
+//!
 //! Whoever schedules, a query follows the §6 protocol. The first three
 //! steps are the querying user's side, one shared preparation (see
 //! [`session`]) that a [`Session`] and a [`Coordinator`] both call:

@@ -560,7 +560,8 @@ mod tests {
 
     /// The reference the regions replaced: every node stepped on its
     /// own under its assignee's ring and store, in literal plan order
-    /// (no footnote-2 reordering), every intermediate materialized.
+    /// (no footnote-2 reordering: a Select finds its Encrypt already
+    /// in `results`), every intermediate materialized.
     fn run_node_at_a_time(f: &Fixture) -> (HashMap<NodeId, Table>, HashMap<Edge, usize>) {
         let job = &f.d.job;
         let parents = job.plan.parents();
@@ -571,7 +572,6 @@ mod tests {
             let (schemes, keys) = (&job.schemes, &job.key_of_attr);
             let ctx = ExecCtx::builder(&party.catalog, &party.store, &party.ring, schemes, keys)
                 .seed(job.exec_seed)
-                .fuse_filter_encrypt(false)
                 .build();
             let table = execute_step(&job.plan, id, &mut results, &ctx).expect("authorized node");
             let consumer = parents[id.index()].map_or(job.user, |p| job.assignment[&p]);

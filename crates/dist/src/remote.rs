@@ -52,18 +52,20 @@
 //! [`runtime`](crate::runtime) the in-process party threads use, so
 //! every guarantee (envelope check, receive audit, epoch isolation,
 //! typed transport aborts) carries over. The control connections are a
-//! `Transport` backend under a second `Wire`: control frames retry,
-//! back off and take injected faults by the data plane's own loop.
+//! second `Links` cache — the data plane's, with the hello handshake as
+//! its introduction step — under a second `Wire`: control frames retry,
+//! back off and take injected faults by the data plane's own loop and
+//! its one reading of `WireOp`, and `settle` picks the error a query
+//! reports exactly as it does for the party threads.
 
 use crate::codec::Frame;
 use crate::error::SimError;
 use crate::fault::{FaultPlan, RetryPolicy};
 use crate::party::{Party, PartyOut};
-use crate::runtime::{drive, Msg, Outcome, PartyMsg};
+use crate::runtime::{drive, peer_failure, settle, Mailbox, Outcome, Run, ABORTED_MARK};
 use crate::session::{Dispatched, Dispatcher, Holders, SessionConfig};
 use crate::transport::{
-    Control, EdgeRecovery, FaultState, TcpHub, TcpTransport, Transport, TransportError, Wire,
-    WireOp, WireStats,
+    lock, Conn, EdgeRecovery, FaultState, Link, Links, TcpHub, TransportError, Wire, WireStats,
 };
 use crate::{Report, RSA_BITS};
 use mpq_algebra::{Catalog, SubjectId};
@@ -136,8 +138,8 @@ pub struct ServerConfig {
 pub struct Server {
     party: Party,
     peers: HashMap<SubjectId, String>,
-    rx: Receiver<PartyMsg>,
-    ctl_rx: Receiver<Control>,
+    mailbox: Mailbox,
+    ctl_rx: Receiver<Conn>,
     hub: TcpHub,
     seed: u64,
     faults: Option<FaultPlan>,
@@ -153,7 +155,7 @@ impl Server {
     /// `Frame::Shutdown`.
     pub fn bind(config: ServerConfig) -> Result<Server, TransportError> {
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let (tx, rx) = channel();
+        let (tx, mailbox) = Mailbox::new();
         let (ctl_tx, ctl_rx) = channel();
         let hub = TcpHub::bind(&config.listen, tx, Some(ctl_tx))?;
         Ok(Server {
@@ -167,7 +169,7 @@ impl Server {
                 pool: WorkerPool::global(),
             },
             peers: config.peers,
-            rx,
+            mailbox,
             ctl_rx,
             hub,
             seed: config.seed,
@@ -201,12 +203,11 @@ impl Server {
     /// connections (they are this subject's material).
     pub fn run(mut self) -> Result<(), TransportError> {
         let wire = self.data_wire();
-        let mut stash: Vec<(u64, Msg)> = Vec::new();
         loop {
             let Ok(mut ctl) = self.ctl_rx.recv() else {
                 return Ok(());
             };
-            match self.serve_conn(&mut ctl, &wire, &mut stash) {
+            match self.serve_conn(&mut ctl, &wire) {
                 Ok(true) => return Ok(()),
                 // The coordinator went away or its connection died
                 // mid-conversation: either way this server keeps its
@@ -219,15 +220,14 @@ impl Server {
 
     /// This server's sending data plane.
     fn data_wire(&self) -> Wire {
-        let backend: Arc<dyn Transport> = Arc::new(TcpTransport::new(
-            self.party.me,
-            self.peers.clone(),
-            CONNECT_TIMEOUT,
-        ));
         Wire::new(
             self.party.me,
             self.seed,
-            backend,
+            Arc::new(Links::tcp(
+                self.party.me,
+                self.peers.clone(),
+                CONNECT_TIMEOUT,
+            )),
             Arc::new(Mutex::new(FaultState::new(self.faults.clone()))),
             self.retry,
             Arc::new(WireStats::default()),
@@ -236,12 +236,7 @@ impl Server {
 
     /// Serve one coordinator connection. `Ok(true)` means shutdown was
     /// requested; `Ok(false)` means the coordinator went away.
-    fn serve_conn(
-        &mut self,
-        ctl: &mut Control,
-        wire: &Wire,
-        stash: &mut Vec<(u64, Msg)>,
-    ) -> Result<bool, TransportError> {
+    fn serve_conn(&mut self, ctl: &mut Conn, wire: &Wire) -> Result<bool, TransportError> {
         // The handshake fixes who we are talking *for*: every envelope
         // of this connection must verify against this user key.
         let mut user_public: Option<RsaPublic> = None;
@@ -286,7 +281,7 @@ impl Server {
                     job,
                     envelope,
                 } => {
-                    let Some(pk) = user_public.clone() else {
+                    let Some(user_public) = user_public.clone() else {
                         ctl.send(&Frame::Failed {
                             epoch,
                             message: "Execute before Hello".to_string(),
@@ -302,7 +297,7 @@ impl Server {
                     if self.outcomes.contains_key(&epoch) {
                         let authorized = envelope
                             .as_ref()
-                            .is_some_and(|env| env.open(&self.party.rsa, &pk).is_some());
+                            .is_some_and(|env| env.open(&self.party.rsa, &user_public).is_some());
                         let reply = if authorized {
                             self.outcomes[&epoch].clone()
                         } else {
@@ -316,18 +311,13 @@ impl Server {
                     }
                     // The signed request is the licence to compute; the
                     // party core refuses the epoch without it.
-                    let envelope = envelope.as_ref();
-                    let outcome = drive(
-                        &self.party,
-                        &job,
-                        envelope,
-                        &pk,
+                    let run = Run {
                         epoch,
-                        &self.rx,
-                        wire,
-                        stash,
-                    );
-                    let reply = match outcome {
+                        job,
+                        envelope,
+                        user_public,
+                    };
+                    let reply = match drive(&self.party, &run, &mut self.mailbox, wire) {
                         Outcome::Done(out) => {
                             let mut transfers: Vec<(SubjectId, SubjectId, u64)> = out
                                 .transfers
@@ -367,134 +357,86 @@ impl Server {
     }
 }
 
-/// Marker a server reports when it stopped because a *peer* failed —
-/// the coordinator prefers the actual failure over this echo.
-const ABORTED_MARK: &str = "aborted: a peer failed first";
-
-/// The coordinator's control connections, one per server, as a
-/// [`Transport`] backend: the control-plane [`Wire`] on top brings the
-/// fault schedule and the bounded retry loop; this brings the
-/// (re-)dialing. The server keys learned in the handshake live here
-/// too, since every re-dial may refresh them.
-struct ControlLinks {
-    /// The frame opening every control connection.
+/// The coordinator's control plane: a [`Links`] cache whose
+/// introduction step is the hello handshake — dial `s`'s control port,
+/// announce the user with `hello`, wait up to `wait` for the
+/// `HelloAck`, and record the server key it carries in `publics`
+/// (every re-dial may refresh it).
+fn control_links(
     hello: Frame,
-    /// Control addresses, kept for re-dialing a lost connection.
     addrs: HashMap<SubjectId, String>,
-    /// How long a `HelloAck` or an outcome may take. Grants
-    /// `DONE_SLACK` past the query timeout because a mid-epoch server
-    /// only answers once its current serve loop observes the dead
-    /// predecessor connection.
     wait: Duration,
-    state: Mutex<Links>,
-}
-
-#[derive(Default)]
-struct Links {
-    conns: HashMap<SubjectId, Control>,
-    publics: HashMap<SubjectId, RsaPublic>,
-}
-
-impl ControlLinks {
-    fn state(&self) -> std::sync::MutexGuard<'_, Links> {
-        self.state.lock().expect("control-link lock poisoned")
-    }
-
-    /// The live connection to `s`, dialing its control port and redoing
-    /// the hello handshake if there is none. One attempt, never a loop
-    /// of its own — every caller sits inside a bounded retry budget.
-    fn dial<'a>(
-        &self,
-        links: &'a mut Links,
-        s: SubjectId,
-    ) -> Result<&'a mut Control, TransportError> {
-        if !links.conns.contains_key(&s) {
-            let addr = self.addrs.get(&s).ok_or(TransportError::Closed)?;
-            let mut ctl = Control::connect(addr, CONNECT_TIMEOUT)?;
-            ctl.send(&self.hello)?;
-            let detail = match ctl.recv(Some(self.wait))? {
-                Frame::HelloAck { me, public } if me == s => {
-                    links.publics.insert(s, public);
-                    links.conns.insert(s, ctl);
-                    return Ok(links.conns.get_mut(&s).expect("just dialed"));
-                }
-                Frame::HelloAck { me, .. } => format!("server at {addr} hosts {me}, expected {s}"),
-                _ => "expected HelloAck".to_string(),
-            };
-            return Err(TransportError::Frame { detail });
-        }
-        Ok(links.conns.get_mut(&s).expect("checked above"))
-    }
-
-    /// One attempt to receive `s`'s outcome of `epoch`. A connection
-    /// lost since the `Execute` went out is re-dialed and `pending`
-    /// re-delivered first — the server either replays its cached
-    /// outcome or runs the epoch it never received. The outer `Err` is
-    /// worth another attempt (the connection died); the inner one is
-    /// final: a *quiet* but healthy connection is not recoverable by
-    /// reconnecting and surfaces as the typed timeout immediately.
-    fn recv_outcome(
-        &self,
-        s: SubjectId,
-        epoch: u64,
-        pending: Option<&Frame>,
-    ) -> Result<Result<Frame, TransportError>, TransportError> {
-        let mut links = self.state();
-        let redialed = !links.conns.contains_key(&s);
-        let ctl = self.dial(&mut links, s)?;
-        let mut alive = match pending {
-            Some(frame) if redialed => ctl.send(frame),
-            _ => Ok(()),
-        };
-        let lost = loop {
-            if let Err(e) = alive {
-                break e;
+    publics: Arc<Mutex<HashMap<SubjectId, RsaPublic>>>,
+) -> Links<Conn> {
+    Links::new(move |s| {
+        let addr = addrs.get(&s).ok_or(TransportError::Closed)?;
+        let mut ctl = Conn::connect(addr, s, CONNECT_TIMEOUT)?;
+        ctl.send(&hello)?;
+        let detail = match ctl.recv(Some(wait))? {
+            Frame::HelloAck { me, public } if me == s => {
+                lock(&publics).insert(s, public);
+                return Ok(ctl);
             }
-            alive = match ctl.recv(Some(self.wait)) {
+            Frame::HelloAck { me, .. } => format!("server at {addr} hosts {me}, expected {s}"),
+            _ => "expected HelloAck".to_string(),
+        };
+        Err(TransportError::Frame { detail })
+    })
+}
+
+/// One attempt to receive `s`'s outcome of `epoch` within `wait`. A
+/// connection lost since the `Execute` went out is re-dialed and
+/// `pending` re-delivered first — the server either replays its cached
+/// outcome or runs the epoch it never received. An `Err` is worth
+/// another attempt (the connection died, and is evicted); what the
+/// server said, or that a *quiet* but healthy connection said nothing —
+/// not recoverable by reconnecting, so the typed timeout surfaces
+/// immediately — is final.
+fn recv_outcome(
+    links: &Links<Conn>,
+    wait: Duration,
+    s: SubjectId,
+    epoch: u64,
+    pending: Option<&Frame>,
+) -> Result<Outcome, TransportError> {
+    let redialed = !links.is_open(s);
+    links.with(s, false, |ctl| {
+        if let (true, Some(frame)) = (redialed, pending) {
+            ctl.send(frame)?;
+        }
+        loop {
+            let outcome = match ctl.recv(Some(wait)) {
                 // Residue of an earlier epoch is drained without
                 // consuming recovery budget.
                 Ok(Frame::Done { epoch: e, .. } | Frame::Failed { epoch: e, .. }) if e != epoch => {
-                    Ok(())
+                    continue
                 }
-                Ok(f @ (Frame::Done { .. } | Frame::Failed { .. })) => return Ok(Ok(f)),
-                Ok(_) => {
-                    return Ok(Err(TransportError::Frame {
+                Ok(Frame::Done { transfers, .. }) => Outcome::Done(PartyOut {
+                    transfers: transfers
+                        .into_iter()
+                        .map(|(f, t, bytes)| ((f, t), bytes as usize))
+                        .collect(),
+                    result: None,
+                }),
+                Ok(Frame::Failed { message, .. }) if message == ABORTED_MARK => Outcome::Aborted,
+                Ok(Frame::Failed { message, .. }) => Outcome::Failed(peer_failure(s, message)),
+                Ok(_) => lost(
+                    s,
+                    TransportError::Frame {
                         detail: "expected Done/Failed".to_string(),
-                    }))
-                }
-                Err(e @ TransportError::Timeout { .. }) => return Ok(Err(e)),
-                Err(e) => Err(e),
+                    },
+                ),
+                Err(e @ TransportError::Timeout { .. }) => lost(s, e),
+                Err(e) => return Err(e),
             };
-        };
-        links.conns.remove(&s);
-        Err(lost)
-    }
+            return Ok(outcome);
+        }
+    })
 }
 
-impl Transport for ControlLinks {
-    fn attempt(&self, to: SubjectId, frame: &Frame, op: WireOp) -> Result<(), TransportError> {
-        // A dropped frame vanishes in flight; the connection is fine.
-        if op == WireOp::Drop {
-            return Ok(());
-        }
-        let mut links = self.state();
-        let ctl = self.dial(&mut links, to)?;
-        // Truncate: the frame is damaged mid-record, nothing usable
-        // arrives. Reset: it arrives, then the connection dies — the
-        // ambiguous case; the receiver's idempotency (key-ring
-        // inserts, the epoch outcome cache) absorbs the re-delivery.
-        let sent = match op {
-            WireOp::Truncate => Ok(()),
-            _ => ctl.send(frame),
-        };
-        if sent.is_err() || op != WireOp::Deliver {
-            // A dead or poisoned connection never comes back; the next
-            // attempt re-dials.
-            ctl.shutdown();
-            links.conns.remove(&to);
-        }
-        sent
-    }
+/// The outcome of a server whose answer never arrived.
+fn lost(s: SubjectId, e: TransportError) -> Outcome {
+    Outcome::Failed(peer_failure(s, e.to_string()))
 }
 
 /// The querying user's end of the federated deployment: holds the
@@ -506,7 +448,15 @@ pub struct Coordinator {
     /// The user's own party: the coordinator process *is* a party of
     /// the data plane like any provider (Fig. 8).
     party: Party,
-    links: Arc<ControlLinks>,
+    /// One control connection per server.
+    links: Arc<Links<Conn>>,
+    /// The server keys learned in the hello handshakes.
+    publics: Arc<Mutex<HashMap<SubjectId, RsaPublic>>>,
+    /// How long a `HelloAck` or an outcome may take. Grants
+    /// `DONE_SLACK` past the query timeout because a mid-epoch server
+    /// only answers once its current serve loop observes the dead
+    /// predecessor connection.
+    wait: Duration,
     /// The control plane: a wire over `links` with its *own* fault
     /// counters and stats, so the data-plane trace stays a function of
     /// data-plane attempts alone, comparable across transport backends.
@@ -515,8 +465,7 @@ pub struct Coordinator {
     /// The Execute frame sent to each participant this epoch, kept so a
     /// reconnected control channel can re-deliver it.
     pending_execute: HashMap<SubjectId, Frame>,
-    rx: Receiver<PartyMsg>,
-    stash: Vec<(u64, Msg)>,
+    mailbox: Mailbox,
     _hub: TcpHub,
     epoch: u64,
 }
@@ -527,7 +476,7 @@ pub struct Coordinator {
 /// the wire in any direction.
 struct Fleet<'a> {
     party: &'a Party,
-    links: &'a ControlLinks,
+    publics: &'a Mutex<HashMap<SubjectId, RsaPublic>>,
     ctl: &'a Wire,
 }
 
@@ -540,7 +489,7 @@ impl Holders for Fleet<'_> {
         if s == self.party.me {
             return Some(self.party.rsa.public.clone());
         }
-        self.links.state().publics.get(&s).cloned()
+        lock(self.publics).get(&s).cloned()
     }
 
     fn grant(&mut self, rng: &mut StdRng, to: SubjectId, key: &ClusterKey) -> Result<(), SimError> {
@@ -600,7 +549,7 @@ impl Coordinator {
         let rsa = RsaKeypair::generate(&mut rng, RSA_BITS);
         let views = policy.all_views(catalog, subjects);
         let catalog = Arc::new(catalog.clone());
-        let (tx, rx) = channel();
+        let (tx, mailbox) = Mailbox::new();
         let hub = TcpHub::bind(listen, tx, None)?;
         let party = Party {
             me: user,
@@ -618,32 +567,32 @@ impl Coordinator {
             let faults = Arc::new(Mutex::new(FaultState::new(config.faults.clone())));
             Wire::new(user, seed, backend, faults, config.retry, Arc::default())
         };
-        let links = Arc::new(ControlLinks {
-            hello: Frame::Hello {
-                user,
-                public: party.rsa.public.clone(),
-            },
-            addrs: servers.clone(),
-            wait: timeout + DONE_SLACK,
-            state: Mutex::default(),
-        });
+        let hello = Frame::Hello {
+            user,
+            public: party.rsa.public.clone(),
+        };
+        let wait = timeout + DONE_SLACK;
+        let publics = Arc::default();
+        let links = control_links(hello, servers.clone(), wait, Arc::clone(&publics));
+        let links = Arc::new(links);
         let ctl = wire_of(config.seed ^ CTL_SALT, Arc::clone(&links) as _);
-        let peers = Arc::new(TcpTransport::new(user, servers.clone(), CONNECT_TIMEOUT));
-        let wire = wire_of(config.seed, peers as _);
+        let peers = Links::tcp(user, servers.clone(), CONNECT_TIMEOUT);
+        let wire = wire_of(config.seed, Arc::new(peers) as _);
         let mut order: Vec<SubjectId> = servers.keys().copied().collect();
         order.sort_by_key(|s| s.index());
         for s in order {
-            links.dial(&mut links.state(), s)?;
+            links.with(s, false, |_| Ok(()))?;
         }
         Ok(Coordinator {
             dispatcher: Dispatcher::new(&catalog, subjects, views, rng, &config, Some(timeout)),
             party,
             links,
+            publics,
+            wait,
             ctl,
             wire,
             pending_execute: HashMap::new(),
-            rx,
-            stash: Vec::new(),
+            mailbox,
             _hub: hub,
             epoch: 0,
         })
@@ -663,7 +612,7 @@ impl Coordinator {
         }
         let mut fleet = Fleet {
             party: &self.party,
-            links: &self.links,
+            publics: &self.publics,
             ctl: &self.ctl,
         };
         let Dispatched {
@@ -703,55 +652,27 @@ impl Coordinator {
 
         // The user's own share runs inline, under the same driver as
         // every server's.
-        let own = drive(
-            &self.party,
-            &job,
-            envelopes[user.index()].as_ref(),
-            &self.party.rsa.public,
+        let run = Run {
             epoch,
-            &self.rx,
-            &self.wire,
-            &mut self.stash,
-        );
-        let mut outs = Vec::new();
-        let mut failures: Vec<(SubjectId, String)> = Vec::new();
-        match own {
-            Outcome::Done(out) => outs.push(out),
-            Outcome::Failed(e) => return Err(e),
-            Outcome::Aborted => failures.push((user, ABORTED_MARK.to_string())),
-            Outcome::Panicked(m) => panic!("coordinator party panicked: {m}"),
-        }
+            job: Arc::clone(&job),
+            envelope: envelopes[user.index()].take(),
+            user_public: self.party.rsa.public.clone(),
+        };
+        let own = drive(&self.party, &run, &mut self.mailbox, &self.wire);
+        let mut outcomes = vec![(user, own)];
         for &s in servers {
             // A control channel dead beyond the retry budget fails this
             // epoch for this participant; the remaining participants
             // are still drained so the next query starts on clean
             // channels.
             let pending = self.pending_execute.get(&s);
-            let outcome = self
-                .ctl
-                .retry(s, || self.links.recv_outcome(s, epoch, pending));
-            match outcome.and_then(|outcome| outcome) {
-                Ok(Frame::Failed { message, .. }) => failures.push((s, message)),
-                Ok(Frame::Done { transfers, .. }) => outs.push(PartyOut {
-                    transfers: transfers
-                        .into_iter()
-                        .map(|(f, t, bytes)| ((f, t), bytes as usize))
-                        .collect(),
-                    result: None,
-                }),
-                Ok(_) => unreachable!("recv_outcome returns Done or Failed"),
-                Err(e) => failures.push((s, e.to_string())),
-            }
+            let outcome = self.ctl.retry(s, || {
+                recv_outcome(&self.links, self.wait, s, epoch, pending)
+            });
+            outcomes.push((s, outcome.unwrap_or_else(|e| lost(s, e))));
         }
         self.pending_execute.clear();
-        // Prefer the actual failure over "a peer failed" echoes, then
-        // lowest subject id, mirroring the session's deterministic
-        // error precedence.
-        failures.sort_by_key(|(s, m)| (m == ABORTED_MARK, s.index()));
-        if let Some((from, message)) = failures.into_iter().next() {
-            return Err(SimError::Transport(TransportError::Peer { from, message }));
-        }
-        Report::assemble(request_bytes, requests, outs)
+        Report::assemble(request_bytes, requests, settle(outcomes)?)
     }
 
     /// Per-edge recovery counters of this coordinator's *data-plane*
@@ -771,9 +692,9 @@ impl Coordinator {
 
     /// Ask every server to exit, then drop the connections.
     pub fn shutdown(self) {
-        for ctl in self.links.state().conns.values_mut() {
+        self.links.each(|ctl| {
             let _ = ctl.send(&Frame::Shutdown);
-        }
+        });
     }
 }
 
@@ -782,12 +703,10 @@ mod tests {
     use super::*;
     use mpq_algebra::AttrSet;
 
-    /// Provisioning frames carry peer bytes: key material no key can
-    /// have is not granted, and the server keeps serving.
-    #[test]
-    fn malformed_provisioning_is_not_granted() {
+    /// A server for subject 1 with nothing to its name, on loopback.
+    fn bare_server() -> Server {
         let me = SubjectId(1);
-        let mut server = Server::bind(ServerConfig {
+        Server::bind(ServerConfig {
             me,
             listen: "127.0.0.1:0".to_string(),
             peers: HashMap::new(),
@@ -802,13 +721,21 @@ mod tests {
             faults: None,
             retry: RetryPolicy::default(),
         })
-        .expect("bind a loopback server");
+        .expect("bind a loopback server")
+    }
+
+    /// Provisioning frames carry peer bytes: key material no key can
+    /// have is not granted, and the server keeps serving.
+    #[test]
+    fn malformed_provisioning_is_not_granted() {
+        let mut server = bare_server();
+        let me = server.subject();
         let addr = server.addr().to_string();
 
         let coordinator = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(12);
             let user = RsaKeypair::generate(&mut rng, RSA_BITS);
-            let mut ctl = Control::connect(&addr, CONNECT_TIMEOUT).expect("connect");
+            let mut ctl = Conn::connect(&addr, me, CONNECT_TIMEOUT).expect("connect");
             ctl.send(&Frame::Hello {
                 user: SubjectId(0),
                 public: user.public.clone(),
@@ -834,7 +761,7 @@ mod tests {
         let mut ctl = server.ctl_rx.recv().expect("control connection");
         let wire = server.data_wire();
         let shutdown = server
-            .serve_conn(&mut ctl, &wire, &mut Vec::new())
+            .serve_conn(&mut ctl, &wire)
             .expect("every frame is handled");
         coordinator.join().expect("coordinator thread");
         assert!(shutdown, "served through to Shutdown");
@@ -844,5 +771,71 @@ mod tests {
         }
         assert!(ring.get_public(4).is_some());
         assert!(ring.holds(5) && !ring.holds(6));
+    }
+
+    /// A `Truncate` on the control plane really poisons the socket —
+    /// the server sees a record end mid-body and drops the connection —
+    /// and the wire's retry re-dials, re-introduces itself and
+    /// re-delivers: the key arrives exactly as if nothing had happened.
+    #[test]
+    fn a_truncated_provision_is_recovered_by_redial_and_redelivery() {
+        let mut server = bare_server();
+        let me = server.subject();
+        let addrs: HashMap<_, _> = [(me, server.addr().to_string())].into();
+
+        let coordinator = std::thread::spawn(move || {
+            let user = SubjectId(0);
+            let mut rng = StdRng::seed_from_u64(12);
+            let rsa = RsaKeypair::generate(&mut rng, RSA_BITS);
+            let public = rsa.public.clone();
+            let publics = Arc::default();
+            let hello = Frame::Hello { user, public };
+            let links = control_links(hello, addrs, CONNECT_TIMEOUT, Arc::clone(&publics));
+            let links = Arc::new(links);
+            // The first attempt on the edge is damaged, no other.
+            let plan = FaultPlan::parse("seed=1,truncate=1000,max=1").expect("valid");
+            let faults = Arc::new(Mutex::new(FaultState::new(Some(plan))));
+            let retry = RetryPolicy::default();
+            let ctl = Wire::new(
+                user,
+                7,
+                Arc::clone(&links) as _,
+                faults,
+                retry,
+                Arc::default(),
+            );
+            links.with(me, false, |_| Ok(())).expect("handshake");
+            let server_key = lock(&publics)[&me].clone();
+            let key = ClusterKey::generate(&mut rng, 5, 256);
+            let envelope = SignedEnvelope::seal(&mut rng, &key.to_bytes(), &rsa, &server_key);
+            ctl.send_with_retry(me, &Frame::Provision { envelope })
+                .expect("the retry recovers the truncated attempt");
+            ctl.send_with_retry(me, &Frame::Shutdown)
+                .expect("the re-dialed link is cached");
+            ctl.stats().snapshot()[&(user, me)]
+        });
+
+        let wire = server.data_wire();
+        let mut first = server.ctl_rx.recv().expect("first connection");
+        let poisoned = server.serve_conn(&mut first, &wire);
+        assert!(
+            matches!(&poisoned, Err(TransportError::Recv { detail }) if detail.contains("bytes into")),
+            "{poisoned:?}"
+        );
+        assert!(!server.party.ring.holds(5), "half a frame grants nothing");
+        let mut second = server.ctl_rx.recv().expect("the re-dial");
+        let shutdown = server.serve_conn(&mut second, &wire);
+        assert_eq!(shutdown, Ok(true), "served through to Shutdown");
+        assert!(
+            server.party.ring.holds(5),
+            "the re-delivery granted the key"
+        );
+        let edge = coordinator.join().expect("coordinator thread");
+        let expected = EdgeRecovery {
+            attempts: 3,
+            retries: 1,
+            injected: 1,
+        };
+        assert_eq!(edge, expected);
     }
 }

@@ -1,5 +1,5 @@
-//! The blocking scheduler over the party core (`party.rs`): a mailbox
-//! in, a `Wire` out.
+//! The blocking scheduler over the party core (`party.rs`): a
+//! `Mailbox` in, a `Wire` out.
 //!
 //! `drive` runs one subject's share of one query epoch by feeding a
 //! `PartyRun` from the party's mailbox and sending what it produces
@@ -10,10 +10,10 @@
 //!   thread per subject, spawned **once** when a
 //!   [`Session`](crate::Session) opens and reused for every query
 //!   (`Session::execute`). Between queries a party idles on its
-//!   mailbox; a `PartyMsg::Run` wakes the participants, and each runs
+//!   wake-up channel; a `Run` wakes the participants, and each runs
 //!   a Fig. 8 region of its own, as one pipeline, as soon as the
 //!   region's operands are local, so independent regions of different
-//!   subjects execute concurrently;
+//!   subjects execute concurrently. The channel closing *is* shutdown;
 //! * **process per subject** — [`Server`](crate::Server) and the
 //!   [`Coordinator`](crate::Coordinator)'s own share call the same
 //!   `drive` from their own threads (see [`remote`](crate::remote)).
@@ -25,28 +25,31 @@
 //! Failure handling: the core returns a typed error; `drive` — and
 //! only `drive` — broadcasts a best-effort abort to the query's other
 //! participants and reports the error. Peers receiving `Abort` stop
-//! without an error of their own. `PartyThreads::run` returns the
-//! failing party's error, picking the lowest subject id when several
-//! fail independently — and the session remains usable: the party
-//! threads return to their mailboxes and the next query runs normally.
+//! without an error of their own. `settle` — and only `settle` —
+//! turns the participants' outcomes into what the query reports, for
+//! the party threads and the coordinator alike: a real failure before
+//! an abort echo, the lowest subject id when several fail
+//! independently. The session remains usable: the party threads return
+//! to their wake-up channels and the next query runs normally.
 //!
 //! Because mailboxes outlive queries, every data message carries the
-//! query *epoch* it belongs to. A message that arrives after its query
-//! already ended (e.g. a table sent concurrently with an abort) is
-//! dropped when a later epoch begins; a message that arrives *before*
-//! its recipient has been woken for that epoch is stashed and replayed
-//! once the matching wake-up arrives. Epochs are what make an aborted
-//! query leave no residue for the next one.
+//! query *epoch* it belongs to, and the mailbox carries nothing else.
+//! `Mailbox::next` is the one epoch filter: a message that arrives
+//! after its query already ended (e.g. a table sent concurrently with
+//! an abort) is dropped when a later epoch asks for its next message;
+//! one that arrives *before* its recipient has been woken for that
+//! epoch simply waits in the mailbox, or is held aside if it is read
+//! while an earlier epoch is still being drained. Epochs are what make
+//! an aborted query leave no residue for the next one.
 
 use crate::error::SimError;
 use crate::fault::RetryPolicy;
 use crate::party::{Party, PartyOut, PartyRun, QueryJob, Transfer};
-use crate::transport::{
-    FaultState, InProcTransport, TcpHub, TcpTransport, Transport, TransportError, Wire, WireStats,
-};
+use crate::transport::{FaultState, Links, TcpHub, Transport, TransportError, Wire, WireStats};
 use crate::TransportKind;
 use mpq_algebra::SubjectId;
 use mpq_crypto::rsa::{RsaPublic, SignedEnvelope};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -66,29 +69,76 @@ pub(crate) enum Msg {
     Abort,
 }
 
-/// Everything on a party's persistent mailbox.
-pub(crate) enum PartyMsg {
-    /// Wake up and execute your share of a query.
-    Run {
-        /// Query epoch (strictly increasing per session).
+/// What a mailbox carries: a message and the query epoch it belongs to.
+pub(crate) type Stamped = (u64, Msg);
+
+/// A party's persistent inbox. It carries data only, and it alone
+/// knows about epochs: whoever drives a query asks for the next
+/// message *of that query*.
+pub(crate) struct Mailbox {
+    rx: Receiver<Stamped>,
+    /// Messages of epochs this party has not been woken for yet, in
+    /// arrival order.
+    ahead: Vec<Stamped>,
+}
+
+impl Mailbox {
+    /// An empty mailbox and the sender that links and hubs deliver to.
+    pub(crate) fn new() -> (Sender<Stamped>, Mailbox) {
+        let (tx, rx) = channel();
+        let ahead = Vec::new();
+        (tx, Mailbox { rx, ahead })
+    }
+
+    /// The next table of query `epoch`; `None` once a peer aborted the
+    /// epoch (or every sender is gone), which ends this party's share
+    /// without an error of its own. Residue of earlier epochs is
+    /// dropped, a message of a later one is held until its epoch runs,
+    /// and `timeout` of silence is the typed [`TransportError::Timeout`]
+    /// — a dead peer aborts the epoch instead of hanging the session.
+    pub(crate) fn next(
+        &mut self,
         epoch: u64,
-        /// The shared, immutable description of the query.
-        job: Arc<QueryJob>,
-        /// This party's signed request, travelling beside the job
-        /// exactly as in `Frame::Execute`.
-        envelope: Option<SignedEnvelope>,
-        /// The user's RSA public key (envelope verification).
-        user_public: RsaPublic,
-    },
-    /// A data message belonging to query `epoch`.
-    Data {
-        /// Query epoch the message belongs to.
-        epoch: u64,
-        /// The payload.
-        msg: Msg,
-    },
-    /// The session is closing; exit the thread.
-    Shutdown,
+        timeout: Option<Duration>,
+    ) -> Result<Option<Transfer>, TransportError> {
+        loop {
+            let held = self.ahead.iter().position(|(e, _)| *e <= epoch);
+            let (e, msg) = match (held, timeout) {
+                (Some(i), _) => self.ahead.remove(i),
+                (None, None) => match self.rx.recv() {
+                    Ok(stamped) => stamped,
+                    Err(_) => return Ok(None),
+                },
+                (None, Some(d)) => match self.rx.recv_timeout(d) {
+                    Ok(stamped) => stamped,
+                    Err(RecvTimeoutError::Disconnected) => return Ok(None),
+                    Err(RecvTimeoutError::Timeout) => {
+                        let millis = d.as_millis() as u64;
+                        return Err(TransportError::Timeout { millis });
+                    }
+                },
+            };
+            match (e.cmp(&epoch), msg) {
+                (Ordering::Less, _) => {}
+                (Ordering::Greater, msg) => self.ahead.push((e, msg)),
+                (Ordering::Equal, Msg::Table(transfer)) => return Ok(Some(transfer)),
+                (Ordering::Equal, Msg::Abort) => return Ok(None),
+            }
+        }
+    }
+}
+
+/// One party's wake-up for one query.
+pub(crate) struct Run {
+    /// Query epoch (strictly increasing per session).
+    pub(crate) epoch: u64,
+    /// The shared, immutable description of the query.
+    pub(crate) job: Arc<QueryJob>,
+    /// This party's signed request, travelling beside the job exactly
+    /// as in `Frame::Execute`.
+    pub(crate) envelope: Option<SignedEnvelope>,
+    /// The user's RSA public key (envelope verification).
+    pub(crate) user_public: RsaPublic,
 }
 
 /// What a party reports back for one epoch.
@@ -101,29 +151,23 @@ pub(crate) enum Outcome {
     Aborted,
     /// The party panicked (a bug, not a protocol failure); the panic
     /// was caught so the other parties could finish, and is re-raised
-    /// by whoever collects the outcomes.
+    /// by [`settle`].
     Panicked(String),
 }
 
-/// Run `party`'s share of query `epoch` to an [`Outcome`]: the blocking
+/// What an [`Outcome::Aborted`] reads as where an error must be named —
+/// a server's `Frame::Failed`, and [`settle`] when it finds only echoes.
+pub(crate) const ABORTED_MARK: &str = "aborted: a peer failed first";
+
+/// Run `party`'s share of query `run` to an [`Outcome`]: the blocking
 /// scheduler. Outputs leave through `wire` (in-proc mailbox senders or
-/// framed TCP), inputs arrive on the party's own mailbox `rx` whichever
+/// framed TCP), inputs arrive on the party's own `mailbox` whichever
 /// way they traveled. This is the one place an epoch is aborted: any
 /// error the core, the wire or the mailbox returns — and any panic —
 /// ends here, where the other participants are told to stop.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive(
-    party: &Party,
-    job: &QueryJob,
-    envelope: Option<&SignedEnvelope>,
-    user_public: &RsaPublic,
-    epoch: u64,
-    rx: &Receiver<PartyMsg>,
-    wire: &Wire,
-    stash: &mut Vec<(u64, Msg)>,
-) -> Outcome {
-    let run = || run_epoch(party, job, envelope, user_public, epoch, rx, wire, stash);
-    let failure = match catch_unwind(AssertUnwindSafe(run)) {
+pub(crate) fn drive(party: &Party, run: &Run, mailbox: &mut Mailbox, wire: &Wire) -> Outcome {
+    let epoch = || run_epoch(party, run, mailbox, wire);
+    let failure = match catch_unwind(AssertUnwindSafe(epoch)) {
         Ok(Ok(Some(out))) => return Outcome::Done(out),
         Ok(Ok(None)) => return Outcome::Aborted,
         Ok(Err(e)) => Outcome::Failed(e),
@@ -135,95 +179,74 @@ pub(crate) fn drive(
                 .unwrap_or_else(|| "non-string panic payload".to_string()),
         ),
     };
-    wire.broadcast_abort(epoch, &job.participants);
+    wire.broadcast_abort(run.epoch, &run.job.participants);
     failure
 }
 
 /// [`drive`] without the failure handling: `Ok(None)` means a peer
 /// aborted (or the mailbox closed) and this party simply stops.
-#[allow(clippy::too_many_arguments)]
 fn run_epoch(
     party: &Party,
-    job: &QueryJob,
-    envelope: Option<&SignedEnvelope>,
-    user_public: &RsaPublic,
-    epoch: u64,
-    rx: &Receiver<PartyMsg>,
+    run: &Run,
+    mailbox: &mut Mailbox,
     wire: &Wire,
-    stash: &mut Vec<(u64, Msg)>,
 ) -> Result<Option<PartyOut>, SimError> {
-    let mut run = PartyRun::new(party, job, envelope, user_public)?;
-    // Data that arrived while idle: residue of an earlier (aborted)
-    // query is dropped, messages that raced ahead of our own wake-up
-    // for this epoch are replayed first.
-    let (early, later) = std::mem::take(stash)
-        .into_iter()
-        .filter(|(e, _)| *e >= epoch)
-        .partition(|(e, _)| *e == epoch);
-    *stash = later;
-    let mut early = Vec::into_iter(early);
+    let job = &run.job;
+    let mut core = PartyRun::new(party, job, run.envelope.as_ref(), &run.user_public)?;
     loop {
-        while let Some(id) = run.ready() {
-            if let Some((to, transfer)) = run.step(id)? {
-                wire.send(to, epoch, Msg::Table(transfer))?;
+        while let Some(id) = core.ready() {
+            if let Some((to, transfer)) = core.step(id)? {
+                wire.send(to, run.epoch, Msg::Table(transfer))?;
             }
         }
-        if run.is_done() {
-            return Ok(Some(run.finish()));
+        if core.is_done() {
+            return Ok(Some(core.finish()));
         }
-        // A configured timeout bounds the wait, so a dead peer aborts
-        // the epoch with a typed error instead of hanging the session.
-        let msg = match early.next() {
-            Some((_, msg)) => msg,
-            None => {
-                let received = match job.timeout() {
-                    Some(d) => match rx.recv_timeout(d) {
-                        Err(RecvTimeoutError::Timeout) => {
-                            let millis = job.timeout_ms;
-                            return Err(TransportError::Timeout { millis }.into());
-                        }
-                        received => received.ok(),
-                    },
-                    None => rx.recv().ok(),
-                };
-                match received {
-                    Some(PartyMsg::Data { epoch: e, msg }) if e == epoch => msg,
-                    Some(PartyMsg::Data { epoch: e, msg }) => {
-                        // Residue of an earlier query is dropped; one
-                        // racing ahead of the next epoch — impossible
-                        // while we still owe an outcome for this one —
-                        // is safest stashed.
-                        if e > epoch {
-                            stash.push((e, msg));
-                        }
-                        continue;
-                    }
-                    // Queries never overlap; a Run here would be a bug
-                    // in whoever owns this mailbox.
-                    Some(PartyMsg::Run { .. }) => {
-                        unreachable!("Run received while an epoch is still in flight")
-                    }
-                    Some(PartyMsg::Shutdown) | None => return Ok(None),
-                }
-            }
-        };
-        match msg {
-            Msg::Table(transfer) => run.deliver(transfer)?,
-            Msg::Abort => return Ok(None),
+        match mailbox.next(run.epoch, job.timeout())? {
+            Some(transfer) => core.deliver(transfer)?,
+            None => return Ok(None),
         }
     }
 }
 
-/// The long-lived party threads of one session: a mailbox sender per
+/// What a query reports, given every participant's outcome: a real
+/// failure before an abort echo, then the lowest subject id — so the
+/// error is deterministic when several parties fail independently —
+/// and the clean parties' contributions otherwise. The one place an
+/// outcome list becomes an error, whoever scheduled the parties.
+pub(crate) fn settle(mut outcomes: Vec<(SubjectId, Outcome)>) -> Result<Vec<PartyOut>, SimError> {
+    outcomes.sort_by_key(|(s, _)| s.index());
+    let mut outs = Vec::new();
+    let mut failed = None;
+    let mut echo = None;
+    for (s, outcome) in outcomes {
+        match outcome {
+            Outcome::Done(out) => outs.push(out),
+            Outcome::Failed(e) => failed = failed.or(Some(e)),
+            Outcome::Aborted => echo = echo.or(Some(s)),
+            Outcome::Panicked(m) => panic!("party {s} panicked: {m}"),
+        }
+    }
+    let echo = echo.map(|s| peer_failure(s, ABORTED_MARK.to_string()));
+    failed.or(echo).map_or(Ok(outs), Err)
+}
+
+/// Subject `from` failed its share of a query, in its own words.
+pub(crate) fn peer_failure(from: SubjectId, message: String) -> SimError {
+    TransportError::Peer { from, message }.into()
+}
+
+/// The long-lived party threads of one session: a wake-up channel per
 /// subject, a shared completion channel, and the join handles used for
 /// clean teardown on drop. With [`TransportKind::Tcp`] every party
 /// additionally owns a [`TcpHub`] (loopback listener) and data-plane
 /// messages travel as framed records through real sockets; the control
-/// plane (run/shutdown/outcomes) stays on in-process channels either
-/// way.
+/// plane (wake-ups, outcomes) stays on in-process channels either way.
 pub(crate) struct PartyThreads {
-    txs: Vec<Sender<PartyMsg>>,
-    done_rx: Receiver<(SubjectId, u64, Outcome)>,
+    /// Closing these *is* shutdown: a party thread exits when its
+    /// wake-up channel does.
+    wake: Vec<Sender<Run>>,
+    done_rx: Receiver<(SubjectId, Outcome)>,
     handles: Vec<JoinHandle<()>>,
     epoch: u64,
     /// Keeps the TCP listeners alive for the threads' lifetime; dropped
@@ -233,8 +256,8 @@ pub(crate) struct PartyThreads {
 }
 
 impl PartyThreads {
-    /// Spawn one party loop per subject. Threads idle on their
-    /// mailboxes until [`PartyThreads::run`] wakes them with a query.
+    /// Spawn one party loop per subject. Threads idle on their wake-up
+    /// channels until [`PartyThreads::run`] hands them a query.
     pub(crate) fn spawn(
         parties: &[Arc<Party>],
         transport: TransportKind,
@@ -243,60 +266,59 @@ impl PartyThreads {
         retry: RetryPolicy,
         stats: &Arc<WireStats>,
     ) -> PartyThreads {
-        let n = parties.len();
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
-        // One wire per party. In-proc: clones of everyone's mailbox
-        // sender. TCP: every party binds a loopback hub feeding its own
-        // mailbox, and sends connect to the peers' hubs. All wires
+        let (txs, mailboxes): (Vec<_>, Vec<_>) = parties.iter().map(|_| Mailbox::new()).unzip();
+        // One link cache per party. In-proc: clones of everyone's
+        // mailbox sender. TCP: every party binds a loopback hub feeding
+        // its own mailbox, and links dial the peers' hubs. All wires
         // share one fault-injection state and one recovery-stats sink,
         // so a session-level schedule swap reaches every party.
         let mut hubs = Vec::new();
-        let backends: Vec<Arc<dyn Transport>> = match transport {
-            TransportKind::InProc => (0..n)
-                .map(|_| Arc::new(InProcTransport::new(txs.clone())) as Arc<dyn Transport>)
-                .collect(),
-            TransportKind::Tcp => {
-                for tx in &txs {
-                    hubs.push(
-                        TcpHub::bind("127.0.0.1:0", tx.clone(), None)
-                            .expect("bind a loopback listener for the TCP transport"),
-                    );
-                }
-                let peers: HashMap<SubjectId, String> = hubs
-                    .iter()
-                    .enumerate()
-                    .map(|(j, hub)| (SubjectId::from_index(j), hub.addr().to_string()))
-                    .collect();
-                (0..n)
-                    .map(|i| {
-                        let me = SubjectId::from_index(i);
-                        let mut peers = peers.clone();
-                        peers.remove(&me);
-                        Arc::new(TcpTransport::new(me, peers, Duration::from_secs(5)))
-                            as Arc<dyn Transport>
-                    })
-                    .collect()
+        let mut peers = HashMap::new();
+        if transport == TransportKind::Tcp {
+            for (party, tx) in parties.iter().zip(&txs) {
+                // `Session::open` cannot fail by signature, and a host
+                // without a free loopback port cannot run this session.
+                let hub = TcpHub::bind("127.0.0.1:0", tx.clone(), None)
+                    .expect("bind a loopback listener for the TCP transport");
+                peers.insert(party.me, hub.addr().to_string());
+                hubs.push(hub);
             }
-        };
+        }
         let (done_tx, done_rx) = channel();
-        let mut handles = Vec::with_capacity(n);
-        for ((party, rx), backend) in parties.iter().zip(rxs).zip(backends) {
-            let party = Arc::clone(party);
+        let mut wake = Vec::new();
+        let mut handles = Vec::new();
+        for (party, mut mailbox) in parties.iter().zip(mailboxes) {
+            let links: Arc<dyn Transport> = match transport {
+                TransportKind::InProc => Arc::new(Links::in_proc(txs.clone())),
+                TransportKind::Tcp => {
+                    Arc::new(Links::tcp(party.me, peers.clone(), Duration::from_secs(5)))
+                }
+            };
             let wire = Wire::new(
                 party.me,
                 seed,
-                backend,
+                links,
                 Arc::clone(faults),
                 retry,
                 Arc::clone(stats),
             );
+            let party = Arc::clone(party);
             let done = done_tx.clone();
+            let (wake_tx, wake_rx) = channel();
+            wake.push(wake_tx);
+            // The persistent per-subject loop: idle until woken,
+            // [`drive`] the query, report, idle again.
             handles.push(std::thread::spawn(move || {
-                party_main(&party, &rx, &wire, &done)
+                while let Ok(run) = wake_rx.recv() {
+                    let outcome = drive(&party, &run, &mut mailbox, &wire);
+                    if done.send((party.me, outcome)).is_err() {
+                        return;
+                    }
+                }
             }));
         }
         PartyThreads {
-            txs,
+            wake,
             done_rx,
             handles,
             epoch: 0,
@@ -307,106 +329,144 @@ impl PartyThreads {
     /// Run one prepared query across the persistent party threads and
     /// return each clean participant's contribution. `envelopes` holds
     /// each subject's signed request, by subject index. Blocks until
-    /// every participant reported an outcome for this epoch, so a
-    /// failed query is fully drained before the next one starts.
+    /// every participant reported its outcome, so a failed query is
+    /// fully drained before the next one starts.
     pub(crate) fn run(
         &mut self,
         job: QueryJob,
         mut envelopes: Vec<Option<SignedEnvelope>>,
         user_public: &RsaPublic,
     ) -> Result<Vec<PartyOut>, SimError> {
+        // Invariant behind both `expect`s: party threads catch their
+        // own panics and exit only when `wake` closes, in `drop`.
+        const ALIVE: &str = "party threads live until the session drops";
         self.epoch += 1;
-        let epoch = self.epoch;
         let job = Arc::new(job);
         for &s in &job.participants {
-            self.txs[s.index()]
-                .send(PartyMsg::Run {
-                    epoch,
-                    job: Arc::clone(&job),
-                    envelope: envelopes[s.index()].take(),
-                    user_public: user_public.clone(),
-                })
-                .expect("party thread alive for the session's lifetime");
+            let run = Run {
+                epoch: self.epoch,
+                job: Arc::clone(&job),
+                envelope: envelopes[s.index()].take(),
+                user_public: user_public.clone(),
+            };
+            self.wake[s.index()].send(run).expect(ALIVE);
         }
-
-        let mut outcomes: HashMap<SubjectId, Outcome> = HashMap::new();
-        while outcomes.len() < job.participants.len() {
-            let (s, e, outcome) = self
-                .done_rx
-                .recv()
-                .expect("party threads alive for the session's lifetime");
-            if e == epoch {
-                outcomes.insert(s, outcome);
-            }
-        }
-
-        let mut outs = Vec::new();
-        let mut first_error: Option<SimError> = None;
-        let mut panic_msg: Option<String> = None;
-        // Participant order (ascending subject id) keeps the reported
-        // error deterministic when several parties fail independently.
-        for s in &job.participants {
-            match outcomes.remove(s).expect("one outcome per participant") {
-                Outcome::Done(out) => outs.push(out),
-                Outcome::Failed(e) => first_error = first_error.or(Some(e)),
-                Outcome::Aborted => {}
-                Outcome::Panicked(m) => panic_msg = panic_msg.or(Some(m)),
-            }
-        }
-        if let Some(m) = panic_msg {
-            panic!("party thread panicked: {m}");
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(outs),
-        }
+        // One outcome per wake-up, and queries never overlap.
+        let outcomes = job
+            .participants
+            .iter()
+            .map(|_| self.done_rx.recv().expect(ALIVE));
+        settle(outcomes.collect())
     }
 }
 
 impl Drop for PartyThreads {
     fn drop(&mut self) {
-        for tx in &self.txs {
-            let _ = tx.send(PartyMsg::Shutdown);
-        }
+        self.wake.clear();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-/// The persistent per-subject loop: idle on the mailbox, [`drive`] a
-/// query when woken, stash data messages that arrive while idle.
-fn party_main(
-    party: &Party,
-    rx: &Receiver<PartyMsg>,
-    wire: &Wire,
-    done: &Sender<(SubjectId, u64, Outcome)>,
-) {
-    let mut stash: Vec<(u64, Msg)> = Vec::new();
-    loop {
-        match rx.recv() {
-            Ok(PartyMsg::Run {
-                epoch,
-                job,
-                envelope,
-                user_public,
-            }) => {
-                let outcome = drive(
-                    party,
-                    &job,
-                    envelope.as_ref(),
-                    &user_public,
-                    epoch,
-                    rx,
-                    wire,
-                    &mut stash,
-                );
-                if done.send((party.me, epoch, outcome)).is_err() {
-                    return;
-                }
-            }
-            Ok(PartyMsg::Data { epoch, msg }) => stash.push((epoch, msg)),
-            Ok(PartyMsg::Shutdown) | Err(_) => return,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpq_algebra::{AttrId, NodeId, Value};
+    use mpq_exec::Table;
+
+    /// A one-cell table from subject 1 carrying sequence number `seq`.
+    fn table(seq: u64) -> Msg {
+        Msg::Table(Transfer {
+            node: NodeId(0),
+            from: SubjectId(1),
+            seq,
+            table: Table::from_rows(vec![AttrId(0)], vec![vec![Value::Int(7)]]),
+        })
+    }
+
+    /// The sequence number of the next table of `epoch`, if any.
+    fn next_seq(mailbox: &mut Mailbox, epoch: u64) -> Option<u64> {
+        let next = mailbox.next(epoch, Some(Duration::from_secs(5)));
+        next.expect("no timeout").map(|t| t.seq)
+    }
+
+    #[test]
+    fn mailbox_drops_stale_and_delivers_current_in_order() {
+        let (tx, mut mailbox) = Mailbox::new();
+        for stamped in [
+            (1, table(10)),
+            (1, Msg::Abort),
+            (2, table(20)),
+            (2, table(21)),
+        ] {
+            tx.send(stamped).expect("mailbox open");
         }
+        // Epoch 1's table *and* its abort are residue by epoch 2: an
+        // aborted query must not abort the next one.
+        assert_eq!(next_seq(&mut mailbox, 2), Some(20));
+        assert_eq!(next_seq(&mut mailbox, 2), Some(21));
+    }
+
+    #[test]
+    fn mailbox_holds_a_later_epoch_until_its_turn() {
+        let (tx, mut mailbox) = Mailbox::new();
+        for stamped in [
+            (5, table(50)),
+            (4, table(40)),
+            (5, table(51)),
+            (4, table(41)),
+        ] {
+            tx.send(stamped).expect("mailbox open");
+        }
+        assert_eq!(next_seq(&mut mailbox, 4), Some(40));
+        assert_eq!(next_seq(&mut mailbox, 4), Some(41));
+        // Epoch 5's messages were read past while 4 ran: they come out
+        // when 5 runs, in arrival order, with nothing left in the
+        // channel — and then the closed channel ends the epoch.
+        drop(tx);
+        assert_eq!(next_seq(&mut mailbox, 5), Some(50));
+        assert_eq!(next_seq(&mut mailbox, 5), Some(51));
+        assert_eq!(next_seq(&mut mailbox, 5), None);
+    }
+
+    #[test]
+    fn mailbox_honours_this_epochs_abort_and_times_out_on_silence() {
+        let (tx, mut mailbox) = Mailbox::new();
+        tx.send((3, Msg::Abort)).expect("mailbox open");
+        tx.send((3, table(30))).expect("mailbox open");
+        assert_eq!(next_seq(&mut mailbox, 3), None, "abort ends the epoch");
+        // What followed the abort is residue one epoch later; then
+        // nothing arrives, and the wait is bounded and typed.
+        let silence = mailbox.next(4, Some(Duration::from_millis(20)));
+        assert_eq!(
+            silence.expect_err("nothing was sent"),
+            TransportError::Timeout { millis: 20 }
+        );
+    }
+
+    #[test]
+    fn settle_prefers_a_real_failure_then_the_lowest_subject() {
+        let failed = |s: u32| {
+            (
+                SubjectId(s),
+                Outcome::Failed(SimError::Unassigned(NodeId(s))),
+            )
+        };
+        let aborted = |s: u32| (SubjectId(s), Outcome::Aborted);
+        let done = |s: u32| (SubjectId(s), Outcome::Done(PartyOut::default()));
+        let settled = settle(vec![aborted(0), failed(3), done(2), failed(1)]);
+        assert!(matches!(settled, Err(SimError::Unassigned(NodeId(1)))));
+        // Only echoes: the error names one, it does not vanish.
+        let echo = TransportError::Peer {
+            from: SubjectId(2),
+            message: ABORTED_MARK.to_string(),
+        };
+        match settle(vec![done(4), aborted(5), aborted(2)]) {
+            Err(SimError::Transport(e)) => assert_eq!(e, echo),
+            _ => panic!("an abort echo is not a clean run"),
+        }
+        let clean = settle(vec![done(1), done(0)]).expect("clean");
+        assert_eq!(clean.len(), 2);
     }
 }

@@ -40,7 +40,7 @@ use crate::error::SimError;
 use crate::fault::{FaultPlan, RetryPolicy};
 use crate::party::{Party, PartyRun, QueryJob, Transfer};
 use crate::runtime::PartyThreads;
-use crate::transport::{EdgeRecovery, FaultState, TransportKind, WireStats};
+use crate::transport::{lock, EdgeRecovery, FaultState, TransportKind, WireStats};
 use crate::{Report, PAILLIER_BITS, RSA_BITS};
 use mpq_algebra::{AttrId, Catalog, NodeId, Operator, RelId, SubjectId};
 use mpq_core::authz::{Policy, SubjectView};
@@ -53,6 +53,7 @@ use mpq_crypto::rsa::{RsaKeypair, RsaPublic, SignedEnvelope};
 use mpq_exec::{assign_schemes, rewrite_literals, Database, WorkerPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -367,25 +368,26 @@ impl Dispatcher {
         // stands in for them at dispatch time.
         let dispatcher_ring = KeyRing::new();
         for plan_key in &keys.keys {
-            let sig = plan_key.cluster_sig();
-            if self.cache.contains_key(&sig) {
-                self.stats.clusters_reused += 1;
-            } else {
+            let cached = match self.cache.entry(plan_key.cluster_sig()) {
+                Entry::Occupied(slot) => {
+                    self.stats.clusters_reused += 1;
+                    slot.into_mut()
+                }
                 // A cluster this session has never provisioned: generate
                 // under a fresh session-wide id and ship the full key to
                 // every Def. 6.1 holder.
-                let id = self.next_key_id;
-                self.next_key_id += 1;
-                let material = ClusterKey::generate(&mut self.rng, id, PAILLIER_BITS);
-                for &holder in &plan_key.holders {
-                    holders.grant(&mut self.rng, holder, &material)?;
+                Entry::Vacant(slot) => {
+                    let id = self.next_key_id;
+                    self.next_key_id += 1;
+                    let material = ClusterKey::generate(&mut self.rng, id, PAILLIER_BITS);
+                    for &holder in &plan_key.holders {
+                        holders.grant(&mut self.rng, holder, &material)?;
+                    }
+                    let publics = plan_key.holders.iter().map(|s| s.index()).collect();
+                    self.stats.clusters_provisioned += 1;
+                    slot.insert(CachedCluster { material, publics })
                 }
-                let publics = plan_key.holders.iter().map(|s| s.index()).collect();
-                self.cache
-                    .insert(sig.clone(), CachedCluster { material, publics });
-                self.stats.clusters_provisioned += 1;
-            }
-            let cached = self.cache.get_mut(&sig).expect("just inserted or present");
+            };
             for a in plan_key.attrs.iter() {
                 key_of_attr.insert(a, cached.material.id);
             }
@@ -690,6 +692,8 @@ impl Session {
         // turn, so each is audited right before the region that reads
         // it.
         let mut in_flight: HashMap<NodeId, Transfer> = HashMap::new();
+        // Invariant behind both `expect`s: `QueryJob::new` lists every
+        // assignee and the user among `participants`.
         for region in &job.regions {
             let run = runs[region.subject.index()]
                 .as_mut()
@@ -728,10 +732,7 @@ impl Session {
     /// [`Session::execute`] drains every participant before returning,
     /// so there is no in-flight send to race with.
     pub fn set_faults(&mut self, plan: Option<FaultPlan>) {
-        self.faults
-            .lock()
-            .expect("fault lock poisoned")
-            .set_plan(plan);
+        lock(&self.faults).set_plan(plan);
         self.wire_stats.reset();
     }
 

@@ -1,46 +1,50 @@
-//! The wire: how data-plane messages travel between parties.
+//! The wire: how frames travel between parties.
 //!
 //! The paper's §2/Fig. 8 architecture is a set of *autonomous
 //! providers* exchanging signed sub-queries and audited result tables
-//! over a network. This module abstracts that wire behind the
-//! `Transport` trait — one *delivery attempt* of one `Frame` to one
-//! subject — with two data-plane implementations:
+//! over a network — one kind of edge. This module states that edge
+//! once:
 //!
-//! * `InProcTransport` — the original in-process mailboxes: a
-//!   `send` is an `mpsc` enqueue onto the destination party's
-//!   persistent mailbox. Zero serialization, zero sockets.
-//! * `TcpTransport` + `TcpHub` — real length-prefixed TCP over
-//!   `std::net`. Every party binds a `TcpHub` (listener + accept
-//!   loop); a `send` lazily connects to the destination's hub, then
-//!   writes `[u32 len][frame]` records encoded by `crate::codec`.
-//!   The receiving hub decodes frames and injects them into the same
-//!   mailbox the in-proc transport would have used, so the party loop
-//!   in [`crate::runtime`] is transport-agnostic.
+//! * a `Link` is an established connection to one subject that can
+//!   `send` a `Frame`, `send_half` of one, and be `sever`ed. There are
+//!   two: the destination party's mailbox `Sender` (in-process: a
+//!   `send` is an `mpsc` enqueue of an owned message — zero
+//!   serialization, zero sockets, and the other two are no-ops) and
+//!   `Conn`, a framed `std::net` TCP stream writing `[u32 len][frame]`
+//!   records encoded by `crate::codec`;
+//! * `Links` is the one connection cache, keyed by subject: lazy dial,
+//!   an introduction step supplied by the plane (`Frame::Peer` on the
+//!   data plane, `Hello`/`HelloAck` on the `mpq-server` control plane —
+//!   see [`crate::remote`]), eviction on any failed or damaged write.
+//!   Its `attempt` is the one reading of the four `WireOp`s — *one
+//!   delivery attempt* of one frame to one subject — for both planes
+//!   and both backends;
+//! * `TcpHub` is the receiving half of a TCP party (listener + accept
+//!   loop): it decodes data frames into the same
+//!   `Mailbox` the in-proc link enqueues to,
+//!   so the party loop in [`crate::runtime`] is transport-agnostic, and
+//!   hands a connection that opens with `Hello` to the server as its
+//!   coordinator.
 //!
 //! Per-edge byte accounting is **logical** (the receiver accounts
 //! `table.byte_size()` of every table that crosses a subject
 //! boundary), so the two transports report bit-identical transfer
 //! maps — the property the TCP differential test pins.
 //!
-//! Parties do not use a `Transport` directly: they hold a `Wire`
+//! Parties do not use a `Links` directly: they hold a `Wire`
 //! (crate-private), which consults the session's [`FaultPlan`] before
 //! each attempt and retries failed attempts under a bounded
 //! [`RetryPolicy`] with seeded decorrelated-jitter backoff — the one
-//! retry loop of the crate. Injected failures are *synthesized by the
-//! wire* (not the backend), so the in-proc and TCP transports surface
-//! byte-identical errors and recovery traces for the same schedule.
-//! Every table carries a `(from, seq)` stamped by the sending party;
-//! the receiving party core (`party.rs`) drops duplicates, which
-//! makes re-sends idempotent: a
-//! [`FaultAction::Reset`](crate::fault::FaultAction) delivers *and*
-//! fails the sender, forcing the duplicate the dedup exists for.
-//!
-//! The `Control` type carries the `mpq-server` *control plane*
-//! (hello/provision/execute/done frames between a coordinator and a
-//! server process) over the same framed codec. The coordinator's set
-//! of control connections is a third `Transport` backend under a
-//! second `Wire`, so control frames retry, back off and take injected
-//! faults by the same loop as the data plane; see [`crate::remote`].
+//! retry loop of the crate, under the data plane and (as a second
+//! `Wire` with its own counters) the coordinator's control plane
+//! alike. Injected failures are *synthesized by the wire* (not the
+//! link), so the in-proc and TCP transports surface byte-identical
+//! errors and recovery traces for the same schedule. Every table
+//! carries a `(from, seq)` stamped by the sending party; the receiving
+//! party core (`party.rs`) drops duplicates, which makes re-sends
+//! idempotent: a [`FaultAction::Reset`](crate::fault::FaultAction)
+//! delivers *and* fails the sender, forcing the duplicate the dedup
+//! exists for.
 //!
 //! All socket use in this crate is confined to this module
 //! (`mpq-lint` enforces it), as are the connect/read timeouts that
@@ -49,7 +53,7 @@
 
 use crate::codec::{decode_frame, encode_frame, Frame};
 use crate::fault::{splitmix64, FaultAction, FaultPlan, RetryPolicy};
-use crate::runtime::{Msg, PartyMsg};
+use crate::runtime::{Msg, Stamped};
 use mpq_algebra::SubjectId;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -57,7 +61,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -153,11 +157,10 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// How the [`Wire`] asks a backend to treat one delivery attempt.
+/// How the [`Wire`] asks for one delivery attempt to be treated.
 /// `Deliver` is the honest path; the rest damage the attempt in the
-/// backend's *native* failure mode (a TCP truncate really poisons the
-/// socket) while the wire synthesizes the uniform sender-visible
-/// error.
+/// link's *native* failure mode (a truncate really poisons a socket)
+/// while the wire synthesizes the uniform sender-visible error.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum WireOp {
     /// Deliver the frame normally.
@@ -171,51 +174,155 @@ pub(crate) enum WireOp {
     Reset,
 }
 
-/// Sending half of the wire: **one attempt** to deliver one frame to
-/// one subject. Retries and fault injection live in [`Wire`], which is
-/// what parties actually hold. Receiving stays the party's mailbox
-/// (`Receiver<PartyMsg>`) regardless of transport — TCP hubs feed the
-/// same mailbox the in-proc transport enqueues to.
-pub(crate) trait Transport: Send + Sync {
-    /// Make one delivery attempt of `frame` to `to`, applying `op`.
-    /// Backends return their own errors only for *real* failures;
-    /// injected ones are reported by the wire.
-    fn attempt(&self, to: SubjectId, frame: &Frame, op: WireOp) -> Result<(), TransportError>;
+/// Lock `m`, poisoned or not: every critical section of this crate
+/// leaves what it guards consistent (a counter bump, a map insert or
+/// remove), so a holder that panicked — a party's panic is caught and
+/// reported as its [`Outcome`](crate::runtime::Outcome) — has broken
+/// nothing the next holder needs to refuse.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The in-process wire: a clone of every party's mailbox sender.
-pub(crate) struct InProcTransport {
-    txs: Vec<Sender<PartyMsg>>,
+/// An established link to one subject — the paper's one kind of edge.
+/// What can be done to it is exactly what the four [`WireOp`]s need.
+pub(crate) trait Link: Send {
+    /// Write one whole frame.
+    fn send(&mut self, frame: &Frame) -> Result<(), TransportError>;
+    /// Write a frame's length prefix and half its body: the receiver
+    /// hits EOF mid-record and discards the garbage. Real failures
+    /// while damaging are ignored — the wire reports the injected
+    /// error either way.
+    fn send_half(&mut self, _frame: &Frame) {}
+    /// Kill the connection under the link.
+    fn sever(&mut self) {}
 }
 
-impl InProcTransport {
-    pub(crate) fn new(txs: Vec<Sender<PartyMsg>>) -> InProcTransport {
-        InProcTransport { txs }
-    }
-}
-
-impl Transport for InProcTransport {
-    fn attempt(&self, to: SubjectId, frame: &Frame, op: WireOp) -> Result<(), TransportError> {
+/// The in-process link is the destination party's mailbox sender: a
+/// `send` is an `mpsc` enqueue of an owned [`Msg`], zero serialization.
+/// A mailbox has no partial delivery and no connection to kill, so a
+/// dropped, truncated or reset frame looks to its receiver exactly as
+/// it does over a socket: absent, absent, delivered.
+impl Link for Sender<Stamped> {
+    fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
         // Mailboxes carry the data plane only.
         let Frame::Data { epoch, msg } = frame else {
             return Err(TransportError::Closed);
         };
+        Sender::send(self, (*epoch, msg.clone())).map_err(|_| TransportError::Closed)
+    }
+}
+
+/// The connection cache of one plane of one party: links keyed by
+/// subject, opened lazily by the plane's `open` (dial + introduction —
+/// `Frame::Peer` on the data plane, `Hello`/`HelloAck` on the control
+/// plane, a sender clone in-process) and evicted by any failed or
+/// damaged write, so the next attempt — the retry, or the next query —
+/// opens a fresh one.
+pub(crate) struct Links<L> {
+    open: Box<dyn Fn(SubjectId) -> Result<L, TransportError> + Send + Sync>,
+    conns: Mutex<HashMap<SubjectId, L>>,
+}
+
+impl<L: Link> Links<L> {
+    pub(crate) fn new(
+        open: impl Fn(SubjectId) -> Result<L, TransportError> + Send + Sync + 'static,
+    ) -> Links<L> {
+        Links {
+            open: Box::new(open),
+            conns: Mutex::default(),
+        }
+    }
+
+    /// Whether a link to `to` is cached (it may still turn out dead).
+    pub(crate) fn is_open(&self, to: SubjectId) -> bool {
+        lock(&self.conns).contains_key(&to)
+    }
+
+    /// Run `f` over every cached link.
+    pub(crate) fn each(&self, f: impl FnMut(&mut L)) {
+        lock(&self.conns).values_mut().for_each(f);
+    }
+
+    /// Run `f` on the link to `to`, opening it if there is none. One
+    /// attempt, never a loop of its own — every caller sits inside a
+    /// bounded retry budget. A link `f` failed on, or one the caller
+    /// wants `sever`ed, never comes back: it is killed and evicted.
+    pub(crate) fn with<T>(
+        &self,
+        to: SubjectId,
+        sever: bool,
+        f: impl FnOnce(&mut L) -> Result<T, TransportError>,
+    ) -> Result<T, TransportError> {
+        let mut conns = lock(&self.conns);
+        let link = match conns.entry(to) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => slot.insert((self.open)(to)?),
+        };
+        let done = f(link);
+        if sever || done.is_err() {
+            link.sever();
+            conns.remove(&to);
+        }
+        done
+    }
+}
+
+impl Links<Sender<Stamped>> {
+    /// The in-process data plane: a clone of every party's mailbox
+    /// sender, by subject index.
+    pub(crate) fn in_proc(txs: Vec<Sender<Stamped>>) -> Self {
+        Links::new(move |to| txs.get(to.index()).cloned().ok_or(TransportError::Closed))
+    }
+}
+
+impl Links<Conn> {
+    /// The TCP data plane of party `me`: `peers` maps each subject to
+    /// the `host:port` of its [`TcpHub`]. The first frame on a fresh
+    /// connection is `Peer { from }` so the receiving hub knows which
+    /// mailbox edge the traffic belongs to (asserted identity —
+    /// transport authentication is out of scope; the protocol's
+    /// integrity rests on the signed request envelopes and the
+    /// cell-level receive audit, not on the socket).
+    pub(crate) fn tcp(me: SubjectId, peers: HashMap<SubjectId, String>, timeout: Duration) -> Self {
+        Links::new(move |to| {
+            let addr = peers.get(&to).ok_or(TransportError::Closed)?;
+            let mut conn = Conn::connect(addr, to, timeout)?;
+            conn.send(&Frame::Peer { from: me })?;
+            Ok(conn)
+        })
+    }
+}
+
+/// Sending half of the wire: **one attempt** to deliver one frame to
+/// one subject. Retries and fault injection live in [`Wire`], which is
+/// what parties actually hold; this trait only hides which kind of
+/// [`Link`] a [`Links`] caches. Receiving stays the party's
+/// [`Mailbox`](crate::runtime::Mailbox) regardless of transport — TCP
+/// hubs feed the same mailbox the in-proc links enqueue to.
+pub(crate) trait Transport: Send + Sync {
+    /// Make one delivery attempt of `frame` to `to`, applying `op`.
+    /// Only *real* failures are returned; injected ones are reported by
+    /// the wire.
+    fn attempt(&self, to: SubjectId, frame: &Frame, op: WireOp) -> Result<(), TransportError>;
+}
+
+impl<L: Link> Transport for Links<L> {
+    /// The one reading of [`WireOp`], for every plane and backend.
+    fn attempt(&self, to: SubjectId, frame: &Frame, op: WireOp) -> Result<(), TransportError> {
         match op {
-            // Reset delivers first (the duplicate-maker); mailboxes
-            // have no connection state left to damage afterwards.
-            WireOp::Deliver | WireOp::Reset => self
-                .txs
-                .get(to.index())
-                .ok_or(TransportError::Closed)?
-                .send(PartyMsg::Data {
-                    epoch: *epoch,
-                    msg: msg.clone(),
-                })
-                .map_err(|_| TransportError::Closed),
-            // Dropped or truncated frames simply never reach the
-            // mailbox — exactly what the receiver of a vanished or
-            // undecodable TCP frame observes.
-            WireOp::Drop | WireOp::Truncate => Ok(()),
+            WireOp::Deliver => self.with(to, false, |link| link.send(frame)),
+            // The ambiguous case: the receiver's idempotency (`(from,
+            // seq)` dedup, key-ring inserts, the epoch outcome cache)
+            // absorbs the re-delivery.
+            WireOp::Reset => self.with(to, true, |link| link.send(frame)),
+            WireOp::Truncate => {
+                let _ = self.with(to, true, |link| {
+                    link.send_half(frame);
+                    Ok(())
+                });
+                Ok(())
+            }
+            WireOp::Drop => Ok(()),
         }
     }
 }
@@ -225,13 +332,6 @@ impl Transport for InProcTransport {
 /// corrupt length prefix must not look like a 4 GiB allocation
 /// request.
 const MAX_FRAME: usize = 1 << 30;
-
-fn write_frame(stream: &mut TcpStream, frame: &Frame) -> std::io::Result<()> {
-    let body = encode_frame(frame);
-    stream.write_all(&(body.len() as u32).to_be_bytes())?;
-    stream.write_all(&body)?;
-    stream.flush()
-}
 
 /// Most a frame's buffer holds before any of its body has arrived.
 const FIRST_READ: usize = 64 << 10;
@@ -283,136 +383,6 @@ fn read_frame(stream: &mut impl Read) -> Result<Option<Frame>, TransportError> {
         .map(Some)
 }
 
-/// Resolve `addr` and open a no-delay connection to it within
-/// `timeout` — the one dial both planes use.
-fn dial(addr: &str, timeout: Duration) -> Result<TcpStream, TransportError> {
-    let failed = |detail: String| TransportError::Connect {
-        addr: addr.to_string(),
-        detail,
-    };
-    let target = std::net::ToSocketAddrs::to_socket_addrs(addr)
-        .map_err(|e| failed(e.to_string()))?
-        .next()
-        .ok_or_else(|| failed("address resolved to nothing".to_string()))?;
-    let stream = TcpStream::connect_timeout(&target, timeout).map_err(|e| failed(e.to_string()))?;
-    stream.set_nodelay(true).ok();
-    Ok(stream)
-}
-
-/// The TCP sending half for one party: lazily-established, cached
-/// connections to every peer's `TcpHub`. The first frame on a fresh
-/// connection is `Peer { from }` so the receiving hub knows which
-/// mailbox edge the traffic belongs to (asserted identity — transport
-/// authentication is out of scope; the protocol's integrity rests on
-/// the signed request envelopes and the cell-level receive audit, not
-/// on the socket).
-pub(crate) struct TcpTransport {
-    me: SubjectId,
-    /// Peer subject → `host:port` of its hub.
-    peers: HashMap<SubjectId, String>,
-    conns: Mutex<HashMap<SubjectId, TcpStream>>,
-    connect_timeout: Duration,
-}
-
-impl TcpTransport {
-    pub(crate) fn new(
-        me: SubjectId,
-        peers: HashMap<SubjectId, String>,
-        connect_timeout: Duration,
-    ) -> TcpTransport {
-        TcpTransport {
-            me,
-            peers,
-            conns: Mutex::new(HashMap::new()),
-            connect_timeout,
-        }
-    }
-
-    /// The cached connection to `to`, established (and introduced
-    /// with `Peer { from }`) if there is none.
-    fn conn_for<'a>(
-        &self,
-        conns: &'a mut HashMap<SubjectId, TcpStream>,
-        to: SubjectId,
-    ) -> Result<&'a mut TcpStream, TransportError> {
-        match conns.entry(to) {
-            Entry::Occupied(slot) => Ok(slot.into_mut()),
-            Entry::Vacant(slot) => {
-                let addr = self.peers.get(&to).ok_or(TransportError::Closed)?;
-                let mut stream = dial(addr, self.connect_timeout)?;
-                write_frame(&mut stream, &Frame::Peer { from: self.me }).map_err(|e| {
-                    TransportError::Send {
-                        to,
-                        detail: e.to_string(),
-                    }
-                })?;
-                Ok(slot.insert(stream))
-            }
-        }
-    }
-
-    /// Write one frame on the cached connection to `to`,
-    /// (re-)establishing it if needed. `kill_after` severs the
-    /// connection *after* a successful write — the `Reset` injection.
-    fn write_data(
-        &self,
-        to: SubjectId,
-        frame: &Frame,
-        kill_after: bool,
-    ) -> Result<(), TransportError> {
-        let mut conns = self.conns.lock().expect("transport lock poisoned");
-        let stream = self.conn_for(&mut conns, to)?;
-        if let Err(e) = write_frame(stream, frame) {
-            // A dead connection never comes back; drop it so a later
-            // attempt (the retry, or the next query) can re-establish.
-            conns.remove(&to);
-            return Err(TransportError::Send {
-                to,
-                detail: e.to_string(),
-            });
-        }
-        if kill_after {
-            if let Some(s) = conns.remove(&to) {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-        }
-        Ok(())
-    }
-
-    /// Write a deliberately short frame (a valid length prefix, half a
-    /// body) and sever the connection — the receiving pump hits EOF
-    /// mid-body, discards the garbage, and the edge needs a fresh
-    /// connection. Real-failure errors during the damage are ignored:
-    /// the wire reports the injected error either way.
-    fn write_truncated(&self, to: SubjectId, frame: &Frame) {
-        let mut conns = self.conns.lock().expect("transport lock poisoned");
-        if self.conn_for(&mut conns, to).is_err() {
-            return;
-        }
-        if let Some(mut stream) = conns.remove(&to) {
-            let body = encode_frame(frame);
-            let _ = stream.write_all(&(body.len() as u32).to_be_bytes());
-            let _ = stream.write_all(&body[..body.len() / 2]);
-            let _ = stream.flush();
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn attempt(&self, to: SubjectId, frame: &Frame, op: WireOp) -> Result<(), TransportError> {
-        match op {
-            WireOp::Deliver => self.write_data(to, frame, false),
-            WireOp::Reset => self.write_data(to, frame, true),
-            WireOp::Truncate => {
-                self.write_truncated(to, frame);
-                Ok(())
-            }
-            WireOp::Drop => Ok(()),
-        }
-    }
-}
-
 /// Per-edge recovery counters, exposed through
 /// [`Session::recovery_stats`](crate::Session::recovery_stats) (and
 /// the coordinator's equivalent). `attempts` counts every delivery
@@ -438,25 +408,20 @@ pub(crate) struct WireStats {
 
 impl WireStats {
     fn bump(&self, from: SubjectId, to: SubjectId, f: impl FnOnce(&mut EdgeRecovery)) {
-        let mut edges = self.edges.lock().expect("stats lock poisoned");
+        let mut edges = lock(&self.edges);
         f(edges.entry((from, to)).or_default());
     }
 
     pub(crate) fn snapshot(&self) -> HashMap<(SubjectId, SubjectId), EdgeRecovery> {
-        self.edges.lock().expect("stats lock poisoned").clone()
+        lock(&self.edges).clone()
     }
 
     pub(crate) fn reset(&self) {
-        self.edges.lock().expect("stats lock poisoned").clear();
+        lock(&self.edges).clear();
     }
 
     pub(crate) fn total_retries(&self) -> u64 {
-        self.edges
-            .lock()
-            .expect("stats lock poisoned")
-            .values()
-            .map(|e| e.retries)
-            .sum()
+        lock(&self.edges).values().map(|e| e.retries).sum()
     }
 }
 
@@ -574,10 +539,7 @@ impl Wire {
         frame: &Frame,
     ) -> Result<(), TransportError> {
         self.retry(to, || {
-            let action = {
-                let mut faults = self.faults.lock().expect("fault lock poisoned");
-                faults.next_action(self.me, to)
-            };
+            let action = lock(&self.faults).next_action(self.me, to);
             self.stats.bump(self.me, to, |e| e.attempts += 1);
             if action != FaultAction::Deliver {
                 self.stats.bump(self.me, to, |e| e.injected += 1);
@@ -640,7 +602,7 @@ impl Wire {
 
 /// The receiving half of the TCP wire for one party: a bound listener
 /// plus an accept loop that turns incoming framed records into
-/// [`PartyMsg::Data`] on the party's mailbox. Control connections
+/// [`Stamped`] messages on the party's mailbox. Control connections
 /// (first frame `Hello`) are handed to the `control` channel instead —
 /// that is how an `mpq-server` process receives its coordinator.
 pub(crate) struct TcpHub {
@@ -654,20 +616,15 @@ impl TcpHub {
     /// accept loop.
     pub(crate) fn bind(
         addr: &str,
-        inbox: Sender<PartyMsg>,
-        control: Option<Sender<Control>>,
+        inbox: Sender<Stamped>,
+        control: Option<Sender<Conn>>,
     ) -> Result<TcpHub, TransportError> {
-        let listener = TcpListener::bind(addr).map_err(|e| TransportError::Bind {
+        let failed = |e: std::io::Error| TransportError::Bind {
             addr: addr.to_string(),
             detail: e.to_string(),
-        })?;
-        let local = listener
-            .local_addr()
-            .map_err(|e| TransportError::Bind {
-                addr: addr.to_string(),
-                detail: e.to_string(),
-            })?
-            .to_string();
+        };
+        let listener = TcpListener::bind(addr).map_err(failed)?;
+        let local = listener.local_addr().map_err(failed)?.to_string();
         let closing = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&closing);
         let accept = std::thread::spawn(move || {
@@ -680,7 +637,7 @@ impl TcpHub {
                 let inbox = inbox.clone();
                 let control = control.clone();
                 // Pump threads are detached: they exit on EOF when the
-                // sending peer drops its connection cache, which the
+                // sending peer drops its link cache, which the
                 // teardown ordering guarantees happens before the hub
                 // itself is considered gone.
                 std::thread::spawn(move || pump(stream, inbox, control));
@@ -714,27 +671,28 @@ impl Drop for TcpHub {
 
 /// Per-connection receive loop: route data frames to the mailbox,
 /// control connections to the control channel, drop anything else.
-fn pump(mut stream: TcpStream, inbox: Sender<PartyMsg>, control: Option<Sender<Control>>) {
+fn pump(mut stream: TcpStream, inbox: Sender<Stamped>, control: Option<Sender<Conn>>) {
     match read_frame(&mut stream) {
         Ok(Some(Frame::Peer { .. })) => loop {
             match read_frame(&mut stream) {
                 Ok(Some(Frame::Data { epoch, msg })) => {
-                    if inbox.send(PartyMsg::Data { epoch, msg }).is_err() {
+                    if inbox.send((epoch, msg)).is_err() {
                         return;
                     }
                 }
                 // Clean EOF, a dead peer, or a non-data frame: either
                 // way this connection is done. The *absence* of an
                 // expected message is handled where it is observable —
-                // the party loop's receive timeout.
+                // the mailbox's receive timeout.
                 _ => return,
             }
         },
-        Ok(Some(hello @ Frame::Hello { .. })) => {
+        Ok(Some(Frame::Hello { user, public })) => {
             if let Some(control) = control {
-                let _ = control.send(Control {
+                let _ = control.send(Conn {
                     stream,
-                    pending: Some(hello),
+                    peer: user,
+                    pending: Some(Frame::Hello { user, public }),
                     read_timeout: None,
                 });
             }
@@ -743,11 +701,15 @@ fn pump(mut stream: TcpStream, inbox: Sender<PartyMsg>, control: Option<Sender<C
     }
 }
 
-/// One framed control connection (coordinator ↔ server), used by
-/// [`crate::remote`]. Keeps all socket handling inside this module:
-/// callers see only [`Frame`] values and typed errors.
-pub(crate) struct Control {
+/// One framed connection to `peer` — the socket [`Link`] of both
+/// planes, and what a hub hands a [`Server`](crate::Server) for its
+/// coordinator. Keeps all socket handling inside this module: callers
+/// see only [`Frame`] values and typed errors.
+pub(crate) struct Conn {
     stream: TcpStream,
+    /// Who is at the other end: the subject dialed, or the user an
+    /// accepted connection's `Hello` announced.
+    peer: SubjectId,
     /// A frame already consumed by the hub's dispatcher (the `Hello`),
     /// replayed on the first `recv`.
     pending: Option<Frame>,
@@ -757,27 +719,39 @@ pub(crate) struct Control {
     read_timeout: Option<Duration>,
 }
 
-impl Control {
-    /// Connect to a server's hub with a connect timeout.
-    pub(crate) fn connect(addr: &str, timeout: Duration) -> Result<Control, TransportError> {
-        Ok(Control {
-            stream: dial(addr, timeout)?,
+impl Conn {
+    /// Resolve `addr` and open a no-delay connection to `peer` there
+    /// within `timeout` — the one dial both planes use.
+    pub(crate) fn connect(
+        addr: &str,
+        peer: SubjectId,
+        timeout: Duration,
+    ) -> Result<Conn, TransportError> {
+        let failed = |detail: String| TransportError::Connect {
+            addr: addr.to_string(),
+            detail,
+        };
+        let target = std::net::ToSocketAddrs::to_socket_addrs(addr)
+            .map_err(|e| failed(e.to_string()))?
+            .next()
+            .ok_or_else(|| failed("address resolved to nothing".to_string()))?;
+        let stream =
+            TcpStream::connect_timeout(&target, timeout).map_err(|e| failed(e.to_string()))?;
+        stream.set_nodelay(true).ok();
+        Ok(Conn {
+            stream,
+            peer,
             pending: None,
             read_timeout: None,
         })
     }
 
-    /// Send one control frame.
-    pub(crate) fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        write_frame(&mut self.stream, frame).map_err(|e| TransportError::Recv {
-            detail: e.to_string(),
-        })
-    }
-
-    /// Sever the connection — the coordinator's control-plane `Reset`
-    /// injection, and a cheap way for tests to simulate a dying peer.
-    pub(crate) fn shutdown(&mut self) {
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+    /// Write a `[u32 len][frame]` record claiming `body`, carrying its
+    /// first `sent` bytes.
+    fn write(&mut self, body: &[u8], sent: usize) -> std::io::Result<()> {
+        self.stream.write_all(&(body.len() as u32).to_be_bytes())?;
+        self.stream.write_all(&body[..sent])?;
+        self.stream.flush()
     }
 
     /// Reconfigure the socket's read timeout. A failure here is a real
@@ -797,12 +771,11 @@ impl Control {
         Ok(())
     }
 
-    /// Receive one control frame, waiting at most `timeout` (or
-    /// indefinitely when `None`). EOF surfaces as
-    /// [`TransportError::Closed`]. The stream's previous read timeout
-    /// is restored afterwards, so a bounded `recv` nested in an
-    /// otherwise-bounded protocol phase does not leak an unbounded
-    /// socket.
+    /// Receive one frame, waiting at most `timeout` (or indefinitely
+    /// when `None`). EOF surfaces as [`TransportError::Closed`]. The
+    /// stream's previous read timeout is restored afterwards, so a
+    /// bounded `recv` nested in an otherwise-bounded protocol phase
+    /// does not leak an unbounded socket.
     pub(crate) fn recv(&mut self, timeout: Option<Duration>) -> Result<Frame, TransportError> {
         if let Some(f) = self.pending.take() {
             return Ok(f);
@@ -819,6 +792,27 @@ impl Control {
             }),
             Err(e) => Err(e),
         }
+    }
+}
+
+impl Link for Conn {
+    fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
+        let body = encode_frame(frame);
+        self.write(&body, body.len())
+            .map_err(|e| TransportError::Send {
+                to: self.peer,
+                detail: e.to_string(),
+            })
+    }
+
+    fn send_half(&mut self, frame: &Frame) {
+        let body = encode_frame(frame);
+        let _ = self.write(&body, body.len() / 2);
+    }
+
+    /// Also a cheap way for tests to simulate a dying peer.
+    fn sever(&mut self) {
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 }
 
@@ -908,7 +902,7 @@ mod tests {
         let peers: HashMap<SubjectId, String> = [(SubjectId(0), hub.addr().to_string())]
             .into_iter()
             .collect();
-        let wire = TcpTransport::new(me, peers, Duration::from_secs(2));
+        let wire = Links::tcp(me, peers, Duration::from_secs(2));
         let Msg::Table(sent) = probe_msg(0) else {
             unreachable!("probe messages are tables")
         };
@@ -919,10 +913,7 @@ mod tests {
         wire.attempt(SubjectId(0), &frame, WireOp::Deliver)
             .expect("loopback send");
         match rx.recv_timeout(Duration::from_secs(5)).expect("delivered") {
-            PartyMsg::Data {
-                epoch: 3,
-                msg: Msg::Table(t),
-            } => {
+            (3, Msg::Table(t)) => {
                 assert_eq!(t.from, me);
                 assert_eq!(t.table.to_rows(), sent.table.to_rows());
             }
@@ -938,7 +929,7 @@ mod tests {
             l.local_addr().expect("addr").to_string()
         };
         let peers: HashMap<SubjectId, String> = [(SubjectId(0), dead)].into_iter().collect();
-        let wire = TcpTransport::new(SubjectId(1), peers, Duration::from_millis(500));
+        let wire = Links::tcp(SubjectId(1), peers, Duration::from_millis(500));
         let abort = Frame::Data {
             epoch: 1,
             msg: Msg::Abort,
@@ -952,9 +943,9 @@ mod tests {
     fn test_wire(
         plan: Option<FaultPlan>,
         retry: RetryPolicy,
-    ) -> (Wire, std::sync::mpsc::Receiver<PartyMsg>) {
+    ) -> (Wire, std::sync::mpsc::Receiver<Stamped>) {
         let (tx, rx) = channel();
-        let inner = Arc::new(InProcTransport::new(vec![tx]));
+        let inner = Arc::new(Links::in_proc(vec![tx]));
         let wire = Wire::new(
             SubjectId(1),
             7,
@@ -977,7 +968,7 @@ mod tests {
                 .expect("within budget");
         }
         let mut seqs = Vec::new();
-        while let Ok(PartyMsg::Data { msg, .. }) = rx.try_recv() {
+        while let Ok((_, msg)) = rx.try_recv() {
             if let Msg::Table(t) = msg {
                 seqs.push(t.seq);
             }
@@ -1016,7 +1007,7 @@ mod tests {
         wire.send(SubjectId(0), 9, probe_msg(4))
             .expect("retry after reset succeeds");
         let mut seqs = Vec::new();
-        while let Ok(PartyMsg::Data { msg, .. }) = rx.try_recv() {
+        while let Ok((_, msg)) = rx.try_recv() {
             if let Msg::Table(t) = msg {
                 seqs.push(t.seq);
             }
@@ -1029,7 +1020,8 @@ mod tests {
         let (tx, _rx) = channel();
         let (ctl_tx, ctl_rx) = channel();
         let hub = TcpHub::bind("127.0.0.1:0", tx, Some(ctl_tx)).expect("bind loopback");
-        let mut client = Control::connect(hub.addr(), Duration::from_secs(2)).expect("connect");
+        let mut client =
+            Conn::connect(hub.addr(), SubjectId(1), Duration::from_secs(2)).expect("connect");
         let public = {
             use rand::rngs::StdRng;
             use rand::SeedableRng;

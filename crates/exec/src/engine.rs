@@ -181,12 +181,6 @@ pub struct ExecCtx<'a> {
     /// Rows per streamed batch (pipelined operators hold at most this
     /// many rows at a time).
     pub batch_rows: usize,
-    /// Footnote-2 reordering: when a `Select` sits directly on an
-    /// `Encrypt` and the predicate is [`fusible`](fused_encrypt_child),
-    /// evaluate the condition on the plaintext input and encrypt only
-    /// the surviving tuples — at their *original* row offsets, so the
-    /// ciphertexts are bit-identical to filter-after-encrypt.
-    pub fuse_filter_encrypt: bool,
 }
 
 /// Builder for [`ExecCtx`]: the five shared references are positional
@@ -200,7 +194,6 @@ pub struct ExecCtxBuilder<'a> {
     seed: u64,
     pool: WorkerPool,
     batch_rows: usize,
-    fuse_filter_encrypt: bool,
 }
 
 impl<'a> ExecCtxBuilder<'a> {
@@ -226,15 +219,6 @@ impl<'a> ExecCtxBuilder<'a> {
         self
     }
 
-    /// Enable or disable footnote-2 filter-before-encrypt fusion
-    /// (default: enabled). Disabling reproduces the literal
-    /// encrypt-then-filter plan order; results and ciphertexts are
-    /// identical either way.
-    pub fn fuse_filter_encrypt(mut self, on: bool) -> Self {
-        self.fuse_filter_encrypt = on;
-        self
-    }
-
     /// Finish the context.
     pub fn build(self) -> ExecCtx<'a> {
         ExecCtx {
@@ -246,7 +230,6 @@ impl<'a> ExecCtxBuilder<'a> {
             seed: self.seed,
             pool: self.pool,
             batch_rows: self.batch_rows,
-            fuse_filter_encrypt: self.fuse_filter_encrypt,
         }
     }
 }
@@ -269,7 +252,6 @@ impl<'a> ExecCtx<'a> {
             seed: DEFAULT_SEED,
             pool: WorkerPool::global(),
             batch_rows: DEFAULT_BATCH_ROWS,
-            fuse_filter_encrypt: true,
         }
     }
 
@@ -542,12 +524,14 @@ fn compile_node<'p>(
             }))
         }
         Operator::Select { pred } => {
-            // Footnote-2 fusion: when the child Encrypt is this
-            // region's to run (not a table supplied by its producer),
-            // evaluate the condition on the plaintext input and
-            // encrypt only the survivors.
+            // Footnote-2 reordering: when a `Select` sits directly on
+            // an `Encrypt` that is this region's to run (not a table
+            // supplied by its producer) and the predicate is
+            // [fusible](fused_encrypt_child), evaluate the condition
+            // on the plaintext input and encrypt only the survivors.
+            // Not an option: the region cut decides it.
             let child = node.children[0];
-            if ctx.fuse_filter_encrypt && member(child) && !inputs.contains_key(&child) {
+            if member(child) && !inputs.contains_key(&child) {
                 if let Some(enc_id) = fused_encrypt_child(plan, id) {
                     let Operator::Encrypt { attrs } = &plan.node(enc_id).op else {
                         unreachable!("fused_encrypt_child returns Encrypt nodes");
@@ -560,7 +544,7 @@ fn compile_node<'p>(
                     let plans = crypto_plans(attrs, &child.schema, enc_id, ctx)?;
                     let enc_set: AttrSet = attrs.iter().copied().collect();
                     let pred = decrypt_pred_literals(pred, &enc_set, ctx)?;
-                    return Ok(fused_filter_encrypt_stream(child, pred, plans, ctx));
+                    return Ok(crypto_stream(child, plans, true, Some(pred), ctx));
                 }
             }
             let child = child_stream(plan, id, 0, inputs, member, ctx)?;
@@ -661,12 +645,12 @@ fn compile_node<'p>(
         Operator::Encrypt { attrs } => {
             let child = child_stream(plan, id, 0, inputs, member, ctx)?;
             let plans = crypto_plans(attrs, &child.schema, id, ctx)?;
-            Ok(crypto_stream(child, plans, true, ctx))
+            Ok(crypto_stream(child, plans, true, None, ctx))
         }
         Operator::Decrypt { attrs } => {
             let child = child_stream(plan, id, 0, inputs, member, ctx)?;
             let plans = crypto_plans(attrs, &child.schema, id, ctx)?;
-            Ok(crypto_stream(child, plans, false, ctx))
+            Ok(crypto_stream(child, plans, false, None, ctx))
         }
         Operator::Sort { keys } => {
             let agg_base = sort_agg_base(plan, id);
@@ -881,48 +865,6 @@ fn decrypt_pred_literals(pred: &Expr, enc: &AttrSet, ctx: &ExecCtx<'_>) -> Resul
     })
 }
 
-/// The fused Select-over-Encrypt stream: per input batch, evaluate the
-/// (literal-decrypted) predicate on plaintext, drop failing rows, then
-/// encrypt only the survivors — seeding every cell's RNG with its
-/// *original* global row offset, so the surviving ciphertexts are
-/// byte-identical to what encrypt-then-filter produces.
-fn fused_filter_encrypt_stream<'p>(
-    child: BatchStream<'p>,
-    pred: Expr,
-    plans: Vec<CryptoPlan>,
-    ctx: &'p ExecCtx<'p>,
-) -> BatchStream<'p> {
-    let schema = child.schema.clone();
-    let mut row_off = 0usize;
-    map_stream(child, schema.clone(), move |batch| {
-        let n = batch.len();
-        let mask = selection_mask(&pred, &batch, None, ctx)?;
-        let out = if mask.iter().all(|&m| !m) {
-            None
-        } else if mask.iter().all(|&m| m) {
-            let mut cols = batch.into_columns();
-            for plan in &plans {
-                apply_crypto_plan(&mut cols, plan, true, &Offsets::Dense(row_off), &ctx.pool)?;
-            }
-            Some(Table::from_columns(schema.clone(), cols))
-        } else {
-            let offs: Vec<usize> = mask
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &m)| m.then_some(row_off + i))
-                .collect();
-            let mut cols: Vec<ColumnVec> =
-                batch.columns().iter().map(|c| c.filter(&mask)).collect();
-            for plan in &plans {
-                apply_crypto_plan(&mut cols, plan, true, &Offsets::Sparse(&offs), &ctx.pool)?;
-            }
-            Some(Table::from_columns(schema.clone(), cols))
-        };
-        row_off += n;
-        Ok(out)
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Encrypt / Decrypt
 // ---------------------------------------------------------------------------
@@ -983,27 +925,50 @@ fn crypto_plans(
 /// Stream Encrypt/Decrypt: each batch is transformed in place, with
 /// every cell's RNG seeded from its *global* row index (`row_off` +
 /// in-batch offset), so ciphertexts are independent of batch layout.
+///
+/// `keep` is the fused Select-over-Encrypt of footnote 2: a
+/// (literal-decrypted) predicate evaluated on the plaintext batch
+/// first. Failing rows are dropped and only the survivors are
+/// encrypted — each still under its *original* offset, so what comes
+/// out is byte-identical to encrypt-then-filter.
 fn crypto_stream<'p>(
     child: BatchStream<'p>,
     plans: Vec<CryptoPlan>,
     encrypt: bool,
+    keep: Option<Expr>,
     ctx: &'p ExecCtx<'p>,
 ) -> BatchStream<'p> {
     let schema = child.schema.clone();
     let mut row_off = 0usize;
     map_stream(child, schema.clone(), move |batch| {
-        let n = batch.len();
-        let mut cols = batch.into_columns();
+        let base = row_off;
+        row_off += batch.len();
+        // Without a predicate the mask is empty, and an empty mask
+        // keeps everything.
+        let mask = match &keep {
+            Some(pred) => selection_mask(pred, &batch, None, ctx)?,
+            None => Vec::new(),
+        };
+        let (mut cols, kept) = if mask.iter().all(|&m| m) {
+            (batch.into_columns(), None)
+        } else {
+            let kept: Vec<usize> = (base..)
+                .zip(&mask)
+                .filter_map(|(off, &m)| m.then_some(off))
+                .collect();
+            if kept.is_empty() {
+                return Ok(None);
+            }
+            let cols = batch.columns().iter().map(|c| c.filter(&mask)).collect();
+            (cols, Some(kept))
+        };
+        let offsets = match &kept {
+            Some(kept) => Offsets::Sparse(kept),
+            None => Offsets::Dense(base),
+        };
         for plan in &plans {
-            apply_crypto_plan(
-                &mut cols,
-                plan,
-                encrypt,
-                &Offsets::Dense(row_off),
-                &ctx.pool,
-            )?;
+            apply_crypto_plan(&mut cols, plan, encrypt, &offsets, &ctx.pool)?;
         }
-        row_off += n;
         Ok(Some(Table::from_columns(schema.clone(), cols)))
     })
 }
@@ -2477,12 +2442,16 @@ mod tests {
         );
         assert!(fused_encrypt_child(&plan, plan.root()).is_some());
 
-        let fused_ctx = ExecCtx::new(&cat, &db, &keys, &schemes, &koa);
-        let unfused_ctx = ExecCtx::builder(&cat, &db, &keys, &schemes, &koa)
-            .fuse_filter_encrypt(false)
-            .build();
-        let fused = execute(&plan, &fused_ctx).unwrap();
-        let unfused = execute(&plan, &unfused_ctx).unwrap();
+        let ctx = ExecCtx::new(&cat, &db, &keys, &schemes, &koa);
+        let fused = execute(&plan, &ctx).unwrap();
+        // The literal plan order: the Encrypt runs as a region of its
+        // own, and the Select reads its table like any operand.
+        let select = plan.root();
+        let mut inputs = HashMap::new();
+        let whole = execute_region(&plan, enc, &|n| n != select, &mut inputs, &ctx).unwrap();
+        assert_eq!(whole.len(), 4, "every row was encrypted, not the three");
+        inputs.insert(enc, whole);
+        let unfused = execute_region(&plan, select, &|n| n == select, &mut inputs, &ctx).unwrap();
         assert_eq!(fused.len(), 3, "three stroke rows survive");
         // Byte-identical: surviving ciphertexts keep their original
         // row offsets, so even the Random-scheme S cells match.
@@ -2496,7 +2465,6 @@ mod tests {
 
         // Fusion never looks through a region boundary: a Select whose
         // Encrypt belongs to somebody else waits for the ciphertext.
-        let select = plan.root();
         assert_eq!(
             execute_region(&plan, select, &|n| n == select, &mut HashMap::new(), &tiny),
             Err(ExecError::MissingOperand {

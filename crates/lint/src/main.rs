@@ -8,7 +8,8 @@
 //!   `expect` naming the invariant).
 //! * **thread-discipline** — no `std::thread` spawning in engine code
 //!   outside the two sanctioned homes (`exec/src/pool.rs` for the scoped data-parallel
-//!   pool, `dist/src/runtime.rs` for the long-lived party loops): every
+//!   pool, `dist/src/runtime.rs` for the long-lived party loops, woken
+//!   on their own channel and shut down by its closing): every
 //!   thread must be owned by one of the two lifecycle managers.
 //! * **determinism** — no wall-clock reads, no unseeded randomness and
 //!   no environment reads in engine code (everything but the bench
@@ -16,9 +17,11 @@
 //!   bit-reproducible from the seed alone. The one documented
 //!   environment knob, `MPQ_WORKERS`, is read in `exec/src/pool.rs`.
 //! * **net-confinement** — `std::net` (sockets, listeners) appears in
-//!   exactly one file, `dist/src/transport.rs`: everything above the
-//!   `Transport` seam must be wire-agnostic, so the in-proc and TCP
-//!   backends stay behaviorally interchangeable by construction.
+//!   exactly one file, `dist/src/transport.rs`, home of the one link
+//!   cache and the one reading of `WireOp` under both the data plane
+//!   and the coordinator's control plane: everything above it sees
+//!   frames, a data-only mailbox and typed errors, so the in-proc and
+//!   TCP links stay behaviorally interchangeable by construction.
 //! * **one-edge-rule** — in `crates/dist/src`, the §6 edge rule has one
 //!   home each: `audit_transfer_with(` is called only from the party
 //!   core (`party.rs`), and the Def. 4.1 runtime check `view.check(`

@@ -35,7 +35,6 @@ use crate::stats::estimates_for;
 use mpq_algebra::stats::StatsCatalog;
 use mpq_algebra::value::EncScheme;
 use mpq_algebra::{AttrSet, Catalog, NodeId, Operator, QueryPlan, SubjectId};
-use mpq_core::authz::SubjectView;
 use mpq_core::candidates::{candidates, Candidates};
 use mpq_core::capability::{needed_caps, CapabilityPolicy};
 use mpq_core::extend::{for_each_assignment, minimally_extend, Assignment, ExtendedPlan};
@@ -139,6 +138,17 @@ pub fn optimize(
     strategy: Strategy,
 ) -> Result<Optimized, OptError> {
     let cands = candidates(plan, catalog, &env.policy, &env.subjects, cap, true);
+    // The cheapest exactly-costed plan among those a strategy considers.
+    let mut best: Option<Optimized> = None;
+    let consider = |opt: Optimized, best: &mut Option<Optimized>| {
+        let better = best
+            .as_ref()
+            .map(|b| opt.cost.total() < b.cost.total())
+            .unwrap_or(true);
+        if better {
+            *best = Some(opt);
+        }
+    };
     match strategy {
         Strategy::CostDp => {
             // The DP edge estimates are approximate (exact ciphertext
@@ -147,18 +157,8 @@ pub fn optimize(
             // and compared against the always-feasible all-user
             // assignment — the optimizer never reports a plan worse
             // than simply shipping everything to the user.
-            let mut best: Option<Optimized> = None;
-            let consider = |opt: Optimized, best: &mut Option<Optimized>| {
-                let better = best
-                    .as_ref()
-                    .map(|b| opt.cost.total() < b.cost.total())
-                    .unwrap_or(true);
-                if better {
-                    *best = Some(opt);
-                }
-            };
             // (1) DP over the full candidate sets.
-            if let Ok(a) = dp_assignment(plan, catalog, stats, env, &cands, None) {
+            if let Ok(a) = dp_assignment(plan, catalog, stats, env, &cands) {
                 if let Ok(opt) = finish(plan, catalog, stats, env, &cands, a) {
                     consider(opt, &mut best);
                 }
@@ -183,7 +183,7 @@ pub fn optimize(
                 ap: cands.ap.clone(),
                 views: cands.views.clone(),
             };
-            if let Ok(a) = dp_assignment(plan, catalog, stats, env, &no_providers, None) {
+            if let Ok(a) = dp_assignment(plan, catalog, stats, env, &no_providers) {
                 if let Ok(opt) = finish(plan, catalog, stats, env, &cands, a) {
                     consider(opt, &mut best);
                 }
@@ -209,19 +209,10 @@ pub fn optimize(
             best.ok_or(OptError::NoCandidates(plan.root()))
         }
         Strategy::Exhaustive => {
-            let mut best: Option<Optimized> = None;
             let mut err: Option<OptError> = None;
             for_each_assignment(plan, &cands, &mut |a| {
                 match finish(plan, catalog, stats, env, &cands, a.clone()) {
-                    Ok(opt) => {
-                        let better = best
-                            .as_ref()
-                            .map(|b| opt.cost.total() < b.cost.total())
-                            .unwrap_or(true);
-                        if better {
-                            best = Some(opt);
-                        }
-                    }
+                    Ok(opt) => consider(opt, &mut best),
                     Err(e) => err = Some(e),
                 }
                 true
@@ -231,7 +222,7 @@ pub fn optimize(
         Strategy::MaximizeVisibility => {
             // Candidates over the *plain* profiles (Def. 4.2 without
             // any encryption).
-            let plain = plain_assignees(plan, catalog, env);
+            let plain = plain_assignees(plan, &cands);
             for id in plan.postorder() {
                 if !plan.node(id).children.is_empty() && plain[id.index()].is_empty() {
                     return Err(OptError::NoCandidates(id));
@@ -243,40 +234,35 @@ pub fn optimize(
                 ap: cands.ap.clone(),
                 views: cands.views.clone(),
             };
-            let assignment = dp_assignment(plan, catalog, stats, env, &restricted, None)?;
+            let assignment = dp_assignment(plan, catalog, stats, env, &restricted)?;
             finish(plan, catalog, stats, env, &cands, assignment)
         }
         Strategy::MinimizeVisibility => {
-            let assignment = dp_assignment(plan, catalog, stats, env, &cands, None)?;
+            let assignment = dp_assignment(plan, catalog, stats, env, &cands)?;
             finish_min_visibility(plan, catalog, stats, env, &cands, assignment)
         }
     }
 }
 
 /// Assignees authorized on the plain (never-encrypted) profiles.
-fn plain_assignees(plan: &QueryPlan, catalog: &Catalog, env: &ScenarioEnv) -> Vec<Vec<SubjectId>> {
+fn plain_assignees(plan: &QueryPlan, cands: &Candidates) -> Vec<Vec<SubjectId>> {
     let profiles = profile_plan(plan);
-    let views: Vec<SubjectView> = env
-        .subjects
-        .iter()
-        .map(|s| env.policy.subject_view(catalog, s))
-        .collect();
     let mut out = vec![Vec::new(); plan.len()];
     for id in plan.postorder() {
         let node = plan.node(id);
         if node.children.is_empty() {
             continue;
         }
-        out[id.index()] = env
-            .subjects
+        out[id.index()] = cands
+            .views
             .iter()
-            .filter(|s| {
-                let v = &views[s.index()];
+            .filter(|v| {
                 node.children
                     .iter()
                     .all(|c| v.authorized_for(&profiles[c.index()]))
                     && v.authorized_for(&profiles[id.index()])
             })
+            .map(|v| v.subject)
             .collect();
     }
     out
@@ -289,7 +275,6 @@ fn dp_assignment(
     stats: &StatsCatalog,
     env: &ScenarioEnv,
     cands: &Candidates,
-    forced: Option<&Assignment>,
 ) -> Result<Assignment, OptError> {
     let est = estimates_for(plan, catalog, stats);
     let book = &env.prices;
@@ -336,14 +321,10 @@ fn dp_assignment(
             table[id.index()].insert(authority, (cost, vec![]));
             continue;
         }
-        let pool: Vec<SubjectId> = match forced.and_then(|f| f.get(id)) {
-            Some(s) => vec![s],
-            None => cands.of(id).clone(),
-        };
-        if pool.is_empty() {
+        if cands.of(id).is_empty() {
             return Err(OptError::NoCandidates(id));
         }
-        for s in pool {
+        for &s in cands.of(id) {
             let prices = book.of(s);
             // Operator CPU at s (rough: rows in+out).
             let rows_out = est[id.index()].rows;
