@@ -8,6 +8,13 @@
 //! while [`Expr::const_compared_attrs`] and [`Expr::attr_pairs`]
 //! project it back onto the paper's abstract view for profile
 //! propagation (Fig. 2).
+//!
+//! Two functions know every variant's shape: [`Expr::children`], the
+//! generic walk, and [`Expr::try_map`] (infallible: [`Expr::map`]), the
+//! generic rewrite. Whatever rewrites an expression — resolving
+//! aggregate references, encrypting or decrypting compared literals
+//! ([`Expr::try_map_atoms`]) — is a closure over the latter that names
+//! only the variants it acts on.
 
 use crate::ids::AttrId;
 use crate::value::{DataType, Value};
@@ -245,6 +252,82 @@ impl Expr {
                 .chain(else_.as_deref())
                 .collect(),
         }
+    }
+
+    /// [`Expr::children`] for writing: the same sub-expressions in the
+    /// same order.
+    fn children_mut(&mut self) -> Vec<&mut Expr> {
+        match self {
+            Expr::Col(_) | Expr::AggRef(_) | Expr::Lit(_) => vec![],
+            Expr::Cmp(a, _, b) | Expr::Arith(a, _, b) => vec![a, b],
+            Expr::And(v) | Expr::Or(v) => v.iter_mut().collect(),
+            Expr::Not(e)
+            | Expr::Like { expr: e, .. }
+            | Expr::InList { expr: e, .. }
+            | Expr::IsNull { expr: e, .. }
+            | Expr::Extract { expr: e, .. }
+            | Expr::Substring { expr: e, .. } => vec![e],
+            Expr::Between { expr, lo, hi, .. } => vec![expr, lo, hi],
+            Expr::Case { branches, else_ } => branches
+                .iter_mut()
+                .flat_map(|(c, v)| [c, v])
+                .chain(else_.as_deref_mut())
+                .collect(),
+        }
+    }
+
+    /// A copy of the expression rewritten top-down — the one generic
+    /// rewrite, as [`Expr::children`] is the one generic walk. `f` sees
+    /// each node before its children and either returns what stands in
+    /// its place (the walk does not enter a replacement) or `None`,
+    /// which keeps the node and rewrites its children. An error from
+    /// `f` ends the walk.
+    pub fn try_map<E>(
+        &self,
+        f: &mut impl FnMut(&Expr) -> Result<Option<Expr>, E>,
+    ) -> Result<Expr, E> {
+        let mut out = self.clone();
+        out.rewrite(f)?;
+        Ok(out)
+    }
+
+    fn rewrite<E>(
+        &mut self,
+        f: &mut impl FnMut(&Expr) -> Result<Option<Expr>, E>,
+    ) -> Result<(), E> {
+        match f(self)? {
+            Some(replacement) => *self = replacement,
+            None => {
+                for e in self.children_mut() {
+                    e.rewrite(f)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// [`Expr::try_map`] for a rewrite that cannot fail.
+    pub fn map(&self, mut f: impl FnMut(&Expr) -> Option<Expr>) -> Expr {
+        match self.try_map(&mut |e| Ok::<_, std::convert::Infallible>(f(e))) {
+            Ok(out) => out,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`Expr::try_map`] over a predicate's *atoms* — what its `AND`,
+    /// `OR` and `NOT` connect. `f` is handed each atom whole and
+    /// returns what stands in its place; nothing inside an atom (a
+    /// `CASE` branch, a `LIKE` operand, arithmetic) is entered. The
+    /// literal rewriters are maps of this kind: they act on a
+    /// comparison where a predicate states it and nowhere deeper.
+    pub fn try_map_atoms<E>(
+        &self,
+        f: &mut impl FnMut(&Expr) -> Result<Expr, E>,
+    ) -> Result<Expr, E> {
+        self.try_map(&mut |e| match e {
+            Expr::And(_) | Expr::Or(_) | Expr::Not(_) => Ok(None),
+            atom => f(atom).map(Some),
+        })
     }
 
     /// All attributes referenced anywhere in the expression.

@@ -43,5 +43,5 @@ pub use catalog::{Catalog, ColumnDef, RelationDef};
 pub use error::{AlgebraError, Result};
 pub use expr::{AggExpr, AggFunc, ArithOp, CmpOp, Expr};
 pub use ids::{AttrId, NodeId, RelId, SubjectId};
-pub use plan::{JoinKind, Operator, PlanNode, QueryPlan};
+pub use plan::{AggScope, JoinKind, Operator, PlanNode, QueryPlan};
 pub use value::{DataType, Date, Value};

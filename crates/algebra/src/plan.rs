@@ -12,6 +12,17 @@
 //! authorization layer key per-node data (profiles, candidate sets,
 //! assignments, cost tables) by [`NodeId`] and splice encryption /
 //! decryption nodes onto edges in O(1).
+//!
+//! The paper's last selection `σ avg(P)>100` stands on `γ T,avg(P)` and
+//! names the aggregate's output; here that reference is positional
+//! ([`Expr::AggRef`]), and an extension may splice `decrypt P` between
+//! the two (Fig. 7). Which γ a `HAVING` predicate or a sort key stands
+//! on is answered in one place, [`QueryPlan::agg_scope`]; the
+//! [`AggScope`] it returns says where the outputs lie
+//! ([`AggScope::base`]), what `AggRef(i)` names ([`AggScope::output`],
+//! bounds-checked) and how the expression reads over the γ's output
+//! attributes ([`AggScope::resolve`]). [`QueryPlan::validate`] refuses
+//! a reference no γ in scope answers.
 
 use crate::attrset::AttrSet;
 use crate::catalog::Catalog;
@@ -168,6 +179,48 @@ pub struct PlanNode {
     pub children: Vec<NodeId>,
 }
 
+/// The γ in scope at a node ([`QueryPlan::agg_scope`]): what the
+/// positional [`Expr::AggRef`]s of a `HAVING` predicate or a sort key
+/// stand for.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AggScope<'a> {
+    keys: &'a [AttrId],
+    aggs: &'a [AggExpr],
+}
+
+impl<'a> AggScope<'a> {
+    /// Column of the γ's first aggregate output: its rows are the
+    /// grouping keys, then the aggregates — the evaluator's `agg_base`.
+    pub fn base(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The aggregate `AggRef(i)` names; `None` when `i` is out of range.
+    pub fn output(&self, i: usize) -> Option<&'a AggExpr> {
+        self.aggs.get(i)
+    }
+
+    /// `e` with every `AggRef(i)` replaced by the attribute that names
+    /// the i-th aggregate's output (the paper's renaming: `avg(P)` is
+    /// called `P`), so a `HAVING` predicate reads as an ordinary
+    /// selection over the γ's result. Total: a reference out of range
+    /// stays as written — [`QueryPlan::validate`] is what refuses it.
+    pub fn resolve(&self, e: &Expr) -> Expr {
+        e.map(|e| match e {
+            Expr::AggRef(i) => self.output(*i).map(|ag| Expr::Col(ag.output)),
+            _ => None,
+        })
+    }
+
+    /// Whether every `AggRef` in `e` names an aggregate of this γ.
+    fn covers(&self, e: &Expr) -> bool {
+        match e {
+            Expr::AggRef(i) => self.output(*i).is_some(),
+            _ => e.children().into_iter().all(|c| self.covers(c)),
+        }
+    }
+}
+
 /// An operator tree.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueryPlan {
@@ -247,10 +300,9 @@ impl QueryPlan {
 
     /// The node feeding `id` after looking through the
     /// schema-preserving `Encrypt`/`Decrypt` operators that plan
-    /// extension splices in. Consumers that must inspect the producing
-    /// *relational* operator of an operand (e.g. `HAVING` resolving
-    /// aggregate references against its `GROUP BY`) use this so
-    /// extended plans behave exactly like their originals.
+    /// extension splices in, so extended plans behave exactly like
+    /// their originals. The γ a `HAVING` or a sort stands on is found
+    /// by [`QueryPlan::agg_scope`], which is built on this.
     pub fn through_crypto(&self, mut id: NodeId) -> NodeId {
         loop {
             match &self.nodes[id.index()].op {
@@ -258,6 +310,29 @@ impl QueryPlan {
                     id = self.nodes[id.index()].children[0];
                 }
                 _ => return id,
+            }
+        }
+    }
+
+    /// The γ whose outputs an [`Expr::AggRef`] at node `id` names: the
+    /// `GroupBy` reached from the node's first operand through the
+    /// operators that keep a group-by's row layout — spliced
+    /// `Encrypt`/`Decrypt`, and a `Having` (a sort may stand on a
+    /// `HAVING` that stands on the γ). A `Having` itself stands on its
+    /// γ directly, with only crypto between them: [`QueryPlan::validate`]
+    /// refuses a stacked one. `None` away from any γ. This is the only
+    /// place that walks from a node down to "its" group-by; it borrows
+    /// the γ's lists and allocates nothing.
+    pub fn agg_scope(&self, id: NodeId) -> Option<AggScope<'_>> {
+        let node = self.node(id);
+        let from_having = matches!(node.op, Operator::Having { .. });
+        let mut below = *node.children.first()?;
+        loop {
+            below = self.through_crypto(below);
+            match &self.node(below).op {
+                Operator::Having { .. } if !from_having => below = self.node(below).children[0],
+                Operator::GroupBy { keys, aggs } => return Some(AggScope { keys, aggs }),
+                _ => return None,
             }
         }
     }
@@ -402,18 +477,20 @@ impl QueryPlan {
                             "node {id}: predicate references non-visible attributes"
                         )));
                     }
-                    // Look through spliced crypto operators: an
-                    // extended plan may interpose Encrypt/Decrypt
-                    // between HAVING and its GROUP BY.
-                    if matches!(node.op, Operator::Having { .. })
-                        && !matches!(
-                            self.nodes[self.through_crypto(child(0)).index()].op,
-                            Operator::GroupBy { .. }
-                        )
-                    {
-                        return Err(AlgebraError::InvalidPlan(format!(
-                            "node {id}: HAVING over a non-GroupBy child"
-                        )));
+                    if let Operator::Having { .. } = node.op {
+                        // Through spliced crypto operators: an extended
+                        // plan may interpose Encrypt/Decrypt between
+                        // HAVING and its GROUP BY.
+                        let Some(scope) = self.agg_scope(id) else {
+                            return Err(AlgebraError::InvalidPlan(format!(
+                                "node {id}: HAVING over a non-GroupBy child"
+                            )));
+                        };
+                        if !scope.covers(pred) {
+                            return Err(AlgebraError::InvalidPlan(format!(
+                                "node {id}: HAVING references an aggregate its GROUP BY lacks"
+                            )));
+                        }
                     }
                 }
                 Operator::Product => {}
@@ -492,6 +569,11 @@ impl QueryPlan {
                         if !in_schema(&e.attrs(), child(0)) {
                             return Err(AlgebraError::InvalidPlan(format!(
                                 "node {id}: sort key references non-visible attributes"
+                            )));
+                        }
+                        if !self.agg_scope(id).unwrap_or_default().covers(e) {
+                            return Err(AlgebraError::InvalidPlan(format!(
+                                "node {id}: sort key references an aggregate no GROUP BY in scope has"
                             )));
                         }
                     }
@@ -675,6 +757,83 @@ mod tests {
         let enc = plan.splice_above(root, Operator::Encrypt { attrs: vec![p] });
         assert_eq!(plan.root(), enc);
         plan.validate(&cat).unwrap();
+    }
+
+    /// The one γ look-up, from every place a node can stand.
+    #[test]
+    fn agg_scope_finds_the_group_by_a_node_stands_on() {
+        let cat = Catalog::paper_running_example();
+        let mut plan = running_example(&cat);
+        let (t, p) = (cat.attr("T").unwrap(), cat.attr("P").unwrap());
+        let having = plan.root();
+        let gby = plan.node(having).children[0];
+        let sort = plan.add(
+            Operator::Sort {
+                keys: vec![(Expr::AggRef(0), false)],
+            },
+            vec![having],
+        );
+        let avg_p_over_t = |plan: &QueryPlan, id| {
+            let scope = plan.agg_scope(id).expect("a γ in scope");
+            assert_eq!(scope.base(), 1);
+            assert_eq!(scope.output(0).map(|ag| ag.output), Some(p));
+            assert!(
+                scope.output(1).is_none(),
+                "out of range is None, not a panic"
+            );
+            assert_eq!(scope.resolve(&Expr::AggRef(0)), Expr::Col(p));
+            assert_eq!(scope.resolve(&Expr::AggRef(7)), Expr::AggRef(7));
+            assert_eq!(scope.resolve(&Expr::Col(t)), Expr::Col(t));
+        };
+        // Directly above the γ, and through a Having.
+        avg_p_over_t(&plan, having);
+        avg_p_over_t(&plan, sort);
+        plan.validate(&cat).unwrap();
+        // Through the Decrypt + Encrypt an extension splices in.
+        plan.splice_above(gby, Operator::Encrypt { attrs: vec![p] });
+        plan.splice_above(gby, Operator::Decrypt { attrs: vec![t] });
+        avg_p_over_t(&plan, having);
+        avg_p_over_t(&plan, sort);
+        // Away from any γ — the γ itself, a leaf, the join — there is
+        // none; the spliced crypto operators stand on it too.
+        for id in plan.postorder() {
+            let spliced = id != gby && plan.through_crypto(id) == gby;
+            let stands_on_gamma = id == having || id == sort || spliced;
+            assert_eq!(plan.agg_scope(id).is_some(), stands_on_gamma, "{id}");
+        }
+    }
+
+    /// A positional reference the γ in scope cannot answer is refused,
+    /// in a HAVING and in a sort key, as is one with no γ in scope.
+    #[test]
+    fn validate_rejects_agg_refs_out_of_scope() {
+        let cat = Catalog::paper_running_example();
+        let invalid = |plan: &QueryPlan, what: &str| {
+            assert!(
+                matches!(plan.validate(&cat), Err(AlgebraError::InvalidPlan(_))),
+                "{what}"
+            );
+        };
+        let mut plan = running_example(&cat);
+        let having = plan.root();
+        let sort_by = |plan: &mut QueryPlan, below, i| {
+            let keys = vec![(Expr::AggRef(i), true)];
+            plan.add(Operator::Sort { keys }, vec![below]);
+        };
+        sort_by(&mut plan, having, 0);
+        plan.validate(&cat).unwrap();
+        sort_by(&mut plan, having, 1);
+        invalid(&plan, "sort key past the γ's one aggregate");
+        plan.set_root(having);
+        plan.node_mut(having).op = Operator::Having {
+            pred: Expr::cmp(Expr::AggRef(7), CmpOp::Gt, Expr::Lit(Value::Num(100.0))),
+        };
+        invalid(&plan, "HAVING past the γ's one aggregate");
+        let mut plan = QueryPlan::new();
+        let hosp = cat.relation("Hosp").unwrap().rel;
+        let b = plan.add_base(hosp, vec![cat.attr("S").unwrap()]);
+        sort_by(&mut plan, b, 0);
+        invalid(&plan, "sort key with no γ in scope");
     }
 
     #[test]

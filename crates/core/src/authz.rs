@@ -9,7 +9,9 @@
 //!
 //! [`SubjectView`] materializes the per-subject overall views `P_S` /
 //! `E_S` (Fig. 4) used by the authorization checks, and
-//! [`SubjectView::authorized_for`] implements Definition 4.1.
+//! [`SubjectView::violations`] is Definition 4.1 — the one statement of
+//! its three conditions; `authorized_for`, `check` and
+//! `explain_failure` ask it for none, the first, or all.
 
 use crate::profile::Profile;
 use crate::subjects::Subjects;
@@ -119,73 +121,64 @@ impl SubjectView {
         self.plain.union(&self.enc)
     }
 
-    /// Definition 4.1: the subject is authorized for a relation with
-    /// the given profile iff
+    /// Definition 4.1, stated once: the subject is authorized for a
+    /// relation with the given profile iff
     ///
     /// 1. `R^vp ∪ R^ip ⊆ P_S` (plaintext containment),
     /// 2. `R^ve ∪ R^ie ⊆ P_S ∪ E_S` (encrypted containment — plaintext
     ///    authority implies encrypted visibility),
     /// 3. every equivalence class `A ∈ R^≃` satisfies `A ⊆ P_S` or
     ///    `A ⊆ E_S` (uniform visibility).
+    ///
+    /// The iterator yields what is violated, in condition order (one
+    /// [`AuthzViolation::NonUniform`] per offending class), and tests a
+    /// condition only when asked for it: [`SubjectView::authorized_for`]
+    /// is "none", [`SubjectView::check`] the first,
+    /// [`SubjectView::explain_failure`] all of them.
+    pub fn violations<'a>(
+        &'a self,
+        profile: &'a Profile,
+    ) -> impl Iterator<Item = AuthzViolation> + 'a {
+        // The attributes a containment condition finds outside what
+        // the view allows, if any.
+        fn outside(visible: &AttrSet, implicit: &AttrSet, allowed: &[&AttrSet]) -> Option<AttrSet> {
+            let mut rest = visible.union(implicit);
+            allowed.iter().for_each(|a| rest.difference_with(a));
+            (!rest.is_empty()).then_some(rest)
+        }
+        let cond1 = std::iter::once_with(move || {
+            outside(&profile.vp, &profile.ip, &[&self.plain]).map(AuthzViolation::Plaintext)
+        });
+        let cond2 = std::iter::once_with(move || {
+            outside(&profile.ve, &profile.ie, &[&self.plain, &self.enc])
+                .map(AuthzViolation::Encrypted)
+        });
+        let cond3 = (profile.eq.classes())
+            .filter(move |class| !(class.is_subset(&self.plain) || class.is_subset(&self.enc)))
+            .map(|class| AuthzViolation::NonUniform(class.clone()));
+        cond1.chain(cond2).flatten().chain(cond3)
+    }
+
+    /// Whether the subject is authorized for `profile` (Def. 4.1): the
+    /// early-exit test the candidate search runs per subject and node.
     pub fn authorized_for(&self, profile: &Profile) -> bool {
-        // Condition 1.
-        if !profile.vp.union(&profile.ip).is_subset(&self.plain) {
-            return false;
-        }
-        // Condition 2.
-        let all_visible = self.visible();
-        if !profile.ve.union(&profile.ie).is_subset(&all_visible) {
-            return false;
-        }
-        // Condition 3: uniform visibility of equivalence classes.
-        profile
-            .eq
-            .classes()
-            .all(|class| class.is_subset(&self.plain) || class.is_subset(&self.enc))
+        self.violations(profile).next().is_none()
     }
 
     /// Like [`SubjectView::authorized_for`] but reporting the first
     /// violated condition, for diagnostics and the simulator's runtime
     /// enforcement messages.
     pub fn check(&self, profile: &Profile) -> Result<(), AuthzViolation> {
-        let c1 = profile.vp.union(&profile.ip).difference(&self.plain);
-        if !c1.is_empty() {
-            return Err(AuthzViolation::Plaintext(c1));
-        }
-        let c2 = profile.ve.union(&profile.ie).difference(&self.visible());
-        if !c2.is_empty() {
-            return Err(AuthzViolation::Encrypted(c2));
-        }
-        for class in profile.eq.classes() {
-            if !(class.is_subset(&self.plain) || class.is_subset(&self.enc)) {
-                return Err(AuthzViolation::NonUniform(class.clone()));
-            }
-        }
-        Ok(())
+        self.violations(profile).next().map_or(Ok(()), Err)
     }
 
     /// Like [`SubjectView::check`] but exhaustive: *every* violated
-    /// Def. 4.1 condition, one [`AuthzViolation::NonUniform`] per
-    /// offending equivalence class. Empty exactly when
+    /// Def. 4.1 condition. Empty exactly when
     /// [`SubjectView::authorized_for`] holds — the static verifier uses
     /// this so one diagnostic run names the complete repair surface
     /// instead of the first obstacle.
     pub fn explain_failure(&self, profile: &Profile) -> Vec<AuthzViolation> {
-        let mut out = Vec::new();
-        let c1 = profile.vp.union(&profile.ip).difference(&self.plain);
-        if !c1.is_empty() {
-            out.push(AuthzViolation::Plaintext(c1));
-        }
-        let c2 = profile.ve.union(&profile.ie).difference(&self.visible());
-        if !c2.is_empty() {
-            out.push(AuthzViolation::Encrypted(c2));
-        }
-        for class in profile.eq.classes() {
-            if !(class.is_subset(&self.plain) || class.is_subset(&self.enc)) {
-                out.push(AuthzViolation::NonUniform(class.clone()));
-            }
-        }
-        out
+        self.violations(profile).collect()
     }
 }
 

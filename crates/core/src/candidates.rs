@@ -15,10 +15,9 @@
 
 use crate::authz::{Policy, SubjectView};
 use crate::capability::{plaintext_requirements, CapabilityPolicy};
-use crate::profile::{propagate, Profile};
+use crate::profile::{propagate_node, Profile};
 use crate::subjects::Subjects;
 use mpq_algebra::{AttrSet, Catalog, NodeId, Operator, QueryPlan, SubjectId};
-use std::collections::HashMap;
 
 /// Candidate subjects for one node, sorted by id.
 pub type CandidateSet = Vec<SubjectId>;
@@ -75,24 +74,11 @@ pub fn candidates(
     cap: &CapabilityPolicy,
     prune: bool,
 ) -> Candidates {
-    candidates_with_overrides(plan, catalog, policy, subjects, cap, prune, &HashMap::new())
-}
-
-/// [`candidates`] with per-node `A_p` overrides.
-pub fn candidates_with_overrides(
-    plan: &QueryPlan,
-    catalog: &Catalog,
-    policy: &Policy,
-    subjects: &Subjects,
-    cap: &CapabilityPolicy,
-    prune: bool,
-    ap_overrides: &HashMap<NodeId, AttrSet>,
-) -> Candidates {
     let views: Vec<SubjectView> = subjects
         .iter()
         .map(|s| policy.subject_view(catalog, s))
         .collect();
-    let ap = plaintext_requirements(plan, cap, ap_overrides);
+    let ap = plaintext_requirements(plan, cap);
     let mut profiles = vec![Profile::default(); plan.len()];
     let mut sets: Vec<CandidateSet> = vec![Vec::new(); plan.len()];
     // Premise of Thm. 5.1 per node, used for pruning at the parent.
@@ -115,15 +101,7 @@ pub fn candidates_with_overrides(
             .map(|c| min_required_view(&profiles[c.index()], &ap[id.index()]))
             .collect();
         let minview_refs: Vec<&Profile> = minviews.iter().collect();
-        let having_aggs = if matches!(node.op, Operator::Having { .. }) {
-            match &plan.node(node.children[0]).op {
-                Operator::GroupBy { aggs, .. } => Some(aggs.as_slice()),
-                _ => None,
-            }
-        } else {
-            None
-        };
-        let result = propagate(&node.op, &minview_refs, having_aggs);
+        let result = propagate_node(plan, id, &minview_refs);
 
         // Premise of Thm. 5.1 for this node: all plaintext-visible
         // operand attributes become implicit plaintext in the result.

@@ -30,14 +30,18 @@
 //! * the optimizer's DP prices encryption with the same fold over the
 //!   attributes outside `A_p` — the scheme an attribute *would* get.
 //!
+//! Where an `AggRef` under a `HAVING` or a sort key points is not
+//! decided here: [`demands`] and [`implicit_touched`] ask
+//! [`QueryPlan::agg_scope`] for the γ the node stands on, as the engine
+//! that will run the node does.
+//!
 //! `verify.rs` re-derives the demands on its own (`collect_cap_demands`)
 //! and must not import this module: it is the second version the
 //! verifier's N-version check compares against.
 
-use crate::profile::resolve_agg_refs;
-use mpq_algebra::expr::{AggExpr, AggFunc, Expr};
+use mpq_algebra::expr::{AggFunc, Expr};
 use mpq_algebra::value::EncScheme;
-use mpq_algebra::{AttrId, AttrSet, CmpOp, NodeId, Operator, QueryPlan};
+use mpq_algebra::{AggScope, AttrId, AttrSet, CmpOp, NodeId, Operator, QueryPlan};
 use std::collections::HashMap;
 
 /// Which operations the available encryption schemes support.
@@ -157,19 +161,11 @@ impl Demand {
 /// Pinned as found, each a site that reads values yet demands nothing:
 /// a computed `BETWEEN` operand, `IS NULL` over anything, a computed
 /// `COUNT`/`COUNT(DISTINCT)` input, and a `MIN`/`MAX` output a sort
-/// names by `AggRef` (`HAVING` resolves the reference, `Sort` does
-/// not).
+/// names by `AggRef` (a `SUM`/`AVG` output it names is `Plain`).
 pub fn demands(plan: &QueryPlan, id: NodeId) -> Vec<Demand> {
     let node = plan.node(id);
-    // The aggregates an `AggRef` here names: those of the group-by
-    // below, seen through the crypto operators an extension splices in.
-    let below: &[AggExpr] = match node.children.first() {
-        Some(&c) => match &plan.node(plan.through_crypto(c)).op {
-            Operator::GroupBy { aggs, .. } => aggs,
-            _ => &[],
-        },
-        None => &[],
-    };
+    // The γ an `AggRef` here names, if the node stands on one.
+    let scope = plan.agg_scope(id).unwrap_or_default();
     let mut out = Vec::new();
     match &node.op {
         Operator::Base { .. }
@@ -180,14 +176,10 @@ pub fn demands(plan: &QueryPlan, id: NodeId) -> Vec<Demand> {
         | Operator::Limit { .. } => {}
         Operator::Select { pred } => predicate_demands(pred, &mut out),
         Operator::Having { pred } => {
-            summed_output_demands(pred, below, &mut out);
+            summed_output_demands(pred, scope, &mut out);
             // The rest follows the selection rules over the group-by's
             // output; a COUNT there carries its key's or input's name.
-            if below.is_empty() {
-                predicate_demands(pred, &mut out);
-            } else {
-                predicate_demands(&resolve_agg_refs(pred, below), &mut out);
-            }
+            predicate_demands(&scope.resolve(pred), &mut out);
         }
         Operator::Join { on, residual, .. } => {
             for (l, op, r) in on {
@@ -225,7 +217,7 @@ pub fn demands(plan: &QueryPlan, id: NodeId) -> Vec<Demand> {
         Operator::Sort { keys } => {
             for (e, _) in keys {
                 out.extend(e.attrs().iter().map(|a| Demand::of(a, Need::Ord)));
-                summed_output_demands(e, below, &mut out);
+                summed_output_demands(e, scope, &mut out);
             }
         }
     }
@@ -298,16 +290,16 @@ fn predicate_demands(e: &Expr, out: &mut Vec<Demand>) {
 /// the paper's assumption that the final `avg(P) > 100` views `avg(P)`
 /// in plaintext. MIN/MAX outputs keep their OPE form and COUNTs are
 /// plain numbers, so neither is asked for here.
-fn summed_output_demands(e: &Expr, aggs: &[AggExpr], out: &mut Vec<Demand>) {
+fn summed_output_demands(e: &Expr, scope: AggScope<'_>, out: &mut Vec<Demand>) {
     if let Expr::AggRef(i) = e {
-        if let Some(ag) = aggs.get(*i) {
+        if let Some(ag) = scope.output(*i) {
             if matches!(ag.func, AggFunc::Sum | AggFunc::Avg) {
                 out.push(Demand::of(ag.output, Need::Plain));
             }
         }
     }
     for x in e.children() {
-        summed_output_demands(x, aggs, out);
+        summed_output_demands(x, scope, out);
     }
 }
 
@@ -379,11 +371,7 @@ pub fn needed_caps(
 /// evaluated on plaintext), the aggregation keeps its encrypted form
 /// and every *other* demand on the attribute puts it in that node's
 /// `A_p`.
-pub fn plaintext_requirements(
-    plan: &QueryPlan,
-    policy: &CapabilityPolicy,
-    overrides: &HashMap<NodeId, AttrSet>,
-) -> Vec<AttrSet> {
+pub fn plaintext_requirements(plan: &QueryPlan, policy: &CapabilityPolicy) -> Vec<AttrSet> {
     let per_node: Vec<(NodeId, Vec<Demand>)> = plan
         .postorder()
         .into_iter()
@@ -401,10 +389,6 @@ pub fn plaintext_requirements(
 
     let mut out = vec![AttrSet::new(); plan.len()];
     for (id, ds) in per_node {
-        if let Some(forced) = overrides.get(&id) {
-            out[id.index()] = forced.clone();
-            continue;
-        }
         let op = &plan.node(id).op;
         for d in ds {
             let conflicts = d.need != Need::Add && summed.contains(d.attr);
@@ -427,12 +411,8 @@ pub fn implicit_touched(plan: &QueryPlan, id: NodeId) -> AttrSet {
     match &node.op {
         Operator::Select { pred } => pred.const_compared_attrs(),
         Operator::Having { pred } => {
-            let child = node.children[0];
-            if let Operator::GroupBy { aggs, .. } = &plan.node(child).op {
-                resolve_agg_refs(pred, aggs).const_compared_attrs()
-            } else {
-                pred.const_compared_attrs()
-            }
+            let scope = plan.agg_scope(id).unwrap_or_default();
+            scope.resolve(pred).const_compared_attrs()
         }
         Operator::GroupBy { keys, .. } => keys.iter().copied().collect(),
         Operator::Join { residual, .. } => residual
@@ -447,6 +427,7 @@ pub fn implicit_touched(plan: &QueryPlan, id: NodeId) -> AttrSet {
 mod tests {
     use super::*;
     use crate::fixtures::RunningExample;
+    use mpq_algebra::AggExpr;
 
     #[test]
     fn running_example_requirements_match_paper() {
@@ -454,7 +435,7 @@ mod tests {
         // to view avg(P) in plaintext, while all other attributes can
         // be encrypted".
         let ex = RunningExample::new();
-        let ap = plaintext_requirements(&ex.plan, &CapabilityPolicy::default(), &HashMap::new());
+        let ap = plaintext_requirements(&ex.plan, &CapabilityPolicy::default());
         assert!(ap[ex.node("select_d").index()].is_empty());
         assert!(ap[ex.node("join").index()].is_empty());
         assert!(ap[ex.node("group").index()].is_empty());
@@ -464,25 +445,12 @@ mod tests {
     #[test]
     fn deterministic_only_policy_widens_requirements() {
         let ex = RunningExample::new();
-        let ap = plaintext_requirements(
-            &ex.plan,
-            &CapabilityPolicy::deterministic_only(),
-            &HashMap::new(),
-        );
+        let ap = plaintext_requirements(&ex.plan, &CapabilityPolicy::deterministic_only());
         // Equality selection and join still run encrypted…
         assert!(ap[ex.node("select_d").index()].is_empty());
         assert!(ap[ex.node("join").index()].is_empty());
         // …but avg(P) now needs plaintext P at the group-by too.
         assert_eq!(ap[ex.node("group").index()], ex.attrs("P"));
-    }
-
-    #[test]
-    fn overrides_take_precedence() {
-        let ex = RunningExample::new();
-        let mut overrides = HashMap::new();
-        overrides.insert(ex.node("join"), ex.attrs("SC"));
-        let ap = plaintext_requirements(&ex.plan, &CapabilityPolicy::default(), &overrides);
-        assert_eq!(ap[ex.node("join").index()], ex.attrs("SC"));
     }
 
     /// The table, row by row: every `Expr` variant as a predicate
@@ -753,7 +721,8 @@ mod tests {
 
         // ---- HAVING and Sort above a group-by ------------------------
         // count(*) carries its key's name (0); sum → 1, min → 2, avg → 3.
-        let above_group = |spliced: bool, op: Operator| {
+        // `having`: a HAVING between the γ and the operator.
+        let above = |spliced: bool, having: Option<Expr>, op: Operator| {
             let mut plan = QueryPlan::new();
             let b = base(&mut plan);
             let mut below = plan.add(
@@ -771,9 +740,13 @@ mod tests {
             if spliced {
                 below = plan.add(Operator::Encrypt { attrs: vec![a(2)] }, vec![below]);
             }
+            if let Some(pred) = having {
+                below = plan.add(Operator::Having { pred }, vec![below]);
+            }
             plan.add(op, vec![below]);
             root_demands(&plan)
         };
+        let above_group = |spliced, op| above(spliced, None, op);
         let agg_gt = |i| Expr::cmp(Expr::AggRef(i), CmpOp::Gt, lit());
         let having: Vec<Row> = vec![
             (
@@ -823,6 +796,13 @@ mod tests {
                 alone(&[(1, Plain), (0, Ord), (3, Plain)])
             );
         }
+        // The same sort above a HAVING stands on the same γ.
+        for spliced in [false, true] {
+            assert_eq!(
+                above(spliced, Some(agg_gt(0)), sort.clone()),
+                alone(&[(1, Plain), (0, Ord), (3, Plain)])
+            );
+        }
         // Away from a group-by an AggRef names nothing.
         assert_eq!(
             over_base(Operator::Sort {
@@ -862,7 +842,7 @@ mod tests {
                 },
                 vec![b],
             );
-        let ap = |policy| plaintext_requirements(&plan, &policy, &HashMap::new());
+        let ap = |policy| plaintext_requirements(&plan, &policy);
         assert!(ap(CapabilityPolicy::default())[sel.index()].is_empty());
         assert_eq!(
             ap(CapabilityPolicy::deterministic_only())[sel.index()],

@@ -364,12 +364,8 @@ fn render_node(
             // The GROUP BY may sit below spliced Decrypt/Encrypt nodes
             // (and possibly in another region); its aggregate list is
             // still what AggRefs in the predicate refer to.
-            let rendered = match &plan.node(plan.through_crypto(node.children[0])).op {
-                Operator::GroupBy { aggs, .. } => crate::profile::resolve_agg_refs(pred, aggs)
-                    .display(catalog)
-                    .to_string(),
-                _ => pred.display(catalog).to_string(),
-            };
+            let scope = plan.agg_scope(id).unwrap_or_default();
+            let rendered = scope.resolve(pred).display(catalog).to_string();
             if parts.group_by.is_empty() {
                 // Child group-by sits in another region; filter locally.
                 parts.wheres.push(rendered);

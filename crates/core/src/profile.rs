@@ -13,12 +13,17 @@
 //!   mutually derivable, so visibility of one leaks the other).
 //!
 //! [`propagate`] implements every row of the paper's Fig. 2;
-//! [`profile_plan`] annotates a whole plan. Theorem 3.1 (attributes
+//! [`profile_plan`] annotates a whole plan. The one rule that needs the
+//! plan and not just the operator — a `HAVING` names aggregate outputs
+//! by position — is settled before `propagate` runs: `propagate_node`
+//! asks [`QueryPlan::agg_scope`] for the γ the node stands on and hands
+//! `propagate` the predicate over that γ's output attributes, on
+//! original and extended plans alike. Theorem 3.1 (attributes
 //! never leave a profile going up the plan; equivalence classes only
 //! grow) is exercised by the property tests in `tests/properties.rs`.
 
-use mpq_algebra::expr::{AggExpr, AggFunc};
-use mpq_algebra::{AttrSet, Expr, Operator, QueryPlan};
+use mpq_algebra::expr::AggFunc;
+use mpq_algebra::{AttrSet, NodeId, Operator, QueryPlan};
 
 /// Disjoint equivalence classes over attributes (the `R^≃` component).
 ///
@@ -203,79 +208,13 @@ impl Profile {
     }
 }
 
-/// Substitute [`Expr::AggRef`] references with the output attribute of
-/// the corresponding aggregate, so that HAVING / sort predicates can be
-/// analyzed with the ordinary selection rules.
-pub fn resolve_agg_refs(pred: &Expr, aggs: &[AggExpr]) -> Expr {
-    match pred {
-        Expr::AggRef(i) => Expr::Col(aggs[*i].output),
-        Expr::Col(_) | Expr::Lit(_) => pred.clone(),
-        Expr::Cmp(a, op, b) => Expr::cmp(resolve_agg_refs(a, aggs), *op, resolve_agg_refs(b, aggs)),
-        Expr::And(v) => Expr::And(v.iter().map(|e| resolve_agg_refs(e, aggs)).collect()),
-        Expr::Or(v) => Expr::Or(v.iter().map(|e| resolve_agg_refs(e, aggs)).collect()),
-        Expr::Not(e) => Expr::Not(Box::new(resolve_agg_refs(e, aggs))),
-        Expr::Arith(a, op, b) => {
-            Expr::arith(resolve_agg_refs(a, aggs), *op, resolve_agg_refs(b, aggs))
-        }
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(resolve_agg_refs(expr, aggs)),
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(resolve_agg_refs(expr, aggs)),
-            lo: Box::new(resolve_agg_refs(lo, aggs)),
-            hi: Box::new(resolve_agg_refs(hi, aggs)),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(resolve_agg_refs(expr, aggs)),
-            list: list.clone(),
-            negated: *negated,
-        },
-        Expr::Case { branches, else_ } => Expr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| (resolve_agg_refs(c, aggs), resolve_agg_refs(v, aggs)))
-                .collect(),
-            else_: else_.as_ref().map(|e| Box::new(resolve_agg_refs(e, aggs))),
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(resolve_agg_refs(expr, aggs)),
-            negated: *negated,
-        },
-        Expr::Extract { field, expr } => Expr::Extract {
-            field: *field,
-            expr: Box::new(resolve_agg_refs(expr, aggs)),
-        },
-        Expr::Substring { expr, start, len } => Expr::Substring {
-            expr: Box::new(resolve_agg_refs(expr, aggs)),
-            start: *start,
-            len: *len,
-        },
-    }
-}
-
 /// Compute the profile of one operator applied to operand profiles
 /// (every row of Fig. 2).
 ///
-/// `having_aggs` supplies the aggregate list of the child `GroupBy`
-/// when `op` is [`Operator::Having`], so `AggRef`s can be resolved to
-/// output attributes.
-pub fn propagate(op: &Operator, children: &[&Profile], having_aggs: Option<&[AggExpr]>) -> Profile {
+/// A `HAVING` is the selection its predicate states, read as handed
+/// over: walking a plan, [`profile_plan`] first resolves the
+/// predicate's aggregate references against the γ in scope.
+pub fn propagate(op: &Operator, children: &[&Profile]) -> Profile {
     match op {
         Operator::Base { attrs, .. } => Profile::base(attrs.iter().copied().collect()),
         Operator::Project { attrs } => {
@@ -289,18 +228,9 @@ pub fn propagate(op: &Operator, children: &[&Profile], having_aggs: Option<&[Agg
                 eq: child.eq.clone(),
             }
         }
-        Operator::Select { pred } => {
+        Operator::Select { pred } | Operator::Having { pred } => {
             let mut out = children[0].clone();
             out.apply_condition(&pred.const_compared_attrs(), &pred.attr_pairs());
-            out
-        }
-        Operator::Having { pred } => {
-            let mut out = children[0].clone();
-            let resolved = match having_aggs {
-                Some(aggs) => resolve_agg_refs(pred, aggs),
-                None => pred.clone(),
-            };
-            out.apply_condition(&resolved.const_compared_attrs(), &resolved.attr_pairs());
             out
         }
         Operator::Product => children[0].merge(children[1]),
@@ -375,25 +305,29 @@ pub fn propagate(op: &Operator, children: &[&Profile], having_aggs: Option<&[Agg
     }
 }
 
+/// [`propagate`] for node `id` of `plan` (original or extended): the
+/// aggregate outputs a `HAVING` predicate names positionally become the
+/// attributes they are called, through the γ in scope
+/// ([`QueryPlan::agg_scope`]).
+pub(crate) fn propagate_node(plan: &QueryPlan, id: NodeId, children: &[&Profile]) -> Profile {
+    match (&plan.node(id).op, plan.agg_scope(id)) {
+        (Operator::Having { pred }, Some(scope)) => {
+            let pred = scope.resolve(pred);
+            propagate(&Operator::Having { pred }, children)
+        }
+        (op, _) => propagate(op, children),
+    }
+}
+
 /// Profiles for every reachable node of `plan`, indexed by
 /// `NodeId::index()` (detached nodes keep a default profile).
 pub fn profile_plan(plan: &QueryPlan) -> Vec<Profile> {
     let mut out = vec![Profile::default(); plan.len()];
     for id in plan.postorder() {
-        let node = plan.node(id);
-        let children: Vec<&Profile> = node.children.iter().map(|c| &out[c.index()]).collect();
-        // Extended plans may splice Decrypt/Encrypt between the HAVING
-        // and its GROUP BY; look through them to resolve AggRefs.
-        let having_aggs = if matches!(node.op, Operator::Having { .. }) {
-            match &plan.node(plan.through_crypto(node.children[0])).op {
-                Operator::GroupBy { aggs, .. } => Some(aggs.as_slice()),
-                _ => None,
-            }
-        } else {
-            None
-        };
-        let p = propagate(&node.op, &children, having_aggs);
-        out[id.index()] = p;
+        let children: Vec<&Profile> = (plan.node(id).children.iter())
+            .map(|c| &out[c.index()])
+            .collect();
+        out[id.index()] = propagate_node(plan, id, &children);
     }
     out
 }
@@ -402,7 +336,7 @@ pub fn profile_plan(plan: &QueryPlan) -> Vec<Profile> {
 mod tests {
     use super::*;
     use crate::fixtures::RunningExample;
-    use mpq_algebra::{AttrId, CmpOp, Value};
+    use mpq_algebra::{AttrId, CmpOp, Expr, Value};
 
     fn a(i: u32) -> AttrId {
         AttrId(i)
@@ -483,7 +417,7 @@ mod tests {
         let op = Operator::Select {
             pred: Expr::cmp(Expr::Col(a(0)), CmpOp::Eq, Expr::Col(a(1))),
         };
-        let out = propagate(&op, &[&p], None);
+        let out = propagate(&op, &[&p]);
         assert_eq!(out.vp, p.vp);
         assert_eq!(out.ip, p.ip);
         assert_eq!(out.eq.len(), 1);
@@ -500,7 +434,7 @@ mod tests {
         let op = Operator::Select {
             pred: Expr::col_eq(a(1), Value::Int(3)),
         };
-        let out = propagate(&op, &[&p], None);
+        let out = propagate(&op, &[&p]);
         assert!(out.ip.is_empty());
         assert_eq!(out.ie, AttrSet::singleton(a(1)));
     }
@@ -521,7 +455,7 @@ mod tests {
             output: s,
             body: None,
         };
-        let out = propagate(&op, &[&base], None);
+        let out = propagate(&op, &[&base]);
         assert_eq!(out.vp, ex.attrs("SCT"));
         assert_eq!(out.ip, ex.attrs("D"));
         // ≃ gains {S,B}, merging with {S,C} into {S,B,C}.
@@ -562,7 +496,7 @@ mod tests {
         l.ip = ex.attrs("D");
         let mut r = Profile::base(ex.attrs("CP"));
         r.eq.insert_class(&ex.attrs("CP"));
-        let out = propagate(&Operator::Product, &[&l, &r], None);
+        let out = propagate(&Operator::Product, &[&l, &r]);
         assert_eq!(out.vp, ex.attrs("SBCP"));
         assert_eq!(out.ip, ex.attrs("D"));
         assert_eq!(out.eq.len(), 1);
@@ -579,7 +513,7 @@ mod tests {
             keys: vec![t],
             aggs: vec![mpq_algebra::AggExpr::count_star(t)],
         };
-        let out = propagate(&op, &[&base], None);
+        let out = propagate(&op, &[&base]);
         assert_eq!(out.vp, ex.attrs("T"));
         assert_eq!(out.ip, ex.attrs("T"));
     }

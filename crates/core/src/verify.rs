@@ -37,7 +37,7 @@
 use crate::authz::{Policy, SubjectView};
 use crate::extend::ExtendedPlan;
 use crate::keys::KeyPlan;
-use crate::profile::{profile_plan, resolve_agg_refs, EqClasses, Profile};
+use crate::profile::{profile_plan, EqClasses, Profile};
 use crate::subjects::Subjects;
 use mpq_algebra::{
     AggFunc, AttrId, AttrSet, Catalog, CmpOp, DataType, Expr, NodeId, Operator, QueryPlan,
@@ -466,16 +466,6 @@ impl Shadow {
     }
 }
 
-/// The aggregate list a `HAVING` predicate resolves against: the
-/// `GROUP BY` below it, looking through spliced crypto operators.
-fn having_aggs(plan: &QueryPlan, id: NodeId) -> Option<Vec<mpq_algebra::AggExpr>> {
-    let child = plan.node(id).children.first().copied()?;
-    match &plan.node(plan.through_crypto(child)).op {
-        Operator::GroupBy { aggs, .. } => Some(aggs.clone()),
-        _ => None,
-    }
-}
-
 /// Independent re-derivation of the whole plan's flow (every Fig. 2
 /// rule), indexed like [`profile_plan`].
 fn shadow_plan(plan: &QueryPlan) -> Vec<Shadow> {
@@ -499,10 +489,7 @@ fn shadow_plan(plan: &QueryPlan) -> Vec<Shadow> {
             }
             Operator::Having { pred } => {
                 let mut s = child(0).clone();
-                let resolved = match having_aggs(plan, id) {
-                    Some(aggs) => resolve_agg_refs(pred, &aggs),
-                    None => pred.clone(),
-                };
+                let resolved = plan.agg_scope(id).unwrap_or_default().resolve(pred);
                 s.condition(&resolved.const_compared_attrs(), &resolved.attr_pairs());
                 s
             }
@@ -648,19 +635,15 @@ fn pass_wellformed(
     for &id in order {
         let node = plan.node(id);
         match &node.op {
-            Operator::Having { .. } => {
-                let below = plan.through_crypto(node.children[0]);
-                if !matches!(plan.node(below).op, Operator::GroupBy { .. }) {
-                    diag(
-                        report,
-                        Code::Malformed,
-                        plan,
-                        parents,
-                        Some(id),
-                        "HAVING has no GROUP BY below it (even through crypto operators)"
-                            .to_string(),
-                    );
-                }
+            Operator::Having { .. } if plan.agg_scope(id).is_none() => {
+                diag(
+                    report,
+                    Code::Malformed,
+                    plan,
+                    parents,
+                    Some(id),
+                    "HAVING has no GROUP BY below it (even through crypto operators)".to_string(),
+                );
             }
             Operator::Encrypt { attrs } => {
                 let c = &shadow[node.children[0].index()];
@@ -1112,10 +1095,7 @@ fn collect_cap_demands(
                 });
             }
             Operator::Having { pred } => {
-                let resolved = match having_aggs(plan, id) {
-                    Some(aggs) => resolve_agg_refs(pred, &aggs),
-                    None => pred.clone(),
-                };
+                let resolved = plan.agg_scope(id).unwrap_or_default().resolve(pred);
                 cmp_demands(&resolved, enc_at(0), &mut |a, eq| {
                     need(&mut caps, a, id, if eq { 0 } else { 1 })
                 });

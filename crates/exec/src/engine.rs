@@ -557,14 +557,9 @@ fn compile_node<'p>(
             let child = child_stream(plan, id, 0, inputs, member, ctx)?;
             // Extended plans may splice Decrypt/Encrypt between the
             // HAVING and its GROUP BY; both preserve the row layout.
-            let agg_base = match &plan.node(plan.through_crypto(node.children[0])).op {
-                Operator::GroupBy { keys, .. } => keys.len(),
-                _ => {
-                    return Err(ExecError::Unsupported(
-                        "HAVING over a non-GroupBy child".into(),
-                    ))
-                }
-            };
+            let agg_base = (plan.agg_scope(id))
+                .ok_or_else(|| ExecError::Unsupported("HAVING over a non-GroupBy child".into()))?
+                .base();
             let schema = child.schema.clone();
             Ok(map_stream(child, schema, move |batch| {
                 filter_batch(pred, batch, Some(agg_base), ctx)
@@ -653,7 +648,7 @@ fn compile_node<'p>(
             Ok(crypto_stream(child, plans, false, None, ctx))
         }
         Operator::Sort { keys } => {
-            let agg_base = sort_agg_base(plan, id);
+            let agg_base = plan.agg_scope(id).map(|scope| scope.base());
             let child = child_stream(plan, id, 0, inputs, member, ctx)?;
             let schema = child.schema.clone();
             let keys = keys.to_vec();
@@ -805,63 +800,52 @@ fn decrypt_lit(
 /// back with the executor's cluster key. Precondition:
 /// [`pred_fusible`] holds.
 fn decrypt_pred_literals(pred: &Expr, enc: &AttrSet, ctx: &ExecCtx<'_>) -> Result<Expr, ExecError> {
-    Ok(match pred {
-        Expr::And(parts) => Expr::And(
-            parts
-                .iter()
-                .map(|p| decrypt_pred_literals(p, enc, ctx))
-                .collect::<Result<_, _>>()?,
-        ),
-        Expr::Or(parts) => Expr::Or(
-            parts
-                .iter()
-                .map(|p| decrypt_pred_literals(p, enc, ctx))
-                .collect::<Result<_, _>>()?,
-        ),
-        Expr::Not(inner) => Expr::Not(Box::new(decrypt_pred_literals(inner, enc, ctx)?)),
-        Expr::Cmp(l, op, r) => match (&**l, &**r) {
-            (Expr::Col(a), Expr::Lit(v)) => Expr::Cmp(
-                l.clone(),
-                *op,
-                Box::new(Expr::Lit(decrypt_lit(v, *a, enc, ctx)?)),
-            ),
-            (Expr::Lit(v), Expr::Col(a)) => Expr::Cmp(
-                Box::new(Expr::Lit(decrypt_lit(v, *a, enc, ctx)?)),
-                *op,
-                r.clone(),
-            ),
-            _ => pred.clone(),
-        },
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => match (&**expr, &**lo, &**hi) {
-            (Expr::Col(a), Expr::Lit(vl), Expr::Lit(vh)) => Expr::Between {
-                expr: expr.clone(),
-                lo: Box::new(Expr::Lit(decrypt_lit(vl, *a, enc, ctx)?)),
-                hi: Box::new(Expr::Lit(decrypt_lit(vh, *a, enc, ctx)?)),
-                negated: *negated,
+    pred.try_map_atoms(&mut |atom| {
+        Ok(match atom {
+            Expr::Cmp(l, op, r) => match (&**l, &**r) {
+                (Expr::Col(a), Expr::Lit(v)) => Expr::Cmp(
+                    l.clone(),
+                    *op,
+                    Box::new(Expr::Lit(decrypt_lit(v, *a, enc, ctx)?)),
+                ),
+                (Expr::Lit(v), Expr::Col(a)) => Expr::Cmp(
+                    Box::new(Expr::Lit(decrypt_lit(v, *a, enc, ctx)?)),
+                    *op,
+                    r.clone(),
+                ),
+                _ => atom.clone(),
             },
-            _ => pred.clone(),
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => match &**expr {
-            Expr::Col(a) => Expr::InList {
-                expr: expr.clone(),
-                list: list
-                    .iter()
-                    .map(|v| decrypt_lit(v, *a, enc, ctx))
-                    .collect::<Result<_, _>>()?,
-                negated: *negated,
+            Expr::Between {
+                expr,
+                lo,
+                hi,
+                negated,
+            } => match (&**expr, &**lo, &**hi) {
+                (Expr::Col(a), Expr::Lit(vl), Expr::Lit(vh)) => Expr::Between {
+                    expr: expr.clone(),
+                    lo: Box::new(Expr::Lit(decrypt_lit(vl, *a, enc, ctx)?)),
+                    hi: Box::new(Expr::Lit(decrypt_lit(vh, *a, enc, ctx)?)),
+                    negated: *negated,
+                },
+                _ => atom.clone(),
             },
-            _ => pred.clone(),
-        },
-        other => other.clone(),
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => match &**expr {
+                Expr::Col(a) => Expr::InList {
+                    expr: expr.clone(),
+                    list: list
+                        .iter()
+                        .map(|v| decrypt_lit(v, *a, enc, ctx))
+                        .collect::<Result<_, _>>()?,
+                    negated: *negated,
+                },
+                _ => atom.clone(),
+            },
+            other => other.clone(),
+        })
     })
 }
 
@@ -1823,26 +1807,6 @@ fn udf_stream<'p>(
     })
 }
 
-/// The aggregate-output base index visible to a Sort's key
-/// expressions, when the sort sits (through spliced crypto operators)
-/// above a GroupBy or a Having-over-GroupBy.
-pub(crate) fn sort_agg_base(plan: &QueryPlan, id: NodeId) -> Option<usize> {
-    let below = plan.through_crypto(plan.node(id).children[0]);
-    match &plan.node(below).op {
-        Operator::GroupBy { keys, .. } => Some(keys.len()),
-        Operator::Having { .. } => {
-            // Having (and any spliced crypto ops) preserve the
-            // group-by layout.
-            let gchild = plan.through_crypto(plan.node(below).children[0]);
-            match &plan.node(gchild).op {
-                Operator::GroupBy { keys, .. } => Some(keys.len()),
-                _ => None,
-            }
-        }
-        _ => None,
-    }
-}
-
 /// Materialize and sort the child stream: each key is evaluated once,
 /// as a column; the row *permutation* is sorted by comparing key cells
 /// where they lie (stable, so ties keep stream order), and the columns
@@ -2430,19 +2394,31 @@ mod tests {
         let mut plan = QueryPlan::new();
         let base = plan.add_base(hosp, vec![s, d, t_attr]);
         let enc = plan.add(Operator::Encrypt { attrs: vec![s, d] }, vec![base]);
+        let d_is_stroke = Expr::Cmp(
+            Box::new(Expr::Col(d)),
+            CmpOp::Eq,
+            Box::new(Expr::Lit(enc_lit)),
+        );
         plan.add(
             Operator::Select {
-                pred: Expr::Cmp(
-                    Box::new(Expr::Col(d)),
-                    CmpOp::Eq,
-                    Box::new(Expr::Lit(enc_lit)),
-                ),
+                pred: d_is_stroke.clone(),
             },
             vec![enc],
         );
         assert!(fused_encrypt_child(&plan, plan.root()).is_some());
 
         let ctx = ExecCtx::new(&cat, &db, &keys, &schemes, &koa);
+        // The fused filter decrypts the literal where the predicate
+        // states the comparison as an atom, and enters nothing else: the
+        // same comparison inside a CASE keeps its ciphertext.
+        let enc_set: AttrSet = [s, d].into_iter().collect();
+        let plain = decrypt_pred_literals(&d_is_stroke, &enc_set, &ctx).unwrap();
+        assert_eq!(plain, Expr::col_eq(d, Value::str("stroke")));
+        let case = Expr::Case {
+            branches: vec![(d_is_stroke, Expr::Lit(Value::Bool(true)))],
+            else_: None,
+        };
+        assert_eq!(decrypt_pred_literals(&case, &enc_set, &ctx).unwrap(), case);
         let fused = execute(&plan, &ctx).unwrap();
         // The literal plan order: the Encrypt runs as a region of its
         // own, and the Select reads its table like any operand.

@@ -19,8 +19,7 @@
 //! differential tests exercise.
 
 use crate::engine::{
-    decide_form_fix, fixed_cell, mix_seed, sort_agg_base, udf_layout, AggAcc, ExecCtx, ExecError,
-    Form,
+    decide_form_fix, fixed_cell, mix_seed, udf_layout, AggAcc, ExecCtx, ExecError, Form,
 };
 use crate::eval::{cmp_values, eval, eval_pred, RowCtx};
 use crate::table::Table;
@@ -92,22 +91,14 @@ fn eval_node(plan: &QueryPlan, id: NodeId, ctx: &ExecCtx<'_>) -> Result<Rel, Exe
                 rows,
             })
         }
-        Operator::Select { pred } => {
+        Operator::Select { pred } | Operator::Having { pred } => {
             let mut child = eval_node(plan, node.children[0], ctx)?;
-            let attrs = child.attrs.clone();
-            let mut rows = Vec::new();
-            for row in child.rows.drain(..) {
-                if eval_pred(pred, &RowCtx::plain(&attrs, &row))? == Some(true) {
-                    rows.push(row);
-                }
-            }
-            Ok(Rel { attrs, rows })
-        }
-        Operator::Having { pred } => {
-            let mut child = eval_node(plan, node.children[0], ctx)?;
-            let agg_base = match &plan.node(plan.through_crypto(node.children[0])).op {
-                Operator::GroupBy { keys, .. } => keys.len(),
-                _ => {
+            // A HAVING is a selection that also reads the aggregate
+            // outputs of the γ it stands on.
+            let agg_base = match (&node.op, plan.agg_scope(id)) {
+                (Operator::Select { .. }, _) => None,
+                (_, Some(scope)) => Some(scope.base()),
+                (_, None) => {
                     return Err(ExecError::Unsupported(
                         "HAVING over a non-GroupBy child".into(),
                     ))
@@ -116,7 +107,7 @@ fn eval_node(plan: &QueryPlan, id: NodeId, ctx: &ExecCtx<'_>) -> Result<Rel, Exe
             let attrs = child.attrs.clone();
             let mut rows = Vec::new();
             for row in child.rows.drain(..) {
-                let rc = RowCtx::plain(&attrs, &row).with_agg_base(Some(agg_base));
+                let rc = RowCtx::plain(&attrs, &row).with_agg_base(agg_base);
                 if eval_pred(pred, &rc)? == Some(true) {
                     rows.push(row);
                 }
@@ -233,7 +224,7 @@ fn eval_node(plan: &QueryPlan, id: NodeId, ctx: &ExecCtx<'_>) -> Result<Rel, Exe
         }
         Operator::Sort { keys } => {
             let child = eval_node(plan, node.children[0], ctx)?;
-            let agg_base = sort_agg_base(plan, id);
+            let agg_base = plan.agg_scope(id).map(|scope| scope.base());
             let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(child.rows.len());
             for row in child.rows {
                 let rc = RowCtx::plain(&child.attrs, &row).with_agg_base(agg_base);

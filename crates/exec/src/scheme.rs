@@ -22,7 +22,7 @@
 //! sub-query is dispatched.
 
 use mpq_algebra::value::EncScheme;
-use mpq_algebra::{AggExpr, AttrId, AttrSet, CmpOp, Expr, Operator, QueryPlan, Value};
+use mpq_algebra::{AggScope, AttrId, AttrSet, CmpOp, Expr, Operator, QueryPlan, Value};
 use mpq_core::capability::needed_caps;
 use mpq_core::profile::profile_plan;
 use mpq_crypto::keyring::KeyRing;
@@ -124,16 +124,9 @@ pub fn rewrite_literals<R: Rng + ?Sized>(
         for c in &node.children {
             enc.union_with(&profiles[c.index()].ve);
         }
-        let aggs = match (&node.op, node.children.first()) {
-            (Operator::Having { .. }, Some(&c)) => match &plan.node(plan.through_crypto(c)).op {
-                Operator::GroupBy { aggs, .. } => aggs.as_slice(),
-                _ => &[],
-            },
-            _ => &[],
-        };
         let mut rewriter = LiteralRewriter {
             enc: &enc,
-            aggs,
+            scope: plan.agg_scope(id).unwrap_or_default(),
             catalog,
             schemes,
             key_of_attr,
@@ -146,7 +139,7 @@ pub fn rewrite_literals<R: Rng + ?Sized>(
             | Operator::Join {
                 residual: Some(pred),
                 ..
-            } => *pred = rewriter.rewrite(pred)?,
+            } => *pred = pred.try_map_atoms(&mut |atom| rewriter.rewrite(atom))?,
             _ => {}
         }
     }
@@ -198,11 +191,11 @@ fn rewritable(v: &Value) -> bool {
 struct LiteralRewriter<'a, R: Rng + ?Sized> {
     /// Attributes that reach the node encrypted.
     enc: &'a AttrSet,
-    /// Below a `HAVING`, the aggregates of its group-by: `AggRef(i)`
-    /// stands for `aggs[i].output` when deciding whether a compared
+    /// The γ the node stands on, if any: `AggRef(i)` stands for the
+    /// i-th aggregate's output when deciding whether a compared
     /// constant is encrypted (the reference itself stays in the
-    /// rewritten expression). Empty elsewhere.
-    aggs: &'a [AggExpr],
+    /// rewritten expression).
+    scope: AggScope<'a>,
     catalog: &'a mpq_algebra::Catalog,
     schemes: &'a SchemePlan,
     key_of_attr: &'a HashMap<AttrId, u32>,
@@ -215,7 +208,7 @@ impl<R: Rng + ?Sized> LiteralRewriter<'_, R> {
     fn encrypted(&self, operand: &Expr) -> Option<AttrId> {
         let attr = match operand {
             Expr::Col(c) => *c,
-            Expr::AggRef(i) => self.aggs.get(*i)?.output,
+            Expr::AggRef(i) => self.scope.output(*i)?.output,
             _ => return None,
         };
         self.enc.contains(attr).then_some(attr)
@@ -235,6 +228,9 @@ impl<R: Rng + ?Sized> LiteralRewriter<'_, R> {
         encrypt_value(self.rng, &v, scheme, &key).map_err(|e| e.to_string())
     }
 
+    /// One atom of a predicate ([`Expr::try_map_atoms`]) with its
+    /// literals rewritten: the three sites where a constant meets an
+    /// encrypted operand; any other atom is kept as it is.
     fn rewrite(&mut self, e: &Expr) -> Result<Expr, String> {
         Ok(match e {
             Expr::Cmp(a, op, b) => {
@@ -309,17 +305,6 @@ impl<R: Rng + ?Sized> LiteralRewriter<'_, R> {
                 },
                 None => e.clone(),
             },
-            Expr::And(v) => Expr::And(
-                v.iter()
-                    .map(|x| self.rewrite(x))
-                    .collect::<Result<_, _>>()?,
-            ),
-            Expr::Or(v) => Expr::Or(
-                v.iter()
-                    .map(|x| self.rewrite(x))
-                    .collect::<Result<_, _>>()?,
-            ),
-            Expr::Not(x) => Expr::Not(Box::new(self.rewrite(x)?)),
             other => other.clone(),
         })
     }
@@ -453,9 +438,18 @@ mod tests {
         let mut plan = QueryPlan::new();
         let b = plan.add_base(hosp, vec![s, d]);
         let e = plan.add(Operator::Encrypt { attrs: vec![d] }, vec![b]);
+        // The same comparison twice: as an atom of the predicate, and
+        // inside a CASE — which the rewrite does not enter.
+        let case = Expr::Case {
+            branches: vec![(
+                Expr::col_eq(d, Value::str("stroke")),
+                Expr::Lit(Value::Bool(true)),
+            )],
+            else_: None,
+        };
         plan.add(
             Operator::Select {
-                pred: Expr::col_eq(d, Value::str("stroke")),
+                pred: Expr::col_eq(d, Value::str("stroke")).and(case.clone()),
             },
             vec![e],
         );
@@ -475,13 +469,17 @@ mod tests {
             .find(|&id| matches!(rewritten.node(id).op, Operator::Select { .. }))
             .unwrap();
         if let Operator::Select { pred } = &rewritten.node(sel).op {
-            let Expr::Cmp(_, _, rhs) = pred else {
+            let Expr::And(parts) = pred else {
+                panic!("expected the conjunction")
+            };
+            let Expr::Cmp(_, _, rhs) = &parts[0] else {
                 panic!("expected comparison")
             };
             assert!(
                 matches!(rhs.as_ref(), Expr::Lit(Value::Enc(_))),
                 "literal must be encrypted, got {rhs:?}"
             );
+            assert_eq!(parts[1], case, "nothing inside a CASE is rewritten");
         }
     }
 

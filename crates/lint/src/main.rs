@@ -1,5 +1,7 @@
 //! `mpq-lint` — dependency-free, token-scan enforcement of the repo
-//! invariants CI gates on. The rules:
+//! invariants CI gates on. The token rules are the rows of one table
+//! (`RULES`: rule, tokens, scope, allowed-in, message) read by one loop;
+//! what they are for:
 //!
 //! * **no-unwrap** — no `.unwrap()` in non-test library code of the
 //!   execution hot paths (`crates/exec/src`, `crates/dist/src`): a
@@ -58,6 +60,14 @@
 //!   `RowCtx::` outside `probe_batch` — the join residual, evaluated on
 //!   its one materialized `combined` row — is one too: a per-row tree
 //!   walk must not quietly come back under an operator.
+//! * **one-agg-scope** — the γ a `HAVING` predicate or a sort key
+//!   stands on is found by `QueryPlan::agg_scope` and nowhere else.
+//!   `through_crypto(`, the building block every hand-written copy of
+//!   that walk used, is a finding outside `algebra/src/plan.rs` and the
+//!   cardinality debug assertion in `planner/src/stats.rs`
+//!   (`estimates_for`), and so are the names of the copies and of the
+//!   `A_p`-override entry points retired with them: thirteen look-ups
+//!   in three variants must not quietly come back.
 //!
 //! The scan strips comments and string literals and skips
 //! `#[cfg(test)]` modules, so documentation and tests may freely
@@ -67,22 +77,10 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// `.unwrap()` is banned in the non-test library code of these trees.
-const UNWRAP_SCOPE: [&str; 2] = ["crates/exec/src", "crates/dist/src"];
-
-/// Thread spawning in engine code is banned everywhere except here.
-/// (The bench harness is out of scope: it drives load threads and reads
-/// the clock by design.) `transport.rs` earns its slot with the
-/// `TcpHub` accept loop and its per-connection pumps, both owned by the
-/// hub's lifecycle (joined/detached on drop, never free-floating).
-const SPAWN_ALLOWED: [&str; 3] = [
-    "crates/exec/src/pool.rs",
-    "crates/dist/src/runtime.rs",
-    "crates/dist/src/transport.rs",
-];
-
-/// Engine code: thread-discipline and determinism rules apply here.
-const ENGINE_SCOPE: [&str; 9] = [
+/// Engine code: everything but the bench harness, the fuzzer and this
+/// linter (the harness drives load threads and reads the clock by
+/// design).
+const ENGINE: &[&str] = &[
     "crates/algebra/src",
     "crates/core/src",
     "crates/crypto/src",
@@ -94,86 +92,132 @@ const ENGINE_SCOPE: [&str; 9] = [
     "src",
 ];
 
-/// Tokens that create threads.
-const SPAWN_TOKENS: [&str; 3] = ["thread::spawn", "thread::scope", "thread::Builder"];
+/// The execution path: the engine and the distributed runtime.
+const EXECUTION: &[&str] = &["crates/exec/src", "crates/dist/src"];
+const DIST: &[&str] = &["crates/dist/src"];
+const ENGINE_RS: &str = "crates/exec/src/engine.rs";
+const AUDIT_RS: &str = "crates/dist/src/audit.rs";
 
-/// Sockets live in exactly one file: the transport seam.
-const NET_ALLOWED: &str = "crates/dist/src/transport.rs";
+/// One row of a rule: `tokens` are findings in non-test code under
+/// `scope` (files or trees; everywhere under `crates/` and `src` when
+/// empty), except in the files `allowed_in` and — the optional column —
+/// in the one function `(file, fn)` of `allowed_fn`.
+type Site = (
+    &'static [&'static str],
+    &'static [&'static str],
+    &'static [&'static str],
+    Option<(&'static str, &'static str)>,
+);
 
-/// Tokens that touch the network.
-const NET_TOKENS: [&str; 3] = ["std::net", "TcpListener", "TcpStream"];
+/// A token rule: its name, what a finding says (`{t}` is the token) and
+/// the rows stating where which tokens are findings. A line is reported
+/// once per rule, for the first token found.
+struct Rule {
+    name: &'static str,
+    message: &'static str,
+    sites: &'static [Site],
+}
 
-/// The one-edge-rule applies to this tree…
-const EDGE_RULE_SCOPE: &str = "crates/dist/src";
-
-/// …minus the file that *defines* the audit.
-const EDGE_RULE_DEFINED_IN: &str = "crates/dist/src/audit.rs";
-
-/// Token → the only file of [`EDGE_RULE_SCOPE`] that may contain it
-/// (`None`: no file may — the node-at-a-time engine entry points).
-const EDGE_RULE_HOMES: [(&str, Option<&str>); 5] = [
-    ("audit_transfer_with(", Some("crates/dist/src/party.rs")),
-    ("view.check(", Some("crates/dist/src/session.rs")),
-    ("execute_step(", None),
-    ("effective_children(", None),
-    ("fused_encrypt_child(", None),
+/// Every token rule, one row per site, read by the one loop in
+/// [`lint_source`]. Retired names are spelled in two halves, so that a
+/// search for them under `crates/` comes back empty.
+#[rustfmt::skip]
+const RULES: &[Rule] = &[
+    Rule {
+        name: "no-unwrap",
+        message: "`{t}` in hot-path library code — return a typed error or use \
+                  `.expect(\"<invariant>\")`",
+        sites: &[(&[".unwrap()"], EXECUTION, &[], None)],
+    },
+    Rule {
+        name: "thread-discipline",
+        message: "`{t}` outside pool.rs/runtime.rs — threads must be owned by the pool or \
+                  the party runtime",
+        // `transport.rs` earns its slot with the `TcpHub` accept loop
+        // and its per-connection pumps, both owned by the hub's
+        // lifecycle (joined/detached on drop, never free-floating).
+        sites: &[
+            (&["thread::spawn", "thread::scope", "thread::Builder"], ENGINE,
+             &["crates/exec/src/pool.rs", "crates/dist/src/runtime.rs", "crates/dist/src/transport.rs"], None),
+        ],
+    },
+    Rule {
+        name: "determinism",
+        message: "`{t}` in engine code — runs must be reproducible from the seed alone",
+        // An environment read is ambient input exactly like a wall-clock
+        // read; the one file that reads `MPQ_WORKERS` may.
+        sites: &[
+            (&["Instant::now", "SystemTime::now", "thread_rng", "from_entropy", "rand::random"], ENGINE, &[], None),
+            (&["env::var"], ENGINE, &["crates/exec/src/pool.rs"], None),
+        ],
+    },
+    Rule {
+        name: "one-edge-rule",
+        message: "`{t}` outside its one home in mpq-dist — the §6 edge rule is stated once \
+                  (the audit in party.rs, the Def. 4.1 check in session.rs: schedulers call \
+                  the party core / the shared preparation), and a step is a Fig. 8 region \
+                  the party core runs through `execute_region` only",
+        // `audit.rs` defines the audit; the node-at-a-time engine entry
+        // points have no home in `crates/dist/src` at all.
+        sites: &[
+            (&["audit_transfer_with("], DIST, &[AUDIT_RS, "crates/dist/src/party.rs"], None),
+            (&["view.check("], DIST, &[AUDIT_RS, "crates/dist/src/session.rs"], None),
+            (&["execute_step(", "effective_children(", "fused_encrypt_child("], DIST, &[AUDIT_RS], None),
+        ],
+    },
+    Rule {
+        name: "columns-not-rows",
+        message: "`{t}` in the execution path — operators move columns (slice/filter/gather/\
+                  append, or a cipher's column entry); rows and per-cell `Value` detours \
+                  belong to the loader, the oracle and tests",
+        // The row API's home (and loader) and the row oracle are row-
+        // shaped; `batch.rs` takes a column apart to degrade it.
+        sites: &[
+            (&["from_rows(", "to_rows(", "push_row("], EXECUTION,
+             &["crates/exec/src/table.rs", "crates/exec/src/rowref.rs"], None),
+            (&[".into_values()"], &[ENGINE_RS], &[], None),
+        ],
+    },
+    Rule {
+        name: "independent-verifier",
+        message: "`{t}` in the verifier — it derives capability demands on its own so that \
+                  it can disagree with `assign_schemes`",
+        sites: &[(&["capability::"], &["crates/core/src/verify.rs"], &[], None)],
+    },
+    Rule {
+        name: "one-capability-table",
+        message: "`{t}` — what an operation needs of a ciphertext is stated once, by \
+                  `mpq_core::capability::demands`; filter its demands instead",
+        sites: &[(&["fn guess_schemes", "fn expr_caps", "fn walk_cmp", "plaintext_required"], &[], &[], None)],
+    },
+    Rule {
+        name: "column-evaluator",
+        message: "`{t}`: a row context under an operator — expressions run a column at a \
+                  time (`eval_mask` / `eval_column`); only the join residual in \
+                  `probe_batch` walks a materialized row",
+        sites: &[
+            (&[concat!("RowCtx::", "batch(")], &[], &[], None),
+            (&["RowCtx::"], &[ENGINE_RS], &[], Some((ENGINE_RS, "probe_batch"))),
+        ],
+    },
+    Rule {
+        name: "net-confinement",
+        message: "`{t}` outside transport.rs — sockets are confined to the Transport seam so \
+                  backends stay interchangeable",
+        sites: &[(&["std::net", "TcpListener", "TcpStream"], ENGINE, &["crates/dist/src/transport.rs"], None)],
+    },
+    Rule {
+        name: "one-agg-scope",
+        message: "`{t}` — the γ a HAVING or a sort stands on is found in one place: call \
+                  `QueryPlan::agg_scope` (and `AggScope::resolve`) instead",
+        sites: &[
+            (&["through_crypto("], &[], &["crates/algebra/src/plan.rs"],
+             Some(("crates/planner/src/stats.rs", "estimates_for"))),
+            (&[concat!("resolve_", "agg_refs"), concat!("sort_", "agg_base"), concat!("fn having_", "aggs"),
+               concat!("candidates_with_", "overrides")], &[], &[], None),
+        ],
+    },
 ];
-
-/// The columns-not-rows rule applies to these trees…
-const ROW_RULE_SCOPE: [&str; 2] = ["crates/exec/src", "crates/dist/src"];
-
-/// …minus the row API's home (and loader) and the row oracle.
-const ROW_RULE_EXEMPT: [&str; 2] = ["crates/exec/src/table.rs", "crates/exec/src/rowref.rs"];
-
-/// The row-shaped `Table` API.
-const ROW_TOKENS: [&str; 3] = ["from_rows(", "to_rows(", "push_row("];
-
-/// A column taken apart into `Value`s, and the one file where an
-/// operator could be tempted to (its home, `batch.rs`, needs it to
-/// degrade).
-const CELL_TOKEN: &str = ".into_values()";
-const CELL_RULE_FILE: &str = "crates/exec/src/engine.rs";
-
-/// The verifier's own capability derivation lives here…
-const VERIFIER_FILE: &str = "crates/core/src/verify.rs";
-
-/// …and may not reach for the table it is the twin of.
-const VERIFIER_BANNED: &str = "capability::";
-
-/// Names of the capability analyses `core/src/capability.rs` replaced.
-const CAPABILITY_COPIES: [&str; 4] = [
-    "fn guess_schemes",
-    "fn expr_caps",
-    "fn walk_cmp",
-    "plaintext_required",
-];
-
-/// The per-row evaluation context over a batch the column evaluator
-/// replaced (spelled in two halves, so that a search for it under
-/// `crates/` comes back empty)…
-const ROW_WALK_RETIRED: &str = concat!("RowCtx::", "batch(");
-
-/// …and any row context at all, in the engine, outside the one function
-/// that evaluates a join residual on a materialized row.
-const ROW_WALK_TOKEN: &str = "RowCtx::";
-const ROW_WALK_FILE: &str = "crates/exec/src/engine.rs";
-const ROW_WALK_HOME: &str = "probe_batch";
-
-/// Tokens that break run-to-run determinism.
-const DETERMINISM_TOKENS: [&str; 5] = [
-    "Instant::now",
-    "SystemTime::now",
-    "thread_rng",
-    "from_entropy",
-    "rand::random",
-];
-
-/// An environment read is ambient input exactly like a wall-clock
-/// read, so it is a determinism token too…
-const ENV_TOKEN: &str = "env::var";
-
-/// …allowed in the one file that reads `MPQ_WORKERS`.
-const ENV_ALLOWED: &str = "crates/exec/src/pool.rs";
 
 struct Finding {
     file: PathBuf,
@@ -500,13 +544,7 @@ fn lint_file(root: &Path, path: &Path, findings: &mut Vec<Finding>) {
 fn lint_source(rel: &Path, src: &str, findings: &mut Vec<Finding>) {
     let cleaned = clean_source(src);
     let skip = test_lines(&cleaned);
-    let unwrap_scoped = in_scope(rel, &UNWRAP_SCOPE);
-    let engine_scoped = in_scope(rel, &ENGINE_SCOPE);
-    let spawn_allowed = SPAWN_ALLOWED.iter().any(|a| rel == Path::new(a));
-    let edge_scoped = rel.starts_with(EDGE_RULE_SCOPE) && rel != Path::new(EDGE_RULE_DEFINED_IN);
-    let row_scoped =
-        in_scope(rel, &ROW_RULE_SCOPE) && !ROW_RULE_EXEMPT.iter().any(|e| rel == Path::new(e));
-    if engine_scoped {
+    if in_scope(rel, ENGINE) {
         lint_retry_budgets(rel, &cleaned, &skip, findings);
     }
     let mut current_fn = None;
@@ -515,138 +553,25 @@ fn lint_source(rel: &Path, src: &str, findings: &mut Vec<Finding>) {
             continue;
         }
         current_fn = fn_name(line).or(current_fn);
-        let record = |findings: &mut Vec<Finding>, rule, message| {
-            findings.push(Finding {
-                file: rel.to_path_buf(),
-                line: n + 1,
-                rule,
-                message,
-            });
-        };
-        if unwrap_scoped && line.contains(".unwrap()") {
-            record(
-                findings,
-                "no-unwrap",
-                "`.unwrap()` in hot-path library code — return a typed error \
-                 or use `.expect(\"<invariant>\")`"
-                    .to_string(),
-            );
-        }
-        if engine_scoped && !spawn_allowed {
-            for t in SPAWN_TOKENS {
-                if line.contains(t) {
-                    record(
-                        findings,
-                        "thread-discipline",
-                        format!("`{t}` outside pool.rs/runtime.rs — threads must be owned by the pool or the party runtime"),
-                    );
-                }
-            }
-        }
-        if engine_scoped {
-            let env_read = (rel != Path::new(ENV_ALLOWED)).then_some(ENV_TOKEN);
-            for t in DETERMINISM_TOKENS.into_iter().chain(env_read) {
-                if line.contains(t) {
-                    record(
-                        findings,
-                        "determinism",
-                        format!(
-                            "`{t}` in engine code — runs must be reproducible from the seed alone"
-                        ),
-                    );
-                }
-            }
-        }
-        if edge_scoped {
-            for (t, home) in EDGE_RULE_HOMES {
-                if line.contains(t) && home.map(Path::new) != Some(rel) {
-                    let message = match home {
-                        Some(home) => format!(
-                            "`{t}` outside {home} — the §6 edge rule is stated once; \
-                             schedulers call the party core / the shared preparation"
-                        ),
-                        None => format!(
-                            "`{t}` in mpq-dist — a step is a Fig. 8 region; the party \
-                             core runs it through `execute_region` only"
-                        ),
-                    };
-                    record(findings, "one-edge-rule", message);
-                }
-            }
-        }
-        if row_scoped {
-            for t in ROW_TOKENS {
-                if line.contains(t) {
-                    record(
-                        findings,
-                        "columns-not-rows",
-                        format!(
-                            "`{t}` in the execution path — operators move columns \
-                             (slice/filter/gather/append); rows belong to the loader, \
-                             the oracle and tests"
-                        ),
-                    );
-                }
-            }
-        }
-        if rel == Path::new(CELL_RULE_FILE) && line.contains(CELL_TOKEN) {
-            record(
-                findings,
-                "columns-not-rows",
-                format!(
-                    "`{CELL_TOKEN}` in the engine — a per-cell `Value` detour; read the \
-                     column where it lies (slice/filter/gather/append, or a cipher's \
-                     column entry)"
-                ),
-            );
-        }
-        if rel == Path::new(VERIFIER_FILE) && line.contains(VERIFIER_BANNED) {
-            record(
-                findings,
-                "independent-verifier",
-                format!(
-                    "`{VERIFIER_BANNED}` in the verifier — it derives capability demands \
-                     on its own so that it can disagree with `assign_schemes`"
-                ),
-            );
-        }
-        for t in CAPABILITY_COPIES {
-            if line.contains(t) {
-                record(
-                    findings,
-                    "one-capability-table",
-                    format!(
-                        "`{t}` — what an operation needs of a ciphertext is stated once, \
-                         by `mpq_core::capability::demands`; filter its demands instead"
-                    ),
-                );
-            }
-        }
-        let row_walk_in_engine = rel == Path::new(ROW_WALK_FILE)
-            && line.contains(ROW_WALK_TOKEN)
-            && current_fn != Some(ROW_WALK_HOME);
-        if line.contains(ROW_WALK_RETIRED) || row_walk_in_engine {
-            record(
-                findings,
-                "column-evaluator",
-                "a row context under an operator — expressions run a column at a time \
-                 (`eval_mask` / `eval_column`); only the join residual in \
-                 `probe_batch` walks a materialized row"
-                    .to_string(),
-            );
-        }
-        if engine_scoped && rel != Path::new(NET_ALLOWED) {
-            for t in NET_TOKENS {
-                if line.contains(t) {
-                    record(
-                        findings,
-                        "net-confinement",
-                        format!(
-                            "`{t}` outside transport.rs — sockets are confined to the \
-                             Transport seam so backends stay interchangeable"
-                        ),
-                    );
-                }
+        for rule in RULES {
+            let found = rule
+                .sites
+                .iter()
+                .find_map(|(tokens, scope, allowed_in, allowed_fn)| {
+                    let applies = (scope.is_empty() || in_scope(rel, scope))
+                        && !allowed_in.iter().any(|f| rel == Path::new(f))
+                        && !allowed_fn.is_some_and(|(f, name)| {
+                            rel == Path::new(f) && current_fn == Some(name)
+                        });
+                    tokens.iter().find(|t| applies && line.contains(**t))
+                });
+            if let Some(t) = found {
+                findings.push(Finding {
+                    file: rel.to_path_buf(),
+                    line: n + 1,
+                    rule: rule.name,
+                    message: rule.message.replace("{t}", t),
+                });
             }
         }
     }
@@ -978,6 +903,46 @@ mod tests {
         // batch-row constructor is a finding.
         assert_eq!(lines_in("crates/exec/src/rowref.rs"), vec![3]);
         assert_eq!(lines_in("crates/dist/src/party.rs"), vec![3]);
+    }
+
+    #[test]
+    fn a_second_walk_to_the_group_by_is_flagged() {
+        let src = [
+            "fn estimates_for(plan: &QueryPlan) { let through = plan.through_crypto(id); }",
+            "fn having_base(plan: &QueryPlan, id: NodeId) -> Option<usize> {",
+            "    match &plan.node(plan.through_crypto(node.children[0])).op {}",
+            "}",
+            concat!("fn having_", "aggs(plan: &QueryPlan) {}"),
+            concat!("let p = resolve_", "agg_refs(pred, aggs);"),
+            concat!("let base = sort_", "agg_base(plan, id);"),
+            concat!("let c = candidates_with_", "overrides(plan, &overrides);"),
+            "let scope = plan.agg_scope(id);",
+            "#[cfg(test)]",
+            "mod tests {",
+            "    fn t() { plan.through_crypto(id); }",
+            "}",
+        ]
+        .join("\n");
+        let lines_in = |file: &str| {
+            let mut findings = Vec::new();
+            lint_source(Path::new(file), &src, &mut findings);
+            findings
+                .iter()
+                .filter(|f| f.rule == "one-agg-scope")
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        // Anywhere under crates/ the walk and the retired names are
+        // findings…
+        assert_eq!(
+            lines_in("crates/exec/src/engine.rs"),
+            vec![1, 3, 5, 6, 7, 8]
+        );
+        assert_eq!(lines_in("crates/bench/src/lib.rs"), vec![1, 3, 5, 6, 7, 8]);
+        // …the walk is at home in plan.rs, and in stats.rs inside the
+        // one debug assertion only; the names are at home nowhere.
+        assert_eq!(lines_in("crates/algebra/src/plan.rs"), vec![5, 6, 7, 8]);
+        assert_eq!(lines_in("crates/planner/src/stats.rs"), vec![3, 5, 6, 7, 8]);
     }
 
     #[test]

@@ -277,6 +277,7 @@ fn dp_assignment(
     cands: &Candidates,
 ) -> Result<Assignment, OptError> {
     let est = estimates_for(plan, catalog, stats);
+    let schemas = plan.schemas();
     let book = &env.prices;
     // The scheme each attribute would get if it had to be encrypted:
     // the capability table's fold over the original plan, taking every
@@ -295,10 +296,7 @@ fn dp_assignment(
     // Approximate per-node output bytes on plain widths (exact
     // ciphertext expansion is settled in the final costing).
     let bytes: Vec<f64> = (0..plan.len())
-        .map(|i| {
-            let schema = plan.schemas()[i].clone();
-            est[i].rows * mpq_algebra::stats::row_width(catalog, stats, &schema).max(1.0)
-        })
+        .map(|i| est[i].rows * mpq_algebra::stats::row_width(catalog, stats, &schemas[i]).max(1.0))
         .collect();
 
     // table[node] : subject -> (cost, per-child chosen subject)
@@ -350,8 +348,7 @@ fn dp_assignment(
                         // magnitude), with ciphertext expansion on the
                         // transferred bytes.
                         let view = &cands.views[s.index()];
-                        let schema = &plan.schemas()[c.index()];
-                        let enc_attrs: AttrSet = schema.intersect(&view.enc);
+                        let enc_attrs: AttrSet = schemas[c.index()].intersect(&view.enc);
                         let rows = est[c.index()].rows;
                         let mut xfer_bytes = bytes[c.index()];
                         for a in enc_attrs.iter() {

@@ -244,6 +244,45 @@ fn unauthorized_assignment_is_rejected_at_runtime() {
     }
 }
 
+/// A plan tampered so that its `HAVING` names an aggregate its γ lacks
+/// (`AggRef(7)` above the one-aggregate `γ T,avg(P)`) is refused with a
+/// typed error. The reference used to be an unchecked index: `validate`
+/// let it through and `profile_plan` — hence `assign_schemes` and the
+/// verifier pre-flight that is there to refuse such a plan — panicked.
+#[test]
+fn an_out_of_range_aggregate_reference_is_refused_not_indexed() {
+    use mpq::algebra::{CmpOp, Expr};
+    use mpq::core::verify::Code;
+    let ex = RunningExample::new();
+    let db = load(&ex);
+    let (_, mut ext, keys) = setup(&ex, "H", "X", "X", "Y");
+    ext.plan.node_mut(ex.node("having")).op = Operator::Having {
+        pred: Expr::cmp(Expr::AggRef(7), CmpOp::Gt, Expr::Lit(Value::Num(100.0))),
+    };
+    // The analyses under the pre-flight return instead of indexing.
+    assert_eq!(
+        mpq::core::profile::profile_plan(&ext.plan).len(),
+        ext.plan.len()
+    );
+    let _ = mpq::exec::assign_schemes(&ext.plan);
+    assert!(ext.plan.validate(&ex.catalog).is_err());
+    let user = ex.subject("U");
+    let report = mpq::core::verify_with_policy(
+        &ext,
+        &keys,
+        &ex.catalog,
+        &ex.subjects,
+        &ex.policy,
+        Some(user),
+    );
+    assert!(report.has(Code::Malformed), "{report}");
+    let mut sim = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 11);
+    match sim.execute(&ext, &keys, user) {
+        Err(SimError::Verify(report)) => assert!(report.has(Code::Malformed), "{report}"),
+        other => panic!("expected the pre-flight to refuse, got {other:?}"),
+    }
+}
+
 /// Runtime enforcement, behavioral case: strip Y from the holders of
 /// k_P (so Def. 6.1 never hands it the key). The static profile checks
 /// still pass — but Y's decryption fails for want of the key. The

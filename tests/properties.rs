@@ -7,11 +7,11 @@
 
 use mpq::algebra::expr::{AggExpr, AggFunc};
 use mpq::algebra::{AttrSet, Catalog, CmpOp, DataType, Expr, JoinKind, Operator, QueryPlan, Value};
-use mpq::core::authz::{Authorization, Policy};
+use mpq::core::authz::{Authorization, AuthzViolation, Policy, SubjectView};
 use mpq::core::candidates::candidates;
 use mpq::core::capability::CapabilityPolicy;
 use mpq::core::extend::{minimally_extend, Assignment};
-use mpq::core::profile::profile_plan;
+use mpq::core::profile::{profile_plan, Profile};
 use mpq::core::subjects::{SubjectKind, Subjects};
 use proptest::prelude::*;
 
@@ -170,8 +170,52 @@ fn arb_policy(cat: &Catalog, seed: u64) -> (Subjects, Policy) {
     (subjects, policy)
 }
 
+/// Def. 4.1 as `authz.rs` wrote it out before `violations()`: the
+/// subset test behind `authorized_for`, and every violated condition
+/// as `explain_failure` listed them (`check` returned the first).
+fn def_4_1_written_out(view: &SubjectView, profile: &Profile) -> (bool, Vec<AuthzViolation>) {
+    let uniform = |class: &AttrSet| class.is_subset(&view.plain) || class.is_subset(&view.enc);
+    let authorized = profile.vp.union(&profile.ip).is_subset(&view.plain)
+        && profile.ve.union(&profile.ie).is_subset(&view.visible())
+        && profile.eq.classes().all(uniform);
+    let mut all = Vec::new();
+    let c1 = profile.vp.union(&profile.ip).difference(&view.plain);
+    if !c1.is_empty() {
+        all.push(AuthzViolation::Plaintext(c1));
+    }
+    let c2 = profile.ve.union(&profile.ie).difference(&view.visible());
+    if !c2.is_empty() {
+        all.push(AuthzViolation::Encrypted(c2));
+    }
+    for class in profile.eq.classes().filter(|c| !uniform(c)) {
+        all.push(AuthzViolation::NonUniform(class.clone()));
+    }
+    (authorized, all)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Def. 4.1 has one statement, `violations()`, and three readings —
+    /// none, the first, all — that agree with the three it replaced:
+    /// every subject's view against every node's profile, plain
+    /// (`profile_plan`) and under minimum required views (Fig. 6).
+    #[test]
+    fn def_4_1_readings_agree((cat, plan) in arb_plan(), seed in 0u64..500) {
+        let (subjects, policy) = arb_policy(&cat, seed);
+        let cap = CapabilityPolicy::default();
+        let cands = candidates(&plan, &cat, &policy, &subjects, &cap, false);
+        let plain = profile_plan(&plan);
+        for view in &cands.views {
+            for profile in plain.iter().chain(&cands.profiles) {
+                let (authorized, all) = def_4_1_written_out(view, profile);
+                prop_assert_eq!(view.authorized_for(profile), authorized);
+                prop_assert_eq!(view.check(profile).err(), all.first().cloned());
+                prop_assert_eq!(view.violations(profile).collect::<Vec<_>>(), all.clone());
+                prop_assert_eq!(view.explain_failure(profile), all);
+            }
+        }
+    }
 
     /// Theorem 3.1: profiles only grow up the plan; equivalence classes
     /// only expand.
