@@ -492,24 +492,98 @@ pub struct GroupKey(pub Value);
 
 impl PartialEq for GroupKey {
     fn eq(&self, other: &Self) -> bool {
-        match (&self.0, &other.0) {
-            (Value::Null, Value::Null) => true,
-            (a, b) => a.sql_eq(b),
-        }
+        CellRef::from(&self.0).key_eq((&other.0).into())
     }
 }
 impl Eq for GroupKey {}
+
+/// A cell read where it lies — a string's or a ciphertext's bytes
+/// borrowed from its column: what the hash operators hash and compare.
+#[derive(Clone, Copy, Debug)]
+pub enum CellRef<'a> {
+    /// SQL NULL (an encrypted column's empty cell).
+    Null,
+    /// Boolean.
+    Bool(bool),
+    /// Integer.
+    Int(i64),
+    /// Numeric.
+    Num(f64),
+    /// String.
+    Str(&'a str),
+    /// Date.
+    Date(Date),
+    /// Ciphertext under `(scheme, key)`.
+    Enc(EncScheme, u32, &'a [u8]),
+}
+
+impl<'a> From<&'a Value> for CellRef<'a> {
+    #[inline]
+    fn from(v: &'a Value) -> CellRef<'a> {
+        match v {
+            Value::Null => CellRef::Null,
+            Value::Bool(b) => CellRef::Bool(*b),
+            Value::Int(i) => CellRef::Int(*i),
+            Value::Num(f) => CellRef::Num(*f),
+            Value::Str(s) => CellRef::Str(s),
+            Value::Date(d) => CellRef::Date(*d),
+            Value::Enc(e) => CellRef::Enc(e.scheme, e.key_id, &e.bytes),
+        }
+    }
+}
+
+impl CellRef<'_> {
+    /// The relation grouping and hash joins match keys by —
+    /// [`GroupKey`]'s: [`Value::sql_eq`], except
+    /// that NULL equals NULL (a join never asks: it skips NULL keys).
+    /// A ciphertext that certifies no equality equals nothing, itself
+    /// included.
+    #[inline]
+    pub fn key_eq(self, other: CellRef<'_>) -> bool {
+        use CellRef::*;
+        match (self, other) {
+            (Null, Null) => true,
+            (Bool(a), Bool(b)) => a == b,
+            (Int(a), Int(b)) => a == b,
+            (Num(a), Num(b)) => a == b,
+            (Int(i), Num(f)) | (Num(f), Int(i)) => i as f64 == f,
+            (Str(a), Str(b)) => a == b,
+            (Date(a), Date(b)) => a == b,
+            (Enc(s, k, a), Enc(t, l, b)) => s.supports_equality() && (s, k) == (t, l) && a == b,
+            _ => false,
+        }
+    }
+}
+
+/// What an integer cell hashes as, so that hashing agrees with
+/// [`Value::sql_eq`]: the integer itself up to 2⁵³, and past that the
+/// one integer its `f64` image converts back to — every `Int` a `Num`
+/// equals hashes as that `Num` does ([`num_hash_key`]).
+pub fn int_hash_key(i: i64) -> i64 {
+    (i as f64) as i64
+}
+
+/// What a numeric cell hashes as when it equals an integer: that
+/// integer's [`int_hash_key`], so `Num(2.0)` hashes as `Int(2)` and
+/// `-0.0` as `0.0`. `None` for every other numeric (its bits identify
+/// it; a NaN equals nothing).
+pub fn num_hash_key(f: f64) -> Option<i64> {
+    let i = f as i64;
+    (i as f64 == f).then_some(i)
+}
 
 impl std::hash::Hash for GroupKey {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         match &self.0 {
             Value::Null => 0u8.hash(state),
             Value::Bool(b) => (1u8, b).hash(state),
-            Value::Int(i) => (2u8, i).hash(state),
-            // Hash floats by bits of the canonical value so Int/Num keys
-            // that compare equal may still hash differently: grouping
-            // columns never mix Int and Num in practice.
-            Value::Num(f) => (3u8, f.to_bits()).hash(state),
+            Value::Int(i) => (2u8, int_hash_key(*i)).hash(state),
+            // `Eq` holds `Int(2)` equal to `Num(2.0)` and `0.0` to
+            // `-0.0`, so they must hash alike.
+            Value::Num(f) => match num_hash_key(*f) {
+                Some(i) => (2u8, i).hash(state),
+                None => (3u8, f.to_bits()).hash(state),
+            },
             Value::Str(s) => (4u8, s.as_bytes()).hash(state),
             Value::Date(d) => (5u8, d.0).hash(state),
             Value::Enc(e) => (6u8, e.key_id, &e.bytes[..]).hash(state),
@@ -733,6 +807,31 @@ mod tests {
         assert!(!Value::Null.sql_eq(&Value::Null));
         assert!(GroupKey(Value::Null) == GroupKey(Value::Null));
         assert!(Value::str("a").sql_cmp(&Value::str("b")).unwrap().is_lt());
+    }
+
+    /// Whatever `GroupKey` holds equal it hashes alike — an integral
+    /// `Num` as its `Int`, `-0.0` as `0.0`, past 2⁵³ too — so a map
+    /// finds the one entry under every `RandomState`.
+    #[test]
+    fn group_keys_that_are_equal_hash_alike() {
+        use std::hash::BuildHasher;
+        let state = std::collections::hash_map::RandomState::new();
+        let big = (1i64 << 53) + 1;
+        for (a, b) in [
+            (Value::Int(2), Value::Num(2.0)),
+            (Value::Num(0.0), Value::Num(-0.0)),
+            (Value::Int(0), Value::Num(-0.0)),
+            (Value::Int(big), Value::Num(big as f64)),
+            (Value::Int(i64::MAX), Value::Num(i64::MAX as f64)),
+            (Value::Int(i64::MIN), Value::Num(i64::MIN as f64)),
+        ] {
+            let (a, b) = (GroupKey(a), GroupKey(b));
+            assert!(a == b, "{a:?} = {b:?}");
+            assert_eq!(state.hash_one(&a), state.hash_one(&b), "{a:?} / {b:?}");
+        }
+        assert_eq!(num_hash_key(2.5), None);
+        assert_eq!(num_hash_key(f64::NAN), None);
+        assert_eq!(num_hash_key(f64::INFINITY), None);
     }
 
     #[test]

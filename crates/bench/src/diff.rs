@@ -6,7 +6,11 @@
 //! fails on regressions: by default, >25% on concurrent p50 latency or
 //! on bytes-per-query. Bytes and requests are deterministic per
 //! configuration, so any byte growth is a real protocol change;
-//! latency carries runner noise, which the threshold absorbs.
+//! latency carries runner noise, which the threshold absorbs. A `full`
+//! (paper-scale) report runs each query once, so its p50 is whichever
+//! five-row query lands in the middle: there the gated latency is the
+//! concurrent phase's `wall_secs` — the time of the queries that
+//! dominate it — and the p50 is informational.
 //!
 //! The ratchet direction: a gated metric that *improves* beyond the
 //! same tolerance also fails ([`MetricDelta::improved_beyond`]) —
@@ -131,11 +135,19 @@ pub fn compare(
             higher_is_worse,
         })
     };
+    // Which latency is the gated one, by the baseline's kind.
+    let full = baseline.contains("\"mode\": \"full\"");
     [
+        metric(
+            "concurrent wall (s)",
+            &|t| field(section(t, "concurrent")?, "wall_secs"),
+            full.then_some(latency_tol),
+            true,
+        ),
         metric(
             "concurrent p50 (ms)",
             &|t| field(section(t, "concurrent")?, "p50_ms"),
-            Some(latency_tol),
+            (!full).then_some(latency_tol),
             true,
         ),
         metric(
@@ -252,6 +264,38 @@ mod tests {
         let deltas = compare(BASE, &current, 0.25, 0.25);
         let p50 = deltas.iter().find(|d| d.name.contains("p50")).unwrap();
         assert!(p50.regressed(), "{p50:?}");
+    }
+
+    /// A paper-scale report is gated on the concurrent phase's wall
+    /// time; its p50 — some five-row query's — may swing freely.
+    #[test]
+    fn a_full_report_gates_wall_time_instead_of_p50() {
+        let full = |wall: f64, p50: f64| {
+            let phase = format!("{{\"queries\": 5, \"wall_secs\": {wall}, \"p50_ms\": {p50}}}");
+            format!("{{\"mode\": \"full\", \"concurrent\": {phase}, \"bytes_per_query\": 9.0}}")
+        };
+        let gated = |current: &str| {
+            let deltas = compare(&full(1.7, 3.0), current, 0.25, 0.25);
+            let failing = |d: &&MetricDelta| d.regressed() || d.improved_beyond();
+            deltas
+                .iter()
+                .filter(failing)
+                .map(|d| d.name)
+                .collect::<Vec<_>>()
+        };
+        assert!(gated(&full(1.9, 9.0)).is_empty(), "p50 × 3 is no finding");
+        assert_eq!(gated(&full(2.2, 3.0)), ["concurrent wall (s)"]);
+        assert_eq!(
+            gated(&full(1.1, 3.0)),
+            ["concurrent wall (s)"],
+            "the ratchet"
+        );
+        // A smoke report keeps its p50 gate and never gates wall time.
+        let smoke = BASE.replace("\"qps\": 4.0", "\"wall_secs\": 1.0, \"qps\": 4.0");
+        let slower = smoke.replace("\"wall_secs\": 1.0", "\"wall_secs\": 3.0");
+        assert!(compare(&smoke, &slower, 0.25, 0.25)
+            .iter()
+            .all(|d| !d.regressed()));
     }
 
     #[test]

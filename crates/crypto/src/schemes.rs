@@ -444,11 +444,25 @@ pub fn paillier_add_cells(
     b: &EncValue,
     pk: &crate::paillier::PaillierPublic,
 ) -> Result<EncValue, EncryptError> {
-    if a.scheme != EncScheme::Paillier || b.scheme != EncScheme::Paillier || a.key_id != b.key_id {
+    if b.scheme != EncScheme::Paillier {
+        return Err(EncryptError::BadCiphertext);
+    }
+    paillier_add_cell(a, b.key_id, &b.bytes, pk)
+}
+
+/// [`paillier_add_cells`] with the second cell read where it lies: the
+/// bytes of a Paillier cell under `key_id`, borrowed from its column.
+pub fn paillier_add_cell(
+    a: &EncValue,
+    key_id: u32,
+    b: &[u8],
+    pk: &crate::paillier::PaillierPublic,
+) -> Result<EncValue, EncryptError> {
+    if a.scheme != EncScheme::Paillier || a.key_id != key_id {
         return Err(EncryptError::BadCiphertext);
     }
     let (ta, _, ca, pa) = decode_paillier_cell(&a.bytes)?;
-    let (tb, _, cb, pb) = decode_paillier_cell(&b.bytes)?;
+    let (tb, _, cb, pb) = decode_paillier_cell(b)?;
     if ta != tb {
         return Err(EncryptError::BadCiphertext);
     }

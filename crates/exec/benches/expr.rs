@@ -1,5 +1,6 @@
-//! Microbenchmarks for expression evaluation: the column evaluator the
-//! engine runs against the row walk the oracle keeps.
+//! Microbenchmarks for expression evaluation — the column evaluator the
+//! engine runs against the row walk the oracle keeps — and for the hash
+//! operators.
 //!
 //! `cargo bench -p mpq-exec --bench expr` (CI runs this in the
 //! `bench-smoke` job). Four expressions the TPC-H workloads spend their
@@ -18,16 +19,37 @@
 //! `eval`. The ratio between the two is what moving the operators onto
 //! the column evaluator bought; absolute numbers swing with machine
 //! load.
+//!
+//! The `hash/*` arms run a whole ⋈ or γ through `execute` (one worker
+//! thread, 4,096-row batches) — the key table under both: key columns
+//! hashed in typed loops, candidates compared where they lie, aggregates
+//! folded by group id. Time ÷ rows through the operator is the cost per
+//! row:
+//!
+//! * `hash/q1_groupby` — Q1's γ: two low-cardinality string keys, seven
+//!   sums and averages and a count over 65,536 rows (six groups);
+//! * `hash/int_join/build_heavy`, `…/probe_heavy` — an `i64` key join,
+//!   65,536 build rows against 4,096 probe rows (Q3's shape) and the
+//!   other way round, every probe row matching once;
+//! * `hash/det_join` — the same join, 16,384 rows a side, on
+//!   Deterministic ciphertext keys: hashed and compared on the bytes in
+//!   their column buffers.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use mpq_algebra::expr::{AggExpr, AggFunc};
 use mpq_algebra::value::EncScheme;
-use mpq_algebra::{ArithOp, AttrId, CmpOp, Date, Expr, Value};
-use mpq_crypto::keyring::ClusterKey;
+use mpq_algebra::{
+    ArithOp, AttrId, Catalog, CmpOp, DataType, Date, Expr, JoinKind, Operator, QueryPlan, Value,
+};
+use mpq_crypto::keyring::{ClusterKey, KeyRing};
 use mpq_crypto::schemes::encrypt_batch;
 use mpq_exec::eval::{eval, eval_column, eval_mask, RowCtx};
-use mpq_exec::{Table, DEFAULT_BATCH_ROWS};
+use mpq_exec::{
+    execute, ColumnVec, Database, ExecCtx, SchemePlan, Table, WorkerPool, DEFAULT_BATCH_ROWS,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 const ROWS: usize = 65_536;
 
@@ -150,5 +172,154 @@ fn bench_expr(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_expr);
+/// `L(k, flag, status, qty, price, disc, tax)` ⋈ `R(rk, v)`: the
+/// relations the `hash/*` arms scan.
+fn hash_catalog() -> Catalog {
+    let mut cat = Catalog::new();
+    let num = |name| (name, DataType::Num);
+    let left = [
+        ("k", DataType::Int),
+        ("flag", DataType::Str),
+        ("status", DataType::Str),
+        num("qty"),
+        num("price"),
+        num("disc"),
+        num("tax"),
+    ];
+    cat.add_relation("L", &left).expect("a fresh name");
+    cat.add_relation("R", &[("rk", DataType::Int), num("v")])
+        .expect("a fresh name");
+    cat
+}
+
+/// `L.k = R.rk` over `left` probe keys and `right` build keys.
+fn key_join(cat: &Catalog, left: ColumnVec, right: ColumnVec) -> (QueryPlan, Database) {
+    let (k, rk, v) = (
+        cat.attr("k").unwrap(),
+        cat.attr("rk").unwrap(),
+        cat.attr("v").unwrap(),
+    );
+    let (l, r) = (
+        cat.relation("L").unwrap().rel,
+        cat.relation("R").unwrap().rel,
+    );
+    let mut db = Database::new();
+    let payload = ColumnVec::from_nums((0..right.len()).map(|i| i as f64).collect());
+    db.insert(l, Table::from_columns(vec![k].into(), vec![left]));
+    db.insert(
+        r,
+        Table::from_columns(vec![rk, v].into(), vec![right, payload]),
+    );
+    let mut plan = QueryPlan::new();
+    let (lb, rb) = (plan.add_base(l, vec![k]), plan.add_base(r, vec![rk, v]));
+    let (kind, on, residual) = (JoinKind::Inner, vec![(k, CmpOp::Eq, rk)], None);
+    plan.add(Operator::Join { kind, on, residual }, vec![lb, rb]);
+    (plan, db)
+}
+
+/// `probe` keys drawn from `0..build`, against a shuffle of `0..build`.
+fn int_keys(rng: &mut StdRng, probe: usize, build: usize) -> (Vec<Value>, Vec<Value>) {
+    let left = (0..probe).map(|_| Value::Int(rng.gen_range(0..build as i64)));
+    let left = left.collect();
+    let mut right: Vec<Value> = (0..build as i64).map(Value::Int).collect();
+    for i in (1..build).rev() {
+        right.swap(i, rng.gen_range(0..=i));
+    }
+    (left, right)
+}
+
+fn bench_hash(c: &mut Criterion) {
+    let rng = &mut StdRng::seed_from_u64(2026);
+    let cat = hash_catalog();
+    let attr = |name| cat.attr(name).unwrap();
+    let mut cases = Vec::new();
+
+    // Q1's γ over a lineitem-shaped relation.
+    let rows: Vec<Vec<Value>> = (0..ROWS as i64)
+        .map(|i| {
+            vec![
+                Value::Int(i),
+                Value::str(["A", "N", "R"][rng.gen_range(0..3)]),
+                Value::str(["F", "O"][rng.gen_range(0..2)]),
+                Value::Num(f64::from(rng.gen_range(1..51))),
+                Value::Num(f64::from(rng.gen_range(90_000..10_000_000)) / 100.0),
+                Value::Num(f64::from(rng.gen_range(0..11)) / 100.0),
+                Value::Num(f64::from(rng.gen_range(0..9)) / 100.0),
+            ]
+        })
+        .collect();
+    let mut db = Database::new();
+    db.load(&cat, "L", rows);
+    let one = |op, e| Expr::arith(lit(Value::Int(1)), op, e);
+    let col = |name| Expr::Col(attr(name));
+    let revenue = Expr::arith(col("price"), ArithOp::Mul, one(ArithOp::Sub, col("disc")));
+    let charge = Expr::arith(revenue.clone(), ArithOp::Mul, one(ArithOp::Add, col("tax")));
+    let aggs = [
+        (AggFunc::Sum, col("qty")),
+        (AggFunc::Sum, col("price")),
+        (AggFunc::Sum, revenue),
+        (AggFunc::Sum, charge),
+        (AggFunc::Avg, col("qty")),
+        (AggFunc::Avg, col("price")),
+        (AggFunc::Avg, col("disc")),
+        (AggFunc::Count, lit(Value::Int(1))),
+    ];
+    let aggs = aggs.into_iter().map(|(func, input)| AggExpr {
+        func,
+        input,
+        output: attr("qty"),
+    });
+    let mut plan = QueryPlan::new();
+    let all = cat.relation("L").unwrap().attrs();
+    let base = plan.add_base(cat.relation("L").unwrap().rel, all);
+    let keys = vec![attr("flag"), attr("status")];
+    plan.add(
+        Operator::GroupBy {
+            keys,
+            aggs: aggs.collect(),
+        },
+        vec![base],
+    );
+    cases.push(("q1_groupby", plan, db));
+
+    // Integer key joins, either side the large one.
+    for (name, probe, build) in [
+        ("int_join/build_heavy", DEFAULT_BATCH_ROWS, ROWS),
+        ("int_join/probe_heavy", ROWS, DEFAULT_BATCH_ROWS),
+    ] {
+        let (left, right) = int_keys(rng, probe, build);
+        let (plan, db) = key_join(
+            &cat,
+            left.into_iter().collect(),
+            right.into_iter().collect(),
+        );
+        cases.push((name, plan, db));
+    }
+
+    // The same on Deterministic ciphertexts of the keys.
+    let key = ClusterKey::generate(rng, 1, 512);
+    let (left, right) = int_keys(rng, ROWS / 4, ROWS / 4);
+    let mut det = |cells: &[Value]| -> ColumnVec {
+        let cells = encrypt_batch(rng, cells, EncScheme::Deterministic, &key);
+        cells.expect("a key").into_iter().collect()
+    };
+    let (left, right) = (det(&left), det(&right));
+    assert!(matches!(left, ColumnVec::Enc(_)), "one ciphertext buffer");
+    let (plan, db) = key_join(&cat, left, right);
+    cases.push(("det_join", plan, db));
+
+    let (ring, schemes, koa) = (KeyRing::new(), SchemePlan::default(), HashMap::new());
+    let mut g = c.benchmark_group("hash");
+    for (name, plan, db) in &cases {
+        let ctx = ExecCtx::builder(&cat, db, &ring, &schemes, &koa)
+            .pool(WorkerPool::serial())
+            .build();
+        g.bench_function(*name, |b| {
+            b.iter(|| black_box(execute(plan, &ctx).expect("runs")))
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_expr, bench_hash);
 criterion_main!(benches);

@@ -27,9 +27,11 @@
 //!
 //! [`ExecCtx::batch_rows`]: crate::engine::ExecCtx::batch_rows
 
-use mpq_algebra::value::{EncColumn, EncValue};
+use mpq_algebra::value::{int_hash_key, num_hash_key, CellRef, EncColumn, EncValue};
 use mpq_algebra::{AttrId, Value};
 use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -95,6 +97,61 @@ pub enum ColumnVec {
     Enc(EncColumn),
     /// General representation: any mix of values, NULLs included.
     Val(Vec<Value>),
+}
+
+/// The secret of one key table's hash function: two words drawn from
+/// [`RandomState`], so that a peer cannot prepare keys that collide.
+/// No result depends on it — cells [`CellRef::key_eq`] holds equal hash
+/// alike under every seed, and a collision costs one comparison.
+#[derive(Clone, Copy, Debug)]
+pub struct KeySeed(u64, u64);
+
+impl Default for KeySeed {
+    fn default() -> KeySeed {
+        let state = RandomState::new();
+        KeySeed(state.hash_one(0u8), state.hash_one(1u8))
+    }
+}
+
+impl KeySeed {
+    /// Fold `code` into the running hash `h`: the two halves of a
+    /// 64 × 64 → 128-bit product, both operands masked by the seed.
+    #[inline]
+    fn mix(self, h: u64, code: u64) -> u64 {
+        let wide = u128::from(h ^ self.0) * u128::from(code ^ self.1);
+        (wide as u64) ^ ((wide >> 64) as u64)
+    }
+
+    /// A string's or a ciphertext's bytes, eight at a time; the last
+    /// word carries what is left of them, the length and `kind`, so
+    /// that neither padding nor a cell of another kind can collide.
+    #[inline]
+    fn bytes(self, h: u64, kind: u64, bytes: &[u8]) -> u64 {
+        let mut words = bytes.chunks_exact(8);
+        let h = words.by_ref().fold(h, |h, word| {
+            self.mix(h, u64::from_le_bytes(word.try_into().expect("eight bytes")))
+        });
+        let rest = words.remainder().iter().rev();
+        let last = rest.fold(bytes.len() as u64, |word, &b| (word << 8) | u64::from(b));
+        self.mix(h, last ^ kind)
+    }
+
+    /// Fold one cell into the running hash `h` of its row's key.
+    #[inline]
+    pub fn cell(self, h: u64, cell: CellRef<'_>) -> u64 {
+        // One odd constant per kind keeps a date apart from the integer
+        // of its day count; equal cells are of one kind (or numeric).
+        match cell {
+            CellRef::Null => self.mix(h, 0x9E37_79B9_7F4A_7C15),
+            CellRef::Bool(b) => self.mix(h, 0xBF58_476D_1CE4_E5B9 ^ u64::from(b)),
+            // Whatever numerics are equal hash as one integer.
+            CellRef::Int(i) => self.mix(h, int_hash_key(i) as u64),
+            CellRef::Num(f) => self.mix(h, num_hash_key(f).map_or(f.to_bits(), |i| i as u64)),
+            CellRef::Str(s) => self.bytes(h, 0x51 << 56, s.as_bytes()),
+            CellRef::Date(d) => self.mix(h, 0x94D0_49BB_1331_11EB ^ d.0 as u64),
+            CellRef::Enc(_, key, bytes) => self.bytes(h, (0xE7 << 56) ^ u64::from(key), bytes),
+        }
+    }
 }
 
 /// `true` when `cell` is one an encrypted column under `col`'s header
@@ -173,7 +230,7 @@ impl ColumnVec {
     /// Cell `i` as a logical value: dense cells copy eight bytes,
     /// general cells bump an `Arc`, an encrypted column's cell is
     /// copied out into an [`EncValue`] of its own — the scalar path
-    /// (hash keys, accumulators, the row oracle).
+    /// (a new group's key, accumulators, the row oracle).
     pub fn get(&self, i: usize) -> Value {
         match self {
             ColumnVec::Int(v) => Value::Int(v[i]),
@@ -183,22 +240,46 @@ impl ColumnVec {
         }
     }
 
+    /// Cell `i` where it lies: nothing is copied out but a scalar.
+    #[inline]
+    pub fn cell_ref(&self, i: usize) -> CellRef<'_> {
+        match self {
+            ColumnVec::Int(v) => CellRef::Int(v[i]),
+            ColumnVec::Num(v) => CellRef::Num(v[i]),
+            ColumnVec::Enc(c) => match c.cell(i) {
+                [] => CellRef::Null,
+                cell => CellRef::Enc(c.scheme(), c.key_id(), cell),
+            },
+            ColumnVec::Val(v) => (&v[i]).into(),
+        }
+    }
+
+    /// Fold the cells `rows` of this key column into `hashes`, the
+    /// running key hash of each of those rows: one typed loop per
+    /// representation, every cell read where it lies.
+    pub fn hash_keys(&self, rows: Range<usize>, seed: KeySeed, hashes: &mut [u64]) {
+        let hashes = hashes.iter_mut();
+        match self {
+            ColumnVec::Int(v) => {
+                (hashes.zip(&v[rows])).for_each(|(h, &i)| *h = seed.cell(*h, CellRef::Int(i)))
+            }
+            ColumnVec::Num(v) => {
+                (hashes.zip(&v[rows])).for_each(|(h, &f)| *h = seed.cell(*h, CellRef::Num(f)))
+            }
+            _ => hashes
+                .zip(rows)
+                .for_each(|(h, r)| *h = seed.cell(*h, self.cell_ref(r))),
+        }
+    }
+
     /// Whether cell `i` is NULL, without materializing it.
     pub fn is_null(&self, i: usize) -> bool {
-        match self {
-            ColumnVec::Int(_) | ColumnVec::Num(_) => false,
-            ColumnVec::Enc(c) => c.cell(i).is_empty(),
-            ColumnVec::Val(v) => v[i].is_null(),
-        }
+        matches!(self.cell_ref(i), CellRef::Null)
     }
 
     /// Whether cell `i` is a ciphertext, without materializing it.
     pub fn is_enc(&self, i: usize) -> bool {
-        match self {
-            ColumnVec::Int(_) | ColumnVec::Num(_) => false,
-            ColumnVec::Enc(c) => !c.cell(i).is_empty(),
-            ColumnVec::Val(v) => matches!(v[i], Value::Enc(_)),
-        }
+        matches!(self.cell_ref(i), CellRef::Enc(..))
     }
 
     /// The order a sort puts cells `i` and `j` in, read where they lie:
@@ -414,6 +495,15 @@ impl FromIterator<Value> for ColumnVec {
 }
 
 #[cfg(test)]
+impl KeySeed {
+    /// The seed under which every key hashes to 0: comparing cells in
+    /// place is then all that tells keys apart.
+    pub(crate) fn colliding() -> KeySeed {
+        KeySeed(0, 0)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
@@ -593,6 +683,51 @@ mod tests {
         assert_eq!(vals.sort_cmp(0, 1), Ordering::Greater);
         assert_eq!(vals.sort_cmp(1, 0), Ordering::Less);
         assert_eq!(vals.sort_cmp(0, 2), Ordering::Equal);
+    }
+
+    /// Cells that are equal as keys hash alike however their column
+    /// holds them — dense, general or one ciphertext buffer — and
+    /// whichever numeric representation they are in; unequal ones
+    /// (almost surely) do not.
+    #[test]
+    fn equal_keys_hash_alike_in_every_representation() {
+        let seed = KeySeed::default();
+        let hashed = |col: &ColumnVec| {
+            let mut hashes = vec![0; col.len()];
+            col.hash_keys(0..col.len(), seed, &mut hashes);
+            hashes
+        };
+        let ints = ColumnVec::from_ints(vec![0, 2, -7, i64::MAX]);
+        let nums = ColumnVec::from_nums(vec![-0.0, 2.0, -7.0, i64::MAX as f64]);
+        assert_eq!(hashed(&ints), hashed(&nums));
+        assert_eq!(
+            hashed(&ints),
+            hashed(&ColumnVec::Val(ints.clone().into_values()))
+        );
+        assert_eq!(
+            hashed(&nums),
+            hashed(&ColumnVec::Val(nums.clone().into_values()))
+        );
+        let rng = &mut StdRng::seed_from_u64(11);
+        let (enc, val) = both(&gen_cells(rng, 40, 3));
+        assert_eq!(hashed(&enc), hashed(&val));
+        // A slice hashes as the cells it holds.
+        let mut tail = vec![0; 10];
+        enc.hash_keys(30..40, seed, &mut tail);
+        assert_eq!(tail, hashed(&enc)[30..]);
+        // 2 and 2.5, "a" and "a\0", a date and its day count differ.
+        let apart = ColumnVec::Val(vec![
+            Value::Int(2),
+            Value::Num(2.5),
+            Value::str("a"),
+            Value::str("a\0"),
+            Value::Date(mpq_algebra::Date(2)),
+            Value::Null,
+        ]);
+        let mut hashes = hashed(&apart);
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), 6);
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! (udf, group-by, crypto). Expressions run a column at a time too
 //! ([`eval_mask`] / [`eval_column`]: a predicate is a mask over the
 //! batch, an aggregate input, udf body or sort key one column), reading
-//! cells where they lie. Only hash keys (join build and probe, group
-//! keys) still copy cells out, and the only row ever materialized is
+//! cells where they lie. Hash operators do too: ⋈, γ and
+//! `COUNT(DISTINCT)` hash key *columns* in typed loops into one
+//! `KeyTable` and compare candidates in place — a key cell is copied
+//! once per group, never for a join. The only row ever materialized is
 //! the temporary `combined` row a join's `residual` predicate is
 //! evaluated on — the one place the row walk survives in the engine.
 //!
@@ -33,18 +35,18 @@
 //! context to *hold* the cluster key ([`ExecError::MissingKey`]
 //! otherwise); homomorphic aggregation only needs the public half.
 
-use crate::batch::{ColumnVec, TableSchema, DEFAULT_BATCH_ROWS};
-use crate::eval::{cmp_values, eval_column, eval_mask, eval_pred, EvalError, RowCtx};
+use crate::batch::{ColumnVec, KeySeed, TableSchema, DEFAULT_BATCH_ROWS};
+use crate::eval::{cmp_cells, cmp_values, eval_column, eval_mask, eval_pred, EvalError, RowCtx};
 use crate::pool::WorkerPool;
 use crate::scheme::SchemePlan;
 use crate::table::{Database, Table};
 use mpq_algebra::expr::{AggExpr, AggFunc};
-use mpq_algebra::value::{EncScheme, EncValue, GroupKey};
+use mpq_algebra::value::{CellRef, EncScheme, EncValue};
 use mpq_algebra::{AttrId, AttrSet, CmpOp, Expr, JoinKind, NodeId, Operator, QueryPlan, Value};
 use mpq_crypto::keyring::KeyRing;
 use mpq_crypto::paillier::PaillierPublic;
 use mpq_crypto::schemes::{
-    decrypt_value, paillier_add_cells, paillier_finish, AggKind, ColumnCipher, EncryptError, RowRng,
+    decrypt_value, paillier_add_cell, paillier_finish, AggKind, ColumnCipher, EncryptError, RowRng,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -1001,16 +1003,10 @@ impl RowRng for SeededRows<'_> {
 fn encrypt_chunk(
     col: &ColumnVec,
     range: std::ops::Range<usize>,
-    plan: &CryptoPlan,
-    offsets: &Offsets<'_>,
+    cipher: &ColumnCipher,
+    rngs: impl RowRng,
 ) -> Result<ColumnVec, EncryptError> {
-    let mut run = plan.cipher.encryptor();
-    let rngs = SeededRows {
-        attr_seed: plan.attr_seed,
-        offsets,
-        chunk_start: range.start,
-        rng: None,
-    };
+    let mut run = cipher.encryptor();
     Ok(ColumnVec::Enc(match col {
         ColumnVec::Int(v) => run.encrypt_column(v[range].iter().map(|&i| Value::Int(i)), rngs),
         ColumnVec::Num(v) => run.encrypt_column(v[range].iter().map(|&f| Value::Num(f)), rngs),
@@ -1039,6 +1035,28 @@ fn decrypt_chunk(
     Ok(out)
 }
 
+fn crypto_error(e: EncryptError) -> ExecError {
+    ExecError::Crypto(e.to_string())
+}
+
+/// One column out of `cipher_chunk` over `0..len`: each pool chunk into
+/// a column of its own, the chunks appended in order, so worker count
+/// and batch size cannot move a byte.
+fn chunked_column(
+    pool: &WorkerPool,
+    len: usize,
+    min_chunk: usize,
+    cipher_chunk: impl Fn(std::ops::Range<usize>) -> Result<ColumnVec, EncryptError> + Sync,
+) -> Result<ColumnVec, ExecError> {
+    let chunks = pool.map_ranges(len, min_chunk, |range| {
+        cipher_chunk(range).map_err(crypto_error)
+    })?;
+    let mut chunks = chunks.into_iter();
+    let mut out = chunks.next().unwrap_or_default();
+    chunks.for_each(|chunk| out.append(chunk));
+    Ok(out)
+}
+
 /// Apply one attribute's cipher to its column(s) within a batch.
 ///
 /// The single-column case (the overwhelmingly common one) works chunk
@@ -1054,22 +1072,23 @@ fn apply_crypto_plan(
     offsets: &Offsets<'_>,
     pool: &WorkerPool,
 ) -> Result<(), ExecError> {
-    let crypto_error = |e: EncryptError| ExecError::Crypto(e.to_string());
     match plan.col_idxs.as_slice() {
         [] => Ok(()),
         [i] => {
             let col = &cols[*i];
-            let chunks = pool.map_ranges(col.len(), plan.min_chunk, |range| {
+            let out = chunked_column(pool, col.len(), plan.min_chunk, |range| {
                 if encrypt {
-                    encrypt_chunk(col, range, plan, offsets)
+                    let rngs = SeededRows {
+                        attr_seed: plan.attr_seed,
+                        offsets,
+                        chunk_start: range.start,
+                        rng: None,
+                    };
+                    encrypt_chunk(col, range, &plan.cipher, rngs)
                 } else {
                     decrypt_chunk(col, range, &plan.cipher)
                 }
-                .map_err(crypto_error)
             })?;
-            let mut chunks = chunks.into_iter();
-            let mut out = chunks.next().unwrap_or_default();
-            chunks.for_each(|chunk| out.append(chunk));
             cols[*i] = out;
             Ok(())
         }
@@ -1128,14 +1147,12 @@ pub(crate) type Form = Option<(EncScheme, u32)>;
 /// form-uniform (the engine encrypts and decrypts whole columns), the
 /// first non-NULL cell decides.
 fn column_form_of(col: &ColumnVec) -> Option<Form> {
-    match col {
-        ColumnVec::Int(_) | ColumnVec::Num(_) => (!col.is_empty()).then_some(None),
-        ColumnVec::Enc(c) => (!c.bytes().is_empty()).then_some(Some((c.scheme(), c.key_id()))),
-        ColumnVec::Val(vals) => vals.iter().find(|v| !v.is_null()).map(|v| match v {
-            Value::Enc(e) => Some((e.scheme, e.key_id)),
-            _ => None,
-        }),
-    }
+    let mut cells = (0..col.len()).map(|i| col.cell_ref(i));
+    cells.find_map(|cell| match cell {
+        CellRef::Null => None,
+        CellRef::Enc(scheme, key_id, _) => Some(Some((scheme, key_id))),
+        _ => Some(None),
+    })
 }
 
 /// Mixed-form reconciliation for one join condition (MPQ009): minimal
@@ -1183,32 +1200,135 @@ pub(crate) fn decide_form_fix(
     })
 }
 
-/// Apply a [`FormFix`] side to one cell: plaintext non-NULLs are
-/// encrypted for the comparison, everything else passes through
-/// untouched. The RNG is a formality — the fix only ever carries
-/// RNG-free schemes (Deterministic, OPE).
-pub(crate) fn fixed_cell(
-    cell: Value,
+/// A key column in the form it is compared in: under a [`FormFix`]
+/// cipher a plaintext column is encrypted whole — once per probe batch,
+/// once for the build table — instead of cell by cell per candidate.
+/// The fix only ever carries RNG-free schemes (Deterministic, OPE), so
+/// the generator is a formality; an encrypted column passes as it is.
+fn fixed_column<'a>(
+    col: &'a ColumnVec,
     fix: Option<&ColumnCipher>,
-    rng: &mut StdRng,
-) -> Result<Value, ExecError> {
-    match fix {
-        Some(cipher) if !cell.is_null() && !matches!(cell, Value::Enc(_)) => cipher
-            .encrypt(rng, &cell)
-            .map_err(|e| ExecError::Crypto(e.to_string())),
-        _ => Ok(cell),
+    pool: &WorkerPool,
+) -> Result<Cow<'a, ColumnVec>, ExecError> {
+    match (fix, col) {
+        (None, _) | (_, ColumnVec::Enc(_)) => Ok(Cow::Borrowed(col)),
+        (Some(cipher), _) => chunked_column(pool, col.len(), MIN_CHUNK_SYM, |range| {
+            encrypt_chunk(col, range, cipher, &mut StdRng::seed_from_u64(0))
+        })
+        .map(Cow::Owned),
     }
 }
 
-/// One join condition's runtime state: column indices plus the lazily
-/// decided mixed-form fix. A fix stays undecided while the probe side
-/// has produced no non-NULL cell in its key column — rows with NULL
-/// keys never match, so an undecided fix is never *needed*.
+// ---------------------------------------------------------------------------
+// The key table
+// ---------------------------------------------------------------------------
+
+/// No entry: the end of a bucket's chain.
+const NONE: u32 = u32::MAX;
+
+/// Key hash → entries, and no key: what an entry *is* — a build row of
+/// a join, a group of a γ, a distinct cell — its user knows, and
+/// compares with a candidate where both lie ([`CellRef::key_eq`]).
+/// Entries are numbered in the order they were added and chained per
+/// bucket through `next`; the hashes arrive from outside
+/// ([`hash_rows`]), so nothing here depends on their quality but speed.
+pub(crate) struct KeyTable {
+    seed: KeySeed,
+    /// Per bucket (a power of two of them) its first entry, or [`NONE`].
+    heads: Vec<u32>,
+    /// Per entry the next one in its bucket, or [`NONE`].
+    next: Vec<u32>,
+    /// Per entry its key hash.
+    hashes: Vec<u64>,
+}
+
+impl Default for KeyTable {
+    fn default() -> KeyTable {
+        KeyTable::new(KeySeed::default(), Vec::new())
+    }
+}
+
+impl KeyTable {
+    /// A table of one entry per hash, at most half full. Chains run in
+    /// entry order: a join's candidates in build-row order.
+    fn new(seed: KeySeed, hashes: Vec<u64>) -> KeyTable {
+        let mut table = KeyTable {
+            seed,
+            heads: vec![NONE; (hashes.len() * 2).next_power_of_two().max(16)],
+            next: vec![NONE; hashes.len()],
+            hashes,
+        };
+        (0..table.next.len())
+            .rev()
+            .for_each(|entry| table.link(entry));
+        table
+    }
+
+    /// Put `entry` at the head of its hash's bucket.
+    fn link(&mut self, entry: usize) {
+        assert!(entry < NONE as usize, "a key table holds under 2³² entries");
+        let bucket = self.hashes[entry] as usize & (self.heads.len() - 1);
+        self.next[entry] = self.heads[bucket];
+        self.heads[bucket] = entry as u32;
+    }
+
+    /// Add the next entry under `hash` — into a table of twice the
+    /// size once this one is full; returns the entry's number.
+    fn push(&mut self, hash: u64) -> usize {
+        let entry = self.hashes.len();
+        self.hashes.push(hash);
+        if entry < self.heads.len() {
+            self.next.push(NONE);
+            self.link(entry);
+        } else {
+            *self = KeyTable::new(self.seed, std::mem::take(&mut self.hashes));
+        }
+        entry
+    }
+
+    /// The entries whose hash is `hash`: the candidates a key with
+    /// that hash is compared with.
+    fn chain(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let mut at = self.heads[hash as usize & (self.heads.len() - 1)];
+        std::iter::from_fn(move || {
+            while at != NONE {
+                let entry = at as usize;
+                at = self.next[entry];
+                if self.hashes[entry] == hash {
+                    return Some(entry);
+                }
+            }
+            None
+        })
+    }
+}
+
+/// The key hash of each of `rows` over the key columns `keys`, a column
+/// at a time.
+fn hash_rows<'a>(
+    keys: impl IntoIterator<Item = &'a ColumnVec>,
+    seed: KeySeed,
+    rows: std::ops::Range<usize>,
+) -> Vec<u64> {
+    let mut hashes = vec![0; rows.len()];
+    for col in keys {
+        col.hash_keys(rows.clone(), seed, &mut hashes);
+    }
+    hashes
+}
+
+/// One join condition's runtime state: column indices, the lazily
+/// decided mixed-form fix and — when the fix falls on the build side —
+/// that side's key column encrypted for the comparison. A fix stays
+/// undecided while the probe side has produced no non-NULL cell in its
+/// key column — rows with NULL keys never match, so an undecided fix is
+/// never *needed*.
 struct JoinCond {
     lc: usize,
     op: CmpOp,
     rc: usize,
     fix: Option<FormFix>,
+    rfixed: Option<ColumnVec>,
 }
 
 impl JoinCond {
@@ -1216,10 +1336,16 @@ impl JoinCond {
         self.fix.as_ref().and_then(|f| f.0.as_ref())
     }
 
-    fn rfix(&self) -> Option<&ColumnCipher> {
-        self.fix.as_ref().and_then(|f| f.1.as_ref())
+    /// The build side's key column as it is compared.
+    fn build_col<'a>(&'a self, rt: &'a Table) -> &'a ColumnVec {
+        self.rfixed.as_ref().unwrap_or(rt.column(self.rc))
     }
 }
+
+/// One condition as [`probe_batch`] reads it: the probe side's key
+/// column, the operator, the build side's key column — both columns in
+/// the form they are compared in.
+type CondSides<'a> = (&'a ColumnVec, CmpOp, &'a ColumnVec);
 
 fn join_stream<'p>(
     kind: JoinKind,
@@ -1243,6 +1369,7 @@ fn join_stream<'p>(
                     .col_index(*r)
                     .ok_or_else(|| ExecError::Unsupported(format!("join key {r} missing")))?,
                 fix: None,
+                rfixed: None,
             })
         })
         .collect::<Result<_, ExecError>>()?;
@@ -1262,7 +1389,7 @@ fn join_stream<'p>(
     let schema = out_schema.clone();
     let mut right = Some(right);
     let mut right_tab: Option<Table> = None;
-    let mut hash: Option<HashMap<Vec<GroupKey>, Vec<usize>>> = None;
+    let mut hash: Option<KeyTable> = None;
     Ok(BatchStream {
         schema: out_schema,
         next: Box::new(move || {
@@ -1287,10 +1414,10 @@ fn join_stream<'p>(
                     let Some(lform) = column_form_of(lbatch.column(cond.lc)) else {
                         continue;
                     };
-                    let rform = column_form_of(rt.column(cond.rc));
+                    let rcol = rt.column(cond.rc);
                     // Match the row engine: a side with no non-NULL
                     // cells contributes no form and triggers no fix.
-                    let fix = match rform {
+                    let fix = match column_form_of(rcol) {
                         None => (None, None),
                         Some(rform) => decide_form_fix(
                             lform,
@@ -1301,34 +1428,41 @@ fn join_stream<'p>(
                             ctx,
                         )?,
                     };
+                    if let Cow::Owned(fixed) = fixed_column(rcol, fix.1.as_ref(), &ctx.pool)? {
+                        cond.rfixed = Some(fixed);
+                    }
                     cond.fix = Some(fix);
                 }
-                let eq_conds: Vec<&JoinCond> =
-                    conds.iter().filter(|c| c.op.is_equality()).collect();
-                let other_conds: Vec<&JoinCond> =
-                    conds.iter().filter(|c| !c.op.is_equality()).collect();
+                // Both sides' key columns as compared, the probe
+                // side's fixed once for the batch.
+                let lcols = (conds.iter())
+                    .map(|c| fixed_column(lbatch.column(c.lc), c.lfix(), &ctx.pool))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let sides = (conds.iter().zip(&lcols)).map(|(c, l)| (&**l, c.op, c.build_col(rt)));
+                let (eq, other): (Vec<CondSides<'_>>, Vec<_>) =
+                    sides.partition(|(_, op, _)| op.is_equality());
                 // Hash build: deferred until some probe row actually
                 // has all its equality keys non-NULL (at which point
                 // every equality fix is decided — those very cells
                 // decided them).
-                if hash.is_none() && !eq_conds.is_empty() {
-                    let needed = (0..lbatch.len())
-                        .any(|r| eq_conds.iter().all(|c| !lbatch.column(c.lc).is_null(r)));
+                if hash.is_none() && !eq.is_empty() {
+                    let needed =
+                        (0..lbatch.len()).any(|r| eq.iter().all(|(l, _, _)| !l.is_null(r)));
                     if needed {
-                        hash = Some(build_hash(rt, &eq_conds, ctx)?);
+                        hash = Some(build_hash(&eq));
                     }
                 }
-                let pairs = probe_batch(
+                let probe = Probe {
                     kind,
-                    &lbatch,
+                    lbatch: &lbatch,
                     rt,
-                    hash.as_ref(),
-                    &eq_conds,
-                    &other_conds,
+                    hash: hash.as_ref(),
+                    eq: &eq,
+                    other: &other,
                     residual,
-                    &combined_attrs,
-                    ctx,
-                )?;
+                    combined_attrs: &combined_attrs,
+                };
+                let pairs = probe_batch(&probe, &ctx.pool)?;
                 if pairs.is_empty() {
                     continue;
                 }
@@ -1345,47 +1479,33 @@ fn join_stream<'p>(
     })
 }
 
-/// Build the hash table over the right side's equality keys in
-/// parallel chunks (cloning cells into `GroupKey`s is the expensive
-/// part), inserting sequentially — chunk outputs concatenate in row
-/// order, so every key's candidate list stays sorted by row index
-/// exactly as a sequential build produces it. Hashing works for
-/// deterministic ciphertexts: equality is byte-wise.
-fn build_hash(
-    rt: &Table,
-    eq_conds: &[&JoinCond],
-    ctx: &ExecCtx<'_>,
-) -> Result<HashMap<Vec<GroupKey>, Vec<usize>>, ExecError> {
-    let chunks = ctx.pool.map_ranges(rt.len(), MIN_CHUNK_ROWS, |range| {
-        let mut rng = StdRng::seed_from_u64(0);
-        range
-            .map(|ri| {
-                let key: Vec<GroupKey> = eq_conds
-                    .iter()
-                    .map(|c| {
-                        Ok(GroupKey(fixed_cell(
-                            rt.value(c.rc, ri),
-                            c.rfix(),
-                            &mut rng,
-                        )?))
-                    })
-                    .collect::<Result<_, ExecError>>()?;
-                // SQL semantics: NULL join keys never match.
-                Ok(if key.iter().any(|k| k.0.is_null()) {
-                    None
-                } else {
-                    Some(key)
-                })
-            })
-            .collect::<Result<Vec<Option<Vec<GroupKey>>>, ExecError>>()
-    })?;
-    let mut hash: HashMap<Vec<GroupKey>, Vec<usize>> = HashMap::new();
-    for (ri, key) in chunks.into_iter().flatten().enumerate() {
-        if let Some(key) = key {
-            hash.entry(key).or_default().push(ri);
-        }
-    }
-    Ok(hash)
+/// Build the key table over the right side's equality key columns,
+/// hashed a column at a time and linked in one pass — no key is
+/// copied, the build table holds them. A row with a NULL key is
+/// chained like any other and equals no key a probe row asks for (SQL
+/// semantics: NULL join keys never match).
+fn build_hash(eq: &[CondSides<'_>]) -> KeyTable {
+    let seed = KeySeed::default();
+    let rows = eq.first().map_or(0, |(_, _, r)| r.len());
+    KeyTable::new(
+        seed,
+        hash_rows(eq.iter().map(|(_, _, r)| *r), seed, 0..rows),
+    )
+}
+
+/// What [`probe_batch`] reads: a probe batch and the materialized build
+/// side, the equality conditions and the key table over their build
+/// columns — absent while no probe row has needed it — and the
+/// conditions every candidate is then held to.
+struct Probe<'a> {
+    kind: JoinKind,
+    lbatch: &'a Table,
+    rt: &'a Table,
+    hash: Option<&'a KeyTable>,
+    eq: &'a [CondSides<'a>],
+    other: &'a [CondSides<'a>],
+    residual: Option<&'a Expr>,
+    combined_attrs: &'a [AttrId],
 }
 
 /// Probe one left batch against the materialized right side: the
@@ -1395,61 +1515,36 @@ fn build_hash(
 /// report the left row only. Per-chunk outputs concatenate in chunk
 /// order, candidates in build order, so the pair order is identical to
 /// a sequential left-to-right probe.
-#[allow(clippy::too_many_arguments)]
-fn probe_batch(
-    kind: JoinKind,
-    lbatch: &Table,
-    rt: &Table,
-    hash: Option<&HashMap<Vec<GroupKey>, Vec<usize>>>,
-    eq_conds: &[&JoinCond],
-    other_conds: &[&JoinCond],
-    residual: Option<&Expr>,
-    combined_attrs: &[AttrId],
-    ctx: &ExecCtx<'_>,
-) -> Result<Vec<(usize, Option<usize>)>, ExecError> {
-    let chunks = ctx.pool.map_ranges(lbatch.len(), MIN_CHUNK_ROWS, |range| {
-        let mut rng = StdRng::seed_from_u64(0);
+fn probe_batch(p: &Probe<'_>, pool: &WorkerPool) -> Result<Vec<(usize, Option<usize>)>, ExecError> {
+    let chunks = pool.map_ranges(p.lbatch.len(), MIN_CHUNK_ROWS, |range| {
         let mut out = Vec::with_capacity(range.len());
-        for li in range {
+        let lkeys = p.eq.iter().map(|(l, _, _)| *l);
+        let hashes = (p.hash).map(|table| hash_rows(lkeys, table.seed, range.clone()));
+        for li in range.clone() {
             let mut matched = false;
-            let candidates: Box<dyn Iterator<Item = usize>> = if eq_conds.is_empty() {
-                Box::new(0..rt.len())
-            } else {
-                let key: Vec<GroupKey> = eq_conds
-                    .iter()
-                    .map(|c| {
-                        Ok(GroupKey(fixed_cell(
-                            lbatch.value(c.lc, li),
-                            c.lfix(),
-                            &mut rng,
-                        )?))
-                    })
-                    .collect::<Result<_, ExecError>>()?;
-                if key.iter().any(|k| k.0.is_null()) {
-                    Box::new(std::iter::empty())
-                } else {
-                    match hash.and_then(|h| h.get(&key)) {
-                        Some(v) => Box::new(v.iter().copied()),
-                        None => Box::new(std::iter::empty()),
-                    }
-                }
-            };
-            for ri in candidates {
+            // Without an equality every build row is a candidate;
+            // with one, the rows the key table chains under this row's
+            // hash that hold this row's key (a NULL key has none).
+            let all = p.eq.is_empty().then_some(0..p.rt.len());
+            let keyed = p.eq.iter().all(|(l, _, _)| !l.is_null(li));
+            let same = |l: &ColumnVec, r: &ColumnVec, ri| l.cell_ref(li).key_eq(r.cell_ref(ri));
+            let held = move |ri: &usize| p.eq.iter().all(|(l, _, r)| same(l, r, *ri));
+            let chained = (p.hash.zip(hashes.as_ref()).filter(|_| keyed))
+                .map(|(table, hashes)| table.chain(hashes[li - range.start]).filter(held));
+            for ri in (all.into_iter().flatten()).chain(chained.into_iter().flatten()) {
                 // Non-equality join conditions.
                 let mut ok = true;
-                for c in other_conds {
-                    let lv = fixed_cell(lbatch.value(c.lc, li), c.lfix(), &mut rng)?;
-                    let rv = fixed_cell(rt.value(c.rc, ri), c.rfix(), &mut rng)?;
-                    if cmp_values(&lv, c.op, &rv)? != Some(true) {
+                for (l, op, r) in p.other {
+                    if cmp_cells(l, li, *op, r, ri)? != Some(true) {
                         ok = false;
                         break;
                     }
                 }
                 if ok {
-                    if let Some(resid) = residual {
-                        let mut combined = lbatch.row(li);
-                        combined.extend(rt.row(ri));
-                        ok = eval_pred(resid, &RowCtx::plain(combined_attrs, &combined))?
+                    if let Some(resid) = p.residual {
+                        let mut combined = p.lbatch.row(li);
+                        combined.extend(p.rt.row(ri));
+                        ok = eval_pred(resid, &RowCtx::plain(p.combined_attrs, &combined))?
                             == Some(true);
                     }
                 }
@@ -1457,12 +1552,12 @@ fn probe_batch(
                     continue;
                 }
                 matched = true;
-                match kind {
+                match p.kind {
                     JoinKind::Inner | JoinKind::LeftOuter => out.push((li, Some(ri))),
                     JoinKind::Semi | JoinKind::Anti => break,
                 }
             }
-            let emit_left = match kind {
+            let emit_left = match p.kind {
                 JoinKind::Inner => false,
                 JoinKind::LeftOuter | JoinKind::Anti => !matched,
                 JoinKind::Semi => matched,
@@ -1480,9 +1575,29 @@ fn probe_batch(
 // Aggregation
 // ---------------------------------------------------------------------------
 
+/// The distinct non-NULL cells one `COUNT(DISTINCT)` group has seen: a
+/// key table over the cells it keeps.
+#[derive(Default)]
+pub(crate) struct Distinct {
+    table: KeyTable,
+    cells: ColumnVec,
+}
+
+impl Distinct {
+    fn insert(&mut self, v: Value) {
+        let cell = CellRef::from(&v);
+        let hash = self.table.seed.cell(0, cell);
+        let seen = |e| self.cells.cell_ref(e).key_eq(cell);
+        if !self.table.chain(hash).any(seen) {
+            self.table.push(hash);
+            self.cells.push(v);
+        }
+    }
+}
+
 pub(crate) enum AggAcc {
     Count(i64),
-    CountDistinct(std::collections::HashSet<GroupKey>),
+    CountDistinct(Box<Distinct>),
     /// Plaintext sum: integer and float accumulators, plus whether any
     /// float was seen and how many non-null terms were added.
     Sum {
@@ -1496,7 +1611,6 @@ pub(crate) enum AggAcc {
     /// addition (it carries the cached Montgomery context for `n²`).
     SumEnc {
         acc: Option<EncValue>,
-        count: u64,
         pk: Option<std::sync::Arc<PaillierPublic>>,
     },
     MinMax {
@@ -1514,7 +1628,6 @@ impl AggAcc {
                 if encrypted {
                     AggAcc::SumEnc {
                         acc: None,
-                        count: 0,
                         pk: None,
                     }
                 } else {
@@ -1537,70 +1650,103 @@ impl AggAcc {
         }
     }
 
+    /// Add one cell. What the typed folds of γ reach cell by cell —
+    /// an integer, a numeric, a Paillier ciphertext's bytes — has an
+    /// entry of its own below; this one sorts a [`Value`] onto them.
     pub(crate) fn update(&mut self, v: Value, keys: &KeyRing) -> Result<(), ExecError> {
-        if v.is_null() {
-            return Ok(());
+        match v {
+            Value::Null => Ok(()),
+            Value::Int(i) => self.add_int(i),
+            Value::Num(f) => self.add_num(f),
+            Value::Enc(e) if e.scheme == EncScheme::Paillier => {
+                self.add_paillier(e.key_id, &e.bytes, keys)
+            }
+            other => self.add_other(other),
         }
+    }
+
+    #[inline]
+    fn add_int(&mut self, i: i64) -> Result<(), ExecError> {
         match self {
             AggAcc::Count(c) => *c += 1,
-            AggAcc::CountDistinct(set) => {
-                set.insert(GroupKey(v));
+            AggAcc::Sum { int, count, .. } => {
+                *int = int.checked_add(i).ok_or_else(|| {
+                    EvalError::Overflow(format!("SUM of integers past {int} + {i}"))
+                })?;
+                *count += 1;
             }
+            _ => return self.add_other(Value::Int(i)),
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn add_num(&mut self, f: f64) -> Result<(), ExecError> {
+        match self {
+            AggAcc::Count(c) => *c += 1,
             AggAcc::Sum {
-                int,
                 num,
                 saw_num,
                 count,
-            } => match v {
-                Value::Int(i) => {
-                    *int = int.checked_add(i).ok_or_else(|| {
-                        EvalError::Overflow(format!("SUM of integers past {int} + {i}"))
-                    })?;
-                    *count += 1;
-                }
-                Value::Num(f) => {
-                    *num += f;
-                    *saw_num = true;
-                    *count += 1;
-                }
-                Value::Enc(_) => {
-                    return Err(ExecError::Unsupported(
-                        "mixed plaintext/ciphertext aggregation".into(),
-                    ))
-                }
-                other => {
-                    return Err(ExecError::Eval(EvalError::TypeError(format!(
-                        "SUM over {other:?}"
-                    ))))
-                }
-            },
-            AggAcc::SumEnc { acc, count, pk } => match v {
-                Value::Enc(cell) if cell.scheme == EncScheme::Paillier => {
-                    if pk.is_none() {
-                        *pk = Some(keys.get_public(cell.key_id).ok_or(ExecError::MissingKey {
-                            attr: AttrId(u32::MAX),
-                            key_id: cell.key_id,
-                        })?);
+                ..
+            } => {
+                *num += f;
+                *saw_num = true;
+                *count += 1;
+            }
+            _ => return self.add_other(Value::Num(f)),
+        }
+        Ok(())
+    }
+
+    /// A non-NULL Paillier cell under `key_id`, read where it lies.
+    fn add_paillier(&mut self, key_id: u32, cell: &[u8], keys: &KeyRing) -> Result<(), ExecError> {
+        let owned = || EncValue {
+            scheme: EncScheme::Paillier,
+            key_id,
+            bytes: cell.into(),
+        };
+        let AggAcc::SumEnc { acc, pk } = self else {
+            return self.add_other(Value::Enc(owned()));
+        };
+        if pk.is_none() {
+            *pk = Some(keys.get_public(key_id).ok_or(ExecError::MissingKey {
+                attr: AttrId(u32::MAX),
+                key_id,
+            })?);
+        }
+        let pk = pk.as_ref().expect("resolved above");
+        *acc = Some(match acc.take() {
+            None => owned(),
+            Some(prev) => paillier_add_cell(&prev, key_id, cell, pk).map_err(crypto_error)?,
+        });
+        Ok(())
+    }
+
+    /// Every pairing of accumulator and non-NULL cell the entries above
+    /// leave over.
+    fn add_other(&mut self, v: Value) -> Result<(), ExecError> {
+        match self {
+            AggAcc::Count(c) => *c += 1,
+            AggAcc::CountDistinct(set) => set.insert(v),
+            AggAcc::Sum { .. } => {
+                return Err(match v {
+                    Value::Enc(_) => {
+                        ExecError::Unsupported("mixed plaintext/ciphertext aggregation".into())
                     }
-                    let pk = pk.as_ref().expect("resolved above");
-                    *acc = Some(match acc.take() {
-                        None => cell,
-                        Some(prev) => paillier_add_cells(&prev, &cell, pk)
-                            .map_err(|e| ExecError::Crypto(e.to_string()))?,
-                    });
-                    *count += 1;
-                }
-                Value::Enc(_) => {
-                    return Err(ExecError::Eval(EvalError::EncryptedOperation(
+                    other => EvalError::TypeError(format!("SUM over {other:?}")).into(),
+                })
+            }
+            AggAcc::SumEnc { .. } => {
+                return Err(match v {
+                    Value::Enc(_) => ExecError::Eval(EvalError::EncryptedOperation(
                         "SUM over non-Paillier ciphertext".into(),
-                    )))
-                }
-                other => {
-                    return Err(ExecError::Unsupported(format!(
+                    )),
+                    other => ExecError::Unsupported(format!(
                         "mixed plaintext/ciphertext aggregation over {other:?}"
-                    )))
-                }
-            },
+                    )),
+                })
+            }
             AggAcc::MinMax { best, is_min } => {
                 let replace = match best {
                     None => true,
@@ -1620,7 +1766,7 @@ impl AggAcc {
     pub(crate) fn finish(self, func: AggFunc) -> Result<Value, ExecError> {
         Ok(match self {
             AggAcc::Count(c) => Value::Int(c),
-            AggAcc::CountDistinct(set) => Value::Int(set.len() as i64),
+            AggAcc::CountDistinct(set) => Value::Int(set.cells.len() as i64),
             AggAcc::Sum {
                 int,
                 num,
@@ -1643,7 +1789,7 @@ impl AggAcc {
                     }
                 }
             }
-            AggAcc::SumEnc { acc, count, .. } => match acc {
+            AggAcc::SumEnc { acc, .. } => match acc {
                 None => Value::Null,
                 Some(cell) => {
                     let kind = if func == AggFunc::Avg {
@@ -1651,11 +1797,7 @@ impl AggAcc {
                     } else {
                         AggKind::Sum
                     };
-                    let _ = count;
-                    Value::Enc(
-                        paillier_finish(&cell, kind)
-                            .map_err(|e| ExecError::Crypto(e.to_string()))?,
-                    )
+                    Value::Enc(paillier_finish(&cell, kind).map_err(crypto_error)?)
                 }
             },
             AggAcc::MinMax { best, .. } => best.unwrap_or(Value::Null),
@@ -1663,10 +1805,67 @@ impl AggAcc {
     }
 }
 
-/// Hash aggregation over the child stream: one accumulator row per
-/// group — memory is bounded by the number of groups, never the input
-/// size. Group ordering is first-seen order, identical to a sequential
-/// row-at-a-time scan.
+/// Pass 1 of γ over one batch: each row's group id. A row whose key no
+/// group holds opens the next one — numbered in first-seen order — and
+/// its key cells are the only ones ever copied, onto `group_keys`.
+fn group_ids(
+    table: &mut KeyTable,
+    group_keys: &mut [ColumnVec],
+    keys: &[&ColumnVec],
+    hashes: &[u64],
+) -> Vec<u32> {
+    let ids = hashes.iter().enumerate().map(|(r, &hash)| {
+        let same = |&g: &usize| {
+            (keys.iter().zip(&*group_keys)).all(|(k, held)| k.cell_ref(r).key_eq(held.cell_ref(g)))
+        };
+        let group = table.chain(hash).find(same);
+        group.unwrap_or_else(|| {
+            for (col, key) in group_keys.iter_mut().zip(keys) {
+                col.push(key.get(r));
+            }
+            table.push(hash)
+        }) as u32
+    });
+    ids.collect()
+}
+
+/// Pass 2 of γ for one aggregate: fold its input column into the
+/// accumulators `gid` names, row by row in row order — sums and
+/// Paillier products come out bit for bit as a row-at-a-time scan's —
+/// in a typed loop per representation. Fails with the first row an
+/// accumulator refuses.
+fn fold(
+    accs: &mut [AggAcc],
+    col: &ColumnVec,
+    gid: &[u32],
+    keys: &KeyRing,
+) -> Result<(), (usize, ExecError)> {
+    let mut rows = gid.iter().map(|&g| g as usize).enumerate();
+    match col {
+        ColumnVec::Int(v) => {
+            (rows.zip(v)).try_for_each(|((r, g), &i)| accs[g].add_int(i).map_err(|e| (r, e)))
+        }
+        ColumnVec::Num(v) => {
+            (rows.zip(v)).try_for_each(|((r, g), &f)| accs[g].add_num(f).map_err(|e| (r, e)))
+        }
+        ColumnVec::Enc(c) if c.scheme() == EncScheme::Paillier => {
+            rows.try_for_each(|(r, g)| match c.cell(r) {
+                [] => Ok(()),
+                cell => accs[g]
+                    .add_paillier(c.key_id(), cell, keys)
+                    .map_err(|e| (r, e)),
+            })
+        }
+        _ => rows.try_for_each(|(r, g)| accs[g].update(col.get(r), keys).map_err(|e| (r, e))),
+    }
+}
+
+/// Hash aggregation over the child stream, each batch in two column
+/// passes: [`group_ids`] assigns every row its group, [`fold`] folds
+/// each aggregate's input column by group id. One accumulator per
+/// group and aggregate, one owned key per group — memory is bounded by
+/// the number of groups, never the input size. Group ordering is
+/// first-seen order, identical to a sequential row-at-a-time scan.
 fn group_by_stream(
     keys: &[AttrId],
     aggs: &[AggExpr],
@@ -1684,70 +1883,68 @@ fn group_by_stream(
         })
         .collect::<Result<_, _>>()?;
 
-    // Stable group ordering: remember first-seen order.
-    let mut order: Vec<Vec<GroupKey>> = Vec::new();
-    let mut groups: HashMap<Vec<GroupKey>, Vec<AggAcc>> = HashMap::new();
-    let mut saw_rows = false;
+    let mut table = KeyTable::default();
+    // Per key the groups' cells, per aggregate the groups' accumulators.
+    let mut group_keys = vec![ColumnVec::new(); keys.len()];
+    let mut accs: Vec<Vec<AggAcc>> = aggs.iter().map(|_| Vec::new()).collect();
+    let mut groups = 0;
 
     while let Some(batch) = child.pull()? {
-        let cols = batch.columns();
         // Every aggregate's input, once per batch. A row an input fails
         // on is refused when the scan reaches it — an accumulator may
         // refuse an earlier one first.
         let inputs: Vec<_> = (aggs.iter())
             .map(|ag| eval_column(&ag.input, &batch, None))
             .collect();
-        let refused = |k: usize, r: usize| match &inputs[k].1 {
-            Some((row, e)) if *row == r => Err(ExecError::Eval(e.clone())),
-            _ => Ok(()),
-        };
-        for r in 0..batch.len() {
-            saw_rows = true;
-            let gk: Vec<GroupKey> = key_idx.iter().map(|&i| GroupKey(cols[i].get(r))).collect();
-            let accs = match groups.get_mut(&gk) {
-                Some(a) => a,
-                None => {
-                    order.push(gk.clone());
-                    let accs = aggs
-                        .iter()
-                        .enumerate()
-                        .map(|(k, ag)| {
-                            // Peek the first input value to pick the
-                            // plaintext vs homomorphic accumulator.
-                            refused(k, r)?;
-                            Ok(AggAcc::new(ag.func, inputs[k].0.is_enc(r)))
-                        })
-                        .collect::<Result<Vec<_>, ExecError>>()?;
-                    groups.entry(gk.clone()).or_insert(accs)
+        let key_cols: Vec<&ColumnVec> = key_idx.iter().map(|&i| batch.column(i)).collect();
+        let hashes = hash_rows(key_cols.iter().copied(), table.seed, 0..batch.len());
+        let gid = group_ids(&mut table, &mut group_keys, &key_cols, &hashes);
+        // The rows that opened a group, in order: each picks its
+        // group's accumulators, plaintext or homomorphic, by a peek at
+        // its own input cells.
+        let mut opened = Vec::new();
+        for (r, &g) in gid.iter().enumerate() {
+            if g as usize == groups {
+                groups += 1;
+                opened.push(r);
+                for ((ag, (input, _)), accs) in aggs.iter().zip(&inputs).zip(&mut accs) {
+                    accs.push(AggAcc::new(ag.func, input.is_enc(r)));
                 }
-            };
-            for (k, acc) in accs.iter_mut().enumerate() {
-                refused(k, r)?;
-                acc.update(inputs[k].0.get(r), ctx.keys)?;
             }
+        }
+        // The error a row-major scan meets first: on the earliest
+        // failing row — where a row that opens a group has every input
+        // checked before any accumulator runs — the first failing
+        // aggregate's.
+        let mut failed: Vec<((usize, bool, usize), ExecError)> = Vec::new();
+        for (k, ((input, refused), accs)) in inputs.iter().zip(&mut accs).enumerate() {
+            let valid = refused.as_ref().map_or(batch.len(), |(row, _)| *row);
+            if let Some((row, e)) = refused {
+                let running = opened.binary_search(row).is_err();
+                failed.push(((*row, running, k), e.clone().into()));
+            }
+            if let Err((row, e)) = fold(accs, input, &gid[..valid], ctx.keys) {
+                failed.push(((row, true, k), e));
+            }
+        }
+        if let Some((_, e)) = failed.into_iter().min_by_key(|(at, _)| *at) {
+            return Err(e);
         }
     }
 
     // Scalar aggregation over an empty input: one row of defaults.
-    if keys.is_empty() && !saw_rows {
-        let gk: Vec<GroupKey> = Vec::new();
-        order.push(gk.clone());
-        groups.insert(
-            gk,
-            aggs.iter().map(|ag| AggAcc::new(ag.func, false)).collect(),
-        );
+    if keys.is_empty() && groups == 0 {
+        for (ag, accs) in aggs.iter().zip(&mut accs) {
+            accs.push(AggAcc::new(ag.func, false));
+        }
     }
 
-    // One output column per key and per aggregate, filled group by
-    // group in first-seen order.
-    let mut cols = vec![ColumnVec::new(); out_schema.len()];
-    for gk in order {
-        let accs = groups.remove(&gk).expect("group recorded");
-        let key_cells = gk.into_iter().map(|k| Ok(k.0));
-        let agg_cells = aggs.iter().zip(accs).map(|(ag, acc)| acc.finish(ag.func));
-        for (col, cell) in cols.iter_mut().zip(key_cells.chain(agg_cells)) {
-            col.push(cell?);
-        }
+    // The key columns as the groups were opened, then one column per
+    // aggregate out of its accumulators.
+    let mut cols = group_keys;
+    for (ag, accs) in aggs.iter().zip(accs) {
+        let cells = accs.into_iter().map(|acc| acc.finish(ag.func));
+        cols.push(cells.collect::<Result<_, _>>()?);
     }
     Ok(Table::from_columns(out_schema, cols))
 }
@@ -2069,6 +2266,78 @@ mod tests {
                 assert!(outer.column(1).as_ints().is_none(), "pads degrade C");
                 assert_eq!(outer.to_rows(), outer_rows);
             }
+        }
+    }
+
+    /// The key table under the seed that hashes every key to 0: one
+    /// chain holds everything, so comparing cells where they lie is
+    /// all that carries γ's group ids and ⋈'s pairs — through a table
+    /// that outgrows its buckets on the way.
+    #[test]
+    fn all_equal_hashes_leave_correctness_to_the_comparison() {
+        let seed = KeySeed::colliding();
+        let mixed = |i: i64| match i % 5 {
+            0 => Value::Null,
+            1 => Value::str(&format!("s{}", i % 40)),
+            2 => Value::Num((i % 40) as f64),
+            _ => Value::Int(i % 40),
+        };
+        let keys = [
+            (0..300).map(mixed).collect::<ColumnVec>(),
+            ColumnVec::from_ints((0..300).map(|i| i % 3).collect()),
+        ];
+        let key_cols: Vec<&ColumnVec> = keys.iter().collect();
+        let same = |a: usize, b: usize| keys.iter().all(|k| k.cell_ref(a).key_eq(k.cell_ref(b)));
+
+        // γ: a row's group is the first row holding its key, groups
+        // numbered as they open.
+        let hashes = hash_rows(key_cols.iter().copied(), seed, 0..300);
+        assert!(hashes.iter().all(|&h| h == 0));
+        let mut table = KeyTable::new(seed, Vec::new());
+        let mut group_keys = vec![ColumnVec::new(); 2];
+        let gid = group_ids(&mut table, &mut group_keys, &key_cols, &hashes);
+        let mut firsts: Vec<usize> = Vec::new();
+        for r in 0..300 {
+            let g = firsts.iter().position(|&first| same(first, r));
+            let g = g.unwrap_or_else(|| {
+                firsts.push(r);
+                firsts.len() - 1
+            });
+            assert_eq!(gid[r] as usize, g, "row {r}");
+        }
+        assert!(firsts.len() > 64, "the table grew twice");
+        for (held, key) in group_keys.iter().zip(&keys) {
+            assert_eq!(*held, key.gather(&firsts));
+        }
+
+        // ⋈ on the first key column against itself: probe order × build
+        // order, NULL keys matching nothing.
+        let table_of =
+            |col: &ColumnVec| Table::from_columns(vec![AttrId(0)].into(), vec![col.clone()]);
+        let (lbatch, rt) = (table_of(&keys[0]), table_of(&keys[0]));
+        let eq = [(&keys[0], CmpOp::Eq, &keys[0])];
+        let built = KeyTable::new(seed, hash_rows([&keys[0]], seed, 0..300));
+        let probe = Probe {
+            kind: JoinKind::Inner,
+            lbatch: &lbatch,
+            rt: &rt,
+            hash: Some(&built),
+            eq: &eq,
+            other: &[],
+            residual: None,
+            combined_attrs: &[AttrId(0), AttrId(0)],
+        };
+        let mut expected = Vec::new();
+        for li in 0..300 {
+            for ri in 0..300 {
+                if !keys[0].is_null(li) && keys[0].cell_ref(li).key_eq(keys[0].cell_ref(ri)) {
+                    expected.push((li, Some(ri)));
+                }
+            }
+        }
+        for workers in [1, 3] {
+            let pairs = probe_batch(&probe, &WorkerPool::new(workers)).unwrap();
+            assert_eq!(pairs, expected);
         }
     }
 

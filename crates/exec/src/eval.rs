@@ -30,7 +30,7 @@
 use crate::batch::ColumnVec;
 use crate::table::Table;
 use mpq_algebra::expr::DateField;
-use mpq_algebra::value::{EncColumn, EncScheme};
+use mpq_algebra::value::{CellRef, EncColumn, EncScheme};
 use mpq_algebra::{ArithOp, AttrId, CmpOp, Date, Expr, Value};
 use std::borrow::Cow;
 use std::ops::Range;
@@ -185,7 +185,7 @@ pub fn eval(e: &Expr, ctx: &RowCtx<'_>) -> Result<Value, EvalError> {
             expr,
             list,
             negated,
-        } => in_list_cell(&eval(expr, ctx)?, list, *negated).map(truth_to_value),
+        } => in_list_cell((&eval(expr, ctx)?).into(), list, *negated).map(truth_to_value),
         Expr::Case { branches, else_ } => {
             for (cond, out) in branches {
                 if eval_pred(cond, ctx)? == Some(true) {
@@ -309,23 +309,38 @@ fn between(ge: Option<bool>, le: Option<bool>, negated: bool) -> Option<bool> {
     Some((ge? && le?) != negated)
 }
 
-fn equal_maybe_encrypted(v: &Value, item: &Value) -> Result<bool, EvalError> {
-    match (v, item) {
-        (Value::Enc(e), Value::Enc(_)) | (Value::Enc(e), _) if !e.scheme.supports_equality() => {
-            Err(EvalError::EncryptedOperation(
-                "IN over non-deterministic ciphertext".into(),
-            ))
-        }
-        (Value::Enc(_), Value::Enc(_)) => Ok(v.sql_eq(item)),
-        (Value::Enc(_), _) | (_, Value::Enc(_)) => Err(EvalError::EncryptedOperation(
-            "IN mixing ciphertext and plaintext".into(),
-        )),
-        _ => Ok(v.sql_eq(item)),
+/// [`cmp_values`] on cell `i` of `a` and cell `j` of `b` (a join's
+/// non-equality conditions): two ciphertexts are compared on the bytes
+/// where they lie.
+pub(crate) fn cmp_cells(
+    a: &ColumnVec,
+    i: usize,
+    op: CmpOp,
+    b: &ColumnVec,
+    j: usize,
+) -> Result<Option<bool>, EvalError> {
+    match (a.cell_ref(i), b.cell_ref(j)) {
+        (CellRef::Enc(s, k, x), CellRef::Enc(t, l, y)) => cmp_enc((s, k, x), op, (t, l, y)),
+        _ => cmp_values(&a.get(i), op, &b.get(j)),
     }
 }
 
-fn in_list_cell(v: &Value, list: &[Value], negated: bool) -> Result<Option<bool>, EvalError> {
-    if v.is_null() {
+/// `v = item` for `IN`: `v` a non-NULL cell, read where it lies.
+fn equal_maybe_encrypted(v: CellRef<'_>, item: &Value) -> Result<bool, EvalError> {
+    match (v, item) {
+        (CellRef::Enc(scheme, ..), _) if !scheme.supports_equality() => Err(
+            EvalError::EncryptedOperation("IN over non-deterministic ciphertext".into()),
+        ),
+        (CellRef::Enc(..), Value::Enc(_)) => Ok(v.key_eq(item.into())),
+        (CellRef::Enc(..), _) | (_, Value::Enc(_)) => Err(EvalError::EncryptedOperation(
+            "IN mixing ciphertext and plaintext".into(),
+        )),
+        _ => Ok(v.key_eq(item.into())),
+    }
+}
+
+fn in_list_cell(v: CellRef<'_>, list: &[Value], negated: bool) -> Result<Option<bool>, EvalError> {
+    if matches!(v, CellRef::Null) {
         return Ok(None);
     }
     for item in list {
@@ -859,7 +874,13 @@ impl<'a> Evaluator<'a> {
                 negated,
             } => {
                 let v = self.column(expr, sel);
-                self.apply(sel, None, |r| in_list_cell(&v.cell(r), list, *negated))
+                // A ciphertext column's cell is read where it lies.
+                self.apply(sel, None, |r| match v.enc(r) {
+                    Some((scheme, key, cell)) => {
+                        in_list_cell(CellRef::Enc(scheme, key, cell), list, *negated)
+                    }
+                    None => in_list_cell((&*v.cell(r)).into(), list, *negated),
+                })
             }
             Expr::IsNull { expr, negated } => {
                 let v = self.column(expr, sel);

@@ -13,7 +13,9 @@
 //! Operators build their output by moving columns (slice, filter,
 //! gather, append) and evaluate expressions a column at a time
 //! ([`eval::eval_mask`], [`eval::eval_column`]), reading cells where
-//! they lie; only hash keys copy cells out. Rows survive where
+//! they lie; joins and group-bys hash key columns into a key table and
+//! compare candidates in place, so a key cell is copied once per group
+//! and never for a join. Rows survive where
 //! something is row-shaped by nature: the loader, the [`rowref`] oracle,
 //! a join's residual predicate, `Table::display`, result checkers and
 //! tests. Ciphertext bytes are a pure function of `(seed, node,

@@ -12,15 +12,14 @@
 //! To make ciphertexts comparable the two engines deliberately share
 //! the per-cell RNG discipline (`mix_seed(seed, node, column, row)`
 //! via `engine::mix_seed`) and the crypto-bearing crate-private
-//! kernels (`engine::AggAcc`, `engine::decide_form_fix`,
-//! `engine::fixed_cell`); everything *around* those kernels —
-//! operator scheduling, batching, hashing, parallel chunking — is
-//! implemented independently, which is exactly the surface the
-//! differential tests exercise.
+//! kernels (`engine::AggAcc`, `engine::decide_form_fix`); everything
+//! *around* those kernels — operator scheduling, batching, hashing
+//! (`GroupKey`s in a `HashMap` here, a key table over columns there),
+//! the mixed-form fix (cell by cell here, a column at a time there),
+//! parallel chunking — is implemented independently, which is exactly
+//! the surface the differential tests exercise.
 
-use crate::engine::{
-    decide_form_fix, fixed_cell, mix_seed, udf_layout, AggAcc, ExecCtx, ExecError, Form,
-};
+use crate::engine::{decide_form_fix, mix_seed, udf_layout, AggAcc, ExecCtx, ExecError, Form};
 use crate::eval::{cmp_values, eval, eval_pred, RowCtx};
 use crate::table::Table;
 use mpq_algebra::value::GroupKey;
@@ -146,15 +145,18 @@ fn eval_node(plan: &QueryPlan, id: NodeId, ctx: &ExecCtx<'_>) -> Result<Rel, Exe
                         .ok_or_else(|| ExecError::Unsupported(format!("group key {k} missing")))
                 })
                 .collect::<Result<_, _>>()?;
-            let mut order: Vec<Vec<GroupKey>> = Vec::new();
-            let mut groups: HashMap<Vec<GroupKey>, Vec<AggAcc>> = HashMap::new();
+            // The groups in first-seen order, found again through
+            // `index`. A key that equals nothing, itself included (a NaN,
+            // a ciphertext certifying no equality), is found by no later
+            // row: every such row is a group of its own.
+            let mut groups: Vec<(Vec<GroupKey>, Vec<AggAcc>)> = Vec::new();
+            let mut index: HashMap<Vec<GroupKey>, usize> = HashMap::new();
             for row in &child.rows {
                 let gk: Vec<GroupKey> = key_idx.iter().map(|&i| GroupKey(row[i].clone())).collect();
                 let rc = RowCtx::plain(&child.attrs, row);
-                let accs = match groups.get_mut(&gk) {
-                    Some(a) => a,
+                let g = match index.get(&gk) {
+                    Some(&g) => g,
                     None => {
-                        order.push(gk.clone());
                         let accs = aggs
                             .iter()
                             .map(|ag| {
@@ -162,26 +164,23 @@ fn eval_node(plan: &QueryPlan, id: NodeId, ctx: &ExecCtx<'_>) -> Result<Rel, Exe
                                 Ok(AggAcc::new(ag.func, matches!(v, Value::Enc(_))))
                             })
                             .collect::<Result<Vec<_>, ExecError>>()?;
-                        groups.entry(gk.clone()).or_insert(accs)
+                        index.insert(gk.clone(), groups.len());
+                        groups.push((gk, accs));
+                        groups.len() - 1
                     }
                 };
-                for (ag, acc) in aggs.iter().zip(accs.iter_mut()) {
+                for (ag, acc) in aggs.iter().zip(groups[g].1.iter_mut()) {
                     acc.update(eval(&ag.input, &rc)?, ctx.keys)?;
                 }
             }
             if keys.is_empty() && child.rows.is_empty() {
-                let gk: Vec<GroupKey> = Vec::new();
-                order.push(gk.clone());
-                groups.insert(
-                    gk,
-                    aggs.iter().map(|ag| AggAcc::new(ag.func, false)).collect(),
-                );
+                let defaults = aggs.iter().map(|ag| AggAcc::new(ag.func, false));
+                groups.push((Vec::new(), defaults.collect()));
             }
             let mut attrs = keys.to_vec();
             attrs.extend(aggs.iter().map(|a| a.output));
-            let mut rows = Vec::with_capacity(order.len());
-            for gk in order {
-                let accs = groups.remove(&gk).expect("group recorded");
+            let mut rows = Vec::with_capacity(groups.len());
+            for (gk, accs) in groups {
                 let mut row: Vec<Value> = gk.into_iter().map(|k| k.0).collect();
                 for (ag, acc) in aggs.iter().zip(accs) {
                     row.push(acc.finish(ag.func)?);
@@ -318,6 +317,23 @@ fn rows_col_form(rows: &[Vec<Value>], c: usize) -> Option<Form> {
     })
 }
 
+/// Apply one side of a mixed-form fix to one cell: a plaintext
+/// non-NULL is encrypted for the comparison, everything else passes
+/// through untouched. The RNG is a formality — the fix only ever
+/// carries RNG-free schemes (Deterministic, OPE).
+fn fixed_cell(
+    cell: &Value,
+    fix: Option<&mpq_crypto::schemes::ColumnCipher>,
+    rng: &mut StdRng,
+) -> Result<Value, ExecError> {
+    match fix {
+        Some(cipher) if !cell.is_null() && !matches!(cell, Value::Enc(_)) => cipher
+            .encrypt(rng, cell)
+            .map_err(|e| ExecError::Crypto(e.to_string())),
+        _ => Ok(cell.clone()),
+    }
+}
+
 /// Nested-loop join: no hashing, no chunking — just left order × right
 /// order with every condition checked by [`cmp_values`] (NULL operands
 /// compare to unknown, so NULL keys never match).
@@ -387,8 +403,8 @@ fn nl_join(
         for r in &right.rows {
             let mut ok = true;
             for c in &conds {
-                let lv = fixed_cell(l[c.lc].clone(), c.lfix.as_ref(), &mut rng)?;
-                let rv = fixed_cell(r[c.rc].clone(), c.rfix.as_ref(), &mut rng)?;
+                let lv = fixed_cell(&l[c.lc], c.lfix.as_ref(), &mut rng)?;
+                let rv = fixed_cell(&r[c.rc], c.rfix.as_ref(), &mut rng)?;
                 if cmp_values(&lv, c.op, &rv)? != Some(true) {
                     ok = false;
                     break;

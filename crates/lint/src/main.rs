@@ -59,7 +59,11 @@
 //!   finding anywhere under `crates/`, and in `exec/src/engine.rs` any
 //!   `RowCtx::` outside `probe_batch` — the join residual, evaluated on
 //!   its one materialized `combined` row — is one too: a per-row tree
-//!   walk must not quietly come back under an operator.
+//!   walk must not quietly come back under an operator. Nor may owned
+//!   keys: ⋈ and γ hash key *columns* and compare candidates where they
+//!   lie (the key table), so `GroupKey` anywhere in `exec/src/engine.rs`
+//!   and a `fn fixed_cell` outside the oracle (`exec/src/rowref.rs`:
+//!   the engine fixes a mixed-form key column whole) are findings.
 //! * **one-agg-scope** — the γ a `HAVING` predicate or a sort key
 //!   stands on is found by `QueryPlan::agg_scope` and nowhere else.
 //!   `through_crypto(`, the building block every hand-written copy of
@@ -192,12 +196,15 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "column-evaluator",
-        message: "`{t}`: a row context under an operator — expressions run a column at a \
-                  time (`eval_mask` / `eval_column`); only the join residual in \
-                  `probe_batch` walks a materialized row",
+        message: "`{t}`: rows or owned cells under an operator — expressions run a column at \
+                  a time (`eval_mask` / `eval_column`) and hash operators read keys where \
+                  they lie (the key table); only the join residual in `probe_batch` walks a \
+                  materialized row, only the oracle keeps `GroupKey`s and fixes cell by cell",
         sites: &[
             (&[concat!("RowCtx::", "batch(")], &[], &[], None),
             (&["RowCtx::"], &[ENGINE_RS], &[], Some((ENGINE_RS, "probe_batch"))),
+            (&["GroupKey"], &[ENGINE_RS], &[], None),
+            (&["fn fixed_cell"], &[], &["crates/exec/src/rowref.rs"], None),
         ],
     },
     Rule {
@@ -903,6 +910,36 @@ mod tests {
         // batch-row constructor is a finding.
         assert_eq!(lines_in("crates/exec/src/rowref.rs"), vec![3]);
         assert_eq!(lines_in("crates/dist/src/party.rs"), vec![3]);
+    }
+
+    #[test]
+    fn owned_keys_under_a_hash_operator_are_flagged() {
+        let src = "
+use mpq_algebra::value::GroupKey;
+fn build_hash(rt: &Table) -> HashMap<Vec<GroupKey>, Vec<usize>> {
+    let key = GroupKey(fixed_cell(rt.value(c, ri), fix, &mut rng)?);
+}
+fn fixed_cell(cell: Value, fix: Option<&ColumnCipher>) -> Result<Value, ExecError> {}
+#[cfg(test)]
+mod tests {
+    fn fixed_cell() { GroupKey(v); }
+}
+";
+        let lines_in = |file: &str| {
+            let mut findings = Vec::new();
+            lint_source(Path::new(file), src, &mut findings);
+            findings
+                .iter()
+                .filter(|f| f.rule == "column-evaluator")
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        // The engine holds no `GroupKey` and fixes no single cell…
+        assert_eq!(lines_in("crates/exec/src/engine.rs"), vec![2, 3, 4, 6]);
+        // …the oracle does both; anywhere else a per-cell fix is a
+        // second copy of the oracle's.
+        assert_eq!(lines_in("crates/exec/src/rowref.rs"), Vec::<usize>::new());
+        assert_eq!(lines_in("crates/dist/src/party.rs"), vec![6]);
     }
 
     #[test]
