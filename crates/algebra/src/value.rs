@@ -353,46 +353,12 @@ impl Value {
 
     /// Bytes [`Value::write_canonical`] appends.
     pub fn canonical_len(&self) -> usize {
-        1 + match self {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::Int(_) | Value::Num(_) => 8,
-            Value::Str(s) => s.len(),
-            Value::Date(_) => 4,
-            Value::Enc(e) => 5 + e.bytes.len(),
-        }
+        CellRef::from(self).canonical_len()
     }
 
-    /// Append the canonical encoding to `out`: what ciphers and the
-    /// codec write straight into a column or frame buffer.
+    /// Append the canonical encoding to `out` ([`CellRef::write_canonical`]).
     pub fn write_canonical(&self, out: &mut Vec<u8>) {
-        match self {
-            Value::Null => out.push(0),
-            Value::Bool(b) => out.extend_from_slice(&[1, *b as u8]),
-            Value::Int(i) => {
-                out.push(2);
-                out.extend_from_slice(&i.to_be_bytes());
-            }
-            Value::Num(f) => {
-                out.push(3);
-                out.extend_from_slice(&f.to_be_bytes());
-            }
-            Value::Str(s) => {
-                out.push(4);
-                out.extend_from_slice(s.as_bytes());
-            }
-            Value::Date(d) => {
-                out.push(5);
-                out.extend_from_slice(&d.0.to_be_bytes());
-            }
-            Value::Enc(e) => {
-                // Re-encrypting a ciphertext is allowed (onion-style);
-                // encode scheme + key + bytes.
-                out.extend_from_slice(&[6, e.scheme.tag()]);
-                out.extend_from_slice(&e.key_id.to_be_bytes());
-                out.extend_from_slice(&e.bytes);
-            }
-        }
+        CellRef::from(self).write_canonical(out)
     }
 
     /// Inverse of [`Value::canonical_bytes`]. `None` for anything that
@@ -424,50 +390,12 @@ impl Value {
     /// data-size estimation; encrypted cells report their expanded
     /// ciphertext size).
     pub fn width(&self) -> usize {
-        match self {
-            Value::Null => 1,
-            Value::Bool(_) => 1,
-            Value::Int(_) | Value::Num(_) => 8,
-            Value::Str(s) => s.len(),
-            Value::Date(_) => 4,
-            Value::Enc(e) => e.bytes.len(),
-        }
+        CellRef::from(self).width()
     }
 
-    /// SQL-style comparison: `None` when either side is NULL or the
-    /// values are incomparable (type mismatch, unsupported ciphertext
-    /// comparison).
+    /// SQL-style comparison ([`CellRef::sql_cmp`]).
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
-        match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => None,
-            (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
-            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            (Value::Num(a), Value::Num(b)) => a.partial_cmp(b),
-            (Value::Int(a), Value::Num(b)) => (*a as f64).partial_cmp(b),
-            (Value::Num(a), Value::Int(b)) => a.partial_cmp(&(*b as f64)),
-            (Value::Str(a), Value::Str(b)) => Some(a.as_ref().cmp(b.as_ref())),
-            (Value::Date(a), Value::Date(b)) => Some(a.0.cmp(&b.0)),
-            (Value::Enc(a), Value::Enc(b)) => {
-                if a.scheme != b.scheme || a.key_id != b.key_id {
-                    return None;
-                }
-                if a.scheme.supports_order() {
-                    Some(a.bytes.cmp(&b.bytes))
-                } else if a.scheme.supports_equality() {
-                    if a.bytes == b.bytes {
-                        Some(Ordering::Equal)
-                    } else {
-                        // Deterministic ciphertexts only certify
-                        // (in)equality; report an arbitrary consistent
-                        // order for hashing-free comparisons.
-                        None
-                    }
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        }
+        CellRef::from(self).sql_cmp(other.into())
     }
 
     /// Equality usable for joins and grouping: NULL ≠ NULL (SQL
@@ -532,7 +460,156 @@ impl<'a> From<&'a Value> for CellRef<'a> {
     }
 }
 
+impl From<CellRef<'_>> for Value {
+    /// The cell as a scalar of its own: a string or a ciphertext is
+    /// copied out of its column.
+    fn from(cell: CellRef<'_>) -> Value {
+        match cell {
+            CellRef::Null => Value::Null,
+            CellRef::Bool(b) => Value::Bool(b),
+            CellRef::Int(i) => Value::Int(i),
+            CellRef::Num(f) => Value::Num(f),
+            CellRef::Str(s) => Value::str(s),
+            CellRef::Date(d) => Value::Date(d),
+            CellRef::Enc(scheme, key_id, bytes) => Value::Enc(EncValue {
+                scheme,
+                key_id,
+                bytes: Arc::from(bytes),
+            }),
+        }
+    }
+}
+
 impl CellRef<'_> {
+    /// [`Value::width`]: a string or ciphertext counts its bytes, a date
+    /// four, a NULL or boolean one.
+    pub fn width(self) -> usize {
+        match self {
+            CellRef::Null | CellRef::Bool(_) => 1,
+            CellRef::Int(_) | CellRef::Num(_) => 8,
+            CellRef::Str(s) => s.len(),
+            CellRef::Date(_) => 4,
+            CellRef::Enc(.., bytes) => bytes.len(),
+        }
+    }
+
+    /// Bytes [`CellRef::write_canonical`] appends.
+    pub fn canonical_len(self) -> usize {
+        1 + match self {
+            CellRef::Null => 0,
+            CellRef::Enc(.., bytes) => 5 + bytes.len(),
+            cell => cell.width(),
+        }
+    }
+
+    /// Append the canonical encoding to `out` — a type tag, then the
+    /// payload: what ciphers and the codec write straight into a column
+    /// or frame buffer, wherever the cell lies. The encoding is
+    /// self-describing, so [`Value::from_canonical_bytes`] restores the
+    /// exact value.
+    pub fn write_canonical(self, out: &mut Vec<u8>) {
+        match self {
+            CellRef::Null => out.push(0),
+            CellRef::Bool(b) => out.extend_from_slice(&[1, b as u8]),
+            CellRef::Int(i) => {
+                out.push(2);
+                out.extend_from_slice(&i.to_be_bytes());
+            }
+            CellRef::Num(f) => {
+                out.push(3);
+                out.extend_from_slice(&f.to_be_bytes());
+            }
+            CellRef::Str(s) => {
+                out.push(4);
+                out.extend_from_slice(s.as_bytes());
+            }
+            CellRef::Date(d) => {
+                out.push(5);
+                out.extend_from_slice(&d.0.to_be_bytes());
+            }
+            CellRef::Enc(scheme, key_id, bytes) => {
+                // Re-encrypting a ciphertext is allowed (onion-style);
+                // encode scheme + key + bytes.
+                out.extend_from_slice(&[6, scheme.tag()]);
+                out.extend_from_slice(&key_id.to_be_bytes());
+                out.extend_from_slice(bytes);
+            }
+        }
+    }
+
+    /// SQL-style comparison: `None` when either side is NULL or the
+    /// cells are incomparable (type mismatch, unsupported ciphertext
+    /// comparison).
+    pub fn sql_cmp(self, other: CellRef<'_>) -> Option<Ordering> {
+        use CellRef::*;
+        match (self, other) {
+            (Bool(a), Bool(b)) => Some(a.cmp(&b)),
+            (Int(a), Int(b)) => Some(a.cmp(&b)),
+            (Num(a), Num(b)) => a.partial_cmp(&b),
+            (Int(a), Num(b)) => (a as f64).partial_cmp(&b),
+            (Num(a), Int(b)) => a.partial_cmp(&(b as f64)),
+            (Str(a), Str(b)) => Some(a.cmp(b)),
+            (Date(a), Date(b)) => Some(a.cmp(&b)),
+            (Enc(s, k, a), Enc(t, l, b)) if (s, k) == (t, l) => {
+                if s.supports_order() {
+                    Some(a.cmp(b))
+                } else {
+                    // Deterministic ciphertexts only certify
+                    // (in)equality; Random ones nothing.
+                    (s.supports_equality() && a == b).then_some(Ordering::Equal)
+                }
+            }
+            _ => None,
+        }
+    }
+
+    /// The order a sort puts cells in: a total order (a sort given less
+    /// panics or scrambles) that agrees with [`CellRef::sql_cmp`]
+    /// wherever that orders two cells exactly. NULLs go last; cells of
+    /// different kinds order by kind (booleans, numerics, strings,
+    /// dates, ciphertexts); a NaN follows every number, an integer
+    /// past 2⁵³ its float image; ciphertexts order by `(scheme, key)`
+    /// and, under OPE, by bytes.
+    pub fn sort_cmp(self, other: CellRef<'_>) -> Ordering {
+        use CellRef::*;
+        /// A numeric's place: NaN last, then the float value (`-0.0`
+        /// is `0.0`), then the integer for what floats cannot tell apart.
+        fn number(cell: CellRef<'_>) -> (bool, f64, i64) {
+            match cell {
+                Int(i) => (false, i as f64, i),
+                Num(f) => (f.is_nan(), if f.is_nan() { 0.0 } else { f }, f as i64),
+                _ => unreachable!("asked only of numerics"),
+            }
+        }
+        let kind = |cell: CellRef<'_>| match cell {
+            Bool(_) => 0,
+            Int(_) | Num(_) => 1,
+            Str(_) => 2,
+            Date(_) => 3,
+            Enc(..) => 4,
+            Null => 5,
+        };
+        match (self, other) {
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Int(_) | Num(_), Int(_) | Num(_)) => {
+                let ((p, x, i), (q, y, j)) = (number(self), number(other));
+                let by_value = x.partial_cmp(&y).expect("no NaN left");
+                p.cmp(&q).then(by_value).then(i.cmp(&j))
+            }
+            (Str(a), Str(b)) => a.cmp(b),
+            (Date(a), Date(b)) => a.cmp(&b),
+            (Enc(s, k, a), Enc(t, l, b)) => (s, k).cmp(&(t, l)).then_with(|| {
+                if s.supports_order() {
+                    a.cmp(b)
+                } else {
+                    Ordering::Equal
+                }
+            }),
+            _ => kind(self).cmp(&kind(other)),
+        }
+    }
+
     /// The relation grouping and hash joins match keys by —
     /// [`GroupKey`]'s: [`Value::sql_eq`], except
     /// that NULL equals NULL (a join never asks: it skips NULL keys).

@@ -29,9 +29,8 @@ use crate::keyring::ClusterKey;
 use crate::ope::{self, OpeEncryptor, OpeKey, OpeType};
 use crate::paillier::PaillierCiphertext;
 use crate::xtea::{det_frame, XteaSchedule};
-use mpq_algebra::value::{EncColumn, EncScheme, EncValue, Value};
+use mpq_algebra::value::{CellRef, EncColumn, EncScheme, EncValue, Value};
 use rand::Rng;
-use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Fixed-point scale for Paillier-encoded numerics (cents at scale 2,
@@ -126,13 +125,14 @@ impl ColumnEncryptor<'_> {
         Ok(self.encrypt_column([value], rng)?.value(0))
     }
 
-    /// Encrypt a run of plaintext cells into one ciphertext column:
+    /// Encrypt a run of plaintext cells, read where they lie (a
+    /// column's [`CellRef`]s, or `&Value`s), into one ciphertext column:
     /// every cell's bytes land in the column's buffer — no `Value`, no
     /// allocation per cell — and the symmetric schemes then encrypt the
     /// buffer in place, many blocks at a time. NULLs stay NULL (the
     /// empty cell). Cell `i` equals `ColumnCipher::encrypt` of the
     /// `i`-th value under `rngs.row(i)`.
-    pub fn encrypt_column<V: Borrow<Value>>(
+    pub fn encrypt_column<'v, V: Into<CellRef<'v>>>(
         &mut self,
         cells: impl IntoIterator<Item = V>,
         rngs: impl RowRng,
@@ -189,7 +189,7 @@ impl ColumnCipher {
     /// cell drops the half-written column with the error. `ope_cell`
     /// supplies OPE cells (one-shot descent, or a run's
     /// [`OpeEncryptor`]).
-    fn encrypt_cells<V: Borrow<Value>>(
+    fn encrypt_cells<'v, V: Into<CellRef<'v>>>(
         &self,
         cells: impl IntoIterator<Item = V>,
         mut rngs: impl RowRng,
@@ -200,34 +200,34 @@ impl ColumnCipher {
         // Sized for fixed-width cells (16 or 17 bytes under Det, Random
         // and OPE); strings and Paillier cells grow it.
         let mut out = EncColumn::with_capacity(self.scheme, self.key.id, rows, rows * 17);
-        for (row, value) in cells.enumerate() {
-            let value = value.borrow();
-            match (value, self.scheme) {
-                (Value::Null, _) => out.push(&[]),
-                (Value::Enc(_), _) => return Err(EncryptError::WrongForm),
+        for (row, cell) in cells.enumerate() {
+            let cell: CellRef<'_> = cell.into();
+            match (cell, self.scheme) {
+                (CellRef::Null, _) => out.push(&[]),
+                (CellRef::Enc(..), _) => return Err(EncryptError::WrongForm),
                 (_, EncScheme::Deterministic) => {
-                    out.push_with(|buf| det_frame(buf, |body| value.write_canonical(body)))
+                    out.push_with(|buf| det_frame(buf, |body| cell.write_canonical(body)))
                 }
                 (_, EncScheme::Random) => {
                     let nonce: u64 = rngs.row(row).gen();
                     out.push_with(|buf| {
                         buf.extend_from_slice(&nonce.to_be_bytes());
-                        value.write_canonical(buf);
+                        cell.write_canonical(buf);
                     })
                 }
                 (_, EncScheme::Ope) => {
-                    let (ty, code) = match value {
-                        Value::Int(i) => (OpeType::Int, ope::int_to_code(*i)),
-                        Value::Num(f) => (OpeType::Num, ope::num_to_code(*f)),
-                        Value::Date(d) => (OpeType::Date, ope::int_to_code(d.0 as i64)),
+                    let (ty, code) = match cell {
+                        CellRef::Int(i) => (OpeType::Int, ope::int_to_code(i)),
+                        CellRef::Num(f) => (OpeType::Num, ope::num_to_code(f)),
+                        CellRef::Date(d) => (OpeType::Date, ope::int_to_code(d.0 as i64)),
                         _ => return Err(EncryptError::UnsupportedType("strings/bools under OPE")),
                     };
                     out.push(&ope_cell(ty, code))
                 }
                 (_, EncScheme::Paillier) => {
-                    let (tag, encoded): (u8, i64) = match value {
-                        Value::Int(i) => (1, *i),
-                        Value::Num(f) => (2, (f * NUM_SCALE).round() as i64),
+                    let (tag, encoded): (u8, i64) = match cell {
+                        CellRef::Int(i) => (1, i),
+                        CellRef::Num(f) => (2, (f * NUM_SCALE).round() as i64),
                         _ => {
                             return Err(EncryptError::UnsupportedType(
                                 "only numerics under Paillier",

@@ -94,9 +94,9 @@ pub fn audit_transfer_with(
 /// `range`, if any.
 fn first_plaintext_cell(col: &ColumnVec, range: std::ops::Range<usize>) -> Option<usize> {
     match col {
-        // Typed numeric columns hold only plaintext non-NULLs: every
+        // Typed plaintext columns hold only plaintext non-NULLs: every
         // row violates an encrypted-only view.
-        ColumnVec::Int(_) | ColumnVec::Num(_) => {
+        ColumnVec::Int(_) | ColumnVec::Num(_) | ColumnVec::Date(_) | ColumnVec::Str(_) => {
             if range.is_empty() {
                 None
             } else {
@@ -184,6 +184,29 @@ mod tests {
                 subject: SubjectId(9)
             })
         );
+    }
+
+    /// Typed text and date columns are plaintext wholesale: refused at
+    /// their first row, in any chunk range that has one.
+    #[test]
+    fn leak_in_typed_text_or_date_column_is_caught_at_row_zero() {
+        use mpq_algebra::Date;
+        for cell in [Value::str("alice"), Value::Date(Date(9))] {
+            let t = Table::from_rows(vec![AttrId(0)], vec![vec![cell.clone()]; 3]);
+            let col = t.column(0);
+            assert!(matches!(col, ColumnVec::Str(_) | ColumnVec::Date(_)));
+            assert_eq!(first_plaintext_cell(col, 0..3), Some(0));
+            assert_eq!(first_plaintext_cell(col, 2..3), Some(2));
+            assert_eq!(first_plaintext_cell(col, 3..3), None);
+            assert_eq!(
+                audit_transfer(&t, &view(&[], &[0])),
+                Err(SimError::LeakedPlaintext {
+                    attr: AttrId(0),
+                    subject: SubjectId(9)
+                })
+            );
+            assert!(audit_transfer(&t, &view(&[0], &[])).is_ok());
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::party::{QueryJob, Transfer};
 use crate::runtime::Msg;
 use mpq_algebra::expr::{AggExpr, AggFunc, ArithOp, CmpOp, DateField, Expr};
 use mpq_algebra::plan::{JoinKind, Operator, PlanNode, QueryPlan};
-use mpq_algebra::value::{EncColumn, EncScheme};
+use mpq_algebra::value::{CellRef, EncColumn, EncScheme};
 use mpq_algebra::{AttrId, NodeId, RelId, SubjectId, Value};
 use mpq_crypto::bignum::BigUint;
 use mpq_crypto::rsa::{RsaPublic, SignedEnvelope};
@@ -363,12 +363,17 @@ impl Encode for EncScheme {
 // Values and tables
 // ---------------------------------------------------------------------------
 
+/// One cell, wherever it lies: its canonical bytes behind their length.
+fn put_cell(b: &mut Vec<u8>, cell: CellRef<'_>) {
+    write_len(b, cell.canonical_len());
+    cell.write_canonical(b);
+}
+
 impl Encode for Value {
     /// The length prefix and the type tag.
     const MIN_LEN: usize = 5;
     fn put(&self, b: &mut Vec<u8>) {
-        write_len(b, self.canonical_len());
-        self.write_canonical(b);
+        put_cell(b, self.into());
     }
     fn get(r: &mut Reader) -> Option<Self> {
         Value::from_canonical_bytes(r.bytes()?)
@@ -397,15 +402,19 @@ fn read_packed<const W: usize, T>(r: &mut Reader, word: fn([u8; W]) -> T) -> Opt
 /// array of big-endian words, `Enc` as its header, its offsets and its
 /// one buffer (the sender's cipher wrote those bytes once; nothing
 /// touches them cell by cell again), `Val` as length-prefixed cells.
-/// The receiver holds what the sender held, so a column re-encodes to
-/// the same bytes. The cell loops stay direct — this is the only part
-/// of a frame measured in megabytes.
+/// `Date`/`Str` columns travel as the `Val` cells they hold, byte for
+/// byte — the format has no tag for them — and tag 0 decodes through
+/// [`ColumnVec::from_values`], which types them again. The receiver
+/// holds what the sender held, so a column re-encodes to the same
+/// bytes. The cell loops stay direct — this is the only part of a frame
+/// measured in megabytes.
 impl Encode for ColumnVec {
     fn put(&self, b: &mut Vec<u8>) {
         match self {
-            ColumnVec::Val(cells) => {
+            ColumnVec::Val(_) | ColumnVec::Date(_) | ColumnVec::Str(_) => {
                 b.push(0);
-                cells.put(b);
+                write_len(b, self.len());
+                (0..self.len()).for_each(|i| put_cell(b, self.cell_ref(i)));
             }
             ColumnVec::Int(v) => {
                 b.push(1);
@@ -426,7 +435,7 @@ impl Encode for ColumnVec {
     }
     fn get(r: &mut Reader) -> Option<Self> {
         Some(match r.u8()? {
-            0 => ColumnVec::Val(r.get()?),
+            0 => ColumnVec::from_values(r.get()?),
             1 => ColumnVec::Int(read_packed(r, i64::from_be_bytes)?),
             2 => ColumnVec::Num(read_packed(r, f64::from_be_bytes)?),
             3 => {
@@ -815,7 +824,7 @@ mod tests {
             ],
         );
         let held = |i| match table.column(i) {
-            ColumnVec::Val(_) => 0,
+            ColumnVec::Val(_) | ColumnVec::Date(_) | ColumnVec::Str(_) => 0,
             ColumnVec::Int(_) => 1,
             ColumnVec::Num(_) => 2,
             ColumnVec::Enc(_) => 3,
@@ -1352,6 +1361,32 @@ mod tests {
             sha256_hex(&all),
             "003d10a9471b0e0ea4e5a79aae403797ab9ddab8d4b57d5b8d8680c6b98f83aa"
         );
+    }
+
+    /// `Date`/`Str` columns have no tag of their own: a table holding
+    /// them encodes to exactly the bytes of its `Val` twin, and decodes
+    /// typed again.
+    #[test]
+    fn typed_text_and_date_columns_travel_as_their_val_twin() {
+        let rows = ["alice", "", "ünï"]
+            .iter()
+            .enumerate()
+            .map(|(i, name)| vec![Value::str(name), Value::Date(Date(i as i32 - 1))]);
+        let typed = Table::from_rows(vec![AttrId(0), AttrId(1)], rows.collect());
+        assert!(matches!(typed.column(0), ColumnVec::Str(_)));
+        assert!(matches!(typed.column(1), ColumnVec::Date(_)));
+        let twin = typed
+            .columns()
+            .iter()
+            .map(|c| ColumnVec::Val(c.clone().into_values()));
+        let twin = Table::from_columns(typed.schema().clone(), twin.collect());
+        assert_eq!(encode(&typed), encode(&twin));
+        for table in [&typed, &twin] {
+            let back = roundtrip(table);
+            assert_eq!(&back, table);
+            assert!(matches!(back.column(0), ColumnVec::Str(_)));
+            assert!(matches!(back.column(1), ColumnVec::Date(_)));
+        }
     }
 
     // ---- hostile input ------------------------------------------------------

@@ -12,13 +12,24 @@
 //! * `q1_charge` — Q1's `l_extendedprice * (1 - l_discount) * (1 + l_tax)`;
 //! * `q14_promo` — Q14's `CASE WHEN p_type LIKE 'PROMO%' THEN … ELSE 0`;
 //! * `det_eq` — a provider's equality of a Deterministic column against
-//!   a rewritten literal.
+//!   a rewritten literal;
+//! * `str/eq_literal` — Q10's `l_returnflag = 'R'` over a typed string
+//!   column;
+//! * `str/in_list` — Q12's `l_shipmode IN ('MAIL', 'SHIP')`;
+//! * `date/range` — Q6's two `l_shipdate` bounds over a typed date
+//!   column.
 //!
 //! `*/column` evaluates batch by batch (4,096 rows, as the engine
 //! does); `*/row` walks the same rows, already materialized, through
 //! `eval`. The ratio between the two is what moving the operators onto
 //! the column evaluator bought; absolute numbers swing with machine
 //! load.
+//!
+//! `scan/q1_columns` is what a scan and a selection cost before any
+//! expression runs: Q1's seven lineitem columns (two strings, a date,
+//! four numerics) sliced into 4,096-row batches and each batch filtered
+//! by a precomputed mask that keeps ~98 % of its rows, as Q1's
+//! `l_shipdate <= …` does.
 //!
 //! The `hash/*` arms run a whole ⋈ or γ through `execute` (one worker
 //! thread, 4,096-row batches) — the key table under both: key columns
@@ -60,6 +71,9 @@ const PRICE: AttrId = AttrId(3);
 const TAX: AttrId = AttrId(4);
 const PTYPE: AttrId = AttrId(5);
 const MODE: AttrId = AttrId(6);
+const FLAG: AttrId = AttrId(7);
+const STATUS: AttrId = AttrId(8);
+const SHIPMODE: AttrId = AttrId(9);
 
 fn lit(v: Value) -> Expr {
     Expr::Lit(v)
@@ -71,7 +85,8 @@ fn date(s: &str) -> Expr {
 
 /// A lineitem-shaped relation in `DEFAULT_BATCH_ROWS` batches, and the
 /// same rows materialized. `MODE` is a Deterministic ciphertext column;
-/// the literal it is compared with comes back beside it.
+/// the literal it is compared with comes back beside it. `SHIPMODE`
+/// holds the same modes in plaintext.
 fn generate() -> (Vec<Table>, Vec<Vec<Value>>, Vec<AttrId>, Value) {
     let rng = &mut StdRng::seed_from_u64(2026);
     let key = ClusterKey::generate(rng, 1, 512);
@@ -82,11 +97,19 @@ fn generate() -> (Vec<Table>, Vec<Vec<Value>>, Vec<AttrId>, Value) {
         "ECONOMY ANODIZED STEEL",
     ];
     let first_day = Date::parse("1992-01-01").expect("a date").0;
-    let attrs = vec![SHIPDATE, DISCOUNT, QUANTITY, PRICE, TAX, PTYPE, MODE];
+    let attrs = vec![
+        SHIPDATE, DISCOUNT, QUANTITY, PRICE, TAX, PTYPE, MODE, FLAG, STATUS, SHIPMODE,
+    ];
     let rows: Vec<Vec<Value>> = (0..ROWS)
         .map(|_| {
-            let mode = Value::str(modes[rng.gen_range(0..modes.len())]);
-            let mode = encrypt_batch(rng, &[mode], EncScheme::Deterministic, &key).expect("a key");
+            let plain = Value::str(modes[rng.gen_range(0..modes.len())]);
+            let mode = encrypt_batch(
+                rng,
+                std::slice::from_ref(&plain),
+                EncScheme::Deterministic,
+                &key,
+            );
+            let mode = mode.expect("a key");
             vec![
                 Value::Date(Date(first_day + rng.gen_range(0..2_500))),
                 Value::Num(f64::from(rng.gen_range(0..11)) / 100.0),
@@ -95,6 +118,9 @@ fn generate() -> (Vec<Table>, Vec<Vec<Value>>, Vec<AttrId>, Value) {
                 Value::Num(f64::from(rng.gen_range(0..9)) / 100.0),
                 Value::str(types[rng.gen_range(0..types.len())]),
                 mode[0].clone(),
+                Value::str(["A", "N", "R"][rng.gen_range(0..3)]),
+                Value::str(["F", "O"][rng.gen_range(0..2)]),
+                plain,
             ]
         })
         .collect();
@@ -142,12 +168,25 @@ fn bench_expr(c: &mut Criterion) {
         else_: Some(Box::new(lit(Value::Int(0)))),
     };
     let det_eq = Expr::col_eq(MODE, mail);
+    let str_eq = Expr::col_eq(FLAG, Value::str("R"));
+    let str_in = Expr::InList {
+        expr: Box::new(Expr::Col(SHIPMODE)),
+        list: vec![Value::str("MAIL"), Value::str("SHIP")],
+        negated: false,
+    };
+    let date_range = Expr::And(vec![
+        Expr::cmp(Expr::Col(SHIPDATE), CmpOp::Ge, date("1994-01-01")),
+        Expr::cmp(Expr::Col(SHIPDATE), CmpOp::Lt, date("1995-01-01")),
+    ]);
 
     for (name, expr, is_pred) in [
         ("q6_pred", &q6_pred, true),
         ("q1_charge", &q1_charge, false),
         ("q14_promo", &q14_promo, false),
         ("det_eq", &det_eq, true),
+        ("str/eq_literal", &str_eq, true),
+        ("str/in_list", &str_in, true),
+        ("date/range", &date_range, true),
     ] {
         let mut g = c.benchmark_group(name);
         g.bench_function("column", |b| {
@@ -170,6 +209,40 @@ fn bench_expr(c: &mut Criterion) {
         });
         g.finish();
     }
+
+    // Q1's columns scanned and filtered, no expression evaluated.
+    let whole = Table::from_rows(attrs.clone(), rows);
+    let q1 = [FLAG, STATUS, QUANTITY, PRICE, DISCOUNT, TAX, SHIPDATE];
+    let q1: Vec<&ColumnVec> = q1
+        .iter()
+        .map(|a| whole.column(whole.col_index(*a).unwrap()))
+        .collect();
+    let cutoff = Value::Date(Date::parse("1998-09-02").expect("a date"));
+    let ranges: Vec<_> = (0..ROWS)
+        .step_by(DEFAULT_BATCH_ROWS)
+        .map(|s| s..(s + DEFAULT_BATCH_ROWS).min(ROWS))
+        .collect();
+    let masks: Vec<Vec<bool>> = (ranges.iter())
+        .map(|r| {
+            r.clone()
+                .map(|i| {
+                    whole
+                        .value(0, i)
+                        .sql_cmp(&cutoff)
+                        .is_some_and(|o| o.is_le())
+                })
+                .collect()
+        })
+        .collect();
+    c.bench_function("scan/q1_columns", |b| {
+        b.iter(|| {
+            for (range, mask) in ranges.iter().zip(&masks) {
+                for col in &q1 {
+                    black_box(col.slice(range.clone()).filter(mask));
+                }
+            }
+        })
+    });
 }
 
 /// `L(k, flag, status, qty, price, disc, tax)` ⋈ `R(rk, v)`: the

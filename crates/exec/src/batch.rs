@@ -11,24 +11,27 @@
 //! [`gather`](ColumnVec::gather), [`append`](ColumnVec::append)), never
 //! by transposing rows.
 //!
-//! Columns are typed where the data allows. Uniform integer and
-//! numeric columns are stored as dense `Vec<i64>` / `Vec<f64>` (8
-//! bytes per cell instead of a tagged [`Value`]); a column of
-//! ciphertexts under one `(scheme, key)` — what an `Encrypt` produces
-//! and a provider computes on — is one [`EncColumn`] buffer with NULL
-//! as the empty cell (no `Arc`, no repeated scheme and key id per
-//! cell). Each silently degrades to a general `Vec<Value>`
+//! Columns are typed where the data allows. The plaintext ("P") half:
+//! uniform integer, numeric and date columns are stored as dense
+//! `Vec<i64>` / `Vec<f64>` / `Vec<Date>` (8 or 4 bytes per cell instead
+//! of a 24-byte tagged [`Value`]), a uniform string column as one
+//! [`StrColumn`] buffer (no `Arc` per cell). The encrypted half: a
+//! column of ciphertexts under one `(scheme, key)` — what an `Encrypt`
+//! produces and a provider computes on — is one [`EncColumn`] buffer
+//! with NULL as the empty cell (no `Arc`, no repeated scheme and key id
+//! per cell). Each silently degrades to a general `Vec<Value>`
 //! representation the moment something it cannot hold is pushed: a
-//! NULL, string or date into a dense numeric column, a plaintext or a
-//! ciphertext under another key into an encrypted one. Degradation
-//! never loses data and all accessors present the column as logical
-//! [`Value`]s, so the representations are observationally identical —
-//! `PartialEq` compares logical values, not representations.
+//! NULL or a cell of another type into a plaintext column, a plaintext
+//! or a ciphertext under another key into an encrypted one.
+//! Degradation never loses data and all accessors present the column as
+//! logical [`Value`]s, so the representations are observationally
+//! identical — `PartialEq` compares logical values, not
+//! representations.
 //!
 //! [`ExecCtx::batch_rows`]: crate::engine::ExecCtx::batch_rows
 
 use mpq_algebra::value::{int_hash_key, num_hash_key, CellRef, EncColumn, EncValue};
-use mpq_algebra::{AttrId, Value};
+use mpq_algebra::{AttrId, Date, Value};
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
@@ -87,16 +90,115 @@ impl Default for TableSchema {
 }
 
 /// One column of cell values, densely typed when uniform.
+///
+/// `Int`, `Num`, `Date` and `Str` are the plaintext half: they hold
+/// non-NULL plaintext cells of their one type and nothing else, so a
+/// whole column of them is plaintext by construction (the audit needs
+/// no cell scan to say so).
 #[derive(Clone, Debug)]
 pub enum ColumnVec {
     /// Uniform non-null integers.
     Int(Vec<i64>),
     /// Uniform non-null numerics.
     Num(Vec<f64>),
+    /// Uniform non-null dates.
+    Date(Vec<Date>),
+    /// Uniform non-null strings, in one buffer.
+    Str(StrColumn),
     /// Ciphertexts under one `(scheme, key)`, and NULLs.
     Enc(EncColumn),
     /// General representation: any mix of values, NULLs included.
     Val(Vec<Value>),
+}
+
+/// A column of non-NULL strings: the cells back to back in one UTF-8
+/// buffer plus where each ends — Arrow's utf8 layout, with
+/// [`EncColumn`]'s offset arithmetic. Cells are only ever pushed whole,
+/// so every end lies on a character boundary and a cell is a plain
+/// slice of the buffer.
+#[derive(Clone, Debug, Default)]
+pub struct StrColumn {
+    /// `ends[i]` is where cell `i` stops in `text`; it starts where
+    /// cell `i - 1` stopped.
+    ends: Vec<u32>,
+    text: String,
+}
+
+impl StrColumn {
+    /// Empty column with room for `cells` cells of `bytes` bytes in all.
+    fn with_capacity(cells: usize, bytes: usize) -> StrColumn {
+        StrColumn {
+            ends: Vec::with_capacity(cells),
+            text: String::with_capacity(bytes),
+        }
+    }
+
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` when the column has no cells.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    fn start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize)
+    }
+
+    /// Cell `i`, where it lies.
+    #[inline]
+    pub fn cell(&self, i: usize) -> &str {
+        &self.text[self.start(i)..self.ends[i] as usize]
+    }
+
+    /// The cells in `range`, in order: one pass over the offsets.
+    pub fn cells(&self, range: Range<usize>) -> impl Iterator<Item = &str> + '_ {
+        let mut start = self.start(range.start);
+        self.ends[range].iter().map(move |&end| {
+            let cell = &self.text[start..end as usize];
+            start = end as usize;
+            cell
+        })
+    }
+
+    /// Append one cell.
+    pub fn push(&mut self, s: &str) {
+        self.text.push_str(s);
+        let end = u32::try_from(self.text.len()).expect("a string column stays under 4 GiB");
+        self.ends.push(end);
+    }
+
+    /// Copy of the cells in `range`: two buffer copies.
+    pub(crate) fn slice(&self, range: Range<usize>) -> StrColumn {
+        let (from, to) = (self.start(range.start), self.start(range.end));
+        StrColumn {
+            ends: self.ends[range].iter().map(|&e| e - from as u32).collect(),
+            text: self.text[from..to].to_owned(),
+        }
+    }
+
+    /// The cells at `idx`, in `idx` order.
+    fn gather(&self, idx: impl Iterator<Item = usize>) -> StrColumn {
+        // Room for as many average-width cells as `idx` can yield.
+        let cells = idx.size_hint().1.unwrap_or(0);
+        let mut out = StrColumn::with_capacity(cells, self.text.len() / self.len().max(1) * cells);
+        idx.for_each(|i| out.push(self.cell(i)));
+        out
+    }
+
+    /// Append every cell of `other`.
+    fn append(&mut self, other: &StrColumn) {
+        let base = self.text.len();
+        assert!(
+            u32::try_from(base + other.text.len()).is_ok(),
+            "a string column stays under 4 GiB"
+        );
+        self.text.push_str(&other.text);
+        self.ends
+            .extend(other.ends.iter().map(|&e| base as u32 + e));
+    }
 }
 
 /// The secret of one key table's hash function: two words drawn from
@@ -187,28 +289,18 @@ impl ColumnVec {
         ColumnVec::Num(v)
     }
 
-    /// Column from logical values, densifying when uniform.
+    /// Column from logical values, densifying when they are all
+    /// integers, all numerics, all dates or all strings (a column of
+    /// ciphertexts stays general: it could hold several keys).
     pub fn from_values(vals: Vec<Value>) -> ColumnVec {
-        if !vals.is_empty() && vals.iter().all(|v| matches!(v, Value::Int(_))) {
-            ColumnVec::Int(
-                vals.iter()
-                    .map(|v| match v {
-                        Value::Int(i) => *i,
-                        _ => unreachable!(),
-                    })
-                    .collect(),
-            )
-        } else if !vals.is_empty() && vals.iter().all(|v| matches!(v, Value::Num(_))) {
-            ColumnVec::Num(
-                vals.iter()
-                    .map(|v| match v {
-                        Value::Num(f) => *f,
-                        _ => unreachable!(),
-                    })
-                    .collect(),
-            )
-        } else {
-            ColumnVec::Val(vals)
+        let kind = |v: &Value| std::mem::discriminant(v);
+        match vals.first() {
+            Some(Value::Int(_) | Value::Num(_) | Value::Date(_) | Value::Str(_))
+                if vals.iter().all(|v| kind(v) == kind(&vals[0])) =>
+            {
+                vals.into_iter().collect()
+            }
+            _ => ColumnVec::Val(vals),
         }
     }
 
@@ -217,6 +309,8 @@ impl ColumnVec {
         match self {
             ColumnVec::Int(v) => v.len(),
             ColumnVec::Num(v) => v.len(),
+            ColumnVec::Date(v) => v.len(),
+            ColumnVec::Str(c) => c.len(),
             ColumnVec::Enc(c) => c.len(),
             ColumnVec::Val(v) => v.len(),
         }
@@ -228,15 +322,14 @@ impl ColumnVec {
     }
 
     /// Cell `i` as a logical value: dense cells copy eight bytes,
-    /// general cells bump an `Arc`, an encrypted column's cell is
-    /// copied out into an [`EncValue`] of its own — the scalar path
-    /// (a new group's key, accumulators, the row oracle).
+    /// general cells bump an `Arc`, a string or an encrypted column's
+    /// cell is copied out into a value of its own — the scalar path
+    /// (a new group's key, the row oracle). Loops over a column read
+    /// [`cell_ref`](ColumnVec::cell_ref) instead.
     pub fn get(&self, i: usize) -> Value {
         match self {
-            ColumnVec::Int(v) => Value::Int(v[i]),
-            ColumnVec::Num(v) => Value::Num(v[i]),
-            ColumnVec::Enc(c) => c.value(i),
             ColumnVec::Val(v) => v[i].clone(),
+            _ => self.cell_ref(i).into(),
         }
     }
 
@@ -246,6 +339,8 @@ impl ColumnVec {
         match self {
             ColumnVec::Int(v) => CellRef::Int(v[i]),
             ColumnVec::Num(v) => CellRef::Num(v[i]),
+            ColumnVec::Date(v) => CellRef::Date(v[i]),
+            ColumnVec::Str(c) => CellRef::Str(c.cell(i)),
             ColumnVec::Enc(c) => match c.cell(i) {
                 [] => CellRef::Null,
                 cell => CellRef::Enc(c.scheme(), c.key_id(), cell),
@@ -266,6 +361,12 @@ impl ColumnVec {
             ColumnVec::Num(v) => {
                 (hashes.zip(&v[rows])).for_each(|(h, &f)| *h = seed.cell(*h, CellRef::Num(f)))
             }
+            ColumnVec::Date(v) => {
+                (hashes.zip(&v[rows])).for_each(|(h, &d)| *h = seed.cell(*h, CellRef::Date(d)))
+            }
+            ColumnVec::Str(c) => {
+                (hashes.zip(c.cells(rows))).for_each(|(h, s)| *h = seed.cell(*h, CellRef::Str(s)))
+            }
             _ => hashes
                 .zip(rows)
                 .for_each(|(h, r)| *h = seed.cell(*h, self.cell_ref(r))),
@@ -283,21 +384,17 @@ impl ColumnVec {
     }
 
     /// The order a sort puts cells `i` and `j` in, read where they lie:
-    /// [`Value::sql_cmp`] with NULLs last and incomparable cells equal
-    /// (within one encrypted column only an order-preserving scheme
-    /// orders anything).
+    /// [`CellRef::sort_cmp`], a total order — NULLs last (within one
+    /// encrypted column only an order-preserving scheme orders
+    /// anything). Typed columns compare in place.
     pub fn sort_cmp(&self, i: usize, j: usize) -> Ordering {
-        let (i_null, j_null) = (self.is_null(i), self.is_null(j));
-        if i_null || j_null {
-            return i_null.cmp(&j_null);
+        match self {
+            ColumnVec::Int(v) => v[i].cmp(&v[j]),
+            ColumnVec::Date(v) => v[i].cmp(&v[j]),
+            // Byte order, as `sql_cmp` orders strings.
+            ColumnVec::Str(c) => c.cell(i).cmp(c.cell(j)),
+            _ => self.cell_ref(i).sort_cmp(self.cell_ref(j)),
         }
-        let ord = match self {
-            ColumnVec::Int(v) => Some(v[i].cmp(&v[j])),
-            ColumnVec::Num(v) => v[i].partial_cmp(&v[j]),
-            ColumnVec::Enc(c) => (c.scheme().supports_order()).then(|| c.cell(i).cmp(c.cell(j))),
-            ColumnVec::Val(v) => v[i].sql_cmp(&v[j]),
-        };
-        ord.unwrap_or(Ordering::Equal)
     }
 
     /// Dense integer view, when uniform.
@@ -327,6 +424,8 @@ impl ColumnVec {
         match (&mut *self, v) {
             (ColumnVec::Int(col), Value::Int(i)) => col.push(i),
             (ColumnVec::Num(col), Value::Num(f)) => col.push(f),
+            (ColumnVec::Date(col), Value::Date(d)) => col.push(d),
+            (ColumnVec::Str(col), Value::Str(s)) => col.push(&s),
             (ColumnVec::Enc(col), Value::Null) => col.push(&[]),
             (ColumnVec::Enc(col), Value::Enc(e)) if holds(col, &e) => col.push(&e.bytes),
             (ColumnVec::Val(col), Value::Int(i)) if col.is_empty() => {
@@ -334,6 +433,14 @@ impl ColumnVec {
             }
             (ColumnVec::Val(col), Value::Num(f)) if col.is_empty() => {
                 *self = ColumnVec::Num(vec![f]);
+            }
+            (ColumnVec::Val(col), Value::Date(d)) if col.is_empty() => {
+                *self = ColumnVec::Date(vec![d]);
+            }
+            (ColumnVec::Val(col), Value::Str(s)) if col.is_empty() => {
+                let mut text = StrColumn::default();
+                text.push(&s);
+                *self = ColumnVec::Str(text);
             }
             (ColumnVec::Val(col), Value::Enc(e)) if col.is_empty() && !e.bytes.is_empty() => {
                 let mut enc = EncColumn::new(e.scheme, e.key_id);
@@ -361,16 +468,20 @@ impl ColumnVec {
         match self {
             ColumnVec::Int(v) => v.into_iter().map(Value::Int).collect(),
             ColumnVec::Num(v) => v.into_iter().map(Value::Num).collect(),
-            ColumnVec::Enc(c) => (0..c.len()).map(|i| c.value(i)).collect(),
+            ColumnVec::Date(v) => v.into_iter().map(Value::Date).collect(),
             ColumnVec::Val(v) => v,
+            // A string or a ciphertext is copied out cell by cell.
+            ColumnVec::Str(_) | ColumnVec::Enc(_) => self.iter().collect(),
         }
     }
 
-    /// Copy of the cells in `range`.
+    /// Copy of the cells in `range`: a buffer copy per representation.
     pub fn slice(&self, range: Range<usize>) -> ColumnVec {
         match self {
             ColumnVec::Int(v) => ColumnVec::Int(v[range].to_vec()),
             ColumnVec::Num(v) => ColumnVec::Num(v[range].to_vec()),
+            ColumnVec::Date(v) => ColumnVec::Date(v[range].to_vec()),
+            ColumnVec::Str(c) => ColumnVec::Str(c.slice(range)),
             ColumnVec::Enc(c) => ColumnVec::Enc(c.slice(range)),
             ColumnVec::Val(v) => ColumnVec::Val(v[range].to_vec()),
         }
@@ -380,32 +491,19 @@ impl ColumnVec {
     /// the column length.
     pub fn filter(&self, mask: &[bool]) -> ColumnVec {
         debug_assert_eq!(mask.len(), self.len());
+        fn kept<T: Clone>(v: &[T], mask: &[bool]) -> Vec<T> {
+            let cells = v.iter().zip(mask).filter(|(_, &m)| m);
+            cells.map(|(x, _)| x.clone()).collect()
+        }
         match self {
-            ColumnVec::Int(v) => ColumnVec::Int(
-                v.iter()
-                    .zip(mask)
-                    .filter(|(_, &m)| m)
-                    .map(|(x, _)| *x)
-                    .collect(),
-            ),
-            ColumnVec::Num(v) => ColumnVec::Num(
-                v.iter()
-                    .zip(mask)
-                    .filter(|(_, &m)| m)
-                    .map(|(x, _)| *x)
-                    .collect(),
-            ),
-            ColumnVec::Enc(c) => {
-                let kept = mask.iter().enumerate().filter(|(_, &m)| m);
-                ColumnVec::Enc(c.gather(kept.map(|(i, _)| Some(i))))
+            ColumnVec::Int(v) => ColumnVec::Int(kept(v, mask)),
+            ColumnVec::Num(v) => ColumnVec::Num(kept(v, mask)),
+            ColumnVec::Date(v) => ColumnVec::Date(kept(v, mask)),
+            ColumnVec::Val(v) => ColumnVec::Val(kept(v, mask)),
+            ColumnVec::Str(_) | ColumnVec::Enc(_) => {
+                let rows = mask.iter().enumerate().filter(|(_, &m)| m);
+                self.gather_iter(rows.map(|(i, _)| i))
             }
-            ColumnVec::Val(v) => ColumnVec::Val(
-                v.iter()
-                    .zip(mask)
-                    .filter(|(_, &m)| m)
-                    .map(|(x, _)| x.clone())
-                    .collect(),
-            ),
         }
     }
 
@@ -417,7 +515,7 @@ impl ColumnVec {
 
     /// [`gather`](ColumnVec::gather) with NULL where `idx` holds `None`
     /// (outer-join padding). An encrypted column pads with its empty
-    /// cell; a dense column degrades, and only when a pad actually
+    /// cell; a plaintext column degrades, and only when a pad actually
     /// occurs.
     pub fn gather_padded(&self, idx: &[Option<usize>]) -> ColumnVec {
         if let ColumnVec::Enc(c) = self {
@@ -437,6 +535,8 @@ impl ColumnVec {
         match self {
             ColumnVec::Int(v) => ColumnVec::Int(idx.map(|i| v[i]).collect()),
             ColumnVec::Num(v) => ColumnVec::Num(idx.map(|i| v[i]).collect()),
+            ColumnVec::Date(v) => ColumnVec::Date(idx.map(|i| v[i]).collect()),
+            ColumnVec::Str(c) => ColumnVec::Str(c.gather(idx)),
             ColumnVec::Enc(c) => ColumnVec::Enc(c.gather(idx.map(Some))),
             ColumnVec::Val(v) => ColumnVec::Val(idx.map(|i| v[i].clone()).collect()),
         }
@@ -448,6 +548,8 @@ impl ColumnVec {
         match (&mut *self, other) {
             (ColumnVec::Int(a), ColumnVec::Int(b)) => a.extend(b),
             (ColumnVec::Num(a), ColumnVec::Num(b)) => a.extend(b),
+            (ColumnVec::Date(a), ColumnVec::Date(b)) => a.extend(b),
+            (ColumnVec::Str(a), ColumnVec::Str(b)) => a.append(&b),
             (ColumnVec::Enc(a), ColumnVec::Enc(b))
                 if (a.scheme(), a.key_id()) == (b.scheme(), b.key_id()) =>
             {
@@ -470,6 +572,8 @@ impl ColumnVec {
         match self {
             ColumnVec::Int(v) => v.len() * 8,
             ColumnVec::Num(v) => v.len() * 8,
+            ColumnVec::Date(v) => v.len() * 4,
+            ColumnVec::Str(c) => c.text.len(),
             ColumnVec::Enc(c) => c.byte_size(),
             ColumnVec::Val(v) => v.iter().map(Value::width).sum(),
         }
@@ -655,6 +759,119 @@ mod tests {
         }
     }
 
+    /// Random strings — the empty one and multi-byte UTF-8 among them —
+    /// or random dates: what a typed plaintext column holds.
+    fn gen_plain(rng: &mut StdRng, n: usize, dates: bool) -> Vec<Value> {
+        const WORDS: [&str; 6] = ["", "a", "ü", "日本語", "R", "MAIL SHIP"];
+        let word = |rng: &mut StdRng| WORDS[rng.gen_range(0..WORDS.len())];
+        (0..n)
+            .map(|_| match dates {
+                true => Value::Date(Date(rng.gen_range(-3..4) * 1_000)),
+                false => Value::str(
+                    &(0..rng.gen_range(0..3))
+                        .map(|_| word(rng))
+                        .collect::<String>(),
+                ),
+            })
+            .collect()
+    }
+
+    fn is_typed(col: &ColumnVec, dates: bool) -> bool {
+        matches!(
+            (col, dates),
+            (ColumnVec::Date(_), true) | (ColumnVec::Str(_), false)
+        )
+    }
+
+    /// `Str` and `Date` answer every question as `Val` holding the same
+    /// cells does, and degrade exactly when a NULL or a cell of another
+    /// type arrives.
+    #[test]
+    fn typed_text_and_date_columns_are_invisible() {
+        let seed = KeySeed::default();
+        let hashed = |col: &ColumnVec, rows: Range<usize>| {
+            let mut hashes = vec![0; rows.len()];
+            col.hash_keys(rows, seed, &mut hashes);
+            hashes
+        };
+        for case in 0..80 {
+            let rng = &mut StdRng::seed_from_u64(case);
+            let n = rng.gen_range(1..50);
+            let dates = case % 2 == 0;
+            let cells = gen_plain(rng, n, dates);
+            let typed: ColumnVec = cells.iter().cloned().collect();
+            let val = ColumnVec::Val(cells.clone());
+            assert!(is_typed(&typed, dates));
+            assert!(is_typed(&ColumnVec::from_values(cells.clone()), dates));
+            assert_same(&typed, &val, "as built");
+            assert_eq!(typed.clone().into_values(), cells);
+            assert_eq!(typed.iter().collect::<Vec<_>>(), cells);
+            let bytes: usize = cells.iter().map(Value::width).sum();
+            assert_eq!(typed.byte_size(), bytes);
+            for (i, cell) in cells.iter().enumerate() {
+                assert_eq!(&Value::from(typed.cell_ref(i)), cell);
+                assert_eq!(&typed.get(i), cell);
+                for j in 0..n {
+                    assert_eq!(typed.sort_cmp(i, j), val.sort_cmp(i, j));
+                }
+            }
+
+            let (from, to) = (rng.gen_range(0..=n), rng.gen_range(0..=n));
+            let range = from.min(to)..from.max(to);
+            assert_eq!(hashed(&typed, range.clone()), hashed(&val, range.clone()));
+            let sliced = typed.slice(range.clone());
+            assert_same(&sliced, &val.slice(range), "slice");
+            assert!(is_typed(&sliced, dates));
+            let mask: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+            let filtered = typed.filter(&mask);
+            assert_same(&filtered, &val.filter(&mask), "filter");
+            assert!(is_typed(&filtered, dates));
+            let idx: Vec<usize> = (0..rng.gen_range(0..80))
+                .map(|_| rng.gen_range(0..n))
+                .collect();
+            assert_same(&typed.gather(&idx), &val.gather(&idx), "gather");
+            let padded: Vec<Option<usize>> = (idx.iter())
+                .map(|&i| rng.gen::<bool>().then_some(i))
+                .collect();
+            let gathered = typed.gather_padded(&padded);
+            assert_same(&gathered, &val.gather_padded(&padded), "gather_padded");
+            // A pad is a NULL, which only the general representation holds.
+            assert_eq!(
+                is_typed(&gathered, dates),
+                padded.iter().all(Option::is_some)
+            );
+
+            // Appending cells of the same type extends the buffer; a
+            // NULL or a foreign cell degrades — and the cells are the
+            // concatenation either way.
+            let more_len = rng.gen_range(1..20);
+            let more = gen_plain(rng, more_len, dates);
+            let with_null = vec![more[0].clone(), Value::Null];
+            let foreign = vec![match dates {
+                true => Value::str("x"),
+                false => Value::Date(Date(1)),
+            }];
+            for (tail, stays) in [(&more, true), (&with_null, false), (&foreign, false)] {
+                let mut a: ColumnVec = cells.iter().cloned().collect();
+                let mut b = val.clone();
+                a.append(tail.iter().cloned().collect());
+                b.append(ColumnVec::Val(tail.to_vec()));
+                assert_same(&a, &b, "append");
+                assert_eq!(a.len(), n + tail.len());
+                assert_eq!(is_typed(&a, dates), stays);
+                // …and cell by cell.
+                let mut a: ColumnVec = cells.iter().cloned().collect();
+                let mut b = val.clone();
+                for v in tail {
+                    a.push(v.clone());
+                    b.push(v.clone());
+                }
+                assert_same(&a, &b, "push");
+                assert_eq!(is_typed(&a, dates), stays);
+            }
+        }
+    }
+
     /// The kernels that read cells where they lie answer as the
     /// general representation does through `Value`.
     #[test]
@@ -675,14 +892,64 @@ mod tests {
                 }
             }
         }
-        // NULLs last, NaN incomparable, dense cells by value.
+        // NULLs last, NaN after the numbers, dense cells by value.
         let nums = ColumnVec::from_nums(vec![2.0, f64::NAN, 1.0]);
         assert_eq!(nums.sort_cmp(0, 2), Ordering::Greater);
-        assert_eq!(nums.sort_cmp(0, 1), Ordering::Equal);
+        assert_eq!(nums.sort_cmp(0, 1), Ordering::Less);
         let vals = ColumnVec::Val(vec![Value::Null, Value::str("a"), Value::Null]);
         assert_eq!(vals.sort_cmp(0, 1), Ordering::Greater);
         assert_eq!(vals.sort_cmp(1, 0), Ordering::Less);
         assert_eq!(vals.sort_cmp(0, 2), Ordering::Equal);
+    }
+
+    /// A sort over cells of every kind sees a total order — holding
+    /// incomparable cells equal made it intransitive (`1 < 2`, yet both
+    /// "equal" `'a'`), and the standard sort panics on that — which
+    /// agrees with `sql_cmp` wherever that orders two cells.
+    #[test]
+    fn the_sort_order_is_total_over_every_kind_of_cell() {
+        let rng = &mut StdRng::seed_from_u64(5);
+        let cells: Vec<Value> = (0..48)
+            .map(|_| match rng.gen_range(0..9) {
+                0 => Value::Null,
+                1 => Value::Bool(rng.gen()),
+                2 => Value::Int([-1, 2, i64::MAX, i64::MAX - 1][rng.gen_range(0..4)]),
+                3 => Value::Num([f64::NAN, -0.0, 0.0, 2.0, i64::MAX as f64][rng.gen_range(0..5)]),
+                4 => Value::str(["", "a", "ü"][rng.gen_range(0..3)]),
+                5 => Value::Date(Date(rng.gen_range(-1..2))),
+                6 => cipher(EncScheme::Ope, rng.gen_range(1..3), &[rng.gen_range(0..3)]),
+                7 => cipher(EncScheme::Deterministic, 1, &[rng.gen_range(0..3)]),
+                _ => cipher(EncScheme::Random, 1, &[rng.gen_range(0..3)]),
+            })
+            .collect();
+        let col = ColumnVec::Val(cells.clone());
+        let n = cells.len();
+        for i in 0..n {
+            for j in 0..n {
+                let ij = col.sort_cmp(i, j);
+                assert_eq!(
+                    ij,
+                    col.sort_cmp(j, i).reverse(),
+                    "{:?} {:?}",
+                    cells[i],
+                    cells[j]
+                );
+                if let Some(exact) = cells[i].sql_cmp(&cells[j]) {
+                    let huge = |v: &Value| v.as_num().is_some_and(|x| x.abs() >= 2f64.powi(53));
+                    if !huge(&cells[i]) && !huge(&cells[j]) {
+                        assert_eq!(ij, exact, "{:?} {:?}", cells[i], cells[j]);
+                    }
+                }
+                for k in 0..n {
+                    if ij != Ordering::Greater && col.sort_cmp(j, k) != Ordering::Greater {
+                        assert_ne!(col.sort_cmp(i, k), Ordering::Greater, "{i} {j} {k}");
+                    }
+                }
+            }
+        }
+        let mut perm: Vec<usize> = (0..n).collect();
+        perm.sort_by(|&a, &b| col.sort_cmp(a, b));
+        assert!(cells[perm[n - 1]].is_null());
     }
 
     /// Cells that are equal as keys hash alike however their column
@@ -711,6 +978,12 @@ mod tests {
         let rng = &mut StdRng::seed_from_u64(11);
         let (enc, val) = both(&gen_cells(rng, 40, 3));
         assert_eq!(hashed(&enc), hashed(&val));
+        for dates in [false, true] {
+            let typed = ColumnVec::from_values(gen_plain(rng, 40, dates));
+            assert!(is_typed(&typed, dates));
+            let general = ColumnVec::Val(typed.clone().into_values());
+            assert_eq!(hashed(&typed), hashed(&general));
+        }
         // A slice hashes as the cells it holds.
         let mut tail = vec![0; 10];
         enc.hash_keys(30..40, seed, &mut tail);

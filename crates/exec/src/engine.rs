@@ -36,7 +36,7 @@
 //! otherwise); homomorphic aggregation only needs the public half.
 
 use crate::batch::{ColumnVec, KeySeed, TableSchema, DEFAULT_BATCH_ROWS};
-use crate::eval::{cmp_cells, cmp_values, eval_column, eval_mask, eval_pred, EvalError, RowCtx};
+use crate::eval::{cmp_cells, eval_column, eval_mask, eval_pred, EvalError, RowCtx};
 use crate::pool::WorkerPool;
 use crate::scheme::SchemePlan;
 use crate::table::{Database, Table};
@@ -998,8 +998,8 @@ impl RowRng for SeededRows<'_> {
 }
 
 /// Encrypt the cells of `col` in `range` straight into one ciphertext
-/// buffer, reading dense columns where they lie. A column that is
-/// ciphertext already passes its NULLs and refuses the rest.
+/// buffer, every cell read where it lies. A column that is ciphertext
+/// already passes its NULLs and refuses the rest.
 fn encrypt_chunk(
     col: &ColumnVec,
     range: std::ops::Range<usize>,
@@ -1007,16 +1007,21 @@ fn encrypt_chunk(
     rngs: impl RowRng,
 ) -> Result<ColumnVec, EncryptError> {
     let mut run = cipher.encryptor();
+    // One cell loop per representation: a single loop over
+    // `col.cell_ref(i)` asks each cell for its representation, which
+    // costs 10–25 % of a Det or memoised OPE cell.
     Ok(ColumnVec::Enc(match col {
-        ColumnVec::Int(v) => run.encrypt_column(v[range].iter().map(|&i| Value::Int(i)), rngs),
-        ColumnVec::Num(v) => run.encrypt_column(v[range].iter().map(|&f| Value::Num(f)), rngs),
+        ColumnVec::Int(v) => run.encrypt_column(v[range].iter().map(|&i| CellRef::Int(i)), rngs),
+        ColumnVec::Num(v) => run.encrypt_column(v[range].iter().map(|&f| CellRef::Num(f)), rngs),
+        ColumnVec::Date(v) => run.encrypt_column(v[range].iter().map(|&d| CellRef::Date(d)), rngs),
+        ColumnVec::Str(c) => run.encrypt_column(c.cells(range).map(CellRef::Str), rngs),
         ColumnVec::Val(v) => run.encrypt_column(&v[range], rngs),
-        ColumnVec::Enc(_) => run.encrypt_column(range.map(|i| col.get(i)), rngs),
+        ColumnVec::Enc(_) => run.encrypt_column(range.map(|i| col.cell_ref(i)), rngs),
     }?))
 }
 
-/// Decrypt the cells of `col` in `range`, an encrypted column's from
-/// the bytes where they lie.
+/// Decrypt the cells of `col` in `range`, each from the bytes where
+/// they lie. NULLs pass; a plaintext cell is refused.
 fn decrypt_chunk(
     col: &ColumnVec,
     range: std::ops::Range<usize>,
@@ -1024,12 +1029,10 @@ fn decrypt_chunk(
 ) -> Result<ColumnVec, EncryptError> {
     let mut out = ColumnVec::new();
     for i in range {
-        out.push(match col {
-            ColumnVec::Enc(c) => match c.cell(i) {
-                [] => Value::Null,
-                cell => cipher.decrypt_cell(c.scheme(), c.key_id(), cell)?,
-            },
-            _ => cipher.decrypt(&col.get(i))?,
+        out.push(match col.cell_ref(i) {
+            CellRef::Null => Value::Null,
+            CellRef::Enc(scheme, key_id, cell) => cipher.decrypt_cell(scheme, key_id, cell)?,
+            _ => return Err(EncryptError::WrongForm),
         });
     }
     Ok(out)
@@ -1535,7 +1538,7 @@ fn probe_batch(p: &Probe<'_>, pool: &WorkerPool) -> Result<Vec<(usize, Option<us
                 // Non-equality join conditions.
                 let mut ok = true;
                 for (l, op, r) in p.other {
-                    if cmp_cells(l, li, *op, r, ri)? != Some(true) {
+                    if cmp_cells(l.cell_ref(li), *op, r.cell_ref(ri))? != Some(true) {
                         ok = false;
                         break;
                     }
@@ -1584,13 +1587,13 @@ pub(crate) struct Distinct {
 }
 
 impl Distinct {
-    fn insert(&mut self, v: Value) {
-        let cell = CellRef::from(&v);
+    /// Count `cell` in, copying it only when it is new.
+    fn insert(&mut self, cell: CellRef<'_>) {
         let hash = self.table.seed.cell(0, cell);
         let seen = |e| self.cells.cell_ref(e).key_eq(cell);
         if !self.table.chain(hash).any(seen) {
             self.table.push(hash);
-            self.cells.push(v);
+            self.cells.push(cell.into());
         }
     }
 }
@@ -1650,16 +1653,16 @@ impl AggAcc {
         }
     }
 
-    /// Add one cell. What the typed folds of γ reach cell by cell —
-    /// an integer, a numeric, a Paillier ciphertext's bytes — has an
-    /// entry of its own below; this one sorts a [`Value`] onto them.
-    pub(crate) fn update(&mut self, v: Value, keys: &KeyRing) -> Result<(), ExecError> {
+    /// Add one cell, read where it lies. What the typed folds of γ
+    /// reach cell by cell — an integer, a numeric — has an entry of its
+    /// own below; this one sorts any cell onto them.
+    pub(crate) fn update(&mut self, v: CellRef<'_>, keys: &KeyRing) -> Result<(), ExecError> {
         match v {
-            Value::Null => Ok(()),
-            Value::Int(i) => self.add_int(i),
-            Value::Num(f) => self.add_num(f),
-            Value::Enc(e) if e.scheme == EncScheme::Paillier => {
-                self.add_paillier(e.key_id, &e.bytes, keys)
+            CellRef::Null => Ok(()),
+            CellRef::Int(i) => self.add_int(i),
+            CellRef::Num(f) => self.add_num(f),
+            CellRef::Enc(EncScheme::Paillier, key_id, cell) => {
+                self.add_paillier(key_id, cell, keys)
             }
             other => self.add_other(other),
         }
@@ -1675,7 +1678,7 @@ impl AggAcc {
                 })?;
                 *count += 1;
             }
-            _ => return self.add_other(Value::Int(i)),
+            _ => return self.add_other(CellRef::Int(i)),
         }
         Ok(())
     }
@@ -1694,7 +1697,7 @@ impl AggAcc {
                 *saw_num = true;
                 *count += 1;
             }
-            _ => return self.add_other(Value::Num(f)),
+            _ => return self.add_other(CellRef::Num(f)),
         }
         Ok(())
     }
@@ -1707,7 +1710,7 @@ impl AggAcc {
             bytes: cell.into(),
         };
         let AggAcc::SumEnc { acc, pk } = self else {
-            return self.add_other(Value::Enc(owned()));
+            return self.add_other(CellRef::Enc(EncScheme::Paillier, key_id, cell));
         };
         if pk.is_none() {
             *pk = Some(keys.get_public(key_id).ok_or(ExecError::MissingKey {
@@ -1724,13 +1727,13 @@ impl AggAcc {
     }
 
     /// Every pairing of accumulator and non-NULL cell the entries above
-    /// leave over.
-    fn add_other(&mut self, v: Value) -> Result<(), ExecError> {
+    /// leave over. Only an accumulator that keeps the cell copies it.
+    fn add_other(&mut self, v: CellRef<'_>) -> Result<(), ExecError> {
         match self {
             AggAcc::Count(c) => *c += 1,
             AggAcc::CountDistinct(set) => set.insert(v),
             AggAcc::Sum { .. } => {
-                return Err(match v {
+                return Err(match Value::from(v) {
                     Value::Enc(_) => {
                         ExecError::Unsupported("mixed plaintext/ciphertext aggregation".into())
                     }
@@ -1738,7 +1741,7 @@ impl AggAcc {
                 })
             }
             AggAcc::SumEnc { .. } => {
-                return Err(match v {
+                return Err(match Value::from(v) {
                     Value::Enc(_) => ExecError::Eval(EvalError::EncryptedOperation(
                         "SUM over non-Paillier ciphertext".into(),
                     )),
@@ -1752,11 +1755,11 @@ impl AggAcc {
                     None => true,
                     Some(b) => {
                         let op = if *is_min { CmpOp::Lt } else { CmpOp::Gt };
-                        cmp_values(&v, op, b)? == Some(true)
+                        cmp_cells(v, op, (&*b).into())? == Some(true)
                     }
                 };
                 if replace {
-                    *best = Some(v);
+                    *best = Some(v.into());
                 }
             }
         }
@@ -1848,15 +1851,9 @@ fn fold(
         ColumnVec::Num(v) => {
             (rows.zip(v)).try_for_each(|((r, g), &f)| accs[g].add_num(f).map_err(|e| (r, e)))
         }
-        ColumnVec::Enc(c) if c.scheme() == EncScheme::Paillier => {
-            rows.try_for_each(|(r, g)| match c.cell(r) {
-                [] => Ok(()),
-                cell => accs[g]
-                    .add_paillier(c.key_id(), cell, keys)
-                    .map_err(|e| (r, e)),
-            })
+        _ => {
+            rows.try_for_each(|(r, g)| (accs[g].update(col.cell_ref(r), keys)).map_err(|e| (r, e)))
         }
-        _ => rows.try_for_each(|(r, g)| accs[g].update(col.get(r), keys).map_err(|e| (r, e))),
     }
 }
 
@@ -2023,8 +2020,9 @@ fn sort_stream(
     if let Some((_, e)) = failed.min_by_key(|(row, _)| *row) {
         return Err(e.clone().into());
     }
-    // A total order (NULLs last, incomparables equal); the stable sort
-    // keeps input order on ties, matching the row engine.
+    // A total order (`CellRef::sort_cmp`: NULLs last, kinds apart, NaN
+    // after the numbers); the stable sort keeps input order on ties,
+    // matching the row engine.
     let mut perm: Vec<usize> = (0..table.len()).collect();
     perm.sort_by(|&a, &b| {
         for ((col, _), (_, asc)) in keyed.iter().zip(keys) {
@@ -2297,13 +2295,13 @@ mod tests {
         let mut group_keys = vec![ColumnVec::new(); 2];
         let gid = group_ids(&mut table, &mut group_keys, &key_cols, &hashes);
         let mut firsts: Vec<usize> = Vec::new();
-        for r in 0..300 {
+        for (r, &id) in gid.iter().enumerate() {
             let g = firsts.iter().position(|&first| same(first, r));
             let g = g.unwrap_or_else(|| {
                 firsts.push(r);
                 firsts.len() - 1
             });
-            assert_eq!(gid[r] as usize, g, "row {r}");
+            assert_eq!(id as usize, g, "row {r}");
         }
         assert!(firsts.len() > 64, "the table grew twice");
         for (held, key) in group_keys.iter().zip(&keys) {

@@ -17,9 +17,11 @@
 //! * [`eval_mask`] / [`eval_column`] — what the engine runs: an
 //!   expression over a whole batch, one sub-expression at a time.
 //!   Columns are resolved to positions once per batch; dense `Int` /
-//!   `Num` operands go through typed loops, everything else through
-//!   the cell rules on *borrowed* cells (a ciphertext is compared on
-//!   the bytes where they lie). `AND` / `OR` / `CASE` evaluate part
+//!   `Num` operands, dates against dates and strings against strings
+//!   go through typed loops, everything else through the cell rules on
+//!   *borrowed* cells ([`CellRef`]: a string is compared as the `&str`
+//!   in its column, a ciphertext on the bytes where they lie). `AND` /
+//!   `OR` / `CASE` evaluate part
 //!   *k* only on the rows parts *1..k* left undecided, so every
 //!   sub-expression sees exactly the rows a row-at-a-time walk would
 //!   have shown it: results and errors are the row walk's.
@@ -27,7 +29,7 @@
 //!   two callers that are row-shaped on purpose: the [`crate::rowref`]
 //!   oracle and the join's residual predicate.
 
-use crate::batch::ColumnVec;
+use crate::batch::{ColumnVec, StrColumn};
 use crate::table::Table;
 use mpq_algebra::expr::DateField;
 use mpq_algebra::value::{CellRef, EncColumn, EncScheme};
@@ -166,7 +168,7 @@ pub fn eval(e: &Expr, ctx: &RowCtx<'_>) -> Result<Value, EvalError> {
             negated,
         } => {
             let pattern: Vec<char> = pattern.chars().collect();
-            like_cell(&eval(expr, ctx)?, &pattern, *negated).map(truth_to_value)
+            like_cell((&eval(expr, ctx)?).into(), &pattern, *negated).map(truth_to_value)
         }
         Expr::Between {
             expr,
@@ -259,34 +261,34 @@ fn cmp_enc(a: EncRef<'_>, op: CmpOp, b: EncRef<'_>) -> Result<Option<bool>, Eval
 
 /// Three-valued comparison, ciphertext-aware.
 pub fn cmp_values(a: &Value, op: CmpOp, b: &Value) -> Result<Option<bool>, EvalError> {
-    if a.is_null() || b.is_null() {
-        return Ok(None);
-    }
+    cmp_cells(a.into(), op, b.into())
+}
+
+/// [`cmp_values`] on cells read where they lie (a ciphertext is
+/// compared on its bytes in its column).
+pub(crate) fn cmp_cells(
+    a: CellRef<'_>,
+    op: CmpOp,
+    b: CellRef<'_>,
+) -> Result<Option<bool>, EvalError> {
     // Equality works on deterministic ciphertexts; report capability
     // errors for other mixes.
     match (a, b) {
-        (Value::Enc(ea), Value::Enc(eb)) => cmp_enc(
-            (ea.scheme, ea.key_id, &ea.bytes),
-            op,
-            (eb.scheme, eb.key_id, &eb.bytes),
-        ),
-        (Value::Enc(_), _) | (_, Value::Enc(_)) => Err(EvalError::EncryptedOperation(
+        (CellRef::Null, _) | (_, CellRef::Null) => Ok(None),
+        (CellRef::Enc(s, k, x), CellRef::Enc(t, l, y)) => cmp_enc((s, k, x), op, (t, l, y)),
+        (CellRef::Enc(..), _) | (_, CellRef::Enc(..)) => Err(EvalError::EncryptedOperation(
             "comparison between ciphertext and plaintext (literal not rewritten?)".into(),
         )),
         _ => match a.sql_cmp(b) {
             Some(o) => Ok(Some(op.eval(o))),
-            None => {
-                if op == CmpOp::Ne {
-                    // Incomparable non-null values are simply unequal.
-                    Ok(Some(true))
-                } else if op.is_equality() {
-                    Ok(Some(false))
-                } else {
-                    Err(EvalError::TypeError(format!(
-                        "cannot order {a:?} and {b:?}"
-                    )))
-                }
-            }
+            // Incomparable non-null values are simply unequal.
+            None if op == CmpOp::Ne => Ok(Some(true)),
+            None if op.is_equality() => Ok(Some(false)),
+            None => Err(EvalError::TypeError(format!(
+                "cannot order {:?} and {:?}",
+                Value::from(a),
+                Value::from(b)
+            ))),
         },
     }
 }
@@ -307,22 +309,6 @@ fn holds<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
 /// `BETWEEN` from its two bound comparisons.
 fn between(ge: Option<bool>, le: Option<bool>, negated: bool) -> Option<bool> {
     Some((ge? && le?) != negated)
-}
-
-/// [`cmp_values`] on cell `i` of `a` and cell `j` of `b` (a join's
-/// non-equality conditions): two ciphertexts are compared on the bytes
-/// where they lie.
-pub(crate) fn cmp_cells(
-    a: &ColumnVec,
-    i: usize,
-    op: CmpOp,
-    b: &ColumnVec,
-    j: usize,
-) -> Result<Option<bool>, EvalError> {
-    match (a.cell_ref(i), b.cell_ref(j)) {
-        (CellRef::Enc(s, k, x), CellRef::Enc(t, l, y)) => cmp_enc((s, k, x), op, (t, l, y)),
-        _ => cmp_values(&a.get(i), op, &b.get(j)),
-    }
 }
 
 /// `v = item` for `IN`: `v` a non-NULL cell, read where it lies.
@@ -416,12 +402,15 @@ fn num_arith(x: f64, op: ArithOp, y: f64) -> f64 {
     }
 }
 
-fn like_cell(v: &Value, pattern: &[char], negated: bool) -> Result<Option<bool>, EvalError> {
+fn like_cell(v: CellRef<'_>, pattern: &[char], negated: bool) -> Result<Option<bool>, EvalError> {
     match v {
-        Value::Null => Ok(None),
-        Value::Str(s) => Ok(Some(like_chars(s, pattern) != negated)),
-        Value::Enc(_) => Err(EvalError::EncryptedOperation("LIKE over ciphertext".into())),
-        other => Err(EvalError::TypeError(format!("LIKE over {other:?}"))),
+        CellRef::Null => Ok(None),
+        CellRef::Str(s) => Ok(Some(like_chars(s, pattern) != negated)),
+        CellRef::Enc(..) => Err(EvalError::EncryptedOperation("LIKE over ciphertext".into())),
+        other => Err(EvalError::TypeError(format!(
+            "LIKE over {:?}",
+            Value::from(other)
+        ))),
     }
 }
 
@@ -533,6 +522,8 @@ pub fn eval_column<'a>(expr: &Expr, batch: &'a Table, agg_base: Option<usize>) -
     let column = match ev.column(expr, &ev.all_rows()) {
         Col::Int(v) => ColumnVec::Int(v.into_owned()),
         Col::Num(v) => ColumnVec::Num(v.into_owned()),
+        Col::Date(v) => ColumnVec::Date(v.to_vec()),
+        Col::Str(c, from) => ColumnVec::Str(c.slice(from..from + ev.n)),
         Col::Val(v) => ColumnVec::from_values(v.into_owned()),
         Col::Enc(c, from) => ColumnVec::Enc(c.slice(from..from + ev.n)),
         Col::Lit(v) => std::iter::repeat_n(v, ev.n).cloned().collect(),
@@ -549,6 +540,9 @@ static NULL: Value = Value::Null;
 enum Col<'a> {
     Int(Cow<'a, [i64]>),
     Num(Cow<'a, [f64]>),
+    Date(&'a [Date]),
+    /// The cells of a string column from the given one on.
+    Str(&'a StrColumn, usize),
     Val(Cow<'a, [Value]>),
     /// The cells of an encrypted column from the given one on.
     Enc(&'a EncColumn, usize),
@@ -591,27 +585,32 @@ impl NumSrc<'_> {
 }
 
 impl Col<'_> {
-    /// Cell `r` for a cell rule: borrowed when it exists as a
-    /// [`Value`], a scalar copy of a dense cell otherwise. Only here is
-    /// an encrypted column's cell copied out — for `IN`, and for the
-    /// operations that refuse a ciphertext anyway; comparisons read it
-    /// in place ([`Col::enc`]).
-    fn cell(&self, r: usize) -> Cow<'_, Value> {
+    /// Cell `r` where it lies: what comparisons, `IN`, `LIKE` and
+    /// `IS NULL` read.
+    #[inline]
+    fn cell_ref(&self, r: usize) -> CellRef<'_> {
         match self {
-            Col::Int(v) => Cow::Owned(Value::Int(v[r])),
-            Col::Num(v) => Cow::Owned(Value::Num(v[r])),
-            Col::Val(v) => Cow::Borrowed(&v[r]),
-            Col::Enc(c, from) => Cow::Owned(c.value(from + r)),
-            Col::Lit(v) => Cow::Borrowed(v),
+            Col::Int(v) => CellRef::Int(v[r]),
+            Col::Num(v) => CellRef::Num(v[r]),
+            Col::Date(v) => CellRef::Date(v[r]),
+            Col::Str(c, from) => CellRef::Str(c.cell(from + r)),
+            Col::Val(v) => (&v[r]).into(),
+            Col::Enc(c, from) => match c.cell(from + r) {
+                [] => CellRef::Null,
+                cell => CellRef::Enc(c.scheme(), c.key_id(), cell),
+            },
+            Col::Lit(v) => (*v).into(),
         }
     }
 
-    fn is_null(&self, r: usize) -> bool {
+    /// Cell `r` as a value of its own, for the cell rules that compute
+    /// one (arithmetic, `EXTRACT`, `SUBSTRING`, `CASE`) or report it:
+    /// borrowed when it exists as a [`Value`], copied out otherwise.
+    fn cell(&self, r: usize) -> Cow<'_, Value> {
         match self {
-            Col::Int(_) | Col::Num(_) => false,
-            Col::Val(v) => v[r].is_null(),
-            Col::Enc(c, from) => c.cell(from + r).is_empty(),
-            Col::Lit(v) => v.is_null(),
+            Col::Val(v) => Cow::Borrowed(&v[r]),
+            Col::Lit(v) => Cow::Borrowed(v),
+            _ => Cow::Owned(self.cell_ref(r).into()),
         }
     }
 
@@ -621,19 +620,6 @@ impl Col<'_> {
             Col::Num(v) => Some(NumSrc::Nums(v)),
             Col::Lit(Value::Int(x)) => Some(NumSrc::Int(*x)),
             Col::Lit(Value::Num(x)) => Some(NumSrc::Num(*x)),
-            _ => None,
-        }
-    }
-
-    /// Cell `r` when it is a date, in days.
-    #[inline]
-    fn day(&self, r: usize) -> Option<i32> {
-        match self {
-            Col::Val(v) => match v[r] {
-                Value::Date(d) => Some(d.0),
-                _ => None,
-            },
-            Col::Lit(Value::Date(d)) => Some(d.0),
             _ => None,
         }
     }
@@ -653,6 +639,36 @@ impl Col<'_> {
             }
             Col::Lit(Value::Enc(e)) => Some((e.scheme, e.key_id, &e.bytes)),
             _ => None,
+        }
+    }
+
+    /// `true` for a date column or literal: every cell a date.
+    fn is_days(&self) -> bool {
+        matches!(self, Col::Date(_) | Col::Lit(Value::Date(_)))
+    }
+
+    /// Cell `r` of an [`is_days`](Col::is_days) operand.
+    #[inline]
+    fn day(&self, r: usize) -> Date {
+        match self {
+            Col::Date(v) => v[r],
+            Col::Lit(Value::Date(d)) => *d,
+            _ => unreachable!("asked only of date operands"),
+        }
+    }
+
+    /// `true` for a string column or literal: every cell a string.
+    fn is_text(&self) -> bool {
+        matches!(self, Col::Str(..) | Col::Lit(Value::Str(_)))
+    }
+
+    /// Cell `r` of an [`is_text`](Col::is_text) operand.
+    #[inline]
+    fn text(&self, r: usize) -> &str {
+        match self {
+            Col::Str(c, from) => c.cell(from + r),
+            Col::Lit(Value::Str(s)) => s,
+            _ => unreachable!("asked only of string operands"),
         }
     }
 }
@@ -755,6 +771,8 @@ impl<'a> Evaluator<'a> {
             return match input {
                 Ok(ColumnVec::Int(v)) => Col::Int(Cow::Borrowed(&v[rows])),
                 Ok(ColumnVec::Num(v)) => Col::Num(Cow::Borrowed(&v[rows])),
+                Ok(ColumnVec::Date(v)) => Col::Date(&v[rows]),
+                Ok(ColumnVec::Str(c)) => Col::Str(c, self.start),
                 Ok(ColumnVec::Val(v)) => Col::Val(Cow::Borrowed(&v[rows])),
                 Ok(ColumnVec::Enc(c)) => Col::Enc(c, self.start),
                 Err(unknown) => {
@@ -866,7 +884,7 @@ impl<'a> Evaluator<'a> {
             } => {
                 let v = self.column(expr, sel);
                 let pattern: Vec<char> = pattern.chars().collect();
-                self.apply(sel, None, |r| like_cell(&v.cell(r), &pattern, *negated))
+                self.apply(sel, None, |r| like_cell(v.cell_ref(r), &pattern, *negated))
             }
             Expr::InList {
                 expr,
@@ -874,17 +892,12 @@ impl<'a> Evaluator<'a> {
                 negated,
             } => {
                 let v = self.column(expr, sel);
-                // A ciphertext column's cell is read where it lies.
-                self.apply(sel, None, |r| match v.enc(r) {
-                    Some((scheme, key, cell)) => {
-                        in_list_cell(CellRef::Enc(scheme, key, cell), list, *negated)
-                    }
-                    None => in_list_cell((&*v.cell(r)).into(), list, *negated),
-                })
+                self.apply(sel, None, |r| in_list_cell(v.cell_ref(r), list, *negated))
             }
             Expr::IsNull { expr, negated } => {
                 let v = self.column(expr, sel);
-                self.apply(sel, None, |r| Ok(Some(v.is_null(r) != *negated)))
+                let null = |r| matches!(v.cell_ref(r), CellRef::Null);
+                self.apply(sel, None, |r| Ok(Some(null(r) != *negated)))
             }
             _ => {
                 let v = self.column(e, sel);
@@ -921,9 +934,9 @@ impl<'a> Evaluator<'a> {
     fn cmp(&mut self, a: &Col<'_>, op: CmpOp, b: &Col<'_>, sel: &[usize]) -> Vec<Option<bool>> {
         let mut out = vec![None; self.n];
         let live = self.live(sel);
-        // Typed loops over what is dense in all but (for dates)
-        // representation. A pair they cannot answer — NaN, a cell that
-        // is no date — sends the selection to the cell rule instead.
+        // Typed loops over dense operands: integers, numerics, dates by
+        // day, strings by byte. A pair they cannot answer — NaN — sends
+        // the selection to the cell rule instead.
         let typed = match (a.nums(), b.nums()) {
             (Some(x), Some(y)) if x.is_int() && y.is_int() => {
                 live.iter()
@@ -935,24 +948,32 @@ impl<'a> Evaluator<'a> {
                 out[r] = Some(holds(op, p, q));
                 ordered & !p.is_nan() & !q.is_nan()
             }),
-            _ => live.iter().all(|&r| match (a.day(r), b.day(r)) {
-                (Some(p), Some(q)) => {
-                    out[r] = Some(holds(op, p, q));
-                    true
-                }
-                _ => false,
-            }),
+            _ if a.is_days() && b.is_days() => {
+                live.iter()
+                    .for_each(|&r| out[r] = Some(holds(op, a.day(r), b.day(r))));
+                true
+            }
+            _ if a.is_text() && b.is_text() => {
+                live.iter()
+                    .for_each(|&r| out[r] = Some(holds(op, a.text(r), b.text(r))));
+                true
+            }
+            _ => false,
         };
         if typed {
             return out;
         }
         if a.is_enc() && b.is_enc() {
+            // Two ciphertext operands: compared on their bytes, through
+            // the capability checks alone.
             self.fill(sel, &mut out, |r| match (a.enc(r), b.enc(r)) {
                 (Some(x), Some(y)) => cmp_enc(x, op, y),
                 _ => Ok(None),
             });
         } else {
-            self.fill(sel, &mut out, |r| cmp_values(&a.cell(r), op, &b.cell(r)));
+            self.fill(sel, &mut out, |r| {
+                cmp_cells(a.cell_ref(r), op, b.cell_ref(r))
+            });
         }
         out
     }

@@ -22,7 +22,7 @@
 use crate::engine::{decide_form_fix, mix_seed, udf_layout, AggAcc, ExecCtx, ExecError, Form};
 use crate::eval::{cmp_values, eval, eval_pred, RowCtx};
 use crate::table::Table;
-use mpq_algebra::value::GroupKey;
+use mpq_algebra::value::{CellRef, GroupKey};
 use mpq_algebra::{AttrId, CmpOp, JoinKind, NodeId, Operator, QueryPlan, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -170,7 +170,7 @@ fn eval_node(plan: &QueryPlan, id: NodeId, ctx: &ExecCtx<'_>) -> Result<Rel, Exe
                     }
                 };
                 for (ag, acc) in aggs.iter().zip(groups[g].1.iter_mut()) {
-                    acc.update(eval(&ag.input, &rc)?, ctx.keys)?;
+                    acc.update((&eval(&ag.input, &rc)?).into(), ctx.keys)?;
                 }
             }
             if keys.is_empty() && child.rows.is_empty() {
@@ -235,12 +235,7 @@ fn eval_node(plan: &QueryPlan, id: NodeId, ctx: &ExecCtx<'_>) -> Result<Rel, Exe
             }
             keyed.sort_by(|(ka, _), (kb, _)| {
                 for ((va, vb), (_, asc)) in ka.iter().zip(kb).zip(keys) {
-                    let ord = match (va.is_null(), vb.is_null()) {
-                        (true, true) => std::cmp::Ordering::Equal,
-                        (true, false) => std::cmp::Ordering::Greater,
-                        (false, true) => std::cmp::Ordering::Less,
-                        (false, false) => va.sql_cmp(vb).unwrap_or(std::cmp::Ordering::Equal),
-                    };
+                    let ord = CellRef::from(va).sort_cmp(vb.into());
                     let ord = if *asc { ord } else { ord.reverse() };
                     if ord != std::cmp::Ordering::Equal {
                         return ord;

@@ -6,7 +6,8 @@
 //! at a time over a row). Here random expression trees over every
 //! `Expr` variant meet random batches in every column representation —
 //! dense `Int` and `Num` (NaN, ±0.0, `i64::MAX`), general `Val` (NULL,
-//! strings, dates, booleans, mixed numerics) and `Enc` under
+//! strings, dates, booleans, mixed numerics), typed `Str` and `Date`
+//! beside the `Val` strings and dates, and `Enc` under
 //! Deterministic, OPE and Random with NULL cells — and must agree cell
 //! for cell. They must also *fail* alike: when the row walk fails on
 //! some row, the column evaluator reports that very row and error, and
@@ -44,8 +45,12 @@ const RND: AttrId = AttrId(7); // Enc Random, NULL cells
 const KEY: AttrId = AttrId(8); // dense Int, six values
 const OPE2: AttrId = AttrId(9); // Enc OPE under OPE's key
 const CLEAN: AttrId = AttrId(10); // dense Num, nothing hostile
+const TSTR: AttrId = AttrId(11); // typed Str: STR's strings, no NULL
+const TDAY: AttrId = AttrId(12); // typed Date: DAY's dates, no NULL
 const UNKNOWN: AttrId = AttrId(99);
-const ALL: [AttrId; 11] = [INT, NUM, MIXED, STR, DAY, DET, OPE, RND, KEY, OPE2, CLEAN];
+const ALL: [AttrId; 13] = [
+    INT, NUM, MIXED, STR, DAY, DET, OPE, RND, KEY, OPE2, CLEAN, TSTR, TDAY,
+];
 const WORDS: [&str; 6] = ["", "a", "ab", "PROMO x", "ünï", "a%b_c"];
 
 fn pick<T: Clone>(rng: &mut StdRng, from: &[T]) -> T {
@@ -136,6 +141,10 @@ fn gen_table(rng: &mut StdRng, n: usize, hostile: bool) -> Table {
         ColumnVec::Int((0..n).map(|_| rng.gen_range(-2..4)).collect()),
         enc(rng, EncScheme::Ope),
         ColumnVec::Num((0..n).map(|_| gen_num(rng, false)).collect()),
+        (0..n).map(|_| Value::str(pick(rng, &WORDS))).collect(),
+        (0..n)
+            .map(|_| Value::Date(Date(rng.gen_range(0..5))))
+            .collect(),
     ];
     Table::from_columns(TableSchema::new(ALL.to_vec()), cols)
 }
@@ -157,8 +166,8 @@ fn base_pools() -> Pools {
     Pools {
         ints: vec![INT, KEY],
         nums: vec![NUM, CLEAN],
-        strs: vec![STR],
-        days: vec![DAY],
+        strs: vec![STR, TSTR],
+        days: vec![DAY, TDAY],
         others: vec![MIXED, UNKNOWN],
         encs: vec![
             (DET, EncScheme::Deterministic),
@@ -486,7 +495,9 @@ proptest! {
 
 fn fixture(rng: &mut StdRng, n: usize, hostile: bool) -> (Catalog, Database, RelId) {
     let mut cat = Catalog::new();
-    let names = ["i", "n", "m", "s", "d", "ed", "eo", "er", "k", "eo2", "c"];
+    let names = [
+        "i", "n", "m", "s", "d", "ed", "eo", "er", "k", "eo2", "c", "ts", "td",
+    ];
     let columns: Vec<(&str, DataType)> = names.iter().map(|c| (*c, DataType::Int)).collect();
     let rel = cat.add_relation("T", &columns).expect("a relation");
     assert_eq!(cat.rel(rel).attrs(), ALL);
@@ -626,6 +637,31 @@ fn failed(expr: &Expr, table: &Table) -> Option<(usize, EvalError)> {
 fn column(expr: &Expr, table: &Table) -> Vec<Value> {
     assert_eq!(failed(expr, table), None);
     eval_column(expr, table, None).0.iter().collect()
+}
+
+/// A sort under several keys, one over cells of every kind: holding
+/// incomparable cells equal made the comparator intransitive, and the
+/// standard sort panicked on most such tables — engine and oracle
+/// alike. Both now sort by one total order.
+#[test]
+fn a_sort_over_mixed_kinds_runs_to_the_end() {
+    for seed in 0..20 {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let (cat, db, rel) = fixture(rng, 700, seed % 2 == 0);
+        let is_null = Expr::IsNull {
+            expr: Box::new(Expr::Col(OPE2)),
+            negated: false,
+        };
+        let keys = vec![
+            (is_null, false),
+            (Expr::Col(MIXED), true),
+            (Expr::Col(TSTR), false),
+        ];
+        let mut plan = QueryPlan::new();
+        let base = plan.add_base(rel, ALL.to_vec());
+        plan.add(Operator::Sort { keys }, vec![base]);
+        assert_engine_matches_oracle(&cat, &db, &plan);
+    }
 }
 
 /// `a > 0 AND b + i64::MAX > 0`: the sum is computed for the rows with

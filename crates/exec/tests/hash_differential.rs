@@ -6,7 +6,8 @@
 //! `cmp_values` and groups through `GroupKey`s in a `HashMap`. Here one
 //! to three key columns in every representation — dense `Int`, dense
 //! `Num` (integral values, ±0.0, NaN), general `Val` (NULL, strings,
-//! dates, booleans, numerics), `Enc` Deterministic and `Enc` Random,
+//! dates, booleans, numerics), typed `Str` and `Date` (the same strings
+//! and dates, joined against `Val` too), `Enc` Deterministic and `Enc` Random,
 //! with and without NULL cells — run through all four join kinds and a
 //! group-by with every kind of accumulator, at batches of 1, 7 and
 //! 4,096 rows and pools of 1 and 3: join pairs in probe × build order,
@@ -54,19 +55,35 @@ enum Rep {
     Int,
     Num,
     Val,
+    /// Typed strings (`ColumnVec::Str`).
+    Text,
+    /// Typed dates (`ColumnVec::Date`).
+    Day,
     Det,
     Rnd,
 }
 
-const REPS: [Rep; 5] = [Rep::Int, Rep::Num, Rep::Val, Rep::Det, Rep::Rnd];
+const REPS: [Rep; 7] = [
+    Rep::Int,
+    Rep::Num,
+    Rep::Val,
+    Rep::Text,
+    Rep::Day,
+    Rep::Det,
+    Rep::Rnd,
+];
 
 /// One key column of `n` cells out of a domain small enough that keys
 /// repeat and match across the two sides.
 fn key_column(rng: &mut StdRng, rep: Rep, n: usize, key: &ClusterKey) -> ColumnVec {
     let small = |rng: &mut StdRng| Value::Int(rng.gen_range(0..4));
+    let word = |rng: &mut StdRng| Value::str(["", "a", "ab"][rng.gen_range(0..3)]);
+    let day = |rng: &mut StdRng| Value::Date(Date(rng.gen_range(0..3)));
     let cells: Vec<Value> = (0..n)
         .map(|_| match rep {
             Rep::Int => small(rng),
+            Rep::Text => word(rng),
+            Rep::Day => day(rng),
             Rep::Num => Value::Num(match rng.gen_range(0..12) {
                 0 => f64::NAN,
                 1 => -0.0,
@@ -75,8 +92,8 @@ fn key_column(rng: &mut StdRng, rep: Rep, n: usize, key: &ClusterKey) -> ColumnV
             }),
             Rep::Val => match rng.gen_range(0..8) {
                 0 => Value::Null,
-                1 => Value::str(["", "a", "ab"][rng.gen_range(0..3)]),
-                2 => Value::Date(Date(rng.gen_range(0..3))),
+                1 => word(rng),
+                2 => day(rng),
                 3 => Value::Bool(rng.gen()),
                 4 => Value::Num(f64::from(rng.gen_range(0..4))),
                 _ => small(rng),
@@ -97,12 +114,13 @@ fn key_column(rng: &mut StdRng, rep: Rep, n: usize, key: &ClusterKey) -> ColumnV
 }
 
 /// The representation the other side of a join holds a key in: its own,
-/// or — numerics being equal across representations — another numeric.
+/// or — plaintext cells being equal across representations — another
+/// plaintext one.
 fn other_side(rng: &mut StdRng, rep: Rep) -> Rep {
+    const PLAIN: [Rep; 5] = [Rep::Int, Rep::Num, Rep::Val, Rep::Text, Rep::Day];
     match rep {
-        Rep::Int | Rep::Num | Rep::Val if rng.gen_range(0..3) == 0 => {
-            [Rep::Int, Rep::Num, Rep::Val][rng.gen_range(0..3)]
-        }
+        Rep::Det | Rep::Rnd => rep,
+        _ if rng.gen_range(0..3) == 0 => PLAIN[rng.gen_range(0..PLAIN.len())],
         same => same,
     }
 }

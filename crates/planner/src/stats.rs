@@ -26,8 +26,8 @@
 use mpq_algebra::stats::{
     estimate_plan, ColumnStats, Estimate, Histogram, StatsCatalog, TableStats,
 };
-use mpq_algebra::value::DataType;
-use mpq_algebra::{Catalog, NodeId, QueryPlan, Value};
+use mpq_algebra::value::{CellRef, DataType};
+use mpq_algebra::{Catalog, NodeId, QueryPlan};
 use mpq_crypto::KeyRing;
 use mpq_exec::{Database, ExecCtx, SchemePlan};
 use rand::rngs::StdRng;
@@ -112,7 +112,11 @@ pub fn collect_stats(catalog: &Catalog, db: &Database, cfg: &SampleConfig) -> St
 }
 
 /// Statistics for one sampled column, scanned directly from its
-/// [`mpq_exec::ColumnVec`] at the sampled row indices.
+/// [`mpq_exec::ColumnVec`] at the sampled row indices, every cell read
+/// where it lies (a string is counted as the `&str` in its column), so
+/// a column's statistics do not depend on how it is held. A NaN has no
+/// place in an order: like a NULL it counts towards `null_frac` and is
+/// no histogram point, no bound and no distinct value.
 fn column_stats(
     ty: DataType,
     table_rows: usize,
@@ -123,25 +127,27 @@ fn column_stats(
     let mut nulls = 0usize;
     let mut width_sum = 0usize;
     let mut numeric: Vec<f64> = Vec::new();
-    let mut strings: HashMap<String, usize> = HashMap::new();
+    let mut strings: HashMap<&str, usize> = HashMap::new();
     let mut non_null = 0usize;
     for &r in sample_idx {
-        let v = col.get(r);
-        if v.is_null() {
+        let cell = col.cell_ref(r);
+        let point = match cell {
+            CellRef::Int(i) => Some(i as f64),
+            CellRef::Num(f) => Some(f),
+            CellRef::Date(d) => Some(d.0 as f64),
+            CellRef::Bool(b) => Some(b as u8 as f64),
+            _ => None,
+        };
+        if matches!(cell, CellRef::Null) || point.is_some_and(f64::is_nan) {
             nulls += 1;
             continue;
         }
         non_null += 1;
-        width_sum += v.width();
-        match v {
-            Value::Int(i) => numeric.push(i as f64),
-            Value::Num(f) => numeric.push(f),
-            Value::Date(d) => numeric.push(d.0 as f64),
-            Value::Bool(b) => numeric.push(b as u8 as f64),
-            Value::Str(s) => {
-                *strings.entry(s.as_ref().to_owned()).or_insert(0) += 1;
-            }
-            Value::Null | Value::Enc(_) => {}
+        width_sum += cell.width();
+        match (point, cell) {
+            (Some(x), _) => numeric.push(x),
+            (None, CellRef::Str(s)) => *strings.entry(s).or_insert(0) += 1,
+            _ => {}
         }
     }
     let sampled = sample_idx.len().max(1);
@@ -156,7 +162,7 @@ fn column_stats(
     // D = d / (1 − (1−r/N)·f1/r). A key-like column (f1 ≈ r)
     // extrapolates to ≈ N; a categorical one (f1 ≈ 0) stays at d.
     let (d, f1) = if !numeric.is_empty() {
-        numeric.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in data"));
+        numeric.sort_by(f64::total_cmp);
         distinct_and_singletons_sorted(&numeric)
     } else {
         let d = strings.len();
@@ -282,7 +288,9 @@ pub fn max_q_error(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpq_algebra::Value;
     use mpq_core::fixtures::RunningExample;
+    use mpq_exec::{ColumnVec, Table};
 
     fn medical() -> (Catalog, Database) {
         let ex = RunningExample::new();
@@ -345,6 +353,70 @@ mod tests {
         // The key-like customer column extrapolates towards the table.
         let c = cat.attr("C").unwrap();
         assert!(t.columns[&c].ndv > 3000.0, "ndv {}", t.columns[&c].ndv);
+    }
+
+    /// A NaN cell used to panic the sort. It now counts as a NULL: the
+    /// column's statistics are those of the table without its row,
+    /// except `null_frac` (and the table's `rows`).
+    #[test]
+    fn a_nan_cell_counts_as_a_null() {
+        let (cat, _) = medical();
+        let ins = cat.relation("Ins").unwrap().rel;
+        let p = cat.attr("P").unwrap();
+        let stats = |premiums: &[f64]| {
+            let rows = premiums.iter().enumerate();
+            let rows = rows.map(|(i, &p)| vec![Value::str(&format!("c{i}")), Value::Num(p)]);
+            let mut db = Database::new();
+            db.load(&cat, "Ins", rows.collect());
+            let stats = collect_stats(&cat, &db, &SampleConfig::default());
+            let t = stats.table(ins).unwrap();
+            (t.rows, t.columns[&p].clone())
+        };
+        let (rows, with) = stats(&[120.0, f64::NAN, 80.0]);
+        let (rows_without, without) = stats(&[120.0, 80.0]);
+        assert_eq!((rows, rows_without), (3.0, 2.0));
+        assert_eq!((with.null_frac, without.null_frac), (1.0 / 3.0, 0.0));
+        assert_eq!(
+            (with.ndv, with.min, with.max, with.avg_width),
+            (without.ndv, without.min, without.max, without.avg_width)
+        );
+        assert_eq!(with.histogram, without.histogram);
+    }
+
+    /// Cells are read where they lie: a table held in typed columns and
+    /// the same cells held as general `Val` columns sample alike.
+    #[test]
+    fn statistics_do_not_depend_on_how_a_column_is_held() {
+        let (cat, db) = medical();
+        let hosp = cat.relation("Hosp").unwrap().rel;
+        let typed = db.table(hosp).unwrap();
+        assert!(typed
+            .columns()
+            .iter()
+            .any(|c| matches!(c, ColumnVec::Str(_))));
+        assert!(typed
+            .columns()
+            .iter()
+            .any(|c| matches!(c, ColumnVec::Date(_))));
+        let general = typed.columns().iter();
+        let general = general.map(|c| ColumnVec::Val(c.clone().into_values()));
+        let mut db_val = Database::new();
+        db_val.insert(
+            hosp,
+            Table::from_columns(typed.schema().clone(), general.collect()),
+        );
+        let cfg = SampleConfig::default();
+        let (a, b) = (
+            collect_stats(&cat, &db, &cfg),
+            collect_stats(&cat, &db_val, &cfg),
+        );
+        let (a, b) = (a.table(hosp).unwrap(), b.table(hosp).unwrap());
+        for attr in typed.attrs() {
+            assert_eq!(
+                format!("{:?}", a.columns[attr]),
+                format!("{:?}", b.columns[attr])
+            );
+        }
     }
 
     #[test]
