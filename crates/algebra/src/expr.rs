@@ -17,7 +17,7 @@
 //! only the variants it acts on.
 
 use crate::ids::AttrId;
-use crate::value::{DataType, Value};
+use crate::value::Value;
 use crate::{AttrSet, Catalog};
 use std::fmt;
 
@@ -585,15 +585,6 @@ impl AggExpr {
             output,
         }
     }
-
-    /// Output value type given the input type.
-    pub fn output_type(&self, input_ty: DataType) -> DataType {
-        match self.func {
-            AggFunc::Count | AggFunc::CountDistinct => DataType::Int,
-            AggFunc::Sum | AggFunc::Avg => DataType::Num,
-            AggFunc::Min | AggFunc::Max => input_ty,
-        }
-    }
 }
 
 impl fmt::Display for AggExpr {
@@ -670,13 +661,8 @@ mod tests {
     }
 
     #[test]
-    fn agg_expr_display_and_types() {
+    fn agg_expr_display() {
         let ag = AggExpr::over_col(AggFunc::Avg, a(5));
-        assert_eq!(ag.output_type(DataType::Num), DataType::Num);
-        assert_eq!(
-            AggExpr::count_star(a(0)).output_type(DataType::Str),
-            DataType::Int
-        );
         assert_eq!(format!("{ag}"), "avg(a5)→a5");
     }
 }

@@ -14,7 +14,7 @@
 use crate::extend::ExtendedPlan;
 use crate::keys::KeyPlan;
 use crate::subjects::Subjects;
-use mpq_algebra::{AttrSet, Catalog, NodeId, Operator, QueryPlan, SubjectId};
+use mpq_algebra::{AttrId, AttrSet, Catalog, NodeId, Operator, QueryPlan, SubjectId};
 use std::collections::HashMap;
 
 /// One sub-query to be executed by one subject.
@@ -141,15 +141,17 @@ pub fn regions(
 }
 
 /// Cut the extended plan into per-subject regions and render each as a
-/// sub-query (Fig. 8).
+/// sub-query (Fig. 8). A request names the requests it consumes by
+/// index (`⟦req#N⟧`), so the subjects are not read.
 pub fn dispatch(
     ext: &ExtendedPlan,
     keys: &KeyPlan,
     catalog: &Catalog,
-    subjects: &Subjects,
+    _subjects: &Subjects,
 ) -> Dispatch {
     let plan = &ext.plan;
     let parents = plan.parents();
+    let schemas = plan.schemas();
     let cut = regions(plan, &ext.assignment).expect("an extended plan assigns every node");
     let region_of: HashMap<NodeId, usize> = cut
         .iter()
@@ -180,7 +182,15 @@ pub fn dispatch(
                 }
             }
         }
-        let sql = render_region(plan, catalog, subjects, keys, &region_of, r, region.root);
+        let renderer = Renderer {
+            plan,
+            schemas: &schemas,
+            catalog,
+            keys,
+            region_of: &region_of,
+            region: r,
+        };
+        let sql = renderer.node(region.root).render();
         let children = region
             .operands
             .iter()
@@ -255,8 +265,12 @@ impl QueryParts {
         s
     }
 
-    /// Nest the current parts as a derived table.
-    fn wrap(self) -> QueryParts {
+    /// The parts as a derived table when they group: what a clause
+    /// added above a GROUP BY stands on.
+    fn ungrouped(self) -> QueryParts {
+        if self.group_by.is_empty() {
+            return self;
+        }
         let cols = self.select.iter().map(|c| strip_alias(c)).collect();
         QueryParts::leaf(format!("({})", self.render()), cols)
     }
@@ -269,304 +283,156 @@ fn strip_alias(item: &str) -> String {
     }
 }
 
-fn key_name(keys: &KeyPlan, catalog: &Catalog, a: mpq_algebra::AttrId) -> String {
+fn key_name(keys: &KeyPlan, catalog: &Catalog, a: AttrId) -> String {
     match keys.key_for(a) {
         Some(k) => format!("k{}", catalog.render_attrs(&k.attrs)),
         None => "k?".to_string(),
     }
 }
 
-fn render_region(
-    plan: &mpq_algebra::QueryPlan,
-    catalog: &Catalog,
-    subjects: &Subjects,
-    keys: &KeyPlan,
-    region_of: &HashMap<NodeId, usize>,
+/// Renders one region as a sub-query, Fig. 8 style: the plan with its
+/// schemas (computed once per [`dispatch`]), the catalog and key plan
+/// the text names, and the region each node belongs to — a node outside
+/// `region` renders as the placeholder of the request that produces it.
+struct Renderer<'a> {
+    plan: &'a QueryPlan,
+    schemas: &'a [AttrSet],
+    catalog: &'a Catalog,
+    keys: &'a KeyPlan,
+    region_of: &'a HashMap<NodeId, usize>,
     region: usize,
-    node: NodeId,
-) -> String {
-    render_node(plan, catalog, subjects, keys, region_of, region, node).render()
 }
 
-fn render_node(
-    plan: &mpq_algebra::QueryPlan,
-    catalog: &Catalog,
-    subjects: &Subjects,
-    keys: &KeyPlan,
-    region_of: &HashMap<NodeId, usize>,
-    region: usize,
-    id: NodeId,
-) -> QueryParts {
-    // A node outside the region renders as a request placeholder.
-    if region_of[&id] != region {
-        let subject = subjects.name(
-            // region subject of that node: find via region_of → need the
-            // assignment; placeholder uses the executing subject's name.
-            SubjectId::from_index(0),
-        );
-        let _ = subject;
-        let schema_cols: Vec<String> = visible_cols(plan, catalog, id);
-        let owner = region_of[&id];
-        return QueryParts::leaf(format!("⟦req#{owner}⟧"), schema_cols);
+impl Renderer<'_> {
+    fn names(&self, attrs: impl IntoIterator<Item = AttrId>) -> Vec<String> {
+        let name = |a| self.catalog.attr_name(a).to_string();
+        attrs.into_iter().map(name).collect()
     }
-    let node = plan.node(id);
-    match &node.op {
-        Operator::Base { rel, attrs } => {
-            let cols = attrs
-                .iter()
-                .map(|a| catalog.attr_name(*a).to_string())
-                .collect();
-            QueryParts::leaf(catalog.rel(*rel).name.clone(), cols)
-        }
-        Operator::Project { attrs } => {
-            let mut parts = render_node(
-                plan,
-                catalog,
-                subjects,
-                keys,
-                region_of,
-                region,
-                node.children[0],
-            );
-            let keep: Vec<String> = attrs
-                .iter()
-                .map(|a| catalog.attr_name(*a).to_string())
-                .collect();
-            parts.select.retain(|c| keep.contains(&strip_alias(c)));
-            parts
-        }
-        Operator::Select { pred } => {
-            let mut parts = render_node(
-                plan,
-                catalog,
-                subjects,
-                keys,
-                region_of,
-                region,
-                node.children[0],
-            );
-            if !parts.group_by.is_empty() {
-                parts = parts.wrap();
-            }
-            parts.wheres.push(pred.display(catalog).to_string());
-            parts
-        }
-        Operator::Having { pred } => {
-            let mut parts = render_node(
-                plan,
-                catalog,
-                subjects,
-                keys,
-                region_of,
-                region,
-                node.children[0],
-            );
-            // The GROUP BY may sit below spliced Decrypt/Encrypt nodes
-            // (and possibly in another region); its aggregate list is
-            // still what AggRefs in the predicate refer to.
-            let scope = plan.agg_scope(id).unwrap_or_default();
-            let rendered = scope.resolve(pred).display(catalog).to_string();
-            if parts.group_by.is_empty() {
-                // Child group-by sits in another region; filter locally.
-                parts.wheres.push(rendered);
-            } else {
-                parts.having.push(rendered);
-            }
-            parts
-        }
-        Operator::Product | Operator::Join { .. } => {
-            let l = render_node(
-                plan,
-                catalog,
-                subjects,
-                keys,
-                region_of,
-                region,
-                node.children[0],
-            );
-            let r = render_node(
-                plan,
-                catalog,
-                subjects,
-                keys,
-                region_of,
-                region,
-                node.children[1],
-            );
-            let l = if l.group_by.is_empty() { l } else { l.wrap() };
-            let r = if r.group_by.is_empty() { r } else { r.wrap() };
-            let mut select = l.select;
-            select.extend(r.select);
-            let from = match &node.op {
-                Operator::Join { on, .. } => {
-                    let conds: Vec<String> = on
-                        .iter()
-                        .map(|(a, op, b)| {
-                            format!("{}{}{}", catalog.attr_name(*a), op, catalog.attr_name(*b))
-                        })
-                        .collect();
-                    format!("{} join {} on {}", l.from, r.from, conds.join(" and "))
-                }
-                _ => format!("{}, {}", l.from, r.from),
-            };
-            let mut wheres = l.wheres;
-            wheres.extend(r.wheres);
-            QueryParts {
-                select,
-                from,
-                wheres,
-                group_by: Vec::new(),
-                having: Vec::new(),
-                tail: Vec::new(),
-            }
-        }
-        Operator::GroupBy { keys: gk, aggs } => {
-            let mut parts = render_node(
-                plan,
-                catalog,
-                subjects,
-                keys,
-                region_of,
-                region,
-                node.children[0],
-            );
-            if !parts.group_by.is_empty() {
-                parts = parts.wrap();
-            }
-            let mut select: Vec<String> = gk
-                .iter()
-                .map(|a| catalog.attr_name(*a).to_string())
-                .collect();
-            for ag in aggs {
-                select.push(format!(
-                    "{}({}) as {}",
-                    ag.func,
-                    ag.input.display(catalog),
-                    catalog.attr_name(ag.output)
-                ));
-            }
-            parts.select = select;
-            parts.group_by = gk
-                .iter()
-                .map(|a| catalog.attr_name(*a).to_string())
-                .collect();
-            parts
-        }
-        Operator::Udf {
-            name,
-            inputs,
-            output,
-            ..
-        } => {
-            let mut parts = render_node(
-                plan,
-                catalog,
-                subjects,
-                keys,
-                region_of,
-                region,
-                node.children[0],
-            );
-            let args: Vec<String> = inputs
-                .iter()
-                .map(|a| catalog.attr_name(*a).to_string())
-                .collect();
-            let rendered = format!(
-                "{name}({}) as {}",
-                args.join(","),
-                catalog.attr_name(*output)
-            );
-            let consumed: Vec<String> = inputs
-                .iter()
-                .filter(|a| *a != output)
-                .map(|a| catalog.attr_name(*a).to_string())
-                .collect();
-            parts.select.retain(|c| {
-                let base = strip_alias(c);
-                !consumed.contains(&base) && base != catalog.attr_name(*output)
-            });
-            parts.select.push(rendered);
-            parts
-        }
-        Operator::Encrypt { attrs } => {
-            let mut parts = render_node(
-                plan,
-                catalog,
-                subjects,
-                keys,
-                region_of,
-                region,
-                node.children[0],
-            );
-            for a in attrs {
-                let name = catalog.attr_name(*a).to_string();
-                let k = key_name(keys, catalog, *a);
-                for item in &mut parts.select {
-                    if strip_alias(item) == name {
-                        *item = format!("encrypt({name},{k}) as {name}");
-                    }
-                }
-            }
-            parts
-        }
-        Operator::Decrypt { attrs } => {
-            let mut parts = render_node(
-                plan,
-                catalog,
-                subjects,
-                keys,
-                region_of,
-                region,
-                node.children[0],
-            );
-            if !parts.group_by.is_empty() {
-                parts = parts.wrap();
-            }
-            for a in attrs {
-                let name = catalog.attr_name(*a).to_string();
-                let k = key_name(keys, catalog, *a);
-                for item in &mut parts.select {
-                    if strip_alias(item) == name {
-                        *item = format!("decrypt({name},{k}) as {name}");
-                    }
-                }
-            }
-            parts
-        }
-        Operator::Sort { .. } => {
-            let mut parts = render_node(
-                plan,
-                catalog,
-                subjects,
-                keys,
-                region_of,
-                region,
-                node.children[0],
-            );
-            parts.tail.push("order by …".to_string());
-            parts
-        }
-        Operator::Limit { n } => {
-            let mut parts = render_node(
-                plan,
-                catalog,
-                subjects,
-                keys,
-                region_of,
-                region,
-                node.children[0],
-            );
-            parts.tail.push(format!("limit {n}"));
-            parts
-        }
-    }
-}
 
-fn visible_cols(plan: &mpq_algebra::QueryPlan, catalog: &Catalog, id: NodeId) -> Vec<String> {
-    plan.schemas()[id.index()]
-        .iter()
-        .map(|a| catalog.attr_name(a).to_string())
-        .collect()
+    /// Child `k` of `id`, rendered.
+    fn child(&self, id: NodeId, k: usize) -> QueryParts {
+        self.node(self.plan.node(id).children[k])
+    }
+
+    fn node(&self, id: NodeId) -> QueryParts {
+        let owner = self.region_of[&id];
+        if owner != self.region {
+            let cols = self.names(self.schemas[id.index()].iter());
+            return QueryParts::leaf(format!("⟦req#{owner}⟧"), cols);
+        }
+        let catalog = self.catalog;
+        match &self.plan.node(id).op {
+            Operator::Base { rel, attrs } => {
+                QueryParts::leaf(catalog.rel(*rel).name.clone(), self.names(attrs.clone()))
+            }
+            Operator::Project { attrs } => {
+                let mut parts = self.child(id, 0);
+                let keep = self.names(attrs.clone());
+                parts.select.retain(|c| keep.contains(&strip_alias(c)));
+                parts
+            }
+            Operator::Select { pred } => {
+                let mut parts = self.child(id, 0).ungrouped();
+                parts.wheres.push(pred.display(catalog).to_string());
+                parts
+            }
+            Operator::Having { pred } => {
+                let mut parts = self.child(id, 0);
+                // The GROUP BY may sit below spliced Decrypt/Encrypt nodes
+                // (and possibly in another region); its aggregate list is
+                // still what AggRefs in the predicate refer to.
+                let scope = self.plan.agg_scope(id).unwrap_or_default();
+                let rendered = scope.resolve(pred).display(catalog).to_string();
+                if parts.group_by.is_empty() {
+                    // Child group-by sits in another region; filter locally.
+                    parts.wheres.push(rendered);
+                } else {
+                    parts.having.push(rendered);
+                }
+                parts
+            }
+            op @ (Operator::Product | Operator::Join { .. }) => {
+                let (l, r) = (self.child(id, 0).ungrouped(), self.child(id, 1).ungrouped());
+                let from = match op {
+                    Operator::Join { on, .. } => {
+                        let conds: Vec<String> = on
+                            .iter()
+                            .map(|(a, op, b)| {
+                                format!("{}{}{}", catalog.attr_name(*a), op, catalog.attr_name(*b))
+                            })
+                            .collect();
+                        format!("{} join {} on {}", l.from, r.from, conds.join(" and "))
+                    }
+                    _ => format!("{}, {}", l.from, r.from),
+                };
+                let mut parts = QueryParts::leaf(from, l.select);
+                parts.select.extend(r.select);
+                parts.wheres = l.wheres;
+                parts.wheres.extend(r.wheres);
+                parts
+            }
+            Operator::GroupBy { keys: gk, aggs } => {
+                let mut parts = self.child(id, 0).ungrouped();
+                parts.select = self.names(gk.clone());
+                for ag in aggs {
+                    parts.select.push(format!(
+                        "{}({}) as {}",
+                        ag.func,
+                        ag.input.display(catalog),
+                        catalog.attr_name(ag.output)
+                    ));
+                }
+                parts.group_by = self.names(gk.clone());
+                parts
+            }
+            Operator::Udf {
+                name,
+                inputs,
+                output,
+                ..
+            } => {
+                let mut parts = self.child(id, 0);
+                let args = self.names(inputs.clone());
+                let output = catalog.attr_name(*output);
+                let rendered = format!("{name}({}) as {output}", args.join(","));
+                parts.select.retain(|c| {
+                    let base = strip_alias(c);
+                    !args.contains(&base) && base != output
+                });
+                parts.select.push(rendered);
+                parts
+            }
+            Operator::Encrypt { attrs } => self.crypto("encrypt", attrs, self.child(id, 0)),
+            Operator::Decrypt { attrs } => {
+                self.crypto("decrypt", attrs, self.child(id, 0).ungrouped())
+            }
+            Operator::Sort { .. } => {
+                let mut parts = self.child(id, 0);
+                parts.tail.push("order by …".to_string());
+                parts
+            }
+            Operator::Limit { n } => {
+                let mut parts = self.child(id, 0);
+                parts.tail.push(format!("limit {n}"));
+                parts
+            }
+        }
+    }
+
+    /// `parts` with each selected column among `attrs` passed through
+    /// `func` (`encrypt` / `decrypt`) under its key.
+    fn crypto(&self, func: &str, attrs: &[AttrId], mut parts: QueryParts) -> QueryParts {
+        for a in attrs {
+            let name = self.catalog.attr_name(*a).to_string();
+            let k = key_name(self.keys, self.catalog, *a);
+            for item in &mut parts.select {
+                if strip_alias(item) == name {
+                    *item = format!("{func}({name},{k}) as {name}");
+                }
+            }
+        }
+        parts
+    }
 }
 
 #[cfg(test)]

@@ -116,21 +116,6 @@ impl Code {
         }
     }
 
-    /// Short human title of the pass.
-    pub fn title(self) -> &'static str {
-        match self {
-            Code::UnauthorizedAssignee => "assignee fails Def. 4.1",
-            Code::PlaintextLeak => "plaintext reaches unauthorized subject",
-            Code::KeyUnavailable => "Def. 6.1 key not available to assignee",
-            Code::SchemeConflict => "no encryption scheme supports the plan",
-            Code::TypeMismatch => "literal/column type mismatch",
-            Code::Malformed => "ill-formed plan",
-            Code::FlowDivergence => "profile derivations disagree",
-            Code::BadAssignment => "incomplete or misassigned λ",
-            Code::MixedForm => "mixed-form comparison",
-        }
-    }
-
     /// All codes, in numeric order (for docs and reports).
     pub const ALL: [Code; 9] = [
         Code::UnauthorizedAssignee,

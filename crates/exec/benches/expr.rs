@@ -44,7 +44,14 @@
 //!   other way round, every probe row matching once;
 //! * `hash/det_join` — the same join, 16,384 rows a side, on
 //!   Deterministic ciphertext keys: hashed and compared on the bytes in
-//!   their column buffers.
+//!   their column buffers;
+//! * `hash/residual_inner` — Q19's shape: the `probe_heavy` join under
+//!   an `OR` of three conjunctions over both sides as its residual, a
+//!   mask over the 65,536 candidate pairs;
+//! * `hash/residual_semi` — Q21's shape: 16,384 line items `Semi`-joined
+//!   to 16,384 more of the same ~4,096 orders, then `Anti`-joined to
+//!   those of a few suppliers, each under `NOT (l2_suppkey =
+//!   l_suppkey)`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mpq_algebra::expr::{AggExpr, AggFunc};
@@ -54,7 +61,8 @@ use mpq_algebra::{
 };
 use mpq_crypto::keyring::{ClusterKey, KeyRing};
 use mpq_crypto::schemes::encrypt_batch;
-use mpq_exec::eval::{eval, eval_column, eval_mask, RowCtx};
+use mpq_exec::eval::{eval_column, eval_mask};
+use mpq_exec::rowref::{eval, RowCtx};
 use mpq_exec::{
     execute, ColumnVec, Database, ExecCtx, SchemePlan, Table, WorkerPool, DEFAULT_BATCH_ROWS,
 };
@@ -262,11 +270,21 @@ fn hash_catalog() -> Catalog {
     cat.add_relation("L", &left).expect("a fresh name");
     cat.add_relation("R", &[("rk", DataType::Int), num("v")])
         .expect("a fresh name");
+    for (rel, order, supplier) in [("L1", "ok1", "sk1"), ("L2", "ok2", "sk2")] {
+        let cols = [(order, DataType::Int), (supplier, DataType::Int)];
+        cat.add_relation(rel, &cols).expect("a fresh name");
+    }
     cat
 }
 
-/// `L.k = R.rk` over `left` probe keys and `right` build keys.
-fn key_join(cat: &Catalog, left: ColumnVec, right: ColumnVec) -> (QueryPlan, Database) {
+/// `L.k = R.rk` over `left` probe keys and `right` build keys, under
+/// `residual`.
+fn key_join(
+    cat: &Catalog,
+    left: ColumnVec,
+    right: ColumnVec,
+    residual: Option<Expr>,
+) -> (QueryPlan, Database) {
     let (k, rk, v) = (
         cat.attr("k").unwrap(),
         cat.attr("rk").unwrap(),
@@ -285,7 +303,7 @@ fn key_join(cat: &Catalog, left: ColumnVec, right: ColumnVec) -> (QueryPlan, Dat
     );
     let mut plan = QueryPlan::new();
     let (lb, rb) = (plan.add_base(l, vec![k]), plan.add_base(r, vec![rk, v]));
-    let (kind, on, residual) = (JoinKind::Inner, vec![(k, CmpOp::Eq, rk)], None);
+    let (kind, on) = (JoinKind::Inner, vec![(k, CmpOp::Eq, rk)]);
     plan.add(Operator::Join { kind, on, residual }, vec![lb, rb]);
     (plan, db)
 }
@@ -365,6 +383,7 @@ fn bench_hash(c: &mut Criterion) {
             &cat,
             left.into_iter().collect(),
             right.into_iter().collect(),
+            None,
         );
         cases.push((name, plan, db));
     }
@@ -378,8 +397,67 @@ fn bench_hash(c: &mut Criterion) {
     };
     let (left, right) = (det(&left), det(&right));
     assert!(matches!(left, ColumnVec::Enc(_)), "one ciphertext buffer");
-    let (plan, db) = key_join(&cat, left, right);
+    let (plan, db) = key_join(&cat, left, right, None);
     cases.push(("det_join", plan, db));
+
+    // Q19's shape: three conjunctions over both sides, OR-ed.
+    let (k, rk, v) = (col("k"), col("rk"), col("v"));
+    let num = |x: f64| lit(Value::Num(x));
+    let below = |e: &Expr, x: i64| Expr::cmp(e.clone(), CmpOp::Lt, lit(Value::Int(x)));
+    let between = |e: &Expr, lo: f64, hi: f64| Expr::Between {
+        expr: Box::new(e.clone()),
+        lo: Box::new(num(lo)),
+        hi: Box::new(num(hi)),
+        negated: false,
+    };
+    let residual = Expr::Or(vec![
+        Expr::And(vec![between(&v, 0.0, 1_000.0), below(&k, 2_048)]),
+        Expr::And(vec![between(&v, 1_000.0, 2_000.0), below(&rk, 3_072)]),
+        Expr::And(vec![
+            between(&v, 3_000.0, 4_096.0),
+            Expr::Not(Box::new(below(&k, 512))),
+        ]),
+    ]);
+    let (left, right) = int_keys(rng, ROWS, DEFAULT_BATCH_ROWS);
+    let (left, right) = (left.into_iter().collect(), right.into_iter().collect());
+    let (plan, db) = key_join(&cat, left, right, Some(residual));
+    cases.push(("residual_inner", plan, db));
+
+    // Q21's shape: a line item whose order another supplier also
+    // served (`Semi`), and no other supplier of which was late (`Anti`;
+    // "late" here: a supplier key below 3).
+    let (ok1, sk1, ok2, sk2) = (attr("ok1"), attr("sk1"), attr("ok2"), attr("sk2"));
+    let other_supplier = Expr::Not(Box::new(Expr::cmp(
+        Expr::Col(sk2),
+        CmpOp::Eq,
+        Expr::Col(sk1),
+    )));
+    let mut db = Database::new();
+    for rel in ["L1", "L2"] {
+        let orders = (0..ROWS / 4)
+            .map(|_| rng.gen_range(0..ROWS as i64 / 16))
+            .collect();
+        let suppliers = (0..ROWS / 4).map(|_| rng.gen_range(0..10)).collect();
+        let r = cat.relation(rel).unwrap();
+        let cols = vec![
+            ColumnVec::from_ints(orders),
+            ColumnVec::from_ints(suppliers),
+        ];
+        db.insert(r.rel, Table::from_columns(r.attrs().into(), cols));
+    }
+    let (l1, l2) = (cat.relation("L1").unwrap(), cat.relation("L2").unwrap());
+    let mut plan = QueryPlan::new();
+    let mut items = plan.add_base(l1.rel, l1.attrs());
+    for kind in [JoinKind::Semi, JoinKind::Anti] {
+        let mut others = plan.add_base(l2.rel, l2.attrs());
+        if kind == JoinKind::Anti {
+            let pred = below(&Expr::Col(sk2), 3);
+            others = plan.add(Operator::Select { pred }, vec![others]);
+        }
+        let (on, residual) = (vec![(ok1, CmpOp::Eq, ok2)], Some(other_supplier.clone()));
+        items = plan.add(Operator::Join { kind, on, residual }, vec![items, others]);
+    }
+    cases.push(("residual_semi", plan, db));
 
     let (ring, schemes, koa) = (KeyRing::new(), SchemePlan::default(), HashMap::new());
     let mut g = c.benchmark_group("hash");

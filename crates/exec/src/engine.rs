@@ -19,9 +19,10 @@
 //! cells where they lie. Hash operators do too: ⋈, γ and
 //! `COUNT(DISTINCT)` hash key *columns* in typed loops into one
 //! `KeyTable` and compare candidates in place — a key cell is copied
-//! once per group, never for a join. The only row ever materialized is
-//! the temporary `combined` row a join's `residual` predicate is
-//! evaluated on — the one place the row walk survives in the engine.
+//! once per group, never for a join. A join's residual predicate is a
+//! mask over its candidate pairs, evaluated on just the columns it
+//! reads; a product is a join without conditions. No operator
+//! materializes a row: the row walk is the [`crate::rowref`] oracle's.
 //!
 //! **Determinism contract.** Every `Encrypt` cell draws from an RNG
 //! seeded by `(seed, node, column, row)`, where `row` is the global
@@ -36,7 +37,7 @@
 //! otherwise); homomorphic aggregation only needs the public half.
 
 use crate::batch::{ColumnVec, KeySeed, TableSchema, DEFAULT_BATCH_ROWS};
-use crate::eval::{cmp_cells, eval_column, eval_mask, eval_pred, EvalError, RowCtx};
+use crate::eval::{cmp_cells, eval_column, eval_mask, mask_until_failure, EvalError};
 use crate::pool::WorkerPool;
 use crate::scheme::SchemePlan;
 use crate::table::{Database, Table};
@@ -187,29 +188,20 @@ pub struct ExecCtx<'a> {
 
 /// Builder for [`ExecCtx`]: the five shared references are positional
 /// (they have no defaults), everything tunable is a named knob.
-pub struct ExecCtxBuilder<'a> {
-    catalog: &'a mpq_algebra::Catalog,
-    db: &'a Database,
-    keys: &'a KeyRing,
-    schemes: &'a SchemePlan,
-    key_of_attr: &'a HashMap<AttrId, u32>,
-    seed: u64,
-    pool: WorkerPool,
-    batch_rows: usize,
-}
+pub struct ExecCtxBuilder<'a>(ExecCtx<'a>);
 
 impl<'a> ExecCtxBuilder<'a> {
     /// Override the encryption-randomness base seed (default: a fixed
     /// deterministic seed).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.0.seed = seed;
         self
     }
 
     /// Replace the worker pool (party loops share their simulator's;
     /// default: the process-global pool).
     pub fn pool(mut self, pool: WorkerPool) -> Self {
-        self.pool = pool;
+        self.0.pool = pool;
         self
     }
 
@@ -217,22 +209,13 @@ impl<'a> ExecCtxBuilder<'a> {
     /// [`crate::batch::DEFAULT_BATCH_ROWS`]). Values below 1 are
     /// clamped to 1.
     pub fn batch_rows(mut self, batch_rows: usize) -> Self {
-        self.batch_rows = batch_rows.max(1);
+        self.0.batch_rows = batch_rows.max(1);
         self
     }
 
     /// Finish the context.
     pub fn build(self) -> ExecCtx<'a> {
-        ExecCtx {
-            catalog: self.catalog,
-            db: self.db,
-            keys: self.keys,
-            schemes: self.schemes,
-            key_of_attr: self.key_of_attr,
-            seed: self.seed,
-            pool: self.pool,
-            batch_rows: self.batch_rows,
-        }
+        self.0
     }
 }
 
@@ -245,7 +228,7 @@ impl<'a> ExecCtx<'a> {
         schemes: &'a SchemePlan,
         key_of_attr: &'a HashMap<AttrId, u32>,
     ) -> ExecCtxBuilder<'a> {
-        ExecCtxBuilder {
+        ExecCtxBuilder(ExecCtx {
             catalog,
             db,
             keys,
@@ -254,7 +237,7 @@ impl<'a> ExecCtx<'a> {
             seed: DEFAULT_SEED,
             pool: WorkerPool::global(),
             batch_rows: DEFAULT_BATCH_ROWS,
-        }
+        })
     }
 
     /// Context with every knob at its default (deterministic seed, the
@@ -567,47 +550,16 @@ fn compile_node<'p>(
                 filter_batch(pred, batch, Some(agg_base), ctx)
             }))
         }
-        Operator::Product => {
-            let mut left = child_stream(plan, id, 0, inputs, member, ctx)?;
-            let right = child_stream(plan, id, 1, inputs, member, ctx)?;
-            let mut attrs = left.schema.attrs().to_vec();
-            attrs.extend(right.schema.attrs().iter().copied());
-            let schema = TableSchema::new(attrs);
-            let out_schema = schema.clone();
-            let mut right = Some(right);
-            let mut right_tab: Option<Table> = None;
-            Ok(BatchStream {
-                schema: out_schema,
-                next: Box::new(move || {
-                    if right_tab.is_none() {
-                        right_tab = Some(right.take().expect("collected once").collect()?);
-                    }
-                    let rt = right_tab.as_ref().expect("materialized above");
-                    loop {
-                        let Some(lbatch) = left.pull()? else {
-                            return Ok(None);
-                        };
-                        if rt.is_empty() {
-                            continue;
-                        }
-                        // Every left row against the whole right side,
-                        // left-major: left indices repeat, right cycle.
-                        let (nl, nr) = (lbatch.len(), rt.len());
-                        let lidx: Vec<usize> =
-                            (0..nl).flat_map(|l| std::iter::repeat_n(l, nr)).collect();
-                        let ridx: Vec<usize> = (0..nl).flat_map(|_| 0..nr).collect();
-                        let left_cols = lbatch.columns().iter().map(|c| c.gather(&lidx));
-                        let right_cols = rt.columns().iter().map(|c| c.gather(&ridx));
-                        let cols = left_cols.chain(right_cols).collect();
-                        return Ok(Some(Table::from_columns(schema.clone(), cols)));
-                    }
-                }),
-            })
-        }
-        Operator::Join { kind, on, residual } => {
+        Operator::Product | Operator::Join { .. } => {
             let left = child_stream(plan, id, 0, inputs, member, ctx)?;
             let right = child_stream(plan, id, 1, inputs, member, ctx)?;
-            join_stream(*kind, on, residual.as_ref(), left, right, ctx)
+            // A product is a join without conditions: every build row
+            // is every probe row's candidate, left-major.
+            let (kind, on, residual) = match &node.op {
+                Operator::Join { kind, on, residual } => (*kind, &on[..], residual.as_ref()),
+                _ => (JoinKind::Inner, &[][..], None),
+            };
+            join_stream(kind, on, residual, left, right, ctx)
         }
         Operator::GroupBy { keys, aggs } => {
             let child = child_stream(plan, id, 0, inputs, member, ctx)?;
@@ -639,15 +591,11 @@ fn compile_node<'p>(
                 TableSchema::new(kept),
             ))
         }
-        Operator::Encrypt { attrs } => {
+        Operator::Encrypt { attrs } | Operator::Decrypt { attrs } => {
             let child = child_stream(plan, id, 0, inputs, member, ctx)?;
             let plans = crypto_plans(attrs, &child.schema, id, ctx)?;
-            Ok(crypto_stream(child, plans, true, None, ctx))
-        }
-        Operator::Decrypt { attrs } => {
-            let child = child_stream(plan, id, 0, inputs, member, ctx)?;
-            let plans = crypto_plans(attrs, &child.schema, id, ctx)?;
-            Ok(crypto_stream(child, plans, false, None, ctx))
+            let encrypt = matches!(node.op, Operator::Encrypt { .. });
+            Ok(crypto_stream(child, plans, encrypt, None, ctx))
         }
         Operator::Sort { keys } => {
             let agg_base = plan.agg_scope(id).map(|scope| scope.base());
@@ -1382,11 +1330,16 @@ fn join_stream<'p>(
         out_attrs.extend(rschema.attrs().iter().copied());
     }
     let out_schema = TableSchema::new(out_attrs);
-    let combined_attrs: Vec<AttrId> = lschema
-        .attrs()
-        .iter()
-        .chain(rschema.attrs().iter())
-        .copied()
+    // What the residual reads of a candidate pair: the first column of
+    // `left ++ right` carrying each attribute it names, as a lookup in
+    // the pair's row finds it.
+    let (named, mut seen) = (
+        residual.map(Expr::attrs).unwrap_or_default(),
+        AttrSet::new(),
+    );
+    let both = lschema.attrs().iter().chain(rschema.attrs()).copied();
+    let reads: Vec<(usize, AttrId)> = (both.enumerate())
+        .filter(|&(_, a)| named.contains(a) && seen.insert(a))
         .collect();
 
     let schema = out_schema.clone();
@@ -1447,12 +1400,18 @@ fn join_stream<'p>(
                 // Hash build: deferred until some probe row actually
                 // has all its equality keys non-NULL (at which point
                 // every equality fix is decided — those very cells
-                // decided them).
+                // decided them). The key table is over the right side's
+                // equality key columns, hashed a column at a time and
+                // linked in one pass — no key is copied, the build table
+                // holds them. A row with a NULL key is chained like any
+                // other and equals no key a probe row asks for (SQL
+                // semantics: NULL join keys never match).
                 if hash.is_none() && !eq.is_empty() {
                     let needed =
                         (0..lbatch.len()).any(|r| eq.iter().all(|(l, _, _)| !l.is_null(r)));
                     if needed {
-                        hash = Some(build_hash(&eq));
+                        let (seed, keys) = (KeySeed::default(), eq.iter().map(|(_, _, r)| *r));
+                        hash = Some(KeyTable::new(seed, hash_rows(keys, seed, 0..rt.len())));
                     }
                 }
                 let probe = Probe {
@@ -1463,7 +1422,7 @@ fn join_stream<'p>(
                     eq: &eq,
                     other: &other,
                     residual,
-                    combined_attrs: &combined_attrs,
+                    reads: &reads,
                 };
                 let pairs = probe_batch(&probe, &ctx.pool)?;
                 if pairs.is_empty() {
@@ -1482,24 +1441,10 @@ fn join_stream<'p>(
     })
 }
 
-/// Build the key table over the right side's equality key columns,
-/// hashed a column at a time and linked in one pass — no key is
-/// copied, the build table holds them. A row with a NULL key is
-/// chained like any other and equals no key a probe row asks for (SQL
-/// semantics: NULL join keys never match).
-fn build_hash(eq: &[CondSides<'_>]) -> KeyTable {
-    let seed = KeySeed::default();
-    let rows = eq.first().map_or(0, |(_, _, r)| r.len());
-    KeyTable::new(
-        seed,
-        hash_rows(eq.iter().map(|(_, _, r)| *r), seed, 0..rows),
-    )
-}
-
 /// What [`probe_batch`] reads: a probe batch and the materialized build
 /// side, the equality conditions and the key table over their build
-/// columns — absent while no probe row has needed it — and the
-/// conditions every candidate is then held to.
+/// columns — absent while no probe row has needed it — the conditions
+/// every candidate is then held to, and what the residual reads.
 struct Probe<'a> {
     kind: JoinKind,
     lbatch: &'a Table,
@@ -1508,7 +1453,7 @@ struct Probe<'a> {
     eq: &'a [CondSides<'a>],
     other: &'a [CondSides<'a>],
     residual: Option<&'a Expr>,
-    combined_attrs: &'a [AttrId],
+    reads: &'a [(usize, AttrId)],
 }
 
 /// Probe one left batch against the materialized right side: the
@@ -1518,13 +1463,26 @@ struct Probe<'a> {
 /// report the left row only. Per-chunk outputs concatenate in chunk
 /// order, candidates in build order, so the pair order is identical to
 /// a sequential left-to-right probe.
+///
+/// A probe row's candidates are the build rows its conditions hold
+/// for, up to a condition that fails. Without a residual they are its
+/// matches, and the row is [`decide`]d at once. Under one, the chunk's
+/// candidate pairs are collected first and the residual is one mask
+/// over all of them; each row is then decided on the pairs it holds on.
 fn probe_batch(p: &Probe<'_>, pool: &WorkerPool) -> Result<Vec<(usize, Option<usize>)>, ExecError> {
+    // Under a residual, which candidate is a `Semi` / `Anti` row's
+    // first match is known only once the mask is.
+    let stops = matches!(p.kind, JoinKind::Semi | JoinKind::Anti);
+    let undecided = stops && p.residual.is_some();
     let chunks = pool.map_ranges(p.lbatch.len(), MIN_CHUNK_ROWS, |range| {
         let mut out = Vec::with_capacity(range.len());
+        // Per pair its build row and — under a residual — its probe row;
+        // per probe row walked where its pairs end; per condition that
+        // failed its probe row.
+        let (mut lis, mut ris, mut ends, mut failures) = (vec![], vec![], vec![], vec![]);
         let lkeys = p.eq.iter().map(|(l, _, _)| *l);
         let hashes = (p.hash).map(|table| hash_rows(lkeys, table.seed, range.clone()));
         for li in range.clone() {
-            let mut matched = false;
             // Without an equality every build row is a candidate;
             // with one, the rows the key table chains under this row's
             // hash that hold this row's key (a NULL key has none).
@@ -1534,44 +1492,113 @@ fn probe_batch(p: &Probe<'_>, pool: &WorkerPool) -> Result<Vec<(usize, Option<us
             let held = move |ri: &usize| p.eq.iter().all(|(l, _, r)| same(l, r, *ri));
             let chained = (p.hash.zip(hashes.as_ref()).filter(|_| keyed))
                 .map(|(table, hashes)| table.chain(hashes[li - range.start]).filter(held));
+            let (start, mut failed) = (ris.len(), None);
             for ri in (all.into_iter().flatten()).chain(chained.into_iter().flatten()) {
-                // Non-equality join conditions.
-                let mut ok = true;
-                for (l, op, r) in p.other {
-                    if cmp_cells(l.cell_ref(li), *op, r.cell_ref(ri))? != Some(true) {
-                        ok = false;
-                        break;
+                // Non-equality join conditions, up to the first that
+                // does not hold.
+                let cmp =
+                    |(l, op, r): &CondSides<'_>| cmp_cells(l.cell_ref(li), *op, r.cell_ref(ri));
+                match p.other.iter().map(cmp).find(|t| *t != Ok(Some(true))) {
+                    Some(Ok(_)) => continue,
+                    Some(Err(e)) => failed = Some(e),
+                    None => {
+                        ris.push(ri);
+                        if !stops || undecided {
+                            continue;
+                        }
                     }
                 }
-                if ok {
-                    if let Some(resid) = p.residual {
-                        let mut combined = p.lbatch.row(li);
-                        combined.extend(p.rt.row(ri));
-                        ok = eval_pred(resid, &RowCtx::plain(p.combined_attrs, &combined))?
-                            == Some(true);
-                    }
-                }
-                if !ok {
-                    continue;
-                }
-                matched = true;
-                match p.kind {
-                    JoinKind::Inner | JoinKind::LeftOuter => out.push((li, Some(ri))),
-                    JoinKind::Semi | JoinKind::Anti => break,
-                }
+                break;
             }
-            let emit_left = match p.kind {
-                JoinKind::Inner => false,
-                JoinKind::LeftOuter | JoinKind::Anti => !matched,
-                JoinKind::Semi => matched,
-            };
-            if emit_left {
-                out.push((li, None));
+            if p.residual.is_none() {
+                decide(p.kind, li, &ris[start..], failed.as_ref(), &mut out)?;
+                ris.truncate(start);
+                continue;
+            }
+            lis.resize(ris.len(), li);
+            ends.push(ris.len());
+            failures.extend(failed.map(|e| (li, e)));
+            // A failure no match can come before ends the walk.
+            if !undecided && failures.last().is_some_and(|(row, _)| *row == li) {
+                break;
             }
         }
-        Ok::<_, ExecError>(out)
+        let Some(residual) = p.residual else {
+            return Ok::<_, ExecError>(out);
+        };
+
+        let width = p.lbatch.columns().len();
+        let cols = p.reads.iter().map(|&(c, _)| match c.checked_sub(width) {
+            None => p.lbatch.column(c).gather(&lis),
+            Some(rc) => p.rt.column(rc).gather(&ris),
+        });
+        let attrs = p.reads.iter().map(|&(_, a)| a).collect();
+        let pairs = Table::from_columns(TableSchema::new(attrs), cols.collect());
+        // The residual's truth on `rows` of the pairs — valid before the
+        // first pair it fails on, which comes back with its error.
+        let judge = |rows: std::ops::Range<usize>| {
+            let (truth, failed) = mask_until_failure(residual, &pairs, None, rows.clone());
+            (truth, failed.map(|(k, e)| (rows.start + k, e)))
+        };
+        let (mut truth, mut failed) = judge(0..ris.len());
+        let (mut start, mut one_by_one, mut held) = (0, false, Vec::new());
+        let mut failures = failures.iter().peekable();
+        for (li, end) in range.zip(ends) {
+            // Behind a failing pair a match kept the walk from, the
+            // chunk is judged a probe row at a time: one evaluation more
+            // per row, never one per failure — no peer's data buys
+            // quadratic work.
+            one_by_one |= failed.as_ref().is_some_and(|(f, _)| *f < start);
+            if one_by_one {
+                let (row_truth, row_failed) = judge(start..end);
+                truth[start..end].copy_from_slice(&row_truth);
+                failed = row_failed;
+            }
+            // The first failure the walk reaches: the residual's on a
+            // pair, else a condition's after the row's pairs.
+            let reached = failed.as_ref().map_or(end, |(f, _)| end.min(*f));
+            let cond_failed = failures.next_if(|(row, _)| *row == li);
+            let failure = failed.as_ref().filter(|_| reached < end).or(cond_failed);
+            held.clear();
+            held.extend(
+                (start..reached)
+                    .filter(|&k| truth[k] == Some(true))
+                    .map(|k| ris[k]),
+            );
+            decide(p.kind, li, &held, failure.map(|(_, e)| e), &mut out)?;
+            start = end;
+        }
+        Ok(out)
     })?;
     Ok(chunks.concat())
+}
+
+/// What probe row `li` adds to `out`, from the build rows it matches in
+/// walk order — up to the first failure the walk reaches — and that
+/// failure, which is the join's error unless `Semi` / `Anti` stopped at
+/// a match before it.
+fn decide(
+    kind: JoinKind,
+    li: usize,
+    matches: &[usize],
+    failure: Option<&EvalError>,
+    out: &mut Vec<(usize, Option<usize>)>,
+) -> Result<(), ExecError> {
+    let (matched, stops) = (
+        !matches.is_empty(),
+        matches!(kind, JoinKind::Semi | JoinKind::Anti),
+    );
+    if let Some(e) = failure.filter(|_| !(stops && matched)) {
+        return Err(e.clone().into());
+    }
+    if !stops {
+        out.extend(matches.iter().map(|&ri| (li, Some(ri))));
+    }
+    // `LeftOuter` and `Anti` keep a row without a match, `Semi` one with.
+    if kind != JoinKind::Inner && matched == (kind == JoinKind::Semi) {
+        out.push((li, None));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -2323,7 +2350,7 @@ mod tests {
             eq: &eq,
             other: &[],
             residual: None,
-            combined_attrs: &[AttrId(0), AttrId(0)],
+            reads: &[],
         };
         let mut expected = Vec::new();
         for li in 0..300 {

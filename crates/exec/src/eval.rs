@@ -1,4 +1,5 @@
-//! Expression evaluation: the cell rules, and two traversals over them.
+//! Expression evaluation: the cell rules, and the column evaluator the
+//! engine runs over them.
 //!
 //! Evaluation is three-valued (SQL semantics): predicates yield
 //! `Some(true)`, `Some(false)` or `None` (unknown, from NULLs);
@@ -11,23 +12,21 @@
 //! silently returning false.
 //!
 //! What an operation does to one cell is stated once, in the cell
-//! rules ([`cmp_values`], `arith`, `equal_maybe_encrypted`,
-//! [`like_match`], …). Two traversals apply them:
-//!
-//! * [`eval_mask`] / [`eval_column`] — what the engine runs: an
-//!   expression over a whole batch, one sub-expression at a time.
-//!   Columns are resolved to positions once per batch; dense `Int` /
-//!   `Num` operands, dates against dates and strings against strings
-//!   go through typed loops, everything else through the cell rules on
-//!   *borrowed* cells ([`CellRef`]: a string is compared as the `&str`
-//!   in its column, a ciphertext on the bytes where they lie). `AND` /
-//!   `OR` / `CASE` evaluate part
-//!   *k* only on the rows parts *1..k* left undecided, so every
-//!   sub-expression sees exactly the rows a row-at-a-time walk would
-//!   have shown it: results and errors are the row walk's.
-//! * [`eval`] / [`eval_pred`] — one materialized row at a time, for the
-//!   two callers that are row-shaped on purpose: the [`crate::rowref`]
-//!   oracle and the join's residual predicate.
+//! rules (`cmp_values`, `arith`, `equal_maybe_encrypted`,
+//! [`like_match`], …). The engine applies them through [`eval_mask`] /
+//! [`eval_column`]: an expression over a whole batch, one
+//! sub-expression at a time — under σ, HAVING, γ inputs, sort keys, udf
+//! bodies and a join's residual (a mask over its candidate pairs).
+//! Columns are resolved to positions once per batch; dense `Int` /
+//! `Num` operands, dates against dates and strings against strings go
+//! through typed loops, everything else through the cell rules on
+//! *borrowed* cells ([`CellRef`]: a string is compared as the `&str` in
+//! its column, a ciphertext on the bytes where they lie). `AND` / `OR` /
+//! `CASE` evaluate part *k* only on the rows parts *1..k* left
+//! undecided, so every sub-expression sees exactly the rows a
+//! row-at-a-time walk would have shown it: results and errors are the
+//! row walk's. That walk — one materialized row at a time over the same
+//! cell rules — is the [`crate::rowref`] oracle's own.
 
 use crate::batch::{ColumnVec, StrColumn};
 use crate::table::Table;
@@ -74,151 +73,13 @@ impl std::fmt::Display for EvalError {
 impl std::error::Error for EvalError {}
 
 // ---------------------------------------------------------------------------
-// The row walk (oracle, join residual)
-// ---------------------------------------------------------------------------
-
-/// Evaluation context of the row walk: one materialized row, its
-/// column layout, and (above a group-by) the base index of aggregate
-/// outputs.
-pub struct RowCtx<'a> {
-    /// Column attribute per position.
-    pub attrs: &'a [AttrId],
-    row: &'a [Value],
-    /// Index of the first aggregate output column (group-by results:
-    /// keys first, aggregates after), if applicable.
-    pub agg_base: Option<usize>,
-}
-
-impl<'a> RowCtx<'a> {
-    /// Context over a materialized row, without aggregate outputs.
-    pub fn plain(attrs: &'a [AttrId], row: &'a [Value]) -> RowCtx<'a> {
-        RowCtx {
-            attrs,
-            row,
-            agg_base: None,
-        }
-    }
-
-    /// Same context with the aggregate output base set.
-    pub fn with_agg_base(mut self, agg_base: Option<usize>) -> RowCtx<'a> {
-        self.agg_base = agg_base;
-        self
-    }
-
-    fn col(&self, a: AttrId) -> Result<&'a Value, EvalError> {
-        let pos = self.attrs.iter().position(|c| *c == a);
-        pos.and_then(|i| self.row.get(i))
-            .ok_or(EvalError::UnknownColumn(a))
-    }
-}
-
-/// Evaluate an expression to a value on one row.
-pub fn eval(e: &Expr, ctx: &RowCtx<'_>) -> Result<Value, EvalError> {
-    match e {
-        Expr::Col(a) => ctx.col(*a).cloned(),
-        Expr::AggRef(i) => {
-            let cell = ctx.agg_base.and_then(|base| ctx.row.get(base + i));
-            cell.cloned().ok_or(EvalError::AggRefOutsideGroup(*i))
-        }
-        Expr::Lit(v) => Ok(v.clone()),
-        Expr::Cmp(a, op, b) => {
-            let va = eval(a, ctx)?;
-            let vb = eval(b, ctx)?;
-            Ok(truth_to_value(cmp_values(&va, *op, &vb)?))
-        }
-        Expr::And(parts) => {
-            let mut any_unknown = false;
-            for p in parts {
-                match eval_pred(p, ctx)? {
-                    Some(false) => return Ok(Value::Bool(false)),
-                    None => any_unknown = true,
-                    Some(true) => {}
-                }
-            }
-            Ok(if any_unknown {
-                Value::Null
-            } else {
-                Value::Bool(true)
-            })
-        }
-        Expr::Or(parts) => {
-            let mut any_unknown = false;
-            for p in parts {
-                match eval_pred(p, ctx)? {
-                    Some(true) => return Ok(Value::Bool(true)),
-                    None => any_unknown = true,
-                    Some(false) => {}
-                }
-            }
-            Ok(if any_unknown {
-                Value::Null
-            } else {
-                Value::Bool(false)
-            })
-        }
-        Expr::Not(x) => Ok(truth_to_value(eval_pred(x, ctx)?.map(|b| !b))),
-        Expr::Arith(a, op, b) => {
-            let va = eval(a, ctx)?;
-            let vb = eval(b, ctx)?;
-            arith(&va, *op, &vb)
-        }
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let pattern: Vec<char> = pattern.chars().collect();
-            like_cell((&eval(expr, ctx)?).into(), &pattern, *negated).map(truth_to_value)
-        }
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => {
-            let v = eval(expr, ctx)?;
-            let vlo = eval(lo, ctx)?;
-            let vhi = eval(hi, ctx)?;
-            let ge = cmp_values(&v, CmpOp::Ge, &vlo)?;
-            let le = cmp_values(&v, CmpOp::Le, &vhi)?;
-            Ok(truth_to_value(between(ge, le, *negated)))
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => in_list_cell((&eval(expr, ctx)?).into(), list, *negated).map(truth_to_value),
-        Expr::Case { branches, else_ } => {
-            for (cond, out) in branches {
-                if eval_pred(cond, ctx)? == Some(true) {
-                    return eval(out, ctx);
-                }
-            }
-            match else_ {
-                Some(e) => eval(e, ctx),
-                None => Ok(Value::Null),
-            }
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval(expr, ctx)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-        Expr::Extract { field, expr } => extract_cell(*field, &eval(expr, ctx)?),
-        Expr::Substring { expr, start, len } => substring_cell(&eval(expr, ctx)?, *start, *len),
-    }
-}
-
-/// Evaluate as a predicate on one row: `Some(bool)` or `None` for
-/// unknown.
-pub fn eval_pred(e: &Expr, ctx: &RowCtx<'_>) -> Result<Option<bool>, EvalError> {
-    truth_of(&eval(e, ctx)?)
-}
-
-// ---------------------------------------------------------------------------
 // Cell rules: what each operation does to one cell, stated once
 // ---------------------------------------------------------------------------
 
-fn truth_to_value(t: Option<bool>) -> Value {
+/// A three-valued truth, or why a cell has none.
+pub(crate) type Truth = Result<Option<bool>, EvalError>;
+
+pub(crate) fn truth_to_value(t: Option<bool>) -> Value {
     match t {
         Some(b) => Value::Bool(b),
         None => Value::Null,
@@ -226,7 +87,7 @@ fn truth_to_value(t: Option<bool>) -> Value {
 }
 
 /// A value in predicate position.
-fn truth_of(v: &Value) -> Result<Option<bool>, EvalError> {
+pub(crate) fn truth_of(v: &Value) -> Truth {
     match v {
         Value::Bool(b) => Ok(Some(*b)),
         Value::Null => Ok(None),
@@ -240,7 +101,7 @@ fn truth_of(v: &Value) -> Result<Option<bool>, EvalError> {
 type EncRef<'a> = (EncScheme, u32, &'a [u8]);
 
 /// Comparison of two non-NULL ciphertexts.
-fn cmp_enc(a: EncRef<'_>, op: CmpOp, b: EncRef<'_>) -> Result<Option<bool>, EvalError> {
+fn cmp_enc(a: EncRef<'_>, op: CmpOp, b: EncRef<'_>) -> Truth {
     let same_key = (a.0, a.1) == (b.0, b.1);
     if op.is_equality() || op == CmpOp::Ne {
         if !a.0.supports_equality() || !b.0.supports_equality() {
@@ -260,17 +121,13 @@ fn cmp_enc(a: EncRef<'_>, op: CmpOp, b: EncRef<'_>) -> Result<Option<bool>, Eval
 }
 
 /// Three-valued comparison, ciphertext-aware.
-pub fn cmp_values(a: &Value, op: CmpOp, b: &Value) -> Result<Option<bool>, EvalError> {
+pub(crate) fn cmp_values(a: &Value, op: CmpOp, b: &Value) -> Truth {
     cmp_cells(a.into(), op, b.into())
 }
 
 /// [`cmp_values`] on cells read where they lie (a ciphertext is
 /// compared on its bytes in its column).
-pub(crate) fn cmp_cells(
-    a: CellRef<'_>,
-    op: CmpOp,
-    b: CellRef<'_>,
-) -> Result<Option<bool>, EvalError> {
+pub(crate) fn cmp_cells(a: CellRef<'_>, op: CmpOp, b: CellRef<'_>) -> Truth {
     // Equality works on deterministic ciphertexts; report capability
     // errors for other mixes.
     match (a, b) {
@@ -307,7 +164,7 @@ fn holds<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
 }
 
 /// `BETWEEN` from its two bound comparisons.
-fn between(ge: Option<bool>, le: Option<bool>, negated: bool) -> Option<bool> {
+pub(crate) fn between(ge: Option<bool>, le: Option<bool>, negated: bool) -> Option<bool> {
     Some((ge? && le?) != negated)
 }
 
@@ -325,7 +182,7 @@ fn equal_maybe_encrypted(v: CellRef<'_>, item: &Value) -> Result<bool, EvalError
     }
 }
 
-fn in_list_cell(v: CellRef<'_>, list: &[Value], negated: bool) -> Result<Option<bool>, EvalError> {
+pub(crate) fn in_list_cell(v: CellRef<'_>, list: &[Value], negated: bool) -> Truth {
     if matches!(v, CellRef::Null) {
         return Ok(None);
     }
@@ -341,7 +198,7 @@ fn overflow(a: &Value, op: ArithOp, b: &Value) -> EvalError {
     EvalError::Overflow(format!("{a:?} {op:?} {b:?}"))
 }
 
-fn arith(a: &Value, op: ArithOp, b: &Value) -> Result<Value, EvalError> {
+pub(crate) fn arith(a: &Value, op: ArithOp, b: &Value) -> Result<Value, EvalError> {
     if a.is_null() || b.is_null() {
         return Ok(Value::Null);
     }
@@ -402,7 +259,7 @@ fn num_arith(x: f64, op: ArithOp, y: f64) -> f64 {
     }
 }
 
-fn like_cell(v: CellRef<'_>, pattern: &[char], negated: bool) -> Result<Option<bool>, EvalError> {
+pub(crate) fn like_cell(v: CellRef<'_>, pattern: &[char], negated: bool) -> Truth {
     match v {
         CellRef::Null => Ok(None),
         CellRef::Str(s) => Ok(Some(like_chars(s, pattern) != negated)),
@@ -414,7 +271,7 @@ fn like_cell(v: CellRef<'_>, pattern: &[char], negated: bool) -> Result<Option<b
     }
 }
 
-fn extract_cell(field: DateField, v: &Value) -> Result<Value, EvalError> {
+pub(crate) fn extract_cell(field: DateField, v: &Value) -> Result<Value, EvalError> {
     match (field, v) {
         (DateField::Year, Value::Date(d)) => Ok(Value::Int(d.year() as i64)),
         (_, Value::Null) => Ok(Value::Null),
@@ -425,7 +282,7 @@ fn extract_cell(field: DateField, v: &Value) -> Result<Value, EvalError> {
     }
 }
 
-fn substring_cell(v: &Value, start: usize, len: usize) -> Result<Value, EvalError> {
+pub(crate) fn substring_cell(v: &Value, start: usize, len: usize) -> Result<Value, EvalError> {
     match v {
         Value::Null => Ok(Value::Null),
         Value::Str(s) => {
@@ -498,9 +355,23 @@ pub fn eval_mask(
     agg_base: Option<usize>,
     rows: Range<usize>,
 ) -> Result<Vec<Option<bool>>, EvalError> {
+    let (mask, failed) = mask_until_failure(pred, batch, agg_base, rows);
+    failed.map_or(Ok(mask), |(_, e)| Err(e))
+}
+
+/// [`eval_mask`] that keeps what it has when a row fails: the truths of
+/// the rows before it, and the row (counted from `rows.start`) with its
+/// error. A join whose `Semi` / `Anti` probe row matches before such a
+/// row never reaches it, and reads on.
+pub(crate) fn mask_until_failure(
+    pred: &Expr,
+    batch: &Table,
+    agg_base: Option<usize>,
+    rows: Range<usize>,
+) -> (Vec<Option<bool>>, Option<(usize, EvalError)>) {
     let mut ev = Evaluator::new(batch, agg_base, rows);
     let mask = ev.mask(pred, &ev.all_rows());
-    ev.failed.map_or(Ok(mask), |(_, e)| Err(e))
+    (mask, ev.failed)
 }
 
 /// What [`eval_column`] returns: the column, and — when some row failed
@@ -982,6 +853,7 @@ impl<'a> Evaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rowref::{eval, eval_pred, RowCtx};
     use mpq_algebra::AttrId;
 
     fn ctx_vals() -> (Vec<AttrId>, Vec<Value>) {

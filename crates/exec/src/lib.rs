@@ -15,12 +15,13 @@
 //! ([`eval::eval_mask`], [`eval::eval_column`]), reading cells where
 //! they lie; joins and group-bys hash key columns into a key table and
 //! compare candidates in place, so a key cell is copied once per group
-//! and never for a join. Rows survive where
-//! something is row-shaped by nature: the loader, the [`rowref`] oracle,
-//! a join's residual predicate, `Table::display`, result checkers and
-//! tests. Ciphertext bytes are a pure function of `(seed, node,
-//! column, row)`, so batch size, chunking, and worker count never
-//! change results.
+//! and never for a join; a join's residual is a mask over its candidate
+//! pairs, and a product is a join without conditions. Rows survive
+//! where something is row-shaped by nature: the loader, the [`rowref`]
+//! oracle (which owns the row-at-a-time expression walk),
+//! `Table::display`, result checkers and tests. Ciphertext bytes are a
+//! pure function of `(seed, node, column, row)`, so batch size,
+//! chunking, and worker count never change results.
 //!
 //! The engine evaluates expressions over both plaintext and encrypted
 //! cells: equality works on deterministic ciphertexts (hash joins,
@@ -36,16 +37,17 @@
 //!
 //! * [`batch`] — the column types: schemas and typed column vectors;
 //! * [`table`] — the relation container and the in-memory database;
-//! * [`eval`] — expression evaluation: the cell rules, the column
-//!   evaluator the operators run, and the row walk the oracle keeps;
+//! * [`eval`] — expression evaluation: the cell rules and the column
+//!   evaluator the operators run;
 //! * [`scheme`] — per-attribute encryption scheme assignment ("the
 //!   scheme providing highest protection, while supporting the
 //!   operations to be executed", §6) and encrypted-literal rewriting of
 //!   dispatched predicates;
 //! * [`engine`] — the streaming operator implementations;
 //! * [`rowref`] — a deliberately naive serial row-at-a-time reference
-//!   engine, kept solely as the differential-testing oracle for the
-//!   streaming engine;
+//!   engine with its own row walk over the cell rules: the oracle the
+//!   differential tests hold the streaming engine to, and `mpq-fuzz`'s
+//!   plaintext ground truth;
 //! * [`pool`] — intra-operator data parallelism: a shared-budget
 //!   worker pool whose handles outlive any single query, so the
 //!   long-lived party loops of an `mpq-dist` session draw from one

@@ -1,13 +1,24 @@
 //! Serial row-at-a-time reference engine (differential oracle).
 //!
 //! [`execute_ref`] evaluates a plan the simplest defensible way: every
-//! operator materializes `Vec<Vec<Value>>` rows, joins are nested
-//! loops, nothing is batched, chunked, or parallel. It exists solely
+//! operator materializes `Vec<Vec<Value>>` rows, joins are nested loops
+//! (a product is one without conditions), expressions are walked one
+//! materialized row at a time ([`eval`] / [`eval_pred`] over a
+//! [`RowCtx`]), and nothing is batched, chunked, or parallel. It exists
 //! so the streaming columnar engine in [`crate::engine`] has an
 //! independent implementation to be diffed against — the
-//! `parallel_differential` proptests assert that decrypted rows *and
-//! ciphertext bytes* agree bit-for-bit across random plans, worker
-//! counts, and batch sizes.
+//! `parallel_differential`, `hash_differential` and `expr_differential`
+//! tests assert that rows, first errors *and ciphertext bytes* agree
+//! across random plans, worker counts, and batch sizes — and it is the
+//! plaintext ground truth `mpq-fuzz` holds both distributed runtimes
+//! to.
+//!
+//! The row walk is the oracle's own: the engine evaluates a column at a
+//! time only ([`crate::eval::eval_mask`] / [`crate::eval::eval_column`],
+//! a join's residual included). Both traversals apply the same cell
+//! rules of [`crate::eval`], so what the differentials compare is the
+//! traversal — which rows each sub-expression sees, which error comes
+//! first.
 //!
 //! To make ciphertexts comparable the two engines deliberately share
 //! the per-cell RNG discipline (`mix_seed(seed, node, column, row)`
@@ -20,10 +31,13 @@
 //! the surface the differential tests exercise.
 
 use crate::engine::{decide_form_fix, mix_seed, udf_layout, AggAcc, ExecCtx, ExecError, Form};
-use crate::eval::{cmp_values, eval, eval_pred, RowCtx};
+use crate::eval::{
+    arith, between, cmp_values, extract_cell, in_list_cell, like_cell, substring_cell, truth_of,
+    truth_to_value, EvalError,
+};
 use crate::table::Table;
 use mpq_algebra::value::{CellRef, GroupKey};
-use mpq_algebra::{AttrId, CmpOp, JoinKind, NodeId, Operator, QueryPlan, Value};
+use mpq_algebra::{AttrId, CmpOp, Expr, JoinKind, NodeId, Operator, QueryPlan, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -113,25 +127,15 @@ fn eval_node(plan: &QueryPlan, id: NodeId, ctx: &ExecCtx<'_>) -> Result<Rel, Exe
             }
             Ok(Rel { attrs, rows })
         }
-        Operator::Product => {
+        Operator::Product | Operator::Join { .. } => {
             let left = eval_node(plan, node.children[0], ctx)?;
             let right = eval_node(plan, node.children[1], ctx)?;
-            let mut attrs = left.attrs;
-            attrs.extend(right.attrs);
-            let mut rows = Vec::with_capacity(left.rows.len() * right.rows.len());
-            for l in &left.rows {
-                for r in &right.rows {
-                    let mut row = l.clone();
-                    row.extend(r.iter().cloned());
-                    rows.push(row);
-                }
-            }
-            Ok(Rel { attrs, rows })
-        }
-        Operator::Join { kind, on, residual } => {
-            let left = eval_node(plan, node.children[0], ctx)?;
-            let right = eval_node(plan, node.children[1], ctx)?;
-            nl_join(*kind, on, residual.as_ref(), left, right, ctx)
+            // A product is a join without conditions.
+            let (kind, on, residual) = match &node.op {
+                Operator::Join { kind, on, residual } => (*kind, &on[..], residual.as_ref()),
+                _ => (JoinKind::Inner, &[][..], None),
+            };
+            nl_join(kind, on, residual, left, right, ctx)
         }
         Operator::GroupBy { keys, aggs } => {
             let child = eval_node(plan, node.children[0], ctx)?;
@@ -213,13 +217,10 @@ fn eval_node(plan: &QueryPlan, id: NodeId, ctx: &ExecCtx<'_>) -> Result<Rel, Exe
             }
             Ok(Rel { attrs: kept, rows })
         }
-        Operator::Encrypt { attrs } => {
+        Operator::Encrypt { attrs } | Operator::Decrypt { attrs } => {
             let child = eval_node(plan, node.children[0], ctx)?;
-            apply_crypto(child, attrs, id, true, ctx)
-        }
-        Operator::Decrypt { attrs } => {
-            let child = eval_node(plan, node.children[0], ctx)?;
-            apply_crypto(child, attrs, id, false, ctx)
+            let encrypt = matches!(node.op, Operator::Encrypt { .. });
+            apply_crypto(child, attrs, id, encrypt, ctx)
         }
         Operator::Sort { keys } => {
             let child = eval_node(plan, node.children[0], ctx)?;
@@ -254,6 +255,147 @@ fn eval_node(plan: &QueryPlan, id: NodeId, ctx: &ExecCtx<'_>) -> Result<Rel, Exe
             Ok(child)
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The row walk
+// ---------------------------------------------------------------------------
+
+/// Evaluation context of the row walk: one materialized row, its
+/// column layout, and (above a group-by) the base index of aggregate
+/// outputs.
+pub struct RowCtx<'a> {
+    /// Column attribute per position.
+    pub attrs: &'a [AttrId],
+    row: &'a [Value],
+    /// Index of the first aggregate output column (group-by results:
+    /// keys first, aggregates after), if applicable.
+    pub agg_base: Option<usize>,
+}
+
+impl<'a> RowCtx<'a> {
+    /// Context over a materialized row, without aggregate outputs.
+    pub fn plain(attrs: &'a [AttrId], row: &'a [Value]) -> RowCtx<'a> {
+        RowCtx {
+            attrs,
+            row,
+            agg_base: None,
+        }
+    }
+
+    /// Same context with the aggregate output base set.
+    pub fn with_agg_base(mut self, agg_base: Option<usize>) -> RowCtx<'a> {
+        self.agg_base = agg_base;
+        self
+    }
+
+    fn col(&self, a: AttrId) -> Result<&'a Value, EvalError> {
+        let pos = self.attrs.iter().position(|c| *c == a);
+        pos.and_then(|i| self.row.get(i))
+            .ok_or(EvalError::UnknownColumn(a))
+    }
+}
+
+/// Evaluate an expression to a value on one row.
+pub fn eval(e: &Expr, ctx: &RowCtx<'_>) -> Result<Value, EvalError> {
+    match e {
+        Expr::Col(a) => ctx.col(*a).cloned(),
+        Expr::AggRef(i) => {
+            let cell = ctx.agg_base.and_then(|base| ctx.row.get(base + i));
+            cell.cloned().ok_or(EvalError::AggRefOutsideGroup(*i))
+        }
+        Expr::Lit(v) => Ok(v.clone()),
+        Expr::Cmp(a, op, b) => {
+            let va = eval(a, ctx)?;
+            let vb = eval(b, ctx)?;
+            Ok(truth_to_value(cmp_values(&va, *op, &vb)?))
+        }
+        Expr::And(parts) => {
+            let mut any_unknown = false;
+            for p in parts {
+                match eval_pred(p, ctx)? {
+                    Some(false) => return Ok(Value::Bool(false)),
+                    None => any_unknown = true,
+                    Some(true) => {}
+                }
+            }
+            Ok(if any_unknown {
+                Value::Null
+            } else {
+                Value::Bool(true)
+            })
+        }
+        Expr::Or(parts) => {
+            let mut any_unknown = false;
+            for p in parts {
+                match eval_pred(p, ctx)? {
+                    Some(true) => return Ok(Value::Bool(true)),
+                    None => any_unknown = true,
+                    Some(false) => {}
+                }
+            }
+            Ok(if any_unknown {
+                Value::Null
+            } else {
+                Value::Bool(false)
+            })
+        }
+        Expr::Not(x) => Ok(truth_to_value(eval_pred(x, ctx)?.map(|b| !b))),
+        Expr::Arith(a, op, b) => {
+            let va = eval(a, ctx)?;
+            let vb = eval(b, ctx)?;
+            arith(&va, *op, &vb)
+        }
+        Expr::Like {
+            expr,
+            pattern,
+            negated,
+        } => {
+            let pattern: Vec<char> = pattern.chars().collect();
+            like_cell((&eval(expr, ctx)?).into(), &pattern, *negated).map(truth_to_value)
+        }
+        Expr::Between {
+            expr,
+            lo,
+            hi,
+            negated,
+        } => {
+            let v = eval(expr, ctx)?;
+            let vlo = eval(lo, ctx)?;
+            let vhi = eval(hi, ctx)?;
+            let ge = cmp_values(&v, CmpOp::Ge, &vlo)?;
+            let le = cmp_values(&v, CmpOp::Le, &vhi)?;
+            Ok(truth_to_value(between(ge, le, *negated)))
+        }
+        Expr::InList {
+            expr,
+            list,
+            negated,
+        } => in_list_cell((&eval(expr, ctx)?).into(), list, *negated).map(truth_to_value),
+        Expr::Case { branches, else_ } => {
+            for (cond, out) in branches {
+                if eval_pred(cond, ctx)? == Some(true) {
+                    return eval(out, ctx);
+                }
+            }
+            match else_ {
+                Some(e) => eval(e, ctx),
+                None => Ok(Value::Null),
+            }
+        }
+        Expr::IsNull { expr, negated } => {
+            let v = eval(expr, ctx)?;
+            Ok(Value::Bool(v.is_null() != *negated))
+        }
+        Expr::Extract { field, expr } => extract_cell(*field, &eval(expr, ctx)?),
+        Expr::Substring { expr, start, len } => substring_cell(&eval(expr, ctx)?, *start, *len),
+    }
+}
+
+/// Evaluate as a predicate on one row: `Some(bool)` or `None` for
+/// unknown.
+pub fn eval_pred(e: &Expr, ctx: &RowCtx<'_>) -> Result<Option<bool>, EvalError> {
+    truth_of(&eval(e, ctx)?)
 }
 
 /// Encrypt/decrypt `attrs` in place, row at a time. One RNG per
@@ -335,7 +477,7 @@ fn fixed_cell(
 fn nl_join(
     kind: JoinKind,
     on: &[(AttrId, CmpOp, AttrId)],
-    residual: Option<&mpq_algebra::Expr>,
+    residual: Option<&Expr>,
     left: Rel,
     right: Rel,
     ctx: &ExecCtx<'_>,

@@ -23,9 +23,9 @@ use mpq_algebra::expr::{AggExpr, AggFunc, DateField};
 use mpq_algebra::value::{DataType, EncColumn, EncScheme, EncValue};
 use mpq_algebra::{ArithOp, AttrId, Catalog, CmpOp, Date, Expr, Operator, QueryPlan, RelId, Value};
 use mpq_crypto::keyring::KeyRing;
-use mpq_exec::eval::{eval, eval_column, eval_mask, eval_pred, EvalError, RowCtx};
+use mpq_exec::eval::{eval_column, eval_mask, EvalError};
 use mpq_exec::pool::WorkerPool;
-use mpq_exec::rowref::execute_ref;
+use mpq_exec::rowref::{eval, eval_pred, execute_ref, RowCtx};
 use mpq_exec::{execute, ColumnVec, Database, ExecCtx, ExecError, SchemePlan, Table, TableSchema};
 use proptest::prelude::*;
 use rand::rngs::StdRng;

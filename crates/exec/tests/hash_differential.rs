@@ -349,6 +349,114 @@ fn numerics_equal_across_representations_join_and_group_under_every_seed() {
     }
 }
 
+/// A residual — or a non-equality condition — that fails on one
+/// candidate fails the join only where the row walk reaches that
+/// candidate. `Semi` and `Anti` stop at a probe row's first match, so a
+/// failure behind one never surfaces; `Inner` and `LeftOuter` look at
+/// every candidate. Of two failures the earlier is the error, whichever
+/// of the two sources it comes from.
+#[test]
+fn a_failing_candidate_fails_the_join_only_where_the_row_walk_reaches_it() {
+    let (int, text) = (Value::Int, Value::str);
+    // R: j0 the key, j1 what the residual reads, j2 what the condition
+    // reads — a string wherever that one is to fail.
+    let build = [
+        (1, int(1), int(1)),
+        (1, text("after"), text("after")),
+        (2, text("before"), text("before")),
+        (2, int(1), int(1)),
+        (3, text("first"), text("first")),
+        (4, text("second"), text("second")),
+        (5, text("resid"), int(1)),
+        (6, int(1), text("cond")),
+        (7, int(1), int(1)),
+        (8, int(-1), int(1)),
+        (8, int(1), int(1)),
+    ];
+    let fixture = |probe: Vec<i64>| {
+        let keys = ColumnVec::from_ints(build.iter().map(|b| b.0).collect());
+        let f = two_sided(ColumnVec::from_ints(probe), keys);
+        let (l, r) = (f.cat.relation("L").unwrap(), f.cat.relation("R").unwrap());
+        let mut lcols = f.db.table(l.rel).unwrap().clone().into_columns();
+        // w = 0: below the condition's 1, unordered against a string.
+        lcols[4] = std::iter::repeat_n(int(0), lcols[0].len()).collect();
+        let mut rcols = f.db.table(r.rel).unwrap().clone().into_columns();
+        rcols[1] = build.iter().map(|b| b.1.clone()).collect();
+        rcols[2] = build.iter().map(|b| b.2.clone()).collect();
+        let mut db = Database::new();
+        db.insert(l.rel, Table::from_columns(l.attrs().into(), lcols));
+        db.insert(r.rel, Table::from_columns(r.attrs().into(), rcols));
+        Fixture { db, ..f }
+    };
+    let plan_of = |f: &Fixture, kind, residual: Option<Expr>, condition: bool| {
+        let mut plan = QueryPlan::new();
+        let (l, r) = (f.cat.relation("L").unwrap(), f.cat.relation("R").unwrap());
+        let (lb, rb) = (
+            plan.add_base(l.rel, l.attrs()),
+            plan.add_base(r.rel, r.attrs()),
+        );
+        let mut on = vec![(LK[0], CmpOp::Eq, RK[0])];
+        on.extend(condition.then_some((W, CmpOp::Lt, RK[2])));
+        plan.add(Operator::Join { kind, on, residual }, vec![lb, rb]);
+        plan
+    };
+    let residual = Expr::cmp(Expr::Col(RK[1]), CmpOp::Gt, Expr::Lit(int(0)));
+    // The residual alone, the condition alone, both.
+    let variants = [
+        (Some(&residual), false),
+        (None, true),
+        (Some(&residual), true),
+    ];
+    let kinds = [
+        JoinKind::Inner,
+        JoinKind::LeftOuter,
+        JoinKind::Semi,
+        JoinKind::Anti,
+    ];
+    let env = (KeyRing::new(), SchemePlan::default(), HashMap::new());
+    let fails_on = |got: Result<Table, ExecError>, cell: &str| matches!(got, Err(ExecError::Eval(EvalError::TypeError(m))) if m.contains(cell));
+
+    // Every probe row matches — a key 8 row on its second candidate
+    // only — and a key 1 row then fails: only the kinds that look on see
+    // it, on every other row, so `Semi` and `Anti` judge the batch one
+    // probe row at a time.
+    let f = fixture([1, 8].repeat(300));
+    for (residual, condition) in variants {
+        for kind in kinds {
+            let plan = plan_of(&f, kind, residual.cloned(), condition);
+            let got = execute(&plan, &ctx(&f, &f.db, &env, 1, 4096));
+            match kind {
+                JoinKind::Semi => assert_eq!(got.expect("nothing reached").len(), 600),
+                JoinKind::Anti => assert!(got.expect("nothing reached").is_empty()),
+                _ => assert!(fails_on(got, "after"), "{kind:?}"),
+            }
+            assert_engine_matches_oracle(&f, &plan);
+        }
+    }
+
+    // Behind 300 clean matches: a failure before any match fails every
+    // kind, and of two failing rows the earlier one's error wins — per
+    // variant, as it comes first in walk order.
+    let clean = || std::iter::repeat_n(7, 300);
+    for (tail, errors) in [
+        (vec![2, 7], ["before"; 3]),
+        (vec![3, 4], ["first"; 3]),
+        (vec![4, 3], ["second"; 3]),
+        (vec![5, 6], ["resid", "cond", "resid"]),
+        (vec![6, 5], ["resid", "cond", "cond"]),
+    ] {
+        let f = fixture(clean().chain(tail).collect());
+        for ((residual, condition), error) in variants.into_iter().zip(errors) {
+            for kind in kinds {
+                let plan = plan_of(&f, kind, residual.cloned(), condition);
+                let got = execute(&plan, &ctx(&f, &f.db, &env, 1, 4096));
+                assert!(fails_on(got, error), "{kind:?} should fail on {error}");
+                assert_engine_matches_oracle(&f, &plan);
+            }
+        }
+    }
+}
+
 /// γ folds a batch one aggregate column at a time, yet fails where a
 /// row-at-a-time scan would: on the first failing *row*, with the first
 /// failing aggregate's error there.

@@ -242,6 +242,83 @@ fn product_plan(cat: &Catalog) -> (QueryPlan, SchemePlan, HashMap<AttrId, u32>) 
     (plan, SchemePlan::default(), HashMap::new())
 }
 
+/// The product shape over typed columns: `L(li, ls, ld, le) × R(ri, rs,
+/// rd, re)` — `Int`, `Str`, `Date`, and `le` / `re` encrypted
+/// Deterministic below the product — with an empty side and a one-row
+/// side. Every pool and batch size gives the oracle's rows in the same
+/// column representations: the join that runs a product gathers, and
+/// pads nothing.
+#[test]
+fn product_keeps_typed_columns_over_empty_and_one_row_sides() {
+    use mpq_algebra::value::DataType;
+    use mpq_exec::ColumnVec;
+    let mut cat = Catalog::new();
+    for side in ["l", "r"] {
+        let names = ["i", "s", "d", "e"].map(|c| format!("{side}{c}"));
+        let types = [DataType::Int, DataType::Str, DataType::Date, DataType::Int];
+        let cols: Vec<(&str, DataType)> = names.iter().map(String::as_str).zip(types).collect();
+        cat.add_relation(&side.to_uppercase(), &cols)
+            .expect("a fresh name");
+    }
+    let (l, r) = (cat.relation("L").unwrap(), cat.relation("R").unwrap());
+    let (le, re) = (cat.attr("le").unwrap(), cat.attr("re").unwrap());
+    let mut plan = QueryPlan::new();
+    let lb = plan.add_base(l.rel, l.attrs());
+    let lenc = plan.add(Operator::Encrypt { attrs: vec![le] }, vec![lb]);
+    let rb = plan.add_base(r.rel, r.attrs());
+    let renc = plan.add(Operator::Encrypt { attrs: vec![re] }, vec![rb]);
+    plan.add(Operator::Product, vec![lenc, renc]);
+    let mut schemes = SchemePlan::default();
+    schemes.set(le, EncScheme::Deterministic);
+    schemes.set(re, EncScheme::Deterministic);
+    let koa = HashMap::from([(le, 1u32), (re, 1u32)]);
+    let ring = ring();
+
+    let columns = |n: usize| -> Vec<ColumnVec> {
+        vec![
+            ColumnVec::from_ints((0..n as i64).collect()),
+            (0..n).map(|i| Value::str(&format!("s{i}"))).collect(),
+            (0..n).map(|i| Value::Date(Date(i as i32))).collect(),
+            ColumnVec::from_ints((0..n as i64).map(|i| i % 3).collect()),
+        ]
+    };
+    let rep = |c: &ColumnVec| match c {
+        ColumnVec::Int(_) => "Int",
+        ColumnVec::Num(_) => "Num",
+        ColumnVec::Date(_) => "Date",
+        ColumnVec::Str(_) => "Str",
+        ColumnVec::Enc(_) => "Enc",
+        ColumnVec::Val(_) => "Val",
+    };
+    let reps = |t: &Table| t.columns().iter().map(rep).collect::<Vec<_>>();
+    for (nl, nr) in [(0, 5), (5, 0), (1, 5), (5, 1), (1, 1), (40, 37)] {
+        let mut db = Database::new();
+        db.insert(l.rel, Table::from_columns(l.attrs().into(), columns(nl)));
+        db.insert(r.rel, Table::from_columns(r.attrs().into(), columns(nr)));
+        let ctx = |workers, batch_rows| {
+            ExecCtx::builder(&cat, &db, &ring, &schemes, &koa)
+                .pool(WorkerPool::new(workers))
+                .batch_rows(batch_rows)
+                .build()
+        };
+        let oracle = execute_ref(&plan, &ctx(1, 4096)).expect("oracle run");
+        assert_eq!(oracle.len(), nl * nr);
+        let first = execute(&plan, &ctx(1, 4096)).expect("product runs");
+        if !first.is_empty() {
+            let typed = ["Int", "Str", "Date", "Enc"];
+            assert_eq!(reps(&first), [typed, typed].concat(), "{nl} × {nr}");
+        }
+        for workers in [1, 3] {
+            for batch_rows in [1, 7, 4096] {
+                let what = format!("{nl} × {nr}, {workers} workers, batches of {batch_rows}");
+                let got = execute(&plan, &ctx(workers, batch_rows)).expect("product runs");
+                assert_eq!(got, oracle, "{what}");
+                assert_eq!(reps(&got), reps(&first), "{what}");
+            }
+        }
+    }
+}
+
 const PLAN_SHAPES: usize = 9;
 
 fn pick_plan(cat: &Catalog, ix: usize) -> (QueryPlan, SchemePlan, HashMap<AttrId, u32>) {

@@ -9,8 +9,12 @@
 //!    mailboxes, signed envelopes, dynamic defenses;
 //! 3. the **sequential runtime** (`Session::execute_sequential`) — the
 //!    same party core stepped on one thread;
-//! 4. a **plaintext reference** (`mpq_exec::execute` on the *original*
-//!    plan, no crypto) — ground truth for result rows.
+//! 4. the **row oracle** (`mpq_exec::rowref::execute_ref` on the
+//!    *original* plan, no crypto) — the plaintext reference, ground
+//!    truth for result rows: nested loops and a row-at-a-time expression
+//!    walk, none of the operators or the column evaluator of the engine
+//!    ways 2 and 3 run (worlds hold 3–8 rows per relation, so the loops
+//!    cost nothing).
 //!
 //! Agreement means: a statically accepted plan executes successfully
 //! on both runtimes with identical rows, per-edge bytes, and request
@@ -27,7 +31,8 @@ use mpq_core::verify::{coverage, verify_with_policy, Code, VerifyCoverage};
 use mpq_core::ExtendedPlan;
 use mpq_crypto::KeyRing;
 use mpq_dist::{Report, Session, SessionConfig, SimError};
-use mpq_exec::{execute, ExecCtx, ExecError, SchemePlan, Table};
+use mpq_exec::rowref::execute_ref;
+use mpq_exec::{ExecCtx, ExecError, SchemePlan, Table};
 use std::collections::HashMap;
 
 /// What a scenario did, after all four ways agreed (or did not).
@@ -279,12 +284,12 @@ pub fn run_scenario(cfg: &WorldConfig) -> ScenarioResult {
             return result(Outcome::Divergence(why), cov);
         }
 
-        // ---- way 4: plaintext reference over the original plan ------
+        // ---- way 4: the row oracle over the original plan ------------
         let keyring = KeyRing::new();
         let schemes = SchemePlan::default();
         let key_of_attr: HashMap<mpq_algebra::AttrId, u32> = HashMap::new();
         let ctx = ExecCtx::new(&w.catalog, &w.db, &keyring, &schemes, &key_of_attr);
-        let reference = match execute(&w.plan, &ctx) {
+        let reference = match execute_ref(&w.plan, &ctx) {
             Ok(t) => t,
             Err(e) => {
                 return result(

@@ -54,12 +54,13 @@
 //!   `plaintext_required`) are findings anywhere under `crates/`: a
 //!   second statement of the rule must not quietly come back.
 //! * **column-evaluator** — operators evaluate expressions a column at
-//!   a time (`eval_mask` / `eval_column`). The per-row context over a
-//!   batch that they replaced (`RowCtx`'s `batch(` constructor) is a
-//!   finding anywhere under `crates/`, and in `exec/src/engine.rs` any
-//!   `RowCtx::` outside `probe_batch` — the join residual, evaluated on
-//!   its one materialized `combined` row — is one too: a per-row tree
-//!   walk must not quietly come back under an operator. Nor may owned
+//!   a time (`eval_mask` / `eval_column`), a join's residual included
+//!   (a mask over its candidate pairs). The row walk is the oracle's
+//!   own: `RowCtx::` and `eval_pred(` are findings anywhere under
+//!   `crates/` outside `exec/src/rowref.rs` (N-version on purpose, like
+//!   the verifier), and the per-row context over a batch the operators
+//!   once used (`RowCtx`'s `batch(` constructor) is one even there — a
+//!   per-row tree walk must not quietly come back. Nor may owned
 //!   keys: ⋈ and γ hash key *columns* and compare candidates where they
 //!   lie (the key table), so `GroupKey` anywhere in `exec/src/engine.rs`
 //!   and a `fn fixed_cell` outside the oracle (`exec/src/rowref.rs`:
@@ -100,6 +101,7 @@ const ENGINE: &[&str] = &[
 const EXECUTION: &[&str] = &["crates/exec/src", "crates/dist/src"];
 const DIST: &[&str] = &["crates/dist/src"];
 const ENGINE_RS: &str = "crates/exec/src/engine.rs";
+const ROWREF_RS: &str = "crates/exec/src/rowref.rs";
 const AUDIT_RS: &str = "crates/dist/src/audit.rs";
 
 /// One row of a rule: `tokens` are findings in non-test code under
@@ -178,7 +180,7 @@ const RULES: &[Rule] = &[
         // shaped; `batch.rs` takes a column apart to degrade it.
         sites: &[
             (&["from_rows(", "to_rows(", "push_row("], EXECUTION,
-             &["crates/exec/src/table.rs", "crates/exec/src/rowref.rs"], None),
+             &["crates/exec/src/table.rs", ROWREF_RS], None),
             (&[".into_values()"], &[ENGINE_RS], &[], None),
         ],
     },
@@ -197,14 +199,14 @@ const RULES: &[Rule] = &[
     Rule {
         name: "column-evaluator",
         message: "`{t}`: rows or owned cells under an operator — expressions run a column at \
-                  a time (`eval_mask` / `eval_column`) and hash operators read keys where \
-                  they lie (the key table); only the join residual in `probe_batch` walks a \
-                  materialized row, only the oracle keeps `GroupKey`s and fixes cell by cell",
+                  a time (`eval_mask` / `eval_column`, a join's residual as a mask over its \
+                  candidate pairs) and hash operators read keys where they lie (the key \
+                  table); only the oracle walks rows, keeps `GroupKey`s and fixes cell by cell",
         sites: &[
             (&[concat!("RowCtx::", "batch(")], &[], &[], None),
-            (&["RowCtx::"], &[ENGINE_RS], &[], Some((ENGINE_RS, "probe_batch"))),
+            (&["RowCtx::", "eval_pred("], &[], &[ROWREF_RS], None),
             (&["GroupKey"], &[ENGINE_RS], &[], None),
-            (&["fn fixed_cell"], &[], &["crates/exec/src/rowref.rs"], None),
+            (&["fn fixed_cell"], &[], &[ROWREF_RS], None),
         ],
     },
     Rule {
@@ -904,12 +906,36 @@ mod tests {
                 .map(|f| f.line)
                 .collect::<Vec<_>>()
         };
-        // In the engine only the join residual may hold a row context…
-        assert_eq!(lines_in("crates/exec/src/engine.rs"), vec![3, 4, 9]);
-        // …elsewhere (the oracle, `eval.rs` itself) only the retired
-        // batch-row constructor is a finding.
+        // Outside the oracle every row context and row predicate is a
+        // finding — in the engine, in `eval.rs` itself, anywhere…
+        for file in [
+            "crates/exec/src/engine.rs",
+            "crates/exec/src/eval.rs",
+            "crates/dist/src/party.rs",
+        ] {
+            assert_eq!(lines_in(file), vec![3, 4, 7, 9], "{file}");
+        }
+        // …and in the oracle only the retired batch-row constructor is.
         assert_eq!(lines_in("crates/exec/src/rowref.rs"), vec![3]);
-        assert_eq!(lines_in("crates/dist/src/party.rs"), vec![3]);
+    }
+
+    /// A join's residual is a mask over its candidate pairs: the row
+    /// context it was once walked on is a finding in `probe_batch` too.
+    #[test]
+    fn a_row_context_in_the_join_probe_is_flagged() {
+        let src = "
+fn probe_batch(p: &Probe<'_>, pool: &WorkerPool) {
+    let rc = RowCtx::plain(p.combined_attrs, &combined);
+    let (truth, failed) = mask_until_failure(r.expr, pairs, None, rows);
+}
+";
+        let mut findings = Vec::new();
+        lint_source(Path::new("crates/exec/src/engine.rs"), src, &mut findings);
+        let lines: Vec<usize> = (findings.iter())
+            .filter(|f| f.rule == "column-evaluator")
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, vec![3]);
     }
 
     #[test]
