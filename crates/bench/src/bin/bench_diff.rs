@@ -22,7 +22,7 @@
 //!   (sequential p50 / concurrent p50) is below it — concurrency must
 //!   never be a pessimization;
 //! * `--min-session-speedup` is given and the fresh report's
-//!   `session_speedup_p50` (fresh-simulator p50 / persistent-session
+//!   `session_speedup_p50` (fresh-provisioning p50 / persistent-session
 //!   p50, recorded by `throughput --session`) is below it — the
 //!   Def. 6.1 amortization win must not silently erode.
 //!
@@ -156,7 +156,7 @@ fn main() {
         match session_speedup_p50(&current_text) {
             Some(s) if s < min => {
                 eprintln!(
-                    "SESSION GATE: persistent sessions run at {s:.3}× the fresh-simulator \
+                    "SESSION GATE: persistent sessions run at {s:.3}× the fresh-provisioning \
                      p50 (minimum {min:.3}×) — the Def. 6.1 amortization win eroded"
                 );
                 failing = true;

@@ -28,12 +28,6 @@
 //!   --out PATH          report path                   [default BENCH_dist.json]
 //!   --workers N         intra-operator worker threads [default: MPQ_WORKERS
 //!                       env, else available parallelism]
-//!   --faults SPEC       inject a seeded fault schedule into the
-//!                       persistent-session phases (requires --session
-//!                       or --transport tcp), e.g.
-//!                       seed=7,drop=100,reset=50 — per-mille rates;
-//!                       typed transport aborts are counted, wrong
-//!                       answers still fail the run
 //! ```
 //!
 //! Exit status is non-zero when any distributed result diverges from
@@ -67,8 +61,7 @@ fn main() {
             "--session" => cfg.session_mode = true,
             "--transport" => match value("--transport").as_str() {
                 "tcp" => cfg.tcp_mode = true,
-                "inproc" => cfg.tcp_mode = false,
-                other => panic!("unknown transport `{other}` (expected tcp or inproc)"),
+                other => panic!("unknown transport `{other}` (expected tcp)"),
             },
             "--sessions" => cfg.sessions = value("--sessions").parse().expect("--sessions N"),
             "--iters" => {
@@ -87,13 +80,6 @@ fn main() {
                     .collect();
             }
             "--seed" => cfg.seed = value("--seed").parse().expect("--seed N"),
-            "--faults" => {
-                let spec = value("--faults");
-                cfg.faults = Some(
-                    mpq_dist::FaultPlan::parse(&spec)
-                        .unwrap_or_else(|e| panic!("bad --faults: {e}")),
-                );
-            }
             "--out" => out = value("--out"),
             "--workers" => {
                 let n: usize = value("--workers").parse().expect("--workers N");
@@ -106,11 +92,6 @@ fn main() {
     }
     if sf_explicit && !iters_explicit {
         cfg.iters = ThroughputConfig::iters_for_sf(cfg.tpch_sf);
-    }
-    if cfg.faults.is_some() && !(cfg.session_mode || cfg.tcp_mode) {
-        panic!(
-            "--faults only affects the persistent-session phases; add --session or --transport tcp"
-        );
     }
 
     eprintln!(

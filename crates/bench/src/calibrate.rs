@@ -40,7 +40,7 @@ use mpq_core::capability::CapabilityPolicy;
 use mpq_core::profile::profile_plan;
 use mpq_crypto::keyring::ClusterKey;
 use mpq_crypto::schemes::{encrypt_value, paillier_add_cells, ColumnCipher};
-use mpq_exec::{assign_schemes, Database, ExecCtx, SchemePlan};
+use mpq_exec::{Database, ExecCtx, SchemePlan};
 use mpq_planner::cost::{edge_bytes_model, plan_tuple_ops};
 use mpq_planner::pricing::calibrated;
 use mpq_planner::stats::{collect_stats, estimates_for, SampleConfig};
@@ -132,7 +132,7 @@ pub struct RankPoint {
     /// Second candidate's label.
     pub plan_b: String,
     /// Model computation-seconds estimate of candidate A (no link
-    /// time — the simulator executes real work on one machine but does
+    /// time — the runtime executes real work on one machine but does
     /// not delay transfers).
     pub model_a_secs: f64,
     /// Model computation-seconds estimate of candidate B.
@@ -508,7 +508,9 @@ pub fn run_calibration(cfg: &CalibrateConfig) -> Calibration {
 /// Cost and key-provision a plan with every operation pinned: to the
 /// first authorized provider when `providers` is set (falling back to
 /// the user where no provider qualifies), or entirely to the user —
-/// the two extremes the ranking check compares. Public so the
+/// the two extremes the ranking check compares. The plan is extended,
+/// priced and verified by [`mpq_planner::finish`], exactly as the
+/// optimizer's own candidates are. Public so the
 /// decisive-pair regression test can rebuild the ranking candidates
 /// without re-measuring.
 pub fn pinned_plan(
@@ -519,8 +521,7 @@ pub fn pinned_plan(
     providers: bool,
 ) -> mpq_planner::Optimized {
     use mpq_core::candidates::candidates;
-    use mpq_core::extend::{minimally_extend, Assignment};
-    use mpq_core::keys::plan_keys;
+    use mpq_core::extend::Assignment;
     use mpq_core::subjects::SubjectKind;
     let cands = candidates(
         plan,
@@ -550,38 +551,8 @@ pub fn pinned_plan(
             a.set(id, pick);
         }
     }
-    let extended = minimally_extend(
-        plan,
-        cat,
-        &env.policy,
-        &env.subjects,
-        &cands,
-        &a,
-        Some(env.user),
-    )
-    .expect("all-user assignment is always authorized");
-    let schemes = assign_schemes(&extended.plan).expect("schemes");
-    let keys = plan_keys(&extended);
-    let est = estimates_for(&extended.plan, cat, stats);
-    let profiles = profile_plan(&extended.plan);
-    let cost = mpq_planner::cost_extended_plan(
-        &extended.plan,
-        &extended.assignment,
-        cat,
-        stats,
-        &est,
-        &profiles,
-        &schemes,
-        &env.prices,
-        env.user,
-    );
-    mpq_planner::Optimized {
-        assignment: a,
-        extended,
-        schemes,
-        keys,
-        cost,
-    }
+    mpq_planner::finish(plan, cat, stats, env, &cands, a)
+        .unwrap_or_else(|e| panic!("a pinned assignment is drawn from Λ: {e}"))
 }
 
 /// Render the human-readable calibration report, including the
@@ -661,7 +632,7 @@ pub fn render(c: &Calibration) -> String {
         "query", "pair", "model A s", "model B s", "meas A s", "meas B s", "agree"
     );
     // Model columns are computation seconds (no link time), measured
-    // columns are simulator wall seconds on one machine.
+    // columns are runtime wall seconds on one machine.
     for r in &c.ranking {
         let verdict = if !r.decisive() {
             "tie"

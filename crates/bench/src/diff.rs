@@ -83,7 +83,7 @@ pub fn speedup_p50(report: &str) -> Option<f64> {
     field(report, "speedup_p50")
 }
 
-/// Extract the `session_speedup_p50` (fresh-simulator p50 /
+/// Extract the `session_speedup_p50` (fresh-provisioning p50 /
 /// persistent-session p50) a `--session` throughput report recorded —
 /// the Def. 6.1 amortization win the session runtime must keep.
 pub fn session_speedup_p50(report: &str) -> Option<f64> {

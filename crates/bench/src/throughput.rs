@@ -30,7 +30,7 @@ use mpq_core::fixtures::RunningExample;
 use mpq_core::keys::{plan_keys, KeyPlan};
 use mpq_core::subjects::Subjects;
 use mpq_crypto::keyring::KeyRing;
-use mpq_dist::{FaultPlan, Session, SessionConfig, SimError, TransportKind};
+use mpq_dist::{Session, SessionConfig, TransportKind};
 use mpq_exec::{Database, SchemePlan, Table};
 use mpq_planner::stats::{collect_stats, SampleConfig};
 use mpq_planner::{build_scenario, optimize, Scenario, Strategy};
@@ -57,7 +57,7 @@ pub struct ThroughputConfig {
     /// each client drives its query mix through one long-lived
     /// `mpq_dist::Session` per environment, so Def. 6.1 provisioning
     /// amortizes across iterations; the report then records
-    /// fresh-simulator vs session p50 so the amortization win is
+    /// fresh-provisioning vs session p50 so the amortization win is
     /// ratchetable.
     pub session_mode: bool,
     /// Additionally measure the loopback-TCP transport
@@ -66,12 +66,6 @@ pub struct ThroughputConfig {
     /// the `tcp` field next to the in-process modes — a measurement of
     /// the wire tax, never ratcheted.
     pub tcp_mode: bool,
-    /// Inject a seeded fault schedule (`--faults SPEC`) into the
-    /// persistent-session phases (`--session`, `--transport tcp`) to
-    /// measure throughput under recovery. Queries that abort with a
-    /// typed transport error are counted and reported, not treated as
-    /// mismatches; the fresh-simulator phases always run clean.
-    pub faults: Option<FaultPlan>,
 }
 
 impl ThroughputConfig {
@@ -90,7 +84,6 @@ impl ThroughputConfig {
             smoke: true,
             session_mode: false,
             tcp_mode: false,
-            faults: None,
         }
     }
 
@@ -138,7 +131,6 @@ impl ThroughputConfig {
             smoke: false,
             session_mode: false,
             tcp_mode: false,
-            faults: None,
         }
     }
 }
@@ -225,7 +217,7 @@ impl ThroughputReport {
         self.mismatches.is_empty()
     }
 
-    /// The Def. 6.1 amortization win: fresh-simulator p50 over
+    /// The Def. 6.1 amortization win: fresh-provisioning p50 over
     /// persistent-session p50 on the identical workload (>1 means the
     /// session is faster). `None` without `--session`. The single
     /// definition behind both the console line and the
@@ -410,7 +402,6 @@ struct SessionOut {
     bytes: usize,
     requests: usize,
     queries: usize,
-    aborts: usize,
     mismatches: Vec<String>,
 }
 
@@ -433,7 +424,7 @@ enum Phase {
 
 /// Run one phase (all sessions × iters × items) in the given mode.
 fn run_phase(wl: &Workload, cfg: &ThroughputConfig, phase: Phase) -> (ModeStats, SessionOut) {
-    // Sessions first build their simulators (per-party RSA identities
+    // Sessions first open their runtimes (per-party RSA identities
     // and party threads — setup cost, not query cost), then meet at
     // the barrier; the clock starts when the last one arrives. In the
     // session phase, key provisioning deliberately stays *inside* the
@@ -449,15 +440,11 @@ fn run_phase(wl: &Workload, cfg: &ThroughputConfig, phase: Phase) -> (ModeStats,
                     let seed = cfg.seed ^ (session as u64).wrapping_mul(0x9E37_79B9);
                     // One session per environment. The fresh phases
                     // reset its provisioning before every query; the
-                    // session phases let it amortize (and are the only
-                    // ones a fault schedule applies to).
+                    // session phases let it amortize.
                     let fresh = matches!(phase, Phase::Concurrent | Phase::Sequential);
                     let mut config = SessionConfig::new(seed);
                     if phase == Phase::Tcp {
                         config = config.transport(TransportKind::Tcp);
-                    }
-                    if let Some(plan) = cfg.faults.as_ref().filter(|_| !fresh) {
-                        config = config.faults(plan.clone());
                     }
                     let mut sessions: Vec<Session> = wl
                         .envs
@@ -492,12 +479,6 @@ fn run_phase(wl: &Workload, cfg: &ThroughputConfig, phase: Phase) -> (ModeStats,
                                         out.mismatches.push(m);
                                     }
                                 }
-                                // Under an injected fault schedule a
-                                // typed transport abort is an allowed
-                                // outcome — a wrong answer never is.
-                                Err(SimError::Transport(_)) if cfg.faults.is_some() => {
-                                    out.aborts += 1;
-                                }
                                 Err(e) => out
                                     .mismatches
                                     .push(format!("{}: runtime error: {e}", item.name)),
@@ -526,15 +507,7 @@ fn run_phase(wl: &Workload, cfg: &ThroughputConfig, phase: Phase) -> (ModeStats,
         merged.bytes += o.bytes;
         merged.requests += o.requests;
         merged.queries += o.queries;
-        merged.aborts += o.aborts;
         merged.mismatches.extend(o.mismatches);
-    }
-    if merged.aborts > 0 {
-        eprintln!(
-            "# {} queries aborted with typed transport errors under the \
-             injected fault schedule (allowed outcome; not a mismatch)",
-            merged.aborts
-        );
     }
     let mut sorted = merged.latencies_ms.clone();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
@@ -587,7 +560,7 @@ pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
     let (sequential, seq_out) = run_phase(&wl, cfg, Phase::Sequential);
     // The session phase needs no extra warmup pass: its own first
     // iteration *is* the cold (provisioning) case being compared
-    // against the fresh-simulator phases above.
+    // against the fresh-provisioning phases above.
     let session_phase = cfg
         .session_mode
         .then(|| run_phase(&wl, cfg, Phase::Session));

@@ -49,4 +49,4 @@ pub use extend::{minimally_extend, Assignment, ExtendedPlan};
 pub use keys::{plan_keys, KeyPlan};
 pub use profile::{profile_plan, propagate, EqClasses, Profile};
 pub use subjects::{SubjectKind, Subjects};
-pub use verify::{verify_extended, verify_with_policy, Code, Diagnostic, Severity, VerifyReport};
+pub use verify::{verify_extended, verify_with_policy, Code, Diagnostic, VerifyReport};

@@ -1,7 +1,7 @@
 //! `mpq-verify` — static authorization & information-flow verification
 //! of extended query plans.
 //!
-//! The simulator enforces the paper's security model *dynamically*:
+//! The runtime enforces the paper's security model *dynamically*:
 //! Def. 4.1 is re-checked per node before execution, every transferred
 //! table is cell-audited at its receiver, and a missing Def. 6.1 key
 //! aborts mid-query. Both bug classes shipped so far (the through-crypto
@@ -34,7 +34,7 @@
 //! A divergence means one of the implementations — or the annotation
 //! the runtime would trust — is wrong, and is itself a diagnostic.
 
-use crate::authz::{Policy, SubjectView};
+use crate::authz::{AuthzViolation, Policy, SubjectView};
 use crate::extend::ExtendedPlan;
 use crate::keys::KeyPlan;
 use crate::profile::{profile_plan, EqClasses, Profile};
@@ -43,25 +43,13 @@ use mpq_algebra::{
     AggFunc, AttrId, AttrSet, Catalog, CmpOp, DataType, Expr, NodeId, Operator, QueryPlan,
     SubjectId, Value,
 };
+use std::cell::{RefCell, RefMut};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 // ---------------------------------------------------------------------
 // diagnostics
 // ---------------------------------------------------------------------
-
-/// Diagnostic severity. Every pass currently reports at
-/// [`Severity::Error`]: each finding names a plan the runtime would
-/// refuse or execute unsafely. The distinction exists so future
-/// advisory passes (cost smells, redundant crypto) can ride the same
-/// reporting pipeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    /// Advisory: the plan executes, but something is suspicious.
-    Warning,
-    /// The plan is unsafe or unexecutable.
-    Error,
-}
 
 /// Typed diagnostic codes, one per verification pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -136,14 +124,13 @@ impl fmt::Display for Code {
     }
 }
 
-/// One finding: code, severity, the offending node (with its root-path
-/// rendered span-style), and a human message.
+/// One finding: code, the offending node (with its root-path rendered
+/// span-style), and a human message. Every finding is an error: it
+/// names a plan the runtime would refuse or execute unsafely.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Which pass fired.
     pub code: Code,
-    /// How bad it is.
-    pub severity: Severity,
     /// The offending node, when the finding is node-local.
     pub node: Option<NodeId>,
     /// Root-to-node operator path (`γ[n4] ▸ decrypt[n7] ▸ σᵧ[n5]`),
@@ -155,11 +142,7 @@ pub struct Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let sev = match self.severity {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        };
-        write!(f, "{sev}[{}]", self.code)?;
+        write!(f, "error[{}]", self.code)?;
         if !self.path.is_empty() {
             write!(f, " at {}", self.path)?;
         }
@@ -172,6 +155,9 @@ impl fmt::Display for Diagnostic {
 pub struct VerifyReport {
     /// All findings, in pass order.
     pub diagnostics: Vec<Diagnostic>,
+    /// What the passes decided on the way: the Def. 4.1 outcomes, key
+    /// cluster shapes, scheme families, join forms and codes they saw.
+    pub coverage: VerifyCoverage,
 }
 
 impl VerifyReport {
@@ -229,7 +215,8 @@ impl fmt::Display for VerifyReport {
 /// the root → user delivery is then checked like any other edge.
 ///
 /// The report is empty exactly when every pass is satisfied; see the
-/// [module docs](self) for what each pass proves.
+/// [module docs](self) for what each pass proves. It also carries what
+/// the passes decided on the way ([`VerifyReport::coverage`]).
 pub fn verify_extended(
     ext: &ExtendedPlan,
     keys: &KeyPlan,
@@ -238,80 +225,31 @@ pub fn verify_extended(
     views: &[SubjectView],
     deliver_to: Option<SubjectId>,
 ) -> VerifyReport {
-    let mut report = VerifyReport::default();
     let plan = &ext.plan;
-    let order = plan.postorder();
-    let parents = plan.parents();
-
-    // `fresh` is profile.rs's derivation; `shadow` is this module's
-    // independent one. They must agree with each other and with the
-    // annotations carried by the extended plan.
-    let fresh = profile_plan(plan);
-    let shadow = shadow_plan(plan);
-
-    // ---- pass 0: well-formedness (everything else assumes it) -------
-    pass_wellformed(ext, catalog, &shadow, &order, &parents, &mut report);
-
-    // ---- pass 1: flow soundness, N-versioned ------------------------
-    pass_flow_divergence(ext, &order, &parents, &fresh, &shadow, catalog, &mut report);
-
-    // ---- pass 2: assignment completeness ----------------------------
-    pass_assignment(ext, subjects, &order, &parents, &mut report);
-
-    // ---- pass 3: Def. 4.1 closure -----------------------------------
-    pass_authorization(
+    let v = Verifier {
         ext,
-        subjects,
-        views,
-        &fresh,
-        &order,
-        &parents,
+        plan,
+        keys,
         catalog,
-        &mut report,
-    );
-
-    // ---- pass 4: per-edge plaintext leaks (shadow-derived) ----------
-    pass_edges(
-        ext,
         subjects,
         views,
-        &shadow,
         deliver_to,
-        &order,
-        &parents,
-        catalog,
-        &mut report,
-    );
-
-    // ---- pass 5: key availability -----------------------------------
-    pass_keys(
-        ext,
-        keys,
-        subjects,
-        &shadow,
-        &order,
-        &parents,
-        catalog,
-        &mut report,
-    );
-
-    // ---- pass 6: scheme & literal-type soundness --------------------
-    pass_schemes(ext, &shadow, &order, &parents, catalog, &mut report);
-    pass_literal_types(ext, &order, &parents, catalog, &mut report);
-
-    // ---- pass 7: mixed-form join comparisons ------------------------
-    pass_mixed_form(
-        ext,
-        keys,
-        subjects,
-        &shadow,
-        &order,
-        &parents,
-        catalog,
-        &mut report,
-    );
-
-    report
+        order: plan.postorder(),
+        parents: plan.parents(),
+        fresh: profile_plan(plan),
+        shadow: shadow_plan(plan),
+        report: RefCell::default(),
+    };
+    v.pass_wellformed(); // pass 0: everything else assumes it
+    v.pass_flow_divergence(); // pass 1: flow soundness, N-versioned
+    v.pass_assignment(); // pass 2: assignment completeness
+    v.pass_authorization(); // pass 3: Def. 4.1 closure
+    v.pass_edges(); // pass 4: per-edge plaintext leaks (shadow-derived)
+    v.pass_keys(); // pass 5: key availability
+    v.pass_schemes(); // pass 6: scheme & literal-type soundness
+    v.pass_literal_types();
+    v.pass_mixed_form(); // pass 7: mixed-form join comparisons
+    v.report.into_inner()
 }
 
 /// [`verify_extended`] with the views derived from a [`Policy`] — the
@@ -566,6 +504,28 @@ fn shadow_plan(plan: &QueryPlan) -> Vec<Shadow> {
 // passes
 // ---------------------------------------------------------------------
 
+/// One verification: its inputs, the plan's walk order and parent
+/// links, both profile derivations — each computed once — and the
+/// report every pass adds its findings and decided coverage to.
+struct Verifier<'a> {
+    ext: &'a ExtendedPlan,
+    plan: &'a QueryPlan,
+    keys: &'a KeyPlan,
+    catalog: &'a Catalog,
+    subjects: &'a Subjects,
+    views: &'a [SubjectView],
+    deliver_to: Option<SubjectId>,
+    order: Vec<NodeId>,
+    parents: Vec<Option<NodeId>>,
+    /// `profile.rs`'s derivation; `shadow` is this module's independent
+    /// one. They must agree with each other and with the annotations
+    /// carried by the extended plan.
+    fresh: Vec<Profile>,
+    shadow: Vec<Shadow>,
+    /// In a cell, so that a pass walking `order` can report.
+    report: RefCell<VerifyReport>,
+}
+
 /// Root-to-node operator path, span-style.
 fn node_path(plan: &QueryPlan, parents: &[Option<NodeId>], id: NodeId) -> String {
     let mut chain = vec![id];
@@ -582,301 +542,215 @@ fn node_path(plan: &QueryPlan, parents: &[Option<NodeId>], id: NodeId) -> String
         .join(" ▸ ")
 }
 
-#[allow(clippy::too_many_arguments)]
-fn diag(
-    report: &mut VerifyReport,
-    code: Code,
-    plan: &QueryPlan,
-    parents: &[Option<NodeId>],
-    node: Option<NodeId>,
-    message: String,
-) {
-    report.diagnostics.push(Diagnostic {
-        code,
-        severity: Severity::Error,
-        node,
-        path: node
-            .map(|n| node_path(plan, parents, n))
-            .unwrap_or_default(),
-        message,
-    });
-}
-
-/// MPQ006: structural validity, crypto-operator coherence, and the
-/// PR 1 bug class (`HAVING` matching only a *direct* `GROUP BY` child
-/// and thereby missing spliced crypto).
-fn pass_wellformed(
-    ext: &ExtendedPlan,
-    catalog: &Catalog,
-    shadow: &[Shadow],
-    order: &[NodeId],
-    parents: &[Option<NodeId>],
-    report: &mut VerifyReport,
-) {
-    let plan = &ext.plan;
-    if let Err(e) = plan.validate(catalog) {
-        diag(report, Code::Malformed, plan, parents, None, format!("{e}"));
+impl Verifier<'_> {
+    fn diag(&self, code: Code, node: Option<NodeId>, message: String) {
+        let path = node
+            .map(|n| node_path(self.plan, &self.parents, n))
+            .unwrap_or_default();
+        let mut report = self.report.borrow_mut();
+        report.coverage.codes.insert(code);
+        report.diagnostics.push(Diagnostic {
+            code,
+            node,
+            path,
+            message,
+        });
     }
-    for &id in order {
-        let node = plan.node(id);
-        match &node.op {
-            Operator::Having { .. } if plan.agg_scope(id).is_none() => {
-                diag(
-                    report,
+
+    /// The coverage vector, for a pass to record what it just decided.
+    fn cover(&self) -> RefMut<'_, VerifyCoverage> {
+        RefMut::map(self.report.borrow_mut(), |r| &mut r.coverage)
+    }
+
+    /// MPQ006: structural validity, crypto-operator coherence, and the
+    /// PR 1 bug class (`HAVING` matching only a *direct* `GROUP BY` child
+    /// and thereby missing spliced crypto).
+    fn pass_wellformed(&self) {
+        let (plan, catalog) = (self.plan, self.catalog);
+        if let Err(e) = plan.validate(catalog) {
+            self.diag(Code::Malformed, None, format!("{e}"));
+        }
+        for &id in &self.order {
+            let node = plan.node(id);
+            match &node.op {
+                Operator::Having { .. } if plan.agg_scope(id).is_none() => self.diag(
                     Code::Malformed,
-                    plan,
-                    parents,
                     Some(id),
                     "HAVING has no GROUP BY below it (even through crypto operators)".to_string(),
+                ),
+                Operator::Encrypt { attrs } => {
+                    let c = &self.shadow[node.children[0].index()];
+                    let bad: Vec<&str> = attrs
+                        .iter()
+                        .filter(|a| !c.plain.contains(&a.0))
+                        .map(|a| catalog.attr_name(*a))
+                        .collect();
+                    if !bad.is_empty() {
+                        self.diag(
+                            Code::Malformed,
+                            Some(id),
+                            format!(
+                                "encrypting {}, which is not plaintext-visible here",
+                                bad.join(", ")
+                            ),
+                        );
+                    }
+                }
+                Operator::Decrypt { attrs } => {
+                    let c = &self.shadow[node.children[0].index()];
+                    let bad: Vec<&str> = attrs
+                        .iter()
+                        .filter(|a| !c.cipher.contains(&a.0))
+                        .map(|a| catalog.attr_name(*a))
+                        .collect();
+                    if !bad.is_empty() {
+                        self.diag(
+                            Code::Malformed,
+                            Some(id),
+                            format!("decrypting {}, which is not encrypted here", bad.join(", ")),
+                        );
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// MPQ007: the two independent derivations, and the annotations the
+    /// runtime trusts, must agree profile-for-profile.
+    fn pass_flow_divergence(&self) {
+        let catalog = self.catalog;
+        for &id in &self.order {
+            let reference = &self.fresh[id.index()];
+            let independent = self.shadow[id.index()].to_profile();
+            if &independent != reference {
+                self.diag(
+                    Code::FlowDivergence,
+                    Some(id),
+                    format!(
+                        "independent Fig. 2 re-derivation disagrees with profile.rs \
+                         (shadow vp {} / ve {} vs reference vp {} / ve {})",
+                        catalog.render_attrs(&independent.vp),
+                        catalog.render_attrs(&independent.ve),
+                        catalog.render_attrs(&reference.vp),
+                        catalog.render_attrs(&reference.ve),
+                    ),
                 );
             }
-            Operator::Encrypt { attrs } => {
-                let c = &shadow[node.children[0].index()];
-                let bad: Vec<&str> = attrs
-                    .iter()
-                    .filter(|a| !c.plain.contains(&a.0))
-                    .map(|a| catalog.attr_name(*a))
-                    .collect();
-                if !bad.is_empty() {
-                    diag(
-                        report,
-                        Code::Malformed,
-                        plan,
-                        parents,
+            match self.ext.profiles.get(id.index()) {
+                Some(annotated) if annotated == reference => {}
+                Some(annotated) => self.diag(
+                    Code::FlowDivergence,
+                    Some(id),
+                    format!(
+                        "the plan's carried profile annotation is stale \
+                         (annotated vp {} / ve {} vs derived vp {} / ve {})",
+                        catalog.render_attrs(&annotated.vp),
+                        catalog.render_attrs(&annotated.ve),
+                        catalog.render_attrs(&reference.vp),
+                        catalog.render_attrs(&reference.ve),
+                    ),
+                ),
+                None => self.diag(
+                    Code::FlowDivergence,
+                    Some(id),
+                    "the plan carries no profile annotation for this node".to_string(),
+                ),
+            }
+        }
+    }
+
+    /// MPQ008: every node assigned; leaves assigned to the storing
+    /// authority.
+    fn pass_assignment(&self) {
+        let subjects = self.subjects;
+        for &id in &self.order {
+            let Some(&s) = self.ext.assignment.get(&id) else {
+                self.diag(
+                    Code::BadAssignment,
+                    Some(id),
+                    "node has no assigned subject".to_string(),
+                );
+                continue;
+            };
+            if let Operator::Base { rel, .. } = &self.plan.node(id).op {
+                match subjects.authority(*rel) {
+                    None => self.diag(
+                        Code::BadAssignment,
+                        Some(id),
+                        "base relation has no declared data authority".to_string(),
+                    ),
+                    Some(auth) if auth != s => self.diag(
+                        Code::BadAssignment,
                         Some(id),
                         format!(
-                            "encrypting {}, which is not plaintext-visible here",
-                            bad.join(", ")
+                            "leaf assigned to {}, but its relation is stored by {}",
+                            subjects.name(s),
+                            subjects.name(auth)
+                        ),
+                    ),
+                    Some(_) => {}
+                }
+            }
+        }
+    }
+
+    /// MPQ001: Def. 4.1 closure — every assignee authorized for every
+    /// profile it touches (operands and result), with *all* failing
+    /// conditions named via [`SubjectView::explain_failure`]. Records
+    /// each condition's outcome per (assignee, touched profile).
+    fn pass_authorization(&self) {
+        let plan = self.plan;
+        for &id in &self.order {
+            let node = plan.node(id);
+            if node.children.is_empty() {
+                continue; // leaves: authority agreement is MPQ008's job
+            }
+            let Some(&s) = self.ext.assignment.get(&id) else {
+                continue; // already MPQ008
+            };
+            let Some(view) = self.views.get(s.index()) else {
+                continue;
+            };
+            for t in node.children.iter().copied().chain([id]) {
+                let mut failed = [false; 3];
+                for violation in view.explain_failure(&self.fresh[t.index()]) {
+                    let (condition, why) = render_violation(&violation, self.catalog);
+                    failed[condition] = true;
+                    self.diag(
+                        Code::UnauthorizedAssignee,
+                        Some(id),
+                        format!(
+                            "{} touches {}{} but is {why}",
+                            self.subjects.name(s),
+                            plan.node(t).op.name(),
+                            if t == id { " (its own result)" } else { "" },
                         ),
                     );
                 }
-            }
-            Operator::Decrypt { attrs } => {
-                let c = &shadow[node.children[0].index()];
-                let bad: Vec<&str> = attrs
-                    .iter()
-                    .filter(|a| !c.cipher.contains(&a.0))
-                    .map(|a| catalog.attr_name(*a))
-                    .collect();
-                if !bad.is_empty() {
-                    diag(
-                        report,
-                        Code::Malformed,
-                        plan,
-                        parents,
-                        Some(id),
-                        format!("decrypting {}, which is not encrypted here", bad.join(", ")),
-                    );
+                let mut cov = self.cover();
+                for (i, f) in failed.into_iter().enumerate() {
+                    if f {
+                        cov.def41_fail[i] = true;
+                    } else {
+                        cov.def41_pass[i] = true;
+                    }
                 }
             }
-            _ => {}
         }
     }
-}
 
-/// MPQ007: the two independent derivations, and the annotations the
-/// runtime trusts, must agree profile-for-profile.
-fn pass_flow_divergence(
-    ext: &ExtendedPlan,
-    order: &[NodeId],
-    parents: &[Option<NodeId>],
-    fresh: &[Profile],
-    shadow: &[Shadow],
-    catalog: &Catalog,
-    report: &mut VerifyReport,
-) {
-    let plan = &ext.plan;
-    for &id in order {
-        let reference = &fresh[id.index()];
-        let independent = shadow[id.index()].to_profile();
-        if &independent != reference {
-            diag(
-                report,
-                Code::FlowDivergence,
-                plan,
-                parents,
-                Some(id),
-                format!(
-                    "independent Fig. 2 re-derivation disagrees with profile.rs \
-                     (shadow vp {} / ve {} vs reference vp {} / ve {})",
-                    catalog.render_attrs(&independent.vp),
-                    catalog.render_attrs(&independent.ve),
-                    catalog.render_attrs(&reference.vp),
-                    catalog.render_attrs(&reference.ve),
-                ),
-            );
-        }
-        match ext.profiles.get(id.index()) {
-            Some(annotated) if annotated == reference => {}
-            Some(annotated) => diag(
-                report,
-                Code::FlowDivergence,
-                plan,
-                parents,
-                Some(id),
-                format!(
-                    "the plan's carried profile annotation is stale \
-                     (annotated vp {} / ve {} vs derived vp {} / ve {})",
-                    catalog.render_attrs(&annotated.vp),
-                    catalog.render_attrs(&annotated.ve),
-                    catalog.render_attrs(&reference.vp),
-                    catalog.render_attrs(&reference.ve),
-                ),
-            ),
-            None => diag(
-                report,
-                Code::FlowDivergence,
-                plan,
-                parents,
-                Some(id),
-                "the plan carries no profile annotation for this node".to_string(),
-            ),
-        }
-    }
-}
-
-/// MPQ008: every node assigned; leaves assigned to the storing
-/// authority.
-fn pass_assignment(
-    ext: &ExtendedPlan,
-    subjects: &Subjects,
-    order: &[NodeId],
-    parents: &[Option<NodeId>],
-    report: &mut VerifyReport,
-) {
-    let plan = &ext.plan;
-    for &id in order {
-        let Some(&s) = ext.assignment.get(&id) else {
-            diag(
-                report,
-                Code::BadAssignment,
-                plan,
-                parents,
-                Some(id),
-                "node has no assigned subject".to_string(),
-            );
-            continue;
-        };
-        if let Operator::Base { rel, .. } = &plan.node(id).op {
-            match subjects.authority(*rel) {
-                None => diag(
-                    report,
-                    Code::BadAssignment,
-                    plan,
-                    parents,
-                    Some(id),
-                    "base relation has no declared data authority".to_string(),
-                ),
-                Some(auth) if auth != s => diag(
-                    report,
-                    Code::BadAssignment,
-                    plan,
-                    parents,
-                    Some(id),
-                    format!(
-                        "leaf assigned to {}, but its relation is stored by {}",
-                        subjects.name(s),
-                        subjects.name(auth)
-                    ),
-                ),
-                Some(_) => {}
-            }
-        }
-    }
-}
-
-/// MPQ001: Def. 4.1 closure — every assignee authorized for every
-/// profile it touches (operands and result), with *all* failing
-/// conditions named via [`SubjectView::explain_failure`].
-#[allow(clippy::too_many_arguments)]
-fn pass_authorization(
-    ext: &ExtendedPlan,
-    subjects: &Subjects,
-    views: &[SubjectView],
-    fresh: &[Profile],
-    order: &[NodeId],
-    parents: &[Option<NodeId>],
-    catalog: &Catalog,
-    report: &mut VerifyReport,
-) {
-    let plan = &ext.plan;
-    for &id in order {
-        let node = plan.node(id);
-        if node.children.is_empty() {
-            continue; // leaves: authority agreement is MPQ008's job
-        }
-        let Some(&s) = ext.assignment.get(&id) else {
-            continue; // already MPQ008
-        };
-        let Some(view) = views.get(s.index()) else {
-            continue;
-        };
-        let mut touched: Vec<NodeId> = node.children.clone();
-        touched.push(id);
-        for t in touched {
-            for violation in view.explain_failure(&fresh[t.index()]) {
-                diag(
-                    report,
-                    Code::UnauthorizedAssignee,
-                    plan,
-                    parents,
-                    Some(id),
-                    format!(
-                        "{} touches {}{} but is {}",
-                        subjects.name(s),
-                        plan.node(t).op.name(),
-                        if t == id { " (its own result)" } else { "" },
-                        render_violation(&violation, catalog),
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// Render an [`AuthzViolation`] with attribute names instead of raw
-/// ids.
-fn render_violation(v: &crate::authz::AuthzViolation, catalog: &Catalog) -> String {
-    use crate::authz::AuthzViolation;
-    match v {
-        AuthzViolation::Plaintext(s) => format!(
-            "not plaintext-authorized for {} (Def. 4.1 cond. 1)",
-            catalog.render_attrs(s)
-        ),
-        AuthzViolation::Encrypted(s) => format!(
-            "without visibility over {} (Def. 4.1 cond. 2)",
-            catalog.render_attrs(s)
-        ),
-        AuthzViolation::NonUniform(s) => format!(
-            "non-uniformly authorized over the equivalence class {} (Def. 4.1 cond. 3)",
-            catalog.render_attrs(s)
-        ),
-    }
-}
-
-/// MPQ002: per subject-pair edge, the *shadow-derived* visible
-/// plaintext must be inside the receiver's `P_S`, and the visible
-/// ciphertext inside `P_S ∪ E_S` — the static twin of the wire audit,
-/// including the final root → user delivery.
-#[allow(clippy::too_many_arguments)]
-fn pass_edges(
-    ext: &ExtendedPlan,
-    subjects: &Subjects,
-    views: &[SubjectView],
-    shadow: &[Shadow],
-    deliver_to: Option<SubjectId>,
-    order: &[NodeId],
-    parents: &[Option<NodeId>],
-    catalog: &Catalog,
-    report: &mut VerifyReport,
-) {
-    let plan = &ext.plan;
-    let check_edge =
-        |producer_node: NodeId, receiver: SubjectId, at: NodeId, report: &mut VerifyReport| {
-            let Some(view) = views.get(receiver.index()) else {
+    /// MPQ002: per subject-pair edge, the *shadow-derived* visible
+    /// plaintext must be inside the receiver's `P_S`, and the visible
+    /// ciphertext inside `P_S ∪ E_S` — the static twin of the wire audit,
+    /// including the final root → user delivery.
+    fn pass_edges(&self) {
+        let (catalog, subjects) = (self.catalog, self.subjects);
+        let check_edge = |producer_node: NodeId, receiver: SubjectId, at: NodeId| {
+            let Some(view) = self.views.get(receiver.index()) else {
                 return;
             };
-            let s = &shadow[producer_node.index()];
+            let s = &self.shadow[producer_node.index()];
             let leaked: Vec<&str> = s
                 .plain
                 .iter()
@@ -884,11 +758,8 @@ fn pass_edges(
                 .map(|&a| catalog.attr_name(AttrId(a)))
                 .collect();
             if !leaked.is_empty() {
-                diag(
-                    report,
+                self.diag(
                     Code::PlaintextLeak,
-                    plan,
-                    parents,
                     Some(at),
                     format!(
                         "plaintext {} would reach {}, whose view does not permit it",
@@ -905,128 +776,361 @@ fn pass_edges(
                 .map(|&a| catalog.attr_name(AttrId(a)))
                 .collect();
             if !invisible.is_empty() {
-                diag(
-                    report,
+                self.diag(
                     Code::PlaintextLeak,
-                    plan,
-                    parents,
                     Some(at),
                     format!(
-                    "attribute(s) {} would reach {}, who has no visibility over them in any form",
-                    invisible.join(", "),
-                    subjects.name(receiver)
-                ),
+                        "attribute(s) {} would reach {}, who has no visibility over them in any form",
+                        invisible.join(", "),
+                        subjects.name(receiver)
+                    ),
                 );
             }
         };
-    for &id in order {
-        let node = plan.node(id);
-        let Some(&executor) = ext.assignment.get(&id) else {
-            continue;
-        };
-        for &child in &node.children {
-            let Some(&producer) = ext.assignment.get(&child) else {
+        for &id in &self.order {
+            let Some(&executor) = self.ext.assignment.get(&id) else {
                 continue;
             };
-            if producer != executor {
-                check_edge(child, executor, id, report);
-            }
-        }
-    }
-    // The delivery edge: the querying user receives the root's table
-    // and audits it like any other receiver.
-    if let Some(user) = deliver_to {
-        check_edge(plan.root(), user, plan.root(), report);
-    }
-}
-
-/// MPQ003: every crypto operation's assignee must hold a Def. 6.1 key
-/// covering each attribute it transforms; every Paillier-aggregated
-/// encrypted attribute must be covered by *some* cluster (the
-/// aggregator only needs the public half, which provisioning delivers
-/// to every computing subject).
-#[allow(clippy::too_many_arguments)]
-fn pass_keys(
-    ext: &ExtendedPlan,
-    keys: &KeyPlan,
-    subjects: &Subjects,
-    shadow: &[Shadow],
-    order: &[NodeId],
-    parents: &[Option<NodeId>],
-    catalog: &Catalog,
-    report: &mut VerifyReport,
-) {
-    let plan = &ext.plan;
-    for &id in order {
-        let node = plan.node(id);
-        match &node.op {
-            Operator::Encrypt { attrs } | Operator::Decrypt { attrs } => {
-                let Some(&s) = ext.assignment.get(&id) else {
+            for &child in &self.plan.node(id).children {
+                let Some(&producer) = self.ext.assignment.get(&child) else {
                     continue;
                 };
-                for a in attrs {
-                    match keys.key_for(*a) {
-                        None => diag(
-                            report,
-                            Code::KeyUnavailable,
-                            plan,
-                            parents,
-                            Some(id),
-                            format!(
-                                "no Def. 6.1 cluster covers attribute {}",
-                                catalog.attr_name(*a)
-                            ),
-                        ),
-                        Some(k) if !k.holders.contains(&s) => diag(
-                            report,
-                            Code::KeyUnavailable,
-                            plan,
-                            parents,
-                            Some(id),
-                            format!(
-                                "{} must {} {} but holds no key for its cluster \
-                                 (k{} goes to {})",
-                                subjects.name(s),
-                                node.op.name(),
-                                catalog.attr_name(*a),
-                                catalog.render_attrs(&k.attrs),
-                                subjects.render(&k.holders),
-                            ),
-                        ),
-                        Some(_) => {}
-                    }
+                if producer != executor {
+                    check_edge(child, executor, id);
                 }
             }
-            Operator::GroupBy { aggs, .. } => {
-                // Homomorphic aggregation over an encrypted attribute
-                // needs that attribute's public Paillier half — which
-                // exists only if some cluster covers the attribute.
-                let c = &shadow[node.children[0].index()];
-                for ag in aggs {
-                    if !matches!(ag.func, AggFunc::Sum | AggFunc::Avg) {
+        }
+        // The delivery edge: the querying user receives the root's table
+        // and audits it like any other receiver.
+        if let Some(user) = self.deliver_to {
+            check_edge(self.plan.root(), user, self.plan.root());
+        }
+    }
+
+    /// MPQ003: every crypto operation's assignee must hold a Def. 6.1 key
+    /// covering each attribute it transforms; every Paillier-aggregated
+    /// encrypted attribute must be covered by *some* cluster (the
+    /// aggregator only needs the public half, which provisioning delivers
+    /// to every computing subject). Records the clusters' shapes.
+    fn pass_keys(&self) {
+        let (keys, catalog) = (self.keys, self.catalog);
+        for k in &keys.keys {
+            let shape = (k.attrs.len().min(3) as u8, k.holders.len().min(3) as u8);
+            self.cover().cluster_shapes.insert(shape);
+        }
+        for &id in &self.order {
+            let node = self.plan.node(id);
+            match &node.op {
+                Operator::Encrypt { attrs } | Operator::Decrypt { attrs } => {
+                    let Some(&s) = self.ext.assignment.get(&id) else {
                         continue;
-                    }
-                    if let Expr::Col(a) = ag.input {
-                        if c.cipher.contains(&a.0) && keys.key_for(a).is_none() {
-                            diag(
-                                report,
+                    };
+                    for a in attrs {
+                        match keys.key_for(*a) {
+                            None => self.diag(
                                 Code::KeyUnavailable,
-                                plan,
-                                parents,
                                 Some(id),
                                 format!(
-                                    "homomorphic {} over encrypted {} has no covering \
-                                     Def. 6.1 cluster (no public half to aggregate under)",
-                                    ag.func,
-                                    catalog.attr_name(a)
+                                    "no Def. 6.1 cluster covers attribute {}",
+                                    catalog.attr_name(*a)
                                 ),
-                            );
+                            ),
+                            Some(k) if !k.holders.contains(&s) => self.diag(
+                                Code::KeyUnavailable,
+                                Some(id),
+                                format!(
+                                    "{} must {} {} but holds no key for its cluster \
+                                     (k{} goes to {})",
+                                    self.subjects.name(s),
+                                    node.op.name(),
+                                    catalog.attr_name(*a),
+                                    catalog.render_attrs(&k.attrs),
+                                    self.subjects.render(&k.holders),
+                                ),
+                            ),
+                            Some(_) => {}
                         }
                     }
                 }
+                Operator::GroupBy { aggs, .. } => {
+                    // Homomorphic aggregation over an encrypted attribute
+                    // needs that attribute's public Paillier half — which
+                    // exists only if some cluster covers the attribute.
+                    let c = &self.shadow[node.children[0].index()];
+                    for ag in aggs {
+                        if !matches!(ag.func, AggFunc::Sum | AggFunc::Avg) {
+                            continue;
+                        }
+                        if let Expr::Col(a) = ag.input {
+                            if c.cipher.contains(&a.0) && keys.key_for(a).is_none() {
+                                self.diag(
+                                    Code::KeyUnavailable,
+                                    Some(id),
+                                    format!(
+                                        "homomorphic {} over encrypted {} has no covering \
+                                         Def. 6.1 cluster (no public half to aggregate under)",
+                                        ag.func,
+                                        catalog.attr_name(a)
+                                    ),
+                                );
+                            }
+                        }
+                    }
+                }
+                _ => {}
             }
-            _ => {}
         }
+    }
+
+    /// Collect, independently of `assign_schemes`, the ciphertext
+    /// capabilities each encrypted attribute must support.
+    fn collect_cap_demands(&self) -> HashMap<AttrId, NeededCaps> {
+        let plan = self.plan;
+        let mut caps: HashMap<AttrId, NeededCaps> = HashMap::new();
+        let need = |caps: &mut HashMap<AttrId, NeededCaps>, a: AttrId, id: NodeId, what: u8| {
+            let c = caps.entry(a).or_default();
+            match what {
+                0 => {
+                    c.eq = true;
+                    c.cmp_at.get_or_insert(id);
+                }
+                1 => {
+                    c.ord = true;
+                    c.cmp_at.get_or_insert(id);
+                }
+                _ => {
+                    c.add = true;
+                    c.add_at.get_or_insert(id);
+                }
+            }
+        };
+        for &id in &self.order {
+            let node = plan.node(id);
+            let enc_at =
+                |i: usize| -> &BTreeSet<u32> { &self.shadow[node.children[i].index()].cipher };
+            match &node.op {
+                Operator::Select { pred } => {
+                    cmp_demands(pred, enc_at(0), &mut |a, eq| {
+                        need(&mut caps, a, id, if eq { 0 } else { 1 })
+                    });
+                }
+                Operator::Having { pred } => {
+                    let resolved = plan.agg_scope(id).unwrap_or_default().resolve(pred);
+                    cmp_demands(&resolved, enc_at(0), &mut |a, eq| {
+                        need(&mut caps, a, id, if eq { 0 } else { 1 })
+                    });
+                }
+                Operator::Join { on, residual, .. } => {
+                    let (le, re) = (enc_at(0), enc_at(1));
+                    for (l, op, r) in on {
+                        if le.contains(&l.0) || re.contains(&r.0) {
+                            let what = if op.is_equality() || *op == CmpOp::Ne {
+                                0
+                            } else {
+                                1
+                            };
+                            need(&mut caps, *l, id, what);
+                            need(&mut caps, *r, id, what);
+                        }
+                    }
+                    if let Some(res) = residual {
+                        let combined: BTreeSet<u32> = le.union(re).copied().collect();
+                        cmp_demands(res, &combined, &mut |a, eq| {
+                            need(&mut caps, a, id, if eq { 0 } else { 1 })
+                        });
+                    }
+                }
+                Operator::GroupBy { keys, aggs } => {
+                    let enc = enc_at(0);
+                    for k in keys {
+                        if enc.contains(&k.0) {
+                            need(&mut caps, *k, id, 0);
+                        }
+                    }
+                    for ag in aggs {
+                        if let Expr::Col(a) = ag.input {
+                            if enc.contains(&a.0) {
+                                match ag.func {
+                                    AggFunc::Sum | AggFunc::Avg => need(&mut caps, a, id, 2),
+                                    AggFunc::Min | AggFunc::Max => need(&mut caps, a, id, 1),
+                                    AggFunc::CountDistinct => need(&mut caps, a, id, 0),
+                                    AggFunc::Count => {}
+                                }
+                            }
+                        }
+                    }
+                }
+                Operator::Sort { keys } => {
+                    let enc = enc_at(0);
+                    for (e, _) in keys {
+                        for a in e.attrs().iter() {
+                            if enc.contains(&a.0) {
+                                need(&mut caps, a, id, 1);
+                            }
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        caps
+    }
+
+    /// MPQ004: flag attributes demanding both homomorphic addition and
+    /// comparison — no single scheme in the §7 suite supports that
+    /// combination. Records the scheme family each encrypted attribute's
+    /// demands resolve to.
+    fn pass_schemes(&self) {
+        let caps = self.collect_cap_demands();
+        for a in self.ext.encrypted_attrs.iter() {
+            let choice = caps
+                .get(&a)
+                .map_or(SchemeChoice::Random, NeededCaps::choice);
+            self.cover().schemes.insert(choice);
+        }
+        let mut conflicted: Vec<(AttrId, NeededCaps)> = caps
+            .into_iter()
+            .filter(|(_, c)| c.choice() == SchemeChoice::Conflict)
+            .collect();
+        conflicted.sort_by_key(|(a, _)| a.0);
+        for (a, c) in conflicted {
+            self.diag(
+                Code::SchemeConflict,
+                c.add_at.or(c.cmp_at),
+                format!(
+                    "encrypted attribute {} needs homomorphic addition and {} comparison: \
+                     no scheme supports both",
+                    self.catalog.attr_name(a),
+                    if c.ord { "order" } else { "equality" },
+                ),
+            );
+        }
+    }
+
+    /// MPQ005: literal/column type agreement — the static form of the PR 3
+    /// bug class (an OPE-encrypted integer column compared against a
+    /// fractional literal silently matches nothing once encoded).
+    fn pass_literal_types(&self) {
+        let catalog = self.catalog;
+        for &id in &self.order {
+            let check = |pred: &Expr| {
+                literal_comparisons(pred, &mut |a, op, v| {
+                    let Some(lit_ty) = v.data_type() else {
+                        return; // NULL compares with anything
+                    };
+                    if let Some(msg) = literal_mismatch(catalog.attr_type(a), lit_ty, op, v) {
+                        self.diag(
+                            Code::TypeMismatch,
+                            Some(id),
+                            format!("{} {msg}", catalog.attr_name(a)),
+                        );
+                    }
+                });
+            };
+            match &self.plan.node(id).op {
+                Operator::Select { pred } | Operator::Having { pred } => check(pred),
+                Operator::Join {
+                    residual: Some(res),
+                    ..
+                } => check(res),
+                _ => {}
+            }
+        }
+    }
+
+    /// MPQ009: mixed-form join comparisons (ROADMAP item 6). A minimal
+    /// extension may encrypt a join attribute *above* the join on one side
+    /// while the other side arrives encrypted from below — the executor
+    /// then compares `Enc(a)` against plaintext `b`. The engine reconciles
+    /// this by encrypting the plaintext side on the fly, but only if its
+    /// assignee holds the covering Def. 6.1 cluster key ([`plan_keys`]
+    /// provisions exactly that, per Def. 4.1 condition 3). This pass fires
+    /// when a mixed-form comparison is *not* reconcilable — no cluster
+    /// covers the encrypted attribute, or the assignee is not among its
+    /// holders — i.e. exactly when the runtime would refuse with
+    /// `ExecError::MixedForm` instead of silently matching zero rows.
+    /// Records each join condition as uniform, reconcilable or not.
+    ///
+    /// [`plan_keys`]: crate::keys::plan_keys
+    fn pass_mixed_form(&self) {
+        let (keys, catalog) = (self.keys, self.catalog);
+        for &id in &self.order {
+            let node = self.plan.node(id);
+            let Operator::Join { on, .. } = &node.op else {
+                continue;
+            };
+            let ls = &self.shadow[node.children[0].index()];
+            let rs = &self.shadow[node.children[1].index()];
+            for &(l, op, r) in on {
+                // Which side arrives encrypted? Mixed means exactly one.
+                let enc_attr = match (ls.cipher.contains(&l.0), rs.cipher.contains(&r.0)) {
+                    (true, false) if rs.plain.contains(&r.0) => l,
+                    (false, true) if ls.plain.contains(&l.0) => r,
+                    _ => {
+                        self.cover().mixed_form[0] = true;
+                        continue;
+                    }
+                };
+                let assignee = self.ext.assignment.get(&id).copied();
+                let fixable = keys
+                    .key_for(enc_attr)
+                    .is_some_and(|k| assignee.is_some_and(|s| k.holders.contains(&s)));
+                self.cover().mixed_form[if fixable { 1 } else { 2 }] = true;
+                if fixable {
+                    continue;
+                }
+                let who = assignee
+                    .map(|s| self.subjects.name(s).to_string())
+                    .unwrap_or_else(|| "<unassigned>".into());
+                let why = if keys.key_for(enc_attr).is_none() {
+                    format!("no Def. 6.1 cluster covers {}", catalog.attr_name(enc_attr))
+                } else {
+                    format!(
+                        "assignee {who} holds no key for the cluster covering {}",
+                        catalog.attr_name(enc_attr)
+                    )
+                };
+                self.diag(
+                    Code::MixedForm,
+                    Some(id),
+                    format!(
+                        "join condition {} {op} {} compares ciphertext against \
+                         plaintext and cannot be reconciled: {why}; the runtime \
+                         would abort with a mixed-form error",
+                        catalog.attr_name(l),
+                        catalog.attr_name(r),
+                    ),
+                );
+            }
+        }
+    }
+}
+
+/// An [`AuthzViolation`]'s Def. 4.1 condition (0-based) and its
+/// rendering with attribute names instead of raw ids.
+fn render_violation(v: &AuthzViolation, catalog: &Catalog) -> (usize, String) {
+    match v {
+        AuthzViolation::Plaintext(s) => (
+            0,
+            format!(
+                "not plaintext-authorized for {} (Def. 4.1 cond. 1)",
+                catalog.render_attrs(s)
+            ),
+        ),
+        AuthzViolation::Encrypted(s) => (
+            1,
+            format!(
+                "without visibility over {} (Def. 4.1 cond. 2)",
+                catalog.render_attrs(s)
+            ),
+        ),
+        AuthzViolation::NonUniform(s) => (
+            2,
+            format!(
+                "non-uniformly authorized over the equivalence class {} (Def. 4.1 cond. 3)",
+                catalog.render_attrs(s)
+            ),
+        ),
     }
 }
 
@@ -1043,136 +1147,16 @@ struct NeededCaps {
     cmp_at: Option<NodeId>,
 }
 
-/// Collect, independently of `assign_schemes`, the ciphertext
-/// capabilities each encrypted attribute must support (shared by
-/// [`pass_schemes`] and the fuzzing [`coverage`] hook).
-fn collect_cap_demands(
-    ext: &ExtendedPlan,
-    shadow: &[Shadow],
-    order: &[NodeId],
-) -> HashMap<AttrId, NeededCaps> {
-    let plan = &ext.plan;
-    let mut caps: HashMap<AttrId, NeededCaps> = HashMap::new();
-    let need = |caps: &mut HashMap<AttrId, NeededCaps>, a: AttrId, id: NodeId, what: u8| {
-        let c = caps.entry(a).or_default();
-        match what {
-            0 => {
-                c.eq = true;
-                c.cmp_at.get_or_insert(id);
-            }
-            1 => {
-                c.ord = true;
-                c.cmp_at.get_or_insert(id);
-            }
-            _ => {
-                c.add = true;
-                c.add_at.get_or_insert(id);
-            }
+impl NeededCaps {
+    /// The scheme family these demands resolve to.
+    fn choice(&self) -> SchemeChoice {
+        match self {
+            c if c.add && (c.eq || c.ord) => SchemeChoice::Conflict,
+            c if c.add => SchemeChoice::Paillier,
+            c if c.ord => SchemeChoice::Ope,
+            c if c.eq => SchemeChoice::Deterministic,
+            _ => SchemeChoice::Random,
         }
-    };
-    for &id in order {
-        let node = plan.node(id);
-        let enc_at = |i: usize| -> &BTreeSet<u32> { &shadow[node.children[i].index()].cipher };
-        match &node.op {
-            Operator::Select { pred } => {
-                cmp_demands(pred, enc_at(0), &mut |a, eq| {
-                    need(&mut caps, a, id, if eq { 0 } else { 1 })
-                });
-            }
-            Operator::Having { pred } => {
-                let resolved = plan.agg_scope(id).unwrap_or_default().resolve(pred);
-                cmp_demands(&resolved, enc_at(0), &mut |a, eq| {
-                    need(&mut caps, a, id, if eq { 0 } else { 1 })
-                });
-            }
-            Operator::Join { on, residual, .. } => {
-                let (le, re) = (enc_at(0), enc_at(1));
-                for (l, op, r) in on {
-                    if le.contains(&l.0) || re.contains(&r.0) {
-                        let what = if op.is_equality() || *op == CmpOp::Ne {
-                            0
-                        } else {
-                            1
-                        };
-                        need(&mut caps, *l, id, what);
-                        need(&mut caps, *r, id, what);
-                    }
-                }
-                if let Some(res) = residual {
-                    let combined: BTreeSet<u32> = le.union(re).copied().collect();
-                    cmp_demands(res, &combined, &mut |a, eq| {
-                        need(&mut caps, a, id, if eq { 0 } else { 1 })
-                    });
-                }
-            }
-            Operator::GroupBy { keys, aggs } => {
-                let enc = enc_at(0);
-                for k in keys {
-                    if enc.contains(&k.0) {
-                        need(&mut caps, *k, id, 0);
-                    }
-                }
-                for ag in aggs {
-                    if let Expr::Col(a) = ag.input {
-                        if enc.contains(&a.0) {
-                            match ag.func {
-                                AggFunc::Sum | AggFunc::Avg => need(&mut caps, a, id, 2),
-                                AggFunc::Min | AggFunc::Max => need(&mut caps, a, id, 1),
-                                AggFunc::CountDistinct => need(&mut caps, a, id, 0),
-                                AggFunc::Count => {}
-                            }
-                        }
-                    }
-                }
-            }
-            Operator::Sort { keys } => {
-                let enc = enc_at(0);
-                for (e, _) in keys {
-                    for a in e.attrs().iter() {
-                        if enc.contains(&a.0) {
-                            need(&mut caps, a, id, 1);
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    caps
-}
-
-/// MPQ004: flag attributes demanding both homomorphic addition and
-/// comparison — no single scheme in the §7 suite supports that
-/// combination.
-fn pass_schemes(
-    ext: &ExtendedPlan,
-    shadow: &[Shadow],
-    order: &[NodeId],
-    parents: &[Option<NodeId>],
-    catalog: &Catalog,
-    report: &mut VerifyReport,
-) {
-    let plan = &ext.plan;
-    let caps = collect_cap_demands(ext, shadow, order);
-    let mut conflicted: Vec<(AttrId, NeededCaps)> = caps
-        .into_iter()
-        .filter(|(_, c)| c.add && (c.eq || c.ord))
-        .collect();
-    conflicted.sort_by_key(|(a, _)| a.0);
-    for (a, c) in conflicted {
-        diag(
-            report,
-            Code::SchemeConflict,
-            plan,
-            parents,
-            c.add_at.or(c.cmp_at),
-            format!(
-                "encrypted attribute {} needs homomorphic addition and {} comparison: \
-                 no scheme supports both",
-                catalog.attr_name(a),
-                if c.ord { "order" } else { "equality" },
-            ),
-        );
     }
 }
 
@@ -1211,48 +1195,6 @@ fn cmp_demands(e: &Expr, enc: &BTreeSet<u32>, f: &mut impl FnMut(AttrId, bool)) 
         }
         Expr::Not(x) => cmp_demands(x, enc, f),
         _ => {}
-    }
-}
-
-/// MPQ005: literal/column type agreement — the static form of the PR 3
-/// bug class (an OPE-encrypted integer column compared against a
-/// fractional literal silently matches nothing once encoded).
-fn pass_literal_types(
-    ext: &ExtendedPlan,
-    order: &[NodeId],
-    parents: &[Option<NodeId>],
-    catalog: &Catalog,
-    report: &mut VerifyReport,
-) {
-    let plan = &ext.plan;
-    for &id in order {
-        let node = plan.node(id);
-        let check = |pred: &Expr, report: &mut VerifyReport| {
-            literal_comparisons(pred, &mut |a, op, v| {
-                let Some(lit_ty) = v.data_type() else {
-                    return; // NULL compares with anything
-                };
-                let col_ty = catalog.attr_type(a);
-                if let Some(msg) = literal_mismatch(col_ty, lit_ty, op, v) {
-                    diag(
-                        report,
-                        Code::TypeMismatch,
-                        plan,
-                        parents,
-                        Some(id),
-                        format!("{} {msg}", catalog.attr_name(a)),
-                    );
-                }
-            });
-        };
-        match &node.op {
-            Operator::Select { pred } | Operator::Having { pred } => check(pred, report),
-            Operator::Join {
-                residual: Some(res),
-                ..
-            } => check(res, report),
-            _ => {}
-        }
     }
 }
 
@@ -1330,81 +1272,6 @@ fn literal_comparisons(e: &Expr, f: &mut impl FnMut(AttrId, CmpOp, &Value)) {
     }
 }
 
-/// MPQ009: mixed-form join comparisons (ROADMAP item 6). A minimal
-/// extension may encrypt a join attribute *above* the join on one side
-/// while the other side arrives encrypted from below — the executor
-/// then compares `Enc(a)` against plaintext `b`. The engine reconciles
-/// this by encrypting the plaintext side on the fly, but only if its
-/// assignee holds the covering Def. 6.1 cluster key ([`plan_keys`]
-/// provisions exactly that, per Def. 4.1 condition 3). This pass fires
-/// when a mixed-form comparison is *not* reconcilable — no cluster
-/// covers the encrypted attribute, or the assignee is not among its
-/// holders — i.e. exactly when the runtime would refuse with
-/// `ExecError::MixedForm` instead of silently matching zero rows.
-///
-/// [`plan_keys`]: crate::keys::plan_keys
-#[allow(clippy::too_many_arguments)]
-fn pass_mixed_form(
-    ext: &ExtendedPlan,
-    keys: &KeyPlan,
-    subjects: &Subjects,
-    shadow: &[Shadow],
-    order: &[NodeId],
-    parents: &[Option<NodeId>],
-    catalog: &Catalog,
-    report: &mut VerifyReport,
-) {
-    let plan = &ext.plan;
-    for &id in order {
-        let node = plan.node(id);
-        let Operator::Join { on, .. } = &node.op else {
-            continue;
-        };
-        let ls = &shadow[node.children[0].index()];
-        let rs = &shadow[node.children[1].index()];
-        for &(l, op, r) in on {
-            // Which side arrives encrypted? Mixed means exactly one.
-            let enc_attr = match (ls.cipher.contains(&l.0), rs.cipher.contains(&r.0)) {
-                (true, false) if rs.plain.contains(&r.0) => l,
-                (false, true) if ls.plain.contains(&l.0) => r,
-                _ => continue,
-            };
-            let assignee = ext.assignment.get(&id).copied();
-            let fixable = keys
-                .key_for(enc_attr)
-                .is_some_and(|k| assignee.is_some_and(|s| k.holders.contains(&s)));
-            if fixable {
-                continue;
-            }
-            let who = assignee
-                .map(|s| subjects.name(s).to_string())
-                .unwrap_or_else(|| "<unassigned>".into());
-            let why = if keys.key_for(enc_attr).is_none() {
-                format!("no Def. 6.1 cluster covers {}", catalog.attr_name(enc_attr))
-            } else {
-                format!(
-                    "assignee {who} holds no key for the cluster covering {}",
-                    catalog.attr_name(enc_attr)
-                )
-            };
-            diag(
-                report,
-                Code::MixedForm,
-                plan,
-                parents,
-                Some(id),
-                format!(
-                    "join condition {} {op} {} compares ciphertext against \
-                     plaintext and cannot be reconciled: {why}; the runtime \
-                     would abort with a mixed-form error",
-                    catalog.attr_name(l),
-                    catalog.attr_name(r),
-                ),
-            );
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // fuzzing coverage
 // ---------------------------------------------------------------------
@@ -1452,7 +1319,8 @@ impl SchemeChoice {
 /// Mixed-form join cases a scenario can exercise (the MPQ009 axis).
 pub const MIXED_FORM_CASES: [&str; 3] = ["uniform", "reconcilable", "unreconcilable"];
 
-/// What one verified scenario exercised: the coverage vector the
+/// What one verified scenario exercised, recorded by the passes as they
+/// decide it ([`VerifyReport::coverage`]): the coverage vector the
 /// `mpq-fuzz` differential harness accumulates across runs. Every axis
 /// is a set of observed outcomes; [`VerifyCoverage::merge`] unions
 /// scenarios, and the fuzzer's floor check demands each axis reach its
@@ -1525,106 +1393,6 @@ impl VerifyCoverage {
         let _ = writeln!(out, "codes: {}", codes.join(" "));
         out
     }
-}
-
-/// Compute the coverage vector of one verified scenario: which
-/// Def. 4.1 condition outcomes, Def. 6.1 cluster shapes, scheme
-/// demands, and mixed-form join cases the plan exercised, plus the
-/// diagnostic codes of `report` (the [`verify_extended`] result for
-/// the same inputs).
-pub fn coverage(
-    ext: &ExtendedPlan,
-    keys: &KeyPlan,
-    views: &[SubjectView],
-    report: &VerifyReport,
-) -> VerifyCoverage {
-    let plan = &ext.plan;
-    let order = plan.postorder();
-    let fresh = profile_plan(plan);
-    let shadow = shadow_plan(plan);
-    let mut cov = VerifyCoverage::default();
-
-    // Def. 4.1 outcomes, over the same checks pass_authorization runs.
-    for &id in &order {
-        let node = plan.node(id);
-        if node.children.is_empty() {
-            continue;
-        }
-        let Some(&s) = ext.assignment.get(&id) else {
-            continue;
-        };
-        let Some(view) = views.get(s.index()) else {
-            continue;
-        };
-        let mut touched: Vec<NodeId> = node.children.clone();
-        touched.push(id);
-        for t in touched {
-            let mut failed = [false; 3];
-            for v in view.explain_failure(&fresh[t.index()]) {
-                use crate::authz::AuthzViolation;
-                let i = match v {
-                    AuthzViolation::Plaintext(_) => 0,
-                    AuthzViolation::Encrypted(_) => 1,
-                    AuthzViolation::NonUniform(_) => 2,
-                };
-                failed[i] = true;
-            }
-            for (i, f) in failed.iter().enumerate() {
-                if *f {
-                    cov.def41_fail[i] = true;
-                } else {
-                    cov.def41_pass[i] = true;
-                }
-            }
-        }
-    }
-
-    // Def. 6.1 cluster shapes.
-    for k in &keys.keys {
-        cov.cluster_shapes
-            .insert(((k.attrs.len().min(3)) as u8, (k.holders.len().min(3)) as u8));
-    }
-
-    // Scheme demands per encrypted attribute.
-    let caps = collect_cap_demands(ext, &shadow, &order);
-    for a in ext.encrypted_attrs.iter() {
-        let choice = match caps.get(&a) {
-            Some(c) if c.add && (c.eq || c.ord) => SchemeChoice::Conflict,
-            Some(c) if c.add => SchemeChoice::Paillier,
-            Some(c) if c.ord => SchemeChoice::Ope,
-            Some(c) if c.eq => SchemeChoice::Deterministic,
-            _ => SchemeChoice::Random,
-        };
-        cov.schemes.insert(choice);
-    }
-
-    // Mixed-form join cases, over the same walk as pass_mixed_form.
-    for &id in &order {
-        let node = plan.node(id);
-        let Operator::Join { on, .. } = &node.op else {
-            continue;
-        };
-        let ls = &shadow[node.children[0].index()];
-        let rs = &shadow[node.children[1].index()];
-        for &(l, _, r) in on {
-            let enc_attr = match (ls.cipher.contains(&l.0), rs.cipher.contains(&r.0)) {
-                (true, false) if rs.plain.contains(&r.0) => l,
-                (false, true) if ls.plain.contains(&l.0) => r,
-                _ => {
-                    cov.mixed_form[0] = true;
-                    continue;
-                }
-            };
-            let assignee = ext.assignment.get(&id).copied();
-            let fixable = keys
-                .key_for(enc_attr)
-                .is_some_and(|k| assignee.is_some_and(|s| k.holders.contains(&s)));
-            cov.mixed_form[if fixable { 1 } else { 2 }] = true;
-        }
-    }
-
-    cov.codes.extend(report.codes());
-    cov
 }
 
 // ---------------------------------------------------------------------
@@ -1724,16 +1492,14 @@ mod tests {
     #[test]
     fn coverage_tracks_def41_outcomes_schemes_and_codes() {
         let ex = RunningExample::new();
-        let views = ex.policy.all_views(&ex.catalog, &ex.subjects);
 
         // Fig. 7(a), clean: every Def. 4.1 condition observed passing,
         // at least one key cluster and one scheme family, a uniform
         // join form, no codes.
         let ext = ex.fig7a_extended();
-        let keys = plan_keys(&ext);
         let clean = verify(&ex, &ext);
         assert!(clean.is_clean());
-        let mut cov = coverage(&ext, &keys, &views, &clean);
+        let mut cov = clean.coverage;
         assert!(cov.def41_pass.iter().all(|b| *b), "{}", cov.report());
         assert!(cov.def41_fail.iter().all(|b| !*b), "{}", cov.report());
         assert!(!cov.cluster_shapes.is_empty());
@@ -1746,9 +1512,8 @@ mod tests {
         // failing condition outcomes and the fired codes.
         let mut bad = ex.fig7a_extended();
         bad.assignment.insert(ex.node("having"), ex.subject("X"));
-        let bad_keys = plan_keys(&bad);
         let report = verify(&ex, &bad);
-        cov.merge(&coverage(&bad, &bad_keys, &views, &report));
+        cov.merge(&report.coverage);
         assert!(cov.def41_fail.iter().any(|b| *b), "{}", cov.report());
         assert!(cov.codes.contains(&Code::UnauthorizedAssignee));
         assert!(cov.codes.contains(&Code::PlaintextLeak));
@@ -1932,6 +1697,61 @@ mod tests {
         assert!(r.has(Code::MixedForm), "{r}");
         let text = r.to_string();
         assert!(text.contains("MPQ009"), "{text}");
+    }
+
+    /// The passes record what they decide, and only that: a node the
+    /// authorization pass skips (unassigned, or assigned to a subject
+    /// without a view) records no Def. 4.1 outcome, and the mixed-form
+    /// pass records each join condition's form where it classifies it.
+    #[test]
+    fn coverage_is_recorded_where_the_passes_decide_it() {
+        let ex = RunningExample::new();
+        let nothing = ([false; 3], [false; 3]);
+        let def41 = |r: &VerifyReport| (r.coverage.def41_pass, r.coverage.def41_fail);
+
+        // Every operation unassigned (keys planned before): MPQ008 fires
+        // and no Def. 4.1 outcome is recorded.
+        let ext = ex.fig7a_extended();
+        let keys = plan_keys(&ext);
+        let views = ex.policy.all_views(&ex.catalog, &ex.subjects);
+        let mut unassigned = ext.clone();
+        for id in ext.plan.postorder() {
+            if !ext.plan.node(id).children.is_empty() {
+                unassigned.assignment.remove(&id);
+            }
+        }
+        let user = Some(ex.subject("U"));
+        let r = verify_extended(&unassigned, &keys, &ex.catalog, &ex.subjects, &views, user);
+        assert!(r.has(Code::BadAssignment), "{r}");
+        assert_eq!(def41(&r), nothing, "{}", r.coverage.report());
+
+        // Assignees without a view record nothing either.
+        let r = verify_extended(&ext, &keys, &ex.catalog, &ex.subjects, &[], user);
+        assert_eq!(def41(&r), nothing, "{}", r.coverage.report());
+
+        // Fig. 7(a) joins in uniform form.
+        assert_eq!(verify(&ex, &ext).coverage.mixed_form, [true, false, false]);
+
+        // A mixed-form join: reconcilable with the key provisioned,
+        // unreconcilable once the join's assignee loses it.
+        let ext = mixed_form_plan(&ex);
+        let cov = verify(&ex, &ext).coverage;
+        assert!(cov.mixed_form[1] && !cov.mixed_form[2], "{}", cov.report());
+        let join_assignee = ext.assignment[&ex.node("join")];
+        let mut keys = plan_keys(&ext);
+        for k in &mut keys.keys {
+            k.holders.retain(|&s| s != join_assignee);
+        }
+        let r = verify_with_policy(
+            &ext,
+            &keys,
+            &ex.catalog,
+            &ex.subjects,
+            &ex.policy,
+            Some(ex.subject("U")),
+        );
+        let cov = r.coverage;
+        assert!(cov.mixed_form[2] && !cov.mixed_form[1], "{}", cov.report());
     }
 
     #[test]

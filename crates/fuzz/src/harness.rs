@@ -4,7 +4,8 @@
 //! implementations of the same semantics:
 //!
 //! 1. the **static verifier** (`mpq_core::verify`) — pure analysis,
-//!    produces an accept/reject verdict with MPQ001–MPQ009 codes;
+//!    produces an accept/reject verdict with MPQ001–MPQ009 codes and
+//!    the coverage its passes decided on the way;
 //! 2. the **concurrent runtime** (`Session::execute`) — party threads,
 //!    mailboxes, signed envelopes, dynamic defenses;
 //! 3. the **sequential runtime** (`Session::execute_sequential`) — the
@@ -27,7 +28,7 @@
 use crate::gen::{Mutation, World, WorldConfig};
 use mpq_core::extend::minimally_extend;
 use mpq_core::keys::{plan_keys, KeyPlan};
-use mpq_core::verify::{coverage, verify_with_policy, Code, VerifyCoverage};
+use mpq_core::verify::{verify_with_policy, Code, VerifyCoverage};
 use mpq_core::ExtendedPlan;
 use mpq_crypto::KeyRing;
 use mpq_dist::{Report, Session, SessionConfig, SimError};
@@ -240,8 +241,7 @@ pub fn run_scenario(cfg: &WorldConfig) -> ScenarioResult {
         &w.policy,
         Some(w.user),
     );
-    let views = w.policy.all_views(&w.catalog, &w.subjects);
-    let cov = coverage(&ext, &keys, &views, &report);
+    let cov = report.coverage.clone();
 
     let run = |preflight: bool, sequential: bool| -> Result<Report, SimError> {
         let mut config = SessionConfig::new(cfg.seed);

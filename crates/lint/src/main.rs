@@ -48,6 +48,13 @@
 //!   that is the second version its N-version check compares
 //!   `assign_schemes` against, so its non-test code may not mention
 //!   `capability::`. The N-version stays N.
+//! * **one-verifier-walk** — one verification is one walk: the passes
+//!   of `crates/core/src/verify.rs` share one context and record the
+//!   fuzzer's coverage as they decide it. A call of the retired second
+//!   walk, the `coverage` function (its token spelled in halves), is a
+//!   finding anywhere under `crates/`, and `explain_failure(` is one
+//!   in `verify.rs` outside `pass_authorization`: a copy of a pass's
+//!   loop kept for counting must not quietly come back.
 //! * **one-capability-table** — operation → capability is stated once,
 //!   in `core/src/capability.rs`. The names of the copies it replaced
 //!   (`fn guess_schemes`, `fn expr_caps`, `fn walk_cmp`,
@@ -103,6 +110,7 @@ const DIST: &[&str] = &["crates/dist/src"];
 const ENGINE_RS: &str = "crates/exec/src/engine.rs";
 const ROWREF_RS: &str = "crates/exec/src/rowref.rs";
 const AUDIT_RS: &str = "crates/dist/src/audit.rs";
+const VERIFY_RS: &str = "crates/core/src/verify.rs";
 
 /// One row of a rule: `tokens` are findings in non-test code under
 /// `scope` (files or trees; everywhere under `crates/` and `src` when
@@ -189,6 +197,16 @@ const RULES: &[Rule] = &[
         message: "`{t}` in the verifier — it derives capability demands on its own so that \
                   it can disagree with `assign_schemes`",
         sites: &[(&["capability::"], &["crates/core/src/verify.rs"], &[], None)],
+    },
+    Rule {
+        name: "one-verifier-walk",
+        message: "`{t}` — one verification is one walk: the passes record the coverage they \
+                  decide (`VerifyReport::coverage`), and Def. 4.1 is explained in the \
+                  authorization pass only",
+        sites: &[
+            (&[concat!("cover", "age(")], &[], &[], None),
+            (&["explain_failure("], &[VERIFY_RS], &[], Some((VERIFY_RS, "pass_authorization"))),
+        ],
     },
     Rule {
         name: "one-capability-table",
@@ -847,6 +865,40 @@ mod tests {
         // Everyone else is *supposed* to call the table.
         assert!(lines_in("crates/core/src/candidates.rs").is_empty());
         assert!(lines_in("crates/exec/src/scheme.rs").is_empty());
+    }
+
+    #[test]
+    fn a_second_coverage_walk_is_flagged() {
+        let src = [
+            concat!("pub fn cover", "age(ext: &ExtendedPlan) {"),
+            "    for v in view.explain_failure(&fresh[t.index()]) {}",
+            "}",
+            "fn pass_authorization(&self) {",
+            "    for violation in view.explain_failure(&self.fresh[t.index()]) {}",
+            "}",
+            concat!("let cov = cover", "age(&ext, &keys, &views, &report);"),
+            "let cov = report.coverage.clone();",
+            "#[cfg(test)]",
+            "mod tests {",
+            "    fn t() { view.explain_failure(&p); }",
+            "}",
+        ]
+        .join("\n");
+        let lines_in = |file: &str| {
+            let mut findings = Vec::new();
+            lint_source(Path::new(file), &src, &mut findings);
+            findings
+                .iter()
+                .filter(|f| f.rule == "one-verifier-walk")
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        // In the verifier the retired entry point and an explanation
+        // outside the authorization pass are findings…
+        assert_eq!(lines_in(VERIFY_RS), vec![1, 2, 7]);
+        // …anywhere else the entry point alone is.
+        assert_eq!(lines_in("crates/fuzz/src/harness.rs"), vec![1, 7]);
+        assert_eq!(lines_in("crates/core/src/authz.rs"), vec![1, 7]);
     }
 
     #[test]

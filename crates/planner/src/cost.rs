@@ -135,12 +135,12 @@ fn tuple_work(plan: &QueryPlan, id: NodeId, est: &[Estimate], book: &PriceBook) 
 /// encrypts only the surviving rows (at their original offsets, so the
 /// ciphertexts are bit-identical). The credit here is gated on the
 /// *same* predicate the engine uses ([`mpq_exec::fused_encrypt_child`]
-/// plus the same-assignee check mirrored from
-/// `mpq_dist::session::fusion_sites`), so the model prices precisely
-/// the plan the engine runs — an earlier version of this credit
-/// applied it to every same-subject selection whether or not the
-/// engine reordered, collapsing the q3/q6/q12 CostDp-vs-all-at-user
-/// pairs into dishonest model ties.
+/// plus the same-assignee condition of the region cut,
+/// [`mpq_core::dispatch::regions`]: both nodes run in one region), so
+/// the model prices precisely the plan the engine runs — an earlier
+/// version of this credit applied it to every same-subject selection
+/// whether or not the engine reordered, collapsing the q3/q6/q12
+/// CostDp-vs-all-at-user pairs into dishonest model ties.
 fn effective_encrypt_rows(
     plan: &QueryPlan,
     id: NodeId,

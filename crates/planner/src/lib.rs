@@ -34,7 +34,7 @@ pub mod scenario;
 pub mod stats;
 
 pub use cost::{cost_extended_plan, CostBreakdown};
-pub use optimize::{optimize, Optimized, Strategy};
+pub use optimize::{finish, optimize, Optimized, Strategy};
 pub use pricing::{PriceBook, SubjectPrices};
 pub use scenario::{build_scenario, build_scenario_with_fill, Scenario, ScenarioEnv};
 pub use stats::{collect_stats, estimates_for, SampleConfig};

@@ -415,8 +415,10 @@ fn dp_assignment(
     Ok(assignment)
 }
 
-/// Steps 3–5: extend minimally, derive keys/schemes, cost exactly.
-fn finish(
+/// Steps 3–5: extend minimally, derive keys/schemes, cost exactly —
+/// the one way from an assignment drawn from `cands` to a priced,
+/// verified plan, whichever strategy (or caller) picked the assignment.
+pub fn finish(
     plan: &QueryPlan,
     catalog: &Catalog,
     stats: &StatsCatalog,
