@@ -7,16 +7,18 @@
 //! * `modpow/*` — the modular exponentiation every RSA envelope and
 //!   Paillier cell sits on, with and without a reused
 //!   [`Montgomery`] context;
-//! * `paillier/*` — per-value encrypt/decrypt/add at the benchmark
-//!   modulus size (512 bits); `encrypt_512` is the key holder's
-//!   half-width path every cell takes, `encrypt_512_public` the
-//!   textbook routine beside it;
+//! * `paillier/*` — per-value encrypt/decrypt/add at 512 bits;
+//!   `encrypt_512` is the key holder's half-width path every cell
+//!   takes, `encrypt_512_public` the textbook routine beside it, and
+//!   `encrypt_256` the holder's path at the modulus sessions generate
+//!   (`mpq_dist`'s `PAILLIER_BITS`);
 //! * `rsa/*` — signing and verification on the key's cached context,
 //!   at the envelope key size (512 bits);
 //! * `xtea/*` — one block and a full deterministic value;
 //! * `ope/encode`, `ope/decode` — one isolated 64-level keyed descent;
-//!   `ope/column_*` — a 4,096-cell batch per regime (per-cell time is
-//!   the printed time ÷ 4,096).
+//!   `ope/column_*` — a 4,096-cell run per regime through
+//!   `ColumnEncryptor::encrypt_column` (per-cell time is the printed
+//!   time ÷ 4,096).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mpq_algebra::value::{EncScheme, Value};
@@ -24,7 +26,7 @@ use mpq_algebra::Date;
 use mpq_crypto::bignum::{BigUint, Montgomery};
 use mpq_crypto::keyring::ClusterKey;
 use mpq_crypto::rsa::RsaKeypair;
-use mpq_crypto::schemes::{decrypt_value, encrypt_batch, paillier_add_cells};
+use mpq_crypto::schemes::{decrypt_value, encrypt_batch, paillier_add_cells, ColumnCipher};
 use mpq_crypto::xtea::XteaSchedule;
 use mpq_crypto::{ope, xtea};
 use rand::rngs::StdRng;
@@ -61,6 +63,18 @@ fn bench_paillier(c: &mut Criterion) {
     let m = pk.encode_signed(12_345);
     g.bench_function("encrypt_512_public", |b| {
         b.iter(|| pk.encrypt(&mut rng, black_box(&m)))
+    });
+    let session_key = ClusterKey::generate(&mut StdRng::seed_from_u64(7), 1, 256);
+    g.bench_function("encrypt_256", |b| {
+        b.iter(|| {
+            encrypt_batch(
+                &mut rng,
+                &[Value::Int(12_345)],
+                EncScheme::Paillier,
+                &session_key,
+            )
+            .unwrap()
+        })
     });
     let cells = encrypt_batch(
         &mut rng,
@@ -150,16 +164,23 @@ fn bench_ope(c: &mut Criterion) {
     g.bench_function("decode", |b| {
         b.iter(|| ope::ope_decrypt_code(black_box(&raw), black_box(cipher)))
     });
-    // One engine batch (4,096 cells) through `encrypt_batch`, i.e. one
-    // `OpeEncryptor`, in the three regimes it meets: dates (≈ 2,500
-    // distinct days sharing their high bits: resume + some memo hits),
-    // a low-cardinality numeric (memo hits) and all-distinct prices
-    // (neither — the bare kernel, which the §7 price book prices).
+    // One engine batch (4,096 cells) as the engine runs it, through a
+    // fresh `ColumnEncryptor::encrypt_column` (no `Value` per cell), in
+    // the regimes it meets: dates (≈ 2,500 distinct days: a dense run,
+    // each day descended once), integers spanning just past the dense
+    // bound of 4 × 4,096 values (the fallback on the same shape), a
+    // low-cardinality numeric (memo hits) and all-distinct prices (the
+    // bare kernel, which the §7 price book prices).
     let key = ClusterKey::generate(&mut StdRng::seed_from_u64(13), 1, 256);
+    let cipher = ColumnCipher::new(EncScheme::Ope, &key);
     let mut rng = StdRng::seed_from_u64(17);
     let dates: Vec<Value> = (0..4096)
         .map(|_| Value::Date(Date(8035 + rng.gen_range(0..2526))))
         .collect();
+    let mut wide: Vec<Value> = (0..4096)
+        .map(|_| Value::Int(rng.gen_range(0..=4 * 4096)))
+        .collect();
+    wide[..2].clone_from_slice(&[Value::Int(0), Value::Int(4 * 4096)]);
     let lowcard: Vec<Value> = (0..4096)
         .map(|_| Value::Num(f64::from(rng.gen_range(0..11)) / 100.0))
         .collect();
@@ -168,11 +189,17 @@ fn bench_ope(c: &mut Criterion) {
         .collect();
     for (name, column) in [
         ("column_dates", &dates),
+        ("column_ints_wide", &wide),
         ("column_lowcard", &lowcard),
         ("column_distinct", &distinct),
     ] {
         g.bench_function(name, |b| {
-            b.iter(|| encrypt_batch(&mut rng, black_box(column), EncScheme::Ope, &key).unwrap())
+            b.iter(|| {
+                cipher
+                    .encryptor()
+                    .encrypt_column(black_box(column), &mut rng)
+                    .unwrap()
+            })
         });
     }
     g.finish();

@@ -111,8 +111,7 @@ pub struct ColumnCipher {
 /// cell by cell, whatever the chunking.
 pub struct ColumnEncryptor<'c> {
     cipher: &'c ColumnCipher,
-    /// Made at the run's first OPE cell; other schemes never pay for it.
-    ope: Option<OpeEncryptor>,
+    ope: OpeEncryptor,
 }
 
 impl ColumnEncryptor<'_> {
@@ -137,11 +136,7 @@ impl ColumnEncryptor<'_> {
         cells: impl IntoIterator<Item = V>,
         rngs: impl RowRng,
     ) -> Result<EncColumn, EncryptError> {
-        let (cipher, ope) = (self.cipher, &mut self.ope);
-        cipher.encrypt_cells(cells, rngs, |ty, code| {
-            ope.get_or_insert_with(|| cipher.ope.encryptor())
-                .encrypt(ty, code)
-        })
+        self.cipher.encrypt_cells(cells, rngs, Some(&mut self.ope))
     }
 }
 
@@ -161,7 +156,7 @@ impl ColumnCipher {
     pub fn encryptor(&self) -> ColumnEncryptor<'_> {
         ColumnEncryptor {
             cipher: self,
-            ope: None,
+            ope: self.ope.encryptor(),
         }
     }
 
@@ -178,51 +173,50 @@ impl ColumnCipher {
         rng: &mut R,
         value: &Value,
     ) -> Result<Value, EncryptError> {
-        let one = self.encrypt_cells([value], rng, |ty, code| self.ope.encrypt(ty, code))?;
-        Ok(one.value(0))
+        Ok(self.encrypt_cells([value], rng, None)?.value(0))
     }
 
     /// The one encryption routine, a column at a time (a scalar is a
     /// column of one): each cell's scheme-specific bytes are appended
     /// to the buffer — plaintext still, for Det and Random — and those
-    /// two then run the whole buffer through the XTEA kernel. A failed
-    /// cell drops the half-written column with the error. `ope_cell`
-    /// supplies OPE cells (one-shot descent, or a run's
-    /// [`OpeEncryptor`]).
+    /// two then run the whole buffer through the XTEA kernel. OPE reads
+    /// every cell's code first and then encrypts them as one run
+    /// through `ope` — or, without one, each by the one-shot descent
+    /// (the row oracle's path). A failed cell drops the half-written
+    /// column with the error of the first row that fails.
     fn encrypt_cells<'v, V: Into<CellRef<'v>>>(
         &self,
         cells: impl IntoIterator<Item = V>,
         mut rngs: impl RowRng,
-        mut ope_cell: impl FnMut(OpeType, u64) -> [u8; ope::CELL_LEN],
+        ope: Option<&mut OpeEncryptor>,
     ) -> Result<EncColumn, EncryptError> {
         let cells = cells.into_iter();
         let rows = cells.size_hint().0;
         // Sized for fixed-width cells (16 or 17 bytes under Det, Random
         // and OPE); strings and Paillier cells grow it.
         let mut out = EncColumn::with_capacity(self.scheme, self.key.id, rows, rows * 17);
+        // OPE's first pass: every cell's type and code, in row order.
+        let ope_rows = if self.scheme == EncScheme::Ope {
+            rows
+        } else {
+            0
+        };
+        let mut ope_run = Vec::with_capacity(ope_rows);
         for (row, cell) in cells.enumerate() {
             let cell: CellRef<'_> = cell.into();
             match (cell, self.scheme) {
+                (_, EncScheme::Ope) => ope_run.push(ope_code(cell)?),
                 (CellRef::Null, _) => out.push(&[]),
                 (CellRef::Enc(..), _) => return Err(EncryptError::WrongForm),
-                (_, EncScheme::Deterministic) => {
-                    out.push_with(|buf| det_frame(buf, |body| cell.write_canonical(body)))
-                }
+                (_, EncScheme::Deterministic) => out.push_with(|buf| {
+                    det_frame(buf, |body| unsigned_zero(cell).write_canonical(body))
+                }),
                 (_, EncScheme::Random) => {
                     let nonce: u64 = rngs.row(row).gen();
                     out.push_with(|buf| {
                         buf.extend_from_slice(&nonce.to_be_bytes());
                         cell.write_canonical(buf);
                     })
-                }
-                (_, EncScheme::Ope) => {
-                    let (ty, code) = match cell {
-                        CellRef::Int(i) => (OpeType::Int, ope::int_to_code(i)),
-                        CellRef::Num(f) => (OpeType::Num, ope::num_to_code(f)),
-                        CellRef::Date(d) => (OpeType::Date, ope::int_to_code(d.0 as i64)),
-                        _ => return Err(EncryptError::UnsupportedType("strings/bools under OPE")),
-                    };
-                    out.push(&ope_cell(ty, code))
                 }
                 (_, EncScheme::Paillier) => {
                     let (tag, encoded): (u8, i64) = match cell {
@@ -242,11 +236,21 @@ impl ColumnCipher {
                 }
             }
         }
-        let (ends, bytes) = out.cells_mut();
-        match self.scheme {
-            EncScheme::Deterministic => self.det.ecb_encrypt(bytes),
-            EncScheme::Random => self.rnd.ctr_cells(bytes, ends),
-            EncScheme::Ope | EncScheme::Paillier => {}
+        let mut push =
+            |cell: Option<[u8; ope::CELL_LEN]>| out.push(cell.as_ref().map_or(&[], |c| c));
+        match (self.scheme, ope) {
+            (EncScheme::Deterministic, _) => self.det.ecb_encrypt(out.cells_mut().1),
+            (EncScheme::Random, _) => {
+                let (ends, bytes) = out.cells_mut();
+                self.rnd.ctr_cells(bytes, ends)
+            }
+            (EncScheme::Ope, Some(run)) => run.encrypt_run(&ope_run, push),
+            (EncScheme::Ope, None) => {
+                for &typed in &ope_run {
+                    push(typed.map(|(ty, code)| self.ope.encrypt(ty, code)))
+                }
+            }
+            (EncScheme::Paillier, _) => {}
         }
         Ok(out)
     }
@@ -328,6 +332,34 @@ impl ColumnCipher {
             }
         }
     }
+}
+
+/// `-0.0` as `0.0`: SQL holds them equal, and so do the plaintext
+/// engine's hashes, so the schemes that certify equality or order must
+/// encrypt them alike.
+fn unsigned_zero(cell: CellRef<'_>) -> CellRef<'_> {
+    match cell {
+        CellRef::Num(f) => CellRef::Num(if f == 0.0 { 0.0 } else { f }),
+        cell => cell,
+    }
+}
+
+/// A cell's OPE type and order code (`None`: NULL). NaN has no place in
+/// the order — plaintext refuses to compare it — so it is refused too.
+fn ope_code(cell: CellRef<'_>) -> Result<Option<(OpeType, u64)>, EncryptError> {
+    Ok(Some(match unsigned_zero(cell) {
+        CellRef::Null => return Ok(None),
+        CellRef::Enc(..) => return Err(EncryptError::WrongForm),
+        CellRef::Int(i) => (OpeType::Int, ope::int_to_code(i)),
+        CellRef::Num(f) if f.is_nan() => {
+            return Err(EncryptError::UnsupportedType("NaN under OPE"))
+        }
+        CellRef::Num(f) => (OpeType::Num, ope::num_to_code(f)),
+        CellRef::Date(d) => (OpeType::Date, ope::int_to_code(d.0 as i64)),
+        CellRef::Str(_) | CellRef::Bool(_) => {
+            return Err(EncryptError::UnsupportedType("strings/bools under OPE"))
+        }
+    }))
 }
 
 /// Encrypt a plaintext `Value` under `scheme` with a cluster key.
@@ -553,6 +585,91 @@ mod tests {
             encrypt_value(&mut rng, &Value::str("abc"), EncScheme::Ope, &k).unwrap_err(),
             EncryptError::UnsupportedType("strings/bools under OPE")
         );
+    }
+
+    #[test]
+    fn signed_zero_encrypts_as_zero_under_det_and_ope() {
+        let (k, mut rng) = key();
+        for scheme in [EncScheme::Deterministic, EncScheme::Ope] {
+            let enc = |v: f64, rng: &mut StdRng| encrypt_value(rng, &Value::Num(v), scheme, &k);
+            let zero = enc(0.0, &mut rng).unwrap();
+            assert_eq!(enc(-0.0, &mut rng).unwrap(), zero, "{scheme:?}");
+            assert_eq!(decrypt_value(&zero, &k).unwrap(), Value::Num(0.0));
+            let column = [Value::Num(-0.0), Value::Num(0.0), Value::Num(-0.0)];
+            let run = ColumnCipher::new(scheme, &k)
+                .encryptor()
+                .encrypt_column(&column, &mut rng)
+                .unwrap();
+            assert!((0..3).all(|i| run.value(i) == zero), "{scheme:?}");
+        }
+        // OPE still orders the zero between the negatives and positives.
+        let mut ope = |v: f64| encrypt_value(&mut rng, &Value::Num(v), EncScheme::Ope, &k).unwrap();
+        let (below, zero, above) = (ope(-1e-300), ope(-0.0), ope(1e-300));
+        assert!(below.sql_cmp(&zero).unwrap().is_lt() && zero.sql_cmp(&above).unwrap().is_lt());
+    }
+
+    /// The OPE run reads every code before it encrypts one: a bad cell
+    /// behind valid dates still fails the run with that row's error,
+    /// whatever follows it. NaN has no place in the order, so it is
+    /// one such cell.
+    #[test]
+    fn an_ope_run_fails_with_its_first_failing_row() {
+        let (k, mut rng) = key();
+        let enc = encrypt_value(&mut rng, &Value::Int(1), EncScheme::Deterministic, &k).unwrap();
+        let string = Value::str("1994-01-01");
+        let strings = EncryptError::UnsupportedType("strings/bools under OPE");
+        let nan = EncryptError::UnsupportedType("NaN under OPE");
+        let cipher = ColumnCipher::new(EncScheme::Ope, &k);
+        for (first, then, err) in [
+            (&enc, &string, EncryptError::WrongForm),
+            (&string, &enc, strings.clone()),
+            (&Value::Bool(true), &Value::Num(f64::NAN), strings),
+            (&Value::Num(f64::NAN), &enc, nan.clone()),
+            (&Value::Num(-f64::NAN), &string, nan),
+        ] {
+            let mut column: Vec<Value> = (0..100).map(|d| Value::Date(Date(9000 + d))).collect();
+            column.extend([
+                Value::Null,
+                first.clone(),
+                Value::Date(Date(1)),
+                then.clone(),
+            ]);
+            let run = cipher.encryptor().encrypt_column(&column, &mut rng);
+            assert_eq!(run.err(), Some(err.clone()));
+            let one_shot = column.iter().map(|v| cipher.encrypt(&mut rng, v));
+            assert_eq!(one_shot.filter_map(Result::err).next(), Some(err));
+        }
+    }
+
+    /// One run over a `Value` column mixing `Int` and `Date` cells whose
+    /// codes coincide, NULLs between: the run shares one code table, and
+    /// every cell keeps its own type tag.
+    #[test]
+    fn an_ope_run_tags_every_cell_with_its_own_type() {
+        let (k, mut rng) = key();
+        let column: Vec<Value> = (0..400)
+            .map(|i| match i % 3 {
+                0 => Value::Int(9000 + i % 7),
+                1 => Value::Date(Date(9000 + i as i32 % 7)),
+                _ => Value::Null,
+            })
+            .collect();
+        let cipher = ColumnCipher::new(EncScheme::Ope, &k);
+        let run = cipher
+            .encryptor()
+            .encrypt_column(&column, &mut rng)
+            .unwrap();
+        for (i, v) in column.iter().enumerate() {
+            assert_eq!(
+                run.value(i),
+                cipher.encrypt(&mut rng, v).unwrap(),
+                "row {i}"
+            );
+            if !v.is_null() {
+                let back = cipher.decrypt_cell(EncScheme::Ope, k.id, run.cell(i));
+                assert_eq!(back.as_ref(), Ok(v), "row {i}");
+            }
+        }
     }
 
     #[test]

@@ -2744,6 +2744,83 @@ mod tests {
         );
     }
 
+    /// SQL holds `-0.0 = 0.0`. A provider filtering OPE ciphertexts or
+    /// grouping Det ones must answer as the plaintext plan does: P is
+    /// encrypted below the operator (its literal alike) and decrypted
+    /// above it, and a projection between keeps the filter from fusing
+    /// into the encryption.
+    #[test]
+    fn encrypted_signed_zero_plans_match_plaintext() {
+        let cat = Catalog::paper_running_example();
+        let (c, p) = (cat.attr("C").unwrap(), cat.attr("P").unwrap());
+        let ins = cat.relation("Ins").unwrap().rel;
+        let mut db = Database::new();
+        let rows = [0.0, -0.0, 1.5, -0.0, -2.0].iter().enumerate();
+        db.load(
+            &cat,
+            "Ins",
+            rows.map(|(i, &f)| vec![Value::str(&format!("r{i}")), Value::Num(f)])
+                .collect(),
+        );
+        let keys = KeyRing::new();
+        let key = mpq_crypto::ClusterKey::generate(&mut StdRng::seed_from_u64(7), 0, 256);
+        keys.insert(key.clone());
+        let koa = HashMap::from([(p, 0u32)]);
+        // `Some((op, x))` is σ P op x, `None` is γ P; count(C).
+        let run = |scheme: Option<EncScheme>, select: Option<(CmpOp, f64)>| {
+            let lit = |f: f64| match scheme {
+                Some(s) => {
+                    let mut rng = StdRng::seed_from_u64(1);
+                    mpq_crypto::schemes::encrypt_value(&mut rng, &Value::Num(f), s, &key).unwrap()
+                }
+                None => Value::Num(f),
+            };
+            let top = match select {
+                Some((op, f)) => Operator::Select {
+                    pred: Expr::cmp(Expr::Col(p), op, Expr::Lit(lit(f))),
+                },
+                None => Operator::GroupBy {
+                    keys: vec![p],
+                    aggs: vec![AggExpr::over_col(AggFunc::Count, c)],
+                },
+            };
+            let mut plan = QueryPlan::new();
+            let mut node = plan.add_base(ins, vec![c, p]);
+            let mut schemes = SchemePlan::default();
+            if let Some(s) = scheme {
+                schemes.set(p, s);
+                node = plan.add(Operator::Encrypt { attrs: vec![p] }, vec![node]);
+            }
+            node = plan.add(Operator::Project { attrs: vec![c, p] }, vec![node]);
+            node = plan.add(top, vec![node]);
+            if scheme.is_some() {
+                plan.add(Operator::Decrypt { attrs: vec![p] }, vec![node]);
+            }
+            let ctx = ExecCtx::new(&cat, &db, &keys, &schemes, &koa);
+            let mut rows = execute(&plan, &ctx).unwrap().to_rows();
+            rows.sort_by(|a, b| {
+                let cells = a.iter().zip(b);
+                let equal = std::cmp::Ordering::Equal;
+                cells.fold(equal, |o, (x, y)| o.then(x.sql_cmp(y).unwrap()))
+            });
+            rows
+        };
+        for (scheme, select, len) in [
+            (EncScheme::Ope, Some((CmpOp::Eq, 0.0)), 3),
+            (EncScheme::Ope, Some((CmpOp::Gt, -0.0)), 1),
+            (EncScheme::Ope, Some((CmpOp::Le, -0.0)), 4),
+            (EncScheme::Deterministic, Some((CmpOp::Eq, -0.0)), 3),
+            (EncScheme::Deterministic, None, 3),
+        ] {
+            let (plain, encrypted) = (run(None, select), run(Some(scheme), select));
+            assert_eq!(plain.len(), len, "{scheme:?}");
+            assert_eq!(encrypted.len(), len, "{scheme:?}");
+            for (a, b) in plain.iter().zip(&encrypted) {
+                assert!(a.iter().zip(b).all(|(x, y)| x.sql_eq(y)), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
     /// Predicate shapes the fusion must refuse: anything touching an
     /// encrypted attribute that is not a plain column-vs-literal
     /// comparison.
