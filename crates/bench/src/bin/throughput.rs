@@ -1,8 +1,8 @@
 //! Throughput benchmark for the distributed multi-party runtime.
 //!
 //! Drives N concurrent query sessions (Fig. 7 medical plans + optimized
-//! TPC-H queries over generated data) through `mpq-dist`, measures both
-//! the concurrent and the sequential execution paths, verifies every
+//! TPC-H queries over generated data) through `mpq-dist`'s concurrent
+//! runtime, provisioning keys afresh for every query, verifies every
 //! distributed result against a centralized plaintext reference, and
 //! writes `BENCH_dist.json`.
 //!
@@ -10,19 +10,11 @@
 //! cargo run -p mpq-bench --bin throughput --release -- [flags]
 //!
 //!   --smoke             CI-sized run (2 sessions × 2 iters, Q1+Q6)
-//!   --session           also measure the persistent-Session path
-//!                       (one long-lived mpq_dist::Session per client;
-//!                       Def. 6.1 provisioning amortizes across iters)
-//!   --transport tcp     also measure the loopback-TCP transport (the
-//!                       persistent-session workload with every
-//!                       data-plane frame on a real socket; reported,
-//!                       never ratcheted)
 //!   --sessions N        concurrent client sessions    [default 8]
 //!   --iters N           workload repetitions/session  [default 3]
 //!   --sf F              TPC-H scale factor            [default 0.002]
 //!                       (without --iters, also derives the iteration
-//!                       count — one pass at SF ≥ 0.05; warmup passes
-//!                       are likewise SF-derived, not hardcoded)
+//!                       count — one pass at SF ≥ 0.05)
 //!   --queries a,b,c     TPC-H query mix               [default 1,3,5,6,10,12]
 //!   --seed N            base RNG seed                 [default 2026]
 //!   --out PATH          report path                   [default BENCH_dist.json]
@@ -46,7 +38,7 @@ fn main() {
     };
     let mut out = String::from("BENCH_dist.json");
     // `--sf` rescales the default iteration count (one pass is plenty
-    // of work at SF ≥ 0.05) unless the user pinned `--iters` herself;
+    // of work at SF ≥ 0.05) unless `--iters` is given explicitly;
     // tracked outside the loop so flag order never matters.
     let mut iters_explicit = false;
     let mut sf_explicit = false;
@@ -58,11 +50,6 @@ fn main() {
         };
         match arg.as_str() {
             "--smoke" => {}
-            "--session" => cfg.session_mode = true,
-            "--transport" => match value("--transport").as_str() {
-                "tcp" => cfg.tcp_mode = true,
-                other => panic!("unknown transport `{other}` (expected tcp)"),
-            },
             "--sessions" => cfg.sessions = value("--sessions").parse().expect("--sessions N"),
             "--iters" => {
                 cfg.iters = value("--iters").parse().expect("--iters N");
@@ -103,39 +90,10 @@ fn main() {
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
     print!("{json}");
     eprintln!(
-        "# concurrent: {:.1} q/s (p50 {:.1} ms, p95 {:.1} ms) | sequential: {:.1} q/s \
-         (p50 {:.1} ms) | wrote {out}",
-        report.concurrent.qps,
-        report.concurrent.p50_ms,
-        report.concurrent.p95_ms,
-        report.sequential.qps,
-        report.sequential.p50_ms,
+        "# concurrent: {:.1} q/s (p50 {:.1} ms, p95 {:.1} ms) | wrote {out}",
+        report.concurrent.qps, report.concurrent.p50_ms, report.concurrent.p95_ms,
     );
-    if let Some(session) = &report.session {
-        eprintln!(
-            "# session:    {:.1} q/s (p50 {:.1} ms, p95 {:.1} ms) — amortization \
-             {:.2}× vs fresh provisioning",
-            session.qps,
-            session.p50_ms,
-            session.p95_ms,
-            report.session_speedup_p50().expect("session stats present"),
-        );
-    }
-    if let Some(tcp) = &report.tcp {
-        eprintln!(
-            "# tcp:        {:.1} q/s (p50 {:.1} ms, p95 {:.1} ms) — loopback sockets, \
-             wire tax vs in-proc p50 {:.2}×",
-            tcp.qps,
-            tcp.p50_ms,
-            tcp.p95_ms,
-            if report.concurrent.p50_ms > 0.0 {
-                tcp.p50_ms / report.concurrent.p50_ms
-            } else {
-                0.0
-            },
-        );
-    }
-    if report.concurrent.queries == 0 || report.sequential.queries == 0 {
+    if report.concurrent.queries == 0 {
         eprintln!(
             "# nothing executed (sessions/iters/workload empty) — refusing to pass vacuously"
         );

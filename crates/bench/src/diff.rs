@@ -4,8 +4,8 @@
 //! Compares a freshly produced `BENCH_dist.json` (the `throughput`
 //! harness report) against the committed `BENCH_baseline.json` and
 //! fails on regressions: by default, >25% on concurrent p50 latency or
-//! on bytes-per-query. Bytes and requests are deterministic per
-//! configuration, so any byte growth is a real protocol change;
+//! on bytes or requests per query. Bytes and requests are deterministic
+//! per configuration, so any growth is a real protocol change;
 //! latency carries runner noise, which the threshold absorbs. A `full`
 //! (paper-scale) report runs each query once, so its p50 is whichever
 //! five-row query lands in the middle: there the gated latency is the
@@ -16,13 +16,15 @@
 //! same tolerance also fails ([`MetricDelta::improved_beyond`]) —
 //! an unclaimed improvement means the committed baseline no longer
 //! describes the code, so regressions up to the stale baseline would
-//! pass silently. Re-pin (`throughput --smoke --session --out
+//! pass silently. Re-pin (`throughput --smoke --out
 //! BENCH_baseline.json`) and commit the new floor with the change that
 //! earned it.
 //!
-//! Additionally, [`speedup_p50`] extracts the report's
-//! concurrent-vs-sequential ratio so CI can enforce that concurrency
-//! is never a pessimization (`bench_diff --min-speedup 1.0`).
+//! The report measures one path, the concurrent runtime with fresh
+//! provisioning; the frozen `benchmark/` times the sequential and TCP
+//! schedulers. An older baseline that still carries `sequential`,
+//! `session`, `tcp` or the speedup ratios compares on the same rows,
+//! since no row reads those keys.
 //!
 //! The comparison prints as a Markdown table so the CI job can append
 //! it to `$GITHUB_STEP_SUMMARY`.
@@ -75,19 +77,6 @@ impl MetricDelta {
             }
         }
     }
-}
-
-/// Extract the `speedup_p50` (sequential p50 / concurrent p50) a
-/// throughput report recorded.
-pub fn speedup_p50(report: &str) -> Option<f64> {
-    field(report, "speedup_p50")
-}
-
-/// Extract the `session_speedup_p50` (fresh-provisioning p50 /
-/// persistent-session p50) a `--session` throughput report recorded —
-/// the Def. 6.1 amortization win the session runtime must keep.
-pub fn session_speedup_p50(report: &str) -> Option<f64> {
-    field(report, "session_speedup_p50")
 }
 
 /// Extract `"key": <number>` from a JSON object body.
@@ -157,27 +146,6 @@ pub fn compare(
             true,
         ),
         metric(
-            "sequential p50 (ms)",
-            &|t| field(section(t, "sequential")?, "p50_ms"),
-            None,
-            true,
-        ),
-        // Present only when both reports ran with --session (metrics
-        // missing on either side are skipped, keeping old baselines
-        // comparable).
-        metric(
-            "session p50 (ms)",
-            &|t| field(section(t, "session")?, "p50_ms"),
-            Some(latency_tol),
-            true,
-        ),
-        metric(
-            "session amortization (×)",
-            &|t| session_speedup_p50(t),
-            None,
-            false,
-        ),
-        metric(
             "bytes per query",
             &|t| field(t, "bytes_per_query"),
             Some(bytes_tol),
@@ -238,7 +206,6 @@ mod tests {
     const BASE: &str = r#"{
   "config": {"sessions": 2},
   "concurrent": {"queries": 10, "qps": 4.0, "p50_ms": 100.0, "p95_ms": 200.0, "mean_ms": 120.0},
-  "sequential": {"queries": 10, "qps": 3.5, "p50_ms": 110.0, "p95_ms": 210.0, "mean_ms": 130.0},
   "bytes_per_query": 1000.0,
   "requests_per_query": 2.60
 }"#;
@@ -255,7 +222,7 @@ mod tests {
     fn equal_reports_pass() {
         let deltas = compare(BASE, BASE, 0.25, 0.25);
         assert!(deltas.iter().all(|d| !d.regressed()));
-        assert_eq!(deltas.len(), 6);
+        assert_eq!(deltas.len(), 5);
     }
 
     #[test]
@@ -323,49 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn speedup_extraction() {
-        let report = r#"{"concurrent": {"p50_ms": 10.0}, "speedup_p50": 1.375, "x": 1}"#;
-        assert_eq!(speedup_p50(report), Some(1.375));
-        assert_eq!(speedup_p50("{}"), None);
-    }
-
-    #[test]
-    fn session_metrics_appear_only_when_both_reports_have_them() {
-        // Old baselines (no --session) stay comparable: the session
-        // rows are skipped, not zero-filled.
-        let deltas = compare(BASE, BASE, 0.25, 0.25);
-        assert!(deltas.iter().all(|d| !d.name.contains("session ")));
-
-        let with_session = BASE.replace(
-            "\"bytes_per_query\": 1000.0",
-            "\"session\": {\"queries\": 10, \"qps\": 8.0, \"p50_ms\": 50.0, \"p95_ms\": 90.0, \
-             \"mean_ms\": 55.0},\n  \"session_speedup_p50\": 2.0,\n  \"bytes_per_query\": 1000.0",
-        );
-        let deltas = compare(&with_session, &with_session, 0.25, 0.25);
-        let p50 = deltas
-            .iter()
-            .find(|d| d.name == "session p50 (ms)")
-            .unwrap();
-        assert_eq!(p50.baseline, 50.0);
-        assert!(p50.tolerance.is_some(), "session p50 must be gated");
-        let amort = deltas
-            .iter()
-            .find(|d| d.name == "session amortization (×)")
-            .unwrap();
-        assert_eq!(amort.current, 2.0);
-        assert_eq!(session_speedup_p50(&with_session), Some(2.0));
-
-        // A session-p50 regression trips the gate like any latency.
-        let worse = with_session.replace("\"p50_ms\": 50.0", "\"p50_ms\": 70.0");
-        let deltas = compare(&with_session, &worse, 0.25, 0.25);
-        assert!(deltas
-            .iter()
-            .find(|d| d.name == "session p50 (ms)")
-            .unwrap()
-            .regressed());
-    }
-
-    #[test]
     fn bytes_regression_trips_gate() {
         let current = with(100.0, 1400.0);
         let deltas = compare(BASE, &current, 0.25, 0.25);
@@ -381,20 +305,48 @@ mod tests {
         assert!(md.contains("✅"));
     }
 
+    /// A baseline pinned while the harness still ran the sequential,
+    /// session and TCP phases compares against a one-phase report on
+    /// the kept rows: p50, bytes and requests gated, nothing read from
+    /// a retired key — and the concurrent p50 is not taken from another
+    /// section carrying `p50_ms`.
     #[test]
-    fn nested_sections_do_not_collide() {
-        // concurrent and sequential both carry p50_ms; section() must
-        // pick the right one.
-        let deltas = compare(BASE, BASE, 0.25, 0.25);
-        let conc = deltas
+    fn a_baseline_with_retired_phases_compares_on_the_kept_rows() {
+        let old = BASE.replace(
+            "\"bytes_per_query\": 1000.0",
+            "\"sequential\": {\"queries\": 10, \"qps\": 3.5, \"p50_ms\": 110.0},\n  \
+             \"session\": {\"queries\": 10, \"qps\": 8.0, \"p50_ms\": 50.0},\n  \
+             \"session_speedup_p50\": 2.0,\n  \"tcp\": {\"p50_ms\": 70.0},\n  \
+             \"speedup_p50\": 1.1,\n  \"bytes_per_query\": 1000.0",
+        );
+        let deltas = compare(&old, BASE, 0.25, 0.25);
+        let names: Vec<_> = deltas.iter().map(|d| d.name).collect();
+        assert_eq!(
+            names,
+            [
+                "concurrent p50 (ms)",
+                "concurrent p95 (ms)",
+                "bytes per query",
+                "requests per query",
+                "concurrent qps"
+            ]
+        );
+        let gated: Vec<_> = deltas
             .iter()
-            .find(|d| d.name == "concurrent p50 (ms)")
-            .unwrap();
-        let seq = deltas
+            .filter(|d| d.tolerance.is_some())
+            .map(|d| d.name)
+            .collect();
+        assert_eq!(
+            gated,
+            [
+                "concurrent p50 (ms)",
+                "bytes per query",
+                "requests per query"
+            ]
+        );
+        assert_eq!(deltas[0].baseline, 100.0);
+        assert!(deltas
             .iter()
-            .find(|d| d.name == "sequential p50 (ms)")
-            .unwrap();
-        assert_eq!(conc.baseline, 100.0);
-        assert_eq!(seq.baseline, 110.0);
+            .all(|d| !d.regressed() && !d.improved_beyond()));
     }
 }

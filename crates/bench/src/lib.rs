@@ -23,11 +23,9 @@
 //! * `cargo run -p mpq-bench --bin throughput --release` — the
 //!   [`throughput`] harness: N concurrent query sessions through the
 //!   `mpq-dist` multi-party runtime (Fig. 7 plans + optimized TPC-H
-//!   queries over generated data), writing latency percentiles,
-//!   queries/sec, and bytes-on-the-wire to `BENCH_dist.json`
-//!   (`--smoke` for the CI gate; `--session` additionally measures
-//!   the persistent-`Session` path and records the Def. 6.1
-//!   amortization win);
+//!   queries over generated data, keys provisioned afresh per query),
+//!   writing latency percentiles, queries/sec, and bytes-on-the-wire to
+//!   `BENCH_dist.json` (`--smoke` for the CI gate);
 //! * `cargo bench -p mpq-bench` — criterion microbenchmarks for the
 //!   crypto substrate, candidate computation, minimal extension, and
 //!   the optimizer.

@@ -9,17 +9,12 @@
 //! so the harness doubles as an end-to-end correctness gate (CI runs
 //! it with `--smoke` and fails on divergence).
 //!
-//! Both execution paths are measured: the concurrent thread-per-subject
-//! runtime (`Session::execute`) and the same-thread reference scheduler
-//! (`Session::execute_sequential`), each query provisioned afresh; the
-//! report records their ratio so
-//! the pipeline-parallelism win (or regression) is visible per PR in
-//! `BENCH_dist.json`. With [`ThroughputConfig::session_mode`]
-//! (`--session`), a third phase drives the identical workload through
-//! one persistent [`mpq_dist::Session`] per client and environment —
-//! Def. 6.1 provisioning amortizes across iterations — and the report
-//! additionally records `session_speedup_p50` (fresh p50 ÷ session
-//! p50), the amortization win `bench_diff` ratchets.
+//! One path is measured: the concurrent thread-per-subject runtime
+//! (`Session::execute`), each query provisioned afresh
+//! (`Session::reset_provisioning`). The frozen `benchmark/` times the
+//! same-thread scheduler and TCP sessions next to it; the differential
+//! tests hold all three, and persistent sessions, to the same rows,
+//! bytes and requests.
 
 use mpq_algebra::{Catalog, SubjectId};
 use mpq_core::authz::Policy;
@@ -30,7 +25,7 @@ use mpq_core::fixtures::RunningExample;
 use mpq_core::keys::{plan_keys, KeyPlan};
 use mpq_core::subjects::Subjects;
 use mpq_crypto::keyring::KeyRing;
-use mpq_dist::{Session, SessionConfig, TransportKind};
+use mpq_dist::{Session, SessionConfig};
 use mpq_exec::{Database, SchemePlan, Table};
 use mpq_planner::stats::{collect_stats, SampleConfig};
 use mpq_planner::{build_scenario, optimize, Scenario, Strategy};
@@ -53,19 +48,6 @@ pub struct ThroughputConfig {
     pub seed: u64,
     /// Smoke mode: tiny workload, still exercising every path.
     pub smoke: bool,
-    /// Additionally measure the persistent-`Session` path (`--session`):
-    /// each client drives its query mix through one long-lived
-    /// `mpq_dist::Session` per environment, so Def. 6.1 provisioning
-    /// amortizes across iterations; the report then records
-    /// fresh-provisioning vs session p50 so the amortization win is
-    /// ratchetable.
-    pub session_mode: bool,
-    /// Additionally measure the loopback-TCP transport
-    /// (`--transport tcp`): the identical persistent-session workload,
-    /// but every data-plane frame crosses a real socket. Reported as
-    /// the `tcp` field next to the in-process modes — a measurement of
-    /// the wire tax, never ratcheted.
-    pub tcp_mode: bool,
 }
 
 impl ThroughputConfig {
@@ -82,8 +64,6 @@ impl ThroughputConfig {
             tpch_queries: vec![1, 6],
             seed: 2026,
             smoke: true,
-            session_mode: false,
-            tcp_mode: false,
         }
     }
 
@@ -102,16 +82,13 @@ impl ThroughputConfig {
         }
     }
 
-    /// Unmeasured warmup passes per fresh mode, derived from the scale
-    /// factor rather than hardcoded for SF 0.01. Below SF 0.05 one
-    /// full pass de-biases the concurrent-vs-sequential comparison
-    /// (page cache, allocator growth, thread spawns all land in
-    /// whichever phase runs first, and at ~10 ms/query those fixed
-    /// costs dominate). At larger scales the workload build has
-    /// already executed every query once for the plaintext references
-    /// — first-touch of the generated data is done — and a full-scale
-    /// warmup pass would double the wall clock to hide costs that are
-    /// noise against multi-second queries.
+    /// Unmeasured passes before the measured one. Below SF 0.05 one
+    /// full pass keeps first-touch costs (page cache, allocator growth,
+    /// thread spawns) out of the window: queries take a few ms there,
+    /// so those costs move the p50 `bench_diff` gates. At larger scales
+    /// the workload build's plaintext reference runs have already
+    /// touched the data, and a full-scale pass would double the wall
+    /// clock to hide costs that are noise against the queries.
     pub fn warmup_iters(&self) -> usize {
         if self.tpch_sf >= 0.05 {
             0
@@ -129,8 +106,6 @@ impl ThroughputConfig {
             tpch_queries: vec![1, 3, 5, 6, 10, 12],
             seed: 2026,
             smoke: false,
-            session_mode: false,
-            tcp_mode: false,
         }
     }
 }
@@ -161,7 +136,7 @@ pub struct Workload {
     items: Vec<WorkItem>,
 }
 
-/// Latency/byte statistics for one execution mode.
+/// Latency statistics for the measured phase.
 #[derive(Clone, Debug)]
 pub struct ModeStats {
     /// Queries completed.
@@ -187,22 +162,7 @@ pub struct ThroughputReport {
     pub workload: Vec<String>,
     /// Stats for the concurrent thread-per-subject runtime.
     pub concurrent: ModeStats,
-    /// Stats for the sequential reference interpreter.
-    pub sequential: ModeStats,
-    /// Stats for the persistent-`Session` path (`--session` only):
-    /// the same workload through the concurrent runtime, but with one
-    /// long-lived session per client and environment, so Def. 6.1
-    /// provisioning runs once per cluster instead of once per query.
-    pub session: Option<ModeStats>,
-    /// Stats for the loopback-TCP transport (`--transport tcp` only):
-    /// the persistent-session workload with every data-plane frame on
-    /// a real socket. A measurement of the wire tax relative to the
-    /// in-process modes; `bench_diff` never ratchets it.
-    pub tcp: Option<ModeStats>,
-    /// Total bytes on the wire per executed query (identical across
-    /// the fresh modes by construction; asserted, not assumed —
-    /// session-mode bytes are excluded: its envelope session keys and
-    /// later-provisioned clusters draw from different RNG positions).
+    /// Total bytes on the wire per executed query.
     pub bytes_per_query: f64,
     /// Signed sub-query requests per executed query.
     pub requests_per_query: f64,
@@ -215,20 +175,6 @@ impl ThroughputReport {
     /// reference.
     pub fn verified(&self) -> bool {
         self.mismatches.is_empty()
-    }
-
-    /// The Def. 6.1 amortization win: fresh-provisioning p50 over
-    /// persistent-session p50 on the identical workload (>1 means the
-    /// session is faster). `None` without `--session`. The single
-    /// definition behind both the console line and the
-    /// `session_speedup_p50` JSON field `bench_diff` gates.
-    pub fn session_speedup_p50(&self) -> Option<f64> {
-        let session = self.session.as_ref()?;
-        Some(if session.p50_ms > 0.0 {
-            self.concurrent.p50_ms / session.p50_ms
-        } else {
-            0.0
-        })
     }
 }
 
@@ -405,31 +351,27 @@ struct SessionOut {
     mismatches: Vec<String>,
 }
 
-/// Which execution path a phase measures.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// `Session::execute` after `reset_provisioning` — fresh Def. 6.1
-    /// provisioning per query.
-    Concurrent,
-    /// `Session::execute_sequential`, likewise fresh per query — the
-    /// same-thread reference scheduler.
-    Sequential,
-    /// `Session::execute` — one persistent session per client and
-    /// environment, provisioning amortized across the iterations.
-    Session,
-    /// `Session::execute` over the loopback-TCP transport — the same
-    /// persistent sessions, but the data plane crosses real sockets.
-    Tcp,
+/// Run the harness: build the workload, warm up (see
+/// [`ThroughputConfig::warmup_iters`]), then measure and verify.
+pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
+    let wl = build_workload(cfg);
+    let warmup = cfg.warmup_iters();
+    if warmup > 0 {
+        let warm = ThroughputConfig {
+            iters: warmup,
+            ..cfg.clone()
+        };
+        measure(&wl, &warm);
+    }
+    measure(&wl, cfg)
 }
 
-/// Run one phase (all sessions × iters × items) in the given mode.
-fn run_phase(wl: &Workload, cfg: &ThroughputConfig, phase: Phase) -> (ModeStats, SessionOut) {
+/// Drive every session's iterations through `Session::execute` with
+/// provisioning reset before each query, and verify every result.
+fn measure(wl: &Workload, cfg: &ThroughputConfig) -> ThroughputReport {
     // Sessions first open their runtimes (per-party RSA identities
     // and party threads — setup cost, not query cost), then meet at
-    // the barrier; the clock starts when the last one arrives. In the
-    // session phase, key provisioning deliberately stays *inside* the
-    // measured region: amortization is the phenomenon under test, so
-    // first-iteration queries pay it and later ones show the win.
+    // the barrier; the clock starts when the last one arrives.
     let barrier = std::sync::Barrier::new(cfg.sessions + 1);
     let (outs, start): (Vec<SessionOut>, Instant) = std::thread::scope(|scope| {
         let barrier = &barrier;
@@ -438,19 +380,11 @@ fn run_phase(wl: &Workload, cfg: &ThroughputConfig, phase: Phase) -> (ModeStats,
                 scope.spawn(move || {
                     let mut out = SessionOut::default();
                     let seed = cfg.seed ^ (session as u64).wrapping_mul(0x9E37_79B9);
-                    // One session per environment. The fresh phases
-                    // reset its provisioning before every query; the
-                    // session phases let it amortize.
-                    let fresh = matches!(phase, Phase::Concurrent | Phase::Sequential);
-                    let mut config = SessionConfig::new(seed);
-                    if phase == Phase::Tcp {
-                        config = config.transport(TransportKind::Tcp);
-                    }
                     let mut sessions: Vec<Session> = wl
                         .envs
                         .iter()
                         .map(|e| {
-                            let config = config.clone();
+                            let config = SessionConfig::new(seed);
                             Session::open_with(&e.catalog, &e.subjects, &e.policy, &e.db, config)
                         })
                         .collect();
@@ -460,14 +394,8 @@ fn run_phase(wl: &Workload, cfg: &ThroughputConfig, phase: Phase) -> (ModeStats,
                             let env = &wl.envs[item.env];
                             let session = &mut sessions[item.env];
                             let t0 = Instant::now();
-                            if fresh {
-                                session.reset_provisioning();
-                            }
-                            let report = if phase == Phase::Sequential {
-                                session.execute_sequential(&item.ext, &item.keys, env.user)
-                            } else {
-                                session.execute(&item.ext, &item.keys, env.user)
-                            };
+                            session.reset_provisioning();
+                            let report = session.execute(&item.ext, &item.keys, env.user);
                             let dt = t0.elapsed().as_secs_f64() * 1e3;
                             match report {
                                 Ok(r) => {
@@ -509,7 +437,7 @@ fn run_phase(wl: &Workload, cfg: &ThroughputConfig, phase: Phase) -> (ModeStats,
         merged.queries += o.queries;
         merged.mismatches.extend(o.mismatches);
     }
-    let mut sorted = merged.latencies_ms.clone();
+    let mut sorted = merged.latencies_ms;
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let pct = |p: f64| -> f64 {
         if sorted.is_empty() {
@@ -523,116 +451,31 @@ fn run_phase(wl: &Workload, cfg: &ThroughputConfig, phase: Phase) -> (ModeStats,
     } else {
         sorted.iter().sum::<f64>() / sorted.len() as f64
     };
-    let stats = ModeStats {
-        queries: merged.queries,
-        wall_secs: wall,
-        qps: if wall > 0.0 {
-            merged.queries as f64 / wall
-        } else {
-            0.0
-        },
-        p50_ms: pct(0.50),
-        p95_ms: pct(0.95),
-        mean_ms: mean,
-    };
-    (stats, merged)
-}
-
-/// Run the full harness: build the workload, measure both modes (plus
-/// the persistent-session path when configured), verify every result.
-pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
-    let wl = build_workload(cfg);
-    // Unmeasured passes through each fresh path first, sized for the
-    // scale factor (see [`ThroughputConfig::warmup_iters`]): at tiny
-    // SF the fixed costs bias whichever phase runs first; at SF ≥ 0.05
-    // the reference runs in `build_workload` already first-touched the
-    // data and a full-scale warmup would only double the wall clock.
-    let warmup = cfg.warmup_iters();
-    if warmup > 0 {
-        let warm = ThroughputConfig {
-            iters: warmup,
-            ..cfg.clone()
-        };
-        run_phase(&wl, &warm, Phase::Concurrent);
-        run_phase(&wl, &warm, Phase::Sequential);
-    }
-    let (concurrent, conc_out) = run_phase(&wl, cfg, Phase::Concurrent);
-    let (sequential, seq_out) = run_phase(&wl, cfg, Phase::Sequential);
-    // The session phase needs no extra warmup pass: its own first
-    // iteration *is* the cold (provisioning) case being compared
-    // against the fresh-provisioning phases above.
-    let session_phase = cfg
-        .session_mode
-        .then(|| run_phase(&wl, cfg, Phase::Session));
-    // Same rationale for TCP: its first iteration pays socket setup
-    // and provisioning, which is part of the wire tax being measured.
-    let tcp_phase = cfg.tcp_mode.then(|| run_phase(&wl, cfg, Phase::Tcp));
-
-    let mut mismatches = conc_out.mismatches;
-    mismatches.extend(seq_out.mismatches);
-    let session = session_phase.map(|(stats, out)| {
-        mismatches.extend(out.mismatches);
-        if out.queries != conc_out.queries {
-            mismatches.push(format!(
-                "session phase executed {} queries vs {} fresh",
-                out.queries, conc_out.queries
-            ));
-        }
-        if out.requests != conc_out.requests {
-            mismatches.push(format!(
-                "request accounting diverged: session {} requests vs fresh {}",
-                out.requests, conc_out.requests
-            ));
-        }
-        stats
-    });
-    let tcp = tcp_phase.map(|(stats, out)| {
-        mismatches.extend(out.mismatches);
-        if out.queries != conc_out.queries {
-            mismatches.push(format!(
-                "tcp phase executed {} queries vs {} fresh",
-                out.queries, conc_out.queries
-            ));
-        }
-        if out.requests != conc_out.requests {
-            mismatches.push(format!(
-                "request accounting diverged: tcp {} requests vs fresh {}",
-                out.requests, conc_out.requests
-            ));
-        }
-        stats
-    });
-    // The two modes must agree on the wire, not just on the rows.
-    if conc_out.queries == seq_out.queries && conc_out.bytes != seq_out.bytes {
-        mismatches.push(format!(
-            "wire accounting diverged: concurrent {} bytes vs sequential {}",
-            conc_out.bytes, seq_out.bytes
-        ));
-    }
-    if conc_out.queries == seq_out.queries && conc_out.requests != seq_out.requests {
-        mismatches.push(format!(
-            "request accounting diverged: concurrent {} requests vs sequential {}",
-            conc_out.requests, seq_out.requests
-        ));
-    }
-
-    let per_query = |total: usize, queries: usize| -> f64 {
-        if queries == 0 {
+    let per_query = |total: usize| -> f64 {
+        if merged.queries == 0 {
             0.0
         } else {
-            total as f64 / queries as f64
+            total as f64 / merged.queries as f64
         }
     };
     ThroughputReport {
         config: cfg.clone(),
         workload: wl.items.iter().map(|i| i.name.clone()).collect(),
-        bytes_per_query: per_query(conc_out.bytes, conc_out.queries),
-        requests_per_query: per_query(conc_out.requests, conc_out.queries),
-        concurrent,
-        sequential,
-        session,
-        tcp,
-        mismatches,
+        concurrent: ModeStats {
+            queries: merged.queries,
+            wall_secs: wall,
+            qps: if wall > 0.0 {
+                merged.queries as f64 / wall
+            } else {
+                0.0
+            },
+            p50_ms: pct(0.50),
+            p95_ms: pct(0.95),
+            mean_ms: mean,
+        },
+        bytes_per_query: per_query(merged.bytes),
+        requests_per_query: per_query(merged.requests),
+        mismatches: merged.mismatches,
     }
 }
 
@@ -653,33 +496,11 @@ pub fn to_json(r: &ThroughputReport) -> String {
             m.queries, m.wall_secs, m.qps, m.p50_ms, m.p95_ms, m.mean_ms
         )
     };
-    let speedup = if r.concurrent.p50_ms > 0.0 {
-        r.sequential.p50_ms / r.concurrent.p50_ms
-    } else {
-        0.0
-    };
-    let session_part = r
-        .session
-        .as_ref()
-        .map(|s| {
-            format!(
-                "  \"session\": {},\n  \"session_speedup_p50\": {:.3},\n",
-                mode(s),
-                r.session_speedup_p50().expect("session stats present")
-            )
-        })
-        .unwrap_or_default();
-    let tcp_part = r
-        .tcp
-        .as_ref()
-        .map(|s| format!("  \"tcp\": {},\n", mode(s)))
-        .unwrap_or_default();
     format!(
         "{{\n  \"bench\": \"mpq-dist throughput\",\n  \"mode\": \"{}\",\n  \"config\": \
          {{\"sessions\": {}, \"iters\": {}, \"tpch_sf\": {}, \"tpch_queries\": [{}], \"seed\": {}}},\n  \
-         \"workload\": [{}],\n  \"concurrent\": {},\n  \"sequential\": {},\n{}{}  \
-         \"speedup_p50\": {:.3},\n  \"bytes_per_query\": {:.1},\n  \"requests_per_query\": {:.2},\n  \
-         \"verified\": {},\n  \"mismatches\": [{}]\n}}\n",
+         \"workload\": [{}],\n  \"concurrent\": {},\n  \"bytes_per_query\": {:.1},\n  \
+         \"requests_per_query\": {:.2},\n  \"verified\": {},\n  \"mismatches\": [{}]\n}}\n",
         if r.config.smoke { "smoke" } else { "full" },
         r.config.sessions,
         r.config.iters,
@@ -693,13 +514,43 @@ pub fn to_json(r: &ThroughputReport) -> String {
         r.config.seed,
         strings(&r.workload),
         mode(&r.concurrent),
-        mode(&r.sequential),
-        session_part,
-        tcp_part,
-        speedup,
         r.bytes_per_query,
         r.requests_per_query,
         r.verified(),
         strings(&r.mismatches),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The Fig. 7 plans alone, once, through one session: every result
+    /// verified, and the report carries the one measured phase only.
+    #[test]
+    fn a_fig7_run_verifies_and_reports_one_phase() {
+        let cfg = ThroughputConfig {
+            sessions: 1,
+            iters: 1,
+            tpch_queries: vec![],
+            ..ThroughputConfig::smoke()
+        };
+        let report = run_throughput(&cfg);
+        assert!(report.verified(), "{:?}", report.mismatches);
+        assert_eq!(report.concurrent.queries, 3);
+        let json = to_json(&report);
+        assert!(json.contains("\"concurrent\": {\"queries\": 3,"), "{json}");
+        for retired in [
+            "sequential",
+            "session",
+            "tcp",
+            "speedup_p50",
+            "session_speedup_p50",
+        ] {
+            assert!(
+                !json.contains(&format!("\"{retired}\":")),
+                "{retired} in {json}"
+            );
+        }
+    }
 }

@@ -166,7 +166,7 @@ impl SubjectView {
     }
 
     /// Like [`SubjectView::authorized_for`] but reporting the first
-    /// violated condition, for diagnostics and the simulator's runtime
+    /// violated condition, for diagnostics and the distributed runtime's
     /// enforcement messages.
     pub fn check(&self, profile: &Profile) -> Result<(), AuthzViolation> {
         self.violations(profile).next().map_or(Ok(()), Err)

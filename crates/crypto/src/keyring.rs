@@ -12,7 +12,7 @@
 //! need to be encrypted with the same key").
 //!
 //! A [`KeyRing`] is the set of cluster keys a subject holds; the
-//! distributed simulator hands each subject exactly the keys Def. 6.1
+//! distributed runtime hands each subject exactly the keys Def. 6.1
 //! distributes to it and enforces that decryption without the key
 //! fails.
 

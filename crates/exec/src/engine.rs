@@ -198,7 +198,7 @@ impl<'a> ExecCtxBuilder<'a> {
         self
     }
 
-    /// Replace the worker pool (party loops share their simulator's;
+    /// Replace the worker pool (party loops share their runtime's;
     /// default: the process-global pool).
     pub fn pool(mut self, pool: WorkerPool) -> Self {
         self.0.pool = pool;

@@ -131,7 +131,7 @@ impl Table {
     }
 
     /// Total payload bytes (drives the network-cost accounting in the
-    /// distributed simulator).
+    /// distributed runtime).
     pub fn byte_size(&self) -> usize {
         self.cols.iter().map(ColumnVec::byte_size).sum()
     }

@@ -29,7 +29,7 @@ pub struct CostBreakdown {
     pub time_secs: f64,
     /// The pure computation share of [`CostBreakdown::time_secs`]
     /// (no link time) — the quantity the `calibrate` replay can
-    /// observe directly, since the simulator executes real work but
+    /// observe directly, since the runtime executes real work but
     /// does not delay transfers.
     pub cpu_secs: f64,
 }

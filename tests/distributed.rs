@@ -1,4 +1,4 @@
-//! End-to-end tests for the distributed-execution simulator
+//! End-to-end tests for the distributed-execution runtime
 //! (`mpq-dist`): the §6 story actually runs — sub-queries execute at
 //! their assigned subjects over real ciphertexts, and the authorization
 //! model is enforced *again* at runtime, behaviorally.

@@ -144,9 +144,9 @@ proptest! {
 
     /// No false positives: every plan the planner can produce (any
     /// assignment from Λ, minimally extended) verifies clean, and the
-    /// clean static verdict agrees with the runtime — the simulator
-    /// (pre-flight *enabled*, so the verifier itself is in the path)
-    /// executes it without error.
+    /// clean static verdict agrees with the runtime — the distributed
+    /// runtime (pre-flight *enabled*, so the verifier itself is in the
+    /// path) executes it without error.
     #[test]
     fn clean_plans_verify_clean_and_execute(
         seed in any::<u64>(),
