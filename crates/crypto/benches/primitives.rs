@@ -1,17 +1,20 @@
 //! Microbenchmarks for the crypto primitives under the §7 cost model.
 //!
 //! `cargo bench -p mpq-crypto --bench primitives` (CI runs this in the
-//! `bench-smoke` job so the Montgomery/fixed-window win stays visible
-//! in the job summary). The headline numbers:
+//! `bench-smoke` job so the Montgomery/fixed-window and squaring-kernel
+//! wins stay visible in the job summary). The headline numbers:
 //!
 //! * `modpow/*` — the modular exponentiation every RSA envelope and
-//!   Paillier cell sits on, with and without a reused
-//!   [`Montgomery`] context;
-//! * `paillier/*` — per-value encrypt/decrypt/add at 512 bits;
-//!   `encrypt_512` is the key holder's half-width path every cell
-//!   takes, `encrypt_512_public` the textbook routine beside it, and
-//!   `encrypt_256` the holder's path at the modulus sessions generate
-//!   (`mpq_dist`'s `PAILLIER_BITS`);
+//!   Paillier cell sits on: 512-bit, with and without a reused
+//!   [`Montgomery`] context, and `256bit_half_exp`, a reused context
+//!   over a 256-bit modulus with a 128-bit exponent — the shape of one
+//!   half of a key holder's Paillier-256 encryption;
+//! * `paillier/*` — per-value encrypt/decrypt/add. `encrypt_256` is
+//!   the key holder's path at the modulus sessions generate
+//!   (`mpq_dist`'s `PAILLIER_BITS`), the one every encrypted SUM/AVG
+//!   cell takes; the rest are at 512 bits: `encrypt_512` the holder's
+//!   path, `encrypt_512_public` the textbook routine beside it, and
+//!   `decrypt_512` / `add_512`;
 //! * `rsa/*` — signing and verification on the key's cached context,
 //!   at the envelope key size (512 bits);
 //! * `xtea/*` — one block and a full deterministic value;
@@ -46,6 +49,14 @@ fn bench_modpow(c: &mut Criterion) {
     let ctx = Montgomery::new(&n).expect("odd");
     g.bench_function("512bit_reused_ctx", |b| {
         b.iter(|| ctx.pow(black_box(&base), black_box(&exp)))
+    });
+    // A 256-bit odd modulus and a 128-bit exponent: `p²` and `p` in
+    // each half of `PaillierKeypair::encrypt` at 256 bits.
+    let half = Montgomery::new(&p).expect("odd");
+    let short = BigUint::gen_prime(&mut rng, 128);
+    let base = BigUint::random_below(&mut rng, &p);
+    g.bench_function("256bit_half_exp", |b| {
+        b.iter(|| half.pow(black_box(&base), black_box(&short)))
     });
     g.finish();
 }

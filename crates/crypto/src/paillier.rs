@@ -10,8 +10,9 @@
 //! `|n|`-bit exponentiation over `n²`. Whoever holds the cluster key
 //! knows `p` and `q` and runs [`PaillierKeypair::encrypt`]: two
 //! half-length exponentiations over the half-width moduli `p²` and
-//! `q²`, recombined by CRT, drawing the randomiser from exactly the
-//! same distribution (the argument is on that method).
+//! `q²`, run as one window loop (`Montgomery::pow_each`) and
+//! recombined by CRT, drawing the randomiser from exactly the same
+//! distribution (the argument is on that method).
 //!
 //! Signed 64-bit integers are encoded with a `2^63` offset; the
 //! aggregation layer tracks how many ciphertexts were added so the
@@ -162,6 +163,20 @@ impl PaillierPublic {
         PaillierCiphertext(self.mont2().mulmod(&gm, x))
     }
 
+    /// A ciphertext from the big-endian bytes a peer sent: `None`
+    /// unless it is below `n²`, as every encryption and sum is. The
+    /// length decides first, so a forged body of any size costs no more
+    /// to refuse than one as wide as `n²` — reducing it would cost
+    /// time quadratic in its length.
+    pub(crate) fn ciphertext(&self, bytes: &[u8]) -> Option<PaillierCiphertext> {
+        let bytes = &bytes[bytes.iter().take_while(|&&b| b == 0).count()..];
+        if bytes.len() > self.n2.bits().div_ceil(8) {
+            return None;
+        }
+        let c = BigUint::from_bytes_be(bytes);
+        (c < self.n2).then_some(PaillierCiphertext(c))
+    }
+
     /// Homomorphic addition: `Dec(add(c1,c2)) = m1 + m2 (mod n)`.
     pub fn add(&self, a: &PaillierCiphertext, b: &PaillierCiphertext) -> PaillierCiphertext {
         PaillierCiphertext(self.mont2().mulmod(&a.0, &b.0))
@@ -262,13 +277,18 @@ impl PaillierKeypair {
     /// Hence: draw `s_p ∈ [1,p)` and `s_q ∈ [1,q)`, compute `s_p^p mod
     /// p²` and `s_q^q mod q²`, and Garner-combine them into the
     /// randomiser mod `n²` — no subgroup or short-exponent assumption,
-    /// no table, no `gcd`.
+    /// no table, no `gcd`. The two halves run in one loop over the
+    /// windows of `p` and `q`, each under its own context, so every
+    /// step hands the CPU two independent chains; the result is that of
+    /// two separate exponentiations, bit for bit.
     pub fn encrypt<R: Rng + ?Sized>(&self, rng: &mut R, m: &BigUint) -> PaillierCiphertext {
         let pk = &self.public;
         assert!(m < &pk.n, "plaintext out of range");
         let crt = self.crt();
-        let a = crt.mont_p2.pow(&random_unit(rng, &self.p), &self.p);
-        let b = crt.mont_q2.pow(&random_unit(rng, &self.q), &self.q);
+        let [a, b] = Montgomery::pow_each([
+            (&crt.mont_p2, &random_unit(rng, &self.p), &self.p),
+            (&crt.mont_q2, &random_unit(rng, &self.q), &self.q),
+        ]);
         // x ≡ a (mod p²), x ≡ b (mod q²): x = a + p²·((b − a)·p⁻² mod q²),
         // where p < q keeps a < q².
         let diff = if b >= a {
@@ -464,6 +484,54 @@ mod tests {
                 other = pk.encrypt(&mut rng, &other_sum);
             }
         }
+    }
+
+    /// The holder's ciphertexts, pinned bit for bit: 256 cells per key,
+    /// each drawn from a `StdRng::seed_from_u64(row)` row as the engine
+    /// seeds them, at 2-, 4- and 5-limb `p²`/`q²` and with unequal
+    /// factors (64-bit `p`, 192-bit `q`). A faster kernel may not move
+    /// one byte; re-pin only for a change meant to move ciphertexts.
+    #[test]
+    fn holder_ciphertexts_are_pinned() {
+        let mut keys: Vec<PaillierKeypair> = [128usize, 256, 320]
+            .iter()
+            .map(|&bits| PaillierKeypair::generate(&mut StdRng::seed_from_u64(bits as u64), bits))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(64_192);
+        keys.push(loop {
+            let (p, q) = (
+                BigUint::gen_prime(&mut rng, 64),
+                BigUint::gen_prime(&mut rng, 192),
+            );
+            if let Some(kp) = PaillierKeypair::from_bytes(&frame_factors(&p, &q)) {
+                break kp;
+            }
+        });
+        let digests: Vec<String> = keys
+            .iter()
+            .map(|kp| {
+                let mut bytes = Vec::new();
+                for row in 0..256u64 {
+                    let m = kp.public.encode_signed((row as i64 - 128) * 1_000_003);
+                    let c = kp
+                        .encrypt(&mut StdRng::seed_from_u64(row), &m)
+                        .0
+                        .to_bytes_be();
+                    bytes.extend_from_slice(&(c.len() as u16).to_be_bytes());
+                    bytes.extend_from_slice(&c);
+                }
+                crate::sha256::sha256_hex(&bytes)
+            })
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                "868a38fc293a57a1ae987dffcb2563a1c8cd03ac387ca1cc7c3c364b3a872980",
+                "c504e1ab11768622ecf9a2fbe99246bf9abfc428959025d94cf5eebf1a44ed45",
+                "e3b25b2c455f60360fedd3819bff1de4e6192da2720c46ed7fc336498ecb2ee1",
+                "00fd0afce5462ecb7546ea72a36020837e6bcdd006b873a9d07a6628cfc36d5c",
+            ]
+        );
     }
 
     #[test]

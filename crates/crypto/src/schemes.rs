@@ -312,10 +312,11 @@ impl ColumnCipher {
                 }
                 // The ciphertext body came from a peer too: anything
                 // but a sum of `count` encoded terms is a forgery.
-                let v = self
-                    .key
-                    .paillier()
-                    .decode_sum(&c, count)
+                let kp = self.key.paillier();
+                let v = kp
+                    .public
+                    .ciphertext(c)
+                    .and_then(|c| kp.decode_sum(&c, count))
                     .ok_or(EncryptError::BadCiphertext)?;
                 Ok(match kind {
                     // Integer SUMs decode exactly (the old f64 detour
@@ -445,9 +446,10 @@ fn paillier_cell(
     }
 }
 
-fn decode_paillier_cell(
-    bytes: &[u8],
-) -> Result<(u8, AggKind, u64, PaillierCiphertext), EncryptError> {
+/// A cell's header and its ciphertext body, unread: telling a body
+/// below `n²` takes the key's public half
+/// ([`crate::paillier::PaillierPublic::ciphertext`]).
+fn decode_paillier_cell(bytes: &[u8]) -> Result<(u8, AggKind, u64, &[u8]), EncryptError> {
     if bytes.len() < 10 {
         return Err(EncryptError::BadCiphertext);
     }
@@ -459,12 +461,7 @@ fn decode_paillier_cell(
         _ => return Err(EncryptError::BadCiphertext),
     };
     let count = u64::from_be_bytes(bytes[2..10].try_into().expect("8 bytes"));
-    Ok((
-        tag,
-        kind,
-        count,
-        PaillierCiphertext(BigUint::from_bytes_be(&bytes[10..])),
-    ))
+    Ok((tag, kind, count, &bytes[10..]))
 }
 
 /// Homomorphically add two Paillier cells (same key, same numeric
@@ -500,7 +497,8 @@ pub fn paillier_add_cell(
     }
     // Counts are a peer's word: no real column has 2⁶⁴ terms.
     let count = ca.checked_add(cb).ok_or(EncryptError::BadCiphertext)?;
-    let sum = pk.add(&pa, &pb);
+    let body = |bytes| pk.ciphertext(bytes).ok_or(EncryptError::BadCiphertext);
+    let sum = pk.add(&body(pa)?, &body(pb)?);
     Ok(paillier_cell(a.key_id, ta, AggKind::Sum, count, &sum))
 }
 
@@ -512,6 +510,7 @@ pub fn paillier_finish(cell: &EncValue, kind: AggKind) -> Result<EncValue, Encry
     let (tag, _, count, c) = decode_paillier_cell(&cell.bytes)?;
     // SUM/AVG results are numerics even over integer inputs (AVG) —
     // keep the tag so SUM of ints stays integral.
+    let c = PaillierCiphertext(BigUint::from_bytes_be(c));
     Ok(paillier_cell(cell.key_id, tag, kind, count, &c))
 }
 
@@ -858,9 +857,31 @@ mod tests {
             paillier_add_cells(&huge, &real, &pk),
             Err(EncryptError::BadCiphertext)
         );
-        // The honest neighbours still work.
+        // A body ≥ n² is refused before it is reduced: reducing 64 KiB
+        // took ≈ 4 s, and the long division is quadratic in the body's
+        // length. The honest body plus n² is the same residue, refused
+        // all the same.
+        let wide: Vec<u8> = (0..64 << 10)
+            .map(|i| (i as u8).wrapping_mul(167) | 1)
+            .collect();
+        let plus_n2 = BigUint::from_bytes_be(body).add(&pk.n2).to_bytes_be();
+        for body in [&wide[..], &plus_n2] {
+            let forged = cell(1, 0, 1, body);
+            let start = std::time::Instant::now();
+            for (a, b) in [(&real, &forged), (&forged, &real)] {
+                assert_eq!(
+                    paillier_add_cells(a, b, &pk),
+                    Err(EncryptError::BadCiphertext)
+                );
+            }
+            assert_eq!(decrypt_value(&Value::Enc(forged), &k), bad);
+            assert!(start.elapsed() < std::time::Duration::from_millis(10));
+        }
+        // The honest neighbours still work, leading zero bytes or not.
         let sum = paillier_add_cells(&real, &real, &pk).unwrap();
         assert_eq!(decrypt_value(&Value::Enc(sum), &k), Ok(Value::Int(10)));
+        let padded = cell(1, 0, 1, &[&[0; 1 << 16][..], body].concat());
+        assert_eq!(decrypt_value(&Value::Enc(padded), &k), Ok(Value::Int(5)));
     }
 
     #[test]
