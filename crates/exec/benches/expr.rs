@@ -17,13 +17,20 @@
 //!   column;
 //! * `str/in_list` — Q12's `l_shipmode IN ('MAIL', 'SHIP')`;
 //! * `date/range` — Q6's two `l_shipdate` bounds over a typed date
-//!   column.
+//!   column;
+//! * `sel/q12_pred` — Q12's whole σ: the `l_shipmode` `IN`, two date
+//!   columns against each other twice, and two `l_receiptdate` bounds
+//!   under one `AND`.
 //!
 //! `*/column` evaluates batch by batch (4,096 rows, as the engine
 //! does); `*/row` walks the same rows, already materialized, through
 //! `eval`. The ratio between the two is what moving the operators onto
 //! the column evaluator bought; absolute numbers swing with machine
 //! load.
+//!
+//! `gamma/q1_inputs` is what Q1's γ evaluates before it folds: its
+//! eight aggregate inputs — four columns, `disc_price`, `charge` and
+//! `COUNT(*)`'s literal `1` — through `eval_column`, batch by batch.
 //!
 //! `scan/q1_columns` is what a scan and a selection cost before any
 //! expression runs: Q1's seven lineitem columns (two strings, a date,
@@ -82,6 +89,8 @@ const MODE: AttrId = AttrId(6);
 const FLAG: AttrId = AttrId(7);
 const STATUS: AttrId = AttrId(8);
 const SHIPMODE: AttrId = AttrId(9);
+const COMMITDATE: AttrId = AttrId(10);
+const RECEIPTDATE: AttrId = AttrId(11);
 
 fn lit(v: Value) -> Expr {
     Expr::Lit(v)
@@ -94,9 +103,12 @@ fn date(s: &str) -> Expr {
 /// A lineitem-shaped relation in `DEFAULT_BATCH_ROWS` batches, and the
 /// same rows materialized. `MODE` is a Deterministic ciphertext column;
 /// the literal it is compared with comes back beside it. `SHIPMODE`
-/// holds the same modes in plaintext.
+/// holds the same modes in plaintext. `COMMITDATE` and `RECEIPTDATE`
+/// lie around `SHIPDATE` as TPC-H's do, drawn from a generator of their
+/// own so that the other columns stay what they were.
 fn generate() -> (Vec<Table>, Vec<Vec<Value>>, Vec<AttrId>, Value) {
     let rng = &mut StdRng::seed_from_u64(2026);
+    let around = &mut StdRng::seed_from_u64(12);
     let key = ClusterKey::generate(rng, 1, 512);
     let modes = ["MAIL", "SHIP", "AIR", "RAIL", "TRUCK", "FOB", "REG AIR"];
     let types = [
@@ -106,7 +118,18 @@ fn generate() -> (Vec<Table>, Vec<Vec<Value>>, Vec<AttrId>, Value) {
     ];
     let first_day = Date::parse("1992-01-01").expect("a date").0;
     let attrs = vec![
-        SHIPDATE, DISCOUNT, QUANTITY, PRICE, TAX, PTYPE, MODE, FLAG, STATUS, SHIPMODE,
+        SHIPDATE,
+        DISCOUNT,
+        QUANTITY,
+        PRICE,
+        TAX,
+        PTYPE,
+        MODE,
+        FLAG,
+        STATUS,
+        SHIPMODE,
+        COMMITDATE,
+        RECEIPTDATE,
     ];
     let rows: Vec<Vec<Value>> = (0..ROWS)
         .map(|_| {
@@ -118,8 +141,9 @@ fn generate() -> (Vec<Table>, Vec<Vec<Value>>, Vec<AttrId>, Value) {
                 &key,
             );
             let mode = mode.expect("a key");
+            let ship = first_day + rng.gen_range(0..2_500);
             vec![
-                Value::Date(Date(first_day + rng.gen_range(0..2_500))),
+                Value::Date(Date(ship)),
                 Value::Num(f64::from(rng.gen_range(0..11)) / 100.0),
                 Value::Num(f64::from(rng.gen_range(1..51))),
                 Value::Num(f64::from(rng.gen_range(90_000..10_000_000)) / 100.0),
@@ -129,6 +153,8 @@ fn generate() -> (Vec<Table>, Vec<Vec<Value>>, Vec<AttrId>, Value) {
                 Value::str(["A", "N", "R"][rng.gen_range(0..3)]),
                 Value::str(["F", "O"][rng.gen_range(0..2)]),
                 plain,
+                Value::Date(Date(ship + around.gen_range(-90..90))),
+                Value::Date(Date(ship + around.gen_range(1..31))),
             ]
         })
         .collect();
@@ -186,6 +212,14 @@ fn bench_expr(c: &mut Criterion) {
         Expr::cmp(Expr::Col(SHIPDATE), CmpOp::Ge, date("1994-01-01")),
         Expr::cmp(Expr::Col(SHIPDATE), CmpOp::Lt, date("1995-01-01")),
     ]);
+    let before = |a, b| Expr::cmp(Expr::Col(a), CmpOp::Lt, Expr::Col(b));
+    let q12_pred = Expr::And(vec![
+        str_in.clone(),
+        before(COMMITDATE, RECEIPTDATE),
+        before(SHIPDATE, COMMITDATE),
+        Expr::cmp(Expr::Col(RECEIPTDATE), CmpOp::Ge, date("1994-01-01")),
+        Expr::cmp(Expr::Col(RECEIPTDATE), CmpOp::Lt, date("1995-01-01")),
+    ]);
 
     for (name, expr, is_pred) in [
         ("q6_pred", &q6_pred, true),
@@ -195,6 +229,7 @@ fn bench_expr(c: &mut Criterion) {
         ("str/eq_literal", &str_eq, true),
         ("str/in_list", &str_in, true),
         ("date/range", &date_range, true),
+        ("sel/q12_pred", &q12_pred, true),
     ] {
         let mut g = c.benchmark_group(name);
         g.bench_function("column", |b| {
@@ -217,6 +252,38 @@ fn bench_expr(c: &mut Criterion) {
         });
         g.finish();
     }
+
+    // Q1's eight aggregate inputs, as `mpq_tpch` builds them.
+    let from_one = |op, e| Expr::arith(lit(Value::Num(1.0)), op, e);
+    let disc_price = Expr::arith(
+        Expr::Col(PRICE),
+        ArithOp::Mul,
+        from_one(ArithOp::Sub, Expr::Col(DISCOUNT)),
+    );
+    let charge = Expr::arith(
+        disc_price.clone(),
+        ArithOp::Mul,
+        from_one(ArithOp::Add, Expr::Col(TAX)),
+    );
+    let q1_inputs = [
+        Expr::Col(QUANTITY),
+        Expr::Col(PRICE),
+        disc_price,
+        charge,
+        Expr::Col(QUANTITY),
+        Expr::Col(PRICE),
+        Expr::Col(DISCOUNT),
+        lit(Value::Int(1)),
+    ];
+    c.bench_function("gamma/q1_inputs", |b| {
+        b.iter(|| {
+            for batch in &batches {
+                for input in &q1_inputs {
+                    black_box(eval_column(input, batch, None));
+                }
+            }
+        })
+    });
 
     // Q1's columns scanned and filtered, no expression evaluated.
     let whole = Table::from_rows(attrs.clone(), rows);

@@ -304,6 +304,23 @@ impl ColumnVec {
         }
     }
 
+    /// `n` copies of `v`, held as pushing them one by one holds them:
+    /// a dense column is filled in one step.
+    pub(crate) fn repeat(v: &Value, n: usize) -> ColumnVec {
+        match v {
+            _ if n == 0 => ColumnVec::new(),
+            Value::Int(x) => ColumnVec::Int(vec![*x; n]),
+            Value::Num(x) => ColumnVec::Num(vec![*x; n]),
+            Value::Date(d) => ColumnVec::Date(vec![*d; n]),
+            Value::Str(s) => {
+                let mut text = StrColumn::with_capacity(n, n * s.len());
+                (0..n).for_each(|_| text.push(s));
+                ColumnVec::Str(text)
+            }
+            _ => std::iter::repeat_n(v, n).cloned().collect(),
+        }
+    }
+
     /// Number of cells.
     pub fn len(&self) -> usize {
         match self {
@@ -491,16 +508,21 @@ impl ColumnVec {
     /// the column length.
     pub fn filter(&self, mask: &[bool]) -> ColumnVec {
         debug_assert_eq!(mask.len(), self.len());
-        fn kept<T: Clone>(v: &[T], mask: &[bool]) -> Vec<T> {
-            let cells = v.iter().zip(mask).filter(|(_, &m)| m);
-            cells.map(|(x, _)| x.clone()).collect()
+        /// A copy compacted in place, without a branch on the mask.
+        fn compact<T: Copy>(v: &[T], mask: &[bool]) -> Vec<T> {
+            let (mut out, mut k) = (v.to_vec(), 0);
+            for (&x, &m) in v.iter().zip(mask) {
+                out[k] = x;
+                k += usize::from(m);
+            }
+            out.truncate(k);
+            out
         }
         match self {
-            ColumnVec::Int(v) => ColumnVec::Int(kept(v, mask)),
-            ColumnVec::Num(v) => ColumnVec::Num(kept(v, mask)),
-            ColumnVec::Date(v) => ColumnVec::Date(kept(v, mask)),
-            ColumnVec::Val(v) => ColumnVec::Val(kept(v, mask)),
-            ColumnVec::Str(_) | ColumnVec::Enc(_) => {
+            ColumnVec::Int(v) => ColumnVec::Int(compact(v, mask)),
+            ColumnVec::Num(v) => ColumnVec::Num(compact(v, mask)),
+            ColumnVec::Date(v) => ColumnVec::Date(compact(v, mask)),
+            ColumnVec::Str(_) | ColumnVec::Enc(_) | ColumnVec::Val(_) => {
                 let rows = mask.iter().enumerate().filter(|(_, &m)| m);
                 self.gather_iter(rows.map(|(i, _)| i))
             }
@@ -658,6 +680,62 @@ mod tests {
         a.append(ColumnVec::Val(vec![Value::str("x")]));
         assert_eq!(a.len(), 2);
         assert_eq!(a.get(1), Value::str("x"));
+    }
+
+    /// A dense column compacted in place keeps what the general
+    /// representation of the same cells keeps, and stays dense — under
+    /// random, all-true, all-false and empty masks.
+    #[test]
+    fn a_compacted_dense_column_is_the_general_filter() {
+        let rng = &mut StdRng::seed_from_u64(17);
+        for n in [0, 1, 7, 100, 4096] {
+            let columns = [
+                ColumnVec::Int((0..n).map(|_| rng.gen_range(-9..9)).collect()),
+                ColumnVec::Num((0..n).map(|_| rng.gen_range(-9.0..9.0)).collect()),
+                ColumnVec::Date((0..n).map(|_| Date(rng.gen_range(-9..9))).collect()),
+            ];
+            let masks = [
+                (0..n).map(|_| rng.gen()).collect::<Vec<bool>>(),
+                vec![true; n],
+                vec![false; n],
+            ];
+            for (col, mask) in columns
+                .iter()
+                .flat_map(|c| masks.iter().map(move |m| (c, m)))
+            {
+                let kept = col.filter(mask);
+                let general = ColumnVec::Val(col.clone().into_values()).filter(mask);
+                assert_same(&kept, &general, "filter");
+                assert_eq!(kept.len(), mask.iter().filter(|&&m| m).count());
+                let kind = std::mem::discriminant;
+                assert_eq!(kind(&kept), kind(col), "stays dense");
+            }
+        }
+    }
+
+    /// A literal repeated over a batch is held as pushing its cells one
+    /// by one would hold them.
+    #[test]
+    fn a_repeated_literal_is_held_as_its_pushed_cells() {
+        let det = cipher(EncScheme::Deterministic, 1, &[3, 4]);
+        for v in [
+            Value::Int(7),
+            Value::Num(-0.5),
+            Value::Date(Date(3)),
+            Value::str("ünï"),
+            Value::str(""),
+            Value::Null,
+            Value::Bool(true),
+            det,
+        ] {
+            for n in [0, 1, 5] {
+                let repeated = ColumnVec::repeat(&v, n);
+                let pushed: ColumnVec = std::iter::repeat_n(v.clone(), n).collect();
+                let kind = std::mem::discriminant;
+                assert_eq!(kind(&repeated), kind(&pushed), "{v:?} × {n}");
+                assert_same(&repeated, &pushed, "repeat");
+            }
+        }
     }
 
     use mpq_algebra::value::EncScheme;

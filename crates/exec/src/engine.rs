@@ -2744,6 +2744,64 @@ mod tests {
         );
     }
 
+    /// `D IN ('stroke', NULL)` and its `NOT IN`: the NULL item stays
+    /// NULL when the literals are rewritten, and equals nothing — over
+    /// Deterministic ciphertext it used to fail every row it missed
+    /// ("IN mixing ciphertext and plaintext") while the fused filter,
+    /// on plaintext, did not. Now the plaintext plan, the fused plan and
+    /// the unfused one keep the same rows: the stroke rows for `IN`, and
+    /// none for `NOT IN` (a miss is unknown, a hit is FALSE).
+    #[test]
+    fn in_with_a_null_item_is_unknown_on_a_miss_encrypted_or_not() {
+        let (cat, db) = setup();
+        let (s, d, t) = (
+            cat.attr("S").unwrap(),
+            cat.attr("D").unwrap(),
+            cat.attr("T").unwrap(),
+        );
+        let hosp = cat.relation("Hosp").unwrap().rel;
+        let keys = KeyRing::new();
+        let mut rng = StdRng::seed_from_u64(7);
+        let key = mpq_crypto::ClusterKey::generate(&mut rng, 0, 256);
+        keys.insert(key.clone());
+        let mut schemes = SchemePlan::default();
+        schemes.set(d, EncScheme::Deterministic);
+        let koa: HashMap<AttrId, u32> = [(d, 0)].into_iter().collect();
+        let ctx = ExecCtx::new(&cat, &db, &keys, &schemes, &koa);
+        let stroke = Value::str("stroke");
+        let enc_stroke =
+            mpq_crypto::schemes::encrypt_value(&mut rng, &stroke, EncScheme::Deterministic, &key)
+                .unwrap();
+        let plain_cols = |table: &Table| [0, 2].map(|c| table.column(c).clone());
+        for (negated, rows) in [(false, 3), (true, 0)] {
+            let in_list = |item: &Value| Operator::Select {
+                pred: Expr::InList {
+                    expr: Box::new(Expr::Col(d)),
+                    list: vec![item.clone(), Value::Null],
+                    negated,
+                },
+            };
+            let mut plain = QueryPlan::new();
+            let base = plain.add_base(hosp, vec![s, d, t]);
+            plain.add(in_list(&stroke), vec![base]);
+            let want = execute(&plain, &ctx).unwrap();
+            assert_eq!(want.len(), rows, "negated: {negated}");
+
+            let mut plan = QueryPlan::new();
+            let base = plan.add_base(hosp, vec![s, d, t]);
+            let enc = plan.add(Operator::Encrypt { attrs: vec![d] }, vec![base]);
+            let select = plan.add(in_list(&enc_stroke), vec![enc]);
+            assert!(fused_encrypt_child(&plan, select).is_some());
+            let fused = execute(&plan, &ctx).unwrap();
+            let mut inputs = HashMap::new();
+            let whole = execute_region(&plan, enc, &|n| n != select, &mut inputs, &ctx).unwrap();
+            inputs.insert(enc, whole);
+            let unfused = execute_region(&plan, select, &|n| n == select, &mut inputs, &ctx);
+            assert_eq!(unfused.as_ref(), Ok(&fused), "negated: {negated}");
+            assert_eq!(plain_cols(&fused), plain_cols(&want), "negated: {negated}");
+        }
+    }
+
     /// SQL holds `-0.0 = 0.0`. A provider filtering OPE ciphertexts or
     /// grouping Det ones must answer as the plaintext plan does: P is
     /// encrypted below the operator (its literal alike) and decrypted

@@ -17,11 +17,17 @@
 //! [`eval_column`]: an expression over a whole batch, one
 //! sub-expression at a time — under σ, HAVING, γ inputs, sort keys, udf
 //! bodies and a join's residual (a mask over its candidate pairs).
-//! Columns are resolved to positions once per batch; dense `Int` /
-//! `Num` operands, dates against dates and strings against strings go
-//! through typed loops, everything else through the cell rules on
-//! *borrowed* cells ([`CellRef`]: a string is compared as the `&str` in
-//! its column, a ciphertext on the bytes where they lie). `AND` / `OR` /
+//! Columns are resolved to positions once per batch. A comparison or an
+//! arithmetic decides its loop once per kernel call — the operand kinds
+//! (`Int` / `Num` columns and literals on either side, dates against
+//! dates, strings against strings as bytes), column or literal, and the
+//! operator — and then runs one monomorphic loop: over the slices
+//! themselves when the selection is every row of the range, over the
+//! selection otherwise. A literal stays one value inside a loop, and
+//! becomes its dense column in one step where a whole column is asked
+//! of it. Everything else goes through the cell rules on *borrowed*
+//! cells ([`CellRef`]: a string where it lies in its column, a
+//! ciphertext on the bytes where they lie). `AND` / `OR` /
 //! `CASE` evaluate part *k* only on the rows parts *1..k* left
 //! undecided, so every sub-expression sees exactly the rows a
 //! row-at-a-time walk would have shown it: results and errors are the
@@ -34,6 +40,7 @@ use mpq_algebra::expr::DateField;
 use mpq_algebra::value::{CellRef, EncColumn, EncScheme};
 use mpq_algebra::{ArithOp, AttrId, CmpOp, Date, Expr, Value};
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::ops::Range;
 
 /// Errors during expression evaluation.
@@ -150,21 +157,12 @@ pub(crate) fn cmp_cells(a: CellRef<'_>, op: CmpOp, b: CellRef<'_>) -> Truth {
     }
 }
 
-/// `a op b` on an ordered pair, without a branch on the data.
-#[inline]
-fn holds<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
-    match op {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-    }
-}
-
-/// `BETWEEN` from its two bound comparisons.
+/// `BETWEEN` from its two bound comparisons, joined as SQL's `AND`:
+/// FALSE wins over NULL, so `5 BETWEEN NULL AND 3` is FALSE.
 pub(crate) fn between(ge: Option<bool>, le: Option<bool>, negated: bool) -> Option<bool> {
+    if ge == Some(false) || le == Some(false) {
+        return Some(negated);
+    }
     Some((ge? && le?) != negated)
 }
 
@@ -182,16 +180,18 @@ fn equal_maybe_encrypted(v: CellRef<'_>, item: &Value) -> Result<bool, EvalError
     }
 }
 
+/// `v IN list`: a NULL item equals nothing, but when no item matches it
+/// leaves the answer unknown, so `2 IN (1, NULL)` is NULL.
 pub(crate) fn in_list_cell(v: CellRef<'_>, list: &[Value], negated: bool) -> Truth {
     if matches!(v, CellRef::Null) {
         return Ok(None);
     }
-    for item in list {
+    for item in list.iter().filter(|item| !item.is_null()) {
         if equal_maybe_encrypted(v, item)? {
             return Ok(Some(!negated));
         }
     }
-    Ok(Some(negated))
+    Ok((!list.iter().any(Value::is_null)).then_some(negated))
 }
 
 fn overflow(a: &Value, op: ArithOp, b: &Value) -> EvalError {
@@ -397,7 +397,7 @@ pub fn eval_column<'a>(expr: &Expr, batch: &'a Table, agg_base: Option<usize>) -
         Col::Str(c, from) => ColumnVec::Str(c.slice(from..from + ev.n)),
         Col::Val(v) => ColumnVec::from_values(v.into_owned()),
         Col::Enc(c, from) => ColumnVec::Enc(c.slice(from..from + ev.n)),
-        Col::Lit(v) => std::iter::repeat_n(v, ev.n).cloned().collect(),
+        Col::Lit(v) => ColumnVec::repeat(v, ev.n),
     };
     (Cow::Owned(column), ev.failed)
 }
@@ -420,38 +420,185 @@ enum Col<'a> {
     Lit(&'a Value),
 }
 
-/// A numeric operand of a typed loop.
-#[derive(Clone, Copy)]
-enum NumSrc<'a> {
-    Ints(&'a [i64]),
-    Nums(&'a [f64]),
-    Int(i64),
-    Num(f64),
+/// One operand of a typed loop: its cells by row within the range.
+trait Lane: Copy {
+    type Cell: Copy;
+    fn at(self, r: usize) -> Self::Cell;
+    /// The cells of rows `0..n`, in order.
+    fn cells(self, n: usize) -> impl Iterator<Item = Self::Cell> {
+        (0..n).map(move |r| self.at(r))
+    }
 }
 
-impl NumSrc<'_> {
-    fn is_int(self) -> bool {
-        matches!(self, NumSrc::Ints(_) | NumSrc::Int(_))
+impl<T: Copy> Lane for &[T] {
+    type Cell = T;
+    fn at(self, r: usize) -> T {
+        self[r]
     }
+    fn cells(self, n: usize) -> impl Iterator<Item = T> {
+        self[..n].iter().copied()
+    }
+}
 
-    #[inline]
-    fn int(self, r: usize) -> i64 {
+/// A literal: one cell on every row.
+#[derive(Clone, Copy)]
+struct One<T>(T);
+
+impl<T: Copy> Lane for One<T> {
+    type Cell = T;
+    fn at(self, _: usize) -> T {
+        self.0
+    }
+}
+
+/// An integer column read as numerics, each cell widened as
+/// [`Value::as_num`] widens it.
+#[derive(Clone, Copy)]
+struct Wide<'s>(&'s [i64]);
+
+impl Lane for Wide<'_> {
+    type Cell = f64;
+    fn at(self, r: usize) -> f64 {
+        self.0[r] as f64
+    }
+}
+
+/// The cells of a string column from the given one on, as bytes: the
+/// order `&str` has.
+#[derive(Clone, Copy)]
+struct Bytes<'s>(&'s StrColumn, usize);
+
+impl<'s> Lane for Bytes<'s> {
+    type Cell = &'s [u8];
+    fn at(self, r: usize) -> &'s [u8] {
+        self.0.cell(self.1 + r).as_bytes()
+    }
+    fn cells(self, n: usize) -> impl Iterator<Item = &'s [u8]> {
+        self.0.cells(self.1..self.1 + n).map(str::as_bytes)
+    }
+}
+
+/// A typed operand: a lane over the rows, or a literal.
+#[derive(Clone, Copy)]
+enum Side<L, T> {
+    Rows(L),
+    Lit(T),
+}
+
+impl<L: Lane> Side<L, L::Cell> {
+    fn at(self, r: usize) -> L::Cell {
         match self {
-            NumSrc::Ints(v) => v[r],
-            NumSrc::Int(x) => x,
-            _ => unreachable!("asked only of integer operands"),
+            Side::Rows(l) => l.at(r),
+            Side::Lit(x) => x,
         }
     }
+}
 
-    /// The cell widened as [`Value::as_num`] widens it.
-    #[inline]
-    fn num(self, r: usize) -> f64 {
-        match self {
-            NumSrc::Ints(v) => v[r] as f64,
-            NumSrc::Nums(v) => v[r],
-            NumSrc::Int(x) => x as f64,
-            NumSrc::Num(x) => x,
+/// An operand as the typed loops read it.
+enum Typed<'s> {
+    Int(Side<&'s [i64], i64>),
+    Num(Side<&'s [f64], f64>),
+    Day(Side<&'s [Date], Date>),
+    Text(Side<Bytes<'s>, &'s [u8]>),
+}
+
+/// A loop over two operands of one cell type, instantiated once per
+/// pair of lane types: nothing in it asks a cell's representation.
+trait Kernel<T> {
+    type Out;
+    fn run(self, a: impl Lane<Cell = T>, b: impl Lane<Cell = T>) -> Self::Out;
+}
+
+/// `k` over two sides, whichever of a slice or a literal each is.
+fn sides<T: Copy, K: Kernel<T>>(
+    x: Side<impl Lane<Cell = T>, T>,
+    y: Side<impl Lane<Cell = T>, T>,
+    k: K,
+) -> K::Out {
+    match (x, y) {
+        (Side::Rows(p), Side::Rows(q)) => k.run(p, q),
+        (Side::Rows(p), Side::Lit(q)) => k.run(p, One(q)),
+        (Side::Lit(p), Side::Rows(q)) => k.run(One(p), q),
+        (Side::Lit(p), Side::Lit(q)) => k.run(One(p), One(q)),
+    }
+}
+
+/// `k` over two numeric operands read as numerics; `None` when either
+/// is not numeric.
+fn nums<K: Kernel<f64>>(x: Typed<'_>, y: Typed<'_>, k: K) -> Option<K::Out> {
+    let wide = |s| match s {
+        Side::Rows(v) => Side::Rows(Wide(v)),
+        Side::Lit(i) => Side::Lit(i as f64),
+    };
+    Some(match (x, y) {
+        (Typed::Num(x), Typed::Num(y)) => sides(x, y, k),
+        (Typed::Int(x), Typed::Num(y)) => sides(wide(x), y, k),
+        (Typed::Num(x), Typed::Int(y)) => sides(x, wide(y), k),
+        (Typed::Int(x), Typed::Int(y)) => sides(wide(x), wide(y), k),
+        _ => return None,
+    })
+}
+
+/// `f` on each row of `live`, into `out`: over the lanes themselves
+/// when `live` is every row.
+fn each<T, O>(
+    a: impl Lane<Cell = T>,
+    b: impl Lane<Cell = T>,
+    live: &[usize],
+    out: &mut [O],
+    f: impl Fn(T, T) -> O,
+) {
+    let n = out.len();
+    if live.len() == n {
+        for (o, (p, q)) in out.iter_mut().zip(a.cells(n).zip(b.cells(n))) {
+            *o = f(p, q);
         }
+    } else {
+        live.iter().for_each(|&r| out[r] = f(a.at(r), b.at(r)));
+    }
+}
+
+/// `a op b` on each row of `live`, into `out`. Yields `false` when a
+/// pair has no order (a NaN): the cell rule answers for those rows.
+struct Compare<'o>(CmpOp, &'o [usize], &'o mut [Option<bool>]);
+
+impl<T: PartialOrd> Kernel<T> for Compare<'_> {
+    type Out = bool;
+    fn run(self, a: impl Lane<Cell = T>, b: impl Lane<Cell = T>) -> bool {
+        let Compare(op, live, out) = self;
+        let ord = |p: T, q: T| p.partial_cmp(&q);
+        match op {
+            CmpOp::Eq => each(a, b, live, out, |p, q| ord(p, q).map(Ordering::is_eq)),
+            CmpOp::Ne => each(a, b, live, out, |p, q| ord(p, q).map(Ordering::is_ne)),
+            CmpOp::Lt => each(a, b, live, out, |p, q| ord(p, q).map(Ordering::is_lt)),
+            CmpOp::Le => each(a, b, live, out, |p, q| ord(p, q).map(Ordering::is_le)),
+            CmpOp::Gt => each(a, b, live, out, |p, q| ord(p, q).map(Ordering::is_gt)),
+            CmpOp::Ge => each(a, b, live, out, |p, q| ord(p, q).map(Ordering::is_ge)),
+        }
+        (live.len() == out.len() && !out.contains(&None)) || live.iter().all(|&r| out[r].is_some())
+    }
+}
+
+/// `a op b` as numerics on each row of `live`, 0 elsewhere — or `None`
+/// when a live row divides by zero: `/ 0` is NULL, which no dense
+/// column holds.
+struct Widened<'s>(ArithOp, &'s [usize], usize);
+
+impl Kernel<f64> for Widened<'_> {
+    type Out = Option<Vec<f64>>;
+    fn run(self, a: impl Lane<Cell = f64>, b: impl Lane<Cell = f64>) -> Option<Vec<f64>> {
+        let Widened(op, live, n) = self;
+        if op == ArithOp::Div && live.iter().any(|&r| b.at(r) == 0.0) {
+            return None;
+        }
+        let mut out = vec![0.0; n];
+        match op {
+            ArithOp::Add => each(a, b, live, &mut out, |p, q| p + q),
+            ArithOp::Sub => each(a, b, live, &mut out, |p, q| p - q),
+            ArithOp::Mul => each(a, b, live, &mut out, |p, q| p * q),
+            ArithOp::Div => each(a, b, live, &mut out, |p, q| p / q),
+        }
+        Some(out)
     }
 }
 
@@ -485,14 +632,19 @@ impl Col<'_> {
         }
     }
 
-    fn nums(&self) -> Option<NumSrc<'_>> {
-        match self {
-            Col::Int(v) => Some(NumSrc::Ints(v)),
-            Col::Num(v) => Some(NumSrc::Nums(v)),
-            Col::Lit(Value::Int(x)) => Some(NumSrc::Int(*x)),
-            Col::Lit(Value::Num(x)) => Some(NumSrc::Num(*x)),
-            _ => None,
-        }
+    /// The operand as the typed loops read it; `None` when they cannot.
+    fn typed(&self) -> Option<Typed<'_>> {
+        Some(match self {
+            Col::Int(v) => Typed::Int(Side::Rows(v)),
+            Col::Num(v) => Typed::Num(Side::Rows(v)),
+            Col::Date(v) => Typed::Day(Side::Rows(v)),
+            Col::Str(c, from) => Typed::Text(Side::Rows(Bytes(c, *from))),
+            Col::Lit(Value::Int(x)) => Typed::Int(Side::Lit(*x)),
+            Col::Lit(Value::Num(x)) => Typed::Num(Side::Lit(*x)),
+            Col::Lit(Value::Date(d)) => Typed::Day(Side::Lit(*d)),
+            Col::Lit(Value::Str(s)) => Typed::Text(Side::Lit(s.as_bytes())),
+            _ => return None,
+        })
     }
 
     /// `true` when every non-NULL cell is a ciphertext under one header.
@@ -510,36 +662,6 @@ impl Col<'_> {
             }
             Col::Lit(Value::Enc(e)) => Some((e.scheme, e.key_id, &e.bytes)),
             _ => None,
-        }
-    }
-
-    /// `true` for a date column or literal: every cell a date.
-    fn is_days(&self) -> bool {
-        matches!(self, Col::Date(_) | Col::Lit(Value::Date(_)))
-    }
-
-    /// Cell `r` of an [`is_days`](Col::is_days) operand.
-    #[inline]
-    fn day(&self, r: usize) -> Date {
-        match self {
-            Col::Date(v) => v[r],
-            Col::Lit(Value::Date(d)) => *d,
-            _ => unreachable!("asked only of date operands"),
-        }
-    }
-
-    /// `true` for a string column or literal: every cell a string.
-    fn is_text(&self) -> bool {
-        matches!(self, Col::Str(..) | Col::Lit(Value::Str(_)))
-    }
-
-    /// Cell `r` of an [`is_text`](Col::is_text) operand.
-    #[inline]
-    fn text(&self, r: usize) -> &str {
-        match self {
-            Col::Str(c, from) => c.cell(from + r),
-            Col::Lit(Value::Str(s)) => s,
-            _ => unreachable!("asked only of string operands"),
         }
     }
 }
@@ -703,24 +825,22 @@ impl<'a> Evaluator<'a> {
     }
 
     fn arith(&mut self, a: &Col<'_>, op: ArithOp, b: &Col<'_>, sel: &[usize]) -> Col<'a> {
-        let by_cell = |r| arith(&a.cell(r), op, &b.cell(r));
-        let (Some(x), Some(y)) = (a.nums(), b.nums()) else {
-            return Col::Val(self.apply(sel, Value::Null, by_cell).into());
-        };
-        if op == ArithOp::Div {
-            // `/ 0` is NULL, which no dense column holds.
-            if self.live(sel).iter().any(|&r| y.num(r) == 0.0) {
-                return Col::Val(self.apply(sel, Value::Null, by_cell).into());
+        let widened = match (a.typed(), b.typed()) {
+            (Some(Typed::Int(x)), Some(Typed::Int(y))) if op != ArithOp::Div => {
+                let checked = |r| {
+                    int_arith(x.at(r), op, y.at(r))
+                        .ok_or_else(|| overflow(&a.cell(r), op, &b.cell(r)))
+                };
+                return Col::Int(self.apply(sel, 0, checked).into());
             }
-        } else if x.is_int() && y.is_int() {
-            let checked = |r| {
-                int_arith(x.int(r), op, y.int(r))
-                    .ok_or_else(|| overflow(&a.cell(r), op, &b.cell(r)))
-            };
-            return Col::Int(self.apply(sel, 0, checked).into());
+            (Some(x), Some(y)) => nums(x, y, Widened(op, self.live(sel), self.n)).flatten(),
+            _ => None,
+        };
+        if let Some(v) = widened {
+            return Col::Num(v.into());
         }
-        let widened = |r| Ok(num_arith(x.num(r), op, y.num(r)));
-        Col::Num(self.apply(sel, 0.0, widened).into())
+        let by_cell = |r| arith(&a.cell(r), op, &b.cell(r));
+        Col::Val(self.apply(sel, Value::Null, by_cell).into())
     }
 
     fn mask(&mut self, e: &'a Expr, sel: &[usize]) -> Vec<Option<bool>> {
@@ -763,6 +883,17 @@ impl<'a> Evaluator<'a> {
                 negated,
             } => {
                 let v = self.column(expr, sel);
+                // A string column against string literals: as bytes.
+                let items: Option<Vec<&[u8]>> = (list.iter())
+                    .map(|item| match item {
+                        Value::Str(s) => Some(s.as_bytes()),
+                        _ => None,
+                    })
+                    .collect();
+                if let (Col::Str(c, from), Some(items)) = (&v, items) {
+                    let hit = |r| items.contains(&Bytes(c, *from).at(r));
+                    return self.apply(sel, None, |r| Ok(Some(hit(r) != *negated)));
+                }
                 self.apply(sel, None, |r| in_list_cell(v.cell_ref(r), list, *negated))
             }
             Expr::IsNull { expr, negated } => {
@@ -805,30 +936,15 @@ impl<'a> Evaluator<'a> {
     fn cmp(&mut self, a: &Col<'_>, op: CmpOp, b: &Col<'_>, sel: &[usize]) -> Vec<Option<bool>> {
         let mut out = vec![None; self.n];
         let live = self.live(sel);
-        // Typed loops over dense operands: integers, numerics, dates by
-        // day, strings by byte. A pair they cannot answer — NaN — sends
-        // the selection to the cell rule instead.
-        let typed = match (a.nums(), b.nums()) {
-            (Some(x), Some(y)) if x.is_int() && y.is_int() => {
-                live.iter()
-                    .for_each(|&r| out[r] = Some(holds(op, x.int(r), y.int(r))));
-                true
-            }
-            (Some(x), Some(y)) => live.iter().fold(true, |ordered, &r| {
-                let (p, q) = (x.num(r), y.num(r));
-                out[r] = Some(holds(op, p, q));
-                ordered & !p.is_nan() & !q.is_nan()
-            }),
-            _ if a.is_days() && b.is_days() => {
-                live.iter()
-                    .for_each(|&r| out[r] = Some(holds(op, a.day(r), b.day(r))));
-                true
-            }
-            _ if a.is_text() && b.is_text() => {
-                live.iter()
-                    .for_each(|&r| out[r] = Some(holds(op, a.text(r), b.text(r))));
-                true
-            }
+        // One typed loop per pair of operand kinds: integers, numerics,
+        // dates by day, strings by byte. A pair it cannot order — NaN —
+        // sends the selection to the cell rule instead.
+        let k = Compare(op, live, &mut out);
+        let typed = match (a.typed(), b.typed()) {
+            (Some(Typed::Int(x)), Some(Typed::Int(y))) => sides(x, y, k),
+            (Some(Typed::Day(x)), Some(Typed::Day(y))) => sides(x, y, k),
+            (Some(Typed::Text(x)), Some(Typed::Text(y))) => sides(x, y, k),
+            (Some(x), Some(y)) => nums(x, y, k).unwrap_or(false),
             _ => false,
         };
         if typed {
@@ -1027,6 +1143,67 @@ mod tests {
             negated: false,
         };
         assert_eq!(eval_pred(&inl, &ctx).unwrap(), Some(true));
+
+        // BETWEEN joins its two bounds as SQL's AND: FALSE wins, then NULL.
+        let (t, f, u) = (Some(true), Some(false), None);
+        let table = [
+            (t, t, t),
+            (t, f, f),
+            (t, u, u),
+            (f, t, f),
+            (f, f, f),
+            (f, u, f),
+            (u, t, u),
+            (u, f, f),
+            (u, u, u),
+        ];
+        for (ge, le, inside) in table {
+            assert_eq!(between(ge, le, false), inside, "{ge:?} {le:?}");
+            assert_eq!(between(ge, le, true), inside.map(|b| !b), "{ge:?} {le:?}");
+        }
+        let lit = |v| Box::new(Expr::Lit(v));
+        let five_between_null_and_3 = |negated| Expr::Between {
+            expr: lit(Value::Int(5)),
+            lo: lit(Value::Null),
+            hi: lit(Value::Int(3)),
+            negated,
+        };
+        assert_eq!(eval_pred(&five_between_null_and_3(false), &ctx), Ok(f));
+        assert_eq!(eval_pred(&five_between_null_and_3(true), &ctx), Ok(t));
+
+        // A NULL item equals nothing, but leaves a miss unknown.
+        let in_list = |v, negated| Expr::InList {
+            expr: lit(Value::Int(v)),
+            list: vec![Value::Int(1), Value::Null],
+            negated,
+        };
+        assert_eq!(eval_pred(&in_list(2, false), &ctx), Ok(u));
+        assert_eq!(eval_pred(&in_list(2, true), &ctx), Ok(u));
+        assert_eq!(eval_pred(&in_list(1, false), &ctx), Ok(t));
+        assert_eq!(eval_pred(&in_list(1, true), &ctx), Ok(f));
+        let null_free = Expr::InList {
+            expr: lit(Value::Int(2)),
+            list: vec![Value::Int(1)],
+            negated: true,
+        };
+        assert_eq!(eval_pred(&null_free, &ctx), Ok(t));
+        // …and a NULL item beside a ciphertext cell is no plaintext.
+        use mpq_algebra::value::EncValue;
+        let det = |byte: u8| {
+            Value::Enc(EncValue {
+                scheme: EncScheme::Deterministic,
+                key_id: 0,
+                bytes: std::sync::Arc::from(&[byte][..]),
+            })
+        };
+        assert_eq!(
+            in_list_cell((&det(2)).into(), &[det(1), Value::Null], false),
+            Ok(u)
+        );
+        assert_eq!(
+            in_list_cell((&det(1)).into(), &[Value::Null, det(1)], true),
+            Ok(f)
+        );
     }
 
     #[test]

@@ -928,3 +928,176 @@ fn a_group_by_fails_where_the_row_walk_would() {
         other => panic!("{other:?}"),
     }
 }
+
+/// A NaN answers to the cell rule only where a row still looks at it:
+/// on a row an earlier `AND` part already decided it is never read, on
+/// a live row an ordering fails there and an equality says FALSE.
+#[test]
+fn a_nan_fails_an_ordering_only_on_a_live_row() {
+    let (a, n) = (AttrId(0), AttrId(1));
+    let table = |nums: Vec<f64>| {
+        let cols = vec![ColumnVec::Int(vec![0, 1, 1, 1]), ColumnVec::Num(nums)];
+        Table::from_columns(TableSchema::new(vec![a, n]), cols)
+    };
+    let below = |op| Expr::cmp(Expr::Col(n), op, Expr::Lit(Value::Num(3.0)));
+    let guarded = |op| Expr::And(vec![Expr::cmp(Expr::Col(a), CmpOp::Gt, int(0)), below(op)]);
+    // Dead: `a > 0` is FALSE on row 0, the only NaN.
+    let dead = table(vec![f64::NAN, 2.0, 4.0, 1.0]);
+    assert_eq!(
+        eval_mask(&guarded(CmpOp::Lt), &dead, None, 0..4),
+        Ok(vec![Some(false), Some(true), Some(false), Some(true)])
+    );
+    assert_eq!(failed(&guarded(CmpOp::Lt), &dead), None);
+    // …but the predicate alone reads it.
+    assert!(matches!(
+        failed(&below(CmpOp::Lt), &dead),
+        Some((0, EvalError::TypeError(_)))
+    ));
+    // Live: the NaN on row 2 fails the ordering there, after rows 0–1.
+    let live = table(vec![1.0, 2.0, f64::NAN, 1.0]);
+    for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+        assert!(matches!(
+            failed(&guarded(op), &live),
+            Some((2, EvalError::TypeError(_)))
+        ));
+    }
+    assert_eq!(
+        eval_mask(&guarded(CmpOp::Eq), &live, None, 0..4),
+        Ok(vec![Some(false), Some(false), Some(false), Some(false)])
+    );
+    assert_eq!(
+        eval_mask(&guarded(CmpOp::Ne), &live, None, 0..4),
+        Ok(vec![Some(false), Some(true), Some(true), Some(true)])
+    );
+    assert_eq!(failed(&guarded(CmpOp::Ne), &live), None);
+}
+
+/// Strings compare by byte, as `&str` orders them: multi-byte cells
+/// under all six operators, the literal on either side, column against
+/// column, and `IN` — over every row and over the rows an earlier
+/// `AND` part left.
+#[test]
+fn multi_byte_strings_compare_as_the_row_walk_does() {
+    let (k, s, t) = (AttrId(0), AttrId(1), AttrId(2));
+    let words = ["ünï", "z", "a", "", "ünï", "zz", "ü"];
+    let typed = |words: &[&str]| -> ColumnVec { words.iter().map(|w| Value::str(w)).collect() };
+    let mut reversed = words;
+    reversed.reverse();
+    let cols = vec![
+        ColumnVec::Int(vec![0, 1, 0, 1, 0, 1, 0]),
+        typed(&words),
+        typed(&reversed),
+    ];
+    assert!(matches!(cols[1], ColumnVec::Str(_)));
+    let table = Table::from_columns(TableSchema::new(vec![k, s, t]), cols);
+    let ops = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+    let sparse = |e: Expr| Expr::And(vec![Expr::col_eq(k, Value::Int(0)), e]);
+    let (col, lit) = (|a| Expr::Col(a), |w| Expr::Lit(Value::str(w)));
+    for op in ops {
+        let mut cmps = vec![Expr::cmp(col(s), op, col(t))];
+        for w in ["ünï", "z", "a", ""] {
+            cmps.push(Expr::cmp(col(s), op, lit(w)));
+            cmps.push(Expr::cmp(lit(w), op, col(s)));
+        }
+        for e in cmps {
+            assert_agrees(&e, &table, None, 2..6);
+            assert_agrees(&sparse(e), &table, None, 1..7);
+        }
+    }
+    for (list, negated) in [
+        (vec![Value::str("ünï"), Value::str("")], false),
+        (vec![Value::str("ü"), Value::str("zz")], true),
+        (vec![Value::str("z"), Value::Null], false),
+        (vec![Value::str("z"), Value::Int(1)], true),
+        (vec![], false),
+    ] {
+        let e = Expr::InList {
+            expr: Box::new(col(s)),
+            list,
+            negated,
+        };
+        assert_agrees(&e, &table, None, 3..7);
+        assert_agrees(&sparse(e), &table, None, 0..5);
+    }
+    // Byte order: "ü" (0xC3 0xBC) sorts after "z" (0x7A).
+    let after_z = Expr::cmp(col(s), CmpOp::Gt, lit("z"));
+    assert_eq!(
+        eval_mask(&after_z, &table, None, 0..7),
+        Ok([true, false, false, false, true, true, true]
+            .map(Some)
+            .to_vec())
+    );
+}
+
+/// `COUNT(*)`, `SUM(1)` and `SUM(i64::MAX)` — literal inputs, built as
+/// dense columns — under a group-by at batches of 1, 7 and 4,096. The
+/// overflow of `SUM(i64::MAX)` on a group's second row is reported
+/// where the row walk reports it: before a later row's failing input,
+/// after an earlier one's.
+#[test]
+fn literal_aggregate_inputs_count_and_fail_as_the_row_walk_does() {
+    let mut cat = Catalog::new();
+    let rel = cat
+        .add_relation("T", &[("k", DataType::Int), ("b", DataType::Int)])
+        .expect("a relation");
+    let (k, b) = (AttrId(0), AttrId(1));
+    let (keys, schemes, koa) = (KeyRing::new(), SchemePlan::default(), HashMap::new());
+    let grouped = |db: &Database, aggs: Vec<AggExpr>| {
+        let mut plan = QueryPlan::new();
+        let base = plan.add_base(rel, vec![k, b]);
+        plan.add(
+            Operator::GroupBy {
+                keys: vec![k],
+                aggs,
+            },
+            vec![base],
+        );
+        assert_engine_matches_oracle(&cat, db, &plan);
+        execute(&plan, &ExecCtx::new(&cat, db, &keys, &schemes, &koa))
+    };
+    let agg = |func, v: i64| AggExpr {
+        func,
+        input: int(v),
+        output: b,
+    };
+    let max_b_plus_1 = AggExpr {
+        func: AggFunc::Max,
+        input: Expr::arith(Expr::Col(b), ArithOp::Add, int(1)),
+        output: b,
+    };
+
+    // 5,000 rows in three groups: more than one 4,096-row batch.
+    let mut db = Database::new();
+    let key: Vec<i64> = (0..5_000).map(|i| i % 3).collect();
+    db.insert(rel, ints(&[k, b], &[&key, &vec![0; 5_000]]));
+    let counted = grouped(&db, vec![AggExpr::count_star(k), agg(AggFunc::Sum, 1)]);
+    let counted = counted.expect("nothing overflows");
+    assert_eq!(counted.len(), 3);
+    for g in 0..3 {
+        assert_eq!(counted.value(1, g), Value::Int(1_667 - g as i64 / 2));
+        assert_eq!(counted.value(2, g), Value::Int(1_667 - g as i64 / 2));
+    }
+
+    // Group 0 has rows 0, 2, 4: SUM(i64::MAX) overflows on row 2.
+    let key = [0, 1, 0, 1, 0];
+    for (late, sum_first) in [(3, true), (1, false)] {
+        let mut input = [0; 5];
+        input[late] = i64::MAX;
+        let mut db = Database::new();
+        db.insert(rel, ints(&[k, b], &[&key, &input]));
+        let aggs = vec![agg(AggFunc::Sum, i64::MAX), max_b_plus_1.clone()];
+        match grouped(&db, aggs) {
+            Err(ExecError::Eval(EvalError::Overflow(m))) => {
+                assert_eq!(m.contains("SUM"), sum_first, "{m}")
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+}
