@@ -1,22 +1,30 @@
 //! Microbenchmarks for the crypto primitives under the §7 cost model.
 //!
 //! `cargo bench -p mpq-crypto --bench primitives` (CI runs this in the
-//! `bench-smoke` job so the Montgomery/fixed-window and squaring-kernel
-//! wins stay visible in the job summary). The headline numbers:
+//! `bench-smoke` job so the kernel, division and CRT wins stay visible
+//! in the job summary). The headline numbers:
 //!
+//! * `bignum/*` — the word-level division under every `rem`:
+//!   `divmod_512_by_256` (a 512-bit value by a 256-bit one, as `load`
+//!   reduces a Paillier-256 ciphertext by `p²`), and
+//!   `montgomery_new_128` / `montgomery_new_512`, a context's setup
+//!   (one division for `R² mod m`) at a session prime's and an RSA-512
+//!   modulus's width;
 //! * `modpow/*` — the modular exponentiation every RSA envelope and
 //!   Paillier cell sits on: 512-bit, with and without a reused
 //!   [`Montgomery`] context, and `256bit_half_exp`, a reused context
 //!   over a 256-bit modulus with a 128-bit exponent — the shape of one
 //!   half of a key holder's Paillier-256 encryption;
-//! * `paillier/*` — per-value encrypt/decrypt/add. `encrypt_256` is
-//!   the key holder's path at the modulus sessions generate
-//!   (`mpq_dist`'s `PAILLIER_BITS`), the one every encrypted SUM/AVG
-//!   cell takes; the rest are at 512 bits: `encrypt_512` the holder's
-//!   path, `encrypt_512_public` the textbook routine beside it, and
-//!   `decrypt_512` / `add_512`;
-//! * `rsa/*` — signing and verification on the key's cached context,
-//!   at the envelope key size (512 bits);
+//! * `paillier/*` — per-value encrypt/decrypt/add. `encrypt_256` and
+//!   `decrypt_256` are the key holder's paths at the modulus sessions
+//!   generate (`mpq_dist`'s `PAILLIER_BITS`), the ones every encrypted
+//!   SUM/AVG cell takes; the rest are at 512 bits: `encrypt_512` the
+//!   holder's path, `encrypt_512_public` the textbook routine beside
+//!   it, and `decrypt_512` / `add_512`. Both decryptions run by CRT;
+//! * `rsa/*` — at the envelope key size (512 bits): `sign_512` and
+//!   `open_512` are the sender's and the recipient's private operation
+//!   (by CRT; `open_512` also decrypts and verifies one envelope),
+//!   `verify_512` the public one on the key's cached context;
 //! * `xtea/*` — one block and a full deterministic value;
 //! * `ope/encode`, `ope/decode` — one isolated 64-level keyed descent;
 //!   `ope/column_*` — a 4,096-cell run per regime through
@@ -28,12 +36,31 @@ use mpq_algebra::value::{EncScheme, Value};
 use mpq_algebra::Date;
 use mpq_crypto::bignum::{BigUint, Montgomery};
 use mpq_crypto::keyring::ClusterKey;
-use mpq_crypto::rsa::RsaKeypair;
+use mpq_crypto::rsa::{RsaKeypair, SignedEnvelope};
 use mpq_crypto::schemes::{decrypt_value, encrypt_batch, paillier_add_cells, ColumnCipher};
 use mpq_crypto::xtea::XteaSchedule;
 use mpq_crypto::{ope, xtea};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+fn bench_bignum(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(3);
+    let p = BigUint::gen_prime(&mut rng, 128);
+    let n = p.mul(&BigUint::gen_prime(&mut rng, 128));
+    let u = BigUint::random_below(&mut rng, &n.mul(&n));
+    let rsa = BigUint::gen_prime(&mut rng, 256).mul(&BigUint::gen_prime(&mut rng, 256));
+    let mut g = c.benchmark_group("bignum");
+    g.bench_function("divmod_512_by_256", |b| {
+        b.iter(|| black_box(&u).divmod(black_box(&n)))
+    });
+    g.bench_function("montgomery_new_128", |b| {
+        b.iter(|| Montgomery::new(black_box(&p)))
+    });
+    g.bench_function("montgomery_new_512", |b| {
+        b.iter(|| Montgomery::new(black_box(&rsa)))
+    });
+    g.finish();
+}
 
 fn bench_modpow(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
@@ -87,6 +114,16 @@ fn bench_paillier(c: &mut Criterion) {
             .unwrap()
         })
     });
+    let session_cell = encrypt_batch(
+        &mut rng,
+        &[Value::Int(12_345)],
+        EncScheme::Paillier,
+        &session_key,
+    )
+    .unwrap();
+    g.bench_function("decrypt_256", |b| {
+        b.iter(|| decrypt_value(black_box(&session_cell[0]), &session_key).unwrap())
+    });
     let cells = encrypt_batch(
         &mut rng,
         &[Value::Int(1), Value::Int(2)],
@@ -118,6 +155,16 @@ fn bench_rsa(c: &mut Criterion) {
             key.public
                 .verify(black_box(&message), black_box(&signature))
         })
+    });
+    let sender = RsaKeypair::generate(&mut StdRng::seed_from_u64(12), 512);
+    let envelope = SignedEnvelope::seal(
+        &mut StdRng::seed_from_u64(13),
+        &message,
+        &sender,
+        &key.public,
+    );
+    g.bench_function("open_512", |b| {
+        b.iter(|| black_box(&envelope).open(&key, &sender.public).unwrap())
     });
     g.finish();
 }
@@ -218,6 +265,7 @@ fn bench_ope(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_bignum,
     bench_modpow,
     bench_paillier,
     bench_rsa,

@@ -12,7 +12,13 @@
 //! half-length exponentiations over the half-width moduli `p²` and
 //! `q²`, run as one window loop (`Montgomery::pow_each`) and
 //! recombined by CRT, drawing the randomiser from exactly the same
-//! distribution (the argument is on that method).
+//! distribution (the argument is on that method). Decryption runs on
+//! the factors too ([`PaillierKeypair::decrypt`]): `c^(p−1)` over `p²`
+//! and `c^(q−1)` over `q²` in one window loop, `L` per factor, then
+//! Garner — the textbook plaintext for every ciphertext that is a unit
+//! mod `n²`, and a refusal for the non-units only a forger sends.
+//! A public modulus that arrives from a peer is bounded where it
+//! enters ([`PaillierPublic::from_modulus`]).
 //!
 //! Signed 64-bit integers are encoded with a `2^63` offset; the
 //! aggregation layer tracks how many ciphertexts were added so the
@@ -80,28 +86,29 @@ pub struct PaillierKeypair {
     p: BigUint,
     /// The larger prime factor of `n`.
     q: BigUint,
-    /// `λ = lcm(p-1, q-1)`.
-    lambda: BigUint,
-    /// `µ = λ⁻¹ mod n` (valid for `g = n+1`).
-    mu: BigUint,
-    /// Half-width encryption state, built on first use: keys that never
-    /// encrypt a Paillier cell never pay for it.
+    /// Per-factor state, built on first use: keys that never encrypt or
+    /// decrypt a Paillier cell never pay for it.
     crt: OnceLock<HolderCrt>,
 }
 
-/// What [`PaillierKeypair::encrypt`] precomputes per key.
+/// What [`PaillierKeypair::encrypt`] and [`PaillierKeypair::decrypt`]
+/// precompute per key.
 #[derive(Clone)]
 struct HolderCrt {
-    /// Montgomery context for `p²`.
+    /// Montgomery contexts for `q` (Garner over the factors), `p²` and
+    /// `q²`.
+    mont_q: Montgomery,
     mont_p2: Montgomery,
-    /// Montgomery context for `q²`.
     mont_q2: Montgomery,
     /// `p²`.
     p2: BigUint,
-    /// `q²`.
-    q2: BigUint,
-    /// `p⁻² mod q²` (Garner's coefficient).
+    /// `p⁻² mod q²` (Garner's coefficient over the squares).
     p2_inv: BigUint,
+    /// `p⁻¹ mod q` (Garner's coefficient over the factors).
+    p_inv: BigUint,
+    /// `h_p = L_p((1+n)^(p−1) mod p²)⁻¹ mod p`, and `h_q` likewise.
+    h_p: BigUint,
+    h_q: BigUint,
 }
 
 impl std::fmt::Debug for PaillierKeypair {
@@ -118,13 +125,20 @@ impl std::fmt::Debug for PaillierKeypair {
 /// sums of them must stay below `n`.
 const MIN_FACTOR_BITS: usize = 64;
 
+/// Widest modulus [`PaillierPublic::from_modulus`] accepts. Sessions use
+/// 256 bits; an addition costs time quadratic in the modulus, so an
+/// unbounded one lets a peer hold a party thread for as long as it
+/// likes (one `add` under a 64 KiB modulus: 3.6 s).
+const MAX_MODULUS_BITS: usize = 4096;
+
 impl PaillierPublic {
     /// Build a public key from `n` (computes and caches `n²`). `None`
-    /// for an `n` no Paillier key can have — even, zero or one — which
-    /// is what keeps [`PaillierPublic::add`] total on a modulus that
+    /// for an `n` no Paillier key can have — even, zero or one — or
+    /// one wider than 4,096 bits, which is what keeps
+    /// [`PaillierPublic::add`] total and bounded on a modulus that
     /// arrived from a peer.
     pub fn from_modulus(n: BigUint) -> Option<PaillierPublic> {
-        if n.is_even() || n.is_one() {
+        if n.is_even() || n.is_one() || n.bits() > MAX_MODULUS_BITS {
             return None;
         }
         let n2 = n.mul(&n);
@@ -219,8 +233,8 @@ impl PaillierKeypair {
 
     /// Derive the keypair from its factors. `None` unless both are odd,
     /// distinct, at least [`MIN_FACTOR_BITS`] bits long and
-    /// `gcd(pq, (p-1)(q-1)) = 1` — the condition under which `µ` exists
-    /// and [`PaillierKeypair::encrypt`] is exact.
+    /// `gcd(pq, (p-1)(q-1)) = 1` — the condition Paillier's scheme
+    /// assumes, under which [`PaillierKeypair::encrypt`] is exact.
     fn from_factors(p: BigUint, q: BigUint) -> Option<PaillierKeypair> {
         let (p, q) = if p < q { (p, q) } else { (q, p) };
         if p.is_even() || q.is_even() || p == q || p.bits() < MIN_FACTOR_BITS {
@@ -228,36 +242,34 @@ impl PaillierKeypair {
         }
         let n = p.mul(&q);
         let one = BigUint::one();
-        let p1 = p.sub(&one);
-        let q1 = q.sub(&one);
-        let phi = p1.mul(&q1);
-        if !n.gcd(&phi).is_one() {
+        if !n.gcd(&p.sub(&one).mul(&q.sub(&one))).is_one() {
             return None;
         }
-        // λ = lcm(p-1, q-1) = (p-1)(q-1)/gcd(p-1, q-1).
-        let lambda = phi.divmod(&p1.gcd(&q1)).0;
-        // With g = n+1: µ = λ⁻¹ mod n.
-        let mu = lambda.rem(&n).modinv(&n)?;
         Some(PaillierKeypair {
             public: PaillierPublic::from_modulus(n)?,
             p,
             q,
-            lambda,
-            mu,
             crt: OnceLock::new(),
         })
     }
 
     fn crt(&self) -> &HolderCrt {
         self.crt.get_or_init(|| {
-            let p2 = self.p.mul(&self.p);
-            let q2 = self.q.mul(&self.q);
+            let (p, q) = (&self.p, &self.q);
+            let (p2, q2) = (p.mul(p), q.mul(q));
+            let p_inv = p.modinv(q).expect("p ≠ q are coprime");
+            let q_inv = q.modinv(p).expect("p ≠ q are coprime");
             HolderCrt {
+                mont_q: Montgomery::new(q).expect("q is odd and > 1"),
                 mont_p2: Montgomery::new(&p2).expect("p² is odd and > 1"),
                 mont_q2: Montgomery::new(&q2).expect("q² is odd and > 1"),
                 p2_inv: p2.modinv(&q2).expect("p ≠ q are coprime"),
+                // (1+n)^(p−1) ≡ 1 + (p−1)·n (mod p²), whose L_p is
+                // (p−1)·q ≡ −q (mod p): h_p = −q⁻¹ mod p, h_q = −p⁻¹ mod q.
+                h_p: p.sub(&q_inv),
+                h_q: q.sub(&p_inv),
+                p_inv,
                 p2,
-                q2,
             }
         })
     }
@@ -289,36 +301,36 @@ impl PaillierKeypair {
             (&crt.mont_p2, &random_unit(rng, &self.p), &self.p),
             (&crt.mont_q2, &random_unit(rng, &self.q), &self.q),
         ]);
-        // x ≡ a (mod p²), x ≡ b (mod q²): x = a + p²·((b − a)·p⁻² mod q²),
-        // where p < q keeps a < q².
-        let diff = if b >= a {
-            b.sub(&a)
-        } else {
-            b.add(&crt.q2).sub(&a)
-        };
-        let x = a.add(&crt.p2.mul(&crt.mont_q2.mulmod(&diff, &crt.p2_inv)));
+        // x ≡ a (mod p²), x ≡ b (mod q²), where p < q keeps a < q².
+        let x = crt.mont_q2.garner(&a, &crt.p2, &b, &crt.p2_inv);
         pk.blind(m, &x)
     }
 
     /// Decrypt to the non-negative plaintext.
     ///
     /// # Panics
-    /// When `c ≡ 0 (mod n²)`, which no encryption or addition yields;
+    /// When `c` is no unit mod `n²` — a multiple of `p` or `q`, `0`
+    /// included — which no encryption or sum of them is;
     /// [`PaillierKeypair::decode_sum`] is the total entry for
     /// ciphertexts a peer supplied.
     pub fn decrypt(&self, c: &PaillierCiphertext) -> BigUint {
-        self.try_decrypt(c).expect("a ciphertext is not 0 mod n²")
+        self.try_decrypt(c).expect("a ciphertext is a unit mod n²")
     }
 
+    /// The textbook `L(c^λ mod n²)·µ mod n`, computed on the factors:
+    /// `x_p = c^(p−1) mod p²` and `x_q` over `q²` in one window loop,
+    /// `m_p = L_p(x_p)·h_p mod p` and `m_q` likewise, then Garner. Both
+    /// give the same plaintext for every unit `c`; `None` for any other
+    /// `c`, which is where `x_p ≢ 1 (mod p)` or `x_q ≢ 1 (mod q)`.
     fn try_decrypt(&self, c: &PaillierCiphertext) -> Option<BigUint> {
-        let n = &self.public.n;
-        let x = self.public.mont2().pow(&c.0, &self.lambda);
-        if x.is_zero() {
-            return None;
-        }
-        // L(x) = (x - 1) / n.
-        let l = x.sub(&BigUint::one()).divmod(n).0;
-        Some(l.mulmod(&self.mu, n))
+        let (crt, one) = (self.crt(), BigUint::one());
+        let [x_p, x_q] = Montgomery::pow_each([
+            (&crt.mont_p2, &c.0, &self.p.sub(&one)),
+            (&crt.mont_q2, &c.0, &self.q.sub(&one)),
+        ]);
+        let m_p = l_over(&x_p, &self.p)?.mulmod(&crt.h_p, &self.p);
+        let m_q = l_over(&x_q, &self.q)?.mulmod(&crt.h_q, &self.q);
+        Some(crt.mont_q.garner(&m_p, &self.p, &m_q, &crt.p_inv))
     }
 
     /// Decrypt a sum of `count` encoded signed values, removing the
@@ -370,6 +382,16 @@ fn frame_factors(p: &BigUint, q: &BigUint) -> Vec<u8> {
         out.extend_from_slice(&b);
     }
     out
+}
+
+/// Paillier's `L` over one factor: `(x − 1)/p` for `x ≡ 1 (mod p)`,
+/// `None` for any other `x`.
+fn l_over(x: &BigUint, p: &BigUint) -> Option<BigUint> {
+    if x.is_zero() {
+        return None;
+    }
+    let (l, r) = x.sub(&BigUint::one()).divmod(p);
+    r.is_zero().then_some(l)
 }
 
 /// Uniform in `[1, bound)`.
@@ -476,7 +498,7 @@ mod tests {
                 // c·(1+mn)⁻¹ is the randomiser: an n-th residue.
                 let gm = BigUint::one().add(&m.mul(&pk.n));
                 let x = c.0.mulmod(&gm.modinv(&pk.n2).expect("1+mn is a unit"), &pk.n2);
-                proptest::prop_assert!(x.modpow(&kp.lambda, &pk.n2).is_one());
+                proptest::prop_assert!(x.modpow(&textbook_key(&kp).0, &pk.n2).is_one());
                 // Holder and public ciphertexts add to the right sum.
                 let sum = pk.add(&c, &other);
                 proptest::prop_assert_eq!(kp.decrypt(&sum), m.add(&other_sum).rem(&pk.n));
@@ -578,6 +600,100 @@ mod tests {
         let pk = PaillierPublic::from_modulus(BigUint::from_u64(9)).expect("odd");
         let c = PaillierCiphertext(BigUint::from_u64(1 << 50));
         assert!(pk.add(&c, &c).0 < pk.n2);
+        // Up to the cap. A modulus as wide as a frame allows, or one bit
+        // past the cap, used to be granted, and a granted key is used:
+        // each is timed through one `add`, as a party thread would run it.
+        let widest = BigUint::one().shl(MAX_MODULUS_BITS).sub(&BigUint::one());
+        assert!(PaillierPublic::from_modulus(widest.clone()).is_some());
+        let huge = BigUint::from_bytes_be(&[0xFF; 64 << 10]);
+        for n in [huge, widest.shl(1).add(&BigUint::one())] {
+            let start = std::time::Instant::now();
+            let pk = PaillierPublic::from_modulus(n);
+            if let Some(pk) = &pk {
+                pk.add(&c, &c);
+            }
+            assert!(start.elapsed() < std::time::Duration::from_millis(10));
+            assert!(pk.is_none());
+        }
+    }
+
+    /// `(λ, µ)` of the textbook routine: `λ = lcm(p−1, q−1)` and, with
+    /// `g = n + 1`, `µ = λ⁻¹ mod n`.
+    fn textbook_key(kp: &PaillierKeypair) -> (BigUint, BigUint) {
+        let one = BigUint::one();
+        let (p1, q1) = (kp.p.sub(&one), kp.q.sub(&one));
+        let lambda = p1.mul(&q1).divmod(&p1.gcd(&q1)).0;
+        let mu = lambda.modinv(&kp.public.n).expect("gcd(n, φ) = 1");
+        (lambda, mu)
+    }
+
+    /// The textbook decryption `L(c^λ mod n²)·µ mod n`, `L(x) = (x−1)/n`,
+    /// for a unit `c`: the oracle the CRT decryption is held to.
+    fn textbook_decrypt(
+        kp: &PaillierKeypair,
+        (lambda, mu): &(BigUint, BigUint),
+        c: &BigUint,
+    ) -> BigUint {
+        let n = &kp.public.n;
+        let x = c.modpow(lambda, &kp.public.n2);
+        x.sub(&BigUint::one()).divmod(n).0.mulmod(mu, n)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        /// The holder's CRT decryption is the textbook one on every
+        /// unit — holder and public cells, running sums of up to 64 of
+        /// them, `1` and `n² − 1`, random residues — at key sizes on
+        /// both kernels and with unequal factors (64-bit `p`, 192-bit
+        /// `q`). A non-unit (`0`, `n`, a multiple of `p` or `q`) is
+        /// refused: `None` from `try_decrypt`, `BadCiphertext` from
+        /// `decrypt_value`, where the textbook routine decrypted it to
+        /// an arbitrary number.
+        #[test]
+        fn holder_decrypt_is_textbook_paillier(
+            seed in proptest::prelude::any::<u64>(),
+            size in 0usize..5,
+            terms in 1usize..=64,
+        ) {
+            use crate::schemes::{decrypt_value, AggKind, EncryptError};
+            use mpq_algebra::value::{EncScheme, EncValue, Value};
+
+            let mut rng = StdRng::seed_from_u64(seed);
+            let kp = match size {
+                4 => loop {
+                    let (p, q) = (BigUint::gen_prime(&mut rng, 64), BigUint::gen_prime(&mut rng, 192));
+                    if let Some(kp) = PaillierKeypair::from_bytes(&frame_factors(&p, &q)) {
+                        break kp;
+                    }
+                },
+                _ => PaillierKeypair::generate(&mut rng, [128, 192, 256, 320][size]),
+            };
+            let (pk, textbook, one) = (&kp.public, textbook_key(&kp), BigUint::one());
+            let mut units = vec![one.clone(), pk.n2.sub(&one), BigUint::random_below(&mut rng, &pk.n2)];
+            let mut sum = pk.neutral();
+            for _ in 0..terms {
+                let m = pk.encode_signed(rng.gen());
+                let c = if rng.gen() { kp.encrypt(&mut rng, &m) } else { pk.encrypt(&mut rng, &m) };
+                sum = pk.add(&sum, &c);
+                units.extend([c.0, sum.0.clone()]);
+            }
+            for c in units.iter().filter(|c| c.gcd(&pk.n).is_one()) {
+                let want = textbook_decrypt(&kp, &textbook, c);
+                proptest::prop_assert_eq!(kp.try_decrypt(&PaillierCiphertext(c.clone())), Some(want));
+            }
+            let key = crate::keyring::ClusterKey::from_bytes(&[&[0u8; 52][..], &kp.to_bytes()].concat())
+                .expect("the key's own bytes");
+            let k = BigUint::random_below(&mut rng, &pk.n);
+            for c in [BigUint::zero(), pk.n.clone(), kp.p.clone(), kp.p.mul(&k), kp.q.mul(&k)] {
+                proptest::prop_assert_eq!(kp.try_decrypt(&PaillierCiphertext(c.clone())), None);
+                let mut cell = vec![1, AggKind::Single as u8];
+                cell.extend_from_slice(&1u64.to_be_bytes());
+                cell.extend_from_slice(&c.to_bytes_be());
+                let cell = EncValue { scheme: EncScheme::Paillier, key_id: 0, bytes: cell.into() };
+                proptest::prop_assert_eq!(decrypt_value(&Value::Enc(cell), &key), Err(EncryptError::BadCiphertext));
+            }
+        }
     }
 
     #[test]
@@ -585,7 +701,8 @@ mod tests {
         let (kp, _) = keypair();
         let dbg = format!("{kp:?}");
         assert!(dbg.contains(&format!("{:?}", kp.public.n)));
-        for secret in [&kp.p, &kp.q, &kp.lambda, &kp.mu] {
+        let crt = kp.crt();
+        for secret in [&kp.p, &kp.q, &crt.p_inv, &crt.h_p, &crt.h_q, &crt.p2_inv] {
             assert!(!dbg.contains(&format!("{secret:?}")));
         }
     }

@@ -10,11 +10,21 @@
 //! as sign-then-encrypt: an RSA signature over the SHA-256 digest,
 //! then hybrid encryption (a fresh XTEA session key, itself
 //! RSA-encrypted). Demo-grade padding — see the crate-level disclaimer.
+//!
+//! Each envelope costs two private operations, the sender's signature
+//! and the recipient's unwrapping of the session key. Both run on the
+//! factors of the keypair's modulus: two half-width exponentiations,
+//! under `d mod (p−1)` and `d mod (q−1)`, in one window loop, then
+//! Garner's recombination — the integer `block^d mod n` itself, so
+//! signatures and envelopes are those of the one full-width power.
+//! Public keys that arrive from a peer are bounded where they enter
+//! ([`RsaPublic::from_parts`]).
 
 use crate::bignum::{BigUint, Montgomery};
 use crate::sha256::sha256;
 use crate::xtea;
 use rand::Rng;
+use std::cmp::Ordering;
 use std::sync::OnceLock;
 
 /// RSA public key.
@@ -43,12 +53,28 @@ impl PartialEq for RsaPublic {
 
 impl Eq for RsaPublic {}
 
-/// RSA keypair.
+/// RSA keypair. The private exponent `d = e⁻¹ mod φ(n)` is kept only as
+/// its residues modulo `p − 1` and `q − 1`, beside the factors' own
+/// Montgomery contexts and Garner's coefficient, so [`RsaKeypair::sign`]
+/// and [`SignedEnvelope::open`] run their private operation on the
+/// factors: two half-width exponentiations instead of one full-width
+/// one, with the same result.
 #[derive(Clone)]
 pub struct RsaKeypair {
     /// Public half.
     pub public: RsaPublic,
-    d: BigUint,
+    /// Montgomery context for `p`, the larger prime factor of `n`.
+    mont_p: Montgomery,
+    /// Montgomery context for `q`, the smaller one.
+    mont_q: Montgomery,
+    /// `q`.
+    q: BigUint,
+    /// `d mod (p − 1)`.
+    d_p: BigUint,
+    /// `d mod (q − 1)`.
+    d_q: BigUint,
+    /// `q⁻¹ mod p` (Garner's coefficient).
+    q_inv: BigUint,
 }
 
 impl std::fmt::Debug for RsaKeypair {
@@ -65,21 +91,29 @@ impl RsaKeypair {
     pub fn generate<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> RsaKeypair {
         assert!(bits >= 384, "modulus must exceed digest + padding size");
         let e = BigUint::from_u64(65_537);
+        let one = BigUint::one();
         loop {
             let p = BigUint::gen_prime(rng, bits / 2);
             let q = BigUint::gen_prime(rng, bits / 2);
-            if p == q {
+            let (p, q) = match p.cmp(&q) {
+                Ordering::Equal => continue,
+                Ordering::Greater => (p, q),
+                Ordering::Less => (q, p),
+            };
+            // `e` is a unit mod φ(n) = (p−1)(q−1) exactly when it is one
+            // mod both factors, and then `d mod (p−1)` is `e⁻¹ mod (p−1)`.
+            let (Some(d_p), Some(d_q)) = (e.modinv(&p.sub(&one)), e.modinv(&q.sub(&one))) else {
                 continue;
-            }
-            let n = p.mul(&q);
-            let one = BigUint::one();
-            let phi = p.sub(&one).mul(&q.sub(&one));
-            if let Some(d) = e.modinv(&phi) {
-                return RsaKeypair {
-                    public: RsaPublic::new(n, e),
-                    d,
-                };
-            }
+            };
+            return RsaKeypair {
+                public: RsaPublic::new(p.mul(&q), e),
+                q_inv: q.modinv(&p).expect("distinct primes are coprime"),
+                mont_p: Montgomery::new(&p).expect("an odd prime"),
+                mont_q: Montgomery::new(&q).expect("an odd prime"),
+                q,
+                d_p,
+                d_q,
+            };
         }
     }
 
@@ -89,15 +123,28 @@ impl RsaKeypair {
             .to_bytes_be()
     }
 
-    /// RSA private operation on a raw integer block.
+    /// RSA private operation `block^d mod n` on a block `< n`, by CRT:
+    /// `s_p = block^d_p mod p` and `s_q = block^d_q mod q` in one window
+    /// loop, then Garner's `s_q + q·((s_p − s_q)·q⁻¹ mod p)`. By Fermat
+    /// this is `block^d mod n` for every block, units or not.
     fn private_op(&self, block: &BigUint) -> BigUint {
-        self.public.pow(block, &self.d)
+        let [s_p, s_q] = Montgomery::pow_each([
+            (&self.mont_p, block, &self.d_p),
+            (&self.mont_q, block, &self.d_q),
+        ]);
+        self.mont_p.garner(&s_q, &self.q, &s_p, &self.q_inv)
     }
 }
 
 /// Bytes [`SignedEnvelope::seal`] wraps under the recipient's key: the
 /// XTEA session key.
 const SESSION_KEY_LEN: usize = 16;
+
+/// Widest modulus [`RsaPublic::from_parts`] accepts. Sessions use 512
+/// bits; a public operation costs time quadratic or worse in the
+/// modulus, so an unbounded one lets a peer hold a party thread for as
+/// long as it likes (one `verify` under a 64 KiB modulus: 6.7 s).
+const MAX_MODULUS_BITS: usize = 4096;
 
 /// Bytes `encrypt_block` adds around a block: the `0x02` marker, at
 /// least eight random bytes, the `0x00` separator, and one byte of
@@ -107,11 +154,14 @@ const PAD_OVERHEAD: usize = 11;
 impl RsaPublic {
     /// Public key from parts that arrived from a peer. `None` for
     /// parts no usable key has — an even modulus, one too narrow to
-    /// wrap a session key, an even or trivial exponent — so sealing an
-    /// envelope to a key that decoded cannot panic.
+    /// wrap a session key or wider than 4,096 bits, an even
+    /// or trivial exponent or one `≥ n` — so sealing an envelope to a
+    /// key that decoded cannot panic, nor verifying under it stall.
     pub fn from_parts(n: BigUint, e: BigUint) -> Option<RsaPublic> {
-        let wide_enough = n.to_bytes_be().len() >= SESSION_KEY_LEN + PAD_OVERHEAD;
-        (wide_enough && !n.is_even() && !e.is_even() && !e.is_one()).then(|| RsaPublic::new(n, e))
+        let width = n.bits().div_ceil(8);
+        let sound = (SESSION_KEY_LEN + PAD_OVERHEAD..=MAX_MODULUS_BITS / 8).contains(&width);
+        (sound && !n.is_even() && !e.is_even() && !e.is_one() && e < n)
+            .then(|| RsaPublic::new(n, e))
     }
 
     /// Public key from parts known to be sound (generated here).
@@ -310,6 +360,28 @@ mod tests {
         for bad_e in [0u64, 1, 65_536] {
             assert!(RsaPublic::from_parts(n.clone(), BigUint::from_u64(bad_e)).is_none());
         }
+        // A modulus or exponent as wide as a frame allows, one bit past
+        // the cap, and an exponent ≥ n. Each used to decode, and a key
+        // that decodes is used — `open` verifies under it — so each is
+        // timed through one `verify`, as a party thread would run it.
+        let e = &user.public.e;
+        let widest = BigUint::one().shl(MAX_MODULUS_BITS).sub(&BigUint::one());
+        assert!(RsaPublic::from_parts(widest.clone(), e.clone()).is_some());
+        let huge = BigUint::from_bytes_be(&[0xFF; 64 << 10]);
+        for (n, e) in [
+            (huge.clone(), e.clone()),
+            (n.clone(), huge),
+            (widest.shl(1).add(&BigUint::one()), e.clone()),
+            (n.clone(), n.add(&BigUint::from_u64(2))),
+        ] {
+            let start = std::time::Instant::now();
+            let key = RsaPublic::from_parts(n, e);
+            if let Some(key) = &key {
+                key.verify(b"q", &[1]);
+            }
+            assert!(start.elapsed() < std::time::Duration::from_millis(10));
+            assert!(key.is_none());
+        }
     }
 
     #[test]
@@ -317,7 +389,76 @@ mod tests {
         let (user, _, _) = keys();
         let dbg = format!("{user:?}");
         assert!(dbg.contains(&format!("{:?}", user.public.n)));
-        assert!(!dbg.contains(&format!("{:?}", user.d)));
+        let p = user.mont_p.modulus();
+        for secret in [&p, &user.q, &user.d_p, &user.d_q, &user.q_inv] {
+            assert!(!dbg.contains(&format!("{secret:?}")));
+        }
+    }
+
+    /// Signatures and opened session keys, pinned bit for bit: 256
+    /// messages under three seeded 512-bit keys and one 384-bit key,
+    /// each signed, sealed to its own key and opened again. The digest
+    /// was recorded on the `block^d mod n` private operation the CRT
+    /// one replaced; a faster private operation may not move one byte.
+    #[test]
+    fn rsa_signatures_are_pinned() {
+        let digests: Vec<String> = [(512usize, 1u64), (512, 2), (512, 3), (384, 4)]
+            .iter()
+            .map(|&(bits, seed)| {
+                let key = RsaKeypair::generate(&mut StdRng::seed_from_u64(seed), bits);
+                let mut bytes = Vec::new();
+                for i in 0..256u64 {
+                    let msg = (i * 0x9E37_79B9).to_be_bytes().repeat(1 + i as usize % 5);
+                    let signature = key.sign(&msg);
+                    let mut rng = StdRng::seed_from_u64(i);
+                    let env = SignedEnvelope::seal(&mut rng, &msg, &key, &key.public);
+                    assert_eq!(env.open(&key, &key.public), Some(msg));
+                    let wrapped = BigUint::from_bytes_be(&env.wrapped_key);
+                    let session_key = unpad(&key.private_op(&wrapped).to_bytes_be()).unwrap();
+                    for part in [signature, session_key] {
+                        bytes.extend_from_slice(&(part.len() as u16).to_be_bytes());
+                        bytes.extend_from_slice(&part);
+                    }
+                }
+                crate::sha256::sha256_hex(&bytes)
+            })
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                "ea9893379e9be63b7b4896575b5780bc461a3a4b22b803f2b71e2fc2b977921e",
+                "4c60f9c841a21687f45c78929fea442cfd00d120aeadeb672baf03f4e3236f40",
+                "a43bbb0f111a32704aa4e9ab587d4579b2e541c330d5c7c66e3583854cf56cf0",
+                "9759b5bd5626868c81d9080480f407a9b024726c9acfb7076916bb8ea665c47c",
+            ]
+        );
+    }
+
+    /// The private operation on the blocks with no unit structure to
+    /// lean on — 0, 1, `n − 1`, multiples of either factor — and on
+    /// random ones is `block^d mod n`, with `d = e⁻¹ mod φ(n)`.
+    #[test]
+    fn private_op_is_the_textbook_power() {
+        let mut rng = StdRng::seed_from_u64(77);
+        for bits in [384, 512, 640] {
+            let key = RsaKeypair::generate(&mut rng, bits);
+            let (n, one) = (&key.public.n, BigUint::one());
+            let p = key.mont_p.modulus();
+            let phi = p.sub(&one).mul(&key.q.sub(&one));
+            let d = key.public.e.modinv(&phi).expect("e is a unit mod φ");
+            let mut blocks = vec![
+                BigUint::zero(),
+                one.clone(),
+                n.sub(&one),
+                p.clone(),
+                key.q.clone(),
+            ];
+            blocks.push(p.mul(&BigUint::from_u64(3)));
+            blocks.extend((0..50).map(|_| BigUint::random_below(&mut rng, n)));
+            for block in &blocks {
+                assert_eq!(key.private_op(block), block.modpow(&d, n), "{bits} bits");
+            }
+        }
     }
 
     #[test]

@@ -1692,6 +1692,38 @@ mod tests {
     }
 
     #[test]
+    fn a_hello_ack_key_wider_than_the_cap_does_not_decode() {
+        // The honest frame, built field by field, is what `encode_frame`
+        // writes and decodes back to itself…
+        let hello_ack = |n: &[u8], e: &[u8]| {
+            let mut b = Bytes::default().u8(3).u32(1).0;
+            write_bytes(&mut b, n);
+            write_bytes(&mut b, e);
+            b
+        };
+        let (n, e) = (golden_key().n.to_bytes_be(), golden_key().e.to_bytes_be());
+        let honest = hello_ack(&n, &e);
+        let frame = Frame::HelloAck {
+            me: SubjectId(1),
+            public: golden_key(),
+        };
+        assert_eq!(encode_frame(&frame), honest);
+        assert_eq!(
+            encode_frame(&decode_frame(&honest).expect("decodes")),
+            honest
+        );
+        // …and with a 64 KiB modulus or exponent in place of its own it
+        // does not decode: a public operation under it would cost
+        // seconds, and a party reaches `verify` on every envelope.
+        let huge = [0xFF; 64 << 10];
+        for forged in [hello_ack(&huge, &e), hello_ack(&n, &huge)] {
+            let start = std::time::Instant::now();
+            assert!(decode_frame(&forged).is_none());
+            assert!(start.elapsed() < std::time::Duration::from_millis(10));
+        }
+    }
+
+    #[test]
     fn cluster_keys_roundtrip_through_bytes() {
         use mpq_crypto::keyring::ClusterKey;
         use rand::rngs::StdRng;
