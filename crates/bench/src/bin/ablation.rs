@@ -1,5 +1,10 @@
 //! §5 ablation: minimal extension vs the maximize-/minimize-visibility
 //! extremes, by encryption-operation count and total cost (UAPenc).
+//!
+//! Every column is a plan `optimize` returns through
+//! `mpq_planner::finish`: extended by the one walk in
+//! `mpq_core::extend`, decrypted for the user, verified, and priced
+//! exactly — so each cost is that of a plan the system would run.
 
 use mpq_bench::run_query;
 use mpq_planner::{Scenario, Strategy};

@@ -5,7 +5,9 @@
 //! * the paper's Fig. 7(a) and 7(b) extended plans over the running
 //!   example, plus the all-user assignment;
 //! * six TPC-H queries (Q1, Q3, Q5, Q6, Q10, Q12) optimized with
-//!   `Strategy::CostDp` under both provider scenarios (UAPenc, UAPmix).
+//!   every strategy `optimize` offers a query of this size —
+//!   `CostDp`, `MaximizeVisibility` and `MinimizeVisibility` — under
+//!   both provider scenarios (UAPenc, UAPmix).
 //!
 //! Every plan must verify **clean** — zero diagnostics. Any finding is
 //! printed (code, node path, message) and the process exits non-zero,
@@ -88,29 +90,36 @@ fn tpch_outcomes() -> Vec<Outcome> {
     let cat = tpch_catalog();
     let stats = tpch_stats(&cat, 1.0);
     let mut out = Vec::new();
-    for scenario in [Scenario::UAPenc, Scenario::UAPmix] {
-        let env = build_scenario(&cat, scenario);
-        for q in QUERIES {
-            let name = format!("tpch-q{q}-{scenario:?}");
-            let plan = query_plan(&cat, q);
-            let opt = optimize(
-                &plan,
-                &cat,
-                &stats,
-                &env,
-                &CapabilityPolicy::default(),
-                Strategy::CostDp,
-            )
-            .unwrap_or_else(|e| panic!("{name}: optimize failed: {e}"));
-            let report = verify_with_policy(
-                &opt.extended,
-                &opt.keys,
-                &cat,
-                &env.subjects,
-                &env.policy,
-                Some(env.user),
-            );
-            out.push(Outcome { name, report });
+    let strategies = [
+        (Strategy::CostDp, ""),
+        (Strategy::MaximizeVisibility, "-max-vis"),
+        (Strategy::MinimizeVisibility, "-min-vis"),
+    ];
+    for (strategy, suffix) in strategies {
+        for scenario in [Scenario::UAPenc, Scenario::UAPmix] {
+            let env = build_scenario(&cat, scenario);
+            for q in QUERIES {
+                let name = format!("tpch-q{q}-{scenario:?}{suffix}");
+                let plan = query_plan(&cat, q);
+                let opt = optimize(
+                    &plan,
+                    &cat,
+                    &stats,
+                    &env,
+                    &CapabilityPolicy::default(),
+                    strategy,
+                )
+                .unwrap_or_else(|e| panic!("{name}: optimize failed: {e}"));
+                let report = verify_with_policy(
+                    &opt.extended,
+                    &opt.keys,
+                    &cat,
+                    &env.subjects,
+                    &env.policy,
+                    Some(env.user),
+                );
+                out.push(Outcome { name, report });
+            }
         }
     }
     out

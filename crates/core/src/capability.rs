@@ -341,18 +341,33 @@ impl Caps {
 
 /// Fold the demands of every node of `plan` per attribute, keeping
 /// those on attributes that are `on_ciphertext` at the node (a join
-/// pair counts as soon as either side is).
+/// pair counts as soon as either side is). Both sides of a counted
+/// join pair, and every pair chained to it, then share their folded
+/// needs: the engine compares the two sides' ciphertexts, so they
+/// must carry one scheme.
 pub fn needed_caps(
     plan: &QueryPlan,
     on_ciphertext: impl Fn(NodeId, AttrId) -> bool,
 ) -> HashMap<AttrId, Caps> {
     let mut caps: HashMap<AttrId, Caps> = HashMap::new();
+    let mut pairs = Vec::new();
     for id in plan.postorder() {
         for d in demands(plan, id) {
             if on_ciphertext(id, d.attr) || d.with.is_some_and(|w| on_ciphertext(id, w)) {
                 caps.entry(d.attr).or_default().note(d.need);
+                pairs.extend(d.with.map(|w| (d.attr, w)));
             }
         }
+    }
+    // Needs only grow, so this ends.
+    while let Some(&(a, b)) = pairs.iter().find(|(a, b)| caps[a] != caps[b]) {
+        let (x, y) = (caps[&a], caps[&b]);
+        let both = Caps {
+            eq: x.eq || y.eq,
+            ord: x.ord || y.ord,
+            add: x.add || y.add,
+        };
+        caps.extend([(a, both), (b, both)]);
     }
     caps
 }
@@ -848,6 +863,50 @@ mod tests {
             ap(CapabilityPolicy::deterministic_only())[sel.index()],
             AttrSet::singleton(y)
         );
+    }
+
+    /// Q15's shape: `s_suppkey` is joined with `l_suppkey` and also a
+    /// sort key. The engine compares the two sides' ciphertexts, so the
+    /// pair — and the pair chained to it — shares the stronger scheme;
+    /// an added side makes the whole chain a conflict.
+    #[test]
+    fn a_join_pair_with_one_sorted_side_gets_one_scheme() {
+        use mpq_algebra::{JoinKind, RelId};
+        let a = AttrId;
+        let join = |plan: &mut QueryPlan, l, r, on: (u32, u32)| {
+            let on = vec![(a(on.0), CmpOp::Eq, a(on.1))];
+            plan.add(
+                Operator::Join {
+                    kind: JoinKind::Inner,
+                    on,
+                    residual: None,
+                },
+                vec![l, r],
+            )
+        };
+        let plan_above = |top: Operator| {
+            let mut plan = QueryPlan::new();
+            let s = plan.add_base(RelId(0), vec![a(0), a(1)]);
+            let l = plan.add_base(RelId(1), vec![a(2), a(3)]);
+            let p = plan.add_base(RelId(2), vec![a(4), a(5)]);
+            let sl = join(&mut plan, s, l, (0, 2));
+            let slp = join(&mut plan, sl, p, (2, 4));
+            plan.add(top, vec![slp]);
+            plan
+        };
+        let schemes = |plan: &QueryPlan| -> Vec<Option<EncScheme>> {
+            let caps = needed_caps(plan, |_, _| true);
+            [0, 2, 4].map(|i| caps[&a(i)].scheme()).to_vec()
+        };
+        let sorted = plan_above(Operator::Sort {
+            keys: vec![(Expr::Col(a(0)), true)],
+        });
+        assert_eq!(schemes(&sorted), vec![Some(EncScheme::Ope); 3]);
+        let summed = plan_above(Operator::GroupBy {
+            keys: vec![a(1)],
+            aggs: vec![AggExpr::over_col(AggFunc::Sum, a(4))],
+        });
+        assert_eq!(schemes(&summed), vec![None; 3]);
     }
 
     #[test]

@@ -137,6 +137,37 @@ pub fn minimally_extend(
     assignment: &Assignment,
     finalize_for: Option<SubjectId>,
 ) -> Result<ExtendedPlan, ExtendError> {
+    extend_plan(
+        plan,
+        catalog,
+        policy,
+        subjects,
+        cands,
+        assignment,
+        finalize_for,
+        false,
+    )
+}
+
+/// The one extension walk (Def. 5.4) behind [`minimally_extend`].
+/// `encrypt_at_sources` is §5's *minimize visibility* extreme, the
+/// planner's `Strategy::MinimizeVisibility`: each leaf's encryption
+/// also carries every attribute of the leaf's output that no ancestor
+/// needs in plaintext (`R^vp \ ⋃ A_p` over its ancestors), so data
+/// leaves its authority encrypted unless an operation demands
+/// otherwise.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn extend_plan(
+    plan: &QueryPlan,
+    catalog: &Catalog,
+    policy: &Policy,
+    subjects: &Subjects,
+    cands: &Candidates,
+    assignment: &Assignment,
+    finalize_for: Option<SubjectId>,
+    encrypt_at_sources: bool,
+) -> Result<ExtendedPlan, ExtendError> {
     // ---- validate the assignment against Λ -------------------------
     let order = plan.postorder();
     for &id in &order {
@@ -180,24 +211,22 @@ pub fn minimally_extend(
         let assignee = full[&id];
 
         // (i) decrypt, below this node, the attributes it needs in
-        // plaintext that arrive encrypted.
-        if !node.children.is_empty() {
-            let ap = &cands.ap[id.index()];
-            if !ap.is_empty() {
-                for &c in &node.children {
-                    let profiles = profile_plan(&ext);
-                    let have = &profiles[top[c.index()].index()];
-                    let need = ap.intersect(&have.ve);
-                    if !need.is_empty() {
-                        let d = ext.splice_above(
-                            top[c.index()],
-                            Operator::Decrypt {
-                                attrs: need.iter().collect(),
-                            },
-                        );
-                        top[c.index()] = d;
-                        full.insert(d, assignee);
-                    }
+        // plaintext that arrive encrypted (a leaf has no operand).
+        let ap = &cands.ap[id.index()];
+        if !ap.is_empty() {
+            for &c in &node.children {
+                let profiles = profile_plan(&ext);
+                let have = &profiles[top[c.index()].index()];
+                let need = ap.intersect(&have.ve);
+                if !need.is_empty() {
+                    let d = ext.splice_above(
+                        top[c.index()],
+                        Operator::Decrypt {
+                            attrs: need.iter().collect(),
+                        },
+                    );
+                    top[c.index()] = d;
+                    full.insert(d, assignee);
                 }
             }
         }
@@ -209,8 +238,7 @@ pub fn minimally_extend(
         let Some(parent) = parents[id.index()] else {
             continue; // root: handled by finalize_for below
         };
-        let parent_subject = full[&parent];
-        let e_parent = &views[parent_subject.index()].enc;
+        let e_parent = &views[full[&parent].index()].enc;
 
         let profiles = profile_plan(&ext);
         let out_profile = &profiles[top[id.index()].index()];
@@ -218,14 +246,19 @@ pub fn minimally_extend(
         // A = (R^ip_parent ∩ R^vp) ∩ ⋃_ancestors E_{λ(x)}.
         let touched = implicit_touched(plan, parent);
         let mut anc_enc = AttrSet::new();
+        let mut anc_plain = AttrSet::new();
         let mut cur = Some(parent);
         while let Some(x) = cur {
             anc_enc.union_with(&views[full[&x].index()].enc);
+            anc_plain.union_with(&cands.ap[x.index()]);
             cur = parents[x.index()];
         }
         let a_term = touched.intersect(&out_profile.vp).intersect(&anc_enc);
         let mut enc_set = e_parent.intersect(&out_profile.vp);
         enc_set.union_with(&a_term);
+        if encrypt_at_sources && node.children.is_empty() {
+            enc_set.union_with(&out_profile.vp.difference(&anc_plain));
+        }
 
         if !enc_set.is_empty() {
             let e = ext.splice_above(
@@ -257,27 +290,18 @@ pub fn minimally_extend(
 
     // ---- verify: λ must now be an authorized assignment -------------
     let profiles = profile_plan(&ext);
-    let ext_parents = ext.parents();
     for id in ext.postorder() {
         let node = ext.node(id);
         if node.children.is_empty() {
             continue;
         }
         let s = full[&id];
-        let v = &views[s.index()];
-        for &c in &node.children {
-            if let Err(viol) = v.check(&profiles[c.index()]) {
-                return Err(ExtendError::Verification(id, s, viol));
-            }
-        }
-        if let Err(viol) = v.check(&profiles[id.index()]) {
-            return Err(ExtendError::Verification(id, s, viol));
+        // Its operands, then its own result.
+        for n in node.children.iter().chain([&id]) {
+            let verdict = views[s.index()].check(&profiles[n.index()]);
+            verdict.map_err(|viol| ExtendError::Verification(id, s, viol))?;
         }
     }
-    // Leaves flow into their first consumer; ensure that the consumer's
-    // subject is authorized for the leaf's base profile too (checked
-    // above via children) and that the leaf's authority exists.
-    let _ = ext_parents;
 
     let mut encrypted_attrs = AttrSet::new();
     for id in ext.postorder() {

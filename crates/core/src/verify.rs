@@ -887,6 +887,7 @@ impl Verifier<'_> {
     fn collect_cap_demands(&self) -> HashMap<AttrId, NeededCaps> {
         let plan = self.plan;
         let mut caps: HashMap<AttrId, NeededCaps> = HashMap::new();
+        let mut pairs = Vec::new();
         let need = |caps: &mut HashMap<AttrId, NeededCaps>, a: AttrId, id: NodeId, what: u8| {
             let c = caps.entry(a).or_default();
             match what {
@@ -931,6 +932,7 @@ impl Verifier<'_> {
                             };
                             need(&mut caps, *l, id, what);
                             need(&mut caps, *r, id, what);
+                            pairs.push((*l, *r));
                         }
                     }
                     if let Some(res) = residual {
@@ -972,6 +974,20 @@ impl Verifier<'_> {
                 }
                 _ => {}
             }
+        }
+        // The engine compares a join pair's ciphertexts, so both sides —
+        // and every pair chained to them — resolve to one scheme. Needs
+        // only grow and sites only move to a lesser node id: this ends.
+        while let Some(&(l, r)) = pairs.iter().find(|(l, r)| caps[l] != caps[r]) {
+            let (x, y) = (caps[&l], caps[&r]);
+            let both = NeededCaps {
+                eq: x.eq || y.eq,
+                ord: x.ord || y.ord,
+                add: x.add || y.add,
+                add_at: x.add_at.into_iter().chain(y.add_at).min(),
+                cmp_at: x.cmp_at.into_iter().chain(y.cmp_at).min(),
+            };
+            caps.extend([(l, both), (r, both)]);
         }
         caps
     }
@@ -1136,7 +1152,7 @@ fn render_violation(v: &AuthzViolation, catalog: &Catalog) -> (usize, String) {
 
 /// Ciphertext capabilities one attribute must support (the independent
 /// twin of `mpq_exec::assign_schemes`' analysis).
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Default, PartialEq)]
 struct NeededCaps {
     eq: bool,
     ord: bool,

@@ -80,6 +80,12 @@
 //!   (`estimates_for`), and so are the names of the copies and of the
 //!   `A_p`-override entry points retired with them: thirteen look-ups
 //!   in three variants must not quietly come back.
+//! * **one-extension** — Def. 5.4 has one walk, in
+//!   `core/src/extend.rs`, and every §5 strategy is an input of it:
+//!   `splice_above(` is a finding in non-test code under `crates/`
+//!   outside that file, `algebra/src/plan.rs` (where it is defined)
+//!   and `algebra/src/builder.rs` (`prune_columns`). A second
+//!   extension walk must not quietly come back.
 //!
 //! The scan strips comments and string literals and skips
 //! `#[cfg(test)]` modules, so documentation and tests may freely
@@ -243,6 +249,13 @@ const RULES: &[Rule] = &[
             (&[concat!("resolve_", "agg_refs"), concat!("sort_", "agg_base"), concat!("fn having_", "aggs"),
                concat!("candidates_with_", "overrides")], &[], &[], None),
         ],
+    },
+    Rule {
+        name: "one-extension",
+        message: "`{t}` outside the one extension walk — a §5 strategy is an input of \
+                  `mpq_core::extend`, not a second copy of its splices",
+        sites: &[(&["splice_above("], &[], &["crates/core/src/extend.rs", "crates/algebra/src/plan.rs",
+                 "crates/algebra/src/builder.rs"], None)],
     },
 ];
 
@@ -1058,6 +1071,35 @@ mod tests {
         // one debug assertion only; the names are at home nowhere.
         assert_eq!(lines_in("crates/algebra/src/plan.rs"), vec![5, 6, 7, 8]);
         assert_eq!(lines_in("crates/planner/src/stats.rs"), vec![3, 5, 6, 7, 8]);
+    }
+
+    #[test]
+    fn a_second_extension_walk_is_flagged() {
+        let src = "
+fn finish_min_visibility(ext: &mut QueryPlan) { ext.splice_above(id, op); }
+#[cfg(test)]
+mod tests {
+    fn t() { plan.splice_above(id, op); }
+}
+";
+        let lines_in = |file: &str| {
+            let mut findings = Vec::new();
+            lint_source(Path::new(file), src, &mut findings);
+            findings
+                .iter()
+                .filter(|f| f.rule == "one-extension")
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(lines_in("crates/planner/src/optimize.rs"), vec![2]);
+        assert_eq!(lines_in("crates/dist/src/codec.rs"), vec![2]);
+        for home in [
+            "crates/core/src/extend.rs",
+            "crates/algebra/src/plan.rs",
+            "crates/algebra/src/builder.rs",
+        ] {
+            assert!(lines_in(home).is_empty(), "{home}");
+        }
     }
 
     #[test]

@@ -27,7 +27,12 @@
 //! The §5 design alternatives are exposed as [`Strategy`] ablations:
 //! *maximize visibility* (never encrypt; only subjects authorized for
 //! plaintext qualify) and *minimize visibility* (encrypt everything at
-//! the sources; decrypt only where operations demand plaintext).
+//! the sources; decrypt only where operations demand plaintext). Each
+//! strategy only picks the assignment — and minimize visibility one
+//! more input of the one extension walk, `mpq_core::extend` — and
+//! every plan leaves through [`finish`]: the Λ check, the user's final
+//! decryption, the verifier post-condition and the exact cost, so an
+//! ablation prices a plan the system would run.
 
 use crate::cost::{cost_extended_plan, CostBreakdown};
 use crate::scenario::ScenarioEnv;
@@ -37,7 +42,7 @@ use mpq_algebra::value::EncScheme;
 use mpq_algebra::{AttrSet, Catalog, NodeId, Operator, QueryPlan, SubjectId};
 use mpq_core::candidates::{candidates, Candidates};
 use mpq_core::capability::{needed_caps, CapabilityPolicy};
-use mpq_core::extend::{for_each_assignment, minimally_extend, Assignment, ExtendedPlan};
+use mpq_core::extend::{extend_plan, for_each_assignment, Assignment, ExtendedPlan};
 use mpq_core::keys::{plan_keys, KeyPlan};
 use mpq_core::profile::profile_plan;
 use mpq_exec::{assign_schemes, SchemePlan};
@@ -54,7 +59,10 @@ pub enum Strategy {
     /// may execute operations.
     MaximizeVisibility,
     /// §5 ablation: encrypt everything at the sources, decrypt only on
-    /// operational demand.
+    /// operational demand — the one extension walk, with each leaf's
+    /// encryption also carrying every attribute no ancestor needs in
+    /// plaintext; the rest of the walk, the user's final decryption and
+    /// the verification are those of every other strategy.
     MinimizeVisibility,
 }
 
@@ -85,7 +93,7 @@ pub enum OptError {
     Schemes(String),
     /// The static verifier rejected the produced plan — the optimizer's
     /// post-condition failed (an internal bug, never a user error: every
-    /// minimally extended plan must verify clean).
+    /// plan `optimize` returns must verify clean).
     Verify(mpq_core::verify::VerifyReport),
 }
 
@@ -239,7 +247,7 @@ pub fn optimize(
         }
         Strategy::MinimizeVisibility => {
             let assignment = dp_assignment(plan, catalog, stats, env, &cands)?;
-            finish_min_visibility(plan, catalog, stats, env, &cands, assignment)
+            finish_as(true, plan, catalog, stats, env, &cands, assignment)
         }
     }
 }
@@ -426,7 +434,21 @@ pub fn finish(
     cands: &Candidates,
     assignment: Assignment,
 ) -> Result<Optimized, OptError> {
-    let extended = minimally_extend(
+    finish_as(false, plan, catalog, stats, env, cands, assignment)
+}
+
+/// [`finish`], with `minimize_visibility` selecting §5's
+/// encrypt-at-the-sources input of the one extension walk.
+fn finish_as(
+    minimize_visibility: bool,
+    plan: &QueryPlan,
+    catalog: &Catalog,
+    stats: &StatsCatalog,
+    env: &ScenarioEnv,
+    cands: &Candidates,
+    assignment: Assignment,
+) -> Result<Optimized, OptError> {
+    let extended = extend_plan(
         plan,
         catalog,
         &env.policy,
@@ -434,16 +456,18 @@ pub fn finish(
         cands,
         &assignment,
         Some(env.user),
+        minimize_visibility,
     )
     .map_err(|e| OptError::Extend(e.to_string()))?;
-    let opt = cost_extension(catalog, stats, env, assignment, extended)?;
+    let schemes = assign_schemes(&extended.plan).map_err(|e| OptError::Schemes(e.to_string()))?;
+    let keys = plan_keys(&extended);
     // Post-condition: every plan the optimizer emits must pass the
     // static verifier — authorized (Def. 4.1), leak-free per edge,
     // key-complete (Def. 6.1) and scheme/type-sound. A finding here is
     // an optimizer bug surfaced before any execution.
     let report = mpq_core::verify::verify_with_policy(
-        &opt.extended,
-        &opt.keys,
+        &extended,
+        &keys,
         catalog,
         &env.subjects,
         &env.policy,
@@ -452,115 +476,6 @@ pub fn finish(
     if !report.is_clean() {
         return Err(OptError::Verify(report));
     }
-    Ok(opt)
-}
-
-/// §5 "minimize visibility": encrypt everything at the sources except
-/// attributes some ancestor must read in plaintext; decrypt on demand.
-fn finish_min_visibility(
-    plan: &QueryPlan,
-    catalog: &Catalog,
-    stats: &StatsCatalog,
-    env: &ScenarioEnv,
-    cands: &Candidates,
-    assignment: Assignment,
-) -> Result<Optimized, OptError> {
-    let mut ext = plan.clone();
-    let parents = plan.parents();
-    let mut top: Vec<NodeId> = (0..plan.len()).map(NodeId::from_index).collect();
-    let mut full: HashMap<NodeId, SubjectId> = HashMap::new();
-    for id in plan.postorder() {
-        let node = plan.node(id);
-        if let Operator::Base { rel, .. } = &node.op {
-            full.insert(
-                id,
-                env.subjects
-                    .authority(*rel)
-                    .ok_or(OptError::NoCandidates(id))?,
-            );
-        } else {
-            full.insert(id, assignment.get(id).ok_or(OptError::NoCandidates(id))?);
-        }
-    }
-    // Attributes needed in plaintext anywhere above a leaf must stay
-    // plaintext at the source (they would leak implicitly anyway).
-    for id in plan.postorder() {
-        let node = plan.node(id);
-        if !matches!(node.op, Operator::Base { .. }) {
-            continue;
-        }
-        let schema: AttrSet = ext.schemas()[id.index()].clone();
-        let mut plain_needed = AttrSet::new();
-        let mut cur = parents[id.index()];
-        while let Some(p) = cur {
-            plain_needed.union_with(&cands.ap[p.index()]);
-            cur = parents[p.index()];
-        }
-        let to_encrypt = schema.difference(&plain_needed);
-        if !to_encrypt.is_empty() {
-            let e = ext.splice_above(
-                id,
-                Operator::Encrypt {
-                    attrs: to_encrypt.iter().collect(),
-                },
-            );
-            full.insert(e, full[&id]);
-            top[id.index()] = e;
-        }
-    }
-    // Decrypt on demand below each consuming node.
-    for id in plan.postorder() {
-        let node = plan.node(id);
-        if node.children.is_empty() {
-            continue;
-        }
-        let ap = &cands.ap[id.index()];
-        if ap.is_empty() {
-            continue;
-        }
-        for &c in &node.children {
-            let profiles = profile_plan(&ext);
-            let have = &profiles[top[c.index()].index()];
-            let need = ap.intersect(&have.ve);
-            if !need.is_empty() {
-                let d = ext.splice_above(
-                    top[c.index()],
-                    Operator::Decrypt {
-                        attrs: need.iter().collect(),
-                    },
-                );
-                full.insert(d, full[&id]);
-                top[c.index()] = d;
-            }
-        }
-    }
-    let profiles = profile_plan(&ext);
-    let mut encrypted_attrs = AttrSet::new();
-    for id in ext.postorder() {
-        if let Operator::Encrypt { attrs } = &ext.node(id).op {
-            for a in attrs {
-                encrypted_attrs.insert(*a);
-            }
-        }
-    }
-    let extended = ExtendedPlan {
-        plan: ext,
-        assignment: full,
-        profiles,
-        encrypted_attrs,
-    };
-    cost_extension(catalog, stats, env, assignment, extended)
-}
-
-fn cost_extension(
-    catalog: &Catalog,
-    stats: &StatsCatalog,
-    env: &ScenarioEnv,
-    assignment: Assignment,
-    extended: ExtendedPlan,
-) -> Result<Optimized, OptError> {
-    let schemes = assign_schemes(&extended.plan).map_err(|e| OptError::Schemes(e.to_string()))?;
-    let keys = plan_keys(&extended);
     let est = estimates_for(&extended.plan, catalog, stats);
     let cost = cost_extended_plan(
         &extended.plan,
@@ -704,24 +619,43 @@ mod tests {
         assert_eq!(max_vis.extended.encryption_ops(), 0);
     }
 
+    /// Every strategy's plan is one the system runs: `finish` verified
+    /// it, and the user reads plaintext at the root.
     #[test]
     fn all_22_optimize_under_all_scenarios() {
         let cat = tpch_catalog();
         let stats = tpch_stats(&cat, 1.0);
+        let strategies = [
+            Strategy::CostDp,
+            Strategy::MaximizeVisibility,
+            Strategy::MinimizeVisibility,
+        ];
+        let policies = [
+            CapabilityPolicy::default(),
+            CapabilityPolicy::tpch_evaluation(),
+        ];
         for scenario in Scenario::ALL {
             let env = build_scenario(&cat, scenario);
-            for q in 1..=mpq_tpch::QUERY_COUNT {
-                let plan = query_plan(&cat, q);
-                let opt = optimize(
-                    &plan,
-                    &cat,
-                    &stats,
-                    &env,
-                    &CapabilityPolicy::default(),
-                    Strategy::CostDp,
-                )
-                .unwrap_or_else(|e| panic!("Q{q} {scenario:?}: {e}"));
-                assert!(opt.cost.total() > 0.0, "Q{q} {scenario:?} zero cost");
+            for (strategy, cap) in strategies.iter().flat_map(|s| policies.map(|c| (*s, c))) {
+                for q in 1..=mpq_tpch::QUERY_COUNT {
+                    let plan = query_plan(&cat, q);
+                    let what = format!("Q{q} {scenario:?} {strategy:?} {cap:?}");
+                    let opt = optimize(&plan, &cat, &stats, &env, &cap, strategy)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert!(opt.cost.total() > 0.0, "{what}: zero cost");
+                    let report = mpq_core::verify::verify_with_policy(
+                        &opt.extended,
+                        &opt.keys,
+                        &cat,
+                        &env.subjects,
+                        &env.policy,
+                        Some(env.user),
+                    );
+                    assert!(report.is_clean(), "{what}:\n{report}");
+                    let root = opt.extended.plan.root();
+                    let ve = &opt.extended.profiles[root.index()].ve;
+                    assert!(ve.is_empty(), "{what}: ciphertext at the root");
+                }
             }
         }
     }

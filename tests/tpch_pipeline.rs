@@ -188,18 +188,17 @@ impl World {
         }
     }
 
-    /// Optimize Q`q` under UAPenc, build the key material for the
-    /// extended plan, rewrite encrypted-literal comparisons and execute
-    /// centrally with a ring holding every key (correctness check; the
-    /// distributed runtime enforces key separation separately). The
-    /// plaintext reference and the result — or the stage that refused,
-    /// with its error.
-    fn run_encrypted(&self, q: usize) -> Result<(Table, Table), String> {
+    /// Optimize Q`q` under UAPenc with `strategy`, build the key
+    /// material for the extended plan, rewrite encrypted-literal
+    /// comparisons and execute centrally with a ring holding every key
+    /// (correctness check; the distributed runtime enforces key
+    /// separation separately). The plaintext reference and the result —
+    /// or the stage that refused, with its error.
+    fn run_encrypted(&self, q: usize, strategy: Strategy) -> Result<(Table, Table), String> {
         let (cat, db) = (&self.cat, &self.db);
         let plan = query_plan(cat, q);
         let reference = run_plain(cat, db, &plan);
         let capabilities = CapabilityPolicy::tpch_evaluation();
-        let strategy = Strategy::CostDp;
         let opt = optimize(&plan, cat, &self.stats, &self.env, &capabilities, strategy)
             .map_err(|e| format!("optimize: {e}"))?;
         let mut rng = StdRng::seed_from_u64(q as u64);
@@ -227,28 +226,34 @@ fn optimized_plans_execute_correctly_under_uapenc() {
     let world = World::new();
     for q in EXEC_QUERIES {
         let (reference, result) = world
-            .run_encrypted(q)
+            .run_encrypted(q, Strategy::CostDp)
             .unwrap_or_else(|e| panic!("Q{q} {e}"));
-        assert_eq!(
-            reference.len(),
-            result.len(),
-            "Q{q}: row count mismatch (plain {} vs extended {})",
-            reference.len(),
-            result.len()
-        );
-        for (i, (a, b)) in reference
-            .to_rows()
-            .iter()
-            .zip(&result.to_rows())
-            .enumerate()
-        {
-            for (x, y) in a.iter().zip(b) {
-                let ok = match (x.as_num(), y.as_num()) {
-                    (Some(p), Some(q)) => (p - q).abs() <= 1e-6 * p.abs().max(1.0),
-                    _ => x.sql_eq(y) || (x.is_null() && y.is_null()),
-                };
-                assert!(ok, "Q{q} row {i}: {x:?} vs {y:?}");
-            }
+        assert_same_rows(q, &reference, &result);
+    }
+}
+
+/// The encrypted run's result equals the plaintext reference, cell by
+/// cell (numbers to a relative 1e-6).
+fn assert_same_rows(q: usize, reference: &Table, result: &Table) {
+    assert_eq!(
+        reference.len(),
+        result.len(),
+        "Q{q}: row count mismatch (plain {} vs extended {})",
+        reference.len(),
+        result.len()
+    );
+    for (i, (a, b)) in reference
+        .to_rows()
+        .iter()
+        .zip(&result.to_rows())
+        .enumerate()
+    {
+        for (x, y) in a.iter().zip(b) {
+            let ok = match (x.as_num(), y.as_num()) {
+                (Some(p), Some(q)) => (p - q).abs() <= 1e-6 * p.abs().max(1.0),
+                _ => x.sql_eq(y) || (x.is_null() && y.is_null()),
+            };
+            assert!(ok, "Q{q} row {i}: {x:?} vs {y:?}");
         }
     }
 }
@@ -269,7 +274,37 @@ fn ope_over_a_string_attribute_is_refused_late_but_typed() {
             format!("encrypted execution: crypto error: {ope_over_strings}"),
         ),
     ] {
-        assert_eq!(world.run_encrypted(q).err(), Some(refusal), "Q{q}");
+        assert_eq!(
+            world.run_encrypted(q, Strategy::CostDp).err(),
+            Some(refusal),
+            "Q{q}"
+        );
+    }
+}
+
+/// §5's minimize-visibility plans run too: the optimizer verified them
+/// and decrypted the result for the user, so each equals the plaintext
+/// run — or, where an ordering reaches an encrypted string, is refused
+/// with exactly the typed error the pinned test above owns (at literal
+/// rewriting, or once rows flow). A wrong answer fails either way.
+#[test]
+fn minimize_visibility_plans_match_plaintext_or_refuse_typed() {
+    let world = World::new();
+    let ope_over_strings = "scheme cannot encrypt strings/bools under OPE";
+    for q in [3, 5, 6, 8, 10, 11, 13, 14, 15, 17, 18, 19, 22] {
+        let (reference, result) = world
+            .run_encrypted(q, Strategy::MinimizeVisibility)
+            .unwrap_or_else(|e| panic!("Q{q} {e}"));
+        assert_same_rows(q, &reference, &result);
+    }
+    for (queries, stage) in [
+        (&[7, 12, 16][..], "literal rewriting: "),
+        (&[1, 2, 4, 9, 20, 21], "encrypted execution: crypto error: "),
+    ] {
+        for &q in queries {
+            let refusal = world.run_encrypted(q, Strategy::MinimizeVisibility).err();
+            assert_eq!(refusal, Some(format!("{stage}{ope_over_strings}")), "Q{q}");
+        }
     }
 }
 
