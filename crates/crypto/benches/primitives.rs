@@ -9,7 +9,10 @@
 //!   reduces a Paillier-256 ciphertext by `p²`), and
 //!   `montgomery_new_128` / `montgomery_new_512`, a context's setup
 //!   (one division for `R² mod m`) at a session prime's and an RSA-512
-//!   modulus's width;
+//!   modulus's width; `gen_prime_128`, one seeded 128-bit prime search
+//!   (trial division, then Miller–Rabin on the fixed-width engine — a
+//!   cold cluster pays two), and `mr_round_128`, one witness on a
+//!   reused context;
 //! * `modpow/*` — the modular exponentiation every RSA envelope and
 //!   Paillier cell sits on: 512-bit, with and without a reused
 //!   [`Montgomery`] context, and `256bit_half_exp`, a reused context
@@ -24,7 +27,9 @@
 //! * `rsa/*` — at the envelope key size (512 bits): `sign_512` and
 //!   `open_512` are the sender's and the recipient's private operation
 //!   (by CRT; `open_512` also decrypts and verifies one envelope),
-//!   `verify_512` the public one on the key's cached context;
+//!   `verify_512` the public one on the key's cached context — with
+//!   `e = 65537` the sliding window builds no table: 16 squarings and
+//!   one product;
 //! * `xtea/*` — one block and a full deterministic value;
 //! * `ope/encode`, `ope/decode` — one isolated 64-level keyed descent;
 //!   `ope/column_*` — a 4,096-cell run per regime through
@@ -58,6 +63,17 @@ fn bench_bignum(c: &mut Criterion) {
     });
     g.bench_function("montgomery_new_512", |b| {
         b.iter(|| Montgomery::new(black_box(&rsa)))
+    });
+    // One seeded 128-bit prime search (a session's Paillier factor), and
+    // one Miller–Rabin witness under a reused context over a 128-bit
+    // prime: a round every accepted candidate pays twenty times.
+    g.bench_function("gen_prime_128", |b| {
+        b.iter(|| BigUint::gen_prime(&mut StdRng::seed_from_u64(black_box(5)), 128))
+    });
+    let ctx = Montgomery::new(&p).expect("odd");
+    let witness = BigUint::random_below(&mut rng, &p);
+    g.bench_function("mr_round_128", |b| {
+        b.iter(|| ctx.miller_rabin(black_box(&witness)))
     });
     g.finish();
 }

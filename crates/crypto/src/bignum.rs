@@ -8,19 +8,19 @@
 //! exponentiation. For odd moduli — every RSA/Paillier modulus —
 //! [`BigUint::modpow`] runs on a [`Montgomery`] context, which avoids
 //! the per-step division that made the original square-and-multiply the
-//! single hottest loop in the whole system. Its kernels: a CIOS product
-//! for every multiplication, an SOS square (each cross product once,
-//! then one reduction) for the squarings at the widths where it
-//! measured faster, and one fixed 4-bit-window loop that runs one
-//! exponentiation, or several under different moduli interleaved
-//! (`Montgomery::pow_each`). Every private-key operation — RSA
-//! signing and opening, Paillier encryption and decryption by the key
-//! holder — is two half-width exponentiations in that loop, one per
-//! prime factor, recombined by `Montgomery::garner`. Callers
-//! exponentiating repeatedly under one modulus should build the
-//! [`Montgomery`] context once and reuse it; the microbenchmarks in
-//! `crates/crypto/benches` track the per-operation cost that feeds the
-//! §7 economic model.
+//! single hottest loop in the whole system. Under every context runs one
+//! fixed-width engine over `[u64; N]` stack values, `N` fixed per
+//! modulus: a CIOS product, an SOS square (each cross product once, then
+//! one reduction) and a left-to-right sliding window over odd powers
+//! whose width follows the exponent's length. Every private-key
+//! operation — RSA signing and opening, Paillier encryption and
+//! decryption by the key holder — is two half-width exponentiations on
+//! it, one per prime factor, recombined by `Montgomery::garner`, and
+//! every Miller–Rabin round of a prime search is one power and its
+//! squarings on it. Callers exponentiating repeatedly under one modulus
+//! should build the [`Montgomery`] context once and reuse it; the
+//! microbenchmarks in `crates/crypto/benches` track the per-operation
+//! cost that feeds the §7 economic model.
 
 use rand::Rng;
 use std::cmp::Ordering;
@@ -333,8 +333,9 @@ impl BigUint {
         self.mul(other).rem(m)
     }
 
-    /// `self^exp % m`: Montgomery fixed-window exponentiation for odd
-    /// moduli, square-and-multiply with per-step division otherwise.
+    /// `self^exp % m`: Montgomery sliding-window exponentiation for odd
+    /// moduli of up to 8,192 bits, square-and-multiply with per-step
+    /// division otherwise.
     ///
     /// Callers looping over one modulus should build a [`Montgomery`]
     /// context once and call [`Montgomery::pow`] directly — this entry
@@ -447,56 +448,41 @@ impl BigUint {
         }
     }
 
-    /// Miller–Rabin probabilistic primality test (`rounds` witnesses).
+    /// Miller–Rabin probabilistic primality test (`rounds` witnesses),
+    /// after trial division by the primes up to 37: one single-limb
+    /// remainder by their product, then one `u64` remainder per prime. A
+    /// candidate trial division settles draws no witness.
+    ///
+    /// # Panics
+    /// On a value wider than 8,192 bits, which has no [`Montgomery`]
+    /// context.
     pub fn is_probable_prime<R: Rng + ?Sized>(&self, rng: &mut R, rounds: usize) -> bool {
+        const SMALL_PRIMES: [u64; 12] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37];
+        // 37# = 2·3·…·37 < 2⁶³.
+        const PRIMORIAL: u128 = 7_420_738_134_810;
         if self.is_zero() || self.is_one() {
             return false;
         }
-        for small in [2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
-            let p = BigUint::from_u64(small);
-            if self == &p {
+        if let [v] = self.limbs[..] {
+            if SMALL_PRIMES.contains(&v) {
                 return true;
             }
-            if self.rem(&p).is_zero() {
-                return false;
-            }
         }
-        // self - 1 = d * 2^r.
-        let mut d = self.sub(&BigUint::one());
-        let mut r = 0usize;
-        while d.is_even() {
-            d = d.shr(1);
-            r += 1;
+        let rem = (self.limbs.iter().rev()).fold(0, |r, &l| (r << 64 | l as u128) % PRIMORIAL);
+        if SMALL_PRIMES.iter().any(|&p| rem as u64 % p == 0) {
+            return false;
         }
-        // One context per candidate; witnesses are raised and squared
-        // inside the Montgomery domain, where ±1 are `R` and `m − R`.
-        let ctx = Montgomery::new(self).expect("odd and > 37 after trial division");
-        let one = &ctx.r1;
-        let mut minus_one = ctx.m.clone();
-        sub_assign(&mut minus_one, one);
-        let mut t = vec![0u64; ctx.m.len() + 2];
+        let ctx = Montgomery::new(self).expect("odd, > 37 and at most 8,192 bits");
         let two = BigUint::from_u64(2);
-        'witness: for _ in 0..rounds {
+        (0..rounds).all(|_| {
             let a = loop {
                 let a = BigUint::random_below(rng, self);
                 if a >= two {
                     break a;
                 }
             };
-            let [ladder] = windows([Ladder::new(&ctx, &a, &d)]);
-            let mut x = ladder.acc;
-            if x == *one || x == minus_one {
-                continue;
-            }
-            for _ in 0..r - 1 {
-                ctx.sqr_assign(&mut x, &mut t);
-                if x == minus_one {
-                    continue 'witness;
-                }
-            }
-            return false;
-        }
-        true
+            ctx.miller_rabin(&a)
+        })
     }
 
     /// Generate a random probable prime of exactly `bits` bits.
@@ -523,39 +509,60 @@ impl BigUint {
 
 /// Montgomery arithmetic over a fixed odd modulus.
 ///
-/// Construction costs one word-level division (`R² mod m`; 13× less
-/// than the binary long division it replaced at 2 limbs, 30× at 8 —
-/// `bignum/montgomery_new_*`); after that, modular multiplication is a
-/// CIOS pass with no division at all, and [`Montgomery::pow`] runs a
-/// fixed 4-bit-window exponentiation — one squaring per exponent bit
-/// plus one product per window, instead of up to two
-/// multiply-then-divide steps per bit. At 2, 4, 8 and
-/// 16 limbs the squarings run on the SOS kernel, which computes the
-/// cross products once: a full-length `pow` there takes 0.7–0.85× its
-/// time on the product alone. Everything accumulates in place over
-/// buffers allocated per `pow`/`mulmod` call, none per product. This is
-/// the engine under every RSA envelope, Paillier cell, and
-/// prime-generation Miller–Rabin round.
+/// Construction fixes the width `N` of the engine that runs every
+/// operation under the modulus — the smallest of 1, 2, 4, …, 128 limbs
+/// that holds it (128 limbs is the square of a 4,096-bit peer modulus;
+/// wider moduli have no context) — and costs one word-level division
+/// (`R² mod m`, with `R = 2^(64N)`). A narrower modulus is
+/// zero-extended: that changes `R`, never a result. After that nothing
+/// divides: a product is one CIOS pass, a square one SOS pass (each
+/// cross product once, then one reduction), and [`Montgomery::pow`]
+/// runs left to right over sliding windows of the exponent, one
+/// squaring per bit plus one product per window over a table of odd
+/// powers whose size follows the exponent's length (none for
+/// `e = 65537`: 16 squarings and one product). Every value is a
+/// `[u64; N]` on the stack, so an operation allocates nothing but its
+/// result. This is the engine under every RSA envelope, Paillier cell,
+/// and prime-generation Miller–Rabin round.
 #[derive(Clone, Debug)]
 pub struct Montgomery {
-    /// Modulus limbs (little-endian, length `n`, top limb non-zero).
+    /// Modulus limbs (little-endian), zero-extended to the width `N`.
     m: Vec<u64>,
     /// `-m⁻¹ mod 2⁶⁴`.
     m0_inv: u64,
-    /// `R mod m` (`1` in Montgomery form), with `R = 2^(64n)`.
+    /// `R mod m` (`1` in Montgomery form), `N` limbs.
     r1: Vec<u64>,
-    /// `R² mod m` padded to `n` limbs.
+    /// `R² mod m`, `N` limbs.
     r2: Vec<u64>,
 }
 
+/// `$ctx.$f::<N>(…)` at the width `N` of `$ctx`'s engine: the one
+/// dispatch, once per operation.
+macro_rules! at_width {
+    ($ctx:expr, $f:ident($($arg:expr),*)) => {
+        match $ctx.m.len() {
+            1 => $ctx.$f::<1>($($arg),*),
+            2 => $ctx.$f::<2>($($arg),*),
+            4 => $ctx.$f::<4>($($arg),*),
+            8 => $ctx.$f::<8>($($arg),*),
+            16 => $ctx.$f::<16>($($arg),*),
+            32 => $ctx.$f::<32>($($arg),*),
+            64 => $ctx.$f::<64>($($arg),*),
+            _ => $ctx.$f::<128>($($arg),*),
+        }
+    };
+}
+
 impl Montgomery {
-    /// Context for an odd modulus `> 1`; `None` for even, zero, or one.
+    /// Context for an odd modulus `> 1` of at most 8,192 bits; `None`
+    /// for even, zero, one, or wider.
     pub fn new(m: &BigUint) -> Option<Montgomery> {
-        if m.is_zero() || m.is_one() || m.is_even() {
+        let width = m.limbs.len().next_power_of_two();
+        if m.is_zero() || m.is_one() || m.is_even() || width > 128 {
             return None;
         }
-        let limbs = m.limbs.clone();
-        let n = limbs.len();
+        let mut limbs = m.limbs.clone();
+        limbs.resize(width, 0);
         // Newton's iteration doubles correct low bits each round:
         // m0 is its own inverse mod 2³ for odd m0, so 5 rounds reach 2⁶⁴.
         let m0 = limbs[0];
@@ -563,98 +570,62 @@ impl Montgomery {
         for _ in 0..5 {
             inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
         }
-        let m0_inv = inv.wrapping_neg();
-        let mut r2 = BigUint::one().shl(2 * n * 64).rem(m).limbs;
-        r2.resize(n, 0);
+        let mut r2 = BigUint::one().shl(2 * width * 64).rem(m).limbs;
+        r2.resize(width, 0);
         let mut ctx = Montgomery {
             m: limbs,
-            m0_inv,
-            r1: Vec::new(),
+            m0_inv: inv.wrapping_neg(),
+            // Set from R² below.
+            r1: vec![0; width],
             r2,
         };
-        // R mod m = 1·R²·R⁻¹.
-        let mut one = vec![0u64; n];
-        one[0] = 1;
-        ctx.mul_assign(&mut one, &ctx.r2, &mut vec![0u64; n + 2]);
-        ctx.r1 = one;
+        ctx.r1 = at_width!(ctx, r_mod_m());
         Some(ctx)
     }
 
     /// The modulus this context reduces by.
     pub fn modulus(&self) -> BigUint {
-        BigUint {
-            limbs: self.m.clone(),
-        }
+        from_limbs(&self.m)
     }
 
-    /// `t[..n] = a·b·R⁻¹ mod m` for `n`-limb `a`, `b` with `a·b < m·R`
-    /// (one of them `< m` suffices), over the `n + 2`-limb scratch `t`.
-    /// The one CIOS kernel, with the loop bounds made compile-time
-    /// constants where that measured more than 1.3× over the slice loop
-    /// (19 vs 34 ns at 2 limbs, 33 vs 53 at 4, 95 vs 115 at 8; nothing
-    /// at 16) — the sizes of 128/256-bit primes, Paillier-256 `p²`/`n²`
-    /// and RSA-512 moduli.
-    fn product(&self, t: &mut [u64], a: &[u64], b: &[u64]) {
-        let (m, m0_inv) = (&self.m[..], self.m0_inv);
-        match m.len() {
-            2 => cios(2, t, a, b, m, m0_inv),
-            4 => cios(4, t, a, b, m, m0_inv),
-            8 => cios(8, t, a, b, m, m0_inv),
-            n => cios(n, t, a, b, m, m0_inv),
-        }
+    /// `R mod m = 1·R²·R⁻¹`.
+    fn r_mod_m<const N: usize>(&self) -> Vec<u64> {
+        let e = Engine::<N>::of(self);
+        e.mul(&unit(), &fixed(&self.r2)).to_vec()
     }
 
-    /// `acc = acc·b·R⁻¹ mod m`, in place.
-    fn mul_assign(&self, acc: &mut [u64], b: &[u64], t: &mut [u64]) {
-        self.product(t, acc, b);
-        acc.copy_from_slice(&t[..self.m.len()]);
-    }
-
-    /// `acc = acc²·R⁻¹ mod m`, in place, for `acc < m` — which every
-    /// caller's operand is: `R mod m` or a product's output. The
-    /// squaring kernel runs at the widths of 128/256-bit primes,
-    /// Paillier-256 `p²`/`n²`, RSA-512 and Paillier-512 `n²`, where a
-    /// full-length `pow` measured 1.2–1.45× faster on it than on
-    /// `product(acc, acc)` (2.1 vs 3.1 µs at 2 limbs, 8.1 vs 11.0 at 4,
-    /// 52 vs 63 at 8, 475 vs 644 at 16); the rest keep the CIOS product.
-    fn sqr_assign(&self, acc: &mut [u64], t: &mut [u64]) {
-        let (m, m0_inv) = (&self.m[..], self.m0_inv);
-        match m.len() {
-            2 => sos_sqr::<2>(acc, m, m0_inv),
-            4 => sos_sqr::<4>(acc, m, m0_inv),
-            8 => sos_sqr::<8>(acc, m, m0_inv),
-            16 => sos_sqr::<16>(acc, m, m0_inv),
-            n => {
-                self.product(t, acc, acc);
-                acc.copy_from_slice(&t[..n]);
-            }
-        }
-    }
-
-    /// Write `a`, padded to `n` limbs, into `dst` — reduced by a
-    /// division only if it is wider than the modulus. An `n`-limb value
-    /// `≥ m` is left as it is: CIOS needs `a·b < m·R`, not `a < m`, so
-    /// the common case is a copy with no comparison.
-    fn load(&self, dst: &mut [u64], a: &BigUint) {
-        if a.limbs.len() > self.m.len() {
-            pad(dst, &a.rem(&self.modulus()).limbs);
+    /// `a` in `N` limbs, reduced by a division only if it is wider. An
+    /// `N`-limb value `≥ m` is left as it is: the product needs `a·b <
+    /// m·R`, not `a < m`, so the common case is a copy.
+    fn load<const N: usize>(&self, a: &BigUint) -> [u64; N] {
+        let reduced;
+        let limbs = if a.limbs.len() > N {
+            reduced = a.rem(&self.modulus());
+            &reduced.limbs
         } else {
-            pad(dst, &a.limbs);
-        }
+            &a.limbs
+        };
+        let mut x = [0u64; N];
+        x[..limbs.len()].copy_from_slice(limbs);
+        x
     }
 
-    /// `(a · b) mod m` — one domain conversion plus one product, no
+    /// `a` in Montgomery form, `a·R mod m`: `R² mod m < m` keeps the
+    /// product's bound for any loaded `a`.
+    fn enter<const N: usize>(&self, e: &Engine<N>, a: &BigUint) -> [u64; N] {
+        e.mul(&self.load(a), &fixed(&self.r2))
+    }
+
+    /// `(a · b) mod m` — one domain entry plus one product, no
     /// division.
     pub fn mulmod(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let n = self.m.len();
-        let mut work = vec![0u64; 3 * n + 2];
-        let (x, rest) = work.split_at_mut(n);
-        let (y, t) = rest.split_at_mut(n);
-        self.load(x, a);
-        self.load(y, b);
-        self.mul_assign(x, &self.r2, t);
-        self.product(t, x, y);
-        from_limbs(&t[..n])
+        at_width!(self, mulmod_at(a, b))
+    }
+
+    fn mulmod_at<const N: usize>(&self, a: &BigUint, b: &BigUint) -> BigUint {
+        let e = Engine::<N>::of(self);
+        // x·b·R⁻¹ = a·b: the second operand enters as it is.
+        from_limbs(&e.mul(&self.enter(&e, a), &self.load(b)))
     }
 
     /// Garner's recombination over this context's modulus `m`: the
@@ -670,186 +641,225 @@ impl Montgomery {
         a.add(&k.mul(&self.mulmod(&diff, k_inv)))
     }
 
-    /// `base^exp mod m` via fixed 4-bit windows.
+    /// `base^exp mod m` over sliding windows.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        let [x] = Montgomery::pow_each([(self, base, exp)]);
-        x
+        at_width!(self, pow_at(base, exp))
     }
 
-    /// `base^exp mod m` for each `(context, base, exp)` job, in one
-    /// window loop. The jobs share no data, so interleaving them hands
-    /// the CPU independent chains per step; the results are exactly
-    /// those of one [`Montgomery::pow`] per job.
+    fn pow_at<const N: usize>(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let e = Engine::<N>::of(self);
+        let x = e.pow(&self.enter(&e, base), exp.bits(), |i| exp.bit(i));
+        // Out of the Montgomery domain: a product with `1`.
+        from_limbs(&e.mul(&x, &unit()))
+    }
+
+    /// `base^exp mod m` for each `(context, base, exp)` job: exactly one
+    /// [`Montgomery::pow`] per job.
     pub(crate) fn pow_each<const K: usize>(
         jobs: [(&Montgomery, &BigUint, &BigUint); K],
     ) -> [BigUint; K] {
-        windows(jobs.map(|(ctx, base, exp)| Ladder::new(ctx, base, exp))).map(Ladder::finish)
+        jobs.map(|(ctx, base, exp)| ctx.pow(base, exp))
+    }
+
+    /// One Miller–Rabin round over this context's modulus
+    /// `m = d·2ʳ + 1` (`d` odd) for a witness `a` in `[2, m − 1)`:
+    /// `true` unless `a` proves `m` composite, i.e. when `a^d ≡ ±1` or
+    /// `a^(d·2ⁱ) ≡ −1` for some `0 < i < r`.
+    /// The power and the squarings stay in the Montgomery domain, where
+    /// `±1` are `R mod m` and `m − R mod m`.
+    pub fn miller_rabin(&self, a: &BigUint) -> bool {
+        at_width!(self, miller_rabin_at(a))
+    }
+
+    fn miller_rabin_at<const N: usize>(&self, a: &BigUint) -> bool {
+        let e = Engine::<N>::of(self);
+        let mut minus_one = e.m;
+        sub_assign(&mut minus_one, &e.one);
+        // m is odd: m − 1 is m with bit 0 cleared, and d its bits above
+        // the r trailing zeros.
+        let mut m1 = e.m;
+        m1[0] ^= 1;
+        let z = m1.iter().position(|&l| l != 0).expect("m > 1");
+        let top = m1.iter().rposition(|&l| l != 0).expect("m > 1");
+        let r = 64 * z + m1[z].trailing_zeros() as usize;
+        let bits = 64 * top + 64 - m1[top].leading_zeros() as usize - r;
+        let bit = |i: usize| (m1[(i + r) / 64] >> ((i + r) % 64)) & 1 == 1;
+        let mut x = e.pow(&self.enter(&e, a), bits, bit);
+        if x == e.one || x == minus_one {
+            return true;
+        }
+        for _ in 1..r {
+            x = e.sqr(&x);
+            if x == minus_one {
+                return true;
+            }
+        }
+        false
     }
 }
 
-/// One fixed-window exponentiation in Montgomery form, as [`windows`]
-/// steps it.
-struct Ladder<'a> {
-    ctx: &'a Montgomery,
-    exp: &'a BigUint,
-    /// `table[k·n..][..n] = baseᵏ` in Montgomery form.
-    table: Vec<u64>,
-    acc: Vec<u64>,
-    /// The `n + 2`-limb product scratch.
-    t: Vec<u64>,
-    /// A non-zero window was met: until then `acc` is `1` and squaring
-    /// it is skipped.
-    started: bool,
+/// The fixed-width engine under every [`Montgomery`] operation: the
+/// modulus zero-extended to `N` limbs, `−m⁻¹ mod 2⁶⁴` and `R mod m`,
+/// copied onto the stack once per operation.
+struct Engine<const N: usize> {
+    m: [u64; N],
+    m0_inv: u64,
+    one: [u64; N],
 }
 
-impl<'a> Ladder<'a> {
-    fn new(ctx: &'a Montgomery, base: &BigUint, exp: &'a BigUint) -> Self {
-        let n = ctx.m.len();
-        let mut l = Ladder {
-            ctx,
-            exp,
-            table: vec![0u64; 16 * n],
-            acc: ctx.r1.clone(),
-            t: vec![0u64; n + 2],
-            started: false,
+impl<const N: usize> Engine<N> {
+    fn of(ctx: &Montgomery) -> Self {
+        Engine {
+            m: fixed(&ctx.m),
+            m0_inv: ctx.m0_inv,
+            one: fixed(&ctx.r1),
+        }
+    }
+
+    /// `a·b·R⁻¹ mod m` for `a·b < m·R` (one operand `< m` suffices): the
+    /// CIOS product, its two carry limbs beside the array.
+    #[inline(always)]
+    fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        let (m, mut t, mut hi) = (&self.m, [0u64; N], 0u64);
+        for &ai in a {
+            // t += ai · b
+            let mut carry = 0u64;
+            for j in 0..N {
+                let cur = t[j] as u128 + (ai as u128) * (b[j] as u128) + carry as u128;
+                t[j] = cur as u64;
+                carry = (cur >> 64) as u64;
+            }
+            let (hi0, top) = hi.overflowing_add(carry);
+            // t = (t + u·m) / 2⁶⁴ with u chosen so the low limb cancels.
+            let u = t[0].wrapping_mul(self.m0_inv);
+            let cur = t[0] as u128 + (u as u128) * (m[0] as u128);
+            let mut carry = (cur >> 64) as u64;
+            for j in 1..N {
+                let cur = t[j] as u128 + (u as u128) * (m[j] as u128) + carry as u128;
+                t[j - 1] = cur as u64;
+                carry = (cur >> 64) as u64;
+            }
+            let (last, c) = hi0.overflowing_add(carry);
+            t[N - 1] = last;
+            hi = top as u64 + c as u64;
+        }
+        self.reduce(t, hi)
+    }
+
+    /// `a²·R⁻¹ mod m` for `a < m`: the SOS square. Each cross product
+    /// `aᵢ·aⱼ` is computed once and doubled, the squares `aᵢ²` added,
+    /// then one reduction — the residue [`Engine::mul`]`(a, a)` returns.
+    #[inline(always)]
+    fn sqr(&self, a: &[u64; N]) -> [u64; N] {
+        let m = &self.m;
+        let mut w = [[0u64; N]; 2];
+        let w = w.as_flattened_mut();
+        for i in 0..N {
+            let mut carry = 0u64;
+            for j in i + 1..N {
+                let cur = w[i + j] as u128 + (a[i] as u128) * (a[j] as u128) + carry as u128;
+                w[i + j] = cur as u64;
+                carry = (cur >> 64) as u64;
+            }
+            w[i + N] = carry;
+        }
+        // w = 2·w + Σ aᵢ²·2^(128i); the cross sum is < 2^(128N − 1).
+        let (mut shifted, mut carry) = (0u64, 0u64);
+        for i in 0..N {
+            let sq = (a[i] as u128) * (a[i] as u128);
+            let (lo, hi) = (w[2 * i], w[2 * i + 1]);
+            let cur = ((lo << 1 | shifted) as u128) + (sq as u64 as u128) + carry as u128;
+            w[2 * i] = cur as u64;
+            let cur = ((hi << 1 | lo >> 63) as u128) + (sq >> 64) + (cur >> 64);
+            w[2 * i + 1] = cur as u64;
+            carry = (cur >> 64) as u64;
+            shifted = hi >> 63;
+        }
+        // w += uᵢ·m·2^(64i), uᵢ chosen so limb i cancels; `top` is limb 2N.
+        let mut top = 0u64;
+        for i in 0..N {
+            let u = w[i].wrapping_mul(self.m0_inv);
+            let mut carry = 0u64;
+            for j in 0..N {
+                let cur = w[i + j] as u128 + (u as u128) * (m[j] as u128) + carry as u128;
+                w[i + j] = cur as u64;
+                carry = (cur >> 64) as u64;
+            }
+            let cur = w[i + N] as u128 + carry as u128 + top as u128;
+            w[i + N] = cur as u64;
+            top = (cur >> 64) as u64;
+        }
+        self.reduce(fixed(&w[N..]), top)
+    }
+
+    /// `t + 2^(64N)·hi`, known to be `< 2m`, brought into `[0, m)`.
+    fn reduce(&self, mut t: [u64; N], hi: u64) -> [u64; N] {
+        if hi > 0 || cmp_limbs(&t, &self.m) != Ordering::Less {
+            sub_assign(&mut t, &self.m);
+        }
+        t
+    }
+
+    /// `base^e` in Montgomery form for `base < m` in that form, the
+    /// exponent's `bits` read by `bit`: left to right over sliding
+    /// windows of up to `w` bits that end in a one, each a run of
+    /// squarings and one product with an odd power of `base` from the
+    /// table — `w` from the exponent's length, where a larger table
+    /// stops paying for itself: 1 up to 23 bits (no table), 3 up to 79,
+    /// 4 up to 239, 5 beyond.
+    fn pow(&self, base: &[u64; N], bits: usize, bit: impl Fn(usize) -> bool) -> [u64; N] {
+        let w = match bits {
+            0..=23 => 1,
+            24..=79 => 3,
+            80..=239 => 4,
+            _ => 5,
         };
-        l.table[..n].copy_from_slice(&ctx.r1);
-        ctx.load(&mut l.table[n..2 * n], base);
-        ctx.mul_assign(&mut l.table[n..2 * n], &ctx.r2, &mut l.t);
-        for k in 2..16 {
-            ctx.product(&mut l.t, &l.table[(k - 1) * n..k * n], &l.table[n..2 * n]);
-            l.table[k * n..(k + 1) * n].copy_from_slice(&l.t[..n]);
-        }
-        l
-    }
-
-    /// The result, out of the Montgomery domain (a product with `1`).
-    fn finish(mut self) -> BigUint {
-        let mut one = vec![0u64; self.acc.len()];
-        one[0] = 1;
-        self.ctx.mul_assign(&mut self.acc, &one, &mut self.t);
-        from_limbs(&self.acc)
-    }
-}
-
-/// Run `K` ladders in one loop over 4-bit windows, from the top window
-/// of the longest exponent down, each step squaring every ladder once
-/// before the next squaring. A shorter exponent reads zero windows
-/// above its own top and squares nothing before its first non-zero
-/// window, so every ladder ends exactly where a loop of its own would.
-fn windows<const K: usize>(mut ladders: [Ladder<'_>; K]) -> [Ladder<'_>; K] {
-    let bits = ladders.iter().map(|l| l.exp.bits()).max().unwrap_or(0);
-    for w in (0..bits.div_ceil(4)).rev() {
-        for _ in 0..4 {
-            for l in ladders.iter_mut().filter(|l| l.started) {
-                l.ctx.sqr_assign(&mut l.acc, &mut l.t);
+        // odd[k] = base^(2k + 1).
+        let mut odd = [*base; 16];
+        if w > 1 {
+            let sq = self.sqr(base);
+            for k in 1..1 << (w - 1) {
+                odd[k] = self.mul(&odd[k - 1], &sq);
             }
         }
-        for l in &mut ladders {
-            let limb = l.exp.limbs.get(w / 16).copied().unwrap_or(0);
-            let (win, n) = (((limb >> (w % 16 * 4)) & 15) as usize, l.acc.len());
-            if win != 0 {
-                l.ctx
-                    .mul_assign(&mut l.acc, &l.table[win * n..(win + 1) * n], &mut l.t);
-                l.started = true;
+        let (mut acc, mut i) = (self.one, bits);
+        while i > 0 {
+            if !bit(i - 1) {
+                acc = self.sqr(&acc);
+                i -= 1;
+                continue;
             }
+            // The window is bits [j, i): at most w of them, ending in a one.
+            let mut j = i.saturating_sub(w);
+            while !bit(j) {
+                j += 1;
+            }
+            let win = (j..i).rev().fold(0, |v, k| v << 1 | bit(k) as usize);
+            if i == bits {
+                // The top window: acc is 1, squaring it is skipped.
+                acc = odd[win >> 1];
+            } else {
+                for _ in j..i {
+                    acc = self.sqr(&acc);
+                }
+                acc = self.mul(&acc, &odd[win >> 1]);
+            }
+            i = j;
         }
-    }
-    ladders
-}
-
-/// The CIOS Montgomery product behind [`Montgomery::product`]. Inlined
-/// into each call site so a literal `n` unrolls the limb loops and
-/// drops their bounds checks.
-#[inline(always)]
-fn cios(n: usize, t: &mut [u64], a: &[u64], b: &[u64], m: &[u64], m0_inv: u64) {
-    let (t, a, b, m) = (&mut t[..n + 2], &a[..n], &b[..n], &m[..n]);
-    t.fill(0);
-    for &ai in a {
-        // t += ai · b
-        let mut carry = 0u64;
-        for j in 0..n {
-            let cur = t[j] as u128 + (ai as u128) * (b[j] as u128) + carry as u128;
-            t[j] = cur as u64;
-            carry = (cur >> 64) as u64;
-        }
-        let cur = t[n] as u128 + carry as u128;
-        t[n] = cur as u64;
-        t[n + 1] = (cur >> 64) as u64;
-        // t = (t + u·m) / 2⁶⁴ with u chosen so the low limb cancels.
-        let u = t[0].wrapping_mul(m0_inv);
-        let cur = t[0] as u128 + (u as u128) * (m[0] as u128);
-        let mut carry = (cur >> 64) as u64;
-        for j in 1..n {
-            let cur = t[j] as u128 + (u as u128) * (m[j] as u128) + carry as u128;
-            t[j - 1] = cur as u64;
-            carry = (cur >> 64) as u64;
-        }
-        let cur = t[n] as u128 + carry as u128;
-        t[n - 1] = cur as u64;
-        t[n] = t[n + 1] + ((cur >> 64) as u64);
-    }
-    // Conditional final subtraction brings t into [0, m).
-    if t[n] > 0 || cmp_limbs(&t[..n], m) != Ordering::Less {
-        sub_assign(&mut t[..n], m);
+        acc
     }
 }
 
-/// The SOS Montgomery square behind [`Montgomery::sqr_assign`]:
-/// `a = a²·R⁻¹ mod m` for an `N`-limb `a < m`. Each cross product
-/// `aᵢ·aⱼ` is computed once and doubled, the squares `aᵢ²` added, then
-/// one reduction and the conditional final subtraction into `[0, m)` —
-/// the same canonical residue the CIOS product returns.
-#[inline(always)]
-fn sos_sqr<const N: usize>(a: &mut [u64], m: &[u64], m0_inv: u64) {
-    let (a, m) = (&mut a[..N], &m[..N]);
-    let mut w = [[0u64; N]; 2];
-    let w = w.as_flattened_mut();
-    for i in 0..N {
-        let mut carry = 0u64;
-        for j in i + 1..N {
-            let cur = w[i + j] as u128 + (a[i] as u128) * (a[j] as u128) + carry as u128;
-            w[i + j] = cur as u64;
-            carry = (cur >> 64) as u64;
-        }
-        w[i + N] = carry;
-    }
-    // w = 2·w + Σ aᵢ²·2^(128i); the cross sum is < 2^(128N − 1).
-    let (mut shifted, mut carry) = (0u64, 0u64);
-    for i in 0..N {
-        let sq = (a[i] as u128) * (a[i] as u128);
-        let (lo, hi) = (w[2 * i], w[2 * i + 1]);
-        let cur = ((lo << 1 | shifted) as u128) + (sq as u64 as u128) + carry as u128;
-        w[2 * i] = cur as u64;
-        let cur = ((hi << 1 | lo >> 63) as u128) + (sq >> 64) + (cur >> 64);
-        w[2 * i + 1] = cur as u64;
-        carry = (cur >> 64) as u64;
-        shifted = hi >> 63;
-    }
-    // w += uᵢ·m·2^(64i), uᵢ chosen so limb i cancels; `top` is limb 2N.
-    let mut top = 0u64;
-    for i in 0..N {
-        let u = w[i].wrapping_mul(m0_inv);
-        let mut carry = 0u64;
-        for j in 0..N {
-            let cur = w[i + j] as u128 + (u as u128) * (m[j] as u128) + carry as u128;
-            w[i + j] = cur as u64;
-            carry = (cur >> 64) as u64;
-        }
-        let cur = w[i + N] as u128 + carry as u128 + top as u128;
-        w[i + N] = cur as u64;
-        top = (cur >> 64) as u64;
-    }
-    a.copy_from_slice(&w[N..]);
-    if top > 0 || cmp_limbs(a, m) != Ordering::Less {
-        sub_assign(a, m);
-    }
+/// The first `N` limbs of `limbs`, as the engine's array.
+fn fixed<const N: usize>(limbs: &[u64]) -> [u64; N] {
+    limbs[..N].try_into().expect("N limbs")
 }
 
-/// Copy `src` into `dst`, zero-extending.
-fn pad(dst: &mut [u64], src: &[u64]) {
-    dst[..src.len()].copy_from_slice(src);
-    dst[src.len()..].fill(0);
+/// `1` in `N` limbs.
+fn unit<const N: usize>() -> [u64; N] {
+    let mut one = [0u64; N];
+    one[0] = 1;
+    one
 }
 
 /// `a -= b` over equal-length limb slices, dropping the final borrow
@@ -1171,6 +1181,26 @@ mod tests {
         assert!(p.is_probable_prime(&mut rng, 20));
     }
 
+    /// `gen_prime` under 32 seeds at 64, 128 and 256 bits, each prime
+    /// followed by one `u64` drawn from its generator afterwards — which
+    /// pins how much of the stream the search consumed. Trial division
+    /// and Miller–Rabin may get faster; no generated key may move.
+    #[test]
+    fn generated_primes_are_pinned() {
+        let mut bytes = Vec::new();
+        for bits in [64usize, 128, 256] {
+            for seed in 0..32u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                bytes.extend_from_slice(&BigUint::gen_prime(&mut rng, bits).to_bytes_be());
+                bytes.extend_from_slice(&rng.gen::<u64>().to_be_bytes());
+            }
+        }
+        assert_eq!(
+            crate::sha256::sha256_hex(&bytes),
+            "1ff4cb56d9b478e1a4806db550e24609891500d9743794c5e697a8a2ca8fa63f"
+        );
+    }
+
     #[test]
     fn random_below_is_in_range() {
         let mut rng = StdRng::seed_from_u64(13);
@@ -1273,9 +1303,9 @@ mod tests {
         }
     }
 
-    /// The squaring kernel returns what the CIOS product `product(a,
-    /// a)` does, at every width it may be dispatched at or beside, on
-    /// the ends of `[0, m)` and random residues; so does the dispatch.
+    /// The squaring kernel returns what the CIOS product `mul(a, a)`
+    /// does, at engine widths and beside them (an engine of any `N` runs
+    /// its kernels alike), on the ends of `[0, m)` and random residues.
     #[test]
     fn squaring_kernel_matches_the_product_it_replaces() {
         fn check<const N: usize>(rng: &mut StdRng) {
@@ -1284,6 +1314,7 @@ mod tests {
                     .set_bit(0)
                     .set_bit(64 * N - 1 - rng.gen_range(0..64));
                 let ctx = Montgomery::new(&m).expect("odd modulus");
+                let engine = Engine::<N>::of(&ctx);
                 let mut operands = vec![
                     BigUint::zero(),
                     BigUint::one(),
@@ -1291,17 +1322,10 @@ mod tests {
                     from_limbs(&ctx.r1),
                 ];
                 operands.extend((0..4).map(|_| BigUint::random_below(rng, &m)));
-                let mut t = vec![0u64; N + 2];
                 for a in &operands {
-                    let mut a_limbs = vec![0u64; N];
-                    pad(&mut a_limbs, &a.limbs);
-                    ctx.product(&mut t, &a_limbs, &a_limbs);
-                    let want = t[..N].to_vec();
-                    let mut got = a_limbs.clone();
-                    sos_sqr::<N>(&mut got, &ctx.m, ctx.m0_inv);
-                    assert_eq!(got, want, "{N} limbs, a = {a:?}");
-                    ctx.sqr_assign(&mut a_limbs, &mut t);
-                    assert_eq!(a_limbs, want, "dispatch at {N} limbs");
+                    let a_limbs = ctx.load::<N>(a);
+                    let want = engine.mul(&a_limbs, &a_limbs);
+                    assert_eq!(engine.sqr(&a_limbs), want, "{N} limbs, a = {a:?}");
                 }
             }
         }
@@ -1314,6 +1338,69 @@ mod tests {
         check::<8>(&mut rng);
         check::<16>(&mut rng);
         check::<17>(&mut rng);
+    }
+
+    /// `base^exp mod m` by the square-and-multiply loop with a division
+    /// per step.
+    fn textbook_pow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+        let (mut base, mut acc) = (base.rem(m), BigUint::one());
+        for i in 0..exp.bits() {
+            if exp.bit(i) {
+                acc = acc.mulmod(&base, m);
+            }
+            base = base.mulmod(&base, m);
+        }
+        acc
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The engine is the textbook power at every width class: moduli
+        /// of 1 to 17 limbs (the zero-extended widths 3, 5, …, 17
+        /// among them), 32 and 64 (the 4,096-bit peer cap). Exponents 0,
+        /// 1, 2, 65537, `2ᵏ`, `2ᵏ − 1`, a short random one and a
+        /// full-width one; bases below `m`, unreduced ones `≥ m` of
+        /// `m`'s width, and ones one or two limbs wider. `mulmod` over
+        /// the same bases is the product with a division.
+        #[test]
+        fn the_engine_is_the_textbook_power_at_every_width(
+            seed in proptest::prelude::any::<u64>(),
+            width in 0usize..19,
+        ) {
+            let limbs = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 32, 64][width];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let full = BigUint::one().shl(64 * limbs);
+            let m = BigUint::random_below(&mut rng, &full)
+                .set_bit(0)
+                .set_bit(64 * limbs - 1 - rng.gen_range(0..64));
+            let ctx = Montgomery::new(&m).expect("odd modulus");
+            let (k, short) = (rng.gen_range(1..=64 * limbs), rng.gen_range(1..64));
+            let exps = [
+                BigUint::zero(),
+                BigUint::one(),
+                BigUint::from_u64(2),
+                BigUint::from_u64(65_537),
+                BigUint::one().shl(k),
+                BigUint::one().shl(k).sub(&BigUint::one()),
+                BigUint::random_below(&mut rng, &BigUint::one().shl(short)),
+                BigUint::random_below(&mut rng, &full).set_bit(64 * limbs - 1),
+            ];
+            let bases = [
+                BigUint::random_below(&mut rng, &m),
+                m.add(&BigUint::random_below(&mut rng, &full.sub(&m))),
+                BigUint::random_below(&mut rng, &full.shl(64)),
+                BigUint::random_below(&mut rng, &full.shl(128)),
+            ];
+            for a in &bases {
+                for b in &bases {
+                    proptest::prop_assert_eq!(ctx.mulmod(a, b), a.mul(b).rem(&m));
+                }
+                for e in &exps {
+                    proptest::prop_assert_eq!(ctx.pow(a, e), textbook_pow(a, e, &m), "{} limbs", limbs);
+                }
+            }
+        }
     }
 
     proptest::proptest! {
@@ -1342,6 +1429,41 @@ mod tests {
             let paired = Montgomery::pow_each([(&a, &x, &e), (&b, &y, &f)]);
             proptest::prop_assert_eq!(paired, [a.pow(&x, &e), b.pow(&y, &f)]);
         }
+    }
+
+    /// The widest engine, 128 limbs (`n²` of a 4,096-bit peer
+    /// Paillier modulus), on the short exponents an aggregate meets and
+    /// bases below, at and above the modulus's width; past it there is
+    /// no context and `modpow` divides.
+    #[test]
+    fn the_widest_engine_is_the_textbook_power() {
+        let mut rng = StdRng::seed_from_u64(18);
+        let full = BigUint::one().shl(64 * 128);
+        let m = BigUint::random_below(&mut rng, &full)
+            .set_bit(0)
+            .set_bit(64 * 128 - 1);
+        let ctx = Montgomery::new(&m).expect("odd modulus");
+        let bases = [
+            BigUint::random_below(&mut rng, &m),
+            m.add(&BigUint::random_below(&mut rng, &full.sub(&m))),
+            BigUint::random_below(&mut rng, &full.shl(64)),
+        ];
+        for a in &bases {
+            for b in &bases {
+                assert_eq!(ctx.mulmod(a, b), a.mul(b).rem(&m));
+            }
+            for e in [0u64, 1, 2, 65_537, rng.gen()] {
+                let e = BigUint::from_u64(e);
+                assert_eq!(ctx.pow(a, &e), textbook_pow(a, &e, &m));
+            }
+        }
+        let wider = m.shl(64).add(&BigUint::one());
+        assert!(Montgomery::new(&wider).is_none());
+        let e = BigUint::from_u64(3);
+        assert_eq!(
+            bases[0].modpow(&e, &wider),
+            textbook_pow(&bases[0], &e, &wider)
+        );
     }
 
     #[test]

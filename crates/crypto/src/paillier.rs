@@ -10,11 +10,11 @@
 //! `|n|`-bit exponentiation over `n²`. Whoever holds the cluster key
 //! knows `p` and `q` and runs [`PaillierKeypair::encrypt`]: two
 //! half-length exponentiations over the half-width moduli `p²` and
-//! `q²`, run as one window loop (`Montgomery::pow_each`) and
+//! `q²` on the fixed-width engine (`Montgomery::pow_each`),
 //! recombined by CRT, drawing the randomiser from exactly the same
 //! distribution (the argument is on that method). Decryption runs on
 //! the factors too ([`PaillierKeypair::decrypt`]): `c^(p−1)` over `p²`
-//! and `c^(q−1)` over `q²` in one window loop, `L` per factor, then
+//! and `c^(q−1)` over `q²`, `L` per factor, then
 //! Garner — the textbook plaintext for every ciphertext that is a unit
 //! mod `n²`, and a refusal for the non-units only a forger sends.
 //! A public modulus that arrives from a peer is bounded where it
@@ -289,10 +289,9 @@ impl PaillierKeypair {
     /// Hence: draw `s_p ∈ [1,p)` and `s_q ∈ [1,q)`, compute `s_p^p mod
     /// p²` and `s_q^q mod q²`, and Garner-combine them into the
     /// randomiser mod `n²` — no subgroup or short-exponent assumption,
-    /// no table, no `gcd`. The two halves run in one loop over the
-    /// windows of `p` and `q`, each under its own context, so every
-    /// step hands the CPU two independent chains; the result is that of
-    /// two separate exponentiations, bit for bit.
+    /// no table, no `gcd`. Each half runs under its own context, on the
+    /// 4-limb engine at the 256-bit modulus sessions use; the blind
+    /// `(1 + m·n)·x mod n²` is one `mulmod` on the 8-limb one.
     pub fn encrypt<R: Rng + ?Sized>(&self, rng: &mut R, m: &BigUint) -> PaillierCiphertext {
         let pk = &self.public;
         assert!(m < &pk.n, "plaintext out of range");
@@ -318,7 +317,7 @@ impl PaillierKeypair {
     }
 
     /// The textbook `L(c^λ mod n²)·µ mod n`, computed on the factors:
-    /// `x_p = c^(p−1) mod p²` and `x_q` over `q²` in one window loop,
+    /// `x_p = c^(p−1) mod p²` and `x_q` over `q²`,
     /// `m_p = L_p(x_p)·h_p mod p` and `m_q` likewise, then Garner. Both
     /// give the same plaintext for every unit `c`; `None` for any other
     /// `c`, which is where `x_p ≢ 1 (mod p)` or `x_q ≢ 1 (mod q)`.

@@ -86,6 +86,12 @@
 //!   outside that file, `algebra/src/plan.rs` (where it is defined)
 //!   and `algebra/src/builder.rs` (`prune_columns`). A second
 //!   extension walk must not quietly come back.
+//! * **one-montgomery-engine** — modular arithmetic runs on one
+//!   fixed-width engine over `[u64; N]` values (`crypto/src/bignum.rs`:
+//!   a CIOS product, an SOS square, a sliding-window power). The names
+//!   of the slice kernels and the fixed-window ladder it replaced (their
+//!   tokens spelled in halves) are findings anywhere under `crates/`: a
+//!   second kernel beside the engine must not quietly grow back.
 //!
 //! The scan strips comments and string literals and skips
 //! `#[cfg(test)]` modules, so documentation and tests may freely
@@ -256,6 +262,13 @@ const RULES: &[Rule] = &[
                   `mpq_core::extend`, not a second copy of its splices",
         sites: &[(&["splice_above("], &[], &["crates/core/src/extend.rs", "crates/algebra/src/plan.rs",
                  "crates/algebra/src/builder.rs"], None)],
+    },
+    Rule {
+        name: "one-montgomery-engine",
+        message: "`{t}` — modular arithmetic runs on the one fixed-width Montgomery engine \
+                  (`Engine<N>` in crypto/src/bignum.rs); no second kernel beside it",
+        sites: &[(&[concat!("fn ci", "os"), concat!("fn sos_", "sqr"), concat!("struct Lad", "der"),
+                    concat!("fn win", "dows")], &[], &[], None)],
     },
 ];
 
@@ -1099,6 +1112,40 @@ mod tests {
             "crates/algebra/src/builder.rs",
         ] {
             assert!(lines_in(home).is_empty(), "{home}");
+        }
+    }
+
+    #[test]
+    fn a_second_montgomery_kernel_is_flagged() {
+        let src = [
+            concat!("fn ci", "os(n: usize, t: &mut [u64], a: &[u64]) {}"),
+            concat!("fn sos_", "sqr<const N: usize>(a: &mut [u64]) {}"),
+            concat!("struct Lad", "der<'a> { acc: Vec<u64> }"),
+            concat!("fn win", "dows<const K: usize>(l: [u8; K]) {}"),
+            "fn sqr(&self, a: &[u64; N]) -> [u64; N] { a.windows(2); }",
+            "#[cfg(test)]",
+            "mod tests {",
+            concat!("    fn ci", "os() {}"),
+            "}",
+        ]
+        .join("\n");
+        let lines_in = |file: &str| {
+            let mut findings = Vec::new();
+            lint_source(Path::new(file), &src, &mut findings);
+            findings
+                .iter()
+                .filter(|f| f.rule == "one-montgomery-engine")
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        // The retired names are at home nowhere, the engine's own file
+        // included; the engine's kernels and a slice's `windows` pass.
+        for file in [
+            "crates/crypto/src/bignum.rs",
+            "crates/crypto/src/paillier.rs",
+            "crates/exec/src/eval.rs",
+        ] {
+            assert_eq!(lines_in(file), vec![1, 2, 3, 4], "{file}");
         }
     }
 
