@@ -1255,8 +1255,9 @@ mod tests {
 
     #[test]
     fn montgomery_kernel_matches_schoolbook_at_every_width() {
-        // 2, 4 and 8 limbs run the unrolled kernel, the rest the slice
-        // loop; operands cover the ends of the range, unreduced n-limb
+        // Every width runs the one fixed-width engine — 17 limbs
+        // zero-extended to its 32-limb width, the rest at their own;
+        // operands cover the ends of the range, unreduced n-limb
         // values, and wider ones that take the long-division path.
         let mut rng = StdRng::seed_from_u64(16);
         for limbs in [1usize, 2, 4, 8, 16, 17] {
@@ -1406,9 +1407,9 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// One window loop over two contexts is two `pow` calls, over
-        /// equal and unequal widths, either exponent the longer (or
-        /// zero), and bases wider than their modulus.
+        /// `pow_each` over two contexts is two `pow` calls, over equal
+        /// and unequal widths, either exponent the longer (or zero), and
+        /// bases wider than their modulus.
         #[test]
         fn pow_each_over_two_contexts_is_two_pows(
             seed in proptest::prelude::any::<u64>(),

@@ -470,8 +470,9 @@ mod tests {
 
         /// The holder's ciphertexts are Paillier ciphertexts of `m`
         /// with an n-th-residue randomiser, interchangeable with the
-        /// public routine's — at key sizes on both the unrolled (2, 4
-        /// limbs) and the slice (3, 5 limbs) kernel.
+        /// public routine's — at key sizes whose CRT moduli fill their
+        /// engine's width (2, 4 limbs) and whose moduli the engine
+        /// zero-extends (3 limbs to 4, 5 to 8).
         #[test]
         fn holder_encrypt_is_textbook_paillier(
             seed in proptest::prelude::any::<u64>(),

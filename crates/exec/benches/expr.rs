@@ -3,7 +3,7 @@
 //! operators.
 //!
 //! `cargo bench -p mpq-exec --bench expr` (CI runs this in the
-//! `bench-smoke` job). Four expressions the TPC-H workloads spend their
+//! `bench-smoke` job). Eight expressions the TPC-H workloads spend their
 //! time in, each over 65,536 generated rows — the printed time ÷ 65,536
 //! is the cost per row:
 //!
@@ -34,8 +34,8 @@
 //!
 //! `scan/q1_columns` is what a scan and a selection cost before any
 //! expression runs: Q1's seven lineitem columns (two strings, a date,
-//! four numerics) sliced into 4,096-row batches and each batch filtered
-//! by a precomputed mask that keeps ~98 % of its rows, as Q1's
+//! four numerics) sliced into 4,096-row batches and each batch gathered
+//! on a precomputed selection that keeps ~98 % of its rows, as Q1's
 //! `l_shipdate <= …` does.
 //!
 //! The `hash/*` arms run a whole ⋈ or γ through `execute` (one worker
@@ -46,6 +46,8 @@
 //!
 //! * `hash/q1_groupby` — Q1's γ: two low-cardinality string keys, seven
 //!   sums and averages and a count over 65,536 rows (six groups);
+//! * `gamma/q1_group_ids` — the same γ under `COUNT(*)` alone: the key
+//!   columns hashed and each row's group found, the folds left out;
 //! * `hash/int_join/build_heavy`, `…/probe_heavy` — an `i64` key join,
 //!   65,536 build rows against 4,096 probe rows (Q3's shape) and the
 //!   other way round, every probe row matching once;
@@ -297,23 +299,20 @@ fn bench_expr(c: &mut Criterion) {
         .step_by(DEFAULT_BATCH_ROWS)
         .map(|s| s..(s + DEFAULT_BATCH_ROWS).min(ROWS))
         .collect();
-    let masks: Vec<Vec<bool>> = (ranges.iter())
+    let selections: Vec<Vec<usize>> = (ranges.iter())
         .map(|r| {
-            r.clone()
-                .map(|i| {
-                    whole
-                        .value(0, i)
-                        .sql_cmp(&cutoff)
-                        .is_some_and(|o| o.is_le())
-                })
-                .collect()
+            let shipped = |&i: &usize| {
+                let day = whole.value(0, r.start + i);
+                day.sql_cmp(&cutoff).is_some_and(|o| o.is_le())
+            };
+            (0..r.len()).filter(shipped).collect()
         })
         .collect();
     c.bench_function("scan/q1_columns", |b| {
         b.iter(|| {
-            for (range, mask) in ranges.iter().zip(&masks) {
+            for (range, kept) in ranges.iter().zip(&selections) {
                 for col in &q1 {
-                    black_box(col.slice(range.clone()).filter(mask));
+                    black_box(col.slice(range.clone()).gather(kept));
                 }
             }
         })
@@ -427,18 +426,16 @@ fn bench_hash(c: &mut Criterion) {
         input,
         output: attr("qty"),
     });
-    let mut plan = QueryPlan::new();
-    let all = cat.relation("L").unwrap().attrs();
-    let base = plan.add_base(cat.relation("L").unwrap().rel, all);
-    let keys = vec![attr("flag"), attr("status")];
-    plan.add(
-        Operator::GroupBy {
-            keys,
-            aggs: aggs.collect(),
-        },
-        vec![base],
-    );
-    cases.push(("q1_groupby", plan, db));
+    let group_by = |aggs: Vec<AggExpr>| {
+        let mut plan = QueryPlan::new();
+        let all = cat.relation("L").unwrap().attrs();
+        let base = plan.add_base(cat.relation("L").unwrap().rel, all);
+        let keys = vec![attr("flag"), attr("status")];
+        plan.add(Operator::GroupBy { keys, aggs }, vec![base]);
+        plan
+    };
+    let group_ids = (group_by(vec![AggExpr::count_star(attr("qty"))]), db.clone());
+    cases.push(("q1_groupby", group_by(aggs.collect()), db));
 
     // Integer key joins, either side the large one.
     for (name, probe, build) in [
@@ -527,16 +524,24 @@ fn bench_hash(c: &mut Criterion) {
     cases.push(("residual_semi", plan, db));
 
     let (ring, schemes, koa) = (KeyRing::new(), SchemePlan::default(), HashMap::new());
+    let ctx = |db| {
+        ExecCtx::builder(&cat, db, &ring, &schemes, &koa)
+            .pool(WorkerPool::serial())
+            .build()
+    };
     let mut g = c.benchmark_group("hash");
     for (name, plan, db) in &cases {
-        let ctx = ExecCtx::builder(&cat, db, &ring, &schemes, &koa)
-            .pool(WorkerPool::serial())
-            .build();
+        let ctx = ctx(db);
         g.bench_function(*name, |b| {
             b.iter(|| black_box(execute(plan, &ctx).expect("runs")))
         });
     }
     g.finish();
+    let (plan, db) = &group_ids;
+    let ctx = ctx(db);
+    c.bench_function("gamma/q1_group_ids", |b| {
+        b.iter(|| black_box(execute(plan, &ctx).expect("runs")))
+    });
 }
 
 criterion_group!(benches, bench_expr, bench_hash);

@@ -7,9 +7,8 @@
 //! relations, so memory for the pipelined stages (scan, select,
 //! project, encrypt, decrypt) is bounded by the batch size, not the
 //! relation size — and they build their output by moving columns
-//! ([`slice`](ColumnVec::slice), [`filter`](ColumnVec::filter),
-//! [`gather`](ColumnVec::gather), [`append`](ColumnVec::append)), never
-//! by transposing rows.
+//! ([`slice`](ColumnVec::slice), [`gather`](ColumnVec::gather),
+//! [`append`](ColumnVec::append)), never by transposing rows.
 //!
 //! Columns are typed where the data allows. The plaintext ("P") half:
 //! uniform integer, numeric and date columns are stored as dense
@@ -163,6 +162,23 @@ impl StrColumn {
         })
     }
 
+    /// Cell `i` as a [`Text`]: its bytes where they lie, no character
+    /// boundary to check — what comparing and hashing read.
+    #[inline]
+    pub(crate) fn text(&self, i: usize) -> Text<'_> {
+        Text::within(self.text.as_bytes(), self.start(i), self.ends[i] as usize)
+    }
+
+    /// The cells in `range` as [`Text`]s, in order.
+    pub(crate) fn texts(&self, range: Range<usize>) -> impl Iterator<Item = Text<'_>> + '_ {
+        let (buf, mut start) = (self.text.as_bytes(), self.start(range.start));
+        self.ends[range].iter().map(move |&end| {
+            let cell = Text::within(buf, start, end as usize);
+            start = end as usize;
+            cell
+        })
+    }
+
     /// Append one cell.
     pub fn push(&mut self, s: &str) {
         self.text.push_str(s);
@@ -238,6 +254,18 @@ impl KeySeed {
         self.mix(h, last ^ kind)
     }
 
+    /// A string, as [`cell`](KeySeed::cell) folds one: a cell of under
+    /// eight bytes as one word — its first word, its length above it —
+    /// a longer one as its first word and then the rest of its bytes.
+    #[inline]
+    fn text(self, h: u64, cell: Text<'_>) -> u64 {
+        const KIND: u64 = 0x51 << 56;
+        match cell.bytes.get(8..) {
+            None => self.mix(h, (cell.head | (cell.bytes.len() as u64) << 56) ^ KIND),
+            Some(rest) => self.bytes(self.mix(h, cell.head), KIND, rest),
+        }
+    }
+
     /// Fold one cell into the running hash `h` of its row's key.
     #[inline]
     pub fn cell(self, h: u64, cell: CellRef<'_>) -> u64 {
@@ -249,10 +277,87 @@ impl KeySeed {
             // Whatever numerics are equal hash as one integer.
             CellRef::Int(i) => self.mix(h, int_hash_key(i) as u64),
             CellRef::Num(f) => self.mix(h, num_hash_key(f).map_or(f.to_bits(), |i| i as u64)),
-            CellRef::Str(s) => self.bytes(h, 0x51 << 56, s.as_bytes()),
+            CellRef::Str(s) => self.text(h, Text::new(s.as_bytes())),
             CellRef::Date(d) => self.mix(h, 0x94D0_49BB_1331_11EB ^ d.0 as u64),
             CellRef::Enc(_, key, bytes) => self.bytes(h, (0xE7 << 56) ^ u64::from(key), bytes),
         }
+    }
+}
+
+/// [`CellRef::key_eq`] between the cells of two columns, viewed through
+/// their representations: two columns of one typed kind compare their
+/// cells as bytes, integers or days — what `key_eq` says of two cells of
+/// that kind — and every other pair goes to `key_eq` itself.
+#[derive(Clone, Copy)]
+pub(crate) enum KeyEq<'a> {
+    Str(&'a StrColumn, &'a StrColumn),
+    Int(&'a [i64], &'a [i64]),
+    Date(&'a [Date], &'a [Date]),
+    Cell(&'a ColumnVec, &'a ColumnVec),
+}
+
+impl KeyEq<'_> {
+    /// Cell `i` of the first column and cell `j` of the second are one
+    /// key.
+    #[inline]
+    pub(crate) fn eq(self, i: usize, j: usize) -> bool {
+        match self {
+            KeyEq::Str(a, b) => a.text(i) == b.text(j),
+            KeyEq::Int(a, b) => a[i] == b[j],
+            KeyEq::Date(a, b) => a[i] == b[j],
+            KeyEq::Cell(a, b) => a.cell_ref(i).key_eq(b.cell_ref(j)),
+        }
+    }
+}
+
+/// A string cell as bytes, with its first eight packed into one word
+/// (little-endian, zero past the cell): ordered as `&str` orders, and
+/// equal when the lengths and the first words are — one comparison each,
+/// no branch on a byte — and then the rest of a longer cell.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Text<'a> {
+    head: u64,
+    bytes: &'a [u8],
+}
+
+impl<'a> Text<'a> {
+    /// A cell of its own (a literal).
+    pub(crate) fn new(bytes: &'a [u8]) -> Text<'a> {
+        let head = (bytes.iter().take(8).rev()).fold(0, |word, &b| (word << 8) | u64::from(b));
+        Text { head, bytes }
+    }
+
+    /// The cell `buf[start..end]`, its first word read in one load
+    /// wherever eight bytes from `start` lie in `buf`.
+    #[inline]
+    fn within(buf: &'a [u8], start: usize, end: usize) -> Text<'a> {
+        let bytes = &buf[start..end];
+        match buf.get(start..start + 8) {
+            Some(word) => {
+                let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+                let len = bytes.len().min(8) as u32;
+                let head = word & u64::MAX.checked_shr(64 - 8 * len).unwrap_or(0);
+                Text { head, bytes }
+            }
+            None => Text::new(bytes),
+        }
+    }
+}
+
+impl PartialEq for Text<'_> {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        let head = (self.bytes.len() == other.bytes.len()) & (self.head == other.head);
+        match self.bytes.get(8..) {
+            None | Some([]) => head,
+            Some(rest) => head && rest == &other.bytes[8..],
+        }
+    }
+}
+
+impl PartialOrd for Text<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.bytes.cmp(other.bytes))
     }
 }
 
@@ -382,11 +487,22 @@ impl ColumnVec {
                 (hashes.zip(&v[rows])).for_each(|(h, &d)| *h = seed.cell(*h, CellRef::Date(d)))
             }
             ColumnVec::Str(c) => {
-                (hashes.zip(c.cells(rows))).for_each(|(h, s)| *h = seed.cell(*h, CellRef::Str(s)))
+                (hashes.zip(c.texts(rows))).for_each(|(h, s)| *h = seed.text(*h, s))
             }
             _ => hashes
                 .zip(rows)
                 .for_each(|(h, r)| *h = seed.cell(*h, self.cell_ref(r))),
+        }
+    }
+
+    /// How a cell of this column and one of `held` are compared as keys,
+    /// picked once for the two columns.
+    pub(crate) fn key_eq_with<'a>(&'a self, held: &'a ColumnVec) -> KeyEq<'a> {
+        match (self, held) {
+            (ColumnVec::Str(a), ColumnVec::Str(b)) => KeyEq::Str(a, b),
+            (ColumnVec::Int(a), ColumnVec::Int(b)) => KeyEq::Int(a, b),
+            (ColumnVec::Date(a), ColumnVec::Date(b)) => KeyEq::Date(a, b),
+            _ => KeyEq::Cell(self, held),
         }
     }
 
@@ -409,7 +525,7 @@ impl ColumnVec {
             ColumnVec::Int(v) => v[i].cmp(&v[j]),
             ColumnVec::Date(v) => v[i].cmp(&v[j]),
             // Byte order, as `sql_cmp` orders strings.
-            ColumnVec::Str(c) => c.cell(i).cmp(c.cell(j)),
+            ColumnVec::Str(c) => c.text(i).bytes.cmp(c.text(j).bytes),
             _ => self.cell_ref(i).sort_cmp(self.cell_ref(j)),
         }
     }
@@ -501,31 +617,6 @@ impl ColumnVec {
             ColumnVec::Str(c) => ColumnVec::Str(c.slice(range)),
             ColumnVec::Enc(c) => ColumnVec::Enc(c.slice(range)),
             ColumnVec::Val(v) => ColumnVec::Val(v[range].to_vec()),
-        }
-    }
-
-    /// Cells where `mask` is `true`, in order. `mask.len()` must equal
-    /// the column length.
-    pub fn filter(&self, mask: &[bool]) -> ColumnVec {
-        debug_assert_eq!(mask.len(), self.len());
-        /// A copy compacted in place, without a branch on the mask.
-        fn compact<T: Copy>(v: &[T], mask: &[bool]) -> Vec<T> {
-            let (mut out, mut k) = (v.to_vec(), 0);
-            for (&x, &m) in v.iter().zip(mask) {
-                out[k] = x;
-                k += usize::from(m);
-            }
-            out.truncate(k);
-            out
-        }
-        match self {
-            ColumnVec::Int(v) => ColumnVec::Int(compact(v, mask)),
-            ColumnVec::Num(v) => ColumnVec::Num(compact(v, mask)),
-            ColumnVec::Date(v) => ColumnVec::Date(compact(v, mask)),
-            ColumnVec::Str(_) | ColumnVec::Enc(_) | ColumnVec::Val(_) => {
-                let rows = mask.iter().enumerate().filter(|(_, &m)| m);
-                self.gather_iter(rows.map(|(i, _)| i))
-            }
         }
     }
 
@@ -664,12 +755,8 @@ mod tests {
     }
 
     #[test]
-    fn filter_gather_slice_append() {
+    fn gather_slice_append() {
         let c = ColumnVec::from_ints(vec![10, 20, 30, 40]);
-        assert_eq!(
-            c.filter(&[true, false, true, false]),
-            ColumnVec::from_ints(vec![10, 30])
-        );
         assert_eq!(c.gather(&[3, 0]), ColumnVec::from_ints(vec![40, 10]));
         // Padding degrades a dense column only when a pad occurs.
         assert!(c.gather_padded(&[Some(3), Some(3)]).as_ints().is_some());
@@ -682,11 +769,11 @@ mod tests {
         assert_eq!(a.get(1), Value::str("x"));
     }
 
-    /// A dense column compacted in place keeps what the general
+    /// A selection gathered from a dense column keeps what the general
     /// representation of the same cells keeps, and stays dense — under
-    /// random, all-true, all-false and empty masks.
+    /// random, full, empty and zero-row selections.
     #[test]
-    fn a_compacted_dense_column_is_the_general_filter() {
+    fn a_selected_dense_column_is_the_general_selection() {
         let rng = &mut StdRng::seed_from_u64(17);
         for n in [0, 1, 7, 100, 4096] {
             let columns = [
@@ -694,19 +781,19 @@ mod tests {
                 ColumnVec::Num((0..n).map(|_| rng.gen_range(-9.0..9.0)).collect()),
                 ColumnVec::Date((0..n).map(|_| Date(rng.gen_range(-9..9))).collect()),
             ];
-            let masks = [
-                (0..n).map(|_| rng.gen()).collect::<Vec<bool>>(),
-                vec![true; n],
-                vec![false; n],
+            let selections = [
+                (0..n).filter(|_| rng.gen()).collect::<Vec<usize>>(),
+                (0..n).collect(),
+                Vec::new(),
             ];
-            for (col, mask) in columns
+            for (col, sel) in columns
                 .iter()
-                .flat_map(|c| masks.iter().map(move |m| (c, m)))
+                .flat_map(|c| selections.iter().map(move |s| (c, s)))
             {
-                let kept = col.filter(mask);
-                let general = ColumnVec::Val(col.clone().into_values()).filter(mask);
-                assert_same(&kept, &general, "filter");
-                assert_eq!(kept.len(), mask.iter().filter(|&&m| m).count());
+                let kept = col.gather(sel);
+                let general = ColumnVec::Val(col.clone().into_values()).gather(sel);
+                assert_same(&kept, &general, "selection");
+                assert_eq!(kept.len(), sel.len());
                 let kind = std::mem::discriminant;
                 assert_eq!(kind(&kept), kind(col), "stays dense");
             }
@@ -797,8 +884,8 @@ mod tests {
             let (from, to) = (rng.gen_range(0..=n), rng.gen_range(0..=n));
             let range = from.min(to)..from.max(to);
             assert_same(&enc.slice(range.clone()), &val.slice(range), "slice");
-            let mask: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
-            assert_same(&enc.filter(&mask), &val.filter(&mask), "filter");
+            let kept: Vec<usize> = (0..n).filter(|_| rng.gen()).collect();
+            assert_same(&enc.gather(&kept), &val.gather(&kept), "selection");
             let idx: Vec<usize> = (0..rng.gen_range(0..80))
                 .map(|_| rng.gen_range(0..n))
                 .collect();
@@ -900,10 +987,10 @@ mod tests {
             let sliced = typed.slice(range.clone());
             assert_same(&sliced, &val.slice(range), "slice");
             assert!(is_typed(&sliced, dates));
-            let mask: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
-            let filtered = typed.filter(&mask);
-            assert_same(&filtered, &val.filter(&mask), "filter");
-            assert!(is_typed(&filtered, dates));
+            let kept: Vec<usize> = (0..n).filter(|_| rng.gen()).collect();
+            let selected = typed.gather(&kept);
+            assert_same(&selected, &val.gather(&kept), "selection");
+            assert!(is_typed(&selected, dates));
             let idx: Vec<usize> = (0..rng.gen_range(0..80))
                 .map(|_| rng.gen_range(0..n))
                 .collect();
@@ -1079,6 +1166,74 @@ mod tests {
         hashes.sort_unstable();
         hashes.dedup();
         assert_eq!(hashes.len(), 6);
+    }
+
+    /// Every typed group-key comparator is `CellRef::key_eq`, on every
+    /// pair of columns — typed, encrypted or general — over the cells
+    /// whose equality is easy to get wrong: `Int(2)` and `Num(2.0)`,
+    /// `0.0` and `-0.0`, NaN, NULL and NULL, Deterministic and Random
+    /// ciphertexts, strings that part behind their first eight bytes.
+    #[test]
+    fn the_typed_comparator_is_key_eq() {
+        let det = |b: &[u8]| cipher(EncScheme::Deterministic, 1, b);
+        let rnd = |b: &[u8]| cipher(EncScheme::Random, 1, b);
+        let words = [
+            "ab",
+            "ab\0",
+            "",
+            "ü",
+            "u\u{308}",
+            "abcdefgh",
+            "abcdefghi",
+            "abcdefghj",
+        ];
+        let typed = [
+            ColumnVec::from_ints(vec![2, 0, -7, i64::MAX, 2]),
+            ColumnVec::from_nums(vec![2.0, 0.0, -0.0, f64::NAN, i64::MAX as f64]),
+            ColumnVec::Date(vec![Date(2), Date(0), Date(2)]),
+            words.iter().map(|w| Value::str(w)).collect(),
+            [det(&[1, 2]), Value::Null, det(&[1, 2, 3]), det(&[1, 2])]
+                .into_iter()
+                .collect(),
+            [rnd(&[1, 2]), Value::Null, rnd(&[1, 2])]
+                .into_iter()
+                .collect(),
+        ];
+        let mut columns: Vec<ColumnVec> = typed.to_vec();
+        // Each typed column's general twin, and one general column of
+        // every kind of cell.
+        columns.extend(
+            typed
+                .iter()
+                .map(|c| ColumnVec::Val(c.clone().into_values())),
+        );
+        columns.push(ColumnVec::Val(vec![
+            Value::Null,
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(2),
+            Value::Num(-0.0),
+            Value::Num(f64::NAN),
+            Value::str("ab"),
+            Value::Date(Date(2)),
+            det(&[1, 2]),
+            rnd(&[1, 2]),
+        ]));
+        let kinds: Vec<&str> = ["Int", "Num", "Date", "Str", "Enc", "Enc"].to_vec();
+        for (c, kind) in typed.iter().zip(kinds) {
+            assert!(format!("{c:?}").starts_with(kind), "{c:?} is typed");
+        }
+        for a in &columns {
+            for b in &columns {
+                let view = a.key_eq_with(b);
+                for i in 0..a.len() {
+                    for j in 0..b.len() {
+                        let want = a.cell_ref(i).key_eq(b.cell_ref(j));
+                        assert_eq!(view.eq(i, j), want, "{:?} vs {:?}", a.get(i), b.get(j));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

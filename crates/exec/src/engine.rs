@@ -11,15 +11,15 @@
 //! it. Nothing is spilled or sampled silently.
 //!
 //! **One output rule.** Operators move columns: every output table is
-//! assembled from `slice` / `filter` / `gather` / `append` over input
-//! columns, or from one freshly computed column per output attribute
-//! (udf, group-by, crypto). Expressions run a column at a time too
-//! ([`eval_mask`] / [`eval_column`]: a predicate is a mask over the
-//! batch, an aggregate input, udf body or sort key one column), reading
-//! cells where they lie. Hash operators do too: ⋈, γ and
-//! `COUNT(DISTINCT)` hash key *columns* in typed loops into one
-//! `KeyTable` and compare candidates in place — a key cell is copied
-//! once per group, never for a join. A join's residual predicate is a
+//! assembled from `slice` / `gather` / `append` over input columns, or
+//! from one freshly computed column per output attribute (udf,
+//! group-by, crypto). Expressions run a column at a time too
+//! (`eval_select` / [`eval_column`]: a predicate narrows one selection
+//! of the batch's rows, which σ gathers on; an aggregate input, udf body
+//! or sort key is one column), reading cells where they lie. Hash
+//! operators do too: ⋈, γ and `COUNT(DISTINCT)` hash key *columns* in
+//! typed loops into one `KeyTable` and compare candidates in place — a
+//! key cell is copied once per group, never for a join. A join's residual predicate is a
 //! mask over its candidate pairs, evaluated on just the columns it
 //! reads; a product is a join without conditions. No operator
 //! materializes a row: the row walk is the [`crate::rowref`] oracle's.
@@ -36,8 +36,8 @@
 //! context to *hold* the cluster key ([`ExecError::MissingKey`]
 //! otherwise); homomorphic aggregation only needs the public half.
 
-use crate::batch::{ColumnVec, KeySeed, TableSchema, DEFAULT_BATCH_ROWS};
-use crate::eval::{cmp_cells, eval_column, eval_mask, mask_until_failure, EvalError};
+use crate::batch::{ColumnVec, KeyEq, KeySeed, TableSchema, DEFAULT_BATCH_ROWS};
+use crate::eval::{cmp_cells, eval_column, eval_select, mask_until_failure, EvalError};
 use crate::pool::WorkerPool;
 use crate::scheme::SchemePlan;
 use crate::table::{Database, Table};
@@ -632,37 +632,39 @@ fn compile_node<'p>(
     }
 }
 
-/// Evaluate `pred` over `batch` in parallel chunks, each chunk a
-/// column at a time, producing the keep-mask.
-fn selection_mask(
+/// The rows of `batch` where `pred` is TRUE, in order: parallel chunks,
+/// each narrowing one selection a column at a time.
+fn selection(
     pred: &Expr,
     batch: &Table,
     agg_base: Option<usize>,
     ctx: &ExecCtx<'_>,
-) -> Result<Vec<bool>, ExecError> {
+) -> Result<Vec<usize>, ExecError> {
     let chunks = ctx.pool.map_ranges(batch.len(), MIN_CHUNK_ROWS, |range| {
-        let truth = eval_mask(pred, batch, agg_base, range)?;
-        Ok::<_, ExecError>(truth.iter().map(|t| *t == Some(true)).collect::<Vec<_>>())
+        let start = range.start;
+        let mut kept = eval_select(pred, batch, agg_base, range)?;
+        kept.iter_mut().for_each(|r| *r += start);
+        Ok::<_, ExecError>(kept)
     })?;
     Ok(chunks.concat())
 }
 
-/// Evaluate `pred` over `batch` and keep the passing rows (`None` when
-/// nothing passes).
+/// Evaluate `pred` over `batch` and gather the passing rows (`None`
+/// when nothing passes).
 fn filter_batch(
     pred: &Expr,
     batch: Table,
     agg_base: Option<usize>,
     ctx: &ExecCtx<'_>,
 ) -> Result<Option<Table>, ExecError> {
-    let mask = selection_mask(pred, &batch, agg_base, ctx)?;
-    if mask.iter().all(|&m| !m) {
+    let kept = selection(pred, &batch, agg_base, ctx)?;
+    if kept.is_empty() {
         return Ok(None);
     }
-    if mask.iter().all(|&m| m) {
+    if kept.len() == batch.len() {
         return Ok(Some(batch));
     }
-    let cols = batch.columns().iter().map(|c| c.filter(&mask)).collect();
+    let cols = batch.columns().iter().map(|c| c.gather(&kept)).collect();
     Ok(Some(Table::from_columns(batch.schema().clone(), cols)))
 }
 
@@ -877,24 +879,20 @@ fn crypto_stream<'p>(
     map_stream(child, schema.clone(), move |batch| {
         let base = row_off;
         row_off += batch.len();
-        // Without a predicate the mask is empty, and an empty mask
-        // keeps everything.
-        let mask = match &keep {
-            Some(pred) => selection_mask(pred, &batch, None, ctx)?,
-            None => Vec::new(),
+        let kept = match &keep {
+            Some(pred) => Some(selection(pred, &batch, None, ctx)?),
+            None => None,
         };
-        let (mut cols, kept) = if mask.iter().all(|&m| m) {
-            (batch.into_columns(), None)
-        } else {
-            let kept: Vec<usize> = (base..)
-                .zip(&mask)
-                .filter_map(|(off, &m)| m.then_some(off))
-                .collect();
-            if kept.is_empty() {
-                return Ok(None);
+        let (mut cols, kept) = match kept {
+            Some(mut kept) if kept.len() < batch.len() => {
+                if kept.is_empty() {
+                    return Ok(None);
+                }
+                let cols = batch.columns().iter().map(|c| c.gather(&kept)).collect();
+                kept.iter_mut().for_each(|r| *r += base);
+                (cols, Some(kept))
             }
-            let cols = batch.columns().iter().map(|c| c.filter(&mask)).collect();
-            (cols, Some(kept))
+            _ => (batch.into_columns(), None),
         };
         let offsets = match &kept {
             Some(kept) => Offsets::Sparse(kept),
@@ -1837,26 +1835,38 @@ impl AggAcc {
 
 /// Pass 1 of γ over one batch: each row's group id. A row whose key no
 /// group holds opens the next one — numbered in first-seen order — and
-/// its key cells are the only ones ever copied, onto `group_keys`.
+/// its key cells are the only ones ever copied, onto `group_keys`, once
+/// the batch is through. Each key column picks its comparison once
+/// ([`ColumnVec::key_eq_with`]): against the groups held before the
+/// batch, and against the rows that opened the batch's own groups.
 fn group_ids(
     table: &mut KeyTable,
     group_keys: &mut [ColumnVec],
     keys: &[&ColumnVec],
     hashes: &[u64],
 ) -> Vec<u32> {
+    let held = table.hashes.len();
+    let with_held: Vec<KeyEq> = (keys.iter().zip(&*group_keys))
+        .map(|(k, g)| k.key_eq_with(g))
+        .collect();
+    let with_batch: Vec<KeyEq> = keys.iter().map(|k| k.key_eq_with(k)).collect();
+    let mut openers: Vec<usize> = Vec::new();
     let ids = hashes.iter().enumerate().map(|(r, &hash)| {
-        let same = |&g: &usize| {
-            (keys.iter().zip(&*group_keys)).all(|(k, held)| k.cell_ref(r).key_eq(held.cell_ref(g)))
+        let same = |&g: &usize| match g.checked_sub(held) {
+            None => with_held.iter().all(|c| c.eq(r, g)),
+            Some(new) => with_batch.iter().all(|c| c.eq(r, openers[new])),
         };
         let group = table.chain(hash).find(same);
         group.unwrap_or_else(|| {
-            for (col, key) in group_keys.iter_mut().zip(keys) {
-                col.push(key.get(r));
-            }
+            openers.push(r);
             table.push(hash)
         }) as u32
     });
-    ids.collect()
+    let ids = ids.collect();
+    for (col, key) in group_keys.iter_mut().zip(keys) {
+        openers.iter().for_each(|&r| col.push(key.get(r)));
+    }
+    ids
 }
 
 /// Pass 2 of γ for one aggregate: fold its input column into the
@@ -2292,6 +2302,73 @@ mod tests {
                 assert_eq!(outer.to_rows(), outer_rows);
             }
         }
+    }
+
+    /// Group ids over several batches under the seed that hashes every
+    /// key to 0, so the comparators alone tell keys apart: typed string
+    /// keys that part in their first eight bytes or only behind them,
+    /// integer and date keys, a held string key column that turns into
+    /// `Val` when a NULL group opens, and typed batches after it. Each
+    /// row's group is the first row before it holding its key, by
+    /// `key_eq`.
+    #[test]
+    fn typed_group_keys_under_all_equal_hashes_are_key_eq() {
+        let seed = KeySeed::colliding();
+        let words = [
+            "",
+            "ab",
+            "ab\0",
+            "ü",
+            "u\u{308}",
+            "abcdefgh",
+            "abcdefghi",
+            "abcdefghj",
+        ];
+        let word = |i: usize| Value::str(words[i % words.len()]);
+        let batches: Vec<[ColumnVec; 3]> = (0..5)
+            .map(|b| {
+                let rows = 0..6 + 5 * b;
+                let text = rows.clone().map(|i| match (b, i) {
+                    (2, 3) => Value::Null,
+                    _ => word(i * 3 + b),
+                });
+                let ints = rows.clone().map(|i| ((i + b) % 2) as i64);
+                let days = rows.map(|i| Value::Date(Date((i % 2) as i32)));
+                [
+                    text.collect(),
+                    ColumnVec::from_ints(ints.collect()),
+                    days.collect(),
+                ]
+            })
+            .collect();
+        assert!(matches!(batches[2][0], ColumnVec::Val(_)));
+        assert!(matches!(batches[3][0], ColumnVec::Str(_)));
+        let mut table = KeyTable::new(seed, Vec::new());
+        let mut group_keys = vec![ColumnVec::new(); 3];
+        let mut seen: Vec<Vec<Value>> = Vec::new();
+        let mut held_kinds = Vec::new();
+        for batch in &batches {
+            let keys: Vec<&ColumnVec> = batch.iter().collect();
+            let hashes = hash_rows(keys.iter().copied(), seed, 0..batch[0].len());
+            let gid = group_ids(&mut table, &mut group_keys, &keys, &hashes);
+            for (r, &id) in gid.iter().enumerate() {
+                let row: Vec<Value> = batch.iter().map(|k| k.get(r)).collect();
+                let same = |held: &Vec<Value>| {
+                    (held.iter().zip(&row)).all(|(a, b)| CellRef::from(a).key_eq(b.into()))
+                };
+                let g = seen.iter().position(same).unwrap_or_else(|| {
+                    seen.push(row.clone());
+                    seen.len() - 1
+                });
+                assert_eq!(id as usize, g, "row {r}: {row:?}");
+            }
+            held_kinds.push(matches!(group_keys[0], ColumnVec::Str(_)));
+        }
+        assert_eq!(held_kinds, [true, true, false, false, false]);
+        let held: Vec<Vec<Value>> = (0..seen.len())
+            .map(|g| group_keys.iter().map(|k| k.get(g)).collect())
+            .collect();
+        assert_eq!(held, seen);
     }
 
     /// The key table under the seed that hashes every key to 0: one

@@ -13,10 +13,10 @@
 //!
 //! What an operation does to one cell is stated once, in the cell
 //! rules (`cmp_values`, `arith`, `equal_maybe_encrypted`,
-//! [`like_match`], …). The engine applies them through [`eval_mask`] /
-//! [`eval_column`]: an expression over a whole batch, one
-//! sub-expression at a time — under σ, HAVING, γ inputs, sort keys, udf
-//! bodies and a join's residual (a mask over its candidate pairs).
+//! [`like_match`], …). The engine applies them through [`eval_mask`],
+//! [`eval_column`] and σ's selection: an expression over a whole batch,
+//! one sub-expression at a time — under σ, HAVING, γ inputs, sort keys,
+//! udf bodies and a join's residual (a mask over its candidate pairs).
 //! Columns are resolved to positions once per batch. A comparison or an
 //! arithmetic decides its loop once per kernel call — the operand kinds
 //! (`Int` / `Num` columns and literals on either side, dates against
@@ -27,19 +27,22 @@
 //! becomes its dense column in one step where a whole column is asked
 //! of it. Everything else goes through the cell rules on *borrowed*
 //! cells ([`CellRef`]: a string where it lies in its column, a
-//! ciphertext on the bytes where they lie). `AND` / `OR` /
-//! `CASE` evaluate part *k* only on the rows parts *1..k* left
-//! undecided, so every sub-expression sees exactly the rows a
+//! ciphertext on the bytes where they lie). A predicate *narrows* one
+//! selection — ascending row numbers, compacted in place without a
+//! branch on the data — and `AND` / `OR` / `BETWEEN` / `CASE` hand it
+//! from part to part, so part *k* sees only the rows parts *1..k* left
+//! undecided and every sub-expression sees exactly the rows a
 //! row-at-a-time walk would have shown it: results and errors are the
 //! row walk's. That walk — one materialized row at a time over the same
 //! cell rules — is the [`crate::rowref`] oracle's own.
 
-use crate::batch::{ColumnVec, StrColumn};
+use crate::batch::{ColumnVec, StrColumn, Text};
 use crate::table::Table;
 use mpq_algebra::expr::DateField;
 use mpq_algebra::value::{CellRef, EncColumn, EncScheme};
 use mpq_algebra::{ArithOp, AttrId, CmpOp, Date, Expr, Value};
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -370,8 +373,23 @@ pub(crate) fn mask_until_failure(
     rows: Range<usize>,
 ) -> (Vec<Option<bool>>, Option<(usize, EvalError)>) {
     let mut ev = Evaluator::new(batch, agg_base, rows);
-    let mask = ev.mask(pred, &ev.all_rows());
+    let mask = ev.mask(pred, ev.all_rows());
     (mask, ev.failed)
+}
+
+/// The rows of `rows` where `pred` is TRUE, counted from `rows.start`:
+/// what σ keeps. Fails as [`eval_mask`] does.
+pub(crate) fn eval_select(
+    pred: &Expr,
+    batch: &Table,
+    agg_base: Option<usize>,
+    rows: Range<usize>,
+) -> Result<Vec<usize>, EvalError> {
+    let mut ev = Evaluator::new(batch, agg_base, rows);
+    let mut kept = ev.all_rows();
+    let unknown = ev.narrow(pred, &mut kept, false);
+    retain(&mut kept, &unknown, false);
+    ev.failed.map_or(Ok(kept), |(_, e)| Err(e))
 }
 
 /// What [`eval_column`] returns: the column, and — when some row failed
@@ -463,18 +481,28 @@ impl Lane for Wide<'_> {
     }
 }
 
-/// The cells of a string column from the given one on, as bytes: the
-/// order `&str` has.
+/// The cells of a string column from the given one on, as bytes.
 #[derive(Clone, Copy)]
 struct Bytes<'s>(&'s StrColumn, usize);
 
 impl<'s> Lane for Bytes<'s> {
-    type Cell = &'s [u8];
-    fn at(self, r: usize) -> &'s [u8] {
-        self.0.cell(self.1 + r).as_bytes()
+    type Cell = Text<'s>;
+    fn at(self, r: usize) -> Text<'s> {
+        self.0.text(self.1 + r)
     }
-    fn cells(self, n: usize) -> impl Iterator<Item = &'s [u8]> {
-        self.0.cells(self.1..self.1 + n).map(str::as_bytes)
+    fn cells(self, n: usize) -> impl Iterator<Item = Text<'s>> {
+        self.0.texts(self.1..self.1 + n)
+    }
+}
+
+/// Two operands read side by side.
+impl<A: Lane, B: Lane> Lane for (A, B) {
+    type Cell = (A::Cell, B::Cell);
+    fn at(self, r: usize) -> Self::Cell {
+        (self.0.at(r), self.1.at(r))
+    }
+    fn cells(self, n: usize) -> impl Iterator<Item = Self::Cell> {
+        self.0.cells(n).zip(self.1.cells(n))
     }
 }
 
@@ -499,7 +527,7 @@ enum Typed<'s> {
     Int(Side<&'s [i64], i64>),
     Num(Side<&'s [f64], f64>),
     Day(Side<&'s [Date], Date>),
-    Text(Side<Bytes<'s>, &'s [u8]>),
+    Text(Side<Bytes<'s>, Text<'s>>),
 }
 
 /// A loop over two operands of one cell type, instantiated once per
@@ -558,24 +586,51 @@ fn each<T, O>(
     }
 }
 
-/// `a op b` on each row of `live`, into `out`. Yields `false` when a
-/// pair has no order (a NaN): the cell rule answers for those rows.
-struct Compare<'o>(CmpOp, &'o [usize], &'o mut [Option<bool>]);
+/// Keep the rows of `sel` whose cell in `lane` satisfies `f`, compacted
+/// in place without a branch on the data — over the lane itself when
+/// `sel` is every one of its `n` rows.
+fn keep<C>(lane: impl Lane<Cell = C>, sel: &mut Vec<usize>, n: usize, f: impl Fn(C) -> bool) {
+    let mut kept = 0;
+    if sel.len() == n {
+        for (r, cell) in lane.cells(n).enumerate() {
+            sel[kept] = r;
+            kept += usize::from(f(cell));
+        }
+    } else {
+        for i in 0..sel.len() {
+            let r = sel[i];
+            sel[kept] = r;
+            kept += usize::from(f(lane.at(r)));
+        }
+    }
+    sel.truncate(kept);
+}
 
-impl<T: PartialOrd> Kernel<T> for Compare<'_> {
+/// Keep the rows of `sel` (of `n`) where `a op b` is not the given
+/// truth. Equality needs no order; a pair an ordering finds none for (a
+/// NaN) is kept, and the kernel yields `false`: the cell rule answers
+/// for the rows it kept.
+struct Narrow<'s>(CmpOp, bool, &'s mut Vec<usize>, usize);
+
+impl<T: PartialOrd> Kernel<T> for Narrow<'_> {
     type Out = bool;
     fn run(self, a: impl Lane<Cell = T>, b: impl Lane<Cell = T>) -> bool {
-        let Compare(op, live, out) = self;
-        let ord = |p: T, q: T| p.partial_cmp(&q);
+        let Narrow(op, drop, sel, n) = self;
+        let (lanes, ordered) = ((a, b), Cell::new(true));
+        let by = |(p, q): (T, T), test: fn(Ordering) -> bool| {
+            let o = p.partial_cmp(&q);
+            ordered.set(ordered.get() & o.is_some());
+            o.is_none_or(|o| test(o) != drop)
+        };
         match op {
-            CmpOp::Eq => each(a, b, live, out, |p, q| ord(p, q).map(Ordering::is_eq)),
-            CmpOp::Ne => each(a, b, live, out, |p, q| ord(p, q).map(Ordering::is_ne)),
-            CmpOp::Lt => each(a, b, live, out, |p, q| ord(p, q).map(Ordering::is_lt)),
-            CmpOp::Le => each(a, b, live, out, |p, q| ord(p, q).map(Ordering::is_le)),
-            CmpOp::Gt => each(a, b, live, out, |p, q| ord(p, q).map(Ordering::is_gt)),
-            CmpOp::Ge => each(a, b, live, out, |p, q| ord(p, q).map(Ordering::is_ge)),
+            CmpOp::Eq => keep(lanes, sel, n, |(p, q)| (p == q) != drop),
+            CmpOp::Ne => keep(lanes, sel, n, |(p, q)| (p != q) != drop),
+            CmpOp::Lt => keep(lanes, sel, n, |pq| by(pq, Ordering::is_lt)),
+            CmpOp::Le => keep(lanes, sel, n, |pq| by(pq, Ordering::is_le)),
+            CmpOp::Gt => keep(lanes, sel, n, |pq| by(pq, Ordering::is_gt)),
+            CmpOp::Ge => keep(lanes, sel, n, |pq| by(pq, Ordering::is_ge)),
         }
-        (live.len() == out.len() && !out.contains(&None)) || live.iter().all(|&r| out[r].is_some())
+        ordered.get()
     }
 }
 
@@ -642,7 +697,7 @@ impl Col<'_> {
             Col::Lit(Value::Int(x)) => Typed::Int(Side::Lit(*x)),
             Col::Lit(Value::Num(x)) => Typed::Num(Side::Lit(*x)),
             Col::Lit(Value::Date(d)) => Typed::Day(Side::Lit(*d)),
-            Col::Lit(Value::Str(s)) => Typed::Text(Side::Lit(s.as_bytes())),
+            Col::Lit(Value::Str(s)) => Typed::Text(Side::Lit(Text::new(s.as_bytes()))),
             _ => return None,
         })
     }
@@ -790,11 +845,11 @@ impl<'a> Evaluator<'a> {
                     if open.is_empty() {
                         break;
                     }
-                    let truth = self.mask(cond, &open);
-                    let (taken, rest): (Vec<usize>, Vec<usize>) =
-                        open.iter().partition(|&&r| truth[r] == Some(true));
+                    let mut taken = open.clone();
+                    let unknown = self.narrow(cond, &mut taken, false);
+                    retain(&mut taken, &unknown, false);
                     self.scatter(then, &taken, &mut out);
-                    open = rest;
+                    retain(&mut open, &taken, false);
                 }
                 if let Some(e) = else_ {
                     self.scatter(e, &open, &mut out);
@@ -812,7 +867,7 @@ impl<'a> Evaluator<'a> {
                 Col::Val(self.apply(sel, Value::Null, cut).into())
             }
             _ => {
-                let truth = self.mask(e, sel);
+                let truth = self.mask(e, sel.to_vec());
                 Col::Val(truth.into_iter().map(truth_to_value).collect())
             }
         }
@@ -843,19 +898,42 @@ impl<'a> Evaluator<'a> {
         Col::Val(self.apply(sel, Value::Null, by_cell).into())
     }
 
-    fn mask(&mut self, e: &'a Expr, sel: &[usize]) -> Vec<Option<bool>> {
-        match e {
+    /// Three-valued truth of `e` on the rows of `kept`, by row of the
+    /// range (FALSE on the rows outside it).
+    fn mask(&mut self, e: &'a Expr, mut kept: Vec<usize>) -> Vec<Option<bool>> {
+        let unknown = self.narrow(e, &mut kept, false);
+        let mut out = vec![Some(false); self.n];
+        kept.iter().for_each(|&r| out[r] = Some(true));
+        unknown.iter().for_each(|&r| out[r] = None);
+        out
+    }
+
+    /// Narrow `sel` to its live rows where `e` is not `drop` — for
+    /// `false` the TRUE and the NULL ones — and return the NULL ones it
+    /// kept. Every part of `e` sees exactly the rows the row walk shows
+    /// it, and fails on the first of them it fails on.
+    fn narrow(&mut self, e: &'a Expr, sel: &mut Vec<usize>, drop: bool) -> Vec<usize> {
+        let mut unknown = match e {
             Expr::Cmp(a, op, b) => {
                 let (x, y) = (self.column(a, sel), self.column(b, sel));
-                self.cmp(&x, *op, &y, sel)
+                self.cmp(&x, *op, &y, sel, drop)
             }
-            Expr::And(parts) => self.connective(parts, false, sel),
-            Expr::Or(parts) => self.connective(parts, true, sel),
-            Expr::Not(x) => {
-                let mut truth = self.mask(x, sel);
-                truth.iter_mut().for_each(|t| *t = t.map(|b| !b));
-                truth
+            Expr::And(parts) | Expr::Or(parts) => {
+                // A part that comes out `decides` settles its row, and
+                // later parts see only the rows still open.
+                let decides = matches!(e, Expr::Or(_));
+                self.flip(sel, drop, decides, |ev, open| {
+                    let mut unknown = Vec::new();
+                    for part in parts {
+                        if open.is_empty() {
+                            break;
+                        }
+                        unknown.extend(ev.narrow(part, open, decides));
+                    }
+                    settle(unknown, open)
+                })
             }
+            Expr::Not(x) => self.narrow(x, sel, !drop),
             Expr::Between {
                 expr,
                 lo,
@@ -864,9 +942,20 @@ impl<'a> Evaluator<'a> {
             } => {
                 let v = self.column(expr, sel);
                 let (lo, hi) = (self.column(lo, sel), self.column(hi, sel));
-                let ge = self.cmp(&v, CmpOp::Ge, &lo, sel);
-                let le = self.cmp(&v, CmpOp::Le, &hi, sel);
-                self.apply(sel, None, |r| Ok(between(ge[r], le[r], *negated)))
+                // SQL's AND of the two bounds, which the row walk both
+                // evaluates: `<= hi` also meets the rows `>= lo` settles
+                // FALSE unless it cannot fail on one.
+                let narrows = can_follow(&v, &hi);
+                self.flip(sel, drop != *negated, false, |ev, open| {
+                    let mut le = (!narrows).then(|| open.clone());
+                    let mut unknown = ev.cmp(&v, CmpOp::Ge, &lo, open, false);
+                    let le_rows = le.as_mut().unwrap_or(open);
+                    unknown.extend(ev.cmp(&v, CmpOp::Le, &hi, le_rows, false));
+                    if let Some(le) = &le {
+                        retain(open, le, true);
+                    }
+                    settle(unknown, open)
+                })
             }
             Expr::Like {
                 expr,
@@ -875,7 +964,7 @@ impl<'a> Evaluator<'a> {
             } => {
                 let v = self.column(expr, sel);
                 let pattern: Vec<char> = pattern.chars().collect();
-                self.apply(sel, None, |r| like_cell(v.cell_ref(r), &pattern, *negated))
+                self.sift(sel, drop, |r| like_cell(v.cell_ref(r), &pattern, *negated))
             }
             Expr::InList {
                 expr,
@@ -884,62 +973,98 @@ impl<'a> Evaluator<'a> {
             } => {
                 let v = self.column(expr, sel);
                 // A string column against string literals: as bytes.
-                let items: Option<Vec<&[u8]>> = (list.iter())
+                let items: Option<Vec<Text>> = (list.iter())
                     .map(|item| match item {
-                        Value::Str(s) => Some(s.as_bytes()),
+                        Value::Str(s) => Some(Text::new(s.as_bytes())),
                         _ => None,
                     })
                     .collect();
                 if let (Col::Str(c, from), Some(items)) = (&v, items) {
-                    let hit = |r| items.contains(&Bytes(c, *from).at(r));
-                    return self.apply(sel, None, |r| Ok(Some(hit(r) != *negated)));
+                    sel.truncate(self.live(sel).len());
+                    let hit = |cell| items.iter().fold(false, |hit, &item| hit | (item == cell));
+                    let hit = |cell| hit(cell) != (*negated != drop);
+                    keep(Bytes(c, *from), sel, self.n, hit);
+                    return Vec::new();
                 }
-                self.apply(sel, None, |r| in_list_cell(v.cell_ref(r), list, *negated))
+                self.sift(sel, drop, |r| in_list_cell(v.cell_ref(r), list, *negated))
             }
             Expr::IsNull { expr, negated } => {
                 let v = self.column(expr, sel);
                 let null = |r| matches!(v.cell_ref(r), CellRef::Null);
-                self.apply(sel, None, |r| Ok(Some(null(r) != *negated)))
+                self.sift(sel, drop, |r| Ok(Some(null(r) != *negated)))
             }
             _ => {
                 let v = self.column(e, sel);
-                self.apply(sel, None, |r| truth_of(&v.cell(r)))
+                self.sift(sel, drop, |r| truth_of(&v.cell(r)))
             }
-        }
+        };
+        sel.truncate(self.live(sel).len());
+        unknown.truncate(self.live(&unknown).len());
+        unknown
     }
 
-    /// `AND` (`decides` = false) or `OR` (true): a part that comes out
-    /// `decides` settles its row, and later parts never see that row.
-    fn connective(&mut self, parts: &'a [Expr], decides: bool, sel: &[usize]) -> Vec<Option<bool>> {
-        let mut out = vec![Some(!decides); self.n];
-        let mut open = sel.to_vec();
-        for part in parts {
-            if open.is_empty() {
-                break;
-            }
-            let truth = self.mask(part, &open);
-            // Compacted in place, without a branch on the data.
-            let mut kept = 0;
-            for i in 0..open.len() {
-                let r = open[i];
-                if truth[r] != Some(!decides) {
-                    out[r] = truth[r];
+    /// [`narrow`](Evaluator::narrow) by `drop` through `walk`, which
+    /// narrows by `native`: on `sel` itself when the two agree, else on
+    /// a copy, whose rows that are not NULL then leave `sel`.
+    fn flip(
+        &mut self,
+        sel: &mut Vec<usize>,
+        drop: bool,
+        native: bool,
+        walk: impl FnOnce(&mut Self, &mut Vec<usize>) -> Vec<usize>,
+    ) -> Vec<usize> {
+        if drop == native {
+            return walk(self, sel);
+        }
+        let mut settled = sel.clone();
+        let unknown = walk(self, &mut settled);
+        retain(&mut settled, &unknown, false);
+        retain(sel, &settled, false);
+        unknown
+    }
+
+    /// Narrow `sel` by `rule`, each live row's truth, in row order up to
+    /// the first failing row.
+    fn sift(
+        &mut self,
+        sel: &mut Vec<usize>,
+        drop: bool,
+        mut rule: impl FnMut(usize) -> Truth,
+    ) -> Vec<usize> {
+        let (mut kept, mut unknown) = (0, Vec::new());
+        for i in 0..self.live(sel).len() {
+            let r = sel[i];
+            match rule(r) {
+                Ok(truth) => {
+                    sel[kept] = r;
+                    kept += usize::from(truth != Some(drop));
+                    if truth.is_none() {
+                        unknown.push(r);
+                    }
                 }
-                open[kept] = r;
-                kept += usize::from(truth[r] != Some(decides));
+                Err(e) => {
+                    self.failed = Some((r, e));
+                    break;
+                }
             }
-            open.truncate(kept);
         }
-        out
+        sel.truncate(kept);
+        unknown
     }
 
-    fn cmp(&mut self, a: &Col<'_>, op: CmpOp, b: &Col<'_>, sel: &[usize]) -> Vec<Option<bool>> {
-        let mut out = vec![None; self.n];
-        let live = self.live(sel);
+    fn cmp(
+        &mut self,
+        a: &Col<'_>,
+        op: CmpOp,
+        b: &Col<'_>,
+        sel: &mut Vec<usize>,
+        drop: bool,
+    ) -> Vec<usize> {
+        sel.truncate(self.live(sel).len());
         // One typed loop per pair of operand kinds: integers, numerics,
-        // dates by day, strings by byte. A pair it cannot order — NaN —
-        // sends the selection to the cell rule instead.
-        let k = Compare(op, live, &mut out);
+        // dates by day, strings by byte. The rows of a pair it cannot
+        // order — NaN — it keeps for the cell rule.
+        let k = Narrow(op, drop, sel, self.n);
         let typed = match (a.typed(), b.typed()) {
             (Some(Typed::Int(x)), Some(Typed::Int(y))) => sides(x, y, k),
             (Some(Typed::Day(x)), Some(Typed::Day(y))) => sides(x, y, k),
@@ -948,22 +1073,51 @@ impl<'a> Evaluator<'a> {
             _ => false,
         };
         if typed {
-            return out;
-        }
-        if a.is_enc() && b.is_enc() {
+            Vec::new()
+        } else if a.is_enc() && b.is_enc() {
             // Two ciphertext operands: compared on their bytes, through
             // the capability checks alone.
-            self.fill(sel, &mut out, |r| match (a.enc(r), b.enc(r)) {
+            self.sift(sel, drop, |r| match (a.enc(r), b.enc(r)) {
                 (Some(x), Some(y)) => cmp_enc(x, op, y),
                 _ => Ok(None),
-            });
+            })
         } else {
-            self.fill(sel, &mut out, |r| {
-                cmp_cells(a.cell_ref(r), op, b.cell_ref(r))
-            });
+            self.sift(sel, drop, |r| cmp_cells(a.cell_ref(r), op, b.cell_ref(r)))
         }
-        out
     }
+}
+
+/// `true` when `v <= hi` cannot fail on a row where `v` has an order:
+/// one typed loop reads both, and `hi` holds no NaN.
+fn can_follow(v: &Col<'_>, hi: &Col<'_>) -> bool {
+    use Typed::*;
+    match (v.typed(), hi.typed()) {
+        (Some(Int(_) | Num(_)), Some(Int(_))) | (Some(Day(_)), Some(Day(_))) => true,
+        (Some(Text(_)), Some(Text(_))) => true,
+        (Some(Int(_) | Num(_)), Some(Num(Side::Lit(x)))) => !x.is_nan(),
+        _ => false,
+    }
+}
+
+/// The NULL rows some parts kept, as those of `open` — in order, once
+/// each.
+fn settle(mut unknown: Vec<usize>, open: &[usize]) -> Vec<usize> {
+    unknown.sort_unstable();
+    unknown.dedup();
+    retain(&mut unknown, open, true);
+    unknown
+}
+
+/// Keep the rows of `sel` that `rows` holds (`within`) or does not hold;
+/// both ascending.
+fn retain(sel: &mut Vec<usize>, rows: &[usize], within: bool) {
+    let mut at = 0;
+    sel.retain(|&r| {
+        while rows.get(at).is_some_and(|&x| x < r) {
+            at += 1;
+        }
+        (rows.get(at) == Some(&r)) == within
+    });
 }
 
 #[cfg(test)]
