@@ -150,10 +150,10 @@ fn assert_pinned(tier: &str, text: &str, pinned: &str) {
 }
 
 /// SF 0.02 sampled statistics (tier 1).
-const SAMPLE_DIGEST: &str = "475dfdedacedb975eada8fa8008c5a19eadfcd1aa125333d2b55d71e4599e932";
+const SAMPLE_DIGEST: &str = "ff350100aec1454e144ff603fe019553e72e2074ff5f3a23921c043639462186";
 
 /// SF 1 measured statistics (the `figure10` CI job).
-const EVALUATION_DIGEST: &str = "baec30da4f89e03c47d70864a5ecf183771850821337972554a9847948aa138f";
+const EVALUATION_DIGEST: &str = "35f925eedba2d2e84624fd5e77dcf35e79092e3ebb9e383416b50b6ef9eeaee9";
 
 #[test]
 fn every_plan_under_sample_statistics_is_pinned() {

@@ -132,10 +132,11 @@ pub struct Demand {
     pub attr: AttrId,
     /// What the operation needs of it.
     pub need: Need,
-    /// The other side of a join condition. The engine reconciles a
-    /// mixed-form pair by encrypting the plaintext side on the fly
-    /// (MPQ009), so the two share a scheme and the pair runs on
-    /// ciphertext as soon as *either* side arrives encrypted.
+    /// The other side of a join condition: the two share one scheme.
+    /// Extension encrypts a side arriving in plaintext below the join
+    /// when its partner arrives encrypted, so the pair runs on
+    /// ciphertext as soon as *either* side does, and both sides'
+    /// ciphertexts must come from one scheme.
     pub with: Option<AttrId>,
 }
 

@@ -13,11 +13,15 @@
 //!   `A = (R^ip_{n_o} ∩ R^vp) ∩ ⋃_{x ancestor} E_{λ(x)}` — attributes
 //!   the parent's assignee may only see encrypted, plus attributes the
 //!   parent's operation would leave as *plaintext implicit* while some
-//!   later assignee holds only encrypted visibility over them.
+//!   later assignee holds only encrypted visibility over them;
+//! * **encrypt** below a join, for a join attribute that arrives in
+//!   plaintext while its partner in a join condition arrives encrypted:
+//!   both sides of a condition are compared in one form, fixed here by
+//!   the plan and never decided by the engine.
 //!
 //! Encryption/decryption operations are assigned to the same subject as
 //! the node they complement (leaves: the data authority of the base
-//! relation).
+//! relation; a join's operand encryption: the join's assignee).
 
 use crate::authz::{AuthzViolation, Policy, SubjectView};
 use crate::candidates::Candidates;
@@ -227,6 +231,46 @@ pub fn extend_plan(
                     );
                     top[c.index()] = d;
                     full.insert(d, assignee);
+                }
+            }
+        }
+
+        // (i') a join compares both sides of a condition in one form:
+        // a side arriving in plaintext while its partner arrives
+        // encrypted is encrypted on its edge, by the join's assignee.
+        // Encrypting one side may pair it with another plaintext
+        // partner, so the sets grow to a fixpoint first.
+        if let Operator::Join { on, .. } = &node.op {
+            let profiles = profile_plan(&ext);
+            let sides = node
+                .children
+                .iter()
+                .map(|c| &profiles[top[c.index()].index()]);
+            let (vp, mut ve): (Vec<&AttrSet>, Vec<AttrSet>) =
+                sides.map(|p| (&p.vp, p.ve.clone())).unzip();
+            let mut splice = [AttrSet::new(), AttrSet::new()];
+            let mut grew = true;
+            while grew {
+                grew = false;
+                for &(l, _, r) in on {
+                    for (side, a, partner) in [(0, l, r), (1, r, l)] {
+                        if vp[side].contains(a)
+                            && !ve[side].contains(a)
+                            && ve[1 - side].contains(partner)
+                        {
+                            ve[side].insert(a);
+                            splice[side].insert(a);
+                            grew = true;
+                        }
+                    }
+                }
+            }
+            for (c, attrs) in node.children.iter().zip(splice) {
+                if !attrs.is_empty() {
+                    let attrs = attrs.iter().collect();
+                    let e = ext.splice_above(top[c.index()], Operator::Encrypt { attrs });
+                    top[c.index()] = e;
+                    full.insert(e, assignee);
                 }
             }
         }

@@ -6,9 +6,10 @@
 //! in encrypted form somewhere in the plan); all other encrypted
 //! attributes get singleton keys. A key is distributed exactly to the
 //! subjects in charge of encryption/decryption operations over its
-//! attributes — counting a join assignee that must reconcile a
-//! mixed-form comparison (one side ciphertext, one side plaintext) by
-//! encrypting the plaintext side on the fly.
+//! attributes. A join that would compare a ciphertext side against a
+//! plaintext one needs no exception: plan extension encrypts the
+//! plaintext side below the join, by the join's assignee, so that
+//! assignee holds the key by the same rule.
 
 use crate::extend::ExtendedPlan;
 use mpq_algebra::{AttrSet, Catalog, Operator, SubjectId};
@@ -126,37 +127,6 @@ pub fn plan_keys(ext: &ExtendedPlan) -> KeyPlan {
                 let s = ext.assignment[&id];
                 if !holders.contains(&s) {
                     holders.push(s);
-                }
-            }
-        }
-        // A join comparing a ciphertext side against a plaintext side
-        // (minimal extension may encrypt one join attribute above the
-        // join while the other arrives encrypted from below) is
-        // reconciled at runtime by encrypting the plaintext side on the
-        // fly — an encryption operation over the cluster's attributes,
-        // so its assignee is a holder too. This hands out no extra
-        // visibility: Def. 4.1 cond. 3 already requires the assignee to
-        // be uniformly authorized over the compared equivalence class,
-        // and seeing one side in plaintext means it is
-        // plaintext-authorized for both.
-        for id in ext.plan.postorder() {
-            let node = ext.plan.node(id);
-            let Operator::Join { on, .. } = &node.op else {
-                continue;
-            };
-            let lp = &ext.profiles[node.children[0].index()];
-            let rp = &ext.profiles[node.children[1].index()];
-            for (l, _, r) in on {
-                if !attrs.contains(*l) && !attrs.contains(*r) {
-                    continue;
-                }
-                let mixed = (lp.ve.contains(*l) && rp.vp.contains(*r))
-                    || (lp.vp.contains(*l) && rp.ve.contains(*r));
-                if mixed {
-                    let s = ext.assignment[&id];
-                    if !holders.contains(&s) {
-                        holders.push(s);
-                    }
                 }
             }
         }

@@ -23,7 +23,7 @@
 //! | [`Code::Malformed`] | structural validity, crypto-op coherence, `HAVING`-through-crypto | planner panics / wrong profiles (the PR 1 bug class) |
 //! | [`Code::FlowDivergence`] | N-version cross-check of profile propagation | — (meta: catches bugs in the analyses themselves) |
 //! | [`Code::BadAssignment`] | completeness of λ and leaf/authority agreement | `SimError::Unassigned` / `NotTheAuthority` |
-//! | [`Code::MixedForm`] | every mixed-form join comparison reconcilable by its assignee | `ExecError::MixedForm` |
+//! | [`Code::MixedForm`] | both sides of every join condition arrive in one form (plaintext or ciphertext) | `ExecError::MixedForm` |
 //!
 //! **Flow soundness is N-versioned**: this module re-derives the Fig. 2
 //! profile propagation from the paper with an independent
@@ -81,10 +81,10 @@ pub enum Code {
     /// its data authority.
     BadAssignment,
     /// MPQ009 — a join condition compares a ciphertext side against a
-    /// plaintext side, and the join's assignee cannot reconcile the
-    /// forms (it holds no key for the covering Def. 6.1 cluster, or no
-    /// cluster covers the encrypted attribute). The runtime would
-    /// refuse with a typed error rather than silently match zero rows.
+    /// plaintext side: plan extension encrypts the plaintext side below
+    /// the join, and a plan without that encryption is malformed. The
+    /// runtime would refuse with a typed error rather than silently
+    /// match zero rows.
     MixedForm,
 }
 
@@ -1054,22 +1054,14 @@ impl Verifier<'_> {
         }
     }
 
-    /// MPQ009: mixed-form join comparisons (ROADMAP item 6). A minimal
-    /// extension may encrypt a join attribute *above* the join on one side
-    /// while the other side arrives encrypted from below — the executor
-    /// then compares `Enc(a)` against plaintext `b`. The engine reconciles
-    /// this by encrypting the plaintext side on the fly, but only if its
-    /// assignee holds the covering Def. 6.1 cluster key ([`plan_keys`]
-    /// provisions exactly that, per Def. 4.1 condition 3). This pass fires
-    /// when a mixed-form comparison is *not* reconcilable — no cluster
-    /// covers the encrypted attribute, or the assignee is not among its
-    /// holders — i.e. exactly when the runtime would refuse with
+    /// MPQ009: both sides of a join condition arrive in one form.
+    /// Plan extension encrypts, below the join and by its assignee, a
+    /// side arriving in plaintext while its partner arrives encrypted;
+    /// a plan comparing `Enc(a)` against plaintext `b` lacks that
+    /// encryption, and the engine would refuse it with
     /// `ExecError::MixedForm` instead of silently matching zero rows.
-    /// Records each join condition as uniform, reconcilable or not.
-    ///
-    /// [`plan_keys`]: crate::keys::plan_keys
+    /// Records each join condition as uniform or mixed.
     fn pass_mixed_form(&self) {
-        let (keys, catalog) = (self.keys, self.catalog);
         for &id in &self.order {
             let node = self.plan.node(id);
             let Operator::Join { on, .. } = &node.op else {
@@ -1078,45 +1070,22 @@ impl Verifier<'_> {
             let ls = &self.shadow[node.children[0].index()];
             let rs = &self.shadow[node.children[1].index()];
             for &(l, op, r) in on {
-                // Which side arrives encrypted? Mixed means exactly one.
-                let enc_attr = match (ls.cipher.contains(&l.0), rs.cipher.contains(&r.0)) {
-                    (true, false) if rs.plain.contains(&r.0) => l,
-                    (false, true) if ls.plain.contains(&l.0) => r,
-                    _ => {
-                        self.cover().mixed_form[0] = true;
-                        continue;
-                    }
-                };
-                let assignee = self.ext.assignment.get(&id).copied();
-                let fixable = keys
-                    .key_for(enc_attr)
-                    .is_some_and(|k| assignee.is_some_and(|s| k.holders.contains(&s)));
-                self.cover().mixed_form[if fixable { 1 } else { 2 }] = true;
-                if fixable {
-                    continue;
+                let mixed = (ls.cipher.contains(&l.0) && rs.plain.contains(&r.0))
+                    || (ls.plain.contains(&l.0) && rs.cipher.contains(&r.0));
+                self.cover().mixed_form[usize::from(mixed)] = true;
+                if mixed {
+                    self.diag(
+                        Code::MixedForm,
+                        Some(id),
+                        format!(
+                            "join condition {} {op} {} compares ciphertext against \
+                             plaintext: no encryption below the join gives both sides \
+                             one form; the runtime would abort with a mixed-form error",
+                            self.catalog.attr_name(l),
+                            self.catalog.attr_name(r),
+                        ),
+                    );
                 }
-                let who = assignee
-                    .map(|s| self.subjects.name(s).to_string())
-                    .unwrap_or_else(|| "<unassigned>".into());
-                let why = if keys.key_for(enc_attr).is_none() {
-                    format!("no Def. 6.1 cluster covers {}", catalog.attr_name(enc_attr))
-                } else {
-                    format!(
-                        "assignee {who} holds no key for the cluster covering {}",
-                        catalog.attr_name(enc_attr)
-                    )
-                };
-                self.diag(
-                    Code::MixedForm,
-                    Some(id),
-                    format!(
-                        "join condition {} {op} {} compares ciphertext against \
-                         plaintext and cannot be reconciled: {why}; the runtime \
-                         would abort with a mixed-form error",
-                        catalog.attr_name(l),
-                        catalog.attr_name(r),
-                    ),
-                );
             }
         }
     }
@@ -1333,7 +1302,7 @@ impl SchemeChoice {
 }
 
 /// Mixed-form join cases a scenario can exercise (the MPQ009 axis).
-pub const MIXED_FORM_CASES: [&str; 3] = ["uniform", "reconcilable", "unreconcilable"];
+pub const MIXED_FORM_CASES: [&str; 2] = ["uniform", "mixed"];
 
 /// What one verified scenario exercised, recorded by the passes as they
 /// decide it ([`VerifyReport::coverage`]): the coverage vector the
@@ -1353,10 +1322,10 @@ pub struct VerifyCoverage {
     pub cluster_shapes: BTreeSet<(u8, u8)>,
     /// Scheme families demanded by the plan's encrypted attributes.
     pub schemes: BTreeSet<SchemeChoice>,
-    /// Join-form cases seen, indexed like [`MIXED_FORM_CASES`]:
-    /// uniform-form join, reconcilable mixed-form, unreconcilable
-    /// mixed-form.
-    pub mixed_form: [bool; 3],
+    /// Join-form cases seen, indexed like [`MIXED_FORM_CASES`]: a join
+    /// condition in one form, one comparing ciphertext against
+    /// plaintext.
+    pub mixed_form: [bool; 2],
     /// Diagnostic codes that fired.
     pub codes: BTreeSet<Code>,
 }
@@ -1367,6 +1336,8 @@ impl VerifyCoverage {
         for i in 0..3 {
             self.def41_pass[i] |= other.def41_pass[i];
             self.def41_fail[i] |= other.def41_fail[i];
+        }
+        for i in 0..2 {
             self.mixed_form[i] |= other.mixed_form[i];
         }
         self.cluster_shapes
@@ -1639,9 +1610,9 @@ mod tests {
         assert!(r.has(Code::SchemeConflict), "{r}");
     }
 
-    /// A Λ-drawn assignment whose minimal extension leaves the join
-    /// comparing encrypted `S` against plaintext `C` (one side is
-    /// encrypted above the join, the other arrives plaintext).
+    /// A Λ-drawn assignment under which `S` reaches the join encrypted
+    /// while `C` arrives in plaintext: the extension encrypts `C` below
+    /// the join, by the join's assignee.
     fn mixed_form_plan(ex: &RunningExample) -> ExtendedPlan {
         let cands = candidates(
             &ex.plan,
@@ -1672,47 +1643,58 @@ mod tests {
         .expect("assignment is drawn from Λ")
     }
 
-    #[test]
-    fn mixed_form_join_with_provisioned_key_is_clean() {
-        let ex = RunningExample::new();
-        let ext = mixed_form_plan(&ex);
-        // Sanity: the fixture really is mixed-form at the join.
+    /// `ext` without the `Encrypt` spliced below its join: the join
+    /// reads that operand's child directly, and the carried profiles
+    /// are re-derived, so only the join's forms are wrong.
+    fn without_join_side_encrypt(ex: &RunningExample, ext: &ExtendedPlan) -> ExtendedPlan {
+        let mut bad = ext.clone();
         let join = ex.node("join");
-        let node = ext.plan.node(join);
-        let lp = &ext.profiles[node.children[0].index()];
-        let rp = &ext.profiles[node.children[1].index()];
-        assert_ne!(
-            lp.ve.contains(ex.attr("S")),
-            rp.ve.contains(ex.attr("C")),
-            "fixture should compare mixed forms at the join"
-        );
-        // plan_keys widens the cluster's holders to the join assignee,
-        // so the runtime can encrypt the plaintext side on the fly and
-        // the verifier stays quiet.
-        let r = verify(&ex, &ext);
-        assert!(r.is_clean(), "provisioned mixed-form plan is clean:\n{r}");
+        let children = bad.plan.node(join).children.clone();
+        let (side, enc) = (children.iter().enumerate())
+            .find(|(_, &c)| matches!(bad.plan.node(c).op, Operator::Encrypt { .. }))
+            .expect("an Encrypt below the join");
+        let below = bad.plan.node(*enc).children[0];
+        bad.plan.node_mut(join).children[side] = below;
+        bad.profiles = profile_plan(&bad.plan);
+        bad
     }
 
     #[test]
-    fn unprovisioned_mixed_form_join_fires_mpq009() {
+    fn a_mixed_pair_is_encrypted_below_the_join_by_its_assignee() {
         let ex = RunningExample::new();
         let ext = mixed_form_plan(&ex);
-        let join_assignee = ext.assignment[&ex.node("join")];
-        let mut keys = plan_keys(&ext);
-        for k in &mut keys.keys {
-            k.holders.retain(|&s| s != join_assignee);
-        }
-        let r = verify_with_policy(
-            &ext,
-            &keys,
-            &ex.catalog,
-            &ex.subjects,
-            &ex.policy,
-            Some(ex.subject("U")),
+        let join = ex.node("join");
+        let node = ext.plan.node(join);
+        let enc = (node.children.iter())
+            .find(|&&c| {
+                ext.plan.node(c).op
+                    == Operator::Encrypt {
+                        attrs: vec![ex.attr("C")],
+                    }
+            })
+            .expect("C is encrypted below the join");
+        assert_eq!(ext.assignment[enc], ext.assignment[&join]);
+        let (lp, rp) = (
+            &ext.profiles[node.children[0].index()],
+            &ext.profiles[node.children[1].index()],
         );
+        assert!(lp.ve.contains(ex.attr("S")) && rp.ve.contains(ex.attr("C")));
+        // The join's assignee holds the S/C key by the general rule.
+        let keys = plan_keys(&ext);
+        let k = keys.key_for(ex.attr("S")).expect("S is encrypted");
+        assert!(k.attrs.contains(ex.attr("C")));
+        assert!(k.holders.contains(&ext.assignment[&join]));
+        let r = verify(&ex, &ext);
+        assert!(r.is_clean(), "{r}");
+    }
+
+    #[test]
+    fn a_join_without_its_side_encrypt_fires_mpq009() {
+        let ex = RunningExample::new();
+        let ext = without_join_side_encrypt(&ex, &mixed_form_plan(&ex));
+        let r = verify(&ex, &ext);
         assert!(r.has(Code::MixedForm), "{r}");
-        let text = r.to_string();
-        assert!(text.contains("MPQ009"), "{text}");
+        assert!(r.to_string().contains("MPQ009"), "{r}");
     }
 
     /// The passes record what they decide, and only that: a node the
@@ -1745,29 +1727,14 @@ mod tests {
         let r = verify_extended(&ext, &keys, &ex.catalog, &ex.subjects, &[], user);
         assert_eq!(def41(&r), nothing, "{}", r.coverage.report());
 
-        // Fig. 7(a) joins in uniform form.
-        assert_eq!(verify(&ex, &ext).coverage.mixed_form, [true, false, false]);
-
-        // A mixed-form join: reconcilable with the key provisioned,
-        // unreconcilable once the join's assignee loses it.
+        // Fig. 7(a) joins in uniform form, and so does a plan whose
+        // extension encrypted a join side; without that encryption the
+        // join is mixed.
+        assert_eq!(verify(&ex, &ext).coverage.mixed_form, [true, false]);
         let ext = mixed_form_plan(&ex);
-        let cov = verify(&ex, &ext).coverage;
-        assert!(cov.mixed_form[1] && !cov.mixed_form[2], "{}", cov.report());
-        let join_assignee = ext.assignment[&ex.node("join")];
-        let mut keys = plan_keys(&ext);
-        for k in &mut keys.keys {
-            k.holders.retain(|&s| s != join_assignee);
-        }
-        let r = verify_with_policy(
-            &ext,
-            &keys,
-            &ex.catalog,
-            &ex.subjects,
-            &ex.policy,
-            Some(ex.subject("U")),
-        );
-        let cov = r.coverage;
-        assert!(cov.mixed_form[2] && !cov.mixed_form[1], "{}", cov.report());
+        assert_eq!(verify(&ex, &ext).coverage.mixed_form, [true, false]);
+        let ext = without_join_side_encrypt(&ex, &ext);
+        assert_eq!(verify(&ex, &ext).coverage.mixed_form, [false, true]);
     }
 
     #[test]

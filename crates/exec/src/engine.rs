@@ -71,18 +71,16 @@ pub enum ExecError {
     },
     /// No key id registered for an attribute scheduled for encryption.
     NoKeyForAttr(AttrId),
-    /// A join condition compares ciphertext against plaintext and the
-    /// executing subject cannot reconcile the forms: either the
-    /// ciphertext's scheme supports no comparisons at all, or the
-    /// subject does not hold the cluster key needed to encrypt the
-    /// plaintext side on the fly. Without this refusal the comparison
+    /// A join condition's two key columns carry different forms:
+    /// ciphertext against plaintext, or ciphertexts under different
+    /// schemes or keys. The plan fixes every form (extension encrypts
+    /// a join side whose partner arrives encrypted), so only a plan
+    /// from elsewhere gets here; without this refusal the comparison
     /// would silently match zero rows (the MPQ009 hazard, behavioral
     /// edition).
     MixedForm {
-        /// Attribute on the plaintext side of the comparison.
+        /// The probe side's attribute of the condition.
         attr: AttrId,
-        /// Cluster key id carried by the ciphertext side.
-        key_id: u32,
     },
     /// Cryptographic failure (wrong key, malformed cell).
     Crypto(String),
@@ -118,10 +116,10 @@ impl std::fmt::Display for ExecError {
                 )
             }
             ExecError::NoKeyForAttr(a) => write!(f, "no plan key covers attribute {a}"),
-            ExecError::MixedForm { attr, key_id } => write!(
+            ExecError::MixedForm { attr } => write!(
                 f,
-                "mixed-form join comparison on attribute {attr}: cannot encrypt \
-                 the plaintext side under cluster key {key_id}"
+                "mixed-form join comparison on attribute {attr}: its two sides \
+                 arrive in different forms"
             ),
             ExecError::Crypto(m) => write!(f, "crypto error: {m}"),
             ExecError::Unsupported(m) => write!(f, "unsupported plan: {m}"),
@@ -1080,23 +1078,14 @@ fn apply_crypto_plan(
 // Joins
 // ---------------------------------------------------------------------------
 
-/// The cipher pair reconciling one mixed-form join condition: at most
-/// one side carries a cipher, which re-encrypts that side's plaintext
-/// cells *at comparison time* (the materialized output keeps the form
-/// the plan prescribes).
-pub(crate) type FormFix = (Option<ColumnCipher>, Option<ColumnCipher>);
-
 /// The `(scheme, key)` header of an encrypted cell or column; `None`
 /// for plaintext.
 pub(crate) type Form = Option<(EncScheme, u32)>;
 
-/// The dominant form of a column: `None` while the column holds no
-/// non-NULL cell (undecidable), otherwise `Some(form)`. An encrypted
-/// column says so in its header; in any other, columns being
-/// form-uniform (the engine encrypts and decrypts whole columns), the
-/// first non-NULL cell decides.
-fn column_form_of(col: &ColumnVec) -> Option<Form> {
-    let mut cells = (0..col.len()).map(|i| col.cell_ref(i));
+/// The form of a run of key cells: `None` while none is non-NULL,
+/// otherwise `Some` of the first non-NULL cell's form. The engine
+/// encrypts and decrypts whole columns, so one cell speaks for all.
+pub(crate) fn form_of<'a>(mut cells: impl Iterator<Item = CellRef<'a>>) -> Option<Form> {
     cells.find_map(|cell| match cell {
         CellRef::Null => None,
         CellRef::Enc(scheme, key_id, _) => Some(Some((scheme, key_id))),
@@ -1104,68 +1093,19 @@ fn column_form_of(col: &ColumnVec) -> Option<Form> {
     })
 }
 
-/// Mixed-form reconciliation for one join condition (MPQ009): minimal
-/// extension may encrypt a join attribute *above* the join while the
-/// other side arrives encrypted from below, so the executor would
-/// compare ciphertext against plaintext — silently matching zero rows
-/// under hash equality. When the executing subject holds the Def. 6.1
-/// cluster key (provisioning counts it as a holder exactly for this),
-/// the plaintext side is encrypted on the fly: Deterministic and OPE
-/// draw no randomness, so the comparison-time ciphertexts are
-/// byte-identical to what an Encrypt operator produces. A
-/// non-comparable scheme or a missing key is a typed refusal, never a
-/// silent empty result.
-pub(crate) fn decide_form_fix(
-    lform: Form,
-    l_attr: AttrId,
-    rform: Form,
-    r_attr: AttrId,
-    needs_order: bool,
-    ctx: &ExecCtx<'_>,
-) -> Result<FormFix, ExecError> {
-    let ((scheme, key_id), fix_left) = match (lform, rform) {
-        (Some(enc), None) => (enc, false),
-        (None, Some(enc)) => (enc, true),
-        _ => return Ok((None, None)),
-    };
-    let attr = if fix_left { l_attr } else { r_attr };
-    let comparable = if needs_order {
-        scheme.supports_order()
-    } else {
-        scheme.supports_equality()
-    };
-    if !comparable {
-        return Err(ExecError::MixedForm { attr, key_id });
+/// Refuse a join condition whose two sides carry different forms —
+/// ciphertext against plaintext, or under another scheme or key
+/// ([`CellRef::key_eq`] would match no pair). A side without a
+/// non-NULL cell matches nothing either way and is never refused.
+pub(crate) fn one_form(attr: AttrId, l: Option<Form>, r: Option<Form>) -> Result<(), ExecError> {
+    match (l, r) {
+        (Some(l), Some(r)) if l != r => Err(ExecError::MixedForm { attr }),
+        _ => Ok(()),
     }
-    let key = ctx
-        .keys
-        .get(key_id)
-        .ok_or(ExecError::MixedForm { attr, key_id })?;
-    let cipher = ColumnCipher::new(scheme, &key);
-    Ok(if fix_left {
-        (Some(cipher), None)
-    } else {
-        (None, Some(cipher))
-    })
 }
 
-/// A key column in the form it is compared in: under a [`FormFix`]
-/// cipher a plaintext column is encrypted whole — once per probe batch,
-/// once for the build table — instead of cell by cell per candidate.
-/// The fix only ever carries RNG-free schemes (Deterministic, OPE), so
-/// the generator is a formality; an encrypted column passes as it is.
-fn fixed_column<'a>(
-    col: &'a ColumnVec,
-    fix: Option<&ColumnCipher>,
-    pool: &WorkerPool,
-) -> Result<Cow<'a, ColumnVec>, ExecError> {
-    match (fix, col) {
-        (None, _) | (_, ColumnVec::Enc(_)) => Ok(Cow::Borrowed(col)),
-        (Some(cipher), _) => chunked_column(pool, col.len(), MIN_CHUNK_SYM, |range| {
-            encrypt_chunk(col, range, cipher, &mut StdRng::seed_from_u64(0))
-        })
-        .map(Cow::Owned),
-    }
+fn column_form(col: &ColumnVec) -> Option<Form> {
+    form_of((0..col.len()).map(|i| col.cell_ref(i)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1266,34 +1206,17 @@ fn hash_rows<'a>(
     hashes
 }
 
-/// One join condition's runtime state: column indices, the lazily
-/// decided mixed-form fix and — when the fix falls on the build side —
-/// that side's key column encrypted for the comparison. A fix stays
-/// undecided while the probe side has produced no non-NULL cell in its
-/// key column — rows with NULL keys never match, so an undecided fix is
-/// never *needed*.
+/// One join condition: its probe side's attribute, its key column on
+/// each side, and the operator.
 struct JoinCond {
+    attr: AttrId,
     lc: usize,
     op: CmpOp,
     rc: usize,
-    fix: Option<FormFix>,
-    rfixed: Option<ColumnVec>,
-}
-
-impl JoinCond {
-    fn lfix(&self) -> Option<&ColumnCipher> {
-        self.fix.as_ref().and_then(|f| f.0.as_ref())
-    }
-
-    /// The build side's key column as it is compared.
-    fn build_col<'a>(&'a self, rt: &'a Table) -> &'a ColumnVec {
-        self.rfixed.as_ref().unwrap_or(rt.column(self.rc))
-    }
 }
 
 /// One condition as [`probe_batch`] reads it: the probe side's key
-/// column, the operator, the build side's key column — both columns in
-/// the form they are compared in.
+/// column, the operator, the build side's key column.
 type CondSides<'a> = (&'a ColumnVec, CmpOp, &'a ColumnVec);
 
 fn join_stream<'p>(
@@ -1306,10 +1229,11 @@ fn join_stream<'p>(
 ) -> Result<BatchStream<'p>, ExecError> {
     let lschema = left.schema.clone();
     let rschema = right.schema.clone();
-    let mut conds: Vec<JoinCond> = on
+    let conds: Vec<JoinCond> = on
         .iter()
         .map(|(l, op, r)| {
             Ok(JoinCond {
+                attr: *l,
                 lc: lschema
                     .col_index(*l)
                     .ok_or_else(|| ExecError::Unsupported(format!("join key {l} missing")))?,
@@ -1317,8 +1241,6 @@ fn join_stream<'p>(
                 rc: rschema
                     .col_index(*r)
                     .ok_or_else(|| ExecError::Unsupported(format!("join key {r} missing")))?,
-                fix: None,
-                rfixed: None,
             })
         })
         .collect::<Result<_, ExecError>>()?;
@@ -1343,67 +1265,37 @@ fn join_stream<'p>(
     let schema = out_schema.clone();
     let mut right = Some(right);
     let mut right_tab: Option<Table> = None;
+    let mut rforms: Vec<Option<Form>> = Vec::new();
     let mut hash: Option<KeyTable> = None;
     Ok(BatchStream {
         schema: out_schema,
         next: Box::new(move || {
-            // Build side: materialize the right child once.
+            // Build side: materialize the right child once, and take
+            // the form of each of its key columns.
             if right_tab.is_none() {
-                right_tab = Some(right.take().expect("collected once").collect()?);
+                let rt: Table = right.take().expect("collected once").collect()?;
+                rforms = conds.iter().map(|c| column_form(rt.column(c.rc))).collect();
+                right_tab = Some(rt);
             }
             let rt = right_tab.as_ref().expect("materialized above");
             loop {
                 let Some(lbatch) = left.pull()? else {
                     return Ok(None);
                 };
-                // Decide mixed-form fixes lazily: a condition's fix is
-                // determined by the first probe batch carrying a
-                // non-NULL cell in its key column (columns are
-                // form-uniform, so one sample decides; earlier batches
-                // held only NULL keys, which never match).
-                for cond in conds.iter_mut() {
-                    if cond.fix.is_some() {
-                        continue;
-                    }
-                    let Some(lform) = column_form_of(lbatch.column(cond.lc)) else {
-                        continue;
-                    };
-                    let rcol = rt.column(cond.rc);
-                    // Match the row engine: a side with no non-NULL
-                    // cells contributes no form and triggers no fix.
-                    let fix = match column_form_of(rcol) {
-                        None => (None, None),
-                        Some(rform) => decide_form_fix(
-                            lform,
-                            lschema.attrs()[cond.lc],
-                            rform,
-                            rschema.attrs()[cond.rc],
-                            !cond.op.is_equality() && cond.op != CmpOp::Ne,
-                            ctx,
-                        )?,
-                    };
-                    if let Cow::Owned(fixed) = fixed_column(rcol, fix.1.as_ref(), &ctx.pool)? {
-                        cond.rfixed = Some(fixed);
-                    }
-                    cond.fix = Some(fix);
+                for (c, &rform) in conds.iter().zip(&rforms) {
+                    one_form(c.attr, column_form(lbatch.column(c.lc)), rform)?;
                 }
-                // Both sides' key columns as compared, the probe
-                // side's fixed once for the batch.
-                let lcols = (conds.iter())
-                    .map(|c| fixed_column(lbatch.column(c.lc), c.lfix(), &ctx.pool))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let sides = (conds.iter().zip(&lcols)).map(|(c, l)| (&**l, c.op, c.build_col(rt)));
+                let sides = (conds.iter()).map(|c| (lbatch.column(c.lc), c.op, rt.column(c.rc)));
                 let (eq, other): (Vec<CondSides<'_>>, Vec<_>) =
                     sides.partition(|(_, op, _)| op.is_equality());
                 // Hash build: deferred until some probe row actually
-                // has all its equality keys non-NULL (at which point
-                // every equality fix is decided — those very cells
-                // decided them). The key table is over the right side's
-                // equality key columns, hashed a column at a time and
-                // linked in one pass — no key is copied, the build table
-                // holds them. A row with a NULL key is chained like any
-                // other and equals no key a probe row asks for (SQL
-                // semantics: NULL join keys never match).
+                // has all its equality keys non-NULL. The key table is
+                // over the right side's equality key columns, hashed a
+                // column at a time and linked in one pass — no key is
+                // copied, the build table holds them. A row with a NULL
+                // key is chained like any other and equals no key a
+                // probe row asks for (SQL semantics: NULL join keys
+                // never match).
                 if hash.is_none() && !eq.is_empty() {
                     let needed =
                         (0..lbatch.len()).any(|r| eq.iter().all(|(l, _, _)| !l.is_null(r)));
@@ -2618,7 +2510,8 @@ mod tests {
     }
 
     /// `Encrypt(S)` below the join on one side only: the join compares
-    /// `Enc(S)` against plaintext `C` (the ROADMAP item 6 hazard).
+    /// `Enc(S)` against plaintext `C` — a plan extension never builds
+    /// (the MPQ009 hazard).
     fn mixed_form_plan(cat: &Catalog) -> QueryPlan {
         let s = cat.attr("S").unwrap();
         let d = cat.attr("D").unwrap();
@@ -2642,58 +2535,130 @@ mod tests {
         plan
     }
 
-    #[test]
-    fn mixed_form_join_encrypts_plain_side_on_the_fly() {
-        let (cat, db) = setup();
-        let s = cat.attr("S").unwrap();
+    /// The plan extension's shape for the same join: `Encrypt(C)`
+    /// spliced on the join's other edge, so both sides arrive in one
+    /// form.
+    fn spliced_form_plan(cat: &Catalog) -> QueryPlan {
+        let mut plan = mixed_form_plan(cat);
+        let ins = plan.node(plan.root()).children[1];
+        let c = cat.attr("C").unwrap();
+        plan.splice_above(ins, Operator::Encrypt { attrs: vec![c] });
+        plan
+    }
+
+    /// `S` and `C` under one Deterministic key, as Def. 6.1 clusters a
+    /// join pair.
+    fn det_pair(cat: &Catalog) -> (KeyRing, SchemePlan, HashMap<AttrId, u32>) {
         let keys = KeyRing::new();
         let mut rng = StdRng::seed_from_u64(7);
         keys.insert(mpq_crypto::ClusterKey::generate(&mut rng, 0, 256));
-        let mut schemes = SchemePlan::default();
-        schemes.set(s, EncScheme::Deterministic);
-        let mut koa = HashMap::new();
-        koa.insert(s, 0u32);
-        let ctx = ExecCtx::new(&cat, &db, &keys, &schemes, &koa);
-        let t = execute(&mixed_form_plan(&cat), &ctx).unwrap();
-        // Every Hosp row pairs with exactly one Ins row.
-        assert_eq!(t.len(), 4);
-        // Compare-time only: the output S column is still ciphertext,
-        // the C column still plaintext — no materialized re-forming.
-        for row in &t.to_rows() {
-            assert!(matches!(row[0], Value::Enc(_)), "S stays encrypted");
-            assert!(matches!(row[3], Value::Str(_)), "C stays plaintext");
+        let (mut schemes, mut koa) = (SchemePlan::default(), HashMap::new());
+        for a in ["S", "C"] {
+            schemes.set(cat.attr(a).unwrap(), EncScheme::Deterministic);
+            koa.insert(cat.attr(a).unwrap(), 0u32);
         }
+        (keys, schemes, koa)
     }
 
     #[test]
-    fn mixed_form_join_without_key_is_refused() {
+    fn a_spliced_join_side_matches_in_one_form() {
         let (cat, db) = setup();
-        let s = cat.attr("S").unwrap();
-        let plan = mixed_form_plan(&cat);
-        let keys = KeyRing::new();
-        let mut rng = StdRng::seed_from_u64(7);
-        keys.insert(mpq_crypto::ClusterKey::generate(&mut rng, 0, 256));
-        let mut schemes = SchemePlan::default();
-        schemes.set(s, EncScheme::Deterministic);
-        let mut koa = HashMap::new();
-        koa.insert(s, 0u32);
-        // Encrypt under a key-holding context, then step the join under
-        // a context whose ring lacks the cluster key — the distributed
-        // shape where the join's assignee was never provisioned.
+        let (keys, schemes, koa) = det_pair(&cat);
+        let ctx = ExecCtx::new(&cat, &db, &keys, &schemes, &koa);
+        let t = execute(&spliced_form_plan(&cat), &ctx).unwrap();
+        // Every Hosp row pairs with exactly one Ins row, both keys
+        // ciphertext.
+        assert_eq!(t.len(), 4);
+        for row in &t.to_rows() {
+            assert!(matches!(row[0], Value::Enc(_)), "S is encrypted");
+            assert!(matches!(row[3], Value::Enc(_)), "C is encrypted");
+        }
+        assert_eq!(
+            crate::rowref::execute_ref(&spliced_form_plan(&cat), &ctx),
+            Ok(t)
+        );
+    }
+
+    /// The spliced `Encrypt` belongs to the join's assignee: stepping
+    /// it under a ring without the cluster key is a typed refusal,
+    /// while the join itself needs no key once both sides are
+    /// encrypted.
+    #[test]
+    fn a_join_assignee_without_the_key_cannot_run_the_spliced_encrypt() {
+        let (cat, db) = setup();
+        let plan = spliced_form_plan(&cat);
+        let (keys, schemes, koa) = det_pair(&cat);
         let holder = ExecCtx::new(&cat, &db, &keys, &schemes, &koa);
         let bare_ring = KeyRing::new();
         let stranger = ExecCtx::new(&cat, &db, &bare_ring, &schemes, &koa);
+        let join = plan.root();
+        let spliced = plan.node(join).children[1];
         let mut results = HashMap::new();
-        let order = plan.postorder();
-        let (join, rest) = order.split_last().unwrap();
-        for &id in rest {
-            let t = execute_step(&plan, id, &mut results, &holder).unwrap();
+        for id in plan.postorder() {
+            if id == spliced {
+                assert!(matches!(
+                    execute_step(&plan, id, &mut results.clone(), &stranger),
+                    Err(ExecError::MissingKey { key_id: 0, .. })
+                ));
+            }
+            let ctx = if id == join { &stranger } else { &holder };
+            let t = execute_step(&plan, id, &mut results, ctx).unwrap();
             results.insert(id, t);
         }
-        assert!(matches!(
-            execute_step(&plan, *join, &mut results, &stranger),
-            Err(ExecError::MixedForm { key_id: 0, .. })
-        ));
+        assert_eq!(results[&join].len(), 4);
+    }
+
+    /// Two key columns encrypted under different keys, or under
+    /// different schemes, compare no pair: a typed refusal in both
+    /// engines, never a silent empty join.
+    #[test]
+    fn a_join_over_two_forms_of_ciphertext_is_refused() {
+        let mut cat = Catalog::new();
+        let r = cat
+            .add_relation("R", &[("a", mpq_algebra::DataType::Int)])
+            .unwrap();
+        let q = cat
+            .add_relation("Q", &[("b", mpq_algebra::DataType::Int)])
+            .unwrap();
+        let (a, b) = (cat.attr("a").unwrap(), cat.attr("b").unwrap());
+        let mut db = Database::new();
+        let ints = || (1..=4).map(|i| vec![Value::Int(i)]).collect::<Vec<_>>();
+        db.load(&cat, "R", ints());
+        db.load(&cat, "Q", ints());
+        let mut plan = QueryPlan::new();
+        let (base_r, base_q) = (plan.add_base(r, vec![a]), plan.add_base(q, vec![b]));
+        let enc_a = plan.add(Operator::Encrypt { attrs: vec![a] }, vec![base_r]);
+        let enc_b = plan.add(Operator::Encrypt { attrs: vec![b] }, vec![base_q]);
+        let on = vec![(a, mpq_algebra::CmpOp::Eq, b)];
+        let kind = mpq_algebra::JoinKind::Inner;
+        plan.add(
+            Operator::Join {
+                kind,
+                on,
+                residual: None,
+            },
+            vec![enc_a, enc_b],
+        );
+        let keys = KeyRing::new();
+        let mut rng = StdRng::seed_from_u64(7);
+        for id in [0, 1] {
+            keys.insert(mpq_crypto::ClusterKey::generate(&mut rng, id, 256));
+        }
+        let det = |b_scheme, b_key| {
+            let mut schemes = SchemePlan::default();
+            schemes.set(a, EncScheme::Deterministic);
+            schemes.set(b, b_scheme);
+            (schemes, HashMap::from([(a, 0u32), (b, b_key)]))
+        };
+        // Det under key 0 ⋈ Det under key 1; Det ⋈ OPE under one key.
+        for (schemes, koa) in [det(EncScheme::Deterministic, 1), det(EncScheme::Ope, 0)] {
+            let ctx = ExecCtx::new(&cat, &db, &keys, &schemes, &koa);
+            assert_eq!(execute(&plan, &ctx), Err(ExecError::MixedForm { attr: a }));
+            assert_eq!(
+                crate::rowref::execute_ref(&plan, &ctx),
+                Err(ExecError::MixedForm { attr: a })
+            );
+        }
     }
 
     /// A region stops at its boundary: a child that is neither a member
@@ -3004,15 +2969,15 @@ mod tests {
         let keys = KeyRing::new();
         let mut rng = StdRng::seed_from_u64(7);
         keys.insert(mpq_crypto::ClusterKey::generate(&mut rng, 0, 256));
-        // Random ciphertexts support no comparisons at all: even with
-        // the key in hand the join must refuse, not match zero rows.
+        // Random ciphertexts against plaintext: even with the key in
+        // hand the join must refuse, not match zero rows.
         let schemes = SchemePlan::default();
         let mut koa = HashMap::new();
         koa.insert(s, 0u32);
         let ctx = ExecCtx::new(&cat, &db, &keys, &schemes, &koa);
-        assert!(matches!(
+        assert_eq!(
             execute(&mixed_form_plan(&cat), &ctx),
-            Err(ExecError::MixedForm { key_id: 0, .. })
-        ));
+            Err(ExecError::MixedForm { attr: s })
+        );
     }
 }

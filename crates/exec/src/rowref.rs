@@ -22,15 +22,14 @@
 //!
 //! To make ciphertexts comparable the two engines deliberately share
 //! the per-cell RNG discipline (`mix_seed(seed, node, column, row)`
-//! via `engine::mix_seed`) and the crypto-bearing crate-private
-//! kernels (`engine::AggAcc`, `engine::decide_form_fix`); everything
-//! *around* those kernels — operator scheduling, batching, hashing
+//! via `engine::mix_seed`), the crypto-bearing crate-private kernel
+//! `engine::AggAcc` and the join's form refusal (`engine::one_form`);
+//! everything *around* them — operator scheduling, batching, hashing
 //! (`GroupKey`s in a `HashMap` here, a key table over columns there),
-//! the mixed-form fix (cell by cell here, a column at a time there),
 //! parallel chunking — is implemented independently, which is exactly
 //! the surface the differential tests exercise.
 
-use crate::engine::{decide_form_fix, mix_seed, udf_layout, AggAcc, ExecCtx, ExecError, Form};
+use crate::engine::{form_of, mix_seed, one_form, udf_layout, AggAcc, ExecCtx, ExecError};
 use crate::eval::{
     arith, between, cmp_values, extract_cell, in_list_cell, like_cell, substring_cell, truth_of,
     truth_to_value, EvalError,
@@ -135,7 +134,7 @@ fn eval_node(plan: &QueryPlan, id: NodeId, ctx: &ExecCtx<'_>) -> Result<Rel, Exe
                 Operator::Join { kind, on, residual } => (*kind, &on[..], residual.as_ref()),
                 _ => (JoinKind::Inner, &[][..], None),
             };
-            nl_join(kind, on, residual, left, right, ctx)
+            nl_join(kind, on, residual, left, right)
         }
         Operator::GroupBy { keys, aggs } => {
             let child = eval_node(plan, node.children[0], ctx)?;
@@ -445,32 +444,6 @@ fn apply_crypto(
     Ok(child)
 }
 
-/// Dominant form of column `c` over `rows`: `None` while every cell is
-/// NULL, else `Some(form)` from the first non-NULL cell.
-fn rows_col_form(rows: &[Vec<Value>], c: usize) -> Option<Form> {
-    rows.iter().find(|r| !r[c].is_null()).map(|r| match &r[c] {
-        Value::Enc(e) => Some((e.scheme, e.key_id)),
-        _ => None,
-    })
-}
-
-/// Apply one side of a mixed-form fix to one cell: a plaintext
-/// non-NULL is encrypted for the comparison, everything else passes
-/// through untouched. The RNG is a formality — the fix only ever
-/// carries RNG-free schemes (Deterministic, OPE).
-fn fixed_cell(
-    cell: &Value,
-    fix: Option<&mpq_crypto::schemes::ColumnCipher>,
-    rng: &mut StdRng,
-) -> Result<Value, ExecError> {
-    match fix {
-        Some(cipher) if !cell.is_null() && !matches!(cell, Value::Enc(_)) => cipher
-            .encrypt(rng, cell)
-            .map_err(|e| ExecError::Crypto(e.to_string())),
-        _ => Ok(cell.clone()),
-    }
-}
-
 /// Nested-loop join: no hashing, no chunking — just left order × right
 /// order with every condition checked by [`cmp_values`] (NULL operands
 /// compare to unknown, so NULL keys never match).
@@ -480,14 +453,11 @@ fn nl_join(
     residual: Option<&Expr>,
     left: Rel,
     right: Rel,
-    ctx: &ExecCtx<'_>,
 ) -> Result<Rel, ExecError> {
     struct Cond {
         lc: usize,
         op: CmpOp,
         rc: usize,
-        lfix: Option<mpq_crypto::schemes::ColumnCipher>,
-        rfix: Option<mpq_crypto::schemes::ColumnCipher>,
     }
     let mut conds = Vec::with_capacity(on.len());
     for (l, op, r) in on {
@@ -501,24 +471,9 @@ fn nl_join(
             .iter()
             .position(|c| c == r)
             .ok_or_else(|| ExecError::Unsupported(format!("join key {r} missing")))?;
-        // Eager whole-column form reconciliation (the streaming engine
-        // decides the same fix lazily from its first decisive batch).
-        let fix = match (
-            rows_col_form(&left.rows, lc),
-            rows_col_form(&right.rows, rc),
-        ) {
-            (Some(lf), Some(rf)) => {
-                decide_form_fix(lf, *l, rf, *r, !op.is_equality() && *op != CmpOp::Ne, ctx)?
-            }
-            _ => (None, None),
-        };
-        conds.push(Cond {
-            lc,
-            op: *op,
-            rc,
-            lfix: fix.0,
-            rfix: fix.1,
-        });
+        let form = |rows: &[Vec<Value>], c: usize| form_of(rows.iter().map(|row| (&row[c]).into()));
+        one_form(*l, form(&left.rows, lc), form(&right.rows, rc))?;
+        conds.push(Cond { lc, op: *op, rc });
     }
 
     let mut out_attrs = left.attrs.clone();
@@ -533,16 +488,13 @@ fn nl_join(
         .collect();
     let right_width = right.attrs.len();
 
-    let mut rng = StdRng::seed_from_u64(0);
     let mut rows = Vec::new();
     for l in &left.rows {
         let mut matched = false;
         for r in &right.rows {
             let mut ok = true;
             for c in &conds {
-                let lv = fixed_cell(&l[c.lc], c.lfix.as_ref(), &mut rng)?;
-                let rv = fixed_cell(&r[c.rc], c.rfix.as_ref(), &mut rng)?;
-                if cmp_values(&lv, c.op, &rv)? != Some(true) {
+                if cmp_values(&l[c.lc], c.op, &r[c.rc])? != Some(true) {
                     ok = false;
                     break;
                 }

@@ -630,9 +630,9 @@ mod tests {
     }
 
     /// A join condition runs on ciphertext as soon as *either* side
-    /// arrives encrypted (the engine encrypts the plaintext side on the
-    /// fly, MPQ009), so the side that is plaintext at the join but
-    /// encrypted above it shares the equality scheme.
+    /// arrives encrypted: extension encrypts the other side below the
+    /// join (MPQ009), and that `Encrypt` must write ciphertexts of the
+    /// partner's scheme, so the pair shares the equality scheme.
     #[test]
     fn a_mixed_form_join_pair_shares_its_scheme() {
         use mpq_algebra::JoinKind;
@@ -644,6 +644,7 @@ mod tests {
         let l = plan.add_base(hosp, vec![s]);
         let l = plan.add(Operator::Encrypt { attrs: vec![s] }, vec![l]);
         let r = plan.add_base(ins, vec![c, p]);
+        let r = plan.add(Operator::Encrypt { attrs: vec![c] }, vec![r]);
         let j = plan.add(
             Operator::Join {
                 kind: JoinKind::Inner,
@@ -652,7 +653,7 @@ mod tests {
             },
             vec![l, r],
         );
-        plan.add(Operator::Encrypt { attrs: vec![c, p] }, vec![j]);
+        plan.add(Operator::Encrypt { attrs: vec![p] }, vec![j]);
         let schemes = assign_schemes(&plan).unwrap();
         assert_eq!(schemes.scheme_of(s), EncScheme::Deterministic);
         assert_eq!(schemes.scheme_of(c), EncScheme::Deterministic);

@@ -151,8 +151,9 @@ fn agg_sort_plan(cat: &Catalog) -> (QueryPlan, SchemePlan, HashMap<AttrId, u32>)
     (plan, SchemePlan::default(), HashMap::new())
 }
 
-/// Mixed-form join: Encrypt(S) below one side only, so the join must
-/// encrypt the plaintext side at comparison time.
+/// A join pair in the extension's spliced shape: Encrypt(S) below one
+/// side, and Encrypt(C) on the other edge under the same key and
+/// scheme, so both sides are compared as ciphertext.
 fn mixed_form_plan(cat: &Catalog) -> (QueryPlan, SchemePlan, HashMap<AttrId, u32>) {
     let s = cat.attr("S").unwrap();
     let d = cat.attr("D").unwrap();
@@ -164,18 +165,21 @@ fn mixed_form_plan(cat: &Catalog) -> (QueryPlan, SchemePlan, HashMap<AttrId, u32
     let h = plan.add_base(hosp, vec![s, d]);
     let enc = plan.add(Operator::Encrypt { attrs: vec![s] }, vec![h]);
     let i = plan.add_base(ins, vec![c, p]);
+    let spliced = plan.add(Operator::Encrypt { attrs: vec![c] }, vec![i]);
     plan.add(
         Operator::Join {
             kind: JoinKind::Inner,
             on: vec![(s, CmpOp::Eq, c)],
             residual: None,
         },
-        vec![enc, i],
+        vec![enc, spliced],
     );
     let mut schemes = SchemePlan::default();
-    schemes.set(s, EncScheme::Deterministic);
     let mut koa = HashMap::new();
-    koa.insert(s, 1u32);
+    for a in [s, c] {
+        schemes.set(a, EncScheme::Deterministic);
+        koa.insert(a, 1u32);
+    }
     (plan, schemes, koa)
 }
 

@@ -70,6 +70,13 @@ pub enum Mutation {
         /// Index into the key plan's clusters.
         key_pick: usize,
     },
+    /// Remove an `Encrypt` the extension spliced below a join, so the
+    /// join compares ciphertext against plaintext (MPQ009; a no-op when
+    /// no join needed one).
+    DropJoinSideEncrypt {
+        /// Index into the plan's join-side encryptions.
+        enc_pick: usize,
+    },
 }
 
 /// A generated scenario, before extension.
@@ -336,6 +343,11 @@ impl World {
                 _ => Mutation::StripHolders {
                     key_pick: rng.gen_range(0..64usize),
                 },
+            })
+        } else if rng.gen_bool(0.25) {
+            // Drawn last, so the worlds above keep their faults.
+            Some(Mutation::DropJoinSideEncrypt {
+                enc_pick: rng.gen_range(0..64usize),
             })
         } else {
             None

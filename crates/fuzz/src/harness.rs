@@ -26,10 +26,11 @@
 //! else is a [`Outcome::Divergence`] — a fuzzer finding.
 
 use crate::gen::{Mutation, World, WorldConfig};
-use mpq_core::extend::minimally_extend;
+use mpq_algebra::{AttrId, NodeId, Operator};
+use mpq_core::extend::{minimally_extend, ExtendError};
 use mpq_core::keys::{plan_keys, KeyPlan};
 use mpq_core::verify::{verify_with_policy, Code, VerifyCoverage};
-use mpq_core::ExtendedPlan;
+use mpq_core::{profile_plan, ExtendedPlan};
 use mpq_crypto::KeyRing;
 use mpq_dist::{Report, Session, SessionConfig, SimError};
 use mpq_exec::rowref::execute_ref;
@@ -70,6 +71,13 @@ pub struct ScenarioResult {
 /// no rows): a reject carrying only these codes may still execute.
 const DYNAMIC_TWINLESS: [Code; 1] = [Code::TypeMismatch];
 
+/// Codes whose runtime twin reads the data: the engine refuses a
+/// mixed-form join when both sides carry a key cell, and a side with
+/// none compares nothing. A reject carrying only these codes (and the
+/// twinless ones) may still execute — but then its rows must equal the
+/// plaintext reference.
+const DATA_TWINNED: [Code; 1] = [Code::MixedForm];
+
 /// The MPQ diagnostic classes a dynamic failure corresponds to.
 fn error_codes(e: &SimError) -> Vec<Code> {
     match e {
@@ -88,7 +96,7 @@ fn error_codes(e: &SimError) -> Vec<Code> {
         | SimError::Exec(ExecError::NoKeyForAttr(_)) => {
             vec![Code::KeyUnavailable]
         }
-        SimError::Exec(ExecError::MixedForm { .. }) => vec![Code::MixedForm, Code::KeyUnavailable],
+        SimError::Exec(ExecError::MixedForm { .. }) => vec![Code::MixedForm],
         SimError::Exec(_) => vec![Code::Malformed],
         SimError::Verify(r) => r.codes(),
         SimError::Envelope { .. } | SimError::Transport(_) => vec![],
@@ -152,7 +160,46 @@ fn apply_mutation(w: &World, ext: &mut ExtendedPlan, keys: &mut KeyPlan) {
                 keys.keys[i].holders.clear();
             }
         }
+        Mutation::DropJoinSideEncrypt { enc_pick } => {
+            let spliced = join_side_encrypts(ext);
+            if !spliced.is_empty() {
+                let (j, side, e) = spliced[enc_pick % spliced.len()];
+                ext.plan.node_mut(j).children[side] = ext.plan.node(e).children[0];
+                ext.assignment.remove(&e);
+                ext.profiles = profile_plan(&ext.plan);
+            }
+        }
     }
+}
+
+/// The `Encrypt`s extension splices for mixed join pairs, as `(join,
+/// operand index, encrypt)`: directly below a join, run by the join's
+/// assignee, over join keys whose partners arrive encrypted from the
+/// other operand.
+pub fn join_side_encrypts(ext: &ExtendedPlan) -> Vec<(NodeId, usize, NodeId)> {
+    let mut out = Vec::new();
+    for j in ext.plan.postorder() {
+        let Operator::Join { on, .. } = &ext.plan.node(j).op else {
+            continue;
+        };
+        let kids = &ext.plan.node(j).children;
+        for (side, &e) in kids.iter().enumerate() {
+            let Operator::Encrypt { attrs } = &ext.plan.node(e).op else {
+                continue;
+            };
+            let other = &ext.profiles[kids[1 - side].index()];
+            let partnered = |a: &AttrId| {
+                on.iter().any(|&(l, _, r)| {
+                    let (mine, theirs) = if side == 0 { (l, r) } else { (r, l) };
+                    mine == *a && other.ve.contains(theirs)
+                })
+            };
+            if ext.assignment.get(&e) == ext.assignment.get(&j) && attrs.iter().all(partnered) {
+                out.push((j, side, e));
+            }
+        }
+    }
+    out
 }
 
 /// Compare two result tables as multisets of rows (SQL equality per
@@ -198,6 +245,23 @@ fn reports_match(conc: &Report, seq: &Report) -> Result<(), String> {
     Ok(())
 }
 
+/// The world's plan as the runtimes receive it: minimally extended for
+/// its Λ draw, its Def. 6.1 keys planned, then its mutation applied.
+pub fn extend_world(w: &World) -> Result<(ExtendedPlan, KeyPlan), ExtendError> {
+    let mut ext = minimally_extend(
+        &w.plan,
+        &w.catalog,
+        &w.policy,
+        &w.subjects,
+        &w.cands,
+        &w.assignment,
+        Some(w.user),
+    )?;
+    let mut keys = plan_keys(&ext);
+    apply_mutation(w, &mut ext, &mut keys);
+    Ok((ext, keys))
+}
+
 /// Run one scenario end to end. Never panics on a divergence — the
 /// caller decides what to do with [`Outcome::Divergence`].
 pub fn run_scenario(cfg: &WorldConfig) -> ScenarioResult {
@@ -210,16 +274,8 @@ pub fn run_scenario(cfg: &WorldConfig) -> ScenarioResult {
     };
 
     // ---- minimal extension (Theorem 5.2: must succeed) --------------
-    let mut ext = match minimally_extend(
-        &w.plan,
-        &w.catalog,
-        &w.policy,
-        &w.subjects,
-        &w.cands,
-        &w.assignment,
-        Some(w.user),
-    ) {
-        Ok(e) => e,
+    let (ext, keys) = match extend_world(&w) {
+        Ok(planned) => planned,
         Err(e) => {
             return result(
                 Outcome::Divergence(format!(
@@ -229,8 +285,6 @@ pub fn run_scenario(cfg: &WorldConfig) -> ScenarioResult {
             )
         }
     };
-    let mut keys = plan_keys(&ext);
-    apply_mutation(&w, &mut ext, &mut keys);
 
     // ---- way 1: static verifier -------------------------------------
     let report = verify_with_policy(
@@ -254,6 +308,15 @@ pub fn run_scenario(cfg: &WorldConfig) -> ScenarioResult {
         } else {
             session.execute(&ext, &keys, w.user)
         }
+    };
+
+    // Way 4, the row oracle over the original plan, no crypto.
+    let reference = || {
+        let keyring = KeyRing::new();
+        let schemes = SchemePlan::default();
+        let key_of_attr: HashMap<AttrId, u32> = HashMap::new();
+        let ctx = ExecCtx::new(&w.catalog, &w.db, &keyring, &schemes, &key_of_attr);
+        execute_ref(&w.plan, &ctx)
     };
 
     if report.is_clean() {
@@ -285,11 +348,7 @@ pub fn run_scenario(cfg: &WorldConfig) -> ScenarioResult {
         }
 
         // ---- way 4: the row oracle over the original plan ------------
-        let keyring = KeyRing::new();
-        let schemes = SchemePlan::default();
-        let key_of_attr: HashMap<mpq_algebra::AttrId, u32> = HashMap::new();
-        let ctx = ExecCtx::new(&w.catalog, &w.db, &keyring, &schemes, &key_of_attr);
-        let reference = match execute_ref(&w.plan, &ctx) {
+        let reference = match reference() {
             Ok(t) => t,
             Err(e) => {
                 return result(
@@ -314,6 +373,9 @@ pub fn run_scenario(cfg: &WorldConfig) -> ScenarioResult {
         // ---- ways 2+3: dynamic defenses must independently reject ---
         let codes = report.codes();
         let twinless_only = codes.iter().all(|c| DYNAMIC_TWINLESS.contains(c));
+        let data_twinned = codes
+            .iter()
+            .all(|c| DYNAMIC_TWINLESS.contains(c) || DATA_TWINNED.contains(c));
         for sequential in [false, true] {
             let which = if sequential {
                 "sequential"
@@ -322,6 +384,17 @@ pub fn run_scenario(cfg: &WorldConfig) -> ScenarioResult {
             };
             match run(false, sequential) {
                 Ok(_) if twinless_only => {}
+                Ok(run) if data_twinned => {
+                    if !reference().is_ok_and(|t| rows_match(&run.result, &t)) {
+                        return result(
+                            Outcome::Divergence(format!(
+                                "static reject {codes:?}, and the {which} runtime's rows \
+                                 differ from the plaintext reference"
+                            )),
+                            cov,
+                        );
+                    }
+                }
                 Ok(_) => {
                     return result(
                         Outcome::Divergence(format!(

@@ -15,5 +15,5 @@
 pub mod gen;
 pub mod harness;
 
-pub use gen::{World, WorldConfig};
-pub use harness::{run_scenario, Outcome, ScenarioResult};
+pub use gen::{Mutation, World, WorldConfig};
+pub use harness::{extend_world, join_side_encrypts, run_scenario, Outcome, ScenarioResult};

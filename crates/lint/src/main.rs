@@ -69,9 +69,16 @@
 //!   once used (`RowCtx`'s `batch(` constructor) is one even there — a
 //!   per-row tree walk must not quietly come back. Nor may owned
 //!   keys: ⋈ and γ hash key *columns* and compare candidates where they
-//!   lie (the key table), so `GroupKey` anywhere in `exec/src/engine.rs`
-//!   and a `fn fixed_cell` outside the oracle (`exec/src/rowref.rs`:
-//!   the engine fixes a mixed-form key column whole) are findings.
+//!   lie (the key table), so `GroupKey` anywhere in
+//!   `exec/src/engine.rs` is a finding.
+//! * **one-form-per-pair** — the plan fixes the form of both sides of
+//!   every join condition (`core/src/extend.rs` encrypts a plaintext
+//!   side whose partner arrives encrypted), and the engine only refuses
+//!   a pair whose forms differ. The names of the on-the-fly
+//!   reconciliation it replaced (the fix decision, its cipher pair, the
+//!   fixed column and the fixed cell; their tokens spelled in halves)
+//!   are findings anywhere under `crates/`: the engine must not quietly
+//!   decide a form again.
 //! * **one-agg-scope** — the γ a `HAVING` predicate or a sort key
 //!   stands on is found by `QueryPlan::agg_scope` and nowhere else.
 //!   `through_crypto(`, the building block every hand-written copy of
@@ -231,13 +238,20 @@ const RULES: &[Rule] = &[
         message: "`{t}`: rows or owned cells under an operator — expressions run a column at \
                   a time (`eval_mask` / `eval_column`, a join's residual as a mask over its \
                   candidate pairs) and hash operators read keys where they lie (the key \
-                  table); only the oracle walks rows, keeps `GroupKey`s and fixes cell by cell",
+                  table); only the oracle walks rows and keeps `GroupKey`s",
         sites: &[
             (&[concat!("RowCtx::", "batch(")], &[], &[], None),
             (&["RowCtx::", "eval_pred("], &[], &[ROWREF_RS], None),
             (&["GroupKey"], &[ENGINE_RS], &[], None),
-            (&["fn fixed_cell"], &[], &[ROWREF_RS], None),
         ],
+    },
+    Rule {
+        name: "one-form-per-pair",
+        message: "`{t}` — the plan fixes the form of both sides of a join condition (an \
+                  `Encrypt` spliced below the join by `mpq_core::extend`); the engine \
+                  refuses a pair whose forms differ and never decides one",
+        sites: &[(&[concat!("fn decide_", "form_fix"), concat!("Form", "Fix"), concat!("fn fixed_", "column"),
+                    concat!("fn fixed_", "cell")], &[], &[], None)],
     },
     Rule {
         name: "net-confinement",
@@ -1021,12 +1035,11 @@ fn probe_batch(p: &Probe<'_>, pool: &WorkerPool) {
         let src = "
 use mpq_algebra::value::GroupKey;
 fn build_hash(rt: &Table) -> HashMap<Vec<GroupKey>, Vec<usize>> {
-    let key = GroupKey(fixed_cell(rt.value(c, ri), fix, &mut rng)?);
+    let key = GroupKey(rt.value(c, ri));
 }
-fn fixed_cell(cell: Value, fix: Option<&ColumnCipher>) -> Result<Value, ExecError> {}
 #[cfg(test)]
 mod tests {
-    fn fixed_cell() { GroupKey(v); }
+    fn t() { GroupKey(v); }
 }
 ";
         let lines_in = |file: &str| {
@@ -1038,12 +1051,41 @@ mod tests {
                 .map(|f| f.line)
                 .collect::<Vec<_>>()
         };
-        // The engine holds no `GroupKey` and fixes no single cell…
-        assert_eq!(lines_in("crates/exec/src/engine.rs"), vec![2, 3, 4, 6]);
-        // …the oracle does both; anywhere else a per-cell fix is a
-        // second copy of the oracle's.
+        // The engine holds no `GroupKey`; the oracle does.
+        assert_eq!(lines_in("crates/exec/src/engine.rs"), vec![2, 3, 4]);
         assert_eq!(lines_in("crates/exec/src/rowref.rs"), Vec::<usize>::new());
-        assert_eq!(lines_in("crates/dist/src/party.rs"), vec![6]);
+    }
+
+    #[test]
+    fn a_form_decided_at_run_time_is_flagged() {
+        let src = [
+            "fn join_stream() { one_form(c.attr, column_form(col), rform)?; }",
+            concat!(
+                "pub(crate) type Form",
+                "Fix = (Option<ColumnCipher>, Option<ColumnCipher>);"
+            ),
+            concat!("pub(crate) fn decide_", "form_fix(l: Form, r: Form) {}"),
+            concat!("fn fixed_", "column(col: &ColumnVec) {}"),
+            concat!("fn fixed_", "cell(cell: &Value) {}"),
+            "#[cfg(test)]",
+            "mod tests {",
+            concat!("    fn fixed_", "cell() {}"),
+            "}",
+        ]
+        .join("\n");
+        for file in [
+            "crates/exec/src/engine.rs",
+            "crates/exec/src/rowref.rs",
+            "crates/core/src/keys.rs",
+        ] {
+            let mut findings = Vec::new();
+            lint_source(Path::new(file), &src, &mut findings);
+            let lines: Vec<usize> = (findings.iter())
+                .filter(|f| f.rule == "one-form-per-pair")
+                .map(|f| f.line)
+                .collect();
+            assert_eq!(lines, vec![2, 3, 4, 5], "{file}");
+        }
     }
 
     #[test]

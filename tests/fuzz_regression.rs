@@ -6,8 +6,10 @@
 //! originally exposed the behavior. `mpq-lint` enforces that every
 //! corpus file is referenced here (no orphaned seeds).
 
+use mpq::dist::{Session, SessionConfig, SimError};
+use mpq::exec::ExecError;
 use mpq_core::verify::Code;
-use mpq_fuzz::{run_scenario, Outcome, WorldConfig};
+use mpq_fuzz::{extend_world, run_scenario, Mutation, Outcome, World, WorldConfig};
 
 /// Parse a corpus file: comment lines (`#`) describe the scenario, the
 /// remaining line is the seed.
@@ -94,6 +96,30 @@ fn unauthorized_assignee_rejected_consistently() {
     );
 }
 
+/// A join-side Encrypt dropped after extension: static MPQ009 matches
+/// the engine's typed refusal at the join, on the sequential runtime
+/// without pre-flight (the harness holds the concurrent one to it).
+#[test]
+fn dropped_join_side_encrypt_rejected_consistently() {
+    let contents = include_str!("fuzz_corpus/reject_mixed_form.seed");
+    assert_rejected(contents, &[Code::MixedForm]);
+    let seed = corpus_seed(contents);
+    let w = World::generate(&WorldConfig { seed });
+    assert!(matches!(
+        w.mutation,
+        Some(Mutation::DropJoinSideEncrypt { .. })
+    ));
+    let (ext, keys) = extend_world(&w).expect("a Λ draw extends");
+    let config = SessionConfig::new(seed).without_preflight();
+    let mut session = Session::open_with(&w.catalog, &w.subjects, &w.policy, &w.db, config);
+    let run = session.execute_sequential(&ext, &keys, w.user);
+    assert!(
+        matches!(run, Err(SimError::Exec(ExecError::MixedForm { .. }))),
+        "expected the engine's mixed-form refusal, got {:?}",
+        run.err()
+    );
+}
+
 /// The committed nightly coverage floor stays well-formed: every line
 /// names a known axis with a plausible cardinality, so a typo cannot
 /// silently disable the nightly regression gate (which treats unknown
@@ -107,7 +133,7 @@ fn coverage_floor_file_is_well_formed() {
         ("def41_fail", 3),
         ("cluster_shapes", 9),
         ("schemes", 5),
-        ("mixed_form", 3),
+        ("mixed_form", 2),
         ("codes", 9),
     ];
     let mut seen = Vec::new();

@@ -8,59 +8,138 @@
 //! rows as a direct plaintext run. All 22 plaintext plans are also
 //! swept against the row-at-a-time oracle.
 
+use mpq::algebra::SubjectId;
 use mpq::core::capability::CapabilityPolicy;
 use mpq::core::profile::profile_plan;
+use mpq::core::verify_with_policy;
+use mpq::dist::Session;
 use mpq::exec::{Database, SchemePlan, Table};
 use mpq::planner::{build_scenario, optimize, Scenario, Strategy};
 use mpq::tpch::{generate, query_plan, tpch_catalog, tpch_stats, QUERY_COUNT};
 use mpq_crypto::keyring::{ClusterKey, KeyRing};
+use mpq_fuzz::join_side_encrypts;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 
+/// The plans whose extension encrypts a join side below its join (SF 1
+/// statistics): a pair one side of which would otherwise arrive in
+/// plaintext while its partner arrives encrypted.
+const SPLICED: [(usize, Scenario, Strategy, bool); 4] = [
+    (8, Scenario::UAPenc, Strategy::CostDp, false),
+    (8, Scenario::UAPenc, Strategy::CostDp, true),
+    (17, Scenario::UAPenc, Strategy::CostDp, true),
+    (17, Scenario::UAPmix, Strategy::CostDp, true),
+];
+
+/// Every strategy under both capability policies: the optimizer's
+/// extended plan is authorized for every assignee, verifies clean, and
+/// joins every condition's two sides in one form — the four plans in
+/// [`SPLICED`] by an `Encrypt` below the join, run by its assignee.
 #[test]
 fn all_queries_all_scenarios_verify() {
     let cat = tpch_catalog();
     let stats = tpch_stats(&cat, 1.0);
-    for scenario in Scenario::ALL {
-        let env = build_scenario(&cat, scenario);
-        for q in 1..=QUERY_COUNT {
-            let plan = query_plan(&cat, q);
-            let opt = optimize(
-                &plan,
-                &cat,
-                &stats,
-                &env,
-                &CapabilityPolicy::tpch_evaluation(),
-                Strategy::CostDp,
-            )
-            .unwrap_or_else(|e| panic!("Q{q} {scenario:?}: {e}"));
-            // Re-verify the extended plan against Def. 4.1 for every
-            // assignee (minimally_extend already does this; assert the
-            // invariant independently).
-            let profiles = profile_plan(&opt.extended.plan);
-            for id in opt.extended.plan.postorder() {
-                let node = opt.extended.plan.node(id);
-                if node.children.is_empty() {
-                    continue;
-                }
-                let s = opt.extended.assignment[&id];
-                let view = env.policy.subject_view(&cat, s);
-                for &c in &node.children {
-                    assert!(
-                        view.authorized_for(&profiles[c.index()]),
-                        "Q{q} {scenario:?}: {} unauthorized for operand of {id}",
-                        env.subjects.name(s)
+    let strategies = [
+        Strategy::CostDp,
+        Strategy::MaximizeVisibility,
+        Strategy::MinimizeVisibility,
+    ];
+    for evaluation in [false, true] {
+        let capabilities = if evaluation {
+            CapabilityPolicy::tpch_evaluation()
+        } else {
+            CapabilityPolicy::default()
+        };
+        for scenario in Scenario::ALL {
+            let env = build_scenario(&cat, scenario);
+            for strategy in strategies {
+                for q in 1..=QUERY_COUNT {
+                    let tag = format!("Q{q} {scenario:?} {strategy:?} evaluation={evaluation}");
+                    let plan = query_plan(&cat, q);
+                    let opt = optimize(&plan, &cat, &stats, &env, &capabilities, strategy)
+                        .unwrap_or_else(|e| panic!("{tag}: {e}"));
+                    let ext = &opt.extended;
+                    // Re-verify the extended plan against Def. 4.1 for
+                    // every assignee (minimally_extend already does
+                    // this; assert the invariant independently).
+                    let profiles = profile_plan(&ext.plan);
+                    for id in ext.plan.postorder() {
+                        let node = ext.plan.node(id);
+                        if node.children.is_empty() {
+                            continue;
+                        }
+                        let s = ext.assignment[&id];
+                        let view = env.policy.subject_view(&cat, s);
+                        for &c in &node.children {
+                            assert!(
+                                view.authorized_for(&profiles[c.index()]),
+                                "{tag}: {} unauthorized for operand of {id}",
+                                env.subjects.name(s)
+                            );
+                        }
+                        assert!(
+                            view.authorized_for(&profiles[id.index()]),
+                            "{tag}: {} unauthorized for result of {id}",
+                            env.subjects.name(s)
+                        );
+                    }
+                    let report = verify_with_policy(
+                        ext,
+                        &opt.keys,
+                        &cat,
+                        &env.subjects,
+                        &env.policy,
+                        Some(env.user),
                     );
+                    assert!(report.is_clean(), "{tag}:\n{report}");
+                    assert!(!report.coverage.mixed_form[1], "{tag}: a mixed-form join");
+                    if SPLICED.contains(&(q, scenario, strategy, evaluation)) {
+                        assert!(!join_side_encrypts(ext).is_empty(), "{tag}");
+                    }
                 }
-                assert!(
-                    view.authorized_for(&profiles[id.index()]),
-                    "Q{q} {scenario:?}: {} unauthorized for result of {id}",
-                    env.subjects.name(s)
-                );
             }
         }
     }
+}
+
+/// Q8 CostDp UAPenc (SF 1 statistics) on generated data through the
+/// same-thread scheduler: the plaintext rows, and every data edge
+/// carrying the bytes it carried when the engine encrypted the join's
+/// plaintext side on the fly. Of the request envelopes only U → A2's
+/// grows (726 bytes before).
+#[test]
+fn q8_with_a_spliced_join_side_encrypt_runs_sequentially() {
+    let world = World::new();
+    let (cat, db) = (&world.cat, &world.db);
+    let env = &world.env;
+    let plan = query_plan(cat, 8);
+    let capabilities = CapabilityPolicy::tpch_evaluation();
+    let stats = tpch_stats(cat, 1.0);
+    let opt = optimize(&plan, cat, &stats, env, &capabilities, Strategy::CostDp).unwrap();
+    assert_eq!(join_side_encrypts(&opt.extended).len(), 1);
+    let mut session = Session::open(cat, &env.subjects, &env.policy, db, 7);
+    let report = session
+        .execute_sequential(&opt.extended, &opt.keys, env.user)
+        .unwrap();
+    assert_same_rows(8, &run_plain(cat, db, &plan), &report.result);
+    let edges = |bytes: &HashMap<(SubjectId, SubjectId), usize>, skip: &HashMap<_, _>| {
+        let mut out: Vec<(usize, usize, usize)> = (bytes.iter())
+            .filter(|(edge, _)| !skip.contains_key(*edge))
+            .map(|((from, to), &n)| (from.index(), to.index(), n))
+            .collect();
+        out.sort_unstable();
+        out
+    };
+    let none = HashMap::new();
+    assert_eq!(
+        edges(&report.transfers, &report.request_bytes),
+        [(0, 3, 1_047_129), (1, 2, 377), (1, 3, 1_520), (3, 2, 804)]
+    );
+    assert_eq!(
+        edges(&report.request_bytes, &none),
+        [(2, 0, 888), (2, 1, 739), (2, 3, 463)]
+    );
 }
 
 #[test]
@@ -162,7 +241,8 @@ fn all_22_plans_match_the_row_oracle_under_tiny_batches() {
 /// and compared row-by-row against the plaintext run: every TPC-H
 /// query but Q9, Q13, Q14, Q16 (operators already covered here) and
 /// Q7, Q21 (pinned below as refusals). Under CostDp Q8 and Q17 plan 11
-/// and 3 `Encrypt` operators; the other alias-using queries (2, 11,
+/// and 4 `Encrypt` operators (Q17's fourth is the one extension splices
+/// below a join for a mixed pair); the other alias-using queries (2, 11,
 /// 15, 18, 20, 22) run in plaintext at the authorities today and pin
 /// that path should the price book ever move them.
 const EXEC_QUERIES: [usize; 16] = [1, 2, 3, 4, 5, 6, 8, 10, 11, 12, 15, 17, 18, 19, 20, 22];
