@@ -354,7 +354,7 @@ pub fn run_calibration(cfg: &CalibrateConfig) -> Calibration {
         session.reset_provisioning();
         let t0 = Instant::now();
         let report = session
-            .execute_sequential(&opt.extended, &opt.keys, env.user)
+            .execute(&opt.extended, &opt.keys, env.user)
             .unwrap_or_else(|e| panic!("Q{q} distributed replay: {e}"));
         let dp_replay_secs = t0.elapsed().as_secs_f64();
         request_bytes += report.request_bytes.values().sum::<usize>() as f64;
@@ -401,7 +401,7 @@ pub fn run_calibration(cfg: &CalibrateConfig) -> Calibration {
         session.reset_provisioning();
         let t0 = Instant::now();
         if session
-            .execute_sequential(&provider_opt.extended, &provider_opt.keys, env.user)
+            .execute(&provider_opt.extended, &provider_opt.keys, env.user)
             .is_ok()
         {
             measured.push((
@@ -414,7 +414,7 @@ pub fn run_calibration(cfg: &CalibrateConfig) -> Calibration {
         session.reset_provisioning();
         let t0 = Instant::now();
         session
-            .execute_sequential(&user_opt.extended, &user_opt.keys, env.user)
+            .execute(&user_opt.extended, &user_opt.keys, env.user)
             .unwrap_or_else(|e| panic!("Q{q} all-user replay: {e}"));
         measured.push((
             "enc/user".into(),
@@ -458,7 +458,7 @@ pub fn run_calibration(cfg: &CalibrateConfig) -> Calibration {
         session_mix.reset_provisioning();
         let t0 = Instant::now();
         if session_mix
-            .execute_sequential(&opt.extended, &opt.keys, env_mix.user)
+            .execute(&opt.extended, &opt.keys, env_mix.user)
             .is_err()
         {
             continue;
@@ -468,7 +468,7 @@ pub fn run_calibration(cfg: &CalibrateConfig) -> Calibration {
         session_mix.reset_provisioning();
         let t0 = Instant::now();
         if session_mix
-            .execute_sequential(&user_opt.extended, &user_opt.keys, env_mix.user)
+            .execute(&user_opt.extended, &user_opt.keys, env_mix.user)
             .is_err()
         {
             continue;

@@ -9,12 +9,13 @@
 //! so the harness doubles as an end-to-end correctness gate (CI runs
 //! it with `--smoke` and fails on divergence).
 //!
-//! One path is measured: the concurrent thread-per-subject runtime
-//! (`Session::execute`), each query provisioned afresh
-//! (`Session::reset_provisioning`). The frozen `benchmark/` times the
-//! same-thread scheduler and TCP sessions next to it; the differential
-//! tests hold all three, and persistent sessions, to the same rows,
-//! bytes and requests.
+//! One path is measured: the session runtime (`Session::execute`, one
+//! walk over the Fig. 8 regions on each client's thread, in-proc
+//! mailboxes), each query provisioned afresh
+//! (`Session::reset_provisioning`). The frozen `benchmark/` times TCP
+//! sessions next to it; the differential tests hold both transports,
+//! the coordinator and persistent sessions to the same rows, bytes and
+//! requests.
 
 use mpq_algebra::{Catalog, SubjectId};
 use mpq_core::authz::Policy;
@@ -55,7 +56,7 @@ impl ThroughputConfig {
     /// every query doing real engine work — with the batched
     /// Montgomery crypto, SF 0.002 queries finished in ~10 ms and the
     /// benchmark degenerated into measuring per-query protocol fixed
-    /// costs (key provisioning, envelope sealing, thread spawns).
+    /// costs (key provisioning, envelope sealing).
     pub fn smoke() -> ThroughputConfig {
         ThroughputConfig {
             sessions: 2,
@@ -160,7 +161,9 @@ pub struct ThroughputReport {
     pub config: ThroughputConfig,
     /// Names of the queries in the mix.
     pub workload: Vec<String>,
-    /// Stats for the concurrent thread-per-subject runtime.
+    /// Stats for the session runtime (`Session::execute`, in-proc); the
+    /// JSON key stays `concurrent`, as `bench_diff` and the committed
+    /// baselines read it.
     pub concurrent: ModeStats,
     /// Total bytes on the wire per executed query.
     pub bytes_per_query: f64,
@@ -369,8 +372,8 @@ pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
 /// Drive every session's iterations through `Session::execute` with
 /// provisioning reset before each query, and verify every result.
 fn measure(wl: &Workload, cfg: &ThroughputConfig) -> ThroughputReport {
-    // Sessions first open their runtimes (per-party RSA identities
-    // and party threads — setup cost, not query cost), then meet at
+    // Sessions first open their runtimes (per-party RSA identities,
+    // mailboxes and wires — setup cost, not query cost), then meet at
     // the barrier; the clock starts when the last one arrives.
     let barrier = std::sync::Barrier::new(cfg.sessions + 1);
     let (outs, start): (Vec<SessionOut>, Instant) = std::thread::scope(|scope| {

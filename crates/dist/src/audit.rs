@@ -30,9 +30,8 @@ pub fn audit_transfer(table: &Table, recipient: &SubjectView) -> Result<(), SimE
     audit_transfer_with(table, recipient, &WorkerPool::global())
 }
 
-/// [`audit_transfer`] on an explicit worker pool (the runtime's party
-/// loops pass theirs so audits share the same thread budget as
-/// execution).
+/// [`audit_transfer`] on an explicit worker pool (the party core passes
+/// its party's, so audits share the same thread budget as execution).
 ///
 /// Column-major fast path: each column's *required form* is resolved
 /// once against the view — plaintext-visible columns are skipped

@@ -4,7 +4,7 @@
 //! paper's §6 dispatch story — "each subject executes its assigned
 //! sub-query and forwards encrypted results".
 //!
-//! **One core, three schedulers.** The §6 rule — a Fig. 8 region (a
+//! **One core, two drivers.** The §6 rule — a Fig. 8 region (a
 //! maximal connected group of nodes with one assignee: what one signed
 //! sub-query covers) runs at its subject, as one pipeline, once the
 //! tables it reads from other regions have arrived; whatever crosses a
@@ -12,14 +12,15 @@
 //! byte-accounted; the signed request is the licence to compute — is
 //! stated once, as the pure per-subject state machine in the
 //! crate-private `party` module. Nothing is materialized where the
-//! paper puts no edge. Three thin schedulers drive it:
+//! paper puts no edge. Two thin drivers step it, and under both every
+//! table crossing a subject edge leaves through its producer's `Wire`
+//! and lands in its consumer's `Mailbox` ([`runtime`]):
 //!
-//! | scheduler | entry point | benchmark metric |
+//! | driver | entry point | benchmark metric |
 //! |---|---|---|
-//! | **same thread** — walk the regions producers first, stepping each region's subject and *moving* tables between the machines | [`Session::execute_sequential`] | `seq_pass_ms_p50` |
-//! | **thread per subject** — long-lived party threads, mailboxes in, a `Wire` out ([`runtime`]) | [`Session::execute`] (in-proc mailboxes) | `pass_ms_p50` |
-//! | | [`Session::execute`] with [`TransportKind::Tcp`] (loopback sockets) | `tcp_pass_ms_p50` |
-//! | **process per subject** — the same blocking driver inside each [`Server`] and for the [`Coordinator`]'s own share ([`remote`]) | [`Coordinator::execute`] | — (`scripts/server_smoke.sh`) |
+//! | **one walk per session** — the regions producers first on the calling thread, each subject's mailbox pulled until its next region is ready | [`Session::execute`] (in-proc mailbox channels) | `pass_ms_p50`, `seq_pass_ms_p50` (the same walk) |
+//! | | [`Session::execute`] with [`TransportKind::Tcp`] (loopback sockets and hubs) | `tcp_pass_ms_p50` |
+//! | **process per subject** — the blocking `drive` inside each [`Server`] and for the [`Coordinator`]'s own share ([`remote`]) | [`Coordinator::execute`] | — (`scripts/server_smoke.sh`) |
 //!
 //! **One wire under both planes.** Fig. 8 has one kind of edge — a
 //! subject sends a signed sub-query or a result table to another — and
@@ -28,9 +29,8 @@
 //! write), one reading of the fault layer's four wire operations, one
 //! bounded retry loop, under the data plane and the coordinator's
 //! control plane alike. A party's mailbox carries data only and owns
-//! the epoch filter (`Mailbox::next`); wake-ups travel on their own
-//! channel, whose closing is shutdown; and one `settle` picks the
-//! error a failed query reports ([`runtime`]).
+//! the epoch filter (`Mailbox::next`); and one `settle` picks the
+//! error a coordinator's failed query reports ([`runtime`]).
 //!
 //! Whoever schedules, a query follows the §6 protocol. The first three
 //! steps are the querying user's side, one shared preparation (see
@@ -60,9 +60,10 @@
 //! 5. return a [`Report`] with the final (plaintext, for the user)
 //!    result and the bytes-on-the-wire per subject-pair edge.
 //!
-//! The schedulers produce bit-identical results and per-edge byte
-//! counts — a property the differential tests lean on, and one that
-//! now tests *schedulers*, not copies of the semantics.
+//! The drivers and transports produce bit-identical results and
+//! per-edge byte counts — a property the differential tests lean on,
+//! and one that tests *drivers and wires*, not copies of the
+//! semantics.
 //!
 //! A subject receiving data its view does not permit — or attempting
 //! encryption/decryption with a key it does not hold — aborts the

@@ -28,10 +28,10 @@
 //! * [`PartyRun::finish`] yields the [`PartyOut`].
 //!
 //! Every failure is a returned [`SimError`]; what to do about it
-//! (abort the epoch, tell the peers) is the scheduler's business. The
-//! three schedulers — same thread, thread per subject, process per
-//! subject — live in [`session`](crate::session),
-//! [`runtime`](crate::runtime) and [`remote`](crate::remote).
+//! (end the query, tell the peers) is the driver's business. The two
+//! drivers — one walk per session, process per subject — live in
+//! [`session`](crate::session) and [`remote`](crate::remote), over the
+//! mailbox and `drive` of [`runtime`](crate::runtime).
 
 use crate::audit::audit_transfer_with;
 use crate::error::SimError;
@@ -62,8 +62,7 @@ pub(crate) struct Party {
     /// The base relations this subject is the authority of.
     pub(crate) store: Database,
     /// Worker pool for intra-operator data parallelism and audits. A
-    /// session's parties share one, so concurrently executing parties
-    /// draw from one thread budget.
+    /// session's parties share one thread budget.
     pub(crate) pool: WorkerPool,
 }
 
@@ -102,11 +101,12 @@ pub(crate) struct QueryJob {
     /// The querying user.
     pub(crate) user: SubjectId,
     /// Base seed for per-(node, column, row) encryption randomness;
-    /// identical for every scheduler and every query of a session.
+    /// identical for every driver and every query of a session.
     pub(crate) exec_seed: u64,
     /// How long a party waits for an expected transfer before aborting
     /// the epoch with a typed timeout, in milliseconds (0: forever —
-    /// the in-proc default, where a peer cannot die alone).
+    /// the in-proc default, where every sent table is already in its
+    /// consumer's mailbox).
     pub(crate) timeout_ms: u64,
     /// Derived: the Fig. 8 cut, producers first — the order a single
     /// thread runs the regions in.
@@ -279,10 +279,10 @@ impl<'a> PartyRun<'a> {
         let at = self.todo.iter().position(|r| r.root == root);
         let region = self
             .todo
-            .remove(at.expect("schedulers step the roots `ready` hands them"));
+            .remove(at.expect("drivers step the roots `ready` hands them"));
         // A fresh context per region: ciphertexts are a function of
         // (seed, node, column, row), so they are bit-identical whatever
-        // the scheduler and the interleaving.
+        // the driver and the interleaving.
         let ctx = ExecCtx::builder(
             &party.catalog,
             &party.store,
@@ -345,7 +345,7 @@ mod tests {
     /// A prepared query over the running example and its parties.
     struct Fixture {
         ex: RunningExample,
-        parties: Vec<Arc<Party>>,
+        parties: Vec<Party>,
         d: Dispatched,
     }
 
@@ -634,7 +634,7 @@ mod tests {
 
     /// Cells of a delivered table are peer input: a plaintext `SUM`
     /// they push past `i64::MAX` is the region's typed error — not a
-    /// panic in the party thread (debug) or a wrapped total (release).
+    /// panic in the party's region (debug) or a wrapped total (release).
     #[test]
     fn a_sum_overflowing_on_a_delivered_operand_is_a_typed_error() {
         let f = Fixture::new();
@@ -671,7 +671,7 @@ mod tests {
     /// So is a ciphertext: a Paillier cell with the right header over
     /// arbitrary bytes decrypts to a plaintext as wide as the modulus,
     /// which used to trip an `assert!` — in release — inside the key
-    /// holder's party thread. The `Decrypt` region answers with a
+    /// holder's region. The `Decrypt` region answers with a
     /// typed error.
     #[test]
     fn a_forged_paillier_cell_on_a_delivered_operand_is_a_typed_error() {

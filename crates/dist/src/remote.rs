@@ -1,9 +1,10 @@
 //! The federated client/server deployment: one OS **process** per
 //! subject.
 //!
-//! [`Session`](crate::Session) realizes the paper's §6 protocol with
-//! one *thread* per subject inside a single process. This module
-//! promotes that topology to the architecture Fig. 8 actually draws:
+//! [`Session`](crate::Session) realizes the paper's §6 protocol inside
+//! a single process, every subject's regions stepped by one walk on the
+//! calling thread. This module promotes that topology to the
+//! architecture Fig. 8 actually draws:
 //! every subject is its own [`Server`] process holding **only its own
 //! material** — its partition of the base relations, its RSA keypair,
 //! and the cluster keys Def. 6.1 provisions to it — while a
@@ -43,20 +44,20 @@
 //! authorization). A fault that outlives the budget aborts *the epoch*
 //! with a typed error; the fleet keeps serving the next query.
 //!
-//! This is the **process-per-subject** scheduler, and it owns no
+//! This is the **process-per-subject** driver, and it owns no
 //! protocol logic of its own. The coordinator prepares a query with
 //! the same `Dispatcher` a [`Session`](crate::Session) uses
 //! (authorize → provision → seal; only the delivery of a key differs);
 //! every server, and the coordinator for the user's own share, runs
-//! the party core (`party.rs`) under the same blocking `drive` of
-//! [`runtime`](crate::runtime) the in-process party threads use, so
-//! every guarantee (envelope check, receive audit, epoch isolation,
-//! typed transport aborts) carries over. The control connections are a
-//! second `Links` cache — the data plane's, with the hello handshake as
-//! its introduction step — under a second `Wire`: control frames retry,
-//! back off and take injected faults by the data plane's own loop and
-//! its one reading of `WireOp`, and `settle` picks the error a query
-//! reports exactly as it does for the party threads.
+//! the party core (`party.rs`) under the blocking `drive` of
+//! [`runtime`](crate::runtime), over the mailbox and wire a session's
+//! walk uses, so every guarantee (envelope check, receive audit, epoch
+//! isolation, typed transport aborts) carries over. The control
+//! connections are a second `Links` cache — the data plane's, with the
+//! hello handshake as its introduction step — under a second `Wire`:
+//! control frames retry, back off and take injected faults by the data
+//! plane's own loop and its one reading of `WireOp`, and `settle` picks
+//! the error a query reports.
 
 use crate::codec::Frame;
 use crate::error::SimError;

@@ -1,60 +1,48 @@
-//! The blocking scheduler over the party core (`party.rs`): a
-//! `Mailbox` in, a `Wire` out.
+//! The blocking driver over the party core (`party.rs`): a `Mailbox`
+//! in, a `Wire` out.
 //!
-//! `drive` runs one subject's share of one query epoch by feeding a
-//! `PartyRun` from the party's mailbox and sending what it produces
-//! through the party's `Wire`. It is the whole of two of the three
-//! schedulers:
+//! Every cross-subject table travels the same way, whoever steps the
+//! core: the producer sends it through its `Wire` (in-proc mailbox
+//! senders or framed TCP, with fault injection and bounded retry), and
+//! it lands in the consumer's `Mailbox`. Two drivers pull from there:
 //!
-//! * **thread per subject** — `PartyThreads`: one long-lived OS
-//!   thread per subject, spawned **once** when a
-//!   [`Session`](crate::Session) opens and reused for every query
-//!   (`Session::execute`). Between queries a party idles on its
-//!   wake-up channel; a `Run` wakes the participants, and each runs
-//!   a Fig. 8 region of its own, as one pipeline, as soon as the
-//!   region's operands are local, so independent regions of different
-//!   subjects execute concurrently. The channel closing *is* shutdown;
-//! * **process per subject** — [`Server`](crate::Server) and the
-//!   [`Coordinator`](crate::Coordinator)'s own share call the same
-//!   `drive` from their own threads (see [`remote`](crate::remote)).
-//!
-//! The third, **same thread**, is
-//! [`Session::execute_sequential`](crate::Session::execute_sequential),
-//! which steps the same core without any of this module.
+//! * [`Session::execute`](crate::Session::execute) walks the Fig. 8
+//!   regions producers first on the calling thread, pulling each
+//!   subject's mailbox until its next region is ready (see
+//!   [`session`](crate::session));
+//! * `drive`, here, runs one subject's share of one query epoch by
+//!   feeding a `PartyRun` from that party's mailbox until it is done.
+//!   Every [`Server`](crate::Server) calls it for its own subject and
+//!   the [`Coordinator`](crate::Coordinator) for the user's share (see
+//!   [`remote`](crate::remote)).
 //!
 //! Failure handling: the core returns a typed error; `drive` — and
 //! only `drive` — broadcasts a best-effort abort to the query's other
 //! participants and reports the error. Peers receiving `Abort` stop
 //! without an error of their own. `settle` — and only `settle` —
-//! turns the participants' outcomes into what the query reports, for
-//! the party threads and the coordinator alike: a real failure before
-//! an abort echo, the lowest subject id when several fail
-//! independently. The session remains usable: the party threads return
-//! to their wake-up channels and the next query runs normally.
+//! turns the participants' outcomes into what the coordinator's query
+//! reports: a real failure before an abort echo, the lowest subject id
+//! when several fail independently.
 //!
 //! Because mailboxes outlive queries, every data message carries the
 //! query *epoch* it belongs to, and the mailbox carries nothing else.
 //! `Mailbox::next` is the one epoch filter: a message that arrives
-//! after its query already ended (e.g. a table sent concurrently with
-//! an abort) is dropped when a later epoch asks for its next message;
-//! one that arrives *before* its recipient has been woken for that
-//! epoch simply waits in the mailbox, or is held aside if it is read
-//! while an earlier epoch is still being drained. Epochs are what make
-//! an aborted query leave no residue for the next one.
+//! after its query already ended (e.g. a table a producer sent before
+//! a later region failed) is dropped when a later epoch asks for its
+//! next message; one that arrives *before* its recipient has started
+//! that epoch simply waits in the mailbox, or is held aside if it is
+//! read while an earlier epoch is still being drained. Epochs are what
+//! make an aborted query leave no residue for the next one.
 
 use crate::error::SimError;
-use crate::fault::RetryPolicy;
 use crate::party::{Party, PartyOut, PartyRun, QueryJob, Transfer};
-use crate::transport::{FaultState, Links, TcpHub, Transport, TransportError, Wire, WireStats};
-use crate::TransportKind;
+use crate::transport::{TransportError, Wire};
 use mpq_algebra::SubjectId;
 use mpq_crypto::rsa::{RsaPublic, SignedEnvelope};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// One data-plane message exchanged between parties while a query
@@ -77,8 +65,8 @@ pub(crate) type Stamped = (u64, Msg);
 /// message *of that query*.
 pub(crate) struct Mailbox {
     rx: Receiver<Stamped>,
-    /// Messages of epochs this party has not been woken for yet, in
-    /// arrival order.
+    /// Messages of epochs this party has not started yet, in arrival
+    /// order.
     ahead: Vec<Stamped>,
 }
 
@@ -128,9 +116,9 @@ impl Mailbox {
     }
 }
 
-/// One party's wake-up for one query.
+/// One party's share of one query, as `Frame::Execute` hands it over.
 pub(crate) struct Run {
-    /// Query epoch (strictly increasing per session).
+    /// Query epoch (strictly increasing per coordinator).
     pub(crate) epoch: u64,
     /// The shared, immutable description of the query.
     pub(crate) job: Arc<QueryJob>,
@@ -147,7 +135,7 @@ pub(crate) enum Outcome {
     Done(PartyOut),
     /// Failed with a real error (already broadcast `Abort`).
     Failed(SimError),
-    /// Stopped because a peer aborted (or the session is closing).
+    /// Stopped because a peer aborted (or the mailbox closed).
     Aborted,
     /// The party panicked (a bug, not a protocol failure); the panic
     /// was caught so the other parties could finish, and is re-raised
@@ -234,139 +222,6 @@ pub(crate) fn settle(mut outcomes: Vec<(SubjectId, Outcome)>) -> Result<Vec<Part
 /// Subject `from` failed its share of a query, in its own words.
 pub(crate) fn peer_failure(from: SubjectId, message: String) -> SimError {
     TransportError::Peer { from, message }.into()
-}
-
-/// The long-lived party threads of one session: a wake-up channel per
-/// subject, a shared completion channel, and the join handles used for
-/// clean teardown on drop. With [`TransportKind::Tcp`] every party
-/// additionally owns a [`TcpHub`] (loopback listener) and data-plane
-/// messages travel as framed records through real sockets; the control
-/// plane (wake-ups, outcomes) stays on in-process channels either way.
-pub(crate) struct PartyThreads {
-    /// Closing these *is* shutdown: a party thread exits when its
-    /// wake-up channel does.
-    wake: Vec<Sender<Run>>,
-    done_rx: Receiver<(SubjectId, Outcome)>,
-    handles: Vec<JoinHandle<()>>,
-    epoch: u64,
-    /// Keeps the TCP listeners alive for the threads' lifetime; dropped
-    /// (and joined) after the party threads exit, so every in-flight
-    /// frame either lands or sees a clean EOF.
-    _hubs: Vec<TcpHub>,
-}
-
-impl PartyThreads {
-    /// Spawn one party loop per subject. Threads idle on their wake-up
-    /// channels until [`PartyThreads::run`] hands them a query.
-    pub(crate) fn spawn(
-        parties: &[Arc<Party>],
-        transport: TransportKind,
-        seed: u64,
-        faults: &Arc<Mutex<FaultState>>,
-        retry: RetryPolicy,
-        stats: &Arc<WireStats>,
-    ) -> PartyThreads {
-        let (txs, mailboxes): (Vec<_>, Vec<_>) = parties.iter().map(|_| Mailbox::new()).unzip();
-        // One link cache per party. In-proc: clones of everyone's
-        // mailbox sender. TCP: every party binds a loopback hub feeding
-        // its own mailbox, and links dial the peers' hubs. All wires
-        // share one fault-injection state and one recovery-stats sink,
-        // so a session-level schedule swap reaches every party.
-        let mut hubs = Vec::new();
-        let mut peers = HashMap::new();
-        if transport == TransportKind::Tcp {
-            for (party, tx) in parties.iter().zip(&txs) {
-                // `Session::open` cannot fail by signature, and a host
-                // without a free loopback port cannot run this session.
-                let hub = TcpHub::bind("127.0.0.1:0", tx.clone(), None)
-                    .expect("bind a loopback listener for the TCP transport");
-                peers.insert(party.me, hub.addr().to_string());
-                hubs.push(hub);
-            }
-        }
-        let (done_tx, done_rx) = channel();
-        let mut wake = Vec::new();
-        let mut handles = Vec::new();
-        for (party, mut mailbox) in parties.iter().zip(mailboxes) {
-            let links: Arc<dyn Transport> = match transport {
-                TransportKind::InProc => Arc::new(Links::in_proc(txs.clone())),
-                TransportKind::Tcp => {
-                    Arc::new(Links::tcp(party.me, peers.clone(), Duration::from_secs(5)))
-                }
-            };
-            let wire = Wire::new(
-                party.me,
-                seed,
-                links,
-                Arc::clone(faults),
-                retry,
-                Arc::clone(stats),
-            );
-            let party = Arc::clone(party);
-            let done = done_tx.clone();
-            let (wake_tx, wake_rx) = channel();
-            wake.push(wake_tx);
-            // The persistent per-subject loop: idle until woken,
-            // [`drive`] the query, report, idle again.
-            handles.push(std::thread::spawn(move || {
-                while let Ok(run) = wake_rx.recv() {
-                    let outcome = drive(&party, &run, &mut mailbox, &wire);
-                    if done.send((party.me, outcome)).is_err() {
-                        return;
-                    }
-                }
-            }));
-        }
-        PartyThreads {
-            wake,
-            done_rx,
-            handles,
-            epoch: 0,
-            _hubs: hubs,
-        }
-    }
-
-    /// Run one prepared query across the persistent party threads and
-    /// return each clean participant's contribution. `envelopes` holds
-    /// each subject's signed request, by subject index. Blocks until
-    /// every participant reported its outcome, so a failed query is
-    /// fully drained before the next one starts.
-    pub(crate) fn run(
-        &mut self,
-        job: QueryJob,
-        mut envelopes: Vec<Option<SignedEnvelope>>,
-        user_public: &RsaPublic,
-    ) -> Result<Vec<PartyOut>, SimError> {
-        // Invariant behind both `expect`s: party threads catch their
-        // own panics and exit only when `wake` closes, in `drop`.
-        const ALIVE: &str = "party threads live until the session drops";
-        self.epoch += 1;
-        let job = Arc::new(job);
-        for &s in &job.participants {
-            let run = Run {
-                epoch: self.epoch,
-                job: Arc::clone(&job),
-                envelope: envelopes[s.index()].take(),
-                user_public: user_public.clone(),
-            };
-            self.wake[s.index()].send(run).expect(ALIVE);
-        }
-        // One outcome per wake-up, and queries never overlap.
-        let outcomes = job
-            .participants
-            .iter()
-            .map(|_| self.done_rx.recv().expect(ALIVE));
-        settle(outcomes.collect())
-    }
-}
-
-impl Drop for PartyThreads {
-    fn drop(&mut self) {
-        self.wake.clear();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
 }
 
 #[cfg(test)]

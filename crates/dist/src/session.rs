@@ -9,8 +9,12 @@
 //! long-lived connections to each provider and runs many queries per
 //! trust establishment; a [`Session`] is that model:
 //!
-//! * **party threads spawn once**, at [`Session::open`], and idle on
-//!   long-lived mailboxes between queries ([`runtime`](crate::runtime));
+//! * **parties, wires and mailboxes are set up once**, at
+//!   [`Session::open`]: one driver, [`Session::execute`], walks the
+//!   Fig. 8 regions producers first on the calling thread, and every
+//!   table crossing a subject edge still travels through its
+//!   producer's `Wire` into its consumer's long-lived `Mailbox`
+//!   ([`runtime`](crate::runtime)) — in-proc or over loopback TCP;
 //! * **key provisioning is incremental** — generated [`ClusterKey`]
 //!   material is cached per [`ClusterSig`] (cluster attribute set +
 //!   holder set), so a repeated query re-uses already-provisioned keys
@@ -20,9 +24,10 @@
 //!   re-checks Def. 4.1 for every node and re-seals the signed request
 //!   envelopes (`[[q_S, keys]_priU]_pubS`); only trust, transport and
 //!   key material amortize;
-//! * **errors abort the query, not the session** — a failed query
-//!   drains cleanly (see the epoch protocol in
-//!   [`runtime`](crate::runtime)) and the session keeps serving;
+//! * **errors abort the query, not the session** — what a failed
+//!   query left in a mailbox is residue of its epoch, which the next
+//!   query drops (see [`runtime`](crate::runtime)), and the session
+//!   keeps serving;
 //! * [`Session::revoke_key`] models policy change: it drops the key
 //!   from every ring *and* invalidates the cache entry, so the next
 //!   query that needs the cluster provisions fresh material;
@@ -38,11 +43,14 @@
 
 use crate::error::SimError;
 use crate::fault::{FaultPlan, RetryPolicy};
-use crate::party::{Party, PartyRun, QueryJob, Transfer};
-use crate::runtime::PartyThreads;
-use crate::transport::{lock, EdgeRecovery, FaultState, TransportKind, WireStats};
+use crate::party::{Party, PartyRun, QueryJob};
+use crate::runtime::{Mailbox, Msg};
+use crate::transport::{
+    lock, EdgeRecovery, FaultState, Links, TcpHub, Transport, TransportError, TransportKind, Wire,
+    WireStats,
+};
 use crate::{Report, PAILLIER_BITS, RSA_BITS};
-use mpq_algebra::{AttrId, Catalog, NodeId, Operator, RelId, SubjectId};
+use mpq_algebra::{AttrId, Catalog, Operator, RelId, SubjectId};
 use mpq_core::authz::{Policy, SubjectView};
 use mpq_core::dispatch::dispatch;
 use mpq_core::extend::ExtendedPlan;
@@ -88,10 +96,11 @@ pub struct SessionConfig {
     /// How data-plane messages travel between parties.
     pub transport: TransportKind,
     /// How long a party waits for an expected data message before
-    /// aborting with a typed [`TransportError`](crate::TransportError).
+    /// aborting with a typed [`TransportError`].
     /// `None` defers to the transport default: wait forever in-proc
-    /// (peers share our fate), 10 s over TCP (a dead peer must abort
-    /// the query, not hang it).
+    /// (a table sent is already in its consumer's mailbox), 10 s over
+    /// TCP (a dead peer must abort the query, not hang it). A set
+    /// timeout is at least 1 ms.
     pub timeout: Option<Duration>,
     /// Deterministic transport-fault schedule (chaos testing). `None`:
     /// no injection.
@@ -185,7 +194,7 @@ struct CachedCluster {
 /// the cluster-key cache saved.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Queries executed (either path), failures included.
+    /// Queries executed, failures included.
     pub queries: usize,
     /// Clusters generated, sealed, and shipped to their holders.
     pub clusters_provisioned: usize,
@@ -452,7 +461,8 @@ impl Dispatcher {
             ext.assignment.clone(),
             user,
             self.exec_seed,
-            self.timeout.map_or(0, |d| d.as_millis() as u64),
+            // A set timeout is at least 1 ms: 0 means "wait forever".
+            self.timeout.map_or(0, |d| d.as_millis().max(1) as u64),
         )?;
         Ok(Dispatched {
             job,
@@ -471,7 +481,7 @@ impl Dispatcher {
     }
 }
 
-/// The thread-free part of opening a session: one party per registered
+/// The wire-free part of opening a session: one party per registered
 /// subject (RSA identities drawn from the seed in subject order) and
 /// the dispatcher that continues the same seeded stream.
 pub(crate) fn set_up(
@@ -480,23 +490,21 @@ pub(crate) fn set_up(
     policy: &Policy,
     db: &Database,
     config: &SessionConfig,
-) -> (Vec<Arc<Party>>, Dispatcher) {
+) -> (Vec<Party>, Dispatcher) {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let views = policy.all_views(catalog, subjects);
     let catalog = Arc::new(catalog.clone());
     let pool = config.pool();
     let parties = subjects
         .iter()
-        .map(|me| {
-            Arc::new(Party {
-                me,
-                catalog: Arc::clone(&catalog),
-                view: views[me.index()].clone(),
-                rsa: RsaKeypair::generate(&mut rng, RSA_BITS),
-                ring: KeyRing::new(),
-                store: db.partition(|rel| subjects.authority(rel) == Some(me)),
-                pool: pool.clone(),
-            })
+        .map(|me| Party {
+            me,
+            catalog: Arc::clone(&catalog),
+            view: views[me.index()].clone(),
+            rsa: RsaKeypair::generate(&mut rng, RSA_BITS),
+            ring: KeyRing::new(),
+            store: db.partition(|rel| subjects.authority(rel) == Some(me)),
+            pool: pool.clone(),
         })
         .collect();
     let timeout = config.effective_timeout();
@@ -534,22 +542,30 @@ pub(crate) fn set_up(
 /// ```
 pub struct Session {
     dispatcher: Dispatcher,
-    /// One party per registered subject; each party thread holds a
-    /// clone of its own.
-    parties: Vec<Arc<Party>>,
-    /// The long-lived party threads.
-    threads: PartyThreads,
+    /// One party per registered subject.
+    parties: Vec<Party>,
+    /// Each party's inbox, by subject index.
+    mailboxes: Vec<Mailbox>,
+    /// The last query epoch.
+    epoch: u64,
     /// Fault-injection state shared by every party's wire; swapping
     /// the plan (see [`Session::set_faults`]) reaches all of them.
     faults: Arc<Mutex<FaultState>>,
     /// Per-edge recovery counters shared by every party's wire.
     wire_stats: Arc<WireStats>,
+    /// Each party's sending half, by subject index. Declared before
+    /// `_hubs` so the wires' connections close first: every in-flight
+    /// frame either lands or sees a clean EOF before its hub is joined.
+    wires: Vec<Wire>,
+    /// With [`TransportKind::Tcp`], one loopback listener per party,
+    /// feeding its mailbox.
+    _hubs: Vec<TcpHub>,
 }
 
 /// [`Holders`] of a session: every ring is in this process, and a key
 /// reaches its holder by being inserted.
 pub(crate) struct Rings<'a> {
-    pub(crate) parties: &'a [Arc<Party>],
+    pub(crate) parties: &'a [Party],
     pub(crate) user: SubjectId,
 }
 
@@ -578,7 +594,7 @@ impl Holders for Rings<'_> {
 impl Session {
     /// Open a session: set up one party per registered subject (RSA
     /// envelope keypair, empty key ring, the base relations it is the
-    /// data authority of) and spawn the long-lived party loops.
+    /// data authority of), its mailbox and its wire.
     ///
     /// A relation without a declared authority is held by nobody —
     /// executing a plan over it fails at that leaf.
@@ -612,44 +628,62 @@ impl Session {
         let (parties, dispatcher) = set_up(catalog, subjects, policy, db, &config);
         let faults = Arc::new(Mutex::new(FaultState::new(config.faults.clone())));
         let wire_stats = Arc::new(WireStats::default());
-        let threads = PartyThreads::spawn(
-            &parties,
-            config.transport,
-            config.seed,
-            &faults,
-            config.retry,
-            &wire_stats,
-        );
+        let (txs, mailboxes): (Vec<_>, Vec<_>) = parties.iter().map(|_| Mailbox::new()).unzip();
+        // One link cache per party. In-proc: clones of everyone's
+        // mailbox sender. TCP: every party binds a loopback hub feeding
+        // its own mailbox, and links dial the peers' hubs. All wires
+        // share one fault-injection state and one recovery-stats sink,
+        // so a session-level schedule swap reaches every party.
+        let mut hubs = Vec::new();
+        let mut peers = HashMap::new();
+        if config.transport == TransportKind::Tcp {
+            for (party, tx) in parties.iter().zip(&txs) {
+                // `Session::open` cannot fail by signature, and a host
+                // without a free loopback port cannot run this session.
+                let hub = TcpHub::bind("127.0.0.1:0", tx.clone(), None)
+                    .expect("bind a loopback listener for the TCP transport");
+                peers.insert(party.me, hub.addr().to_string());
+                hubs.push(hub);
+            }
+        }
+        let wires = parties
+            .iter()
+            .map(|party| {
+                let links: Arc<dyn Transport> = match config.transport {
+                    TransportKind::InProc => Arc::new(Links::in_proc(txs.clone())),
+                    TransportKind::Tcp => {
+                        Arc::new(Links::tcp(party.me, peers.clone(), Duration::from_secs(5)))
+                    }
+                };
+                let (faults, stats) = (Arc::clone(&faults), Arc::clone(&wire_stats));
+                Wire::new(party.me, config.seed, links, faults, config.retry, stats)
+            })
+            .collect();
         Session {
             dispatcher,
             parties,
-            threads,
+            mailboxes,
+            epoch: 0,
             faults,
             wire_stats,
+            wires,
+            _hubs: hubs,
         }
-    }
-
-    fn prepare(
-        &mut self,
-        ext: &ExtendedPlan,
-        keys: &KeyPlan,
-        user: SubjectId,
-    ) -> Result<Dispatched, SimError> {
-        let parties = &self.parties;
-        self.dispatcher
-            .prepare(ext, keys, user, &mut Rings { parties, user })
     }
 
     /// Run one query over the session's persistent parties, on behalf
     /// of `user`, with the Def. 6.1 key establishment `keys`.
     ///
-    /// This is the **thread-per-subject** scheduler: the long-lived
-    /// party threads wake, exchange result tables over their mailboxes,
-    /// and every Fig. 8 region runs, as one pipeline, as soon as its
-    /// operands arrive at its subject (see
-    /// [`runtime`](crate::runtime)). Results and per-edge
-    /// byte counts are bit-identical to
-    /// [`Session::execute_sequential`].
+    /// The one session driver: every participant's request envelope
+    /// opens and verifies first, then the Fig. 8 regions run producers
+    /// first on the calling thread. Before a region runs, its subject
+    /// takes what its mailbox holds for this query until the region's
+    /// operands are all there; the region's root then leaves through
+    /// the subject's wire — in-proc or TCP, under the session's fault
+    /// schedule and retry budget — and the user finally takes the
+    /// result from its own mailbox. The first region to fail decides
+    /// the error; what it left in mailboxes is residue of its epoch,
+    /// which the next query drops (see [`runtime`](crate::runtime)).
     ///
     /// An `Err` aborts this query only; the session remains usable.
     pub fn execute(
@@ -658,63 +692,50 @@ impl Session {
         keys: &KeyPlan,
         user: SubjectId,
     ) -> Result<Report, SimError> {
-        let d = self.prepare(ext, keys, user)?;
-        let user_public = &self.parties[user.index()].rsa.public;
-        let outs = self.threads.run(d.job, d.envelopes, user_public)?;
+        let parties = &self.parties;
+        let d = (self.dispatcher).prepare(ext, keys, user, &mut Rings { parties, user })?;
+        self.epoch += 1;
+        let (epoch, job, timeout) = (self.epoch, &d.job, d.job.timeout());
+        let user_public = &parties[user.index()].rsa.public;
+        let mut runs: Vec<Option<PartyRun>> = parties.iter().map(|_| None).collect();
+        for &s in &job.participants {
+            let envelope = d.envelopes[s.index()].as_ref();
+            let run = PartyRun::new(&parties[s.index()], job, envelope, user_public)?;
+            runs[s.index()] = Some(run);
+        }
+        // Each region's subject in turn, then the user for the result.
+        let stops = job.regions.iter().map(|r| (r.subject, Some(r.root)));
+        for (s, root) in stops.chain([(user, None)]) {
+            // `QueryJob::new` lists every assignee and the user among
+            // `participants`.
+            let run = runs[s.index()].as_mut().expect("every stop participates");
+            // Take this query's tables until the region can run — or,
+            // at the user, until the result is in.
+            let wanted = |run: &PartyRun| root.map_or(run.is_done(), |r| run.ready() == Some(r));
+            while !wanted(run) {
+                match self.mailboxes[s.index()].next(epoch, timeout)? {
+                    Some(transfer) => run.deliver(transfer)?,
+                    None => return Err(TransportError::Closed.into()),
+                }
+            }
+            let Some(root) = root else { break };
+            if let Some((to, transfer)) = run.step(root)? {
+                self.wires[s.index()].send(to, epoch, Msg::Table(transfer))?;
+            }
+        }
+        let outs = runs.into_iter().flatten().map(PartyRun::finish);
         Report::assemble(d.request_bytes, d.requests, outs)
     }
 
-    /// Run one query bottom-up on the calling thread — the
-    /// **same-thread** scheduler, and the reference the concurrent
-    /// runtime is differentially tested against. Same preparation (and
-    /// the same key cache), same party core, same results, same byte
-    /// accounting; no parallelism between subjects. Tables change hands
-    /// by move. Regions run producers first, and the first one to fail
-    /// decides the error.
+    /// [`Session::execute`], under the name the frozen benchmark calls.
+    #[doc(hidden)]
     pub fn execute_sequential(
         &mut self,
         ext: &ExtendedPlan,
         keys: &KeyPlan,
         user: SubjectId,
     ) -> Result<Report, SimError> {
-        let d = self.prepare(ext, keys, user)?;
-        let job = &d.job;
-        let user_public = &self.parties[user.index()].rsa.public;
-        // Envelopes open and verify at their recipients before any
-        // region runs.
-        let mut runs: Vec<Option<PartyRun>> = self.parties.iter().map(|_| None).collect();
-        for &s in &job.participants {
-            let envelope = d.envelopes[s.index()].as_ref();
-            let run = PartyRun::new(&self.parties[s.index()], job, envelope, user_public)?;
-            runs[s.index()] = Some(run);
-        }
-        // A table leaving its producer waits here until its consumer's
-        // turn, so each is audited right before the region that reads
-        // it.
-        let mut in_flight: HashMap<NodeId, Transfer> = HashMap::new();
-        // Invariant behind both `expect`s: `QueryJob::new` lists every
-        // assignee and the user among `participants`.
-        for region in &job.regions {
-            let run = runs[region.subject.index()]
-                .as_mut()
-                .expect("every assignee participates");
-            for operand in &region.operands {
-                if let Some(transfer) = in_flight.remove(operand) {
-                    run.deliver(transfer)?;
-                }
-            }
-            if let Some((_, transfer)) = run.step(region.root)? {
-                in_flight.insert(region.root, transfer);
-            }
-        }
-        if let Some(result) = in_flight.remove(&job.plan.root()) {
-            runs[user.index()]
-                .as_mut()
-                .expect("the user participates")
-                .deliver(result)?;
-        }
-        let outs = runs.into_iter().flatten().map(PartyRun::finish);
-        Report::assemble(d.request_bytes, d.requests, outs)
+        self.execute(ext, keys, user)
     }
 
     /// Amortization counters: clusters provisioned vs re-used, public
@@ -728,9 +749,7 @@ impl Session {
     /// session, amortizing party setup). Resets the per-edge fault
     /// counters — each schedule starts from `frame_index = 0` — and
     /// the recovery counters, so [`Session::recovery_stats`] reads as
-    /// "since the last schedule swap". Safe between queries only;
-    /// [`Session::execute`] drains every participant before returning,
-    /// so there is no in-flight send to race with.
+    /// "since the last schedule swap".
     pub fn set_faults(&mut self, plan: Option<FaultPlan>) {
         lock(&self.faults).set_plan(plan);
         self.wire_stats.reset();
@@ -752,7 +771,7 @@ impl Session {
     }
 
     /// Forget every provisioned cluster (the material is also dropped
-    /// from the holders' rings) without touching the party threads.
+    /// from the holders' rings) without touching the parties' wires.
     /// The next query provisions from scratch, with session-wide key
     /// ids restarting at 0: calling this before every query makes each
     /// one an independent, protocol-faithful one-query session — fresh
@@ -790,5 +809,31 @@ impl Session {
         relations
             .filter(|&r| party.store.table(r).is_some())
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpq_core::fixtures::RunningExample;
+    use mpq_core::keys::plan_keys;
+
+    /// A job reads a zero timeout as "wait forever", so a set timeout
+    /// shorter than a millisecond must not round down to it.
+    #[test]
+    fn a_sub_millisecond_timeout_waits_one_millisecond_not_forever() {
+        let ex = RunningExample::new();
+        let config = SessionConfig::new(5).timeout(Duration::from_micros(500));
+        let db = Database::new();
+        let (parties, mut dispatcher) = set_up(&ex.catalog, &ex.subjects, &ex.policy, &db, &config);
+        let (ext, user) = (ex.fig7a_extended(), ex.subject("U"));
+        let mut rings = Rings {
+            parties: &parties,
+            user,
+        };
+        let d = dispatcher
+            .prepare(&ext, &plan_keys(&ext), user, &mut rings)
+            .expect("Fig. 7(a) is authorized");
+        assert_eq!(d.job.timeout(), Some(Duration::from_millis(1)));
     }
 }

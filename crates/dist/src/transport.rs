@@ -22,7 +22,7 @@
 //! * `TcpHub` is the receiving half of a TCP party (listener + accept
 //!   loop): it decodes data frames into the same
 //!   `Mailbox` the in-proc link enqueues to,
-//!   so the party loop in [`crate::runtime`] is transport-agnostic, and
+//!   so whoever drives the party core is transport-agnostic, and
 //!   hands a connection that opens with `Hello` to the server as its
 //!   coordinator.
 //!

@@ -196,7 +196,7 @@ impl<'a> ExecCtxBuilder<'a> {
         self
     }
 
-    /// Replace the worker pool (party loops share their runtime's;
+    /// Replace the worker pool (a session's parties share one;
     /// default: the process-global pool).
     pub fn pool(mut self, pool: WorkerPool) -> Self {
         self.0.pool = pool;

@@ -50,7 +50,7 @@
 //!   plaintext ground truth;
 //! * [`pool`] — intra-operator data parallelism: a shared-budget
 //!   worker pool whose handles outlive any single query, so the
-//!   long-lived party loops of an `mpq-dist` session draw from one
+//!   long-lived parties of an `mpq-dist` session draw from one
 //!   thread budget for their whole lifetime (chunked work stays
 //!   bit-deterministic for every worker count).
 

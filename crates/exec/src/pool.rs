@@ -17,7 +17,7 @@
 //!   (and everything using [`WorkerPool::global`]) share a single
 //!   atomic permit counter. A parallel region takes only the extra
 //!   threads currently available and otherwise runs on the calling
-//!   thread, so ten concurrent party loops on an eight-core box do not
+//!   thread, so ten concurrent sessions on an eight-core box do not
 //!   spawn eighty workers.
 //! * **Bounded setup cost** — a region only splits when every thread
 //!   would get at least `min_chunk` rows, so cheap operators over small

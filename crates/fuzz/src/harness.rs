@@ -6,10 +6,12 @@
 //! 1. the **static verifier** (`mpq_core::verify`) — pure analysis,
 //!    produces an accept/reject verdict with MPQ001–MPQ009 codes and
 //!    the coverage its passes decided on the way;
-//! 2. the **concurrent runtime** (`Session::execute`) — party threads,
-//!    mailboxes, signed envelopes, dynamic defenses;
-//! 3. the **sequential runtime** (`Session::execute_sequential`) — the
-//!    same party core stepped on one thread;
+//! 2. the **runtime over TCP** (`Session::execute` on a session opened
+//!    with `TransportKind::Tcp`) — signed envelopes, dynamic defenses,
+//!    and every table through the codec, loopback sockets and the hub
+//!    pumps into the consumer's mailbox;
+//! 3. the **runtime in-proc** (`Session::execute` with the default
+//!    transport) — the same walk, tables through mailbox channels;
 //! 4. the **row oracle** (`mpq_exec::rowref::execute_ref` on the
 //!    *original* plan, no crypto) — the plaintext reference, ground
 //!    truth for result rows: nested loops and a row-at-a-time expression
@@ -18,9 +20,9 @@
 //!    cost nothing).
 //!
 //! Agreement means: a statically accepted plan executes successfully
-//! on both runtimes with identical rows, per-edge bytes, and request
+//! over both transports with identical rows, per-edge bytes, and request
 //! counts, and its rows match the plaintext reference as a multiset; a
-//! statically rejected plan fails on both runtimes (run without
+//! statically rejected plan fails over both transports (run without
 //! pre-flight, so the *dynamic* defenses produce the verdict) with an
 //! error whose diagnostic class appears in the static report. Anything
 //! else is a [`Outcome::Divergence`] — a fuzzer finding.
@@ -32,7 +34,7 @@ use mpq_core::keys::{plan_keys, KeyPlan};
 use mpq_core::verify::{verify_with_policy, Code, VerifyCoverage};
 use mpq_core::{profile_plan, ExtendedPlan};
 use mpq_crypto::KeyRing;
-use mpq_dist::{Report, Session, SessionConfig, SimError};
+use mpq_dist::{Report, Session, SessionConfig, SimError, TransportKind};
 use mpq_exec::rowref::execute_ref;
 use mpq_exec::{ExecCtx, ExecError, SchemePlan, Table};
 use std::collections::HashMap;
@@ -40,12 +42,12 @@ use std::collections::HashMap;
 /// What a scenario did, after all four ways agreed (or did not).
 #[derive(Clone, Debug)]
 pub enum Outcome {
-    /// Static accept; both runtimes and the plaintext reference agree.
+    /// Static accept; both transports and the plaintext reference agree.
     Accepted {
         /// Result cardinality (for corpus statistics).
         rows: usize,
     },
-    /// Static reject; both runtimes fail with a matching class.
+    /// Static reject; both transports fail with a matching class.
     Rejected {
         /// The distinct static codes.
         codes: Vec<Code>,
@@ -231,15 +233,15 @@ fn rows_match(a: &Table, b: &Table) -> bool {
     canon(a) == canon(b)
 }
 
-/// Per-edge byte accounting must agree between the runtimes.
-fn reports_match(conc: &Report, seq: &Report) -> Result<(), String> {
-    if !rows_match(&conc.result, &seq.result) {
-        return Err("concurrent vs sequential result rows differ".into());
+/// Per-edge byte accounting must agree between the transports.
+fn reports_match(tcp: &Report, in_proc: &Report) -> Result<(), String> {
+    if !rows_match(&tcp.result, &in_proc.result) {
+        return Err("TCP vs in-proc result rows differ".into());
     }
-    if conc.transfers != seq.transfers {
+    if tcp.transfers != in_proc.transfers {
         return Err("per-edge transfer accounting differs".into());
     }
-    if conc.requests != seq.requests {
+    if tcp.requests != in_proc.requests {
         return Err("request counts differ".into());
     }
     Ok(())
@@ -297,17 +299,13 @@ pub fn run_scenario(cfg: &WorldConfig) -> ScenarioResult {
     );
     let cov = report.coverage.clone();
 
-    let run = |preflight: bool, sequential: bool| -> Result<Report, SimError> {
-        let mut config = SessionConfig::new(cfg.seed);
+    let run = |preflight: bool, transport: TransportKind| -> Result<Report, SimError> {
+        let mut config = SessionConfig::new(cfg.seed).transport(transport);
         if !preflight {
             config = config.without_preflight();
         }
         let mut session = Session::open_with(&w.catalog, &w.subjects, &w.policy, &w.db, config);
-        if sequential {
-            session.execute_sequential(&ext, &keys, w.user)
-        } else {
-            session.execute(&ext, &keys, w.user)
-        }
+        session.execute(&ext, &keys, w.user)
     };
 
     // Way 4, the row oracle over the original plan, no crypto.
@@ -320,30 +318,28 @@ pub fn run_scenario(cfg: &WorldConfig) -> ScenarioResult {
     };
 
     if report.is_clean() {
-        // ---- ways 2+3: both runtimes must accept and agree ----------
-        let conc = match run(true, false) {
+        // ---- ways 2+3: both transports must accept and agree --------
+        let tcp = match run(true, TransportKind::Tcp) {
+            Ok(r) => r,
+            Err(e) => {
+                return result(
+                    Outcome::Divergence(format!("static accept but the TCP runtime failed: {e}")),
+                    cov,
+                )
+            }
+        };
+        let in_proc = match run(true, TransportKind::InProc) {
             Ok(r) => r,
             Err(e) => {
                 return result(
                     Outcome::Divergence(format!(
-                        "static accept but concurrent runtime failed: {e}"
+                        "static accept but the in-proc runtime failed: {e}"
                     )),
                     cov,
                 )
             }
         };
-        let seq = match run(true, true) {
-            Ok(r) => r,
-            Err(e) => {
-                return result(
-                    Outcome::Divergence(format!(
-                        "static accept but sequential runtime failed: {e}"
-                    )),
-                    cov,
-                )
-            }
-        };
-        if let Err(why) = reports_match(&conc, &seq) {
+        if let Err(why) = reports_match(&tcp, &in_proc) {
             return result(Outcome::Divergence(why), cov);
         }
 
@@ -357,7 +353,7 @@ pub fn run_scenario(cfg: &WorldConfig) -> ScenarioResult {
                 )
             }
         };
-        if !rows_match(&conc.result, &reference) {
+        if !rows_match(&tcp.result, &reference) {
             return result(
                 Outcome::Divergence("extended-plan result differs from plaintext reference".into()),
                 cov,
@@ -376,13 +372,11 @@ pub fn run_scenario(cfg: &WorldConfig) -> ScenarioResult {
         let data_twinned = codes
             .iter()
             .all(|c| DYNAMIC_TWINLESS.contains(c) || DATA_TWINNED.contains(c));
-        for sequential in [false, true] {
-            let which = if sequential {
-                "sequential"
-            } else {
-                "concurrent"
-            };
-            match run(false, sequential) {
+        for (transport, which) in [
+            (TransportKind::Tcp, "TCP"),
+            (TransportKind::InProc, "in-proc"),
+        ] {
+            match run(false, transport) {
                 Ok(_) if twinless_only => {}
                 Ok(run) if data_twinned => {
                     if !reference().is_ok_and(|t| rows_match(&run.result, &t)) {

@@ -4,7 +4,7 @@
 //! generator of random worlds (catalog, subjects, authorization
 //! policy, data, query plan, Λ assignment) plus a four-way
 //! differential harness running every generated scenario through the
-//! static verifier, the concurrent runtime, the sequential runtime,
+//! static verifier, the runtime over TCP, the runtime in-proc,
 //! and the row oracle's plaintext reference — asserting agreement and
 //! accumulating a [`mpq_core::verify::VerifyCoverage`] vector over
 //! Def. 4.1 condition outcomes, Def. 6.1 cluster shapes, scheme

@@ -5,14 +5,15 @@
 //!
 //! * **no-unwrap** — no `.unwrap()` in non-test library code of the
 //!   execution hot paths (`crates/exec/src`, `crates/dist/src`): a
-//!   panic inside a party thread poisons the whole runtime, so
+//!   panic inside a party's region or a server poisons the query, so
 //!   fallibility must surface as typed errors (or a documented
 //!   `expect` naming the invariant).
 //! * **thread-discipline** — no `std::thread` spawning in engine code
-//!   outside the two sanctioned homes (`exec/src/pool.rs` for the scoped data-parallel
-//!   pool, `dist/src/runtime.rs` for the long-lived party loops, woken
-//!   on their own channel and shut down by its closing): every
-//!   thread must be owned by one of the two lifecycle managers.
+//!   outside the two sanctioned homes (`exec/src/pool.rs` for the
+//!   scoped data-parallel pool, `dist/src/transport.rs` for the TCP
+//!   hub's accept loop and per-connection pumps): every thread must be
+//!   owned by one of the two lifecycle managers. A session steps its
+//!   parties on the calling thread.
 //! * **determinism** — no wall-clock reads, no unseeded randomness and
 //!   no environment reads in engine code (everything but the bench
 //!   harness): the differential suites rely on runs being
@@ -28,8 +29,8 @@
 //!   home each: `audit_transfer_with(` is called only from the party
 //!   core (`party.rs`), and the Def. 4.1 runtime check `view.check(`
 //!   appears only in the shared query preparation (`session.rs`).
-//!   Three schedulers step one core; a second copy of the rule must
-//!   not quietly come back. Nor may a second *cut*: the core runs
+//!   Two drivers step one core; a second copy of the rule must not
+//!   quietly come back. Nor may a second *cut*: the core runs
 //!   Fig. 8 regions through `execute_region`, so the node-at-a-time
 //!   entry points `execute_step(`, `effective_children(` and
 //!   `fused_encrypt_child(` (kept exported for the frozen benchmark
@@ -93,6 +94,11 @@
 //!   outside that file, `algebra/src/plan.rs` (where it is defined)
 //!   and `algebra/src/builder.rs` (`prune_columns`). A second
 //!   extension walk must not quietly come back.
+//! * **one-session-driver** — a `Session` has one driver,
+//!   `Session::execute`, walking the Fig. 8 regions on the calling
+//!   thread. The name of the party-thread scheduler it replaced (its
+//!   token spelled in halves) is a finding anywhere under `crates/`:
+//!   a second, threaded session driver must not quietly come back.
 //! * **one-montgomery-engine** — modular arithmetic runs on one
 //!   fixed-width engine over `[u64; N]` values (`crypto/src/bignum.rs`:
 //!   a CIOS product, an SOS square, a sliding-window power). The names
@@ -164,14 +170,14 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "thread-discipline",
-        message: "`{t}` outside pool.rs/runtime.rs — threads must be owned by the pool or \
-                  the party runtime",
+        message: "`{t}` outside pool.rs/transport.rs — threads must be owned by the pool or \
+                  the TCP hub",
         // `transport.rs` earns its slot with the `TcpHub` accept loop
         // and its per-connection pumps, both owned by the hub's
         // lifecycle (joined/detached on drop, never free-floating).
         sites: &[
             (&["thread::spawn", "thread::scope", "thread::Builder"], ENGINE,
-             &["crates/exec/src/pool.rs", "crates/dist/src/runtime.rs", "crates/dist/src/transport.rs"], None),
+             &["crates/exec/src/pool.rs", "crates/dist/src/transport.rs"], None),
         ],
     },
     Rule {
@@ -276,6 +282,12 @@ const RULES: &[Rule] = &[
                   `mpq_core::extend`, not a second copy of its splices",
         sites: &[(&["splice_above("], &[], &["crates/core/src/extend.rs", "crates/algebra/src/plan.rs",
                  "crates/algebra/src/builder.rs"], None)],
+    },
+    Rule {
+        name: "one-session-driver",
+        message: "`{t}` — a session has one driver, `Session::execute`, which walks the \
+                  Fig. 8 regions on the calling thread; no party-thread scheduler beside it",
+        sites: &[(&[concat!("Party", "Threads")], &[], &[], None)],
     },
     Rule {
         name: "one-montgomery-engine",
@@ -1188,6 +1200,52 @@ mod tests {
             "crates/exec/src/eval.rs",
         ] {
             assert_eq!(lines_in(file), vec![1, 2, 3, 4], "{file}");
+        }
+    }
+
+    #[test]
+    fn threads_outside_the_pool_and_the_hub_are_flagged() {
+        let src = [
+            "fn spawn_parties() { std::thread::spawn(move || drive(&party, &run)); }",
+            concat!(
+                "pub(crate) struct Party",
+                "Threads { wake: Vec<Sender<Run>> }"
+            ),
+            "fn bind() { let accept = std::thread::spawn(move || pump(stream)); }",
+            "#[cfg(test)]",
+            "mod tests {",
+            "    fn t() { std::thread::spawn(|| ()); }",
+            "}",
+        ]
+        .join("\n");
+        let lines_in = |file: &str, rule: &str| {
+            let mut findings = Vec::new();
+            lint_source(Path::new(file), &src, &mut findings);
+            (findings.iter())
+                .filter(|f| f.rule == rule)
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        // The party runtime is no longer a home for threads…
+        assert_eq!(
+            lines_in("crates/dist/src/runtime.rs", "thread-discipline"),
+            vec![1, 3]
+        );
+        assert_eq!(
+            lines_in("crates/dist/src/session.rs", "thread-discipline"),
+            vec![1, 3]
+        );
+        // …the pool and the hub are…
+        for home in ["crates/exec/src/pool.rs", "crates/dist/src/transport.rs"] {
+            assert!(lines_in(home, "thread-discipline").is_empty(), "{home}");
+        }
+        // …and the retired scheduler's name is at home nowhere.
+        for file in [
+            "crates/dist/src/runtime.rs",
+            "crates/dist/src/transport.rs",
+            "crates/bench/src/throughput.rs",
+        ] {
+            assert_eq!(lines_in(file, "one-session-driver"), vec![2], "{file}");
         }
     }
 

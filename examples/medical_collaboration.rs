@@ -15,7 +15,7 @@ use mpq::core::capability::CapabilityPolicy;
 use mpq::core::extend::{minimally_extend, Assignment};
 use mpq::core::fixtures::RunningExample;
 use mpq::core::keys::plan_keys;
-use mpq::dist::Session;
+use mpq::dist::{Session, SessionConfig, TransportKind};
 use mpq::exec::{Database, SchemePlan};
 use mpq_crypto::keyring::KeyRing;
 use std::collections::HashMap;
@@ -68,24 +68,26 @@ fn main() {
     println!("== centralized plaintext reference ==");
     println!("{}", reference.display(&ex.catalog));
 
-    // Distributed encrypted execution on the concurrent multi-party
-    // runtime: H, I, X, Y each run a party loop on their own thread,
-    // exchanging signed envelopes and encrypted tables over channels.
+    // Distributed encrypted execution: H, I, X, Y each run their
+    // Fig. 8 region under a signed envelope, producers first, and every
+    // encrypted table crosses its edge into the consumer's mailbox.
     let mut session = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 2026);
     let report = session
         .execute(&ext, &keys, ex.subject("U"))
         .expect("authorized distributed run");
-    println!("== distributed result (via H, I, X, Y, concurrently) ==");
+    println!("== distributed result (via H, I, X, Y) ==");
     println!("{}", report.result.display(&ex.catalog));
 
-    // The same-thread scheduler must be observationally identical —
-    // same rows, same bytes on every edge.
-    let mut seq_session = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 2026);
-    let seq_report = seq_session
-        .execute_sequential(&ext, &keys, ex.subject("U"))
-        .expect("authorized sequential run");
-    assert_eq!(report.transfers, seq_report.transfers);
-    assert_eq!(report.requests, seq_report.requests);
+    // The same query with every table framed over loopback TCP must be
+    // observationally identical — same rows, same bytes on every edge.
+    let config = SessionConfig::new(2026).transport(TransportKind::Tcp);
+    let mut tcp_session = Session::open_with(&ex.catalog, &ex.subjects, &ex.policy, &db, config);
+    let tcp_report = tcp_session
+        .execute(&ext, &keys, ex.subject("U"))
+        .expect("authorized run over TCP");
+    assert_eq!(report.result.to_rows(), tcp_report.result.to_rows());
+    assert_eq!(report.transfers, tcp_report.transfers);
+    assert_eq!(report.requests, tcp_report.requests);
 
     println!("== bytes on the wire ==");
     let mut edges: Vec<_> = report.transfers.iter().collect();
@@ -109,5 +111,5 @@ fn main() {
         }
     }
     println!("✓ distributed encrypted execution matches the plaintext reference");
-    println!("✓ concurrent and sequential runtimes agree edge-for-edge");
+    println!("✓ in-proc and TCP transports agree edge-for-edge");
 }

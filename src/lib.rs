@@ -25,9 +25,9 @@
 //! [`crypto`] (the four encryption schemes + envelopes), [`exec`]
 //! (plaintext/encrypted execution), [`tpch`] (the §7 workload),
 //! [`planner`] (economic optimization), and [`dist`] (the distributed
-//! runtime: one party core under three schedulers — same thread and
-//! thread per subject in a [`dist::Session`], process per subject
-//! under a [`dist::Coordinator`]). The repository-level
+//! runtime: one party core under two drivers — one walk over the
+//! Fig. 8 regions in a [`dist::Session`], in-proc or over loopback TCP,
+//! and process per subject under a [`dist::Coordinator`]). The repository-level
 //! `ARCHITECTURE.md` maps the crates, the life of a query, and every
 //! paper definition to its module and test.
 

@@ -10,7 +10,7 @@
 //! These tests sweep Λ assignments of the running example to find
 //! extended plans that actually contain such sites (the Fig. 7(a)
 //! fixture assignment does not produce one — the spliced Encrypt lands
-//! above the selection), then execute each under both schedulers,
+//! above the selection), then execute each over both transports,
 //! demanding the plaintext engine's rows and *exactly equal* per-edge
 //! byte counts and request counts. That every table on every edge is
 //! byte-identical to a node-at-a-time, encrypt-then-filter walk is
@@ -22,7 +22,7 @@ use mpq::core::capability::CapabilityPolicy;
 use mpq::core::extend::{minimally_extend, Assignment, ExtendedPlan};
 use mpq::core::fixtures::RunningExample;
 use mpq::core::keys::plan_keys;
-use mpq::dist::{Report, Session, SessionConfig};
+use mpq::dist::{Report, Session, SessionConfig, TransportKind};
 use mpq::exec::{execute, fused_encrypt_child, Database, ExecCtx, SchemePlan, Table};
 use mpq_crypto::keyring::KeyRing;
 use proptest::prelude::*;
@@ -103,19 +103,13 @@ fn run(
     db: &Database,
     ext: &ExtendedPlan,
     seed: u64,
-    sequential: bool,
+    transport: TransportKind,
 ) -> Report {
     let keys = plan_keys(ext);
     let user = ex.subject("U");
-    let config = SessionConfig::new(seed);
+    let config = SessionConfig::new(seed).transport(transport);
     let mut session = Session::open_with(&ex.catalog, &ex.subjects, &ex.policy, db, config);
-    if sequential {
-        session
-            .execute_sequential(ext, &keys, user)
-            .expect("authorized run")
-    } else {
-        session.execute(ext, &keys, user).expect("authorized run")
-    }
+    session.execute(ext, &keys, user).expect("authorized run")
 }
 
 /// The running example's original plan on the plaintext engine: no
@@ -145,21 +139,22 @@ fn same_rows(got: &Table, want: &Table) -> Result<(), String> {
     Ok(())
 }
 
-/// Both schedulers run the same regions: same rows, and exactly the
-/// same bytes on every edge and the same number of requests.
-fn assert_identical(concurrent: &Report, sequential: &Report, want: &Table) {
-    same_rows(&concurrent.result, want).unwrap();
-    same_rows(&sequential.result, want).unwrap();
-    assert_eq!(&concurrent.transfers, &sequential.transfers);
-    assert_eq!(concurrent.requests, sequential.requests);
-    assert_eq!(concurrent.total_bytes(), sequential.total_bytes());
+/// Both transports carry the same regions' tables: same rows, and
+/// exactly the same bytes on every edge and the same number of
+/// requests.
+fn assert_identical(in_proc: &Report, tcp: &Report, want: &Table) {
+    same_rows(&in_proc.result, want).unwrap();
+    same_rows(&tcp.result, want).unwrap();
+    assert_eq!(&in_proc.transfers, &tcp.transfers);
+    assert_eq!(in_proc.requests, tcp.requests);
+    assert_eq!(in_proc.total_bytes(), tcp.total_bytes());
 }
 
 /// Λ of the running example contains assignments whose minimal
 /// extension has a same-region Select-over-Encrypt — footnote 2 is
 /// reachable, not dead code — and for every such plan the reordered
 /// execution returns the plaintext rows, with the same bytes on every
-/// edge under both schedulers.
+/// edge over both transports.
 #[test]
 fn fusion_sites_exist_and_reordering_is_invisible() {
     let ex = RunningExample::new();
@@ -181,9 +176,9 @@ fn fusion_sites_exist_and_reordering_is_invisible() {
     // Differentially execute a bounded sample of the fused plans.
     let want = plaintext(&ex, &db);
     for ext in fused_exts.iter().take(6) {
-        let concurrent = run(&ex, &db, ext, 7, false);
-        let sequential = run(&ex, &db, ext, 7, true);
-        assert_identical(&concurrent, &sequential, &want);
+        let in_proc = run(&ex, &db, ext, 7, TransportKind::InProc);
+        let tcp = run(&ex, &db, ext, 7, TransportKind::Tcp);
+        assert_identical(&in_proc, &tcp, &want);
     }
 }
 
@@ -198,10 +193,10 @@ fn fig7a_runs_its_four_regions_identically_under_both_schedulers() {
     let ext = ex.fig7a_extended();
     assert!(fusion_sites(&ext).is_empty());
 
-    let concurrent = run(&ex, &db, &ext, 2026, false);
-    let sequential = run(&ex, &db, &ext, 2026, true);
-    assert_identical(&concurrent, &sequential, &plaintext(&ex, &db));
-    assert_eq!(sequential.requests, 4);
+    let in_proc = run(&ex, &db, &ext, 2026, TransportKind::InProc);
+    let tcp = run(&ex, &db, &ext, 2026, TransportKind::Tcp);
+    assert_identical(&in_proc, &tcp, &plaintext(&ex, &db));
+    assert_eq!(tcp.requests, 4);
 }
 
 proptest! {
@@ -209,7 +204,7 @@ proptest! {
 
     /// Random data, random Λ assignment, random seed: wherever the
     /// cut puts its fusion sites, the run returns the plaintext rows,
-    /// and the two schedulers agree on the bytes of every edge.
+    /// and the two transports agree on the bytes of every edge.
     #[test]
     fn reordered_plans_are_bit_identical(
         seed in any::<u64>(),
@@ -257,13 +252,13 @@ proptest! {
         )
         .expect("assignments drawn from Λ extend (Theorem 5.2)");
 
-        let concurrent = run(&ex, &db, &ext, seed, false);
-        let sequential = run(&ex, &db, &ext, seed, true);
+        let in_proc = run(&ex, &db, &ext, seed, TransportKind::InProc);
+        let tcp = run(&ex, &db, &ext, seed, TransportKind::Tcp);
         let want = plaintext(&ex, &db);
-        prop_assert_eq!(same_rows(&concurrent.result, &want), Ok(()));
-        prop_assert_eq!(same_rows(&sequential.result, &want), Ok(()));
-        prop_assert_eq!(&concurrent.transfers, &sequential.transfers);
-        prop_assert_eq!(concurrent.requests, sequential.requests);
-        prop_assert_eq!(concurrent.total_bytes(), sequential.total_bytes());
+        prop_assert_eq!(same_rows(&in_proc.result, &want), Ok(()));
+        prop_assert_eq!(same_rows(&tcp.result, &want), Ok(()));
+        prop_assert_eq!(&in_proc.transfers, &tcp.transfers);
+        prop_assert_eq!(in_proc.requests, tcp.requests);
+        prop_assert_eq!(in_proc.total_bytes(), tcp.total_bytes());
     }
 }

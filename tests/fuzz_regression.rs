@@ -97,8 +97,8 @@ fn unauthorized_assignee_rejected_consistently() {
 }
 
 /// A join-side Encrypt dropped after extension: static MPQ009 matches
-/// the engine's typed refusal at the join, on the sequential runtime
-/// without pre-flight (the harness holds the concurrent one to it).
+/// the engine's typed refusal at the join, on the in-proc runtime
+/// without pre-flight (the harness holds the TCP one to it).
 #[test]
 fn dropped_join_side_encrypt_rejected_consistently() {
     let contents = include_str!("fuzz_corpus/reject_mixed_form.seed");
@@ -112,7 +112,7 @@ fn dropped_join_side_encrypt_rejected_consistently() {
     let (ext, keys) = extend_world(&w).expect("a Λ draw extends");
     let config = SessionConfig::new(seed).without_preflight();
     let mut session = Session::open_with(&w.catalog, &w.subjects, &w.policy, &w.db, config);
-    let run = session.execute_sequential(&ext, &keys, w.user);
+    let run = session.execute(&ext, &keys, w.user);
     assert!(
         matches!(run, Err(SimError::Exec(ExecError::MixedForm { .. }))),
         "expected the engine's mixed-form refusal, got {:?}",

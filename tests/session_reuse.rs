@@ -13,13 +13,14 @@
 //! bytes draw fresh hybrid session keys per query and are compared as
 //! edge sets and request counts, not byte-for-byte.
 
-use mpq::algebra::Value;
+use mpq::algebra::{SubjectId, Value};
 use mpq::core::candidates::{candidates, Candidates};
 use mpq::core::capability::CapabilityPolicy;
+use mpq::core::dispatch::regions;
 use mpq::core::extend::{minimally_extend, Assignment, ExtendedPlan};
 use mpq::core::fixtures::RunningExample;
 use mpq::core::keys::{plan_keys, KeyPlan};
-use mpq::dist::{Report, Session, SessionConfig, SimError};
+use mpq::dist::{Report, Session, SessionConfig, SimError, TransportKind};
 use mpq::exec::Database;
 use proptest::prelude::*;
 
@@ -242,7 +243,10 @@ fn revoke_forces_reprovisioning() {
     assert!(session.holds_key(y, 2), "fresh material under a new id");
 }
 
-/// A failed query aborts cleanly and leaves the session serving.
+/// A failed query aborts cleanly and leaves the session serving, over
+/// either transport: what an aborted epoch left in a mailbox is residue
+/// the next query drops, so that query returns the rows and data bytes
+/// the in-proc session returns for the same sequence of queries.
 #[test]
 fn errors_abort_the_query_not_the_session() {
     let ex = RunningExample::new();
@@ -251,35 +255,64 @@ fn errors_abort_the_query_not_the_session() {
     let keys = plan_keys(&ext);
     let user = ex.subject("U");
 
-    let mut session = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 43);
-    session.execute(&ext, &keys, user).expect("healthy query");
+    // In Fig. 7(a) H and I both feed X's join, each encrypting under a
+    // key it holds. Regions run producers first; `regions` lists them
+    // consumers first, so the first of the two it names runs second.
+    let producers = [ex.subject("H"), ex.subject("I")];
+    let cut = regions(&ext.plan, &ext.assignment).expect("a total assignment");
+    let second = (cut.iter().map(|r| r.subject))
+        .find(|s| producers.contains(s))
+        .expect("H and I both run a region");
+    let strip = |who: SubjectId| {
+        let mut weak = keys.clone();
+        for key in &mut weak.keys {
+            key.holders.retain(|&s| s != who);
+        }
+        weak
+    };
 
-    // Tamper: reassign the final plaintext having to provider X, which
-    // is not authorized for it — refused at the runtime re-check.
-    let mut bad = ext.clone();
-    bad.assignment.insert(ex.node("having"), ex.subject("X"));
-    match session.execute(&bad, &keys, user) {
-        Err(SimError::Unauthorized { subject, .. }) => assert_eq!(subject, ex.subject("X")),
-        other => panic!("expected Unauthorized, got {other:?}"),
-    }
+    let mut last = Vec::new();
+    for transport in [TransportKind::InProc, TransportKind::Tcp] {
+        let config = SessionConfig::new(43).transport(transport);
+        let mut session = Session::open_with(&ex.catalog, &ex.subjects, &ex.policy, &db, config);
+        session.execute(&ext, &keys, user).expect("healthy query");
 
-    // Strip a holder so decryption fails *mid-execution* (behavioral
-    // abort, exercising the runtime's abort/drain protocol). The static
-    // pre-flight would refuse this plan up front (MPQ003) — disable it
-    // so the failure happens inside the party threads.
-    let mut weak_keys = keys.clone();
-    for key in &mut weak_keys.keys {
-        key.holders.retain(|&s| s != ex.subject("Y"));
+        // Tamper: reassign the final plaintext having to provider X,
+        // which is not authorized for it — refused at the runtime
+        // re-check.
+        let mut bad = ext.clone();
+        bad.assignment.insert(ex.node("having"), ex.subject("X"));
+        match session.execute(&bad, &keys, user) {
+            Err(SimError::Unauthorized { subject, .. }) => assert_eq!(subject, ex.subject("X")),
+            other => panic!("{transport:?}: expected Unauthorized, got {other:?}"),
+        }
+
+        // Strip a holder so decryption or encryption fails *mid-
+        // execution* (a behavioral abort). The static pre-flight would
+        // refuse these plans up front (MPQ003) — disable it so the
+        // failure happens inside a region.
+        let config = SessionConfig::new(47)
+            .without_preflight()
+            .transport(transport);
+        let mut weak_session =
+            Session::open_with(&ex.catalog, &ex.subjects, &ex.policy, &db, config);
+        // Y cannot decrypt: X's table reached Y before Y's region failed.
+        // The second producer cannot encrypt: the first one's table is
+        // already in X's mailbox when the query aborts.
+        for weak_keys in [strip(ex.subject("Y")), strip(second)] {
+            match weak_session.execute(&ext, &weak_keys, user) {
+                Err(SimError::Exec(mpq::exec::ExecError::MissingKey { .. })) => {}
+                other => panic!("{transport:?}: expected MissingKey, got {other:?}"),
+            }
+        }
+        // …and the session still serves the next (healthy) query.
+        let report = weak_session
+            .execute(&ext, &keys, user)
+            .expect("session survives a failed query");
+        assert!(!report.result.is_empty());
+        last.push(report);
     }
-    let config = SessionConfig::new(47).without_preflight();
-    let mut weak_session = Session::open_with(&ex.catalog, &ex.subjects, &ex.policy, &db, config);
-    match weak_session.execute(&ext, &weak_keys, user) {
-        Err(SimError::Exec(mpq::exec::ExecError::MissingKey { .. })) => {}
-        other => panic!("expected MissingKey, got {other:?}"),
-    }
-    // …and the session still serves the next (healthy) query.
-    let report = weak_session
-        .execute(&ext, &keys, user)
-        .expect("session survives a failed query");
-    assert!(!report.result.is_empty());
+    let (in_proc, tcp) = (&last[0], &last[1]);
+    assert_rows_match(in_proc, tcp, "after the aborted epochs, TCP vs in-proc");
+    assert_eq!(in_proc.data_bytes(), tcp.data_bytes());
 }

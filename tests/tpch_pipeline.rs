@@ -104,7 +104,7 @@ fn all_queries_all_scenarios_verify() {
 }
 
 /// Q8 CostDp UAPenc (SF 1 statistics) on generated data through the
-/// same-thread scheduler: the plaintext rows, and every data edge
+/// one session driver: the plaintext rows, and every data edge
 /// carrying the bytes it carried when the engine encrypted the join's
 /// plaintext side on the fly. Of the request envelopes only U → A2's
 /// grows (726 bytes before).
@@ -119,9 +119,7 @@ fn q8_with_a_spliced_join_side_encrypt_runs_sequentially() {
     let opt = optimize(&plan, cat, &stats, env, &capabilities, Strategy::CostDp).unwrap();
     assert_eq!(join_side_encrypts(&opt.extended).len(), 1);
     let mut session = Session::open(cat, &env.subjects, &env.policy, db, 7);
-    let report = session
-        .execute_sequential(&opt.extended, &opt.keys, env.user)
-        .unwrap();
+    let report = session.execute(&opt.extended, &opt.keys, env.user).unwrap();
     assert_same_rows(8, &run_plain(cat, db, &plan), &report.result);
     let edges = |bytes: &HashMap<(SubjectId, SubjectId), usize>, skip: &HashMap<_, _>| {
         let mut out: Vec<(usize, usize, usize)> = (bytes.iter())
