@@ -9,7 +9,8 @@
 //! ```
 //!
 //! Prints a Markdown delta table (append it to `$GITHUB_STEP_SUMMARY`
-//! in CI) and exits non-zero when:
+//! in CI). Exits 2 when a report cannot be read or lacks a metric its
+//! kind gates, and 1 when:
 //!
 //! * the gated latency (concurrent p50 of a `smoke` report, concurrent
 //!   `wall_secs` of a `full` one) or the bytes/requests per query
@@ -73,11 +74,12 @@ fn main() {
             std::process::exit(2);
         })
     };
-    let deltas = compare(&read(&baseline), &read(&current), latency_tol, bytes_tol);
-    if deltas.is_empty() {
-        eprintln!("no comparable metrics found — malformed report?");
-        std::process::exit(2);
-    }
+    let deltas = compare(&read(&baseline), &read(&current), latency_tol, bytes_tol).unwrap_or_else(
+        |missing| {
+            eprintln!("{missing}");
+            std::process::exit(2);
+        },
+    );
     print!("{}", render_markdown(&deltas));
 
     let mut failing = false;

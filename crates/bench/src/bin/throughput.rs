@@ -18,8 +18,6 @@
 //!   --queries a,b,c     TPC-H query mix               [default 1,3,5,6,10,12]
 //!   --seed N            base RNG seed                 [default 2026]
 //!   --out PATH          report path                   [default BENCH_dist.json]
-//!   --workers N         intra-operator worker threads [default: MPQ_WORKERS
-//!                       env, else available parallelism]
 //! ```
 //!
 //! Exit status is non-zero when any distributed result diverges from
@@ -68,12 +66,6 @@ fn main() {
             }
             "--seed" => cfg.seed = value("--seed").parse().expect("--seed N"),
             "--out" => out = value("--out"),
-            "--workers" => {
-                let n: usize = value("--workers").parse().expect("--workers N");
-                if !mpq_exec::WorkerPool::init_global(n) {
-                    eprintln!("# --workers ignored: the global worker pool is already initialized");
-                }
-            }
             other => panic!("unknown flag {other} (see the crate docs for usage)"),
         }
     }

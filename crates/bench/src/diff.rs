@@ -26,6 +26,10 @@
 //! `session`, `tcp` or the speedup ratios compares on the same rows,
 //! since no row reads those keys.
 //!
+//! A metric the baseline's kind gates must be in both reports: a report
+//! that lacks one is malformed, not passing ([`compare`] names it).
+//! Informational rows may be absent from either.
+//!
 //! The comparison prints as a Markdown table so the CI job can append
 //! it to `$GITHUB_STEP_SUMMARY`.
 
@@ -100,29 +104,38 @@ fn section<'a>(text: &'a str, name: &str) -> Option<&'a str> {
 }
 
 /// Compare two `BENCH_dist.json` documents. `latency_tol` and
-/// `bytes_tol` are fractions (0.25 = 25%).
+/// `bytes_tol` are fractions (0.25 = 25%). Fails with the metric's name
+/// when a gated metric is missing from either report.
 pub fn compare(
     baseline: &str,
     current: &str,
     latency_tol: f64,
     bytes_tol: f64,
-) -> Vec<MetricDelta> {
+) -> Result<Vec<MetricDelta>, String> {
     let metric = |name: &'static str,
                   get: &dyn Fn(&str) -> Option<f64>,
                   tolerance: Option<f64>,
                   higher_is_worse: bool|
-     -> Option<MetricDelta> {
-        let b = get(baseline)?;
-        let c = get(current)?;
+     -> Result<Option<MetricDelta>, String> {
+        let (b, c) = match (get(baseline), get(current)) {
+            (Some(b), Some(c)) => (b, c),
+            (b, _) if tolerance.is_some() => {
+                let report = if b.is_none() { "baseline" } else { "current" };
+                return Err(format!(
+                    "gated metric `{name}` missing from the {report} report"
+                ));
+            }
+            _ => return Ok(None),
+        };
         let delta = if b.abs() > 1e-12 { c / b - 1.0 } else { 0.0 };
-        Some(MetricDelta {
+        Ok(Some(MetricDelta {
             name,
             baseline: b,
             current: c,
             delta,
             tolerance,
             higher_is_worse,
-        })
+        }))
     };
     // Which latency is the gated one, by the baseline's kind.
     let full = baseline.contains("\"mode\": \"full\"");
@@ -165,7 +178,7 @@ pub fn compare(
         ),
     ]
     .into_iter()
-    .flatten()
+    .filter_map(Result::transpose)
     .collect()
 }
 
@@ -220,7 +233,7 @@ mod tests {
 
     #[test]
     fn equal_reports_pass() {
-        let deltas = compare(BASE, BASE, 0.25, 0.25);
+        let deltas = compare(BASE, BASE, 0.25, 0.25).unwrap();
         assert!(deltas.iter().all(|d| !d.regressed()));
         assert_eq!(deltas.len(), 5);
     }
@@ -228,7 +241,7 @@ mod tests {
     #[test]
     fn latency_regression_trips_gate() {
         let current = with(130.0, 1000.0);
-        let deltas = compare(BASE, &current, 0.25, 0.25);
+        let deltas = compare(BASE, &current, 0.25, 0.25).unwrap();
         let p50 = deltas.iter().find(|d| d.name.contains("p50")).unwrap();
         assert!(p50.regressed(), "{p50:?}");
     }
@@ -239,10 +252,13 @@ mod tests {
     fn a_full_report_gates_wall_time_instead_of_p50() {
         let full = |wall: f64, p50: f64| {
             let phase = format!("{{\"queries\": 5, \"wall_secs\": {wall}, \"p50_ms\": {p50}}}");
-            format!("{{\"mode\": \"full\", \"concurrent\": {phase}, \"bytes_per_query\": 9.0}}")
+            format!(
+                "{{\"mode\": \"full\", \"concurrent\": {phase}, \"bytes_per_query\": 9.0, \
+                 \"requests_per_query\": 2.6}}"
+            )
         };
         let gated = |current: &str| {
-            let deltas = compare(&full(1.7, 3.0), current, 0.25, 0.25);
+            let deltas = compare(&full(1.7, 3.0), current, 0.25, 0.25).unwrap();
             let failing = |d: &&MetricDelta| d.regressed() || d.improved_beyond();
             deltas
                 .iter()
@@ -261,6 +277,7 @@ mod tests {
         let smoke = BASE.replace("\"qps\": 4.0", "\"wall_secs\": 1.0, \"qps\": 4.0");
         let slower = smoke.replace("\"wall_secs\": 1.0", "\"wall_secs\": 3.0");
         assert!(compare(&smoke, &slower, 0.25, 0.25)
+            .unwrap()
             .iter()
             .all(|d| !d.regressed()));
     }
@@ -268,7 +285,7 @@ mod tests {
     #[test]
     fn small_latency_improvement_passes_quietly() {
         let current = with(90.0, 1000.0);
-        let deltas = compare(BASE, &current, 0.25, 0.25);
+        let deltas = compare(BASE, &current, 0.25, 0.25).unwrap();
         assert!(deltas.iter().all(|d| !d.regressed()));
         assert!(deltas.iter().all(|d| !d.improved_beyond()));
     }
@@ -278,7 +295,7 @@ mod tests {
         // 100 ms → 60 ms is a 40% improvement: beyond the 25% gate, the
         // baseline is stale and must be re-pinned.
         let current = with(60.0, 1000.0);
-        let deltas = compare(BASE, &current, 0.25, 0.25);
+        let deltas = compare(BASE, &current, 0.25, 0.25).unwrap();
         assert!(deltas.iter().all(|d| !d.regressed()));
         let p50 = deltas
             .iter()
@@ -292,14 +309,14 @@ mod tests {
     #[test]
     fn bytes_regression_trips_gate() {
         let current = with(100.0, 1400.0);
-        let deltas = compare(BASE, &current, 0.25, 0.25);
+        let deltas = compare(BASE, &current, 0.25, 0.25).unwrap();
         let b = deltas.iter().find(|d| d.name == "bytes per query").unwrap();
         assert!(b.regressed());
     }
 
     #[test]
     fn markdown_renders_all_rows() {
-        let md = render_markdown(&compare(BASE, BASE, 0.25, 0.25));
+        let md = render_markdown(&compare(BASE, BASE, 0.25, 0.25).unwrap());
         assert!(md.contains("| concurrent p50 (ms) |"));
         assert!(md.contains("| bytes per query |"));
         assert!(md.contains("✅"));
@@ -319,7 +336,7 @@ mod tests {
              \"session_speedup_p50\": 2.0,\n  \"tcp\": {\"p50_ms\": 70.0},\n  \
              \"speedup_p50\": 1.1,\n  \"bytes_per_query\": 1000.0",
         );
-        let deltas = compare(&old, BASE, 0.25, 0.25);
+        let deltas = compare(&old, BASE, 0.25, 0.25).unwrap();
         let names: Vec<_> = deltas.iter().map(|d| d.name).collect();
         assert_eq!(
             names,
@@ -348,5 +365,43 @@ mod tests {
         assert!(deltas
             .iter()
             .all(|d| !d.regressed() && !d.improved_beyond()));
+    }
+
+    /// A gated metric missing from either report fails the comparison
+    /// and is named; an informational one may be absent.
+    #[test]
+    fn a_missing_gated_metric_is_an_error_not_a_pass() {
+        let without = |text: &str, key: &str| {
+            let at = text.find(&format!("\"{key}\":")).expect("key present");
+            let end = at + text[at..].find([',', '}', '\n']).expect("value ends");
+            format!("{}\"retired\": 0{}", &text[..at], &text[end..])
+        };
+        let no_requests = without(BASE, "requests_per_query");
+        assert_eq!(
+            compare(BASE, &no_requests, 0.25, 0.25).unwrap_err(),
+            "gated metric `requests per query` missing from the current report"
+        );
+        assert_eq!(
+            compare(&no_requests, BASE, 0.25, 0.25).unwrap_err(),
+            "gated metric `requests per query` missing from the baseline report"
+        );
+        let no_p50 = without(BASE, "p50_ms");
+        let err = compare(BASE, &no_p50, 0.25, 0.25).unwrap_err();
+        assert!(err.contains("`concurrent p50 (ms)`"), "{err}");
+        // A full report gates wall time, so lacking it is an error…
+        let full = BASE.replace("\"config\"", "\"mode\": \"full\", \"config\"");
+        let full = full.replace("\"qps\": 4.0", "\"wall_secs\": 1.0, \"qps\": 4.0");
+        let err = compare(&full, BASE, 0.25, 0.25).unwrap_err();
+        assert!(err.contains("`concurrent wall (s)`"), "{err}");
+        // …and lacking its informational p50 is not.
+        assert_eq!(
+            compare(&full, &without(&full, "p50_ms"), 0.25, 0.25)
+                .unwrap()
+                .len(),
+            5
+        );
+        // Informational rows: p95 and qps.
+        let thin = without(&without(BASE, "p95_ms"), "qps");
+        assert_eq!(compare(BASE, &thin, 0.25, 0.25).unwrap().len(), 3);
     }
 }

@@ -286,7 +286,7 @@ const DENSE_SPAN_PER_CELL: u64 = 4;
 /// Output is bit-identical to [`OpeKey::encrypt`] cell by cell (module
 /// doc).
 ///
-/// Owned by whoever runs the cell loop — one per chunk, never shared:
+/// Owned by whoever runs the cell loop — one per loop, never shared:
 /// all reuse is local, so nothing here needs a lock.
 pub struct OpeEncryptor {
     key: OpeKey,

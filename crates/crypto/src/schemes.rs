@@ -66,7 +66,7 @@ impl std::error::Error for EncryptError {}
 /// Where a run of cells draws its randomness: one generator per row.
 /// The engine seeds a fresh one from each row's position, so every
 /// ciphertext is a function of `(seed, node, column, row)` however the
-/// rows are chunked; [`encrypt_batch`] hands every row the caller's one
+/// rows are batched; [`encrypt_batch`] hands every row the caller's one
 /// stream (the `&mut R` impl).
 pub trait RowRng {
     /// The generator a row draws from.
@@ -93,9 +93,9 @@ impl<R: Rng + ?Sized> RowRng for &mut R {
 /// expansion, Paillier `n²` Montgomery context) is paid once per
 /// column instead of once per cell.
 ///
-/// Immutable and `Sync`: one cipher serves every chunk of a column.
+/// Immutable and `Sync`: one cipher serves every batch of a column.
 /// State that pays only within a run of cells lives in the
-/// [`ColumnEncryptor`] each chunk makes for itself.
+/// [`ColumnEncryptor`] each cell loop makes for itself.
 pub struct ColumnCipher {
     scheme: EncScheme,
     key: ClusterKey,
@@ -106,9 +106,9 @@ pub struct ColumnCipher {
 
 /// A [`ColumnCipher`] plus the mutable per-run state of its scheme (the
 /// OPE encryptor's resume trail and memo). Made where a cell loop
-/// starts — one per chunk, never shared between threads — and dropped
-/// with it; ciphertexts are bit-identical to [`ColumnCipher::encrypt`]
-/// cell by cell, whatever the chunking.
+/// starts — one per cell loop, never shared between threads — and
+/// dropped with it; ciphertexts are bit-identical to
+/// [`ColumnCipher::encrypt`] cell by cell, whatever the batching.
 pub struct ColumnEncryptor<'c> {
     cipher: &'c ColumnCipher,
     ope: OpeEncryptor,

@@ -17,21 +17,12 @@
 
 use crate::error::SimError;
 use mpq_core::authz::SubjectView;
-use mpq_exec::{ColumnVec, Table, WorkerPool};
-
-/// Minimum rows per chunk before the cell scan splits across workers.
-const MIN_CHUNK_ROWS: usize = 512;
+use mpq_exec::{ColumnVec, Table};
 
 /// Check that every cell of `table` is in a form `recipient` is
-/// authorized to see, scanning column chunks on the shared global
-/// worker pool. Called on every table that crosses a subject-to-subject
-/// edge (including the final result handed to the querying user).
-pub fn audit_transfer(table: &Table, recipient: &SubjectView) -> Result<(), SimError> {
-    audit_transfer_with(table, recipient, &WorkerPool::global())
-}
-
-/// [`audit_transfer`] on an explicit worker pool (the party core passes
-/// its party's, so audits share the same thread budget as execution).
+/// authorized to see. Called on every table that crosses a
+/// subject-to-subject edge (including the final result handed to the
+/// querying user).
 ///
 /// Column-major fast path: each column's *required form* is resolved
 /// once against the view — plaintext-visible columns are skipped
@@ -42,11 +33,7 @@ pub fn audit_transfer(table: &Table, recipient: &SubjectView) -> Result<(), SimE
 /// encrypted column can hold nothing else, so it passes whole. Only a
 /// general column is scanned. The reported violation is the first one
 /// in row order, identical to a sequential row scan.
-pub fn audit_transfer_with(
-    table: &Table,
-    recipient: &SubjectView,
-    pool: &WorkerPool,
-) -> Result<(), SimError> {
+pub fn audit_transfer(table: &Table, recipient: &SubjectView) -> Result<(), SimError> {
     // Column-level visibility first: a column the recipient cannot see
     // in any form is refused outright, rows notwithstanding.
     for &attr in table.attrs() {
@@ -57,58 +44,36 @@ pub fn audit_transfer_with(
             });
         }
     }
-    // Cell-level form check for encrypted-only columns.
-    let enc_only: Vec<usize> = table
-        .attrs()
-        .iter()
-        .enumerate()
+    // Cell-level form check for encrypted-only columns: the earliest
+    // violation in (row, column) order — the same cell a row-major
+    // scan reports.
+    let first = (table.attrs().iter().enumerate())
         .filter(|(_, a)| !recipient.plain.contains(**a))
-        .map(|(i, _)| i)
-        .collect();
-    if enc_only.is_empty() || table.is_empty() {
-        return Ok(());
+        .filter_map(|(i, &attr)| Some((first_plaintext_cell(table.column(i))?, i, attr)))
+        .min();
+    match first {
+        Some((_, _, attr)) => Err(SimError::LeakedPlaintext {
+            attr,
+            subject: recipient.subject,
+        }),
+        None => Ok(()),
     }
-    pool.for_each_chunk(table.len(), MIN_CHUNK_ROWS, |range| {
-        // The earliest violation in (row, column) order within this
-        // chunk — the same cell a sequential row-major scan reports.
-        let mut first: Option<(usize, usize)> = None;
-        for (k, &i) in enc_only.iter().enumerate() {
-            if let Some(r) = first_plaintext_cell(table.column(i), range.clone()) {
-                if first.is_none_or(|best| (r, k) < best) {
-                    first = Some((r, k));
-                }
-            }
-        }
-        match first {
-            Some((_, k)) => Err(SimError::LeakedPlaintext {
-                attr: table.attrs()[enc_only[k]],
-                subject: recipient.subject,
-            }),
-            None => Ok(()),
-        }
-    })
 }
 
-/// Row index of the first plaintext non-NULL cell of `col` within
-/// `range`, if any.
-fn first_plaintext_cell(col: &ColumnVec, range: std::ops::Range<usize>) -> Option<usize> {
+/// Row index of the first plaintext non-NULL cell of `col`, if any.
+fn first_plaintext_cell(col: &ColumnVec) -> Option<usize> {
     match col {
         // Typed plaintext columns hold only plaintext non-NULLs: every
         // row violates an encrypted-only view.
         ColumnVec::Int(_) | ColumnVec::Num(_) | ColumnVec::Date(_) | ColumnVec::Str(_) => {
-            if range.is_empty() {
-                None
-            } else {
-                Some(range.start)
-            }
+            (!col.is_empty()).then_some(0)
         }
         // The mirror image: ciphertexts and NULLs are all an encrypted
         // column can hold.
         ColumnVec::Enc(_) => None,
-        ColumnVec::Val(vals) => vals[range.clone()]
+        ColumnVec::Val(vals) => vals
             .iter()
-            .position(|v| !matches!(v, mpq_algebra::Value::Enc(_) | mpq_algebra::Value::Null))
-            .map(|off| range.start + off),
+            .position(|v| !matches!(v, mpq_algebra::Value::Enc(_) | mpq_algebra::Value::Null)),
     }
 }
 
@@ -186,7 +151,7 @@ mod tests {
     }
 
     /// Typed text and date columns are plaintext wholesale: refused at
-    /// their first row, in any chunk range that has one.
+    /// their first row.
     #[test]
     fn leak_in_typed_text_or_date_column_is_caught_at_row_zero() {
         use mpq_algebra::Date;
@@ -194,9 +159,7 @@ mod tests {
             let t = Table::from_rows(vec![AttrId(0)], vec![vec![cell.clone()]; 3]);
             let col = t.column(0);
             assert!(matches!(col, ColumnVec::Str(_) | ColumnVec::Date(_)));
-            assert_eq!(first_plaintext_cell(col, 0..3), Some(0));
-            assert_eq!(first_plaintext_cell(col, 2..3), Some(2));
-            assert_eq!(first_plaintext_cell(col, 3..3), None);
+            assert_eq!(first_plaintext_cell(col), Some(0));
             assert_eq!(
                 audit_transfer(&t, &view(&[], &[0])),
                 Err(SimError::LeakedPlaintext {
@@ -222,12 +185,11 @@ mod tests {
         assert!(matches!(enc, ColumnVec::Enc(_)), "uniform ciphertexts");
         assert!(audit_transfer(&table(enc), &view(&[], &[0])).is_ok());
         // One plaintext cell among the ciphertexts degrades the column,
-        // and the scan finds it where it is — in any chunk.
+        // and the scan finds it where it is.
         for at in [0, 1_234, 1_999] {
             let hiding: ColumnVec = cells(Some(at)).collect();
             assert!(matches!(hiding, ColumnVec::Val(_)));
-            assert_eq!(first_plaintext_cell(&hiding, 0..2_000), Some(at));
-            assert_eq!(first_plaintext_cell(&hiding, at + 1..2_000), None);
+            assert_eq!(first_plaintext_cell(&hiding), Some(at));
             assert_eq!(
                 audit_transfer(&table(hiding), &view(&[], &[0])),
                 Err(SimError::LeakedPlaintext {
@@ -236,6 +198,28 @@ mod tests {
                 })
             );
         }
+    }
+
+    /// Across columns the earliest leaking row wins, and within a row
+    /// the leftmost column: the cell a row-major scan meets first.
+    #[test]
+    fn the_first_leak_in_row_major_order_is_reported() {
+        let column = |leak: usize| -> ColumnVec {
+            (0..8)
+                .map(|r| if r >= leak { Value::Int(1) } else { cipher() })
+                .collect()
+        };
+        let leaked = |leaks: [usize; 2]| {
+            let t =
+                Table::from_columns(vec![AttrId(0), AttrId(1)].into(), leaks.map(column).into());
+            match audit_transfer(&t, &view(&[], &[0, 1])) {
+                Err(SimError::LeakedPlaintext { attr, .. }) => attr,
+                other => panic!("{other:?}"),
+            }
+        };
+        assert_eq!(leaked([5, 2]), AttrId(1));
+        assert_eq!(leaked([2, 5]), AttrId(0));
+        assert_eq!(leaked([3, 3]), AttrId(0));
     }
 
     #[test]

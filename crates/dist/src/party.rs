@@ -33,7 +33,7 @@
 //! [`session`](crate::session) and [`remote`](crate::remote), over the
 //! mailbox and `drive` of [`runtime`](crate::runtime).
 
-use crate::audit::audit_transfer_with;
+use crate::audit::audit_transfer;
 use crate::error::SimError;
 use crate::transport::TransportError;
 use mpq_algebra::{AttrId, Catalog, NodeId, QueryPlan, SubjectId};
@@ -41,7 +41,7 @@ use mpq_core::authz::SubjectView;
 use mpq_core::dispatch::{regions, Region};
 use mpq_crypto::keyring::KeyRing;
 use mpq_crypto::rsa::{RsaKeypair, RsaPublic, SignedEnvelope};
-use mpq_exec::{execute_region, Database, ExecCtx, SchemePlan, Table, WorkerPool};
+use mpq_exec::{execute_region, Database, ExecCtx, SchemePlan, Table};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -61,9 +61,6 @@ pub(crate) struct Party {
     pub(crate) ring: KeyRing,
     /// The base relations this subject is the authority of.
     pub(crate) store: Database,
-    /// Worker pool for intra-operator data parallelism and audits. A
-    /// session's parties share one thread budget.
-    pub(crate) pool: WorkerPool,
 }
 
 /// One table crossing a subject edge: the only data message of the
@@ -242,7 +239,7 @@ impl<'a> PartyRun<'a> {
                 ),
             }));
         }
-        audit_transfer_with(&t.table, &self.party.view, &self.party.pool)?;
+        audit_transfer(&t.table, &self.party.view)?;
         self.awaited.remove(&t.node);
         self.seen.insert((t.from, t.seq));
         *self
@@ -290,7 +287,6 @@ impl<'a> PartyRun<'a> {
             &job.schemes,
             &job.key_of_attr,
         )
-        .pool(party.pool.clone())
         .seed(job.exec_seed)
         .build();
         let member = |n| region.nodes.contains(&n);
@@ -311,7 +307,7 @@ impl<'a> PartyRun<'a> {
             )));
         }
         // Even a result the user computed itself is audited.
-        audit_transfer_with(&table, &party.view, &party.pool)?;
+        audit_transfer(&table, &party.view)?;
         self.out.result = Some(table);
         Ok(None)
     }

@@ -78,7 +78,7 @@ use mpq_crypto::bignum::BigUint;
 use mpq_crypto::keyring::{ClusterKey, KeyRing};
 use mpq_crypto::paillier::PaillierPublic;
 use mpq_crypto::rsa::{RsaKeypair, RsaPublic, SignedEnvelope};
-use mpq_exec::{Database, WorkerPool};
+use mpq_exec::Database;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -167,7 +167,6 @@ impl Server {
                 rsa: RsaKeypair::generate(&mut rng, RSA_BITS),
                 ring: KeyRing::new(),
                 store: config.store,
-                pool: WorkerPool::global(),
             },
             peers: config.peers,
             mailbox,
@@ -529,9 +528,8 @@ impl Coordinator {
     /// the full fixture database — only the user-authority partition
     /// stays in this process.
     ///
-    /// Of the [`SessionConfig`], a coordinator reads `seed`, `workers`
-    /// (the user's own party), `preflight`, `timeout` (10 s when
-    /// unset), `faults` (one schedule for the user's data-plane sends,
+    /// Of the [`SessionConfig`], a coordinator reads `seed`,
+    /// `preflight`, `timeout` (10 s when unset), `faults` (one schedule for the user's data-plane sends,
     /// a second copy with its own counters for the control plane) and
     /// `retry`. It does not read `transport`: a coordinator is TCP by
     /// definition.
@@ -559,7 +557,6 @@ impl Coordinator {
             rsa,
             ring: KeyRing::new(),
             store: db.partition(|rel| subjects.authority(rel) == Some(user)),
-            pool: config.pool(),
         };
         let timeout = config
             .effective_timeout()

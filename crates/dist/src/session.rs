@@ -58,7 +58,7 @@ use mpq_core::keys::{ClusterSig, KeyPlan};
 use mpq_core::subjects::Subjects;
 use mpq_crypto::keyring::{ClusterKey, KeyRing};
 use mpq_crypto::rsa::{RsaKeypair, RsaPublic, SignedEnvelope};
-use mpq_exec::{assign_schemes, rewrite_literals, Database, WorkerPool};
+use mpq_exec::{assign_schemes, rewrite_literals, Database};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::hash_map::Entry;
@@ -67,9 +67,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Every runtime knob of a [`Session`] (and of a
-/// [`Coordinator`](crate::Coordinator)) in one builder: seed, worker
-/// pool, static pre-flight, transport, receive timeout, fault schedule
-/// and retry budget.
+/// [`Coordinator`](crate::Coordinator)) in one builder: seed, static
+/// pre-flight, transport, receive timeout, fault schedule and retry
+/// budget.
 ///
 /// # Example
 ///
@@ -77,7 +77,6 @@ use std::time::Duration;
 /// use mpq_dist::{SessionConfig, TransportKind};
 ///
 /// let config = SessionConfig::new(7)
-///     .with_workers(2)
 ///     .transport(TransportKind::Tcp)
 ///     .timeout(std::time::Duration::from_secs(3));
 /// assert_eq!(config.seed, 7);
@@ -87,9 +86,6 @@ pub struct SessionConfig {
     /// Master seed: RSA keypairs, cluster-key material, envelope
     /// session keys, and the derived execution seed all flow from it.
     pub seed: u64,
-    /// `Some(n)`: a private worker pool of `n` threads; `None`: the
-    /// process-global pool.
-    pub workers: Option<usize>,
     /// Run the static verifier (`mpq_core::verify`) before spending
     /// crypto work on a query (on by default).
     pub preflight: bool,
@@ -111,24 +107,17 @@ pub struct SessionConfig {
 }
 
 impl SessionConfig {
-    /// Defaults: in-proc transport, shared global pool, pre-flight on,
-    /// transport-default timeout.
+    /// Defaults: in-proc transport, pre-flight on, transport-default
+    /// timeout.
     pub fn new(seed: u64) -> SessionConfig {
         SessionConfig {
             seed,
-            workers: None,
             preflight: true,
             transport: TransportKind::InProc,
             timeout: None,
             faults: None,
             retry: RetryPolicy::default(),
         }
-    }
-
-    /// Use a private worker pool of `workers` threads.
-    pub fn with_workers(mut self, workers: usize) -> SessionConfig {
-        self.workers = Some(workers);
-        self
     }
 
     /// Disable the static pre-flight verifier, leaving only the dynamic
@@ -169,14 +158,6 @@ impl SessionConfig {
             TransportKind::InProc => None,
             TransportKind::Tcp => Some(Duration::from_secs(10)),
         })
-    }
-
-    /// The worker pool this configuration selects.
-    pub(crate) fn pool(&self) -> WorkerPool {
-        match self.workers {
-            Some(n) => WorkerPool::new(n),
-            None => WorkerPool::global(),
-        }
     }
 }
 
@@ -494,7 +475,6 @@ pub(crate) fn set_up(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let views = policy.all_views(catalog, subjects);
     let catalog = Arc::new(catalog.clone());
-    let pool = config.pool();
     let parties = subjects
         .iter()
         .map(|me| Party {
@@ -504,7 +484,6 @@ pub(crate) fn set_up(
             rsa: RsaKeypair::generate(&mut rng, RSA_BITS),
             ring: KeyRing::new(),
             store: db.partition(|rel| subjects.authority(rel) == Some(me)),
-            pool: pool.clone(),
         })
         .collect();
     let timeout = config.effective_timeout();
@@ -600,8 +579,7 @@ impl Session {
     /// executing a plan over it fails at that leaf.
     ///
     /// Convenience shim over [`Session::open_with`] with the default
-    /// [`SessionConfig`] (in-proc transport, shared pool, pre-flight
-    /// on).
+    /// [`SessionConfig`] (in-proc transport, pre-flight on).
     pub fn open(
         catalog: &Catalog,
         subjects: &Subjects,

@@ -38,8 +38,8 @@
 //! on a precomputed selection that keeps ~98 % of its rows, as Q1's
 //! `l_shipdate <= …` does.
 //!
-//! The `hash/*` arms run a whole ⋈ or γ through `execute` (one worker
-//! thread, 4,096-row batches) — the key table under both: key columns
+//! The `hash/*` arms run a whole ⋈ or γ through `execute` (4,096-row
+//! batches) — the key table under both: key columns
 //! hashed in typed loops, candidates compared where they lie, aggregates
 //! folded by group id. Time ÷ rows through the operator is the cost per
 //! row:
@@ -72,9 +72,7 @@ use mpq_crypto::keyring::{ClusterKey, KeyRing};
 use mpq_crypto::schemes::encrypt_batch;
 use mpq_exec::eval::{eval_column, eval_mask};
 use mpq_exec::rowref::{eval, RowCtx};
-use mpq_exec::{
-    execute, ColumnVec, Database, ExecCtx, SchemePlan, Table, WorkerPool, DEFAULT_BATCH_ROWS,
-};
+use mpq_exec::{execute, ColumnVec, Database, ExecCtx, SchemePlan, Table, DEFAULT_BATCH_ROWS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -524,11 +522,7 @@ fn bench_hash(c: &mut Criterion) {
     cases.push(("residual_semi", plan, db));
 
     let (ring, schemes, koa) = (KeyRing::new(), SchemePlan::default(), HashMap::new());
-    let ctx = |db| {
-        ExecCtx::builder(&cat, db, &ring, &schemes, &koa)
-            .pool(WorkerPool::serial())
-            .build()
-    };
+    let ctx = |db| ExecCtx::new(&cat, db, &ring, &schemes, &koa);
     let mut g = c.benchmark_group("hash");
     for (name, plan, db) in &cases {
         let ctx = ctx(db);

@@ -27,10 +27,12 @@
 //! **Determinism contract.** Every `Encrypt` cell draws from an RNG
 //! seeded by `(seed, node, column, row)`, where `row` is the global
 //! row index in the operator's input stream (the running sum of batch
-//! lengths). Batch size, chunking, and worker count therefore cannot
-//! change a single ciphertext byte — the `parallel_differential`
-//! proptests pin this against the serial row-at-a-time reference
-//! engine in [`crate::rowref`].
+//! lengths). Batch size therefore cannot change a single ciphertext
+//! byte — the `parallel_differential` proptests pin this against the
+//! row-at-a-time reference engine in [`crate::rowref`].
+//!
+//! **One thread.** Every operator processes each batch whole, on the
+//! thread that pulls the root; nothing splits an operator's rows.
 //!
 //! Key enforcement: `Encrypt`/`Decrypt` nodes require the executing
 //! context to *hold* the cluster key ([`ExecError::MissingKey`]
@@ -38,7 +40,6 @@
 
 use crate::batch::{ColumnVec, KeyEq, KeySeed, TableSchema, DEFAULT_BATCH_ROWS};
 use crate::eval::{cmp_cells, eval_column, eval_select, mask_until_failure, EvalError};
-use crate::pool::WorkerPool;
 use crate::scheme::SchemePlan;
 use crate::table::{Database, Table};
 use mpq_algebra::expr::{AggExpr, AggFunc};
@@ -137,17 +138,9 @@ impl std::error::Error for ExecError {}
 /// Default base seed for encryption randomness (`"mpq"`).
 pub(crate) const DEFAULT_SEED: u64 = 0x006d_7071;
 
-/// Minimum rows per chunk before a parallel region splits: cheap
-/// row-at-a-time work (predicates, projections, probes).
-const MIN_CHUNK_ROWS: usize = 256;
-
-/// Minimum rows per chunk for symmetric crypto columns.
-const MIN_CHUNK_SYM: usize = 64;
-
 /// splitmix64-style seed mixing: derive an independent stream for `v`
 /// under stream-id `h`. Used to give every (node, column, row) its own
-/// RNG so ciphertexts are identical no matter how rows are batched and
-/// chunked across workers.
+/// RNG so ciphertexts are identical no matter how rows are batched.
 pub(crate) fn mix_seed(h: u64, v: u64) -> u64 {
     let mut z = h ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -159,7 +152,7 @@ pub(crate) fn mix_seed(h: u64, v: u64) -> u64 {
 /// Execution context.
 ///
 /// Construct through [`ExecCtx::builder`], which folds the formerly
-/// positional knobs (seed, pool, batch size) into one place — the
+/// positional knobs (seed, batch size) into one place — the
 /// exec-side mirror of `mpq-dist`'s `SessionConfig`.
 pub struct ExecCtx<'a> {
     /// Catalog (names for diagnostics).
@@ -174,11 +167,8 @@ pub struct ExecCtx<'a> {
     pub key_of_attr: &'a HashMap<AttrId, u32>,
     /// Base seed for encryption randomness. Every `Encrypt` cell draws
     /// from an RNG seeded by `(seed, node, column, row)`, so execution
-    /// order, batching, chunking, and worker count cannot change
-    /// ciphertexts.
+    /// order and batching cannot change ciphertexts.
     pub seed: u64,
-    /// Worker pool for intra-operator data parallelism.
-    pub pool: WorkerPool,
     /// Rows per streamed batch (pipelined operators hold at most this
     /// many rows at a time).
     pub batch_rows: usize,
@@ -193,13 +183,6 @@ impl<'a> ExecCtxBuilder<'a> {
     /// deterministic seed).
     pub fn seed(mut self, seed: u64) -> Self {
         self.0.seed = seed;
-        self
-    }
-
-    /// Replace the worker pool (a session's parties share one;
-    /// default: the process-global pool).
-    pub fn pool(mut self, pool: WorkerPool) -> Self {
-        self.0.pool = pool;
         self
     }
 
@@ -233,13 +216,12 @@ impl<'a> ExecCtx<'a> {
             schemes,
             key_of_attr,
             seed: DEFAULT_SEED,
-            pool: WorkerPool::global(),
             batch_rows: DEFAULT_BATCH_ROWS,
         })
     }
 
-    /// Context with every knob at its default (deterministic seed, the
-    /// shared global worker pool, default batch size).
+    /// Context with every knob at its default (deterministic seed,
+    /// default batch size).
     pub fn new(
         catalog: &'a mpq_algebra::Catalog,
         db: &'a Database,
@@ -527,13 +509,13 @@ fn compile_node<'p>(
                     let plans = crypto_plans(attrs, &child.schema, enc_id, ctx)?;
                     let enc_set: AttrSet = attrs.iter().copied().collect();
                     let pred = decrypt_pred_literals(pred, &enc_set, ctx)?;
-                    return Ok(crypto_stream(child, plans, true, Some(pred), ctx));
+                    return Ok(crypto_stream(child, plans, true, Some(pred)));
                 }
             }
             let child = child_stream(plan, id, 0, inputs, member, ctx)?;
             let schema = child.schema.clone();
             Ok(map_stream(child, schema, move |batch| {
-                filter_batch(pred, batch, None, ctx)
+                filter_batch(pred, batch, None)
             }))
         }
         Operator::Having { pred } => {
@@ -545,7 +527,7 @@ fn compile_node<'p>(
                 .base();
             let schema = child.schema.clone();
             Ok(map_stream(child, schema, move |batch| {
-                filter_batch(pred, batch, Some(agg_base), ctx)
+                filter_batch(pred, batch, Some(agg_base))
             }))
         }
         Operator::Product | Operator::Join { .. } => {
@@ -557,7 +539,7 @@ fn compile_node<'p>(
                 Operator::Join { kind, on, residual } => (*kind, &on[..], residual.as_ref()),
                 _ => (JoinKind::Inner, &[][..], None),
             };
-            join_stream(kind, on, residual, left, right, ctx)
+            join_stream(kind, on, residual, left, right)
         }
         Operator::GroupBy { keys, aggs } => {
             let child = child_stream(plan, id, 0, inputs, member, ctx)?;
@@ -593,7 +575,7 @@ fn compile_node<'p>(
             let child = child_stream(plan, id, 0, inputs, member, ctx)?;
             let plans = crypto_plans(attrs, &child.schema, id, ctx)?;
             let encrypt = matches!(node.op, Operator::Encrypt { .. });
-            Ok(crypto_stream(child, plans, encrypt, None, ctx))
+            Ok(crypto_stream(child, plans, encrypt, None))
         }
         Operator::Sort { keys } => {
             let agg_base = plan.agg_scope(id).map(|scope| scope.base());
@@ -630,32 +612,14 @@ fn compile_node<'p>(
     }
 }
 
-/// The rows of `batch` where `pred` is TRUE, in order: parallel chunks,
-/// each narrowing one selection a column at a time.
-fn selection(
-    pred: &Expr,
-    batch: &Table,
-    agg_base: Option<usize>,
-    ctx: &ExecCtx<'_>,
-) -> Result<Vec<usize>, ExecError> {
-    let chunks = ctx.pool.map_ranges(batch.len(), MIN_CHUNK_ROWS, |range| {
-        let start = range.start;
-        let mut kept = eval_select(pred, batch, agg_base, range)?;
-        kept.iter_mut().for_each(|r| *r += start);
-        Ok::<_, ExecError>(kept)
-    })?;
-    Ok(chunks.concat())
-}
-
 /// Evaluate `pred` over `batch` and gather the passing rows (`None`
 /// when nothing passes).
 fn filter_batch(
     pred: &Expr,
     batch: Table,
     agg_base: Option<usize>,
-    ctx: &ExecCtx<'_>,
 ) -> Result<Option<Table>, ExecError> {
-    let kept = selection(pred, &batch, agg_base, ctx)?;
+    let kept = eval_select(pred, &batch, agg_base)?;
     if kept.is_empty() {
         return Ok(None);
     }
@@ -810,7 +774,6 @@ struct CryptoPlan {
     cipher: ColumnCipher,
     col_idxs: Vec<usize>,
     attr_seed: u64,
-    min_chunk: usize,
 }
 
 /// Resolve keys/schemes for an `Encrypt`/`Decrypt` node. Key presence
@@ -846,11 +809,6 @@ fn crypto_plans(
                 cipher: ColumnCipher::new(scheme, &key),
                 col_idxs,
                 attr_seed: mix_seed(mix_seed(ctx.seed, id.index() as u64), attr.0 as u64),
-                min_chunk: if scheme == EncScheme::Paillier {
-                    1
-                } else {
-                    MIN_CHUNK_SYM
-                },
             })
         })
         .collect()
@@ -870,7 +828,6 @@ fn crypto_stream<'p>(
     plans: Vec<CryptoPlan>,
     encrypt: bool,
     keep: Option<Expr>,
-    ctx: &'p ExecCtx<'p>,
 ) -> BatchStream<'p> {
     let schema = child.schema.clone();
     let mut row_off = 0usize;
@@ -878,7 +835,7 @@ fn crypto_stream<'p>(
         let base = row_off;
         row_off += batch.len();
         let kept = match &keep {
-            Some(pred) => Some(selection(pred, &batch, None, ctx)?),
+            Some(pred) => Some(eval_select(pred, &batch, None)?),
             None => None,
         };
         let (mut cols, kept) = match kept {
@@ -897,7 +854,7 @@ fn crypto_stream<'p>(
             None => Offsets::Dense(base),
         };
         for plan in &plans {
-            apply_crypto_plan(&mut cols, plan, encrypt, &offsets, &ctx.pool)?;
+            apply_crypto_plan(&mut cols, plan, encrypt, &offsets)?;
         }
         Ok(Some(Table::from_columns(schema.clone(), cols)))
     })
@@ -923,11 +880,10 @@ impl Offsets<'_> {
 }
 
 /// The determinism contract as a [`RowRng`]: the generator for a
-/// chunk's `row`-th cell is seeded from the cell's global offset.
+/// batch's `row`-th cell is seeded from the cell's global offset.
 struct SeededRows<'a> {
     attr_seed: u64,
     offsets: &'a Offsets<'a>,
-    chunk_start: usize,
     rng: Option<StdRng>,
 }
 
@@ -935,18 +891,17 @@ impl RowRng for SeededRows<'_> {
     type Rng = StdRng;
 
     fn row(&mut self, row: usize) -> &mut StdRng {
-        let offset = self.offsets.at(self.chunk_start + row);
+        let offset = self.offsets.at(row);
         self.rng
             .insert(StdRng::seed_from_u64(mix_seed(self.attr_seed, offset)))
     }
 }
 
-/// Encrypt the cells of `col` in `range` straight into one ciphertext
-/// buffer, every cell read where it lies. A column that is ciphertext
-/// already passes its NULLs and refuses the rest.
-fn encrypt_chunk(
+/// Encrypt the cells of `col` straight into one ciphertext buffer,
+/// every cell read where it lies. A column that is ciphertext already
+/// passes its NULLs and refuses the rest.
+fn encrypt_column(
     col: &ColumnVec,
-    range: std::ops::Range<usize>,
     cipher: &ColumnCipher,
     rngs: impl RowRng,
 ) -> Result<ColumnVec, EncryptError> {
@@ -955,24 +910,20 @@ fn encrypt_chunk(
     // `col.cell_ref(i)` asks each cell for its representation, which
     // costs 10–25 % of a Det or memoised OPE cell.
     Ok(ColumnVec::Enc(match col {
-        ColumnVec::Int(v) => run.encrypt_column(v[range].iter().map(|&i| CellRef::Int(i)), rngs),
-        ColumnVec::Num(v) => run.encrypt_column(v[range].iter().map(|&f| CellRef::Num(f)), rngs),
-        ColumnVec::Date(v) => run.encrypt_column(v[range].iter().map(|&d| CellRef::Date(d)), rngs),
-        ColumnVec::Str(c) => run.encrypt_column(c.cells(range).map(CellRef::Str), rngs),
-        ColumnVec::Val(v) => run.encrypt_column(&v[range], rngs),
-        ColumnVec::Enc(_) => run.encrypt_column(range.map(|i| col.cell_ref(i)), rngs),
+        ColumnVec::Int(v) => run.encrypt_column(v.iter().map(|&i| CellRef::Int(i)), rngs),
+        ColumnVec::Num(v) => run.encrypt_column(v.iter().map(|&f| CellRef::Num(f)), rngs),
+        ColumnVec::Date(v) => run.encrypt_column(v.iter().map(|&d| CellRef::Date(d)), rngs),
+        ColumnVec::Str(c) => run.encrypt_column(c.cells(0..c.len()).map(CellRef::Str), rngs),
+        ColumnVec::Val(v) => run.encrypt_column(&v[..], rngs),
+        ColumnVec::Enc(_) => run.encrypt_column((0..col.len()).map(|i| col.cell_ref(i)), rngs),
     }?))
 }
 
-/// Decrypt the cells of `col` in `range`, each from the bytes where
-/// they lie. NULLs pass; a plaintext cell is refused.
-fn decrypt_chunk(
-    col: &ColumnVec,
-    range: std::ops::Range<usize>,
-    cipher: &ColumnCipher,
-) -> Result<ColumnVec, EncryptError> {
+/// Decrypt the cells of `col`, each from the bytes where they lie.
+/// NULLs pass; a plaintext cell is refused.
+fn decrypt_column(col: &ColumnVec, cipher: &ColumnCipher) -> Result<ColumnVec, EncryptError> {
     let mut out = ColumnVec::new();
-    for i in range {
+    for i in 0..col.len() {
         out.push(match col.cell_ref(i) {
             CellRef::Null => Value::Null,
             CellRef::Enc(scheme, key_id, cell) => cipher.decrypt_cell(scheme, key_id, cell)?,
@@ -986,86 +937,57 @@ fn crypto_error(e: EncryptError) -> ExecError {
     ExecError::Crypto(e.to_string())
 }
 
-/// One column out of `cipher_chunk` over `0..len`: each pool chunk into
-/// a column of its own, the chunks appended in order, so worker count
-/// and batch size cannot move a byte.
-fn chunked_column(
-    pool: &WorkerPool,
-    len: usize,
-    min_chunk: usize,
-    cipher_chunk: impl Fn(std::ops::Range<usize>) -> Result<ColumnVec, EncryptError> + Sync,
-) -> Result<ColumnVec, ExecError> {
-    let chunks = pool.map_ranges(len, min_chunk, |range| {
-        cipher_chunk(range).map_err(crypto_error)
-    })?;
-    let mut chunks = chunks.into_iter();
-    let mut out = chunks.next().unwrap_or_default();
-    chunks.for_each(|chunk| out.append(chunk));
-    Ok(out)
-}
-
 /// Apply one attribute's cipher to its column(s) within a batch.
 ///
-/// The single-column case (the overwhelmingly common one) works chunk
-/// by chunk on the column itself, each chunk into a column of its own;
-/// the chunks are appended in order, so worker count and batch size
-/// cannot move a byte. When an attribute occurs in several columns the
-/// row engine's semantics are preserved exactly: the columns share one
-/// per-row RNG, consumed in column-index order.
+/// The single-column case (the overwhelmingly common one) works on the
+/// column itself, into a column of its own. When an attribute occurs
+/// in several columns the row engine's semantics are preserved
+/// exactly: the columns share one per-row RNG, consumed in
+/// column-index order.
 fn apply_crypto_plan(
     cols: &mut [ColumnVec],
     plan: &CryptoPlan,
     encrypt: bool,
     offsets: &Offsets<'_>,
-    pool: &WorkerPool,
 ) -> Result<(), ExecError> {
     match plan.col_idxs.as_slice() {
         [] => Ok(()),
         [i] => {
             let col = &cols[*i];
-            let out = chunked_column(pool, col.len(), plan.min_chunk, |range| {
-                if encrypt {
-                    let rngs = SeededRows {
-                        attr_seed: plan.attr_seed,
-                        offsets,
-                        chunk_start: range.start,
-                        rng: None,
-                    };
-                    encrypt_chunk(col, range, &plan.cipher, rngs)
-                } else {
-                    decrypt_chunk(col, range, &plan.cipher)
-                }
-            })?;
-            cols[*i] = out;
+            let out = if encrypt {
+                let rngs = SeededRows {
+                    attr_seed: plan.attr_seed,
+                    offsets,
+                    rng: None,
+                };
+                encrypt_column(col, &plan.cipher, rngs)
+            } else {
+                decrypt_column(col, &plan.cipher)
+            };
+            cols[*i] = out.map_err(crypto_error)?;
             Ok(())
         }
         idxs => {
             // Rare path: transpose the attribute's columns into row
             // tuples so one RNG serves all of a row's cells, as the
-            // row-at-a-time engine did. `run` is the chunk's own
-            // encryptor, so no state crosses chunks or threads.
-            let shared = &*cols;
-            let chunks = pool.map_ranges(shared[idxs[0]].len(), plan.min_chunk, |range| {
-                let mut run = plan.cipher.encryptor();
-                range
-                    .map(|r| {
-                        let mut rng =
-                            StdRng::seed_from_u64(mix_seed(plan.attr_seed, offsets.at(r)));
-                        idxs.iter()
-                            .map(|&i| {
-                                let cell = shared[i].get(r);
-                                if encrypt {
-                                    run.encrypt(&mut rng, &cell)
-                                } else {
-                                    plan.cipher.decrypt(&cell)
-                                }
-                                .map_err(crypto_error)
-                            })
-                            .collect::<Result<Vec<Value>, ExecError>>()
-                    })
-                    .collect::<Result<Vec<_>, ExecError>>()
-            })?;
-            let tuples: Vec<Vec<Value>> = chunks.into_iter().flatten().collect();
+            // row-at-a-time engine did.
+            let mut run = plan.cipher.encryptor();
+            let tuples = (0..cols[idxs[0]].len())
+                .map(|r| {
+                    let mut rng = StdRng::seed_from_u64(mix_seed(plan.attr_seed, offsets.at(r)));
+                    idxs.iter()
+                        .map(|&i| {
+                            let cell = cols[i].get(r);
+                            if encrypt {
+                                run.encrypt(&mut rng, &cell)
+                            } else {
+                                plan.cipher.decrypt(&cell)
+                            }
+                            .map_err(crypto_error)
+                        })
+                        .collect::<Result<Vec<Value>, ExecError>>()
+                })
+                .collect::<Result<Vec<_>, ExecError>>()?;
             for (k, &i) in idxs.iter().enumerate() {
                 cols[i] = tuples.iter().map(|t| t[k].clone()).collect();
             }
@@ -1225,7 +1147,6 @@ fn join_stream<'p>(
     residual: Option<&'p Expr>,
     mut left: BatchStream<'p>,
     right: BatchStream<'p>,
-    ctx: &'p ExecCtx<'p>,
 ) -> Result<BatchStream<'p>, ExecError> {
     let lschema = left.schema.clone();
     let rschema = right.schema.clone();
@@ -1314,7 +1235,7 @@ fn join_stream<'p>(
                     residual,
                     reads: &reads,
                 };
-                let pairs = probe_batch(&probe, &ctx.pool)?;
+                let pairs = probe_batch(&probe)?;
                 if pairs.is_empty() {
                     continue;
                 }
@@ -1350,117 +1271,113 @@ struct Probe<'a> {
 /// matching `(left row, right row)` index pairs, which the join
 /// gathers its output columns from. `None` on the right is a
 /// `LeftOuter` row without a match (NULL padding); `Semi` and `Anti`
-/// report the left row only. Per-chunk outputs concatenate in chunk
-/// order, candidates in build order, so the pair order is identical to
-/// a sequential left-to-right probe.
+/// report the left row only. Pairs come in probe order, candidates in
+/// build order.
 ///
 /// A probe row's candidates are the build rows its conditions hold
 /// for, up to a condition that fails. Without a residual they are its
-/// matches, and the row is [`decide`]d at once. Under one, the chunk's
+/// matches, and the row is [`decide`]d at once. Under one, the batch's
 /// candidate pairs are collected first and the residual is one mask
 /// over all of them; each row is then decided on the pairs it holds on.
-fn probe_batch(p: &Probe<'_>, pool: &WorkerPool) -> Result<Vec<(usize, Option<usize>)>, ExecError> {
+fn probe_batch(p: &Probe<'_>) -> Result<Vec<(usize, Option<usize>)>, ExecError> {
     // Under a residual, which candidate is a `Semi` / `Anti` row's
     // first match is known only once the mask is.
     let stops = matches!(p.kind, JoinKind::Semi | JoinKind::Anti);
     let undecided = stops && p.residual.is_some();
-    let chunks = pool.map_ranges(p.lbatch.len(), MIN_CHUNK_ROWS, |range| {
-        let mut out = Vec::with_capacity(range.len());
-        // Per pair its build row and — under a residual — its probe row;
-        // per probe row walked where its pairs end; per condition that
-        // failed its probe row.
-        let (mut lis, mut ris, mut ends, mut failures) = (vec![], vec![], vec![], vec![]);
-        let lkeys = p.eq.iter().map(|(l, _, _)| *l);
-        let hashes = (p.hash).map(|table| hash_rows(lkeys, table.seed, range.clone()));
-        for li in range.clone() {
-            // Without an equality every build row is a candidate;
-            // with one, the rows the key table chains under this row's
-            // hash that hold this row's key (a NULL key has none).
-            let all = p.eq.is_empty().then_some(0..p.rt.len());
-            let keyed = p.eq.iter().all(|(l, _, _)| !l.is_null(li));
-            let same = |l: &ColumnVec, r: &ColumnVec, ri| l.cell_ref(li).key_eq(r.cell_ref(ri));
-            let held = move |ri: &usize| p.eq.iter().all(|(l, _, r)| same(l, r, *ri));
-            let chained = (p.hash.zip(hashes.as_ref()).filter(|_| keyed))
-                .map(|(table, hashes)| table.chain(hashes[li - range.start]).filter(held));
-            let (start, mut failed) = (ris.len(), None);
-            for ri in (all.into_iter().flatten()).chain(chained.into_iter().flatten()) {
-                // Non-equality join conditions, up to the first that
-                // does not hold.
-                let cmp =
-                    |(l, op, r): &CondSides<'_>| cmp_cells(l.cell_ref(li), *op, r.cell_ref(ri));
-                match p.other.iter().map(cmp).find(|t| *t != Ok(Some(true))) {
-                    Some(Ok(_)) => continue,
-                    Some(Err(e)) => failed = Some(e),
-                    None => {
-                        ris.push(ri);
-                        if !stops || undecided {
-                            continue;
-                        }
+    let rows = 0..p.lbatch.len();
+    let mut out = Vec::with_capacity(rows.len());
+    // Per pair its build row and — under a residual — its probe row;
+    // per probe row walked where its pairs end; per condition that
+    // failed its probe row.
+    let (mut lis, mut ris, mut ends, mut failures) = (vec![], vec![], vec![], vec![]);
+    let lkeys = p.eq.iter().map(|(l, _, _)| *l);
+    let hashes = (p.hash).map(|table| hash_rows(lkeys, table.seed, rows.clone()));
+    for li in rows.clone() {
+        // Without an equality every build row is a candidate;
+        // with one, the rows the key table chains under this row's
+        // hash that hold this row's key (a NULL key has none).
+        let all = p.eq.is_empty().then_some(0..p.rt.len());
+        let keyed = p.eq.iter().all(|(l, _, _)| !l.is_null(li));
+        let same = |l: &ColumnVec, r: &ColumnVec, ri| l.cell_ref(li).key_eq(r.cell_ref(ri));
+        let held = move |ri: &usize| p.eq.iter().all(|(l, _, r)| same(l, r, *ri));
+        let chained = (p.hash.zip(hashes.as_ref()).filter(|_| keyed))
+            .map(|(table, hashes)| table.chain(hashes[li]).filter(held));
+        let (start, mut failed) = (ris.len(), None);
+        for ri in (all.into_iter().flatten()).chain(chained.into_iter().flatten()) {
+            // Non-equality join conditions, up to the first that
+            // does not hold.
+            let cmp = |(l, op, r): &CondSides<'_>| cmp_cells(l.cell_ref(li), *op, r.cell_ref(ri));
+            match p.other.iter().map(cmp).find(|t| *t != Ok(Some(true))) {
+                Some(Ok(_)) => continue,
+                Some(Err(e)) => failed = Some(e),
+                None => {
+                    ris.push(ri);
+                    if !stops || undecided {
+                        continue;
                     }
                 }
-                break;
             }
-            if p.residual.is_none() {
-                decide(p.kind, li, &ris[start..], failed.as_ref(), &mut out)?;
-                ris.truncate(start);
-                continue;
-            }
-            lis.resize(ris.len(), li);
-            ends.push(ris.len());
-            failures.extend(failed.map(|e| (li, e)));
-            // A failure no match can come before ends the walk.
-            if !undecided && failures.last().is_some_and(|(row, _)| *row == li) {
-                break;
-            }
+            break;
         }
-        let Some(residual) = p.residual else {
-            return Ok::<_, ExecError>(out);
-        };
+        if p.residual.is_none() {
+            decide(p.kind, li, &ris[start..], failed.as_ref(), &mut out)?;
+            ris.truncate(start);
+            continue;
+        }
+        lis.resize(ris.len(), li);
+        ends.push(ris.len());
+        failures.extend(failed.map(|e| (li, e)));
+        // A failure no match can come before ends the walk.
+        if !undecided && failures.last().is_some_and(|(row, _)| *row == li) {
+            break;
+        }
+    }
+    let Some(residual) = p.residual else {
+        return Ok(out);
+    };
 
-        let width = p.lbatch.columns().len();
-        let cols = p.reads.iter().map(|&(c, _)| match c.checked_sub(width) {
-            None => p.lbatch.column(c).gather(&lis),
-            Some(rc) => p.rt.column(rc).gather(&ris),
-        });
-        let attrs = p.reads.iter().map(|&(_, a)| a).collect();
-        let pairs = Table::from_columns(TableSchema::new(attrs), cols.collect());
-        // The residual's truth on `rows` of the pairs — valid before the
-        // first pair it fails on, which comes back with its error.
-        let judge = |rows: std::ops::Range<usize>| {
-            let (truth, failed) = mask_until_failure(residual, &pairs, None, rows.clone());
-            (truth, failed.map(|(k, e)| (rows.start + k, e)))
-        };
-        let (mut truth, mut failed) = judge(0..ris.len());
-        let (mut start, mut one_by_one, mut held) = (0, false, Vec::new());
-        let mut failures = failures.iter().peekable();
-        for (li, end) in range.zip(ends) {
-            // Behind a failing pair a match kept the walk from, the
-            // chunk is judged a probe row at a time: one evaluation more
-            // per row, never one per failure — no peer's data buys
-            // quadratic work.
-            one_by_one |= failed.as_ref().is_some_and(|(f, _)| *f < start);
-            if one_by_one {
-                let (row_truth, row_failed) = judge(start..end);
-                truth[start..end].copy_from_slice(&row_truth);
-                failed = row_failed;
-            }
-            // The first failure the walk reaches: the residual's on a
-            // pair, else a condition's after the row's pairs.
-            let reached = failed.as_ref().map_or(end, |(f, _)| end.min(*f));
-            let cond_failed = failures.next_if(|(row, _)| *row == li);
-            let failure = failed.as_ref().filter(|_| reached < end).or(cond_failed);
-            held.clear();
-            held.extend(
-                (start..reached)
-                    .filter(|&k| truth[k] == Some(true))
-                    .map(|k| ris[k]),
-            );
-            decide(p.kind, li, &held, failure.map(|(_, e)| e), &mut out)?;
-            start = end;
+    let width = p.lbatch.columns().len();
+    let cols = p.reads.iter().map(|&(c, _)| match c.checked_sub(width) {
+        None => p.lbatch.column(c).gather(&lis),
+        Some(rc) => p.rt.column(rc).gather(&ris),
+    });
+    let attrs = p.reads.iter().map(|&(_, a)| a).collect();
+    let pairs = Table::from_columns(TableSchema::new(attrs), cols.collect());
+    // The residual's truth on `rows` of the pairs — valid before the
+    // first pair it fails on, which comes back with its error.
+    let judge = |rows: std::ops::Range<usize>| {
+        let (truth, failed) = mask_until_failure(residual, &pairs, None, rows.clone());
+        (truth, failed.map(|(k, e)| (rows.start + k, e)))
+    };
+    let (mut truth, mut failed) = judge(0..ris.len());
+    let (mut start, mut one_by_one, mut held) = (0, false, Vec::new());
+    let mut failures = failures.iter().peekable();
+    for (li, end) in rows.zip(ends) {
+        // Behind a failing pair a match kept the walk from, the
+        // batch is judged a probe row at a time: one evaluation more
+        // per row, never one per failure — no peer's data buys
+        // quadratic work.
+        one_by_one |= failed.as_ref().is_some_and(|(f, _)| *f < start);
+        if one_by_one {
+            let (row_truth, row_failed) = judge(start..end);
+            truth[start..end].copy_from_slice(&row_truth);
+            failed = row_failed;
         }
-        Ok(out)
-    })?;
-    Ok(chunks.concat())
+        // The first failure the walk reaches: the residual's on a
+        // pair, else a condition's after the row's pairs.
+        let reached = failed.as_ref().map_or(end, |(f, _)| end.min(*f));
+        let cond_failed = failures.next_if(|(row, _)| *row == li);
+        let failure = failed.as_ref().filter(|_| reached < end).or(cond_failed);
+        held.clear();
+        held.extend(
+            (start..reached)
+                .filter(|&k| truth[k] == Some(true))
+                .map(|k| ris[k]),
+        );
+        decide(p.kind, li, &held, failure.map(|(_, e)| e), &mut out)?;
+        start = end;
+    }
+    Ok(out)
 }
 
 /// What probe row `li` adds to `out`, from the build rows it matches in
@@ -2128,7 +2045,7 @@ mod tests {
     /// Joins gather columns: dense inputs stay dense through an Inner
     /// join, a LeftOuter pads unmatched rows with NULLs (degrading the
     /// right columns only then), and rows come out in probe order ×
-    /// build order whatever the batch size and worker count.
+    /// build order whatever the batch size.
     #[test]
     fn join_output_keeps_typed_columns_and_pads_outer_rows() {
         let cat = Catalog::paper_running_example();
@@ -2138,7 +2055,7 @@ mod tests {
             cat.attr("P").unwrap(),
         );
         let d = Value::Date(Date(0));
-        // 1,000 probe rows (enough for three workers to split a batch);
+        // 1,000 probe rows, several batches at every size but the last;
         // even keys below 600 match twice, odd keys never.
         let hosp: Vec<Vec<Value>> = (0..1000)
             .map(|i| vec![Value::Int(i), d.clone(), Value::str("flu"), Value::str("t")])
@@ -2175,24 +2092,21 @@ mod tests {
         let schemes = SchemePlan::default();
         let koa = HashMap::new();
         for batch_rows in [1, 7, 4096] {
-            for workers in [1, 3] {
-                let ctx = ExecCtx::builder(&cat, &db, &keys, &schemes, &koa)
-                    .batch_rows(batch_rows)
-                    .pool(WorkerPool::new(workers))
-                    .build();
-                let inner = execute(&plan_of(JoinKind::Inner), &ctx).unwrap();
-                assert!(inner.column(0).as_ints().is_some(), "S stays dense");
-                assert!(inner.column(1).as_ints().is_some(), "C stays dense");
-                assert!(inner.column(2).as_nums().is_some(), "P stays dense");
-                assert_eq!(inner.to_rows(), inner_rows);
-                let outer = execute(&plan_of(JoinKind::LeftOuter), &ctx).unwrap();
-                assert!(
-                    outer.column(0).as_ints().is_some(),
-                    "the left is never padded"
-                );
-                assert!(outer.column(1).as_ints().is_none(), "pads degrade C");
-                assert_eq!(outer.to_rows(), outer_rows);
-            }
+            let ctx = ExecCtx::builder(&cat, &db, &keys, &schemes, &koa)
+                .batch_rows(batch_rows)
+                .build();
+            let inner = execute(&plan_of(JoinKind::Inner), &ctx).unwrap();
+            assert!(inner.column(0).as_ints().is_some(), "S stays dense");
+            assert!(inner.column(1).as_ints().is_some(), "C stays dense");
+            assert!(inner.column(2).as_nums().is_some(), "P stays dense");
+            assert_eq!(inner.to_rows(), inner_rows);
+            let outer = execute(&plan_of(JoinKind::LeftOuter), &ctx).unwrap();
+            assert!(
+                outer.column(0).as_ints().is_some(),
+                "the left is never padded"
+            );
+            assert!(outer.column(1).as_ints().is_none(), "pads degrade C");
+            assert_eq!(outer.to_rows(), outer_rows);
         }
     }
 
@@ -2329,10 +2243,7 @@ mod tests {
                 }
             }
         }
-        for workers in [1, 3] {
-            let pairs = probe_batch(&probe, &WorkerPool::new(workers)).unwrap();
-            assert_eq!(pairs, expected);
-        }
+        assert_eq!(probe_batch(&probe).unwrap(), expected);
     }
 
     #[test]

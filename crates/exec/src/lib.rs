@@ -19,9 +19,10 @@
 //! pairs, and a product is a join without conditions. Rows survive
 //! where something is row-shaped by nature: the loader, the [`rowref`]
 //! oracle (which owns the row-at-a-time expression walk),
-//! `Table::display`, result checkers and tests. Ciphertext bytes are a
-//! pure function of `(seed, node, column, row)`, so batch size,
-//! chunking, and worker count never change results.
+//! `Table::display`, result checkers and tests. A plan runs on the
+//! thread that calls [`execute`], one batch at a time, each batch whole.
+//! Ciphertext bytes are a pure function of `(seed, node, column, row)`,
+//! so batch size never changes results.
 //!
 //! The engine evaluates expressions over both plaintext and encrypted
 //! cells: equality works on deterministic ciphertexts (hash joins,
@@ -47,17 +48,11 @@
 //! * [`rowref`] — a deliberately naive serial row-at-a-time reference
 //!   engine with its own row walk over the cell rules: the oracle the
 //!   differential tests hold the streaming engine to, and `mpq-fuzz`'s
-//!   plaintext ground truth;
-//! * [`pool`] — intra-operator data parallelism: a shared-budget
-//!   worker pool whose handles outlive any single query, so the
-//!   long-lived parties of an `mpq-dist` session draw from one
-//!   thread budget for their whole lifetime (chunked work stays
-//!   bit-deterministic for every worker count).
+//!   plaintext ground truth.
 
 pub mod batch;
 pub mod engine;
 pub mod eval;
-pub mod pool;
 pub mod rowref;
 pub mod scheme;
 pub mod table;
@@ -67,6 +62,18 @@ pub use engine::{
     effective_children, execute, execute_region, execute_step, fused_encrypt_child, ExecCtx,
     ExecCtxBuilder, ExecError,
 };
-pub use pool::WorkerPool;
 pub use scheme::{assign_schemes, rewrite_literals, SchemePlan};
 pub use table::{Database, Table};
+
+/// Kept for callers that pin the engine to one worker thread: the
+/// engine runs every batch on the calling thread, so one is the only
+/// count there is.
+#[doc(hidden)]
+pub struct WorkerPool;
+
+impl WorkerPool {
+    /// `true` exactly when `workers` is 1.
+    pub fn init_global(workers: usize) -> bool {
+        workers == 1
+    }
+}

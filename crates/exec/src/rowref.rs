@@ -4,12 +4,12 @@
 //! operator materializes `Vec<Vec<Value>>` rows, joins are nested loops
 //! (a product is one without conditions), expressions are walked one
 //! materialized row at a time ([`eval`] / [`eval_pred`] over a
-//! [`RowCtx`]), and nothing is batched, chunked, or parallel. It exists
+//! [`RowCtx`]), and nothing is batched. It exists
 //! so the streaming columnar engine in [`crate::engine`] has an
 //! independent implementation to be diffed against — the
 //! `parallel_differential`, `hash_differential` and `expr_differential`
 //! tests assert that rows, first errors *and ciphertext bytes* agree
-//! across random plans, worker counts, and batch sizes — and it is the
+//! across random plans and batch sizes — and it is the
 //! plaintext ground truth `mpq-fuzz` holds both distributed runtimes
 //! to.
 //!
@@ -25,8 +25,8 @@
 //! via `engine::mix_seed`), the crypto-bearing crate-private kernel
 //! `engine::AggAcc` and the join's form refusal (`engine::one_form`);
 //! everything *around* them — operator scheduling, batching, hashing
-//! (`GroupKey`s in a `HashMap` here, a key table over columns there),
-//! parallel chunking — is implemented independently, which is exactly
+//! (`GroupKey`s in a `HashMap` here, a key table over columns there) —
+//! is implemented independently, which is exactly
 //! the surface the differential tests exercise.
 
 use crate::engine::{form_of, mix_seed, one_form, udf_layout, AggAcc, ExecCtx, ExecError};

@@ -15,8 +15,7 @@
 //! stays quiet and `TRUE AND overflow` stays `Overflow`.
 //!
 //! The same expressions then run through `execute` under Select,
-//! Having, GroupBy, Sort and Udf at pool sizes 1 and 4 and batches of
-//! 1, 7 and 4,096 rows, against the row oracle `execute_ref`. The
+//! Having, GroupBy, Sort and Udf at batches of 1, 7 and 4,096 rows, against the row oracle `execute_ref`. The
 //! pinned cases at the bottom state the rules one by one.
 
 use mpq_algebra::expr::{AggExpr, AggFunc, DateField};
@@ -24,7 +23,6 @@ use mpq_algebra::value::{DataType, EncColumn, EncScheme, EncValue};
 use mpq_algebra::{ArithOp, AttrId, Catalog, CmpOp, Date, Expr, Operator, QueryPlan, RelId, Value};
 use mpq_crypto::keyring::KeyRing;
 use mpq_exec::eval::{eval_column, eval_mask, EvalError};
-use mpq_exec::pool::WorkerPool;
 use mpq_exec::rowref::{eval, eval_pred, execute_ref, RowCtx};
 use mpq_exec::{execute, ColumnVec, Database, ExecCtx, ExecError, SchemePlan, Table, TableSchema};
 use proptest::prelude::*;
@@ -506,28 +504,20 @@ fn fixture(rng: &mut StdRng, n: usize, hostile: bool) -> (Catalog, Database, Rel
     (cat, db, rel)
 }
 
-/// `execute` at every pool size and batch size against `execute_ref`:
-/// the same table, or the same error.
+/// `execute` at every batch size against `execute_ref`: the same
+/// table, or the same error.
 fn assert_engine_matches_oracle(cat: &Catalog, db: &Database, plan: &QueryPlan) {
     let (keys, schemes, koa) = (KeyRing::new(), SchemePlan::default(), HashMap::new());
-    let oracle = {
+    let oracle = execute_ref(plan, &ExecCtx::new(cat, db, &keys, &schemes, &koa));
+    for batch_rows in [1, 7, 4096] {
         let ctx = ExecCtx::builder(cat, db, &keys, &schemes, &koa)
-            .pool(WorkerPool::serial())
+            .batch_rows(batch_rows)
             .build();
-        execute_ref(plan, &ctx)
-    };
-    for workers in [1, 4] {
-        for batch_rows in [1, 7, 4096] {
-            let ctx = ExecCtx::builder(cat, db, &keys, &schemes, &koa)
-                .pool(WorkerPool::new(workers))
-                .batch_rows(batch_rows)
-                .build();
-            let what = format!("{workers} workers, batches of {batch_rows}: {plan:?}");
-            match (execute(plan, &ctx), &oracle) {
-                (Ok(got), Ok(want)) => assert!(same_table(&got, want), "{what}"),
-                (Err(got), Err(want)) => assert_eq!(&got, want, "{what}"),
-                (got, want) => panic!("engine {got:?}, oracle {want:?}: {what}"),
-            }
+        let what = format!("batches of {batch_rows}: {plan:?}");
+        match (execute(plan, &ctx), &oracle) {
+            (Ok(got), Ok(want)) => assert!(same_table(&got, want), "{what}"),
+            (Err(got), Err(want)) => assert_eq!(&got, want, "{what}"),
+            (got, want) => panic!("engine {got:?}, oracle {want:?}: {what}"),
         }
     }
 }
@@ -536,9 +526,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Select, Udf, GroupBy and Sort over the base relation, Having and
-    /// Sort over a group-by: one generated expression each, every pool
-    /// and batch size, against the row oracle. 700 rows: four workers
-    /// really split a 4,096-row batch.
+    /// Sort over a group-by: one generated expression each, every batch
+    /// size, against the row oracle. 700 rows: a hundred batches of 7.
     #[test]
     fn operators_match_the_row_oracle(seed in any::<u64>()) {
         let rng = &mut StdRng::seed_from_u64(seed);

@@ -10,7 +10,7 @@
 //! and dates, joined against `Val` too), `Enc` Deterministic and `Enc` Random,
 //! with and without NULL cells — run through all four join kinds and a
 //! group-by with every kind of accumulator, at batches of 1, 7 and
-//! 4,096 rows and pools of 1 and 3: join pairs in probe × build order,
+//! 4,096 rows: join pairs in probe × build order,
 //! groups in first-seen order, aggregate cells and the first error must
 //! all be the oracle's. No result may depend on the hash seed, so the
 //! cases whose answer once hung on bucket luck (`Int` = `Num`,
@@ -24,7 +24,6 @@ use mpq_algebra::{
 use mpq_crypto::keyring::{ClusterKey, KeyRing};
 use mpq_crypto::schemes::encrypt_batch;
 use mpq_exec::eval::EvalError;
-use mpq_exec::pool::WorkerPool;
 use mpq_exec::rowref::execute_ref;
 use mpq_exec::{execute, ColumnVec, Database, ExecCtx, ExecError, SchemePlan, Table};
 use proptest::prelude::*;
@@ -224,23 +223,21 @@ fn ctx<'a>(
     f: &'a Fixture,
     db: &'a Database,
     env: &'a (KeyRing, SchemePlan, HashMap<AttrId, u32>),
-    workers: usize,
     batch_rows: usize,
 ) -> ExecCtx<'a> {
     ExecCtx::builder(&f.cat, db, &env.0, &env.1, &env.2)
-        .pool(WorkerPool::new(workers))
         .batch_rows(batch_rows)
         .build()
 }
 
-/// `execute` at every pool and batch size against `execute_ref`: the
+/// `execute` at every batch size against `execute_ref`: the
 /// same table, or the same error. The one licensed difference: the
 /// oracle *refuses* an equality of Random ciphertexts it reaches, where
 /// a hash join holds them unequal — there the engine must answer as the
 /// oracle does against an empty build side.
 fn assert_engine_matches_oracle(f: &Fixture, plan: &QueryPlan) {
     let env = (KeyRing::new(), SchemePlan::default(), HashMap::new());
-    let mut oracle = execute_ref(plan, &ctx(f, &f.db, &env, 1, 4096));
+    let mut oracle = execute_ref(plan, &ctx(f, &f.db, &env, 4096));
     let refused = matches!(
         &oracle,
         Err(ExecError::Eval(EvalError::EncryptedOperation(_)))
@@ -249,19 +246,14 @@ fn assert_engine_matches_oracle(f: &Fixture, plan: &QueryPlan) {
         let r = f.cat.relation("R").unwrap();
         let mut no_build = f.db.partition(|_| true);
         no_build.insert(r.rel, Table::new(r.attrs()));
-        oracle = execute_ref(plan, &ctx(f, &no_build, &env, 1, 4096));
+        oracle = execute_ref(plan, &ctx(f, &no_build, &env, 4096));
     }
-    for workers in [1, 3] {
-        for batch_rows in [1, 7, 4096] {
-            let what = format!("{workers} workers, batches of {batch_rows}: {plan:?}");
-            match (
-                execute(plan, &ctx(f, &f.db, &env, workers, batch_rows)),
-                &oracle,
-            ) {
-                (Ok(got), Ok(want)) => assert!(same_table(&got, want), "{what}\n{got:?}\n{want:?}"),
-                (Err(got), Err(want)) => assert_eq!(&got, want, "{what}"),
-                (got, want) => panic!("engine {got:?}, oracle {want:?}: {what}"),
-            }
+    for batch_rows in [1, 7, 4096] {
+        let what = format!("batches of {batch_rows}: {plan:?}");
+        match (execute(plan, &ctx(f, &f.db, &env, batch_rows)), &oracle) {
+            (Ok(got), Ok(want)) => assert!(same_table(&got, want), "{what}\n{got:?}\n{want:?}"),
+            (Err(got), Err(want)) => assert_eq!(&got, want, "{what}"),
+            (got, want) => panic!("engine {got:?}, oracle {want:?}: {what}"),
         }
     }
 }
@@ -333,13 +325,13 @@ fn numerics_equal_across_representations_join_and_group_under_every_seed() {
     let env = (KeyRing::new(), SchemePlan::default(), HashMap::new());
     for _ in 0..100 {
         let plan = join_plan(&joined, JoinKind::Inner, None);
-        let rows = execute(&plan, &ctx(&joined, &joined.db, &env, 1, 4096)).expect("runs");
+        let rows = execute(&plan, &ctx(&joined, &joined.db, &env, 4096)).expect("runs");
         // 0 ⋈ {-0.0, 0.0}, 2 ⋈ 2.0 (twice), 3 ⋈ 3.0; 1 meets no 1.0.
         assert_eq!(rows.len(), 5);
         assert_engine_matches_oracle(&joined, &plan);
 
         let plan = group_plan(&grouped);
-        let groups = execute(&plan, &ctx(&grouped, &grouped.db, &env, 1, 4096)).expect("runs");
+        let groups = execute(&plan, &ctx(&grouped, &grouped.db, &env, 4096)).expect("runs");
         // {0.0, -0.0, 0}, {2, 2.0} and {2.5}, each named by its first cell.
         let keys: Vec<Value> = (0..groups.len()).map(|g| groups.value(0, g)).collect();
         assert_eq!(keys, [Value::Num(0.0), Value::Int(2), Value::Num(2.5)]);
@@ -424,7 +416,7 @@ fn a_failing_candidate_fails_the_join_only_where_the_row_walk_reaches_it() {
     for (residual, condition) in variants {
         for kind in kinds {
             let plan = plan_of(&f, kind, residual.cloned(), condition);
-            let got = execute(&plan, &ctx(&f, &f.db, &env, 1, 4096));
+            let got = execute(&plan, &ctx(&f, &f.db, &env, 4096));
             match kind {
                 JoinKind::Semi => assert_eq!(got.expect("nothing reached").len(), 600),
                 JoinKind::Anti => assert!(got.expect("nothing reached").is_empty()),
@@ -449,7 +441,7 @@ fn a_failing_candidate_fails_the_join_only_where_the_row_walk_reaches_it() {
         for ((residual, condition), error) in variants.into_iter().zip(errors) {
             for kind in kinds {
                 let plan = plan_of(&f, kind, residual.cloned(), condition);
-                let got = execute(&plan, &ctx(&f, &f.db, &env, 1, 4096));
+                let got = execute(&plan, &ctx(&f, &f.db, &env, 4096));
                 assert!(fails_on(got, error), "{kind:?} should fail on {error}");
                 assert_engine_matches_oracle(&f, &plan);
             }
@@ -494,7 +486,7 @@ fn a_group_by_reports_the_first_failing_row_of_a_batch() {
         plan
     };
     let env = (KeyRing::new(), SchemePlan::default(), HashMap::new());
-    let error = |plan: &QueryPlan| execute(plan, &ctx(&f, &f.db, &env, 1, 4096)).unwrap_err();
+    let error = |plan: &QueryPlan| execute(plan, &ctx(&f, &f.db, &env, 4096)).unwrap_err();
 
     // Row 5's type error, though SUM(v) is folded first and fails too.
     let plan = plan_of(vec![sum(V), sum(W)]);

@@ -1,23 +1,21 @@
-//! Streaming batch execution ≡ serial row execution, bit for bit.
+//! Streaming batch execution ≡ one-batch execution ≡ row execution,
+//! bit for bit.
 //!
-//! Two axes are pinned here. **Chunking:** the worker pool splits
-//! operator input into contiguous chunks; for random data, seeds, and
-//! worker counts the produced tables must match a serial run.
-//! **Batching:** the streaming engine processes column batches of a
-//! configurable size; for random batch sizes the results must match
-//! the deliberately naive row-at-a-time oracle in `mpq_exec::rowref`,
-//! which shares only the per-cell RNG discipline and implements every
-//! operator independently (nested-loop joins, no batches, no
-//! parallelism). All comparisons are structural — **ciphertext bytes
-//! included** (`Value` equality compares the encrypted cell bytes) —
-//! which is the guarantee that lets `mpq-dist` keep its "concurrent ≡
-//! sequential, same bytes on every edge" contract while operators run
-//! data-parallel over batches.
+//! The streaming engine processes column batches of a configurable
+//! size, each batch whole on the calling thread. For random data,
+//! seeds and batch sizes the produced tables must match a run that
+//! takes the whole input as one batch, and the deliberately naive
+//! row-at-a-time oracle in `mpq_exec::rowref`, which shares only the
+//! per-cell RNG discipline and implements every operator independently
+//! (nested-loop joins, no batches). All comparisons are structural —
+//! **ciphertext bytes included** (`Value` equality compares the
+//! encrypted cell bytes) — which is the guarantee that lets `mpq-dist`
+//! keep its "same bytes on every edge" contract whatever batch size a
+//! party runs at.
 
 use mpq_algebra::value::EncScheme;
 use mpq_algebra::{AttrId, Catalog, CmpOp, Date, Expr, JoinKind, Operator, QueryPlan, Value};
 use mpq_crypto::keyring::{ClusterKey, KeyRing};
-use mpq_exec::pool::WorkerPool;
 use mpq_exec::rowref::execute_ref;
 use mpq_exec::{execute, Database, ExecCtx, SchemePlan, Table};
 use proptest::prelude::*;
@@ -107,7 +105,7 @@ fn crypto_plan(cat: &Catalog) -> (QueryPlan, SchemePlan, HashMap<AttrId, u32>) {
     (plan, schemes, koa)
 }
 
-/// Plain row-parallel operators: join → select → project.
+/// Plain row operators: join → select → project.
 fn row_ops_plan(cat: &Catalog) -> (QueryPlan, SchemePlan, HashMap<AttrId, u32>) {
     let s = cat.attr("S").unwrap();
     let d = cat.attr("D").unwrap();
@@ -249,7 +247,7 @@ fn product_plan(cat: &Catalog) -> (QueryPlan, SchemePlan, HashMap<AttrId, u32>) 
 /// The product shape over typed columns: `L(li, ls, ld, le) × R(ri, rs,
 /// rd, re)` — `Int`, `Str`, `Date`, and `le` / `re` encrypted
 /// Deterministic below the product — with an empty side and a one-row
-/// side. Every pool and batch size gives the oracle's rows in the same
+/// side. Every batch size gives the oracle's rows in the same
 /// column representations: the join that runs a product gathers, and
 /// pads nothing.
 #[test]
@@ -299,26 +297,23 @@ fn product_keeps_typed_columns_over_empty_and_one_row_sides() {
         let mut db = Database::new();
         db.insert(l.rel, Table::from_columns(l.attrs().into(), columns(nl)));
         db.insert(r.rel, Table::from_columns(r.attrs().into(), columns(nr)));
-        let ctx = |workers, batch_rows| {
+        let ctx = |batch_rows| {
             ExecCtx::builder(&cat, &db, &ring, &schemes, &koa)
-                .pool(WorkerPool::new(workers))
                 .batch_rows(batch_rows)
                 .build()
         };
-        let oracle = execute_ref(&plan, &ctx(1, 4096)).expect("oracle run");
+        let oracle = execute_ref(&plan, &ctx(4096)).expect("oracle run");
         assert_eq!(oracle.len(), nl * nr);
-        let first = execute(&plan, &ctx(1, 4096)).expect("product runs");
+        let first = execute(&plan, &ctx(4096)).expect("product runs");
         if !first.is_empty() {
             let typed = ["Int", "Str", "Date", "Enc"];
             assert_eq!(reps(&first), [typed, typed].concat(), "{nl} × {nr}");
         }
-        for workers in [1, 3] {
-            for batch_rows in [1, 7, 4096] {
-                let what = format!("{nl} × {nr}, {workers} workers, batches of {batch_rows}");
-                let got = execute(&plan, &ctx(workers, batch_rows)).expect("product runs");
-                assert_eq!(got, oracle, "{what}");
-                assert_eq!(reps(&got), reps(&first), "{what}");
-            }
+        for batch_rows in [1, 7, 4096] {
+            let what = format!("{nl} × {nr}, batches of {batch_rows}");
+            let got = execute(&plan, &ctx(batch_rows)).expect("product runs");
+            assert_eq!(got, oracle, "{what}");
+            assert_eq!(reps(&got), reps(&first), "{what}");
         }
     }
 }
@@ -357,12 +352,10 @@ fn run(
     koa: &HashMap<AttrId, u32>,
     ring: &KeyRing,
     seed: u64,
-    pool: WorkerPool,
     batch_rows: usize,
 ) -> Table {
     let ctx = ExecCtx::builder(cat, db, ring, schemes, koa)
         .seed(seed)
-        .pool(pool)
         .batch_rows(batch_rows)
         .build();
     execute(plan, &ctx).expect("plan executes")
@@ -371,15 +364,13 @@ fn run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// Ciphertext-producing operators: chunked parallel execution must
-    /// emit byte-identical tables for every worker count and batch
-    /// size.
+    /// Ciphertext-producing operators: batched execution must emit
+    /// byte-identical tables for every batch size.
     #[test]
-    fn parallel_crypto_is_bit_identical(
+    fn batched_crypto_is_bit_identical(
         rows in 65usize..200,
         data_seed in any::<u64>(),
         enc_seed in any::<u64>(),
-        workers in 2usize..6,
         batch_rows in 1usize..300,
     ) {
         let cat = Catalog::paper_running_example();
@@ -387,44 +378,38 @@ proptest! {
         let (plan, schemes, koa) = crypto_plan(&cat);
         let ring = ring();
 
-        let serial = run(&cat, &db, &plan, &schemes, &koa, &ring, enc_seed,
-                         WorkerPool::serial(), usize::MAX);
-        let parallel = run(&cat, &db, &plan, &schemes, &koa, &ring, enc_seed,
-                           WorkerPool::new(workers), batch_rows);
+        let whole = run(&cat, &db, &plan, &schemes, &koa, &ring, enc_seed, usize::MAX);
+        let batched = run(&cat, &db, &plan, &schemes, &koa, &ring, enc_seed, batch_rows);
         // Structural equality: encrypted cells compare by their exact
         // ciphertext bytes.
-        prop_assert_eq!(&serial, &parallel);
+        prop_assert_eq!(&whole, &batched);
     }
 
-    /// Plain row-parallel operators (select/project/join) over inputs
-    /// large enough to actually split.
+    /// Plain row operators (select/project/join) over inputs that
+    /// span several batches.
     #[test]
-    fn parallel_row_ops_match_serial(
+    fn batched_row_ops_match_one_batch(
         rows in 600usize..900,
         data_seed in any::<u64>(),
-        workers in 2usize..6,
         batch_rows in 1usize..1000,
     ) {
         let cat = Catalog::paper_running_example();
         let db = load(&cat, rows, data_seed);
         let (plan, schemes, koa) = row_ops_plan(&cat);
         let ring = KeyRing::new();
-        let serial = run(&cat, &db, &plan, &schemes, &koa, &ring, 7,
-                         WorkerPool::serial(), usize::MAX);
-        let parallel = run(&cat, &db, &plan, &schemes, &koa, &ring, 7,
-                           WorkerPool::new(workers), batch_rows);
-        prop_assert_eq!(&serial, &parallel);
+        let whole = run(&cat, &db, &plan, &schemes, &koa, &ring, 7, usize::MAX);
+        let batched = run(&cat, &db, &plan, &schemes, &koa, &ring, 7, batch_rows);
+        prop_assert_eq!(&whole, &batched);
     }
 
     /// Batch ≡ row: the streaming engine against the independent
-    /// row-at-a-time oracle, over every plan shape and random worker
-    /// counts and batch sizes — rows *and* ciphertext bytes identical.
+    /// row-at-a-time oracle, over every plan shape and random batch
+    /// sizes — rows *and* ciphertext bytes identical.
     #[test]
     fn streaming_matches_row_oracle(
         rows in 30usize..120,
         data_seed in any::<u64>(),
         enc_seed in any::<u64>(),
-        workers in 1usize..6,
         batch_rows in 1usize..97,
     ) {
         let cat = Catalog::paper_running_example();
@@ -434,7 +419,6 @@ proptest! {
             let (plan, schemes, koa) = pick_plan(&cat, plan_ix);
             let ctx = ExecCtx::builder(&cat, &db, &ring, &schemes, &koa)
                 .seed(enc_seed)
-                .pool(WorkerPool::new(workers))
                 .batch_rows(batch_rows)
                 .build();
             let streamed = execute(&plan, &ctx).expect("streaming run");
@@ -445,15 +429,14 @@ proptest! {
     }
 }
 
-/// An `Encrypt` node over an OPE date column keeps per-chunk state (the
-/// encryptor's resume trail and memo). Chunk and batch layout decide
-/// which cells share that state, so they must not show in a single
-/// ciphertext byte: 1 and 3 worker threads × batches of 7 and 4,096
-/// rows, all equal to each other and to the row oracle, which encrypts
-/// every cell one-shot. 9,000 rows over ~2,500 days: repeats, shared
-/// high bits, and enough rows that three threads really split a batch.
+/// An `Encrypt` node over an OPE date column keeps per-batch state (the
+/// encryptor's resume trail and memo). Batch layout decides which cells
+/// share that state, so it must not show in a single ciphertext byte:
+/// batches of 7 and 4,096 rows, both equal to the row oracle, which
+/// encrypts every cell one-shot. 9,000 rows over ~2,500 days: repeats,
+/// shared high bits, and several batches at either size.
 #[test]
-fn ope_date_column_ignores_chunk_and_batch_layout() {
+fn ope_date_column_ignores_batch_layout() {
     use rand::Rng;
     let cat = Catalog::paper_running_example();
     let (s, b) = (cat.attr("S").unwrap(), cat.attr("B").unwrap());
@@ -484,23 +467,8 @@ fn ope_date_column_ignores_chunk_and_batch_layout() {
         .seed(5)
         .build();
     let oracle = execute_ref(&plan, &ctx).expect("oracle run");
-    for workers in [1, 3] {
-        for batch_rows in [7, 4096] {
-            let table = run(
-                &cat,
-                &db,
-                &plan,
-                &schemes,
-                &koa,
-                &ring,
-                5,
-                WorkerPool::new(workers),
-                batch_rows,
-            );
-            assert_eq!(
-                table, oracle,
-                "{workers} worker(s), batches of {batch_rows}"
-            );
-        }
+    for batch_rows in [7, 4096] {
+        let table = run(&cat, &db, &plan, &schemes, &koa, &ring, 5, batch_rows);
+        assert_eq!(table, oracle, "batches of {batch_rows}");
     }
 }

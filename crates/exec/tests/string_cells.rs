@@ -16,7 +16,6 @@ use mpq_algebra::expr::{AggExpr, AggFunc};
 use mpq_algebra::{AttrId, Catalog, CmpOp, DataType, Expr, JoinKind, Operator, QueryPlan, Value};
 use mpq_crypto::keyring::KeyRing;
 use mpq_exec::eval::eval_mask;
-use mpq_exec::pool::WorkerPool;
 use mpq_exec::rowref::{eval_pred, execute_ref, RowCtx};
 use mpq_exec::{execute, ColumnVec, Database, ExecCtx, SchemePlan, Table};
 use rand::rngs::StdRng;
@@ -179,25 +178,22 @@ fn same_table(a: &Table, b: &Table) -> bool {
         && (0..a.attrs().len()).all(|c| (0..a.len()).all(|r| a.value(c, r) == b.value(c, r)))
 }
 
-/// `plan` through `execute` — pools of 1 and 3, batches of 1, 7 and
-/// 4,096 rows — against `execute_ref`: the same table, or the same error.
+/// `plan` through `execute` — batches of 1, 7 and 4,096 rows — against
+/// `execute_ref`: the same table, or the same error.
 fn assert_engine_matches_oracle(cat: &Catalog, db: &Database, plan: &QueryPlan) {
     let env = (KeyRing::new(), SchemePlan::default(), HashMap::new());
-    let ctx = |workers, batch_rows| {
+    let ctx = |batch_rows| {
         ExecCtx::builder(cat, db, &env.0, &env.1, &env.2)
-            .pool(WorkerPool::new(workers))
             .batch_rows(batch_rows)
             .build()
     };
-    let oracle = execute_ref(plan, &ctx(1, 4096));
-    for workers in [1, 3] {
-        for batch_rows in [1, 7, 4096] {
-            let what = format!("{workers} workers, batches of {batch_rows}: {plan:?}");
-            match (execute(plan, &ctx(workers, batch_rows)), &oracle) {
-                (Ok(got), Ok(want)) => assert!(same_table(&got, want), "{what}\n{got:?}\n{want:?}"),
-                (Err(got), Err(want)) => assert_eq!(&got, want, "{what}"),
-                (got, want) => panic!("engine {got:?}, oracle {want:?}: {what}"),
-            }
+    let oracle = execute_ref(plan, &ctx(4096));
+    for batch_rows in [1, 7, 4096] {
+        let what = format!("batches of {batch_rows}: {plan:?}");
+        match (execute(plan, &ctx(batch_rows)), &oracle) {
+            (Ok(got), Ok(want)) => assert!(same_table(&got, want), "{what}\n{got:?}\n{want:?}"),
+            (Err(got), Err(want)) => assert_eq!(&got, want, "{what}"),
+            (got, want) => panic!("engine {got:?}, oracle {want:?}: {what}"),
         }
     }
 }

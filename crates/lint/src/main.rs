@@ -9,16 +9,15 @@
 //!   fallibility must surface as typed errors (or a documented
 //!   `expect` naming the invariant).
 //! * **thread-discipline** — no `std::thread` spawning in engine code
-//!   outside the two sanctioned homes (`exec/src/pool.rs` for the
-//!   scoped data-parallel pool, `dist/src/transport.rs` for the TCP
-//!   hub's accept loop and per-connection pumps): every thread must be
-//!   owned by one of the two lifecycle managers. A session steps its
-//!   parties on the calling thread.
+//!   outside its one home, `dist/src/transport.rs`, for the TCP hub's
+//!   accept loop and per-connection pumps: every thread must be owned
+//!   by the hub's lifecycle. A session steps its parties on the calling
+//!   thread, and the engine runs every batch whole on it.
 //! * **determinism** — no wall-clock reads, no unseeded randomness and
 //!   no environment reads in engine code (everything but the bench
 //!   harness): the differential suites rely on runs being
-//!   bit-reproducible from the seed alone. The one documented
-//!   environment knob, `MPQ_WORKERS`, is read in `exec/src/pool.rs`.
+//!   bit-reproducible from the seed alone. No engine file reads the
+//!   environment.
 //! * **net-confinement** — `std::net` (sockets, listeners) appears in
 //!   exactly one file, `dist/src/transport.rs`, home of the one link
 //!   cache and the one reading of `WireOp` under both the data plane
@@ -26,8 +25,8 @@
 //!   frames, a data-only mailbox and typed errors, so the in-proc and
 //!   TCP links stay behaviorally interchangeable by construction.
 //! * **one-edge-rule** — in `crates/dist/src`, the §6 edge rule has one
-//!   home each: `audit_transfer_with(` is called only from the party
-//!   core (`party.rs`), and the Def. 4.1 runtime check `view.check(`
+//!   home each: `audit_transfer(` is called only from the party core
+//!   (`party.rs`), and the Def. 4.1 runtime check `view.check(`
 //!   appears only in the shared query preparation (`session.rs`).
 //!   Two drivers step one core; a second copy of the rule must not
 //!   quietly come back. Nor may a second *cut*: the core runs
@@ -99,6 +98,14 @@
 //!   thread. The name of the party-thread scheduler it replaced (its
 //!   token spelled in halves) is a finding anywhere under `crates/`:
 //!   a second, threaded session driver must not quietly come back.
+//! * **one-thread-per-query** — the engine, the receive audit and the
+//!   party core process every batch whole on the calling thread. The
+//!   names of the worker pool's knobs and of its row splitter (the
+//!   environment variable, the session builder method, the range
+//!   mapper; their tokens spelled in halves) are findings anywhere
+//!   under `crates/` (a string literal is stripped before the scan, so
+//!   reading the variable is the determinism rule's `env::var`
+//!   finding): intra-operator parallelism must not quietly come back.
 //! * **one-montgomery-engine** — modular arithmetic runs on one
 //!   fixed-width engine over `[u64; N]` values (`crypto/src/bignum.rs`:
 //!   a CIOS product, an SOS square, a sliding-window power). The names
@@ -170,25 +177,22 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "thread-discipline",
-        message: "`{t}` outside pool.rs/transport.rs — threads must be owned by the pool or \
-                  the TCP hub",
+        message: "`{t}` outside transport.rs — threads must be owned by the TCP hub",
         // `transport.rs` earns its slot with the `TcpHub` accept loop
         // and its per-connection pumps, both owned by the hub's
         // lifecycle (joined/detached on drop, never free-floating).
         sites: &[
             (&["thread::spawn", "thread::scope", "thread::Builder"], ENGINE,
-             &["crates/exec/src/pool.rs", "crates/dist/src/transport.rs"], None),
+             &["crates/dist/src/transport.rs"], None),
         ],
     },
     Rule {
         name: "determinism",
         message: "`{t}` in engine code — runs must be reproducible from the seed alone",
         // An environment read is ambient input exactly like a wall-clock
-        // read; the one file that reads `MPQ_WORKERS` may.
-        sites: &[
-            (&["Instant::now", "SystemTime::now", "thread_rng", "from_entropy", "rand::random"], ENGINE, &[], None),
-            (&["env::var"], ENGINE, &["crates/exec/src/pool.rs"], None),
-        ],
+        // read.
+        sites: &[(&["Instant::now", "SystemTime::now", "thread_rng", "from_entropy", "rand::random",
+                    "env::var"], ENGINE, &[], None)],
     },
     Rule {
         name: "one-edge-rule",
@@ -199,7 +203,7 @@ const RULES: &[Rule] = &[
         // `audit.rs` defines the audit; the node-at-a-time engine entry
         // points have no home in `crates/dist/src` at all.
         sites: &[
-            (&["audit_transfer_with("], DIST, &[AUDIT_RS, "crates/dist/src/party.rs"], None),
+            (&["audit_transfer("], DIST, &[AUDIT_RS, "crates/dist/src/party.rs"], None),
             (&["view.check("], DIST, &[AUDIT_RS, "crates/dist/src/session.rs"], None),
             (&["execute_step(", "effective_children(", "fused_encrypt_child("], DIST, &[AUDIT_RS], None),
         ],
@@ -288,6 +292,13 @@ const RULES: &[Rule] = &[
         message: "`{t}` — a session has one driver, `Session::execute`, which walks the \
                   Fig. 8 regions on the calling thread; no party-thread scheduler beside it",
         sites: &[(&[concat!("Party", "Threads")], &[], &[], None)],
+    },
+    Rule {
+        name: "one-thread-per-query",
+        message: "`{t}` — the engine, the receive audit and the party core process every \
+                  batch whole on the calling thread; no worker pool splits an operator's rows",
+        sites: &[(&[concat!("MPQ_", "WORKERS"), concat!("map_", "ranges"), concat!("with_", "workers")],
+                  &[], &[], None)],
     },
     Rule {
         name: "one-montgomery-engine",
@@ -805,14 +816,14 @@ mod tests {
     fn second_copies_of_the_edge_rule_are_flagged() {
         let src = "
 fn scheduler(t: &Table, view: &SubjectView) -> Result<(), SimError> {
-    audit_transfer_with(t, view, &pool)?;
+    audit_transfer(t, view)?;
     view.check(&profile)?;
     let table = execute_step(plan, id, &mut results, &ctx)?;
     Ok(())
 }
 #[cfg(test)]
 mod tests {
-    fn t() { audit_transfer_with(t, view, &pool).unwrap(); execute_step(p, id, r, c); }
+    fn t() { audit_transfer(t, view).unwrap(); execute_step(p, id, r, c); }
 }
 ";
         let rules_in = |file: &str| {
@@ -1028,7 +1039,7 @@ mod tests {
     #[test]
     fn a_row_context_in_the_join_probe_is_flagged() {
         let src = "
-fn probe_batch(p: &Probe<'_>, pool: &WorkerPool) {
+fn probe_batch(p: &Probe<'_>) {
     let rc = RowCtx::plain(p.combined_attrs, &combined);
     let (truth, failed) = mask_until_failure(r.expr, pairs, None, rows);
 }
@@ -1204,7 +1215,7 @@ mod tests {
     }
 
     #[test]
-    fn threads_outside_the_pool_and_the_hub_are_flagged() {
+    fn threads_outside_the_hub_are_flagged() {
         let src = [
             "fn spawn_parties() { std::thread::spawn(move || drive(&party, &run)); }",
             concat!(
@@ -1212,6 +1223,7 @@ mod tests {
                 "Threads { wake: Vec<Sender<Run>> }"
             ),
             "fn bind() { let accept = std::thread::spawn(move || pump(stream)); }",
+            "fn chunks() { std::thread::scope(|s| s.spawn(|| f(0..n))); }",
             "#[cfg(test)]",
             "mod tests {",
             "    fn t() { std::thread::spawn(|| ()); }",
@@ -1226,19 +1238,17 @@ mod tests {
                 .map(|f| f.line)
                 .collect::<Vec<_>>()
         };
-        // The party runtime is no longer a home for threads…
-        assert_eq!(
-            lines_in("crates/dist/src/runtime.rs", "thread-discipline"),
-            vec![1, 3]
-        );
-        assert_eq!(
-            lines_in("crates/dist/src/session.rs", "thread-discipline"),
-            vec![1, 3]
-        );
-        // …the pool and the hub are…
-        for home in ["crates/exec/src/pool.rs", "crates/dist/src/transport.rs"] {
-            assert!(lines_in(home, "thread-discipline").is_empty(), "{home}");
+        // The party runtime and the engine are no homes for threads…
+        for file in [
+            "crates/dist/src/runtime.rs",
+            "crates/dist/src/session.rs",
+            "crates/exec/src/engine.rs",
+            "crates/exec/src/lib.rs",
+        ] {
+            assert_eq!(lines_in(file, "thread-discipline"), vec![1, 3, 4], "{file}");
         }
+        // …the hub is…
+        assert!(lines_in("crates/dist/src/transport.rs", "thread-discipline").is_empty());
         // …and the retired scheduler's name is at home nowhere.
         for file in [
             "crates/dist/src/runtime.rs",
@@ -1250,7 +1260,41 @@ mod tests {
     }
 
     #[test]
-    fn environment_reads_are_flagged_outside_the_worker_pool() {
+    fn retired_worker_pool_names_are_flagged_anywhere() {
+        let src = [
+            concat!("const MPQ_", "WORKERS: &str = \"workers\";"),
+            concat!(
+                "fn knob(c: SessionConfig) -> SessionConfig { c.with_",
+                "workers(2) }"
+            ),
+            concat!(
+                "fn select(p: &WorkerPool) { p.map_",
+                "ranges(n, 256, |r| eval(r)); }"
+            ),
+            "fn run(c: SessionConfig) -> SessionConfig { c.timeout(t) }",
+            "#[cfg(test)]",
+            "mod tests {",
+            concat!("    fn t() { pool.map_", "ranges(1, 1, Ok); }"),
+            "}",
+        ]
+        .join("\n");
+        for file in [
+            "crates/exec/src/engine.rs",
+            "crates/dist/src/session.rs",
+            "crates/bench/src/bin/throughput.rs",
+        ] {
+            let mut findings = Vec::new();
+            lint_source(Path::new(file), &src, &mut findings);
+            let lines: Vec<usize> = (findings.iter())
+                .filter(|f| f.rule == "one-thread-per-query")
+                .map(|f| f.line)
+                .collect();
+            assert_eq!(lines, vec![1, 2, 3], "{file}");
+        }
+    }
+
+    #[test]
+    fn environment_reads_are_flagged_in_engine_code() {
         let src = "
 fn knob() -> Option<String> {
     std::env::var(\"MPQ_ANYTHING\").ok()
@@ -1274,7 +1318,7 @@ mod tests {
         };
         assert_eq!(lines_in("crates/dist/src/fault.rs"), vec![3]);
         assert_eq!(lines_in("crates/server/src/bin/server.rs"), vec![3]);
-        assert!(lines_in("crates/exec/src/pool.rs").is_empty());
+        assert_eq!(lines_in("crates/exec/src/engine.rs"), vec![3]);
         assert!(lines_in("crates/bench/src/throughput.rs").is_empty());
     }
 
