@@ -44,16 +44,6 @@ impl AttrSet {
         Self::default()
     }
 
-    /// Set containing the given attributes.
-    #[allow(clippy::should_implement_trait)] // convenience alias for the trait impl
-    pub fn from_iter<I: IntoIterator<Item = AttrId>>(iter: I) -> Self {
-        let mut s = Self::new();
-        for a in iter {
-            s.insert(a);
-        }
-        s
-    }
-
     /// Singleton set.
     pub fn singleton(a: AttrId) -> Self {
         let mut s = Self::new();
@@ -116,7 +106,7 @@ impl AttrSet {
     }
 
     /// `self ∩ other`, in place.
-    pub fn intersect_with(&mut self, other: &AttrSet) {
+    fn intersect_with(&mut self, other: &AttrSet) {
         for (i, d) in self.bits.iter_mut().enumerate() {
             *d &= other.bits.get(i).copied().unwrap_or(0);
         }
@@ -182,7 +172,11 @@ impl AttrSet {
 
 impl FromIterator<AttrId> for AttrSet {
     fn from_iter<I: IntoIterator<Item = AttrId>>(iter: I) -> Self {
-        AttrSet::from_iter(iter)
+        let mut s = Self::new();
+        for a in iter {
+            s.insert(a);
+        }
+        s
     }
 }
 

@@ -34,7 +34,7 @@ pub fn plan_sql(catalog: &Catalog, sql: &str) -> Result<QueryPlan> {
 }
 
 /// Build a [`QueryPlan`] from a parsed statement.
-pub fn build_plan(catalog: &Catalog, stmt: &SelectStmt) -> Result<QueryPlan> {
+fn build_plan(catalog: &Catalog, stmt: &SelectStmt) -> Result<QueryPlan> {
     Builder::new(catalog, stmt)?.run()
 }
 
@@ -716,6 +716,128 @@ fn contains_agg(e: &AstExpr) -> bool {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Column pruning
+// ---------------------------------------------------------------------------
+
+/// Insert mid-plan projections dropping columns after their last use
+/// (the paper assumes plans "produced with classical optimization
+/// criteria"; PostgreSQL likewise narrows intermediate tuples). Only
+/// *visible* columns are affected — implicit attributes and equivalence
+/// classes in relation profiles are untouched, so authorization
+/// semantics are preserved while intermediate results (and hence
+/// transfer/encryption costs) shrink.
+pub fn prune_columns(plan: &QueryPlan, catalog: &Catalog) -> QueryPlan {
+    use crate::plan::Operator as Op;
+    let schemas = plan.schemas();
+    // needed[child]: attributes the parent chain requires from `child`.
+    let mut needed: Vec<AttrSet> = vec![AttrSet::new(); plan.len()];
+    let order = plan.postorder();
+    needed[plan.root().index()] = schemas[plan.root().index()].clone();
+    for &id in order.iter().rev() {
+        let node = plan.node(id);
+        let pass = needed[id.index()].clone();
+        match &node.op {
+            Op::Base { .. } => {}
+            Op::Project { attrs } => {
+                let set: AttrSet = attrs.iter().copied().collect();
+                needed[node.children[0].index()] = set;
+            }
+            Op::Select { pred } | Op::Having { pred } => {
+                let mut n = pass;
+                n.union_with(&pred.attrs());
+                needed[node.children[0].index()] = n.intersect(&schemas[node.children[0].index()]);
+            }
+            Op::Product => {
+                for &c in &node.children {
+                    needed[c.index()] = pass.intersect(&schemas[c.index()]);
+                }
+            }
+            Op::Join { on, residual, .. } => {
+                let mut n = pass;
+                for (l, _, r) in on {
+                    n.insert(*l);
+                    n.insert(*r);
+                }
+                if let Some(resid) = residual {
+                    n.union_with(&resid.attrs());
+                }
+                for &c in &node.children {
+                    needed[c.index()] = n.intersect(&schemas[c.index()]);
+                }
+            }
+            Op::GroupBy { keys, aggs } => {
+                let mut n: AttrSet = keys.iter().copied().collect();
+                for ag in aggs {
+                    n.union_with(&ag.input.attrs());
+                    n.insert(ag.output);
+                }
+                needed[node.children[0].index()] = n.intersect(&schemas[node.children[0].index()]);
+            }
+            Op::Udf { inputs, output, .. } => {
+                let mut n = pass;
+                n.remove(*output);
+                for a in inputs {
+                    n.insert(*a);
+                }
+                needed[node.children[0].index()] = n.intersect(&schemas[node.children[0].index()]);
+            }
+            Op::Encrypt { attrs } | Op::Decrypt { attrs } => {
+                let mut n = pass;
+                for a in attrs {
+                    n.insert(*a);
+                }
+                needed[node.children[0].index()] = n.intersect(&schemas[node.children[0].index()]);
+            }
+            Op::Sort { keys } => {
+                let mut n = pass;
+                for (e, _) in keys {
+                    n.union_with(&e.attrs());
+                }
+                needed[node.children[0].index()] = n.intersect(&schemas[node.children[0].index()]);
+            }
+            Op::Limit { .. } => {
+                needed[node.children[0].index()] = pass;
+            }
+        }
+    }
+    // Splice projections where a child produces more than its parent
+    // consumes. Keep leaves and existing projections untouched.
+    let mut out = plan.clone();
+    let parents = plan.parents();
+    for &id in &order {
+        let node = plan.node(id);
+        // Leaves and projections are already narrow; group-by/having
+        // outputs must stay intact because parents reference aggregate
+        // results positionally (HAVING/ORDER BY `AggRef`s).
+        if matches!(
+            node.op,
+            Op::Base { .. } | Op::Project { .. } | Op::GroupBy { .. } | Op::Having { .. }
+        ) {
+            continue;
+        }
+        // Never separate a HAVING or aggregate-sorting node from its
+        // group-by child.
+        if let Some(p) = parents[id.index()] {
+            if matches!(plan.node(p).op, Op::Having { .. } | Op::Sort { .. }) {
+                continue;
+            }
+        }
+        let want = &needed[id.index()];
+        let have = &schemas[id.index()];
+        if !want.is_empty() && want != have && want.is_subset(have) {
+            out.splice_above(
+                id,
+                Op::Project {
+                    attrs: want.iter().collect(),
+                },
+            );
+        }
+    }
+    debug_assert!(out.validate(catalog).is_ok());
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -862,128 +984,6 @@ mod tests {
         .unwrap();
         assert!(ops(&plan).contains(&"σᵧ"));
     }
-}
-
-// ---------------------------------------------------------------------------
-// Column pruning
-// ---------------------------------------------------------------------------
-
-/// Insert mid-plan projections dropping columns after their last use
-/// (the paper assumes plans "produced with classical optimization
-/// criteria"; PostgreSQL likewise narrows intermediate tuples). Only
-/// *visible* columns are affected — implicit attributes and equivalence
-/// classes in relation profiles are untouched, so authorization
-/// semantics are preserved while intermediate results (and hence
-/// transfer/encryption costs) shrink.
-pub fn prune_columns(plan: &QueryPlan, catalog: &Catalog) -> QueryPlan {
-    use crate::plan::Operator as Op;
-    let schemas = plan.schemas();
-    // needed[child]: attributes the parent chain requires from `child`.
-    let mut needed: Vec<AttrSet> = vec![AttrSet::new(); plan.len()];
-    let order = plan.postorder();
-    needed[plan.root().index()] = schemas[plan.root().index()].clone();
-    for &id in order.iter().rev() {
-        let node = plan.node(id);
-        let pass = needed[id.index()].clone();
-        match &node.op {
-            Op::Base { .. } => {}
-            Op::Project { attrs } => {
-                let set: AttrSet = attrs.iter().copied().collect();
-                needed[node.children[0].index()] = set;
-            }
-            Op::Select { pred } | Op::Having { pred } => {
-                let mut n = pass;
-                n.union_with(&pred.attrs());
-                needed[node.children[0].index()] = n.intersect(&schemas[node.children[0].index()]);
-            }
-            Op::Product => {
-                for &c in &node.children {
-                    needed[c.index()] = pass.intersect(&schemas[c.index()]);
-                }
-            }
-            Op::Join { on, residual, .. } => {
-                let mut n = pass;
-                for (l, _, r) in on {
-                    n.insert(*l);
-                    n.insert(*r);
-                }
-                if let Some(resid) = residual {
-                    n.union_with(&resid.attrs());
-                }
-                for &c in &node.children {
-                    needed[c.index()] = n.intersect(&schemas[c.index()]);
-                }
-            }
-            Op::GroupBy { keys, aggs } => {
-                let mut n: AttrSet = keys.iter().copied().collect();
-                for ag in aggs {
-                    n.union_with(&ag.input.attrs());
-                    n.insert(ag.output);
-                }
-                needed[node.children[0].index()] = n.intersect(&schemas[node.children[0].index()]);
-            }
-            Op::Udf { inputs, output, .. } => {
-                let mut n = pass;
-                n.remove(*output);
-                for a in inputs {
-                    n.insert(*a);
-                }
-                needed[node.children[0].index()] = n.intersect(&schemas[node.children[0].index()]);
-            }
-            Op::Encrypt { attrs } | Op::Decrypt { attrs } => {
-                let mut n = pass;
-                for a in attrs {
-                    n.insert(*a);
-                }
-                needed[node.children[0].index()] = n.intersect(&schemas[node.children[0].index()]);
-            }
-            Op::Sort { keys } => {
-                let mut n = pass;
-                for (e, _) in keys {
-                    n.union_with(&e.attrs());
-                }
-                needed[node.children[0].index()] = n.intersect(&schemas[node.children[0].index()]);
-            }
-            Op::Limit { .. } => {
-                needed[node.children[0].index()] = pass;
-            }
-        }
-    }
-    // Splice projections where a child produces more than its parent
-    // consumes. Keep leaves and existing projections untouched.
-    let mut out = plan.clone();
-    let parents = plan.parents();
-    for &id in &order {
-        let node = plan.node(id);
-        // Leaves and projections are already narrow; group-by/having
-        // outputs must stay intact because parents reference aggregate
-        // results positionally (HAVING/ORDER BY `AggRef`s).
-        if matches!(
-            node.op,
-            Op::Base { .. } | Op::Project { .. } | Op::GroupBy { .. } | Op::Having { .. }
-        ) {
-            continue;
-        }
-        // Never separate a HAVING or aggregate-sorting node from its
-        // group-by child.
-        if let Some(p) = parents[id.index()] {
-            if matches!(plan.node(p).op, Op::Having { .. } | Op::Sort { .. }) {
-                continue;
-            }
-        }
-        let want = &needed[id.index()];
-        let have = &schemas[id.index()];
-        if !want.is_empty() && want != have && want.is_subset(have) {
-            out.splice_above(
-                id,
-                Op::Project {
-                    attrs: want.iter().collect(),
-                },
-            );
-        }
-    }
-    debug_assert!(out.validate(catalog).is_ok());
-    out
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! propagation (Fig. 2).
 //!
 //! Two functions know every variant's shape: [`Expr::children`], the
-//! generic walk, and [`Expr::try_map`] (infallible: [`Expr::map`]), the
+//! generic walk, and `Expr::try_map` (infallible: [`Expr::map`]), the
 //! generic rewrite. Whatever rewrites an expression — resolving
 //! aggregate references, encrypting or decrypting compared literals
 //! ([`Expr::try_map_atoms`]) — is a closure over the latter that names
@@ -282,10 +282,7 @@ impl Expr {
     /// its place (the walk does not enter a replacement) or `None`,
     /// which keeps the node and rewrites its children. An error from
     /// `f` ends the walk.
-    pub fn try_map<E>(
-        &self,
-        f: &mut impl FnMut(&Expr) -> Result<Option<Expr>, E>,
-    ) -> Result<Expr, E> {
+    fn try_map<E>(&self, f: &mut impl FnMut(&Expr) -> Result<Option<Expr>, E>) -> Result<Expr, E> {
         let mut out = self.clone();
         out.rewrite(f)?;
         Ok(out)
@@ -306,7 +303,7 @@ impl Expr {
         Ok(())
     }
 
-    /// [`Expr::try_map`] for a rewrite that cannot fail.
+    /// `Expr::try_map` for a rewrite that cannot fail.
     pub fn map(&self, mut f: impl FnMut(&Expr) -> Option<Expr>) -> Expr {
         match self.try_map(&mut |e| Ok::<_, std::convert::Infallible>(f(e))) {
             Ok(out) => out,
@@ -314,7 +311,7 @@ impl Expr {
         }
     }
 
-    /// [`Expr::try_map`] over a predicate's *atoms* — what its `AND`,
+    /// `Expr::try_map` over a predicate's *atoms* — what its `AND`,
     /// `OR` and `NOT` connect. `f` is handed each atom whole and
     /// returns what stands in its place; nothing inside an atom (a
     /// `CASE` branch, a `LIKE` operand, arithmetic) is entered. The

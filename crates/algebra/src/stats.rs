@@ -113,7 +113,7 @@ impl Histogram {
     }
 
     /// Fraction of rows equal to `x` (uniform within the bucket).
-    pub fn eq_fraction(&self, x: f64) -> f64 {
+    fn eq_fraction(&self, x: f64) -> f64 {
         for i in 0..self.buckets() {
             if x >= self.lo[i] && x <= self.hi[i] {
                 return self.frac[i] / self.ndv[i].max(1.0);
@@ -124,7 +124,7 @@ impl Histogram {
 
     /// Fraction of rows strictly below `x` (linear interpolation inside
     /// the containing bucket).
-    pub fn lt_fraction(&self, x: f64) -> f64 {
+    fn lt_fraction(&self, x: f64) -> f64 {
         let mut acc = 0.0;
         for i in 0..self.buckets() {
             if x > self.hi[i] {
@@ -145,12 +145,12 @@ impl Histogram {
     }
 
     /// Fraction of rows at or below `x`.
-    pub fn le_fraction(&self, x: f64) -> f64 {
+    fn le_fraction(&self, x: f64) -> f64 {
         (self.lt_fraction(x) + self.eq_fraction(x)).min(1.0)
     }
 
     /// Fraction of rows in the closed interval `[a, b]`.
-    pub fn between_fraction(&self, a: f64, b: f64) -> f64 {
+    fn between_fraction(&self, a: f64, b: f64) -> f64 {
         if b < a {
             return 0.0;
         }
@@ -545,7 +545,7 @@ fn join_estimate(
 }
 
 /// Estimate the selectivity of a predicate against a node estimate.
-pub fn selectivity(pred: &Expr, input: &Estimate, catalog: &Catalog, stats: &StatsCatalog) -> f64 {
+fn selectivity(pred: &Expr, input: &Estimate, catalog: &Catalog, stats: &StatsCatalog) -> f64 {
     match pred {
         Expr::And(v) => v
             .iter()

@@ -322,14 +322,6 @@ impl Value {
         }
     }
 
-    /// Integer view; `None` for other types.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// The logical type of this value, if it is a plaintext non-null.
     pub fn data_type(&self) -> Option<DataType> {
         match self {
@@ -701,7 +693,7 @@ impl Date {
     }
 
     /// Decompose into (year, month, day).
-    pub fn to_ymd(self) -> (i32, u32, u32) {
+    fn to_ymd(self) -> (i32, u32, u32) {
         let z = self.0 as i64 + 719_468;
         let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
         let doe = z - era * 146_097;

@@ -20,9 +20,9 @@
 //! BENCH_baseline.json`) and commit the new floor with the change that
 //! earned it.
 //!
-//! The report measures one path, the concurrent runtime with fresh
-//! provisioning; the frozen `benchmark/` times the sequential and TCP
-//! schedulers. An older baseline that still carries `sequential`,
+//! The report measures one path, the in-proc session's walk with fresh
+//! provisioning; the frozen `benchmark/` times the TCP session and the
+//! walk under its other name. An older baseline that still carries `sequential`,
 //! `session`, `tcp` or the speedup ratios compares on the same rows,
 //! since no row reads those keys.
 //!

@@ -9,7 +9,9 @@
 //! each constant within [`FACTOR`] of its fitted value — instead of
 //! every such PR hand-copying eight numbers.
 
-use mpq_planner::pricing::calibrated;
+use mpq_algebra::value::EncScheme;
+use mpq_core::subjects::Subjects;
+use mpq_planner::pricing::{calibrated, PriceBook};
 
 /// How far a committed constant may sit from the committed measurement.
 const FACTOR: f64 = 3.0;
@@ -36,6 +38,9 @@ fn number_after(text: &str, anchor: &str, key: &str) -> f64 {
 fn the_price_book_is_within_a_factor_of_the_committed_calibration() {
     let json = include_str!("../../../CALIBRATION.json");
     let fitted = |anchor: &str, key: &str| number_after(json, anchor, key);
+    let book = PriceBook::paper_defaults(&Subjects::new(), &[]);
+    let enc = |s| book.encrypt_secs(s);
+    let dec = |s| book.decrypt_secs(s);
     let checks = [
         (
             "TUPLE_OP_SECS",
@@ -49,42 +54,42 @@ fn the_price_book_is_within_a_factor_of_the_committed_calibration() {
         ),
         (
             "SYM_ENC_SECS (Deterministic)",
-            calibrated::SYM_ENC_SECS,
+            enc(EncScheme::Deterministic),
             fitted("\"Deterministic\"", "enc_secs"),
         ),
         (
             "SYM_DEC_SECS (Deterministic)",
-            calibrated::SYM_DEC_SECS,
+            dec(EncScheme::Deterministic),
             fitted("\"Deterministic\"", "dec_secs"),
         ),
         (
             "SYM_ENC_SECS (Random)",
-            calibrated::SYM_ENC_SECS,
+            enc(EncScheme::Random),
             fitted("\"Random\"", "enc_secs"),
         ),
         (
             "SYM_DEC_SECS (Random)",
-            calibrated::SYM_DEC_SECS,
+            dec(EncScheme::Random),
             fitted("\"Random\"", "dec_secs"),
         ),
         (
             "OPE_ENC_SECS",
-            calibrated::OPE_ENC_SECS,
+            enc(EncScheme::Ope),
             fitted("\"Ope\"", "enc_secs"),
         ),
         (
             "OPE_DEC_SECS",
-            calibrated::OPE_DEC_SECS,
+            dec(EncScheme::Ope),
             fitted("\"Ope\"", "dec_secs"),
         ),
         (
             "PAILLIER_ENC_SECS",
-            calibrated::PAILLIER_ENC_SECS,
+            enc(EncScheme::Paillier),
             fitted("\"Paillier\"", "enc_secs"),
         ),
         (
             "PAILLIER_DEC_SECS",
-            calibrated::PAILLIER_DEC_SECS,
+            dec(EncScheme::Paillier),
             fitted("\"Paillier\"", "dec_secs"),
         ),
     ];

@@ -67,7 +67,7 @@ impl Policy {
 
     /// The rule applying to `subject` on `rel`: the explicit rule if
     /// present, else the `any` default, else nothing.
-    pub fn rule_for(&self, rel: RelId, subject: SubjectId) -> Option<&Authorization> {
+    fn rule_for(&self, rel: RelId, subject: SubjectId) -> Option<&Authorization> {
         self.rules
             .get(&rel)
             .and_then(|m| m.get(&subject))

@@ -281,7 +281,11 @@ mod tests {
             &ex.catalog,
             &ex.policy,
             &ex.subjects,
-            &CapabilityPolicy::deterministic_only(),
+            &CapabilityPolicy {
+                allow_ope: false,
+                allow_homomorphic: false,
+                udf_on_encrypted: false,
+            },
             false,
         );
         let group = ex.subjects.render(c.of(ex.node("group")));

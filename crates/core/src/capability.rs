@@ -19,7 +19,7 @@
 //! | `Add` | `SUM`/`AVG(col)` | Paillier ([`CapabilityPolicy::allow_homomorphic`]) |
 //! | `Plain` | a comparison with a computed operand; `LIKE`, `EXTRACT`, `SUBSTRING`, `CASE`, arithmetic; `BETWEEN` bounds; a computed `IN` operand or `SUM`/`AVG`/`MIN`/`MAX` input; udf inputs; a `SUM`/`AVG` output that `HAVING` compares or a sort orders | nothing (udf inputs: [`CapabilityPolicy::udf_on_encrypted`]) |
 //!
-//! [`demands`] enumerates the table for one node; [`Caps::scheme`] is
+//! `demands` enumerates the table for one node; [`Caps::scheme`] is
 //! the one map from accumulated needs to an [`EncScheme`]. The three
 //! consumers differ only in which demands they keep:
 //!
@@ -31,7 +31,7 @@
 //!   attributes outside `A_p` — the scheme an attribute *would* get.
 //!
 //! Where an `AggRef` under a `HAVING` or a sort key points is not
-//! decided here: [`demands`] and [`implicit_touched`] ask
+//! decided here: `demands` and [`implicit_touched`] ask
 //! [`QueryPlan::agg_scope`] for the γ the node stands on, as the engine
 //! that will run the node does.
 //!
@@ -71,16 +71,6 @@ impl Default for CapabilityPolicy {
 }
 
 impl CapabilityPolicy {
-    /// The most restrictive policy: every condition, aggregate, and udf
-    /// needs plaintext except deterministic equality.
-    pub fn deterministic_only() -> Self {
-        CapabilityPolicy {
-            allow_ope: false,
-            allow_homomorphic: false,
-            udf_on_encrypted: false,
-        }
-    }
-
     /// The configuration used for the TPC-H economic evaluation:
     /// deterministic equality and OPE ranges run on ciphertexts, but
     /// SUM/AVG inputs require plaintext. Paillier's per-value cost
@@ -163,7 +153,7 @@ impl Demand {
 /// a computed `BETWEEN` operand, `IS NULL` over anything, a computed
 /// `COUNT`/`COUNT(DISTINCT)` input, and a `MIN`/`MAX` output a sort
 /// names by `AggRef` (a `SUM`/`AVG` output it names is `Plain`).
-pub fn demands(plan: &QueryPlan, id: NodeId) -> Vec<Demand> {
+fn demands(plan: &QueryPlan, id: NodeId) -> Vec<Demand> {
     let node = plan.node(id);
     // The γ an `AggRef` here names, if the node stands on one.
     let scope = plan.agg_scope(id).unwrap_or_default();
@@ -317,7 +307,7 @@ pub struct Caps {
 
 impl Caps {
     /// Record one more need. `Plain` asks nothing of a ciphertext.
-    pub fn note(&mut self, need: Need) {
+    fn note(&mut self, need: Need) {
         match need {
             Need::Eq => self.eq = true,
             Need::Ord => self.ord = true,
@@ -445,6 +435,14 @@ mod tests {
     use crate::fixtures::RunningExample;
     use mpq_algebra::AggExpr;
 
+    /// The most restrictive policy: every condition, aggregate, and udf
+    /// needs plaintext except deterministic equality.
+    const DETERMINISTIC_ONLY: CapabilityPolicy = CapabilityPolicy {
+        allow_ope: false,
+        allow_homomorphic: false,
+        udf_on_encrypted: false,
+    };
+
     #[test]
     fn running_example_requirements_match_paper() {
         // "the execution of the last selection in the query plan needs
@@ -461,7 +459,7 @@ mod tests {
     #[test]
     fn deterministic_only_policy_widens_requirements() {
         let ex = RunningExample::new();
-        let ap = plaintext_requirements(&ex.plan, &CapabilityPolicy::deterministic_only());
+        let ap = plaintext_requirements(&ex.plan, &DETERMINISTIC_ONLY);
         // Equality selection and join still run encrypted…
         assert!(ap[ex.node("select_d").index()].is_empty());
         assert!(ap[ex.node("join").index()].is_empty());
@@ -860,10 +858,7 @@ mod tests {
             );
         let ap = |policy| plaintext_requirements(&plan, &policy);
         assert!(ap(CapabilityPolicy::default())[sel.index()].is_empty());
-        assert_eq!(
-            ap(CapabilityPolicy::deterministic_only())[sel.index()],
-            AttrSet::singleton(y)
-        );
+        assert_eq!(ap(DETERMINISTIC_ONLY)[sel.index()], AttrSet::singleton(y));
     }
 
     /// Q15's shape: `s_suppkey` is joined with `l_suppkey` and also a

@@ -47,6 +47,6 @@ pub use candidates::{candidates, CandidateSet, Candidates};
 pub use capability::CapabilityPolicy;
 pub use extend::{minimally_extend, Assignment, ExtendedPlan};
 pub use keys::{plan_keys, KeyPlan};
-pub use profile::{profile_plan, propagate, EqClasses, Profile};
+pub use profile::{profile_plan, EqClasses, Profile};
 pub use subjects::{SubjectKind, Subjects};
 pub use verify::{verify_extended, verify_with_policy, Code, Diagnostic, VerifyReport};

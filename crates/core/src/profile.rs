@@ -12,7 +12,7 @@
 //!   conditions comparing attributes (a join `S = C` makes `S` and `C`
 //!   mutually derivable, so visibility of one leaks the other).
 //!
-//! [`propagate`] implements every row of the paper's Fig. 2;
+//! `propagate` implements every row of the paper's Fig. 2;
 //! [`profile_plan`] annotates a whole plan. The one rule that needs the
 //! plan and not just the operator — a `HAVING` names aggregate outputs
 //! by position — is settled before `propagate` runs: `propagate_node`
@@ -65,7 +65,7 @@ impl EqClasses {
     }
 
     /// Insert the pair `{a, b}` (σ/⋈ conditions of the form `a op b`).
-    pub fn insert_pair(&mut self, a: mpq_algebra::AttrId, b: mpq_algebra::AttrId) {
+    fn insert_pair(&mut self, a: mpq_algebra::AttrId, b: mpq_algebra::AttrId) {
         let mut s = AttrSet::new();
         s.insert(a);
         s.insert(b);
@@ -94,13 +94,8 @@ impl EqClasses {
         self.classes.is_empty()
     }
 
-    /// The class containing `a`, if any.
-    pub fn class_of(&self, a: mpq_algebra::AttrId) -> Option<&AttrSet> {
-        self.classes.iter().find(|c| c.contains(a))
-    }
-
     /// All attributes appearing in some class.
-    pub fn members(&self) -> AttrSet {
+    fn members(&self) -> AttrSet {
         let mut s = AttrSet::new();
         for c in &self.classes {
             s.union_with(c);
@@ -214,7 +209,7 @@ impl Profile {
 /// A `HAVING` is the selection its predicate states, read as handed
 /// over: walking a plan, [`profile_plan`] first resolves the
 /// predicate's aggregate references against the γ in scope.
-pub fn propagate(op: &Operator, children: &[&Profile]) -> Profile {
+fn propagate(op: &Operator, children: &[&Profile]) -> Profile {
     match op {
         Operator::Base { attrs, .. } => Profile::base(attrs.iter().copied().collect()),
         Operator::Project { attrs } => {
@@ -330,6 +325,14 @@ pub fn profile_plan(plan: &QueryPlan) -> Vec<Profile> {
         out[id.index()] = propagate_node(plan, id, &children);
     }
     out
+}
+
+#[cfg(test)]
+impl EqClasses {
+    /// The class containing `a`, if any.
+    fn class_of(&self, a: mpq_algebra::AttrId) -> Option<&AttrSet> {
+        self.classes.iter().find(|c| c.contains(a))
+    }
 }
 
 #[cfg(test)]

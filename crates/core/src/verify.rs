@@ -1302,7 +1302,7 @@ impl SchemeChoice {
 }
 
 /// Mixed-form join cases a scenario can exercise (the MPQ009 axis).
-pub const MIXED_FORM_CASES: [&str; 2] = ["uniform", "mixed"];
+const MIXED_FORM_CASES: [&str; 2] = ["uniform", "mixed"];
 
 /// What one verified scenario exercised, recorded by the passes as they
 /// decide it ([`VerifyReport::coverage`]): the coverage vector the
@@ -1322,7 +1322,7 @@ pub struct VerifyCoverage {
     pub cluster_shapes: BTreeSet<(u8, u8)>,
     /// Scheme families demanded by the plan's encrypted attributes.
     pub schemes: BTreeSet<SchemeChoice>,
-    /// Join-form cases seen, indexed like [`MIXED_FORM_CASES`]: a join
+    /// Join-form cases seen, indexed like `MIXED_FORM_CASES`: a join
     /// condition in one form, one comparing ciphertext against
     /// plaintext.
     pub mixed_form: [bool; 2],
@@ -1410,6 +1410,12 @@ mod tests {
     /// Fig. 7(b)'s assignment (σ→H, ⋈→Z, γ→Z, σᵧ→Y), minimally
     /// extended.
     fn fig7b(ex: &RunningExample) -> ExtendedPlan {
+        assigned(ex, ["H", "Z", "Z", "Y"])
+    }
+
+    /// The running example with σ, ⋈, γ and σᵧ assigned to `subjects`,
+    /// minimally extended.
+    fn assigned(ex: &RunningExample, subjects: [&str; 4]) -> ExtendedPlan {
         let cands = candidates(
             &ex.plan,
             &ex.catalog,
@@ -1419,12 +1425,7 @@ mod tests {
             true,
         );
         let mut a = Assignment::new();
-        for (node, s) in [
-            ("select_d", "H"),
-            ("join", "Z"),
-            ("group", "Z"),
-            ("having", "Y"),
-        ] {
+        for (node, s) in ["select_d", "join", "group", "having"].iter().zip(subjects) {
             a.set(ex.node(node), ex.subject(s));
         }
         minimally_extend(
@@ -1436,7 +1437,7 @@ mod tests {
             &a,
             Some(ex.subject("U")),
         )
-        .expect("fig7b assignment is drawn from Λ")
+        .expect("the assignment is drawn from Λ")
     }
 
     #[test]
@@ -1446,6 +1447,8 @@ mod tests {
         assert!(a.is_clean(), "fig7a should be clean:\n{a}");
         let b = verify(&ex, &fig7b(&ex));
         assert!(b.is_clean(), "fig7b should be clean:\n{b}");
+        let user = verify(&ex, &assigned(&ex, ["U", "U", "U", "U"]));
+        assert!(user.is_clean(), "fig7-user should be clean:\n{user}");
     }
 
     #[test]

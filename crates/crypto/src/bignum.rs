@@ -62,11 +62,6 @@ impl BigUint {
         n
     }
 
-    /// To u128 (truncating is a bug: panics if the value doesn't fit).
-    pub fn to_u128(&self) -> u128 {
-        self.try_to_u128().expect("BigUint does not fit in u128")
-    }
-
     /// To u128, when the value fits.
     pub fn try_to_u128(&self) -> Option<u128> {
         if self.limbs.len() > 2 {
@@ -206,7 +201,7 @@ impl BigUint {
     }
 
     /// Shift left by `n` bits.
-    pub fn shl(&self, n: usize) -> BigUint {
+    pub(crate) fn shl(&self, n: usize) -> BigUint {
         if self.is_zero() {
             return BigUint::zero();
         }
@@ -231,7 +226,7 @@ impl BigUint {
     }
 
     /// Shift right by `n` bits.
-    pub fn shr(&self, n: usize) -> BigUint {
+    fn shr(&self, n: usize) -> BigUint {
         let limb_shift = n / 64;
         if limb_shift >= self.limbs.len() {
             return BigUint::zero();
@@ -324,7 +319,7 @@ impl BigUint {
     }
 
     /// `self % m`.
-    pub fn rem(&self, m: &BigUint) -> BigUint {
+    pub(crate) fn rem(&self, m: &BigUint) -> BigUint {
         self.divmod(m).1
     }
 
@@ -456,7 +451,7 @@ impl BigUint {
     /// # Panics
     /// On a value wider than 8,192 bits, which has no [`Montgomery`]
     /// context.
-    pub fn is_probable_prime<R: Rng + ?Sized>(&self, rng: &mut R, rounds: usize) -> bool {
+    fn is_probable_prime<R: Rng + ?Sized>(&self, rng: &mut R, rounds: usize) -> bool {
         const SMALL_PRIMES: [u64; 12] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37];
         // 37# = 2·3·…·37 < 2⁶³.
         const PRIMORIAL: u128 = 7_420_738_134_810;
@@ -584,7 +579,7 @@ impl Montgomery {
     }
 
     /// The modulus this context reduces by.
-    pub fn modulus(&self) -> BigUint {
+    pub(crate) fn modulus(&self) -> BigUint {
         from_limbs(&self.m)
     }
 
@@ -929,6 +924,14 @@ impl Ord for BigUint {
             }
         }
         Ordering::Equal
+    }
+}
+
+#[cfg(test)]
+impl BigUint {
+    /// To u128 (truncating is a bug: panics if the value doesn't fit).
+    pub(crate) fn to_u128(&self) -> u128 {
+        self.try_to_u128().expect("BigUint does not fit in u128")
     }
 }
 

@@ -212,13 +212,13 @@ impl OpeKey {
     }
 
     /// Encrypt a 64-bit order code into a 96-bit order-preserving code.
-    pub fn encrypt_code(&self, code: u64) -> u128 {
+    fn encrypt_code(&self, code: u64) -> u128 {
         self.descend(0, ROOT, code, |_, _| {}).lo
     }
 
     /// Decrypt a 96-bit order-preserving code back to the 64-bit order
     /// code. Returns `None` if the ciphertext is not on any valid path.
-    pub fn decrypt_code(&self, cipher: u128) -> Option<u64> {
+    fn decrypt_code(&self, cipher: u128) -> Option<u64> {
         let mut at = ROOT;
         let mut code = 0u64;
         for level in 0..64 {
@@ -300,7 +300,7 @@ pub struct OpeEncryptor {
 
 impl OpeEncryptor {
     /// [`OpeKey::encrypt_code`], resuming from the previous call.
-    pub fn encrypt_code(&mut self, code: u64) -> u128 {
+    fn encrypt_code(&mut self, code: u64) -> u128 {
         let from = self.prev.map_or(0, |prev| (prev ^ code).leading_zeros());
         let trail = &mut self.trail;
         let leaf = self
@@ -364,12 +364,12 @@ impl OpeEncryptor {
     }
 }
 
-/// One-shot [`OpeKey::encrypt_code`] for a raw key.
+/// One-shot `OpeKey::encrypt_code` for a raw key.
 pub fn ope_encrypt_code(key: &[u8; 16], code: u64) -> u128 {
     OpeKey::new(key).encrypt_code(code)
 }
 
-/// One-shot [`OpeKey::decrypt_code`] for a raw key.
+/// One-shot `OpeKey::decrypt_code` for a raw key.
 pub fn ope_decrypt_code(key: &[u8; 16], cipher: u128) -> Option<u64> {
     OpeKey::new(key).decrypt_code(cipher)
 }

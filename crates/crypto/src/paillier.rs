@@ -31,7 +31,7 @@ use std::sync::OnceLock;
 
 /// Offset added to signed values so they embed into the non-negative
 /// plaintext space.
-pub const ENCODE_OFFSET: i128 = 1 << 63;
+const ENCODE_OFFSET: i128 = 1 << 63;
 
 /// Public half of a Paillier keypair: enough to encrypt and to add
 /// ciphertexts.
@@ -194,17 +194,6 @@ impl PaillierPublic {
     /// Homomorphic addition: `Dec(add(c1,c2)) = m1 + m2 (mod n)`.
     pub fn add(&self, a: &PaillierCiphertext, b: &PaillierCiphertext) -> PaillierCiphertext {
         PaillierCiphertext(self.mont2().mulmod(&a.0, &b.0))
-    }
-
-    /// Homomorphic scalar multiplication: `Dec(mul_scalar(c,k)) = k·m`.
-    pub fn mul_scalar(&self, c: &PaillierCiphertext, k: u64) -> PaillierCiphertext {
-        PaillierCiphertext(self.mont2().pow(&c.0, &BigUint::from_u64(k)))
-    }
-
-    /// Neutral element (encryption of 0 with r = 1; fine for use as an
-    /// accumulator seed, not as a fresh ciphertext).
-    pub fn neutral(&self) -> PaillierCiphertext {
-        PaillierCiphertext(BigUint::one())
     }
 
     /// Encode a signed value for encryption.
@@ -404,6 +393,15 @@ fn random_unit<R: Rng + ?Sized>(rng: &mut R, bound: &BigUint) -> BigUint {
 }
 
 #[cfg(test)]
+impl PaillierPublic {
+    /// Neutral element (encryption of 0 with r = 1; fine for use as an
+    /// accumulator seed, not as a fresh ciphertext).
+    fn neutral(&self) -> PaillierCiphertext {
+        PaillierCiphertext(BigUint::one())
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
@@ -442,14 +440,6 @@ mod tests {
         let b = kp.public.encrypt(&mut rng, &BigUint::from_u64(8766));
         let sum = kp.public.add(&a, &b);
         assert_eq!(kp.decrypt(&sum).to_u128(), 10_000);
-    }
-
-    #[test]
-    fn scalar_multiplication() {
-        let (kp, mut rng) = keypair();
-        let c = kp.public.encrypt(&mut rng, &BigUint::from_u64(25));
-        let c4 = kp.public.mul_scalar(&c, 4);
-        assert_eq!(kp.decrypt(&c4).to_u128(), 100);
     }
 
     #[test]

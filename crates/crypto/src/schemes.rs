@@ -14,7 +14,7 @@
 //!   byte-wise (numeric/date/int only);
 //! * [`EncScheme::Paillier`] — additively homomorphic; SUM/AVG work via
 //!   ciphertext multiplication. Numerics are fixed-point encoded with
-//!   [`NUM_SCALE`] decimal places.
+//!   `NUM_SCALE` decimal places.
 //!
 //! There is one encryption routine, `ColumnCipher::encrypt_cells`, and
 //! in it one plaintext writer per scheme; [`ColumnCipher::encrypt`],
@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 /// Fixed-point scale for Paillier-encoded numerics (cents at scale 2,
 /// plus two guard digits for intermediate products).
-pub const NUM_SCALE: f64 = 10_000.0;
+const NUM_SCALE: f64 = 10_000.0;
 
 /// Errors from value encryption/decryption.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -68,7 +68,7 @@ impl SipState {
 }
 
 /// SipHash-2-4 of `data` under a 128-bit key.
-pub fn siphash24(key: &[u8; 16], data: &[u8]) -> u64 {
+pub(crate) fn siphash24(key: &[u8; 16], data: &[u8]) -> u64 {
     let mut state = SipState::keyed(key);
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {

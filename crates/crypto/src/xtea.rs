@@ -19,7 +19,7 @@
 //! Both modes, though, hand the cipher *independent* blocks: ECB
 //! encrypts each block on its own, and CTR encrypts counters that are
 //! known up front. [`XteaSchedule::encrypt_blocks`] therefore runs
-//! [`LANES`] blocks side by side through the one round loop
+//! `LANES` blocks side by side through the one round loop
 //! (`encrypt_lanes`, plain safe arithmetic over `[u32; LANES]` that
 //! the compiler vectorises at the x86-64 baseline on its own — no
 //! intrinsics, nothing selected per CPU), and a column of cells is one
@@ -50,7 +50,7 @@ const ROUNDS: u32 = 32; // 32 cycles = 64 Feistel rounds
 const DELTA: u32 = 0x9e37_79b9;
 
 /// Blocks the kernel encrypts side by side.
-pub const LANES: usize = 8;
+const LANES: usize = 8;
 
 /// Expanded XTEA key: the four 32-bit words the round function indexes.
 ///
@@ -117,7 +117,7 @@ impl XteaSchedule {
     }
 
     /// Decrypt one 64-bit block.
-    pub fn decrypt_block(&self, block: u64) -> u64 {
+    fn decrypt_block(&self, block: u64) -> u64 {
         let k = &self.k;
         let (mut v0, mut v1) = halves(block);
         let mut sum = DELTA.wrapping_mul(ROUNDS);
@@ -136,7 +136,7 @@ impl XteaSchedule {
         *blocks = std::array::from_fn(|l| block_of(v0[l], v1[l]));
     }
 
-    /// Encrypt every block of `blocks` in place, [`LANES`] at a time:
+    /// Encrypt every block of `blocks` in place, `LANES` at a time:
     /// ECB over words, or CTR keystream from a list of counters.
     pub fn encrypt_blocks(&self, blocks: &mut [u64]) {
         let mut groups = blocks.chunks_exact_mut(LANES);
@@ -269,11 +269,6 @@ pub(crate) fn det_frame(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
 /// Encrypt one 64-bit block (one-shot key expansion).
 pub fn encrypt_block(key: &[u8; 16], block: u64) -> u64 {
     XteaSchedule::new(key).encrypt_block(block)
-}
-
-/// Decrypt one 64-bit block (one-shot key expansion).
-pub fn decrypt_block(key: &[u8; 16], block: u64) -> u64 {
-    XteaSchedule::new(key).decrypt_block(block)
 }
 
 /// Deterministic encryption: length-prefixed, zero-padded, ECB.
@@ -491,7 +486,10 @@ mod tests {
     fn block_roundtrip() {
         let key = [3u8; 16];
         for v in [0u64, 1, u64::MAX, 0xdead_beef_cafe_f00d] {
-            assert_eq!(decrypt_block(&key, encrypt_block(&key, v)), v);
+            assert_eq!(
+                XteaSchedule::new(&key).decrypt_block(encrypt_block(&key, v)),
+                v
+            );
         }
     }
 

@@ -140,7 +140,7 @@ mod tests {
             vec![AttrId(0)],
             vec![vec![Value::Num(1.0)], vec![Value::Num(2.0)]],
         );
-        assert!(t.column(0).as_nums().is_some(), "column densified");
+        assert!(matches!(t.column(0), ColumnVec::Num(_)), "column densified");
         assert_eq!(
             audit_transfer(&t, &view(&[], &[0])),
             Err(SimError::LeakedPlaintext {

@@ -530,22 +530,6 @@ impl ColumnVec {
         }
     }
 
-    /// Dense integer view, when uniform.
-    pub fn as_ints(&self) -> Option<&[i64]> {
-        match self {
-            ColumnVec::Int(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Dense numeric view, when uniform.
-    pub fn as_nums(&self) -> Option<&[f64]> {
-        match self {
-            ColumnVec::Num(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Iterate the cells as logical values.
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(|i| self.get(i))
@@ -592,7 +576,7 @@ impl ColumnVec {
     }
 
     /// Rewrite in the general representation, which holds anything.
-    pub fn degrade(&mut self) {
+    fn degrade(&mut self) {
         *self = ColumnVec::Val(std::mem::take(self).into_values());
     }
 
@@ -730,9 +714,9 @@ mod tests {
         let mut c = ColumnVec::new();
         c.push(Value::Int(1));
         c.push(Value::Int(2));
-        assert!(c.as_ints().is_some(), "uniform ints stay dense");
+        assert!(matches!(c, ColumnVec::Int(_)), "uniform ints stay dense");
         c.push(Value::Null);
-        assert!(c.as_ints().is_none());
+        assert!(!matches!(c, ColumnVec::Int(_)));
         assert_eq!(c.len(), 3);
         assert_eq!(c.get(0), Value::Int(1));
         assert!(c.get(2).is_null());
@@ -749,9 +733,12 @@ mod tests {
     #[test]
     fn from_values_densifies_uniform_data() {
         let c = ColumnVec::from_values(vec![Value::Num(1.5), Value::Num(2.5)]);
-        assert_eq!(c.as_nums(), Some(&[1.5, 2.5][..]));
+        assert!(
+            matches!(&c, ColumnVec::Num(v) if v[..] == [1.5, 2.5]),
+            "{c:?}"
+        );
         let mixed = ColumnVec::from_values(vec![Value::Num(1.5), Value::Null]);
-        assert!(mixed.as_nums().is_none());
+        assert!(!matches!(mixed, ColumnVec::Num(_)));
     }
 
     #[test]
@@ -759,7 +746,10 @@ mod tests {
         let c = ColumnVec::from_ints(vec![10, 20, 30, 40]);
         assert_eq!(c.gather(&[3, 0]), ColumnVec::from_ints(vec![40, 10]));
         // Padding degrades a dense column only when a pad occurs.
-        assert!(c.gather_padded(&[Some(3), Some(3)]).as_ints().is_some());
+        assert!(matches!(
+            c.gather_padded(&[Some(3), Some(3)]),
+            ColumnVec::Int(_)
+        ));
         let padded = c.gather_padded(&[Some(1), None]);
         assert_eq!(padded, ColumnVec::Val(vec![Value::Int(20), Value::Null]));
         assert_eq!(c.slice(1..3), ColumnVec::from_ints(vec![20, 30]));

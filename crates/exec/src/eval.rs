@@ -13,7 +13,7 @@
 //!
 //! What an operation does to one cell is stated once, in the cell
 //! rules (`cmp_values`, `arith`, `equal_maybe_encrypted`,
-//! [`like_match`], …). The engine applies them through [`eval_mask`],
+//! `like_chars`, …). The engine applies them through [`eval_mask`],
 //! [`eval_column`] and σ's selection: an expression over a whole batch,
 //! one sub-expression at a time — under σ, HAVING, γ inputs, sort keys,
 //! udf bodies and a join's residual (a mask over its candidate pairs).
@@ -301,12 +301,8 @@ pub(crate) fn substring_cell(v: &Value, start: usize, len: usize) -> Result<Valu
     }
 }
 
-/// SQL LIKE with `%` (any run) and `_` (any single char).
-pub fn like_match(s: &str, pattern: &str) -> bool {
-    like_chars(s, &pattern.chars().collect::<Vec<_>>())
-}
-
-/// [`like_match`] against a pattern prepared once per batch. Two
+/// SQL LIKE with `%` (any run) and `_` (any single char), against a
+/// pattern prepared once per batch. Two
 /// pointers and the last `%`: on a mismatch that `%` takes one more
 /// character and the match resumes behind it — `O(cell × pattern)`, no
 /// recursion, no allocation. (Patterns arrive in signed sub-queries;
@@ -1117,6 +1113,12 @@ fn retain(sel: &mut Vec<usize>, rows: &[usize], within: bool) {
         }
         (rows.get(at) == Some(&r)) == within
     });
+}
+
+/// SQL LIKE with `%` (any run) and `_` (any single char).
+#[cfg(test)]
+fn like_match(s: &str, pattern: &str) -> bool {
+    like_chars(s, &pattern.chars().collect::<Vec<_>>())
 }
 
 #[cfg(test)]

@@ -243,7 +243,7 @@ mod tests {
         assert_eq!(t.col_index(cat.attr("P").unwrap()), Some(1));
         assert!(t.byte_size() > 0);
         // The numeric column densified on load.
-        assert!(t.column(1).as_nums().is_some());
+        assert!(matches!(t.column(1), ColumnVec::Num(_)));
     }
 
     #[test]

@@ -113,17 +113,39 @@
 //!   tokens spelled in halves) are findings anywhere under `crates/`: a
 //!   second kernel beside the engine must not quietly grow back.
 //!
+//! Two rules read more than one line at a time:
+//!
+//! * **pub-has-a-caller** — a non-test `pub fn`, `pub const` or `pub
+//!   static` in `algebra`, `core`, `crypto`, `exec`, `planner` or `dist`
+//!   (the shared fixture `core/src/fixtures.rs` exempt) is named, as a
+//!   token, by the non-test code of another file — any crate's `src`
+//!   or `benches`, `src/`, `examples/` — or anywhere in `benchmark/src`,
+//!   its tests included, since the frozen benchmark must keep building.
+//!   A `pub use` re-export and a definition of the same name are not
+//!   callers. Otherwise the item is private or `pub(crate)`, where
+//!   rustc's `dead_code` sees it, or it has a line on `CALLER_ALLOW`
+//!   (at most 20) naming the test that drives behaviour through it that
+//!   no other entry point exposes; an allow-list line that clears
+//!   nothing is a finding too. Any use of a name counts, so a common
+//!   method name always passes: the rule never flags an item that has a
+//!   caller.
+//! * **tests-last** — under `crates/*/src` and `src/`, no non-test code
+//!   follows a file's first `#[cfg(test)]`: `scripts/code_lines.sh`
+//!   counts each file up to that line, so code below it would go
+//!   uncounted.
+//!
 //! The scan strips comments and string literals and skips
 //! `#[cfg(test)]` modules, so documentation and tests may freely
 //! `unwrap()`. No dependencies: the linter must never be the thing
 //! that breaks the build.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Engine code: everything but the bench harness, the fuzzer and this
 /// linter (the harness drives load threads and reads the clock by
-/// design).
+/// design). The six library crates come first.
 const ENGINE: &[&str] = &[
     "crates/algebra/src",
     "crates/core/src",
@@ -143,6 +165,43 @@ const ENGINE_RS: &str = "crates/exec/src/engine.rs";
 const ROWREF_RS: &str = "crates/exec/src/rowref.rs";
 const AUDIT_RS: &str = "crates/dist/src/audit.rs";
 const VERIFY_RS: &str = "crates/core/src/verify.rs";
+const LINT: &str = "crates/lint";
+
+/// The library crates whose `pub` fns, consts and statics need a caller
+/// outside their own file (pub-has-a-caller): the first six of
+/// [`ENGINE`].
+const LIBRARIES: &[&str] = ENGINE.split_at(6).0;
+/// The shared fixture of tests, examples and the benchmark: exempt.
+const FIXTURES_RS: &str = "crates/core/src/fixtures.rs";
+/// The frozen benchmark: every line a caller, its tests included.
+const BENCHMARK: &str = "benchmark/src";
+
+/// `(file, item, test)`: a `pub` item whose only caller outside its file
+/// is `test`, which drives or observes behaviour through it that no
+/// other entry point exposes.
+type Allow<'a> = (&'a str, &'a str, &'a str);
+/// pub-has-a-caller's allow-list: at most 20 lines.
+#[rustfmt::skip]
+const CALLER_ALLOW: &[Allow] = &[
+    ("crates/algebra/src/stats.rs", "with_defaults", "mpq-planner's cost::tests::noop_reencryption_not_double_counted"),
+    ("crates/core/src/authz.rs", "violations", "tests/properties.rs::def_4_1_readings_agree"),
+    ("crates/core/src/candidates.rs", "min_required_view", "tests/paper_figures.rs::fig6_minimum_required_views"),
+    ("crates/core/src/profile.rs", "footprint", "tests/properties.rs::theorem_3_1"),
+    ("crates/crypto/src/sha256.rs", "sha256_hex", "crates/bench/tests/plan_golden.rs::every_plan_under_sample_statistics_is_pinned"),
+    ("crates/dist/src/remote.rs", "set_peers", "tests/coordinator_differential.rs::coordinator_matches_both_session_schedulers"),
+    ("crates/dist/src/session.rs", "set_faults", "tests/chaos_soak.rs::chaos_soak_never_returns_a_wrong_answer"),
+    ("crates/dist/src/session.rs", "cached_clusters", "tests/session_reuse.rs::session_queries_match_fresh_session_runs"),
+    ("crates/dist/src/session.rs", "revoke_key", "tests/session_reuse.rs::revoke_forces_reprovisioning"),
+    ("crates/dist/src/session.rs", "holds_key", "tests/session_reuse.rs::revoke_forces_reprovisioning"),
+    ("crates/dist/src/session.rs", "stored_relations", "tests/distributed.rs::base_relations_stay_with_their_authorities"),
+    ("crates/exec/src/engine.rs", "batch_rows", "tests/tpch_pipeline.rs::all_22_plans_match_the_row_oracle_under_tiny_batches"),
+    ("crates/exec/src/rowref.rs", "with_agg_base", "crates/exec/tests/expr_differential.rs::column_evaluator_matches_the_row_walk"),
+    ("crates/exec/src/rowref.rs", "eval_pred", "crates/exec/tests/string_cells.rs::string_predicates_at_word_boundaries_are_the_row_walk"),
+];
+const _: () = assert!(
+    CALLER_ALLOW.len() <= 20,
+    "the allow-list holds at most 20 lines"
+);
 
 /// One row of a rule: `tokens` are findings in non-test code under
 /// `scope` (files or trees; everywhere under `crates/` and `src` when
@@ -314,6 +373,18 @@ struct Finding {
     line: usize,
     rule: &'static str,
     message: String,
+}
+
+impl Finding {
+    fn at(file: &Path, line: usize, rule: &'static str, message: String) -> Finding {
+        let file = file.to_path_buf();
+        Finding {
+            file,
+            line,
+            rule,
+            message,
+        }
+    }
 }
 
 impl fmt::Display for Finding {
@@ -567,16 +638,11 @@ fn lint_retry_budgets(rel: &Path, cleaned: &str, skip: &[bool], findings: &mut V
             n += 1;
         }
         if has_loop && !has_budget {
-            findings.push(Finding {
-                file: rel.to_path_buf(),
-                line: decl + 1,
-                rule: "no-unbounded-retry",
-                message: format!(
-                    "`fn {name}` never consumes an attempt budget — every \
-                     retry/reconnect loop must be bounded (count attempts \
-                     against RetryPolicy::max_attempts)"
-                ),
-            });
+            let message = format!(
+                "`fn {name}` never consumes an attempt budget — every retry/reconnect loop \
+                 must be bounded (count attempts against RetryPolicy::max_attempts)"
+            );
+            findings.push(Finding::at(rel, decl + 1, "no-unbounded-retry", message));
         }
         n += 1;
     }
@@ -611,37 +677,183 @@ fn lint_fuzz_corpus(root: &Path, findings: &mut Vec<Finding>) {
             continue;
         };
         if !test_sources.contains(name) {
-            findings.push(Finding {
-                file: seed.strip_prefix(root).unwrap_or(&seed).to_path_buf(),
-                line: 1,
-                rule: "no-orphaned-seeds",
-                message: format!(
-                    "corpus seed `{name}` is not referenced by any test under tests/ — \
-                     add a replay to tests/fuzz_regression.rs or delete the seed"
-                ),
-            });
+            let message = format!(
+                "corpus seed `{name}` is not referenced by any test under tests/ — add a \
+                 replay to tests/fuzz_regression.rs or delete the seed"
+            );
+            let file = seed.strip_prefix(root).unwrap_or(&seed);
+            findings.push(Finding::at(file, 1, "no-orphaned-seeds", message));
         }
     }
 }
 
-fn lint_file(root: &Path, path: &Path, findings: &mut Vec<Finding>) {
-    if let Ok(src) = std::fs::read_to_string(path) {
-        lint_source(path.strip_prefix(root).unwrap_or(path), &src, findings);
+/// One source file as the rules read it: its path from the root, its
+/// [`clean_source`]d text, and which lines are test code.
+struct Source {
+    rel: PathBuf,
+    cleaned: String,
+    skip: Vec<bool>,
+}
+
+impl Source {
+    /// In the frozen benchmark no line counts as test code: its tests
+    /// must keep building too.
+    fn new(rel: &Path, src: &str) -> Source {
+        let (rel, cleaned) = (rel.to_path_buf(), clean_source(src));
+        let skip = (!rel.starts_with(BENCHMARK)).then(|| test_lines(&cleaned));
+        let skip = skip.unwrap_or_default();
+        Source { rel, cleaned, skip }
+    }
+
+    /// The non-test lines, with their 0-based numbers.
+    fn code_lines(&self) -> impl Iterator<Item = (usize, &str)> {
+        let test = |n: usize| self.skip.get(n).copied().unwrap_or(false);
+        self.cleaned
+            .lines()
+            .enumerate()
+            .filter(move |(n, _)| !test(*n))
     }
 }
 
-/// Every per-file rule over the source text of `rel`.
-fn lint_source(rel: &Path, src: &str, findings: &mut Vec<Finding>) {
-    let cleaned = clean_source(src);
-    let skip = test_lines(&cleaned);
-    if in_scope(rel, ENGINE) {
-        lint_retry_budgets(rel, &cleaned, &skip, findings);
-    }
-    let mut current_fn = None;
-    for (n, line) in cleaned.lines().enumerate() {
-        if skip.get(n).copied().unwrap_or(false) {
+/// The name a `pub fn`, `pub const` or `pub static` line declares, if
+/// any (`pub(crate)` and narrower declare none).
+fn pub_item(line: &str) -> Option<&str> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let rest = ["fn ", "const fn ", "const ", "static mut ", "static "]
+        .iter()
+        .find_map(|k| rest.strip_prefix(k))?;
+    let end = rest.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+    Some(&rest[..end.unwrap_or(rest.len())]).filter(|n| !n.is_empty() && *n != "_")
+}
+
+/// The identifiers the non-test lines of `src` name outside `pub use`
+/// re-exports, leaving out the name each `fn` / `const` / `static`
+/// defines: what the file calls.
+fn used_names(src: &Source) -> HashSet<&str> {
+    let (mut names, mut in_pub_use) = (HashSet::new(), false);
+    for (_, line) in src.code_lines() {
+        let t = line.trim_start();
+        in_pub_use |= t.starts_with("pub use ") || (t.starts_with("pub(") && t.contains(") use "));
+        if in_pub_use {
+            in_pub_use = !line.contains(';');
             continue;
         }
+        let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+        let mut prev = "";
+        for word in words.filter(|w| !w.is_empty()) {
+            if !matches!(prev, "fn" | "const" | "static") {
+                names.insert(word);
+            }
+            prev = word;
+        }
+    }
+    names
+}
+
+/// pub-has-a-caller: every non-test `pub fn` / `pub const` / `pub
+/// static` of a [`LIBRARIES`] crate is named by another of the
+/// `sources` ([`used_names`]) or has a line of `allow`. An `allow` line
+/// that clears nothing is a finding too.
+fn lint_pub_callers(sources: &[&Source], allow: &[Allow], findings: &mut Vec<Finding>) {
+    let used: Vec<HashSet<&str>> = sources.iter().map(|s| used_names(s)).collect();
+    let mut cleared = vec![false; allow.len()];
+    for (i, src) in sources.iter().enumerate() {
+        if !in_scope(&src.rel, LIBRARIES) || src.rel == Path::new(FIXTURES_RS) {
+            continue;
+        }
+        let items = src
+            .code_lines()
+            .filter_map(|(n, l)| Some((n, pub_item(l)?)));
+        for (n, name) in items {
+            if (used.iter().enumerate()).any(|(j, names)| j != i && names.contains(name)) {
+                continue;
+            }
+            let entry = |&(f, item, _): &Allow| src.rel == Path::new(f) && item == name;
+            if let Some(e) = allow.iter().position(entry) {
+                cleared[e] = true;
+                continue;
+            }
+            let message = format!(
+                "`pub` item `{name}` has no caller outside its file — make it private or \
+                 `pub(crate)`, delete it, move it into the test that runs it, or allow-list the \
+                 test that needs it"
+            );
+            findings.push(Finding::at(&src.rel, n + 1, "pub-has-a-caller", message));
+        }
+    }
+    for ((file, item, test), _) in allow.iter().zip(cleared).filter(|(_, c)| !c) {
+        let message = format!("allow-list line `{item}` (for {test}) clears nothing — delete it");
+        findings.push(Finding::at(Path::new(file), 1, "pub-has-a-caller", message));
+    }
+}
+
+/// tests-last: no non-test line follows a file's first `#[cfg(test)]`,
+/// so `scripts/code_lines.sh` (which counts up to it) counts every one.
+fn lint_tests_last(src: &Source, findings: &mut Vec<Finding>) {
+    let is_cfg_test = |l: &str| l.trim_start().starts_with("#[cfg(test)]");
+    let Some(first) = src.cleaned.lines().position(is_cfg_test) else {
+        return;
+    };
+    let late = src
+        .code_lines()
+        .find(|&(n, l)| n > first && !l.trim().is_empty() && !is_cfg_test(l));
+    if let Some((n, _)) = late {
+        let message = format!(
+            "non-test code after the first `#[cfg(test)]` (line {}) — move it above, so the \
+             code-line recipe counts it",
+            first + 1
+        );
+        findings.push(Finding::at(&src.rel, n + 1, "tests-last", message));
+    }
+}
+
+/// Every rule over the repo at `root`: the number of files the per-file
+/// rules scanned, and the findings.
+fn lint_repo(root: &Path) -> (usize, Vec<Finding>) {
+    let mut members: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .map(|e| e.flatten().map(|e| e.path()).collect())
+        .unwrap_or_default();
+    members.sort();
+    // Every `.rs` file under each member's `sub` and under `extra`.
+    let read = |sub: &str, extra: &[&str]| -> Vec<Source> {
+        let mut files = Vec::new();
+        let dirs = members.iter().map(|m| m.join(sub));
+        for dir in dirs.chain(extra.iter().map(|e| root.join(e))) {
+            visit(&dir, &mut files);
+        }
+        let text = |f| Some((f, std::fs::read_to_string(f).ok()?));
+        let sources = files.iter().filter_map(text);
+        sources
+            .map(|(f, src)| Source::new(f.strip_prefix(root).unwrap_or(f), &src))
+            .collect()
+    };
+    let linted = read("src", &["src"]);
+    let more = read("benches", &["examples", BENCHMARK]);
+    // The linter does not lint itself with the token rules, nor call
+    // anything: its scopes never include crates/lint, and its tables
+    // would self-match.
+    let own = |s: &&Source| s.rel.starts_with(LINT);
+    let mut findings = Vec::new();
+    for src in &linted {
+        lint_tests_last(src, &mut findings);
+        if !own(&src) {
+            lint_source(src, &mut findings);
+        }
+    }
+    let callers: Vec<&Source> = linted.iter().chain(&more).filter(|s| !own(s)).collect();
+    lint_pub_callers(&callers, CALLER_ALLOW, &mut findings);
+    lint_fuzz_corpus(root, &mut findings);
+    (linted.len(), findings)
+}
+
+/// Every per-file token rule over `src`.
+fn lint_source(src: &Source, findings: &mut Vec<Finding>) {
+    let rel = src.rel.as_path();
+    if in_scope(rel, ENGINE) {
+        lint_retry_budgets(rel, &src.cleaned, &src.skip, findings);
+    }
+    let mut current_fn = None;
+    for (n, line) in src.code_lines() {
         current_fn = fn_name(line).or(current_fn);
         for rule in RULES {
             let found = rule
@@ -656,12 +868,8 @@ fn lint_source(rel: &Path, src: &str, findings: &mut Vec<Finding>) {
                     tokens.iter().find(|t| applies && line.contains(**t))
                 });
             if let Some(t) = found {
-                findings.push(Finding {
-                    file: rel.to_path_buf(),
-                    line: n + 1,
-                    rule: rule.name,
-                    message: rule.message.replace("{t}", t),
-                });
+                let message = rule.message.replace("{t}", t);
+                findings.push(Finding::at(rel, n + 1, rule.name, message));
             }
         }
     }
@@ -681,38 +889,16 @@ fn main() {
             .map(Path::to_path_buf)
             .unwrap_or_else(|| PathBuf::from("."))
     };
-    let mut files = Vec::new();
-    let crates_dir = root.join("crates");
-    let Ok(entries) = std::fs::read_dir(&crates_dir) else {
+    if !root.join("crates").is_dir() {
         eprintln!("mpq-lint: no crates/ directory under {}", root.display());
         std::process::exit(2);
-    };
-    let mut members: Vec<_> = entries.flatten().map(|e| e.path()).collect();
-    members.sort();
-    for member in members {
-        visit(&member.join("src"), &mut files);
     }
-    visit(&root.join("src"), &mut files);
-
-    let mut findings = Vec::new();
-    for f in &files {
-        // The linter does not lint itself: its scopes never include
-        // crates/lint, and the token tables would self-match.
-        if f.components().any(|c| c.as_os_str() == "lint") {
-            continue;
-        }
-        lint_file(&root, f, &mut findings);
-    }
-    lint_fuzz_corpus(&root, &mut findings);
-
+    let (scanned, findings) = lint_repo(&root);
     for f in &findings {
         println!("{f}");
     }
-    println!(
-        "mpq-lint: {} file(s) scanned, {} finding(s)",
-        files.len(),
-        findings.len()
-    );
+    let count = findings.len();
+    println!("mpq-lint: {scanned} file(s) scanned, {count} finding(s)");
     if !findings.is_empty() {
         std::process::exit(1);
     }
@@ -828,7 +1014,7 @@ mod tests {
 ";
         let rules_in = |file: &str| {
             let mut findings = Vec::new();
-            lint_source(Path::new(file), src, &mut findings);
+            lint_source(&Source::new(Path::new(file), src), &mut findings);
             findings
                 .iter()
                 .filter(|f| f.rule == "one-edge-rule")
@@ -862,7 +1048,7 @@ mod tests {
 ";
         let lines_in = |file: &str| {
             let mut findings = Vec::new();
-            lint_source(Path::new(file), src, &mut findings);
+            lint_source(&Source::new(Path::new(file), src), &mut findings);
             findings
                 .iter()
                 .filter(|f| f.rule == "columns-not-rows")
@@ -892,7 +1078,7 @@ mod tests {
 ";
         let lines_in = |file: &str| {
             let mut findings = Vec::new();
-            lint_source(Path::new(file), src, &mut findings);
+            lint_source(&Source::new(Path::new(file), src), &mut findings);
             findings
                 .iter()
                 .filter(|f| f.rule == "columns-not-rows")
@@ -917,7 +1103,7 @@ mod tests {
 ";
         let lines_in = |file: &str| {
             let mut findings = Vec::new();
-            lint_source(Path::new(file), src, &mut findings);
+            lint_source(&Source::new(Path::new(file), src), &mut findings);
             findings
                 .iter()
                 .filter(|f| f.rule == "independent-verifier")
@@ -949,7 +1135,7 @@ mod tests {
         .join("\n");
         let lines_in = |file: &str| {
             let mut findings = Vec::new();
-            lint_source(Path::new(file), &src, &mut findings);
+            lint_source(&Source::new(Path::new(file), &src), &mut findings);
             findings
                 .iter()
                 .filter(|f| f.rule == "one-verifier-walk")
@@ -979,7 +1165,7 @@ mod tests {
 ";
         let lines_in = |file: &str| {
             let mut findings = Vec::new();
-            lint_source(Path::new(file), src, &mut findings);
+            lint_source(&Source::new(Path::new(file), src), &mut findings);
             findings
                 .iter()
                 .filter(|f| f.rule == "one-capability-table")
@@ -1014,7 +1200,7 @@ mod tests {
 ";
         let lines_in = |file: &str| {
             let mut findings = Vec::new();
-            lint_source(Path::new(file), src, &mut findings);
+            lint_source(&Source::new(Path::new(file), src), &mut findings);
             findings
                 .iter()
                 .filter(|f| f.rule == "column-evaluator")
@@ -1045,7 +1231,10 @@ fn probe_batch(p: &Probe<'_>) {
 }
 ";
         let mut findings = Vec::new();
-        lint_source(Path::new("crates/exec/src/engine.rs"), src, &mut findings);
+        lint_source(
+            &Source::new(Path::new("crates/exec/src/engine.rs"), src),
+            &mut findings,
+        );
         let lines: Vec<usize> = (findings.iter())
             .filter(|f| f.rule == "column-evaluator")
             .map(|f| f.line)
@@ -1067,7 +1256,7 @@ mod tests {
 ";
         let lines_in = |file: &str| {
             let mut findings = Vec::new();
-            lint_source(Path::new(file), src, &mut findings);
+            lint_source(&Source::new(Path::new(file), src), &mut findings);
             findings
                 .iter()
                 .filter(|f| f.rule == "column-evaluator")
@@ -1102,7 +1291,7 @@ mod tests {
             "crates/core/src/keys.rs",
         ] {
             let mut findings = Vec::new();
-            lint_source(Path::new(file), &src, &mut findings);
+            lint_source(&Source::new(Path::new(file), &src), &mut findings);
             let lines: Vec<usize> = (findings.iter())
                 .filter(|f| f.rule == "one-form-per-pair")
                 .map(|f| f.line)
@@ -1131,7 +1320,7 @@ mod tests {
         .join("\n");
         let lines_in = |file: &str| {
             let mut findings = Vec::new();
-            lint_source(Path::new(file), &src, &mut findings);
+            lint_source(&Source::new(Path::new(file), &src), &mut findings);
             findings
                 .iter()
                 .filter(|f| f.rule == "one-agg-scope")
@@ -1162,7 +1351,7 @@ mod tests {
 ";
         let lines_in = |file: &str| {
             let mut findings = Vec::new();
-            lint_source(Path::new(file), src, &mut findings);
+            lint_source(&Source::new(Path::new(file), src), &mut findings);
             findings
                 .iter()
                 .filter(|f| f.rule == "one-extension")
@@ -1196,7 +1385,7 @@ mod tests {
         .join("\n");
         let lines_in = |file: &str| {
             let mut findings = Vec::new();
-            lint_source(Path::new(file), &src, &mut findings);
+            lint_source(&Source::new(Path::new(file), &src), &mut findings);
             findings
                 .iter()
                 .filter(|f| f.rule == "one-montgomery-engine")
@@ -1232,7 +1421,7 @@ mod tests {
         .join("\n");
         let lines_in = |file: &str, rule: &str| {
             let mut findings = Vec::new();
-            lint_source(Path::new(file), &src, &mut findings);
+            lint_source(&Source::new(Path::new(file), &src), &mut findings);
             (findings.iter())
                 .filter(|f| f.rule == rule)
                 .map(|f| f.line)
@@ -1284,7 +1473,7 @@ mod tests {
             "crates/bench/src/bin/throughput.rs",
         ] {
             let mut findings = Vec::new();
-            lint_source(Path::new(file), &src, &mut findings);
+            lint_source(&Source::new(Path::new(file), &src), &mut findings);
             let lines: Vec<usize> = (findings.iter())
                 .filter(|f| f.rule == "one-thread-per-query")
                 .map(|f| f.line)
@@ -1309,7 +1498,7 @@ mod tests {
 ";
         let lines_in = |file: &str| {
             let mut findings = Vec::new();
-            lint_source(Path::new(file), src, &mut findings);
+            lint_source(&Source::new(Path::new(file), src), &mut findings);
             findings
                 .iter()
                 .filter(|f| f.rule == "determinism")
@@ -1345,6 +1534,129 @@ mod tests {
     }
 
     #[test]
+    fn a_pub_item_without_a_caller_outside_its_file_is_flagged() {
+        let lib = Source::new(
+            Path::new("crates/exec/src/batch.rs"),
+            "pub fn lonely() {}
+pub fn called() {}
+pub const BENCH_ONLY: usize = 1;
+pub(crate) fn narrow() {}
+pub fn reexported() {}
+pub fn allowed() {}
+pub static TESTED: u8 = 0;
+fn private() { lonely(); narrow(); }
+#[cfg(test)]
+mod tests {
+    pub fn in_tests() {}
+}
+",
+        );
+        let caller = Source::new(
+            Path::new("crates/dist/src/party.rs"),
+            "pub use mpq_exec::batch::{
+    reexported,
+};
+fn lonely() {}
+fn run() { mpq_exec::batch::called(); }
+#[cfg(test)]
+mod tests {
+    fn t() { TESTED; }
+}
+",
+        );
+        let bench = Source::new(
+            Path::new("benchmark/src/main.rs"),
+            "#[cfg(test)]
+mod tests {
+    fn t() { mpq_exec::batch::BENCH_ONLY; }
+}
+",
+        );
+        let flagged = |sources: &[&Source]| {
+            let mut findings = Vec::new();
+            lint_pub_callers(
+                sources,
+                &[("crates/exec/src/batch.rs", "allowed", "t")],
+                &mut findings,
+            );
+            (findings.iter())
+                .map(|f| (f.line, f.file.display().to_string()))
+                .collect::<Vec<_>>()
+        };
+        // Named only in its own file, re-exported by a `pub use`,
+        // defined (not called) elsewhere or called by a test module:
+        // each is a finding. A caller in non-test code, in the
+        // benchmark's tests or on the allow-list clears one.
+        let lib_at = |lines: &[usize]| {
+            (lines.iter())
+                .map(|&l| (l, "crates/exec/src/batch.rs".to_string()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(flagged(&[&lib, &caller, &bench]), lib_at(&[1, 5, 7]));
+        // Without the benchmark, its test module's use is gone too.
+        assert_eq!(flagged(&[&lib, &caller]), lib_at(&[1, 3, 5, 7]));
+        // An allow-list line that clears nothing is itself a finding.
+        let unused = Source::new(
+            Path::new("crates/exec/src/batch.rs"),
+            "pub fn called() {}\n",
+        );
+        assert_eq!(flagged(&[&unused, &caller]), lib_at(&[1]));
+        let mut findings = Vec::new();
+        lint_pub_callers(
+            &[&unused, &caller],
+            &[("crates/exec/src/batch.rs", "allowed", "t")],
+            &mut findings,
+        );
+        assert!(
+            findings[0].message.contains("clears nothing"),
+            "{}",
+            findings[0]
+        );
+        // Outside the six library crates, and in the shared fixture,
+        // nothing is flagged.
+        for file in ["crates/bench/src/lib.rs", FIXTURES_RS] {
+            let other = Source::new(Path::new(file), "pub fn lonely() {}\n");
+            let mut findings = Vec::new();
+            lint_pub_callers(&[&other], &[], &mut findings);
+            assert!(findings.is_empty(), "{file}");
+        }
+    }
+
+    #[test]
+    fn code_after_the_first_test_module_is_flagged() {
+        let findings_in = |src: &str| {
+            let mut findings = Vec::new();
+            lint_tests_last(
+                &Source::new(Path::new("crates/algebra/src/builder.rs"), src),
+                &mut findings,
+            );
+            findings.iter().map(|f| f.line).collect::<Vec<_>>()
+        };
+        let late = "fn lib() {}
+#[cfg(test)]
+mod tests {
+    fn t() {}
+}
+// a comment is not code
+pub fn prune_columns() {}
+";
+        assert_eq!(findings_in(late), vec![7]);
+        let last = "fn lib() {}
+#[cfg(test)]
+impl KeySeed {
+    fn colliding() {}
+}
+
+#[cfg(test)]
+mod tests {
+    fn t() {}
+}
+";
+        assert!(findings_in(last).is_empty());
+        assert!(findings_in("fn lib() {}\n").is_empty());
+    }
+
+    #[test]
     fn the_repo_passes_its_own_lint() {
         // The gate CI enforces, as a unit test: zero findings over the
         // whole workspace.
@@ -1353,25 +1665,7 @@ mod tests {
             .and_then(Path::parent)
             .map(Path::to_path_buf)
             .expect("crates/lint sits two levels below the root");
-        let mut files = Vec::new();
-        let mut members: Vec<_> = std::fs::read_dir(root.join("crates"))
-            .expect("crates/ exists")
-            .flatten()
-            .map(|e| e.path())
-            .collect();
-        members.sort();
-        for member in members {
-            visit(&member.join("src"), &mut files);
-        }
-        visit(&root.join("src"), &mut files);
-        let mut findings = Vec::new();
-        for f in &files {
-            if f.components().any(|c| c.as_os_str() == "lint") {
-                continue;
-            }
-            lint_file(&root, f, &mut findings);
-        }
-        lint_fuzz_corpus(&root, &mut findings);
+        let (_, findings) = lint_repo(&root);
         assert!(
             findings.is_empty(),
             "repo invariants violated:\n{}",

@@ -54,7 +54,7 @@ impl CostBreakdown {
 
 /// Estimated output bytes of one node, accounting for ciphertext
 /// expansion of encrypted attributes.
-pub fn output_bytes(
+fn output_bytes(
     catalog: &Catalog,
     stats: &StatsCatalog,
     est: &Estimate,

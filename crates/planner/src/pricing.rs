@@ -22,8 +22,8 @@
 //! the provider price, 10 Gbps backbone, 100 Mbps client link.
 //! Network transfer is priced **per edge**: any edge with the user as
 //! an endpoint rides the client link and pays the internet-egress rate
-//! ([`CLIENT_NET_PER_GB`]); edges between authorities and providers
-//! ride the backbone at [`PROVIDER_NET_PER_GB`]. (The pre-calibration
+//! (`CLIENT_NET_PER_GB`); edges between authorities and providers
+//! ride the backbone at `PROVIDER_NET_PER_GB`. (The pre-calibration
 //! book priced every edge at the sender's backbone rate, which made
 //! shipping intermediates to the user essentially free and was the
 //! single largest source of the Figure 10 gap.)
@@ -42,7 +42,7 @@
 //! assignment (head-fill `part` and `supplier`) is committed as
 //! `scenario::UAPMIX_HEAD_FILL`, which read 75.0% when it was chosen.
 //! Both savings rose by about two points when the symmetric ciphers
-//! got ~7× cheaper ([`calibrated::SYM_ENC_SECS`]): delegation is paid
+//! got ~7× cheaper (`calibrated::SYM_ENC_SECS`): delegation is paid
 //! for in the authority's encryption. The residual ~5.7-point gap is
 //! attributed to the paper's attribute split, which was never
 //! published, and to its slower symmetric cipher. The pin exists so any further drift is deliberate:
@@ -69,23 +69,23 @@ pub struct SubjectPrices {
 }
 
 /// Baseline provider prices (the cheapest provider).
-pub const PROVIDER_CPU_PER_SEC: f64 = 1.4e-5; // ≈ $0.05 per CPU-hour
+const PROVIDER_CPU_PER_SEC: f64 = 1.4e-5; // ≈ $0.05 per CPU-hour
 /// Provider local I/O price.
-pub const PROVIDER_IO_PER_GB: f64 = 4.0e-4;
+const PROVIDER_IO_PER_GB: f64 = 4.0e-4;
 /// Inter-provider/authority network price per GB (backbone edges).
-pub const PROVIDER_NET_PER_GB: f64 = 0.0005;
+const PROVIDER_NET_PER_GB: f64 = 0.0005;
 /// Internet-egress price per GB: any transfer with the user as an
 /// endpoint (the 100 Mbps client link) is billed at this rate.
-pub const CLIENT_NET_PER_GB: f64 = 0.09;
+const CLIENT_NET_PER_GB: f64 = 0.09;
 /// High-bandwidth links between authorities and providers (10 Gbps).
-pub const BACKBONE_BPS: f64 = 10e9;
+const BACKBONE_BPS: f64 = 10e9;
 /// Client link (100 Mbps).
-pub const CLIENT_BPS: f64 = 100e6;
+const CLIENT_BPS: f64 = 100e6;
 
 /// §7 multipliers.
-pub const USER_CPU_MULTIPLIER: f64 = 10.0;
+const USER_CPU_MULTIPLIER: f64 = 10.0;
 /// Data-authority CPU multiplier (government-backed price lists).
-pub const AUTHORITY_CPU_MULTIPLIER: f64 = 3.0;
+const AUTHORITY_CPU_MULTIPLIER: f64 = 3.0;
 
 /// Calibrated execution constants (fitted by `mpq-bench --bin
 /// calibrate` on the reproduction's own engine and crypto substrate;
@@ -106,11 +106,11 @@ pub mod calibrated {
     /// the Figure 10 UAPenc saving widened by a point — cheaper
     /// encryption makes delegation cheaper, as §7 argues — and its
     /// pins moved with it.
-    pub const SYM_ENC_SECS: f64 = 7.0e-8;
+    pub(super) const SYM_ENC_SECS: f64 = 7.0e-8;
     /// Symmetric per-value decryption seconds (still one block after
     /// another: a cell is decrypted where a key holder receives a
     /// result, thousands per query, not hundreds of thousands).
-    pub const SYM_DEC_SECS: f64 = 3.9e-7;
+    pub(super) const SYM_DEC_SECS: f64 = 3.9e-7;
     /// OPE per-value encryption seconds: the *uncached* 64-level
     /// descent on the one-block SipHash kernel (`calibrate`'s sample is
     /// an all-distinct column, so the batch encryptor's memo never
@@ -118,11 +118,11 @@ pub mod calibrated {
     /// columns run 5–30× below this). Moved from 2.1e-6 to the
     /// re-fitted value: `figure10_pin`, `rank_agreement` (100 %) and
     /// CostDp's TPC-H assignments (`planner.model_cost`) did not move.
-    pub const OPE_ENC_SECS: f64 = 9.0e-7;
+    pub(super) const OPE_ENC_SECS: f64 = 9.0e-7;
     /// OPE per-value decryption seconds (the same descent, one PRF
     /// call per level, choosing by comparison instead of a code bit;
     /// moved from 3.8e-6 under the same checks).
-    pub const OPE_DEC_SECS: f64 = 1.2e-6;
+    pub(super) const OPE_DEC_SECS: f64 = 1.2e-6;
     /// Paillier-512 per-value encryption seconds on the in-tree bignum,
     /// by the key holder's path every encryptor takes
     /// (`PaillierKeypair::encrypt`: two 256-bit exponents over the
@@ -131,9 +131,9 @@ pub mod calibrated {
     /// ~800× below the pre-Montgomery 6.3e-2; production libraries are
     /// faster still, which would only widen the savings the optimizer
     /// finds.
-    pub const PAILLIER_ENC_SECS: f64 = 8.0e-5;
+    pub(super) const PAILLIER_ENC_SECS: f64 = 8.0e-5;
     /// Paillier-512 per-value decryption seconds.
-    pub const PAILLIER_DEC_SECS: f64 = 4.4e-4;
+    pub(super) const PAILLIER_DEC_SECS: f64 = 4.4e-4;
     /// Seconds per homomorphic (Paillier) ciphertext addition (one
     /// Montgomery product under the cached `n²` context).
     pub const PAILLIER_ADD_SECS: f64 = 2.0e-6;

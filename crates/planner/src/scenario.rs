@@ -64,7 +64,7 @@ pub struct ScenarioEnv {
 }
 
 /// Tables stored by authority A1 (customer-facing side).
-pub const A1_TABLES: [&str; 5] = ["customer", "orders", "lineitem", "lineitem2", "lineitem3"];
+const A1_TABLES: [&str; 5] = ["customer", "orders", "lineitem", "lineitem2", "lineitem3"];
 
 /// Relations (by base name, aliases inherit) whose UAPmix plaintext
 /// half is filled from the *head* of the declaration order — the hot
@@ -73,12 +73,12 @@ pub const A1_TABLES: [&str; 5] = ["customer", "orders", "lineitem", "lineitem2",
 /// sweep over per-relation head/tail choices at SF 1, minimizing the
 /// distance of the Figure 10 UAPmix saving to the paper's 71.3%
 /// (key columns stay encrypted throughout; see the UAPmix arm below).
-pub const UAPMIX_HEAD_FILL: [&str; 2] = ["part", "supplier"];
+const UAPMIX_HEAD_FILL: [&str; 2] = ["part", "supplier"];
 
 /// Build a scenario over any catalog: relations are split between the
-/// two authorities by [`A1_TABLES`] membership (TPC-H) or
+/// two authorities by `A1_TABLES` membership (TPC-H) or
 /// round-robin for non-TPC-H catalogs. UAPmix uses the searched
-/// [`UAPMIX_HEAD_FILL`] split.
+/// `UAPMIX_HEAD_FILL` split.
 pub fn build_scenario(catalog: &Catalog, scenario: Scenario) -> ScenarioEnv {
     build_scenario_with_fill(catalog, scenario, &UAPMIX_HEAD_FILL)
 }

@@ -17,19 +17,17 @@
 //!   histogram selectivities, with `Encrypt`/`Decrypt` nodes
 //!   cardinality-transparent (encryption changes representation, never
 //!   multiplicity — the invariant is asserted in debug builds through
-//!   [`QueryPlan::through_crypto`]);
-//! * [`node_cardinalities`] executes a plan node-by-node and records
-//!   every intermediate row count, and [`q_error`] compares those
-//!   against the estimates — the accuracy harness the stats tests and
-//!   the `calibrate` binary build on.
+//!   [`QueryPlan::through_crypto`]).
+//!
+//! `tests/stats_accuracy.rs` holds the estimates to executed row
+//! counts, node by node.
 
 use mpq_algebra::stats::{
     estimate_plan, ColumnStats, Estimate, Histogram, StatsCatalog, TableStats,
 };
 use mpq_algebra::value::{CellRef, DataType};
-use mpq_algebra::{Catalog, NodeId, QueryPlan};
-use mpq_crypto::KeyRing;
-use mpq_exec::{Database, ExecCtx, SchemePlan};
+use mpq_algebra::{Catalog, QueryPlan};
+use mpq_exec::Database;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -237,54 +235,6 @@ pub fn estimates_for(plan: &QueryPlan, catalog: &Catalog, stats: &StatsCatalog) 
     est
 }
 
-/// Execute `plan` over `db` (plaintext, no keys) and return the actual
-/// output row count of every node, indexed by `NodeId::index()`.
-/// Drives the estimated-vs-executed accuracy tests and the calibration
-/// replay.
-pub fn node_cardinalities(
-    plan: &QueryPlan,
-    catalog: &Catalog,
-    db: &Database,
-) -> Result<Vec<usize>, mpq_exec::ExecError> {
-    let ring = KeyRing::new();
-    let schemes = SchemePlan::default();
-    let koa = HashMap::new();
-    let ctx = ExecCtx::new(catalog, db, &ring, &schemes, &koa);
-    let mut results: HashMap<NodeId, mpq_exec::Table> = HashMap::new();
-    let mut counts = vec![0usize; plan.len()];
-    for id in plan.postorder() {
-        let table = mpq_exec::execute_step(plan, id, &mut results, &ctx)?;
-        counts[id.index()] = table.len();
-        results.insert(id, table);
-    }
-    Ok(counts)
-}
-
-/// The q-error of an estimate: `max(est/actual, actual/est)`, both
-/// sides floored at one row. 1.0 is a perfect estimate.
-pub fn q_error(estimated: f64, actual: usize) -> f64 {
-    let e = estimated.max(1.0);
-    let a = (actual as f64).max(1.0);
-    (e / a).max(a / e)
-}
-
-/// Worst q-error across all nodes of a plan, pairing [`estimates_for`]
-/// with [`node_cardinalities`].
-pub fn max_q_error(
-    plan: &QueryPlan,
-    catalog: &Catalog,
-    db: &Database,
-    stats: &StatsCatalog,
-) -> Result<f64, mpq_exec::ExecError> {
-    let est = estimates_for(plan, catalog, stats);
-    let actual = node_cardinalities(plan, catalog, db)?;
-    Ok(plan
-        .postorder()
-        .into_iter()
-        .map(|id| q_error(est[id.index()].rows, actual[id.index()]))
-        .fold(1.0, f64::max))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,13 +367,5 @@ mod tests {
                 format!("{:?}", b.columns[attr])
             );
         }
-    }
-
-    #[test]
-    fn q_error_is_symmetric_and_floored() {
-        assert_eq!(q_error(10.0, 10), 1.0);
-        assert_eq!(q_error(100.0, 10), 10.0);
-        assert_eq!(q_error(10.0, 100), 10.0);
-        assert_eq!(q_error(0.0, 0), 1.0);
     }
 }

@@ -8,12 +8,13 @@
 //!   bounded factor of the executed row count.
 
 use mpq_algebra::expr::{AggExpr, AggFunc};
-use mpq_algebra::{Catalog, CmpOp, DataType, Expr, JoinKind, Operator, QueryPlan, Value};
-use mpq_exec::Database;
-use mpq_planner::stats::{
-    collect_stats, estimates_for, max_q_error, node_cardinalities, SampleConfig,
-};
+use mpq_algebra::stats::StatsCatalog;
+use mpq_algebra::{Catalog, CmpOp, DataType, Expr, JoinKind, NodeId, Operator, QueryPlan, Value};
+use mpq_crypto::KeyRing;
+use mpq_exec::{Database, ExecCtx, SchemePlan};
+use mpq_planner::stats::{collect_stats, estimates_for, SampleConfig};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Two-relation catalog: R1(a0 int, a1 int), R2(b0 int, b1 int).
 fn catalog() -> Catalog {
@@ -28,6 +29,60 @@ fn catalog() -> Catalog {
 fn int_rows(vals: impl Iterator<Item = (i64, i64)>) -> Vec<Vec<Value>> {
     vals.map(|(a, b)| vec![Value::Int(a), Value::Int(b)])
         .collect()
+}
+
+/// Execute `plan` over `db` (plaintext, no keys) and return the actual
+/// output row count of every node, indexed by `NodeId::index()`.
+fn node_cardinalities(
+    plan: &QueryPlan,
+    catalog: &Catalog,
+    db: &Database,
+) -> Result<Vec<usize>, mpq_exec::ExecError> {
+    let ring = KeyRing::new();
+    let schemes = SchemePlan::default();
+    let koa = HashMap::new();
+    let ctx = ExecCtx::new(catalog, db, &ring, &schemes, &koa);
+    let mut results: HashMap<NodeId, mpq_exec::Table> = HashMap::new();
+    let mut counts = vec![0usize; plan.len()];
+    for id in plan.postorder() {
+        let table = mpq_exec::execute_step(plan, id, &mut results, &ctx)?;
+        counts[id.index()] = table.len();
+        results.insert(id, table);
+    }
+    Ok(counts)
+}
+
+/// The q-error of an estimate: `max(est/actual, actual/est)`, both
+/// sides floored at one row. 1.0 is a perfect estimate.
+fn q_error(estimated: f64, actual: usize) -> f64 {
+    let e = estimated.max(1.0);
+    let a = (actual as f64).max(1.0);
+    (e / a).max(a / e)
+}
+
+/// Worst q-error across all nodes of a plan, pairing [`estimates_for`]
+/// with [`node_cardinalities`].
+fn max_q_error(
+    plan: &QueryPlan,
+    catalog: &Catalog,
+    db: &Database,
+    stats: &StatsCatalog,
+) -> Result<f64, mpq_exec::ExecError> {
+    let est = estimates_for(plan, catalog, stats);
+    let actual = node_cardinalities(plan, catalog, db)?;
+    Ok(plan
+        .postorder()
+        .into_iter()
+        .map(|id| q_error(est[id.index()].rows, actual[id.index()]))
+        .fold(1.0, f64::max))
+}
+
+#[test]
+fn q_error_is_symmetric_and_floored() {
+    assert_eq!(q_error(10.0, 10), 1.0);
+    assert_eq!(q_error(100.0, 10), 10.0);
+    assert_eq!(q_error(10.0, 100), 10.0);
+    assert_eq!(q_error(0.0, 0), 1.0);
 }
 
 #[test]
@@ -69,7 +124,7 @@ fn skewed_histogram_beats_ndv_average() {
     let actual = node_cardinalities(&plan, &cat, &db).unwrap();
     let root = plan.root().index();
     assert!(actual[root] >= 1700, "data setup: {}", actual[root]);
-    let q = mpq_planner::stats::q_error(est[root].rows, actual[root]);
+    let q = q_error(est[root].rows, actual[root]);
     assert!(
         q <= 2.0,
         "heavy-value estimate off by {q}: est {} actual {}",
@@ -109,7 +164,7 @@ fn range_selectivity_follows_histogram() {
     let actual = node_cardinalities(&plan, &cat, &db).unwrap();
     let root = plan.root().index();
     assert_eq!(actual[root], 250);
-    let q = mpq_planner::stats::q_error(est[root].rows, actual[root]);
+    let q = q_error(est[root].rows, actual[root]);
     assert!(q <= 1.25, "range estimate off by {q}");
 }
 
@@ -141,7 +196,7 @@ fn fk_join_cardinality_is_bounded() {
     let actual = node_cardinalities(&plan, &cat, &db).unwrap();
     let root = plan.root().index();
     assert_eq!(actual[root], 600);
-    let q = mpq_planner::stats::q_error(est[root].rows, actual[root]);
+    let q = q_error(est[root].rows, actual[root]);
     assert!(
         q <= 1.5,
         "FK join estimate off by {q}: est {}",

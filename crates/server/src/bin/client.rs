@@ -39,6 +39,11 @@ OPTIONS:
     --help           this text
 ";
 
+/// Every flag this binary reads; `Flags::parse` refuses any other.
+#[rustfmt::skip]
+const FLAGS: &[&str] = &["listen", "servers", "fixture", "scale", "seed", "timeout-ms",
+                         "no-preflight", "shutdown", "faults", "retries", "help"];
+
 fn main() {
     if let Err(e) = run() {
         eprintln!("mpq-client: {e}");
@@ -47,7 +52,7 @@ fn main() {
 }
 
 fn run() -> Result<(), String> {
-    let flags = Flags::parse(std::env::args().skip(1))?;
+    let flags = Flags::parse(std::env::args().skip(1), FLAGS)?;
     if flags.has("help") {
         print!("{USAGE}");
         return Ok(());

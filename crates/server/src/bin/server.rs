@@ -34,6 +34,11 @@ OPTIONS:
     --help           this text
 ";
 
+/// Every flag this binary reads; `Flags::parse` refuses any other.
+const FLAGS: &[&str] = &[
+    "subject", "listen", "peers", "fixture", "scale", "seed", "faults", "retries", "help",
+];
+
 fn main() {
     if let Err(e) = run() {
         eprintln!("mpq-server: {e}");
@@ -42,7 +47,7 @@ fn main() {
 }
 
 fn run() -> Result<(), String> {
-    let flags = Flags::parse(std::env::args().skip(1))?;
+    let flags = Flags::parse(std::env::args().skip(1), FLAGS)?;
     if flags.has("help") {
         print!("{USAGE}");
         return Ok(());

@@ -163,7 +163,8 @@ pub fn parse_peers(spec: &str, subjects: &Subjects) -> Result<HashMap<SubjectId,
 
 /// Minimal `--key value` / `--flag` argument parser shared by the two
 /// binaries; positional arguments (the SQL text) are collected in
-/// order.
+/// order. A flag the binary does not read is an error: a typo that
+/// silently keeps a default is worse than a refusal.
 pub struct Flags {
     named: HashMap<String, String>,
     /// Positional (non-`--`) arguments, in order.
@@ -174,13 +175,17 @@ pub struct Flags {
 const BOOLEAN_FLAGS: [&str; 3] = ["help", "shutdown", "no-preflight"];
 
 impl Flags {
-    /// Parse an argument stream (program name already stripped).
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<Flags, String> {
+    /// Parse an argument stream (program name already stripped),
+    /// refusing any flag not in `known`, the flags the binary reads.
+    pub fn parse(args: impl Iterator<Item = String>, known: &[&str]) -> Result<Flags, String> {
         let mut named = HashMap::new();
         let mut positional = Vec::new();
         let mut args = args.peekable();
         while let Some(a) = args.next() {
             if let Some(key) = a.strip_prefix("--") {
+                if !known.contains(&key) {
+                    return Err(format!("unknown flag --{key}"));
+                }
                 if BOOLEAN_FLAGS.contains(&key) {
                     named.insert(key.to_string(), "true".to_string());
                 } else {
@@ -307,12 +312,20 @@ mod tests {
         assert!(parse_peers("garbage", &w.env.subjects).is_err());
     }
 
+    /// The flags the tests below read.
+    const KNOWN: &[&str] = &["subject", "shutdown", "seed", "listen", "faults", "retries"];
+
+    fn args<'a>(a: &'a [&'a str]) -> impl Iterator<Item = String> + 'a {
+        a.iter().map(|s| s.to_string())
+    }
+
     #[test]
     fn flags_parse_named_boolean_and_positional() {
         let f = Flags::parse(
             ["--subject", "H", "--shutdown", "select 1", "--seed", "9"]
                 .iter()
                 .map(|s| s.to_string()),
+            KNOWN,
         )
         .unwrap();
         assert_eq!(f.require("subject").unwrap(), "H");
@@ -321,7 +334,29 @@ mod tests {
         assert_eq!(f.positional, vec!["select 1".to_string()]);
         assert!(f.require("listen").is_err());
         assert!(f.num::<u64>("seed", 0).is_ok());
-        assert!(Flags::parse(["--listen"].iter().map(|s| s.to_string())).is_err());
+        assert!(Flags::parse(["--listen"].iter().map(|s| s.to_string()), KNOWN).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_refused_by_name() {
+        let server = &["seed", "listen", "retries"];
+        let err = |a| Flags::parse(args(a), server).err();
+        // A misspelt flag, and a flag of the other binary, are refused…
+        assert_eq!(
+            err(&["--retires", "8"]).as_deref(),
+            Some("unknown flag --retires")
+        );
+        assert_eq!(
+            err(&["--shutdown"]).as_deref(),
+            Some("unknown flag --shutdown")
+        );
+        assert_eq!(
+            err(&["--timeout", "5000"]).as_deref(),
+            Some("unknown flag --timeout")
+        );
+        // …and the flags the binary reads still parse.
+        let f = Flags::parse(args(&["--retries", "8", "--seed", "1"]), server).unwrap();
+        assert_eq!(f.num::<u32>("retries", 4).unwrap(), 8);
     }
 
     #[test]
@@ -330,18 +365,23 @@ mod tests {
             ["--faults", "seed=7,drop=100", "--retries", "6"]
                 .iter()
                 .map(|s| s.to_string()),
+            KNOWN,
         )
         .unwrap();
         let (plan, retry) = parse_recovery(&f).unwrap();
         assert_eq!(plan.unwrap().seed, 7);
         assert_eq!(retry.max_attempts, 6);
 
-        let none = Flags::parse(std::iter::empty()).unwrap();
+        let none = Flags::parse(std::iter::empty(), KNOWN).unwrap();
         let (plan, retry) = parse_recovery(&none).unwrap();
         assert!(plan.is_none());
         assert_eq!(retry, mpq_dist::RetryPolicy::default());
 
-        let bad = Flags::parse(["--faults", "drop=nope"].iter().map(|s| s.to_string())).unwrap();
+        let bad = Flags::parse(
+            ["--faults", "drop=nope"].iter().map(|s| s.to_string()),
+            KNOWN,
+        )
+        .unwrap();
         assert!(parse_recovery(&bad).is_err());
     }
 

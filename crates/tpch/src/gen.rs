@@ -444,16 +444,22 @@ mod tests {
         let orders = db.table(c.relation("orders").unwrap().rel).unwrap();
         let n_cust = table_len(&c, &db, "customer") as i64;
         for row in &orders.to_rows() {
-            let ck = row[1].as_int().unwrap();
+            let Value::Int(ck) = row[1] else {
+                panic!("o_custkey not an integer")
+            };
             assert!(ck >= 1 && ck <= n_cust, "dangling o_custkey {ck}");
         }
         let lineitem = db.table(c.relation("lineitem").unwrap().rel).unwrap();
         let n_orders = orders.len() as i64;
         let n_supp = table_len(&c, &db, "supplier") as i64;
         for row in &lineitem.to_rows() {
-            let ok = row[0].as_int().unwrap();
+            let Value::Int(ok) = row[0] else {
+                panic!("l_orderkey not an integer")
+            };
             assert!(ok >= 1 && ok <= n_orders);
-            let sk = row[2].as_int().unwrap();
+            let Value::Int(sk) = row[2] else {
+                panic!("l_suppkey not an integer")
+            };
             assert!(sk >= 1 && sk <= n_supp, "dangling l_suppkey {sk}");
         }
     }

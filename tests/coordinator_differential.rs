@@ -1,11 +1,11 @@
-//! Scheduler differential, third leg: the process-per-subject scheduler
+//! Scheduler differential: the process-per-subject scheduler
 //! (`Coordinator::execute` over real `Server`s) must be
-//! indistinguishable from the thread-per-subject (`Session::execute`)
-//! and same-thread (`Session::execute_sequential`) ones — same rows,
-//! same directed wire graph, same signed-request count — on the happy
-//! path of Fig. 7(a) and 7(b). All three step the same party core;
-//! this pins that the federated preparation and drivers feed it the
-//! same way.
+//! indistinguishable from a session's one walk (`Session::execute`,
+//! also called here by its hidden alias `execute_sequential`) — same
+//! rows, same directed wire graph, same signed-request count — on the
+//! happy path of Fig. 7(a) and 7(b). Both step the same party core;
+//! this pins that the federated preparation and the session's walk
+//! feed it the same way.
 //!
 //! The servers run on test threads over loopback, each bound on an
 //! OS-assigned port. Byte *values* per edge are not compared: the
