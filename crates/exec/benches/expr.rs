@@ -61,6 +61,14 @@
 //!   to 16,384 more of the same ~4,096 orders, then `Anti`-joined to
 //!   those of a few suppliers, each under `NOT (l2_suppkey =
 //!   l_suppkey)`.
+//!
+//! `encrypt/lineitem_det_ope/*` is an authority's `Encrypt` of 29,923
+//! lineitem-shaped rows (SF 0.005's count) through `execute`:
+//! `l_orderkey` and `l_partkey` under Deterministic, `l_quantity`,
+//! `l_discount` and `l_shipdate` under OPE. `dictionary` encrypts over
+//! the base scan, so each column's distinct values are encrypted once
+//! and every batch gathered by row code; `rows` puts a `Project` between
+//! the two, which keeps the per-row path. Both produce the same table.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mpq_algebra::expr::{AggExpr, AggFunc};
@@ -538,5 +546,64 @@ fn bench_hash(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_expr, bench_hash);
+fn bench_encrypt(c: &mut Criterion) {
+    let rng = &mut StdRng::seed_from_u64(2026);
+    let mut cat = Catalog::new();
+    let columns = [
+        ("l_orderkey", DataType::Int),
+        ("l_partkey", DataType::Int),
+        ("l_quantity", DataType::Num),
+        ("l_discount", DataType::Num),
+        ("l_shipdate", DataType::Date),
+    ];
+    let rel = cat
+        .add_relation("lineitem", &columns)
+        .expect("a fresh name");
+    let first_day = Date::parse("1992-01-01").expect("a date").0;
+    // About four line items per order, as TPC-H's.
+    let rows = (0..29_923)
+        .map(|i| {
+            vec![
+                Value::Int(i / 4 + 1),
+                Value::Int(rng.gen_range(1..=1_000)),
+                Value::Num(f64::from(rng.gen_range(1..51))),
+                Value::Num(f64::from(rng.gen_range(0..11)) / 100.0),
+                Value::Date(Date(first_day + rng.gen_range(0..2_526))),
+            ]
+        })
+        .collect();
+    let mut db = Database::new();
+    db.load(&cat, "lineitem", rows);
+    let attrs = cat.relation("lineitem").unwrap().attrs();
+    let mut schemes = SchemePlan::default();
+    let (det, ope) = (EncScheme::Deterministic, EncScheme::Ope);
+    for (&attr, scheme) in attrs.iter().zip([det, det, ope, ope, ope]) {
+        schemes.set(attr, scheme);
+    }
+    let koa = attrs.iter().map(|&a| (a, 1)).collect();
+    let ring = KeyRing::new();
+    ring.insert(ClusterKey::generate(rng, 1, 256));
+    let ctx = ExecCtx::new(&cat, &db, &ring, &schemes, &koa);
+    let plan = |project: bool| {
+        let mut plan = QueryPlan::new();
+        let mut input = plan.add_base(rel, attrs.clone());
+        if project {
+            let attrs = attrs.clone();
+            input = plan.add(Operator::Project { attrs }, vec![input]);
+        }
+        let attrs = attrs.clone();
+        plan.add(Operator::Encrypt { attrs }, vec![input]);
+        plan
+    };
+    let (dictionary, rows) = (plan(false), plan(true));
+    let run = |plan| execute(plan, &ctx).expect("runs");
+    assert_eq!(run(&dictionary), run(&rows), "one table either way");
+    let mut g = c.benchmark_group("encrypt/lineitem_det_ope");
+    for (name, plan) in [("dictionary", &dictionary), ("rows", &rows)] {
+        g.bench_function(name, |b| b.iter(|| black_box(run(plan))));
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_expr, bench_hash, bench_encrypt);
 criterion_main!(benches);

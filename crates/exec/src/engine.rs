@@ -24,12 +24,17 @@
 //! reads; a product is a join without conditions. No operator
 //! materializes a row: the row walk is the [`crate::rowref`] oracle's.
 //!
-//! **Determinism contract.** Every `Encrypt` cell draws from an RNG
-//! seeded by `(seed, node, column, row)`, where `row` is the global
-//! row index in the operator's input stream (the running sum of batch
-//! lengths). Batch size therefore cannot change a single ciphertext
-//! byte — the `parallel_differential` proptests pin this against the
-//! row-at-a-time reference engine in [`crate::rowref`].
+//! **Determinism contract.** Every Random or Paillier cell an
+//! `Encrypt` writes draws from an RNG seeded by `(seed, node, column,
+//! row)`, where `row` is the global row index in the operator's input
+//! stream (the running sum of batch lengths). Batch size therefore
+//! cannot change a single ciphertext byte — the `parallel_differential`
+//! proptests pin this against the row-at-a-time reference engine in
+//! [`crate::rowref`]. Det and OPE cells draw nothing: they are a
+//! function of key and value, so an `Encrypt` over its own base scan
+//! encrypts each distinct value of the stored column once per query —
+//! the column's dictionary — and gathers every batch by row code
+//! (`tests/dictionary_encrypt.rs` holds it to the row walk).
 //!
 //! **One thread.** Every operator processes each batch whole, on the
 //! thread that pulls the root; nothing splits an operator's rows.
@@ -41,10 +46,12 @@
 use crate::batch::{ColumnVec, KeyEq, KeySeed, TableSchema, DEFAULT_BATCH_ROWS};
 use crate::eval::{cmp_cells, eval_column, eval_select, mask_until_failure, EvalError};
 use crate::scheme::SchemePlan;
-use crate::table::{Database, Table};
+use crate::table::{Database, Dictionary, Table};
 use mpq_algebra::expr::{AggExpr, AggFunc};
-use mpq_algebra::value::{CellRef, EncScheme, EncValue};
-use mpq_algebra::{AttrId, AttrSet, CmpOp, Expr, JoinKind, NodeId, Operator, QueryPlan, Value};
+use mpq_algebra::value::{CellRef, EncColumn, EncScheme, EncValue};
+use mpq_algebra::{
+    AttrId, AttrSet, CmpOp, Expr, JoinKind, NodeId, Operator, QueryPlan, RelId, Value,
+};
 use mpq_crypto::keyring::KeyRing;
 use mpq_crypto::paillier::PaillierPublic;
 use mpq_crypto::schemes::{
@@ -53,6 +60,7 @@ use mpq_crypto::schemes::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 /// Execution errors.
@@ -502,11 +510,12 @@ fn compile_node<'p>(
                         unreachable!("fused_encrypt_child returns Encrypt nodes");
                     };
                     // Grandchild stream: the Encrypt's plaintext input.
+                    let scanned = local_scan(plan, plan.node(enc_id).children[0], inputs, member);
                     let child = child_stream(plan, enc_id, 0, inputs, member, ctx)?;
                     // Crypto plans keyed to the *Encrypt* node id, so
                     // every ciphertext draws from the same seed stream
                     // as the unfused plan order.
-                    let plans = crypto_plans(attrs, &child.schema, enc_id, ctx)?;
+                    let plans = crypto_plans(attrs, &child.schema, enc_id, ctx, scanned)?;
                     let enc_set: AttrSet = attrs.iter().copied().collect();
                     let pred = decrypt_pred_literals(pred, &enc_set, ctx)?;
                     return Ok(crypto_stream(child, plans, true, Some(pred)));
@@ -572,9 +581,10 @@ fn compile_node<'p>(
             ))
         }
         Operator::Encrypt { attrs } | Operator::Decrypt { attrs } => {
-            let child = child_stream(plan, id, 0, inputs, member, ctx)?;
-            let plans = crypto_plans(attrs, &child.schema, id, ctx)?;
             let encrypt = matches!(node.op, Operator::Encrypt { .. });
+            let scanned = local_scan(plan, node.children[0], inputs, member).filter(|_| encrypt);
+            let child = child_stream(plan, id, 0, inputs, member, ctx)?;
+            let plans = crypto_plans(attrs, &child.schema, id, ctx, scanned)?;
             Ok(crypto_stream(child, plans, encrypt, None))
         }
         Operator::Sort { keys } => {
@@ -769,22 +779,68 @@ fn decrypt_pred_literals(pred: &Expr, enc: &AttrSet, ctx: &ExecCtx<'_>) -> Resul
 
 /// Per-attribute crypto work resolved once at compile time: the column
 /// cipher (key schedules, Paillier context), the columns carrying the
-/// attribute, and the attribute's seed stream.
-struct CryptoPlan {
+/// attribute, the attribute's seed stream, and — for a Det or OPE
+/// encrypt of a column the region scans from its stored relation — the
+/// column's dictionary.
+struct CryptoPlan<'p> {
     cipher: ColumnCipher,
     col_idxs: Vec<usize>,
     attr_seed: u64,
+    dictionary: Option<DictionaryCipher<'p>>,
+}
+
+/// A stored column's dictionary on its way to ciphertext: encrypted on
+/// the stream's first batch, gathered by row code on every batch.
+enum DictionaryCipher<'p> {
+    Plain(&'p Dictionary),
+    Encrypted(&'p [u32], EncColumn),
+}
+
+impl CryptoPlan<'_> {
+    /// The row codes and the encrypted dictionary they index, encrypting
+    /// the dictionary on the first call. `None` — the per-row path, for
+    /// the rest of the stream — without a dictionary or when one of its
+    /// values does not encrypt: the row walk then fails where it fails
+    /// (or not at all, when a σ drops the row or a limit stops first).
+    fn dictionary(&mut self) -> Option<(&[u32], &EncColumn)> {
+        if let Some(DictionaryCipher::Plain(dict)) = self.dictionary {
+            // Det and OPE cells draw nothing from the generator.
+            let rng = &mut StdRng::seed_from_u64(self.attr_seed);
+            let encrypted = encrypt_column(&dict.values, &self.cipher, rng).ok();
+            self.dictionary = encrypted.map(|enc| DictionaryCipher::Encrypted(&dict.codes, enc));
+        }
+        match &self.dictionary {
+            Some(DictionaryCipher::Encrypted(codes, enc)) => Some((codes, enc)),
+            _ => None,
+        }
+    }
+}
+
+/// The stored relation `id` scans when it is a base scan its region runs
+/// itself rather than a table delivered to it.
+fn local_scan(
+    plan: &QueryPlan,
+    id: NodeId,
+    inputs: &HashMap<NodeId, Table>,
+    member: &dyn Fn(NodeId) -> bool,
+) -> Option<RelId> {
+    match plan.node(id).op {
+        Operator::Base { rel, .. } if member(id) && !inputs.contains_key(&id) => Some(rel),
+        _ => None,
+    }
 }
 
 /// Resolve keys/schemes for an `Encrypt`/`Decrypt` node. Key presence
 /// is checked here — before any data flows — so an unprovisioned
-/// executor is refused even on empty inputs.
-fn crypto_plans(
+/// executor is refused even on empty inputs. `scanned` is the stored
+/// relation an `Encrypt` reads straight from its own base scan.
+fn crypto_plans<'p>(
     attrs: &[AttrId],
     schema: &TableSchema,
     id: NodeId,
-    ctx: &ExecCtx<'_>,
-) -> Result<Vec<CryptoPlan>, ExecError> {
+    ctx: &ExecCtx<'p>,
+    scanned: Option<RelId>,
+) -> Result<Vec<CryptoPlan<'p>>, ExecError> {
     attrs
         .iter()
         .map(|attr| {
@@ -805,10 +861,17 @@ fn crypto_plans(
                 .filter(|(_, c)| **c == *attr)
                 .map(|(i, _)| i)
                 .collect();
+            let dictionary = match (scanned, scheme, col_idxs.len()) {
+                (Some(rel), EncScheme::Deterministic | EncScheme::Ope, 1) => {
+                    ctx.db.dictionary(rel, *attr).map(DictionaryCipher::Plain)
+                }
+                _ => None,
+            };
             Ok(CryptoPlan {
                 cipher: ColumnCipher::new(scheme, &key),
                 col_idxs,
                 attr_seed: mix_seed(mix_seed(ctx.seed, id.index() as u64), attr.0 as u64),
+                dictionary,
             })
         })
         .collect()
@@ -825,7 +888,7 @@ fn crypto_plans(
 /// out is byte-identical to encrypt-then-filter.
 fn crypto_stream<'p>(
     child: BatchStream<'p>,
-    plans: Vec<CryptoPlan>,
+    mut plans: Vec<CryptoPlan<'p>>,
     encrypt: bool,
     keep: Option<Expr>,
 ) -> BatchStream<'p> {
@@ -853,7 +916,7 @@ fn crypto_stream<'p>(
             Some(kept) => Offsets::Sparse(kept),
             None => Offsets::Dense(base),
         };
-        for plan in &plans {
+        for plan in &mut plans {
             apply_crypto_plan(&mut cols, plan, encrypt, &offsets)?;
         }
         Ok(Some(Table::from_columns(schema.clone(), cols)))
@@ -904,28 +967,38 @@ fn encrypt_column(
     col: &ColumnVec,
     cipher: &ColumnCipher,
     rngs: impl RowRng,
-) -> Result<ColumnVec, EncryptError> {
+) -> Result<EncColumn, EncryptError> {
     let mut run = cipher.encryptor();
     // One cell loop per representation: a single loop over
     // `col.cell_ref(i)` asks each cell for its representation, which
     // costs 10–25 % of a Det or memoised OPE cell.
-    Ok(ColumnVec::Enc(match col {
+    match col {
         ColumnVec::Int(v) => run.encrypt_column(v.iter().map(|&i| CellRef::Int(i)), rngs),
         ColumnVec::Num(v) => run.encrypt_column(v.iter().map(|&f| CellRef::Num(f)), rngs),
         ColumnVec::Date(v) => run.encrypt_column(v.iter().map(|&d| CellRef::Date(d)), rngs),
         ColumnVec::Str(c) => run.encrypt_column(c.cells(0..c.len()).map(CellRef::Str), rngs),
         ColumnVec::Val(v) => run.encrypt_column(&v[..], rngs),
         ColumnVec::Enc(_) => run.encrypt_column((0..col.len()).map(|i| col.cell_ref(i)), rngs),
-    }?))
+    }
 }
 
 /// Decrypt the cells of `col`, each from the bytes where they lie.
-/// NULLs pass; a plaintext cell is refused.
+/// NULLs pass; a plaintext cell is refused. A Det or OPE ciphertext is
+/// a function of its value, so each distinct one is decrypted once.
 fn decrypt_column(col: &ColumnVec, cipher: &ColumnCipher) -> Result<ColumnVec, EncryptError> {
+    let mut memo: HashMap<(EncScheme, u32, &[u8]), Value> = HashMap::new();
     let mut out = ColumnVec::new();
     for i in 0..col.len() {
         out.push(match col.cell_ref(i) {
             CellRef::Null => Value::Null,
+            CellRef::Enc(scheme @ (EncScheme::Deterministic | EncScheme::Ope), key_id, cell) => {
+                match memo.entry((scheme, key_id, cell)) {
+                    Entry::Occupied(v) => v.get().clone(),
+                    Entry::Vacant(slot) => {
+                        (slot.insert(cipher.decrypt_cell(scheme, key_id, cell)?)).clone()
+                    }
+                }
+            }
             CellRef::Enc(scheme, key_id, cell) => cipher.decrypt_cell(scheme, key_id, cell)?,
             _ => return Err(EncryptError::WrongForm),
         });
@@ -946,25 +1019,29 @@ fn crypto_error(e: EncryptError) -> ExecError {
 /// column-index order.
 fn apply_crypto_plan(
     cols: &mut [ColumnVec],
-    plan: &CryptoPlan,
+    plan: &mut CryptoPlan<'_>,
     encrypt: bool,
     offsets: &Offsets<'_>,
 ) -> Result<(), ExecError> {
     match plan.col_idxs.as_slice() {
         [] => Ok(()),
-        [i] => {
-            let col = &cols[*i];
-            let out = if encrypt {
+        &[i] => {
+            let col = &cols[i];
+            let out = if !encrypt {
+                decrypt_column(col, &plan.cipher)
+            } else if let Some((codes, dict)) = plan.dictionary() {
+                // A batch row's offset is its row in the stored relation.
+                let rows = (0..col.len()).map(|r| Some(codes[offsets.at(r) as usize] as usize));
+                Ok(ColumnVec::Enc(dict.gather(rows)))
+            } else {
                 let rngs = SeededRows {
                     attr_seed: plan.attr_seed,
                     offsets,
                     rng: None,
                 };
-                encrypt_column(col, &plan.cipher, rngs)
-            } else {
-                decrypt_column(col, &plan.cipher)
+                encrypt_column(col, &plan.cipher, rngs).map(ColumnVec::Enc)
             };
-            cols[*i] = out.map_err(crypto_error)?;
+            cols[i] = out.map_err(crypto_error)?;
             Ok(())
         }
         idxs => {

@@ -21,8 +21,10 @@
 //! oracle (which owns the row-at-a-time expression walk),
 //! `Table::display`, result checkers and tests. A plan runs on the
 //! thread that calls [`execute`], one batch at a time, each batch whole.
-//! Ciphertext bytes are a pure function of `(seed, node, column, row)`,
-//! so batch size never changes results.
+//! Ciphertext bytes are a pure function of `(seed, node, column, row)`
+//! — Det and OPE of key and value alone, so a stored column's distinct
+//! values are encrypted once per query — and batch size never changes
+//! results.
 //!
 //! The engine evaluates expressions over both plaintext and encrypted
 //! cells: equality works on deterministic ciphertexts (hash joins,

@@ -14,7 +14,8 @@
 use crate::batch::{ColumnVec, TableSchema};
 use mpq_algebra::{AttrId, Catalog, RelId, Value};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::hash::Hash;
+use std::sync::{Arc, OnceLock};
 
 /// A relation, or one bounded batch of one: ordered columns (attribute
 /// ids, possibly repeated for multi-aggregate outputs) and one column
@@ -173,13 +174,76 @@ impl Table {
     }
 }
 
+/// A stored column's dictionary: its distinct values in order of first
+/// appearance, and for every row the position of its value among them.
+/// Plaintext derived from the stored relation alone, built on first use
+/// by [`Database::dictionary`].
+#[derive(Debug)]
+pub(crate) struct Dictionary {
+    pub(crate) values: ColumnVec,
+    pub(crate) codes: Vec<u32>,
+}
+
+impl Dictionary {
+    /// The dictionary of a typed `Int` / `Num` (keyed by bits) / `Date`
+    /// / `Str` column whose distinct values are at most half its rows;
+    /// `None` for any other column.
+    fn build(col: &ColumnVec) -> Option<Dictionary> {
+        let rows = col.len();
+        let (firsts, codes) = match col {
+            ColumnVec::Int(v) => number_values(rows, v.iter()),
+            ColumnVec::Num(v) => number_values(rows, v.iter().map(|f| f.to_bits())),
+            ColumnVec::Date(v) => number_values(rows, v.iter()),
+            ColumnVec::Str(c) => number_values(rows, c.cells(0..rows)),
+            ColumnVec::Enc(_) | ColumnVec::Val(_) => None,
+        }?;
+        Some(Dictionary {
+            values: col.gather(&firsts),
+            codes,
+        })
+    }
+}
+
+/// Number the distinct keys of `rows` keys in order of first
+/// appearance: the row each first appears in, and every row's number.
+/// `None` as soon as more than half the rows are distinct.
+fn number_values<K: Hash + Eq>(
+    rows: usize,
+    keys: impl Iterator<Item = K>,
+) -> Option<(Vec<usize>, Vec<u32>)> {
+    let mut numbers = HashMap::new();
+    let mut firsts = Vec::new();
+    let mut codes = Vec::with_capacity(rows);
+    for (row, key) in keys.enumerate() {
+        let next = firsts.len();
+        let code = *numbers.entry(key).or_insert(next);
+        if code == next {
+            firsts.push(row);
+            if 2 * firsts.len() > rows {
+                return None;
+            }
+        }
+        codes.push(u32::try_from(code).ok()?);
+    }
+    Some((firsts, codes))
+}
+
+/// A stored relation: its table, and each column's dictionary once an
+/// encrypt has asked for it.
+#[derive(Debug)]
+struct Stored {
+    table: Table,
+    dictionaries: Vec<OnceLock<Option<Dictionary>>>,
+}
+
 /// An in-memory database: one table per base relation. A stored table
 /// is never mutated, so databases share them: a clone or a
 /// [`Database::partition`] costs a reference count per relation, not a
-/// copy of the data.
+/// copy of the data, and shares the column dictionaries built so far
+/// and later.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
-    tables: HashMap<RelId, Arc<Table>>,
+    tables: HashMap<RelId, Arc<Stored>>,
 }
 
 impl Database {
@@ -191,12 +255,35 @@ impl Database {
     /// Install a table for `rel`. The table's columns must match the
     /// relation's declared columns (order included).
     pub fn insert(&mut self, rel: RelId, table: Table) {
-        self.tables.insert(rel, Arc::new(table));
+        let dictionaries = table.columns().iter().map(|_| OnceLock::new()).collect();
+        let stored = Stored {
+            table,
+            dictionaries,
+        };
+        self.tables.insert(rel, Arc::new(stored));
     }
 
     /// Fetch the table of `rel`.
     pub fn table(&self, rel: RelId) -> Option<&Table> {
-        self.tables.get(&rel).map(Arc::as_ref)
+        self.tables.get(&rel).map(|stored| &stored.table)
+    }
+
+    /// The dictionary of `attr`'s column in `rel`, built on the first
+    /// call — `None` when the column has none (see `Dictionary::build`).
+    pub(crate) fn dictionary(&self, rel: RelId, attr: AttrId) -> Option<&Dictionary> {
+        let stored = self.tables.get(&rel)?;
+        let col = stored.table.col_index(attr)?;
+        let build = || Dictionary::build(stored.table.column(col));
+        stored.dictionaries[col].get_or_init(build).as_ref()
+    }
+
+    /// The row codes of `attr`'s dictionary in `rel` if an encrypt has
+    /// built it already; this builds nothing.
+    pub fn dictionary_codes(&self, rel: RelId, attr: AttrId) -> Option<&[u32]> {
+        let stored = self.tables.get(&rel)?;
+        let col = stored.table.col_index(attr)?;
+        let dictionary = stored.dictionaries[col].get()?.as_ref()?;
+        Some(&dictionary.codes)
     }
 
     /// The relations `keep` selects, their tables shared with `self` —

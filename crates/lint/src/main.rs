@@ -195,6 +195,7 @@ const CALLER_ALLOW: &[Allow] = &[
     ("crates/dist/src/session.rs", "holds_key", "tests/session_reuse.rs::revoke_forces_reprovisioning"),
     ("crates/dist/src/session.rs", "stored_relations", "tests/distributed.rs::base_relations_stay_with_their_authorities"),
     ("crates/exec/src/engine.rs", "batch_rows", "tests/tpch_pipeline.rs::all_22_plans_match_the_row_oracle_under_tiny_batches"),
+    ("crates/exec/src/table.rs", "dictionary_codes", "tests/session_reuse.rs::revoked_keys_leave_no_ciphertext_behind"),
     ("crates/exec/src/rowref.rs", "with_agg_base", "crates/exec/tests/expr_differential.rs::column_evaluator_matches_the_row_walk"),
     ("crates/exec/src/rowref.rs", "eval_pred", "crates/exec/tests/string_cells.rs::string_predicates_at_word_boundaries_are_the_row_walk"),
 ];

@@ -13,16 +13,20 @@
 //! bytes draw fresh hybrid session keys per query and are compared as
 //! edge sets and request counts, not byte-for-byte.
 
-use mpq::algebra::{SubjectId, Value};
+use mpq::algebra::{NodeId, Operator, SubjectId, Value};
 use mpq::core::candidates::{candidates, Candidates};
 use mpq::core::capability::CapabilityPolicy;
 use mpq::core::dispatch::regions;
 use mpq::core::extend::{minimally_extend, Assignment, ExtendedPlan};
 use mpq::core::fixtures::RunningExample;
 use mpq::core::keys::{plan_keys, KeyPlan};
+use mpq::crypto::keyring::{ClusterKey, KeyRing};
 use mpq::dist::{Report, Session, SessionConfig, SimError, TransportKind};
-use mpq::exec::Database;
+use mpq::exec::{assign_schemes, execute_region, Database, ExecCtx, Table};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::collections::HashMap;
 
 fn sample_db(ex: &RunningExample) -> Database {
     let mut db = Database::new();
@@ -315,4 +319,112 @@ fn errors_abort_the_query_not_the_session() {
     let (in_proc, tcp) = (&last[0], &last[1]);
     assert_rows_match(in_proc, tcp, "after the aborted epochs, TCP vs in-proc");
     assert_eq!(in_proc.data_bytes(), tcp.data_bytes());
+}
+
+/// `Hosp`/`Ins` over 24 patients who share four names, so that `Ins.C`
+/// — Det-encrypted by its authority over its own base scan in Fig.
+/// 7(a) — is encrypted through its dictionary.
+fn repeated_names_db(ex: &RunningExample) -> Database {
+    let birth = Value::Date(mpq::algebra::Date::parse("1970-01-01").unwrap());
+    let mut db = Database::new();
+    let name = |i: usize| Value::str(&format!("patient{}", i % 4));
+    let hosp = (0..24).map(|i| {
+        let treatment = Value::str(["tPA", "rest"][i % 2]);
+        vec![name(i), birth.clone(), Value::str("stroke"), treatment]
+    });
+    let ins = (0..24).map(|i| vec![name(i), Value::Num(90.0 + i as f64)]);
+    db.load(&ex.catalog, "Hosp", hosp.collect());
+    db.load(&ex.catalog, "Ins", ins.collect());
+    db
+}
+
+/// Nothing key-scoped outlives a query: a column's dictionary is
+/// plaintext of the stored relation, and its ciphertexts are made anew
+/// under whatever key the query brings. After a revocation, the
+/// authority → provider table of the next query is bit-identical to a
+/// fresh database's under the new key — even with the new key under
+/// the revoked key's id — and two sessions over one database build
+/// each column's codes once.
+#[test]
+fn revoked_keys_leave_no_ciphertext_behind() {
+    let ex = RunningExample::new();
+    let db = repeated_names_db(&ex);
+    let ext = ex.fig7a_extended();
+    let keys = plan_keys(&ext);
+    let user = ex.subject("U");
+    let ins = ex.catalog.relation("Ins").unwrap().rel;
+    let c = ex.attr("C");
+
+    // Two sessions over one database: the first query builds `C`'s
+    // codes, which both sessions' authorities then share.
+    let mut session = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 41);
+    assert!(db.dictionary_codes(ins, c).is_none(), "built on first use");
+    let first = session.execute(&ext, &keys, user).expect("first query");
+    let codes = db
+        .dictionary_codes(ins, c)
+        .expect("C is encrypted over its scan");
+    let mut other = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 43);
+    assert_rows_match(
+        &first,
+        &other.execute(&ext, &keys, user).unwrap(),
+        "second session",
+    );
+    let again = db.dictionary_codes(ins, c).unwrap();
+    assert!(
+        std::ptr::eq(codes, again),
+        "a second session rebuilt the codes"
+    );
+
+    // Revoke C's cluster: the next query re-provisions and still
+    // matches the first one's rows and per-edge data bytes.
+    let k_c = keys.key_for(c).unwrap().id;
+    session.revoke_key(k_c);
+    let after = session
+        .execute(&ext, &keys, user)
+        .expect("post-revoke query");
+    assert_rows_match(&first, &after, "after the revocation");
+    assert_eq!(first.data_bytes(), after.data_bytes());
+    assert!(
+        !session.holds_key(ex.subject("I"), k_c),
+        "old id must not be re-used"
+    );
+
+    // The authority's region alone — `Encrypt(C, P)` over `Ins` at `I`,
+    // the table that crosses I → X — run under a revoked key, then under
+    // fresh material in the same id, and on a fresh database under that
+    // fresh material.
+    let is_ins_scan =
+        |n: NodeId| matches!(ext.plan.node(n).op, Operator::Base { rel, .. } if rel == ins);
+    let (enc, scan) = (ext.plan.postorder().into_iter())
+        .find_map(
+            |n| match (&ext.plan.node(n).op, &ext.plan.node(n).children[..]) {
+                (Operator::Encrypt { .. }, &[child]) if is_ins_scan(child) => Some((n, child)),
+                _ => None,
+            },
+        )
+        .expect("I encrypts over its own scan");
+    let schemes = assign_schemes(&ext.plan).unwrap();
+    let key_of_attr = HashMap::from([(c, 0u32), (ex.attr("P"), 0u32)]);
+    let key = |seed| ClusterKey::generate(&mut StdRng::seed_from_u64(seed), 0, 256);
+    let edge = |db: &Database, ring: &KeyRing| -> Table {
+        let ctx = ExecCtx::new(&ex.catalog, db, ring, &schemes, &key_of_attr);
+        let member = |n: NodeId| n == enc || n == scan;
+        execute_region(&ext.plan, enc, &member, &mut HashMap::new(), &ctx).expect("I's region runs")
+    };
+    let ring = KeyRing::new();
+    ring.insert(key(1));
+    let revoked = edge(&db, &ring);
+    ring.revoke(0);
+    ring.insert(key(2));
+    let renewed = edge(&db, &ring);
+    let fresh_ring = KeyRing::new();
+    fresh_ring.insert(key(2));
+    let fresh = edge(&repeated_names_db(&ex), &fresh_ring);
+    assert_eq!(renewed, fresh, "ciphertexts under the new key");
+    let col = renewed.col_index(c).unwrap();
+    assert_ne!(
+        renewed.column(col),
+        revoked.column(col),
+        "C still under the revoked key"
+    );
 }
