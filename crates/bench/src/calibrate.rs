@@ -358,23 +358,13 @@ pub fn run_calibration(cfg: &CalibrateConfig) -> Calibration {
             .unwrap_or_else(|e| panic!("Q{q} distributed replay: {e}"));
         let dp_replay_secs = t0.elapsed().as_secs_f64();
         request_bytes += report.request_bytes.values().sum::<usize>() as f64;
-        // Data-flow bytes = total transfers minus the dispatch
-        // envelopes, per edge.
-        let data_flow = |edge: &(SubjectId, SubjectId)| -> f64 {
-            let total = report.transfers.get(edge).copied().unwrap_or(0);
-            let req = report.request_bytes.get(edge).copied().unwrap_or(0);
-            (total - req) as f64
-        };
-        let mut all: Vec<(SubjectId, SubjectId)> = modeled
-            .keys()
-            .copied()
-            .chain(report.transfers.keys().copied())
-            .collect();
+        let data_flow = report.data_bytes();
+        let mut all: Vec<_> = modeled.keys().chain(data_flow.keys()).copied().collect();
         all.sort_by_key(|(a, b)| (a.index(), b.index()));
         all.dedup();
         for edge in all {
             let (from, to) = edge;
-            let measured = data_flow(&edge);
+            let measured = data_flow.get(&edge).copied().unwrap_or(0) as f64;
             let modeled_bytes = modeled.get(&edge).copied().unwrap_or(0.0);
             if measured == 0.0 && modeled_bytes == 0.0 {
                 continue;

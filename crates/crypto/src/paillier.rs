@@ -127,8 +127,9 @@ const MIN_FACTOR_BITS: usize = 64;
 
 /// Widest modulus [`PaillierPublic::from_modulus`] accepts. Sessions use
 /// 256 bits; an addition costs time quadratic in the modulus, so an
-/// unbounded one lets a peer hold a party thread for as long as it
-/// likes (one `add` under a 64 KiB modulus: 3.6 s).
+/// unbounded one lets a peer hold a server's serve loop, or a session's
+/// walk on its caller's thread, for as long as it likes (one `add`
+/// under a 64 KiB modulus: 3.6 s).
 const MAX_MODULUS_BITS: usize = 4096;
 
 impl PaillierPublic {
@@ -592,7 +593,8 @@ mod tests {
         assert!(pk.add(&c, &c).0 < pk.n2);
         // Up to the cap. A modulus as wide as a frame allows, or one bit
         // past the cap, used to be granted, and a granted key is used:
-        // each is timed through one `add`, as a party thread would run it.
+        // each is timed through one `add`, as a server's serve loop would
+        // run it.
         let widest = BigUint::one().shl(MAX_MODULUS_BITS).sub(&BigUint::one());
         assert!(PaillierPublic::from_modulus(widest.clone()).is_some());
         let huge = BigUint::from_bytes_be(&[0xFF; 64 << 10]);

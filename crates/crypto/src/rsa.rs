@@ -142,8 +142,9 @@ const SESSION_KEY_LEN: usize = 16;
 
 /// Widest modulus [`RsaPublic::from_parts`] accepts. Sessions use 512
 /// bits; a public operation costs time quadratic or worse in the
-/// modulus, so an unbounded one lets a peer hold a party thread for as
-/// long as it likes (one `verify` under a 64 KiB modulus: 6.7 s).
+/// modulus, so an unbounded one lets a peer hold a server's serve loop,
+/// or a session's walk on its caller's thread, for as long as it likes
+/// (one `verify` under a 64 KiB modulus: 6.7 s).
 const MAX_MODULUS_BITS: usize = 4096;
 
 /// Bytes `encrypt_block` adds around a block: the `0x02` marker, at
@@ -364,7 +365,7 @@ mod tests {
         // A modulus or exponent as wide as a frame allows, one bit past
         // the cap, and an exponent ≥ n. Each used to decode, and a key
         // that decodes is used — `open` verifies under it — so each is
-        // timed through one `verify`, as a party thread would run it.
+        // timed through one `verify`, as a server's serve loop would run it.
         let e = &user.public.e;
         let widest = BigUint::one().shl(MAX_MODULUS_BITS).sub(&BigUint::one());
         assert!(RsaPublic::from_parts(widest.clone(), e.clone()).is_some());

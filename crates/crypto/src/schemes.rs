@@ -820,8 +820,8 @@ mod tests {
     /// Cells arrive from peers. A Paillier cell with the right header
     /// over arbitrary bytes decrypts to a plaintext as wide as the
     /// modulus — `decode_sum` used to `assert!` on it, in release, in
-    /// the key holder's party thread — and forged term counts
-    /// overflowed their sum.
+    /// the key holder's serve loop or its session's walk — and forged
+    /// term counts overflowed their sum.
     #[test]
     fn forged_paillier_cells_are_typed_errors_not_panics() {
         let (k, mut rng) = key();

@@ -102,9 +102,9 @@ impl FaultPlan {
 
     /// Parse a `key=value,key=value` spec. Keys: `seed`, `drop`,
     /// `truncate`, `reset`, `delay`, `stall` (per-mille rates),
-    /// `delay-ms`, `stall-ms`, `max`. Unknown keys and malformed
-    /// values are errors — a chaos schedule that silently ignores a
-    /// typo is worse than none.
+    /// `delay-ms`, `stall-ms`, `max` (a per-edge count, at most
+    /// `u32::MAX`). Unknown keys and malformed values are errors — a
+    /// chaos schedule that silently ignores a typo is worse than none.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new(0);
         for part in spec.split(',') {
@@ -139,7 +139,11 @@ impl FaultPlan {
                 "stall" => plan.stall_pm = rate("stall")?,
                 "delay-ms" => plan.delay_ms = num("delay-ms")?,
                 "stall-ms" => plan.stall_ms = num("stall-ms")?,
-                "max" => plan.max_per_edge = Some(rate("max")?),
+                "max" => {
+                    let count = u32::try_from(num("max")?);
+                    let count = count.map_err(|_| format!("fault spec `{part}`: max too large"))?;
+                    plan.max_per_edge = Some(count);
+                }
                 other => return Err(format!("fault spec: unknown key `{other}`")),
             }
         }
@@ -287,6 +291,11 @@ mod tests {
         assert_eq!(plan.max_per_edge, Some(8));
         let reparsed = FaultPlan::parse(&plan.spec()).expect("spec() is parseable");
         assert_eq!(plan, reparsed);
+        // `max` is a per-edge count, not a per-mille rate.
+        let plan = FaultPlan::parse("seed=1,drop=10,max=5000").expect("valid spec");
+        assert_eq!(plan.max_per_edge, Some(5000));
+        let reparsed = FaultPlan::parse(&plan.spec()).expect("spec() is parseable");
+        assert_eq!(plan, reparsed);
     }
 
     #[test]
@@ -296,6 +305,7 @@ mod tests {
         assert!(FaultPlan::parse("drop=abc").is_err());
         assert!(FaultPlan::parse("drop=1001").is_err());
         assert!(FaultPlan::parse("drop=600,delay=600").is_err());
+        assert!(FaultPlan::parse("max=4294967296").is_err());
     }
 
     #[test]

@@ -66,7 +66,7 @@ use crate::party::{Party, PartyOut};
 use crate::runtime::{drive, peer_failure, settle, Mailbox, Outcome, Run, ABORTED_MARK};
 use crate::session::{Dispatched, Dispatcher, Holders, SessionConfig};
 use crate::transport::{
-    lock, Conn, EdgeRecovery, FaultState, Link, Links, TcpHub, TransportError, Wire, WireStats,
+    lock, Conn, EdgeRecovery, Ledger, Link, Links, TcpHub, TransportError, Wire,
 };
 use crate::{Report, RSA_BITS};
 use mpq_algebra::{Catalog, SubjectId};
@@ -220,18 +220,10 @@ impl Server {
 
     /// This server's sending data plane.
     fn data_wire(&self) -> Wire {
-        Wire::new(
-            self.party.me,
-            self.seed,
-            Arc::new(Links::tcp(
-                self.party.me,
-                self.peers.clone(),
-                CONNECT_TIMEOUT,
-            )),
-            Arc::new(Mutex::new(FaultState::new(self.faults.clone()))),
-            self.retry,
-            Arc::new(WireStats::default()),
-        )
+        let me = self.party.me;
+        let links = Arc::new(Links::tcp(me, self.peers.clone(), CONNECT_TIMEOUT));
+        let ledger = Ledger::shared(self.faults.clone());
+        Wire::new(me, self.seed, links, ledger, self.retry)
     }
 
     /// Serve one coordinator connection. `Ok(true)` means shutdown was
@@ -561,9 +553,11 @@ impl Coordinator {
         let timeout = config
             .effective_timeout()
             .unwrap_or(Duration::from_secs(10));
+        // One ledger per wire: the control plane's attempts never shift
+        // the data plane's schedule.
         let wire_of = |seed, backend| {
-            let faults = Arc::new(Mutex::new(FaultState::new(config.faults.clone())));
-            Wire::new(user, seed, backend, faults, config.retry, Arc::default())
+            let ledger = Ledger::shared(config.faults.clone());
+            Wire::new(user, seed, backend, ledger, config.retry)
         };
         let hello = Frame::Hello {
             user,
@@ -673,19 +667,21 @@ impl Coordinator {
         Report::assemble(request_bytes, requests, settle(outcomes)?)
     }
 
-    /// Per-edge recovery counters of this coordinator's *data-plane*
-    /// sends — the user's share of the peer-to-peer traffic. The
-    /// counters are a pure function of the fault schedule, so the same
-    /// schedule yields the same map a [`crate::Session`] reports.
+    /// A snapshot of the ledger of this coordinator's *data-plane*
+    /// wire — per edge, the recovery of the user's share of the
+    /// peer-to-peer traffic. The counts are a pure function of the
+    /// fault schedule, so the same schedule yields the same map a
+    /// [`crate::Session`] reports.
     pub fn recovery_stats(&self) -> HashMap<(SubjectId, SubjectId), EdgeRecovery> {
-        self.wire.stats().snapshot()
+        self.wire.ledger().edges.clone()
     }
 
     /// Total recovered deliveries so far: data-plane re-sends plus
     /// control-plane re-sends and reconnects. Non-zero means the
     /// session survived at least one injected or real fault.
     pub fn recovered_sends(&self) -> u64 {
-        self.wire.stats().total_retries() + self.ctl.stats().total_retries()
+        let retries = |w: &Wire| w.ledger().edges.values().map(|e| e.retries).sum::<u64>();
+        retries(&self.wire) + retries(&self.ctl)
     }
 
     /// Ask every server to exit, then drop the connections.
@@ -792,16 +788,9 @@ mod tests {
             let links = Arc::new(links);
             // The first attempt on the edge is damaged, no other.
             let plan = FaultPlan::parse("seed=1,truncate=1000,max=1").expect("valid");
-            let faults = Arc::new(Mutex::new(FaultState::new(Some(plan))));
+            let ledger = Ledger::shared(Some(plan));
             let retry = RetryPolicy::default();
-            let ctl = Wire::new(
-                user,
-                7,
-                Arc::clone(&links) as _,
-                faults,
-                retry,
-                Arc::default(),
-            );
+            let ctl = Wire::new(user, 7, Arc::clone(&links) as _, ledger, retry);
             links.with(me, false, |_| Ok(())).expect("handshake");
             let server_key = lock(&publics)[&me].clone();
             let key = ClusterKey::generate(&mut rng, 5, 256);
@@ -810,7 +799,8 @@ mod tests {
                 .expect("the retry recovers the truncated attempt");
             ctl.send_with_retry(me, &Frame::Shutdown)
                 .expect("the re-dialed link is cached");
-            ctl.stats().snapshot()[&(user, me)]
+            let edges = ctl.ledger().edges.clone();
+            edges[&(user, me)]
         });
 
         let wire = server.data_wire();

@@ -46,8 +46,7 @@ use crate::fault::{FaultPlan, RetryPolicy};
 use crate::party::{Party, PartyRun, QueryJob};
 use crate::runtime::{Mailbox, Msg};
 use crate::transport::{
-    lock, EdgeRecovery, FaultState, Links, TcpHub, Transport, TransportError, TransportKind, Wire,
-    WireStats,
+    lock, EdgeRecovery, Ledger, Links, TcpHub, Transport, TransportError, TransportKind, Wire,
 };
 use crate::{Report, PAILLIER_BITS, RSA_BITS};
 use mpq_algebra::{AttrId, Catalog, Operator, RelId, SubjectId};
@@ -527,11 +526,9 @@ pub struct Session {
     mailboxes: Vec<Mailbox>,
     /// The last query epoch.
     epoch: u64,
-    /// Fault-injection state shared by every party's wire; swapping
-    /// the plan (see [`Session::set_faults`]) reaches all of them.
-    faults: Arc<Mutex<FaultState>>,
-    /// Per-edge recovery counters shared by every party's wire.
-    wire_stats: Arc<WireStats>,
+    /// The one ledger every party's wire counts into: the fault plan
+    /// (swapped by [`Session::set_faults`]) and each edge's recovery.
+    ledger: Arc<Mutex<Ledger>>,
     /// Each party's sending half, by subject index. Declared before
     /// `_hubs` so the wires' connections close first: every in-flight
     /// frame either lands or sees a clean EOF before its hub is joined.
@@ -604,14 +601,13 @@ impl Session {
         config: SessionConfig,
     ) -> Session {
         let (parties, dispatcher) = set_up(catalog, subjects, policy, db, &config);
-        let faults = Arc::new(Mutex::new(FaultState::new(config.faults.clone())));
-        let wire_stats = Arc::new(WireStats::default());
+        let ledger = Ledger::shared(config.faults.clone());
         let (txs, mailboxes): (Vec<_>, Vec<_>) = parties.iter().map(|_| Mailbox::new()).unzip();
         // One link cache per party. In-proc: clones of everyone's
         // mailbox sender. TCP: every party binds a loopback hub feeding
         // its own mailbox, and links dial the peers' hubs. All wires
-        // share one fault-injection state and one recovery-stats sink,
-        // so a session-level schedule swap reaches every party.
+        // share one ledger, so a session-level schedule swap reaches
+        // every party.
         let mut hubs = Vec::new();
         let mut peers = HashMap::new();
         if config.transport == TransportKind::Tcp {
@@ -633,8 +629,8 @@ impl Session {
                         Arc::new(Links::tcp(party.me, peers.clone(), Duration::from_secs(5)))
                     }
                 };
-                let (faults, stats) = (Arc::clone(&faults), Arc::clone(&wire_stats));
-                Wire::new(party.me, config.seed, links, faults, config.retry, stats)
+                let ledger = Arc::clone(&ledger);
+                Wire::new(party.me, config.seed, links, ledger, config.retry)
             })
             .collect();
         Session {
@@ -642,8 +638,7 @@ impl Session {
             parties,
             mailboxes,
             epoch: 0,
-            faults,
-            wire_stats,
+            ledger,
             wires,
             _hubs: hubs,
         }
@@ -724,22 +719,22 @@ impl Session {
 
     /// Swap the transport fault schedule for the session's *next*
     /// queries (chaos tests sweep many schedules over one long-lived
-    /// session, amortizing party setup). Resets the per-edge fault
-    /// counters — each schedule starts from `frame_index = 0` — and
-    /// the recovery counters, so [`Session::recovery_stats`] reads as
-    /// "since the last schedule swap".
+    /// session, amortizing party setup). Clears the session's one
+    /// per-edge ledger: each schedule starts from attempt 0 on every
+    /// edge, and [`Session::recovery_stats`] reads as "since the last
+    /// schedule swap".
     pub fn set_faults(&mut self, plan: Option<FaultPlan>) {
-        lock(&self.faults).set_plan(plan);
-        self.wire_stats.reset();
+        lock(&self.ledger).set_plan(plan);
     }
 
-    /// Per-edge delivery/retry/injection counters accumulated since
-    /// the session opened or the last [`Session::set_faults`]. A
+    /// A snapshot of the session's ledger: per edge, the
+    /// delivery/retry/injection counts since the session opened or the
+    /// last [`Session::set_faults`]. A
     /// successful query with a nonzero retry count is a *recovered*
     /// run — the chaos soak counts these; the retry-determinism
     /// proptest asserts they are identical across transport backends.
     pub fn recovery_stats(&self) -> HashMap<(SubjectId, SubjectId), EdgeRecovery> {
-        self.wire_stats.snapshot()
+        lock(&self.ledger).edges.clone()
     }
 
     /// Number of cluster keys currently cached (provisioned and not

@@ -32,17 +32,19 @@
 //! maps — the property the TCP differential test pins.
 //!
 //! Parties do not use a `Links` directly: they hold a `Wire`
-//! (crate-private), which consults the session's [`FaultPlan`] before
-//! each attempt and retries failed attempts under a bounded
+//! (crate-private), which retries failed attempts under a bounded
 //! [`RetryPolicy`] with seeded decorrelated-jitter backoff — the one
 //! retry loop of the crate, under the data plane and (as a second
-//! `Wire` with its own counters) the coordinator's control plane
-//! alike. Injected failures are *synthesized by the wire* (not the
-//! link), so the in-proc and TCP transports surface byte-identical
-//! errors and recovery traces for the same schedule. Every table
-//! carries a `(from, seq)` stamped by the sending party; the receiving
-//! party core (`party.rs`) drops duplicates, which makes re-sends
-//! idempotent: a [`FaultAction::Reset`](crate::fault::FaultAction)
+//! `Wire` with a ledger of its own) the coordinator's control plane
+//! alike. Each wire counts into one `Ledger`, shared by every wire of
+//! a session: the active [`FaultPlan`] and, per directed edge, one
+//! [`EdgeRecovery`] — whose attempt count is also the index the plan
+//! decides the next attempt by. Injected failures are *synthesized by
+//! the wire* (not the link), so the in-proc and TCP transports surface
+//! byte-identical errors and recovery traces for the same schedule.
+//! Every table carries a `(from, seq)` stamped by the sending party;
+//! the receiving party core (`party.rs`) drops duplicates, which makes
+//! re-sends idempotent: a [`FaultAction::Reset`](crate::fault::FaultAction)
 //! delivers *and* fails the sender, forcing the duplicate the dedup
 //! exists for.
 //!
@@ -386,10 +388,11 @@ fn read_frame(stream: &mut impl Read) -> Result<Option<Frame>, TransportError> {
 /// Per-edge recovery counters, exposed through
 /// [`Session::recovery_stats`](crate::Session::recovery_stats) (and
 /// the coordinator's equivalent). `attempts` counts every delivery
-/// attempt, `retries` the re-sends after a failed attempt, `injected`
-/// the attempts the fault plan damaged. The counts are a function of
-/// the fault schedule alone — identical across transport backends —
-/// which is what the retry-determinism proptest pins.
+/// attempt — and is the index the fault schedule decides the next one
+/// by — `retries` the re-sends after a failed attempt, `injected` the
+/// attempts the fault plan damaged. The counts are a function of the
+/// fault schedule alone — identical across transport backends — which
+/// is what the retry-determinism proptest pins.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EdgeRecovery {
     /// Delivery attempts (logical sends + retries).
@@ -400,70 +403,46 @@ pub struct EdgeRecovery {
     pub injected: u64,
 }
 
-/// Shared recovery counters for all wires of one session or server.
-#[derive(Default)]
-pub(crate) struct WireStats {
-    edges: Mutex<HashMap<(SubjectId, SubjectId), EdgeRecovery>>,
-}
-
-impl WireStats {
-    fn bump(&self, from: SubjectId, to: SubjectId, f: impl FnOnce(&mut EdgeRecovery)) {
-        let mut edges = lock(&self.edges);
-        f(edges.entry((from, to)).or_default());
-    }
-
-    pub(crate) fn snapshot(&self) -> HashMap<(SubjectId, SubjectId), EdgeRecovery> {
-        lock(&self.edges).clone()
-    }
-
-    pub(crate) fn reset(&self) {
-        lock(&self.edges).clear();
-    }
-
-    pub(crate) fn total_retries(&self) -> u64 {
-        lock(&self.edges).values().map(|e| e.retries).sum()
-    }
-}
-
-/// The mutable fault-injection state shared by every wire of a
-/// session: the active plan plus per-edge attempt/injection counters.
-/// Swapping the plan (chaos tests sweep schedules over one long-lived
-/// session) resets the counters so each schedule starts from
-/// `frame_index = 0`.
-pub(crate) struct FaultState {
+/// The one ledger of a set of wires — every party's wire of a session,
+/// or one wire of a server or coordinator: the active fault plan and,
+/// per directed edge, its [`EdgeRecovery`]. Swapping the plan (chaos
+/// tests sweep schedules over one long-lived session) clears the edges,
+/// so each schedule starts from attempt 0 and the counters read "since
+/// the last swap".
+pub(crate) struct Ledger {
     plan: Option<FaultPlan>,
-    /// Per directed edge: (next attempt index, faults injected).
-    counters: HashMap<(SubjectId, SubjectId), (u64, u32)>,
+    pub(crate) edges: HashMap<(SubjectId, SubjectId), EdgeRecovery>,
 }
 
-impl FaultState {
-    pub(crate) fn new(plan: Option<FaultPlan>) -> FaultState {
-        FaultState {
-            plan,
-            counters: HashMap::new(),
-        }
+impl Ledger {
+    /// A fresh ledger under `plan`, as the handle its wires share.
+    pub(crate) fn shared(plan: Option<FaultPlan>) -> Arc<Mutex<Ledger>> {
+        let edges = HashMap::new();
+        Arc::new(Mutex::new(Ledger { plan, edges }))
     }
 
     pub(crate) fn set_plan(&mut self, plan: Option<FaultPlan>) {
         self.plan = plan;
-        self.counters.clear();
+        self.edges.clear();
     }
 
-    /// The action for the next attempt on `from → to`, consuming one
-    /// attempt index and enforcing the plan's per-edge injection cap.
-    pub(crate) fn next_action(&mut self, from: SubjectId, to: SubjectId) -> FaultAction {
+    /// Count one attempt on `from → to` and pick its action: the
+    /// schedule's decision for the edge's attempt index, unless the
+    /// plan's per-edge injection cap is spent.
+    fn next_action(&mut self, from: SubjectId, to: SubjectId) -> FaultAction {
+        let edge = self.edges.entry((from, to)).or_default();
+        let index = edge.attempts;
+        edge.attempts += 1;
         let Some(plan) = &self.plan else {
             return FaultAction::Deliver;
         };
-        let (idx, injected) = self.counters.entry((from, to)).or_default();
-        let index = *idx;
-        *idx += 1;
-        if plan.max_per_edge.is_some_and(|cap| *injected >= cap) {
+        let cap = plan.max_per_edge.map_or(u64::MAX, u64::from);
+        if edge.injected >= cap {
             return FaultAction::Deliver;
         }
         let action = plan.decide(from, to, index);
         if action != FaultAction::Deliver {
-            *injected += 1;
+            edge.injected += 1;
         }
         action
     }
@@ -477,15 +456,15 @@ impl FaultState {
 /// what makes re-sending after an ambiguous failure (`Reset`) safe. A
 /// failed attempt backs off with seeded decorrelated jitter and tries
 /// again until the [`RetryPolicy`] budget is spent; the last typed
-/// error then surfaces through the existing abort path.
+/// error then surfaces through the existing abort path. Every attempt
+/// and retry is counted in the wire's [`Ledger`], one lock each.
 pub(crate) struct Wire {
     me: SubjectId,
     /// Session seed share for deterministic backoff jitter.
     seed: u64,
     inner: Arc<dyn Transport>,
-    faults: Arc<Mutex<FaultState>>,
+    ledger: Arc<Mutex<Ledger>>,
     retry: RetryPolicy,
-    stats: Arc<WireStats>,
 }
 
 impl Wire {
@@ -493,23 +472,21 @@ impl Wire {
         me: SubjectId,
         seed: u64,
         inner: Arc<dyn Transport>,
-        faults: Arc<Mutex<FaultState>>,
+        ledger: Arc<Mutex<Ledger>>,
         retry: RetryPolicy,
-        stats: Arc<WireStats>,
     ) -> Wire {
         Wire {
             me,
             seed,
             inner,
-            faults,
+            ledger,
             retry,
-            stats,
         }
     }
 
-    /// The recovery counters this wire reports into.
-    pub(crate) fn stats(&self) -> &WireStats {
-        &self.stats
+    /// The ledger this wire counts into.
+    pub(crate) fn ledger(&self) -> MutexGuard<'_, Ledger> {
+        lock(&self.ledger)
     }
 
     /// Send one data-plane message of query `epoch`.
@@ -539,11 +516,7 @@ impl Wire {
         frame: &Frame,
     ) -> Result<(), TransportError> {
         self.retry(to, || {
-            let action = lock(&self.faults).next_action(self.me, to);
-            self.stats.bump(self.me, to, |e| e.attempts += 1);
-            if action != FaultAction::Deliver {
-                self.stats.bump(self.me, to, |e| e.injected += 1);
-            }
+            let action = self.ledger().next_action(self.me, to);
             if let FaultAction::Delay(d) | FaultAction::Stall(d) = action {
                 std::thread::sleep(d);
             }
@@ -592,7 +565,8 @@ impl Wire {
             if attempt >= max_attempts {
                 return Err(err);
             }
-            self.stats.bump(self.me, to, |e| e.retries += 1);
+            let edge = (self.me, to);
+            self.ledger().edges.entry(edge).or_default().retries += 1;
             let ms = self.retry.backoff_ms(edge_seed, attempt, prev_ms);
             prev_ms = ms;
             std::thread::sleep(Duration::from_millis(ms));
@@ -946,14 +920,7 @@ mod tests {
     ) -> (Wire, std::sync::mpsc::Receiver<Stamped>) {
         let (tx, rx) = channel();
         let inner = Arc::new(Links::in_proc(vec![tx]));
-        let wire = Wire::new(
-            SubjectId(1),
-            7,
-            inner,
-            Arc::new(Mutex::new(FaultState::new(plan))),
-            retry,
-            Arc::new(WireStats::default()),
-        );
+        let wire = Wire::new(SubjectId(1), 7, inner, Ledger::shared(plan), retry);
         (wire, rx)
     }
 

@@ -46,7 +46,7 @@
 use crate::batch::{ColumnVec, KeyEq, KeySeed, TableSchema, DEFAULT_BATCH_ROWS};
 use crate::eval::{cmp_cells, eval_column, eval_select, mask_until_failure, EvalError};
 use crate::scheme::SchemePlan;
-use crate::table::{Database, Dictionary, Table};
+use crate::table::{Database, Table};
 use mpq_algebra::expr::{AggExpr, AggFunc};
 use mpq_algebra::value::{CellRef, EncColumn, EncScheme, EncValue};
 use mpq_algebra::{
@@ -506,19 +506,7 @@ fn compile_node<'p>(
             let child = node.children[0];
             if member(child) && !inputs.contains_key(&child) {
                 if let Some(enc_id) = fused_encrypt_child(plan, id) {
-                    let Operator::Encrypt { attrs } = &plan.node(enc_id).op else {
-                        unreachable!("fused_encrypt_child returns Encrypt nodes");
-                    };
-                    // Grandchild stream: the Encrypt's plaintext input.
-                    let scanned = local_scan(plan, plan.node(enc_id).children[0], inputs, member);
-                    let child = child_stream(plan, enc_id, 0, inputs, member, ctx)?;
-                    // Crypto plans keyed to the *Encrypt* node id, so
-                    // every ciphertext draws from the same seed stream
-                    // as the unfused plan order.
-                    let plans = crypto_plans(attrs, &child.schema, enc_id, ctx, scanned)?;
-                    let enc_set: AttrSet = attrs.iter().copied().collect();
-                    let pred = decrypt_pred_literals(pred, &enc_set, ctx)?;
-                    return Ok(crypto_stream(child, plans, true, Some(pred)));
+                    return crypto_node(plan, enc_id, Some(pred), inputs, member, ctx);
                 }
             }
             let child = child_stream(plan, id, 0, inputs, member, ctx)?;
@@ -580,12 +568,8 @@ fn compile_node<'p>(
                 TableSchema::new(kept),
             ))
         }
-        Operator::Encrypt { attrs } | Operator::Decrypt { attrs } => {
-            let encrypt = matches!(node.op, Operator::Encrypt { .. });
-            let scanned = local_scan(plan, node.children[0], inputs, member).filter(|_| encrypt);
-            let child = child_stream(plan, id, 0, inputs, member, ctx)?;
-            let plans = crypto_plans(attrs, &child.schema, id, ctx, scanned)?;
-            Ok(crypto_stream(child, plans, encrypt, None))
+        Operator::Encrypt { .. } | Operator::Decrypt { .. } => {
+            crypto_node(plan, id, None, inputs, member, ctx)
         }
         Operator::Sort { keys } => {
             let agg_base = plan.agg_scope(id).map(|scope| scope.base());
@@ -781,39 +765,40 @@ fn decrypt_pred_literals(pred: &Expr, enc: &AttrSet, ctx: &ExecCtx<'_>) -> Resul
 /// cipher (key schedules, Paillier context), the columns carrying the
 /// attribute, the attribute's seed stream, and — for a Det or OPE
 /// encrypt of a column the region scans from its stored relation — the
-/// column's dictionary.
+/// column's row codes and its dictionary, encrypted.
 struct CryptoPlan<'p> {
     cipher: ColumnCipher,
     col_idxs: Vec<usize>,
     attr_seed: u64,
-    dictionary: Option<DictionaryCipher<'p>>,
+    dictionary: Option<(&'p [u32], EncColumn)>,
 }
 
-/// A stored column's dictionary on its way to ciphertext: encrypted on
-/// the stream's first batch, gathered by row code on every batch.
-enum DictionaryCipher<'p> {
-    Plain(&'p Dictionary),
-    Encrypted(&'p [u32], EncColumn),
-}
-
-impl CryptoPlan<'_> {
-    /// The row codes and the encrypted dictionary they index, encrypting
-    /// the dictionary on the first call. `None` — the per-row path, for
-    /// the rest of the stream — without a dictionary or when one of its
-    /// values does not encrypt: the row walk then fails where it fails
-    /// (or not at all, when a σ drops the row or a limit stops first).
-    fn dictionary(&mut self) -> Option<(&[u32], &EncColumn)> {
-        if let Some(DictionaryCipher::Plain(dict)) = self.dictionary {
-            // Det and OPE cells draw nothing from the generator.
-            let rng = &mut StdRng::seed_from_u64(self.attr_seed);
-            let encrypted = encrypt_column(&dict.values, &self.cipher, rng).ok();
-            self.dictionary = encrypted.map(|enc| DictionaryCipher::Encrypted(&dict.codes, enc));
-        }
-        match &self.dictionary {
-            Some(DictionaryCipher::Encrypted(codes, enc)) => Some((codes, enc)),
-            _ => None,
-        }
-    }
+/// Compile the `Encrypt` or `Decrypt` node `id` over its child. `keep`
+/// is the predicate of a Select fused onto an `Encrypt` (footnote 2),
+/// evaluated on the plaintext input with its literals decrypted. The
+/// crypto plans are keyed to `id` either way, so every ciphertext draws
+/// from the same seed stream as the unfused plan order.
+fn crypto_node<'p>(
+    plan: &'p QueryPlan,
+    id: NodeId,
+    keep: Option<&Expr>,
+    inputs: &mut HashMap<NodeId, Table>,
+    member: &dyn Fn(NodeId) -> bool,
+    ctx: &'p ExecCtx<'p>,
+) -> Result<BatchStream<'p>, ExecError> {
+    let node = plan.node(id);
+    let (Operator::Encrypt { attrs } | Operator::Decrypt { attrs }) = &node.op else {
+        unreachable!("crypto_node compiles Encrypt and Decrypt nodes");
+    };
+    let encrypt = matches!(node.op, Operator::Encrypt { .. });
+    let scanned = local_scan(plan, node.children[0], inputs, member).filter(|_| encrypt);
+    let child = child_stream(plan, id, 0, inputs, member, ctx)?;
+    let plans = crypto_plans(attrs, &child.schema, id, ctx, scanned)?;
+    let enc: AttrSet = attrs.iter().copied().collect();
+    let keep = keep
+        .map(|pred| decrypt_pred_literals(pred, &enc, ctx))
+        .transpose()?;
+    Ok(crypto_stream(child, plans, encrypt, keep))
 }
 
 /// The stored relation `id` scans when it is a base scan its region runs
@@ -833,7 +818,9 @@ fn local_scan(
 /// Resolve keys/schemes for an `Encrypt`/`Decrypt` node. Key presence
 /// is checked here — before any data flows — so an unprovisioned
 /// executor is refused even on empty inputs. `scanned` is the stored
-/// relation an `Encrypt` reads straight from its own base scan.
+/// relation an `Encrypt` reads straight from its own base scan; the
+/// dictionary of each of its Det or OPE columns is encrypted here, once
+/// per query.
 fn crypto_plans<'p>(
     attrs: &[AttrId],
     schema: &TableSchema,
@@ -861,16 +848,26 @@ fn crypto_plans<'p>(
                 .filter(|(_, c)| **c == *attr)
                 .map(|(i, _)| i)
                 .collect();
+            let cipher = ColumnCipher::new(scheme, &key);
+            let attr_seed = mix_seed(mix_seed(ctx.seed, id.index() as u64), attr.0 as u64);
+            // Det and OPE cells draw nothing from the generator. A
+            // dictionary with a value that does not encrypt leaves the
+            // per-row path to fail where it fails (or not at all, when
+            // a σ drops the row or a limit stops first).
             let dictionary = match (scanned, scheme, col_idxs.len()) {
                 (Some(rel), EncScheme::Deterministic | EncScheme::Ope, 1) => {
-                    ctx.db.dictionary(rel, *attr).map(DictionaryCipher::Plain)
+                    ctx.db.dictionary(rel, *attr).and_then(|dict| {
+                        let rng = &mut StdRng::seed_from_u64(attr_seed);
+                        let enc = encrypt_column(&dict.values, &cipher, rng).ok()?;
+                        Some((&dict.codes[..], enc))
+                    })
                 }
                 _ => None,
             };
             Ok(CryptoPlan {
-                cipher: ColumnCipher::new(scheme, &key),
+                cipher,
                 col_idxs,
-                attr_seed: mix_seed(mix_seed(ctx.seed, id.index() as u64), attr.0 as u64),
+                attr_seed,
                 dictionary,
             })
         })
@@ -888,7 +885,7 @@ fn crypto_plans<'p>(
 /// out is byte-identical to encrypt-then-filter.
 fn crypto_stream<'p>(
     child: BatchStream<'p>,
-    mut plans: Vec<CryptoPlan<'p>>,
+    plans: Vec<CryptoPlan<'p>>,
     encrypt: bool,
     keep: Option<Expr>,
 ) -> BatchStream<'p> {
@@ -916,7 +913,7 @@ fn crypto_stream<'p>(
             Some(kept) => Offsets::Sparse(kept),
             None => Offsets::Dense(base),
         };
-        for plan in &mut plans {
+        for plan in &plans {
             apply_crypto_plan(&mut cols, plan, encrypt, &offsets)?;
         }
         Ok(Some(Table::from_columns(schema.clone(), cols)))
@@ -1019,7 +1016,7 @@ fn crypto_error(e: EncryptError) -> ExecError {
 /// column-index order.
 fn apply_crypto_plan(
     cols: &mut [ColumnVec],
-    plan: &mut CryptoPlan<'_>,
+    plan: &CryptoPlan<'_>,
     encrypt: bool,
     offsets: &Offsets<'_>,
 ) -> Result<(), ExecError> {
@@ -1029,7 +1026,7 @@ fn apply_crypto_plan(
             let col = &cols[i];
             let out = if !encrypt {
                 decrypt_column(col, &plan.cipher)
-            } else if let Some((codes, dict)) = plan.dictionary() {
+            } else if let Some((codes, dict)) = &plan.dictionary {
                 // A batch row's offset is its row in the stored relation.
                 let rows = (0..col.len()).map(|r| Some(codes[offsets.at(r) as usize] as usize));
                 Ok(ColumnVec::Enc(dict.gather(rows)))

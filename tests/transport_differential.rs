@@ -266,6 +266,22 @@ proptest! {
             .expect("capped schedule recovers in-proc");
         let trace_a = inproc.recovery_stats();
 
+        // A swapped-in schedule starts from attempt 0 on every edge, and
+        // so does `plan` when it is swapped back: the same query then
+        // replays the first run's trace exactly.
+        let mut other = plan.clone();
+        other.seed = fault_seed.wrapping_add(1);
+        inproc.set_faults(Some(other));
+        inproc
+            .execute(&ext, &keys, ex.subject("U"))
+            .expect("capped schedule recovers in-proc");
+        inproc.set_faults(Some(plan.clone()));
+        let replayed = inproc
+            .execute(&ext, &keys, ex.subject("U"))
+            .expect("capped schedule recovers in-proc");
+        assert_identical(&a, &replayed, "replayed schedule");
+        prop_assert_eq!(inproc.recovery_stats(), trace_a.clone(), "replayed trace diverges");
+
         let mut tcp = Session::open_with(
             &ex.catalog,
             &ex.subjects,
