@@ -209,7 +209,7 @@ impl Calibration {
 
 /// Time one scheme's encrypt/decrypt over `n` numeric values, through
 /// the column path the execution engine actually uses
-/// (`ColumnEncryptor::encrypt_column` into one ciphertext buffer,
+/// (`ColumnCipher::encrypt_column` into one ciphertext buffer,
 /// `ColumnCipher::decrypt_cell` out of it: key schedules and Montgomery
 /// contexts set up once per column, then per-value work) — the model
 /// prices the engine's marginal per-value cost, not the one-shot setup
@@ -220,10 +220,7 @@ fn time_scheme(scheme: EncScheme, n: usize, model: &PriceBook) -> CryptoTiming {
     let vals: Vec<Value> = (0..n).map(|i| Value::Num(i as f64 * 1.25)).collect();
     let cipher = ColumnCipher::new(scheme, &key);
     let t0 = Instant::now();
-    let encs = cipher
-        .encryptor()
-        .encrypt_column(&vals, &mut rng)
-        .expect("encrypt");
+    let encs = cipher.encrypt_column(&vals, &mut rng).expect("encrypt");
     let enc_secs = t0.elapsed().as_secs_f64() / n as f64;
     let t0 = Instant::now();
     for i in 0..n {

@@ -32,9 +32,10 @@
 //!   one product;
 //! * `xtea/*` — one block and a full deterministic value;
 //! * `ope/encode`, `ope/decode` — one isolated 64-level keyed descent;
-//!   `ope/column_*` — a 4,096-cell run per regime through
-//!   `ColumnEncryptor::encrypt_column` (per-cell time is the printed
-//!   time ÷ 4,096).
+//!   `ope/column_*` — a run per regime through
+//!   `ColumnCipher::encrypt_column`, which descends each distinct code
+//!   once in ascending order (per-cell time is the printed time ÷ the
+//!   run's 4,096 cells, or 2,526 for `column_dictionary_dates`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mpq_algebra::value::{EncScheme, Value};
@@ -238,13 +239,16 @@ fn bench_ope(c: &mut Criterion) {
     g.bench_function("decode", |b| {
         b.iter(|| ope::ope_decrypt_code(black_box(&raw), black_box(cipher)))
     });
-    // One engine batch (4,096 cells) as the engine runs it, through a
-    // fresh `ColumnEncryptor::encrypt_column` (no `Value` per cell), in
-    // the regimes it meets: dates (≈ 2,500 distinct days: a dense run,
-    // each day descended once), integers spanning just past the dense
-    // bound of 4 × 4,096 values (the fallback on the same shape), a
-    // low-cardinality numeric (memo hits) and all-distinct prices (the
-    // bare kernel, which the §7 price book prices).
+    // One engine batch (4,096 cells) as the engine runs it, through
+    // `ColumnCipher::encrypt_column` (no `Value` per cell), in the
+    // regimes it meets: dates (≈ 2,500 distinct days: a dense run, its
+    // days sorted by the code table), integers spanning just past the
+    // dense bound of 4 × 4,096 values (the same shape through the
+    // comparison sort), a low-cardinality numeric (11 distinct codes,
+    // sorted) and all-distinct prices (one descent per cell, which the
+    // §7 price book prices). `column_dictionary_dates` is the run a
+    // stored date column's dictionary hands the cipher: each of the
+    // 2,526 days once, in the order of first appearance.
     let key = ClusterKey::generate(&mut StdRng::seed_from_u64(13), 1, 256);
     let cipher = ColumnCipher::new(EncScheme::Ope, &key);
     let mut rng = StdRng::seed_from_u64(17);
@@ -261,19 +265,21 @@ fn bench_ope(c: &mut Criterion) {
     let distinct: Vec<Value> = (0..4096)
         .map(|i| Value::Num(901.0 + f64::from(i) * 25.01))
         .collect();
+    let mut seen = [false; 2526];
+    let dictionary: Vec<Value> = std::iter::repeat_with(|| rng.gen_range(0..2526))
+        .filter(|&d| !std::mem::replace(&mut seen[d as usize], true))
+        .take(2526)
+        .map(|d| Value::Date(Date(8035 + d)))
+        .collect();
     for (name, column) in [
         ("column_dates", &dates),
         ("column_ints_wide", &wide),
         ("column_lowcard", &lowcard),
         ("column_distinct", &distinct),
+        ("column_dictionary_dates", &dictionary),
     ] {
         g.bench_function(name, |b| {
-            b.iter(|| {
-                cipher
-                    .encryptor()
-                    .encrypt_column(black_box(column), &mut rng)
-                    .unwrap()
-            })
+            b.iter(|| cipher.encrypt_column(black_box(column), &mut rng).unwrap())
         });
     }
     g.finish();

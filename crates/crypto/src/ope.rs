@@ -22,32 +22,21 @@
 //! and length byte fit in eight bytes), levels 7–63 two; [`OpeKey`]
 //! builds those words in registers from `(l, path)`.
 //!
-//! # Why the encryptor cannot change a ciphertext
+//! # Runs
 //!
-//! The state entering level `l` is a function of the key and the top
-//! `l` code bits only. [`OpeEncryptor`] keeps that state for every
-//! level of the previous code, so a code sharing `d` leading bits with
+//! [`OpeKey::encrypt_run`] encrypts a run of codes as a set. It
+//! collects the distinct codes in ascending order — by marking a table
+//! over `lo..=hi` when the run is dense (a date column's days, say),
+//! else by a comparison sort — and descends each once. The state
+//! entering level `l` is a function of the key and the top `l` code
+//! bits only, so a code sharing `d` leading bits with the one before
 //! it *resumes* at level `d` from the identical state the one-shot
-//! descent would have reached. The ciphertext is a function of
-//! `(key, code)` alone, so the *memo* in front — a direct-mapped
-//! `code → cell` table that returns a stored cell only on an exact
-//! code (and type tag) match — returns what the descent would compute.
-//! Neither depends on anything but the key and the code, hence not on
-//! chunk or batch layout. A seeded property pins all of it against a
+//! descent would reach; adjacent codes of a dense run share all but
+//! their low bits. Every row then copies the ciphertext of its own
+//! code under its own type tag. A ciphertext is a function of
+//! `(key, code)` alone, so neither the order of the descents nor the
+//! run's layout can show in one. A seeded property pins it against a
 //! frozen copy of the original 64-PRF loop.
-//!
-//! # Dense runs
-//!
-//! [`OpeEncryptor::encrypt_run`] encrypts a run's codes as a set. When
-//! they are dense — a date column's days, say — it marks the codes
-//! present in a table over `lo..=hi`, descends each distinct code once
-//! in ascending order, and lets the rows copy from the table. Adjacent
-//! present codes differ only in their low bits, so each resumes about
-//! two levels deep instead of the dozen a row-order miss pays. The
-//! order of the descents cannot show: resuming restarts from the exact
-//! state the one-shot descent passes through, and a ciphertext is a
-//! function of `(key, code)` alone. Other runs go cell by cell through
-//! the memo and the resume trail.
 //!
 //! Supported plaintexts are totally ordered fixed-width scalars:
 //! integers, numerics (via the standard IEEE-754 order-preserving bit
@@ -229,12 +218,7 @@ impl OpeKey {
         (cipher == at.lo).then_some(code)
     }
 
-    /// Encrypt a typed scalar: returns `tag ‖ 16-byte big-endian code`.
-    pub fn encrypt(&self, ty: OpeType, code: u64) -> [u8; CELL_LEN] {
-        cell(ty, self.encrypt_code(code))
-    }
-
-    /// Decrypt a typed scalar produced by [`OpeKey::encrypt`].
+    /// Decrypt a typed cell produced by [`OpeKey::encrypt_run`].
     pub fn decrypt(&self, bytes: &[u8]) -> Option<(OpeType, u64)> {
         let bytes: &[u8; CELL_LEN] = bytes.try_into().ok()?;
         let ty = OpeType::from_tag(bytes[0])?;
@@ -242,19 +226,58 @@ impl OpeKey {
         Some((ty, self.decrypt_code(c)?))
     }
 
-    /// A stateful encryptor for a run of cells under this key.
-    pub fn encryptor(&self) -> OpeEncryptor {
-        OpeEncryptor {
-            key: *self,
-            trail: [ROOT; 65],
-            prev: None,
-            memo: Vec::new(),
+    /// Encrypt a run of typed codes (`None`: NULL), handing `emit` each
+    /// row's cell, `tag ‖ 16-byte big-endian code`, in row order. Each
+    /// distinct code is descended once, in ascending order (module
+    /// doc, "Runs").
+    pub fn encrypt_run(
+        &self,
+        run: &[Option<(OpeType, u64)>],
+        mut emit: impl FnMut(Option<[u8; CELL_LEN]>),
+    ) {
+        // `trail[l]` is the node the previous code's descent entered
+        // level `l` with: the next resumes where the two part.
+        let (mut trail, mut prev) = ([ROOT; 65], None);
+        let mut encrypt = |code: u64| {
+            let from = prev.map_or(0, |prev: u64| (prev ^ code).leading_zeros());
+            prev = Some(code);
+            let at = trail[from as usize];
+            self.descend(from, at, code, |level, at| trail[level as usize] = at)
+                .lo
+        };
+        let codes = || run.iter().flatten().map(|&(_, code)| code);
+        let bound = DENSE_SPAN_PER_CELL.saturating_mul(run.len() as u64);
+        let span = codes().min().zip(codes().max());
+        if let Some((lo, hi)) = span.filter(|&(lo, hi)| hi - lo < bound) {
+            // `ABSENT` marks a code no row holds: ciphertexts are < 2^96.
+            const ABSENT: u128 = u128::MAX;
+            let mut table = vec![ABSENT; (hi - lo) as usize + 1];
+            for code in codes() {
+                table[(code - lo) as usize] = 0;
+            }
+            for (code, slot) in (lo..=hi).zip(&mut table) {
+                if *slot != ABSENT {
+                    *slot = encrypt(code);
+                }
+            }
+            for &typed in run {
+                emit(typed.map(|(ty, code)| cell(ty, table[(code - lo) as usize])));
+            }
+        } else {
+            let mut distinct: Vec<u64> = codes().collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            let ciphers: Vec<u128> = distinct.iter().map(|&code| encrypt(code)).collect();
+            let at = |code| distinct.partition_point(|&c| c < code);
+            for &typed in run {
+                emit(typed.map(|(ty, code)| cell(ty, ciphers[at(code)])));
+            }
         }
     }
 }
 
 /// Bytes of a typed OPE cell.
-pub const CELL_LEN: usize = 17;
+const CELL_LEN: usize = 17;
 
 fn cell(ty: OpeType, cipher: u128) -> [u8; CELL_LEN] {
     let mut out = [0u8; CELL_LEN];
@@ -263,106 +286,10 @@ fn cell(ty: OpeType, cipher: u128) -> [u8; CELL_LEN] {
     out
 }
 
-/// Slots of the encryptor's memo. Direct-mapped: a power of two.
-const MEMO_SLOTS: usize = 1024;
-
-/// Memo slot of a code: the top bits of a Fibonacci hash, so date
-/// codes (differing in their low bits) and `f64` codes (differing in
-/// their high bits) both spread.
-fn memo_slot(code: u64) -> usize {
-    (code.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
-}
-
 /// A run is dense when its codes span fewer than this many values per
-/// cell (`hi − lo < 4n`): the ascending sweep then checks at most four
-/// table slots per cell, next to the dozen resumed levels a row-order
-/// miss costs.
+/// cell (`hi − lo < 4n`): marking and sweeping the table then costs at
+/// most four slots per cell, less than sorting the codes would.
 const DENSE_SPAN_PER_CELL: u64 = 4;
-
-/// Encrypts a run of codes under one key, reusing work between them:
-/// a dense run descends each distinct code once, in ascending order;
-/// otherwise a repeated code is answered from a memo and a new one
-/// resumes the previous descent at the first bit where the two differ.
-/// Output is bit-identical to [`OpeKey::encrypt`] cell by cell (module
-/// doc).
-///
-/// Owned by whoever runs the cell loop — one per loop, never shared:
-/// all reuse is local, so nothing here needs a lock.
-pub struct OpeEncryptor {
-    key: OpeKey,
-    /// `trail[l]` is the node the descent of `prev` entered level `l`
-    /// with; `trail[64]` is its leaf. Only the root before any code.
-    trail: [Node; 65],
-    prev: Option<u64>,
-    /// Allocated at the first memoised cell; dense runs never touch it.
-    memo: Vec<Option<(u64, [u8; CELL_LEN])>>,
-}
-
-impl OpeEncryptor {
-    /// [`OpeKey::encrypt_code`], resuming from the previous call.
-    fn encrypt_code(&mut self, code: u64) -> u128 {
-        let from = self.prev.map_or(0, |prev| (prev ^ code).leading_zeros());
-        let trail = &mut self.trail;
-        let leaf = self
-            .key
-            .descend(from, trail[from as usize], code, |level, at| {
-                trail[level as usize] = at;
-            });
-        self.prev = Some(code);
-        leaf.lo
-    }
-
-    /// [`OpeKey::encrypt`] through the memo: a repeated `(ty, code)`
-    /// is a copy of the stored cell.
-    pub fn encrypt(&mut self, ty: OpeType, code: u64) -> [u8; CELL_LEN] {
-        if self.memo.is_empty() {
-            self.memo = vec![None; MEMO_SLOTS];
-        }
-        let slot = memo_slot(code);
-        if let Some((c, hit)) = self.memo[slot] {
-            if c == code && hit[0] == ty as u8 {
-                return hit;
-            }
-        }
-        let fresh = cell(ty, self.encrypt_code(code));
-        self.memo[slot] = Some((code, fresh));
-        fresh
-    }
-
-    /// Encrypt a run of typed codes (`None`: NULL) as a set, handing
-    /// `emit` each row's cell in row order — the one a row-by-row
-    /// [`OpeEncryptor::encrypt`] would return (module doc, "Dense
-    /// runs").
-    pub fn encrypt_run(
-        &mut self,
-        run: &[Option<(OpeType, u64)>],
-        mut emit: impl FnMut(Option<[u8; CELL_LEN]>),
-    ) {
-        let codes = || run.iter().flatten().map(|&(_, code)| code);
-        let bound = DENSE_SPAN_PER_CELL.saturating_mul(run.len() as u64);
-        let dense = codes().min().zip(codes().max());
-        let Some((lo, hi)) = dense.filter(|&(lo, hi)| hi - lo < bound) else {
-            for &typed in run {
-                emit(typed.map(|(ty, code)| self.encrypt(ty, code)));
-            }
-            return;
-        };
-        // `ABSENT` marks a code no row holds: ciphertexts are < 2^96.
-        const ABSENT: u128 = u128::MAX;
-        let mut table = vec![ABSENT; (hi - lo) as usize + 1];
-        for code in codes() {
-            table[(code - lo) as usize] = 0;
-        }
-        for (code, slot) in (lo..=hi).zip(&mut table) {
-            if *slot != ABSENT {
-                *slot = self.encrypt_code(code);
-            }
-        }
-        for &typed in run {
-            emit(typed.map(|(ty, code)| cell(ty, table[(code - lo) as usize])));
-        }
-    }
-}
 
 /// One-shot `OpeKey::encrypt_code` for a raw key.
 pub fn ope_encrypt_code(key: &[u8; 16], code: u64) -> u128 {
@@ -458,7 +385,7 @@ mod tests {
     #[test]
     fn typed_roundtrip() {
         let key = OpeKey::new(&[9u8; 16]);
-        let bytes = key.encrypt(OpeType::Int, int_to_code(-77));
+        let bytes = cell(OpeType::Int, key.encrypt_code(int_to_code(-77)));
         let (ty, code) = key.decrypt(&bytes).unwrap();
         assert_eq!(ty, OpeType::Int);
         assert_eq!(code_to_int(code), -77);
@@ -468,8 +395,8 @@ mod tests {
     #[test]
     fn typed_ciphertexts_compare_bytewise() {
         let key = OpeKey::new(&[4u8; 16]);
-        let a = key.encrypt(OpeType::Num, num_to_code(1.5));
-        let b = key.encrypt(OpeType::Num, num_to_code(2.5));
+        let a = cell(OpeType::Num, key.encrypt_code(num_to_code(1.5)));
+        let b = cell(OpeType::Num, key.encrypt_code(num_to_code(2.5)));
         assert!(a < b, "byte order must follow plaintext order");
     }
 
@@ -552,8 +479,8 @@ mod tests {
 
     const BOUNDARY_CODES: [u64; 5] = [0, 1, 1 << 63, u64::MAX - 1, u64::MAX];
 
-    /// Code sequences shaped like the columns the encryptor meets, plus
-    /// the ones built to hit its corners.
+    /// Code sequences shaped like the columns a run meets, plus the
+    /// ones built to hit its corners.
     fn code_sequences(rng: &mut StdRng) -> Vec<(&'static str, Vec<u64>)> {
         let uniform: Vec<u64> = (0..3000).map(|_| rng.gen()).collect();
         let mut sorted = uniform.clone();
@@ -572,16 +499,11 @@ mod tests {
             .map(|_| num_to_code(rng.gen_range(0..11u64) as f64 / 100.0))
             .collect();
         let coarse: Vec<u64> = (0..3000).map(|_| rng.gen::<u64>() >> 47 << 47).collect();
-        // Memo collisions: distinct codes sharing one slot, interleaved
-        // so every call evicts the previous occupant and later repeats
-        // must be recomputed, not served stale.
-        let target = memo_slot(12_345);
-        let colliding: Vec<u64> = (0u64..)
-            .filter(|c| memo_slot(*c) == target)
-            .take(6)
-            .collect();
-        assert!(colliding.len() == 6 && colliding.windows(2).all(|w| w[0] != w[1]));
-        let evictions: Vec<u64> = (0..600).map(|i| colliding[(i * 7 + i / 5) % 6]).collect();
+        // Six codes differing only in their top bits, interleaved: the
+        // sort brings repeats far apart in row order next to each other,
+        // and each distinct code resumes within the top three levels.
+        let far: Vec<u64> = (0..6u64).map(|i| i << 61 | 12_345).collect();
+        let interleaved: Vec<u64> = (0..600).map(|i| far[(i * 7 + i / 5) % 6]).collect();
         let mut boundaries = BOUNDARY_CODES.to_vec();
         boundaries.extend(BOUNDARY_CODES.iter().rev());
         boundaries.extend([u64::MAX, u64::MAX, 0, 0]);
@@ -600,7 +522,7 @@ mod tests {
             ("prices", prices),
             ("discounts", discounts),
             ("coarse", coarse),
-            ("evictions", evictions),
+            ("interleaved", interleaved),
             ("boundaries", boundaries),
             ("span_4n_minus_1", spanning(day0, 500, 1999)),
             ("span_4n", spanning(day0, 500, 2000)),
@@ -616,9 +538,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(28);
         let raw: [u8; 16] = rng.gen();
         let key = OpeKey::new(&raw);
-        // One encryptor for every run: each starts from the trail the
-        // previous one left.
-        let mut runs = key.encryptor();
         let tys = [OpeType::Int, OpeType::Num, OpeType::Date];
         for (name, codes) in code_sequences(&mut rng) {
             let whole: Vec<_> = codes.iter().map(|&c| Some((OpeType::Num, c))).collect();
@@ -628,33 +547,13 @@ mod tests {
                 .collect();
             for run in [whole, holes, vec![None; 5]] {
                 let mut cells = Vec::new();
-                runs.encrypt_run(&run, |c| cells.push(c));
+                key.encrypt_run(&run, |c| cells.push(c));
                 assert_eq!(cells.len(), run.len(), "{name}");
                 for (i, (typed, got)) in run.iter().zip(cells).enumerate() {
                     let want = typed.map(|(ty, c)| cell(ty, reference::encrypt_code(&raw, c)));
                     assert_eq!(got, want, "{name}[{i}]");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn only_runs_spanning_under_4n_codes_take_the_table() {
-        let key = OpeKey::new(&[6u8; 16]);
-        let mut rng = StdRng::seed_from_u64(4);
-        let dense = [
-            "dates",
-            "span_4n_minus_1",
-            "dense_at_zero",
-            "dense_at_max",
-            "one_cell",
-        ];
-        for (name, codes) in code_sequences(&mut rng) {
-            let run: Vec<_> = codes.iter().map(|&c| Some((OpeType::Date, c))).collect();
-            let mut by_run = key.encryptor();
-            by_run.encrypt_run(&run, |_| {});
-            // The memo is the fallback's alone.
-            assert_eq!(by_run.memo.is_empty(), dense.contains(&name), "{name}");
         }
     }
 
@@ -686,22 +585,26 @@ mod tests {
             let raw: [u8; 16] = rng.gen();
             let key = OpeKey::new(&raw);
             for (name, codes) in code_sequences(&mut rng) {
-                // One encryptor per sequence: resume and eviction see
-                // the whole run. The typed entry alternates tags on a
-                // stride so a memo hit under the wrong tag would show.
-                let mut by_code = key.encryptor();
-                let mut by_cell = key.encryptor();
-                for (i, &code) in codes.iter().enumerate() {
-                    let want = reference::encrypt_code(&raw, code);
-                    let ctx = format!("round {round} {name}[{i}] code {code:#x}");
-                    assert_eq!(by_code.encrypt_code(code), want, "{ctx}");
-                    assert_eq!(key.encrypt_code(code), want, "{ctx}");
-                    let ty = if i % 5 == 0 {
+                // One run per sequence: resumes see the whole run. The
+                // tags alternate on a stride, so a cell copied from its
+                // code's slot under the wrong tag would show.
+                let ty = |i: usize| {
+                    if i % 5 == 0 {
                         OpeType::Int
                     } else {
                         OpeType::Num
-                    };
-                    assert_eq!(by_cell.encrypt(ty, code), cell(ty, want), "{ctx}");
+                    }
+                };
+                let run: Vec<_> = (codes.iter().enumerate())
+                    .map(|(i, &c)| Some((ty(i), c)))
+                    .collect();
+                let mut by_run = Vec::new();
+                key.encrypt_run(&run, |c| by_run.push(c));
+                for (i, &code) in codes.iter().enumerate() {
+                    let want = reference::encrypt_code(&raw, code);
+                    let ctx = format!("round {round} {name}[{i}] code {code:#x}");
+                    assert_eq!(key.encrypt_code(code), want, "{ctx}");
+                    assert_eq!(by_run[i], Some(cell(ty(i), want)), "{ctx}");
                 }
             }
         }

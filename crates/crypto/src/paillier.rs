@@ -636,12 +636,13 @@ mod tests {
 
         /// The holder's CRT decryption is the textbook one on every
         /// unit — holder and public cells, running sums of up to 64 of
-        /// them, `1` and `n² − 1`, random residues — at key sizes on
-        /// both kernels and with unequal factors (64-bit `p`, 192-bit
-        /// `q`). A non-unit (`0`, `n`, a multiple of `p` or `q`) is
-        /// refused: `None` from `try_decrypt`, `BadCiphertext` from
-        /// `decrypt_value`, where the textbook routine decrypted it to
-        /// an arbitrary number.
+        /// them, `1` and `n² − 1`, random residues — at key sizes of
+        /// 128 to 320 bits, whose `n²` the one fixed-width engine runs
+        /// at widths of 4, 8 and 16 limbs, and with unequal factors
+        /// (64-bit `p`, 192-bit `q`). A non-unit (`0`, `n`, a multiple
+        /// of `p` or `q`) is refused: `None` from `try_decrypt`,
+        /// `BadCiphertext` from `decrypt_value`, where the textbook
+        /// routine decrypted it to an arbitrary number.
         #[test]
         fn holder_decrypt_is_textbook_paillier(
             seed in proptest::prelude::any::<u64>(),

@@ -16,17 +16,18 @@
 //!   ciphertext multiplication. Numerics are fixed-point encoded with
 //!   `NUM_SCALE` decimal places.
 //!
-//! There is one encryption routine, `ColumnCipher::encrypt_cells`, and
-//! in it one plaintext writer per scheme; [`ColumnCipher::encrypt`],
-//! [`ColumnEncryptor::encrypt`], [`ColumnEncryptor::encrypt_column`],
-//! [`encrypt_value`] and [`encrypt_batch`] all call it. Cells arrive
+//! There is one encryption routine, [`ColumnCipher::encrypt_column`],
+//! and in it one plaintext writer per scheme; an OPE column is one
+//! [`OpeKey::encrypt_run`], which descends each distinct code once.
+//! [`ColumnCipher::encrypt`], [`encrypt_value`] and [`encrypt_batch`]
+//! all call it. Cells arrive
 //! from peers, so decryption is total: whatever bytes sit in a cell,
 //! [`ColumnCipher::decrypt_cell`] answers with a value or
 //! [`EncryptError::BadCiphertext`].
 
 use crate::bignum::BigUint;
 use crate::keyring::ClusterKey;
-use crate::ope::{self, OpeEncryptor, OpeKey, OpeType};
+use crate::ope::{self, OpeKey, OpeType};
 use crate::paillier::PaillierCiphertext;
 use crate::xtea::{det_frame, XteaSchedule};
 use mpq_algebra::value::{CellRef, EncColumn, EncScheme, EncValue, Value};
@@ -94,50 +95,12 @@ impl<R: Rng + ?Sized> RowRng for &mut R {
 /// column instead of once per cell.
 ///
 /// Immutable and `Sync`: one cipher serves every batch of a column.
-/// State that pays only within a run of cells lives in the
-/// [`ColumnEncryptor`] each cell loop makes for itself.
 pub struct ColumnCipher {
     scheme: EncScheme,
     key: ClusterKey,
     det: XteaSchedule,
     rnd: XteaSchedule,
     ope: OpeKey,
-}
-
-/// A [`ColumnCipher`] plus the mutable per-run state of its scheme (the
-/// OPE encryptor's resume trail and memo). Made where a cell loop
-/// starts — one per cell loop, never shared between threads — and
-/// dropped with it; ciphertexts are bit-identical to
-/// [`ColumnCipher::encrypt`] cell by cell, whatever the batching.
-pub struct ColumnEncryptor<'c> {
-    cipher: &'c ColumnCipher,
-    ope: OpeEncryptor,
-}
-
-impl ColumnEncryptor<'_> {
-    /// [`ColumnCipher::encrypt`], reusing work across the run's cells.
-    pub fn encrypt<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        value: &Value,
-    ) -> Result<Value, EncryptError> {
-        Ok(self.encrypt_column([value], rng)?.value(0))
-    }
-
-    /// Encrypt a run of plaintext cells, read where they lie (a
-    /// column's [`CellRef`]s, or `&Value`s), into one ciphertext column:
-    /// every cell's bytes land in the column's buffer — no `Value`, no
-    /// allocation per cell — and the symmetric schemes then encrypt the
-    /// buffer in place, many blocks at a time. NULLs stay NULL (the
-    /// empty cell). Cell `i` equals `ColumnCipher::encrypt` of the
-    /// `i`-th value under `rngs.row(i)`.
-    pub fn encrypt_column<'v, V: Into<CellRef<'v>>>(
-        &mut self,
-        cells: impl IntoIterator<Item = V>,
-        rngs: impl RowRng,
-    ) -> Result<EncColumn, EncryptError> {
-        self.cipher.encrypt_cells(cells, rngs, Some(&mut self.ope))
-    }
 }
 
 impl ColumnCipher {
@@ -149,14 +112,6 @@ impl ColumnCipher {
             rnd: XteaSchedule::new(&key.rnd_key()),
             ope: OpeKey::new(&key.ope_key()),
             key: key.clone(),
-        }
-    }
-
-    /// The stateful encryptor for one run of this column's cells.
-    pub fn encryptor(&self) -> ColumnEncryptor<'_> {
-        ColumnEncryptor {
-            cipher: self,
-            ope: self.ope.encryptor(),
         }
     }
 
@@ -173,22 +128,24 @@ impl ColumnCipher {
         rng: &mut R,
         value: &Value,
     ) -> Result<Value, EncryptError> {
-        Ok(self.encrypt_cells([value], rng, None)?.value(0))
+        Ok(self.encrypt_column([value], rng)?.value(0))
     }
 
-    /// The one encryption routine, a column at a time (a scalar is a
-    /// column of one): each cell's scheme-specific bytes are appended
-    /// to the buffer — plaintext still, for Det and Random — and those
-    /// two then run the whole buffer through the XTEA kernel. OPE reads
-    /// every cell's code first and then encrypts them as one run
-    /// through `ope` — or, without one, each by the one-shot descent
-    /// (the row oracle's path). A failed cell drops the half-written
-    /// column with the error of the first row that fails.
-    fn encrypt_cells<'v, V: Into<CellRef<'v>>>(
+    /// The one encryption routine: a run of plaintext cells, read where
+    /// they lie (a column's [`CellRef`]s, or `&Value`s), into one
+    /// ciphertext column — a scalar is a column of one. Each cell's
+    /// scheme-specific bytes are appended to the buffer, no `Value` and
+    /// no allocation per cell — plaintext still, for Det and Random —
+    /// and those two then run the whole buffer through the XTEA kernel.
+    /// OPE reads every cell's code first and then encrypts them as one
+    /// [`OpeKey::encrypt_run`]. NULLs stay NULL (the empty cell). Cell
+    /// `i` equals [`ColumnCipher::encrypt`] of the `i`-th value under
+    /// `rngs.row(i)`. A failed cell drops the half-written column with
+    /// the error of the first row that fails.
+    pub fn encrypt_column<'v, V: Into<CellRef<'v>>>(
         &self,
         cells: impl IntoIterator<Item = V>,
         mut rngs: impl RowRng,
-        ope: Option<&mut OpeEncryptor>,
     ) -> Result<EncColumn, EncryptError> {
         let cells = cells.into_iter();
         let rows = cells.size_hint().0;
@@ -236,21 +193,16 @@ impl ColumnCipher {
                 }
             }
         }
-        let mut push =
-            |cell: Option<[u8; ope::CELL_LEN]>| out.push(cell.as_ref().map_or(&[], |c| c));
-        match (self.scheme, ope) {
-            (EncScheme::Deterministic, _) => self.det.ecb_encrypt(out.cells_mut().1),
-            (EncScheme::Random, _) => {
+        match self.scheme {
+            EncScheme::Deterministic => self.det.ecb_encrypt(out.cells_mut().1),
+            EncScheme::Random => {
                 let (ends, bytes) = out.cells_mut();
                 self.rnd.ctr_cells(bytes, ends)
             }
-            (EncScheme::Ope, Some(run)) => run.encrypt_run(&ope_run, push),
-            (EncScheme::Ope, None) => {
-                for &typed in &ope_run {
-                    push(typed.map(|(ty, code)| self.ope.encrypt(ty, code)))
-                }
-            }
-            (EncScheme::Paillier, _) => {}
+            EncScheme::Ope => self
+                .ope
+                .encrypt_run(&ope_run, |cell| out.push(cell.as_ref().map_or(&[], |c| c))),
+            EncScheme::Paillier => {}
         }
         Ok(out)
     }
@@ -393,7 +345,7 @@ pub fn encrypt_batch<R: Rng + ?Sized>(
     key: &ClusterKey,
 ) -> Result<Vec<Value>, EncryptError> {
     let cipher = ColumnCipher::new(scheme, key);
-    let column = cipher.encryptor().encrypt_column(values, rng)?;
+    let column = cipher.encrypt_column(values, rng)?;
     Ok((0..column.len()).map(|i| column.value(i)).collect())
 }
 
@@ -596,7 +548,6 @@ mod tests {
             assert_eq!(decrypt_value(&zero, &k).unwrap(), Value::Num(0.0));
             let column = [Value::Num(-0.0), Value::Num(0.0), Value::Num(-0.0)];
             let run = ColumnCipher::new(scheme, &k)
-                .encryptor()
                 .encrypt_column(&column, &mut rng)
                 .unwrap();
             assert!((0..3).all(|i| run.value(i) == zero), "{scheme:?}");
@@ -633,7 +584,7 @@ mod tests {
                 Value::Date(Date(1)),
                 then.clone(),
             ]);
-            let run = cipher.encryptor().encrypt_column(&column, &mut rng);
+            let run = cipher.encrypt_column(&column, &mut rng);
             assert_eq!(run.err(), Some(err.clone()));
             let one_shot = column.iter().map(|v| cipher.encrypt(&mut rng, v));
             assert_eq!(one_shot.filter_map(Result::err).next(), Some(err));
@@ -641,32 +592,41 @@ mod tests {
     }
 
     /// One run over a `Value` column mixing `Int` and `Date` cells whose
-    /// codes coincide, NULLs between: the run shares one code table, and
-    /// every cell keeps its own type tag.
+    /// codes coincide, NULLs between: the run shares one ciphertext per
+    /// code, and every cell keeps its own type tag. The dense column
+    /// takes the code table; the sparse one, spanning far more than 4n
+    /// codes, the comparison sort.
     #[test]
     fn an_ope_run_tags_every_cell_with_its_own_type() {
         let (k, mut rng) = key();
-        let column: Vec<Value> = (0..400)
-            .map(|i| match i % 3 {
-                0 => Value::Int(9000 + i % 7),
-                1 => Value::Date(Date(9000 + i as i32 % 7)),
-                _ => Value::Null,
-            })
-            .collect();
         let cipher = ColumnCipher::new(EncScheme::Ope, &k);
-        let run = cipher
-            .encryptor()
-            .encrypt_column(&column, &mut rng)
-            .unwrap();
-        for (i, v) in column.iter().enumerate() {
-            assert_eq!(
-                run.value(i),
-                cipher.encrypt(&mut rng, v).unwrap(),
-                "row {i}"
-            );
-            if !v.is_null() {
-                let back = cipher.decrypt_cell(EncScheme::Ope, k.id, run.cell(i));
-                assert_eq!(back.as_ref(), Ok(v), "row {i}");
+        for (name, day) in [
+            ("dense", (|i| 9000 + i % 7) as fn(i32) -> i32),
+            ("sparse", |i| {
+                (1_000_000 + i % 7) * if i % 2 == 0 { 1 } else { -1 }
+            }),
+        ] {
+            let column: Vec<Value> = (0..400)
+                .map(|i| match i % 3 {
+                    0 => Value::Int(i64::from(day(i))),
+                    1 => Value::Date(Date(day(i))),
+                    _ => Value::Null,
+                })
+                .collect();
+            let run = cipher.encrypt_column(&column, &mut rng).unwrap();
+            for (i, v) in column.iter().enumerate() {
+                let one = cipher.encrypt(&mut rng, v).unwrap();
+                assert_eq!(run.value(i), one, "{name} row {i}");
+                if !v.is_null() {
+                    let tag = if matches!(v, Value::Int(_)) {
+                        OpeType::Int
+                    } else {
+                        OpeType::Date
+                    };
+                    assert_eq!(run.cell(i)[0], tag as u8, "{name} row {i}");
+                    let back = cipher.decrypt_cell(EncScheme::Ope, k.id, run.cell(i));
+                    assert_eq!(back.as_ref(), Ok(v), "{name} row {i}");
+                }
             }
         }
     }
@@ -752,8 +712,9 @@ mod tests {
             EncScheme::Paillier,
         ];
         let symmetric = &all_schemes[..2];
-        // Columns shaped like the ones a batch encryptor reuses work on:
-        // 10 k dates over ~2,500 days, and an 11-value numeric.
+        // Columns shaped like the ones an OPE run shares work on: 10 k
+        // dates over ~2,500 days (the code table), and an 11-value
+        // numeric (the comparison sort).
         let mut pick = StdRng::seed_from_u64(8);
         let dates: Vec<Value> = (0..10_000)
             .map(|_| Value::Date(Date(8035 + pick.gen_range(0..2526))))
@@ -798,10 +759,7 @@ mod tests {
                 // one-shot path under the same seeds — and a NULL is
                 // the empty cell.
                 let cipher = ColumnCipher::new(scheme, &k);
-                let column = cipher
-                    .encryptor()
-                    .encrypt_column(values, SeededRows(None))
-                    .unwrap();
+                let column = cipher.encrypt_column(values, SeededRows(None)).unwrap();
                 assert_eq!(column.len(), values.len());
                 for (i, v) in values.iter().enumerate() {
                     let mut rng = StdRng::seed_from_u64(row_seed(i));
@@ -892,10 +850,12 @@ mod tests {
         let (k, _) = key();
         let ope_key = OpeKey::new(&k.ope_key());
         let cell = |code: u64| {
+            let mut bytes = None;
+            ope_key.encrypt_run(&[Some((OpeType::Date, code))], |c| bytes = c);
             Value::Enc(EncValue {
                 scheme: EncScheme::Ope,
                 key_id: k.id,
-                bytes: Arc::new(ope_key.encrypt(OpeType::Date, code)),
+                bytes: Arc::new(bytes.expect("one non-NULL cell")),
             })
         };
         for day in [i64::from(i32::MAX) + 1, i64::from(i32::MIN) - 1, i64::MAX] {

@@ -965,17 +965,16 @@ fn encrypt_column(
     cipher: &ColumnCipher,
     rngs: impl RowRng,
 ) -> Result<EncColumn, EncryptError> {
-    let mut run = cipher.encryptor();
     // One cell loop per representation: a single loop over
     // `col.cell_ref(i)` asks each cell for its representation, which
-    // costs 10–25 % of a Det or memoised OPE cell.
+    // costs 10–25 % of a Det cell.
     match col {
-        ColumnVec::Int(v) => run.encrypt_column(v.iter().map(|&i| CellRef::Int(i)), rngs),
-        ColumnVec::Num(v) => run.encrypt_column(v.iter().map(|&f| CellRef::Num(f)), rngs),
-        ColumnVec::Date(v) => run.encrypt_column(v.iter().map(|&d| CellRef::Date(d)), rngs),
-        ColumnVec::Str(c) => run.encrypt_column(c.cells(0..c.len()).map(CellRef::Str), rngs),
-        ColumnVec::Val(v) => run.encrypt_column(&v[..], rngs),
-        ColumnVec::Enc(_) => run.encrypt_column((0..col.len()).map(|i| col.cell_ref(i)), rngs),
+        ColumnVec::Int(v) => cipher.encrypt_column(v.iter().map(|&i| CellRef::Int(i)), rngs),
+        ColumnVec::Num(v) => cipher.encrypt_column(v.iter().map(|&f| CellRef::Num(f)), rngs),
+        ColumnVec::Date(v) => cipher.encrypt_column(v.iter().map(|&d| CellRef::Date(d)), rngs),
+        ColumnVec::Str(c) => cipher.encrypt_column(c.cells(0..c.len()).map(CellRef::Str), rngs),
+        ColumnVec::Val(v) => cipher.encrypt_column(&v[..], rngs),
+        ColumnVec::Enc(_) => cipher.encrypt_column((0..col.len()).map(|i| col.cell_ref(i)), rngs),
     }
 }
 
@@ -1045,7 +1044,6 @@ fn apply_crypto_plan(
             // Rare path: transpose the attribute's columns into row
             // tuples so one RNG serves all of a row's cells, as the
             // row-at-a-time engine did.
-            let mut run = plan.cipher.encryptor();
             let tuples = (0..cols[idxs[0]].len())
                 .map(|r| {
                     let mut rng = StdRng::seed_from_u64(mix_seed(plan.attr_seed, offsets.at(r)));
@@ -1053,7 +1051,7 @@ fn apply_crypto_plan(
                         .map(|&i| {
                             let cell = cols[i].get(r);
                             if encrypt {
-                                run.encrypt(&mut rng, &cell)
+                                plan.cipher.encrypt(&mut rng, &cell)
                             } else {
                                 plan.cipher.decrypt(&cell)
                             }

@@ -112,6 +112,13 @@
 //!   of the slice kernels and the fixed-window ladder it replaced (their
 //!   tokens spelled in halves) are findings anywhere under `crates/`: a
 //!   second kernel beside the engine must not quietly grow back.
+//! * **one-ope-run** — an OPE column is encrypted one way,
+//!   `OpeKey::encrypt_run` (`crypto/src/ope.rs`): each distinct code
+//!   descended once, in ascending order, by a stateless call. The names
+//!   of the stateful encryptor, its memo and the per-run wrapper it
+//!   replaced (their tokens spelled in halves) are findings anywhere
+//!   under `crates/`: a second, cached path to an OPE cell must not
+//!   quietly grow back.
 //!
 //! Two rules read more than one line at a time:
 //!
@@ -366,6 +373,13 @@ const RULES: &[Rule] = &[
                   (`Engine<N>` in crypto/src/bignum.rs); no second kernel beside it",
         sites: &[(&[concat!("fn ci", "os"), concat!("fn sos_", "sqr"), concat!("struct Lad", "der"),
                     concat!("fn win", "dows")], &[], &[], None)],
+    },
+    Rule {
+        name: "one-ope-run",
+        message: "`{t}` — an OPE column is one stateless `OpeKey::encrypt_run` (each distinct \
+                  code descended once, ascending); no stateful encryptor or memo beside it",
+        sites: &[(&[concat!("struct Ope", "Encryptor"), concat!("struct Column", "Encryptor"),
+                    concat!("fn memo_", "slot"), concat!("fn encry", "ptor")], &[], &[], None)],
     },
 ];
 
@@ -1399,6 +1413,43 @@ mod tests {
             "crates/crypto/src/bignum.rs",
             "crates/crypto/src/paillier.rs",
             "crates/exec/src/eval.rs",
+        ] {
+            assert_eq!(lines_in(file), vec![1, 2, 3, 4], "{file}");
+        }
+    }
+
+    #[test]
+    fn a_second_ope_run_path_is_flagged() {
+        let src = [
+            concat!("pub struct Ope", "Encryptor { trail: [Node; 65] }"),
+            concat!(
+                "pub struct Column",
+                "Encryptor<'c> { cipher: &'c ColumnCipher }"
+            ),
+            concat!("fn memo_", "slot(code: u64) -> usize { 0 }"),
+            concat!("    pub fn encry", "ptor(&self) -> Runner { Runner }"),
+            "pub fn encrypt_run(&self, run: &[Option<(OpeType, u64)>]) {}",
+            "let encryptor = Runner::new(); let memo = HashMap::new();",
+            "#[cfg(test)]",
+            "mod tests {",
+            concat!("    fn memo_", "slot() {}"),
+            "}",
+        ]
+        .join("\n");
+        let lines_in = |file: &str| {
+            let mut findings = Vec::new();
+            lint_source(&Source::new(Path::new(file), &src), &mut findings);
+            (findings.iter())
+                .filter(|f| f.rule == "one-ope-run")
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        // The retired names are at home nowhere, the run's own file
+        // included; the run itself, a variable and a memo map pass.
+        for file in [
+            "crates/crypto/src/ope.rs",
+            "crates/crypto/src/schemes.rs",
+            "crates/exec/src/engine.rs",
         ] {
             assert_eq!(lines_in(file), vec![1, 2, 3, 4], "{file}");
         }
