@@ -94,7 +94,7 @@ impl Histogram {
     }
 
     /// Number of buckets.
-    pub fn buckets(&self) -> usize {
+    fn buckets(&self) -> usize {
         self.lo.len()
     }
 

@@ -284,7 +284,6 @@ mod tests {
             &CapabilityPolicy {
                 allow_ope: false,
                 allow_homomorphic: false,
-                udf_on_encrypted: false,
             },
             false,
         );

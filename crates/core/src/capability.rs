@@ -17,7 +17,7 @@
 //! | `Eq` | `=`, `<>`, `IN` over a column; a grouping key; `COUNT(DISTINCT col)` | deterministic encryption (always available) |
 //! | `Ord` | `<` `<=` `>` `>=`, `BETWEEN` over a column; `MIN`/`MAX(col)`; every attribute of a sort key | OPE ([`CapabilityPolicy::allow_ope`]) |
 //! | `Add` | `SUM`/`AVG(col)` | Paillier ([`CapabilityPolicy::allow_homomorphic`]) |
-//! | `Plain` | a comparison with a computed operand; `LIKE`, `EXTRACT`, `SUBSTRING`, `CASE`, arithmetic; `BETWEEN` bounds; a computed `IN` operand or `SUM`/`AVG`/`MIN`/`MAX` input; udf inputs; a `SUM`/`AVG` output that `HAVING` compares or a sort orders | nothing (udf inputs: [`CapabilityPolicy::udf_on_encrypted`]) |
+//! | `Plain` | a comparison with a computed operand; `LIKE`, `EXTRACT`, `SUBSTRING`, `CASE`, arithmetic; `BETWEEN` bounds; a computed `IN` operand or `SUM`/`AVG`/`MIN`/`MAX` input; udf inputs; a `SUM`/`AVG` output that `HAVING` compares or a sort orders | nothing |
 //!
 //! `demands` enumerates the table for one node; [`Caps::scheme`] is
 //! the one map from accumulated needs to an [`EncScheme`]. The three
@@ -53,11 +53,6 @@ pub struct CapabilityPolicy {
     /// An additively homomorphic scheme (Paillier) is available:
     /// SUM/AVG over a single encrypted column can run on ciphertexts.
     pub allow_homomorphic: bool,
-    /// User-defined functions can run over encrypted inputs (e.g.
-    /// privacy-preserving analytics). When `false` (the default,
-    /// matching the paper's computationally-intensive udfs), udf inputs
-    /// require plaintext.
-    pub udf_on_encrypted: bool,
 }
 
 impl Default for CapabilityPolicy {
@@ -65,7 +60,6 @@ impl Default for CapabilityPolicy {
         CapabilityPolicy {
             allow_ope: true,
             allow_homomorphic: true,
-            udf_on_encrypted: false,
         }
     }
 }
@@ -85,19 +79,18 @@ impl CapabilityPolicy {
         CapabilityPolicy {
             allow_ope: true,
             allow_homomorphic: false,
-            udf_on_encrypted: false,
         }
     }
 }
 
 impl CapabilityPolicy {
     /// Whether an available scheme lets `op` meet `need` on ciphertexts.
-    fn serves(&self, op: &Operator, need: Need) -> bool {
+    fn serves(&self, need: Need) -> bool {
         match need {
             Need::Eq => true,
             Need::Ord => self.allow_ope,
             Need::Add => self.allow_homomorphic,
-            Need::Plain => self.udf_on_encrypted && matches!(op, Operator::Udf { .. }),
+            Need::Plain => false,
         }
     }
 }
@@ -395,10 +388,9 @@ pub fn plaintext_requirements(plan: &QueryPlan, policy: &CapabilityPolicy) -> Ve
 
     let mut out = vec![AttrSet::new(); plan.len()];
     for (id, ds) in per_node {
-        let op = &plan.node(id).op;
         for d in ds {
             let conflicts = d.need != Need::Add && summed.contains(d.attr);
-            if conflicts || !policy.serves(op, d.need) {
+            if conflicts || !policy.serves(d.need) {
                 out[id.index()].insert(d.attr);
             }
         }
@@ -440,7 +432,6 @@ mod tests {
     const DETERMINISTIC_ONLY: CapabilityPolicy = CapabilityPolicy {
         allow_ope: false,
         allow_homomorphic: false,
-        udf_on_encrypted: false,
     };
 
     #[test]

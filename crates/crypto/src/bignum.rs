@@ -33,7 +33,7 @@ pub struct BigUint {
 
 impl BigUint {
     /// Zero.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         BigUint { limbs: vec![] }
     }
 
@@ -125,7 +125,7 @@ impl BigUint {
     }
 
     /// Test bit `i` (little-endian numbering).
-    pub fn bit(&self, i: usize) -> bool {
+    fn bit(&self, i: usize) -> bool {
         self.limbs
             .get(i / 64)
             .is_some_and(|l| (l >> (i % 64)) & 1 == 1)

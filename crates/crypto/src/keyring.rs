@@ -189,29 +189,6 @@ impl KeyRing {
             .contains_key(&id)
     }
 
-    /// Number of full keys held.
-    pub fn len(&self) -> usize {
-        self.keys.read().expect("keyring lock poisoned").len()
-    }
-
-    /// `true` when the ring holds no full key.
-    pub fn is_empty(&self) -> bool {
-        self.keys.read().expect("keyring lock poisoned").is_empty()
-    }
-
-    /// Ids of the full keys held, sorted.
-    pub fn ids(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self
-            .keys
-            .read()
-            .expect("keyring lock poisoned")
-            .keys()
-            .copied()
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Drop the full key `id`, keeping its public (aggregation) half if
     /// it was ever granted. Returns `true` if a key was removed.
     pub fn revoke(&self, id: u32) -> bool {
@@ -264,12 +241,11 @@ mod tests {
     fn ring_membership() {
         let mut rng = StdRng::seed_from_u64(6);
         let ring = KeyRing::new();
-        assert!(ring.is_empty());
+        assert!(!ring.holds(3));
         let k = ClusterKey::generate(&mut rng, 3, 256);
         ring.insert(k);
         assert!(ring.holds(3));
         assert!(!ring.holds(4));
-        assert_eq!(ring.len(), 1);
         assert_eq!(ring.get(3).unwrap().id, 3);
         assert!(ring.get(4).is_none());
     }

@@ -716,8 +716,10 @@ pub(crate) enum Frame {
     Done {
         /// Query epoch.
         epoch: u64,
-        /// Bytes received per (producer, me) edge.
-        transfers: Vec<(SubjectId, SubjectId, u64)>,
+        /// Bytes received per (producer, me) edge: the party's
+        /// `PartyOut::transfers`, on the wire as `(from, to, bytes)`
+        /// records in ascending edge order.
+        transfers: HashMap<(SubjectId, SubjectId), usize>,
     },
     /// A party failed its share (server → coordinator).
     Failed {
@@ -934,10 +936,10 @@ mod tests {
             },
             Frame::Done {
                 epoch: 9,
-                transfers: vec![
-                    (SubjectId(1), SubjectId(3), 4096),
-                    (SubjectId(2), SubjectId(3), u64::MAX),
-                ],
+                transfers: HashMap::from([
+                    ((SubjectId(1), SubjectId(3)), 4096),
+                    ((SubjectId(2), SubjectId(3)), usize::MAX),
+                ]),
             },
             Frame::Failed {
                 epoch: 9,
@@ -1223,7 +1225,11 @@ mod tests {
             },
             7 => Frame::Done {
                 epoch: rng.gen(),
-                transfers: gen_vec(rng, 4, |r| (subject(r), subject(r), r.gen())),
+                transfers: gen_vec(rng, 4, |r| {
+                    ((subject(r), subject(r)), r.gen::<u64>() as usize)
+                })
+                .into_iter()
+                .collect(),
             },
             8 => Frame::Failed {
                 epoch: rng.gen(),

@@ -195,32 +195,6 @@ impl FaultPlan {
         }
         FaultAction::Deliver
     }
-
-    /// Render back to the spec format [`FaultPlan::parse`] accepts.
-    pub fn spec(&self) -> String {
-        let mut out = format!("seed={}", self.seed);
-        for (key, v) in [
-            ("drop", self.drop_pm as u64),
-            ("truncate", self.truncate_pm as u64),
-            ("reset", self.reset_pm as u64),
-            ("delay", self.delay_pm as u64),
-            ("stall", self.stall_pm as u64),
-        ] {
-            if v > 0 {
-                out.push_str(&format!(",{key}={v}"));
-            }
-        }
-        if self.delay_pm > 0 {
-            out.push_str(&format!(",delay-ms={}", self.delay_ms));
-        }
-        if self.stall_pm > 0 {
-            out.push_str(&format!(",stall-ms={}", self.stall_ms));
-        }
-        if let Some(max) = self.max_per_edge {
-            out.push_str(&format!(",max={max}"));
-        }
-        out
-    }
 }
 
 /// Bounded recovery: how many delivery attempts one logical message
@@ -235,19 +209,16 @@ impl FaultPlan {
 pub struct RetryPolicy {
     /// Total delivery attempts per logical message (1 = no retries).
     pub max_attempts: u32,
-    /// Backoff floor in milliseconds.
-    pub base_ms: u64,
-    /// Backoff ceiling in milliseconds.
-    pub cap_ms: u64,
 }
+
+/// Backoff floor in milliseconds: also the first retry's `prev_ms`.
+pub(crate) const BASE_MS: u64 = 5;
+/// Backoff ceiling in milliseconds.
+const CAP_MS: u64 = 100;
 
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            base_ms: 5,
-            cap_ms: 100,
-        }
+        RetryPolicy { max_attempts: 4 }
     }
 }
 
@@ -255,11 +226,9 @@ impl RetryPolicy {
     /// The backoff before retry number `attempt` (1-based), given the
     /// previous sleep `prev_ms`. Deterministic in `(seed, attempt)`.
     pub fn backoff_ms(&self, seed: u64, attempt: u32, prev_ms: u64) -> u64 {
-        let cap = self.cap_ms.max(self.base_ms);
-        let hi = prev_ms.saturating_mul(3).clamp(self.base_ms, cap);
-        let span = (hi - self.base_ms).max(1);
-        self.base_ms
-            + splitmix64(seed ^ u64::from(attempt).wrapping_mul(0xa076_1d64_78bd_642f)) % span
+        let hi = prev_ms.saturating_mul(3).clamp(BASE_MS, CAP_MS);
+        let span = (hi - BASE_MS).max(1);
+        BASE_MS + splitmix64(seed ^ u64::from(attempt).wrapping_mul(0xa076_1d64_78bd_642f)) % span
     }
 }
 
@@ -289,13 +258,11 @@ mod tests {
         assert_eq!(plan.stall_pm, 5);
         assert_eq!(plan.stall_ms, 2500);
         assert_eq!(plan.max_per_edge, Some(8));
-        let reparsed = FaultPlan::parse(&plan.spec()).expect("spec() is parseable");
-        assert_eq!(plan, reparsed);
+        let plan = FaultPlan::parse("seed=1,truncate=30").expect("valid spec");
+        assert_eq!(plan.truncate_pm, 30);
         // `max` is a per-edge count, not a per-mille rate.
         let plan = FaultPlan::parse("seed=1,drop=10,max=5000").expect("valid spec");
         assert_eq!(plan.max_per_edge, Some(5000));
-        let reparsed = FaultPlan::parse(&plan.spec()).expect("spec() is parseable");
-        assert_eq!(plan, reparsed);
     }
 
     #[test]
@@ -337,11 +304,11 @@ mod tests {
     #[test]
     fn backoff_is_deterministic_bounded_and_jittered() {
         let policy = RetryPolicy::default();
-        let mut prev = policy.base_ms;
+        let mut prev = BASE_MS;
         let mut sleeps = Vec::new();
         for attempt in 1..=8 {
             let ms = policy.backoff_ms(1234, attempt, prev);
-            assert!(ms >= policy.base_ms && ms <= policy.cap_ms + policy.base_ms);
+            assert!((BASE_MS..=CAP_MS + BASE_MS).contains(&ms));
             assert_eq!(ms, policy.backoff_ms(1234, attempt, prev), "deterministic");
             sleeps.push(ms);
             prev = ms;

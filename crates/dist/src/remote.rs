@@ -56,8 +56,8 @@
 //! connections are a second `Links` cache — the data plane's, with the
 //! hello handshake as its introduction step — under a second `Wire`:
 //! control frames retry, back off and take injected faults by the data
-//! plane's own loop and its one reading of `WireOp`, and `settle` picks
-//! the error a query reports.
+//! plane's own loop and its one reading of a `FaultAction`, and
+//! `settle` picks the error a query reports.
 
 use crate::codec::Frame;
 use crate::error::SimError;
@@ -66,7 +66,8 @@ use crate::party::{Party, PartyOut};
 use crate::runtime::{drive, peer_failure, settle, Mailbox, Outcome, Run, ABORTED_MARK};
 use crate::session::{Dispatched, Dispatcher, Holders, SessionConfig};
 use crate::transport::{
-    lock, Conn, EdgeRecovery, Ledger, Link, Links, TcpHub, TransportError, Wire,
+    lock, Conn, EdgeRecovery, Ledger, Link, Links, TcpHub, TransportError, TransportKind, Wire,
+    CONNECT_TIMEOUT,
 };
 use crate::{Report, RSA_BITS};
 use mpq_algebra::{Catalog, SubjectId};
@@ -85,9 +86,6 @@ use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// How long control-plane connects wait before failing typed.
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Extra slack the coordinator grants servers past the data-plane
 /// receive timeout before declaring their control connection dead: a
@@ -130,7 +128,7 @@ pub struct ServerConfig {
     /// Fault schedule for this server's *sending* data plane (`None`:
     /// no injection).
     pub faults: Option<FaultPlan>,
-    /// Retry budget and backoff shape for data-plane sends.
+    /// Retry budget for data-plane sends.
     pub retry: RetryPolicy,
 }
 
@@ -221,7 +219,7 @@ impl Server {
     /// This server's sending data plane.
     fn data_wire(&self) -> Wire {
         let me = self.party.me;
-        let links = Arc::new(Links::tcp(me, self.peers.clone(), CONNECT_TIMEOUT));
+        let links = Arc::new(Links::tcp(me, self.peers.clone()));
         let ledger = Ledger::shared(self.faults.clone());
         Wire::new(me, self.seed, links, ledger, self.retry)
     }
@@ -310,15 +308,10 @@ impl Server {
                         user_public,
                     };
                     let reply = match drive(&self.party, &run, &mut self.mailbox, wire) {
-                        Outcome::Done(out) => {
-                            let mut transfers: Vec<(SubjectId, SubjectId, u64)> = out
-                                .transfers
-                                .into_iter()
-                                .map(|((f, t), b)| (f, t, b as u64))
-                                .collect();
-                            transfers.sort_by_key(|(f, t, _)| (f.index(), t.index()));
-                            Frame::Done { epoch, transfers }
-                        }
+                        Outcome::Done(out) => Frame::Done {
+                            epoch,
+                            transfers: out.transfers,
+                        },
                         Outcome::Failed(e) => Frame::Failed {
                             epoch,
                             message: e.to_string(),
@@ -404,10 +397,7 @@ fn recv_outcome(
                     continue
                 }
                 Ok(Frame::Done { transfers, .. }) => Outcome::Done(PartyOut {
-                    transfers: transfers
-                        .into_iter()
-                        .map(|(f, t, bytes)| ((f, t), bytes as usize))
-                        .collect(),
+                    transfers,
                     result: None,
                 }),
                 Ok(Frame::Failed { message, .. }) if message == ABORTED_MARK => Outcome::Aborted,
@@ -454,9 +444,6 @@ pub struct Coordinator {
     /// data-plane attempts alone, comparable across transport backends.
     ctl: Wire,
     wire: Wire,
-    /// The Execute frame sent to each participant this epoch, kept so a
-    /// reconnected control channel can re-deliver it.
-    pending_execute: HashMap<SubjectId, Frame>,
     mailbox: Mailbox,
     _hub: TcpHub,
     epoch: u64,
@@ -521,10 +508,11 @@ impl Coordinator {
     /// stays in this process.
     ///
     /// Of the [`SessionConfig`], a coordinator reads `seed`,
-    /// `preflight`, `timeout` (10 s when unset), `faults` (one schedule for the user's data-plane sends,
-    /// a second copy with its own counters for the control plane) and
-    /// `retry`. It does not read `transport`: a coordinator is TCP by
-    /// definition.
+    /// `preflight`, `timeout`, `faults` (one schedule for the user's
+    /// data-plane sends, a second copy with its own counters for the
+    /// control plane) and `retry`. It sets `transport` to
+    /// [`TransportKind::Tcp`] — a coordinator is TCP by definition — so
+    /// an unset `timeout` is the TCP default.
     #[allow(clippy::too_many_arguments)]
     pub fn connect(
         catalog: &Catalog,
@@ -550,9 +538,7 @@ impl Coordinator {
             ring: KeyRing::new(),
             store: db.partition(|rel| subjects.authority(rel) == Some(user)),
         };
-        let timeout = config
-            .effective_timeout()
-            .unwrap_or(Duration::from_secs(10));
+        let config = config.transport(TransportKind::Tcp);
         // One ledger per wire: the control plane's attempts never shift
         // the data plane's schedule.
         let wire_of = |seed, backend| {
@@ -563,12 +549,13 @@ impl Coordinator {
             user,
             public: party.rsa.public.clone(),
         };
-        let wait = timeout + DONE_SLACK;
+        // Over TCP the receive timeout is always set.
+        let wait = config.effective_timeout().unwrap_or_default() + DONE_SLACK;
         let publics = Arc::default();
         let links = control_links(hello, servers.clone(), wait, Arc::clone(&publics));
         let links = Arc::new(links);
         let ctl = wire_of(config.seed ^ CTL_SALT, Arc::clone(&links) as _);
-        let peers = Links::tcp(user, servers.clone(), CONNECT_TIMEOUT);
+        let peers = Links::tcp(user, servers.clone());
         let wire = wire_of(config.seed, Arc::new(peers) as _);
         let mut order: Vec<SubjectId> = servers.keys().copied().collect();
         order.sort_by_key(|s| s.index());
@@ -576,14 +563,13 @@ impl Coordinator {
             links.with(s, false, |_| Ok(()))?;
         }
         Ok(Coordinator {
-            dispatcher: Dispatcher::new(&catalog, subjects, views, rng, &config, Some(timeout)),
+            dispatcher: Dispatcher::new(&catalog, subjects, views, rng, &config),
             party,
             links,
             publics,
             wait,
             ctl,
             wire,
-            pending_execute: HashMap::new(),
             mailbox,
             _hub: hub,
             epoch: 0,
@@ -617,7 +603,7 @@ impl Coordinator {
 
         self.epoch += 1;
         let epoch = self.epoch;
-        self.pending_execute.clear();
+        let mut pending_execute = HashMap::new();
         let servers = job.participants.iter().filter(|&&s| s != user);
         for &s in servers.clone() {
             let frame = Frame::Execute {
@@ -629,7 +615,7 @@ impl Coordinator {
             // Keep the frame: a reconnected control channel re-delivers
             // it, and the server-side outcome cache makes re-delivery
             // idempotent.
-            self.pending_execute.insert(s, frame);
+            pending_execute.insert(s, frame);
             if let Err(e) = sent {
                 // Graceful degradation: a server whose control channel
                 // is beyond the retry budget fails *this epoch*, not
@@ -657,13 +643,12 @@ impl Coordinator {
             // epoch for this participant; the remaining participants
             // are still drained so the next query starts on clean
             // channels.
-            let pending = self.pending_execute.get(&s);
+            let pending = pending_execute.get(&s);
             let outcome = self.ctl.retry(s, || {
                 recv_outcome(&self.links, self.wait, s, epoch, pending)
             });
             outcomes.push((s, outcome.unwrap_or_else(|e| lost(s, e))));
         }
-        self.pending_execute.clear();
         Report::assemble(request_bytes, requests, settle(outcomes)?)
     }
 

@@ -144,7 +144,7 @@ impl SessionConfig {
         self
     }
 
-    /// Override the per-message retry budget and backoff.
+    /// Override the per-message retry budget.
     pub fn retry(mut self, retry: RetryPolicy) -> SessionConfig {
         self.retry = retry;
         self
@@ -255,7 +255,6 @@ impl Dispatcher {
         views: Vec<SubjectView>,
         rng: StdRng,
         config: &SessionConfig,
-        timeout: Option<Duration>,
     ) -> Dispatcher {
         Dispatcher {
             catalog: Arc::clone(catalog),
@@ -267,7 +266,7 @@ impl Dispatcher {
             next_key_id: 0,
             stats: SessionStats::default(),
             preflight: config.preflight,
-            timeout,
+            timeout: config.effective_timeout(),
         }
     }
 
@@ -485,8 +484,7 @@ pub(crate) fn set_up(
             store: db.partition(|rel| subjects.authority(rel) == Some(me)),
         })
         .collect();
-    let timeout = config.effective_timeout();
-    let dispatcher = Dispatcher::new(&catalog, subjects, views, rng, config, timeout);
+    let dispatcher = Dispatcher::new(&catalog, subjects, views, rng, config);
     (parties, dispatcher)
 }
 
@@ -625,9 +623,7 @@ impl Session {
             .map(|party| {
                 let links: Arc<dyn Transport> = match config.transport {
                     TransportKind::InProc => Arc::new(Links::in_proc(txs.clone())),
-                    TransportKind::Tcp => {
-                        Arc::new(Links::tcp(party.me, peers.clone(), Duration::from_secs(5)))
-                    }
+                    TransportKind::Tcp => Arc::new(Links::tcp(party.me, peers.clone())),
                 };
                 let ledger = Arc::clone(&ledger);
                 Wire::new(party.me, config.seed, links, ledger, config.retry)

@@ -16,7 +16,7 @@
 //!   an introduction step supplied by the plane (`Frame::Peer` on the
 //!   data plane, `Hello`/`HelloAck` on the `mpq-server` control plane —
 //!   see [`crate::remote`]), eviction on any failed or damaged write.
-//!   Its `attempt` is the one reading of the four `WireOp`s — *one
+//!   Its `attempt` is the one reading of a [`FaultAction`] — *one
 //!   delivery attempt* of one frame to one subject — for both planes
 //!   and both backends;
 //! * `TcpHub` is the receiving half of a TCP party (listener + accept
@@ -54,7 +54,7 @@
 //! hang.
 
 use crate::codec::{decode_frame, encode_frame, Frame};
-use crate::fault::{splitmix64, FaultAction, FaultPlan, RetryPolicy};
+use crate::fault::{splitmix64, FaultAction, FaultPlan, RetryPolicy, BASE_MS};
 use crate::runtime::{Msg, Stamped};
 use mpq_algebra::SubjectId;
 use std::collections::hash_map::Entry;
@@ -159,23 +159,6 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// How the [`Wire`] asks for one delivery attempt to be treated.
-/// `Deliver` is the honest path; the rest damage the attempt in the
-/// link's *native* failure mode (a truncate really poisons a socket)
-/// while the wire synthesizes the uniform sender-visible error.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum WireOp {
-    /// Deliver the frame normally.
-    Deliver,
-    /// Deliver nothing; the frame vanishes in flight.
-    Drop,
-    /// Deliver a damaged partial frame and kill the connection.
-    Truncate,
-    /// Deliver the frame, then kill the connection — the sender cannot
-    /// tell delivery succeeded and will re-send (a duplicate).
-    Reset,
-}
-
 /// Lock `m`, poisoned or not: every critical section of this crate
 /// leaves what it guards consistent (a counter bump, a map insert or
 /// remove), so a holder that panicked — a party's panic is caught and
@@ -186,7 +169,7 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// An established link to one subject — the paper's one kind of edge.
-/// What can be done to it is exactly what the four [`WireOp`]s need.
+/// What can be done to it is exactly what a [`FaultAction`] needs.
 pub(crate) trait Link: Send {
     /// Write one whole frame.
     fn send(&mut self, frame: &Frame) -> Result<(), TransportError>;
@@ -285,10 +268,10 @@ impl Links<Conn> {
     /// transport authentication is out of scope; the protocol's
     /// integrity rests on the signed request envelopes and the
     /// cell-level receive audit, not on the socket).
-    pub(crate) fn tcp(me: SubjectId, peers: HashMap<SubjectId, String>, timeout: Duration) -> Self {
+    pub(crate) fn tcp(me: SubjectId, peers: HashMap<SubjectId, String>) -> Self {
         Links::new(move |to| {
             let addr = peers.get(&to).ok_or(TransportError::Closed)?;
-            let mut conn = Conn::connect(addr, to, timeout)?;
+            let mut conn = Conn::connect(addr, to, CONNECT_TIMEOUT)?;
             conn.send(&Frame::Peer { from: me })?;
             Ok(conn)
         })
@@ -302,32 +285,49 @@ impl Links<Conn> {
 /// [`Mailbox`](crate::runtime::Mailbox) regardless of transport — TCP
 /// hubs feed the same mailbox the in-proc links enqueue to.
 pub(crate) trait Transport: Send + Sync {
-    /// Make one delivery attempt of `frame` to `to`, applying `op`.
-    /// Only *real* failures are returned; injected ones are reported by
-    /// the wire.
-    fn attempt(&self, to: SubjectId, frame: &Frame, op: WireOp) -> Result<(), TransportError>;
+    /// Make one delivery attempt of `frame` to `to`, damaged in the
+    /// link's *native* failure mode as `action` says (a truncate really
+    /// poisons a socket). `Delay` and `Stall` deliver: the wire has
+    /// already slept. Only *real* failures are returned; injected ones
+    /// are reported by the wire.
+    fn attempt(
+        &self,
+        to: SubjectId,
+        frame: &Frame,
+        action: FaultAction,
+    ) -> Result<(), TransportError>;
 }
 
 impl<L: Link> Transport for Links<L> {
-    /// The one reading of [`WireOp`], for every plane and backend.
-    fn attempt(&self, to: SubjectId, frame: &Frame, op: WireOp) -> Result<(), TransportError> {
-        match op {
-            WireOp::Deliver => self.with(to, false, |link| link.send(frame)),
+    /// The one reading of a [`FaultAction`], for every plane and backend.
+    fn attempt(
+        &self,
+        to: SubjectId,
+        frame: &Frame,
+        action: FaultAction,
+    ) -> Result<(), TransportError> {
+        match action {
+            FaultAction::Deliver | FaultAction::Delay(_) | FaultAction::Stall(_) => {
+                self.with(to, false, |link| link.send(frame))
+            }
             // The ambiguous case: the receiver's idempotency (`(from,
             // seq)` dedup, key-ring inserts, the epoch outcome cache)
             // absorbs the re-delivery.
-            WireOp::Reset => self.with(to, true, |link| link.send(frame)),
-            WireOp::Truncate => {
+            FaultAction::Reset => self.with(to, true, |link| link.send(frame)),
+            FaultAction::Truncate => {
                 let _ = self.with(to, true, |link| {
                     link.send_half(frame);
                     Ok(())
                 });
                 Ok(())
             }
-            WireOp::Drop => Ok(()),
+            FaultAction::Drop => Ok(()),
         }
     }
 }
+
+/// How long a dial of either plane waits before failing typed.
+pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Frames larger than this are rejected as malformed before
 /// allocation: no legitimate table in this repo approaches it, and a
@@ -504,7 +504,7 @@ impl Wire {
         let msg = Msg::Abort;
         let frame = Frame::Data { epoch, msg };
         for &p in participants.iter().filter(|&&p| p != self.me) {
-            let _ = self.inner.attempt(p, &frame, WireOp::Deliver);
+            let _ = self.inner.attempt(p, &frame, FaultAction::Deliver);
         }
     }
 
@@ -520,25 +520,22 @@ impl Wire {
             if let FaultAction::Delay(d) | FaultAction::Stall(d) = action {
                 std::thread::sleep(d);
             }
+            let outcome = self.inner.attempt(to, frame, action);
             // Injected failures are synthesized here, not by the
             // backend, so every transport reports the identical error
             // for the same scheduled fault.
-            let (op, injected) = match action {
+            let what = match action {
+                FaultAction::Drop => "frame dropped",
+                FaultAction::Truncate => "frame truncated",
+                FaultAction::Reset => "connection reset",
                 FaultAction::Deliver | FaultAction::Delay(_) | FaultAction::Stall(_) => {
-                    (WireOp::Deliver, None)
+                    return outcome
                 }
-                FaultAction::Drop => (WireOp::Drop, Some("frame dropped")),
-                FaultAction::Truncate => (WireOp::Truncate, Some("frame truncated")),
-                FaultAction::Reset => (WireOp::Reset, Some("connection reset")),
             };
-            let outcome = self.inner.attempt(to, frame, op);
-            match injected {
-                None => outcome,
-                Some(what) => Err(TransportError::Send {
-                    to,
-                    detail: format!("injected fault: {what}"),
-                }),
-            }
+            Err(TransportError::Send {
+                to,
+                detail: format!("injected fault: {what}"),
+            })
         })
     }
 
@@ -554,7 +551,7 @@ impl Wire {
         let max_attempts = self.retry.max_attempts.max(1);
         let edge_seed =
             splitmix64(self.seed ^ ((self.me.index() as u64) << 32) ^ to.index() as u64);
-        let mut prev_ms = self.retry.base_ms;
+        let mut prev_ms = BASE_MS;
         let mut attempt = 0u32;
         loop {
             attempt += 1;
@@ -876,7 +873,7 @@ mod tests {
         let peers: HashMap<SubjectId, String> = [(SubjectId(0), hub.addr().to_string())]
             .into_iter()
             .collect();
-        let wire = Links::tcp(me, peers, Duration::from_secs(2));
+        let wire = Links::tcp(me, peers);
         let Msg::Table(sent) = probe_msg(0) else {
             unreachable!("probe messages are tables")
         };
@@ -884,7 +881,7 @@ mod tests {
             epoch: 3,
             msg: Msg::Table(sent.clone()),
         };
-        wire.attempt(SubjectId(0), &frame, WireOp::Deliver)
+        wire.attempt(SubjectId(0), &frame, FaultAction::Deliver)
             .expect("loopback send");
         match rx.recv_timeout(Duration::from_secs(5)).expect("delivered") {
             (3, Msg::Table(t)) => {
@@ -903,15 +900,42 @@ mod tests {
             l.local_addr().expect("addr").to_string()
         };
         let peers: HashMap<SubjectId, String> = [(SubjectId(0), dead)].into_iter().collect();
-        let wire = Links::tcp(SubjectId(1), peers, Duration::from_millis(500));
+        let wire = Links::tcp(SubjectId(1), peers);
         let abort = Frame::Data {
             epoch: 1,
             msg: Msg::Abort,
         };
         let err = wire
-            .attempt(SubjectId(0), &abort, WireOp::Deliver)
+            .attempt(SubjectId(0), &abort, FaultAction::Deliver)
             .expect_err("no listener");
         assert!(matches!(err, TransportError::Connect { .. }), "got {err:?}");
+    }
+
+    #[test]
+    fn each_fault_action_damages_an_in_proc_attempt_in_its_own_way() {
+        let (tx, rx) = channel();
+        let links = Links::in_proc(vec![tx]);
+        let (to, pause) = (SubjectId(0), Duration::from_millis(1));
+        let frame = Frame::Data {
+            epoch: 1,
+            msg: probe_msg(0),
+        };
+        // (action, messages enqueued, link still cached)
+        for (action, enqueued, kept) in [
+            (FaultAction::Deliver, 1, true),
+            (FaultAction::Delay(pause), 1, true),
+            (FaultAction::Stall(pause), 1, true),
+            (FaultAction::Drop, 0, true),
+            (FaultAction::Truncate, 0, false),
+            (FaultAction::Reset, 1, false),
+        ] {
+            // Open the link first, so an evicting action has a link to
+            // evict.
+            links.with(to, false, |_| Ok(())).expect("open");
+            links.attempt(to, &frame, action).expect("no real failure");
+            assert_eq!(rx.try_iter().count(), enqueued, "{action:?}");
+            assert_eq!(links.is_open(to), kept, "{action:?}");
+        }
     }
 
     fn test_wire(
@@ -947,14 +971,7 @@ mod tests {
     fn exhausted_budget_is_the_scheduled_typed_error() {
         // 100% drop rate, no cap: every attempt fails, budget spends.
         let plan = FaultPlan::parse("seed=3,drop=1000").expect("valid");
-        let (wire, _rx) = test_wire(
-            Some(plan),
-            RetryPolicy {
-                max_attempts: 3,
-                base_ms: 1,
-                cap_ms: 2,
-            },
-        );
+        let (wire, _rx) = test_wire(Some(plan), RetryPolicy { max_attempts: 3 });
         let err = wire
             .send(SubjectId(0), 1, probe_msg(0))
             .expect_err("all attempts dropped");

@@ -15,7 +15,7 @@
 //! ```
 
 use mpq_core::verify::VerifyCoverage;
-use mpq_fuzz::{run_scenario, Outcome, WorldConfig};
+use mpq_fuzz::{run_scenario, Outcome};
 use std::process::ExitCode;
 
 /// Per-axis cardinalities, the machine-comparable floor format.
@@ -76,7 +76,7 @@ fn main() -> ExitCode {
     let (mut accepted, mut rejected) = (0u64, 0u64);
     for i in 0..scenarios {
         let seed = base.wrapping_add(i);
-        let r = run_scenario(&WorldConfig { seed });
+        let r = run_scenario(seed);
         cov.merge(&r.coverage);
         match &r.outcome {
             Outcome::Accepted { rows } => {

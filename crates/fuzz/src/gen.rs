@@ -11,9 +11,9 @@
 //! the differential (every mutation class has both a static diagnostic
 //! and a dynamic defense twin).
 //!
-//! Everything is a pure function of the seed: the same
-//! [`WorldConfig`] always produces the same world, which is what makes
-//! corpus seeds replayable as regression tests.
+//! Everything is a pure function of the seed: the same seed always
+//! produces the same world, which is what makes corpus seeds
+//! replayable as regression tests.
 
 use mpq_algebra::{
     AggExpr, AggFunc, AttrId, AttrSet, Catalog, CmpOp, DataType, Expr, JoinKind, Operator,
@@ -27,13 +27,6 @@ use mpq_core::subjects::{SubjectKind, Subjects};
 use mpq_exec::Database;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Identifies one scenario. The seed fully determines the world.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WorldConfig {
-    /// Master seed; also used as the session seed at execution time.
-    pub seed: u64,
-}
 
 /// A fault class injected after minimal extension. The raw `pick`
 /// values are resolved against the extended plan by the harness
@@ -118,9 +111,9 @@ fn random_value(rng: &mut StdRng, ty: DataType, is_key: bool) -> Value {
 }
 
 impl World {
-    /// Generate the world for `cfg` (deterministic in `cfg.seed`).
-    pub fn generate(cfg: &WorldConfig) -> World {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+    /// Generate the world of scenario `seed`, a pure function of it.
+    pub fn generate(seed: u64) -> World {
+        let mut rng = StdRng::seed_from_u64(seed);
 
         // ---- catalog -------------------------------------------------
         let mut catalog = Catalog::new();
@@ -322,7 +315,7 @@ impl World {
             }
             let set = cands.of(id);
             // The user sees everything plaintext, so Λ is never empty.
-            assert!(!set.is_empty(), "Λ empty at {id} (seed {})", cfg.seed);
+            assert!(!set.is_empty(), "Λ empty at {id} (seed {seed})");
             assignment.set(id, set[rng.gen_range(0..set.len())]);
         }
 

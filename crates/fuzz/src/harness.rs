@@ -27,7 +27,7 @@
 //! error whose diagnostic class appears in the static report. Anything
 //! else is a [`Outcome::Divergence`] — a fuzzer finding.
 
-use crate::gen::{Mutation, World, WorldConfig};
+use crate::gen::{Mutation, World};
 use mpq_algebra::{AttrId, NodeId, Operator};
 use mpq_core::extend::{minimally_extend, ExtendError};
 use mpq_core::keys::{plan_keys, KeyPlan};
@@ -264,13 +264,14 @@ pub fn extend_world(w: &World) -> Result<(ExtendedPlan, KeyPlan), ExtendError> {
     Ok((ext, keys))
 }
 
-/// Run one scenario end to end. Never panics on a divergence — the
-/// caller decides what to do with [`Outcome::Divergence`].
-pub fn run_scenario(cfg: &WorldConfig) -> ScenarioResult {
-    let w = World::generate(cfg);
+/// Run scenario `seed` end to end; the seed is also the session seed
+/// at execution time. Never panics on a divergence — the caller decides
+/// what to do with [`Outcome::Divergence`].
+pub fn run_scenario(seed: u64) -> ScenarioResult {
+    let w = World::generate(seed);
 
     let result = |outcome: Outcome, cov: VerifyCoverage| ScenarioResult {
-        seed: cfg.seed,
+        seed,
         outcome,
         coverage: cov,
     };
@@ -300,7 +301,7 @@ pub fn run_scenario(cfg: &WorldConfig) -> ScenarioResult {
     let cov = report.coverage.clone();
 
     let run = |preflight: bool, transport: TransportKind| -> Result<Report, SimError> {
-        let mut config = SessionConfig::new(cfg.seed).transport(transport);
+        let mut config = SessionConfig::new(seed).transport(transport);
         if !preflight {
             config = config.without_preflight();
         }

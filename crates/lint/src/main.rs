@@ -20,8 +20,8 @@
 //!   environment.
 //! * **net-confinement** — `std::net` (sockets, listeners) appears in
 //!   exactly one file, `dist/src/transport.rs`, home of the one link
-//!   cache and the one reading of `WireOp` under both the data plane
-//!   and the coordinator's control plane: everything above it sees
+//!   cache and the one reading of a `FaultAction` under both the data
+//!   plane and the coordinator's control plane: everything above it sees
 //!   frames, a data-only mailbox and typed errors, so the in-proc and
 //!   TCP links stay behaviorally interchangeable by construction.
 //! * **one-edge-rule** — in `crates/dist/src`, the §6 edge rule has one
@@ -124,18 +124,22 @@
 //!
 //! * **pub-has-a-caller** — a non-test `pub fn`, `pub const` or `pub
 //!   static` in `algebra`, `core`, `crypto`, `exec`, `planner` or `dist`
-//!   (the shared fixture `core/src/fixtures.rs` exempt) is named, as a
-//!   token, by the non-test code of another file — any crate's `src`
-//!   or `benches`, `src/`, `examples/` — or anywhere in `benchmark/src`,
-//!   its tests included, since the frozen benchmark must keep building.
-//!   A `pub use` re-export and a definition of the same name are not
-//!   callers. Otherwise the item is private or `pub(crate)`, where
-//!   rustc's `dead_code` sees it, or it has a line on `CALLER_ALLOW`
-//!   (at most 20) naming the test that drives behaviour through it that
-//!   no other entry point exposes; an allow-list line that clears
-//!   nothing is a finding too. Any use of a name counts, so a common
-//!   method name always passes: the rule never flags an item that has a
-//!   caller.
+//!   (the shared fixture `core/src/fixtures.rs` exempt) is used by the
+//!   non-test code of another file — any crate's `src` or `benches`,
+//!   `src/`, `examples/` — or anywhere in `benchmark/src`, its tests
+//!   included, since the frozen benchmark must keep building. A `pub
+//!   fn` is used where it is called or named by path (`name(`,
+//!   `name::<`, `::name`, but not the module of `::name::`), so a local,
+//!   a field or a module spelt like it is no caller; a `pub const` or
+//!   `pub static` is used where its name appears as a token. A `pub
+//!   use` re-export and a definition of the same name are not callers.
+//!   Otherwise the item is private or `pub(crate)`, where rustc's
+//!   `dead_code` sees it, or it has a line on `CALLER_ALLOW` (at most
+//!   20) naming the test that drives behaviour through it that no other
+//!   entry point exposes; an allow-list line that clears nothing is a
+//!   finding too. The rule never flags an item that has a caller, but a
+//!   method sharing its name with a std method (`len`, `is_empty`) is
+//!   cleared by every call of that method.
 //! * **tests-last** — under `crates/*/src` and `src/`, no non-test code
 //!   follows a file's first `#[cfg(test)]`: `scripts/code_lines.sh`
 //!   counts each file up to that line, so code below it would go
@@ -731,21 +735,37 @@ impl Source {
 }
 
 /// The name a `pub fn`, `pub const` or `pub static` line declares, if
-/// any (`pub(crate)` and narrower declare none).
-fn pub_item(line: &str) -> Option<&str> {
+/// any (`pub(crate)` and narrower declare none), and whether it is a
+/// `fn`.
+fn pub_item(line: &str) -> Option<(&str, bool)> {
     let rest = line.trim_start().strip_prefix("pub ")?;
-    let rest = ["fn ", "const fn ", "const ", "static mut ", "static "]
+    let (kind, rest) = ["fn ", "const fn ", "const ", "static mut ", "static "]
         .iter()
-        .find_map(|k| rest.strip_prefix(k))?;
+        .find_map(|k| Some((k, rest.strip_prefix(k)?)))?;
     let end = rest.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
-    Some(&rest[..end.unwrap_or(rest.len())]).filter(|n| !n.is_empty() && *n != "_")
+    let name = &rest[..end.unwrap_or(rest.len())];
+    (!name.is_empty() && name != "_").then_some((name, kind.ends_with("fn ")))
 }
 
-/// The identifiers the non-test lines of `src` name outside `pub use`
+/// What the non-test lines of one file name outside `pub use`
 /// re-exports, leaving out the name each `fn` / `const` / `static`
-/// defines: what the file calls.
-fn used_names(src: &Source) -> HashSet<&str> {
-    let (mut names, mut in_pub_use) = (HashSet::new(), false);
+/// defines: every identifier, and the subset it calls or names by path.
+struct Uses<'a> {
+    names: HashSet<&'a str>,
+    calls: HashSet<&'a str>,
+}
+
+/// The [`Uses`] of `src`. A word is called as `name(` or `name::<`, or
+/// named by path as `::name` — but not as the module of a longer path
+/// (`::name::`), so a local, a field or a module spelt like a `pub fn`
+/// does not count as its caller.
+fn used_names(src: &Source) -> Uses<'_> {
+    let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut uses = Uses {
+        names: HashSet::new(),
+        calls: HashSet::new(),
+    };
+    let mut in_pub_use = false;
     for (_, line) in src.code_lines() {
         let t = line.trim_start();
         in_pub_use |= t.starts_with("pub use ") || (t.starts_with("pub(") && t.contains(") use "));
@@ -753,24 +773,30 @@ fn used_names(src: &Source) -> HashSet<&str> {
             in_pub_use = !line.contains(';');
             continue;
         }
-        let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
-        let mut prev = "";
-        for word in words.filter(|w| !w.is_empty()) {
+        let (mut rest, mut prev) = (line, "");
+        while let Some(start) = rest.find(is_word) {
+            let (before, tail) = rest.split_at(start);
+            let (word, after) = tail.split_at(tail.find(|c| !is_word(c)).unwrap_or(tail.len()));
             if !matches!(prev, "fn" | "const" | "static") {
-                names.insert(word);
+                uses.names.insert(word);
+                let path = before.ends_with("::") && !after.starts_with("::");
+                if path || after.starts_with('(') || after.starts_with("::<") {
+                    uses.calls.insert(word);
+                }
             }
-            prev = word;
+            (rest, prev) = (after, word);
         }
     }
-    names
+    uses
 }
 
-/// pub-has-a-caller: every non-test `pub fn` / `pub const` / `pub
-/// static` of a [`LIBRARIES`] crate is named by another of the
-/// `sources` ([`used_names`]) or has a line of `allow`. An `allow` line
-/// that clears nothing is a finding too.
+/// pub-has-a-caller: every non-test `pub fn` of a [`LIBRARIES`] crate
+/// is called or named by path by another of the `sources`, and every
+/// `pub const` / `pub static` is named by one ([`used_names`]), or the
+/// item has a line of `allow`. An `allow` line that clears nothing is a
+/// finding too.
 fn lint_pub_callers(sources: &[&Source], allow: &[Allow], findings: &mut Vec<Finding>) {
-    let used: Vec<HashSet<&str>> = sources.iter().map(|s| used_names(s)).collect();
+    let used: Vec<Uses> = sources.iter().map(|s| used_names(s)).collect();
     let mut cleared = vec![false; allow.len()];
     for (i, src) in sources.iter().enumerate() {
         if !in_scope(&src.rel, LIBRARIES) || src.rel == Path::new(FIXTURES_RS) {
@@ -779,8 +805,9 @@ fn lint_pub_callers(sources: &[&Source], allow: &[Allow], findings: &mut Vec<Fin
         let items = src
             .code_lines()
             .filter_map(|(n, l)| Some((n, pub_item(l)?)));
-        for (n, name) in items {
-            if (used.iter().enumerate()).any(|(j, names)| j != i && names.contains(name)) {
+        for (n, (name, is_fn)) in items {
+            let named = |u: &Uses| if is_fn { &u.calls } else { &u.names }.contains(name);
+            if (used.iter().enumerate()).any(|(j, uses)| j != i && named(uses)) {
                 continue;
             }
             let entry = |&(f, item, _): &Allow| src.rel == Path::new(f) && item == name;
@@ -1672,6 +1699,37 @@ mod tests {
             lint_pub_callers(&[&other], &[], &mut findings);
             assert!(findings.is_empty(), "{file}");
         }
+    }
+
+    #[test]
+    fn a_word_spelt_like_a_pub_fn_is_not_its_caller() {
+        let lib = Source::new(
+            Path::new("crates/dist/src/fault.rs"),
+            "pub fn spec(&self) -> String {}\npub const SPEC: u8 = 0;\n",
+        );
+        let flagged = |caller: &str| {
+            let other = Source::new(Path::new("crates/dist/src/session.rs"), caller);
+            let mut findings = Vec::new();
+            lint_pub_callers(&[&lib, &other], &[], &mut findings);
+            findings.iter().map(|f| f.line).collect::<Vec<_>>()
+        };
+        // A binding, a field or a module of the same name: no caller.
+        for word in [
+            "fn f(p: Option<u8>) { match p { Some(spec) => spec, None => 0 }; SPEC; }",
+            "fn f(c: Config) { let n = c.spec + 1; SPEC; }",
+            "fn f() { crate::spec::parse(); SPEC; }",
+        ] {
+            assert_eq!(flagged(word), vec![1], "{word}");
+        }
+        // A call or a path clears the `fn`; a `const` needs only its name.
+        for call in [
+            "fn f(p: &FaultPlan) { p.spec(); SPEC; }",
+            "fn f() { let g = FaultPlan::spec; SPEC; }",
+            "fn f() { spec::<u8>(); let _ = SPEC; }",
+        ] {
+            assert!(flagged(call).is_empty(), "{call}");
+        }
+        assert_eq!(flagged("fn f() { FaultPlan::spec(); }"), vec![2]);
     }
 
     #[test]

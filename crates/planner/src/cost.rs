@@ -213,7 +213,7 @@ fn crypto_secs(
 
 /// Total modeled tuple operations of a plan — the quantity the
 /// `calibrate` binary regresses measured execution seconds against to
-/// fit [`PriceBook::tuple_op_secs`].
+/// fit [`calibrated::TUPLE_OP_SECS`](crate::pricing::calibrated::TUPLE_OP_SECS).
 pub fn plan_tuple_ops(plan: &QueryPlan, est: &[Estimate], book: &PriceBook) -> f64 {
     plan.postorder()
         .into_iter()

@@ -147,12 +147,12 @@ pub struct PriceBook {
     /// the 100 Mbps link and pay internet egress).
     users: HashSet<SubjectId>,
     /// Seconds of CPU per basic tuple operation (scan/probe/emit).
-    pub tuple_op_secs: f64,
+    pub(crate) tuple_op_secs: f64,
     /// Seconds per homomorphic (Paillier) ciphertext addition.
-    pub paillier_add_secs: f64,
+    pub(crate) paillier_add_secs: f64,
     /// Multiplier on tuple cost for user-defined functions (the paper:
     /// "udfs are typically computationally-intensive").
-    pub udf_multiplier: f64,
+    pub(crate) udf_multiplier: f64,
 }
 
 impl PriceBook {

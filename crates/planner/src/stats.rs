@@ -38,11 +38,11 @@ pub struct SampleConfig {
     /// Per-table row cap: tables at or below it are scanned in full,
     /// larger ones are Bernoulli-sampled down to roughly this many
     /// rows.
-    pub max_sample_rows: usize,
+    max_sample_rows: usize,
     /// Target equi-depth bucket count for numeric/date histograms.
-    pub buckets: usize,
+    buckets: usize,
     /// Sampling seed (collection is deterministic per seed).
-    pub seed: u64,
+    seed: u64,
 }
 
 impl Default for SampleConfig {

@@ -9,7 +9,7 @@
 use mpq::dist::{Session, SessionConfig, SimError};
 use mpq::exec::ExecError;
 use mpq_core::verify::Code;
-use mpq_fuzz::{extend_world, run_scenario, Mutation, Outcome, World, WorldConfig};
+use mpq_fuzz::{extend_world, run_scenario, Mutation, Outcome, World};
 
 /// Parse a corpus file: comment lines (`#`) describe the scenario, the
 /// remaining line is the seed.
@@ -25,7 +25,7 @@ fn corpus_seed(contents: &str) -> u64 {
 
 fn replay(contents: &str) -> Outcome {
     let seed = corpus_seed(contents);
-    let r = run_scenario(&WorldConfig { seed });
+    let r = run_scenario(seed);
     if let Outcome::Divergence(why) = &r.outcome {
         panic!("seed {seed} diverged: {why}");
     }
@@ -104,7 +104,7 @@ fn dropped_join_side_encrypt_rejected_consistently() {
     let contents = include_str!("fuzz_corpus/reject_mixed_form.seed");
     assert_rejected(contents, &[Code::MixedForm]);
     let seed = corpus_seed(contents);
-    let w = World::generate(&WorldConfig { seed });
+    let w = World::generate(seed);
     assert!(matches!(
         w.mutation,
         Some(Mutation::DropJoinSideEncrypt { .. })
@@ -164,7 +164,7 @@ fn coverage_floor_file_is_well_formed() {
 fn short_sweep_is_divergence_free() {
     let mut cov = mpq_core::verify::VerifyCoverage::default();
     for seed in 1..=60u64 {
-        let r = run_scenario(&WorldConfig { seed });
+        let r = run_scenario(seed);
         if let Outcome::Divergence(why) = &r.outcome {
             panic!("seed {seed} diverged: {why}");
         }
