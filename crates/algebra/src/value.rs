@@ -48,7 +48,7 @@ pub enum EncScheme {
 
 impl EncScheme {
     /// Every scheme.
-    pub const ALL: [EncScheme; 4] = [
+    const ALL: [EncScheme; 4] = [
         EncScheme::Random,
         EncScheme::Deterministic,
         EncScheme::Ope,

@@ -1256,15 +1256,6 @@ pub enum SchemeChoice {
 }
 
 impl SchemeChoice {
-    /// All choices, for coverage reports.
-    pub const ALL: [SchemeChoice; 5] = [
-        SchemeChoice::Random,
-        SchemeChoice::Deterministic,
-        SchemeChoice::Ope,
-        SchemeChoice::Paillier,
-        SchemeChoice::Conflict,
-    ];
-
     /// Short display name.
     pub fn as_str(self) -> &'static str {
         match self {

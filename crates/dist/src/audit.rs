@@ -16,13 +16,22 @@
 //! encryption layer (`mpq_crypto::schemes` passes NULL through).
 
 use crate::error::SimError;
+use mpq_algebra::AttrId;
 use mpq_core::authz::SubjectView;
 use mpq_exec::{ColumnVec, Table};
 
 /// Check that every cell of `table` is in a form `recipient` is
-/// authorized to see. Called on every table that crosses a
-/// subject-to-subject edge (including the final result handed to the
-/// querying user).
+/// authorized to see: the batched audit the party core runs, over one
+/// batch.
+pub fn audit_transfer(table: &Table, recipient: &SubjectView) -> Result<(), SimError> {
+    audit_batches(table.attrs(), std::slice::from_ref(table), recipient)
+}
+
+/// Check that every cell of the table `batches` concatenate to — under
+/// the columns `attrs` — is in a form `recipient` is authorized to
+/// see, batch by batch, without concatenating them. Called on every
+/// result that crosses a subject-to-subject edge (including the final
+/// result handed to the querying user).
 ///
 /// Column-major fast path: each column's *required form* is resolved
 /// once against the view — plaintext-visible columns are skipped
@@ -32,11 +41,16 @@ use mpq_exec::{ColumnVec, Table};
 /// hold no ciphertext, so it is refused at its first row, and an
 /// encrypted column can hold nothing else, so it passes whole. Only a
 /// general column is scanned. The reported violation is the first one
-/// in row order, identical to a sequential row scan.
-pub fn audit_transfer(table: &Table, recipient: &SubjectView) -> Result<(), SimError> {
+/// in row order — the first batch holding one, and in it the earliest
+/// (row, column) — identical to a sequential row scan of the whole.
+pub(crate) fn audit_batches(
+    attrs: &[AttrId],
+    batches: &[Table],
+    recipient: &SubjectView,
+) -> Result<(), SimError> {
     // Column-level visibility first: a column the recipient cannot see
     // in any form is refused outright, rows notwithstanding.
-    for &attr in table.attrs() {
+    for &attr in attrs {
         if !recipient.plain.contains(attr) && !recipient.enc.contains(attr) {
             return Err(SimError::InvisibleAttribute {
                 attr,
@@ -47,17 +61,19 @@ pub fn audit_transfer(table: &Table, recipient: &SubjectView) -> Result<(), SimE
     // Cell-level form check for encrypted-only columns: the earliest
     // violation in (row, column) order — the same cell a row-major
     // scan reports.
-    let first = (table.attrs().iter().enumerate())
-        .filter(|(_, a)| !recipient.plain.contains(**a))
-        .filter_map(|(i, &attr)| Some((first_plaintext_cell(table.column(i))?, i, attr)))
-        .min();
-    match first {
-        Some((_, _, attr)) => Err(SimError::LeakedPlaintext {
-            attr,
-            subject: recipient.subject,
-        }),
-        None => Ok(()),
+    for batch in batches {
+        let first = (attrs.iter().enumerate())
+            .filter(|(_, a)| !recipient.plain.contains(**a))
+            .filter_map(|(i, &attr)| Some((first_plaintext_cell(batch.column(i))?, i, attr)))
+            .min();
+        if let Some((_, _, attr)) = first {
+            return Err(SimError::LeakedPlaintext {
+                attr,
+                subject: recipient.subject,
+            });
+        }
     }
+    Ok(())
 }
 
 /// Row index of the first plaintext non-NULL cell of `col`, if any.
@@ -232,6 +248,114 @@ mod tests {
                 subject: SubjectId(9)
             })
         );
+    }
+
+    /// Batch by batch, the audit returns what it returns for the table
+    /// the batches concatenate to: the same first leak wherever it lies
+    /// — the first row of a later batch, a left column of an earlier row
+    /// — whatever each batch's columns are held as; and no batch at all
+    /// is still refused an invisible column.
+    #[test]
+    fn batches_audit_as_the_table_they_concatenate_to() {
+        use mpq_exec::Batches;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashSet;
+        let schema = |n: u32| mpq_exec::TableSchema::new((0..n).map(AttrId).collect());
+        let split = |width: u32, rows: Vec<Vec<Value>>, cuts: &[usize]| {
+            let mut batches = Vec::new();
+            let mut rows = rows.into_iter();
+            for pair in cuts.windows(2) {
+                let batch = rows.by_ref().take(pair[1] - pair[0]).collect();
+                batches.push(Table::from_rows(schema(width).attrs().to_vec(), batch));
+            }
+            Batches {
+                schema: schema(width),
+                batches,
+            }
+        };
+        let same = |b: &Batches, view: &SubjectView| {
+            let whole = audit_transfer(&b.clone().into_table(), view);
+            assert_eq!(audit_batches(b.schema.attrs(), &b.batches, view), whole);
+            whole
+        };
+        let leaked = |attr| {
+            Err(SimError::LeakedPlaintext {
+                attr: AttrId(attr),
+                subject: SubjectId(9),
+            })
+        };
+        let enc_only = view(&[], &[0, 1]);
+        // The first row of a later batch: that batch's column is typed.
+        let later = split(
+            2,
+            vec![
+                vec![cipher(), cipher()],
+                vec![cipher(), Value::Null],
+                vec![cipher(), Value::Int(1)],
+                vec![Value::Int(2), Value::Int(3)],
+            ],
+            &[0, 2, 4],
+        );
+        assert_eq!(same(&later, &enc_only), leaked(1));
+        // The earliest row wins, whatever the column: a leak in the left
+        // column of an earlier row, then one in its right column.
+        for (first, second, attr) in [(0, 1, 0), (1, 0, 1)] {
+            let mut rows = vec![vec![cipher(), cipher()]; 3];
+            rows[1][first] = Value::Int(4);
+            rows[2][second] = Value::Int(5);
+            assert_eq!(same(&split(2, rows, &[0, 1, 3]), &enc_only), leaked(attr));
+        }
+        let empty = Batches {
+            schema: schema(4),
+            batches: vec![],
+        };
+        assert_eq!(
+            same(&empty, &view(&[0, 1], &[2])),
+            Err(SimError::InvisibleAttribute {
+                attr: AttrId(3),
+                subject: SubjectId(9)
+            })
+        );
+        let visible = Batches {
+            schema: schema(2),
+            batches: vec![],
+        };
+        assert_eq!(same(&visible, &enc_only), Ok(()));
+        // Random splits, leaks and views: every outcome occurs.
+        let mut outcomes = HashSet::new();
+        for seed in 0..500 {
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let (width, rows) = (rng.gen_range(1..4), rng.gen_range(0..10));
+            let typed = rng.gen_range(0..width + 2);
+            let cells: Vec<Vec<Value>> = (0..rows)
+                .map(|_| {
+                    (0..width)
+                        .map(|c| match rng.gen_range(0..12) {
+                            _ if c == typed => Value::Int(6),
+                            0 => Value::Int(7),
+                            1 | 2 => Value::Null,
+                            _ => cipher(),
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut cuts: Vec<usize> = (0..rng.gen_range(0..4))
+                .map(|_| rng.gen_range(0..=rows))
+                .collect();
+            cuts.extend([0, rows]);
+            cuts.sort_unstable();
+            let b = split(width as u32, cells, &cuts);
+            let plain: Vec<u32> = (0..width as u32)
+                .filter(|_| rng.gen_range(0..3) == 0)
+                .collect();
+            let enc: Vec<u32> = (0..width as u32 + 1)
+                .filter(|_| rng.gen_range(0..8) > 0)
+                .collect();
+            let outcome = same(&b, &view(&plain, &enc));
+            outcomes.insert(outcome.map_err(|e| std::mem::discriminant(&e)));
+        }
+        assert_eq!(outcomes.len(), 3, "clean, leaking and invisible splits");
     }
 
     #[test]

@@ -37,7 +37,7 @@ use mpq_algebra::value::{CellRef, EncColumn, EncScheme};
 use mpq_algebra::{AttrId, NodeId, RelId, SubjectId, Value};
 use mpq_crypto::bignum::BigUint;
 use mpq_crypto::rsa::{RsaPublic, SignedEnvelope};
-use mpq_exec::{ColumnVec, SchemePlan, Table, TableSchema};
+use mpq_exec::{Batches, ColumnVec, SchemePlan, Table, TableSchema};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -380,9 +380,9 @@ impl Encode for Value {
     }
 }
 
-/// Fixed-width words packed back to back behind their count.
-fn write_packed<const W: usize>(b: &mut Vec<u8>, words: impl ExactSizeIterator<Item = [u8; W]>) {
-    write_len(b, words.len());
+/// Fixed-width words packed back to back, after a count the caller
+/// wrote.
+fn write_words<const W: usize>(b: &mut Vec<u8>, words: impl ExactSizeIterator<Item = [u8; W]>) {
     b.reserve(words.len() * W);
     words.for_each(|w| b.extend_from_slice(&w));
 }
@@ -406,32 +406,10 @@ fn read_packed<const W: usize, T>(r: &mut Reader, word: fn([u8; W]) -> T) -> Opt
 /// byte — the format has no tag for them — and tag 0 decodes through
 /// [`ColumnVec::from_values`], which types them again. The receiver
 /// holds what the sender held, so a column re-encodes to the same
-/// bytes. The cell loops stay direct — this is the only part of a frame
-/// measured in megabytes.
+/// bytes.
 impl Encode for ColumnVec {
     fn put(&self, b: &mut Vec<u8>) {
-        match self {
-            ColumnVec::Val(_) | ColumnVec::Date(_) | ColumnVec::Str(_) => {
-                b.push(0);
-                write_len(b, self.len());
-                (0..self.len()).for_each(|i| put_cell(b, self.cell_ref(i)));
-            }
-            ColumnVec::Int(v) => {
-                b.push(1);
-                write_packed(b, v.iter().map(|x| x.to_be_bytes()));
-            }
-            ColumnVec::Num(v) => {
-                b.push(2);
-                write_packed(b, v.iter().map(|x| x.to_be_bytes()));
-            }
-            ColumnVec::Enc(c) => {
-                b.push(3);
-                c.scheme().put(b);
-                c.key_id().put(b);
-                write_packed(b, c.ends().iter().map(|end| end.to_be_bytes()));
-                write_bytes(b, c.bytes());
-            }
-        }
+        put_column(b, &[self]);
     }
     fn get(r: &mut Reader) -> Option<Self> {
         Some(match r.u8()? {
@@ -451,20 +429,95 @@ impl Encode for ColumnVec {
     }
 }
 
-/// Tables travel column-major (all of column 0, then column 1, …),
-/// matching the columnar in-memory layout so neither end transposes:
-/// the schema, then one column per attribute, all of one length.
-impl Encode for Table {
+/// The part of `parts` — one column of consecutive batches — whose
+/// representation the column they append to keeps
+/// ([`ColumnVec::append`]), or `None` when that column holds general
+/// cells: it stays `Int`, `Num` or `Enc` under one key while every
+/// part with rows is so, and takes a part's representation while
+/// nothing before it had rows.
+fn appended_form<'a>(parts: &[&'a ColumnVec]) -> Option<&'a ColumnVec> {
+    let (mut held, mut rows): (Option<&ColumnVec>, usize) = (None, 0);
+    for &part in parts {
+        let kept = match (held, part) {
+            (Some(ColumnVec::Int(_)), ColumnVec::Int(_)) => true,
+            (Some(ColumnVec::Num(_)), ColumnVec::Num(_)) => true,
+            (Some(ColumnVec::Enc(a)), ColumnVec::Enc(b)) => {
+                (a.scheme(), a.key_id()) == (b.scheme(), b.key_id())
+            }
+            _ => false,
+        };
+        if !kept {
+            held = (rows == 0).then_some(part);
+        }
+        rows += part.len();
+    }
+    held
+}
+
+/// Write the column `parts` append to ([`ColumnVec::append`]) as that
+/// column's [`Encode`] writes it, without building it: the cells of
+/// each part go straight into the frame, `Enc` offsets shifted by the
+/// bytes before them. The cell loops stay direct — this is the only
+/// part of a frame measured in megabytes.
+fn put_column(b: &mut Vec<u8>, parts: &[&ColumnVec]) {
+    let held = appended_form(parts);
+    let tag = match held {
+        Some(ColumnVec::Int(_)) => 1,
+        Some(ColumnVec::Num(_)) => 2,
+        Some(ColumnVec::Enc(_)) => 3,
+        _ => 0,
+    };
+    b.push(tag);
+    if let Some(ColumnVec::Enc(c)) = held {
+        c.scheme().put(b);
+        c.key_id().put(b);
+    }
+    write_len(b, parts.iter().map(|c| c.len()).sum());
+    // A part held otherwise than the whole is empty: it writes nothing.
+    let mut base = 0;
+    for part in parts {
+        match (tag, part) {
+            (0, _) => (0..part.len()).for_each(|i| put_cell(b, part.cell_ref(i))),
+            (1, ColumnVec::Int(v)) => write_words(b, v.iter().map(|x| x.to_be_bytes())),
+            (2, ColumnVec::Num(v)) => write_words(b, v.iter().map(|x| x.to_be_bytes())),
+            (3, ColumnVec::Enc(c)) => {
+                let shift = u32::try_from(base).expect("a frame holds fewer than 2^32 bytes");
+                write_words(b, c.ends().iter().map(|end| (shift + end).to_be_bytes()));
+                base += c.bytes().len();
+            }
+            _ => {}
+        }
+    }
+    if tag == 3 {
+        write_len(b, base);
+        for part in parts {
+            if let ColumnVec::Enc(c) = part {
+                b.extend_from_slice(c.bytes());
+            }
+        }
+    }
+}
+
+/// A relation travels column-major as the one table its batches
+/// concatenate to ([`Batches::into_table`]) — all of column 0, then
+/// column 1, …, matching the columnar in-memory layout so neither end
+/// transposes: the schema, then one column per attribute, all of one
+/// length. The batches are never concatenated for it, and a received
+/// relation is one batch.
+impl Encode for Batches {
     fn put(&self, b: &mut Vec<u8>) {
-        write_seq(b, self.attrs().iter());
-        self.columns().iter().for_each(|col| col.put(b));
+        write_seq(b, self.schema.attrs().iter());
+        for i in 0..self.schema.len() {
+            let parts: Vec<&ColumnVec> = self.batches.iter().map(|t| t.column(i)).collect();
+            put_column(b, &parts);
+        }
     }
     fn get(r: &mut Reader) -> Option<Self> {
         let attrs: Vec<AttrId> = r.get()?;
         let cols = (attrs.iter().map(|_| r.get())).collect::<Option<Vec<ColumnVec>>>()?;
         let rows = cols.first().map_or(0, ColumnVec::len);
         (cols.iter().all(|c| c.len() == rows))
-            .then(|| Table::from_columns(TableSchema::new(attrs), cols))
+            .then(|| Table::from_columns(TableSchema::new(attrs), cols).into())
     }
 }
 
@@ -647,7 +700,7 @@ impl Encode for QueryJob {
 // Frames
 // ---------------------------------------------------------------------------
 
-wire_struct!(Transfer: node, from, seq, table);
+wire_struct!(Transfer: node, from, seq, batches);
 wire_enum!(Msg { 0 => Table(transfer), 1 => Abort });
 
 /// Every message the TCP transport and the `mpq-server` protocol
@@ -779,6 +832,16 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// A table travels as a one-batch relation.
+    impl Encode for Table {
+        fn put(&self, b: &mut Vec<u8>) {
+            Batches::from(self.clone()).put(b);
+        }
+        fn get(r: &mut Reader) -> Option<Self> {
+            Some(Batches::get(r)?.into_table())
+        }
+    }
+
     // ---- named fixtures ---------------------------------------------------
 
     fn date(s: &str) -> Value {
@@ -905,15 +968,15 @@ mod tests {
         }
     }
 
-    fn data_frame(table: Table) -> Frame {
+    fn data_frame(batches: impl Into<Batches>) -> Frame {
         Frame::Data {
             epoch: 42,
-            msg: Msg::Table(Transfer {
+            msg: Msg::Table(Arc::new(Transfer {
                 node: NodeId(5),
                 from: SubjectId(2),
                 seq: 77,
-                table,
-            }),
+                batches: batches.into(),
+            })),
         }
     }
 
@@ -979,10 +1042,14 @@ mod tests {
             4 => Value::str(&gen_string(rng)),
             5 => Value::Date(Date(rng.gen_range(-30_000..60_000))),
             _ => {
-                let scheme = EncScheme::ALL[rng.gen_range(0..4)];
+                let scheme = gen_scheme(rng);
                 enc(scheme, rng.gen(), &gen_vec(rng, 24, |r| r.gen::<u8>()))
             }
         }
+    }
+
+    fn gen_scheme(rng: &mut StdRng) -> EncScheme {
+        EncScheme::from_tag(rng.gen_range(0..4)).expect("tags 0..4 name the four schemes")
     }
 
     fn gen_cmp(rng: &mut StdRng) -> CmpOp {
@@ -1145,7 +1212,7 @@ mod tests {
                 // One key, cells of any width, NULLs at any rate — all
                 // of them NULL one time in three.
                 2 => {
-                    let scheme = EncScheme::ALL[rng.gen_range(0..4)];
+                    let scheme = gen_scheme(rng);
                     let mut col = EncColumn::new(scheme, rng.gen());
                     let nulls = [0, 3, 10][rng.gen_range(0..3)];
                     for _ in 0..nrows {
@@ -1166,7 +1233,7 @@ mod tests {
         let plan = gen_plan(rng);
         let mut schemes = SchemePlan::default();
         for a in gen_attrs(rng) {
-            schemes.set(a, EncScheme::ALL[rng.gen_range(0..4)]);
+            schemes.set(a, gen_scheme(rng));
         }
         let key_of_attr = gen_attrs(rng).into_iter().map(|a| (a, rng.gen())).collect();
         let assignment = (0..plan.len())
@@ -1284,8 +1351,9 @@ mod tests {
                 },
             ) => {
                 assert_eq!((back.node, back.from, back.seq), (t.node, t.from, t.seq));
-                assert_eq!(back.table, t.table);
-                assert_eq!(back.table.byte_size(), t.table.byte_size());
+                assert_eq!(back.batches.byte_size(), t.batches.byte_size());
+                let table = |b: &Batches| b.clone().into_table();
+                assert_eq!(table(&back.batches), table(&t.batches));
             }
             (back, f) => assert_eq!(
                 std::mem::discriminant(&back),
@@ -1331,6 +1399,125 @@ mod tests {
             for tag in 0..10 {
                 roundtrip_frame(&gen_frame(rng, tag));
             }
+        }
+    }
+
+    /// One batch's column of `rows` cells held as `rep`: `Int`, `Num`,
+    /// strings, dates, Det ciphertexts under key 1 or key 2 (NULLs among
+    /// them), or general cells (NULLs among them).
+    fn gen_part(rng: &mut StdRng, rep: u8, rows: usize) -> ColumnVec {
+        match rep {
+            0 => ColumnVec::from_ints((0..rows).map(|_| rng.gen_range(-9..9)).collect()),
+            1 => ColumnVec::from_nums(
+                (0..rows)
+                    .map(|_| rng.gen_range(-8..8) as f64 / 4.0)
+                    .collect(),
+            ),
+            4 | 5 => {
+                let mut col = EncColumn::new(EncScheme::Deterministic, u32::from(rep) - 3);
+                for _ in 0..rows {
+                    let width = [0, 8, 16][rng.gen_range(0..3)];
+                    let cell: Vec<u8> = (0..width).map(|_| rng.gen()).collect();
+                    col.push(&cell);
+                }
+                ColumnVec::Enc(col)
+            }
+            _ => (0..rows)
+                .map(|_| match rep {
+                    2 => Value::str(&gen_string(rng)),
+                    3 => Value::Date(Date(rng.gen_range(0..9_000))),
+                    _ if rng.gen_range(0..4) == 0 => Value::Null,
+                    _ => gen_value(rng),
+                })
+                .collect(),
+        }
+    }
+
+    /// A relation travels as the one table its batches concatenate to.
+    /// However it is split — into no batch, one or many, empty ones
+    /// among them, a column's representation changing from batch to
+    /// batch (`Int` then general cells, ciphertexts under two keys,
+    /// strings then dates, NULL cells) — it encodes byte for byte as its
+    /// `into_table()` does, and decodes to the same rows, as one batch.
+    #[test]
+    fn batches_encode_as_the_table_they_concatenate_to() {
+        let check = |split: Batches, what: &str| {
+            let whole = split.clone().into_table();
+            let bytes = encode(&split);
+            assert_eq!(bytes, encode(&Batches::from(whole.clone())), "{what}");
+            let back: Batches = decode(&bytes).expect("what was encoded decodes");
+            assert_eq!(back.batches.len(), 1, "{what}");
+            assert_eq!(back.into_table(), whole, "{what}");
+        };
+        let schema = |n: u32| TableSchema::new((0..n).map(AttrId).collect());
+        check(
+            Batches {
+                schema: schema(3),
+                batches: vec![],
+            },
+            "no batch",
+        );
+        // Named pairs of representations, back to back and around an
+        // empty batch of a third.
+        let rng = &mut StdRng::seed_from_u64(1);
+        for (a, b) in [
+            (0, 6),
+            (6, 0),
+            (4, 5),
+            (4, 4),
+            (2, 3),
+            (0, 0),
+            (1, 1),
+            (0, 1),
+            (5, 6),
+        ] {
+            for middle in [None, Some(0), Some(4), Some(6)] {
+                let reps = [Some(a), middle, Some(b)].into_iter().flatten();
+                let batches = reps
+                    .enumerate()
+                    .map(|(i, rep)| {
+                        let rows = if i == 1 && middle.is_some() { 0 } else { 3 };
+                        Table::from_columns(schema(1), vec![gen_part(rng, rep, rows)])
+                    })
+                    .collect();
+                check(
+                    Batches {
+                        schema: schema(1),
+                        batches,
+                    },
+                    &format!("{a}/{middle:?}/{b}"),
+                );
+            }
+        }
+        // Random splits: each column keeps a representation, mostly.
+        for seed in 0..300 {
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let width = rng.gen_range(1..5);
+            let held: Vec<u8> = (0..width).map(|_| rng.gen_range(0..7)).collect();
+            let count = [0, 1, rng.gen_range(2..7)][seed as usize % 3];
+            let batches = (0..count)
+                .map(|_| {
+                    let rows = rng.gen_range(0..6);
+                    let cols = (held.iter())
+                        .map(|&rep| {
+                            let rep = if rng.gen_range(0..4) == 0 {
+                                rng.gen_range(0..7)
+                            } else {
+                                rep
+                            };
+                            gen_part(rng, rep, rows)
+                        })
+                        .collect();
+                    Table::from_columns(schema(width), cols)
+                })
+                .collect();
+            check(
+                Batches {
+                    schema: schema(width),
+                    batches,
+                },
+                &format!("seed {seed}"),
+            );
         }
     }
 

@@ -23,7 +23,7 @@
 //!   from that producer, audits every cell against this subject's view
 //!   and accounts the bytes;
 //! * [`PartyRun::step`] runs one region under this subject's key ring
-//!   and store, and returns its root's table together with the subject
+//!   and store, and returns its root's result together with the subject
 //!   it must travel to (the user keeps its own result);
 //! * [`PartyRun::finish`] yields the [`PartyOut`].
 //!
@@ -33,7 +33,7 @@
 //! [`session`](crate::session) and [`remote`](crate::remote), over the
 //! mailbox and `drive` of [`runtime`](crate::runtime).
 
-use crate::audit::audit_transfer;
+use crate::audit::audit_batches;
 use crate::error::SimError;
 use crate::transport::TransportError;
 use mpq_algebra::{AttrId, Catalog, NodeId, QueryPlan, SubjectId};
@@ -41,7 +41,7 @@ use mpq_core::authz::SubjectView;
 use mpq_core::dispatch::{regions, Region};
 use mpq_crypto::keyring::KeyRing;
 use mpq_crypto::rsa::{RsaKeypair, RsaPublic, SignedEnvelope};
-use mpq_exec::{execute_region, Database, ExecCtx, SchemePlan, Table};
+use mpq_exec::{execute_region, Batches, Database, ExecCtx, SchemePlan, Table};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -63,9 +63,12 @@ pub(crate) struct Party {
     pub(crate) store: Database,
 }
 
-/// One table crossing a subject edge: the only data message of the
-/// protocol. The root's table travels to the querying user the same
-/// way any operand travels to its consumer.
+/// One region's result crossing a subject edge: the only data message
+/// of the protocol. The root's result travels to the querying user the
+/// same way any operand travels to its consumer. It travels as the
+/// batches the producer's pipeline emitted: in-process nothing copies
+/// or reassembles them on the way to the consumer's operators, and the
+/// codec writes them as the one table they concatenate to.
 #[derive(Clone, Debug)]
 pub(crate) struct Transfer {
     /// Node whose result this is.
@@ -77,7 +80,7 @@ pub(crate) struct Transfer {
     /// number; the receiver drops the duplicate.
     pub(crate) seq: u64,
     /// The result rows.
-    pub(crate) table: Table,
+    pub(crate) batches: Batches,
 }
 
 /// Everything the parties need to execute one query, shared immutably
@@ -172,8 +175,8 @@ pub(crate) struct PartyRun<'a> {
     awaited: HashMap<NodeId, SubjectId>,
     /// Transfers already taken, by `(producer, seq)`.
     seen: HashSet<(SubjectId, u64)>,
-    /// Operand tables delivered and not yet consumed.
-    operands: HashMap<NodeId, Table>,
+    /// Operands delivered and not yet consumed.
+    operands: HashMap<NodeId, Batches>,
     next_seq: u64,
     out: PartyOut,
 }
@@ -239,18 +242,19 @@ impl<'a> PartyRun<'a> {
                 ),
             }));
         }
-        audit_transfer(&t.table, &self.party.view)?;
+        let b = &t.batches;
+        audit_batches(b.schema.attrs(), &b.batches, &self.party.view)?;
         self.awaited.remove(&t.node);
         self.seen.insert((t.from, t.seq));
         *self
             .out
             .transfers
             .entry((t.from, self.party.me))
-            .or_default() += t.table.byte_size();
+            .or_default() += t.batches.byte_size();
         if t.node == self.job.plan.root() {
-            self.out.result = Some(t.table);
+            self.out.result = Some(t.batches.into_table());
         } else {
-            self.operands.insert(t.node, t.table);
+            self.operands.insert(t.node, t.batches);
         }
         Ok(())
     }
@@ -290,7 +294,7 @@ impl<'a> PartyRun<'a> {
         .seed(job.exec_seed)
         .build();
         let member = |n| region.nodes.contains(&n);
-        let table = execute_region(&job.plan, root, &member, &mut self.operands, &ctx)?;
+        let batches = execute_region(&job.plan, root, &member, &mut self.operands, &ctx)?;
         let consumer = region.parent.map_or(job.user, |p| job.assignment[&p]);
         if consumer != party.me {
             let seq = self.next_seq;
@@ -302,13 +306,13 @@ impl<'a> PartyRun<'a> {
                     node: root,
                     from,
                     seq,
-                    table,
+                    batches,
                 },
             )));
         }
         // Even a result the user computed itself is audited.
-        audit_transfer(&table, &party.view)?;
-        self.out.result = Some(table);
+        audit_batches(batches.schema.attrs(), &batches.batches, &party.view)?;
+        self.out.result = Some(batches.into_table());
         Ok(None)
     }
 
@@ -487,7 +491,7 @@ mod tests {
         x.deliver(t.clone()).expect("first delivery");
         let edge = (f.ex.subject("H"), f.ex.subject("X"));
         let once = x.out.transfers[&edge];
-        assert_eq!(once, t.table.byte_size());
+        assert_eq!(once, t.batches.byte_size());
         x.deliver(t.clone())
             .expect("the duplicate is dropped, not an error");
         assert_eq!(x.out.transfers[&edge], once);
@@ -532,7 +536,7 @@ mod tests {
             for operand in &region.operands {
                 let (to, t) = in_flight.remove(operand).expect("producers ran first");
                 assert_eq!(to, region.subject);
-                shipped.insert(t.node, t.table.clone());
+                shipped.insert(t.node, t.batches.clone().into_table());
                 run.deliver(t).expect("expected operand");
             }
             assert_eq!(run.ready(), Some(region.root));
@@ -540,7 +544,7 @@ mod tests {
             in_flight.extend(sent.map(|leaving| (region.root, leaving)));
         }
         if let Some((to, t)) = in_flight.remove(&job.plan.root()) {
-            shipped.insert(t.node, t.table.clone());
+            shipped.insert(t.node, t.batches.clone().into_table());
             runs.get_mut(&to)
                 .expect("the user")
                 .deliver(t)
@@ -654,7 +658,7 @@ mod tests {
             node: base,
             from: i,
             seq: 0,
-            table,
+            batches: table.into(),
         };
         run.deliver(operand)
             .expect("an awaited, authorized operand");
@@ -706,7 +710,7 @@ mod tests {
             node: base,
             from: i,
             seq: 0,
-            table: Table::from_rows(vec![c, p], vec![vec![Value::str("c"), cell]]),
+            batches: Table::from_rows(vec![c, p], vec![vec![Value::str("c"), cell]]).into(),
         };
         run.deliver(operand)
             .expect("an awaited, authorized operand");

@@ -48,11 +48,12 @@ use std::time::Duration;
 /// One data-plane message exchanged between parties while a query
 /// runs. `Clone` because a delivery *attempt* may damage or duplicate
 /// the message without consuming the sender's copy (see
-/// [`crate::transport`]).
+/// [`crate::transport`]); a transfer is shared, not copied, so cloning
+/// the message counts a reference.
 #[derive(Clone, Debug)]
 pub(crate) enum Msg {
-    /// A table crossing a subject edge.
-    Table(Transfer),
+    /// A region's result crossing a subject edge.
+    Table(Arc<Transfer>),
     /// A peer failed; stop without producing more traffic.
     Abort,
 }
@@ -84,6 +85,9 @@ impl Mailbox {
     /// dropped, a message of a later one is held until its epoch runs,
     /// and `timeout` of silence is the typed [`TransportError::Timeout`]
     /// — a dead peer aborts the epoch instead of hanging the session.
+    /// The transfer is handed out as its sole owner, so in-process it
+    /// is the sender's own; it is copied only while another reference
+    /// is alive — a fault-injected duplicate still queued.
     pub(crate) fn next(
         &mut self,
         epoch: u64,
@@ -109,7 +113,9 @@ impl Mailbox {
             match (e.cmp(&epoch), msg) {
                 (Ordering::Less, _) => {}
                 (Ordering::Greater, msg) => self.ahead.push((e, msg)),
-                (Ordering::Equal, Msg::Table(transfer)) => return Ok(Some(transfer)),
+                (Ordering::Equal, Msg::Table(transfer)) => {
+                    return Ok(Some(Arc::unwrap_or_clone(transfer)))
+                }
                 (Ordering::Equal, Msg::Abort) => return Ok(None),
             }
         }
@@ -184,7 +190,7 @@ fn run_epoch(
     loop {
         while let Some(id) = core.ready() {
             if let Some((to, transfer)) = core.step(id)? {
-                wire.send(to, run.epoch, Msg::Table(transfer))?;
+                wire.send(to, run.epoch, Msg::Table(Arc::new(transfer)))?;
             }
         }
         if core.is_done() {
@@ -232,12 +238,12 @@ mod tests {
 
     /// A one-cell table from subject 1 carrying sequence number `seq`.
     fn table(seq: u64) -> Msg {
-        Msg::Table(Transfer {
+        Msg::Table(Arc::new(Transfer {
             node: NodeId(0),
             from: SubjectId(1),
             seq,
-            table: Table::from_rows(vec![AttrId(0)], vec![vec![Value::Int(7)]]),
-        })
+            batches: Table::from_rows(vec![AttrId(0)], vec![vec![Value::Int(7)]]).into(),
+        }))
     }
 
     /// The sequence number of the next table of `epoch`, if any.

@@ -689,7 +689,8 @@ impl Session {
             }
             let Some(root) = root else { break };
             if let Some((to, transfer)) = run.step(root)? {
-                self.wires[s.index()].send(to, epoch, Msg::Table(transfer))?;
+                let msg = Msg::Table(Arc::new(transfer));
+                self.wires[s.index()].send(to, epoch, msg)?;
             }
         }
         let outs = runs.into_iter().flatten().map(PartyRun::finish);

@@ -8,8 +8,9 @@
 //! * a `Link` is an established connection to one subject that can
 //!   `send` a `Frame`, `send_half` of one, and be `sever`ed. There are
 //!   two: the destination party's mailbox `Sender` (in-process: a
-//!   `send` is an `mpsc` enqueue of an owned message — zero
-//!   serialization, zero sockets, and the other two are no-ops) and
+//!   `send` is an `mpsc` enqueue of the message, whose transfer is
+//!   shared by reference count — zero serialization, zero copies, zero
+//!   sockets, and the other two are no-ops) and
 //!   `Conn`, a framed `std::net` TCP stream writing `[u32 len][frame]`
 //!   records encoded by `crate::codec`;
 //! * `Links` is the one connection cache, keyed by subject: lazy dial,
@@ -26,10 +27,10 @@
 //!   hands a connection that opens with `Hello` to the server as its
 //!   coordinator.
 //!
-//! Per-edge byte accounting is **logical** (the receiver accounts
-//! `table.byte_size()` of every table that crosses a subject
-//! boundary), so the two transports report bit-identical transfer
-//! maps — the property the TCP differential test pins.
+//! Per-edge byte accounting is **logical** (the receiver accounts the
+//! `byte_size()` of every result that crosses a subject boundary, summed
+//! over its batches), so the two transports report bit-identical
+//! transfer maps — the property the TCP differential test pins.
 //!
 //! Parties do not use a `Links` directly: they hold a `Wire`
 //! (crate-private), which retries failed attempts under a bounded
@@ -183,7 +184,9 @@ pub(crate) trait Link: Send {
 }
 
 /// The in-process link is the destination party's mailbox sender: a
-/// `send` is an `mpsc` enqueue of an owned [`Msg`], zero serialization.
+/// `send` is an `mpsc` enqueue of the [`Msg`], zero serialization —
+/// cloning it counts a reference to the producer's transfer, and the
+/// consumer's mailbox hands that transfer out as its owner.
 /// A mailbox has no partial delivery and no connection to kill, so a
 /// dropped, truncated or reset frame looks to its receiver exactly as
 /// it does over a socket: absent, absent, delivered.
@@ -795,16 +798,17 @@ mod tests {
     use std::sync::mpsc::channel;
 
     /// A one-cell table from subject 1 carrying sequence number `seq`.
-    fn probe_msg(seq: u64) -> Msg {
-        Msg::Table(Transfer {
+    fn probe(seq: u64) -> Transfer {
+        Transfer {
             node: mpq_algebra::NodeId(0),
             from: SubjectId(1),
             seq,
-            table: Table::from_rows(
+            batches: Table::from_rows(
                 vec![mpq_algebra::AttrId(0)],
                 vec![vec![mpq_algebra::Value::Int(7)]],
-            ),
-        })
+            )
+            .into(),
+        }
     }
 
     /// A peer that sends `bytes` and hangs up, remembering the largest
@@ -874,19 +878,18 @@ mod tests {
             .into_iter()
             .collect();
         let wire = Links::tcp(me, peers);
-        let Msg::Table(sent) = probe_msg(0) else {
-            unreachable!("probe messages are tables")
-        };
+        let sent = probe(0);
         let frame = Frame::Data {
             epoch: 3,
-            msg: Msg::Table(sent.clone()),
+            msg: Msg::Table(Arc::new(sent.clone())),
         };
         wire.attempt(SubjectId(0), &frame, FaultAction::Deliver)
             .expect("loopback send");
         match rx.recv_timeout(Duration::from_secs(5)).expect("delivered") {
             (3, Msg::Table(t)) => {
                 assert_eq!(t.from, me);
-                assert_eq!(t.table.to_rows(), sent.table.to_rows());
+                let t = Arc::unwrap_or_clone(t);
+                assert_eq!(t.batches.into_table(), sent.batches.into_table());
             }
             _ => panic!("wrong delivery"),
         }
@@ -918,7 +921,7 @@ mod tests {
         let (to, pause) = (SubjectId(0), Duration::from_millis(1));
         let frame = Frame::Data {
             epoch: 1,
-            msg: probe_msg(0),
+            msg: Msg::Table(Arc::new(probe(0))),
         };
         // (action, messages enqueued, link still cached)
         for (action, enqueued, kept) in [
@@ -955,7 +958,7 @@ mod tests {
         let plan = FaultPlan::parse("seed=3,drop=400,max=3").expect("valid");
         let (wire, rx) = test_wire(Some(plan), RetryPolicy::default());
         for seq in 0..20 {
-            wire.send(SubjectId(0), 1, probe_msg(seq))
+            wire.send(SubjectId(0), 1, Msg::Table(Arc::new(probe(seq))))
                 .expect("within budget");
         }
         let mut seqs = Vec::new();
@@ -973,7 +976,7 @@ mod tests {
         let plan = FaultPlan::parse("seed=3,drop=1000").expect("valid");
         let (wire, _rx) = test_wire(Some(plan), RetryPolicy { max_attempts: 3 });
         let err = wire
-            .send(SubjectId(0), 1, probe_msg(0))
+            .send(SubjectId(0), 1, Msg::Table(Arc::new(probe(0))))
             .expect_err("all attempts dropped");
         assert_eq!(
             err,
@@ -988,7 +991,7 @@ mod tests {
     fn reset_injection_delivers_a_duplicate_with_the_same_seq() {
         let plan = FaultPlan::parse("seed=5,reset=1000,max=1").expect("valid");
         let (wire, rx) = test_wire(Some(plan), RetryPolicy::default());
-        wire.send(SubjectId(0), 9, probe_msg(4))
+        wire.send(SubjectId(0), 9, Msg::Table(Arc::new(probe(4))))
             .expect("retry after reset succeeds");
         let mut seqs = Vec::new();
         while let Ok((_, msg)) = rx.try_recv() {
@@ -997,6 +1000,62 @@ mod tests {
             }
         }
         assert_eq!(seqs, vec![4, 4], "delivered twice, same sequence number");
+    }
+
+    /// The ciphertext buffer of `t`'s first column, by address.
+    fn first_cipher_buffer(t: &Transfer) -> *const u8 {
+        match t.batches.batches[0].column(0) {
+            mpq_exec::ColumnVec::Enc(c) => c.bytes().as_ptr(),
+            _ => unreachable!("an encrypted column"),
+        }
+    }
+
+    /// An in-process hop copies nothing: the transfer a mailbox hands
+    /// out holds the very ciphertext buffer the producer sent. Only a
+    /// reset's duplicate, still queued while the first delivery is
+    /// taken, makes the mailbox copy that one; the duplicate itself is
+    /// then the sole owner again.
+    #[test]
+    fn an_in_proc_hop_delivers_the_senders_own_buffers() {
+        use crate::runtime::Mailbox;
+        use mpq_algebra::value::{EncColumn, EncScheme};
+        let transfer = |seq| {
+            let mut col = EncColumn::new(EncScheme::Deterministic, 1);
+            (0..3u8).for_each(|i| col.push(&[i; 8]));
+            let schema = mpq_exec::TableSchema::new(vec![mpq_algebra::AttrId(0)]);
+            Transfer {
+                batches: Table::from_columns(schema, vec![mpq_exec::ColumnVec::Enc(col)]).into(),
+                ..probe(seq)
+            }
+        };
+        let wait = Some(Duration::from_secs(5));
+        for (faults, copied) in [
+            (None, vec![false]),
+            (Some("seed=5,reset=1000,max=1"), vec![true, false]),
+        ] {
+            let (tx, mut mailbox) = Mailbox::new();
+            let plan = faults.map(|f| FaultPlan::parse(f).expect("valid"));
+            let links = Arc::new(Links::in_proc(vec![tx]));
+            let wire = Wire::new(
+                SubjectId(1),
+                7,
+                links,
+                Ledger::shared(plan),
+                RetryPolicy::default(),
+            );
+            let sent = transfer(4);
+            let buffer = first_cipher_buffer(&sent);
+            wire.send(SubjectId(0), 2, Msg::Table(Arc::new(sent)))
+                .expect("delivered");
+            for copy in copied {
+                let got = mailbox
+                    .next(2, wait)
+                    .expect("no timeout")
+                    .expect("a transfer");
+                assert_eq!(got.seq, 4);
+                assert_eq!(first_cipher_buffer(&got) != buffer, copy, "{faults:?}");
+            }
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@
 use crate::batch::{ColumnVec, KeyEq, KeySeed, TableSchema, DEFAULT_BATCH_ROWS};
 use crate::eval::{cmp_cells, eval_column, eval_select, mask_until_failure, EvalError};
 use crate::scheme::SchemePlan;
-use crate::table::{Database, Table};
+use crate::table::{Batches, Database, Table};
 use mpq_algebra::expr::{AggExpr, AggFunc};
 use mpq_algebra::value::{CellRef, EncColumn, EncScheme, EncValue};
 use mpq_algebra::{
@@ -59,7 +59,6 @@ use mpq_crypto::schemes::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
@@ -258,25 +257,21 @@ impl BatchStream<'_> {
         (self.next)()
     }
 
-    /// Drain into one table, appending column-wise: the one place
-    /// batches are put back together.
-    fn collect(mut self) -> Result<Table, ExecError> {
-        let mut cols: Vec<ColumnVec> = vec![ColumnVec::new(); self.schema.len()];
-        while let Some(b) = self.pull()? {
-            for (acc, col) in cols.iter_mut().zip(b.into_columns()) {
-                acc.append(col);
-            }
-        }
-        Ok(Table::from_columns(self.schema, cols))
+    /// Drain into the batches the stream emitted, as they are.
+    fn collect(mut self) -> Result<Batches, ExecError> {
+        let batches = std::iter::from_fn(|| self.pull().transpose()).collect::<Result<_, _>>()?;
+        Ok(Batches {
+            schema: self.schema,
+            batches,
+        })
     }
 }
 
-/// Stream the columns `indices` of `table` under `schema`, in
-/// `batch_rows` slices: the one place a relation is cut into batches.
-/// Base scans borrow the database's table and project it; delivered
-/// operands and blocking operators' results are owned and whole.
+/// Stream the columns `indices` of the stored `table` under `schema`,
+/// in `batch_rows` slices: how a base scan borrows the database's table
+/// and projects it.
 fn scan<'p>(
-    table: Cow<'p, Table>,
+    table: &'p Table,
     schema: TableSchema,
     indices: Vec<usize>,
     batch_rows: usize,
@@ -301,11 +296,34 @@ fn scan<'p>(
     }
 }
 
-/// [`scan`] every column of an owned table.
-fn scan_owned(table: Table, batch_rows: usize) -> BatchStream<'static> {
-    let schema = table.schema().clone();
-    let all = (0..schema.len()).collect();
-    scan(Cow::Owned(table), schema, all, batch_rows)
+/// Stream owned batches — a delivered operand, a blocking operator's
+/// result — as they are: a batch moves through whole, and only one
+/// longer than `batch_rows` (a table decoded off a socket, a blocking
+/// result) is cut into `batch_rows` slices. Empty batches are skipped.
+fn scan_owned(batches: Batches, batch_rows: usize) -> BatchStream<'static> {
+    let step = batch_rows.max(1);
+    let mut queue = batches.batches.into_iter();
+    let mut long: Option<(Table, usize)> = None;
+    BatchStream {
+        schema: batches.schema,
+        next: Box::new(move || loop {
+            if let Some((table, start)) = &mut long {
+                let end = (*start + step).min(table.len());
+                let slice = table.slice(*start..end);
+                *start = end;
+                if end == table.len() {
+                    long = None;
+                }
+                return Ok(Some(slice));
+            }
+            match queue.next() {
+                None => return Ok(None),
+                Some(b) if b.is_empty() => {}
+                Some(b) if b.len() <= step => return Ok(Some(b)),
+                Some(b) => long = Some((b, 0)),
+            }
+        }),
+    }
 }
 
 /// Stream a transformation of `child`: `f` maps each input batch to an
@@ -342,7 +360,7 @@ where
         next: Box::new(move || {
             if inner.is_none() {
                 let table = (init.take().expect("initialized once"))()?;
-                inner = Some(scan_owned(table, batch_rows));
+                inner = Some(scan_owned(table.into(), batch_rows));
             }
             inner.as_mut().expect("initialized above").pull()
         }),
@@ -356,7 +374,8 @@ where
 /// Execute a whole plan as one streaming pipeline, returning the root
 /// table.
 pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<Table, ExecError> {
-    execute_region(plan, plan.root(), &|_| true, &mut HashMap::new(), ctx)
+    let root = execute_region(plan, plan.root(), &|_| true, &mut HashMap::new(), ctx)?;
+    Ok(root.into_table())
 }
 
 /// Execute the region of `plan` rooted at `root` as one streaming
@@ -368,15 +387,17 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<Table, ExecError> 
 ///
 /// This is how `mpq-dist` runs a Fig. 8 sub-query: the members are one
 /// subject's maximal connected group of nodes, `ctx` holds that
-/// subject's key ring and base relations, and `inputs` the tables
-/// other subjects sent it. Nothing is materialized between members.
+/// subject's key ring and base relations, and `inputs` the results
+/// other subjects sent it. Nothing is materialized between members,
+/// and nothing at either end: a delivered operand streams its batches
+/// as they are, and the result is the batches the root emitted.
 pub fn execute_region(
     plan: &QueryPlan,
     root: NodeId,
     member: &dyn Fn(NodeId) -> bool,
-    inputs: &mut HashMap<NodeId, Table>,
+    inputs: &mut HashMap<NodeId, Batches>,
     ctx: &ExecCtx<'_>,
-) -> Result<Table, ExecError> {
+) -> Result<Batches, ExecError> {
     compile_node(plan, root, inputs, member, ctx)?.collect()
 }
 
@@ -394,7 +415,13 @@ pub fn execute_step(
     ctx: &ExecCtx<'_>,
 ) -> Result<Table, ExecError> {
     let folded = fused_encrypt_child(plan, id);
-    execute_region(plan, id, &|n| n == id || Some(n) == folded, results, ctx)
+    let member = |n| n == id || Some(n) == folded;
+    let mut inputs: HashMap<NodeId, Batches> =
+        results.drain().map(|(n, t)| (n, t.into())).collect();
+    let out = execute_region(plan, id, &member, &mut inputs, ctx);
+    // A table the step did not read stays where it was.
+    results.extend(inputs.into_iter().map(|(n, b)| (n, b.into_table())));
+    Ok(out?.into_table())
 }
 
 /// The operands `id` actually consumes when the Encrypt nodes in
@@ -420,13 +447,13 @@ fn child_stream<'p>(
     plan: &'p QueryPlan,
     id: NodeId,
     k: usize,
-    inputs: &mut HashMap<NodeId, Table>,
+    inputs: &mut HashMap<NodeId, Batches>,
     member: &dyn Fn(NodeId) -> bool,
     ctx: &'p ExecCtx<'p>,
 ) -> Result<BatchStream<'p>, ExecError> {
     let cid = plan.node(id).children[k];
-    if let Some(t) = inputs.remove(&cid) {
-        return Ok(scan_owned(t, ctx.batch_rows));
+    if let Some(operand) = inputs.remove(&cid) {
+        return Ok(scan_owned(operand, ctx.batch_rows));
     }
     if !member(cid) {
         return Err(ExecError::MissingOperand {
@@ -440,7 +467,7 @@ fn child_stream<'p>(
 fn compile_node<'p>(
     plan: &'p QueryPlan,
     id: NodeId,
-    inputs: &mut HashMap<NodeId, Table>,
+    inputs: &mut HashMap<NodeId, Batches>,
     member: &dyn Fn(NodeId) -> bool,
     ctx: &'p ExecCtx<'p>,
 ) -> Result<BatchStream<'p>, ExecError> {
@@ -460,7 +487,7 @@ fn compile_node<'p>(
                 })
                 .collect::<Result<_, _>>()?;
             let schema = TableSchema::new(attrs.clone());
-            Ok(scan(Cow::Borrowed(table), schema, indices, ctx.batch_rows))
+            Ok(scan(table, schema, indices, ctx.batch_rows))
         }
         Operator::Project { attrs } => {
             let child = child_stream(plan, id, 0, inputs, member, ctx)?;
@@ -782,7 +809,7 @@ fn crypto_node<'p>(
     plan: &'p QueryPlan,
     id: NodeId,
     keep: Option<&Expr>,
-    inputs: &mut HashMap<NodeId, Table>,
+    inputs: &mut HashMap<NodeId, Batches>,
     member: &dyn Fn(NodeId) -> bool,
     ctx: &'p ExecCtx<'p>,
 ) -> Result<BatchStream<'p>, ExecError> {
@@ -806,7 +833,7 @@ fn crypto_node<'p>(
 fn local_scan(
     plan: &QueryPlan,
     id: NodeId,
-    inputs: &HashMap<NodeId, Table>,
+    inputs: &HashMap<NodeId, Batches>,
     member: &dyn Fn(NodeId) -> bool,
 ) -> Option<RelId> {
     match plan.node(id).op {
@@ -1266,7 +1293,8 @@ fn join_stream<'p>(
             // Build side: materialize the right child once, and take
             // the form of each of its key columns.
             if right_tab.is_none() {
-                let rt: Table = right.take().expect("collected once").collect()?;
+                let right = right.take().expect("collected once");
+                let rt = right.collect()?.into_table();
                 rforms = conds.iter().map(|c| column_form(rt.column(c.rc))).collect();
                 right_tab = Some(rt);
             }
@@ -1928,7 +1956,7 @@ fn sort_stream(
     agg_base: Option<usize>,
     child: BatchStream<'_>,
 ) -> Result<Table, ExecError> {
-    let table = child.collect()?;
+    let table = child.collect()?.into_table();
     let keyed: Vec<_> = (keys.iter())
         .map(|(e, _)| eval_column(e, &table, agg_base))
         .collect();
@@ -2090,27 +2118,43 @@ mod tests {
         );
     }
 
-    /// `scan` cuts a relation into batches of at most `batch_rows`
-    /// rows, `collect` appends them back: the round trip is the
-    /// identity for every batch size, and an empty relation streams no
-    /// batch at all (streams carry the schema separately).
+    /// `scan_owned` cuts only a batch longer than `batch_rows`, moves
+    /// a shorter one through as it is and skips an empty one; `collect`
+    /// keeps what the stream emitted, and `into_table` appends it back:
+    /// the round trip is the identity for every batch size and split,
+    /// and an empty relation streams no batch at all (streams carry the
+    /// schema separately).
     #[test]
-    fn scan_cuts_batches_and_collect_reassembles() {
+    fn scan_cuts_long_batches_and_into_table_reassembles() {
         let rows: Vec<Vec<Value>> = (0..10)
             .map(|i| vec![Value::Int(i), Value::str(&format!("r{i}"))])
             .collect();
         let t = Table::from_rows(vec![AttrId(0), AttrId(1)], rows);
+        let split = Batches {
+            schema: t.schema().clone(),
+            batches: vec![t.slice(0..2), t.slice(2..2), t.slice(2..10)],
+        };
         for batch_rows in [1, 3, 10, 100] {
-            let mut stream = scan_owned(t.clone(), batch_rows);
+            let mut stream = scan_owned(t.clone().into(), batch_rows);
             let mut sizes = Vec::new();
             while let Some(batch) = stream.pull().unwrap() {
                 sizes.push(batch.len());
             }
             assert!(sizes.iter().all(|&n| 1 <= n && n <= batch_rows));
             assert_eq!(sizes.iter().sum::<usize>(), 10);
-            assert_eq!(scan_owned(t.clone(), batch_rows).collect().unwrap(), t);
+            let whole = scan_owned(t.clone().into(), batch_rows).collect().unwrap();
+            assert_eq!(whole.into_table(), t);
+            let cut = scan_owned(split.clone(), batch_rows).collect().unwrap();
+            let sizes: Vec<usize> = cut.batches.iter().map(Table::len).collect();
+            let want = match batch_rows {
+                1 => vec![1; 10],
+                3 => vec![2, 3, 3, 2],
+                _ => vec![2, 8],
+            };
+            assert_eq!(sizes, want, "batch_rows {batch_rows}");
+            assert_eq!(cut.into_table(), t);
         }
-        let mut empty = scan_owned(Table::new(vec![AttrId(0)]), 4);
+        let mut empty = scan_owned(Table::new(vec![AttrId(0)]).into(), 4);
         assert!(empty.pull().unwrap().is_none());
     }
 
@@ -2679,7 +2723,7 @@ mod tests {
         let mut inputs = HashMap::new();
         let consumer = |n: NodeId| n == join || n == ins;
         assert_eq!(
-            execute_region(&plan, join, &consumer, &mut inputs, &ctx),
+            execute_region(&plan, join, &consumer, &mut inputs, &ctx).map(Batches::into_table),
             Err(ExecError::MissingOperand {
                 node: join,
                 operand: enc
@@ -2756,9 +2800,11 @@ mod tests {
         let select = plan.root();
         let mut inputs = HashMap::new();
         let whole = execute_region(&plan, enc, &|n| n != select, &mut inputs, &ctx).unwrap();
-        assert_eq!(whole.len(), 4, "every row was encrypted, not the three");
+        let encrypted = whole.batches.iter().map(Table::len).sum::<usize>();
+        assert_eq!(encrypted, 4, "every row was encrypted, not the three");
         inputs.insert(enc, whole);
         let unfused = execute_region(&plan, select, &|n| n == select, &mut inputs, &ctx).unwrap();
+        let unfused = unfused.into_table();
         assert_eq!(fused.len(), 3, "three stroke rows survive");
         // Byte-identical: surviving ciphertexts keep their original
         // row offsets, so even the Random-scheme S cells match.
@@ -2773,7 +2819,8 @@ mod tests {
         // Fusion never looks through a region boundary: a Select whose
         // Encrypt belongs to somebody else waits for the ciphertext.
         assert_eq!(
-            execute_region(&plan, select, &|n| n == select, &mut HashMap::new(), &tiny),
+            execute_region(&plan, select, &|n| n == select, &mut HashMap::new(), &tiny)
+                .map(Batches::into_table),
             Err(ExecError::MissingOperand {
                 node: select,
                 operand: enc
@@ -2834,7 +2881,11 @@ mod tests {
             let whole = execute_region(&plan, enc, &|n| n != select, &mut inputs, &ctx).unwrap();
             inputs.insert(enc, whole);
             let unfused = execute_region(&plan, select, &|n| n == select, &mut inputs, &ctx);
-            assert_eq!(unfused.as_ref(), Ok(&fused), "negated: {negated}");
+            assert_eq!(
+                unfused.map(Batches::into_table),
+                Ok(fused.clone()),
+                "negated: {negated}"
+            );
             assert_eq!(plain_cols(&fused), plain_cols(&want), "negated: {negated}");
         }
     }

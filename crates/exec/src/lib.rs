@@ -9,7 +9,11 @@
 //! column. Data flows through operators as *batches* — tables of at
 //! most `batch_rows` rows; pipelined operators (scan, select, project,
 //! encrypt/decrypt, udf, limit) hold one at a time, while pipeline
-//! breakers (join build sides, group-by, sort) collect a whole one.
+//! breakers (join build sides, group-by, sort) collect a whole one. A
+//! region's result ([`execute_region`]) is [`table::Batches`], the
+//! batches its root emitted, and a delivered operand streams its
+//! batches as they are: [`table::Batches::into_table`] is the one place
+//! batches are put back together.
 //! Operators build their output by moving columns (slice, filter,
 //! gather, append) and evaluate expressions a column at a time
 //! ([`eval::eval_mask`], [`eval::eval_column`]), reading cells where
@@ -65,7 +69,7 @@ pub use engine::{
     ExecCtxBuilder, ExecError,
 };
 pub use scheme::{assign_schemes, rewrite_literals, SchemePlan};
-pub use table::{Database, Table};
+pub use table::{Batches, Database, Table};
 
 /// Kept for callers that pin the engine to one worker thread: the
 /// engine runs every batch on the calling thread, so one is the only

@@ -3,9 +3,11 @@
 //! A [`Table`] is a [`TableSchema`] plus one [`ColumnVec`] per column,
 //! all of equal length. It is what a base relation is stored as, what
 //! flows between operators (a *batch* is a table of at most
-//! `batch_rows` rows), what a stream collects into at pipeline
-//! breakers (joins' build sides, group-by, sort), and what crosses
-//! subject boundaries in the distributed runtime. Operators move
+//! `batch_rows` rows), and what a stream collects into at pipeline
+//! breakers (joins' build sides, group-by, sort). A region's result —
+//! what crosses subject boundaries in the distributed runtime — is
+//! [`Batches`]: the batches its pipeline emitted, put back together by
+//! [`Batches::into_table`] only where one table is wanted. Operators move
 //! columns; rows exist only where something is row-shaped by nature —
 //! [`Table::from_rows`] / [`Table::push_row`] for loaders,
 //! [`Table::to_rows`] / [`Table::row`] for the row oracle, `display`,
@@ -171,6 +173,53 @@ impl Table {
             out.push('\n');
         }
         out
+    }
+}
+
+/// A relation as the batches a pipeline emitted, in row order, under
+/// one schema: a region's result, kept as it was made on its way to
+/// the consumer's operators (across a subject edge too), so nothing
+/// between producer and consumer copies or reassembles it.
+#[derive(Clone, Debug, Default)]
+pub struct Batches {
+    /// The columns of every batch.
+    pub schema: TableSchema,
+    /// The batches, in row order.
+    pub batches: Vec<Table>,
+}
+
+impl Batches {
+    /// Total payload bytes: the concatenated table's
+    /// [`Table::byte_size`].
+    pub fn byte_size(&self) -> usize {
+        self.batches.iter().map(Table::byte_size).sum()
+    }
+
+    /// The one table the batches concatenate to, appending column-wise
+    /// ([`ColumnVec::append`]): the one place batches are put back
+    /// together. A single batch is that table already.
+    pub fn into_table(mut self) -> Table {
+        if self.batches.len() == 1 {
+            return self.batches.pop().expect("one batch");
+        }
+        let mut cols: Vec<ColumnVec> = vec![ColumnVec::new(); self.schema.len()];
+        for batch in self.batches {
+            for (acc, col) in cols.iter_mut().zip(batch.into_columns()) {
+                acc.append(col);
+            }
+        }
+        Table::from_columns(self.schema, cols)
+    }
+}
+
+impl From<Table> for Batches {
+    /// One batch.
+    fn from(table: Table) -> Batches {
+        let schema = table.schema().clone();
+        Batches {
+            schema,
+            batches: vec![table],
+        }
     }
 }
 

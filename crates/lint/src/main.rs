@@ -25,7 +25,8 @@
 //!   frames, a data-only mailbox and typed errors, so the in-proc and
 //!   TCP links stay behaviorally interchangeable by construction.
 //! * **one-edge-rule** — in `crates/dist/src`, the §6 edge rule has one
-//!   home each: `audit_transfer(` is called only from the party core
+//!   home each: the receive audit (`audit_batches(`, or
+//!   `audit_transfer(` of one table) is called only from the party core
 //!   (`party.rs`), and the Def. 4.1 runtime check `view.check(`
 //!   appears only in the shared query preparation (`session.rs`).
 //!   Two drivers step one core; a second copy of the rule must not
@@ -130,8 +131,11 @@
 //!   included, since the frozen benchmark must keep building. A `pub
 //!   fn` is used where it is called or named by path (`name(`,
 //!   `name::<`, `::name`, but not the module of `::name::`), so a local,
-//!   a field or a module spelt like it is no caller; a `pub const` or
-//!   `pub static` is used where its name appears as a token. A `pub
+//!   a field or a module spelt like it is no caller; a module-level
+//!   `pub const` or `pub static` is used where its name appears as a
+//!   token, and an associated one (declared in an `impl Type` block)
+//!   where it is named as `Type::NAME`, so `Scenario::ALL` clears no
+//!   other type's `ALL`. A `pub
 //!   use` re-export and a definition of the same name are not callers.
 //!   Otherwise the item is private or `pub(crate)`, where rustc's
 //!   `dead_code` sees it, or it has a line on `CALLER_ALLOW` (at most
@@ -274,7 +278,7 @@ const RULES: &[Rule] = &[
         // `audit.rs` defines the audit; the node-at-a-time engine entry
         // points have no home in `crates/dist/src` at all.
         sites: &[
-            (&["audit_transfer("], DIST, &[AUDIT_RS, "crates/dist/src/party.rs"], None),
+            (&["audit_transfer(", "audit_batches("], DIST, &[AUDIT_RS, "crates/dist/src/party.rs"], None),
             (&["view.check("], DIST, &[AUDIT_RS, "crates/dist/src/session.rs"], None),
             (&["execute_step(", "effective_children(", "fused_encrypt_child("], DIST, &[AUDIT_RS], None),
         ],
@@ -747,12 +751,34 @@ fn pub_item(line: &str) -> Option<(&str, bool)> {
     (!name.is_empty() && name != "_").then_some((name, kind.ends_with("fn ")))
 }
 
+/// The type whose `impl` block holds line `n` of `src`, if the line is
+/// indented inside one: the nearest less-indented line above it opens
+/// the block, `impl Type {` or `impl<…> Type<…> {`.
+fn impl_type(src: &Source, n: usize) -> Option<&str> {
+    let indent = |l: &str| l.len() - l.trim_start().len();
+    let lines: Vec<&str> = src.cleaned.lines().collect();
+    let at = indent(lines.get(n)?);
+    let mut above = lines[..n].iter().rev();
+    let header = above.find(|l| !l.trim().is_empty() && indent(l) < at)?;
+    let rest = header.trim_start().strip_prefix("impl")?;
+    let rest = match rest.strip_prefix('<') {
+        Some(generics) => &generics[generics.find("> ")? + 1..],
+        None => rest,
+    };
+    let mut words = rest
+        .trim_start()
+        .split(|c: char| !(c.is_alphanumeric() || c == '_'));
+    words.next().filter(|ty| !ty.is_empty())
+}
+
 /// What the non-test lines of one file name outside `pub use`
 /// re-exports, leaving out the name each `fn` / `const` / `static`
-/// defines: every identifier, and the subset it calls or names by path.
+/// defines: every identifier, the subset it calls or names by path, and
+/// every `Qualifier::name` pair.
 struct Uses<'a> {
     names: HashSet<&'a str>,
     calls: HashSet<&'a str>,
+    paths: HashSet<(&'a str, &'a str)>,
 }
 
 /// The [`Uses`] of `src`. A word is called as `name(` or `name::<`, or
@@ -764,6 +790,7 @@ fn used_names(src: &Source) -> Uses<'_> {
     let mut uses = Uses {
         names: HashSet::new(),
         calls: HashSet::new(),
+        paths: HashSet::new(),
     };
     let mut in_pub_use = false;
     for (_, line) in src.code_lines() {
@@ -783,6 +810,9 @@ fn used_names(src: &Source) -> Uses<'_> {
                 if path || after.starts_with('(') || after.starts_with("::<") {
                     uses.calls.insert(word);
                 }
+                if before == "::" {
+                    uses.paths.insert((prev, word));
+                }
             }
             (rest, prev) = (after, word);
         }
@@ -791,10 +821,11 @@ fn used_names(src: &Source) -> Uses<'_> {
 }
 
 /// pub-has-a-caller: every non-test `pub fn` of a [`LIBRARIES`] crate
-/// is called or named by path by another of the `sources`, and every
-/// `pub const` / `pub static` is named by one ([`used_names`]), or the
-/// item has a line of `allow`. An `allow` line that clears nothing is a
-/// finding too.
+/// is called or named by path by another of the `sources`, every
+/// module-level `pub const` / `pub static` is named by one, and every
+/// associated one is named as `Type::NAME` by one ([`used_names`],
+/// [`impl_type`]) — or the item has a line of `allow`. An `allow` line
+/// that clears nothing is a finding too.
 fn lint_pub_callers(sources: &[&Source], allow: &[Allow], findings: &mut Vec<Finding>) {
     let used: Vec<Uses> = sources.iter().map(|s| used_names(s)).collect();
     let mut cleared = vec![false; allow.len()];
@@ -806,7 +837,11 @@ fn lint_pub_callers(sources: &[&Source], allow: &[Allow], findings: &mut Vec<Fin
             .code_lines()
             .filter_map(|(n, l)| Some((n, pub_item(l)?)));
         for (n, (name, is_fn)) in items {
-            let named = |u: &Uses| if is_fn { &u.calls } else { &u.names }.contains(name);
+            let owner = (!is_fn).then(|| impl_type(src, n)).flatten();
+            let named = |u: &Uses| match owner {
+                Some(ty) => u.paths.contains(&(ty, name)),
+                None => if is_fn { &u.calls } else { &u.names }.contains(name),
+            };
             if (used.iter().enumerate()).any(|(j, uses)| j != i && named(uses)) {
                 continue;
             }
@@ -1730,6 +1765,40 @@ mod tests {
             assert!(flagged(call).is_empty(), "{call}");
         }
         assert_eq!(flagged("fn f() { FaultPlan::spec(); }"), vec![2]);
+    }
+
+    /// An associated `const` is used where its type names it —
+    /// `Code::ALL`, not `Scenario::ALL` — while a module-level one is
+    /// still used wherever its name appears.
+    #[test]
+    fn an_associated_const_is_used_only_under_its_type() {
+        let lib = Source::new(
+            Path::new("crates/core/src/verify.rs"),
+            "pub const ALL: u8 = 0;
+impl Code {
+    pub const ALL: [Code; 2] = [];
+}
+impl<const N: usize> Engine<N> {
+    pub const WIDTH: usize = N;
+}
+mod inner {
+    pub const DEPTH: u8 = 1;
+}
+",
+        );
+        let flagged = |caller: &str| {
+            let other = Source::new(Path::new("crates/fuzz/src/main.rs"), caller);
+            let mut findings = Vec::new();
+            lint_pub_callers(&[&lib, &other], &[], &mut findings);
+            findings.iter().map(|f| f.line).collect::<Vec<_>>()
+        };
+        let another_types = "fn f() { Scenario::ALL; WIDTH; DEPTH; }";
+        assert_eq!(flagged(another_types), vec![3, 6]);
+        let own_types = "fn f() { verify::Code::ALL; Engine::WIDTH; }";
+        assert_eq!(flagged(own_types), vec![9]);
+        assert_eq!(impl_type(&lib, 2), Some("Code"));
+        assert_eq!(impl_type(&lib, 5), Some("Engine"));
+        assert_eq!((impl_type(&lib, 0), impl_type(&lib, 8)), (None, None));
     }
 
     #[test]

@@ -409,7 +409,8 @@ fn revoked_keys_leave_no_ciphertext_behind() {
     let edge = |db: &Database, ring: &KeyRing| -> Table {
         let ctx = ExecCtx::new(&ex.catalog, db, ring, &schemes, &key_of_attr);
         let member = |n: NodeId| n == enc || n == scan;
-        execute_region(&ext.plan, enc, &member, &mut HashMap::new(), &ctx).expect("I's region runs")
+        let region = execute_region(&ext.plan, enc, &member, &mut HashMap::new(), &ctx);
+        region.expect("I's region runs").into_table()
     };
     let ring = KeyRing::new();
     ring.insert(key(1));

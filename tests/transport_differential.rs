@@ -21,8 +21,9 @@ use mpq::core::capability::CapabilityPolicy;
 use mpq::core::extend::{minimally_extend, Assignment, ExtendedPlan};
 use mpq::core::fixtures::RunningExample;
 use mpq::core::keys::{plan_keys, KeyPlan};
+use mpq::core::subjects::SubjectKind;
 use mpq::dist::{FaultPlan, Report, RetryPolicy, Session, SessionConfig, TransportKind};
-use mpq::exec::{execute, Database, ExecCtx, SchemePlan};
+use mpq::exec::{execute, Database, ExecCtx, SchemePlan, DEFAULT_BATCH_ROWS};
 use mpq::planner::stats::{collect_stats, SampleConfig};
 use mpq::planner::{build_scenario, optimize, Scenario, Strategy};
 use mpq_crypto::keyring::KeyRing;
@@ -300,5 +301,58 @@ proptest! {
 
         assert_identical(&a, &b, "faulted run");
         prop_assert_eq!(trace_a, trace_b, "per-edge recovery counters diverge");
+    }
+}
+
+/// A `Reset` delivers a result and fails its sender, so the re-send
+/// queues a duplicate behind it: the receiving mailbox must copy the
+/// shared transfer while the duplicate is still queued, and drop the
+/// duplicate afterwards. TPC-H Q6 at SF 0.005 with every operation a
+/// provider may run pinned to one ships the encrypted lineitem scan — more rows
+/// than one batch holds — from its authority; with every edge's first
+/// attempt reset, rows and data bytes are the fault-free run's, and
+/// every edge records the injected reset and the one retry it cost.
+#[test]
+fn a_reset_on_a_multi_batch_tpch_edge_changes_nothing_but_the_trace() {
+    let (catalog, db) = mpq::tpch::generate(0.005, 42);
+    let lineitem = catalog.relation("lineitem").expect("TPC-H schema").rel;
+    let scanned = db.table(lineitem).expect("generated").len();
+    assert!(scanned > DEFAULT_BATCH_ROWS, "{scanned} rows: one batch");
+    let env = build_scenario(&catalog, Scenario::UAPenc);
+    let plan = mpq::tpch::query_plan(&catalog, 6);
+    let cap = CapabilityPolicy::tpch_evaluation();
+    let cands = candidates(&plan, &catalog, &env.policy, &env.subjects, &cap, true);
+    let providers = env.subjects.of_kind(SubjectKind::Provider);
+    let mut pinned = Assignment::new();
+    for id in plan.postorder() {
+        if !plan.node(id).children.is_empty() {
+            let first = providers.iter().find(|&&s| cands.is_candidate(id, s));
+            pinned.set(id, first.copied().unwrap_or(env.user));
+        }
+    }
+    let (policy, subjects) = (&env.policy, &env.subjects);
+    let user = Some(env.user);
+    let ext = minimally_extend(&plan, &catalog, policy, subjects, &cands, &pinned, user)
+        .expect("pinned to candidates");
+    let keys = plan_keys(&ext);
+    let run = |config: SessionConfig| {
+        let mut session = Session::open_with(&catalog, subjects, policy, &db, config);
+        let report = session
+            .execute(&ext, &keys, env.user)
+            .expect("a capped reset schedule recovers");
+        (report, session.recovery_stats())
+    };
+    let (clean, _) = run(SessionConfig::new(23));
+    let reset = FaultPlan::parse("seed=1,reset=1000,max=1").expect("valid");
+    let (faulted, trace) = run(SessionConfig::new(23).faults(reset));
+    assert_identical(&clean, &faulted, "reset on every edge");
+    let widest = faulted.data_bytes().into_values().max().unwrap_or(0);
+    assert!(
+        widest >= 8 * scanned,
+        "the scan ships whole: {widest} bytes"
+    );
+    assert!(!trace.is_empty());
+    for (edge, recovery) in &trace {
+        assert_eq!((recovery.injected, recovery.retries), (1, 1), "{edge:?}");
     }
 }
