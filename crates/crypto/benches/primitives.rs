@@ -30,7 +30,16 @@
 //!   `verify_512` the public one on the key's cached context — with
 //!   `e = 65537` the sliding window builds no table: 16 squarings and
 //!   one product;
-//! * `xtea/*` — one block and a full deterministic value;
+//! * `xtea/*` — how wide the kernel runs: `block` is one block alone
+//!   (a 64-round dependency chain), `det_value` one string cell
+//!   through `det_encrypt` and `rnd_cell` one 9-byte body through
+//!   `rnd_encrypt` (two blocks), each in one padded 16-lane group;
+//!   `blocks_lanes` 4,096 blocks through `encrypt_blocks` (256
+//!   groups); `column_det`, `column_rnd` and `column_det_strings`
+//!   4,096 cells through `encrypt_batch`, and
+//!   `column_rnd_decrypt` 4,096 Random cells through
+//!   `ColumnCipher::decrypt_random_column`, one CTR run (÷ 4,096 for
+//!   per-block or per-cell time);
 //! * `ope/encode`, `ope/decode` — one isolated 64-level keyed descent;
 //!   `ope/column_*` — a run per regime through
 //!   `ColumnCipher::encrypt_column`, which descends each distinct code
@@ -200,6 +209,13 @@ fn bench_xtea(c: &mut Criterion) {
     g.bench_function("det_value_one_shot_key", |b| {
         b.iter(|| xtea::det_encrypt(black_box(&key), black_box(&value)))
     });
+    // A lone fixed-width cell: an 8-byte nonce and a 9-byte body, i.e.
+    // two keystream blocks in one padded group.
+    let body = Value::Int(-42).canonical_bytes();
+    assert_eq!(body.len(), 9);
+    g.bench_function("rnd_cell", |b| {
+        b.iter(|| schedule.rnd_encrypt(black_box(0x0123_4567_89ab_cdef), black_box(&body)))
+    });
     // 4,096 independent blocks through the lane kernel (÷ 4,096 for
     // per-block, against `xtea/block`: the one-at-a-time dependency
     // chain).
@@ -226,6 +242,12 @@ fn bench_xtea(c: &mut Criterion) {
             b.iter(|| encrypt_batch(&mut rng, black_box(column), scheme, &cluster).unwrap())
         });
     }
+    // The user's side of a Random column: one batch decrypted as one run.
+    let cipher = ColumnCipher::new(EncScheme::Random, &cluster);
+    let column = cipher.encrypt_column(&ints, &mut rng).unwrap();
+    g.bench_function("column_rnd_decrypt", |b| {
+        b.iter(|| cipher.decrypt_random_column(black_box(&column)).unwrap())
+    });
     g.finish();
 }
 

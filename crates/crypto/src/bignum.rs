@@ -324,7 +324,7 @@ impl BigUint {
     }
 
     /// `(self * other) % m`.
-    pub fn mulmod(&self, other: &BigUint, m: &BigUint) -> BigUint {
+    pub(crate) fn mulmod(&self, other: &BigUint, m: &BigUint) -> BigUint {
         self.mul(other).rem(m)
     }
 
@@ -356,7 +356,7 @@ impl BigUint {
     }
 
     /// Greatest common divisor (binary GCD).
-    pub fn gcd(&self, other: &BigUint) -> BigUint {
+    pub(crate) fn gcd(&self, other: &BigUint) -> BigUint {
         let mut a = self.clone();
         let mut b = other.clone();
         if a.is_zero() {
@@ -390,7 +390,7 @@ impl BigUint {
     }
 
     /// Modular inverse `self⁻¹ mod m`, if it exists.
-    pub fn modinv(&self, m: &BigUint) -> Option<BigUint> {
+    pub(crate) fn modinv(&self, m: &BigUint) -> Option<BigUint> {
         // Extended Euclid over non-negative values, tracking signs.
         let mut r0 = m.clone();
         let mut r1 = self.rem(m);

@@ -23,7 +23,9 @@
 //! all call it. Cells arrive
 //! from peers, so decryption is total: whatever bytes sit in a cell,
 //! [`ColumnCipher::decrypt_cell`] answers with a value or
-//! [`EncryptError::BadCiphertext`].
+//! [`EncryptError::BadCiphertext`]; so does
+//! [`ColumnCipher::decrypt_random_column`], which decrypts a Random
+//! column as one CTR run.
 
 use crate::bignum::BigUint;
 use crate::keyring::ClusterKey;
@@ -284,6 +286,32 @@ impl ColumnCipher {
                 })
             }
         }
+    }
+
+    /// Decrypt a whole column under [`EncScheme::Random`] as one CTR
+    /// run: cell `i` comes out as [`ColumnCipher::decrypt_cell`] makes
+    /// it, NULLs pass. The cells came from a peer, so a column under
+    /// another key, a cell too short for its nonce, or a body that is no
+    /// canonical value is [`EncryptError::BadCiphertext`], never a panic.
+    pub fn decrypt_random_column(&self, column: &EncColumn) -> Result<Vec<Value>, EncryptError> {
+        if column.scheme() != EncScheme::Random {
+            return Err(EncryptError::WrongForm);
+        }
+        // One key for every cell (a column of NULLs decrypts under any),
+        // and in every cell the nonce `ctr_cells` asserts.
+        let foreign = column.key_id() != self.key.id && !column.bytes().is_empty();
+        if foreign || (0..column.len()).any(|i| (1..8).contains(&column.cell(i).len())) {
+            return Err(EncryptError::BadCiphertext);
+        }
+        let mut plain = column.clone();
+        let (ends, bytes) = plain.cells_mut();
+        self.rnd.ctr_cells(bytes, ends);
+        (0..plain.len())
+            .map(|i| match plain.cell(i) {
+                [] => Ok(Value::Null),
+                cell => Value::from_canonical_bytes(&cell[8..]).ok_or(EncryptError::BadCiphertext),
+            })
+            .collect()
     }
 }
 
@@ -889,6 +917,63 @@ mod tests {
             let enc = encrypt_value(&mut rng, &Value::Int(1), scheme, &k1).unwrap();
             assert_ne!(decrypt_value(&enc, &k3), Ok(Value::Int(1)), "{scheme:?}");
         }
+    }
+
+    /// A Random column decrypted as one run equals its cells decrypted
+    /// one by one, and a forged cell is a typed error, never a panic.
+    #[test]
+    fn a_random_column_decrypts_as_its_cells_do() {
+        let (k, mut rng) = key();
+        let cipher = ColumnCipher::new(EncScheme::Random, &k);
+        let values: Vec<Value> = (0..300)
+            .map(|i| match i % 6 {
+                0 => Value::Int(rng.gen()),
+                1 => Value::Num(rng.gen_range(-1e6..1e6)),
+                2 => Value::Date(Date(rng.gen_range(0..20_000))),
+                // TPC-H's widest strings (comments) run to 117 bytes.
+                3 => Value::str(&"Customer#000012345 furiously ".repeat(5)[..i % 118]),
+                4 => Value::Null,
+                _ => Value::Bool(i % 4 == 1),
+            })
+            .collect();
+        let column = cipher.encrypt_column(&values, &mut rng).unwrap();
+        let decrypted = cipher.decrypt_random_column(&column).unwrap();
+        let one_by_one: Vec<Value> = (0..column.len())
+            .map(|i| match column.cell(i) {
+                [] => Value::Null,
+                cell => cipher.decrypt_cell(EncScheme::Random, k.id, cell).unwrap(),
+            })
+            .collect();
+        assert_eq!(decrypted, one_by_one);
+        assert_eq!(decrypted, values);
+        let nulls = EncColumn::from_parts(EncScheme::Random, k.id + 1, vec![0; 3], vec![]);
+        assert_eq!(
+            cipher.decrypt_random_column(&nulls.unwrap()),
+            Ok(vec![Value::Null; 3])
+        );
+
+        // Forgeries beside a well-formed cell and a NULL.
+        let good = column.cell(0);
+        let forged = |cell: &[u8], key_id| {
+            let mut column = EncColumn::new(EncScheme::Random, key_id);
+            for cell in [good, &[], cell] {
+                column.push(cell);
+            }
+            cipher.decrypt_random_column(&column)
+        };
+        for len in 1..8 {
+            assert_eq!(forged(&good[..len], k.id), Err(EncryptError::BadCiphertext));
+        }
+        let junk = [0xEE; 5];
+        assert_eq!(Value::from_canonical_bytes(&junk), None);
+        let junk = XteaSchedule::new(&k.rnd_key()).rnd_encrypt(7, &junk);
+        assert_eq!(forged(&junk, k.id), Err(EncryptError::BadCiphertext));
+        assert_eq!(forged(good, k.id + 1), Err(EncryptError::BadCiphertext));
+        let det = EncColumn::new(EncScheme::Deterministic, k.id);
+        assert_eq!(
+            cipher.decrypt_random_column(&det),
+            Err(EncryptError::WrongForm)
+        );
     }
 
     #[test]

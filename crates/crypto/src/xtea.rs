@@ -12,7 +12,7 @@
 //! * **Randomized** encryption is XTEA-CTR with a fresh 8-byte nonce:
 //!   no two encryptions collide, nothing can be computed on them.
 //!
-//! # One kernel, many blocks at a time
+//! # One kernel, sixteen blocks at a time
 //!
 //! A Feistel round feeds its output into the next, so one block alone
 //! is a 64-step dependency chain that leaves the core idle (≈ 90 ns).
@@ -23,18 +23,29 @@
 //! (`encrypt_lanes`, plain safe arithmetic over `[u32; LANES]` that
 //! the compiler vectorises at the x86-64 baseline on its own — no
 //! intrinsics, nothing selected per CPU), and a column of cells is one
-//! long run of such blocks. Measured per block on the development box (one
-//! run, so one machine state; the ratios are the point):
+//! long run of such blocks: full groups, then one padded with zero
+//! blocks.
 //!
-//! | lanes    | 1   | 2  | 4  | 8  | 16 |
-//! |----------|-----|----|----|----|----|
-//! | ns/block | 107 | 65 | 30 | 18 | 14 |
-//!
-//! Eight, not sixteen: a run shorter than a group still pays for a
-//! whole one (a last group is padded), and a single fixed-width cell —
-//! a literal, a join key re-encrypted for a comparison, a cell being
-//! *decrypted* under CTR — is two blocks. Eight lanes make that
-//! cheaper than two blocks one after the other; sixteen would not.
+//! Sixteen lanes for every run, though a group costs the same full or
+//! padded: a lone two-block cell — a literal, a `det_encrypt`, an
+//! envelope body — pays for sixteen blocks where it paid for eight.
+//! Runs are where the time goes (the engine encrypts a column as one
+//! run and the user decrypts a Random column as one), and a padded
+//! 8-lane last group kept for lone cells moved no end-to-end
+//! `benchmark/` metric past its bound (`provider_enc` passes read
+//! ≈ 1 % faster with it). Measured on a shared 2-vCPU x86-64 box
+//! against the 8-lane kernel, medians of alternating runs (the box
+//! swings ±10 %, so read ratios): 4,096 blocks 0.78–0.85×, a
+//! 4,096-cell Det or Random column 0.87–0.97× through `encrypt_batch`,
+//! a lone cell 1.2–1.6× (`rnd_cell`, `det_value`: ≈ 0.1 µs more). In an
+//! isolated kernel harness at the baseline target, 32 lanes read ≈ 15
+//! ns a block against ≈ 16.5 at 16 and ≈ 21 at 8; with
+//! `-C target-cpu=native` (AVX-512) 32 lanes read ≈ 11 against ≈ 19,
+//! but that needs a width picked per CPU, which this module rules out.
+//! Measured and not adopted: a precomputed round-key table (slower
+//! than the keys worked out inside the loop), and CTR counters fused
+//! into the group without the keystream `Vec` (no gain on its own:
+//! 54–58 against 57–60 ns a cell).
 //!
 //! **Why interleaving cannot change a byte.** Lane `l` reads and writes
 //! only `v0[l]`/`v1[l]` and the round keys, which depend on the key
@@ -50,7 +61,7 @@ const ROUNDS: u32 = 32; // 32 cycles = 64 Feistel rounds
 const DELTA: u32 = 0x9e37_79b9;
 
 /// Blocks the kernel encrypts side by side.
-const LANES: usize = 8;
+const LANES: usize = 16;
 
 /// Expanded XTEA key: the four 32-bit words the round function indexes.
 ///
@@ -129,26 +140,34 @@ impl XteaSchedule {
         block_of(v0, v1)
     }
 
-    fn encrypt_group(&self, blocks: &mut [u64; LANES]) {
-        let mut v0 = blocks.map(|b| halves(b).0);
-        let mut v1 = blocks.map(|b| halves(b).1);
+    /// Encrypt `LANES` blocks in place, side by side.
+    #[inline(always)]
+    fn encrypt_full(&self, group: &mut [u64; LANES]) {
+        let mut v0 = group.map(|b| halves(b).0);
+        let mut v1 = group.map(|b| halves(b).1);
         self.encrypt_lanes(&mut v0, &mut v1);
-        *blocks = std::array::from_fn(|l| block_of(v0[l], v1[l]));
+        *group = std::array::from_fn(|l| block_of(v0[l], v1[l]));
+    }
+
+    /// Encrypt `blocks` — at most `LANES` — in place as one group: a
+    /// full one where it lies, a short one padded with zero blocks.
+    /// Lanes are fixed array slots: a loop over `blocks.len()` lanes
+    /// left them in memory and measured ≈ 3× slower.
+    fn encrypt_group(&self, blocks: &mut [u64]) {
+        if let Ok(full) = <&mut [u64; LANES]>::try_from(&mut *blocks) {
+            return self.encrypt_full(full);
+        }
+        let mut group = [0u64; LANES];
+        group[..blocks.len()].copy_from_slice(blocks);
+        self.encrypt_full(&mut group);
+        blocks.copy_from_slice(&group[..blocks.len()]);
     }
 
     /// Encrypt every block of `blocks` in place, `LANES` at a time:
     /// ECB over words, or CTR keystream from a list of counters.
     pub fn encrypt_blocks(&self, blocks: &mut [u64]) {
-        let mut groups = blocks.chunks_exact_mut(LANES);
-        for group in &mut groups {
-            self.encrypt_group(group.try_into().expect("LANES blocks"));
-        }
-        let rest = groups.into_remainder();
-        if !rest.is_empty() {
-            let mut last = [0u64; LANES];
-            last[..rest.len()].copy_from_slice(rest);
-            self.encrypt_group(&mut last);
-            rest.copy_from_slice(&last[..rest.len()]);
+        for group in blocks.chunks_mut(LANES) {
+            self.encrypt_group(group);
         }
     }
 
@@ -266,19 +285,9 @@ pub(crate) fn det_frame(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
     out.resize(at + (len + 4).next_multiple_of(8), 0);
 }
 
-/// Encrypt one 64-bit block (one-shot key expansion).
-pub fn encrypt_block(key: &[u8; 16], block: u64) -> u64 {
-    XteaSchedule::new(key).encrypt_block(block)
-}
-
 /// Deterministic encryption: length-prefixed, zero-padded, ECB.
 pub fn det_encrypt(key: &[u8; 16], plaintext: &[u8]) -> Vec<u8> {
     XteaSchedule::new(key).det_encrypt(plaintext)
-}
-
-/// Inverse of [`det_encrypt`]. Returns `None` on malformed input.
-pub fn det_decrypt(key: &[u8; 16], ciphertext: &[u8]) -> Option<Vec<u8>> {
-    XteaSchedule::new(key).det_decrypt(ciphertext)
 }
 
 /// Randomized encryption: 8-byte nonce ‖ XTEA-CTR keystream XOR.
@@ -439,25 +448,17 @@ mod tests {
         }
     }
 
-    /// A column is many cells in one buffer: whichever cells share a
-    /// lane group, each comes out as it would alone.
-    #[test]
-    fn cells_encrypted_together_match_cells_encrypted_alone() {
-        let key = keys()[2];
-        let (new, old) = (XteaSchedule::new(&key), reference::Schedule::new(&key));
-        // Lengths chosen so block counts are no multiple of the lane
-        // count, with NULLs (empty cells) in between.
-        let cells: Vec<Option<Vec<u8>>> = (0..37usize)
-            .map(|i| (i % 5 != 3).then(|| noise(i as u64, i * 7 % 23)))
-            .collect();
-        // Nonces on both sides of the `u64` wrap.
-        let nonce_of = |i: usize| (u64::MAX - 40).wrapping_add(i as u64 * 2);
+    /// Encrypt `cells` — a nonce and a body each, `None` for a NULL —
+    /// as one ECB and one CTR run under `key`, and hold every cell to
+    /// what the frozen loops make of it alone.
+    fn check_column(key: &[u8; 16], cells: &[Option<(u64, Vec<u8>)>]) {
+        let (new, old) = (XteaSchedule::new(key), reference::Schedule::new(key));
         let (mut det, mut rnd) = (Vec::new(), Vec::new());
         let (mut det_ends, mut rnd_ends) = (Vec::new(), Vec::new());
-        for (i, cell) in cells.iter().enumerate() {
-            if let Some(cell) = cell {
+        for cell in cells {
+            if let Some((nonce, cell)) = cell {
                 det_frame(&mut det, |body| body.extend_from_slice(cell));
-                rnd.extend_from_slice(&nonce_of(i).to_be_bytes());
+                rnd.extend_from_slice(&nonce.to_be_bytes());
                 rnd.extend_from_slice(cell);
             }
             det_ends.push(det.len());
@@ -474,22 +475,78 @@ mod tests {
             (det_at, rnd_at) = (det_ends[i], rnd_ends[i] as usize);
             match cell {
                 None => assert!(det_cell.is_empty() && rnd_cell.is_empty()),
-                Some(cell) => {
+                Some((nonce, cell)) => {
                     assert_eq!(det_cell, old.det_encrypt(cell), "det cell {i}");
-                    assert_eq!(rnd_cell, old.rnd_encrypt(nonce_of(i), cell), "rnd cell {i}");
+                    assert_eq!(rnd_cell, old.rnd_encrypt(*nonce, cell), "rnd cell {i}");
                 }
             }
         }
     }
 
+    /// A column is many cells in one buffer: whichever cells share a
+    /// lane group, each comes out as it would alone.
+    #[test]
+    fn cells_encrypted_together_match_cells_encrypted_alone() {
+        // Lengths chosen so block counts are no multiple of the lane
+        // count, with NULLs (empty cells) in between; nonces on both
+        // sides of the `u64` wrap.
+        let cells: Vec<Option<(u64, Vec<u8>)>> = (0..37usize)
+            .map(|i| {
+                let nonce = (u64::MAX - 40).wrapping_add(i as u64 * 2);
+                (i % 5 != 3).then(|| (nonce, noise(i as u64, i * 7 % 23)))
+            })
+            .collect();
+        check_column(&keys()[2], &cells);
+    }
+
+    /// Seeded columns of 0–80 cells (0–70-byte bodies, NULLs between
+    /// them, nonces on both sides of the `u64` wrap) through
+    /// `check_column`, over runs that end with every leftover count and
+    /// cells that straddle a group boundary.
+    #[test]
+    fn seeded_columns_match_the_frozen_loops_cell_by_cell() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+
+        let mut rng = StdRng::seed_from_u64(45);
+        let (mut ctr_tails, mut ecb_tails) = (BTreeSet::new(), BTreeSet::new());
+        let mut straddling = 0;
+        for _ in 0..400 {
+            let cells: Vec<Option<(u64, Vec<u8>)>> = (0..rng.gen_range(0..=80))
+                .map(|_| {
+                    rng.gen_bool(0.8).then(|| {
+                        let nonce = match rng.gen_bool(0.5) {
+                            true => u64::MAX - rng.gen_range(0..12),
+                            false => rng.gen(),
+                        };
+                        (nonce, noise(rng.gen(), rng.gen_range(0..=70)))
+                    })
+                })
+                .collect();
+            check_column(&noise(rng.gen(), 16).try_into().expect("16 bytes"), &cells);
+            // Where each body's keystream and each frame sit in the runs.
+            let (mut ctr, mut ecb) = (0, 0);
+            for (_, body) in cells.iter().flatten() {
+                let blocks = body.len().div_ceil(8);
+                straddling += usize::from(blocks > 1 && ctr / LANES != (ctr + blocks - 1) / LANES);
+                ctr += blocks;
+                ecb += (body.len() + 4).div_ceil(8);
+            }
+            ctr_tails.insert(ctr % LANES);
+            ecb_tails.insert(ecb % LANES);
+        }
+        let every_tail: BTreeSet<usize> = (0..LANES).collect();
+        assert_eq!(ctr_tails, every_tail, "CTR runs end with every leftover");
+        assert_eq!(ecb_tails, every_tail, "ECB runs end with every leftover");
+        assert!(straddling > 0, "some cell straddles a group boundary");
+    }
+
     #[test]
     fn block_roundtrip() {
-        let key = [3u8; 16];
+        let schedule = XteaSchedule::new(&[3u8; 16]);
         for v in [0u64, 1, u64::MAX, 0xdead_beef_cafe_f00d] {
-            assert_eq!(
-                XteaSchedule::new(&key).decrypt_block(encrypt_block(&key, v)),
-                v
-            );
+            assert_eq!(schedule.decrypt_block(schedule.encrypt_block(v)), v);
         }
     }
 
@@ -498,7 +555,10 @@ mod tests {
         let k1 = [0u8; 16];
         let mut k2 = [0u8; 16];
         k2[15] = 1;
-        assert_ne!(encrypt_block(&k1, 42), encrypt_block(&k2, 42));
+        assert_ne!(
+            XteaSchedule::new(&k1).encrypt_block(42),
+            XteaSchedule::new(&k2).encrypt_block(42)
+        );
     }
 
     #[test]
@@ -508,7 +568,7 @@ mod tests {
             let msg: Vec<u8> = (0..len).map(|i| i as u8).collect();
             let ct = det_encrypt(&key, &msg);
             assert_eq!(ct.len() % 8, 0);
-            assert_eq!(det_decrypt(&key, &ct).unwrap(), msg);
+            assert_eq!(XteaSchedule::new(&key).det_decrypt(&ct).unwrap(), msg);
         }
     }
 
@@ -535,8 +595,8 @@ mod tests {
     #[test]
     fn decrypt_rejects_malformed() {
         let key = [1u8; 16];
-        assert!(det_decrypt(&key, &[1, 2, 3]).is_none());
-        assert!(det_decrypt(&key, &[]).is_none());
+        assert!(XteaSchedule::new(&key).det_decrypt(&[1, 2, 3]).is_none());
+        assert!(XteaSchedule::new(&key).det_decrypt(&[]).is_none());
         assert!(rnd_decrypt(&key, &[0; 4]).is_none());
     }
 
@@ -546,7 +606,7 @@ mod tests {
         let k2 = [2u8; 16];
         let ct = det_encrypt(&k1, b"secret");
         // Either fails to parse or yields different bytes.
-        match det_decrypt(&k2, &ct) {
+        match XteaSchedule::new(&k2).det_decrypt(&ct) {
             None => {}
             Some(pt) => assert_ne!(pt, b"secret"),
         }

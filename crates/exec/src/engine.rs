@@ -1006,9 +1006,15 @@ fn encrypt_column(
 }
 
 /// Decrypt the cells of `col`, each from the bytes where they lie.
-/// NULLs pass; a plaintext cell is refused. A Det or OPE ciphertext is
-/// a function of its value, so each distinct one is decrypted once.
+/// NULLs pass; a plaintext cell is refused. A Random column is one CTR
+/// run. A Det or OPE ciphertext is a function of its value, so each
+/// distinct one is decrypted once.
 fn decrypt_column(col: &ColumnVec, cipher: &ColumnCipher) -> Result<ColumnVec, EncryptError> {
+    if let ColumnVec::Enc(c) = col {
+        if c.scheme() == EncScheme::Random {
+            return Ok(cipher.decrypt_random_column(c)?.into_iter().collect());
+        }
+    }
     let mut memo: HashMap<(EncScheme, u32, &[u8]), Value> = HashMap::new();
     let mut out = ColumnVec::new();
     for i in 0..col.len() {
