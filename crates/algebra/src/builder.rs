@@ -386,9 +386,9 @@ impl<'a> Builder<'a> {
                 if let Some(&idx) = self.aliases.get(name) {
                     let item = &self.stmt.items[idx].expr;
                     match item {
-                        AstExpr::Agg(f, inner, distinct) => {
+                        AstExpr::Agg(f, inner) => {
                             if let Some(aggs) = aggs {
-                                let target = self.make_agg(f, inner, *distinct, &[])?;
+                                let target = self.make_agg(f, inner, &[])?;
                                 if let Some(pos) = aggs.iter().position(|a| *a == target) {
                                     return Ok(Expr::AggRef(pos));
                                 }
@@ -429,9 +429,9 @@ impl<'a> Builder<'a> {
                     "INTERVAL literal outside date arithmetic".into(),
                 ))
             }
-            AstExpr::Agg(f, inner, distinct) => match aggs {
+            AstExpr::Agg(f, inner) => match aggs {
                 Some(list) => {
-                    let target = self.make_agg(f, inner, *distinct, &[])?;
+                    let target = self.make_agg(f, inner, &[])?;
                     let pos = list
                         .iter()
                         .position(|a| *a == target)
@@ -538,13 +538,7 @@ impl<'a> Builder<'a> {
         }
     }
 
-    fn make_agg(
-        &self,
-        f: &AggFunc,
-        inner: &AstExpr,
-        _distinct: bool,
-        keys: &[AttrId],
-    ) -> Result<AggExpr> {
+    fn make_agg(&self, f: &AggFunc, inner: &AstExpr, keys: &[AttrId]) -> Result<AggExpr> {
         let input = self.lower_scalar(inner)?;
         let ins = input.attrs();
         let output = ins
@@ -561,8 +555,8 @@ impl<'a> Builder<'a> {
 
     fn collect_aggs(&mut self, e: &AstExpr, keys: &[AttrId]) -> Result<()> {
         match e {
-            AstExpr::Agg(f, inner, distinct) => {
-                let ag = self.make_agg(f, inner, *distinct, keys)?;
+            AstExpr::Agg(f, inner) => {
+                let ag = self.make_agg(f, inner, keys)?;
                 if !self.aggs.contains(&ag) {
                     self.aggs.push(ag);
                 }
@@ -661,7 +655,7 @@ fn collect_cols(e: &AstExpr, out: &mut Vec<String>) {
     match e {
         AstExpr::Col(n) => out.push(n.clone()),
         AstExpr::Lit(_) | AstExpr::Interval(..) | AstExpr::CountStar => {}
-        AstExpr::Agg(_, x, _)
+        AstExpr::Agg(_, x)
         | AstExpr::Not(x)
         | AstExpr::Like(x, _, _)
         | AstExpr::IsNull(x, _)

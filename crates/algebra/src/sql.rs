@@ -28,8 +28,8 @@ pub enum AstExpr {
     /// `INTERVAL 'n' unit`; only meaningful inside date arithmetic and
     /// folded away at build time.
     Interval(i64, IntervalUnit),
-    /// Aggregate call.
-    Agg(AggFunc, Box<AstExpr>, bool),
+    /// Aggregate call (`count(DISTINCT x)` is `AggFunc::CountDistinct`).
+    Agg(AggFunc, Box<AstExpr>),
     /// `count(*)`.
     CountStar,
     /// Comparison.
@@ -675,6 +675,11 @@ impl Parser {
             }
             "count" | "sum" | "avg" | "min" | "max" => {
                 self.eat_sym("(")?;
+                if id != "count" && matches!(self.peek(), Tok::Ident(k) if k == "distinct") {
+                    return Err(
+                        self.err(format!("{id}(DISTINCT …): only count has a distinct form"))
+                    );
+                }
                 let distinct = self.eat_kw("distinct");
                 let inner = self.expr()?;
                 self.eat_sym(")")?;
@@ -694,7 +699,7 @@ impl Parser {
                         Err(self.err("'*' only valid in count(*)"))
                     }
                 } else {
-                    Ok(AstExpr::Agg(func, Box::new(inner), distinct))
+                    Ok(AstExpr::Agg(func, Box::new(inner)))
                 }
             }
             _ => {
@@ -724,10 +729,7 @@ mod tests {
         assert!(stmt.from[1].join_on.is_some());
         assert_eq!(stmt.group_by, vec!["t"]);
         assert!(stmt.having.is_some());
-        assert!(matches!(
-            stmt.items[1].expr,
-            AstExpr::Agg(AggFunc::Avg, _, false)
-        ));
+        assert!(matches!(stmt.items[1].expr, AstExpr::Agg(AggFunc::Avg, _)));
     }
 
     #[test]
@@ -816,5 +818,26 @@ mod tests {
         };
         assert!(matches!(parts[0], AstExpr::Between(_, _, _, true)));
         assert!(matches!(parts[1], AstExpr::InList(_, _, true)));
+    }
+
+    /// Only `count` has a distinct aggregate: `sum(DISTINCT x)` and
+    /// `avg(DISTINCT x)` are refused at the keyword, never read as
+    /// `sum(x)` and `avg(x)`.
+    #[test]
+    fn distinct_is_refused_outside_count() {
+        for func in ["sum", "avg", "min", "max"] {
+            let q = format!("select T, {func}(distinct P) from Ins group by T");
+            let at = q.find("distinct").unwrap();
+            let err = parse_select(&q).unwrap_err();
+            assert!(
+                matches!(err, AlgebraError::Parse { pos, .. } if pos == at),
+                "{func}: {err:?}"
+            );
+        }
+        let stmt = parse_select("select T, count(distinct P) from Ins group by T").unwrap();
+        assert!(matches!(
+            stmt.items[1].expr,
+            AstExpr::Agg(AggFunc::CountDistinct, _)
+        ));
     }
 }

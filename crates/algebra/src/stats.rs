@@ -173,7 +173,7 @@ pub struct ColumnStats {
     pub null_frac: f64,
     /// Equi-depth histogram on the value distribution, when collected
     /// (`mpq_planner::stats::collect_stats` samples one per numeric
-    /// column; analytic statistics leave it empty).
+    /// column; `StatsCatalog::with_defaults` leaves it empty).
     pub histogram: Option<Histogram>,
 }
 

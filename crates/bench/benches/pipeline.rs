@@ -71,7 +71,7 @@ fn bench_extension(c: &mut Criterion) {
 
 fn bench_optimizer(c: &mut Criterion) {
     let cat = mpq_tpch::tpch_catalog();
-    let stats = mpq_tpch::tpch_stats(&cat, 1.0);
+    let stats = mpq_bench::sample_stats();
     let env = mpq_planner::build_scenario(&cat, mpq_planner::Scenario::UAPenc);
     let plan = mpq_tpch::query_plan(&cat, 3);
     c.bench_function("optimize/tpch_q3_uapenc", |b| {
@@ -79,7 +79,7 @@ fn bench_optimizer(c: &mut Criterion) {
             mpq_planner::optimize(
                 &plan,
                 &cat,
-                &stats,
+                stats,
                 &env,
                 &CapabilityPolicy::tpch_evaluation(),
                 mpq_planner::Strategy::CostDp,

@@ -20,11 +20,13 @@
 //!   regressions are measured against the real floor (suppress once
 //!   with `--accept-improvement` while iterating locally).
 //!
-//! To re-pin after a deliberate change: `cargo run -p mpq-bench --bin
-//! throughput --release -- --smoke --out BENCH_baseline.json` and
-//! commit the refreshed baseline with the change that earned it.
+//! To re-pin after a deliberate change, run the command the
+//! improvement message names — `throughput --smoke` for a `smoke`
+//! baseline, the SF 1 run for a `full` one, written over the
+//! `--baseline` path — and commit the refreshed baseline with the
+//! change that earned it.
 
-use mpq_bench::diff::{compare, render_markdown};
+use mpq_bench::diff::{compare, render_markdown, repin_command};
 
 fn main() {
     let mut baseline = String::from("BENCH_baseline.json");
@@ -74,7 +76,8 @@ fn main() {
             std::process::exit(2);
         })
     };
-    let deltas = compare(&read(&baseline), &read(&current), latency_tol, bytes_tol).unwrap_or_else(
+    let baseline_report = read(&baseline);
+    let deltas = compare(&baseline_report, &read(&current), latency_tol, bytes_tol).unwrap_or_else(
         |missing| {
             eprintln!("{missing}");
             std::process::exit(2);
@@ -104,13 +107,13 @@ fn main() {
             );
         } else {
             eprintln!(
-                "UNCLAIMED IMPROVEMENT: {} {:.3} → {:.3} ({:+.1}%) — re-pin \
-                 BENCH_baseline.json (throughput --smoke --out BENCH_baseline.json) \
-                 so the ratchet holds the new floor",
+                "UNCLAIMED IMPROVEMENT: {} {:.3} → {:.3} ({:+.1}%) — re-pin {baseline} \
+                 ({}) so the ratchet holds the new floor",
                 d.name,
                 d.baseline,
                 d.current,
-                d.delta * 100.0
+                d.delta * 100.0,
+                repin_command(&baseline_report, &baseline)
             );
             failing = true;
         }

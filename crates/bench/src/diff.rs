@@ -16,8 +16,8 @@
 //! same tolerance also fails ([`MetricDelta::improved_beyond`]) —
 //! an unclaimed improvement means the committed baseline no longer
 //! describes the code, so regressions up to the stale baseline would
-//! pass silently. Re-pin (`throughput --smoke --out
-//! BENCH_baseline.json`) and commit the new floor with the change that
+//! pass silently. Re-pin with the run [`repin_command`] names for the
+//! baseline's kind and commit the new floor with the change that
 //! earned it.
 //!
 //! The report measures one path, the in-proc session's walk with fresh
@@ -103,6 +103,23 @@ fn section<'a>(text: &'a str, name: &str) -> Option<&'a str> {
     Some(&text[open..=close])
 }
 
+/// Is `report` a `full` (paper-scale) report rather than a `smoke` one?
+fn is_full(report: &str) -> bool {
+    report.contains("\"mode\": \"full\"")
+}
+
+/// The `throughput` run that re-pins the baseline at `path`, by the
+/// baseline's kind: the SF 1 run CI gates for a `full` report, the
+/// smoke run otherwise.
+pub fn repin_command(baseline: &str, path: &str) -> String {
+    let run = if is_full(baseline) {
+        "--sf 1 --sessions 1 --queries 1,6"
+    } else {
+        "--smoke"
+    };
+    format!("cargo run -p mpq-bench --bin throughput --release -- {run} --out {path}")
+}
+
 /// Compare two `BENCH_dist.json` documents. `latency_tol` and
 /// `bytes_tol` are fractions (0.25 = 25%). Fails with the metric's name
 /// when a gated metric is missing from either report.
@@ -138,7 +155,7 @@ pub fn compare(
         }))
     };
     // Which latency is the gated one, by the baseline's kind.
-    let full = baseline.contains("\"mode\": \"full\"");
+    let full = is_full(baseline);
     [
         metric(
             "concurrent wall (s)",
@@ -403,5 +420,22 @@ mod tests {
         // Informational rows: p95 and qps.
         let thin = without(&without(BASE, "p95_ms"), "qps");
         assert_eq!(compare(BASE, &thin, 0.25, 0.25).unwrap().len(), 3);
+    }
+
+    /// The re-pin hint names the baseline it was given and the run for
+    /// that baseline's kind.
+    #[test]
+    fn the_repin_command_follows_the_baseline() {
+        let smoke = repin_command(BASE, "BENCH_baseline.json");
+        assert!(
+            smoke.ends_with("-- --smoke --out BENCH_baseline.json"),
+            "{smoke}"
+        );
+        let full = BASE.replace("\"config\"", "\"mode\": \"full\", \"config\"");
+        let full = repin_command(&full, "BENCH_sf1_baseline.json");
+        assert!(
+            full.ends_with("-- --sf 1 --sessions 1 --queries 1,6 --out BENCH_sf1_baseline.json"),
+            "{full}"
+        );
     }
 }

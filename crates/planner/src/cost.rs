@@ -223,7 +223,7 @@ pub fn plan_tuple_ops(plan: &QueryPlan, est: &[Estimate], book: &PriceBook) -> f
 
 /// Modeled bytes for every cross-subject edge of an assigned plan,
 /// final delivery to the user included — the per-edge counterpart of
-/// the network term in [`cost_extended_plan`], compared by `calibrate`
+/// the network term in `cost_extended_plan`, compared by `calibrate`
 /// against the bytes `mpq-dist` actually puts on the wire.
 #[allow(clippy::too_many_arguments)]
 pub fn edge_bytes_model(
@@ -271,7 +271,7 @@ pub fn edge_bytes_model(
 /// `mpq_core::extend::minimally_extend`); `profiles` and `est` must be
 /// computed over the same plan.
 #[allow(clippy::too_many_arguments)]
-pub fn cost_extended_plan(
+pub(crate) fn cost_extended_plan(
     plan: &QueryPlan,
     assignment: &HashMap<NodeId, SubjectId>,
     catalog: &Catalog,
@@ -365,13 +365,14 @@ pub fn cost_extended_plan(
 mod tests {
     use super::*;
     use crate::scenario::{build_scenario, Scenario};
+    use crate::stats::tests::tpch_sample;
     use mpq_algebra::stats::estimate_plan;
     use mpq_core::candidates::candidates;
     use mpq_core::capability::CapabilityPolicy;
     use mpq_core::extend::{minimally_extend, Assignment};
     use mpq_core::profile::profile_plan;
     use mpq_exec::assign_schemes;
-    use mpq_tpch::{query_plan, tpch_catalog, tpch_stats};
+    use mpq_tpch::{query_plan, tpch_catalog};
 
     /// Cost Q6 under UA with everything at the user vs everything at
     /// the storing authority: authority must be cheaper (3× vs 10×
@@ -379,7 +380,7 @@ mod tests {
     #[test]
     fn authority_cheaper_than_user_on_q6() {
         let cat = tpch_catalog();
-        let stats = tpch_stats(&cat, 1.0);
+        let stats = tpch_sample();
         let env = build_scenario(&cat, Scenario::UA);
         let plan = query_plan(&cat, 6);
         let cands = candidates(
@@ -408,14 +409,14 @@ mod tests {
                 Some(env.user),
             )
             .unwrap();
-            let est = estimate_plan(&ext.plan, &cat, &stats);
+            let est = estimate_plan(&ext.plan, &cat, stats);
             let profiles = profile_plan(&ext.plan);
             let schemes = assign_schemes(&ext.plan).unwrap();
             cost_extended_plan(
                 &ext.plan,
                 &ext.assignment,
                 &cat,
-                &stats,
+                stats,
                 &est,
                 &profiles,
                 &schemes,

@@ -33,7 +33,7 @@ pub mod pricing;
 pub mod scenario;
 pub mod stats;
 
-pub use cost::{cost_extended_plan, CostBreakdown};
+pub use cost::CostBreakdown;
 pub use optimize::{finish, optimize, Optimized, Strategy};
 pub use pricing::{PriceBook, SubjectPrices};
 pub use scenario::{build_scenario, build_scenario_with_fill, Scenario, ScenarioEnv};

@@ -501,17 +501,18 @@ fn finish_as(
 mod tests {
     use super::*;
     use crate::scenario::{build_scenario, Scenario};
-    use mpq_tpch::{query_plan, tpch_catalog, tpch_stats};
+    use crate::stats::tests::tpch_sample;
+    use mpq_tpch::{query_plan, tpch_catalog};
 
     fn run(q: usize, scenario: Scenario, strategy: Strategy) -> Optimized {
         let cat = tpch_catalog();
-        let stats = tpch_stats(&cat, 1.0);
+        let stats = tpch_sample();
         let env = build_scenario(&cat, scenario);
         let plan = query_plan(&cat, q);
         optimize(
             &plan,
             &cat,
-            &stats,
+            stats,
             &env,
             &CapabilityPolicy::default(),
             strategy,
@@ -624,7 +625,7 @@ mod tests {
     #[test]
     fn all_22_optimize_under_all_scenarios() {
         let cat = tpch_catalog();
-        let stats = tpch_stats(&cat, 1.0);
+        let stats = tpch_sample();
         let strategies = [
             Strategy::CostDp,
             Strategy::MaximizeVisibility,
@@ -640,7 +641,7 @@ mod tests {
                 for q in 1..=mpq_tpch::QUERY_COUNT {
                     let plan = query_plan(&cat, q);
                     let what = format!("Q{q} {scenario:?} {strategy:?} {cap:?}");
-                    let opt = optimize(&plan, &cat, &stats, &env, &cap, strategy)
+                    let opt = optimize(&plan, &cat, stats, &env, &cap, strategy)
                         .unwrap_or_else(|e| panic!("{what}: {e}"));
                     assert!(opt.cost.total() > 0.0, "{what}: zero cost");
                     let report = mpq_core::verify::verify_with_policy(

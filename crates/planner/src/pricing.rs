@@ -62,7 +62,7 @@ pub struct SubjectPrices {
     /// USD per GB of local I/O.
     pub io_per_gb: f64,
     /// USD per GB sent over the network (backbone rate; user edges are
-    /// priced by [`PriceBook::net_price`]).
+    /// priced by `PriceBook::net_price`).
     pub net_per_gb: f64,
     /// Link bandwidth in bits per second.
     pub bandwidth_bps: f64,
@@ -215,7 +215,7 @@ impl PriceBook {
     /// by the edge it rides: any edge touching the user crosses the
     /// client link and pays internet egress; authority/provider edges
     /// stay on the backbone at the sender's rate.
-    pub fn net_price(&self, sender: SubjectId, receiver: SubjectId) -> f64 {
+    pub(crate) fn net_price(&self, sender: SubjectId, receiver: SubjectId) -> f64 {
         if self.users.contains(&sender) || self.users.contains(&receiver) {
             CLIENT_NET_PER_GB
         } else {

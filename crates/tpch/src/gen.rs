@@ -84,12 +84,12 @@ const COLORS: [&str; 10] = [
 ];
 
 /// Start of the order-date range.
-pub fn start_date() -> Date {
+fn start_date() -> Date {
     Date::from_ymd(1992, 1, 1)
 }
 
 /// End of the order-date range (dbgen: 1998-08-02 for orders).
-pub fn end_order_date() -> Date {
+fn end_order_date() -> Date {
     Date::from_ymd(1998, 8, 2)
 }
 
@@ -115,7 +115,7 @@ fn words(rng: &mut StdRng, n: usize) -> String {
 }
 
 /// Table row counts at a scale factor.
-pub fn row_counts(scale: f64) -> [(&'static str, usize); 8] {
+fn row_counts(scale: f64) -> [(&'static str, usize); 8] {
     let sf = scale.max(0.0005);
     [
         ("region", 5),
@@ -388,15 +388,14 @@ pub fn generate(scale: f64, seed: u64) -> (Catalog, Database) {
     (catalog, db)
 }
 
-/// Lineitem count of a generated database (useful for stats).
-pub fn table_len(catalog: &Catalog, db: &Database, name: &str) -> usize {
-    let rel = catalog.relation(name).expect("known relation").rel;
-    db.table(rel).map(Table::len).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn table_len(catalog: &Catalog, db: &Database, name: &str) -> usize {
+        let rel = catalog.relation(name).expect("known relation").rel;
+        db.table(rel).map(Table::len).unwrap_or(0)
+    }
 
     #[test]
     fn deterministic_for_seed() {

@@ -16,19 +16,19 @@
 //!   scale-factor parameterized, reproducing the value distributions
 //!   the 22 queries select on (dates, segments, brands, containers,
 //!   comment patterns, …);
-//! * [`stats`] — column statistics at a given scale factor, standing in
-//!   for the PostgreSQL optimizer estimates the paper's tool consumed;
 //! * [`queries`] — hand-built, PostgreSQL-shaped relational-algebra
 //!   plans for **all 22** TPC-H queries (decorrelated: scalar
 //!   subqueries become joined aggregate branches, EXISTS/IN become
 //!   semi/anti-joins).
+//!
+//! It models no statistics: the stand-in for the PostgreSQL optimizer
+//! estimates the paper's tool consumed is measured from generated data
+//! by `mpq_planner::collect_stats`.
 
 pub mod gen;
 pub mod queries;
 pub mod schema;
-pub mod stats;
 
 pub use gen::generate;
 pub use queries::{query_plan, QUERY_COUNT};
 pub use schema::tpch_catalog;
-pub use stats::tpch_stats;

@@ -161,14 +161,6 @@ fn try_catalog() -> Result<Catalog> {
     Ok(c)
 }
 
-/// The base table an alias mirrors, if `name` is an alias.
-pub fn alias_base(name: &str) -> Option<&'static str> {
-    ALIASES
-        .iter()
-        .find(|(a, _, _)| *a == name)
-        .map(|(_, _, b)| *b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,8 +189,6 @@ mod tests {
             assert_eq!(a.ty, b.ty);
             assert!(b.name.starts_with("l2_"), "{}", b.name);
         }
-        assert_eq!(alias_base("lineitem2"), Some("lineitem"));
-        assert_eq!(alias_base("lineitem"), None);
     }
 
     #[test]

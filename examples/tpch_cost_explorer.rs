@@ -2,14 +2,15 @@
 //!
 //! Optimizes a TPC-H query under the three authorization scenarios and
 //! prints the chosen operator assignments, injected encryption, keys,
-//! and the cost breakdown.
+//! and the cost breakdown, on statistics measured from generated SF
+//! 0.02 data (the sample tier of the Figure 10 pipeline).
 //!
 //! Run with `cargo run --example tpch_cost_explorer -- 5` (defaults to
 //! query 3).
 
 use mpq::core::capability::CapabilityPolicy;
 use mpq::planner::{build_scenario, optimize, Scenario, Strategy};
-use mpq::tpch::{query_plan, tpch_catalog, tpch_stats};
+use mpq::tpch::{query_plan, tpch_catalog};
 
 fn main() {
     let q: usize = std::env::args()
@@ -19,7 +20,7 @@ fn main() {
     assert!((1..=22).contains(&q), "TPC-H defines queries 1–22");
 
     let cat = tpch_catalog();
-    let stats = tpch_stats(&cat, 1.0); // the paper's 1 GB configuration
+    let stats = mpq_bench::sample_stats();
     let plan = query_plan(&cat, q);
     println!("== TPC-H Q{q} plan ==");
     println!("{}", plan.display(&cat));
@@ -29,7 +30,7 @@ fn main() {
         let opt = optimize(
             &plan,
             &cat,
-            &stats,
+            stats,
             &env,
             &CapabilityPolicy::tpch_evaluation(),
             Strategy::CostDp,

@@ -14,32 +14,33 @@ use mpq::core::profile::profile_plan;
 use mpq::core::verify_with_policy;
 use mpq::dist::Session;
 use mpq::exec::{Database, SchemePlan, Table};
+use mpq::planner::stats::{collect_stats, SampleConfig};
 use mpq::planner::{build_scenario, optimize, Scenario, Strategy};
-use mpq::tpch::{generate, query_plan, tpch_catalog, tpch_stats, QUERY_COUNT};
+use mpq::tpch::{generate, query_plan, tpch_catalog, QUERY_COUNT};
+use mpq_bench::sample_stats;
 use mpq_crypto::keyring::{ClusterKey, KeyRing};
 use mpq_fuzz::join_side_encrypts;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 
-/// The plans whose extension encrypts a join side below its join (SF 1
-/// statistics): a pair one side of which would otherwise arrive in
-/// plaintext while its partner arrives encrypted.
-const SPLICED: [(usize, Scenario, Strategy, bool); 4] = [
-    (8, Scenario::UAPenc, Strategy::CostDp, false),
-    (8, Scenario::UAPenc, Strategy::CostDp, true),
+/// The CostDp plans whose extension encrypts a join side below its
+/// join (statistics measured at SF 0.02): a pair one side of which
+/// would otherwise arrive in plaintext while its partner arrives
+/// encrypted.
+const SPLICED: [(usize, Scenario, Strategy, bool); 2] = [
     (17, Scenario::UAPenc, Strategy::CostDp, true),
     (17, Scenario::UAPmix, Strategy::CostDp, true),
 ];
 
 /// Every strategy under both capability policies: the optimizer's
 /// extended plan is authorized for every assignee, verifies clean, and
-/// joins every condition's two sides in one form — the four plans in
+/// joins every condition's two sides in one form — the two plans in
 /// [`SPLICED`] by an `Encrypt` below the join, run by its assignee.
 #[test]
 fn all_queries_all_scenarios_verify() {
     let cat = tpch_catalog();
-    let stats = tpch_stats(&cat, 1.0);
+    let stats = sample_stats();
     let strategies = [
         Strategy::CostDp,
         Strategy::MaximizeVisibility,
@@ -57,7 +58,7 @@ fn all_queries_all_scenarios_verify() {
                 for q in 1..=QUERY_COUNT {
                     let tag = format!("Q{q} {scenario:?} {strategy:?} evaluation={evaluation}");
                     let plan = query_plan(&cat, q);
-                    let opt = optimize(&plan, &cat, &stats, &env, &capabilities, strategy)
+                    let opt = optimize(&plan, &cat, stats, &env, &capabilities, strategy)
                         .unwrap_or_else(|e| panic!("{tag}: {e}"));
                     let ext = &opt.extended;
                     // Re-verify the extended plan against Def. 4.1 for
@@ -103,24 +104,30 @@ fn all_queries_all_scenarios_verify() {
     }
 }
 
-/// Q8 CostDp UAPenc (SF 1 statistics) on generated data through the
-/// one session driver: the plaintext rows, and every data edge
-/// carrying the bytes it carried when the engine encrypted the join's
-/// plaintext side on the fly. Of the request envelopes only U → A2's
-/// grows (726 bytes before).
+/// Q17 CostDp UAPenc on generated data, planned on its measured
+/// statistics, through the one session driver: the join side extension
+/// encrypts runs, the plaintext rows come back, and every edge carries
+/// its pinned bytes.
 #[test]
-fn q8_with_a_spliced_join_side_encrypt_runs_sequentially() {
+fn q17_with_a_spliced_join_side_encrypt_runs_sequentially() {
     let world = World::new();
     let (cat, db) = (&world.cat, &world.db);
     let env = &world.env;
-    let plan = query_plan(cat, 8);
+    let plan = query_plan(cat, 17);
     let capabilities = CapabilityPolicy::tpch_evaluation();
-    let stats = tpch_stats(cat, 1.0);
-    let opt = optimize(&plan, cat, &stats, env, &capabilities, Strategy::CostDp).unwrap();
+    let opt = optimize(
+        &plan,
+        cat,
+        &world.stats,
+        env,
+        &capabilities,
+        Strategy::CostDp,
+    )
+    .unwrap();
     assert_eq!(join_side_encrypts(&opt.extended).len(), 1);
     let mut session = Session::open(cat, &env.subjects, &env.policy, db, 7);
     let report = session.execute(&opt.extended, &opt.keys, env.user).unwrap();
-    assert_same_rows(8, &run_plain(cat, db, &plan), &report.result);
+    assert_same_rows(17, &run_plain(cat, db, &plan), &report.result);
     let edges = |bytes: &HashMap<(SubjectId, SubjectId), usize>, skip: &HashMap<_, _>| {
         let mut out: Vec<(usize, usize, usize)> = (bytes.iter())
             .filter(|(edge, _)| !skip.contains_key(*edge))
@@ -132,18 +139,18 @@ fn q8_with_a_spliced_join_side_encrypt_runs_sequentially() {
     let none = HashMap::new();
     assert_eq!(
         edges(&report.transfers, &report.request_bytes),
-        [(0, 3, 1_047_129), (1, 2, 377), (1, 3, 1_520), (3, 2, 804)]
+        [(0, 2, 6_400), (0, 3, 605_600), (1, 3, 16), (3, 2, 1_500)]
     );
     assert_eq!(
         edges(&report.request_bytes, &none),
-        [(2, 0, 888), (2, 1, 739), (2, 3, 463)]
+        [(2, 0, 437), (2, 1, 295), (2, 3, 238)]
     );
 }
 
 #[test]
 fn scenario_costs_are_monotone() {
     let cat = tpch_catalog();
-    let stats = tpch_stats(&cat, 1.0);
+    let stats = sample_stats();
     let mut totals = [0.0f64; 3];
     for (i, scenario) in Scenario::ALL.iter().enumerate() {
         let env = build_scenario(&cat, *scenario);
@@ -152,7 +159,7 @@ fn scenario_costs_are_monotone() {
             let opt = optimize(
                 &plan,
                 &cat,
-                &stats,
+                stats,
                 &env,
                 &CapabilityPolicy::tpch_evaluation(),
                 Strategy::CostDp,
@@ -256,7 +263,7 @@ struct World {
 impl World {
     fn new() -> World {
         let (cat, db) = generate(0.002, 20_260_609);
-        let stats = tpch_stats(&cat, 0.002);
+        let stats = collect_stats(&cat, &db, &SampleConfig::default());
         let env = build_scenario(&cat, Scenario::UAPenc);
         World {
             cat,
@@ -389,14 +396,14 @@ fn minimize_visibility_plans_match_plaintext_or_refuse_typed() {
 #[test]
 fn ablation_minimal_extension_encrypts_least() {
     let cat = tpch_catalog();
-    let stats = tpch_stats(&cat, 1.0);
+    let stats = sample_stats();
     let env = build_scenario(&cat, Scenario::UAPenc);
     for q in [3, 5, 10] {
         let plan = query_plan(&cat, q);
         let minimal = optimize(
             &plan,
             &cat,
-            &stats,
+            stats,
             &env,
             &CapabilityPolicy::tpch_evaluation(),
             Strategy::CostDp,
@@ -405,7 +412,7 @@ fn ablation_minimal_extension_encrypts_least() {
         let min_vis = optimize(
             &plan,
             &cat,
-            &stats,
+            stats,
             &env,
             &CapabilityPolicy::tpch_evaluation(),
             Strategy::MinimizeVisibility,
