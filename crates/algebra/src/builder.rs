@@ -6,38 +6,141 @@
 //! therefore:
 //!
 //! 1. pushes projections into the leaves (each [`Operator::Base`]
-//!    retrieves only the attributes the query touches);
-//! 2. pushes single-relation selections directly above their leaf;
-//! 3. builds a left-deep join tree in `FROM` order, turning
-//!    cross-relation equality conjuncts into join conditions (falling
-//!    back to a cartesian product when no condition links a table);
-//! 4. materializes computed grouping expressions as µ (udf) nodes so
+//!    retrieves only the attributes the statement touches, its
+//!    subqueries included);
+//! 2. pushes single-relation selections directly above their leaf, and
+//!    an `ON` conjunct over the joined item alone below its join;
+//! 3. builds a left-deep join tree in `FROM` order, each item's subtree
+//!    (a leaf, or a derived table `(SELECT …) name`) built just before
+//!    it is joined, so node ids come out in postorder. A comparison of
+//!    two base relations' columns in `WHERE` becomes a join condition;
+//!    a derived table joins through its own `[LEFT OUTER] JOIN … ON`
+//!    only. An item no condition links is a cartesian product, and the
+//!    remaining multi-relation conjuncts a selection above the joins;
+//! 4. plans each `[NOT] EXISTS (…)` and `x [NOT] IN (SELECT y …)`
+//!    conjunct as a Semi (Anti) join, after its statement's `FROM` joins
+//!    and their selection, in `WHERE` order: `x = y` and a correlated
+//!    outer = inner equality become its condition, any other correlated
+//!    conjunct its residual;
+//! 5. materializes computed grouping expressions as µ (udf) nodes so
 //!    that group keys are always attributes, matching the paper's
 //!    operator signatures;
-//! 5. lowers aggregates into a γ node and rewrites `HAVING` /
-//!    `ORDER BY` references into positional [`Expr::AggRef`]s.
+//! 6. lowers aggregates into a γ node, each output named after one of
+//!    its input attributes (the one its `AS` names, else the first), and
+//!    rewrites `HAVING` / `ORDER BY` references into positional
+//!    [`Expr::AggRef`]s;
+//! 7. projects a plain outermost `SELECT` to its list, before `ORDER BY`
+//!    / `LIMIT` when every sort key is listed and after them otherwise;
+//!    a subquery's select list adds no projection.
+//!
+//! Attribute names are global, so a relation appears at most once in a
+//! statement, subqueries included; a second scan reads an alias
+//! relation of the catalog.
 
 use crate::catalog::Catalog;
 use crate::error::{AlgebraError, Result};
 use crate::expr::{AggExpr, AggFunc, ArithOp, CmpOp, DateField, Expr};
-use crate::ids::{AttrId, NodeId, RelId};
+use crate::ids::{AttrId, NodeId};
 use crate::plan::{JoinKind, Operator, QueryPlan};
-use crate::sql::{AstExpr, IntervalUnit, SelectStmt};
-use crate::value::Value;
+use crate::sql::{AstExpr, IntervalUnit, SelectStmt, TableRef};
+use crate::value::{Date, Value};
 use crate::AttrSet;
 use std::collections::HashMap;
 
 /// Parse SQL and build a plan in one step.
 pub fn plan_sql(catalog: &Catalog, sql: &str) -> Result<QueryPlan> {
     let stmt = crate::sql::parse_select(sql)?;
-    build_plan(catalog, &stmt)
+    let mut names = Names::default();
+    names.stmt(&stmt);
+    let mut seen = names.rels.iter().enumerate();
+    if let Some((_, rel)) = seen.find(|(i, r)| names.rels[..*i].contains(r)) {
+        let alias = (catalog.relations().iter())
+            .map(|r| r.name.to_ascii_lowercase())
+            .find(|n| {
+                let digits = n.strip_prefix(rel.as_str()).unwrap_or("");
+                !digits.is_empty()
+                    && digits.bytes().all(|b| b.is_ascii_digit())
+                    && !names.rels.contains(n)
+            });
+        return Err(AlgebraError::Semantic(format!(
+            "relation {rel} appears twice in one statement; scan it again through an alias \
+             relation{}",
+            alias.map(|a| format!(" such as {a}")).unwrap_or_default()
+        )));
+    }
+    let mut demand = AttrSet::new();
+    for name in &names.cols {
+        match catalog.attr(name) {
+            Ok(a) => {
+                demand.insert(a);
+            }
+            Err(e) if !names.aliases.contains(name) => return Err(e),
+            Err(_) => {}
+        }
+    }
+    let mut tree = Tree {
+        plan: QueryPlan::new(),
+        demand,
+    };
+    let (root, _, outer) = Builder::new(catalog, &stmt).build(&mut tree, true)?;
+    if !outer.is_empty() {
+        return Err(AlgebraError::Semantic(
+            "a WHERE conjunct reads a relation its FROM does not name".into(),
+        ));
+    }
+    tree.plan.set_root(root);
+    tree.plan.validate(catalog)?;
+    Ok(tree.plan)
 }
 
-/// Build a [`QueryPlan`] from a parsed statement.
-fn build_plan(catalog: &Catalog, stmt: &SelectStmt) -> Result<QueryPlan> {
-    Builder::new(catalog, stmt)?.run()
+/// Every relation, column and select-item alias a statement names, its
+/// subqueries included.
+#[derive(Default)]
+struct Names {
+    rels: Vec<String>,
+    cols: Vec<String>,
+    aliases: Vec<String>,
 }
 
+impl Names {
+    fn stmt(&mut self, s: &SelectStmt) {
+        for item in &s.items {
+            self.expr(&item.expr);
+            self.aliases.extend(item.alias.clone());
+        }
+        for t in &s.from {
+            match &t.query {
+                Some(q) => self.stmt(q),
+                None => self.rels.push(t.name.clone()),
+            }
+            t.join_on.iter().for_each(|on| self.expr(on));
+        }
+        let order = s.order_by.iter().map(|(e, _)| e);
+        s.where_
+            .iter()
+            .chain(&s.having)
+            .chain(order)
+            .for_each(|e| self.expr(e));
+        self.cols.extend(s.group_by.iter().cloned());
+    }
+
+    fn expr(&mut self, e: &AstExpr) {
+        match e {
+            AstExpr::Col(n) => self.cols.push(n.clone()),
+            AstExpr::Sub(_, q, _) => self.stmt(q),
+            _ => {}
+        }
+        e.children().into_iter().for_each(|c| self.expr(c));
+    }
+}
+
+/// The plan under construction, and the attributes its statement reads.
+struct Tree {
+    plan: QueryPlan,
+    demand: AttrSet,
+}
+
+/// One `SELECT` (the statement, or one of its subqueries) being built.
 struct Builder<'a> {
     catalog: &'a Catalog,
     stmt: &'a SelectStmt,
@@ -48,165 +151,192 @@ struct Builder<'a> {
 }
 
 impl<'a> Builder<'a> {
-    fn new(catalog: &'a Catalog, stmt: &'a SelectStmt) -> Result<Self> {
-        let mut aliases = HashMap::new();
-        for (i, item) in stmt.items.iter().enumerate() {
-            if let Some(a) = &item.alias {
-                aliases.insert(a.to_ascii_lowercase(), i);
-            }
-        }
-        Ok(Builder {
+    fn new(catalog: &'a Catalog, stmt: &'a SelectStmt) -> Self {
+        let aliases = (stmt.items.iter().enumerate())
+            .filter_map(|(i, item)| Some((item.alias.clone()?, i)))
+            .collect();
+        Builder {
             catalog,
             stmt,
             aggs: Vec::new(),
             aliases,
-        })
+        }
     }
 
-    fn run(mut self) -> Result<QueryPlan> {
-        // ---- name resolution & per-relation attribute demand ----------
-        let mut rels: Vec<RelId> = Vec::new();
-        for t in &self.stmt.from {
-            rels.push(self.catalog.relation(&t.name)?.rel);
+    /// The attributes a `FROM` item reads: its relation's demanded
+    /// columns, or every such column of a derived table's relations.
+    fn reach(&self, t: &TableRef, demand: &AttrSet) -> Result<AttrSet> {
+        match &t.query {
+            None => Ok(self.catalog.relation(&t.name)?.attr_set().intersect(demand)),
+            Some(q) => q.from.iter().try_fold(AttrSet::new(), |acc, t| {
+                Ok(acc.union(&self.reach(t, demand)?))
+            }),
         }
-        let mut demand: AttrSet = AttrSet::new();
-        let mut scratch = Vec::new();
-        for item in &self.stmt.items {
-            collect_cols(&item.expr, &mut scratch);
-        }
-        for t in &self.stmt.from {
-            if let Some(on) = &t.join_on {
-                collect_cols(on, &mut scratch);
-            }
-        }
-        if let Some(w) = &self.stmt.where_ {
-            collect_cols(w, &mut scratch);
-        }
-        if let Some(h) = &self.stmt.having {
-            collect_cols(h, &mut scratch);
-        }
-        for (e, _) in &self.stmt.order_by {
-            collect_cols(e, &mut scratch);
-        }
-        for g in &self.stmt.group_by {
-            if !self.aliases.contains_key(g) {
-                scratch.push(g.clone());
-            }
-        }
-        for name in &scratch {
-            // Select-item aliases (e.g. HAVING/ORDER BY referencing an
-            // aggregate alias) are not base attributes; their underlying
-            // columns are already collected from the select items.
-            if self.aliases.contains_key(name) {
-                continue;
-            }
-            demand.insert(self.catalog.attr(name)?);
-        }
+    }
 
-        // ---- leaves with pushed-down projections ----------------------
-        let mut plan = QueryPlan::new();
-        let mut subtrees: Vec<(NodeId, AttrSet)> = Vec::new();
-        for &rel in &rels {
-            let rd = self.catalog.rel(rel);
-            let attrs: Vec<AttrId> = rd
-                .columns
-                .iter()
-                .map(|c| c.attr)
-                .filter(|a| demand.contains(*a))
-                .collect();
-            if attrs.is_empty() {
-                return Err(AlgebraError::Semantic(format!(
-                    "relation {} contributes no attributes to the query",
-                    rd.name
-                )));
-            }
-            let set: AttrSet = attrs.iter().copied().collect();
-            let id = plan.add_base(rel, attrs);
-            subtrees.push((id, set));
-        }
+    /// Build this statement's subtree. Returns its root, the attributes
+    /// its `FROM` items read, and the `WHERE` conjuncts that read an
+    /// enclosing statement's relations (a subquery's correlation).
+    fn build(&mut self, tree: &mut Tree, top: bool) -> Result<(NodeId, AttrSet, Vec<Expr>)> {
+        let from = &self.stmt.from;
+        let sets = (from.iter())
+            .map(|t| self.reach(t, &tree.demand))
+            .collect::<Result<Vec<_>>>()?;
+        let own = sets.iter().fold(AttrSet::new(), |acc, s| acc.union(s));
 
-        // ---- classify WHERE conjuncts ---------------------------------
-        let mut local: Vec<(usize, Expr)> = Vec::new(); // (subtree idx, pred)
-        let mut join_conds: Vec<(AttrId, CmpOp, AttrId)> = Vec::new();
-        let mut residual: Vec<Expr> = Vec::new();
-        if let Some(w) = &self.stmt.where_ {
-            let pred = self.lower_scalar(w)?;
-            for conj in flatten_and(pred) {
-                self.place_conjunct(conj, &subtrees, &mut local, &mut join_conds, &mut residual);
-            }
-        }
-
-        // Push single-relation selections onto their leaves.
-        // Group conjuncts per subtree to emit one Select per leaf.
-        let mut per_tree: Vec<Vec<Expr>> = vec![Vec::new(); subtrees.len()];
-        for (i, e) in local {
-            per_tree[i].push(e);
-        }
-        for (i, preds) in per_tree.into_iter().enumerate() {
-            if !preds.is_empty() {
-                let pred = preds
-                    .into_iter()
-                    .reduce(Expr::and)
-                    .expect("non-empty preds");
-                let (node, set) = subtrees[i].clone();
-                let sel = plan.add(Operator::Select { pred }, vec![node]);
-                subtrees[i] = (sel, set);
-            }
-        }
-
-        // ---- left-deep join tree ---------------------------------------
-        let (mut cur, mut cur_set) = subtrees[0].clone();
-        for (i, t) in self.stmt.from.iter().enumerate().skip(1) {
-            let (right, right_set) = subtrees[i].clone();
-            let mut on: Vec<(AttrId, CmpOp, AttrId)> = Vec::new();
-            let mut res: Vec<Expr> = Vec::new();
-            if let Some(cond) = &t.join_on {
-                let lowered = self.lower_scalar(cond)?;
-                for conj in flatten_and(lowered) {
-                    match split_join_cond(&conj, &cur_set, &right_set) {
-                        Some(c) => on.push(c),
-                        None => res.push(conj),
+        // ---- classify ON and WHERE conjuncts ----------------------------
+        let mut local: Vec<Vec<Expr>> = vec![Vec::new(); from.len()];
+        let mut on: Vec<Vec<(AttrId, CmpOp, AttrId)>> = vec![Vec::new(); from.len()];
+        let mut res: Vec<Vec<Expr>> = vec![Vec::new(); from.len()];
+        let mut left = AttrSet::new();
+        for (i, t) in from.iter().enumerate() {
+            for conj in t.join_on.iter().map(|c| self.lower_scalar(c)) {
+                for conj in flatten_and(conj?) {
+                    if conj.attrs().is_subset(&sets[i]) {
+                        local[i].push(conj);
+                    } else if let Some(c) = split_join_cond(&conj, &left, &sets[i]) {
+                        on[i].push(c);
+                    } else {
+                        res[i].push(conj);
                     }
                 }
             }
-            // Pull applicable WHERE-derived join conditions.
-            let mut rest = Vec::new();
-            for c in join_conds.drain(..) {
-                let (l, _, r) = c;
-                if cur_set.contains(l) && right_set.contains(r) {
-                    on.push(c);
-                } else if cur_set.contains(r) && right_set.contains(l) {
-                    on.push((c.2, c.1.flipped(), c.0));
+            left.union_with(&sets[i]);
+        }
+        let base = |a: &Expr| match a {
+            Expr::Col(a) => {
+                (from.iter().zip(&sets)).any(|(t, s)| t.query.is_none() && s.contains(*a))
+            }
+            _ => false,
+        };
+        let (mut join_conds, mut residual, mut correlated, mut subs) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for conj in self.stmt.where_.iter().flat_map(ast_conjuncts) {
+            if let AstExpr::Sub(lhs, query, negated) = conj {
+                subs.push((lhs, query, *negated));
+                continue;
+            }
+            for e in flatten_and(self.lower_scalar(conj)?) {
+                let attrs = e.attrs();
+                if !attrs.is_subset(&own) {
+                    correlated.push(e);
+                } else if let Some(i) = sets.iter().position(|s| attrs.is_subset(s)) {
+                    local[i].push(e);
+                } else if matches!(&e, Expr::Cmp(a, _, b) if base(a) && base(b)) {
+                    join_conds.push(e);
                 } else {
-                    rest.push(c);
+                    residual.push(e);
                 }
             }
-            join_conds = rest;
-            let combined = cur_set.union(&right_set);
-            cur = if on.is_empty() && res.is_empty() {
-                plan.add(Operator::Product, vec![cur, right])
-            } else {
-                let residual_pred = res.into_iter().reduce(Expr::and);
-                plan.add(
-                    Operator::Join {
-                        kind: JoinKind::Inner,
-                        on,
-                        residual: residual_pred,
-                    },
-                    vec![cur, right],
-                )
-            };
-            cur_set = combined;
-        }
-        // Any join condition never absorbed becomes a residual selection,
-        // as do multi-relation non-equi conjuncts.
-        for (l, op, r) in join_conds {
-            residual.push(Expr::cmp(Expr::Col(l), op, Expr::Col(r)));
-        }
-        if let Some(pred) = residual.into_iter().reduce(Expr::and) {
-            cur = plan.add(Operator::Select { pred }, vec![cur]);
         }
 
+        // ---- left-deep join tree, each item built just before its join --
+        let mut cur: Option<(NodeId, AttrSet)> = None;
+        for (i, t) in from.iter().enumerate() {
+            let mut node = match &t.query {
+                None => {
+                    let rd = self.catalog.relation(&t.name)?;
+                    let attrs: Vec<AttrId> = rd
+                        .attrs()
+                        .into_iter()
+                        .filter(|a| sets[i].contains(*a))
+                        .collect();
+                    if attrs.is_empty() {
+                        return Err(AlgebraError::Semantic(format!(
+                            "relation {} contributes no attributes to the query",
+                            rd.name
+                        )));
+                    }
+                    tree.plan.add_base(rd.rel, attrs)
+                }
+                Some(q) => {
+                    let (node, _, outer) = Builder::new(self.catalog, q).build(tree, false)?;
+                    if !outer.is_empty() {
+                        return Err(AlgebraError::Semantic(format!(
+                            "derived table {} reads a relation its FROM does not name",
+                            t.name
+                        )));
+                    }
+                    node
+                }
+            };
+            if let Some(pred) = std::mem::take(&mut local[i]).into_iter().reduce(Expr::and) {
+                node = tree.plan.add(Operator::Select { pred }, vec![node]);
+            }
+            cur = Some(match cur {
+                None => (node, sets[i].clone()),
+                Some((l, lset)) => {
+                    let mut conds = std::mem::take(&mut on[i]);
+                    if t.query.is_none() {
+                        join_conds.retain(|c| match split_join_cond(c, &lset, &sets[i]) {
+                            Some(c) => {
+                                conds.push(c);
+                                false
+                            }
+                            None => true,
+                        });
+                    }
+                    let residual = std::mem::take(&mut res[i]).into_iter().reduce(Expr::and);
+                    let kind = if t.outer {
+                        JoinKind::LeftOuter
+                    } else {
+                        JoinKind::Inner
+                    };
+                    let op = if conds.is_empty() && residual.is_none() && !t.outer {
+                        Operator::Product
+                    } else {
+                        Operator::Join {
+                            kind,
+                            on: conds,
+                            residual,
+                        }
+                    };
+                    (tree.plan.add(op, vec![l, node]), lset.union(&sets[i]))
+                }
+            });
+        }
+        let (mut cur, cur_set) = cur.expect("the parser reads at least one FROM item");
+        // Any join condition never absorbed becomes a residual selection,
+        // as do multi-relation non-equi conjuncts.
+        if let Some(pred) = residual.into_iter().chain(join_conds).reduce(Expr::and) {
+            cur = tree.plan.add(Operator::Select { pred }, vec![cur]);
+        }
+
+        // ---- [NOT] EXISTS / [NOT] IN subqueries as Semi/Anti joins ---------
+        for (lhs, query, negated) in subs {
+            let mut inner = Builder::new(self.catalog, query);
+            let (node, inner_set, outer) = inner.build(tree, false)?;
+            let mut conds = Vec::new();
+            if let Some(lhs) = lhs {
+                let first = query.items.first().map(|i| inner.lower_scalar(&i.expr));
+                match (self.lower_scalar(lhs)?, first.transpose()?) {
+                    (Expr::Col(x), Some(Expr::Col(y))) => conds.push((x, CmpOp::Eq, y)),
+                    _ => {
+                        return Err(AlgebraError::Semantic(
+                            "IN (SELECT …) compares a column with the subquery's first column"
+                                .into(),
+                        ))
+                    }
+                }
+            }
+            let mut residual = Vec::new();
+            for e in outer {
+                match split_join_cond(&e, &cur_set, &inner_set) {
+                    Some(c) if c.1 == CmpOp::Eq => conds.push(c),
+                    _ => residual.push(e),
+                }
+            }
+            let op = Operator::Join {
+                kind: if negated {
+                    JoinKind::Anti
+                } else {
+                    JoinKind::Semi
+                },
+                on: conds,
+                residual: residual.into_iter().reduce(Expr::and),
+            };
+            cur = tree.plan.add(op, vec![cur, node]);
+        }
         // ---- grouping & aggregation ------------------------------------
         let has_aggs = self.statement_has_aggregates();
         if has_aggs || !self.stmt.group_by.is_empty() {
@@ -224,7 +354,7 @@ impl<'a> Builder<'a> {
                                     "group key {g} references no attributes"
                                 ))
                             })?;
-                            cur = plan.add(
+                            cur = tree.plan.add(
                                 Operator::Udf {
                                     name: g.clone(),
                                     inputs,
@@ -242,13 +372,13 @@ impl<'a> Builder<'a> {
             }
             // Collect aggregates from select, having, order-by.
             for item in &self.stmt.items {
-                self.collect_aggs(&item.expr, &keys)?;
+                self.collect_aggs(&item.expr, &keys, item.alias.as_deref())?;
             }
             if let Some(h) = &self.stmt.having {
-                self.collect_aggs(h, &keys)?;
+                self.collect_aggs(h, &keys, None)?;
             }
             for (e, _) in &self.stmt.order_by {
-                self.collect_aggs(e, &keys)?;
+                self.collect_aggs(e, &keys, None)?;
             }
             // Non-aggregate select items must be group keys.
             for item in &self.stmt.items {
@@ -264,7 +394,7 @@ impl<'a> Builder<'a> {
                     }
                 }
             }
-            cur = plan.add(
+            cur = tree.plan.add(
                 Operator::GroupBy {
                     keys,
                     aggs: self.aggs.clone(),
@@ -273,93 +403,75 @@ impl<'a> Builder<'a> {
             );
             if let Some(h) = &self.stmt.having {
                 let pred = self.lower_with_agg_refs(h)?;
-                cur = plan.add(Operator::Having { pred }, vec![cur]);
+                cur = tree.plan.add(Operator::Having { pred }, vec![cur]);
             }
         } else if self.stmt.having.is_some() {
             return Err(AlgebraError::Semantic("HAVING requires aggregation".into()));
         }
 
         // ---- order by / limit / final projection ------------------------
-        if !self.stmt.order_by.is_empty() {
-            let mut sort_keys = Vec::new();
-            for (e, asc) in &self.stmt.order_by {
-                sort_keys.push((self.lower_with_agg_refs(e)?, *asc));
-            }
-            cur = plan.add(Operator::Sort { keys: sort_keys }, vec![cur]);
+        let plain = top && !has_aggs && self.stmt.group_by.is_empty();
+        let sort_keys = (self.stmt.order_by.iter())
+            .map(|(e, asc)| Ok((self.lower_with_agg_refs(e)?, *asc)))
+            .collect::<Result<Vec<_>>>()?;
+        let early = plain && {
+            let listed = (self.stmt.items.iter())
+                .map(|i| self.lower_scalar(&i.expr))
+                .collect::<Result<Vec<_>>>()?;
+            sort_keys.iter().all(|(k, _)| listed.contains(k))
+        };
+        if early {
+            cur = self.project(tree, cur)?;
+        }
+        if !sort_keys.is_empty() {
+            cur = tree.plan.add(Operator::Sort { keys: sort_keys }, vec![cur]);
         }
         if let Some(n) = self.stmt.limit {
-            cur = plan.add(Operator::Limit { n }, vec![cur]);
+            cur = tree.plan.add(Operator::Limit { n }, vec![cur]);
         }
-        if !has_aggs && self.stmt.group_by.is_empty() {
-            // Plain projection queries: project to the select list.
-            let mut attrs = Vec::new();
-            let mut all_plain = true;
-            for item in &self.stmt.items {
-                match self.lower_scalar(&item.expr)? {
-                    Expr::Col(a) => attrs.push(a),
-                    computed => {
-                        // Computed select item: materialize as µ.
-                        let inputs: Vec<AttrId> = computed.attrs().iter().collect();
-                        if let Some(&out) = inputs.first() {
-                            cur = plan.add(
-                                Operator::Udf {
-                                    name: item.alias.clone().unwrap_or_else(|| "expr".to_string()),
-                                    inputs,
-                                    output: out,
-                                    body: Some(computed),
-                                },
-                                vec![cur],
-                            );
-                            attrs.push(out);
-                        } else {
-                            all_plain = false;
-                        }
+        if plain && !early {
+            cur = self.project(tree, cur)?;
+        }
+        Ok((cur, own, correlated))
+    }
+
+    /// Project a plain query to its select list, materializing computed
+    /// items as µ nodes.
+    fn project(&self, tree: &mut Tree, mut cur: NodeId) -> Result<NodeId> {
+        let mut attrs = Vec::new();
+        let mut all_plain = true;
+        for item in &self.stmt.items {
+            match self.lower_scalar(&item.expr)? {
+                Expr::Col(a) => attrs.push(a),
+                computed => {
+                    let inputs: Vec<AttrId> = computed.attrs().iter().collect();
+                    if let Some(&out) = inputs.first() {
+                        cur = tree.plan.add(
+                            Operator::Udf {
+                                name: item.alias.clone().unwrap_or_else(|| "expr".to_string()),
+                                inputs,
+                                output: out,
+                                body: Some(computed),
+                            },
+                            vec![cur],
+                        );
+                        attrs.push(out);
+                    } else {
+                        all_plain = false;
                     }
                 }
             }
-            let schema = plan.schemas()[cur.index()].clone();
-            let target: AttrSet = attrs.iter().copied().collect();
-            if all_plain && target != schema && !attrs.is_empty() {
-                cur = plan.add(Operator::Project { attrs }, vec![cur]);
-            }
         }
-        plan.set_root(cur);
-        plan.validate(self.catalog)?;
-        Ok(plan)
+        let target: AttrSet = attrs.iter().copied().collect();
+        if all_plain && target != tree.plan.schemas()[cur.index()] && !attrs.is_empty() {
+            cur = tree.plan.add(Operator::Project { attrs }, vec![cur]);
+        }
+        Ok(cur)
     }
-
     fn statement_has_aggregates(&self) -> bool {
         self.stmt.items.iter().any(|i| contains_agg(&i.expr))
             || self.stmt.having.as_ref().is_some_and(contains_agg)
             || self.stmt.order_by.iter().any(|(e, _)| contains_agg(e))
-    }
-
-    fn place_conjunct(
-        &self,
-        conj: Expr,
-        subtrees: &[(NodeId, AttrSet)],
-        local: &mut Vec<(usize, Expr)>,
-        join_conds: &mut Vec<(AttrId, CmpOp, AttrId)>,
-        residual: &mut Vec<Expr>,
-    ) {
-        let attrs = conj.attrs();
-        // Single-relation conjunct?
-        if let Some((i, _)) = subtrees
-            .iter()
-            .enumerate()
-            .find(|(_, (_, set))| attrs.is_subset(set))
-        {
-            local.push((i, conj));
-            return;
-        }
-        // Cross-relation simple comparison?
-        if let Expr::Cmp(a, op, b) = &conj {
-            if let (Expr::Col(l), Expr::Col(r)) = (a.as_ref(), b.as_ref()) {
-                join_conds.push((*l, *op, *r));
-                return;
-            }
-        }
-        residual.push(conj);
     }
 
     /// Lower an AST expression that must not contain aggregates.
@@ -385,40 +497,14 @@ impl<'a> Builder<'a> {
                 // resolve to the attribute their µ node outputs.
                 if let Some(&idx) = self.aliases.get(name) {
                     let item = &self.stmt.items[idx].expr;
-                    match item {
-                        AstExpr::Agg(f, inner) => {
-                            if let Some(aggs) = aggs {
-                                let target = self.make_agg(f, inner, &[])?;
-                                if let Some(pos) = aggs.iter().position(|a| *a == target) {
-                                    return Ok(Expr::AggRef(pos));
-                                }
-                            }
-                        }
-                        AstExpr::CountStar => {
-                            if let Some(aggs) = aggs {
-                                if let Some(pos) = aggs.iter().position(|a| {
-                                    a.func == AggFunc::Count && a.input == Expr::Lit(Value::Int(1))
-                                }) {
-                                    return Ok(Expr::AggRef(pos));
-                                }
-                            }
-                        }
-                        other if !contains_agg(other) => {
-                            let lowered = self.lower(other, None)?;
-                            return Ok(match lowered {
-                                Expr::Col(a) => Expr::Col(a),
-                                computed => {
-                                    // The µ node materializing this item
-                                    // names its output after the first
-                                    // referenced attribute.
-                                    match computed.attrs().iter().next() {
-                                        Some(a) => Expr::Col(a),
-                                        None => computed,
-                                    }
-                                }
-                            });
-                        }
-                        _ => {}
+                    if !contains_agg(item) {
+                        let lowered = self.lower(item, None)?;
+                        return Ok(match lowered.attrs().iter().next() {
+                            Some(a) => Expr::Col(a),
+                            None => lowered,
+                        });
+                    } else if aggs.is_some() {
+                        return self.lower(item, aggs);
                     }
                 }
                 Expr::Col(self.catalog.attr(name)?)
@@ -429,37 +515,26 @@ impl<'a> Builder<'a> {
                     "INTERVAL literal outside date arithmetic".into(),
                 ))
             }
-            AstExpr::Agg(f, inner) => match aggs {
-                Some(list) => {
-                    let target = self.make_agg(f, inner, &[])?;
-                    let pos = list
-                        .iter()
-                        .position(|a| *a == target)
-                        .ok_or_else(|| AlgebraError::Semantic("aggregate not registered".into()))?;
-                    Expr::AggRef(pos)
-                }
-                None => {
+            AstExpr::Agg(..) | AstExpr::CountStar => {
+                let Some(list) = aggs else {
                     return Err(AlgebraError::Semantic(
                         "aggregate in scalar-only context".into(),
-                    ))
-                }
-            },
-            AstExpr::CountStar => match aggs {
-                Some(list) => {
-                    let pos = list
-                        .iter()
-                        .position(|a| {
-                            a.func == AggFunc::Count && a.input == Expr::Lit(Value::Int(1))
-                        })
-                        .ok_or_else(|| AlgebraError::Semantic("count(*) not registered".into()))?;
-                    Expr::AggRef(pos)
-                }
-                None => {
-                    return Err(AlgebraError::Semantic(
-                        "count(*) in scalar-only context".into(),
-                    ))
-                }
-            },
+                    ));
+                };
+                let (func, input) = match e {
+                    AstExpr::Agg(f, inner) => (*f, self.lower_scalar(inner)?),
+                    _ => (AggFunc::Count, Expr::Lit(Value::Int(1))),
+                };
+                let pos = (list.iter())
+                    .position(|a| a.func == func && a.input == input)
+                    .ok_or_else(|| AlgebraError::Semantic("aggregate not registered".into()))?;
+                Expr::AggRef(pos)
+            }
+            AstExpr::Sub(..) => {
+                return Err(AlgebraError::Semantic(
+                    "a subquery stands only as a WHERE conjunct".into(),
+                ))
+            }
             AstExpr::Cmp(a, op, b) => Expr::cmp(self.lower(a, aggs)?, *op, self.lower(b, aggs)?),
             AstExpr::And(v) => Expr::And(
                 v.iter()
@@ -538,70 +613,45 @@ impl<'a> Builder<'a> {
         }
     }
 
-    fn make_agg(&self, f: &AggFunc, inner: &AstExpr, keys: &[AttrId]) -> Result<AggExpr> {
+    /// The aggregate `f(inner)`, its output named `alias` when that is
+    /// one of its input attributes, else its first input attribute, else
+    /// the first group key.
+    fn make_agg(
+        &self,
+        f: AggFunc,
+        inner: &AstExpr,
+        keys: &[AttrId],
+        alias: Option<&str>,
+    ) -> Result<AggExpr> {
         let input = self.lower_scalar(inner)?;
         let ins = input.attrs();
-        let output = ins
-            .iter()
-            .next()
+        let named = alias.and_then(|a| self.catalog.attr(a).ok());
+        let output = (named.filter(|a| ins.contains(*a)))
+            .or_else(|| ins.iter().next())
             .or_else(|| keys.first().copied())
             .ok_or_else(|| AlgebraError::Semantic("aggregate references no attribute".into()))?;
         Ok(AggExpr {
-            func: *f,
+            func: f,
             input,
             output,
         })
     }
 
-    fn collect_aggs(&mut self, e: &AstExpr, keys: &[AttrId]) -> Result<()> {
-        match e {
-            AstExpr::Agg(f, inner) => {
-                let ag = self.make_agg(f, inner, keys)?;
-                if !self.aggs.contains(&ag) {
-                    self.aggs.push(ag);
+    fn collect_aggs(&mut self, e: &AstExpr, keys: &[AttrId], alias: Option<&str>) -> Result<()> {
+        let ag = match e {
+            AstExpr::Agg(f, inner) => self.make_agg(*f, inner, keys, alias)?,
+            AstExpr::CountStar => AggExpr::count_star(keys.first().copied().ok_or_else(|| {
+                AlgebraError::Semantic("count(*) without GROUP BY keys needs a named column".into())
+            })?),
+            other => {
+                for c in other.children() {
+                    self.collect_aggs(c, keys, None)?;
                 }
+                return Ok(());
             }
-            AstExpr::CountStar => {
-                let output = keys.first().copied().ok_or_else(|| {
-                    AlgebraError::Semantic(
-                        "count(*) without GROUP BY keys needs a named column".into(),
-                    )
-                })?;
-                let ag = AggExpr::count_star(output);
-                if !self.aggs.contains(&ag) {
-                    self.aggs.push(ag);
-                }
-            }
-            AstExpr::Cmp(a, _, b) | AstExpr::Arith(a, _, b) => {
-                self.collect_aggs(a, keys)?;
-                self.collect_aggs(b, keys)?;
-            }
-            AstExpr::And(v) | AstExpr::Or(v) => {
-                for x in v {
-                    self.collect_aggs(x, keys)?;
-                }
-            }
-            AstExpr::Not(x)
-            | AstExpr::Like(x, _, _)
-            | AstExpr::IsNull(x, _)
-            | AstExpr::ExtractYear(x)
-            | AstExpr::Substring(x, _, _) => self.collect_aggs(x, keys)?,
-            AstExpr::Between(a, lo, hi, _) => {
-                self.collect_aggs(a, keys)?;
-                self.collect_aggs(lo, keys)?;
-                self.collect_aggs(hi, keys)?;
-            }
-            AstExpr::InList(x, _, _) => self.collect_aggs(x, keys)?,
-            AstExpr::Case(branches, else_) => {
-                for (c, v) in branches {
-                    self.collect_aggs(c, keys)?;
-                    self.collect_aggs(v, keys)?;
-                }
-                if let Some(x) = else_ {
-                    self.collect_aggs(x, keys)?;
-                }
-            }
-            AstExpr::Col(_) | AstExpr::Lit(_) | AstExpr::Interval(..) => {}
+        };
+        if !(self.aggs.iter()).any(|a| a.func == ag.func && a.input == ag.input) {
+            self.aggs.push(ag);
         }
         Ok(())
     }
@@ -612,22 +662,31 @@ enum IntervalOr {
     Interval(i64, IntervalUnit),
 }
 
-fn apply_interval(
-    d: crate::value::Date,
-    n: i64,
-    u: IntervalUnit,
-    op: ArithOp,
-) -> Result<crate::value::Date> {
+/// `d ± n unit`, refused when the result leaves the date range.
+fn apply_interval(d: Date, n: i64, u: IntervalUnit, op: ArithOp) -> Result<Date> {
     let n = match op {
-        ArithOp::Add => n,
-        ArithOp::Sub => -n,
+        ArithOp::Add => Some(n),
+        ArithOp::Sub => n.checked_neg(),
         _ => return Err(AlgebraError::Semantic("INTERVAL only supports +/-".into())),
-    } as i32;
-    Ok(match u {
+    };
+    let folded = n.and_then(|n| match u {
         IntervalUnit::Day => d.add_days(n),
         IntervalUnit::Month => d.add_months(n),
         IntervalUnit::Year => d.add_years(n),
+    });
+    folded.ok_or_else(|| {
+        AlgebraError::Semantic(format!(
+            "{d} {op} INTERVAL {n:?} {u:?} leaves the date range"
+        ))
     })
+}
+
+/// The conjuncts of a `WHERE`, before lowering.
+fn ast_conjuncts(e: &AstExpr) -> Vec<&AstExpr> {
+    match e {
+        AstExpr::And(v) => v.iter().flat_map(ast_conjuncts).collect(),
+        other => vec![other],
+    }
 }
 
 fn flatten_and(e: Expr) -> Vec<Expr> {
@@ -651,63 +710,8 @@ fn split_join_cond(e: &Expr, left: &AttrSet, right: &AttrSet) -> Option<(AttrId,
     None
 }
 
-fn collect_cols(e: &AstExpr, out: &mut Vec<String>) {
-    match e {
-        AstExpr::Col(n) => out.push(n.clone()),
-        AstExpr::Lit(_) | AstExpr::Interval(..) | AstExpr::CountStar => {}
-        AstExpr::Agg(_, x)
-        | AstExpr::Not(x)
-        | AstExpr::Like(x, _, _)
-        | AstExpr::IsNull(x, _)
-        | AstExpr::ExtractYear(x)
-        | AstExpr::Substring(x, _, _) => collect_cols(x, out),
-        AstExpr::Cmp(a, _, b) | AstExpr::Arith(a, _, b) => {
-            collect_cols(a, out);
-            collect_cols(b, out);
-        }
-        AstExpr::And(v) | AstExpr::Or(v) => {
-            for x in v {
-                collect_cols(x, out);
-            }
-        }
-        AstExpr::Between(a, lo, hi, _) => {
-            collect_cols(a, out);
-            collect_cols(lo, out);
-            collect_cols(hi, out);
-        }
-        AstExpr::InList(x, _, _) => collect_cols(x, out),
-        AstExpr::Case(branches, else_) => {
-            for (c, v) in branches {
-                collect_cols(c, out);
-                collect_cols(v, out);
-            }
-            if let Some(x) = else_ {
-                collect_cols(x, out);
-            }
-        }
-    }
-}
-
 fn contains_agg(e: &AstExpr) -> bool {
-    match e {
-        AstExpr::Agg(..) | AstExpr::CountStar => true,
-        AstExpr::Col(_) | AstExpr::Lit(_) | AstExpr::Interval(..) => false,
-        AstExpr::Not(x)
-        | AstExpr::Like(x, _, _)
-        | AstExpr::IsNull(x, _)
-        | AstExpr::ExtractYear(x)
-        | AstExpr::Substring(x, _, _) => contains_agg(x),
-        AstExpr::Cmp(a, _, b) | AstExpr::Arith(a, _, b) => contains_agg(a) || contains_agg(b),
-        AstExpr::And(v) | AstExpr::Or(v) => v.iter().any(contains_agg),
-        AstExpr::Between(a, lo, hi, _) => contains_agg(a) || contains_agg(lo) || contains_agg(hi),
-        AstExpr::InList(x, _, _) => contains_agg(x),
-        AstExpr::Case(branches, else_) => {
-            branches
-                .iter()
-                .any(|(c, v)| contains_agg(c) || contains_agg(v))
-                || else_.as_deref().is_some_and(contains_agg)
-        }
-    }
+    matches!(e, AstExpr::Agg(..) | AstExpr::CountStar) || e.children().into_iter().any(contains_agg)
 }
 
 // ---------------------------------------------------------------------------

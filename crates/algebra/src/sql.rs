@@ -56,6 +56,36 @@ pub enum AstExpr {
     ExtractYear(Box<AstExpr>),
     /// substring(e from i for n).
     Substring(Box<AstExpr>, usize, usize),
+    /// `[NOT] EXISTS (query)` (no left-hand side) or `x [NOT] IN
+    /// (query)`: a WHERE conjunct the builder plans as a semi/anti join.
+    Sub(Option<Box<AstExpr>>, Box<SelectStmt>, bool),
+}
+
+impl AstExpr {
+    /// The direct sub-expressions, left to right (a subquery's
+    /// statement is not one).
+    pub fn children(&self) -> Vec<&AstExpr> {
+        match self {
+            AstExpr::Col(_) | AstExpr::Lit(_) | AstExpr::Interval(..) | AstExpr::CountStar => {
+                vec![]
+            }
+            AstExpr::Agg(_, x)
+            | AstExpr::Not(x)
+            | AstExpr::Like(x, _, _)
+            | AstExpr::IsNull(x, _)
+            | AstExpr::ExtractYear(x)
+            | AstExpr::Substring(x, _, _)
+            | AstExpr::InList(x, _, _) => vec![x],
+            AstExpr::Cmp(a, _, b) | AstExpr::Arith(a, _, b) => vec![a, b],
+            AstExpr::And(v) | AstExpr::Or(v) => v.iter().collect(),
+            AstExpr::Between(a, lo, hi, _) => vec![a, lo, hi],
+            AstExpr::Case(branches, else_) => (branches.iter())
+                .flat_map(|(c, v)| [c, v])
+                .chain(else_.as_deref())
+                .collect(),
+            AstExpr::Sub(lhs, _, _) => lhs.as_deref().into_iter().collect(),
+        }
+    }
 }
 
 /// Units for `INTERVAL` literals.
@@ -81,17 +111,21 @@ pub struct SelectItem {
 /// A table in the FROM clause.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TableRef {
-    /// Relation name.
+    /// Relation name, or a derived table's alias.
     pub name: String,
+    /// A derived table's query (`(SELECT …) name`).
+    pub query: Option<Box<SelectStmt>>,
     /// Explicit `JOIN … ON` condition binding this table to the
     /// preceding ones (None for the first table / comma syntax).
     pub join_on: Option<AstExpr>,
+    /// `LEFT OUTER JOIN`.
+    pub outer: bool,
 }
 
 /// A parsed `SELECT` statement.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SelectStmt {
-    /// Select list.
+    /// Select list (empty for `*`).
     pub items: Vec<SelectItem>,
     /// FROM tables, in syntactic order.
     pub from: Vec<TableRef>,
@@ -255,7 +289,7 @@ impl<'a> Lexer<'a> {
 // ---------------------------------------------------------------------------
 
 /// Parse a single `SELECT` statement.
-pub fn parse_select(src: &str) -> Result<SelectStmt> {
+pub(crate) fn parse_select(src: &str) -> Result<SelectStmt> {
     let toks = Lexer::tokenize(src)?;
     let mut p = Parser { toks, i: 0 };
     let stmt = p.select()?;
@@ -340,32 +374,33 @@ impl Parser {
 
     fn select(&mut self) -> Result<SelectStmt> {
         self.expect_kw("select")?;
-        let mut items = vec![self.select_item()?];
-        while self.try_sym(",") {
+        let mut items = Vec::new();
+        if !self.try_sym("*") {
             items.push(self.select_item()?);
+            while self.try_sym(",") {
+                items.push(self.select_item()?);
+            }
         }
         self.expect_kw("from")?;
-        let mut from = vec![TableRef {
-            name: self.ident()?,
-            join_on: None,
-        }];
+        let mut from = vec![self.table_ref(false)?];
         loop {
             if self.try_sym(",") {
-                from.push(TableRef {
-                    name: self.ident()?,
-                    join_on: None,
-                });
-            } else if self.eat_kw("join") || (self.eat_kw("inner") && self.eat_kw("join")) {
-                let name = self.ident()?;
-                self.expect_kw("on")?;
-                let on = self.expr()?;
-                from.push(TableRef {
-                    name,
-                    join_on: Some(on),
-                });
+                from.push(self.table_ref(false)?);
+                continue;
+            }
+            let outer = self.eat_kw("left");
+            if outer {
+                self.eat_kw("outer");
             } else {
+                self.eat_kw("inner");
+            }
+            if !self.eat_kw("join") {
                 break;
             }
+            let mut t = self.table_ref(outer)?;
+            self.expect_kw("on")?;
+            t.join_on = Some(self.expr()?);
+            from.push(t);
         }
         let where_ = if self.eat_kw("where") {
             Some(self.expr()?)
@@ -421,6 +456,28 @@ impl Parser {
         })
     }
 
+    /// A relation name, or a derived table `(SELECT …) alias`.
+    fn table_ref(&mut self, outer: bool) -> Result<TableRef> {
+        let query = match self.try_sym("(") {
+            true => Some(Box::new(self.subquery()?)),
+            false => None,
+        };
+        let name = self.ident()?;
+        Ok(TableRef {
+            name,
+            query,
+            join_on: None,
+            outer,
+        })
+    }
+
+    /// A parenthesised `SELECT`, its `(` already consumed.
+    fn subquery(&mut self) -> Result<SelectStmt> {
+        let stmt = self.select()?;
+        self.eat_sym(")")?;
+        Ok(stmt)
+    }
+
     fn select_item(&mut self) -> Result<SelectItem> {
         let expr = self.expr()?;
         let alias = if self.eat_kw("as") {
@@ -463,7 +520,10 @@ impl Parser {
 
     fn not_expr(&mut self) -> Result<AstExpr> {
         if self.eat_kw("not") {
-            Ok(AstExpr::Not(Box::new(self.not_expr()?)))
+            Ok(match self.not_expr()? {
+                AstExpr::Sub(lhs, query, negated) => AstExpr::Sub(lhs, query, !negated),
+                other => AstExpr::Not(Box::new(other)),
+            })
         } else {
             self.predicate()
         }
@@ -505,6 +565,10 @@ impl Parser {
         }
         if self.eat_kw("in") {
             self.eat_sym("(")?;
+            if matches!(self.peek(), Tok::Ident(k) if k == "select") {
+                let query = Box::new(self.subquery()?);
+                return Ok(AstExpr::Sub(Some(Box::new(lhs)), query, negated));
+            }
             let mut list = Vec::new();
             loop {
                 match self.add_expr()? {
@@ -629,6 +693,10 @@ impl Parser {
                     _ => return Err(self.err("unknown interval unit")),
                 };
                 Ok(AstExpr::Interval(n, unit))
+            }
+            "exists" => {
+                self.eat_sym("(")?;
+                Ok(AstExpr::Sub(None, Box::new(self.subquery()?), false))
             }
             "null" => Ok(AstExpr::Lit(Value::Null)),
             "true" => Ok(AstExpr::Lit(Value::Bool(true))),

@@ -679,17 +679,25 @@ impl fmt::Display for Value {
 pub struct Date(pub i32);
 
 impl Date {
-    /// Construct from year/month/day. Panics on out-of-range month/day
-    /// only via debug assertions; callers validate input.
+    /// Construct from year/month/day; callers validate month and day.
+    /// Panics on a year whose day count leaves `i32`.
     pub fn from_ymd(y: i32, m: u32, d: u32) -> Date {
+        Date::checked_ymd(y.into(), m, d).expect("a year within ±5.8 million")
+    }
+
+    /// [`Date::from_ymd`], or `None` when the day count leaves `i32`.
+    fn checked_ymd(y: i64, m: u32, d: u32) -> Option<Date> {
+        if y.abs() > 6_000_000 {
+            return None;
+        }
         // Days-from-civil algorithm (Howard Hinnant).
         let y = if m <= 2 { y - 1 } else { y };
         let era = if y >= 0 { y } else { y - 399 } / 400;
-        let yoe = (y - era * 400) as i64;
+        let yoe = y - era * 400;
         let mp = ((m as i64) + 9) % 12;
         let doy = (153 * mp + 2) / 5 + (d as i64) - 1;
         let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
-        Date((era as i64 * 146_097 + doe - 719_468) as i32)
+        i32::try_from(era * 146_097 + doe - 719_468).ok().map(Date)
     }
 
     /// Decompose into (year, month, day).
@@ -710,33 +718,35 @@ impl Date {
     /// Parse `YYYY-MM-DD`.
     pub fn parse(s: &str) -> Option<Date> {
         let mut it = s.split('-');
-        let y: i32 = it.next()?.parse().ok()?;
+        let y: i64 = it.next()?.parse().ok()?;
         let m: u32 = it.next()?.parse().ok()?;
         let d: u32 = it.next()?.parse().ok()?;
-        if it.next().is_some() || !(1..=12).contains(&m) || !(1..=31).contains(&d) {
+        if it.next().is_some() || !(1..=12).contains(&m) || !(1..=days_in_month(y, m)).contains(&d)
+        {
             return None;
         }
-        Some(Date::from_ymd(y, m, d))
+        Date::checked_ymd(y, m, d)
     }
 
-    /// Add a number of days.
-    pub fn add_days(self, days: i32) -> Date {
-        Date(self.0 + days)
+    /// Add a number of days; `None` past the representable range.
+    pub(crate) fn add_days(self, days: i64) -> Option<Date> {
+        let n = i64::from(self.0).checked_add(days)?;
+        i32::try_from(n).ok().map(Date)
     }
 
-    /// Add calendar months, clamping the day-of-month.
-    pub fn add_months(self, months: i32) -> Date {
+    /// Add calendar months, clamping the day-of-month; `None` past the
+    /// representable range.
+    pub(crate) fn add_months(self, months: i64) -> Option<Date> {
         let (y, m, d) = self.to_ymd();
-        let tot = y as i64 * 12 + (m as i64 - 1) + months as i64;
-        let ny = (tot.div_euclid(12)) as i32;
+        let tot = (y as i64 * 12 + (m as i64 - 1)).checked_add(months)?;
+        let ny = tot.div_euclid(12);
         let nm = (tot.rem_euclid(12) + 1) as u32;
-        let max_d = days_in_month(ny, nm);
-        Date::from_ymd(ny, nm, d.min(max_d))
+        Date::checked_ymd(ny, nm, d.min(days_in_month(ny, nm)))
     }
 
-    /// Add years.
-    pub fn add_years(self, years: i32) -> Date {
-        self.add_months(years * 12)
+    /// Add years; `None` past the representable range.
+    pub(crate) fn add_years(self, years: i64) -> Option<Date> {
+        self.add_months(years.checked_mul(12)?)
     }
 
     /// Extract the year.
@@ -745,7 +755,7 @@ impl Date {
     }
 }
 
-fn days_in_month(y: i32, m: u32) -> u32 {
+fn days_in_month(y: i64, m: u32) -> u32 {
     match m {
         1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
         4 | 6 | 9 | 11 => 30,
@@ -784,14 +794,31 @@ mod tests {
     #[test]
     fn date_arithmetic() {
         let d = Date::parse("1995-01-31").unwrap();
-        assert_eq!(d.add_months(1).to_ymd(), (1995, 2, 28));
-        assert_eq!(d.add_months(12).to_ymd(), (1996, 1, 31));
-        assert_eq!(d.add_years(1).to_ymd(), (1996, 1, 31));
-        assert_eq!(d.add_days(1).to_ymd(), (1995, 2, 1));
+        assert_eq!(d.add_months(1).unwrap().to_ymd(), (1995, 2, 28));
+        assert_eq!(d.add_months(12).unwrap().to_ymd(), (1996, 1, 31));
+        assert_eq!(d.add_years(1).unwrap().to_ymd(), (1996, 1, 31));
+        assert_eq!(d.add_days(1).unwrap().to_ymd(), (1995, 2, 1));
         assert_eq!(
-            Date::parse("1996-02-29").unwrap().add_years(1).to_ymd(),
+            Date::parse("1996-02-29")
+                .unwrap()
+                .add_years(1)
+                .unwrap()
+                .to_ymd(),
             (1997, 2, 28)
         );
+    }
+
+    /// Arithmetic past the `i32` day count is refused, never wrapped.
+    #[test]
+    fn date_arithmetic_refuses_overflow() {
+        let d = Date::parse("1995-01-01").unwrap();
+        assert_eq!(d.add_days(4_294_967_296), None);
+        assert_eq!(d.add_days(i64::MAX), None);
+        assert_eq!(Date(i32::MAX).add_days(1), None);
+        assert_eq!(d.add_years(i64::from(i32::MAX)), None);
+        assert_eq!(d.add_years(i64::MAX), None);
+        assert_eq!(d.add_months(i64::MIN), None);
+        assert_eq!(Date::parse("9999999-01-01"), None);
     }
 
     #[test]
@@ -809,6 +836,19 @@ mod tests {
         assert!(Date::parse("1994-00-01").is_none());
         assert!(Date::parse("1994-01").is_none());
         assert!(Date::parse("abc").is_none());
+    }
+
+    /// A day past its month's end is refused, not rolled into the next.
+    #[test]
+    fn parse_rejects_days_past_the_month_end() {
+        assert_eq!(Date::parse("1995-02-30"), None);
+        assert_eq!(Date::parse("1995-02-29"), None);
+        assert_eq!(Date::parse("1995-04-31"), None);
+        assert_eq!(Date::parse("1996-02-29"), Some(Date::from_ymd(1996, 2, 29)));
+        assert_eq!(
+            Date::parse("1995-12-31"),
+            Some(Date::from_ymd(1995, 12, 31))
+        );
     }
 
     #[test]

@@ -293,7 +293,7 @@ pub fn generate(scale: f64, seed: u64) -> (Catalog, Database) {
     for k in 1..=n_orders {
         // dbgen uses sparse order keys; keep them dense for simplicity.
         let custkey = rng.gen_range(1..=n_cust);
-        let odate = start_date().add_days(rng.gen_range(0..=date_span));
+        let odate = Date(start_date().0 + rng.gen_range(0..=date_span));
         let n_lines = rng.gen_range(1..=7);
         let special = rng.gen_bool(0.01);
         let comment = if special { &v_special } else { &v_pending };
@@ -310,9 +310,9 @@ pub fn generate(scale: f64, seed: u64) -> (Catalog, Database) {
             let extended = (extended * 100.0).round() / 100.0;
             let discount = rng.gen_range(0..=10) as f64 / 100.0;
             let tax = rng.gen_range(0..=8) as f64 / 100.0;
-            let shipdate = odate.add_days(rng.gen_range(1..=121));
-            let commitdate = odate.add_days(rng.gen_range(30..=90));
-            let receiptdate = shipdate.add_days(rng.gen_range(1..=30));
+            let shipdate = Date(odate.0 + rng.gen_range(1..=121));
+            let commitdate = Date(odate.0 + rng.gen_range(30..=90));
+            let receiptdate = Date(shipdate.0 + rng.gen_range(1..=30));
             let shipped = shipdate <= current;
             let returnflag = if shipped {
                 if rng.gen_bool(0.5) {
