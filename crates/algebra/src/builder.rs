@@ -495,16 +495,23 @@ impl<'a> Builder<'a> {
                 // Aliases of select items resolve through the item:
                 // aggregates become AggRefs; computed scalar items
                 // resolve to the attribute their µ node outputs.
+                // An item's own names are columns, never aliases: `S AS
+                // S` must not resolve through itself.
                 if let Some(&idx) = self.aliases.get(name) {
                     let item = &self.stmt.items[idx].expr;
+                    let columns = Builder {
+                        aliases: HashMap::new(),
+                        aggs: Vec::new(),
+                        ..*self
+                    };
                     if !contains_agg(item) {
-                        let lowered = self.lower(item, None)?;
+                        let lowered = columns.lower(item, None)?;
                         return Ok(match lowered.attrs().iter().next() {
                             Some(a) => Expr::Col(a),
                             None => lowered,
                         });
                     } else if aggs.is_some() {
-                        return self.lower(item, aggs);
+                        return columns.lower(item, aggs);
                     }
                 }
                 Expr::Col(self.catalog.attr(name)?)
@@ -981,6 +988,172 @@ mod tests {
         )
         .unwrap();
         assert!(ops(&plan).contains(&"σᵧ"));
+    }
+    /// A catalog of three relations, `t2` an alias relation of `t`.
+    fn three() -> Catalog {
+        let mut cat = Catalog::new();
+        let int = crate::DataType::Int;
+        cat.add_relation("t", &[("a", int), ("b", crate::DataType::Date)])
+            .unwrap();
+        cat.add_relation("t2", &[("a2", int), ("b2", crate::DataType::Date)])
+            .unwrap();
+        cat.add_relation("u", &[("c", int), ("d", int)]).unwrap();
+        cat
+    }
+
+    /// A date past its month's end and interval arithmetic past the
+    /// date range are typed errors, never a silently different date.
+    #[test]
+    fn bad_dates_are_refused_at_plan_time() {
+        let cat = three();
+        let err = plan_sql(&cat, "select a from t where b < date '1995-02-30'").unwrap_err();
+        assert!(matches!(err, AlgebraError::Parse { .. }), "{err}");
+        for interval in [
+            "'4294967296' day",
+            "'2147483647' year",
+            "'9223372036854775807' month",
+        ] {
+            let sql = format!("select a from t where b > date '1995-01-01' + interval {interval}");
+            let err = plan_sql(&cat, &sql).unwrap_err();
+            assert!(
+                matches!(err, AlgebraError::Semantic(_)),
+                "{interval}: {err}"
+            );
+        }
+        let sql =
+            "select a from t where b > date '1995-01-01' - interval '-9223372036854775808' day";
+        assert!(matches!(
+            plan_sql(&cat, sql),
+            Err(AlgebraError::Semantic(_))
+        ));
+    }
+
+    /// A relation named twice in one statement, subqueries included, is
+    /// refused with the alias relation to scan instead.
+    #[test]
+    fn a_relation_named_twice_is_refused() {
+        let cat = three();
+        for sql in [
+            "select a from t, t",
+            "select a from t where exists (select * from t where a = 1)",
+            "select a from t, (select c from u, t) v",
+        ] {
+            let err = plan_sql(&cat, sql).unwrap_err();
+            assert!(
+                matches!(&err, AlgebraError::Semantic(m) if m.contains("relation t ") && m.contains("t2")),
+                "{sql}: {err}"
+            );
+        }
+        assert!(plan_sql(&cat, "select a from t, t2 where a = a2").is_ok());
+    }
+
+    /// Subqueries: EXISTS / IN become semi joins after the FROM joins, a
+    /// correlated equality their condition and any other correlated
+    /// conjunct their residual; NOT EXISTS / NOT IN become anti joins.
+    #[test]
+    fn subqueries_become_semi_and_anti_joins() {
+        let cat = three();
+        let plan = plan_sql(
+            &cat,
+            "select a from t, u where a = c \
+             and exists (select * from t2 where a2 = a and b2 > b) \
+             and d not in (select a2 from t2)",
+        );
+        assert!(plan.is_err(), "t2 twice");
+        let plan = plan_sql(
+            &cat,
+            "select a from t, u where a = c and exists (select * from t2 where a2 = a and b2 > b)",
+        )
+        .unwrap();
+        assert_eq!(ops(&plan), vec!["Base", "Base", "⋈", "Base", "⋈", "π"]);
+        let semi = plan.node(plan.node(plan.root()).children[0]);
+        let [a, a2, b, b2] = ["a", "a2", "b", "b2"].map(|n| cat.attr(n).unwrap());
+        assert_eq!(
+            semi.op,
+            Op::Join {
+                kind: JoinKind::Semi,
+                on: vec![(a, CmpOp::Eq, a2)],
+                residual: Some(Expr::cmp(Expr::Col(b2), CmpOp::Gt, Expr::Col(b))),
+            }
+        );
+        let plan = plan_sql(
+            &cat,
+            "select c from u where not exists (select * from t where a = c) \
+                                   and d not in (select a2 from t2)",
+        )
+        .unwrap();
+        let kinds: Vec<JoinKind> = (plan.postorder().into_iter())
+            .filter_map(|id| match plan.node(id).op {
+                Op::Join { kind, .. } => Some(kind),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(kinds, vec![JoinKind::Anti, JoinKind::Anti]);
+    }
+
+    /// Derived tables join through their `ON` only, else as a product
+    /// under a selection; a `LEFT OUTER JOIN`'s right-only conjunct is
+    /// pushed below it; node ids come out in postorder.
+    #[test]
+    fn derived_tables_and_outer_joins() {
+        let cat = three();
+        let plan = plan_sql(
+            &cat,
+            "select a, c from t, (select c, sum(d) from u group by c) s where a = c",
+        )
+        .unwrap();
+        assert_eq!(ops(&plan), vec!["Base", "Base", "γ", "×", "σ", "π"]);
+        let plan = plan_sql(
+            &cat,
+            "select a from t join (select c, sum(d) from u group by c) s on a = c",
+        )
+        .unwrap();
+        assert_eq!(ops(&plan), vec!["Base", "Base", "γ", "⋈", "π"]);
+        let plan = plan_sql(
+            &cat,
+            "select a, c from t left outer join u on a = c and d > 3",
+        )
+        .unwrap();
+        assert_eq!(ops(&plan), vec!["Base", "Base", "σ", "⋈", "π"]);
+        let join = plan.node(plan.node(plan.root()).children[0]);
+        assert!(matches!(
+            join.op,
+            Op::Join {
+                kind: JoinKind::LeftOuter,
+                ..
+            }
+        ));
+        let order = plan.postorder();
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "{order:?}");
+    }
+
+    /// An alias naming a column, its own included, resolves through its
+    /// item once, so a cycle of aliases cannot recurse forever.
+    #[test]
+    fn aliases_resolve_to_columns_only() {
+        let cat = Catalog::paper_running_example();
+        for sql in [
+            "select S as S from Hosp order by S",
+            "select S as T, T as S from Hosp order by S, T",
+            "select D as x, count(*) from Hosp group by x order by x",
+        ] {
+            plan_sql(&cat, sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        }
+    }
+
+    /// A plain query projects before its sort when every sort key is
+    /// listed, and after it otherwise.
+    #[test]
+    fn projection_before_a_listed_sort() {
+        let cat = three();
+        let plan = plan_sql(
+            &cat,
+            "select a from t where b > date '1995-01-01' order by a",
+        )
+        .unwrap();
+        assert_eq!(ops(&plan), vec!["Base", "σ", "π", "sort"]);
+        let plan = plan_sql(&cat, "select a from t order by b limit 3").unwrap();
+        assert_eq!(ops(&plan), vec!["Base", "sort", "limit", "π"]);
     }
 }
 

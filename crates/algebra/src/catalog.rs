@@ -138,12 +138,12 @@ impl Catalog {
     }
 
     /// The relation the attribute belongs to.
-    pub fn attr_owner(&self, a: AttrId) -> RelId {
+    pub(crate) fn attr_owner(&self, a: AttrId) -> RelId {
         self.attr_owner[a.index()]
     }
 
     /// Number of interned attributes (ids are `0..n`).
-    pub fn num_attrs(&self) -> usize {
+    pub(crate) fn num_attrs(&self) -> usize {
         self.attr_names.len()
     }
 

@@ -150,10 +150,10 @@ fn assert_pinned(tier: &str, text: &str, pinned: &str) {
 }
 
 /// SF 0.02 sampled statistics (tier 1).
-const SAMPLE_DIGEST: &str = "ff350100aec1454e144ff603fe019553e72e2074ff5f3a23921c043639462186";
+const SAMPLE_DIGEST: &str = "29599550383514587288466f518a78f57f694b42842a3097e4c2e97905d50eb7";
 
 /// SF 1 measured statistics (the `figure10` CI job).
-const EVALUATION_DIGEST: &str = "35f925eedba2d2e84624fd5e77dcf35e79092e3ebb9e383416b50b6ef9eeaee9";
+const EVALUATION_DIGEST: &str = "a3f5f6c4dd52f1a55a81996cdbbc81e18a048b9a978cf8621936361d874f7452";
 
 #[test]
 fn every_plan_under_sample_statistics_is_pinned() {

@@ -94,6 +94,11 @@
 //!   outside that file, `algebra/src/plan.rs` (where it is defined)
 //!   and `algebra/src/builder.rs` (`prune_columns`). A second
 //!   extension walk must not quietly come back.
+//! * **one-front-end** — a TPC-H query is SQL text that
+//!   `algebra::builder::plan_sql` plans, as a client's query is: in
+//!   non-test code under `crates/tpch/src`, building a plan by hand
+//!   (`QueryPlan::new(`, `.add_base(`, `.add(`) is a finding, so a
+//!   second front end beside the SQL one must not quietly grow back.
 //! * **one-session-driver** — a `Session` has one driver,
 //!   `Session::execute`, walking the Fig. 8 regions on the calling
 //!   thread. The name of the party-thread scheduler it replaced (its
@@ -124,7 +129,8 @@
 //! Two rules read more than one line at a time:
 //!
 //! * **pub-has-a-caller** — a non-test `pub fn`, `pub const` or `pub
-//!   static` in `algebra`, `core`, `crypto`, `exec`, `planner` or `dist`
+//!   static` in `algebra`, `core`, `crypto`, `exec`, `dist`, `planner` or
+//!   `tpch`
 //!   (the shared fixture `core/src/fixtures.rs` exempt) is used by the
 //!   non-test code of another file — any crate's `src` or `benches`,
 //!   `src/`, `examples/` — or anywhere in `benchmark/src`, its tests
@@ -183,9 +189,9 @@ const VERIFY_RS: &str = "crates/core/src/verify.rs";
 const LINT: &str = "crates/lint";
 
 /// The library crates whose `pub` fns, consts and statics need a caller
-/// outside their own file (pub-has-a-caller): the first six of
+/// outside their own file (pub-has-a-caller): the first seven of
 /// [`ENGINE`].
-const LIBRARIES: &[&str] = ENGINE.split_at(6).0;
+const LIBRARIES: &[&str] = ENGINE.split_at(7).0;
 /// The shared fixture of tests, examples and the benchmark: exempt.
 const FIXTURES_RS: &str = "crates/core/src/fixtures.rs";
 /// The frozen benchmark: every line a caller, its tests included.
@@ -361,6 +367,12 @@ const RULES: &[Rule] = &[
                   `mpq_core::extend`, not a second copy of its splices",
         sites: &[(&["splice_above("], &[], &["crates/core/src/extend.rs", "crates/algebra/src/plan.rs",
                  "crates/algebra/src/builder.rs"], None)],
+    },
+    Rule {
+        name: "one-front-end",
+        message: "`{t}` in mpq-tpch — a TPC-H query is SQL text planned by `plan_sql`; no \
+                  plan is built by hand beside it",
+        sites: &[(&["QueryPlan::new(", ".add_base(", ".add("], &["crates/tpch/src"], &[], None)],
     },
     Rule {
         name: "one-session-driver",
@@ -1443,6 +1455,37 @@ mod tests {
             "crates/algebra/src/builder.rs",
         ] {
             assert!(lines_in(home).is_empty(), "{home}");
+        }
+    }
+
+    #[test]
+    fn a_hand_built_tpch_plan_is_flagged() {
+        let src = "
+fn q6(cat: &Catalog) -> QueryPlan { let mut plan = QueryPlan::new(); plan }
+fn leaf(plan: &mut QueryPlan) -> NodeId { plan.add_base(rel, attrs) }
+fn select(plan: &mut QueryPlan) -> NodeId { plan.add(op, vec![child]) }
+fn query_plan(cat: &Catalog, q: usize) -> QueryPlan { plan_sql(cat, SQL[q - 1]).expect(q) }
+#[cfg(test)]
+mod tests {
+    fn t() { QueryPlan::new().add(op, vec![]); }
+}
+";
+        let lines_in = |file: &str| {
+            let mut findings = Vec::new();
+            lint_source(&Source::new(Path::new(file), src), &mut findings);
+            findings
+                .iter()
+                .filter(|f| f.rule == "one-front-end")
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(lines_in("crates/tpch/src/queries.rs"), vec![2, 3, 4]);
+        assert_eq!(lines_in("crates/tpch/src/gen.rs"), vec![2, 3, 4]);
+        for elsewhere in [
+            "crates/algebra/src/builder.rs",
+            "crates/core/src/fixtures.rs",
+        ] {
+            assert!(lines_in(elsewhere).is_empty(), "{elsewhere}");
         }
     }
 

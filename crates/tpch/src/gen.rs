@@ -19,10 +19,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Value pools (subset of dbgen's, preserving the values queries test).
-pub const REGIONS: [&str; 5] = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"];
+const REGIONS: [&str; 5] = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"];
 
 /// 25 nations with their region index (dbgen's mapping).
-pub const NATIONS: [(&str, i64); 25] = [
+const NATIONS: [(&str, i64); 25] = [
     ("ALGERIA", 0),
     ("ARGENTINA", 1),
     ("BRAZIL", 1),

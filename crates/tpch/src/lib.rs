@@ -16,10 +16,11 @@
 //!   scale-factor parameterized, reproducing the value distributions
 //!   the 22 queries select on (dates, segments, brands, containers,
 //!   comment patterns, …);
-//! * [`queries`] — hand-built, PostgreSQL-shaped relational-algebra
-//!   plans for **all 22** TPC-H queries (decorrelated: scalar
-//!   subqueries become joined aggregate branches, EXISTS/IN become
-//!   semi/anti-joins).
+//! * [`queries`] — **all 22** queries as SQL text, written
+//!   decorrelated in the shapes PostgreSQL plans them in (scalar
+//!   subqueries as derived tables, EXISTS/IN as semi-/anti-joins) and
+//!   planned by `mpq_algebra::builder::plan_sql`, the front end a
+//!   client's query goes through.
 //!
 //! It models no statistics: the stand-in for the PostgreSQL optimizer
 //! estimates the paper's tool consumed is measured from generated data

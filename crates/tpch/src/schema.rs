@@ -92,7 +92,7 @@ const LINEITEM: &[(&str, DataType)] = &[
 /// Alias relations: a second (or third) scan of a base table in the
 /// same plan. `(alias name, prefix to substitute, base columns, base
 /// prefix)`.
-pub const ALIASES: &[(&str, &str, &str)] = &[
+pub(crate) const ALIASES: &[(&str, &str, &str)] = &[
     // (alias table, alias prefix, base table)
     ("nation2", "n2_", "nation"),
     ("nation3", "n3_", "nation"),
@@ -133,7 +133,7 @@ fn base_prefix(table: &str) -> &'static str {
 }
 
 /// Build the TPC-H catalog: the 8 base relations plus the alias
-/// relations listed in [`ALIASES`].
+/// relations listed in `ALIASES`.
 pub fn tpch_catalog() -> Catalog {
     try_catalog().expect("static TPC-H schema is valid")
 }
