@@ -295,7 +295,7 @@ impl<'a> Builder<'a> {
                 }
             });
         }
-        let (mut cur, cur_set) = cur.expect("the parser reads at least one FROM item");
+        let (mut cur, _) = cur.expect("the parser reads at least one FROM item");
         // Any join condition never absorbed becomes a residual selection,
         // as do multi-relation non-equi conjuncts.
         if let Some(pred) = residual.into_iter().chain(join_conds).reduce(Expr::and) {
@@ -321,7 +321,7 @@ impl<'a> Builder<'a> {
             }
             let mut residual = Vec::new();
             for e in outer {
-                match split_join_cond(&e, &cur_set, &inner_set) {
+                match split_join_cond(&e, &own, &inner_set) {
                     Some(c) if c.1 == CmpOp::Eq => conds.push(c),
                     _ => residual.push(e),
                 }

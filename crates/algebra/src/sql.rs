@@ -64,7 +64,7 @@ pub enum AstExpr {
 impl AstExpr {
     /// The direct sub-expressions, left to right (a subquery's
     /// statement is not one).
-    pub fn children(&self) -> Vec<&AstExpr> {
+    pub(crate) fn children(&self) -> Vec<&AstExpr> {
         match self {
             AstExpr::Col(_) | AstExpr::Lit(_) | AstExpr::Interval(..) | AstExpr::CountStar => {
                 vec![]
