@@ -9,7 +9,9 @@
 //!    retrieves only the attributes the statement touches, its
 //!    subqueries included);
 //! 2. pushes single-relation selections directly above their leaf, and
-//!    an `ON` conjunct over the joined item alone below its join;
+//!    an `ON` conjunct over the joined item alone below its join; a
+//!    `WHERE` conjunct reading the right side of a `LEFT OUTER JOIN`
+//!    stays in the selection above the joins;
 //! 3. builds a left-deep join tree in `FROM` order, each item's subtree
 //!    (a leaf, or a derived table `(SELECT …) name`) built just before
 //!    it is joined, so node ids come out in postorder. A comparison of
@@ -17,11 +19,12 @@
 //!    a derived table joins through its own `[LEFT OUTER] JOIN … ON`
 //!    only. An item no condition links is a cartesian product, and the
 //!    remaining multi-relation conjuncts a selection above the joins;
-//! 4. plans each `[NOT] EXISTS (…)` and `x [NOT] IN (SELECT y …)`
-//!    conjunct as a Semi (Anti) join, after its statement's `FROM` joins
-//!    and their selection, in `WHERE` order: `x = y` and a correlated
-//!    outer = inner equality become its condition, any other correlated
-//!    conjunct its residual;
+//! 4. plans each `[NOT] EXISTS (…)` and `x IN (SELECT y …)` conjunct as
+//!    a Semi (Anti) join, after its statement's `FROM` joins and their
+//!    selection, in `WHERE` order: `x = y` and a correlated outer =
+//!    inner equality become its condition, any other correlated
+//!    conjunct its residual. `x NOT IN (SELECT …)` is refused: it
+//!    returns no row once the subquery yields a NULL;
 //! 5. materializes computed grouping expressions as µ (udf) nodes so
 //!    that group keys are always attributes, matching the paper's
 //!    operator signatures;
@@ -30,8 +33,10 @@
 //!    rewrites `HAVING` / `ORDER BY` references into positional
 //!    [`Expr::AggRef`]s;
 //! 7. projects a plain outermost `SELECT` to its list, before `ORDER BY`
-//!    / `LIMIT` when every sort key is listed and after them otherwise;
-//!    a subquery's select list adds no projection.
+//!    / `LIMIT` when every sort key is a listed column or a select
+//!    item's alias, and after them otherwise (an alias key then sorting
+//!    by its item's expression); a subquery's select list adds no
+//!    projection, and only a subquery may select `*`.
 //!
 //! Attribute names are global, so a relation appears at most once in a
 //! statement, subqueries included; a second scan reads an alias
@@ -50,6 +55,11 @@ use std::collections::HashMap;
 /// Parse SQL and build a plan in one step.
 pub fn plan_sql(catalog: &Catalog, sql: &str) -> Result<QueryPlan> {
     let stmt = crate::sql::parse_select(sql)?;
+    if stmt.items.is_empty() {
+        return Err(AlgebraError::Semantic(
+            "SELECT * is read only in a subquery; list the columns to return".into(),
+        ));
+    }
     let mut names = Names::default();
     names.stmt(&stmt);
     let mut seen = names.rels.iter().enumerate();
@@ -183,6 +193,11 @@ impl<'a> Builder<'a> {
             .map(|t| self.reach(t, &tree.demand))
             .collect::<Result<Vec<_>>>()?;
         let own = sets.iter().fold(AttrSet::new(), |acc, s| acc.union(s));
+        // The null-supplying side of every LEFT OUTER JOIN: a WHERE
+        // conjunct reading it filters the joined rows, so it stays above.
+        let nullable = (from.iter().zip(&sets))
+            .filter(|(t, _)| t.outer)
+            .fold(AttrSet::new(), |acc, (_, s)| acc.union(s));
 
         // ---- classify ON and WHERE conjuncts ----------------------------
         let mut local: Vec<Vec<Expr>> = vec![Vec::new(); from.len()];
@@ -220,6 +235,8 @@ impl<'a> Builder<'a> {
                 let attrs = e.attrs();
                 if !attrs.is_subset(&own) {
                     correlated.push(e);
+                } else if attrs.intersects(&nullable) {
+                    residual.push(e);
                 } else if let Some(i) = sets.iter().position(|s| attrs.is_subset(s)) {
                     local[i].push(e);
                 } else if matches!(&e, Expr::Cmp(a, _, b) if base(a) && base(b)) {
@@ -304,6 +321,13 @@ impl<'a> Builder<'a> {
 
         // ---- [NOT] EXISTS / [NOT] IN subqueries as Semi/Anti joins ---------
         for (lhs, query, negated) in subs {
+            if lhs.is_some() && negated {
+                return Err(AlgebraError::Semantic(
+                    "NOT IN (SELECT …) is refused: it returns no row once the subquery yields \
+                     a NULL, which an anti join does not; write NOT EXISTS with the equality"
+                        .into(),
+                ));
+            }
             let mut inner = Builder::new(self.catalog, query);
             let (node, inner_set, outer) = inner.build(tree, false)?;
             let mut conds = Vec::new();
@@ -411,17 +435,36 @@ impl<'a> Builder<'a> {
 
         // ---- order by / limit / final projection ------------------------
         let plain = top && !has_aggs && self.stmt.group_by.is_empty();
-        let sort_keys = (self.stmt.order_by.iter())
+        let mut sort_keys = (self.stmt.order_by.iter())
             .map(|(e, asc)| Ok((self.lower_with_agg_refs(e)?, *asc)))
             .collect::<Result<Vec<_>>>()?;
+        // A sort key over the projected tuples must be a listed plain
+        // column or a select item's alias: a µ node writes a computed
+        // item into its first input attribute, so an expression key
+        // would be evaluated over the µ's output.
         let early = plain && {
             let listed = (self.stmt.items.iter())
                 .map(|i| self.lower_scalar(&i.expr))
                 .collect::<Result<Vec<_>>>()?;
-            sort_keys.iter().all(|(k, _)| listed.contains(k))
+            (self.stmt.order_by.iter().zip(&sort_keys)).all(|((e, _), (k, _))| match e {
+                AstExpr::Col(n) => self.aliases.contains_key(n) || listed.contains(k),
+                _ => false,
+            })
         };
         if early {
             cur = self.project(tree, cur)?;
+        } else if plain {
+            // The sort runs before the µ nodes: an alias key sorts by
+            // its item's own expression.
+            for ((e, _), (k, _)) in self.stmt.order_by.iter().zip(&mut sort_keys) {
+                let alias = match e {
+                    AstExpr::Col(n) => self.aliases.get(n),
+                    _ => None,
+                };
+                if let Some(&idx) = alias {
+                    *k = self.item(idx, None)?;
+                }
+            }
         }
         if !sort_keys.is_empty() {
             cur = tree.plan.add(Operator::Sort { keys: sort_keys }, vec![cur]);
@@ -474,6 +517,17 @@ impl<'a> Builder<'a> {
             || self.stmt.order_by.iter().any(|(e, _)| contains_agg(e))
     }
 
+    /// Select item `idx` lowered with its names read as columns, never
+    /// as aliases.
+    fn item(&self, idx: usize, aggs: Option<&Vec<AggExpr>>) -> Result<Expr> {
+        let columns = Builder {
+            aliases: HashMap::new(),
+            aggs: Vec::new(),
+            ..*self
+        };
+        columns.lower(&self.stmt.items[idx].expr, aggs)
+    }
+
     /// Lower an AST expression that must not contain aggregates.
     fn lower_scalar(&self, e: &AstExpr) -> Result<Expr> {
         if contains_agg(e) {
@@ -498,20 +552,14 @@ impl<'a> Builder<'a> {
                 // An item's own names are columns, never aliases: `S AS
                 // S` must not resolve through itself.
                 if let Some(&idx) = self.aliases.get(name) {
-                    let item = &self.stmt.items[idx].expr;
-                    let columns = Builder {
-                        aliases: HashMap::new(),
-                        aggs: Vec::new(),
-                        ..*self
-                    };
-                    if !contains_agg(item) {
-                        let lowered = columns.lower(item, None)?;
+                    if !contains_agg(&self.stmt.items[idx].expr) {
+                        let lowered = self.item(idx, None)?;
                         return Ok(match lowered.attrs().iter().next() {
                             Some(a) => Expr::Col(a),
                             None => lowered,
                         });
                     } else if aggs.is_some() {
-                        return columns.lower(item, aggs);
+                        return self.item(idx, aggs);
                     }
                 }
                 Expr::Col(self.catalog.attr(name)?)
@@ -1049,7 +1097,7 @@ mod tests {
 
     /// Subqueries: EXISTS / IN become semi joins after the FROM joins, a
     /// correlated equality their condition and any other correlated
-    /// conjunct their residual; NOT EXISTS / NOT IN become anti joins.
+    /// conjunct their residual; NOT EXISTS becomes an anti join.
     #[test]
     fn subqueries_become_semi_and_anti_joins() {
         let cat = three();
@@ -1079,7 +1127,7 @@ mod tests {
         let plan = plan_sql(
             &cat,
             "select c from u where not exists (select * from t where a = c) \
-                                   and d not in (select a2 from t2)",
+                                   and not exists (select * from t2 where a2 = d)",
         )
         .unwrap();
         let kinds: Vec<JoinKind> = (plan.postorder().into_iter())
@@ -1089,6 +1137,24 @@ mod tests {
             })
             .collect();
         assert_eq!(kinds, vec![JoinKind::Anti, JoinKind::Anti]);
+    }
+
+    /// `x NOT IN (SELECT y …)` returns no row once a `y` is NULL, which
+    /// an anti join does not reproduce, so it is refused; `SELECT *` is
+    /// read only in a subquery.
+    #[test]
+    fn not_in_a_subquery_and_a_top_level_star_are_refused() {
+        let cat = three();
+        for sql in [
+            "select c from u where d not in (select a2 from t2)",
+            "select c from u where not d in (select a2 from t2)",
+            "select * from u where c = 1",
+            "select * from u",
+        ] {
+            let err = plan_sql(&cat, sql).unwrap_err();
+            assert!(matches!(err, AlgebraError::Semantic(_)), "{sql}: {err}");
+        }
+        assert!(plan_sql(&cat, "select c from u where d in (select a2 from t2)").is_ok());
     }
 
     /// Derived tables join through their `ON` only, else as a product
@@ -1127,6 +1193,50 @@ mod tests {
         assert!(order.windows(2).all(|w| w[0] < w[1]), "{order:?}");
     }
 
+    /// A `WHERE` conjunct over the right side of a `LEFT OUTER JOIN` —
+    /// alone, or compared with the left — filters the null-extended
+    /// rows, so it stays in the selection above the join; one over the
+    /// left side alone is still pushed below.
+    #[test]
+    fn where_over_an_outer_join_stays_above_it() {
+        let cat = three();
+        let [a, c, d] = ["a", "c", "d"].map(|n| cat.attr(n).unwrap());
+        for (sql, pred) in [
+            (
+                "select a, c from t left outer join u on a = c where d > 3",
+                Expr::cmp(Expr::Col(d), CmpOp::Gt, Expr::Lit(Value::Int(3))),
+            ),
+            (
+                "select a from t left outer join u on a = c where d is null",
+                Expr::IsNull {
+                    expr: Box::new(Expr::Col(d)),
+                    negated: false,
+                },
+            ),
+            (
+                "select a from t left outer join u on a = c where a < d",
+                Expr::cmp(Expr::Col(a), CmpOp::Lt, Expr::Col(d)),
+            ),
+        ] {
+            let plan = plan_sql(&cat, sql).unwrap();
+            assert_eq!(ops(&plan), vec!["Base", "Base", "⋈", "σ", "π"], "{sql}");
+            let sel = plan.node(plan.node(plan.root()).children[0]);
+            assert_eq!(sel.op, Op::Select { pred }, "{sql}");
+            let join = plan.node(sel.children[0]);
+            let on = vec![(a, CmpOp::Eq, c)];
+            assert!(
+                matches!(&join.op, Op::Join { kind: JoinKind::LeftOuter, on: o, residual: None } if *o == on),
+                "{sql}"
+            );
+        }
+        let plan = plan_sql(
+            &cat,
+            "select a from t left outer join u on a = c where a > 3",
+        )
+        .unwrap();
+        assert_eq!(ops(&plan), vec!["Base", "σ", "Base", "⋈", "π"]);
+    }
+
     /// An alias naming a column, its own included, resolves through its
     /// item once, so a cycle of aliases cannot recurse forever.
     #[test]
@@ -1154,6 +1264,27 @@ mod tests {
         assert_eq!(ops(&plan), vec!["Base", "σ", "π", "sort"]);
         let plan = plan_sql(&cat, "select a from t order by b limit 3").unwrap();
         assert_eq!(ops(&plan), vec!["Base", "sort", "limit", "π"]);
+        // A computed key is evaluated over the relation's own columns,
+        // before the µ node overwrites them; an alias names the µ output.
+        let plan = plan_sql(&cat, "select 0 - a from t order by 0 - a").unwrap();
+        assert_eq!(ops(&plan), vec!["Base", "sort", "µ"]);
+        let plan = plan_sql(&cat, "select 0 - a as x from t order by x").unwrap();
+        assert_eq!(ops(&plan), vec!["Base", "µ", "sort"]);
+        // Sorted before the µ node, an alias key is its item's expression.
+        let plan = plan_sql(&cat, "select 0 - a as x from t order by x, 0 - a").unwrap();
+        assert_eq!(ops(&plan), vec!["Base", "sort", "µ"]);
+        let sort = plan.node(plan.node(plan.root()).children[0]);
+        let neg = Expr::arith(
+            Expr::Lit(Value::Int(0)),
+            ArithOp::Sub,
+            Expr::Col(cat.attr("a").unwrap()),
+        );
+        assert_eq!(
+            sort.op,
+            Op::Sort {
+                keys: vec![(neg.clone(), true), (neg, true)]
+            }
+        );
     }
 }
 

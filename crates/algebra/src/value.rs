@@ -729,7 +729,7 @@ impl Date {
     }
 
     /// Add a number of days; `None` past the representable range.
-    pub(crate) fn add_days(self, days: i64) -> Option<Date> {
+    pub fn add_days(self, days: i64) -> Option<Date> {
         let n = i64::from(self.0).checked_add(days)?;
         i32::try_from(n).ok().map(Date)
     }

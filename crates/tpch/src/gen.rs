@@ -284,6 +284,10 @@ pub fn generate(scale: f64, seed: u64) -> (Catalog, Database) {
     let v_special = Value::str("blithely special packages requests");
     let v_pending = Value::str("furiously pending accounts");
     let date_span = end_order_date().0 - start_date().0;
+    let later = |d: Date, days: i32| {
+        d.add_days(days.into())
+            .expect("generator dates stay in range")
+    };
     let attrs_of = |name: &str| -> Vec<mpq_algebra::AttrId> {
         let rel = catalog.relation(name).expect("known relation");
         rel.columns.iter().map(|c| c.attr).collect()
@@ -293,7 +297,7 @@ pub fn generate(scale: f64, seed: u64) -> (Catalog, Database) {
     for k in 1..=n_orders {
         // dbgen uses sparse order keys; keep them dense for simplicity.
         let custkey = rng.gen_range(1..=n_cust);
-        let odate = Date(start_date().0 + rng.gen_range(0..=date_span));
+        let odate = later(start_date(), rng.gen_range(0..=date_span));
         let n_lines = rng.gen_range(1..=7);
         let special = rng.gen_bool(0.01);
         let comment = if special { &v_special } else { &v_pending };
@@ -310,9 +314,9 @@ pub fn generate(scale: f64, seed: u64) -> (Catalog, Database) {
             let extended = (extended * 100.0).round() / 100.0;
             let discount = rng.gen_range(0..=10) as f64 / 100.0;
             let tax = rng.gen_range(0..=8) as f64 / 100.0;
-            let shipdate = Date(odate.0 + rng.gen_range(1..=121));
-            let commitdate = Date(odate.0 + rng.gen_range(30..=90));
-            let receiptdate = Date(shipdate.0 + rng.gen_range(1..=30));
+            let shipdate = later(odate, rng.gen_range(1..=121));
+            let commitdate = later(odate, rng.gen_range(30..=90));
+            let receiptdate = later(shipdate, rng.gen_range(1..=30));
             let shipped = shipdate <= current;
             let returnflag = if shipped {
                 if rng.gen_bool(0.5) {

@@ -18,10 +18,11 @@
 //!   else a cartesian product under a selection (Q11, Q15, Q22). Q5's
 //!   and Q15's supplier is the left side of the last join, so what it
 //!   joins is one derived table;
-//! * `EXISTS` / `IN` / `NOT EXISTS` / `NOT IN` become semi-/anti-joins
-//!   after their statement's joins (rule 4: Q4, Q16, Q18, Q20, Q21,
-//!   Q22); a nested derived table places one lower in the tree (Q18,
-//!   Q20);
+//! * `EXISTS` / `IN` / `NOT EXISTS` become semi-/anti-joins after
+//!   their statement's joins (rule 4: Q4, Q16, Q18, Q20, Q21, Q22); a
+//!   nested derived table places one lower in the tree (Q18, Q20). Q16's
+//!   `NOT IN` is written `NOT EXISTS`, which rule 4 plans as the same
+//!   anti join, since it refuses `NOT IN (SELECT …)`;
 //! * `LEFT OUTER JOIN … ON` keeps its right-side conjunct below the
 //!   join (rule 2: Q13); any other non-equality `ON` conjunct is its
 //!   join's residual (rule 3: Q17, Q19, Q20);
@@ -218,8 +219,8 @@ const SQL: [&str; QUERY_COUNT] = [
      from partsupp, part
      where p_partkey = ps_partkey and not p_brand = 'Brand#45'
        and p_type not like 'MEDIUM POLISHED%' and p_size in (49, 14, 23, 45, 19, 3, 36, 9)
-       and ps_suppkey not in (select s_suppkey from supplier
-                              where s_comment like '%Customer%Complaints%')
+       and not exists (select * from supplier
+                       where s_suppkey = ps_suppkey and s_comment like '%Customer%Complaints%')
      group by p_brand, p_type, p_size
      order by supplier_cnt desc, p_brand, p_type, p_size",
     // Q17: small-quantity-order revenue.

@@ -141,6 +141,43 @@ fn aggregate_aliases_in_having_and_order() {
     assert!(t.value(1, 0).sql_eq(&Value::Int(3)));
 }
 
+/// A `WHERE` conjunct over a `LEFT OUTER JOIN`'s right side filters
+/// the joined rows: a failed match is dropped, not null-extended.
+#[test]
+fn where_filters_the_rows_of_an_outer_join() {
+    let (cat, db) = hospital();
+    let names =
+        |t: &Table| -> Vec<String> { (0..t.len()).map(|r| t.value(0, r).to_string()).collect() };
+    let t = run(
+        &cat,
+        &db,
+        "select S, P from Hosp left outer join Ins on S = C where P > 100 order by S",
+    );
+    assert_eq!(names(&t), ["'s1'", "'s2'"]);
+    let t = run(
+        &cat,
+        &db,
+        "select S from Hosp left outer join Ins on S = C where P is null",
+    );
+    assert_eq!(names(&t), ["'s5'"]);
+}
+
+/// A sort on a computed item orders by its value, whether the key is
+/// the expression or the item's alias.
+#[test]
+fn a_computed_sort_key_orders_by_its_value() {
+    let (cat, db) = hospital();
+    for sql in [
+        "select 0.0 - P from Ins order by 0.0 - P",
+        "select 0.0 - P as x from Ins order by x",
+        "select 0.0 - P as x from Ins order by x, 0.0 - P",
+    ] {
+        let t = run(&cat, &db, sql);
+        let got: Vec<String> = (0..t.len()).map(|r| t.value(0, r).to_string()).collect();
+        assert_eq!(got, ["-220.00", "-120.00", "-90.00", "-60.00"], "{sql}");
+    }
+}
+
 #[test]
 fn tpch_sql_on_generated_data() {
     // The SQL front-end can express simplified TPC-H queries directly
