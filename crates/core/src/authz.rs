@@ -61,7 +61,7 @@ impl Policy {
     }
 
     /// Add `[P,E] → any` on `rel`.
-    pub fn grant_any(&mut self, rel: RelId, auth: Authorization) {
+    pub(crate) fn grant_any(&mut self, rel: RelId, auth: Authorization) {
         self.any_rules.insert(rel, auth);
     }
 

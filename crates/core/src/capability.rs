@@ -23,7 +23,7 @@
 //! the one map from accumulated needs to an [`EncScheme`]. The three
 //! consumers differ only in which demands they keep:
 //!
-//! * [`plaintext_requirements`] (`A_p`) keeps what the
+//! * `plaintext_requirements` (`A_p`) keeps what the
 //!   [`CapabilityPolicy`] has no scheme for;
 //! * `mpq_exec::assign_schemes` folds, through [`needed_caps`], the
 //!   demands on attributes that reach the operation encrypted;
@@ -31,7 +31,7 @@
 //!   attributes outside `A_p` — the scheme an attribute *would* get.
 //!
 //! Where an `AggRef` under a `HAVING` or a sort key points is not
-//! decided here: `demands` and [`implicit_touched`] ask
+//! decided here: `demands` and `implicit_touched` ask
 //! [`QueryPlan::agg_scope`] for the γ the node stands on, as the engine
 //! that will run the node does.
 //!
@@ -370,7 +370,7 @@ pub fn needed_caps(
 /// evaluated on plaintext), the aggregation keeps its encrypted form
 /// and every *other* demand on the attribute puts it in that node's
 /// `A_p`.
-pub fn plaintext_requirements(plan: &QueryPlan, policy: &CapabilityPolicy) -> Vec<AttrSet> {
+pub(crate) fn plaintext_requirements(plan: &QueryPlan, policy: &CapabilityPolicy) -> Vec<AttrSet> {
     let per_node: Vec<(NodeId, Vec<Demand>)> = plan
         .postorder()
         .into_iter()
@@ -404,7 +404,7 @@ pub fn plaintext_requirements(plan: &QueryPlan, policy: &CapabilityPolicy) -> Ve
 /// operation will record as implicit, and which must therefore be
 /// encrypted *before* that operation runs when a later assignee holds
 /// only encrypted visibility over them.
-pub fn implicit_touched(plan: &QueryPlan, id: NodeId) -> AttrSet {
+pub(crate) fn implicit_touched(plan: &QueryPlan, id: NodeId) -> AttrSet {
     let node = plan.node(id);
     match &node.op {
         Operator::Select { pred } => pred.const_compared_attrs(),

@@ -23,7 +23,7 @@
 //! Signed 64-bit integers are encoded with a `2^63` offset; the
 //! aggregation layer tracks how many ciphertexts were added so the
 //! offsets can be removed after decryption (see
-//! [`PaillierKeypair::decode_sum`]).
+//! `PaillierKeypair::decode_sum`).
 
 use crate::bignum::{BigUint, Montgomery};
 use rand::Rng;
@@ -300,7 +300,7 @@ impl PaillierKeypair {
     /// # Panics
     /// When `c` is no unit mod `n²` — a multiple of `p` or `q`, `0`
     /// included — which no encryption or sum of them is;
-    /// [`PaillierKeypair::decode_sum`] is the total entry for
+    /// `PaillierKeypair::decode_sum` is the total entry for
     /// ciphertexts a peer supplied.
     pub fn decrypt(&self, c: &PaillierCiphertext) -> BigUint {
         self.try_decrypt(c).expect("a ciphertext is a unit mod n²")
@@ -326,7 +326,7 @@ impl PaillierKeypair {
     /// per-term offsets. `None` when the plaintext cannot be such a
     /// sum: arbitrary bytes in place of a ciphertext decrypt to
     /// something as wide as the modulus.
-    pub fn decode_sum(&self, c: &PaillierCiphertext, count: u64) -> Option<i128> {
+    pub(crate) fn decode_sum(&self, c: &PaillierCiphertext, count: u64) -> Option<i128> {
         let total = i128::try_from(self.try_decrypt(c)?.try_to_u128()?).ok()?;
         // Any `u64` count of 2⁶³ offsets stays below 2¹²⁷.
         Some(total - i128::from(count) * ENCODE_OFFSET)

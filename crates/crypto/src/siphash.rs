@@ -83,7 +83,7 @@ pub(crate) fn siphash24(key: &[u8; 16], data: &[u8]) -> u64 {
 }
 
 /// Derive a 16-byte sub-key for a labelled purpose from a cluster key.
-pub fn derive_subkey(key: &[u8; 16], label: &str) -> [u8; 16] {
+pub(crate) fn derive_subkey(key: &[u8; 16], label: &str) -> [u8; 16] {
     let a = siphash24(key, label.as_bytes());
     let b = siphash24(key, &[label.as_bytes(), &[0x5a]].concat());
     let mut out = [0u8; 16];

@@ -737,8 +737,12 @@ pub(crate) enum Frame {
     HelloAck {
         /// The subject this server hosts.
         me: SubjectId,
-        /// Its RSA public key (request envelopes are sealed to it).
+        /// Its RSA public key, which the coordinator holds to the
+        /// fleet's.
         public: RsaPublic,
+        /// The highest query epoch the server has been sent: the
+        /// coordinator numbers its queries above it.
+        epoch: u64,
     },
     /// Def. 6.1 full-key provisioning: the sealed
     /// `[[ClusterKey]_priU]_pubS` envelope for this holder.
@@ -789,7 +793,7 @@ wire_enum!(Frame {
     0 => Peer { from },
     1 => Data { epoch, msg },
     2 => Hello { user, public },
-    3 => HelloAck { me, public },
+    3 => HelloAck { me, public, epoch },
     4 => Provision { envelope },
     5 => ProvisionPublic { id, n },
     6 => Execute { epoch, job, envelope },
@@ -993,6 +997,11 @@ mod tests {
             Frame::Hello {
                 user: SubjectId(0),
                 public: golden_key(),
+            },
+            Frame::HelloAck {
+                me: SubjectId(1),
+                public: golden_key(),
+                epoch: 7,
             },
             Frame::Provision {
                 envelope: golden_envelope(),
@@ -1277,6 +1286,7 @@ mod tests {
             3 => Frame::HelloAck {
                 me: subject(rng),
                 public: golden_key(),
+                epoch: rng.gen(),
             },
             4 => Frame::Provision {
                 envelope: gen_envelope(rng),
@@ -1528,12 +1538,19 @@ mod tests {
     /// columns: the one frame of the corpus that carries a `Table`
     /// moved (and gained an `Enc` column), and the third digest —
     /// every frame without one, taken at the commit before — shows
-    /// that nothing else did.
+    /// that nothing else did. The `HelloAck` joined the corpus when it
+    /// gained its `epoch`, under a digest of its own: the three above
+    /// it leave it out, and read as they did before.
     #[test]
     fn golden_corpus_encodes_to_the_pinned_bytes() {
         let (mut all, mut all_but_execute, mut tableless) = (Vec::new(), Vec::new(), Vec::new());
+        let mut hello_ack = Vec::new();
         for f in golden_corpus() {
             let bytes = encode_frame(&f);
+            if matches!(f, Frame::HelloAck { .. }) {
+                write_bytes(&mut hello_ack, &bytes);
+                continue;
+            }
             write_bytes(&mut all, &bytes);
             if !matches!(f, Frame::Execute { .. }) {
                 write_bytes(&mut all_but_execute, &bytes);
@@ -1553,6 +1570,10 @@ mod tests {
         assert_eq!(
             sha256_hex(&all),
             "003d10a9471b0e0ea4e5a79aae403797ab9ddab8d4b57d5b8d8680c6b98f83aa"
+        );
+        assert_eq!(
+            sha256_hex(&hello_ack),
+            "1a11cc21305f2f48dd79eec3ab3afd4cb25087904cdaf8c2dfabb8be913531bf"
         );
     }
 
@@ -1856,7 +1877,7 @@ mod tests {
             let mut b = Bytes::default().u8(3).u32(1).0;
             write_bytes(&mut b, n);
             write_bytes(&mut b, e);
-            b
+            Bytes(b).u64(0).0
         };
         assert!(decode_frame(&hello_ack(&[0xFF; 8], &[1, 0, 1])).is_none());
         assert!(decode_frame(&hello_ack(&[0xFF; 26], &[1, 0, 1])).is_none());
@@ -1892,13 +1913,14 @@ mod tests {
             let mut b = Bytes::default().u8(3).u32(1).0;
             write_bytes(&mut b, n);
             write_bytes(&mut b, e);
-            b
+            Bytes(b).u64(u64::MAX - 1).0
         };
         let (n, e) = (golden_key().n.to_bytes_be(), golden_key().e.to_bytes_be());
         let honest = hello_ack(&n, &e);
         let frame = Frame::HelloAck {
             me: SubjectId(1),
             public: golden_key(),
+            epoch: u64::MAX - 1,
         };
         assert_eq!(encode_frame(&frame), honest);
         assert_eq!(

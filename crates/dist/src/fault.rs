@@ -225,7 +225,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The backoff before retry number `attempt` (1-based), given the
     /// previous sleep `prev_ms`. Deterministic in `(seed, attempt)`.
-    pub fn backoff_ms(&self, seed: u64, attempt: u32, prev_ms: u64) -> u64 {
+    pub(crate) fn backoff_ms(&self, seed: u64, attempt: u32, prev_ms: u64) -> u64 {
         let hi = prev_ms.saturating_mul(3).clamp(BASE_MS, CAP_MS);
         let span = (hi - BASE_MS).max(1);
         BASE_MS + splitmix64(seed ^ u64::from(attempt).wrapping_mul(0xa076_1d64_78bd_642f)) % span

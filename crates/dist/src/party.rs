@@ -36,12 +36,15 @@
 use crate::audit::audit_batches;
 use crate::error::SimError;
 use crate::transport::TransportError;
+use crate::RSA_BITS;
 use mpq_algebra::{AttrId, Catalog, NodeId, QueryPlan, SubjectId};
 use mpq_core::authz::SubjectView;
 use mpq_core::dispatch::{regions, Region};
 use mpq_crypto::keyring::KeyRing;
 use mpq_crypto::rsa::{RsaKeypair, RsaPublic, SignedEnvelope};
 use mpq_exec::{execute_region, Batches, Database, ExecCtx, SchemePlan, Table};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -49,18 +52,58 @@ use std::time::Duration;
 /// One subject, for a session's whole life: identity, view, keys and
 /// store. Deliberately holds only *this* subject's material — an
 /// `mpq-server` process builds exactly one, with no other party's keys
-/// or relations in its address space.
+/// or relations in its address space. [`Party::new`] is the one way to
+/// make one, whoever hosts it: a [`Session`](crate::Session), a
+/// [`Coordinator`](crate::Coordinator) or a [`Server`](crate::Server).
 pub(crate) struct Party {
     pub(crate) me: SubjectId,
     pub(crate) catalog: Arc<Catalog>,
     /// This subject's overall view (receive audits).
-    pub(crate) view: SubjectView,
+    view: SubjectView,
     /// Request-envelope keypair.
     pub(crate) rsa: RsaKeypair,
     /// Def. 6.1 cluster keys granted to this subject.
     pub(crate) ring: KeyRing,
     /// The base relations this subject is the authority of.
     pub(crate) store: Database,
+}
+
+impl Party {
+    /// Subject `me` with its fleet identity (see [`fleet_identities`]),
+    /// an empty key ring, and `store`: the base relations it is the
+    /// authority of.
+    pub(crate) fn new(
+        me: SubjectId,
+        catalog: Arc<Catalog>,
+        view: SubjectView,
+        rsa: RsaKeypair,
+        store: Database,
+    ) -> Party {
+        let ring = KeyRing::new();
+        Party {
+            me,
+            catalog,
+            view,
+            rsa,
+            ring,
+            store,
+        }
+    }
+}
+
+/// The fleet's RSA identities: one seeded stream, `StdRng(seed)`, draws
+/// every subject's keypair in subject order. Returns the first `count`
+/// of them and the stream continued past them, which a session's or a
+/// coordinator's `Dispatcher` draws on. A session and a coordinator
+/// draw them all; a server draws up to its own and keeps that one, so
+/// every party of a fleet started with one seed holds the key every
+/// other party expects of it.
+pub(crate) fn fleet_identities(seed: u64, count: usize) -> (Vec<RsaKeypair>, StdRng) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let keys = (0..count)
+        .map(|_| RsaKeypair::generate(&mut rng, RSA_BITS))
+        .collect();
+    (keys, rng)
 }
 
 /// One region's result crossing a subject edge: the only data message
@@ -331,7 +374,7 @@ impl<'a> PartyRun<'a> {
 mod tests {
     //! The core, driven by hand: no threads, no channels, no sockets.
     use super::*;
-    use crate::session::{set_up, Dispatched, Rings, SessionConfig};
+    use crate::session::{set_up, Dispatched, SessionConfig};
     use mpq_algebra::expr::{AggExpr, AggFunc};
     use mpq_algebra::{Operator, Value};
     use mpq_core::candidates::candidates;
@@ -386,13 +429,15 @@ mod tests {
             let (parties, mut dispatcher) =
                 set_up(&ex.catalog, &ex.subjects, &ex.policy, &db, &config);
             let user = ex.subject("U");
-            let mut rings = Rings {
-                parties: &parties,
-                user,
-            };
+            let mut grants = Vec::new();
+            let signer = &parties[user.index()].rsa;
             let d = dispatcher
-                .prepare(ext, &plan_keys(ext), user, &mut rings)
+                .prepare(ext, &plan_keys(ext), user, signer, &mut grants)
                 .expect("the fixture plans are authorized");
+            for grant in grants {
+                let ring = &parties[grant.to().index()].ring;
+                grant.insert_into(ring);
+            }
             Fixture { ex, parties, d }
         }
 

@@ -12,9 +12,12 @@
 //! protocol over real TCP:
 //!
 //! 1. **hello** — the coordinator connects to every server's control
-//!    port, announces the querying user and its RSA public key, and
-//!    learns each server's subject id and public key
-//!    (`Frame::Hello`/`Frame::HelloAck`);
+//!    port and announces the querying user and its RSA public key; each
+//!    server answers with its subject id, its public key and the
+//!    highest query epoch it has been sent
+//!    (`Frame::Hello`/`Frame::HelloAck`). The coordinator holds the key
+//!    to the one it expects and refuses any other (below), and numbers
+//!    its queries above every server's epoch;
 //! 2. **provision** — Def. 6.1 cluster keys are generated client-side
 //!    and shipped to their holders as sealed
 //!    `[[key]_priU]_pubS` envelopes (`Frame::Provision`); computing
@@ -44,6 +47,28 @@
 //! authorization). A fault that outlives the budget aborts *the epoch*
 //! with a typed error; the fleet keeps serving the next query.
 //!
+//! **One fleet from one seed.** Every party's RSA identity is drawn
+//! from one seeded stream, the *fleet seed*, in subject order
+//! (`party::fleet_identities`): a [`Session`](crate::Session) draws
+//! them all, a [`Coordinator`] draws them all too and keeps the user's
+//! keypair and every public key, and a [`Server`] draws up to its own
+//! subject's. So the coordinator knows each server's key before it
+//! dials, and a server started with another seed — which would hold
+//! other keys and derive other fixture data — is refused at connect
+//! with the typed [`TransportError::ForeignKey`]. The coordinator's
+//! `Dispatcher` continues the stream exactly as a session's does (it
+//! seals `Frame::Provision` envelopes from a stream of its own), so a
+//! federated query puts on every edge the bytes a session's puts there
+//! after [`reset_provisioning`](crate::Session::reset_provisioning).
+//! Every key is a public function of the shared seed, as it always
+//! was: real key distribution is out of scope.
+//!
+//! A fleet outlives its coordinators. Epochs grow across them, so a
+//! second coordinator's query never meets the first one's cached
+//! outcomes or mailbox residue, and a server dials its data links
+//! afresh for each coordinator connection (the user's hub may have
+//! moved with its process).
+//!
 //! This is the **process-per-subject** driver, and it owns no
 //! protocol logic of its own. The coordinator prepares a query with
 //! the same `Dispatcher` a [`Session`](crate::Session) uses
@@ -62,27 +87,28 @@
 use crate::codec::Frame;
 use crate::error::SimError;
 use crate::fault::{FaultPlan, RetryPolicy};
-use crate::party::{Party, PartyOut};
+use crate::party::{fleet_identities, Party, PartyOut};
 use crate::runtime::{drive, peer_failure, settle, Mailbox, Outcome, Run, ABORTED_MARK};
-use crate::session::{Dispatched, Dispatcher, Holders, SessionConfig};
+use crate::session::{set_up, Dispatched, Dispatcher, Grant, SessionConfig};
 use crate::transport::{
-    lock, Conn, EdgeRecovery, Ledger, Link, Links, TcpHub, TransportError, TransportKind, Wire,
+    Conn, EdgeRecovery, Ledger, Link, Links, TcpHub, TransportError, TransportKind, Wire,
     CONNECT_TIMEOUT,
 };
-use crate::{Report, RSA_BITS};
+use crate::Report;
 use mpq_algebra::{Catalog, SubjectId};
 use mpq_core::authz::{Policy, SubjectView};
 use mpq_core::extend::ExtendedPlan;
 use mpq_core::keys::KeyPlan;
 use mpq_core::subjects::Subjects;
 use mpq_crypto::bignum::BigUint;
-use mpq_crypto::keyring::{ClusterKey, KeyRing};
+use mpq_crypto::keyring::ClusterKey;
 use mpq_crypto::paillier::PaillierPublic;
-use mpq_crypto::rsa::{RsaKeypair, RsaPublic, SignedEnvelope};
+use mpq_crypto::rsa::{RsaPublic, SignedEnvelope};
 use mpq_exec::Database;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -102,6 +128,11 @@ const OUTCOME_CACHE: u64 = 8;
 /// (both derive from the session seed).
 const CTL_SALT: u64 = 0x6374_6c5f_7365_6564; // "ctl_seed"
 
+/// Salt of the stream a coordinator seals `Frame::Provision` envelopes
+/// from. A stream of its own leaves the `Dispatcher`'s where a
+/// session's is, so both seal the same request bytes.
+const SEAL_SALT: u64 = 0x7365_616c_7365_6564; // "sealseed"
+
 /// Everything one `mpq-server` process needs to host a subject.
 ///
 /// The deliberate *absence* here is the point: no other subject's
@@ -117,7 +148,12 @@ pub struct ServerConfig {
     /// Data-plane addresses of the *other* parties, including the
     /// coordinator's user.
     pub peers: HashMap<SubjectId, String>,
-    /// Seed for this server's RSA keypair.
+    /// The fleet seed: the one every party of the fleet and its
+    /// coordinators are given. This server's RSA keypair is the one a
+    /// session of this seed would give its subject (see
+    /// [`Session::open`](crate::Session::open)), which is the key a
+    /// coordinator of the seed expects; the binary also derives the
+    /// fixture from it.
     pub seed: u64,
     /// The shared schema.
     pub catalog: Catalog,
@@ -141,7 +177,8 @@ pub struct Server {
     ctl_rx: Receiver<Conn>,
     hub: TcpHub,
     seed: u64,
-    faults: Option<FaultPlan>,
+    /// The one ledger of this server's data plane, across coordinators.
+    ledger: Arc<Mutex<Ledger>>,
     retry: RetryPolicy,
     /// Outcome frames of recent epochs, replayed when a recovering
     /// coordinator re-delivers an `Execute` this server already ran.
@@ -149,29 +186,26 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind the listener and generate this subject's keypair. The
-    /// process serves coordinators until one sends
+    /// Bind the listener and draw this subject's keypair from the
+    /// fleet stream (every identity up to its own: once per process).
+    /// The process serves coordinators until one sends
     /// `Frame::Shutdown`.
     pub fn bind(config: ServerConfig) -> Result<Server, TransportError> {
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let (mut identities, _) = fleet_identities(config.seed, config.me.index() + 1);
+        let rsa = identities.swap_remove(config.me.index());
+        let catalog = Arc::new(config.catalog);
+        let party = Party::new(config.me, catalog, config.view, rsa, config.store);
         let (tx, mailbox) = Mailbox::new();
         let (ctl_tx, ctl_rx) = channel();
         let hub = TcpHub::bind(&config.listen, tx, Some(ctl_tx))?;
         Ok(Server {
-            party: Party {
-                me: config.me,
-                catalog: Arc::new(config.catalog),
-                view: config.view,
-                rsa: RsaKeypair::generate(&mut rng, RSA_BITS),
-                ring: KeyRing::new(),
-                store: config.store,
-            },
+            party,
             peers: config.peers,
             mailbox,
             ctl_rx,
             hub,
             seed: config.seed,
-            faults: config.faults,
+            ledger: Ledger::shared(config.faults),
             retry: config.retry,
             outcomes: HashMap::new(),
         })
@@ -196,15 +230,17 @@ impl Server {
 
     /// Serve coordinators until one sends `Frame::Shutdown`. A
     /// coordinator dropping its connection — or damaging it mid-epoch —
-    /// returns the server to accepting the next one; provisioned keys
-    /// and cached epoch outcomes persist across coordinator
-    /// connections (they are this subject's material).
+    /// returns the server to accepting the next one; provisioned keys,
+    /// cached epoch outcomes and the data plane's ledger persist across
+    /// coordinator connections (they are this subject's material), the
+    /// data links do not: the user's hub a cached link reached may
+    /// have gone with its coordinator.
     pub fn run(mut self) -> Result<(), TransportError> {
-        let wire = self.data_wire();
         loop {
             let Ok(mut ctl) = self.ctl_rx.recv() else {
                 return Ok(());
             };
+            let wire = self.data_wire();
             match self.serve_conn(&mut ctl, &wire) {
                 Ok(true) => return Ok(()),
                 // The coordinator went away or its connection died
@@ -216,11 +252,11 @@ impl Server {
         }
     }
 
-    /// This server's sending data plane.
+    /// This server's sending data plane: fresh links, its one ledger.
     fn data_wire(&self) -> Wire {
         let me = self.party.me;
         let links = Arc::new(Links::tcp(me, self.peers.clone()));
-        let ledger = Ledger::shared(self.faults.clone());
+        let ledger = Arc::clone(&self.ledger);
         Wire::new(me, self.seed, links, ledger, self.retry)
     }
 
@@ -242,6 +278,11 @@ impl Server {
                     ctl.send(&Frame::HelloAck {
                         me: self.party.me,
                         public: self.party.rsa.public.clone(),
+                        // The highest epoch this server ran: the
+                        // coordinator numbers its queries above it, so
+                        // none meets a cached outcome or residue of
+                        // another coordinator's.
+                        epoch: self.outcomes.keys().max().copied().unwrap_or_default(),
                     })?;
                 }
                 Frame::Provision { envelope } => {
@@ -271,11 +312,9 @@ impl Server {
                     job,
                     envelope,
                 } => {
+                    let failed = |message| Frame::Failed { epoch, message };
                     let Some(user_public) = user_public.clone() else {
-                        ctl.send(&Frame::Failed {
-                            epoch,
-                            message: "Execute before Hello".to_string(),
-                        })?;
+                        ctl.send(&failed("Execute before Hello".to_string()))?;
                         continue;
                     };
                     // A re-delivered Execute (the coordinator re-sent
@@ -291,10 +330,7 @@ impl Server {
                         let reply = if authorized {
                             self.outcomes[&epoch].clone()
                         } else {
-                            Frame::Failed {
-                                epoch,
-                                message: SimError::Envelope { to: self.party.me }.to_string(),
-                            }
+                            failed(SimError::Envelope { to: self.party.me }.to_string())
                         };
                         ctl.send(&reply)?;
                         continue;
@@ -312,18 +348,9 @@ impl Server {
                             epoch,
                             transfers: out.transfers,
                         },
-                        Outcome::Failed(e) => Frame::Failed {
-                            epoch,
-                            message: e.to_string(),
-                        },
-                        Outcome::Aborted => Frame::Failed {
-                            epoch,
-                            message: ABORTED_MARK.to_string(),
-                        },
-                        Outcome::Panicked(m) => Frame::Failed {
-                            epoch,
-                            message: format!("party panicked: {m}"),
-                        },
+                        Outcome::Failed(e) => failed(e.to_string()),
+                        Outcome::Aborted => failed(ABORTED_MARK.to_string()),
+                        Outcome::Panicked(m) => failed(format!("party panicked: {m}")),
                     };
                     // Record the outcome *before* reporting it: if the
                     // send fails because the coordinator's connection
@@ -345,21 +372,26 @@ impl Server {
 /// The coordinator's control plane: a [`Links`] cache whose
 /// introduction step is the hello handshake — dial `s`'s control port,
 /// announce the user with `hello`, wait up to `wait` for the
-/// `HelloAck`, and record the server key it carries in `publics`
-/// (every re-dial may refresh it).
+/// `HelloAck`, refuse a server whose key is not `publics[s]` (the
+/// fleet's, by subject index) and raise `seen` to the epoch it reports.
 fn control_links(
     hello: Frame,
     addrs: HashMap<SubjectId, String>,
     wait: Duration,
-    publics: Arc<Mutex<HashMap<SubjectId, RsaPublic>>>,
+    publics: Vec<RsaPublic>,
+    seen: &Arc<AtomicU64>,
 ) -> Links<Conn> {
+    let seen = Arc::clone(seen);
     Links::new(move |s| {
         let addr = addrs.get(&s).ok_or(TransportError::Closed)?;
         let mut ctl = Conn::connect(addr, s, CONNECT_TIMEOUT)?;
         ctl.send(&hello)?;
         let detail = match ctl.recv(Some(wait))? {
-            Frame::HelloAck { me, public } if me == s => {
-                lock(&publics).insert(s, public);
+            Frame::HelloAck { me, public, epoch } if me == s => {
+                if publics.get(s.index()) != Some(&public) {
+                    return Err(TransportError::ForeignKey { subject: s });
+                }
+                seen.fetch_max(epoch, Ordering::SeqCst);
                 return Ok(ctl);
             }
             Frame::HelloAck { me, .. } => format!("server at {addr} hosts {me}, expected {s}"),
@@ -432,8 +464,8 @@ pub struct Coordinator {
     party: Party,
     /// One control connection per server.
     links: Arc<Links<Conn>>,
-    /// The server keys learned in the hello handshakes.
-    publics: Arc<Mutex<HashMap<SubjectId, RsaPublic>>>,
+    /// The stream `Frame::Provision` envelopes are sealed from.
+    seal_rng: StdRng,
     /// How long a `HelloAck` or an outcome may take. Grants
     /// `DONE_SLACK` past the query timeout because a mid-epoch server
     /// only answers once its current serve loop observes the dead
@@ -446,60 +478,26 @@ pub struct Coordinator {
     wire: Wire,
     mailbox: Mailbox,
     _hub: TcpHub,
+    /// The last query epoch: every server's highest at connect, then
+    /// one more per query.
     epoch: u64,
-}
-
-/// [`Holders`] of a coordinator: the user's ring is local, every other
-/// ring is behind a control connection, and a key reaches it as a
-/// sealed `[[key]_priU]_pubS` envelope. Private RSA keys never cross
-/// the wire in any direction.
-struct Fleet<'a> {
-    party: &'a Party,
-    publics: &'a Mutex<HashMap<SubjectId, RsaPublic>>,
-    ctl: &'a Wire,
-}
-
-impl Holders for Fleet<'_> {
-    fn signer(&self) -> &RsaKeypair {
-        &self.party.rsa
-    }
-
-    fn public_of(&self, s: SubjectId) -> Option<RsaPublic> {
-        if s == self.party.me {
-            return Some(self.party.rsa.public.clone());
-        }
-        lock(self.publics).get(&s).cloned()
-    }
-
-    fn grant(&mut self, rng: &mut StdRng, to: SubjectId, key: &ClusterKey) -> Result<(), SimError> {
-        if to == self.party.me {
-            self.party.ring.insert(key.clone());
-            return Ok(());
-        }
-        let public = self.public_of(to).ok_or(SimError::Envelope { to })?;
-        let envelope = SignedEnvelope::seal(rng, &key.to_bytes(), &self.party.rsa, &public);
-        Ok(self
-            .ctl
-            .send_with_retry(to, &Frame::Provision { envelope })?)
-    }
-
-    fn grant_public(&mut self, to: SubjectId, key: &ClusterKey) -> Result<(), SimError> {
-        let public = key.paillier_public();
-        if to == self.party.me {
-            self.party.ring.insert_public(key.id, public);
-            return Ok(());
-        }
-        let n = public.n.to_bytes_be();
-        Ok(self
-            .ctl
-            .send_with_retry(to, &Frame::ProvisionPublic { id: key.id, n })?)
-    }
 }
 
 impl Coordinator {
     /// Connect to every server, run the hello handshake, and set up
     /// the user's own party (data-plane hub on `listen`, store holding
     /// the relations the user is the authority of).
+    ///
+    /// The coordinator draws the fleet's identities from the seed as a
+    /// [`Session`](crate::Session) does, keeps the user's and every
+    /// public key, and continues the stream into its `Dispatcher`: a
+    /// query prepares the bytes a session's would after
+    /// [`reset_provisioning`](crate::Session::reset_provisioning). A
+    /// server whose `HelloAck` carries another key — one started with
+    /// another seed — is refused with the typed
+    /// [`TransportError::ForeignKey`]. Queries are numbered above the
+    /// highest epoch any server reports, so they never meet another
+    /// coordinator's.
     ///
     /// `servers` maps each remote subject to its `host:port`; the
     /// servers' own `peers` maps must point back at `listen` for the
@@ -524,21 +522,13 @@ impl Coordinator {
         servers: &HashMap<SubjectId, String>,
         config: SessionConfig,
     ) -> Result<Coordinator, SimError> {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let rsa = RsaKeypair::generate(&mut rng, RSA_BITS);
-        let views = policy.all_views(catalog, subjects);
-        let catalog = Arc::new(catalog.clone());
+        let config = config.transport(TransportKind::Tcp);
+        // A session's set-up, of which only the user's party stays, and
+        // every public key.
+        let (mut parties, dispatcher) = set_up(catalog, subjects, policy, db, &config);
+        let party = parties.swap_remove(user.index());
         let (tx, mailbox) = Mailbox::new();
         let hub = TcpHub::bind(listen, tx, None)?;
-        let party = Party {
-            me: user,
-            catalog: Arc::clone(&catalog),
-            view: views[user.index()].clone(),
-            rsa,
-            ring: KeyRing::new(),
-            store: db.partition(|rel| subjects.authority(rel) == Some(user)),
-        };
-        let config = config.transport(TransportKind::Tcp);
         // One ledger per wire: the control plane's attempts never shift
         // the data plane's schedule.
         let wire_of = |seed, backend| {
@@ -551,28 +541,27 @@ impl Coordinator {
         };
         // Over TCP the receive timeout is always set.
         let wait = config.effective_timeout().unwrap_or_default() + DONE_SLACK;
-        let publics = Arc::default();
-        let links = control_links(hello, servers.clone(), wait, Arc::clone(&publics));
+        let seen = Arc::new(AtomicU64::new(0));
+        let publics = dispatcher.publics.clone();
+        let links = control_links(hello, servers.clone(), wait, publics, &seen);
         let links = Arc::new(links);
         let ctl = wire_of(config.seed ^ CTL_SALT, Arc::clone(&links) as _);
         let peers = Links::tcp(user, servers.clone());
         let wire = wire_of(config.seed, Arc::new(peers) as _);
-        let mut order: Vec<SubjectId> = servers.keys().copied().collect();
-        order.sort_by_key(|s| s.index());
-        for s in order {
+        for s in subjects.iter().filter(|s| servers.contains_key(s)) {
             links.with(s, false, |_| Ok(()))?;
         }
         Ok(Coordinator {
-            dispatcher: Dispatcher::new(&catalog, subjects, views, rng, &config),
+            dispatcher,
             party,
             links,
-            publics,
+            seal_rng: StdRng::seed_from_u64(config.seed ^ SEAL_SALT),
             wait,
             ctl,
             wire,
             mailbox,
             _hub: hub,
-            epoch: 0,
+            epoch: seen.load(Ordering::SeqCst),
         })
     }
 
@@ -588,17 +577,17 @@ impl Coordinator {
         for id in self.dispatcher.reset() {
             self.party.ring.revoke(id);
         }
-        let mut fleet = Fleet {
-            party: &self.party,
-            publics: &self.publics,
-            ctl: &self.ctl,
-        };
+        let mut grants = Vec::new();
+        let prepared = (self.dispatcher).prepare(ext, keys, user, &self.party.rsa, &mut grants);
+        for grant in grants {
+            self.grant(grant)?;
+        }
         let Dispatched {
             job,
             mut envelopes,
             request_bytes,
             requests,
-        } = self.dispatcher.prepare(ext, keys, user, &mut fleet)?;
+        } = prepared?;
         let job = Arc::new(job);
 
         self.epoch += 1;
@@ -652,6 +641,32 @@ impl Coordinator {
         Report::assemble(request_bytes, requests, settle(outcomes)?)
     }
 
+    /// Deliver one grant. The user's ring is in this process; every
+    /// other ring is behind a control connection, and a full key
+    /// reaches it as a `[[key]_priU]_pubS` envelope, sealed from the
+    /// coordinator's own stream. Private RSA keys never cross the wire
+    /// in any direction.
+    fn grant(&mut self, grant: Grant) -> Result<(), SimError> {
+        let to = grant.to();
+        if to == self.party.me {
+            grant.insert_into(&self.party.ring);
+            return Ok(());
+        }
+        let frame = match grant {
+            Grant::Key(_, key) => {
+                let public = &self.dispatcher.publics[to.index()];
+                let (bytes, signer) = (key.to_bytes(), &self.party.rsa);
+                let envelope = SignedEnvelope::seal(&mut self.seal_rng, &bytes, signer, public);
+                Frame::Provision { envelope }
+            }
+            Grant::Public(_, id, public) => Frame::ProvisionPublic {
+                id,
+                n: public.n.to_bytes_be(),
+            },
+        };
+        Ok(self.ctl.send_with_retry(to, &frame)?)
+    }
+
     /// A snapshot of the ledger of this coordinator's *data-plane*
     /// wire — per edge, the recovery of the user's share of the
     /// peer-to-peer traffic. The counts are a pure function of the
@@ -680,7 +695,15 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode_frame;
+    use crate::session::set_up;
+    use crate::RSA_BITS;
     use mpq_algebra::AttrSet;
+    use mpq_core::fixtures::RunningExample;
+    use mpq_crypto::rsa::RsaKeypair;
+
+    /// The fleet seed of [`bare_server`].
+    const FLEET: u64 = 11;
 
     /// A server for subject 1 with nothing to its name, on loopback.
     fn bare_server() -> Server {
@@ -689,7 +712,7 @@ mod tests {
             me,
             listen: "127.0.0.1:0".to_string(),
             peers: HashMap::new(),
-            seed: 11,
+            seed: FLEET,
             catalog: Catalog::new(),
             view: SubjectView {
                 subject: me,
@@ -764,12 +787,14 @@ mod tests {
 
         let coordinator = std::thread::spawn(move || {
             let user = SubjectId(0);
-            let mut rng = StdRng::seed_from_u64(12);
-            let rsa = RsaKeypair::generate(&mut rng, RSA_BITS);
+            let (mut identities, mut rng) = fleet_identities(FLEET, 2);
+            let server_key = identities.remove(1).public;
+            let rsa = identities.remove(0);
             let public = rsa.public.clone();
-            let publics = Arc::default();
             let hello = Frame::Hello { user, public };
-            let links = control_links(hello, addrs, CONNECT_TIMEOUT, Arc::clone(&publics));
+            let expected = vec![rsa.public.clone(), server_key.clone()];
+            let seen = Arc::default();
+            let links = control_links(hello, addrs, CONNECT_TIMEOUT, expected, &seen);
             let links = Arc::new(links);
             // The first attempt on the edge is damaged, no other.
             let plan = FaultPlan::parse("seed=1,truncate=1000,max=1").expect("valid");
@@ -777,7 +802,6 @@ mod tests {
             let retry = RetryPolicy::default();
             let ctl = Wire::new(user, 7, Arc::clone(&links) as _, ledger, retry);
             links.with(me, false, |_| Ok(())).expect("handshake");
-            let server_key = lock(&publics)[&me].clone();
             let key = ClusterKey::generate(&mut rng, 5, 256);
             let envelope = SignedEnvelope::seal(&mut rng, &key.to_bytes(), &rsa, &server_key);
             ctl.send_with_retry(me, &Frame::Provision { envelope })
@@ -810,5 +834,111 @@ mod tests {
             injected: 1,
         };
         assert_eq!(edge, expected);
+    }
+
+    /// A server started with another fleet seed holds another key: the
+    /// coordinator refuses it at connect, typed, where it would
+    /// otherwise seal keys to it and run queries over its data. Under
+    /// the fleet's own seed the same server is accepted.
+    #[test]
+    fn a_server_of_another_seed_is_refused_at_connect() {
+        let mut server = bare_server();
+        let me = server.subject();
+        let servers: HashMap<_, _> = [(me, server.addr().to_string())].into();
+        let fleet = std::thread::spawn(move || {
+            let wire = server.data_wire();
+            for _ in 0..2 {
+                let mut ctl = server.ctl_rx.recv().expect("a coordinator");
+                let _ = server.serve_conn(&mut ctl, &wire);
+            }
+        });
+        let ex = RunningExample::new();
+        let connect = |seed| {
+            let config = SessionConfig::new(seed);
+            let (cat, subjects, db) = (&ex.catalog, &ex.subjects, &Database::new());
+            let user = ex.subject("U");
+            Coordinator::connect(
+                cat,
+                subjects,
+                &ex.policy,
+                db,
+                user,
+                "127.0.0.1:0",
+                &servers,
+                config,
+            )
+        };
+        let refused = connect(FLEET + 1).err();
+        let expected = TransportError::ForeignKey { subject: me };
+        assert_eq!(refused, Some(SimError::Transport(expected)));
+        connect(FLEET).expect("the fleet's own seed").shutdown();
+        fleet.join().expect("server thread");
+    }
+
+    /// A coordinator prepares the bytes a session of its seed prepares:
+    /// query after query, the same grants in the same order, and every
+    /// participant's `Execute` frame — the job with its encrypted
+    /// literals, and the sealed request — byte for byte the session's.
+    #[test]
+    fn a_coordinator_prepares_the_bytes_a_session_prepares() {
+        let ex = RunningExample::new();
+        let mut db = Database::new();
+        db.load(&ex.catalog, "Hosp", RunningExample::sample_hosp_rows());
+        db.load(&ex.catalog, "Ins", RunningExample::sample_ins_rows());
+        let user = ex.subject("U");
+        let config = SessionConfig::new(FLEET).timeout(Duration::from_secs(3));
+        let (cat, subjects, policy) = (&ex.catalog, &ex.subjects, &ex.policy);
+        let (listen, none) = ("127.0.0.1:0", &HashMap::new());
+        let mut coordinator = Coordinator::connect(
+            cat,
+            subjects,
+            policy,
+            &db,
+            user,
+            listen,
+            none,
+            config.clone(),
+        )
+        .expect("a coordinator of no servers");
+        let (parties, mut dispatcher) = set_up(cat, subjects, policy, &db, &config);
+        let bytes = |d: Dispatched, grants: Vec<Grant>| {
+            let grants = grants.iter().map(|g| match g {
+                Grant::Key(to, key) => (*to, key.to_bytes()),
+                Grant::Public(to, id, public) => (
+                    *to,
+                    [&id.to_be_bytes()[..], &public.n.to_bytes_be()].concat(),
+                ),
+            });
+            let grants: Vec<_> = grants.collect();
+            let job = Arc::new(d.job);
+            let execute = |envelope| {
+                let job = Arc::clone(&job);
+                encode_frame(&Frame::Execute {
+                    epoch: 1,
+                    job,
+                    envelope,
+                })
+            };
+            (
+                grants,
+                d.envelopes.into_iter().map(execute).collect::<Vec<_>>(),
+            )
+        };
+        let ext = ex.fig7a_extended();
+        let keys = mpq_core::keys::plan_keys(&ext);
+        for _ in 0..2 {
+            coordinator.dispatcher.reset();
+            dispatcher.reset();
+            let c = &mut coordinator;
+            let (mut sent, mut inserted) = (Vec::new(), Vec::new());
+            let federated = c
+                .dispatcher
+                .prepare(&ext, &keys, user, &c.party.rsa, &mut sent);
+            let signer = &parties[user.index()].rsa;
+            let local = dispatcher.prepare(&ext, &keys, user, signer, &mut inserted);
+            let (federated, local) = (federated.expect("prepared"), local.expect("prepared"));
+            assert_eq!(federated.request_bytes, local.request_bytes);
+            assert_eq!(bytes(federated, sent), bytes(local, inserted));
+        }
     }
 }

@@ -43,12 +43,12 @@
 
 use crate::error::SimError;
 use crate::fault::{FaultPlan, RetryPolicy};
-use crate::party::{Party, PartyRun, QueryJob};
+use crate::party::{fleet_identities, Party, PartyRun, QueryJob};
 use crate::runtime::{Mailbox, Msg};
 use crate::transport::{
     lock, EdgeRecovery, Ledger, Links, TcpHub, Transport, TransportError, TransportKind, Wire,
 };
-use crate::{Report, PAILLIER_BITS, RSA_BITS};
+use crate::{Report, PAILLIER_BITS};
 use mpq_algebra::{AttrId, Catalog, Operator, RelId, SubjectId};
 use mpq_core::authz::{Policy, SubjectView};
 use mpq_core::dispatch::dispatch;
@@ -56,10 +56,10 @@ use mpq_core::extend::ExtendedPlan;
 use mpq_core::keys::{ClusterSig, KeyPlan};
 use mpq_core::subjects::Subjects;
 use mpq_crypto::keyring::{ClusterKey, KeyRing};
+use mpq_crypto::paillier::PaillierPublic;
 use mpq_crypto::rsa::{RsaKeypair, RsaPublic, SignedEnvelope};
 use mpq_exec::{assign_schemes, rewrite_literals, Database};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -82,8 +82,10 @@ use std::time::Duration;
 /// ```
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
-    /// Master seed: RSA keypairs, cluster-key material, envelope
-    /// session keys, and the derived execution seed all flow from it.
+    /// Master seed — the fleet seed: RSA keypairs, cluster-key
+    /// material, envelope session keys, and the derived execution seed
+    /// all flow from it. A coordinator and its servers given the same
+    /// seed hold the keys a session of it holds.
     pub seed: u64,
     /// Run the static verifier (`mpq_core::verify`) before spending
     /// crypto work on a query (on by default).
@@ -152,7 +154,7 @@ impl SessionConfig {
 
     /// The effective receive timeout: the explicit setting, or the
     /// transport default (`None` in-proc, 10 s over TCP).
-    pub fn effective_timeout(&self) -> Option<Duration> {
+    pub(crate) fn effective_timeout(&self) -> Option<Duration> {
         self.timeout.or(match self.transport {
             TransportKind::InProc => None,
             TransportKind::Tcp => Some(Duration::from_secs(10)),
@@ -187,20 +189,34 @@ pub struct SessionStats {
     pub publics_delivered: usize,
 }
 
-/// Who holds the keys, as the [`Dispatcher`] sees them: the one thing
-/// in which a [`Session`] (every ring in this process) and a
-/// [`Coordinator`](crate::Coordinator) (rings behind control
-/// connections) differ while preparing a query.
-pub(crate) trait Holders {
-    /// The querying user's keypair: signs every envelope.
-    fn signer(&self) -> &RsaKeypair;
-    /// The key envelopes for `s` are sealed to.
-    fn public_of(&self, s: SubjectId) -> Option<RsaPublic>;
-    /// Hand the full cluster key to a Def. 6.1 holder.
-    fn grant(&mut self, rng: &mut StdRng, to: SubjectId, key: &ClusterKey) -> Result<(), SimError>;
-    /// Hand the public Paillier half to a computing non-holder: enough
-    /// to aggregate, never to decrypt.
-    fn grant_public(&mut self, to: SubjectId, key: &ClusterKey) -> Result<(), SimError>;
+/// One Def. 6.1 delivery of a prepared query. How it reaches its
+/// subject is the one thing in which a [`Session`] (every ring in this
+/// process: an insert) and a [`Coordinator`](crate::Coordinator)
+/// (rings behind control connections: a `Frame::Provision` sealed to
+/// the holder, or a `Frame::ProvisionPublic`) differ.
+pub(crate) enum Grant {
+    /// The full cluster key, to a holder.
+    Key(SubjectId, ClusterKey),
+    /// A cluster's public Paillier half, by key id, to a computing
+    /// non-holder: enough to aggregate, never to decrypt.
+    Public(SubjectId, u32, PaillierPublic),
+}
+
+impl Grant {
+    /// The subject it is for.
+    pub(crate) fn to(&self) -> SubjectId {
+        match self {
+            Grant::Key(to, _) | Grant::Public(to, ..) => *to,
+        }
+    }
+
+    /// Deliver it to a ring in this process.
+    pub(crate) fn insert_into(self, ring: &KeyRing) {
+        match self {
+            Grant::Key(_, key) => ring.insert(key),
+            Grant::Public(_, id, public) => ring.insert_public(id, public),
+        }
+    }
 }
 
 /// A prepared query: the job every participant runs, each recipient's
@@ -227,6 +243,8 @@ pub(crate) struct Dispatcher {
     /// (the policy itself is immutable; key *revocation* is modeled by
     /// [`Session::revoke_key`]).
     views: Vec<SubjectView>,
+    /// Every subject's public key, by subject index: the fleet's.
+    pub(crate) publics: Vec<RsaPublic>,
     rng: StdRng,
     /// Derived once from the constructor seed; see
     /// [`QueryJob::exec_seed`].
@@ -247,29 +265,6 @@ pub(crate) struct Dispatcher {
 }
 
 impl Dispatcher {
-    /// `rng` arrives having drawn the RSA identities, so everything
-    /// drawn here continues one seeded stream.
-    pub(crate) fn new(
-        catalog: &Arc<Catalog>,
-        subjects: &Subjects,
-        views: Vec<SubjectView>,
-        rng: StdRng,
-        config: &SessionConfig,
-    ) -> Dispatcher {
-        Dispatcher {
-            catalog: Arc::clone(catalog),
-            subjects: Arc::new(subjects.clone()),
-            views,
-            rng,
-            exec_seed: config.seed ^ 0x6d70_715f_6578_6563, // "mpq_exec"
-            cache: HashMap::new(),
-            next_key_id: 0,
-            stats: SessionStats::default(),
-            preflight: config.preflight,
-            timeout: config.effective_timeout(),
-        }
-    }
-
     /// Def. 4.1 for every node, then the static pre-flight. Returns
     /// which subjects compute (every assignee plus the user).
     /// Authorization never amortizes: the signed request is a
@@ -334,16 +329,22 @@ impl Dispatcher {
         Ok(computing)
     }
 
-    /// Authorize, provision, seal. Consumes the RNG in a fixed order —
-    /// per new cluster: the key, then whatever `holders` draws to ship
-    /// it; then literal rewriting; then one envelope per recipient,
-    /// ascending — so a seed fixes every ciphertext and every byte.
+    /// Authorize, provision, seal; `signer` is the user's keypair.
+    /// Consumes the RNG in a fixed order — one key per new cluster,
+    /// then literal rewriting, then one envelope per recipient,
+    /// ascending — so a seed fixes every ciphertext and every byte,
+    /// however the grants are delivered.
+    ///
+    /// The key deliveries land in `grants`, in order, even when a later
+    /// step fails: the cache counts them as held from here on, so the
+    /// caller delivers them whatever this returns.
     pub(crate) fn prepare(
         &mut self,
         ext: &ExtendedPlan,
         keys: &KeyPlan,
         user: SubjectId,
-        holders: &mut dyn Holders,
+        signer: &RsaKeypair,
+        grants: &mut Vec<Grant>,
     ) -> Result<Dispatched, SimError> {
         self.stats.queries += 1;
         let computing = self.authorize(ext, keys, user)?;
@@ -369,7 +370,7 @@ impl Dispatcher {
                     self.next_key_id += 1;
                     let material = ClusterKey::generate(&mut self.rng, id, PAILLIER_BITS);
                     for &holder in &plan_key.holders {
-                        holders.grant(&mut self.rng, holder, &material)?;
+                        grants.push(Grant::Key(holder, material.clone()));
                     }
                     let publics = plan_key.holders.iter().map(|s| s.index()).collect();
                     self.stats.clusters_provisioned += 1;
@@ -383,7 +384,8 @@ impl Dispatcher {
             // yet served.
             for i in (0..computing.len()).filter(|&i| computing[i]) {
                 if !cached.publics.contains(&i) {
-                    holders.grant_public(SubjectId::from_index(i), &cached.material)?;
+                    let (id, public) = (cached.material.id, cached.material.paillier_public());
+                    grants.push(Grant::Public(SubjectId::from_index(i), id, public));
                     cached.publics.insert(i);
                     self.stats.publics_delivered += 1;
                 }
@@ -424,8 +426,8 @@ impl Dispatcher {
         let mut envelopes: Vec<Option<SignedEnvelope>> = vec![None; batches.len()];
         for (i, payload) in batches.iter().enumerate().filter(|(_, p)| !p.is_empty()) {
             let to = SubjectId::from_index(i);
-            let public = holders.public_of(to).ok_or(SimError::Envelope { to })?;
-            let envelope = SignedEnvelope::seal(&mut self.rng, payload, holders.signer(), &public);
+            let public = &self.publics[i];
+            let envelope = SignedEnvelope::seal(&mut self.rng, payload, signer, public);
             if to != user {
                 *request_bytes.entry((user, to)).or_default() +=
                     envelope.wrapped_key.len() + envelope.body.len() + envelope.signature.len();
@@ -461,8 +463,8 @@ impl Dispatcher {
 }
 
 /// The wire-free part of opening a session: one party per registered
-/// subject (RSA identities drawn from the seed in subject order) and
-/// the dispatcher that continues the same seeded stream.
+/// subject, each with its fleet identity, and the dispatcher that
+/// continues the same seeded stream.
 pub(crate) fn set_up(
     catalog: &Catalog,
     subjects: &Subjects,
@@ -470,21 +472,34 @@ pub(crate) fn set_up(
     db: &Database,
     config: &SessionConfig,
 ) -> (Vec<Party>, Dispatcher) {
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let (identities, rng) = fleet_identities(config.seed, subjects.len());
+    let publics = identities.iter().map(|k| k.public.clone()).collect();
     let views = policy.all_views(catalog, subjects);
     let catalog = Arc::new(catalog.clone());
     let parties = subjects
         .iter()
-        .map(|me| Party {
-            me,
-            catalog: Arc::clone(&catalog),
-            view: views[me.index()].clone(),
-            rsa: RsaKeypair::generate(&mut rng, RSA_BITS),
-            ring: KeyRing::new(),
-            store: db.partition(|rel| subjects.authority(rel) == Some(me)),
+        .zip(identities)
+        .map(|(me, rsa)| {
+            let store = db.partition(|rel| subjects.authority(rel) == Some(me));
+            let view = views[me.index()].clone();
+            Party::new(me, Arc::clone(&catalog), view, rsa, store)
         })
         .collect();
-    let dispatcher = Dispatcher::new(&catalog, subjects, views, rng, config);
+    // `rng` has drawn the identities: the dispatcher continues the
+    // stream.
+    let dispatcher = Dispatcher {
+        catalog,
+        subjects: Arc::new(subjects.clone()),
+        views,
+        publics,
+        rng,
+        exec_seed: config.seed ^ 0x6d70_715f_6578_6563, // "mpq_exec"
+        cache: HashMap::new(),
+        next_key_id: 0,
+        stats: SessionStats::default(),
+        preflight: config.preflight,
+        timeout: config.effective_timeout(),
+    };
     (parties, dispatcher)
 }
 
@@ -534,35 +549,6 @@ pub struct Session {
     /// With [`TransportKind::Tcp`], one loopback listener per party,
     /// feeding its mailbox.
     _hubs: Vec<TcpHub>,
-}
-
-/// [`Holders`] of a session: every ring is in this process, and a key
-/// reaches its holder by being inserted.
-pub(crate) struct Rings<'a> {
-    pub(crate) parties: &'a [Party],
-    pub(crate) user: SubjectId,
-}
-
-impl Holders for Rings<'_> {
-    fn signer(&self) -> &RsaKeypair {
-        &self.parties[self.user.index()].rsa
-    }
-
-    fn public_of(&self, s: SubjectId) -> Option<RsaPublic> {
-        Some(self.parties.get(s.index())?.rsa.public.clone())
-    }
-
-    fn grant(&mut self, _: &mut StdRng, to: SubjectId, key: &ClusterKey) -> Result<(), SimError> {
-        self.parties[to.index()].ring.insert(key.clone());
-        Ok(())
-    }
-
-    fn grant_public(&mut self, to: SubjectId, key: &ClusterKey) -> Result<(), SimError> {
-        self.parties[to.index()]
-            .ring
-            .insert_public(key.id, key.paillier_public());
-        Ok(())
-    }
 }
 
 impl Session {
@@ -661,8 +647,14 @@ impl Session {
         keys: &KeyPlan,
         user: SubjectId,
     ) -> Result<Report, SimError> {
-        let parties = &self.parties;
-        let d = (self.dispatcher).prepare(ext, keys, user, &mut Rings { parties, user })?;
+        let (parties, mut grants) = (&self.parties, Vec::new());
+        let signer = &parties[user.index()].rsa;
+        let d = (self.dispatcher).prepare(ext, keys, user, signer, &mut grants);
+        for grant in grants {
+            let ring = &parties[grant.to().index()].ring;
+            grant.insert_into(ring);
+        }
+        let d = d?;
         self.epoch += 1;
         let (epoch, job, timeout) = (self.epoch, &d.job, d.job.timeout());
         let user_public = &parties[user.index()].rsa.public;
@@ -797,12 +789,14 @@ mod tests {
         let db = Database::new();
         let (parties, mut dispatcher) = set_up(&ex.catalog, &ex.subjects, &ex.policy, &db, &config);
         let (ext, user) = (ex.fig7a_extended(), ex.subject("U"));
-        let mut rings = Rings {
-            parties: &parties,
-            user,
-        };
         let d = dispatcher
-            .prepare(&ext, &plan_keys(&ext), user, &mut rings)
+            .prepare(
+                &ext,
+                &plan_keys(&ext),
+                user,
+                &parties[user.index()].rsa,
+                &mut vec![],
+            )
             .expect("Fig. 7(a) is authorized");
         assert_eq!(d.job.timeout(), Some(Duration::from_millis(1)));
     }

@@ -133,6 +133,13 @@ pub enum TransportError {
         /// Its rendered error.
         message: String,
     },
+    /// A server answered the hello handshake with a key that is not
+    /// the fleet's for its subject: it was started with another seed,
+    /// and would serve other keys and other fixture data.
+    ForeignKey {
+        /// The subject the server hosts.
+        subject: SubjectId,
+    },
     /// The channel or connection closed before the operation.
     Closed,
 }
@@ -152,6 +159,9 @@ impl std::fmt::Display for TransportError {
             }
             TransportError::Peer { from, message } => {
                 write!(f, "party {from} failed its share: {message}")
+            }
+            TransportError::ForeignKey { subject } => {
+                write!(f, "the server of {subject} holds a key of another seed")
             }
             TransportError::Closed => write!(f, "connection closed"),
         }

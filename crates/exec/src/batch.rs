@@ -474,7 +474,7 @@ impl ColumnVec {
     /// Fold the cells `rows` of this key column into `hashes`, the
     /// running key hash of each of those rows: one typed loop per
     /// representation, every cell read where it lies.
-    pub fn hash_keys(&self, rows: Range<usize>, seed: KeySeed, hashes: &mut [u64]) {
+    pub(crate) fn hash_keys(&self, rows: Range<usize>, seed: KeySeed, hashes: &mut [u64]) {
         let hashes = hashes.iter_mut();
         match self {
             ColumnVec::Int(v) => {
@@ -512,7 +512,7 @@ impl ColumnVec {
     }
 
     /// Whether cell `i` is a ciphertext, without materializing it.
-    pub fn is_enc(&self, i: usize) -> bool {
+    pub(crate) fn is_enc(&self, i: usize) -> bool {
         matches!(self.cell_ref(i), CellRef::Enc(..))
     }
 
@@ -614,7 +614,7 @@ impl ColumnVec {
     /// (outer-join padding). An encrypted column pads with its empty
     /// cell; a plaintext column degrades, and only when a pad actually
     /// occurs.
-    pub fn gather_padded(&self, idx: &[Option<usize>]) -> ColumnVec {
+    pub(crate) fn gather_padded(&self, idx: &[Option<usize>]) -> ColumnVec {
         if let ColumnVec::Enc(c) = self {
             return ColumnVec::Enc(c.gather(idx.iter().copied()));
         }

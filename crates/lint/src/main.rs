@@ -125,6 +125,12 @@
 //!   replaced (their tokens spelled in halves) are findings anywhere
 //!   under `crates/`: a second, cached path to an OPE cell must not
 //!   quietly grow back.
+//! * **one-fleet-identity** — a party's RSA identity is drawn from the
+//!   one seeded fleet stream, by `fleet_identities` in
+//!   `dist/src/party.rs`: `RsaKeypair::generate(` in non-test code
+//!   under `crates/dist/src` or `crates/server/src` is a finding
+//!   outside that function, so a session, a coordinator and a server
+//!   of one seed keep holding the same keys.
 //!
 //! Two rules read more than one line at a time:
 //!
@@ -209,7 +215,7 @@ const CALLER_ALLOW: &[Allow] = &[
     ("crates/core/src/candidates.rs", "min_required_view", "tests/paper_figures.rs::fig6_minimum_required_views"),
     ("crates/core/src/profile.rs", "footprint", "tests/properties.rs::theorem_3_1"),
     ("crates/crypto/src/sha256.rs", "sha256_hex", "crates/bench/tests/plan_golden.rs::every_plan_under_sample_statistics_is_pinned"),
-    ("crates/dist/src/remote.rs", "set_peers", "tests/coordinator_differential.rs::coordinator_matches_both_session_schedulers"),
+    ("crates/dist/src/remote.rs", "set_peers", "tests/coordinator_differential.rs::coordinator_matches_the_session_byte_for_byte"),
     ("crates/dist/src/session.rs", "set_faults", "tests/chaos_soak.rs::chaos_soak_never_returns_a_wrong_answer"),
     ("crates/dist/src/session.rs", "cached_clusters", "tests/session_reuse.rs::session_queries_match_fresh_session_runs"),
     ("crates/dist/src/session.rs", "revoke_key", "tests/session_reuse.rs::revoke_forces_reprovisioning"),
@@ -400,6 +406,14 @@ const RULES: &[Rule] = &[
                   code descended once, ascending); no stateful encryptor or memo beside it",
         sites: &[(&[concat!("struct Ope", "Encryptor"), concat!("struct Column", "Encryptor"),
                     concat!("fn memo_", "slot"), concat!("fn encry", "ptor")], &[], &[], None)],
+    },
+    Rule {
+        name: "one-fleet-identity",
+        message: "`{t}` — a party's RSA identity comes from the fleet stream, \
+                  `mpq_dist::party::fleet_identities`; a second derivation gives a session, a \
+                  coordinator and a server of one seed different keys",
+        sites: &[(&["RsaKeypair::generate("], &["crates/dist/src", "crates/server/src"], &[],
+                  Some(("crates/dist/src/party.rs", "fleet_identities")))],
     },
 ];
 
@@ -1487,6 +1501,39 @@ mod tests {
         ] {
             assert!(lines_in(elsewhere).is_empty(), "{elsewhere}");
         }
+    }
+
+    #[test]
+    fn an_identity_outside_the_fleet_stream_is_flagged() {
+        let src = "
+fn bind(seed: u64) -> Server { let rsa = RsaKeypair::generate(&mut rng, RSA_BITS); }
+pub(crate) fn fleet_identities(seed: u64, count: usize) -> (Vec<RsaKeypair>, StdRng) {
+    let keys = (0..count).map(|_| RsaKeypair::generate(&mut rng, RSA_BITS)).collect();
+}
+#[cfg(test)]
+mod tests {
+    fn t() { RsaKeypair::generate(&mut rng, RSA_BITS); }
+}
+";
+        let lines_in = |file: &str| {
+            let mut findings = Vec::new();
+            lint_source(&Source::new(Path::new(file), src), &mut findings);
+            (findings.iter())
+                .filter(|f| f.rule == "one-fleet-identity")
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        // The one identity function is the one home…
+        assert_eq!(lines_in("crates/dist/src/party.rs"), vec![2]);
+        // …a second derivation in either crate of the fleet is not…
+        for file in [
+            "crates/dist/src/remote.rs",
+            "crates/server/src/bin/server.rs",
+        ] {
+            assert_eq!(lines_in(file), vec![2, 4], "{file}");
+        }
+        // …and the crypto crate, which defines it, is out of scope.
+        assert!(lines_in("crates/crypto/src/rsa.rs").is_empty());
     }
 
     #[test]

@@ -28,7 +28,8 @@ OPTIONS:
     --fixture NAME   shared world both sides derive: running-example (default)
                      or tpch
     --scale SF       tpch scale factor (default 0.01)
-    --seed N         shared fixture seed (default 42); must match the servers
+    --seed N         fleet seed: fixture *and* keys (default 42); a server
+                     started with another one is refused at connect
     --timeout-ms N   data-plane receive timeout (default 10000)
     --no-preflight   skip the static verifier before execution
     --shutdown       ask the servers to exit after the query

@@ -3,12 +3,13 @@
 //!
 //! The process binds a single listener serving both planes (control
 //! frames from the coordinator, data frames from peer subjects),
-//! derives the shared fixture from `(--fixture, --scale, --seed)`, and
-//! keeps **only** the partition its subject is the authority of. It
-//! serves coordinators until one sends a shutdown frame.
+//! derives the shared fixture from `(--fixture, --scale, --seed)` and
+//! its subject's RSA keypair from the same fleet seed, and keeps
+//! **only** the partition its subject is the authority of. It serves
+//! coordinators until one sends a shutdown frame.
 
 use mpq_dist::{Server, ServerConfig};
-use mpq_server::{parse_peers, parse_recovery, subject_seed, Fixture, Flags};
+use mpq_server::{parse_peers, parse_recovery, Fixture, Flags};
 use std::io::Write;
 
 const USAGE: &str = "\
@@ -27,7 +28,8 @@ OPTIONS:
     --fixture NAME   shared world both sides derive: running-example (default)
                      or tpch
     --scale SF       tpch scale factor (default 0.01)
-    --seed N         shared fixture seed (default 42); must match the client
+    --seed N         fleet seed: fixture *and* keys (default 42); every server
+                     and client of a fleet must be given the same one
     --faults SPEC    inject faults into this server's data-plane sends, e.g.
                      seed=7,drop=100,reset=50,max=3 (per-mille rates)
     --retries N      delivery attempts per message (default 4)
@@ -78,7 +80,7 @@ fn run() -> Result<(), String> {
         me,
         listen: flags.require("listen")?.to_string(),
         peers,
-        seed: subject_seed(seed, me),
+        seed,
         catalog: world.catalog,
         view: views[me.index()].clone(),
         store,

@@ -18,7 +18,9 @@
 //! so no schema or data files cross the wire; each server then keeps
 //! only the partition its subject is the authority of. This mirrors
 //! the paper's setting: the data is already *at* the authorities, and
-//! only query results move.
+//! only query results move. The same seed is the *fleet seed* of
+//! `mpq_dist`: it fixes every party's RSA keypair as a session of that
+//! seed would, so a client refuses a server started with another.
 //!
 //! This crate deliberately contains **no socket code**: everything
 //! network-shaped lives behind the `Transport` seam in
@@ -225,12 +227,6 @@ impl Flags {
     }
 }
 
-/// Derive the per-subject RSA seed from the shared fixture seed: each
-/// server's keypair differs, but deterministically so.
-pub fn subject_seed(seed: u64, me: SubjectId) -> u64 {
-    seed ^ (0x7365_7276 + me.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
 /// Parse the shared fault/retry knobs of both binaries: an optional
 /// `--faults SPEC` schedule (see [`mpq_dist::FaultPlan::parse`]) and an
 /// optional `--retries N` delivery-attempt budget.
@@ -383,14 +379,5 @@ mod tests {
         )
         .unwrap();
         assert!(parse_recovery(&bad).is_err());
-    }
-
-    #[test]
-    fn subject_seeds_differ_per_subject() {
-        let w = Fixture::RunningExample.build(7);
-        let h = w.env.subjects.id("H").unwrap();
-        let i = w.env.subjects.id("I").unwrap();
-        assert_ne!(subject_seed(42, h), subject_seed(42, i));
-        assert_eq!(subject_seed(42, h), subject_seed(42, h));
     }
 }

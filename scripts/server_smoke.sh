@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the federated deployment: five mpq-server
 # processes (one per subject of the running example) on loopback TCP,
-# driven by mpq-client with SQL text. Passes when the client prints the
-# paper's answer (the tPA group) and every process exits cleanly.
+# driven by mpq-client with SQL text — twice, against the same fleet:
+# first without --shutdown, then with it. Passes when the first client
+# prints the paper's answer (the tPA group), the second prints exactly
+# what the first did (a long-lived fleet serves every client alike),
+# and every process exits cleanly.
 #
 # Usage: scripts/server_smoke.sh [profile] [--faults SPEC]
 #   profile: release|debug (default release)
@@ -74,9 +77,18 @@ for name in "${SUBJECTS[@]}"; do
   fi
 done
 
-out=$("$BIN/mpq-client" --listen "$CLIENT_ADDR" --servers "$SERVERS" \
-  --seed "$SEED" --shutdown "${fault_flags[@]}" "$SQL")
+client() {
+  "$BIN/mpq-client" --listen "$CLIENT_ADDR" --servers "$SERVERS" \
+    --seed "$SEED" "${fault_flags[@]}" "$@" "$SQL"
+}
+out=$(client)
 echo "$out"
+again=$(client --shutdown)
+if [[ "$again" != "$out" ]]; then
+  echo "server_smoke: a second client against the same fleet printed something else:" >&2
+  diff <(echo "$out") <(echo "$again") >&2 || true
+  exit 1
+fi
 
 # The paper's running example: exactly the tPA group survives HAVING.
 if ! grep -q "tPA" <<< "$out"; then

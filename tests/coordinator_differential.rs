@@ -1,17 +1,19 @@
-//! Scheduler differential: the process-per-subject scheduler
+//! Deployment differential: the process-per-subject deployment
 //! (`Coordinator::execute` over real `Server`s) must be
-//! indistinguishable from a session's one walk (`Session::execute`,
-//! also called here by its hidden alias `execute_sequential`) — same
-//! rows, same directed wire graph, same signed-request count — on the
-//! happy path of Fig. 7(a) and 7(b). Both step the same party core;
-//! this pins that the federated preparation and the session's walk
-//! feed it the same way.
+//! indistinguishable from a session's walk (`Session::execute` after
+//! `reset_provisioning`) — same rows, and the same bytes on every edge:
+//! `Report::transfers`, every data and request byte, on Fig. 7(a),
+//! Fig. 7(b) and the plan that runs every operation at `U`. Both step
+//! the same party core; this pins that they also make every party
+//! alike. Sessions, coordinators and servers draw the parties' RSA
+//! identities from one seeded stream, the fleet seed, and a
+//! coordinator's `Dispatcher` continues that stream as a session's
+//! does, so one seed fixes every key, ciphertext and envelope of both.
 //!
 //! The servers run on test threads over loopback, each bound on an
-//! OS-assigned port. Byte *values* per edge are not compared: the
-//! coordinator draws its keys from a differently-advanced RNG (it
-//! generates one RSA identity, a session six), and ciphertext widths
-//! depend on the key material.
+//! OS-assigned port. A long-lived fleet serves one coordinator after
+//! another: a second coordinator, connected once the first is gone,
+//! answers its first query as the first one did.
 
 use mpq::algebra::{SubjectId, Value};
 use mpq::core::candidates::candidates;
@@ -69,14 +71,8 @@ fn sorted_rows(r: &Report) -> Vec<Vec<Value>> {
     rows
 }
 
-fn edges(r: &Report) -> Vec<(SubjectId, SubjectId)> {
-    let mut e: Vec<_> = r.transfers.keys().copied().collect();
-    e.sort_unstable();
-    e
-}
-
 #[test]
-fn coordinator_matches_both_session_schedulers() {
+fn coordinator_matches_the_session_byte_for_byte() {
     let ex = RunningExample::new();
     let db = sample_db(&ex);
     let user = ex.subject("U");
@@ -85,11 +81,11 @@ fn coordinator_matches_both_session_schedulers() {
     // One server per non-user subject, bound on port 0; the peer maps
     // are filled in once every address is known. The user's data-plane
     // address must exist before the coordinator does, so that one port
-    // is reserved by binding and dropping a listener.
-    let user_addr = TcpListener::bind("127.0.0.1:0")
-        .and_then(|l| l.local_addr())
-        .expect("reserve a loopback port")
-        .to_string();
+    // is reserved by a listener held until the fleet is bound (no
+    // server can be handed it) and dropped just before the first
+    // coordinator binds it.
+    let reserved = TcpListener::bind("127.0.0.1:0").expect("reserve a loopback port");
+    let user_addr = reserved.local_addr().expect("bound").to_string();
     let mut fleet: Vec<Server> = ex
         .subjects
         .iter()
@@ -105,7 +101,7 @@ fn coordinator_matches_both_session_schedulers() {
                 me,
                 listen: "127.0.0.1:0".to_string(),
                 peers: HashMap::new(),
-                seed: SEED ^ (me.index() as u64 + 1),
+                seed: SEED,
                 catalog: ex.catalog.clone(),
                 view: views[me.index()].clone(),
                 store,
@@ -131,57 +127,64 @@ fn coordinator_matches_both_session_schedulers() {
         })
         .collect();
 
-    let config = SessionConfig::new(SEED).timeout(Duration::from_secs(10));
-    let mut coordinator = Coordinator::connect(
-        &ex.catalog,
-        &ex.subjects,
-        &ex.policy,
-        &db,
-        user,
-        &user_addr,
-        &servers,
-        config,
-    )
-    .expect("coordinator connects to all five servers");
+    let connect = || {
+        let config = SessionConfig::new(SEED).timeout(Duration::from_secs(10));
+        Coordinator::connect(
+            &ex.catalog,
+            &ex.subjects,
+            &ex.policy,
+            &db,
+            user,
+            &user_addr,
+            &servers,
+            config,
+        )
+        .expect("coordinator connects to all five servers")
+    };
+    drop(reserved);
+    let mut coordinator = connect();
     let mut session = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, SEED);
 
-    for (label, assign) in [("7a", ["H", "X", "X", "Y"]), ("7b", ["H", "Z", "Z", "Y"])] {
+    let plans = [
+        ("7a", ["H", "X", "X", "Y"]),
+        ("7b", ["H", "Z", "Z", "Y"]),
+        ("all at U", ["U", "U", "U", "U"]),
+    ];
+    let mut first = None;
+    for (label, assign) in plans {
         let (ext, keys) = fig7(&ex, assign);
         let federated = coordinator
             .execute(&ext, &keys)
-            .unwrap_or_else(|e| panic!("Fig. {label} over the coordinator: {e}"));
-        // The coordinator provisions every query afresh; so do the
-        // session runs it is compared with.
+            .unwrap_or_else(|e| panic!("{label} over the coordinator: {e}"));
+        // The coordinator provisions every query afresh; so does the
+        // session run it is compared with, in the same order.
         session.reset_provisioning();
-        let threaded = session.execute(&ext, &keys, user).expect("threaded run");
-        session.reset_provisioning();
-        let same_thread = session
-            .execute_sequential(&ext, &keys, user)
-            .expect("same-thread run");
+        let local = session.execute(&ext, &keys, user).expect("session run");
 
-        assert_eq!(sorted_rows(&threaded), sorted_rows(&same_thread), "{label}");
-        assert_eq!(sorted_rows(&federated), sorted_rows(&threaded), "{label}");
-        assert_eq!(federated.result.attrs(), threaded.result.attrs(), "{label}");
-        assert_eq!(edges(&threaded), edges(&same_thread), "{label}");
-        assert_eq!(edges(&federated), edges(&threaded), "{label}: wire graph");
-        assert_eq!(federated.requests, threaded.requests, "{label}");
-        assert_eq!(federated.requests, same_thread.requests, "{label}");
-        // Same edges carry requests, and every data edge carried bytes.
-        let request_edges = |r: &Report| {
-            let mut e: Vec<_> = r.request_bytes.keys().copied().collect();
-            e.sort_unstable();
-            e
-        };
-        assert_eq!(
-            request_edges(&federated),
-            request_edges(&threaded),
-            "{label}"
-        );
+        assert_eq!(sorted_rows(&federated), sorted_rows(&local), "{label}");
+        assert_eq!(federated.result.attrs(), local.result.attrs(), "{label}");
+        assert_eq!(federated.requests, local.requests, "{label}");
+        assert_eq!(federated.request_bytes, local.request_bytes, "{label}");
+        assert_eq!(federated.transfers, local.transfers, "{label}: every byte");
         assert!(federated.data_bytes().values().all(|&b| b > 0), "{label}");
+        first.get_or_insert((ext, keys, federated));
     }
     assert_eq!(coordinator.recovered_sends(), 0, "no faults, no retries");
 
-    coordinator.shutdown();
+    // A second coordinator against the same, long-lived fleet: its
+    // query epochs start above every server's, so no server replays
+    // the first coordinator's outcome, and its first query is the
+    // first coordinator's.
+    drop(coordinator);
+    let mut second = connect();
+    let (ext, keys, expected) = first.expect("three plans ran");
+    let again = second
+        .execute(&ext, &keys)
+        .expect("a second coordinator's first query");
+    assert_eq!(sorted_rows(&again), sorted_rows(&expected));
+    assert_eq!(again.transfers, expected.transfers);
+
+    second.shutdown();
     for h in handles {
         h.join()
             .expect("server thread")
