@@ -802,12 +802,6 @@ wire_enum!(Frame {
     9 => Shutdown,
 });
 
-fn encode<T: Encode>(v: &T) -> Vec<u8> {
-    let mut b = Vec::new();
-    v.put(&mut b);
-    b
-}
-
 fn decode<T: Encode>(bytes: &[u8]) -> Option<T> {
     let mut r = Reader::new(bytes);
     let v = r.get()?;
@@ -815,9 +809,24 @@ fn decode<T: Encode>(bytes: &[u8]) -> Option<T> {
     Some(v)
 }
 
-/// Encode a frame body (the transport adds the `u32` length prefix).
+/// Encode a frame body (the transport adds the `u32` length prefix)
+/// into a buffer sized once for the table a `Data` frame carries: its
+/// cells' bytes ([`Batches::byte_size`]) and a word per cell for an
+/// offset or a cell's tag and length. A frame of megabytes would
+/// otherwise grow by doubling.
 pub(crate) fn encode_frame(f: &Frame) -> Vec<u8> {
-    encode(f)
+    let carried = match f {
+        Frame::Data {
+            msg: Msg::Table(t), ..
+        } => {
+            let cells = (t.batches.batches.iter()).map(|b| b.len() * b.schema().len());
+            t.batches.byte_size() + 4 * cells.sum::<usize>()
+        }
+        _ => 0,
+    };
+    let mut b = Vec::with_capacity(64 + carried);
+    f.put(&mut b);
+    b
 }
 
 /// Decode a frame body (`None` on any malformation, including
@@ -835,6 +844,12 @@ mod tests {
     use mpq_crypto::sha256::sha256_hex;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    fn encode<T: Encode>(v: &T) -> Vec<u8> {
+        let mut b = Vec::new();
+        v.put(&mut b);
+        b
+    }
 
     /// A table travels as a one-batch relation.
     impl Encode for Table {

@@ -308,6 +308,17 @@ impl KeyEq<'_> {
             KeyEq::Cell(a, b) => a.cell_ref(i).key_eq(b.cell_ref(j)),
         }
     }
+
+    /// Keep the pairs `(i, j)` that are one key, in order: one typed
+    /// loop, the representations picked once.
+    pub(crate) fn retain(self, pairs: &mut Vec<(usize, usize)>) {
+        match self {
+            KeyEq::Str(a, b) => pairs.retain(|&(i, j)| a.text(i) == b.text(j)),
+            KeyEq::Int(a, b) => pairs.retain(|&(i, j)| a[i] == b[j]),
+            KeyEq::Date(a, b) => pairs.retain(|&(i, j)| a[i] == b[j]),
+            KeyEq::Cell(a, b) => pairs.retain(|&(i, j)| a.cell_ref(i).key_eq(b.cell_ref(j))),
+        }
+    }
 }
 
 /// A string cell as bytes, with its first eight packed into one word
@@ -503,6 +514,38 @@ impl ColumnVec {
             (ColumnVec::Int(a), ColumnVec::Int(b)) => KeyEq::Int(a, b),
             (ColumnVec::Date(a), ColumnVec::Date(b)) => KeyEq::Date(a, b),
             _ => KeyEq::Cell(self, held),
+        }
+    }
+
+    /// Whether each row `r` of this key column holds the key of its
+    /// candidate group `gid[r]`: cell `gid[r]` of `held` for a group held
+    /// before the batch, else this column's cell at the row that opened
+    /// the group (`openers`, numbered on from `held.len()`). One
+    /// sequential pass in the column's representation; a `Str` column
+    /// walks its offsets once and compares bytes with each group's key,
+    /// read once per batch.
+    pub(crate) fn holds_keys(&self, held: &ColumnVec, openers: &[usize], gid: &[u32]) -> bool {
+        let before = held.len();
+        // No row names a held group when there is none: any column of
+        // this one's representation stands in.
+        let held = if before == 0 { self } else { held };
+        let key = |g: u32| (g as usize).checked_sub(before).map(|new| openers[new]);
+        match (self, held) {
+            (ColumnVec::Str(a), ColumnVec::Str(b)) if before <= a.len() => {
+                // Each group's key read once: there are no more groups
+                // than rows.
+                let refs = (b.texts(0..before)).chain(openers.iter().map(|&r| a.text(r)));
+                let refs: Vec<Text> = refs.collect();
+                (a.texts(0..a.len()).zip(gid)).all(|(cell, &g)| cell == refs[g as usize])
+            }
+            (ColumnVec::Int(a), ColumnVec::Int(b)) => (a.iter().zip(gid))
+                .all(|(cell, &g)| *cell == key(g).map_or_else(|| b[g as usize], |r| a[r])),
+            (ColumnVec::Date(a), ColumnVec::Date(b)) => (a.iter().zip(gid))
+                .all(|(cell, &g)| *cell == key(g).map_or_else(|| b[g as usize], |r| a[r])),
+            _ => gid.iter().enumerate().all(|(r, &g)| {
+                let other = key(g).map_or_else(|| held.cell_ref(g as usize), |o| self.cell_ref(o));
+                self.cell_ref(r).key_eq(other)
+            }),
         }
     }
 

@@ -8,7 +8,10 @@
 //! Pipeline breakers materialize exactly what they must: hash joins
 //! collect the build side and probe batch-wise, group-by holds one
 //! accumulator row per group, sort collects its input before permuting
-//! it. Nothing is spilled or sampled silently.
+//! it. Nothing is spilled or sampled silently. A σ right above its
+//! region's own base scan is that scan's filter: the predicate runs on
+//! the stored columns over each batch's rows, and only the kept rows of
+//! the scanned columns are gathered, once.
 //!
 //! **One output rule.** Operators move columns: every output table is
 //! assembled from `slice` / `gather` / `append` over input columns, or
@@ -18,11 +21,17 @@
 //! of the batch's rows, which σ gathers on; an aggregate input, udf body
 //! or sort key is one column), reading cells where they lie. Hash
 //! operators do too: ⋈, γ and `COUNT(DISTINCT)` hash key *columns* in
-//! typed loops into one `KeyTable` and compare candidates in place — a
-//! key cell is copied once per group, never for a join. A join's residual predicate is a
-//! mask over its candidate pairs, evaluated on just the columns it
-//! reads; a product is a join without conditions. No operator
-//! materializes a row: the row walk is the [`crate::rowref`] oracle's.
+//! typed loops into one `KeyTable` — a key cell is copied once per
+//! group, never for a join. ⋈ and γ find a whole batch's candidates by
+//! hash first and then verify keys a column at a time: ⋈ holds each
+//! equality condition over the batch's candidate pairs in one typed
+//! loop, and its other conditions and residual predicate are masks
+//! over the pairs that are left (the residual evaluated on just the
+//! columns it reads); γ holds each key column to its rows' candidate
+//! groups in one sequential typed pass, and a hash collision between
+//! unequal keys redoes that batch a row at a time. A product is a join
+//! without conditions. No operator materializes a row: the row walk is
+//! the [`crate::rowref`] oracle's.
 //!
 //! **Determinism contract.** Every Random or Paillier cell an
 //! `Encrypt` writes draws from an RNG seeded by `(seed, node, column,
@@ -44,7 +53,7 @@
 //! otherwise); homomorphic aggregation only needs the public half.
 
 use crate::batch::{ColumnVec, KeyEq, KeySeed, TableSchema, DEFAULT_BATCH_ROWS};
-use crate::eval::{cmp_cells, eval_column, eval_select, mask_until_failure, EvalError};
+use crate::eval::{cmp_cells, eval_column, eval_select, mask_until_failure, EvalError, Truth};
 use crate::scheme::SchemePlan;
 use crate::table::{Batches, Database, Table};
 use mpq_algebra::expr::{AggExpr, AggFunc};
@@ -268,30 +277,42 @@ impl BatchStream<'_> {
 }
 
 /// Stream the columns `indices` of the stored `table` under `schema`,
-/// in `batch_rows` slices: how a base scan borrows the database's table
-/// and projects it.
+/// `batch_rows` rows at a time: how a base scan borrows the database's
+/// table and projects it. A `filter` — the σ right above the scan — is
+/// evaluated on the stored columns over each batch's rows, and only the
+/// rows it keeps are copied out, once; a batch it empties is skipped.
 fn scan<'p>(
     table: &'p Table,
     schema: TableSchema,
     indices: Vec<usize>,
     batch_rows: usize,
+    filter: Option<&'p Expr>,
 ) -> BatchStream<'p> {
     let step = batch_rows.max(1);
     let mut start = 0usize;
     BatchStream {
         schema: schema.clone(),
         next: Box::new(move || {
-            let n = table.len();
-            if start >= n {
-                return Ok(None);
+            while start < table.len() {
+                let rows = start..(start + step).min(table.len());
+                start = rows.end;
+                let kept = filter.map(|pred| eval_select(pred, table, None, rows.clone()));
+                let cols = match kept.transpose()? {
+                    Some(kept) if kept.is_empty() => continue,
+                    Some(mut kept) if kept.len() < rows.len() => {
+                        kept.iter_mut().for_each(|r| *r += rows.start);
+                        indices
+                            .iter()
+                            .map(|&i| table.column(i).gather(&kept))
+                            .collect()
+                    }
+                    _ => (indices.iter())
+                        .map(|&i| table.column(i).slice(rows.clone()))
+                        .collect(),
+                };
+                return Ok(Some(Table::from_columns(schema.clone(), cols)));
             }
-            let end = (start + step).min(n);
-            let cols = indices
-                .iter()
-                .map(|&i| table.column(i).slice(start..end))
-                .collect();
-            start = end;
-            Ok(Some(Table::from_columns(schema.clone(), cols)))
+            Ok(None)
         }),
     }
 }
@@ -473,22 +494,7 @@ fn compile_node<'p>(
 ) -> Result<BatchStream<'p>, ExecError> {
     let node = plan.node(id);
     match &node.op {
-        Operator::Base { rel, attrs } => {
-            let table = ctx
-                .db
-                .table(*rel)
-                .ok_or_else(|| ExecError::MissingTable(ctx.catalog.rel(*rel).name.clone()))?;
-            let indices: Vec<usize> = attrs
-                .iter()
-                .map(|a| {
-                    table
-                        .col_index(*a)
-                        .ok_or_else(|| ExecError::Unsupported(format!("column {a} missing")))
-                })
-                .collect::<Result<_, _>>()?;
-            let schema = TableSchema::new(attrs.clone());
-            Ok(scan(table, schema, indices, ctx.batch_rows))
-        }
+        Operator::Base { .. } => base_scan(plan, id, None, ctx),
         Operator::Project { attrs } => {
             let child = child_stream(plan, id, 0, inputs, member, ctx)?;
             let indices: Vec<usize> = attrs
@@ -534,6 +540,13 @@ fn compile_node<'p>(
             if member(child) && !inputs.contains_key(&child) {
                 if let Some(enc_id) = fused_encrypt_child(plan, id) {
                     return crypto_node(plan, enc_id, Some(pred), inputs, member, ctx);
+                }
+                // Over the region's own base scan, σ is the scan's
+                // filter — when it reads only columns the scan emits.
+                if let Operator::Base { attrs, .. } = &plan.node(child).op {
+                    if pred.attrs().is_subset(&attrs.iter().copied().collect()) {
+                        return base_scan(plan, child, Some(pred), ctx);
+                    }
                 }
             }
             let child = child_stream(plan, id, 0, inputs, member, ctx)?;
@@ -633,6 +646,33 @@ fn compile_node<'p>(
     }
 }
 
+/// Compile the base scan `id` over its stored relation, with the σ
+/// above it as its `filter` when that σ is folded in.
+fn base_scan<'p>(
+    plan: &'p QueryPlan,
+    id: NodeId,
+    filter: Option<&'p Expr>,
+    ctx: &'p ExecCtx<'p>,
+) -> Result<BatchStream<'p>, ExecError> {
+    let Operator::Base { rel, attrs } = &plan.node(id).op else {
+        unreachable!("base_scan compiles Base nodes");
+    };
+    let table = ctx
+        .db
+        .table(*rel)
+        .ok_or_else(|| ExecError::MissingTable(ctx.catalog.rel(*rel).name.clone()))?;
+    let indices: Vec<usize> = attrs
+        .iter()
+        .map(|a| {
+            table
+                .col_index(*a)
+                .ok_or_else(|| ExecError::Unsupported(format!("column {a} missing")))
+        })
+        .collect::<Result<_, _>>()?;
+    let schema = TableSchema::new(attrs.clone());
+    Ok(scan(table, schema, indices, ctx.batch_rows, filter))
+}
+
 /// Evaluate `pred` over `batch` and gather the passing rows (`None`
 /// when nothing passes).
 fn filter_batch(
@@ -640,7 +680,7 @@ fn filter_batch(
     batch: Table,
     agg_base: Option<usize>,
 ) -> Result<Option<Table>, ExecError> {
-    let kept = eval_select(pred, &batch, agg_base)?;
+    let kept = eval_select(pred, &batch, agg_base, 0..batch.len())?;
     if kept.is_empty() {
         return Ok(None);
     }
@@ -922,7 +962,7 @@ fn crypto_stream<'p>(
         let base = row_off;
         row_off += batch.len();
         let kept = match &keep {
-            Some(pred) => Some(eval_select(pred, &batch, None)?),
+            Some(pred) => Some(eval_select(pred, &batch, None, 0..batch.len())?),
             None => None,
         };
         let (mut cols, kept) = match kept {
@@ -1202,6 +1242,12 @@ impl KeyTable {
         entry
     }
 
+    /// Drop every entry from `len` on, as if none had been pushed.
+    fn truncate(&mut self, len: usize) {
+        self.hashes.truncate(len);
+        *self = KeyTable::new(self.seed, std::mem::take(&mut self.hashes));
+    }
+
     /// The entries whose hash is `hash`: the candidates a key with
     /// that hash is compared with.
     fn chain(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
@@ -1380,53 +1426,114 @@ struct Probe<'a> {
 /// report the left row only. Pairs come in probe order, candidates in
 /// build order.
 ///
-/// A probe row's candidates are the build rows its conditions hold
-/// for, up to a condition that fails. Without a residual they are its
-/// matches, and the row is [`decide`]d at once. Under one, the batch's
-/// candidate pairs are collected first and the residual is one mask
-/// over all of them; each row is then decided on the pairs it holds on.
+/// The batch is probed in passes, a run of probe rows at a time
+/// ([`candidates`], then [`probe_rows`]): every row's candidate pairs
+/// by hash, each equality condition held over all of them in one typed
+/// loop, then each other condition as a mask over the pairs the ones
+/// before it held on.
 fn probe_batch(p: &Probe<'_>) -> Result<Vec<(usize, Option<usize>)>, ExecError> {
+    let rows = p.lbatch.len();
+    let lkeys = p.eq.iter().map(|(l, _, _)| *l);
+    let hashes = (p.hash).map(|table| hash_rows(lkeys, table.seed, 0..rows));
+    let mut out = Vec::with_capacity(rows);
+    let mut from = 0;
+    while from < rows {
+        let (to, pairs) = candidates(p, hashes.as_deref(), from);
+        probe_rows(p, from..to, &pairs, &mut out)?;
+        from = to;
+    }
+    Ok(out)
+}
+
+/// The candidate pairs a run of probe rows walks at most: the run ends
+/// with the row that reaches this many, so that a join without an
+/// equality (a product, a θ-join) holds a bounded number at a time.
+const PAIRS: usize = 1 << 16;
+
+/// The candidate pairs of the probe rows from `from` on, and the row
+/// the run stops before. Without an equality every build row is a
+/// row's candidate; with one, the rows the key table chains under the
+/// row's hash (a NULL key has none), and then each equality condition
+/// keeps the pairs it holds on, in one typed loop ([`KeyEq::retain`]).
+fn candidates(p: &Probe<'_>, hashes: Option<&[u64]>, from: usize) -> (usize, Vec<(usize, usize)>) {
+    // Only a general or an encrypted column holds a NULL.
+    let nullable = (p.eq.iter().map(|(l, _, _)| *l))
+        .filter(|l| matches!(l, ColumnVec::Val(_) | ColumnVec::Enc(_)))
+        .collect::<Vec<_>>();
+    let (mut to, mut pairs) = (from, Vec::new());
+    while to < p.lbatch.len() && pairs.len() < PAIRS {
+        let li = to;
+        to += 1;
+        if p.eq.is_empty() {
+            pairs.extend((0..p.rt.len()).map(|ri| (li, ri)));
+        } else if let Some((table, hashes)) = p.hash.zip(hashes) {
+            if nullable.iter().all(|l| !l.is_null(li)) {
+                table.chain(hashes[li]).for_each(|ri| pairs.push((li, ri)));
+            }
+        }
+    }
+    for (l, _, r) in p.eq {
+        l.key_eq_with(r).retain(&mut pairs);
+    }
+    (to, pairs)
+}
+
+/// Decide the probe rows `rows` on their candidate `pairs` into `out`.
+///
+/// Each non-equality condition is one mask over the pairs the ones
+/// before it held on. A probe row then walks its pairs in build order,
+/// up to one a condition fails on. Without a residual the pairs it
+/// holds on are its matches, and the row is [`decide`]d at once. Under
+/// one, the run's held pairs are collected first and the residual is
+/// one mask over all of them; each row is then decided on the pairs it
+/// holds on.
+fn probe_rows(
+    p: &Probe<'_>,
+    rows: std::ops::Range<usize>,
+    pairs: &[(usize, usize)],
+    out: &mut Vec<(usize, Option<usize>)>,
+) -> Result<(), ExecError> {
+    // Per pair the truth of its non-equality conditions, up to the
+    // first that does not hold; none when there are none.
+    let mut conds: Vec<Truth> = match p.other {
+        [] => Vec::new(),
+        _ => vec![Ok(Some(true)); pairs.len()],
+    };
+    for (l, op, r) in p.other {
+        for (t, &(li, ri)) in conds.iter_mut().zip(pairs) {
+            if matches!(t, Ok(Some(true))) {
+                *t = cmp_cells(l.cell_ref(li), *op, r.cell_ref(ri));
+            }
+        }
+    }
     // Under a residual, which candidate is a `Semi` / `Anti` row's
     // first match is known only once the mask is.
     let stops = matches!(p.kind, JoinKind::Semi | JoinKind::Anti);
     let undecided = stops && p.residual.is_some();
-    let rows = 0..p.lbatch.len();
-    let mut out = Vec::with_capacity(rows.len());
     // Per pair its build row and — under a residual — its probe row;
     // per probe row walked where its pairs end; per condition that
     // failed its probe row.
     let (mut lis, mut ris, mut ends, mut failures) = (vec![], vec![], vec![], vec![]);
-    let lkeys = p.eq.iter().map(|(l, _, _)| *l);
-    let hashes = (p.hash).map(|table| hash_rows(lkeys, table.seed, rows.clone()));
+    let mut at = 0;
     for li in rows.clone() {
-        // Without an equality every build row is a candidate;
-        // with one, the rows the key table chains under this row's
-        // hash that hold this row's key (a NULL key has none).
-        let all = p.eq.is_empty().then_some(0..p.rt.len());
-        let keyed = p.eq.iter().all(|(l, _, _)| !l.is_null(li));
-        let same = |l: &ColumnVec, r: &ColumnVec, ri| l.cell_ref(li).key_eq(r.cell_ref(ri));
-        let held = move |ri: &usize| p.eq.iter().all(|(l, _, r)| same(l, r, *ri));
-        let chained = (p.hash.zip(hashes.as_ref()).filter(|_| keyed))
-            .map(|(table, hashes)| table.chain(hashes[li]).filter(held));
+        let end = at + pairs[at..].iter().take_while(|&&(l, _)| l == li).count();
         let (start, mut failed) = (ris.len(), None);
-        for ri in (all.into_iter().flatten()).chain(chained.into_iter().flatten()) {
-            // Non-equality join conditions, up to the first that
-            // does not hold.
-            let cmp = |(l, op, r): &CondSides<'_>| cmp_cells(l.cell_ref(li), *op, r.cell_ref(ri));
-            match p.other.iter().map(cmp).find(|t| *t != Ok(Some(true))) {
-                Some(Ok(_)) => continue,
-                Some(Err(e)) => failed = Some(e),
-                None => {
+        for (k, &(_, ri)) in (at..end).zip(&pairs[at..end]) {
+            match conds.get(k) {
+                Some(Ok(Some(true))) | None => {
                     ris.push(ri);
                     if !stops || undecided {
                         continue;
                     }
                 }
+                Some(Ok(_)) => continue,
+                Some(Err(e)) => failed = Some(e.clone()),
             }
             break;
         }
+        at = end;
         if p.residual.is_none() {
-            decide(p.kind, li, &ris[start..], failed.as_ref(), &mut out)?;
+            decide(p.kind, li, &ris[start..], failed.as_ref(), out)?;
             ris.truncate(start);
             continue;
         }
@@ -1439,7 +1546,7 @@ fn probe_batch(p: &Probe<'_>) -> Result<Vec<(usize, Option<usize>)>, ExecError> 
         }
     }
     let Some(residual) = p.residual else {
-        return Ok(out);
+        return Ok(());
     };
 
     let width = p.lbatch.columns().len();
@@ -1480,10 +1587,10 @@ fn probe_batch(p: &Probe<'_>) -> Result<Vec<(usize, Option<usize>)>, ExecError> 
                 .filter(|&k| truth[k] == Some(true))
                 .map(|k| ris[k]),
         );
-        decide(p.kind, li, &held, failure.map(|(_, e)| e), &mut out)?;
+        decide(p.kind, li, &held, failure.map(|(_, e)| e), out)?;
         start = end;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// What probe row `li` adds to `out`, from the build rows it matches in
@@ -1751,9 +1858,14 @@ impl AggAcc {
 /// Pass 1 of γ over one batch: each row's group id. A row whose key no
 /// group holds opens the next one — numbered in first-seen order — and
 /// its key cells are the only ones ever copied, onto `group_keys`, once
-/// the batch is through. Each key column picks its comparison once
-/// ([`ColumnVec::key_eq_with`]): against the groups held before the
-/// batch, and against the rows that opened the batch's own groups.
+/// the batch is through.
+///
+/// Ids are assigned in passes: each row takes the first group its hash
+/// chains to, or opens one; then each key column is held to the
+/// candidates' keys in one sequential typed pass
+/// ([`ColumnVec::holds_keys`]). A collision between unequal keys fails
+/// that check, and the batch is redone by [`group_ids_by_row`] from
+/// the table as it was before the batch.
 fn group_ids(
     table: &mut KeyTable,
     group_keys: &mut [ColumnVec],
@@ -1761,7 +1873,40 @@ fn group_ids(
     hashes: &[u64],
 ) -> Vec<u32> {
     let held = table.hashes.len();
-    let with_held: Vec<KeyEq> = (keys.iter().zip(&*group_keys))
+    let mut openers: Vec<usize> = Vec::new();
+    let gid: Vec<u32> = (hashes.iter().enumerate())
+        .map(|(r, &hash)| {
+            let group = table.chain(hash).next();
+            group.unwrap_or_else(|| {
+                openers.push(r);
+                table.push(hash)
+            }) as u32
+        })
+        .collect();
+    let verified =
+        (keys.iter().zip(&*group_keys)).all(|(key, held)| key.holds_keys(held, &openers, &gid));
+    let (gid, openers) = if verified {
+        (gid, openers)
+    } else {
+        table.truncate(held);
+        group_ids_by_row(table, group_keys, keys, hashes)
+    };
+    for (col, key) in group_keys.iter_mut().zip(keys) {
+        openers.iter().for_each(|&r| col.push(key.get(r)));
+    }
+    gid
+}
+
+/// [`group_ids`] a row at a time, each row's key compared with every
+/// group its hash chains to: the ids, and the rows that opened groups.
+fn group_ids_by_row(
+    table: &mut KeyTable,
+    group_keys: &[ColumnVec],
+    keys: &[&ColumnVec],
+    hashes: &[u64],
+) -> (Vec<u32>, Vec<usize>) {
+    let held = table.hashes.len();
+    let with_held: Vec<KeyEq> = (keys.iter().zip(group_keys))
         .map(|(k, g)| k.key_eq_with(g))
         .collect();
     let with_batch: Vec<KeyEq> = keys.iter().map(|k| k.key_eq_with(k)).collect();
@@ -1777,11 +1922,7 @@ fn group_ids(
             table.push(hash)
         }) as u32
     });
-    let ids = ids.collect();
-    for (col, key) in group_keys.iter_mut().zip(keys) {
-        openers.iter().for_each(|&r| col.push(key.get(r)));
-    }
-    ids
+    (ids.collect(), openers)
 }
 
 /// Pass 2 of γ for one aggregate: fold its input column into the
@@ -2378,6 +2519,136 @@ mod tests {
             }
         }
         assert_eq!(probe_batch(&probe).unwrap(), expected);
+    }
+
+    /// One key column of every representation, 600 rows drawn from 13
+    /// keys in runs of ten: an `Int`, `Date`, `Str` (cells of 4–6 bytes
+    /// and of 9–11), `Enc` (Det, NULLs between) and `Val` column (NULL,
+    /// `Num` and `Int` cells, `2.0 = 2`).
+    fn key_columns() -> Vec<(&'static str, ColumnVec)> {
+        let key = |r: usize| ((r / 10) * 7 % 13) as i64;
+        type Cell = fn(i64) -> Value;
+        let kinds: [(&str, Cell); 5] = [
+            ("int", Value::Int),
+            ("date", |k| Value::Date(Date(k as i32))),
+            ("str", |k| {
+                Value::str(&format!("k{}", "ey".repeat(k as usize % 5)))
+            }),
+            ("enc", |k| match k % 6 {
+                5 => Value::Null,
+                _ => Value::Enc(EncValue {
+                    scheme: EncScheme::Deterministic,
+                    key_id: 7,
+                    bytes: vec![k as u8; 1 + k as usize % 9].into(),
+                }),
+            }),
+            ("val", |k| match k % 4 {
+                0 => Value::Null,
+                1 => Value::Num((k % 3) as f64),
+                _ => Value::Int(k % 3),
+            }),
+        ];
+        (kinds.iter())
+            .map(|&(name, f)| (name, (0..600).map(|r| f(key(r))).collect()))
+            .collect()
+    }
+
+    /// γ's group ids under the seed that hashes every key to 0, so that
+    /// every two unequal keys collide, within a batch and across
+    /// batches: a batch of one key passes the typed check, and any other
+    /// is redone a row at a time. Either way each row's group is the
+    /// first row holding its key, groups are numbered in first-seen
+    /// order, and the held keys are those rows' — at batches of 1, 7 and
+    /// 4,096, and under a drawn seed too.
+    #[test]
+    fn colliding_keys_never_share_a_group() {
+        for (name, col) in key_columns() {
+            let mut firsts: Vec<usize> = Vec::new();
+            let want: Vec<u32> = (0..col.len())
+                .map(|r| {
+                    let same = |&f: &usize| col.cell_ref(f).key_eq(col.cell_ref(r));
+                    firsts.iter().position(same).unwrap_or_else(|| {
+                        firsts.push(r);
+                        firsts.len() - 1
+                    }) as u32
+                })
+                .collect();
+            assert!(
+                matches!(col, ColumnVec::Val(_)) == (name == "val"),
+                "{name}"
+            );
+            for seed in [KeySeed::colliding(), KeySeed::default()] {
+                for step in [1, 7, 4096] {
+                    let mut table = KeyTable::new(seed, Vec::new());
+                    let mut group_keys = vec![ColumnVec::new()];
+                    let mut gid = Vec::new();
+                    for start in (0..col.len()).step_by(step) {
+                        let batch = col.slice(start..(start + step).min(col.len()));
+                        let hashes = hash_rows([&batch], seed, 0..batch.len());
+                        gid.extend(group_ids(&mut table, &mut group_keys, &[&batch], &hashes));
+                    }
+                    assert_eq!(gid, want, "{name}, batches of {step}");
+                    assert_eq!(
+                        group_keys[0],
+                        col.gather(&firsts),
+                        "{name}, batches of {step}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// ⋈'s pairs under the seed that hashes every key to 0: every build
+    /// row is every probe row's candidate by hash, and the typed pass
+    /// over the equality alone keeps the pairs — for every key
+    /// representation, all four join kinds and probe batches of 1, 7 and
+    /// 4,096, against a nested loop (a NULL key matches nothing).
+    #[test]
+    fn colliding_keys_never_share_a_join_pair() {
+        let seed = KeySeed::colliding();
+        for (name, col) in key_columns() {
+            let rt = Table::from_columns(vec![AttrId(1)].into(), vec![col.slice(100..400)]);
+            let rcol = rt.column(0);
+            let built = KeyTable::new(seed, hash_rows([rcol], seed, 0..rt.len()));
+            for kind in [
+                JoinKind::Inner,
+                JoinKind::LeftOuter,
+                JoinKind::Semi,
+                JoinKind::Anti,
+            ] {
+                for step in [1, 7, 4096] {
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    for start in (0..col.len()).step_by(step) {
+                        let rows = start..(start + step).min(col.len());
+                        let lbatch = Table::from_columns(
+                            vec![AttrId(0)].into(),
+                            vec![col.slice(rows.clone())],
+                        );
+                        let eq = [(lbatch.column(0), CmpOp::Eq, rcol)];
+                        let probe = Probe {
+                            kind,
+                            lbatch: &lbatch,
+                            rt: &rt,
+                            hash: Some(&built),
+                            eq: &eq,
+                            other: &[],
+                            residual: None,
+                            reads: &[],
+                        };
+                        let pairs = probe_batch(&probe).unwrap();
+                        got.extend(pairs.into_iter().map(|(l, r)| (start + l, r)));
+                        for li in rows {
+                            let key = col.cell_ref(li);
+                            let matches = (0..rt.len())
+                                .filter(|&ri| !col.is_null(li) && key.key_eq(rcol.cell_ref(ri)));
+                            decide(kind, li, &matches.collect::<Vec<_>>(), None, &mut want)
+                                .unwrap();
+                        }
+                    }
+                    assert_eq!(got, want, "{name}, {kind:?}, batches of {step}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -373,14 +373,15 @@ pub(crate) fn mask_until_failure(
     (mask, ev.failed)
 }
 
-/// The rows of `batch` where `pred` is TRUE: what σ keeps. Fails as
-/// [`eval_mask`] does.
+/// The rows of `rows` of `batch` where `pred` is TRUE, counted from
+/// `rows.start`: what σ keeps. Fails as [`eval_mask`] does.
 pub(crate) fn eval_select(
     pred: &Expr,
     batch: &Table,
     agg_base: Option<usize>,
+    rows: Range<usize>,
 ) -> Result<Vec<usize>, EvalError> {
-    let mut ev = Evaluator::new(batch, agg_base, 0..batch.len());
+    let mut ev = Evaluator::new(batch, agg_base, rows);
     let mut kept = ev.all_rows();
     let unknown = ev.narrow(pred, &mut kept, false);
     retain(&mut kept, &unknown, false);

@@ -165,11 +165,21 @@ pub fn optimize(
             // and compared against the always-feasible all-user
             // assignment — the optimizer never reports a plan worse
             // than simply shipping everything to the user.
+            // Each distinct assignment is finished once: a repeat
+            // would cost the same, and `consider` keeps the first of
+            // two equal costs.
+            let mut finished: Vec<Assignment> = Vec::new();
+            let mut finish_new = |a: Assignment, best: &mut Option<Optimized>| {
+                if !finished.contains(&a) {
+                    finished.push(a.clone());
+                    if let Ok(opt) = finish(plan, catalog, stats, env, &cands, a) {
+                        consider(opt, best);
+                    }
+                }
+            };
             // (1) DP over the full candidate sets.
             if let Ok(a) = dp_assignment(plan, catalog, stats, env, &cands) {
-                if let Ok(opt) = finish(plan, catalog, stats, env, &cands, a) {
-                    consider(opt, &mut best);
-                }
+                finish_new(a, &mut best);
             }
             // (2) DP restricted to user + authorities: providers can
             // never make this portfolio entry worse than the scenario
@@ -192,9 +202,7 @@ pub fn optimize(
                 views: cands.views.clone(),
             };
             if let Ok(a) = dp_assignment(plan, catalog, stats, env, &no_providers) {
-                if let Ok(opt) = finish(plan, catalog, stats, env, &cands, a) {
-                    consider(opt, &mut best);
-                }
+                finish_new(a, &mut best);
             }
             // (3) Everything at the user (always authorized).
             let mut all_user = Assignment::new();
@@ -210,9 +218,7 @@ pub fn optimize(
                 }
             }
             if user_feasible {
-                if let Ok(opt) = finish(plan, catalog, stats, env, &cands, all_user) {
-                    consider(opt, &mut best);
-                }
+                finish_new(all_user, &mut best);
             }
             best.ok_or(OptError::NoCandidates(plan.root()))
         }
