@@ -22,11 +22,20 @@
 //! Encryption/decryption operations are assigned to the same subject as
 //! the node they complement (leaves: the data authority of the base
 //! relation; a join's operand encryption: the join's assignee).
+//!
+//! The walk settles each node's profile once, in postorder. By
+//! Theorem 3.1 a profile depends only on its subtree, and a node's
+//! subtree in the extended plan is final once its operand splices are
+//! in, so the node is settled from its children's settled profiles
+//! right then, before its own encryption is spliced above it. A spliced
+//! `Encrypt`/`Decrypt` is settled as soon as it is spliced. The walk
+//! thus propagates exactly once per node of the extended plan, and
+//! planning stays linear in the plan.
 
 use crate::authz::{AuthzViolation, Policy, SubjectView};
 use crate::candidates::Candidates;
 use crate::capability::implicit_touched;
-use crate::profile::{profile_plan, Profile};
+use crate::profile::{propagate_node, Profile};
 use crate::subjects::Subjects;
 use mpq_algebra::{AttrSet, Catalog, NodeId, Operator, QueryPlan, SubjectId};
 use std::collections::HashMap;
@@ -141,10 +150,10 @@ pub fn minimally_extend(
     assignment: &Assignment,
     finalize_for: Option<SubjectId>,
 ) -> Result<ExtendedPlan, ExtendError> {
+    let views = policy.all_views(catalog, subjects);
     extend_plan(
         plan,
-        catalog,
-        policy,
+        &views,
         subjects,
         cands,
         assignment,
@@ -159,13 +168,12 @@ pub fn minimally_extend(
 /// also carries every attribute of the leaf's output that no ancestor
 /// needs in plaintext (`R^vp \ ⋃ A_p` over its ancestors), so data
 /// leaves its authority encrypted unless an operation demands
-/// otherwise.
+/// otherwise. `views` are every subject's [`SubjectView`], indexed by
+/// `SubjectId`: the planner hands over the ones Λ was computed with.
 #[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
 pub fn extend_plan(
     plan: &QueryPlan,
-    catalog: &Catalog,
-    policy: &Policy,
+    views: &[SubjectView],
     subjects: &Subjects,
     cands: &Candidates,
     assignment: &Assignment,
@@ -185,10 +193,6 @@ pub fn extend_plan(
         }
     }
 
-    let views: Vec<SubjectView> = subjects
-        .iter()
-        .map(|s| policy.subject_view(catalog, s))
-        .collect();
     let parents = plan.parents();
 
     // Full assignment including leaves (their authority).
@@ -205,7 +209,25 @@ pub fn extend_plan(
         }
     }
 
+    // `above[x]`: ⋃ E_{λ(y)} and ⋃ A_p over x and its ancestors y,
+    // filled top-down.
+    let mut above = vec![(AttrSet::new(), AttrSet::new()); plan.len()];
+    for &x in order.iter().rev() {
+        let (mut enc, mut plain) = match parents[x.index()] {
+            Some(p) => above[p.index()].clone(),
+            None => Default::default(),
+        };
+        enc.union_with(&views[full[&x].index()].enc);
+        plain.union_with(&cands.ap[x.index()]);
+        above[x.index()] = (enc, plain);
+    }
+
     let mut ext = plan.clone();
+    // `profiles[n]` is settled once, when n's subtree in `ext` is
+    // final (Theorem 3.1): an original node after its operand splices,
+    // a spliced node as soon as it is spliced. Detached nodes keep a
+    // default profile, as `profile_plan` leaves them.
+    let mut profiles = vec![Profile::default(); plan.len()];
     // `top[n]` is the node in `ext` currently producing n's (possibly
     // re-encrypted) output.
     let mut top: Vec<NodeId> = (0..plan.len()).map(NodeId::from_index).collect();
@@ -219,15 +241,14 @@ pub fn extend_plan(
         let ap = &cands.ap[id.index()];
         if !ap.is_empty() {
             for &c in &node.children {
-                let profiles = profile_plan(&ext);
-                let have = &profiles[top[c.index()].index()];
-                let need = ap.intersect(&have.ve);
+                let need = ap.intersect(&profiles[top[c.index()].index()].ve);
                 if !need.is_empty() {
-                    let d = ext.splice_above(
+                    let attrs = need.iter().collect();
+                    let d = splice(
+                        &mut ext,
+                        &mut profiles,
                         top[c.index()],
-                        Operator::Decrypt {
-                            attrs: need.iter().collect(),
-                        },
+                        Operator::Decrypt { attrs },
                     );
                     top[c.index()] = d;
                     full.insert(d, assignee);
@@ -241,14 +262,13 @@ pub fn extend_plan(
         // Encrypting one side may pair it with another plaintext
         // partner, so the sets grow to a fixpoint first.
         if let Operator::Join { on, .. } = &node.op {
-            let profiles = profile_plan(&ext);
             let sides = node
                 .children
                 .iter()
                 .map(|c| &profiles[top[c.index()].index()]);
             let (vp, mut ve): (Vec<&AttrSet>, Vec<AttrSet>) =
                 sides.map(|p| (&p.vp, p.ve.clone())).unzip();
-            let mut splice = [AttrSet::new(), AttrSet::new()];
+            let mut to_encrypt = [AttrSet::new(), AttrSet::new()];
             let mut grew = true;
             while grew {
                 grew = false;
@@ -259,21 +279,35 @@ pub fn extend_plan(
                             && ve[1 - side].contains(partner)
                         {
                             ve[side].insert(a);
-                            splice[side].insert(a);
+                            to_encrypt[side].insert(a);
                             grew = true;
                         }
                     }
                 }
             }
-            for (c, attrs) in node.children.iter().zip(splice) {
+            for (c, attrs) in node.children.iter().zip(to_encrypt) {
                 if !attrs.is_empty() {
                     let attrs = attrs.iter().collect();
-                    let e = ext.splice_above(top[c.index()], Operator::Encrypt { attrs });
+                    let e = splice(
+                        &mut ext,
+                        &mut profiles,
+                        top[c.index()],
+                        Operator::Encrypt { attrs },
+                    );
                     top[c.index()] = e;
                     full.insert(e, assignee);
                 }
             }
         }
+
+        // This node's operands are final: settle its own profile.
+        let settled = {
+            let children: Vec<&Profile> = (ext.node(id).children.iter())
+                .map(|c| &profiles[c.index()])
+                .collect();
+            propagate_node(&ext, id, &children)
+        };
+        profiles[id.index()] = settled;
 
         // (ii) encrypt, above this node, what the parent's assignee
         // cannot see in plaintext, plus the attributes the parent's
@@ -283,34 +317,21 @@ pub fn extend_plan(
             continue; // root: handled by finalize_for below
         };
         let e_parent = &views[full[&parent].index()].enc;
-
-        let profiles = profile_plan(&ext);
-        let out_profile = &profiles[top[id.index()].index()];
+        let out_profile = &profiles[id.index()];
 
         // A = (R^ip_parent ∩ R^vp) ∩ ⋃_ancestors E_{λ(x)}.
         let touched = implicit_touched(plan, parent);
-        let mut anc_enc = AttrSet::new();
-        let mut anc_plain = AttrSet::new();
-        let mut cur = Some(parent);
-        while let Some(x) = cur {
-            anc_enc.union_with(&views[full[&x].index()].enc);
-            anc_plain.union_with(&cands.ap[x.index()]);
-            cur = parents[x.index()];
-        }
-        let a_term = touched.intersect(&out_profile.vp).intersect(&anc_enc);
+        let (anc_enc, anc_plain) = &above[parent.index()];
+        let a_term = touched.intersect(&out_profile.vp).intersect(anc_enc);
         let mut enc_set = e_parent.intersect(&out_profile.vp);
         enc_set.union_with(&a_term);
         if encrypt_at_sources && node.children.is_empty() {
-            enc_set.union_with(&out_profile.vp.difference(&anc_plain));
+            enc_set.union_with(&out_profile.vp.difference(anc_plain));
         }
 
         if !enc_set.is_empty() {
-            let e = ext.splice_above(
-                top[id.index()],
-                Operator::Encrypt {
-                    attrs: enc_set.iter().collect(),
-                },
-            );
+            let attrs = enc_set.iter().collect();
+            let e = splice(&mut ext, &mut profiles, id, Operator::Encrypt { attrs });
             top[id.index()] = e;
             full.insert(e, assignee);
         }
@@ -318,22 +339,21 @@ pub fn extend_plan(
 
     // Final decryption for the querying user, if requested.
     if let Some(user) = finalize_for {
-        let profiles = profile_plan(&ext);
         let root_top = top[plan.root().index()];
-        let still_enc = profiles[root_top.index()].ve.clone();
+        let still_enc = &profiles[root_top.index()].ve;
         if !still_enc.is_empty() {
-            let d = ext.splice_above(
+            let attrs = still_enc.iter().collect();
+            let d = splice(
+                &mut ext,
+                &mut profiles,
                 root_top,
-                Operator::Decrypt {
-                    attrs: still_enc.iter().collect(),
-                },
+                Operator::Decrypt { attrs },
             );
             full.insert(d, user);
         }
     }
 
     // ---- verify: λ must now be an authorized assignment -------------
-    let profiles = profile_plan(&ext);
     for id in ext.postorder() {
         let node = ext.node(id);
         if node.children.is_empty() {
@@ -362,6 +382,15 @@ pub fn extend_plan(
         profiles,
         encrypted_attrs,
     })
+}
+
+/// Splice `op` above `below` and settle the new node's profile from
+/// the settled profile of `below`.
+fn splice(ext: &mut QueryPlan, profiles: &mut Vec<Profile>, below: NodeId, op: Operator) -> NodeId {
+    let id = ext.splice_above(below, op);
+    let settled = propagate_node(ext, id, &[&profiles[below.index()]]);
+    profiles.push(settled);
+    id
 }
 
 /// Enumerate all assignments drawn from the candidate sets (for
@@ -406,6 +435,7 @@ mod tests {
     use crate::candidates::candidates;
     use crate::capability::CapabilityPolicy;
     use crate::fixtures::RunningExample;
+    use crate::profile::profile_plan;
 
     fn setup(ex: &RunningExample) -> Candidates {
         candidates(
@@ -565,23 +595,33 @@ mod tests {
 
     /// Theorem 5.2(ii) / 5.3(i): *every* assignment drawn from Λ can be
     /// made authorized by the minimal extension — exhaustively over the
-    /// running example (6 × 5 × 5 × 2 = 300 assignments).
+    /// running example (6 × 5 × 5 × 2 = 300 assignments), with and
+    /// without encryption at the sources. Each walk settles every node
+    /// of its extended plan exactly once, and its profiles are those a
+    /// fresh derivation over the finished plan finds.
     #[test]
     fn every_candidate_assignment_extends_successfully() {
+        use crate::profile::PROPAGATIONS;
         let ex = RunningExample::new();
         let cands = setup(&ex);
         let mut count = 0usize;
         for_each_assignment(&ex.plan, &cands, &mut |a| {
-            let r = minimally_extend(
-                &ex.plan,
-                &ex.catalog,
-                &ex.policy,
-                &ex.subjects,
-                &cands,
-                a,
-                Some(ex.subject("U")),
-            );
-            assert!(r.is_ok(), "assignment {a:?} failed: {:?}", r.err());
+            for at_sources in [false, true] {
+                let before = PROPAGATIONS.get();
+                let r = extend_plan(
+                    &ex.plan,
+                    &cands.views,
+                    &ex.subjects,
+                    &cands,
+                    a,
+                    Some(ex.subject("U")),
+                    at_sources,
+                );
+                let e = r.unwrap_or_else(|err| panic!("assignment {a:?} failed: {err:?}"));
+                let settled = PROPAGATIONS.get() - before;
+                assert_eq!(settled, e.plan.postorder().len(), "{a:?}");
+                assert_eq!(e.profiles, profile_plan(&e.plan), "{a:?}");
+            }
             count += 1;
             true
         });

@@ -305,6 +305,7 @@ fn propagate(op: &Operator, children: &[&Profile]) -> Profile {
 /// attributes they are called, through the γ in scope
 /// ([`QueryPlan::agg_scope`]).
 pub(crate) fn propagate_node(plan: &QueryPlan, id: NodeId, children: &[&Profile]) -> Profile {
+    count_propagation();
     match (&plan.node(id).op, plan.agg_scope(id)) {
         (Operator::Having { pred }, Some(scope)) => {
             let pred = scope.resolve(pred);
@@ -327,12 +328,28 @@ pub fn profile_plan(plan: &QueryPlan) -> Vec<Profile> {
     out
 }
 
+/// Counts [`propagate_node`] calls under test; a no-op elsewhere.
+#[cfg(not(test))]
+fn count_propagation() {}
+
 #[cfg(test)]
 impl EqClasses {
     /// The class containing `a`, if any.
     fn class_of(&self, a: mpq_algebra::AttrId) -> Option<&AttrSet> {
         self.classes.iter().find(|c| c.contains(a))
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`propagate_node`] on this thread: how tests count the
+    /// profiles a walk settles.
+    pub(crate) static PROPAGATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn count_propagation() {
+    PROPAGATIONS.set(PROPAGATIONS.get() + 1);
 }
 
 #[cfg(test)]

@@ -94,6 +94,11 @@
 //!   outside that file, `algebra/src/plan.rs` (where it is defined)
 //!   and `algebra/src/builder.rs` (`prune_columns`). A second
 //!   extension walk must not quietly come back.
+//! * **linear-extension** — the extension walk settles each node's
+//!   profile once, in postorder, from its children's settled profiles
+//!   (Theorem 3.1: a profile depends on its subtree only), so planning
+//!   stays linear in the plan: `profile_plan(` in non-test code of
+//!   `core/src/extend.rs` is a finding.
 //! * **one-front-end** — a TPC-H query is SQL text that
 //!   `algebra::builder::plan_sql` plans, as a client's query is: in
 //!   non-test code under `crates/tpch/src`, building a plan by hand
@@ -373,6 +378,13 @@ const RULES: &[Rule] = &[
                   `mpq_core::extend`, not a second copy of its splices",
         sites: &[(&["splice_above("], &[], &["crates/core/src/extend.rs", "crates/algebra/src/plan.rs",
                  "crates/algebra/src/builder.rs"], None)],
+    },
+    Rule {
+        name: "linear-extension",
+        message: "`{t}` in the extension walk — it settles each node's profile once, from its \
+                  children's settled profiles (`propagate_node`, Theorem 3.1); re-deriving the \
+                  whole plan per node makes planning quadratic",
+        sites: &[(&["profile_plan("], &["crates/core/src/extend.rs"], &[], None)],
     },
     Rule {
         name: "one-front-end",
@@ -1469,6 +1481,31 @@ mod tests {
             "crates/algebra/src/builder.rs",
         ] {
             assert!(lines_in(home).is_empty(), "{home}");
+        }
+    }
+
+    #[test]
+    fn a_whole_plan_profile_in_the_extension_walk_is_flagged() {
+        let src = "
+fn extend_plan(ext: &QueryPlan) { let profiles = profile_plan(&ext); }
+fn splice(ext: &QueryPlan, id: NodeId) -> Profile { propagate_node(ext, id, &[]) }
+#[cfg(test)]
+mod tests {
+    fn t() { assert_eq!(e.profiles, profile_plan(&e.plan)); }
+}
+";
+        let lines_in = |file: &str| {
+            let mut findings = Vec::new();
+            lint_source(&Source::new(Path::new(file), src), &mut findings);
+            (findings.iter())
+                .filter(|f| f.rule == "linear-extension")
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(lines_in("crates/core/src/extend.rs"), vec![2]);
+        // Whole-plan derivations elsewhere are out of scope.
+        for file in ["crates/core/src/verify.rs", "crates/exec/src/scheme.rs"] {
+            assert!(lines_in(file).is_empty(), "{file}");
         }
     }
 

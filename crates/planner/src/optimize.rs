@@ -37,16 +37,17 @@
 use crate::cost::{cost_extended_plan, CostBreakdown};
 use crate::scenario::ScenarioEnv;
 use crate::stats::estimates_for;
-use mpq_algebra::stats::StatsCatalog;
+use mpq_algebra::stats::{Estimate, StatsCatalog};
 use mpq_algebra::value::EncScheme;
-use mpq_algebra::{AttrSet, Catalog, NodeId, Operator, QueryPlan, SubjectId};
-use mpq_core::candidates::{candidates, Candidates};
+use mpq_algebra::{AttrId, Catalog, NodeId, Operator, QueryPlan, SubjectId};
+use mpq_core::authz::SubjectView;
+use mpq_core::candidates::{candidates, CandidateSet, Candidates};
 use mpq_core::capability::{needed_caps, CapabilityPolicy};
 use mpq_core::extend::{extend_plan, for_each_assignment, Assignment, ExtendedPlan};
 use mpq_core::keys::{plan_keys, KeyPlan};
 use mpq_core::profile::profile_plan;
+use mpq_core::subjects::SubjectKind;
 use mpq_exec::{assign_schemes, SchemePlan};
-use std::collections::HashMap;
 
 /// Assignment search strategies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -178,30 +179,21 @@ pub fn optimize(
                 }
             };
             // (1) DP over the full candidate sets.
-            if let Ok(a) = dp_assignment(plan, catalog, stats, env, &cands) {
+            let dp = DpInputs::new(plan, catalog, stats, env, &cands);
+            if let Ok(a) = dp_assignment(&dp, &cands.sets) {
                 finish_new(a, &mut best);
             }
             // (2) DP restricted to user + authorities: providers can
             // never make this portfolio entry worse than the scenario
             // without providers, guaranteeing monotone scenario costs.
-            let no_providers = Candidates {
-                sets: cands
-                    .sets
-                    .iter()
-                    .map(|set| {
-                        set.iter()
-                            .copied()
-                            .filter(|&s| {
-                                env.subjects.kind(s) != mpq_core::subjects::SubjectKind::Provider
-                            })
-                            .collect()
-                    })
-                    .collect(),
-                profiles: cands.profiles.clone(),
-                ap: cands.ap.clone(),
-                views: cands.views.clone(),
-            };
-            if let Ok(a) = dp_assignment(plan, catalog, stats, env, &no_providers) {
+            let no_providers: Vec<CandidateSet> = (cands.sets.iter())
+                .map(|set| {
+                    (set.iter().copied())
+                        .filter(|&s| env.subjects.kind(s) != SubjectKind::Provider)
+                        .collect()
+                })
+                .collect();
+            if let Ok(a) = dp_assignment(&dp, &no_providers) {
                 finish_new(a, &mut best);
             }
             // (3) Everything at the user (always authorized).
@@ -242,17 +234,13 @@ pub fn optimize(
                     return Err(OptError::NoCandidates(id));
                 }
             }
-            let restricted = Candidates {
-                sets: plain,
-                profiles: profile_plan(plan),
-                ap: cands.ap.clone(),
-                views: cands.views.clone(),
-            };
-            let assignment = dp_assignment(plan, catalog, stats, env, &restricted)?;
+            let dp = DpInputs::new(plan, catalog, stats, env, &cands);
+            let assignment = dp_assignment(&dp, &plain)?;
             finish(plan, catalog, stats, env, &cands, assignment)
         }
         Strategy::MinimizeVisibility => {
-            let assignment = dp_assignment(plan, catalog, stats, env, &cands)?;
+            let dp = DpInputs::new(plan, catalog, stats, env, &cands);
+            let assignment = dp_assignment(&dp, &cands.sets)?;
             finish_as(true, plan, catalog, stats, env, &cands, assignment)
         }
     }
@@ -282,40 +270,87 @@ fn plain_assignees(plan: &QueryPlan, cands: &Candidates) -> Vec<Vec<SubjectId>> 
     out
 }
 
-/// Bottom-up DP over `(node, subject)`.
-fn dp_assignment(
-    plan: &QueryPlan,
-    catalog: &Catalog,
-    stats: &StatsCatalog,
-    env: &ScenarioEnv,
-    cands: &Candidates,
-) -> Result<Assignment, OptError> {
-    let est = estimates_for(plan, catalog, stats);
-    let schemas = plan.schemas();
-    let book = &env.prices;
-    // The scheme each attribute would get if it had to be encrypted:
-    // the capability table's fold over the original plan, taking every
-    // attribute an operation does not need in plaintext (outside its
-    // `A_p`) as encrypted there — what `assign_schemes` will find on
-    // the extended plan wherever the attribute does arrive encrypted.
-    // The policy keeps additions and comparisons of one attribute
-    // apart, so a conflict needs an `A_p` override; priced as the
-    // dearest scheme.
-    let would_need = needed_caps(plan, |id, a| !cands.ap[id.index()].contains(a));
-    let scheme_of = |a: mpq_algebra::AttrId| {
-        would_need.get(&a).map_or(EncScheme::Random, |c| {
-            c.scheme().unwrap_or(EncScheme::Paillier)
-        })
-    };
-    // Approximate per-node output bytes on plain widths (exact
-    // ciphertext expansion is settled in the final costing).
-    let bytes: Vec<f64> = (0..plan.len())
-        .map(|i| est[i].rows * mpq_algebra::stats::row_width(catalog, stats, &schemas[i]).max(1.0))
-        .collect();
+/// What every run of [`dp_assignment`] reads, derived once per
+/// [`optimize`] from the original plan and `A_p`, so CostDp's two DP
+/// entries share them.
+struct DpInputs<'a> {
+    plan: &'a QueryPlan,
+    env: &'a ScenarioEnv,
+    views: &'a [SubjectView],
+    est: Vec<Estimate>,
+    /// Approximate per-node output bytes on plain widths (exact
+    /// ciphertext expansion is settled in the final costing).
+    bytes: Vec<f64>,
+    /// Per node, for each attribute of its schema in ascending order:
+    /// the attribute, the seconds its encryption takes over the node's
+    /// rows (times a sender's CPU price), and the bytes its ciphertext
+    /// adds to them.
+    enc_terms: Vec<Vec<(AttrId, f64, f64)>>,
+}
 
-    // table[node] : subject -> (cost, per-child chosen subject)
-    let mut table: Vec<HashMap<SubjectId, (f64, Vec<SubjectId>)>> =
-        vec![HashMap::new(); plan.len()];
+impl<'a> DpInputs<'a> {
+    fn new(
+        plan: &'a QueryPlan,
+        catalog: &Catalog,
+        stats: &StatsCatalog,
+        env: &'a ScenarioEnv,
+        cands: &'a Candidates,
+    ) -> Self {
+        let book = &env.prices;
+        let est = estimates_for(plan, catalog, stats);
+        let schemas = plan.schemas();
+        // The scheme each attribute would get if it had to be
+        // encrypted: the capability table's fold over the original
+        // plan, taking every attribute an operation does not need in
+        // plaintext (outside its `A_p`) as encrypted there — what
+        // `assign_schemes` will find on the extended plan wherever the
+        // attribute does arrive encrypted. The policy keeps additions
+        // and comparisons of one attribute apart, so a conflict needs
+        // an `A_p` override; priced as the dearest scheme.
+        let would_need = needed_caps(plan, |id, a| !cands.ap[id.index()].contains(a));
+        let scheme_of = |a: AttrId| {
+            would_need.get(&a).map_or(EncScheme::Random, |c| {
+                c.scheme().unwrap_or(EncScheme::Paillier)
+            })
+        };
+        let bytes = (0..plan.len())
+            .map(|i| {
+                est[i].rows * mpq_algebra::stats::row_width(catalog, stats, &schemas[i]).max(1.0)
+            })
+            .collect();
+        let enc_terms = (schemas.iter().zip(&est))
+            .map(|(schema, e)| {
+                (schema.iter())
+                    .map(|a| {
+                        let scheme = scheme_of(a);
+                        let plain_w = stats.attr_width(catalog, a);
+                        let grown = book.ciphertext_width(scheme, plain_w) - plain_w;
+                        (a, e.rows * book.encrypt_secs(scheme), e.rows * grown)
+                    })
+                    .collect()
+            })
+            .collect();
+        DpInputs {
+            plan,
+            env,
+            views: &cands.views,
+            est,
+            bytes,
+            enc_terms,
+        }
+    }
+}
+
+/// Bottom-up DP over `(node, subject)`: the cheapest assignment
+/// drawing each node's assignee from `sets` (indexed by node). The
+/// tables are indexed by `SubjectId` and scanned in ascending order,
+/// and a cost must be strictly lower to win, so among equal costs the
+/// lowest `SubjectId` is chosen.
+fn dp_assignment(dp: &DpInputs, sets: &[CandidateSet]) -> Result<Assignment, OptError> {
+    let (plan, est, bytes, book) = (dp.plan, &dp.est, &dp.bytes, &dp.env.prices);
+    let subjects = &dp.env.subjects;
+    // table[node][subject] : (cost, per-child chosen subject)
+    let mut table = vec![vec![None; subjects.len()]; plan.len()];
 
     for id in plan.postorder() {
         let node = plan.node(id);
@@ -323,20 +358,17 @@ fn dp_assignment(
             let Operator::Base { rel, .. } = &node.op else {
                 unreachable!("leaves are Base nodes")
             };
-            let authority = env
-                .subjects
-                .authority(*rel)
-                .ok_or(OptError::NoCandidates(id))?;
+            let authority = subjects.authority(*rel).ok_or(OptError::NoCandidates(id))?;
             let prices = book.of(authority);
             let scan_secs = est[id.index()].rows * book.tuple_op_secs;
             let cost = scan_secs * prices.cpu_per_sec + bytes[id.index()] / 1e9 * prices.io_per_gb;
-            table[id.index()].insert(authority, (cost, vec![]));
+            table[id.index()][authority.index()] = Some((cost, vec![]));
             continue;
         }
-        if cands.of(id).is_empty() {
+        if sets[id.index()].is_empty() {
             return Err(OptError::NoCandidates(id));
         }
-        for &s in cands.of(id) {
+        for &s in &sets[id.index()] {
             let prices = book.of(s);
             // Operator CPU at s (rough: rows in+out).
             let rows_out = est[id.index()].rows;
@@ -348,66 +380,67 @@ fn dp_assignment(
             };
             let mut cost = work * book.tuple_op_secs * prices.cpu_per_sec;
             let mut chosen = Vec::with_capacity(node.children.len());
-            let mut feasible = true;
             for &c in &node.children {
+                // Encryption the receiver forces on a sender:
+                // attributes s may only see encrypted — priced per
+                // the scheme those attributes will need
+                // (det/OPE/Paillier differ by orders of magnitude),
+                // with ciphertext expansion on the transferred
+                // bytes. Both depend on the sender only through its
+                // CPU price.
+                let enc = &dp.views[s.index()].enc;
+                let mut enc_secs = Vec::new();
+                let mut xfer_bytes = bytes[c.index()];
+                for &(a, secs, grown) in &dp.enc_terms[c.index()] {
+                    if enc.contains(a) {
+                        enc_secs.push(secs);
+                        xfer_bytes += grown;
+                    }
+                }
                 let mut best: Option<(f64, SubjectId)> = None;
-                for (&cs, (ccost, _)) in &table[c.index()] {
+                for cs in subjects.iter() {
+                    let Some((ccost, _)) = &table[c.index()][cs.index()] else {
+                        continue;
+                    };
                     let mut edge = 0.0;
                     if cs != s {
                         let sender = book.of(cs);
-                        // Encryption the receiver forces on the sender:
-                        // attributes s may only see encrypted — priced
-                        // per the scheme those attributes will need
-                        // (det/OPE/Paillier differ by orders of
-                        // magnitude), with ciphertext expansion on the
-                        // transferred bytes.
-                        let view = &cands.views[s.index()];
-                        let enc_attrs: AttrSet = schemas[c.index()].intersect(&view.enc);
-                        let rows = est[c.index()].rows;
-                        let mut xfer_bytes = bytes[c.index()];
-                        for a in enc_attrs.iter() {
-                            let scheme = scheme_of(a);
-                            edge += rows * book.encrypt_secs(scheme) * sender.cpu_per_sec;
-                            let plain_w = stats.attr_width(catalog, a);
-                            xfer_bytes += rows * (book.ciphertext_width(scheme, plain_w) - plain_w);
+                        for secs in &enc_secs {
+                            edge += secs * sender.cpu_per_sec;
                         }
                         edge += xfer_bytes / 1e9 * book.net_price(cs, s);
                     }
                     let total = ccost + edge;
-                    if best.map(|(b, _)| total < b).unwrap_or(true) {
+                    if best.is_none_or(|(b, _)| total < b) {
                         best = Some((total, cs));
                     }
                 }
-                match best {
-                    Some((c_cost, cs)) => {
-                        cost += c_cost;
-                        chosen.push(cs);
-                    }
-                    None => {
-                        feasible = false;
-                        break;
-                    }
-                }
+                // A child with no feasible subject leaves s without
+                // an entry.
+                let Some((c_cost, cs)) = best else { break };
+                cost += c_cost;
+                chosen.push(cs);
             }
-            if feasible {
-                table[id.index()].insert(s, (cost, chosen));
+            if chosen.len() == node.children.len() {
+                table[id.index()][s.index()] = Some((cost, chosen));
             }
         }
-        if table[id.index()].is_empty() {
+        if table[id.index()].iter().all(Option::is_none) {
             return Err(OptError::NoCandidates(id));
         }
     }
 
     // Root: add delivery to the user, pick the cheapest subject.
     let root = plan.root();
-    let (best_subject, _) = table[root.index()]
-        .iter()
-        .map(|(&s, (c, _))| {
+    let user = dp.env.user;
+    let (best_subject, _) = (subjects.iter())
+        .filter_map(|s| {
+            let (c, _) = table[root.index()][s.index()].as_ref()?;
             let mut total = *c;
-            if s != env.user {
-                total += bytes[root.index()] / 1e9 * book.net_price(s, env.user);
+            if s != user {
+                total += bytes[root.index()] / 1e9 * book.net_price(s, user);
             }
-            (s, total)
+            Some((s, total))
         })
         .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"))
         .ok_or(OptError::NoCandidates(root))?;
@@ -421,7 +454,9 @@ fn dp_assignment(
             continue;
         }
         assignment.set(id, s);
-        let (_, chosen) = &table[id.index()][&s];
+        let (_, chosen) = table[id.index()][s.index()]
+            .as_ref()
+            .expect("backtracked entries exist");
         for (&c, &cs) in node.children.iter().zip(chosen) {
             stack.push((c, cs));
         }
@@ -456,8 +491,7 @@ fn finish_as(
 ) -> Result<Optimized, OptError> {
     let extended = extend_plan(
         plan,
-        catalog,
-        &env.policy,
+        &cands.views,
         &env.subjects,
         cands,
         &assignment,
@@ -471,12 +505,12 @@ fn finish_as(
     // static verifier — authorized (Def. 4.1), leak-free per edge,
     // key-complete (Def. 6.1) and scheme/type-sound. A finding here is
     // an optimizer bug surfaced before any execution.
-    let report = mpq_core::verify::verify_with_policy(
+    let report = mpq_core::verify::verify_extended(
         &extended,
         &keys,
         catalog,
         &env.subjects,
-        &env.policy,
+        &cands.views,
         Some(env.user),
     );
     if !report.is_clean() {
@@ -662,6 +696,45 @@ mod tests {
                     let root = opt.extended.plan.root();
                     let ve = &opt.extended.profiles[root.index()].ve;
                     assert!(ve.is_empty(), "{what}: ciphertext at the root");
+                    // The extension walk's profiles, settled once each,
+                    // are a fresh derivation's.
+                    let fresh = profile_plan(&opt.extended.plan);
+                    assert!(opt.extended.profiles == fresh, "{what}: stale profiles");
+                }
+            }
+        }
+    }
+
+    /// With every provider priced alike, providers tie exactly: CostDp
+    /// picks the same plan on every call, and among tied subjects the
+    /// lowest `SubjectId` — so the only provider it uses is the first.
+    #[test]
+    fn cost_dp_breaks_ties_by_subject_id() {
+        let cat = tpch_catalog();
+        let stats = tpch_sample();
+        let cap = CapabilityPolicy::default();
+        for scenario in [Scenario::UAPenc, Scenario::UAPmix] {
+            let mut env = build_scenario(&cat, scenario);
+            env.prices = crate::pricing::PriceBook::paper_defaults(&env.subjects, &[1.0, 1.0, 1.0]);
+            let first = env.subjects.id("X").unwrap();
+            for q in 1..=mpq_tpch::QUERY_COUNT {
+                let plan = query_plan(&cat, q);
+                let what = format!("Q{q} {scenario:?}");
+                let pick = || {
+                    let opt = optimize(&plan, &cat, stats, &env, &cap, Strategy::CostDp);
+                    opt.unwrap_or_else(|e| panic!("{what}: {e}")).assignment
+                };
+                let chosen = pick();
+                for _ in 0..5 {
+                    assert_eq!(pick(), chosen, "{what}: another plan on a later call");
+                }
+                for (_, &s) in chosen.0.iter() {
+                    let provider = env.subjects.kind(s) == SubjectKind::Provider;
+                    assert!(
+                        !provider || s == first,
+                        "{what}: tie went to {}",
+                        env.subjects.name(s)
+                    );
                 }
             }
         }
