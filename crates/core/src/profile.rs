@@ -328,9 +328,23 @@ pub fn profile_plan(plan: &QueryPlan) -> Vec<Profile> {
     out
 }
 
-/// Counts [`propagate_node`] calls under test; a no-op elsewhere.
-#[cfg(not(test))]
+/// Counts [`propagate_node`] calls under test and under the
+/// `count-propagations` feature; a no-op elsewhere.
+#[cfg(not(any(test, feature = "count-propagations")))]
 fn count_propagation() {}
+
+#[cfg(any(test, feature = "count-propagations"))]
+thread_local! {
+    /// Calls of [`propagate_node`] on this thread: how tests — this
+    /// crate's, and those of crates that turn `count-propagations` on —
+    /// count the profiles a walk settles.
+    pub static PROPAGATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(any(test, feature = "count-propagations"))]
+fn count_propagation() {
+    PROPAGATIONS.set(PROPAGATIONS.get() + 1);
+}
 
 #[cfg(test)]
 impl EqClasses {
@@ -338,18 +352,6 @@ impl EqClasses {
     fn class_of(&self, a: mpq_algebra::AttrId) -> Option<&AttrSet> {
         self.classes.iter().find(|c| c.contains(a))
     }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Calls of [`propagate_node`] on this thread: how tests count the
-    /// profiles a walk settles.
-    pub(crate) static PROPAGATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-#[cfg(test)]
-fn count_propagation() {
-    PROPAGATIONS.set(PROPAGATIONS.get() + 1);
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ use mpq_core::subjects::Subjects;
 use mpq_crypto::keyring::{ClusterKey, KeyRing};
 use mpq_crypto::paillier::PaillierPublic;
 use mpq_crypto::rsa::{RsaKeypair, RsaPublic, SignedEnvelope};
-use mpq_exec::{assign_schemes, rewrite_literals, Database};
+use mpq_exec::{assign_schemes_with, rewrite_literals_with, Database};
 use rand::rngs::StdRng;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -396,9 +396,11 @@ impl Dispatcher {
         }
 
         // ---- dispatch: signed, encrypted sub-query requests ----------
-        let schemes = assign_schemes(&ext.plan).map_err(|e| SimError::Scheme(e.to_string()))?;
-        let exec_plan = rewrite_literals(
+        let schemes = assign_schemes_with(&ext.plan, &ext.profiles)
+            .map_err(|e| SimError::Scheme(e.to_string()))?;
+        let exec_plan = rewrite_literals_with(
             &ext.plan,
+            &ext.profiles,
             &self.catalog,
             &schemes,
             &key_of_attr,
@@ -799,5 +801,25 @@ mod tests {
             )
             .expect("Fig. 7(a) is authorized");
         assert_eq!(d.job.timeout(), Some(Duration::from_millis(1)));
+    }
+
+    /// A query derives the extended plan's profiles once, in the
+    /// verifier's fresh derivation (its N-version check of the carried
+    /// ones); schemes and literal rewriting read the carried profiles.
+    #[test]
+    fn a_query_derives_profiles_only_in_the_verifier() {
+        use mpq_core::profile::PROPAGATIONS;
+        let ex = RunningExample::new();
+        let mut db = Database::new();
+        db.load(&ex.catalog, "Hosp", RunningExample::sample_hosp_rows());
+        db.load(&ex.catalog, "Ins", RunningExample::sample_ins_rows());
+        let mut session = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 7);
+        let ext = ex.fig7a_extended();
+        let keys = plan_keys(&ext);
+        for _ in 0..2 {
+            let before = PROPAGATIONS.get();
+            session.execute(&ext, &keys, ex.subject("U")).unwrap();
+            assert_eq!(PROPAGATIONS.get() - before, ext.plan.postorder().len());
+        }
     }
 }

@@ -68,7 +68,9 @@ pub use engine::{
     effective_children, execute, execute_region, execute_step, fused_encrypt_child, ExecCtx,
     ExecCtxBuilder, ExecError,
 };
-pub use scheme::{assign_schemes, rewrite_literals, SchemePlan};
+pub use scheme::{
+    assign_schemes, assign_schemes_with, rewrite_literals, rewrite_literals_with, SchemePlan,
+};
 pub use table::{Batches, Database, Table};
 
 /// Kept for callers that pin the engine to one worker thread: the

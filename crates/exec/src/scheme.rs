@@ -24,7 +24,7 @@
 use mpq_algebra::value::EncScheme;
 use mpq_algebra::{AggScope, AttrId, AttrSet, CmpOp, Expr, Operator, QueryPlan, Value};
 use mpq_core::capability::needed_caps;
-use mpq_core::profile::profile_plan;
+use mpq_core::profile::{profile_plan, Profile};
 use mpq_crypto::keyring::KeyRing;
 use mpq_crypto::schemes::encrypt_value;
 use rand::Rng;
@@ -78,9 +78,17 @@ impl std::fmt::Display for SchemeError {
 impl std::error::Error for SchemeError {}
 
 /// Analyze an (extended) plan and choose a scheme per encrypted
-/// attribute.
+/// attribute, deriving the plan's profiles first.
 pub fn assign_schemes(plan: &QueryPlan) -> Result<SchemePlan, SchemeError> {
-    let profiles = profile_plan(plan);
+    assign_schemes_with(plan, &profile_plan(plan))
+}
+
+/// [`assign_schemes`] over `profiles`, the plan's own — an extended
+/// plan carries them ([`mpq_core::ExtendedPlan::profiles`]).
+pub fn assign_schemes_with(
+    plan: &QueryPlan,
+    profiles: &[Profile],
+) -> Result<SchemePlan, SchemeError> {
     let caps = needed_caps(plan, |id, a| {
         let operands = &plan.node(id).children;
         operands.iter().any(|c| profiles[c.index()].ve.contains(a))
@@ -117,6 +125,19 @@ pub fn rewrite_literals<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<QueryPlan, String> {
     let profiles = profile_plan(plan);
+    rewrite_literals_with(plan, &profiles, catalog, schemes, key_of_attr, keys, rng)
+}
+
+/// [`rewrite_literals`] over `profiles`, the plan's own.
+pub fn rewrite_literals_with<R: Rng + ?Sized>(
+    plan: &QueryPlan,
+    profiles: &[Profile],
+    catalog: &mpq_algebra::Catalog,
+    schemes: &SchemePlan,
+    key_of_attr: &HashMap<AttrId, u32>,
+    keys: &KeyRing,
+    rng: &mut R,
+) -> Result<QueryPlan, String> {
     let mut out = plan.clone();
     for id in plan.postorder() {
         let node = plan.node(id);

@@ -219,6 +219,7 @@ const CALLER_ALLOW: &[Allow] = &[
     ("crates/core/src/authz.rs", "violations", "tests/properties.rs::def_4_1_readings_agree"),
     ("crates/core/src/candidates.rs", "min_required_view", "tests/paper_figures.rs::fig6_minimum_required_views"),
     ("crates/core/src/profile.rs", "footprint", "tests/properties.rs::theorem_3_1"),
+    ("crates/core/src/profile.rs", "PROPAGATIONS", "mpq-planner's optimize::tests::cost_dp_derives_each_profile_once"),
     ("crates/crypto/src/sha256.rs", "sha256_hex", "crates/bench/tests/plan_golden.rs::every_plan_under_sample_statistics_is_pinned"),
     ("crates/dist/src/remote.rs", "set_peers", "tests/coordinator_differential.rs::coordinator_matches_the_session_byte_for_byte"),
     ("crates/dist/src/session.rs", "set_faults", "tests/chaos_soak.rs::chaos_soak_never_returns_a_wrong_answer"),

@@ -20,7 +20,7 @@
 //! Which scheme an attribute's ciphertexts need is not decided here.
 //! The DP's edge estimate asks [`mpq_core::capability::needed_caps`]
 //! what an attribute outside `A_p` *would* get, and step 4 asks
-//! [`assign_schemes`], which folds the same table over the extended
+//! [`assign_schemes_with`], which folds the same table over the extended
 //! plan: this module calls the capability table, it owns no rule of
 //! it, so the DP cannot price one scheme and the plan run another.
 //!
@@ -47,7 +47,7 @@ use mpq_core::extend::{extend_plan, for_each_assignment, Assignment, ExtendedPla
 use mpq_core::keys::{plan_keys, KeyPlan};
 use mpq_core::profile::profile_plan;
 use mpq_core::subjects::SubjectKind;
-use mpq_exec::{assign_schemes, SchemePlan};
+use mpq_exec::{assign_schemes_with, SchemePlan};
 
 /// Assignment search strategies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -499,7 +499,8 @@ fn finish_as(
         minimize_visibility,
     )
     .map_err(|e| OptError::Extend(e.to_string()))?;
-    let schemes = assign_schemes(&extended.plan).map_err(|e| OptError::Schemes(e.to_string()))?;
+    let schemes = assign_schemes_with(&extended.plan, &extended.profiles)
+        .map_err(|e| OptError::Schemes(e.to_string()))?;
     let keys = plan_keys(&extended);
     // Post-condition: every plan the optimizer emits must pass the
     // static verifier — authorized (Def. 4.1), leak-free per edge,
@@ -738,5 +739,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One CostDp `optimize` of the six queries the `authority_scan`
+    /// benchmark plans (UAPenc, the TPC-H evaluation's capabilities)
+    /// propagates each profile once per derivation: the candidates',
+    /// the extension walk's and the verifier's fresh one. Scheme
+    /// assignment reads the walk's.
+    #[test]
+    fn cost_dp_derives_each_profile_once() {
+        use mpq_core::profile::PROPAGATIONS;
+        let cat = tpch_catalog();
+        let stats = tpch_sample();
+        let env = build_scenario(&cat, Scenario::UAPenc);
+        let cap = CapabilityPolicy::tpch_evaluation();
+        let before = PROPAGATIONS.get();
+        for q in [1, 3, 6, 10, 12, 14] {
+            let plan = query_plan(&cat, q);
+            optimize(&plan, &cat, stats, &env, &cap, Strategy::CostDp).unwrap();
+        }
+        assert_eq!(PROPAGATIONS.get() - before, 317);
     }
 }
