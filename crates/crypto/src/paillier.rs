@@ -132,6 +132,12 @@ const MIN_FACTOR_BITS: usize = 64;
 /// under a 64 KiB modulus: 3.6 s).
 const MAX_MODULUS_BITS: usize = 4096;
 
+/// `true` for a modulus size [`PaillierKeypair::generate`] can make and
+/// [`PaillierPublic::from_modulus`] accepts.
+pub(crate) fn modulus_bits_ok(bits: usize) -> bool {
+    (2 * MIN_FACTOR_BITS..=MAX_MODULUS_BITS).contains(&bits)
+}
+
 impl PaillierPublic {
     /// Build a public key from `n` (computes and caches `n²`). `None`
     /// for an `n` no Paillier key can have — even, zero or one — or
@@ -207,10 +213,7 @@ impl PaillierPublic {
 impl PaillierKeypair {
     /// Generate a keypair with an `bits`-bit modulus.
     pub fn generate<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> PaillierKeypair {
-        assert!(
-            bits >= 2 * MIN_FACTOR_BITS,
-            "modulus too small even for testing"
-        );
+        assert!(modulus_bits_ok(bits), "no Paillier modulus of {bits} bits");
         let (p, q) = loop {
             let p = BigUint::gen_prime(rng, bits / 2);
             let q = BigUint::gen_prime(rng, bits / 2);
@@ -675,8 +678,8 @@ mod tests {
                 let want = textbook_decrypt(&kp, &textbook, c);
                 proptest::prop_assert_eq!(kp.try_decrypt(&PaillierCiphertext(c.clone())), Some(want));
             }
-            let key = crate::keyring::ClusterKey::from_bytes(&[&[0u8; 52][..], &kp.to_bytes()].concat())
-                .expect("the key's own bytes");
+            let own = PaillierKeypair::from_bytes(&kp.to_bytes()).expect("the key's own bytes");
+            let key = crate::keyring::ClusterKey::with_paillier(own);
             let k = BigUint::random_below(&mut rng, &pk.n);
             for c in [BigUint::zero(), pk.n.clone(), kp.p.clone(), kp.p.mul(&k), kp.q.mul(&k)] {
                 proptest::prop_assert_eq!(kp.try_decrypt(&PaillierCiphertext(c.clone())), None);

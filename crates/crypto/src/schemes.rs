@@ -90,8 +90,8 @@ impl<R: Rng + ?Sized> RowRng for &mut R {
 }
 
 /// A cluster key prepared for repeated use on one column: XTEA key
-/// schedules expanded, sub-keys and the shared Paillier keypair resolved
-/// once. This is the batch entry the execution engine uses — the
+/// schedules expanded and sub-keys resolved once, the Paillier keypair
+/// shared with every clone of the key (built by the first that needs it). This is the batch entry the execution engine uses — the
 /// per-value setup (`SipHash` sub-key derivation, key-schedule
 /// expansion, Paillier `n²` Montgomery context) is paid once per
 /// column instead of once per cell.

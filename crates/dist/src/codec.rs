@@ -1971,16 +1971,16 @@ mod tests {
         let c = key.paillier_public().encrypt(&mut rng, &m);
         assert_eq!(back.paillier().decrypt(&c), m);
         // So does the holder's encryption, rebuilt from the shipped
-        // factors alone.
+        // master alone.
         let c = back.paillier().encrypt(&mut rng, &m);
         assert_eq!(key.paillier().decrypt(&c), m);
-        // Layout: id ‖ det ‖ rnd ‖ ope ‖ len·p ‖ len·q at 128-bit
-        // factors; a damaged factor fails the whole key.
+        // Layout: id ‖ master ‖ modulus bits; a modulus size no key can
+        // have fails the whole key.
         let bytes = key.to_bytes();
-        assert_eq!(bytes.len(), 4 + 48 + 2 * (4 + 16));
-        let mut even = bytes.clone();
-        *even.last_mut().expect("non-empty") &= !1;
-        assert!(ClusterKey::from_bytes(&even).is_none());
+        assert_eq!(bytes.len(), 4 + 16 + 4);
+        let mut tiny = bytes.clone();
+        tiny[20..].copy_from_slice(&2u32.to_be_bytes());
+        assert!(ClusterKey::from_bytes(&tiny).is_none());
         assert!(ClusterKey::from_bytes(&bytes[..bytes.len() - 1]).is_none());
     }
 }

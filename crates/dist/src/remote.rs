@@ -15,13 +15,18 @@
 //!    port and announces the querying user and its RSA public key; each
 //!    server answers with its subject id, its public key and the
 //!    highest query epoch it has been sent
-//!    (`Frame::Hello`/`Frame::HelloAck`). The coordinator holds the key
-//!    to the one it expects and refuses any other (below), and numbers
-//!    its queries above every server's epoch;
+//!    (`Frame::Hello`/`Frame::HelloAck`), then holds the user's key to
+//!    the fleet's for the user named and drops a connection announcing
+//!    any other (the typed [`TransportError::ForeignUser`]). The
+//!    coordinator holds the server's key to the one it expects and
+//!    refuses any other (below), and numbers its queries above every
+//!    server's epoch;
 //! 2. **provision** — Def. 6.1 cluster keys are generated client-side
 //!    and shipped to their holders as sealed
-//!    `[[key]_priU]_pubS` envelopes (`Frame::Provision`); computing
-//!    non-holders receive only the public Paillier modulus
+//!    `[[key]_priU]_pubS` envelopes (`Frame::Provision`) carrying the
+//!    key's master, from which a holder derives a Paillier keypair only
+//!    if it needs one; computing non-holders receive only the public
+//!    Paillier modulus of a cluster the query sums under Paillier
 //!    (`Frame::ProvisionPublic`) — enough to aggregate, never to
 //!    decrypt. Private RSA keys never cross the wire in any direction;
 //! 3. **execute** — each participant receives the query job plus its
@@ -52,11 +57,13 @@
 //! (`party::fleet_identities`): a [`Session`](crate::Session) draws
 //! them all, a [`Coordinator`] draws them all too and keeps the user's
 //! keypair and every public key, and a [`Server`] draws up to its own
-//! subject's. So the coordinator knows each server's key before it
-//! dials, and a server started with another seed — which would hold
-//! other keys and derive other fixture data — is refused at connect
-//! with the typed [`TransportError::ForeignKey`]. The coordinator's
-//! `Dispatcher` continues the stream exactly as a session's does (it
+//! subject's, and on to the user a hello names (at most 64 identities).
+//! So the coordinator knows each server's key before it dials, and a
+//! server started with another seed — which would hold other keys and
+//! derive other fixture data — is refused at connect with the typed
+//! [`TransportError::ForeignKey`]; a server refuses a client of another
+//! seed the same way, so no other client provisions keys to it. The
+//! coordinator's `Dispatcher` continues the stream exactly as a session's does (it
 //! seals `Frame::Provision` envelopes from a stream of its own), so a
 //! federated query puts on every edge the bytes a session's puts there
 //! after [`reset_provisioning`](crate::Session::reset_provisioning).
@@ -133,6 +140,12 @@ const CTL_SALT: u64 = 0x6374_6c5f_7365_6564; // "ctl_seed"
 /// session's is, so both seal the same request bytes.
 const SEAL_SALT: u64 = 0x7365_616c_7365_6564; // "sealseed"
 
+/// The most identities a server draws from the fleet stream to check a
+/// hello's user key: a hello naming a subject beyond it is refused
+/// without drawing, so a client cannot make a server generate RSA keys
+/// without bound.
+const FLEET_CAP: usize = 64;
+
 /// Everything one `mpq-server` process needs to host a subject.
 ///
 /// The deliberate *absence* here is the point: no other subject's
@@ -172,6 +185,9 @@ pub struct ServerConfig {
 /// (peer connections) and the control plane (the coordinator).
 pub struct Server {
     party: Party,
+    /// The fleet's public keys drawn so far, by subject index: up to
+    /// this server's own, then up to the highest user a hello named.
+    fleet: Vec<RsaPublic>,
     peers: HashMap<SubjectId, String>,
     mailbox: Mailbox,
     ctl_rx: Receiver<Conn>,
@@ -192,6 +208,7 @@ impl Server {
     /// `Frame::Shutdown`.
     pub fn bind(config: ServerConfig) -> Result<Server, TransportError> {
         let (mut identities, _) = fleet_identities(config.seed, config.me.index() + 1);
+        let fleet = identities.iter().map(|k| k.public.clone()).collect();
         let rsa = identities.swap_remove(config.me.index());
         let catalog = Arc::new(config.catalog);
         let party = Party::new(config.me, catalog, config.view, rsa, config.store);
@@ -200,6 +217,7 @@ impl Server {
         let hub = TcpHub::bind(&config.listen, tx, Some(ctl_tx))?;
         Ok(Server {
             party,
+            fleet,
             peers: config.peers,
             mailbox,
             ctl_rx,
@@ -252,6 +270,17 @@ impl Server {
         }
     }
 
+    /// The fleet's public key of `s`, drawing the fleet's identities up
+    /// to it the first time a subject past those drawn is named; `None`
+    /// past [`FLEET_CAP`].
+    fn fleet_key(&mut self, s: SubjectId) -> Option<&RsaPublic> {
+        if (self.fleet.len()..FLEET_CAP).contains(&s.index()) {
+            let (identities, _) = fleet_identities(self.seed, s.index() + 1);
+            self.fleet = identities.into_iter().map(|k| k.public).collect();
+        }
+        self.fleet.get(s.index())
+    }
+
     /// This server's sending data plane: fresh links, its one ledger.
     fn data_wire(&self) -> Wire {
         let me = self.party.me;
@@ -264,7 +293,8 @@ impl Server {
     /// requested; `Ok(false)` means the coordinator went away.
     fn serve_conn(&mut self, ctl: &mut Conn, wire: &Wire) -> Result<bool, TransportError> {
         // The handshake fixes who we are talking *for*: every envelope
-        // of this connection must verify against this user key.
+        // of this connection must verify against this user key, which
+        // must be the fleet's for the user the hello names.
         let mut user_public: Option<RsaPublic> = None;
         loop {
             let frame = match ctl.recv(None) {
@@ -273,8 +303,7 @@ impl Server {
                 Err(e) => return Err(e),
             };
             match frame {
-                Frame::Hello { user: _, public } => {
-                    user_public = Some(public);
+                Frame::Hello { user, public } => {
                     ctl.send(&Frame::HelloAck {
                         me: self.party.me,
                         public: self.party.rsa.public.clone(),
@@ -284,6 +313,15 @@ impl Server {
                         // another coordinator's.
                         epoch: self.outcomes.keys().max().copied().unwrap_or_default(),
                     })?;
+                    // Each end holds the other's key to the fleet's. The
+                    // answer goes first, so that a coordinator of another
+                    // seed names the mismatch (`ForeignKey`); then the
+                    // connection of a user the fleet did not draw is
+                    // dropped before any of its frames is read.
+                    if self.fleet_key(user) != Some(&public) {
+                        return Err(TransportError::ForeignUser { subject: user });
+                    }
+                    user_public = Some(public);
                 }
                 Frame::Provision { envelope } => {
                     // Def. 6.1 delivery: sealed to us, signed by the
@@ -618,11 +656,11 @@ impl Coordinator {
         }
 
         // The user's own share runs inline, under the same driver as
-        // every server's.
+        // every server's, and needs no request envelope to serve itself.
         let run = Run {
             epoch,
             job: Arc::clone(&job),
-            envelope: envelopes[user.index()].take(),
+            envelope: None,
             user_public: self.party.rsa.public.clone(),
         };
         let own = drive(&self.party, &run, &mut self.mailbox, &self.wire);
@@ -735,8 +773,8 @@ mod tests {
         let addr = server.addr().to_string();
 
         let coordinator = std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(12);
-            let user = RsaKeypair::generate(&mut rng, RSA_BITS);
+            let (mut identities, mut rng) = fleet_identities(FLEET, 1);
+            let user = identities.remove(0);
             let mut ctl = Conn::connect(&addr, me, CONNECT_TIMEOUT).expect("connect");
             ctl.send(&Frame::Hello {
                 user: SubjectId(0),
@@ -750,10 +788,10 @@ mod tests {
                 ctl.send(&Frame::ProvisionPublic { id, n }).expect("send");
             }
             let good = ClusterKey::generate(&mut rng, 5, 256);
-            let mut even_factor = good.to_bytes();
-            even_factor[3] = 6;
-            *even_factor.last_mut().expect("non-empty") &= !1;
-            for bytes in [even_factor, good.to_bytes()] {
+            let mut no_modulus = good.to_bytes();
+            no_modulus[3] = 6;
+            no_modulus[20..].copy_from_slice(&1u32.to_be_bytes());
+            for bytes in [no_modulus, good.to_bytes()] {
                 let envelope = SignedEnvelope::seal(&mut rng, &bytes, &user, &public);
                 ctl.send(&Frame::Provision { envelope }).expect("send");
             }
@@ -773,6 +811,45 @@ mod tests {
         }
         assert!(ring.get_public(4).is_some());
         assert!(ring.holds(5) && !ring.holds(6));
+    }
+
+    /// A server takes provisioning from the fleet's own users only: a
+    /// hello with a key the fleet did not draw for the user it names —
+    /// or naming a user past the fleet's cap — is answered, then
+    /// refused, typed, before the connection's `Provision` is read.
+    #[test]
+    fn a_hello_with_a_key_the_fleet_did_not_draw_is_refused() {
+        let mut server = bare_server();
+        let me = server.subject();
+        let addr = server.addr().to_string();
+        let (identities, mut rng) = fleet_identities(FLEET, 2);
+        let stranger = RsaKeypair::generate(&mut rng, RSA_BITS);
+        let (user, server_key) = (identities[0].public.clone(), identities[1].public.clone());
+        let far = SubjectId(FLEET_CAP as u32);
+        let hellos = [(SubjectId(0), stranger.public.clone()), (far, user)];
+        let client = std::thread::spawn(move || {
+            for (user, public) in hellos {
+                let mut ctl = Conn::connect(&addr, me, CONNECT_TIMEOUT).expect("connect");
+                ctl.send(&Frame::Hello { user, public }).expect("hello");
+                let ack = ctl.recv(Some(CONNECT_TIMEOUT));
+                assert!(matches!(ack, Ok(Frame::HelloAck { .. })), "{ack:?}");
+                let key = ClusterKey::generate(&mut rng, 5, 256);
+                let envelope =
+                    SignedEnvelope::seal(&mut rng, &key.to_bytes(), &stranger, &server_key);
+                // The server may have hung up already; then it does.
+                let _ = ctl.send(&Frame::Provision { envelope });
+                assert!(ctl.recv(Some(CONNECT_TIMEOUT)).is_err());
+            }
+        });
+        let wire = server.data_wire();
+        for subject in [SubjectId(0), far] {
+            let mut ctl = server.ctl_rx.recv().expect("control connection");
+            let refused = server.serve_conn(&mut ctl, &wire);
+            assert_eq!(refused, Err(TransportError::ForeignUser { subject }));
+        }
+        client.join().expect("client thread");
+        assert!(!server.party.ring.holds(5), "no key was granted");
+        assert_eq!(server.fleet.len(), 2, "nothing drawn past the cap");
     }
 
     /// A `Truncate` on the control plane really poisons the socket —

@@ -49,6 +49,7 @@ use crate::transport::{
     lock, EdgeRecovery, Ledger, Links, TcpHub, Transport, TransportError, TransportKind, Wire,
 };
 use crate::{Report, PAILLIER_BITS};
+use mpq_algebra::value::EncScheme;
 use mpq_algebra::{AttrId, Catalog, Operator, RelId, SubjectId};
 use mpq_core::authz::{Policy, SubjectView};
 use mpq_core::dispatch::dispatch;
@@ -187,6 +188,10 @@ pub struct SessionStats {
     /// (deliveries, not re-sends: a subject that already has the half
     /// is never re-shipped it).
     pub publics_delivered: usize,
+    /// Paillier keypairs built: one per provisioned cluster, the first
+    /// time a query sums one of its attributes under Paillier. A
+    /// cluster no query sums never pays for the two prime searches.
+    pub paillier_keypairs: usize,
 }
 
 /// One Def. 6.1 delivery of a prepared query. How it reaches its
@@ -330,10 +335,13 @@ impl Dispatcher {
     }
 
     /// Authorize, provision, seal; `signer` is the user's keypair.
-    /// Consumes the RNG in a fixed order — one key per new cluster,
-    /// then literal rewriting, then one envelope per recipient,
-    /// ascending — so a seed fixes every ciphertext and every byte,
-    /// however the grants are delivered.
+    /// Consumes the RNG in a fixed order — one 16-byte master per new
+    /// cluster, then literal rewriting, then one envelope per recipient
+    /// other than the user, ascending — so a seed fixes every ciphertext
+    /// and every byte, however the grants are delivered. A cluster's
+    /// Paillier keypair draws nothing from it: it is derived from the
+    /// master, here, the first time a query sums one of the cluster's
+    /// attributes under Paillier.
     ///
     /// The key deliveries land in `grants`, in order, even when a later
     /// step fails: the cache counts them as held from here on, so the
@@ -348,6 +356,8 @@ impl Dispatcher {
     ) -> Result<Dispatched, SimError> {
         self.stats.queries += 1;
         let computing = self.authorize(ext, keys, user)?;
+        let schemes = assign_schemes_with(&ext.plan, &ext.profiles)
+            .map_err(|e| SimError::Scheme(e.to_string()))?;
 
         // ---- incremental key provisioning (Def. 6.1) -----------------
         let mut key_of_attr: HashMap<AttrId, u32> = HashMap::new();
@@ -380,8 +390,20 @@ impl Dispatcher {
             for a in plan_key.attrs.iter() {
                 key_of_attr.insert(a, cached.material.id);
             }
-            // Public Paillier halves for every computing non-holder not
-            // yet served.
+            if !plan_key.holders.is_empty() {
+                dispatcher_ring.insert(cached.material.clone());
+            }
+            // Only a cluster this query sums under Paillier needs the
+            // keypair, and only then do computing non-holders not yet
+            // served need its public half.
+            let mut attrs = plan_key.attrs.iter();
+            if !attrs.any(|a| schemes.scheme_of(a) == EncScheme::Paillier) {
+                continue;
+            }
+            if !cached.material.paillier_built() {
+                cached.material.paillier();
+                self.stats.paillier_keypairs += 1;
+            }
             for i in (0..computing.len()).filter(|&i| computing[i]) {
                 if !cached.publics.contains(&i) {
                     let (id, public) = (cached.material.id, cached.material.paillier_public());
@@ -390,14 +412,9 @@ impl Dispatcher {
                     self.stats.publics_delivered += 1;
                 }
             }
-            if !plan_key.holders.is_empty() {
-                dispatcher_ring.insert(cached.material.clone());
-            }
         }
 
         // ---- dispatch: signed, encrypted sub-query requests ----------
-        let schemes = assign_schemes_with(&ext.plan, &ext.profiles)
-            .map_err(|e| SimError::Scheme(e.to_string()))?;
         let exec_plan = rewrite_literals_with(
             &ext.plan,
             &ext.profiles,
@@ -424,16 +441,19 @@ impl Dispatcher {
                 batch.extend_from_slice(format!("\nkey:{key_id}").as_bytes());
             }
         }
+        // The user serves itself: §6 seals a request to each *other*
+        // subject, and the user's own share runs without one.
         let mut request_bytes: HashMap<(SubjectId, SubjectId), usize> = HashMap::new();
         let mut envelopes: Vec<Option<SignedEnvelope>> = vec![None; batches.len()];
         for (i, payload) in batches.iter().enumerate().filter(|(_, p)| !p.is_empty()) {
             let to = SubjectId::from_index(i);
+            if to == user {
+                continue;
+            }
             let public = &self.publics[i];
             let envelope = SignedEnvelope::seal(&mut self.rng, payload, signer, public);
-            if to != user {
-                *request_bytes.entry((user, to)).or_default() +=
-                    envelope.wrapped_key.len() + envelope.body.len() + envelope.signature.len();
-            }
+            *request_bytes.entry((user, to)).or_default() +=
+                envelope.wrapped_key.len() + envelope.body.len() + envelope.signature.len();
             envelopes[i] = Some(envelope);
         }
 
@@ -749,7 +769,8 @@ impl Session {
     }
 
     /// Revoke the full cluster key `id` from every party, keeping only
-    /// the public aggregation halves, and invalidate the session's
+    /// the public aggregation halves delivered to non-holders, and
+    /// invalidate the session's
     /// cache entry for its cluster: the next query needing that cluster
     /// re-provisions *fresh* material under a new id (a revoked key
     /// must never come back from a cache).
@@ -801,6 +822,71 @@ mod tests {
             )
             .expect("Fig. 7(a) is authorized");
         assert_eq!(d.job.timeout(), Some(Duration::from_millis(1)));
+    }
+
+    /// The user serves itself: a plan run at `U` but for the scans is
+    /// sealed to the two authorities only, though `U`'s own request is
+    /// counted, and Fig. 7(a) to its four other subjects. An envelope to
+    /// the user that is present must still open and verify.
+    #[test]
+    fn the_user_seals_no_request_to_itself() {
+        use mpq_core::candidates::candidates;
+        use mpq_core::capability::CapabilityPolicy;
+        use mpq_core::extend::{minimally_extend, Assignment};
+        use rand::SeedableRng;
+        let ex = RunningExample::new();
+        let (db, user) = (Database::new(), ex.subject("U"));
+        let config = SessionConfig::new(5);
+        let (parties, mut dispatcher) = set_up(&ex.catalog, &ex.subjects, &ex.policy, &db, &config);
+        let (catalog, subjects) = (&ex.catalog, &ex.subjects);
+        let cands = candidates(
+            &ex.plan,
+            catalog,
+            &ex.policy,
+            subjects,
+            &CapabilityPolicy::default(),
+            true,
+        );
+        let mut at_user = Assignment::new();
+        for node in ["select_d", "join", "group", "having"] {
+            at_user.set(ex.node(node), user);
+        }
+        let all_at_user = minimally_extend(
+            &ex.plan,
+            catalog,
+            &ex.policy,
+            subjects,
+            &cands,
+            &at_user,
+            Some(user),
+        )
+        .expect("U may run the whole plan");
+        let signer = &parties[user.index()].rsa;
+        let mut prepare = |ext: &ExtendedPlan| {
+            let keys = plan_keys(ext);
+            (dispatcher.prepare(ext, &keys, user, signer, &mut vec![])).expect("authorized")
+        };
+        let sealed = |d: &Dispatched| -> Vec<&str> {
+            let to = |(i, e): (usize, &Option<_>)| e.as_ref().map(|_| i);
+            let ids = d.envelopes.iter().enumerate().filter_map(to);
+            ids.map(|i| ex.subjects.name(SubjectId::from_index(i)))
+                .collect()
+        };
+        // Wholly at `U` but for the scans at the authorities.
+        let alone = prepare(&all_at_user);
+        assert_eq!(sealed(&alone), ["H", "I"]);
+        assert_eq!(alone.requests, 3, "U's own request still counts");
+        assert_eq!(sealed(&prepare(&ex.fig7a_extended())), ["H", "I", "X", "Y"]);
+
+        let (me, user_public) = (&parties[user.index()], &signer.public);
+        assert!(PartyRun::new(me, &alone.job, None, user_public).is_ok());
+        let h = &parties[ex.subject("H").index()].rsa;
+        let mut rng = StdRng::seed_from_u64(3);
+        for (by, licensed) in [(signer, true), (h, false)] {
+            let envelope = SignedEnvelope::seal(&mut rng, b"q", by, user_public);
+            let run = PartyRun::new(me, &alone.job, Some(&envelope), user_public);
+            assert_eq!(run.is_ok(), licensed);
+        }
     }
 
     /// A query derives the extended plan's profiles once, in the

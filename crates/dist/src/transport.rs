@@ -140,6 +140,13 @@ pub enum TransportError {
         /// The subject the server hosts.
         subject: SubjectId,
     },
+    /// A client's hello named a user with a key that is not the
+    /// fleet's for that subject: a server takes key provisioning and
+    /// requests from the fleet's own users only.
+    ForeignUser {
+        /// The user the hello named.
+        subject: SubjectId,
+    },
     /// The channel or connection closed before the operation.
     Closed,
 }
@@ -162,6 +169,12 @@ impl std::fmt::Display for TransportError {
             }
             TransportError::ForeignKey { subject } => {
                 write!(f, "the server of {subject} holds a key of another seed")
+            }
+            TransportError::ForeignUser { subject } => {
+                write!(
+                    f,
+                    "a client announced user {subject} with a key of another seed"
+                )
             }
             TransportError::Closed => write!(f, "connection closed"),
         }

@@ -2102,19 +2102,27 @@ fn group_by_stream(
         ..Accs::default()
     };
 
+    // COUNT of a non-NULL literal — COUNT(*) — counts rows and never
+    // reads its input: it is not evaluated.
+    let counts_rows: Vec<bool> = (aggs.iter())
+        .map(|ag| ag.func == AggFunc::Count && matches!(&ag.input, Expr::Lit(v) if !v.is_null()))
+        .collect();
     while let Some(batch) = child.pull()? {
-        // Every aggregate's input, once per batch.
-        let inputs: Vec<_> = (aggs.iter())
-            .map(|ag| eval_column(&ag.input, &batch, None))
+        // Every other aggregate's input, once per batch.
+        let inputs: Vec<_> = (aggs.iter().zip(&counts_rows))
+            .map(|(ag, &rows)| (!rows).then(|| eval_column(&ag.input, &batch, None)))
             .collect();
         let key_cols: Vec<&ColumnVec> = key_idx.iter().map(|&i| batch.column(i)).collect();
         let hashes = hash_rows(key_cols.iter().copied(), table.seed, 0..batch.len());
         let gid = group_ids(&mut table, &mut group_keys, &key_cols, &hashes);
         let folds: Vec<Fold> = (accs.funcs.iter().zip(&inputs).zip(&accs.has_cells))
-            .map(|((&func, (col, _)), &has_cells)| Fold::new(func, col, has_cells))
+            .map(|((&func, input), &has_cells)| match input {
+                Some((col, _)) => Fold::new(func, col, has_cells),
+                None => Fold::Rows,
+            })
             .collect();
         // A row an input fails on is refused when the scan reaches it.
-        let refused = (inputs.iter())
+        let refused = (inputs.iter().flatten())
             .filter_map(|(_, failed)| failed.as_ref().map(|(row, _)| *row))
             .min();
         accs.fold_rows(0..refused.unwrap_or(batch.len()), &gid, &folds, ctx.keys)?;
@@ -2124,9 +2132,9 @@ fn group_by_stream(
         // accumulator may refuse the row first.
         if let Some(r) = refused {
             let g = gid[r] as usize;
-            for (k, (fold, (_, failed))) in folds.iter().zip(&inputs).enumerate() {
-                match failed {
-                    Some((at, e)) if *at == r => return Err(e.clone().into()),
+            for (k, (fold, input)) in folds.iter().zip(&inputs).enumerate() {
+                match input {
+                    Some((_, Some((at, e)))) if *at == r => return Err(e.clone().into()),
                     _ if g < accs.rows.len() => {
                         let slot = &mut group(&mut accs.slots, g, aggs.len())[k];
                         fold.into(slot, &mut accs.cells, aggs[k].func, r, ctx.keys)?;

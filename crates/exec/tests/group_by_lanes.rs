@@ -162,7 +162,15 @@ fn same_table(a: &Table, b: &Table) -> bool {
 /// `execute` at batches of 1, 7 and 4,096 against `execute_ref`: the
 /// same table or the same error. Returns the oracle's answer.
 fn assert_matches_oracle(cat: &Catalog, db: &Database) -> Result<Table, ExecError> {
-    let plan = plan(cat);
+    assert_plan_matches_oracle(&plan(cat), cat, db)
+}
+
+/// [`assert_matches_oracle`] for any plan over `G`.
+fn assert_plan_matches_oracle(
+    plan: &QueryPlan,
+    cat: &Catalog,
+    db: &Database,
+) -> Result<Table, ExecError> {
     let ring = KeyRing::new();
     ring.insert(key().clone());
     let (schemes, koa) = (SchemePlan::default(), HashMap::new());
@@ -171,9 +179,9 @@ fn assert_matches_oracle(cat: &Catalog, db: &Database) -> Result<Table, ExecErro
             .batch_rows(batch_rows)
             .build()
     };
-    let oracle = execute_ref(&plan, &ctx(4096));
+    let oracle = execute_ref(plan, &ctx(4096));
     for batch_rows in [1, 7, 4096] {
-        match (execute(&plan, &ctx(batch_rows)), &oracle) {
+        match (execute(plan, &ctx(batch_rows)), &oracle) {
             (Ok(got), Ok(want)) => assert!(
                 same_table(&got, want),
                 "batches of {batch_rows}\n{got:?}\n{want:?}"
@@ -255,5 +263,48 @@ fn two_lanes_failing_on_one_row_fail_as_the_row_walk_does() {
             ExecError::Eval(EvalError::TypeError(_)) => assert!(!want_input, "opens: {opens}"),
             other => panic!("opens: {opens}: {other:?}"),
         }
+    }
+}
+
+/// COUNT of a literal counts rows without evaluating it, unless the
+/// literal is NULL, which counts none: COUNT(*), COUNT('x') and
+/// COUNT(NULL) beside COUNT(c), grouped and not.
+#[test]
+fn count_of_a_literal_counts_rows_and_count_of_null_counts_none() {
+    let cat = catalog();
+    let g = cat.relation("G").unwrap();
+    let lane = |k: u32, input| AggExpr {
+        func: AggFunc::Count,
+        input,
+        output: AttrId(100 + k),
+    };
+    let aggs = vec![
+        lane(0, Expr::Lit(Value::Int(1))),
+        lane(1, Expr::Lit(Value::Null)),
+        lane(2, Expr::Lit(Value::str("x"))),
+        lane(3, Expr::Col(C)),
+    ];
+    let rng = &mut StdRng::seed_from_u64(52);
+    for (rows, keys) in [(0, vec![]), (600, vec![]), (600, vec![K])] {
+        let mut plan = QueryPlan::new();
+        let base = plan.add_base(g.rel, g.attrs());
+        let group_by = Operator::GroupBy {
+            keys,
+            aggs: aggs.clone(),
+        };
+        plan.add(group_by, vec![base]);
+        let db = database(&cat, generate(rng, rows, Some(4), Faults::default()));
+        let out = assert_plan_matches_oracle(&plan, &cat, &db).expect("counts never fail");
+        let counts = |lane: usize| -> i64 {
+            let col = out.attrs().len() - 4 + lane;
+            let count = |r| match out.value(col, r) {
+                Value::Int(n) => n,
+                other => panic!("a count is an integer, not {other:?}"),
+            };
+            (0..out.len()).map(count).sum()
+        };
+        assert_eq!(counts(0), rows as i64, "COUNT(*)");
+        assert_eq!(counts(1), 0, "COUNT(NULL)");
+        assert_eq!(counts(2), rows as i64, "COUNT('x')");
     }
 }

@@ -136,6 +136,12 @@
 //!   under `crates/dist/src` or `crates/server/src` is a finding
 //!   outside that function, so a session, a coordinator and a server
 //!   of one seed keep holding the same keys.
+//! * **one-paillier-keygen** — a cluster's Paillier keypair is a
+//!   function of its master, built by `ClusterKey` the first time a
+//!   query sums under it (`crypto/src/keyring.rs`):
+//!   `PaillierKeypair::generate(` in non-test code under `crates/` or
+//!   `src` is a finding outside that file, so no path grows an eager
+//!   keypair — two prime searches for a cluster nobody sums — back.
 //!
 //! Two rules read more than one line at a time:
 //!
@@ -427,6 +433,12 @@ const RULES: &[Rule] = &[
                   coordinator and a server of one seed different keys",
         sites: &[(&["RsaKeypair::generate("], &["crates/dist/src", "crates/server/src"], &[],
                   Some(("crates/dist/src/party.rs", "fleet_identities")))],
+    },
+    Rule {
+        name: "one-paillier-keygen",
+        message: "`{t}` — a cluster's Paillier keypair is derived from its master by \
+                  `ClusterKey` when a query first sums under it; no path builds one eagerly",
+        sites: &[(&["PaillierKeypair::generate("], &[], &["crates/crypto/src/keyring.rs"], None)],
     },
 ];
 
@@ -1572,6 +1584,37 @@ mod tests {
         }
         // …and the crypto crate, which defines it, is out of scope.
         assert!(lines_in("crates/crypto/src/rsa.rs").is_empty());
+    }
+
+    #[test]
+    fn a_paillier_keypair_outside_the_cluster_key_is_flagged() {
+        let src = "
+fn homomorphic(&self) { let kp = PaillierKeypair::generate(&mut stream, bits); }
+fn provision() { let kp = PaillierKeypair::generate(&mut rng, PAILLIER_BITS); }
+#[cfg(test)]
+mod tests {
+    fn t() { PaillierKeypair::generate(&mut rng, 256); }
+}
+";
+        let lines_in = |file: &str| {
+            let mut findings = Vec::new();
+            lint_source(&Source::new(Path::new(file), src), &mut findings);
+            (findings.iter())
+                .filter(|f| f.rule == "one-paillier-keygen")
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        // The cluster key is the one home; its tests may build any…
+        assert!(lines_in("crates/crypto/src/keyring.rs").is_empty());
+        // …and every other library path, the crypto crate's own
+        // included, is a finding.
+        for file in [
+            "crates/crypto/src/paillier.rs",
+            "crates/dist/src/session.rs",
+            "src/lib.rs",
+        ] {
+            assert_eq!(lines_in(file), vec![2, 3], "{file}");
+        }
     }
 
     #[test]

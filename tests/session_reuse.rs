@@ -13,7 +13,8 @@
 //! bytes draw fresh hybrid session keys per query and are compared as
 //! edge sets and request counts, not byte-for-byte.
 
-use mpq::algebra::{NodeId, Operator, SubjectId, Value};
+use mpq::algebra::builder::plan_sql;
+use mpq::algebra::{NodeId, Operator, QueryPlan, SubjectId, Value};
 use mpq::core::candidates::{candidates, Candidates};
 use mpq::core::capability::CapabilityPolicy;
 use mpq::core::dispatch::regions;
@@ -428,4 +429,150 @@ fn revoked_keys_leave_no_ciphertext_behind() {
         revoked.column(col),
         "C still under the revoked key"
     );
+}
+
+/// `plan` over the running example under `at` (operation → subject by
+/// name; unnamed operations go to `rest`), minimally extended for `U`.
+fn pinned(
+    ex: &RunningExample,
+    plan: &QueryPlan,
+    at: &[(NodeId, &str)],
+    rest: &str,
+) -> (ExtendedPlan, KeyPlan) {
+    let cands = candidates(
+        plan,
+        &ex.catalog,
+        &ex.policy,
+        &ex.subjects,
+        &CapabilityPolicy::default(),
+        true,
+    );
+    let mut assignment = Assignment::new();
+    for id in plan.postorder() {
+        if !plan.node(id).children.is_empty() {
+            let named = at.iter().find(|(n, _)| *n == id);
+            assignment.set(id, ex.subject(named.map_or(rest, |(_, s)| s)));
+        }
+    }
+    let user = Some(ex.subject("U"));
+    let ext = minimally_extend(
+        plan,
+        &ex.catalog,
+        &ex.policy,
+        &ex.subjects,
+        &cands,
+        &assignment,
+        user,
+    )
+    .expect("the pinned assignment is drawn from Λ");
+    let keys = plan_keys(&ext);
+    (ext, keys)
+}
+
+/// A cold-then-warm pass over Fig. 7(a), Fig. 7(b) and the plan run
+/// wholly at `U`, after `reset_provisioning`, provisions three clusters
+/// — `{S, C}` and `{D}` compared, `{P}` summed under Paillier — and
+/// builds one Paillier keypair, `{P}`'s, where making every cluster's
+/// keypair with its master built three. Only `{P}`'s public half goes
+/// to computing non-holders: four deliveries, where shipping every
+/// cluster's made eleven.
+#[test]
+fn a_churn_pass_builds_the_one_paillier_keypair_it_sums_under() {
+    let ex = RunningExample::new();
+    let db = sample_db(&ex);
+    let user = ex.subject("U");
+    let nodes = ["select_d", "join", "group", "having"].map(|n| ex.node(n));
+    let pass: Vec<_> = [["H", "X", "X", "Y"], ["H", "Z", "Z", "Y"], ["U"; 4]]
+        .iter()
+        .map(|at| {
+            let at: Vec<_> = nodes.iter().copied().zip(at.iter().copied()).collect();
+            pinned(&ex, &ex.plan, &at, "U")
+        })
+        .collect();
+    for transport in [TransportKind::InProc, TransportKind::Tcp] {
+        let config = SessionConfig::new(41).transport(transport);
+        let mut session = Session::open_with(&ex.catalog, &ex.subjects, &ex.policy, &db, config);
+        for _ in 0..2 {
+            session.reset_provisioning();
+            let before = session.stats();
+            for _cold_then_warm in 0..2 {
+                for (ext, keys) in &pass {
+                    session
+                        .execute(ext, keys, user)
+                        .expect("a fig7_churn query");
+                }
+            }
+            let after = session.stats();
+            let delta = |f: fn(&mpq::dist::SessionStats) -> usize| f(&after) - f(&before);
+            assert_eq!(delta(|s| s.clusters_provisioned), 3, "{transport:?}");
+            assert_eq!(delta(|s| s.paillier_keypairs), 1, "{transport:?}");
+            assert_eq!(delta(|s| s.publics_delivered), 4, "{transport:?}");
+        }
+    }
+}
+
+/// A cluster provisioned by a query that only carries its attribute
+/// builds no keypair; the first query that sums the attribute under
+/// Paillier builds it then — from the cached master, so every holder's
+/// copy agrees — and ships the public half to the subjects computing
+/// without the key (`H` under the selection, `X` under the rest), in-proc
+/// and over TCP alike.
+#[test]
+fn a_cached_cluster_gets_its_keypair_when_a_query_first_sums_it() {
+    let ex = RunningExample::new();
+    let db = sample_db(&ex);
+    let user = ex.subject("U");
+    let query = |sql: &str| {
+        let plan = plan_sql(&ex.catalog, sql).expect("valid SQL");
+        let select = (plan.postorder().into_iter())
+            .find(|&n| matches!(plan.node(n).op, Operator::Select { .. }))
+            .expect("a selection");
+        pinned(&ex, &plan, &[(select, "H")], "X")
+    };
+    let from = "from Hosp join Ins on S=C where D='stroke'";
+    let (carry, carry_keys) = query(&format!("select T, P {from}"));
+    let (sum, sum_keys) = query(&format!("select T, sum(P) {from} group by T"));
+    let p = ex.attr("P");
+    let sig = |keys: &KeyPlan| keys.key_for(p).expect("P is encrypted").cluster_sig();
+    assert!(sig(&carry_keys) == sig(&sum_keys), "one {{P}} cluster");
+
+    let mut reports = Vec::new();
+    for transport in [TransportKind::InProc, TransportKind::Tcp] {
+        let config = SessionConfig::new(53).transport(transport);
+        let mut session = Session::open_with(&ex.catalog, &ex.subjects, &ex.policy, &db, config);
+        session.execute(&carry, &carry_keys, user).expect("carry P");
+        let carried = session.stats();
+        assert_eq!(
+            (carried.paillier_keypairs, carried.publics_delivered),
+            (0, 0)
+        );
+        reports.push(session.execute(&sum, &sum_keys, user).expect("sum P"));
+        let summed = session.stats();
+        assert_eq!(summed.clusters_provisioned, carried.clusters_provisioned);
+        assert_eq!((summed.paillier_keypairs, summed.publics_delivered), (1, 2));
+    }
+    let mut fresh = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 53);
+    let reference = fresh.execute(&sum, &sum_keys, user).expect("sum P");
+    assert_rows_match(&reports[0], &reference, "in-proc vs a fresh session");
+    assert_rows_match(&reports[1], &reference, "TCP vs a fresh session");
+}
+
+/// A key's Paillier keypair is a function of its master: built lazily
+/// by one clone, it is every clone's, and the one a key of the same
+/// master built at once has — also once the master has crossed a wire.
+#[test]
+fn a_lazily_built_keypair_is_the_eager_one_and_shared_by_clones() {
+    let key = |seed| ClusterKey::generate(&mut StdRng::seed_from_u64(seed), 3, 256);
+    let eager = key(17);
+    let eager_bytes = eager.paillier().to_bytes();
+    let lazy = key(17);
+    let clone = lazy.clone();
+    let wired = ClusterKey::from_bytes(&lazy.to_bytes()).expect("a key's own bytes");
+    assert!(!lazy.paillier_built() && !clone.paillier_built());
+    assert_eq!(clone.paillier().to_bytes(), eager_bytes);
+    assert!(lazy.paillier_built(), "the clone built it for both");
+    assert!(std::ptr::eq(lazy.paillier(), clone.paillier()));
+    assert!(!wired.paillier_built());
+    assert_eq!(wired.paillier().to_bytes(), eager_bytes);
+    assert_ne!(key(18).paillier().to_bytes(), eager_bytes);
 }
